@@ -15,12 +15,9 @@
 //!   is compared against in experiment E5 (Section 1's "previously proposed
 //!   algorithms can perform poorly");
 //! - [`phaseking`] — a polynomial-message alternative `Broadcast_Default`
-//!   (`O(f·n²)` messages, needs `n > 4f`);
-//! - [`dolev`] — Dolev's topology-oblivious reliable broadcast, the
-//!   classical root of the `2f+1`-connectivity prerequisite.
+//!   (`O(f·n²)` messages, needs `n > 4f`).
 
 pub mod baselines;
-pub mod dolev;
 pub mod eig;
 pub mod phaseking;
 pub mod router;

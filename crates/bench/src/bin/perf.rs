@@ -122,27 +122,10 @@ fn run(args: &Args) -> Result<(), String> {
         pc.disk_hits,
     );
 
-    eprintln!("perf: plan-repair on vs off sweep…");
-    let pr = perf::run_plan_repair_bench(args.quick, args.threads)?;
-    println!(
-        "plan-repair ({}, {} jobs, {} threads): replan {:.1} ms repaired vs {:.1} ms \
-         recomputed ({} repairs + {} forced recomputes vs {} recomputes, identical \
-         reports: {})",
-        pr.scenario,
-        pr.jobs,
-        pr.threads,
-        pr.repair_replan_ns as f64 / 1e6,
-        pr.norepair_replan_ns as f64 / 1e6,
-        pr.repairs,
-        pr.full_recomputes,
-        pr.norepair_recomputes,
-        pr.reports_identical,
-    );
-
     let sweep_path = args.out.join("BENCH_sweep.json");
     std::fs::write(
         &sweep_path,
-        perf::sweep_report_json(&report, wall_ns, threads, args.quick, &pc, &pr).render_pretty(),
+        perf::sweep_report_json(&report, wall_ns, threads, args.quick, &pc).render_pretty(),
     )
     .map_err(|e| format!("cannot write {}: {e}", sweep_path.display()))?;
     eprintln!("perf: wrote {}", sweep_path.display());

@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 use nab::equality::CodingScheme;
 use nab::value::Value;
-use nab_gf::bytes::{self, ByteMatrix};
+use nab_gf::bytes;
 use nab_gf::kernel::{self, scalar_mul_row_add, FastOps};
 use nab_gf::linalg;
 use nab_gf::matrix::Matrix;
@@ -34,9 +34,9 @@ use rand::SeedableRng;
 /// `latency` histograms and `metrics` registry inside the embedded timed
 /// sweep report (see `docs/observability.md`).
 /// v4: top-level `tier`/`cpu` kernel metadata (the detected arch-SIMD
-/// tier and CPU features), batched-op cases (`mul_row_add_batch`,
-/// `encode_batch`, `check_batch`, word-slab `mat_mul`) with SIMD tier
-/// names, and min-of-[`MIN_REPS`] timing per case.
+/// tier and CPU features), batched-op cases (batched row add, slab
+/// encode/check, word-slab `mat_mul`) with SIMD tier names, and
+/// min-of-[`MIN_REPS`] timing per case.
 /// v5: the `plan_repair` A/B section (dispute-heavy replanning with
 /// incremental repair on vs. off), disk-tier fields in the `plan_cache`
 /// section (`disk_scenario`, `disk_grid_points`, `disk_cold_wall_ns`,
@@ -44,7 +44,12 @@ use rand::SeedableRng;
 /// planning pass, built+persisted vs. loaded), and per-job/aggregate
 /// `plan_repairs` / `plan_full_recomputes` / `plan_repair_ns` counters
 /// inside the embedded timed sweep.
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6: one production path — the GF op set loses v4's three batched-op
+/// cases and the `gf256/bytes` / `gf2_16/kernel` `mat_mul` and
+/// `gf256/bytes` `invert` cases (their kernels are gone), and the sweep
+/// report loses the `plan_repair` A/B section (the repair-off path is
+/// gone; the per-job/aggregate counters stay).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Repetitions of every timed loop; the reported `total_ns` is the
 /// **minimum** over these (min-of-N filters scheduler and frequency
@@ -58,12 +63,6 @@ pub const SWEEP_SCENARIO: &str = include_str!("../../../scenarios/complete-sweep
 /// The scenario the plan-cache benchmark runs: the 120-job `scale-grid`,
 /// whose 12 distinct networks make plan sharing measurable.
 pub const PLAN_CACHE_SCENARIO: &str = include_str!("../../../scenarios/scale-grid.scenario");
-
-/// The scenario the plan-repair benchmark runs: `dispute-storm`, where a
-/// fixed corruptor raises disputes in the first instances and every later
-/// instance replans on the shrunken `G_k` (plus a degrade schedule that
-/// migrates plans mid-job).
-pub const PLAN_REPAIR_SCENARIO: &str = include_str!("../../../scenarios/dispute-storm.scenario");
 
 /// The scenario whose planning pass the disk-tier benchmark times: the
 /// 1024-node `dc-grid` torus, where plan construction — not execution —
@@ -211,42 +210,6 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
             iters,
             || scalar_mul_row_add(&mut dst16s, &src16, Gf2_16(0xABCD)),
         ));
-
-        // Batched fused multiply-add: one destination accumulating many
-        // scaled sources (the blocked-mat_mul inner shape).
-        let nsrcs = 8usize;
-        let batch_srcs: Vec<Vec<Gf2_16>> = (0..nsrcs)
-            .map(|r| {
-                (0..len)
-                    .map(|i| Gf2_16::from_u64((i * 97 + r * 13 + 1) as u64))
-                    .collect()
-            })
-            .collect();
-        let batch_refs: Vec<&[Gf2_16]> = batch_srcs.iter().map(|v| v.as_slice()).collect();
-        let batch_scalars: Vec<Gf2_16> = (0..nsrcs)
-            .map(|r| Gf2_16::from_u64(r as u64 * 0x1234 + 2))
-            .collect();
-        let batch_iters = iters / nsrcs as u64 + 1;
-        let mut dstb = dst16.clone();
-        cases.push(case(
-            "mul_row_add_batch",
-            gf2_16_tier,
-            len as u64,
-            batch_iters,
-            || <Gf2_16 as FastOps>::mul_row_add_batch(&mut dstb, &batch_refs, &batch_scalars),
-        ));
-        let mut dstbs = dst16.clone();
-        cases.push(case(
-            "mul_row_add_batch",
-            "gf2_16/scalar",
-            len as u64,
-            batch_iters,
-            || {
-                for (src, &s) in batch_refs.iter().zip(&batch_scalars) {
-                    scalar_mul_row_add(&mut dstbs, src, s);
-                }
-            },
-        ));
     }
 
     // --- Dense linear algebra: mat_mul / invert / solve. ---------------
@@ -257,16 +220,8 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
         } else {
             2_000_000 / (n * n * n) as u64 + 5
         };
-        let a8 = ByteMatrix::random(n, n, &mut rng);
-        let b8 = ByteMatrix::random(n, n, &mut rng);
-        cases.push(case("mat_mul", "gf256/bytes", n as u64, iters, || {
-            a8.mat_mul(&b8)
-        }));
         let a = Matrix::<Gf2_16>::random(n, n, &mut rng);
         let b = Matrix::<Gf2_16>::random(n, n, &mut rng);
-        cases.push(case("mat_mul", "gf2_16/kernel", n as u64, iters, || {
-            kernel::mat_mul(&a, &b)
-        }));
         let aw = WordMatrix::from_matrix(&a);
         let bw = WordMatrix::from_matrix(&b);
         cases.push(case("mat_mul", "gf2_16/words", n as u64, iters, || {
@@ -276,9 +231,6 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
             a.mul(&b)
         }));
 
-        cases.push(case("invert", "gf256/bytes", n as u64, iters, || {
-            a8.invert()
-        }));
         cases.push(case("invert", "gf2_16/kernel", n as u64, iters, || {
             kernel::invert(&a)
         }));
@@ -307,55 +259,6 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
         symbols as u64,
         enc_iters,
         || scheme.encode(0, 1, &value),
-    ));
-
-    // --- Batched Algorithm-1 encode/check over a packed column slab. ----
-    // The shape the batched execution path hands the kernels: one ρ×width
-    // slab holding the value-columns of many instances/streams, encoded
-    // by a single blocked multiply per edge. `n` records the slab width
-    // (packed columns).
-    let width = if quick { 256 } else { 2048 };
-    let (rho, z) = (6usize, 10usize);
-    let code = Matrix::<Gf2_16>::random(rho, z, &mut rng);
-    let xslab: Vec<Gf2_16> = (0..rho * width)
-        .map(|i| Gf2_16::from_u64(i as u64 * 193 + 7))
-        .collect();
-    let slab_iters = if quick { 100 } else { 400 };
-    let slab_tier = row_tier("gf2_16", width, "gf2_16/split-table16");
-    let mut out = vec![Gf2_16::ZERO; z * width];
-    cases.push(case(
-        "encode_batch",
-        slab_tier,
-        width as u64,
-        slab_iters,
-        || <Gf2_16 as FastOps>::encode_batch(&code, &xslab, width, &mut out),
-    ));
-    // Scalar baseline: the per-column path the batched encode replaces.
-    let mut out_s = vec![Gf2_16::ZERO; z * width];
-    cases.push(case(
-        "encode_batch",
-        "gf2_16/scalar",
-        width as u64,
-        slab_iters,
-        || {
-            for j in 0..width {
-                for r in 0..z {
-                    let mut acc = Gf2_16::ZERO;
-                    for k in 0..rho {
-                        acc = acc.add(code[(k, r)].mul(xslab[k * width + j]));
-                    }
-                    out_s[r * width + j] = acc;
-                }
-            }
-        },
-    ));
-    let expected = out.clone();
-    cases.push(case(
-        "check_batch",
-        slab_tier,
-        width as u64,
-        slab_iters,
-        || <Gf2_16 as FastOps>::check_batch(&code, &xslab, width, &expected),
     ));
 
     cases
@@ -602,84 +505,6 @@ pub fn run_plan_cache_bench(quick: bool, threads: usize) -> Result<PlanCacheBenc
     })
 }
 
-/// The incremental plan-repair A/B: the same dispute-heavy sweep run
-/// with `plan_repair` on (witness-incremental packer + memoized `G_k`
-/// derivations) and off (full recompute on every disputed instance).
-#[derive(Debug, Clone)]
-pub struct PlanRepairBench {
-    /// Scenario name the comparison ran.
-    pub scenario: String,
-    /// Jobs in the sweep grid.
-    pub jobs: usize,
-    /// Worker threads used for both runs.
-    pub threads: usize,
-    /// Total sweep wall ns with repair on.
-    pub repair_wall_ns: u64,
-    /// Total sweep wall ns with repair off.
-    pub norepair_wall_ns: u64,
-    /// Replanning ns with repair on (the acceptance metric's numerator
-    /// base: repairs + the forced full recomputes).
-    pub repair_replan_ns: u64,
-    /// Replanning ns with repair off (every disputed instance recomputes).
-    pub norepair_replan_ns: u64,
-    /// Derivations resolved by incremental repair (repair-on run).
-    pub repairs: u64,
-    /// Forced full recomputes (repair-on run: γ/ρ changed or migration).
-    pub full_recomputes: u64,
-    /// Full recomputes in the repair-off run.
-    pub norepair_recomputes: u64,
-    /// Whether both runs produced byte-identical canonical JSON.
-    pub reports_identical: bool,
-}
-
-/// Runs the plan-repair comparison on the `dispute-storm` scenario.
-///
-/// `quick` shrinks the grid while keeping the dispute-then-long-tail
-/// shape that makes replanning measurable.
-///
-/// # Errors
-///
-/// Returns the scenario parse/validation failure, if any.
-pub fn run_plan_repair_bench(quick: bool, threads: usize) -> Result<PlanRepairBench, String> {
-    let mut spec = parse_str(PLAN_REPAIR_SCENARIO).map_err(|e| e.to_string())?;
-    if quick {
-        spec.q = spec.q.min(10);
-        spec.seeds = spec.seeds.min(2);
-        spec.n.truncate(1);
-    }
-    let resolved = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-
-    spec.plan_repair = true;
-    let t0 = clock::mono_now();
-    let on = nab_scenario::sweep::run_sweep(&spec, resolved)?;
-    let repair_wall_ns = t0.elapsed().as_nanos() as u64;
-
-    spec.plan_repair = false;
-    let t0 = clock::mono_now();
-    let off = nab_scenario::sweep::run_sweep(&spec, resolved)?;
-    let norepair_wall_ns = t0.elapsed().as_nanos() as u64;
-
-    Ok(PlanRepairBench {
-        scenario: spec.name.clone(),
-        jobs: spec.job_count(),
-        threads: resolved,
-        repair_wall_ns,
-        norepair_wall_ns,
-        repair_replan_ns: on.aggregate.plan_repair_ns,
-        norepair_replan_ns: off.aggregate.plan_repair_ns,
-        repairs: on.aggregate.plan_repairs,
-        full_recomputes: on.aggregate.plan_full_recomputes,
-        norepair_recomputes: off.aggregate.plan_full_recomputes,
-        reports_identical: on.to_json() == off.to_json(),
-    })
-}
-
 /// Renders the sweep-wide latency percentiles (`p50`/`p90`/`p99` wall
 /// nanoseconds per phase) from the aggregate latency histograms.
 fn percentiles_json(latency: &PhaseLatency) -> Json {
@@ -705,15 +530,13 @@ fn percentiles_json(latency: &PhaseLatency) -> Json {
 /// Renders the sweep benchmark report (`BENCH_sweep.json`): run metadata,
 /// per-phase latency percentiles, the full timed sweep report (per-job
 /// `wall_*_ns`, latency histograms, plan-cache and plan-repair stats
-/// included), the cold-vs-cached-vs-disk `plan_cache` comparison, and
-/// the repair-on-vs-off `plan_repair` comparison.
+/// included) and the cold-vs-cached-vs-disk `plan_cache` comparison.
 pub fn sweep_report_json(
     report: &SweepReport,
     wall_ns: u64,
     threads: usize,
     quick: bool,
     plan_cache: &PlanCacheBench,
-    plan_repair: &PlanRepairBench,
 ) -> Json {
     Json::obj(vec![
         ("report", Json::str("sweep")),
@@ -755,31 +578,6 @@ pub fn sweep_report_json(
                 ),
             ]),
         ),
-        (
-            "plan_repair",
-            Json::obj(vec![
-                ("scenario", Json::str(&plan_repair.scenario)),
-                ("jobs", Json::U64(plan_repair.jobs as u64)),
-                ("threads", Json::U64(plan_repair.threads as u64)),
-                ("repair_wall_ns", Json::U64(plan_repair.repair_wall_ns)),
-                ("norepair_wall_ns", Json::U64(plan_repair.norepair_wall_ns)),
-                ("repair_replan_ns", Json::U64(plan_repair.repair_replan_ns)),
-                (
-                    "norepair_replan_ns",
-                    Json::U64(plan_repair.norepair_replan_ns),
-                ),
-                ("repairs", Json::U64(plan_repair.repairs)),
-                ("full_recomputes", Json::U64(plan_repair.full_recomputes)),
-                (
-                    "norepair_recomputes",
-                    Json::U64(plan_repair.norepair_recomputes),
-                ),
-                (
-                    "reports_identical",
-                    Json::Bool(plan_repair.reports_identical),
-                ),
-            ]),
-        ),
         ("sweep", report.to_json_value(true)),
     ])
 }
@@ -814,7 +612,7 @@ mod tests {
             total_ns: 1234,
         }];
         let j = gf_report_json(&cases, true).render();
-        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":5,\"quick\":true,\"tier\":\""));
+        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":6,\"quick\":true,\"tier\":\""));
         for key in [
             "\"cpu\":\"",
             "\"cases\":[",
@@ -835,21 +633,12 @@ mod tests {
         let ops: std::collections::BTreeSet<&str> = cases.iter().map(|c| c.op).collect();
         assert_eq!(
             ops.into_iter().collect::<Vec<_>>(),
-            vec![
-                "check_batch",
-                "encode",
-                "encode_batch",
-                "invert",
-                "mat_mul",
-                "mul_row_add",
-                "mul_row_add_batch",
-                "solve"
-            ]
+            vec!["encode", "invert", "mat_mul", "mul_row_add", "solve"]
         );
         // Every specialized tier appears alongside its scalar baseline,
         // with the row cases labeled by the kernel that actually runs on
         // this machine (arch-SIMD when detected, table tiers otherwise).
-        assert!(cases.iter().any(|c| c.tier == "gf256/bytes"));
+        assert!(cases.iter().any(|c| c.tier == "gf256/scalar"));
         assert!(cases.iter().any(|c| c.tier == "gf2_16/words"));
         assert!(cases.iter().any(|c| c.tier == "gf2_16/scalar"));
         let expected_row = match simd::tier() {
@@ -889,38 +678,15 @@ mod tests {
         }
     }
 
-    fn fixture_plan_repair_bench() -> PlanRepairBench {
-        PlanRepairBench {
-            scenario: "dispute-storm".into(),
-            jobs: 4,
-            threads: 2,
-            repair_wall_ns: 400,
-            norepair_wall_ns: 900,
-            repair_replan_ns: 60,
-            norepair_replan_ns: 500,
-            repairs: 5,
-            full_recomputes: 2,
-            norepair_recomputes: 40,
-            reports_identical: true,
-        }
-    }
-
     #[test]
     fn quick_sweep_bench_produces_timed_report() {
         let (report, wall_ns, threads) = run_sweep_bench(true, 2).expect("bundled scenario runs");
         assert_eq!(threads, 2, "explicit thread counts pass through");
         assert!(report.aggregate.ok_jobs > 0);
         assert!(report.aggregate.all_correct);
-        let j = sweep_report_json(
-            &report,
-            wall_ns,
-            threads,
-            true,
-            &fixture_plan_cache_bench(),
-            &fixture_plan_repair_bench(),
-        )
-        .render();
-        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":5"));
+        let j = sweep_report_json(&report, wall_ns, threads, true, &fixture_plan_cache_bench())
+            .render();
+        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":6"));
         assert!(
             j.contains("\"wall_total_ns\":"),
             "timed sweep embedded: {j}"
@@ -960,14 +726,8 @@ mod tests {
              \"disk_hits\":4,\"disk_stores\":4,\
              \"reports_identical\":true}"
         ));
-        assert!(j.contains(
-            "\"plan_repair\":{\"scenario\":\"dispute-storm\",\"jobs\":4,\"threads\":2,\
-             \"repair_wall_ns\":400,\"norepair_wall_ns\":900,\
-             \"repair_replan_ns\":60,\"norepair_replan_ns\":500,\
-             \"repairs\":5,\"full_recomputes\":2,\"norepair_recomputes\":40,\
-             \"reports_identical\":true}"
-        ));
-        // The v5 timed sweep carries the per-job repair counters.
+        assert!(!j.contains("\"plan_repair\":"), "v6 drops the A/B section");
+        // The timed sweep carries the per-job repair counters.
         assert!(j.contains("\"plan_repairs\":"), "repair counters: {j}");
         assert!(
             j.contains("\"plan_full_recomputes\":"),
@@ -1001,26 +761,6 @@ mod tests {
         assert!(
             b.reports_identical,
             "cache state must not perturb canonical JSON"
-        );
-    }
-
-    #[test]
-    fn quick_plan_repair_bench_repairs_and_stays_identical() {
-        let b = run_plan_repair_bench(true, 2).expect("dispute-storm runs");
-        assert_eq!(b.scenario, "dispute-storm");
-        assert!(b.jobs >= 2);
-        assert!(
-            b.repairs + b.full_recomputes > 0,
-            "disputes must force derivations: {b:?}"
-        );
-        assert!(
-            b.norepair_recomputes > b.repairs + b.full_recomputes,
-            "repair must collapse derivations: {b:?}"
-        );
-        assert!(b.repair_replan_ns > 0 && b.norepair_replan_ns > 0);
-        assert!(
-            b.reports_identical,
-            "repair mode must not perturb canonical JSON"
         );
     }
 

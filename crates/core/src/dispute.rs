@@ -368,13 +368,15 @@ mod tests {
         let scheme = CodingScheme::random(&g, 1, 3);
         let input = Value::from_u64s(&[1, 2, 3, 4]);
         let p1 = run_phase1(&g, 0, &input, &trees, &BTreeSet::new(), &mut HonestStrategy);
-        let eq = crate::phase2::run_equality_phase(
+        let eq = crate::phase2::run_equality_phase_batched(
             &g,
-            &p1.values,
+            &[&p1.values],
             &scheme,
             &BTreeSet::new(),
-            &mut HonestStrategy,
-        );
+            &mut [&mut HonestStrategy],
+        )
+        .pop()
+        .unwrap();
         let claims =
             crate::phase2::honest_claims(&g, 0, &input, &trees, &scheme, &p1, &eq, &eq.flags);
         assert!(dc2_disputes(&claims).is_empty());

@@ -9,11 +9,12 @@
 //! execute against one shared plan.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use nab_bb::baselines::RoutedChannel;
 use nab_bb::router::Routed;
-use nab_netgraph::arborescence::{pack_arborescences, pack_arborescences_naive, Arborescence};
+use nab_netgraph::arborescence::{pack_arborescences, Arborescence};
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
 use nab_sim::NetSim;
@@ -24,9 +25,7 @@ use crate::dispute::{dc2_disputes, dc3_exposed, DisputeState, NodeClaims};
 use crate::equality::CodingScheme;
 use crate::netexec::{self, DeliveredTimes, NetExec, ReplayInput};
 use crate::phase1::run_phase1;
-use crate::phase2::{
-    broadcast_value, honest_claims, run_equality_phase, run_flag_broadcast, BroadcastKind,
-};
+use crate::phase2::{broadcast_value, honest_claims, run_flag_broadcast, BroadcastKind};
 use crate::plan::ExecutionPlan;
 use crate::value::Value;
 
@@ -262,7 +261,6 @@ pub struct NabEngine {
     instance: usize,
     broadcast: BroadcastKind,
     net: Option<NetExec>,
-    repair: bool,
     memo: Option<GkMemo>,
     repair_stats: RepairStats,
 }
@@ -301,7 +299,6 @@ impl NabEngine {
             instance: 0,
             broadcast: BroadcastKind::default(),
             net: None,
-            repair: true,
             memo: None,
             repair_stats: RepairStats::default(),
         })
@@ -338,24 +335,6 @@ impl NabEngine {
         self.plan = plan;
         self.memo = None;
         Ok(())
-    }
-
-    /// Enables or disables incremental plan repair (default: enabled).
-    ///
-    /// Disabled, every disputed instance re-derives γ_k, the arborescence
-    /// packing, and ρ_k from scratch with the reference packer — the
-    /// pre-repair behavior, kept as the benchmark baseline and the
-    /// differential-testing oracle. Outputs are bit-identical either way.
-    pub fn set_plan_repair(&mut self, on: bool) {
-        self.repair = on;
-        if !on {
-            self.memo = None;
-        }
-    }
-
-    /// Whether incremental plan repair is enabled.
-    pub fn plan_repair(&self) -> bool {
-        self.repair
     }
 
     /// Replanning counters accumulated by this engine.
@@ -426,7 +405,8 @@ impl NabEngine {
         self.cfg.f.saturating_sub(self.disputes.removed.len())
     }
 
-    /// Runs one NAB instance.
+    /// Runs one NAB instance: the one-stream call of
+    /// [`run_instances_batched`].
     ///
     /// `faulty` is the ground-truth faulty set (fixed across instances per
     /// the fault model; must have at most `f` members); `adv` chooses the
@@ -448,20 +428,38 @@ impl NabEngine {
         faulty: &BTreeSet<NodeId>,
         adv: &mut dyn NabAdversary,
     ) -> Result<InstanceReport, NabError> {
-        assert!(
-            faulty.len() <= self.cfg.f,
-            "faulty set exceeds configured f"
-        );
-        if input.len() != self.cfg.symbols {
-            return Err(NabError::WrongInputSize {
-                expect: self.cfg.symbols,
-                got: input.len(),
-            });
-        }
+        let mut reports = run_instances_batched(
+            std::slice::from_mut(self),
+            std::slice::from_ref(input),
+            faulty,
+            &mut [adv],
+        )?;
+        Ok(reports.pop().expect("one report per stream")) // nab-lint: allow(NAB003): run_instances_batched returns engines.len() reports
+    }
+
+    /// The memoised `(γ_k, arborescences, ρ_k)` of the last disputed `G_k`
+    /// this engine derived — `None` before the first disputed instance,
+    /// `ρ_k` `None` until an instance on that `G_k` reaches Phase 2.
+    /// Read-only, for the oracle tests that compare it with from-scratch
+    /// derivations.
+    pub fn gk_memo(&self) -> Option<(u64, &[Arborescence], Option<u64>)> {
+        let m = self.memo.as_ref()?;
+        Some((m.gamma, &m.trees, m.rho))
+    }
+
+    /// The per-stream front half of an instance: derives `G_k`, runs
+    /// Phase 1, and finishes the instance right there in the two special
+    /// cases that need no Phase 2 (`Break`).
+    fn begin_instance(
+        &mut self,
+        input: &Value,
+        faulty: &BTreeSet<NodeId>,
+        adv: &mut dyn NabAdversary,
+    ) -> Result<ControlFlow<InstanceReport, InFlight>, NabError> {
         self.instance += 1;
         // Tracing: a no-op unless a sink is installed on this thread (the
         // sweep runner installs one per worker when `--trace` is active).
-        let _instance_span = InstanceSpan::enter((self.instance - 1) as u64);
+        let span = InstanceSpan::enter((self.instance - 1) as u64);
         let plan = Arc::clone(&self.plan);
         // While no disputes have shrunk the graph, `G_k` *is* `G_1` and
         // the plan's precomputed γ/ρ/arborescences apply verbatim; only
@@ -469,14 +467,9 @@ impl NabEngine {
         // recomputed. Either way the values are identical to deriving
         // them from scratch (the plan is a deterministic function of the
         // same inputs), which keeps cached and uncached runs bit-equal.
-        let undisputed = self.disputes.pairs.is_empty() && self.disputes.removed.is_empty();
-        let gk_shrunk;
-        let gk: &DiGraph = if undisputed {
-            plan.graph()
-        } else {
-            gk_shrunk = self.disputes.current_graph(plan.graph());
-            &gk_shrunk
-        };
+        let undisputed = self.undisputed();
+        let gk_shrunk = (!undisputed).then(|| self.disputes.current_graph(plan.graph()));
+        let gk: &DiGraph = gk_shrunk.as_ref().unwrap_or(plan.graph());
 
         // Special case 1: the source is known faulty — agree on default.
         if !gk.is_active(SOURCE) {
@@ -485,7 +478,7 @@ impl NabEngine {
                 .nodes()
                 .map(|v| (v, Value::zeros(self.cfg.symbols)))
                 .collect();
-            return Ok(InstanceReport {
+            return Ok(ControlFlow::Break(InstanceReport {
                 outputs,
                 times: PhaseTimes::default(),
                 wall: PhaseWallNanos::default(),
@@ -497,22 +490,21 @@ impl NabEngine {
                 newly_removed: Vec::new(),
                 defaulted: true,
                 delivered: None,
-            });
+            }));
         }
 
         let gamma;
-        let trees_shrunk;
         let trees_memo;
         let trees: &[Arborescence] = if undisputed {
             gamma = plan.gamma0();
+            trees_memo = None;
             plan.trees0()
-        } else if self.repair {
+        } else {
             // Incremental repair: re-derive (γ_k, trees) only when the
             // dispute state changed since the last derivation, and use the
             // witness-incremental packer when it did. Both are exact — the
             // memoized artifacts equal a from-scratch naive recompute bit
-            // for bit — so this path differs from the fallback below only
-            // in wall time.
+            // for bit (the oracle proptests pin this).
             let hit = self.memo.as_ref().is_some_and(|m| {
                 m.pairs == self.disputes.pairs && m.removed == self.disputes.removed
             });
@@ -553,26 +545,8 @@ impl NabEngine {
             }
             let m = self.memo.as_ref().expect("memo was just ensured"); // nab-lint: allow(NAB003): ensure_memo() on the preceding line set it
             gamma = m.gamma;
-            trees_memo = Arc::clone(&m.trees);
-            &trees_memo
-        } else {
-            // Full-recompute fallback (`plan_repair = false`): the
-            // pre-repair behavior — re-derive everything per instance with
-            // the reference packer.
-            let t0 = nab_obs::clock::mono_now();
-            gamma = gamma_k(gk, SOURCE);
-            trees_shrunk = pack_arborescences_naive(gk, SOURCE, gamma).ok_or_else(|| {
-                NabError::ArborescencePacking {
-                    n: gk.active_count(),
-                    edges: gk.edge_count(),
-                    gamma,
-                }
-            })?;
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.repair_stats.full_recomputes += 1;
-            self.repair_stats.repair_ns += ns;
-            trace::emit(EventKind::PlanFullRecompute { ns });
-            &trees_shrunk
+            trees_memo = Some(Arc::clone(&m.trees));
+            &m.trees
         };
 
         // Phase 1.
@@ -583,7 +557,7 @@ impl NabEngine {
             phase1: p1.duration,
             ..PhaseTimes::default()
         };
-        let mut wall = PhaseWallNanos {
+        let wall = PhaseWallNanos {
             phase1: t0.elapsed().as_nanos() as u64,
             ..PhaseWallNanos::default()
         };
@@ -615,7 +589,7 @@ impl NabEngine {
                 times = net_times;
                 delivered = Some(d);
             }
-            return Ok(InstanceReport {
+            return Ok(ControlFlow::Break(InstanceReport {
                 outputs: p1.values,
                 times,
                 wall,
@@ -627,15 +601,29 @@ impl NabEngine {
                 newly_removed: Vec::new(),
                 defaulted: false,
                 delivered,
-            });
+            }));
         }
+        Ok(ControlFlow::Continue(InFlight {
+            plan,
+            gk_shrunk,
+            trees_memo,
+            gamma,
+            p1,
+            times,
+            wall,
+            span,
+        }))
+    }
 
-        // Phase 2: equality check + flag broadcast.
-        let eq_span = PhaseSpan::enter(Phase::Equality);
-        let t0 = nab_obs::clock::mono_now();
+    /// `ρ_k` and the coding scheme for an equality check on `gk`: the
+    /// plan's while undisputed, else `ρ_k` is memoised with the `G_k`
+    /// derivation (lazily — earlier phases never need it).
+    fn equality_setup(&mut self, gk: &DiGraph) -> Result<(u64, CodingScheme), NabError> {
+        let plan = &self.plan;
+        let undisputed = self.undisputed();
         let rho = if undisputed {
             plan.rho0()
-        } else if self.repair {
+        } else {
             let rho0 = plan.rho0();
             let m = self.memo.as_mut().expect("memo set while packing trees"); // nab-lint: allow(NAB003): memo is set before tree packing completes
             match m.rho {
@@ -656,12 +644,6 @@ impl NabEngine {
                     r
                 }
             }
-        } else {
-            let t0 = nab_obs::clock::mono_now();
-            let r =
-                rho_k(gk, self.cfg.f, &self.disputes.pairs).ok_or(NabError::NoEqualityParameter)?;
-            self.repair_stats.repair_ns += t0.elapsed().as_nanos() as u64;
-            r
         };
         let scheme = if undisputed {
             plan.instance_scheme(self.cfg.seed, self.instance as u64)
@@ -672,41 +654,34 @@ impl NabEngine {
                 self.cfg.seed.wrapping_add(self.instance as u64),
             )
         };
-        let eq = run_equality_phase(gk, &p1.values, &scheme, faulty, adv);
-        times.equality = eq.duration;
-        wall.equality = t0.elapsed().as_nanos() as u64;
-        drop(eq_span);
-        #[cfg(feature = "sanitize")]
-        trace::emit(EventKind::DetSanDigest {
-            phase: Phase::Equality,
-            digest: crate::detsan::digest_flags(&eq.flags),
-        });
-
-        Ok(self.finish_instance(
-            gk, trees, gamma, rho, &scheme, p1, eq, input, faulty, adv, times, wall,
-        ))
+        Ok((rho, scheme))
     }
 
-    /// The shared tail of an instance — flag broadcast, mismatch
-    /// evaluation, dispute control, message-level replay — identical
-    /// between the per-instance and batched front halves.
-    #[allow(clippy::too_many_arguments)] // internal seam of run_instance
+    /// The per-stream tail of an instance: flag broadcast, mismatch
+    /// evaluation, dispute control, message-level replay.
+    #[allow(clippy::too_many_arguments)] // internal seam of run_instances_batched
     fn finish_instance(
         &mut self,
-        gk: &DiGraph,
-        trees: &[Arborescence],
-        gamma: u64,
+        flight: InFlight,
         rho: u64,
         scheme: &CodingScheme,
-        p1: crate::phase1::Phase1Output,
         eq: crate::phase2::EqOutcome,
         input: &Value,
         faulty: &BTreeSet<NodeId>,
         adv: &mut dyn NabAdversary,
-        mut times: PhaseTimes,
-        mut wall: PhaseWallNanos,
     ) -> InstanceReport {
-        let plan = Arc::clone(&self.plan);
+        let InFlight {
+            plan,
+            gk_shrunk,
+            trees_memo,
+            gamma,
+            p1,
+            mut times,
+            mut wall,
+            span: _span,
+        } = flight;
+        let gk: &DiGraph = gk_shrunk.as_ref().unwrap_or(plan.graph());
+        let trees: &[Arborescence] = trees_memo.as_ref().map_or(plan.trees0(), |t| t);
         let flags_span = PhaseSpan::enter(Phase::Flags);
         let t0 = nab_obs::clock::mono_now();
         let participants: Vec<NodeId> = gk.nodes().collect();
@@ -881,42 +856,53 @@ impl NabEngine {
     }
 }
 
-/// Whether `engines` can take the batched equality path this step:
-/// every engine must be on the undisputed fast path (so they share
+/// Whether `e` can share `lead`'s equality slab this step:
+/// both engines must be on the undisputed fast path (so they share
 /// `G_k`, trees, ρ, and — because coding matrices depend only on
 /// `(seed, instance)` — the *same* [`CodingScheme`]), agree on config
 /// and instance counter, borrow the very same plan, and use formula
 /// timing (message-level replay retimes streams independently).
-fn batch_compatible(engines: &[NabEngine]) -> bool {
-    let Some(first) = engines.first() else {
-        return false;
-    };
-    // f = 0 instances stop after Phase 1 (special case 2 holds
-    // vacuously) — there is no equality phase to batch.
-    first.cfg.f > 0
-        && engines.iter().all(|e| {
-            e.undisputed()
-                && e.net.is_none()
-                && e.cfg == first.cfg
-                && e.instance == first.instance
-                && e.broadcast == first.broadcast
-                && Arc::ptr_eq(&e.plan, &first.plan)
-        })
+fn batch_compatible(lead: &NabEngine, e: &NabEngine) -> bool {
+    [lead, e].iter().all(|x| x.undisputed() && x.net.is_none())
+        && e.cfg == lead.cfg
+        && e.instance == lead.instance
+        && e.broadcast == lead.broadcast
+        && Arc::ptr_eq(&e.plan, &lead.plan)
 }
 
-/// Runs one instance on every engine (one per stream), packing all
+/// One stream's instance between its Phase 1 and its tail. `gk_shrunk`
+/// and `trees_memo` are `None` while undisputed: `G_k` is then the plan's
+/// `G_1` with its precomputed arborescences.
+struct InFlight {
+    plan: Arc<ExecutionPlan>,
+    gk_shrunk: Option<DiGraph>,
+    trees_memo: Option<Arc<Vec<Arborescence>>>,
+    gamma: u64,
+    p1: crate::phase1::Phase1Output,
+    times: PhaseTimes,
+    wall: PhaseWallNanos,
+    span: InstanceSpan,
+}
+
+/// Runs one instance on every engine (one per stream) — the only
+/// implementation of an instance. Phase 1 runs per stream; the equality
+/// check runs per *group*, a maximal run of consecutive streams that are
+/// `batch_compatible`, packing all the group's
 /// streams' equality-check columns into a single slab multiply per edge
-/// when the streams are batch-compatible; otherwise falls back to
-/// per-stream [`NabEngine::run_instance`] calls. Results are
-/// bit-identical either way — batching only regroups XOR-exact GF
+/// (a disputed, message-level or heterogeneous stream is a group of
+/// one); flag broadcast and dispute control run per stream. Results are
+/// bit-identical however streams group — batching only regroups XOR-exact GF
 /// arithmetic and never changes protocol messages or RNG draw order.
 ///
 /// `inputs` and `advs` are indexed by stream, matching `engines`.
 ///
 /// # Errors
 ///
-/// Returns the first stream's error ([`NabError::WrongInputSize`] etc.),
-/// exactly as the per-stream loop would.
+/// Returns [`NabError::WrongInputSize`] for the first stream with a bad
+/// input — before any engine is touched, so a rejected step leaves every
+/// stream's instance counter and dispute state alone — or
+/// [`NabError::NoEqualityParameter`] if dispute evolution drove `U_k`
+/// below 2 (cannot happen on networks meeting the paper's assumptions).
 ///
 /// # Panics
 ///
@@ -930,26 +916,7 @@ pub fn run_instances_batched(
 ) -> Result<Vec<InstanceReport>, NabError> {
     assert_eq!(engines.len(), inputs.len(), "one input per stream");
     assert_eq!(engines.len(), advs.len(), "one adversary per stream");
-
-    if !batch_compatible(engines) {
-        // Per-stream fallback: bit-identical to the caller looping
-        // itself (stream tags keep traces attributable).
-        let mut reports = Vec::with_capacity(engines.len());
-        for (s, ((engine, input), adv)) in engines
-            .iter_mut()
-            .zip(inputs)
-            .zip(advs.iter_mut())
-            .enumerate()
-        {
-            trace::set_stream(s as u32);
-            reports.push(engine.run_instance(input, faulty, &mut **adv)?);
-        }
-        return Ok(reports);
-    }
-
     let streams = engines.len();
-    let plan = Arc::clone(&engines[0].plan);
-    let cfg = engines[0].cfg;
     for (engine, input) in engines.iter().zip(inputs) {
         assert!(
             faulty.len() <= engine.cfg.f,
@@ -963,71 +930,83 @@ pub fn run_instances_batched(
         }
     }
 
-    let gk = plan.graph();
-    let trees = plan.trees0();
-    let gamma = plan.gamma0();
-    let rho = plan.rho0();
-
     // Phase 1 per stream (protocol messages are per-stream regardless).
-    let mut spans = Vec::with_capacity(streams);
-    let mut p1s = Vec::with_capacity(streams);
-    let mut times = Vec::with_capacity(streams);
-    let mut walls = Vec::with_capacity(streams);
+    let mut reports: Vec<Option<InstanceReport>> = vec![None; streams];
+    let mut flights: Vec<Option<InFlight>> = Vec::with_capacity(streams);
     for (s, (engine, input)) in engines.iter_mut().zip(inputs).enumerate() {
         trace::set_stream(s as u32);
-        engine.instance += 1;
-        spans.push(InstanceSpan::enter((engine.instance - 1) as u64));
-        let p1_span = PhaseSpan::enter(Phase::Phase1);
-        let t0 = nab_obs::clock::mono_now();
-        let p1 = run_phase1(gk, SOURCE, input, trees, faulty, &mut *advs[s]);
-        times.push(PhaseTimes {
-            phase1: p1.duration,
-            ..PhaseTimes::default()
+        flights.push(match engine.begin_instance(input, faulty, &mut *advs[s])? {
+            ControlFlow::Continue(flight) => Some(flight),
+            ControlFlow::Break(report) => {
+                reports[s] = Some(report);
+                None
+            }
         });
-        walls.push(PhaseWallNanos {
-            phase1: t0.elapsed().as_nanos() as u64,
-            ..PhaseWallNanos::default()
-        });
-        drop(p1_span);
-        p1s.push(p1);
     }
 
-    // Equality check: one coding scheme (identical across streams by
-    // construction), all streams' columns in one slab per edge.
-    let t0 = nab_obs::clock::mono_now();
-    let scheme = plan.instance_scheme(cfg.seed, engines[0].instance as u64);
-    let values: Vec<&BTreeMap<NodeId, Value>> = p1s.iter().map(|p| &p.values).collect();
-    let eqs = crate::phase2::run_equality_phase_batched(gk, &values, &scheme, faulty, advs);
-    let eq_wall = t0.elapsed().as_nanos() as u64 / streams as u64;
+    let mut s = 0;
+    while s < streams {
+        if flights[s].is_none() {
+            s += 1;
+            continue;
+        }
+        let mut end = s + 1;
+        while end < streams
+            && flights[end].is_some()
+            && batch_compatible(&engines[s], &engines[end])
+        {
+            end += 1;
+        }
+        let group: Vec<InFlight> = flights[s..end]
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect();
+        let lead = &group[0];
+        let gk: &DiGraph = lead.gk_shrunk.as_ref().unwrap_or(lead.plan.graph());
 
-    // Per-stream tail: flag broadcast, disputes, report.
-    let mut reports = Vec::with_capacity(streams);
-    for (s, (((engine, input), p1), eq)) in
-        engines.iter_mut().zip(inputs).zip(p1s).zip(eqs).enumerate()
-    {
+        // Equality check: one coding scheme (identical across the group's
+        // streams by construction), all their columns in one slab per
+        // edge. The first stream's span brackets the whole computation;
+        // the others' only mark their share of it.
         trace::set_stream(s as u32);
-        let eq_span = PhaseSpan::enter(Phase::Equality);
-        times[s].equality = eq.duration;
-        walls[s].equality = eq_wall;
-        drop(eq_span);
-        let report = engine.finish_instance(
+        trace::set_instance((engines[s].instance - 1) as u64);
+        let mut eq_span = Some(PhaseSpan::enter(Phase::Equality));
+        let t0 = nab_obs::clock::mono_now();
+        let (rho, scheme) = engines[s].equality_setup(gk)?;
+        let values: Vec<&BTreeMap<NodeId, Value>> = group.iter().map(|f| &f.p1.values).collect();
+        let eqs = crate::phase2::run_equality_phase_batched(
             gk,
-            trees,
-            gamma,
-            rho,
+            &values,
             &scheme,
-            p1,
-            eq,
-            input,
             faulty,
-            &mut *advs[s],
-            times[s],
-            walls[s],
+            &mut advs[s..end],
         );
-        reports.push(report);
-        drop(spans.pop());
+        let eq_wall = t0.elapsed().as_nanos() as u64 / group.len() as u64;
+
+        // Per-stream tail: flag broadcast, disputes, report.
+        for (t, (mut flight, eq)) in (s..end).zip(group.into_iter().zip(eqs)) {
+            trace::set_stream(t as u32);
+            let eq_span = eq_span
+                .take()
+                .unwrap_or_else(|| PhaseSpan::enter(Phase::Equality));
+            flight.times.equality = eq.duration;
+            flight.wall.equality = eq_wall;
+            drop(eq_span);
+            #[cfg(feature = "sanitize")]
+            trace::emit(EventKind::DetSanDigest {
+                phase: Phase::Equality,
+                digest: crate::detsan::digest_flags(&eq.flags),
+            });
+            let (input, adv) = (&inputs[t], &mut *advs[t]);
+            reports[t] =
+                Some(engines[t].finish_instance(flight, rho, &scheme, eq, input, faulty, adv));
+        }
+        s = end;
     }
-    Ok(reports)
+    Ok(reports
+        .into_iter()
+        .map(|r| r.expect("every stream reported")) // nab-lint: allow(NAB003): each stream either finished in begin_instance or rode exactly one group
+        .collect())
 }
 
 /// Summary of a multi-instance run (the throughput experiment quantum).
@@ -1250,6 +1229,25 @@ mod tests {
     }
 
     #[test]
+    fn rejected_input_leaves_every_stream_untouched() {
+        // A bad input in the *last* stream must be caught before any
+        // engine runs: no instance counter advances, no dispute lands.
+        let mut engines: Vec<NabEngine> = (0..3).map(|_| engine(12)).collect();
+        let inputs = vec![input(12), input(12), input(5)];
+        let faulty = BTreeSet::from([2]);
+        let (mut a0, mut a1, mut a2) = (TruthfulCorruptor, TruthfulCorruptor, TruthfulCorruptor);
+        let mut advs: Vec<&mut dyn NabAdversary> = vec![&mut a0, &mut a1, &mut a2];
+        assert!(matches!(
+            run_instances_batched(&mut engines, &inputs, &faulty, &mut advs),
+            Err(NabError::WrongInputSize { expect: 12, got: 5 })
+        ));
+        for e in &engines {
+            assert_eq!(e.instances_run(), 0);
+            assert!(e.undisputed());
+        }
+    }
+
+    #[test]
     fn corrupting_relay_triggers_dispute_and_correct_output() {
         let mut e = engine(12);
         let x = input(12);
@@ -1327,39 +1325,52 @@ mod tests {
         }
     }
 
+    /// The memo an instance ran on must equal a from-scratch derivation
+    /// (`gamma_k`, the reference packer, `rho_k`) on `before`, the `G_k`
+    /// the engine held when the instance started.
+    fn assert_memo_matches_from_scratch(e: &NabEngine, before: &DiGraph, ctx: &str) {
+        use nab_netgraph::arborescence::pack_arborescences_naive;
+        let (gamma, trees, rho) = e.gk_memo().expect("a disputed instance derives G_k");
+        assert_eq!(gamma, gamma_k(before, SOURCE), "{ctx}: γ_k");
+        let want = pack_arborescences_naive(before, SOURCE, gamma).unwrap();
+        assert_eq!(trees, want.as_slice(), "{ctx}: arborescences");
+        if let Some(rho) = rho {
+            let pairs = &e.memo.as_ref().unwrap().pairs;
+            assert_eq!(Some(rho), rho_k(before, e.cfg.f, pairs), "{ctx}: ρ_k");
+        }
+    }
+
     #[test]
     fn plan_repair_is_bit_identical_to_full_recompute() {
         let x = input(12);
         let faulty = BTreeSet::from([2]);
-        let mut fast = engine(12);
-        let mut slow = engine(12);
-        slow.set_plan_repair(false);
-        assert!(fast.plan_repair());
-        assert!(!slow.plan_repair());
+        let mut e = engine(12);
+        assert!(e.gk_memo().is_none(), "no memo while undisputed");
         // Raise a dispute, then keep running so later instances replan on
         // the shrunken G_k.
-        for i in 0..2 {
-            let a = fast.run_instance(&x, &faulty, &mut LyingCorruptor).unwrap();
-            let b = slow.run_instance(&x, &faulty, &mut LyingCorruptor).unwrap();
-            assert_reports_match(&a, &b, &format!("lying instance {i}"));
+        let mut disputed_instances = 0;
+        for i in 0..5 {
+            let adv: &mut dyn NabAdversary = if i < 2 {
+                &mut LyingCorruptor
+            } else {
+                &mut HonestStrategy
+            };
+            let was_disputed = !e.undisputed();
+            let before = e.current_graph();
+            let rep = e.run_instance(&x, &faulty, adv).unwrap();
+            if was_disputed {
+                disputed_instances += 1;
+                assert_memo_matches_from_scratch(&e, &before, &format!("instance {i}"));
+                let (gamma, _, rho) = e.gk_memo().unwrap();
+                assert_eq!(rep.gamma_k, gamma);
+                assert_eq!(rep.rho_k, rho.unwrap_or(0));
+            }
         }
-        for i in 0..3 {
-            let a = fast.run_instance(&x, &faulty, &mut HonestStrategy).unwrap();
-            let b = slow.run_instance(&x, &faulty, &mut HonestStrategy).unwrap();
-            assert_reports_match(&a, &b, &format!("quiet instance {i}"));
-        }
-        assert_eq!(fast.disputes().pairs, slow.disputes().pairs);
-        let fs = *fast.repair_stats();
-        let ss = *slow.repair_stats();
-        assert_eq!(ss.repairs, 0, "repair-off never counts repairs");
+        assert!(disputed_instances >= 4);
+        let stats = *e.repair_stats();
         assert!(
-            ss.full_recomputes >= 4,
-            "repair-off replans every disputed instance: {ss:?}"
-        );
-        let fast_derivations = fs.repairs + fs.full_recomputes;
-        assert!(
-            (1..ss.full_recomputes).contains(&fast_derivations),
-            "memo must collapse stable dispute states: fast {fs:?} vs slow {ss:?}"
+            (1..disputed_instances).contains(&(stats.repairs + stats.full_recomputes)),
+            "memo must collapse stable dispute states: {stats:?}"
         );
     }
 
@@ -1449,9 +1460,11 @@ mod tests {
         assert_eq!(a.defaulted, b.defaulted, "{ctx}: defaulted");
     }
 
-    /// Drives `run_instances_batched` for several instances and mirrors
-    /// every stream with an independent per-instance engine, asserting
-    /// bit-identical reports and dispute evolution throughout.
+    /// One Q-stream call ≡ Q one-stream engines: drives
+    /// `run_instances_batched` over three streams for several instances
+    /// and mirrors every stream with an independent engine stepped alone,
+    /// asserting bit-identical reports and dispute evolution throughout
+    /// (this pins the cumulative-offset slab packing).
     fn check_batched_equivalence<A: NabAdversary + Default>(
         faulty: &BTreeSet<NodeId>,
         instances: usize,
@@ -1500,10 +1513,10 @@ mod tests {
 
     #[test]
     fn batched_streams_match_per_instance_through_dispute_fallback() {
-        // Instance 0 takes the packed-slab path and exposes node 2 via
-        // DC3; from instance 1 on the engines are disputed, so the entry
-        // point must take its internal per-stream fallback — reports and
-        // dispute state stay bit-identical to solo engines either way.
+        // Instance 0 shares one slab and exposes node 2 via DC3; from
+        // instance 1 on the engines are disputed, so each stream is its
+        // own group — reports and dispute state stay bit-identical to
+        // solo engines either way.
         check_batched_equivalence::<TruthfulCorruptor>(&BTreeSet::from([2]), 4);
     }
 
@@ -1531,22 +1544,53 @@ mod tests {
     fn batched_streams_match_per_instance_under_length_tampering() {
         // A length-tampering relay makes node values (hence reshaped
         // column counts) unequal across nodes; the batched pack must
-        // reproduce the per-instance flags and sends exactly.
+        // reproduce the one-stream flags and sends exactly.
         check_batched_equivalence::<BlockStretcher>(&BTreeSet::from([2]), 3);
     }
 
     #[test]
     fn batched_streams_match_per_instance_under_equality_tampering() {
         // The garbler corrupts coded symbols *inside* the equality phase,
-        // exercising the batched path's per-stream adversary calls (and
+        // exercising a shared slab's per-stream adversary calls (and
         // their RNG-free determinism) rather than Phase-1 corruption.
         check_batched_equivalence::<crate::adversary::EqualityGarbler>(&BTreeSet::from([1]), 3);
     }
 
     #[test]
+    fn equality_span_brackets_the_shared_slab_product() {
+        // The lead stream's Equality span must cover the group's whole
+        // computation: at least the wall time the reports attribute to it.
+        let cfg = NabConfig {
+            f: 1,
+            symbols: 2048,
+            seed: 42,
+        };
+        let plan = Arc::new(ExecutionPlan::build(gen::complete(4, 2), 1).unwrap());
+        let mut engines: Vec<NabEngine> = (0..2)
+            .map(|_| NabEngine::from_plan(Arc::clone(&plan), cfg).unwrap())
+            .collect();
+        let inputs = vec![input(2048), input(2048)];
+        let (mut a0, mut a1) = (HonestStrategy, HonestStrategy);
+        let mut advs: Vec<&mut dyn NabAdversary> = vec![&mut a0, &mut a1];
+        let sink = Arc::new(trace::BufferSink::new());
+        trace::set_thread_sink(Some(sink.clone()));
+        let reps = run_instances_batched(&mut engines, &inputs, &BTreeSet::new(), &mut advs);
+        trace::set_thread_sink(None);
+        let events = sink.take_sorted();
+        let at = |kind: EventKind| {
+            let e = events.iter().find(|e| e.stream == 0 && e.kind == kind);
+            e.expect("lead stream emits the event").ts_ns
+        };
+        let span =
+            at(EventKind::PhaseEnd(Phase::Equality)) - at(EventKind::PhaseStart(Phase::Equality));
+        let wall: u64 = reps.unwrap().iter().map(|r| r.wall.equality).sum();
+        assert!(wall > 0 && span >= wall, "span {span} ns < wall {wall} ns");
+    }
+
+    #[test]
     fn batched_entry_point_handles_heterogeneous_engines() {
-        // Engines with private (non-shared) plans are batch-incompatible;
-        // the entry point must silently fall back and still match.
+        // Engines with private (non-shared) plans are batch-incompatible:
+        // each is a group of one and must still match.
         let g = gen::complete(4, 2);
         let cfg = NabConfig {
             f: 1,

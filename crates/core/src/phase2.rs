@@ -30,52 +30,6 @@ pub struct EqOutcome {
     pub duration: f64,
 }
 
-/// Runs the equality check (Algorithm 1) on `gk`.
-///
-/// Links are reliable, so the receiver's view of an edge equals the
-/// sender's transmission; the phase is evaluated directly on the ground
-/// truth, charging the same `max_e(bits_e / z_e)` round time the
-/// simulator would.
-pub fn run_equality_phase(
-    gk: &DiGraph,
-    values: &BTreeMap<NodeId, Value>,
-    scheme: &CodingScheme,
-    faulty: &BTreeSet<NodeId>,
-    adv: &mut dyn NabAdversary,
-) -> EqOutcome {
-    let mut sends = BTreeMap::new();
-
-    // Each node's value is reshaped into ρ-symbol columns exactly once;
-    // the per-edge encode/check then runs on the nab-gf row kernels.
-    let reshaped: BTreeMap<NodeId, Vec<Vec<Gf2_16>>> = gk
-        .nodes()
-        .map(|v| (v, values[&v].reshape(scheme.rho())))
-        .collect();
-
-    let mut flags: BTreeMap<NodeId, bool> = gk.nodes().map(|v| (v, false)).collect();
-    let mut link_bits: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-    for (_, e) in gk.edges() {
-        let honest = scheme.encode_cols(e.src, e.dst, &reshaped[&e.src]);
-        let sent = if faulty.contains(&e.src) {
-            adv.equality_symbols(e.src, e.dst, &honest)
-        } else {
-            honest
-        };
-        *link_bits.entry((e.src, e.dst)).or_insert(0) += sent.len() as u64 * SYMBOL_BITS;
-        if !scheme.check_cols(e.src, e.dst, &reshaped[&e.dst], &sent) {
-            flags.insert(e.dst, true);
-        }
-        sends.insert((e.src, e.dst), sent);
-    }
-    let duration = equality_duration(gk, &link_bits);
-
-    EqOutcome {
-        sends,
-        flags,
-        duration,
-    }
-}
-
 /// The synchronous round charge `max_e(bits_e / z_e)` over per-link bit
 /// totals — identical to `NetSim::deliver_round` on the same sends.
 fn equality_duration(gk: &DiGraph, link_bits: &BTreeMap<(NodeId, NodeId), u64>) -> f64 {
@@ -139,21 +93,27 @@ fn scatter_stream(yt: &WordMatrix, start: usize, cols: usize) -> Vec<Gf2_16> {
     out
 }
 
-/// The batched equality check: one execution of Algorithm 1 per stream,
+/// The equality check on `gk`: one execution of Algorithm 1 per stream,
 /// all sharing the same coding scheme (streams at the same instance index
 /// use identical per-edge matrices), evaluated as **one blocked matrix
 /// multiply per edge** over a packed cross-stream slab instead of
 /// per-column vector products.
+///
+/// Links are reliable, so the receiver's view of an edge equals the
+/// sender's transmission; the phase is evaluated directly on the ground
+/// truth, charging the same `max_e(bits_e / z_e)` round time the
+/// simulator would.
 ///
 /// Per edge `e`, the sender-side slab is `Y_eᵀ = C_eᵀ · Xᵀ` where `Xᵀ`
 /// stacks every stream's value columns side by side (at cumulative
 /// offsets, since tampered values may differ in length); the
 /// receiver-side expectation reuses the same shape. Row lengths grow
 /// from `z_e` to `≈ streams · S/ρ`, which is the shape the
-/// [`nab_gf::simd`] row kernels want. Results are bit-identical to [`run_equality_phase`] per stream
-/// (`GF(2^16)` addition is exact XOR, so any grouping of the same
-/// multiply-accumulates produces the same symbols), which the engine's
-/// batch tests pin.
+/// [`nab_gf::simd`] row kernels want. Per stream the flags equal
+/// [`crate::equality::equality_check_flags`] and the sends equal
+/// [`CodingScheme::encode_cols`] (`GF(2^16)` addition is exact XOR, so
+/// any grouping of the same multiply-accumulates produces the same
+/// symbols), which the differential proptests pin.
 ///
 /// # Panics
 ///
@@ -195,8 +155,8 @@ pub fn run_equality_phase_batched(
         // sender and receiver slabs carry independent per-stream widths
         // (values may differ in length after tampering), so each side
         // scatters with its own offsets — a cross-side length mismatch
-        // then fails the `sent != expected` compare exactly like the
-        // per-instance [`CodingScheme::check_cols`] does.
+        // then fails the `sent != expected` compare exactly like
+        // [`CodingScheme::check_cols`] does.
         let (src_slab, src_off) = &packed[&e.src];
         let (dst_slab, dst_off) = &packed[&e.dst];
         let ys = scheme.encode_slab(e.src, e.dst, src_slab);
@@ -438,6 +398,19 @@ mod tests {
     use nab_netgraph::flow::broadcast_rate;
     use nab_netgraph::gen;
 
+    /// The one-stream call of the equality check.
+    fn equality_one_stream(
+        gk: &DiGraph,
+        values: &BTreeMap<NodeId, Value>,
+        scheme: &CodingScheme,
+        faulty: &BTreeSet<NodeId>,
+        adv: &mut dyn NabAdversary,
+    ) -> EqOutcome {
+        run_equality_phase_batched(gk, &[values], scheme, faulty, &mut [adv])
+            .pop()
+            .unwrap()
+    }
+
     fn complete_setup() -> (DiGraph, Vec<Arborescence>, CodingScheme, Value) {
         let g = gen::complete(4, 2);
         let gamma = broadcast_rate(&g, 0);
@@ -451,7 +424,7 @@ mod tests {
     fn clean_run_raises_no_flags() {
         let (g, trees, scheme, input) = complete_setup();
         let p1 = run_phase1(&g, 0, &input, &trees, &BTreeSet::new(), &mut HonestStrategy);
-        let eq = run_equality_phase(
+        let eq = equality_one_stream(
             &g,
             &p1.values,
             &scheme,
@@ -465,7 +438,7 @@ mod tests {
     fn equality_duration_is_l_over_rho() {
         let (g, trees, scheme, input) = complete_setup();
         let p1 = run_phase1(&g, 0, &input, &trees, &BTreeSet::new(), &mut HonestStrategy);
-        let eq = run_equality_phase(
+        let eq = equality_one_stream(
             &g,
             &p1.values,
             &scheme,
@@ -488,7 +461,7 @@ mod tests {
         let faulty = BTreeSet::from([1]);
         let mut adv = TruthfulCorruptor;
         let p1 = run_phase1(&g, 0, &input, &trees, &faulty, &mut adv);
-        let eq = run_equality_phase(&g, &p1.values, &scheme, &faulty, &mut adv);
+        let eq = equality_one_stream(&g, &p1.values, &scheme, &faulty, &mut adv);
         assert!(
             eq.flags.iter().any(|(v, f)| *f && !faulty.contains(v)),
             "a fault-free node must flag the mismatch: {:?}",
@@ -502,7 +475,7 @@ mod tests {
         let faulty = BTreeSet::from([2]);
         let mut adv = EqualityGarbler;
         let p1 = run_phase1(&g, 0, &input, &trees, &faulty, &mut adv);
-        let eq = run_equality_phase(&g, &p1.values, &scheme, &faulty, &mut adv);
+        let eq = equality_one_stream(&g, &p1.values, &scheme, &faulty, &mut adv);
         assert!(eq.flags.iter().any(|(v, f)| *f && *v != 2));
     }
 
@@ -561,7 +534,7 @@ mod tests {
     fn honest_claims_are_mutually_consistent() {
         let (g, trees, scheme, input) = complete_setup();
         let p1 = run_phase1(&g, 0, &input, &trees, &BTreeSet::new(), &mut HonestStrategy);
-        let eq = run_equality_phase(
+        let eq = equality_one_stream(
             &g,
             &p1.values,
             &scheme,

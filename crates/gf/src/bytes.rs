@@ -1,27 +1,18 @@
-//! Row-major `GF(256)` byte-slab linear algebra — the fastest kernel tier.
+//! `GF(256)` byte-row kernels.
 //!
-//! When the field is exactly `GF(2^8)`, a field element *is* a byte, so a
-//! matrix can live in a flat `Vec<u8>` and every row operation becomes a
-//! table-driven byte loop: `dst[i] ^= MUL[s][src[i]]`. This is the layout
-//! erasure-coding libraries use for their encode hot loops, and it is the
-//! bottom layer of this crate's performance stack (see `docs/perf.md`):
-//!
-//! 1. [`ByteMatrix`] — `GF(256)` byte slabs (this module),
-//! 2. [`crate::kernel::FastOps`] — per-field row kernels over generic
-//!    [`crate::matrix::Matrix`] storage,
-//! 3. the scalar [`crate::matrix`]/[`crate::linalg`] reference path.
+//! When the field is exactly `GF(2^8)`, a field element *is* a byte, so
+//! every row operation becomes a table-driven byte loop:
+//! `dst[i] ^= MUL[s][src[i]]`. These are the kernels behind
+//! `Gf256`'s [`crate::kernel::FastOps`] implementation and the table
+//! source of the arch-SIMD tier ([`crate::simd`]).
 //!
 //! Every operation here is bit-identical to the generic scalar path (the
-//! differential test suite in `tests/differential.rs` pins this), so the
-//! fast tier can be swapped in anywhere without changing results.
+//! differential test suite in `tests/differential.rs` pins this).
 
 use std::sync::OnceLock;
 
-use rand::Rng;
-
 use crate::field::Field;
 use crate::gf256::Gf256;
-use crate::matrix::{split_rows_mut, Matrix};
 
 /// The full 256×256 `GF(256)` product table (64 KiB, built once).
 fn product_table() -> &'static [[u8; 256]; 256] {
@@ -97,342 +88,9 @@ pub fn scale_row(row: &mut [u8], s: u8) {
     }
 }
 
-/// Column-block width for [`ByteMatrix::mat_mul`]: output rows are walked
-/// in stripes of this many bytes so the destination and source stripes
-/// stay L1-resident even for very wide matrices.
-const COL_BLOCK: usize = 1024;
-
-/// A dense row-major `GF(256)` matrix stored as a flat byte slab.
-///
-/// # Example
-///
-/// ```
-/// use nab_gf::bytes::ByteMatrix;
-/// let i = ByteMatrix::identity(3);
-/// let a = ByteMatrix::from_fn(3, 3, |r, c| (r * 3 + c) as u8);
-/// assert_eq!(i.mat_mul(&a), a);
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ByteMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<u8>,
-}
-
-impl ByteMatrix {
-    /// The all-zero `rows × cols` matrix.
-    pub fn zero(rows: usize, cols: usize) -> Self {
-        let len = rows
-            .checked_mul(cols)
-            .expect("ByteMatrix dimensions overflow usize"); // nab-lint: allow(NAB003): dimension overflow is unrecoverable misuse; documented panic
-        ByteMatrix {
-            rows,
-            cols,
-            data: vec![0; len],
-        }
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zero(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1;
-        }
-        m
-    }
-
-    /// Builds a matrix by evaluating `f(row, col)` for every entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> u8) -> Self {
-        let mut m = Self::zero(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m.data[r * cols + c] = f(r, c);
-            }
-        }
-        m
-    }
-
-    /// A matrix with independently uniform random entries.
-    pub fn random<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
-        Self::from_fn(rows, cols, |_, _| rng.gen::<u64>() as u8)
-    }
-
-    /// Converts from the generic element representation.
-    pub fn from_matrix(m: &Matrix<Gf256>) -> Self {
-        Self::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)].0)
-    }
-
-    /// Converts back to the generic element representation.
-    pub fn to_matrix(&self) -> Matrix<Gf256> {
-        Matrix::from_fn(self.rows, self.cols, |r, c| {
-            Gf256(self.data[r * self.cols + c])
-        })
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Entry accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the offending indices) when out of bounds.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> u8 {
-        assert!(
-            r < self.rows && c < self.cols,
-            "ByteMatrix index ({r}, {c}) out of bounds for {}x{} matrix",
-            self.rows,
-            self.cols
-        );
-        self.data[r * self.cols + c]
-    }
-
-    /// Entry setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the offending indices) when out of bounds.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: u8) {
-        assert!(
-            r < self.rows && c < self.cols,
-            "ByteMatrix index ({r}, {c}) out of bounds for {}x{} matrix",
-            self.rows,
-            self.cols
-        );
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Borrow row `r` as a byte slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[u8] {
-        assert!(
-            r < self.rows,
-            "row index {r} out of bounds ({} rows)",
-            self.rows
-        );
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutably borrow row `r` as a byte slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [u8] {
-        assert!(
-            r < self.rows,
-            "row index {r} out of bounds ({} rows)",
-            self.rows
-        );
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Blocked matrix multiplication `self * rhs` on row kernels: the
-    /// i–k–j loop order turns the inner dimension into whole-row
-    /// [`mul_row_add`] calls, striped [`COL_BLOCK`] columns at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self.cols() == rhs.rows()`.
-    pub fn mat_mul(&self, rhs: &ByteMatrix) -> ByteMatrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "mat_mul dim mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Self::zero(self.rows, rhs.cols);
-        let w = rhs.cols;
-        for j0 in (0..w).step_by(COL_BLOCK) {
-            let j1 = (j0 + COL_BLOCK).min(w);
-            for i in 0..self.rows {
-                for k in 0..self.cols {
-                    let s = self.data[i * self.cols + k];
-                    if s != 0 {
-                        mul_row_add(
-                            &mut out.data[i * w + j0..i * w + j1],
-                            &rhs.data[k * w + j0..k * w + j1],
-                            s,
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Row-vector × matrix product `v * self` (the Algorithm-1 encode
-    /// shape), as whole-row fused multiply-adds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `v.len() == self.rows()`.
-    pub fn left_mul_vec(&self, v: &[u8]) -> Vec<u8> {
-        assert_eq!(
-            v.len(),
-            self.rows,
-            "left_mul_vec dim mismatch: vector of {} over {} rows",
-            v.len(),
-            self.rows
-        );
-        let mut out = vec![0u8; self.cols];
-        for (r, &x) in v.iter().enumerate() {
-            if x != 0 {
-                mul_row_add(&mut out, self.row(r), x);
-            }
-        }
-        out
-    }
-
-    /// Reduces `self` to *reduced* row-echelon form in place, returning
-    /// the pivot columns. Pivot selection matches
-    /// [`crate::linalg::echelon`] exactly (first non-zero row at or below
-    /// the pivot row, columns left to right), so results are bit-identical
-    /// to the scalar path.
-    pub fn echelon_in_place(&mut self) -> Vec<usize> {
-        let (rows, cols, w) = (self.rows, self.cols, self.cols);
-        let mut pivots = Vec::new();
-        let mut pr = 0;
-        for pc in 0..cols {
-            let Some(sel) = (pr..rows).find(|&r| self.data[r * w + pc] != 0) else {
-                continue;
-            };
-            if sel != pr {
-                self.swap_rows(sel, pr);
-            }
-            let inv = Gf256(self.data[pr * w + pc])
-                .inv()
-                .expect("pivot non-zero") // nab-lint: allow(NAB003): pivot was selected non-zero by the search above
-                .0;
-            scale_row(&mut self.data[pr * w..(pr + 1) * w], inv);
-            for r in 0..rows {
-                if r != pr {
-                    let factor = self.data[r * w + pc];
-                    if factor != 0 {
-                        let (dst, src) = split_rows_mut(&mut self.data, w, r, pr);
-                        mul_row_add(dst, src, factor);
-                    }
-                }
-            }
-            pivots.push(pc);
-            pr += 1;
-            if pr == rows {
-                break;
-            }
-        }
-        pivots
-    }
-
-    /// Swaps two rows in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        assert!(
-            a < self.rows && b < self.rows,
-            "swap_rows({a}, {b}) out of bounds ({} rows)",
-            self.rows
-        );
-        if a == b {
-            return;
-        }
-        let w = self.cols;
-        let (ra, rb) = split_rows_mut(&mut self.data, w, a, b);
-        ra.swap_with_slice(rb);
-    }
-
-    /// The rank of `self`.
-    pub fn rank(&self) -> usize {
-        self.clone().echelon_in_place().len()
-    }
-
-    /// Inverts a square matrix by in-place Gauss–Jordan elimination on the
-    /// augmented slab `[A | I]`, returning `None` if singular.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not square.
-    pub fn invert(&self) -> Option<ByteMatrix> {
-        assert_eq!(
-            self.rows, self.cols,
-            "inversion requires a square matrix, got {}x{}",
-            self.rows, self.cols
-        );
-        let n = self.rows;
-        let w = 2 * n;
-        let mut aug = Self::zero(n, w);
-        for r in 0..n {
-            aug.row_mut(r)[..n].copy_from_slice(self.row(r));
-            aug.data[r * w + n + r] = 1;
-        }
-        let pivots = aug.echelon_in_place();
-        // Invertible iff the left block reduced to the identity, i.e. the
-        // first n pivots are exactly columns 0..n.
-        if pivots.len() < n || pivots.iter().take(n).enumerate().any(|(i, &pc)| pc != i) {
-            return None;
-        }
-        let mut out = Self::zero(n, n);
-        for r in 0..n {
-            out.row_mut(r).copy_from_slice(&aug.row(r)[n..]);
-        }
-        Some(out)
-    }
-
-    /// Solves `self · x = b` for one solution (free variables zero),
-    /// returning `None` if the system is inconsistent. Mirrors
-    /// [`crate::linalg::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `b.len() == self.rows()`.
-    pub fn solve(&self, b: &[u8]) -> Option<Vec<u8>> {
-        assert_eq!(
-            b.len(),
-            self.rows,
-            "rhs length {} must equal row count {}",
-            b.len(),
-            self.rows
-        );
-        let w = self.cols + 1;
-        let mut aug = Self::zero(self.rows, w);
-        for (r, &rhs) in b.iter().enumerate() {
-            aug.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            aug.data[r * w + self.cols] = rhs;
-        }
-        let pivots = aug.echelon_in_place();
-        if pivots.last() == Some(&self.cols) {
-            return None;
-        }
-        let mut x = vec![0u8; self.cols];
-        for (row, &pc) in pivots.iter().enumerate() {
-            x[pc] = aug.data[row * w + self.cols];
-        }
-        Some(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn mul_table_matches_field_mul() {
@@ -470,82 +128,5 @@ mod tests {
     fn mul_row_add_rejects_length_mismatch() {
         let mut dst = [0u8; 3];
         mul_row_add(&mut dst, &[0u8; 4], 2);
-    }
-
-    #[test]
-    fn mat_mul_matches_scalar_matrix() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for (r, k, c) in [(3, 4, 5), (1, 1, 1), (7, 2, 9), (16, 16, 16)] {
-            let a = ByteMatrix::random(r, k, &mut rng);
-            let b = ByteMatrix::random(k, c, &mut rng);
-            let fast = a.mat_mul(&b);
-            let slow = a.to_matrix().mul(&b.to_matrix());
-            assert_eq!(fast.to_matrix(), slow);
-        }
-    }
-
-    #[test]
-    fn blocked_mat_mul_handles_wide_outputs() {
-        // Wider than COL_BLOCK so the stripe loop actually splits.
-        let mut rng = StdRng::seed_from_u64(17);
-        let a = ByteMatrix::random(2, 3, &mut rng);
-        let b = ByteMatrix::random(3, COL_BLOCK + 37, &mut rng);
-        assert_eq!(a.mat_mul(&b).to_matrix(), a.to_matrix().mul(&b.to_matrix()));
-    }
-
-    #[test]
-    fn invert_roundtrip_and_singular() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut inverted = 0;
-        for _ in 0..10 {
-            let a = ByteMatrix::random(8, 8, &mut rng);
-            match a.invert() {
-                Some(inv) => {
-                    assert_eq!(a.mat_mul(&inv), ByteMatrix::identity(8));
-                    assert_eq!(inv.mat_mul(&a), ByteMatrix::identity(8));
-                    inverted += 1;
-                }
-                None => assert!(a.rank() < 8),
-            }
-        }
-        assert!(inverted >= 8, "too many singular 8x8 over GF(256)");
-        let sing = ByteMatrix::from_fn(2, 2, |_, c| (c + 1) as u8);
-        assert!(sing.invert().is_none());
-    }
-
-    #[test]
-    fn echelon_matches_scalar_linalg() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..10 {
-            let a = ByteMatrix::random(4, 7, &mut rng);
-            let mut e = a.clone();
-            let pivots = e.echelon_in_place();
-            let scalar = linalg::echelon(&a.to_matrix());
-            assert_eq!(pivots, scalar.pivots);
-            assert_eq!(e.to_matrix(), scalar.matrix);
-        }
-    }
-
-    #[test]
-    fn solve_matches_scalar_linalg() {
-        let mut rng = StdRng::seed_from_u64(37);
-        for _ in 0..10 {
-            let a = ByteMatrix::random(5, 5, &mut rng);
-            let b: Vec<u8> = (0..5).map(|_| rng.gen::<u64>() as u8).collect();
-            let fast = a.solve(&b);
-            let slow = linalg::solve(
-                &a.to_matrix(),
-                &b.iter().map(|&x| Gf256(x)).collect::<Vec<_>>(),
-            );
-            assert_eq!(fast, slow.map(|v| v.into_iter().map(|x| x.0).collect()));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "mat_mul dim mismatch")]
-    fn mat_mul_rejects_bad_shapes() {
-        let a = ByteMatrix::zero(2, 3);
-        let b = ByteMatrix::zero(2, 3);
-        let _ = a.mat_mul(&b);
     }
 }

@@ -16,7 +16,7 @@
 //! - [`crate::gf2m::Gf2m`] (any degree) — the scalar default, so generic
 //!   field code keeps working unchanged.
 //!
-//! The functions here ([`mat_mul`], [`echelon`], [`invert`], [`solve`],
+//! The functions here ([`echelon`], [`invert`], [`solve`],
 //! [`kernel_basis`], [`left_mul_vec`]) mirror [`crate::linalg`]
 //! operation-for-operation — same pivot choices, same elimination order —
 //! so their results are **bit-identical** to the scalar path for every
@@ -37,12 +37,6 @@ use crate::simd;
 /// `BENCH_gf.json`). Rows of [`crate::simd::SIMD_THRESHOLD`] or more take
 /// the arch-SIMD tier first when one was detected (see [`crate::simd`]).
 pub const GF2_16_SPLIT_THRESHOLD: usize = 1024;
-
-/// Column-stripe width (in elements) for the blocked batched ops
-/// ([`FastOps::encode_batch`]): destination and source stripes stay
-/// cache-resident even for very wide packed slabs. Blocking never changes
-/// results — characteristic-2 accumulation is exact XOR.
-pub const BATCH_COL_BLOCK: usize = 1024;
 
 /// The scalar reference implementation of the fused row kernel:
 /// `dst[i] += s · src[i]` one element at a time. This is both the default
@@ -104,94 +98,6 @@ pub trait FastOps: Field {
     fn scale_row(row: &mut [Self], s: Self) {
         scalar_scale_row(row, s);
     }
-
-    /// Batched fused multiply-add: `dst[i] += Σ_j scalars[j] · srcs[j][i]`
-    /// — one destination row accumulating many scaled source rows (the
-    /// inner product shape of a blocked matrix multiply with the reduction
-    /// loop fused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `srcs` and `scalars` have different lengths, or any
-    /// source row's length differs from `dst`'s.
-    fn mul_row_add_batch(dst: &mut [Self], srcs: &[&[Self]], scalars: &[Self]) {
-        assert_eq!(
-            srcs.len(),
-            scalars.len(),
-            "mul_row_add_batch arity mismatch: {} rows, {} scalars",
-            srcs.len(),
-            scalars.len()
-        );
-        for (src, &s) in srcs.iter().zip(scalars) {
-            Self::mul_row_add(dst, src, s);
-        }
-    }
-
-    /// Batched Algorithm-1 encode over a packed column slab:
-    /// `out = Cᵀ · X`, where `code` is the `ρ × z` coding matrix, `x` is a
-    /// row-major `ρ × width` slab (row `k` holds symbol `k` of `width`
-    /// packed value-columns), and `out` is the row-major `z × width`
-    /// result slab. One call replaces `width` per-column
-    /// [`left_mul_vec`] calls, turning the hot loop into long-row
-    /// [`FastOps::mul_row_add`]s striped [`BATCH_COL_BLOCK`] columns at a
-    /// time. Bit-identical to the per-column path (characteristic-2
-    /// accumulation is exact and order-independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == code.rows() * width` and
-    /// `out.len() == code.cols() * width`.
-    fn encode_batch(code: &Matrix<Self>, x: &[Self], width: usize, out: &mut [Self]) {
-        let (rho, z) = (code.rows(), code.cols());
-        assert_eq!(
-            x.len(),
-            rho * width,
-            "encode_batch: x slab is {} elements, want {rho} rows × {width}",
-            x.len()
-        );
-        assert_eq!(
-            out.len(),
-            z * width,
-            "encode_batch: out slab is {} elements, want {z} rows × {width}",
-            out.len()
-        );
-        out.fill(Self::ZERO);
-        for j0 in (0..width).step_by(BATCH_COL_BLOCK) {
-            let j1 = (j0 + BATCH_COL_BLOCK).min(width);
-            for r in 0..z {
-                for k in 0..rho {
-                    let s = code[(k, r)];
-                    if !s.is_zero() {
-                        Self::mul_row_add(
-                            &mut out[r * width + j0..r * width + j1],
-                            &x[k * width + j0..k * width + j1],
-                            s,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched Algorithm-1 check: recomputes [`FastOps::encode_batch`]
-    /// and compares against the received slab.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`FastOps::encode_batch`],
-    /// plus `expected.len() != code.cols() * width`.
-    fn check_batch(code: &Matrix<Self>, x: &[Self], width: usize, expected: &[Self]) -> bool {
-        assert_eq!(
-            expected.len(),
-            code.cols() * width,
-            "check_batch: expected slab is {} elements, want {} rows × {width}",
-            expected.len(),
-            code.cols()
-        );
-        let mut out = vec![Self::ZERO; code.cols() * width];
-        Self::encode_batch(code, x, width, &mut out);
-        out == expected
-    }
 }
 
 impl FastOps for Gf256 {
@@ -214,7 +120,7 @@ impl FastOps for Gf256 {
             }
             // `Gf256` is repr(transparent) over `u8`, so the element rows
             // reinterpret as byte rows and share the SIMD-dispatched byte
-            // kernel with `ByteMatrix`.
+            // kernel ([`bytes::mul_row_add`]).
             _ => bytes::mul_row_add(gf256_bytes_mut(dst), gf256_bytes(src), s.0),
         }
     }
@@ -308,35 +214,6 @@ impl FastOps for Gf2_16 {
 // Every other degree: scalar defaults (carry-less multiplication has no
 // table representation worth building at runtime).
 impl<const M: u32> FastOps for Gf2m<M> {}
-
-/// Kernelized matrix multiplication `a * b`: the i–k–j loop order turns
-/// the inner dimension into whole-row [`FastOps::mul_row_add`] calls.
-/// Bit-identical to [`Matrix::mul`].
-///
-/// # Panics
-///
-/// Panics unless `a.cols() == b.rows()`.
-pub fn mat_mul<F: FastOps>(a: &Matrix<F>, b: &Matrix<F>) -> Matrix<F> {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "mat_mul dim mismatch: {}x{} * {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let mut out = Matrix::zero(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for k in 0..a.cols() {
-            let s = a[(i, k)];
-            if !s.is_zero() {
-                F::mul_row_add(out.row_mut(i), b.row(k), s);
-            }
-        }
-    }
-    out
-}
 
 /// Kernelized row-vector × matrix product `v * m` (the Algorithm-1 encode
 /// shape). Bit-identical to [`Matrix::left_mul_vec`].
@@ -561,11 +438,9 @@ mod tests {
     }
 
     #[test]
-    fn mat_mul_matches_scalar_mul_for_generic_fields() {
+    fn left_mul_vec_matches_scalar_for_generic_fields() {
         let mut rng = StdRng::seed_from_u64(43);
         let a = Matrix::<Gf2m<13>>::random(4, 6, &mut rng);
-        let b = Matrix::<Gf2m<13>>::random(6, 3, &mut rng);
-        assert_eq!(mat_mul(&a, &b), a.mul(&b));
         let v: Vec<Gf2m<13>> = (0..4).map(|_| Gf2m::random(&mut rng)).collect();
         assert_eq!(left_mul_vec(&a, &v), a.left_mul_vec(&v));
     }

@@ -17,10 +17,10 @@
 //! - [`kernel`] — the [`kernel::FastOps`] row-kernel specialization trait
 //!   and kernelized linear algebra, bit-identical to [`linalg`] but
 //!   table-driven for `GF(256)` and `GF(2^16)`,
-//! - [`bytes`] — row-major `GF(256)` byte-slab storage
-//!   ([`bytes::ByteMatrix`]) with fully table-driven row kernels,
+//! - [`bytes`] — the table-driven `GF(256)` byte-row kernels behind
+//!   `Gf256`'s [`kernel::FastOps`] implementation,
 //! - [`words`] — row-major `GF(2^16)` word-slab storage
-//!   ([`words::WordMatrix`]) for the batched execution path,
+//!   ([`words::WordMatrix`]): the slab product of the equality check,
 //! - [`simd`] — the runtime-detected arch-SIMD row-kernel tier
 //!   (nibble-split PSHUFB tables via SSSE3/AVX2 intrinsics, with a
 //!   portable fallback identical in results).
@@ -52,7 +52,6 @@ pub mod poly2;
 pub mod simd;
 pub mod words;
 
-pub use bytes::ByteMatrix;
 pub use field::Field;
 pub use gf256::Gf256;
 pub use gf2m::{Gf2_16, Gf2_32, Gf2m};

@@ -311,8 +311,7 @@ impl<F: Field> Matrix<F> {
 }
 
 /// Splits two distinct rows of width `w` out of a flat row-major slab —
-/// the split-borrow both [`Matrix`] and [`crate::bytes::ByteMatrix`]
-/// need for row-kernel elimination.
+/// the split-borrow [`Matrix`] needs for row-kernel elimination.
 ///
 /// # Panics
 ///

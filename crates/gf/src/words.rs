@@ -1,7 +1,6 @@
-//! Row-major `GF(2^16)` word-slab linear algebra — the 16-bit analogue of
-//! [`crate::bytes::ByteMatrix`].
+//! Row-major `GF(2^16)` word-slab linear algebra.
 //!
-//! The batched execution path packs the value-columns of many broadcast
+//! The equality check packs the value-columns of many broadcast
 //! instances/streams into one flat slab so per-edge encode/check becomes a
 //! single blocked matrix multiply over long contiguous rows — the shape
 //! the arch-SIMD row kernels ([`crate::simd`]) are built for. Rows are

@@ -10,7 +10,7 @@
 //! and compares the kernel output against the scalar reference
 //! element-for-element.
 
-use nab_gf::bytes::{self, ByteMatrix};
+use nab_gf::bytes;
 use nab_gf::field::Field;
 use nab_gf::kernel::{self, scalar_mul_row_add, scalar_scale_row, FastOps};
 use nab_gf::linalg;
@@ -77,16 +77,6 @@ macro_rules! differential_suite {
                 }
 
                 #[test]
-                fn mat_mul_matches_matrix_mul(
-                    r in 1usize..10, k in 1usize..10, c in 1usize..10,
-                    seed in any::<u64>(),
-                ) {
-                    let a = mat::<$ty>(r, k, seed);
-                    let b = mat::<$ty>(k, c, seed ^ 0xFACE);
-                    prop_assert_eq!(kernel::mat_mul(&a, &b), a.mul(&b));
-                }
-
-                #[test]
                 fn left_mul_vec_matches_matrix(
                     r in 1usize..12, c in 1usize..12,
                     seed in any::<u64>(),
@@ -140,64 +130,6 @@ macro_rules! differential_suite {
                     let a = mat::<$ty>(r, c, seed);
                     prop_assert_eq!(kernel::kernel_basis(&a), linalg::kernel_basis(&a));
                 }
-
-                #[test]
-                fn mul_row_add_batch_matches_sequential_scalar(
-                    len in row_len(),
-                    arity in 0usize..6,
-                    seed in any::<u64>(),
-                ) {
-                    let rows: Vec<Vec<$ty>> = (0..arity)
-                        .map(|j| vec_of::<$ty>(len, seed ^ (j as u64)))
-                        .collect();
-                    let srcs: Vec<&[$ty]> = rows.iter().map(|r| r.as_slice()).collect();
-                    let scalars = vec_of::<$ty>(arity, seed ^ 0x5CA1A);
-                    let mut fast = vec_of::<$ty>(len, seed ^ 0xD0);
-                    let mut slow = fast.clone();
-                    <$ty as FastOps>::mul_row_add_batch(&mut fast, &srcs, &scalars);
-                    for (src, &s) in rows.iter().zip(&scalars) {
-                        scalar_mul_row_add(&mut slow, src, s);
-                    }
-                    prop_assert_eq!(fast, slow);
-                }
-
-                #[test]
-                fn encode_batch_matches_per_column_left_mul_vec(
-                    rho in 1usize..6, z in 1usize..6,
-                    // Widths cover the empty batch (0), a single packed
-                    // column (the Q=1 shape), and slabs straddling the
-                    // batch column-block stripe.
-                    width in (0usize..4, 0usize..40).prop_map(|(kind, w)| match kind {
-                        0 => 0,
-                        1 => 1,
-                        2 => w,
-                        _ => kernel::BATCH_COL_BLOCK - 3 + (w % 6),
-                    }),
-                    seed in any::<u64>(),
-                ) {
-                    let code = mat::<$ty>(rho, z, seed);
-                    let x = vec_of::<$ty>(rho * width, seed ^ 0xE0C0);
-                    let mut fast = vec![<$ty>::ZERO; z * width];
-                    <$ty as FastOps>::encode_batch(&code, &x, width, &mut fast);
-                    // Reference: encode each packed column with the scalar
-                    // per-column path, then scatter into the slab layout.
-                    let mut slow = vec![<$ty>::ZERO; z * width];
-                    for col in 0..width {
-                        let v: Vec<$ty> = (0..rho).map(|k| x[k * width + col]).collect();
-                        for (r, y) in code.left_mul_vec(&v).into_iter().enumerate() {
-                            slow[r * width + col] = y;
-                        }
-                    }
-                    prop_assert_eq!(&fast, &slow);
-                    prop_assert!(<$ty as FastOps>::check_batch(&code, &x, width, &fast));
-                    // Any single-symbol tampering must flip the check.
-                    if z * width > 0 {
-                        let mut bad = fast.clone();
-                        let idx = (seed as usize) % bad.len();
-                        bad[idx] = bad[idx].add(<$ty>::ONE);
-                        prop_assert!(!<$ty as FastOps>::check_batch(&code, &x, width, &bad));
-                    }
-                }
             }
         }
     };
@@ -209,13 +141,8 @@ differential_suite!(diff_gf2m_13, Gf2m<13>);
 differential_suite!(diff_gf2m_32, Gf2m<32>);
 
 // ---------------------------------------------------------------------------
-// ByteMatrix (GF(256) byte slab) vs. the scalar Matrix<Gf256> path.
+// GF(256) byte-row kernel vs. the scalar Gf256 row path.
 // ---------------------------------------------------------------------------
-
-fn byte_mat(rows: usize, cols: usize, seed: u64) -> ByteMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    ByteMatrix::random(rows, cols, &mut rng)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -234,73 +161,6 @@ proptest! {
         let srcf: Vec<Gf256> = src.iter().map(|&x| Gf256(x)).collect();
         scalar_mul_row_add(&mut slow, &srcf, Gf256(s));
         prop_assert_eq!(fast, slow.iter().map(|x| x.0).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn byte_mat_mul_matches_matrix(
-        r in 1usize..10, k in 1usize..10, c in 1usize..10,
-        seed in any::<u64>(),
-    ) {
-        let a = byte_mat(r, k, seed);
-        let b = byte_mat(k, c, seed ^ 0xC0DE);
-        prop_assert_eq!(
-            a.mat_mul(&b).to_matrix(),
-            a.to_matrix().mul(&b.to_matrix())
-        );
-    }
-
-    #[test]
-    fn byte_echelon_rank_match_linalg(
-        r in 1usize..8, c in 1usize..10,
-        seed in any::<u64>(),
-    ) {
-        let a = byte_mat(r, c, seed);
-        let mut e = a.clone();
-        let pivots = e.echelon_in_place();
-        let slow = linalg::echelon(&a.to_matrix());
-        prop_assert_eq!(pivots, slow.pivots);
-        prop_assert_eq!(e.to_matrix(), slow.matrix);
-        prop_assert_eq!(a.rank(), linalg::rank(&a.to_matrix()));
-    }
-
-    #[test]
-    fn byte_invert_matches_linalg(n in 1usize..9, seed in any::<u64>()) {
-        let a = byte_mat(n, n, seed);
-        let fast = a.invert().map(|m| m.to_matrix());
-        let slow = linalg::invert(&a.to_matrix());
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn byte_solve_matches_linalg(
-        r in 1usize..8, c in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        let a = byte_mat(r, c, seed);
-        let b: Vec<u8> = vec_of::<Gf256>(r, seed ^ 3).iter().map(|x| x.0).collect();
-        let fast = a.solve(&b);
-        let bf: Vec<Gf256> = b.iter().map(|&x| Gf256(x)).collect();
-        let slow = linalg::solve(&a.to_matrix(), &bf)
-            .map(|v| v.into_iter().map(|x| x.0).collect::<Vec<_>>());
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn byte_left_mul_vec_matches_matrix(
-        r in 1usize..12, c in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        let m = byte_mat(r, c, seed);
-        let v: Vec<u8> = vec_of::<Gf256>(r, seed ^ 0xF00D).iter().map(|x| x.0).collect();
-        let vf: Vec<Gf256> = v.iter().map(|&x| Gf256(x)).collect();
-        prop_assert_eq!(
-            m.left_mul_vec(&v),
-            m.to_matrix()
-                .left_mul_vec(&vf)
-                .iter()
-                .map(|x| x.0)
-                .collect::<Vec<_>>()
-        );
     }
 }
 

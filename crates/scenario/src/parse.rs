@@ -126,20 +126,17 @@ pub fn parse_str(text: &str) -> Result<ScenarioSpec, ParseError> {
             "bounds_budget" => spec.bounds_budget = parse_num(lineno, key, value)?,
             "threads" => spec.threads = parse_num(lineno, key, value)?,
             "plan_cache" => spec.plan_cache = parse_bool(lineno, key, value)?,
-            "plan_repair" => spec.plan_repair = parse_bool(lineno, key, value)?,
             "link_model" => {
                 spec.link_model = nab_net::NetSpec::parse(value).map_err(|e| err(lineno, e))?
             }
             "net" => spec.net = parse_bool(lineno, key, value)?,
-            "batch" => spec.batch = parse_bool(lineno, key, value)?,
             other => {
                 return Err(err(
                     lineno,
                     format!(
                         "unknown key {other:?} (known: name, topology, broadcast, adversary, \
                          faults, mutations, q, streams, n, cap, f, symbols, seeds, seed0, \
-                         bounds, bounds_budget, threads, plan_cache, plan_repair, link_model, \
-                         net, batch)"
+                         bounds, bounds_budget, threads, plan_cache, link_model, net)"
                     ),
                 ))
             }
@@ -207,7 +204,7 @@ pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
         "name = {}\ntopology = {}\nbroadcast = {}\nadversary = {}\nfaults = {}\n\
          mutations = {}\nq = {}\nstreams = {}\nn = {}\ncap = {}\nf = {}\nsymbols = {}\n\
          seeds = {}\nseed0 = {}\nbounds = {}\nbounds_budget = {}\nthreads = {}\n\
-         plan_cache = {}\nplan_repair = {}\nlink_model = {}\nnet = {}\nbatch = {}\n",
+         plan_cache = {}\nlink_model = {}\nnet = {}\n",
         spec.name,
         spec.topology.spec_string(),
         broadcast,
@@ -226,10 +223,8 @@ pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
         spec.bounds_budget,
         spec.threads,
         spec.plan_cache,
-        spec.plan_repair,
         spec.link_model.spec_string(),
         spec.net,
-        spec.batch,
     )
 }
 
@@ -325,13 +320,21 @@ threads = 2
     }
 
     #[test]
-    fn plan_repair_key_parses_and_defaults_on() {
-        let s = parse_str("name = x\n").unwrap();
-        assert!(s.plan_repair, "plan repair is on by default");
-        let s = parse_str("name = x\nplan_repair = off\n").unwrap();
-        assert!(!s.plan_repair);
-        let e = parse_str("name = x\nplan_repair = 7\n").unwrap_err();
-        assert!(e.message.contains("bad boolean"), "{e}");
+    fn removed_switch_keys_are_unknown_keys_with_line_numbers() {
+        // `batch` and `plan_repair` selected reference paths that no
+        // longer exist; a file that still sets them must say so.
+        for key in ["batch", "plan_repair"] {
+            let e = parse_str(&format!("name = x\nq = 2\n{key} = off\n")).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            assert!(e.message.contains(&format!("unknown key {key:?}")), "{e}");
+            assert!(!e.message.contains(&format!(", {key},")), "{e}");
+        }
+        let text = to_scenario_string(&ScenarioSpec::new("x"));
+        assert!(
+            !text.contains("batch") && !text.contains("plan_repair"),
+            "{text}"
+        );
+        assert_eq!(parse_str(&text).unwrap(), ScenarioSpec::new("x"));
     }
 
     #[test]
@@ -350,16 +353,6 @@ threads = 2
         let e = parse_str("name = x\nmutations = degrade:4:2\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("3 parameters"), "{e}");
-    }
-
-    #[test]
-    fn batch_key_parses_and_defaults_on() {
-        let s = parse_str("name = x\n").unwrap();
-        assert!(s.batch, "batched execution is on by default");
-        let s = parse_str("name = x\nbatch = off\n").unwrap();
-        assert!(!s.batch);
-        let e = parse_str("name = x\nbatch = 2\n").unwrap_err();
-        assert!(e.message.contains("bad boolean"), "{e}");
     }
 
     #[test]

@@ -64,11 +64,6 @@ pub struct ScenarioSpec {
     /// benchmarking and for the determinism tests that pin the
     /// equivalence).
     pub plan_cache: bool,
-    /// Whether engines use incremental plan repair for disputed `G_k`
-    /// derivations (on by default; results are bit-identical either way
-    /// — the toggle, CLI `--no-repair`, exists for A/B benchmarking and
-    /// the differential tests that pin the equivalence).
-    pub plan_repair: bool,
     /// Per-link latency/jitter/loss models used when message-level
     /// execution is on (see [`ScenarioSpec::net`]). The default is the
     /// zero model (zero latency, lossless), under which message-level
@@ -79,12 +74,6 @@ pub struct ScenarioSpec {
     /// messages in flight) instead of the synchronous formula charges.
     /// Off by default; the CLI `--net` flag switches it on.
     pub net: bool,
-    /// Whether jobs take the batched cross-stream execution path (all
-    /// undisputed streams' equality columns packed into one slab
-    /// multiply per edge). On by default; results are bit-identical
-    /// either way — the toggle (`batch = off`, CLI `--no-batch`) exists
-    /// for A/B benchmarking and the equivalence tests that pin it.
-    pub batch: bool,
 }
 
 impl Default for ScenarioSpec {
@@ -111,10 +100,8 @@ impl Default for ScenarioSpec {
             bounds_budget: 1 << 14,
             threads: 0,
             plan_cache: true,
-            plan_repair: true,
             link_model: nab_net::NetSpec::default(),
             net: false,
-            batch: true,
         }
     }
 }
@@ -218,12 +205,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Enables or disables incremental plan repair in the engines.
-    pub fn with_plan_repair(mut self, on: bool) -> Self {
-        self.plan_repair = on;
-        self
-    }
-
     /// Sets the link models for message-level execution.
     pub fn with_link_model(mut self, m: nab_net::NetSpec) -> Self {
         self.link_model = m;
@@ -233,12 +214,6 @@ impl ScenarioSpec {
     /// Enables or disables message-level (event-driven) execution.
     pub fn with_net(mut self, on: bool) -> Self {
         self.net = on;
-        self
-    }
-
-    /// Enables or disables batched cross-stream execution.
-    pub fn with_batch(mut self, on: bool) -> Self {
-        self.batch = on;
         self
     }
 

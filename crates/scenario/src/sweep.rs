@@ -515,7 +515,6 @@ fn measure(
         let mut engine =
             NabEngine::from_plan(plan, cfg).map_err(|e| format!("network rejected: {e}"))?;
         engine.set_broadcast_kind(spec.broadcast);
-        engine.set_plan_repair(spec.plan_repair);
         if spec.net {
             // Each stream samples its own jitter/loss stream, derived
             // from the job seed exactly like its adversary and input
@@ -620,37 +619,21 @@ fn measure(
             }
         }
         // One round-robin step: every stream runs instance `inst`. The
-        // batched entry point packs all undisputed streams' equality
-        // columns into one slab multiply per edge (falling back to the
-        // per-stream loop internally once disputes shrink some G_k);
-        // message-level execution retimes streams independently, so it
-        // stays on the per-stream path. Inputs are drawn per stream from
-        // that stream's own RNG either way — identical values.
-        let step: Vec<(Value, nab::InstanceReport)> = if spec.batch && !spec.net {
-            let inputs: Vec<Value> = input_rngs
-                .iter_mut()
-                .map(|rng| Value::random(job.symbols, rng))
-                .collect();
-            let mut adv_refs: Vec<&mut dyn NabAdversary> = advs
-                .iter_mut()
-                .map(|a| &mut **a as &mut dyn NabAdversary)
-                .collect();
-            let reps = run_instances_batched(&mut engines, &inputs, faulty, &mut adv_refs)
-                .map_err(|e| format!("instance failed: {e}"))?;
-            inputs.into_iter().zip(reps).collect()
-        } else {
-            let mut step = Vec::with_capacity(spec.streams);
-            for s in 0..spec.streams {
-                trace::set_stream(s as u32);
-                let input = Value::random(job.symbols, &mut input_rngs[s]);
-                let rep = engines[s]
-                    .run_instance(&input, faulty, advs[s].as_mut())
-                    .map_err(|e| format!("instance failed: {e}"))?;
-                step.push((input, rep));
-            }
-            step
-        };
-        for (s, (input, rep)) in step.iter().enumerate() {
+        // engine packs all undisputed streams' equality columns into one
+        // slab multiply per edge; a stream whose G_k disputes have shrunk,
+        // or that executes message-level, runs its equality check alone.
+        // Inputs are drawn per stream from that stream's own RNG.
+        let inputs: Vec<Value> = input_rngs
+            .iter_mut()
+            .map(|rng| Value::random(job.symbols, rng))
+            .collect();
+        let mut adv_refs: Vec<&mut dyn NabAdversary> = advs
+            .iter_mut()
+            .map(|a| &mut **a as &mut dyn NabAdversary)
+            .collect();
+        let reps = run_instances_batched(&mut engines, &inputs, faulty, &mut adv_refs)
+            .map_err(|e| format!("instance failed: {e}"))?;
+        for (s, (input, rep)) in inputs.iter().zip(&reps).enumerate() {
             let global_inst = inst * spec.streams + s;
             if global_inst == 0 {
                 metrics.gamma1 = rep.gamma_k;
@@ -1156,29 +1139,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_repair_toggle_never_changes_canonical_results() {
-        // Dispute-heavy: a corruptor forces replans; repair on vs. off
-        // must agree byte-for-byte (the scenario-level differential on
-        // top of the engine-level bit-identity test).
+    fn replan_counters_surface_in_timed_json_only() {
+        // Dispute-heavy: a corruptor forces replans on the shrunken G_k.
         let spec = small_spec()
             .with_adversary(AdversarySpec::Corruptor)
             .with_faults(FaultSchedule::Rotating { count: 1 })
             .with_q(4)
             .with_seeds(2);
-        let fast = run_sweep(&spec, 2).unwrap();
-        let slow = run_sweep(&spec.clone().with_plan_repair(false), 2).unwrap();
-        assert_eq!(fast.to_json(), slow.to_json());
-        // The replan counters live in timed JSON only and differ by mode:
-        // repair-off counts every disputed derivation as a full recompute.
-        assert_eq!(slow.aggregate.plan_repairs, 0, "repair-off never repairs");
-        assert!(slow.aggregate.plan_full_recomputes > 0);
+        let report = run_sweep(&spec, 2).unwrap();
         assert!(
-            fast.aggregate.plan_repairs + fast.aggregate.plan_full_recomputes > 0,
+            report.aggregate.plan_repairs + report.aggregate.plan_full_recomputes > 0,
             "disputes forced replans"
         );
-        assert!(fast.to_json_timed().contains("\"plan_repairs\":"));
+        assert!(report.to_json_timed().contains("\"plan_repairs\":"));
         assert!(
-            !fast.to_json().contains("plan_repair"),
+            !report.to_json().contains("plan_repair"),
             "canonical stays clean"
         );
     }

@@ -61,16 +61,6 @@ SCENARIO MODE:
                         latency/jitter/loss on every link (the file's
                         `link_model` key; see docs/network-sim.md).
                         Overrides the file's `net` key to on
-    --no-batch          disable the batched cross-stream execution path
-                        (one slab multiply per edge for all undisputed
-                        streams' equality columns); results are
-                        byte-identical either way (see docs/perf.md).
-                        Overrides the file's `batch` key to off
-    --no-repair         disable incremental plan repair: every dispute
-                        replans G_k from scratch instead of repairing the
-                        previous plan; results are byte-identical either
-                        way (see docs/plan-cache.md). Overrides the
-                        file's `plan_repair` key to off
     --plan-cache-dir D  persist network plans under directory D,
                         content-addressed by canonical digest; later runs
                         over the same networks load plans from disk
@@ -143,8 +133,6 @@ struct Args {
     trace_format: Option<TraceFormat>,
     progress: bool,
     net: bool,
-    no_batch: bool,
-    no_repair: bool,
     plan_cache_dir: Option<String>,
     topology: String,
     f: usize,
@@ -168,8 +156,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         trace_format: None,
         progress: false,
         net: false,
-        no_batch: false,
-        no_repair: false,
         plan_cache_dir: None,
         topology: "complete:4:2".into(),
         f: 1,
@@ -194,7 +180,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         "--broadcast",
         "--bounds",
     ];
-    const SCENARIO_ONLY: [&str; 10] = [
+    const SCENARIO_ONLY: [&str; 8] = [
         "--threads",
         "--json",
         "--timings",
@@ -202,8 +188,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         "--trace-format",
         "--progress",
         "--net",
-        "--no-batch",
-        "--no-repair",
         "--plan-cache-dir",
     ];
     let mut single_flags: Vec<&'static str> = Vec::new();
@@ -260,8 +244,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             }
             "--progress" => args.progress = true,
             "--net" => args.net = true,
-            "--no-batch" => args.no_batch = true,
-            "--no-repair" => args.no_repair = true,
             "--plan-cache-dir" => args.plan_cache_dir = Some(take(&mut i)?),
             "--topology" => args.topology = take(&mut i)?,
             "--f" => args.f = take(&mut i)?.parse().map_err(|e| format!("--f: {e}"))?,
@@ -460,12 +442,6 @@ fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
     let mut spec = scenario::load(path).map_err(|e| format!("{path}: {e}"))?;
     if args.net {
         spec.net = true;
-    }
-    if args.no_batch {
-        spec.batch = false;
-    }
-    if args.no_repair {
-        spec.plan_repair = false;
     }
     // The disk tier lives behind a sweep-external cache so plans persist
     // past this process; results stay byte-identical regardless (plans

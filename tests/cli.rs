@@ -194,55 +194,39 @@ fn scenario_mode_runs_a_file_and_emits_json() {
 }
 
 #[test]
-fn no_batch_flag_produces_byte_identical_canonical_json() {
-    // The batched cross-stream execution path must be invisible to
-    // results: the canonical (timing-free) JSON report of a sweep with
-    // interleaved streams and a dispute mid-run is byte-for-byte the
-    // same with batching on (default) and off (--no-batch).
-    let dir = std::env::temp_dir().join("nab-sim-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("batchcmp.scenario");
-    std::fs::write(
-        &path,
-        "name = batchcmp\n\
-         topology = complete:$n:$cap\n\
-         adversary = corruptor\n\
-         faults = fixed:2\n\
-         q = 3\n\
-         streams = 2\n\
-         n = 4,5\n\
-         cap = 2\n\
-         symbols = 8,16\n\
-         seeds = 2\n",
-    )
-    .unwrap();
-    let batched = nab_sim(&["--scenario", path.to_str().unwrap(), "--json", "-"]);
-    assert!(batched.status.success(), "stderr: {}", stderr(&batched));
-    let unbatched = nab_sim(&[
-        "--scenario",
-        path.to_str().unwrap(),
-        "--json",
-        "-",
-        "--no-batch",
-    ]);
-    assert!(unbatched.status.success(), "stderr: {}", stderr(&unbatched));
-    assert_eq!(
-        stdout(&batched),
-        stdout(&unbatched),
-        "batched and unbatched sweeps must serialize identically"
-    );
-    assert!(stdout(&batched).contains("\"scenario\": \"batchcmp\""));
+fn removed_switch_flags_are_rejected_like_any_unknown_flag() {
+    // `--no-batch` / `--no-repair` selected reference paths that no longer
+    // exist: they fail exactly like a flag that never existed, in either
+    // mode, without a panic.
+    let unknown = nab_sim(&["--frobnicate"]);
+    for flag in ["--no-batch", "--no-repair"] {
+        for args in [
+            vec![flag],
+            vec!["--scenario", "scenarios/fig1a.scenario", flag],
+        ] {
+            let out = nab_sim(&args);
+            assert_eq!(out.status.code(), unknown.status.code(), "{args:?}");
+            let err = stderr(&out);
+            assert!(err.contains(&format!("unknown flag {flag:?}")), "{err}");
+            assert!(err.contains("--help"), "{err}");
+            assert!(!err.contains("panicked"), "must not panic: {err}");
+        }
+    }
 }
 
 #[test]
-fn no_batch_requires_scenario_mode() {
-    let out = nab_sim(&["--no-batch"]);
-    assert!(!out.status.success());
-    assert!(
-        stderr(&out).contains("requires --scenario"),
-        "{}",
-        stderr(&out)
-    );
+fn removed_switch_keys_are_rejected_with_line_numbers() {
+    let dir = std::env::temp_dir().join("nab-sim-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for key in ["batch", "plan_repair"] {
+        let path = dir.join(format!("removed-{key}.scenario"));
+        std::fs::write(&path, format!("name = removed\nq = 1\n{key} = off\n")).unwrap();
+        let out = nab_sim(&["--scenario", path.to_str().unwrap()]);
+        assert!(!out.status.success());
+        let err = stderr(&out);
+        assert!(err.contains("line 3"), "{err}");
+        assert!(err.contains(&format!("unknown key {key:?}")), "{err}");
+    }
 }
 
 #[test]
