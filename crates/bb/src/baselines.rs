@@ -19,31 +19,41 @@ use crate::router::{PathRouter, Routed};
 
 /// An [`EigChannel`] that transports every logical unicast over `2f+1`
 /// vertex-disjoint paths of the real network, charging real link time.
+///
+/// The transfer is evaluated on ground truth
+/// ([`PathRouter::try_charge_unicast`]): relay corruption cannot defeat the
+/// `2f+1` majority, so what arrives is what was sent — adversarial
+/// *content* is injected a layer up, by the sender itself — and the cost is
+/// the route's hop rounds.
+///
+/// Two of the fields say more than the channel now needs and stay only so
+/// callers that build it by struct literal keep compiling: of `net` only the
+/// clock and the transcript are used (the route, not `net`'s graph, decides
+/// links and capacities), and `faulty` feeds a `debug_assert` alone. The
+/// follow-up they mark: `run_flag_broadcast` and the dispute phase still
+/// clone `g0` into a fresh `NetSim` per instance just to own that clock; a
+/// bare clock-plus-transcript would let the clone, and then both fields, go.
 pub struct RoutedChannel<'a, V> {
-    /// The simulator carrying the traffic.
+    /// The simulator whose clock (and transcript, if recording) the traffic
+    /// is charged to; it must simulate the router's graph.
     pub net: &'a mut NetSim<Routed<V>>,
     /// Pre-built disjoint-path routing tables.
     pub router: &'a PathRouter,
-    /// The faulty set (relays on paths may corrupt copies; majority wins).
+    /// The faulty set: at most `f` nodes, so at most `f` of a unicast's
+    /// `2f+1` copies cross a faulty relay.
     pub faulty: &'a BTreeSet<NodeId>,
 }
 
-impl<V: Clone + Eq> EigChannel<V> for RoutedChannel<'_, V> {
-    fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: V) -> V {
-        // Relay corruption cannot defeat the 2f+1 majority, so the hook
-        // forwards verbatim; adversarial *content* is injected at the EIG
-        // layer by the sender itself.
+impl<V: Clone> EigChannel<V> for RoutedChannel<'_, V> {
+    fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V) {
+        debug_assert!(
+            2 * self.faulty.len() < self.router.copies(),
+            "ground-truth delivery needs a fault-free majority of copies"
+        );
         self.router
-            .unicast(
-                self.net,
-                self.faulty,
-                from,
-                to,
-                bits,
-                value.clone(),
-                &mut |_, v| v.clone(),
-            )
-            .unwrap_or(value)
+            .try_charge_unicast(self.net, from, to, bits, value)
+            // nab-lint: allow(NAB003): routing over the build-time graph cannot fail (Menger); a removed node is a caller bug
+            .expect("routing over the build-time graph cannot fail");
     }
 }
 

@@ -11,7 +11,9 @@
 //! its cost is the `O(n^α)` per-bit overhead that the throughput analysis
 //! amortizes away.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::router::majority;
 
 /// Re-export: node identifier.
 pub use nab_netgraph::NodeId;
@@ -49,8 +51,10 @@ pub struct EigResult<V> {
 /// complete graph this is a link; on an incomplete one, a
 /// [`crate::router::PathRouter`] majority-unicast).
 pub trait EigChannel<V> {
-    /// Delivers `value` from `from` to `to`, returning what arrives.
-    fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: V) -> V;
+    /// Delivers `value` (`bits` wide) from `from` to `to`. The transport is
+    /// reliable — what arrives is what was sent — so the value is only lent,
+    /// for the channel to charge (and, if it records, copy) the transfer.
+    fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V);
 }
 
 /// An ideal channel: direct, lossless, free. Useful for unit tests and for
@@ -59,10 +63,72 @@ pub trait EigChannel<V> {
 pub struct IdealChannel;
 
 impl<V> EigChannel<V> for IdealChannel {
-    fn unicast(&mut self, _: NodeId, _: NodeId, _: u64, value: V) -> V {
-        value
+    fn unicast(&mut self, _: NodeId, _: NodeId, _: u64, _: &V) {}
+}
+
+/// A channel that logs every logical message it carries.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Tap<V>(pub(crate) Vec<(NodeId, NodeId, u64, V)>);
+
+#[cfg(test)]
+impl<V: Clone> EigChannel<V> for Tap<V> {
+    fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V) {
+        self.0.push((from, to, bits, value.clone()));
     }
 }
+
+/// Every faulty set of at most `f ≤ 2` of the nodes `0..n`.
+#[cfg(test)]
+pub(crate) fn faulty_sets(n: usize, f: usize) -> Vec<BTreeSet<NodeId>> {
+    let mut out = vec![BTreeSet::new()];
+    for a in 0..n {
+        out.push(BTreeSet::from([a]));
+        if f >= 2 {
+            out.extend((a + 1..n).map(|b| BTreeSet::from([a, b])));
+        }
+    }
+    out
+}
+
+/// The distinct values of one broadcast. Protocol state holds `u32` ids
+/// into this table, so a relayed claim is stored and compared as an integer
+/// whatever its size; a value is cloned only when a hook hands back one the
+/// table has not seen.
+pub(crate) struct ValueTable<V>(Vec<V>);
+
+impl<V: Clone + Eq> ValueTable<V> {
+    /// A table holding `first` as id 0.
+    pub(crate) fn new(first: V) -> Self {
+        ValueTable(vec![first])
+    }
+
+    /// Number of distinct values seen so far (ids are `0..len`).
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The value behind `id`.
+    pub(crate) fn get(&self, id: u32) -> &V {
+        &self.0[id as usize]
+    }
+
+    /// The id of `v`, entering it if new. `likely` is the id it most
+    /// probably equals (what an honest sender would have sent).
+    pub(crate) fn intern(&mut self, v: V, likely: u32) -> u32 {
+        if *self.get(likely) == v {
+            return likely;
+        }
+        let known = self.0.iter().position(|x| *x == v);
+        known.unwrap_or_else(|| {
+            self.0.push(v);
+            self.0.len() - 1
+        }) as u32
+    }
+}
+
+/// Id of `V::default()` in [`run_eig`]'s value table.
+const DEFAULT: u32 = 0;
 
 /// Runs one EIG Byzantine broadcast.
 ///
@@ -75,6 +141,15 @@ impl<V> EigChannel<V> for IdealChannel {
 ///
 /// Guarantees (for `|participants| > 3f`): all fault-free participants
 /// decide the same value, equal to `input` when the source is fault-free.
+///
+/// The claim tree is one arena shared by all nodes. Level `k` holds the
+/// claim paths of length `k + 1`, flat, built from level `k − 1` in arena
+/// order by appending every participant not yet on the path, in participant
+/// order — which is also the order the relays transmit in, so message
+/// order is part of the specification, not an artefact of a container. The
+/// `n − k − 1` children of path `i` are therefore paths
+/// `i·(n−k−1) .. (i+1)·(n−k−1)` of the next level, and each node's view of
+/// a level is a column of value ids, one per path.
 ///
 /// # Panics
 ///
@@ -95,80 +170,87 @@ where
     C: EigChannel<V>,
 {
     assert!(participants.contains(&source), "source must participate");
-    assert!(
-        participants.len() > 3 * f,
-        "EIG requires n > 3f (n={}, f={f})",
-        participants.len()
-    );
+    let n = participants.len();
+    assert!(n > 3 * f, "EIG requires n > 3f (n={n}, f={f})");
 
     let mut messages = 0u64;
-    // Per-node claim trees: path -> value heard.
-    let mut trees: BTreeMap<NodeId, HashMap<Vec<NodeId>, V>> =
-        participants.iter().map(|&p| (p, HashMap::new())).collect();
+    let mut values = ValueTable::new(V::default());
+    let input = values.intern(input, DEFAULT);
 
     // Round 1: the source announces its input.
-    let root_path = vec![source];
+    let mut paths: Vec<NodeId> = vec![source];
+    let mut cols: Vec<Vec<u32>> = Vec::with_capacity(n);
+    let source_lies = faulty.contains(&source);
     for &r in participants {
-        let honest = input.clone();
-        let sent = if faulty.contains(&source) {
-            adversary.send_value(source, &root_path, r, &honest)
+        let sent = if source_lies {
+            let v = adversary.send_value(source, &paths, r, values.get(input));
+            values.intern(v, input)
         } else {
-            honest
+            input
         };
-        let got = if r == source {
-            sent // self-delivery
-        } else {
+        if r != source {
+            // (The source's own copy is a self-delivery.)
             messages += 1;
-            chan.unicast(source, r, bits, sent)
-        };
-        trees.get_mut(&r).unwrap().insert(root_path.clone(), got); // nab-lint: allow(NAB003): trees is pre-populated with an entry per receiver
+            chan.unicast(source, r, bits, values.get(sent));
+        }
+        cols.push(vec![sent]);
     }
 
     // Rounds 2..=f+1: relay every level-(k-1) claim.
-    for level in 1..=f {
-        // Paths of length `level` currently known (same set at every node).
-        let paths: Vec<Vec<NodeId>> = trees[&source]
-            .keys()
-            .filter(|p| p.len() == level)
-            .cloned()
-            .collect();
-        let mut new_entries: Vec<(NodeId, Vec<NodeId>, V)> = Vec::new();
-        for path in &paths {
-            for &relay in participants {
+    for len in 1..=f {
+        let children = (paths.len() / len) * (n - len);
+        let mut next_paths: Vec<NodeId> = Vec::with_capacity(children * (len + 1));
+        let mut next_cols: Vec<Vec<u32>> = vec![Vec::with_capacity(children); n];
+        for (i, path) in paths.chunks_exact(len).enumerate() {
+            for (relay_idx, &relay) in participants.iter().enumerate() {
                 if path.contains(&relay) {
                     continue;
                 }
-                let mut new_path = path.clone();
-                new_path.push(relay);
-                let honest = trees[&relay].get(path).cloned().unwrap_or_default();
-                for &r in participants {
+                let start = next_paths.len();
+                next_paths.extend_from_slice(path);
+                next_paths.push(relay);
+                let new_path = &next_paths[start..];
+                let honest = cols[relay_idx][i];
+                let lies = faulty.contains(&relay);
+                for (col, &r) in next_cols.iter_mut().zip(participants) {
                     if r == relay {
-                        new_entries.push((r, new_path.clone(), honest.clone()));
+                        col.push(honest);
                         continue;
                     }
-                    let sent = if faulty.contains(&relay) {
-                        adversary.send_value(relay, &new_path, r, &honest)
+                    let sent = if lies {
+                        let v = adversary.send_value(relay, new_path, r, values.get(honest));
+                        values.intern(v, honest)
                     } else {
-                        honest.clone()
+                        honest
                     };
                     messages += 1;
-                    let got = chan.unicast(relay, r, bits, sent);
-                    new_entries.push((r, new_path.clone(), got));
+                    chan.unicast(relay, r, bits, values.get(sent));
+                    col.push(sent);
                 }
             }
         }
-        for (node, path, v) in new_entries {
-            trees.get_mut(&node).unwrap().insert(path, v); // nab-lint: allow(NAB003): trees is pre-populated with an entry per receiver
-        }
+        paths = next_paths;
+        cols = next_cols;
     }
 
-    // Decision: recursive strict-majority resolve from the root.
-    let mut decisions = BTreeMap::new();
-    for &p in participants {
-        let tree = &trees[&p];
-        let v = resolve(tree, &root_path, participants, f);
-        decisions.insert(p, v);
-    }
+    // Decision: strict-majority resolve, leaves upward. Leaves report the
+    // stored value; an internal path takes the strict majority of its
+    // children. No strict majority → the protocol-wide default value.
+    // (Falling back to the node's own stored value would break agreement:
+    // an equivocating source gives every node a different stored value.)
+    let decisions = participants
+        .iter()
+        .zip(cols)
+        .map(|(&p, mut col)| {
+            for len in (1..=f).rev() {
+                col = col
+                    .chunks_exact(n - len)
+                    .map(|children| majority(children).unwrap_or(DEFAULT))
+                    .collect();
+            }
+            (p, values.get(col[0]).clone())
+        })
+        .collect();
 
     EigResult {
         decisions,
@@ -176,35 +258,258 @@ where
     }
 }
 
-/// Recursive EIG resolution: leaves report their stored value; internal
-/// paths take the strict majority of their children (default on tie).
-fn resolve<V: Clone + Eq + Default>(
-    tree: &HashMap<Vec<NodeId>, V>,
-    path: &[NodeId],
-    participants: &[NodeId],
-    f: usize,
-) -> V {
-    if path.len() == f + 1 {
-        return tree.get(path).cloned().unwrap_or_default();
-    }
-    let mut children: Vec<V> = Vec::new();
-    for &j in participants {
-        if path.contains(&j) {
-            continue;
-        }
-        let mut child = path.to_vec();
-        child.push(j);
-        children.push(resolve(tree, &child, participants, f));
-    }
-    // No strict majority → the protocol-wide default value. (Falling back
-    // to the node's own stored value would break agreement: an
-    // equivocating source gives every node a different stored value.)
-    crate::router::majority(&children).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// The pre-arena implementation, kept as the oracle: per-node hash
+    /// trees keyed by claim path, and the recursive resolve over them. Its
+    /// only change is that a level's paths are listed in arena order (it
+    /// used to take them from the hash map's iteration order).
+    #[allow(clippy::too_many_arguments)]
+    fn run_eig_oracle<V, C>(
+        participants: &[NodeId],
+        source: NodeId,
+        f: usize,
+        input: V,
+        faulty: &BTreeSet<NodeId>,
+        adversary: &mut dyn EigAdversary<V>,
+        chan: &mut C,
+        bits: u64,
+    ) -> EigResult<V>
+    where
+        V: Clone + Eq + Default,
+        C: EigChannel<V>,
+    {
+        let mut messages = 0u64;
+        let mut trees: BTreeMap<NodeId, HashMap<Vec<NodeId>, V>> =
+            participants.iter().map(|&p| (p, HashMap::new())).collect();
+
+        let root_path = vec![source];
+        for &r in participants {
+            let honest = input.clone();
+            let sent = if faulty.contains(&source) {
+                adversary.send_value(source, &root_path, r, &honest)
+            } else {
+                honest
+            };
+            let got = if r == source {
+                sent
+            } else {
+                messages += 1;
+                chan.unicast(source, r, bits, &sent);
+                sent
+            };
+            trees.get_mut(&r).unwrap().insert(root_path.clone(), got);
+        }
+
+        let mut paths = vec![root_path.clone()];
+        for _ in 1..=f {
+            let mut next_paths = Vec::new();
+            let mut new_entries: Vec<(NodeId, Vec<NodeId>, V)> = Vec::new();
+            for path in &paths {
+                for &relay in participants {
+                    if path.contains(&relay) {
+                        continue;
+                    }
+                    let mut new_path = path.clone();
+                    new_path.push(relay);
+                    let honest = trees[&relay].get(path).cloned().unwrap_or_default();
+                    for &r in participants {
+                        if r == relay {
+                            new_entries.push((r, new_path.clone(), honest.clone()));
+                            continue;
+                        }
+                        let sent = if faulty.contains(&relay) {
+                            adversary.send_value(relay, &new_path, r, &honest)
+                        } else {
+                            honest.clone()
+                        };
+                        messages += 1;
+                        chan.unicast(relay, r, bits, &sent);
+                        new_entries.push((r, new_path.clone(), sent));
+                    }
+                    next_paths.push(new_path);
+                }
+            }
+            for (node, path, v) in new_entries {
+                trees.get_mut(&node).unwrap().insert(path, v);
+            }
+            paths = next_paths;
+        }
+
+        let decisions = participants
+            .iter()
+            .map(|&p| (p, resolve(&trees[&p], &root_path, participants, f)))
+            .collect();
+        EigResult {
+            decisions,
+            messages,
+        }
+    }
+
+    /// Recursive EIG resolution: leaves report their stored value; internal
+    /// paths take the strict majority of their children (default on tie).
+    fn resolve<V: Clone + Eq + Default>(
+        tree: &HashMap<Vec<NodeId>, V>,
+        path: &[NodeId],
+        participants: &[NodeId],
+        f: usize,
+    ) -> V {
+        if path.len() == f + 1 {
+            return tree.get(path).cloned().unwrap_or_default();
+        }
+        let mut children: Vec<V> = Vec::new();
+        for &j in participants {
+            if path.contains(&j) {
+                continue;
+            }
+            let mut child = path.to_vec();
+            child.push(j);
+            children.push(resolve(tree, &child, participants, f));
+        }
+        majority(&children).unwrap_or_default()
+    }
+
+    /// An adversary given as a closure over `(call number, sender, path,
+    /// receiver, honest)`; the call number makes any change in hook order
+    /// visible in the values sent.
+    struct FnAdv<F>(u64, F);
+
+    impl<V, F: FnMut(u64, NodeId, &[NodeId], NodeId, &V) -> V> EigAdversary<V> for FnAdv<F> {
+        fn send_value(&mut self, s: NodeId, path: &[NodeId], r: NodeId, honest: &V) -> V {
+            self.0 += 1;
+            (self.1)(self.0, s, path, r, honest)
+        }
+    }
+
+    /// Runs arena and oracle side by side on every `(n, f, source, faulty
+    /// set)` of the grid and requires identical decisions, message counts,
+    /// and wire traffic (every unicast's endpoints, width and value, in
+    /// order).
+    fn assert_matches_oracle<V, A>(input: V, mut adversary: impl FnMut() -> A)
+    where
+        V: Clone + Eq + Default + std::fmt::Debug,
+        A: EigAdversary<V>,
+    {
+        for (n, f) in [(4, 1), (5, 1), (6, 1), (7, 1), (7, 2)] {
+            // Participant order is not id order: the arena must follow the
+            // former.
+            let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
+            for &source in &parts {
+                for faulty in faulty_sets(n, f) {
+                    let (mut tap, mut oracle_tap) = (Tap::default(), Tap::default());
+                    let got = run_eig(
+                        &parts,
+                        source,
+                        f,
+                        input.clone(),
+                        &faulty,
+                        &mut adversary(),
+                        &mut tap,
+                        9,
+                    );
+                    let want = run_eig_oracle(
+                        &parts,
+                        source,
+                        f,
+                        input.clone(),
+                        &faulty,
+                        &mut adversary(),
+                        &mut oracle_tap,
+                        9,
+                    );
+                    let case = format!("n={n} f={f} source={source} faulty={faulty:?}");
+                    assert_eq!(got.decisions, want.decisions, "{case}");
+                    assert_eq!(got.messages, want.messages, "{case}");
+                    assert_eq!(got.messages, tap.0.len() as u64, "{case}");
+                    assert_eq!(tap.0, oracle_tap.0, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arena_matches_hash_tree_oracle_on_u64() {
+        assert_matches_oracle(42u64, || Equivocator);
+        assert_matches_oracle(42u64, || Flipper);
+        assert_matches_oracle(0u64, || HonestAdversary);
+        assert_matches_oracle(5u64, || {
+            FnAdv(0, |call, s, path: &[NodeId], r, honest: &u64| {
+                (honest + call * 7 + (s + r + path.len()) as u64) % 3
+            })
+        });
+    }
+
+    #[test]
+    fn arena_matches_hash_tree_oracle_on_non_copy_values() {
+        // Strings, and a claims-shaped value (a map of vectors) whose
+        // equality is structural, like dispute control's `NodeClaims`.
+        assert_matches_oracle("claim".to_string(), || {
+            FnAdv(0, |_, _, _: &[NodeId], r, honest: &String| {
+                format!("{honest}/{}", r % 2)
+            })
+        });
+        assert_matches_oracle(String::new(), || HonestAdversary);
+        type Claims = BTreeMap<NodeId, Vec<u16>>;
+        let input: Claims = BTreeMap::from([(0, vec![1, 2, 3]), (2, vec![])]);
+        assert_matches_oracle(input.clone(), || {
+            FnAdv(0, |call: u64, s, _: &[NodeId], r, honest: &Claims| {
+                let mut c = honest.clone();
+                if (call + r as u64).is_multiple_of(3) {
+                    c.entry(s).or_default().push(r as u16);
+                }
+                c
+            })
+        });
+        assert_matches_oracle(input, || HonestAdversary);
+    }
+
+    #[test]
+    fn relay_order_is_participant_order() {
+        // K7, f = 2, source 0: after the source's 6 sends and the level-1
+        // relays' 6 × 6, level 2 opens with path [0, 1] relayed by 2, 3, …,
+        // each to everyone but itself, in participant order.
+        let parts: Vec<NodeId> = (0..7).collect();
+        let run = || {
+            let mut tap = Tap::default();
+            run_eig(
+                &parts,
+                0,
+                2,
+                1u64,
+                &BTreeSet::new(),
+                &mut HonestAdversary,
+                &mut tap,
+                1,
+            );
+            tap.0
+                .iter()
+                .map(|&(from, to, _, _)| (from, to))
+                .collect::<Vec<_>>()
+        };
+        let wire = run();
+        assert_eq!(wire.len(), 6 + 6 * 6 + 6 * 5 * 6);
+        assert_eq!(
+            wire[42..54],
+            [
+                (2, 0),
+                (2, 1),
+                (2, 3),
+                (2, 4),
+                (2, 5),
+                (2, 6),
+                (3, 0),
+                (3, 1),
+                (3, 2),
+                (3, 4),
+                (3, 5),
+                (3, 6)
+            ]
+        );
+        assert_eq!(wire, run());
+    }
 
     /// Adversary: faulty nodes send `receiver-id`-dependent garbage.
     struct Equivocator;

@@ -10,7 +10,10 @@
 //!   domain and over the channel it runs on;
 //! - [`router`] — complete-graph emulation over a `2f+1`-connected network:
 //!   every logical unicast travels `2f+1` internally-vertex-disjoint paths
-//!   and the receiver majority-votes (Appendix D of the paper);
+//!   and the receiver majority-votes (Appendix D of the paper). The vote's
+//!   outcome is known in advance (at most `f` copies can be corrupted), so
+//!   a unicast is charged from the pair's memoized hop-round schedule
+//!   rather than simulated message by message;
 //! - [`baselines`] — the capacity-oblivious full-value broadcast that NAB
 //!   is compared against in experiment E5 (Section 1's "previously proposed
 //!   algorithms can perform poorly");

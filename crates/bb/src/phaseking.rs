@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use nab_netgraph::NodeId;
 
-use crate::eig::EigChannel;
+use crate::eig::{EigChannel, ValueTable};
 
 /// Adversary hook for Phase-King: what a faulty `sender` transmits to
 /// `receiver` in the given `(phase, round)` (source dispersal is phase 0).
@@ -56,6 +56,9 @@ pub struct PkResult<V> {
 /// Guarantees for `|participants| > 4f`: agreement among fault-free nodes
 /// always; validity when the source is fault-free.
 ///
+/// Node state is a value id per participant (see [`ValueTable`]); values
+/// themselves are compared only to break plurality ties.
+///
 /// # Panics
 ///
 /// Panics if `source` is not a participant or `|participants| ≤ 4f`.
@@ -79,96 +82,99 @@ where
     assert!(n > 4 * f, "phase-king needs n > 4f (n={n}, f={f})");
 
     let mut messages = 0u64;
-    let mut value: BTreeMap<NodeId, V> = BTreeMap::new();
+    let mut values = ValueTable::new(input);
+    const INPUT: u32 = 0;
+    // What faulty `s` sends `r` in place of `honest`.
+    let mut lie = |values: &mut ValueTable<V>, s, phase, round, r, honest: u32| {
+        let v = adversary.value(s, phase, round, r, values.get(honest));
+        values.intern(v, honest)
+    };
 
     // Phase 0: the source disperses its input.
+    let mut value: Vec<u32> = Vec::with_capacity(n);
     for &r in participants {
         let sent = if faulty.contains(&source) {
-            adversary.value(source, 0, 0, r, &input)
+            lie(&mut values, source, 0, 0, r, INPUT)
         } else {
-            input.clone()
+            INPUT
         };
-        let got = if r == source {
-            sent
-        } else {
+        if r != source {
             messages += 1;
-            chan.unicast(source, r, bits, sent)
-        };
-        value.insert(r, got);
+            chan.unicast(source, r, bits, values.get(sent));
+        }
+        value.push(sent);
     }
 
     // f + 1 king phases. Kings are the first f+1 participants — at least
     // one of them is fault-free.
     for phase in 1..=f + 1 {
-        let king = participants[(phase - 1) % n];
+        let king_idx = (phase - 1) % n;
+        let king = participants[king_idx];
 
         // Round 1: everyone announces its current value.
-        let mut heard: BTreeMap<NodeId, Vec<V>> =
-            participants.iter().map(|&p| (p, Vec::new())).collect();
-        for &s in participants {
-            let honest = value[&s].clone();
-            for &r in participants {
-                let sent = if faulty.contains(&s) {
-                    adversary.value(s, phase, 1, r, &honest)
+        let mut heard: Vec<Vec<u32>> = vec![Vec::with_capacity(n); n];
+        for (&s, &honest) in participants.iter().zip(&value) {
+            let lies = faulty.contains(&s);
+            for (votes, &r) in heard.iter_mut().zip(participants) {
+                let sent = if lies {
+                    lie(&mut values, s, phase, 1, r, honest)
                 } else {
-                    honest.clone()
+                    honest
                 };
-                let got = if r == s {
-                    sent
-                } else {
+                if r != s {
                     messages += 1;
-                    chan.unicast(s, r, bits, sent)
-                };
-                heard.get_mut(&r).unwrap().push(got); // nab-lint: allow(NAB003): heard is pre-populated with an entry per receiver
+                    chan.unicast(s, r, bits, values.get(sent));
+                }
+                votes.push(sent);
             }
         }
 
-        // Each node computes its plurality proposal and that proposal's
-        // support.
-        let mut proposal: BTreeMap<NodeId, (V, usize)> = BTreeMap::new();
-        for &p in participants {
-            let votes = &heard[&p];
-            let mut counts: BTreeMap<&V, usize> = BTreeMap::new();
-            for v in votes {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-            let (best, cnt) = counts
-                .into_iter()
-                .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v.clone())))
-                .expect("non-empty votes"); // nab-lint: allow(NAB003): every peer pushed one vote above; n >= 1
-            proposal.insert(p, (best.clone(), cnt));
-        }
+        // Each node computes its plurality proposal (ties go to the
+        // smallest value) and that proposal's support.
+        let proposal: Vec<(u32, usize)> = heard
+            .iter()
+            .map(|votes| {
+                let mut support = vec![0usize; values.len()];
+                for &id in votes {
+                    support[id as usize] += 1;
+                }
+                (0u32..)
+                    .zip(support)
+                    .max_by(|&(a, ca), &(b, cb)| {
+                        ca.cmp(&cb).then_with(|| values.get(b).cmp(values.get(a)))
+                    })
+                    .expect("non-empty table") // nab-lint: allow(NAB003): the table holds the input from the start
+            })
+            .collect();
 
         // Round 2: the king broadcasts its proposal; weakly supported
         // nodes adopt it.
-        let king_honest = proposal[&king].0.clone();
-        let mut next: BTreeMap<NodeId, V> = BTreeMap::new();
-        for &r in participants {
+        let king_honest = proposal[king_idx].0;
+        for ((slot, &r), &(own, support)) in value.iter_mut().zip(participants).zip(&proposal) {
             let from_king = if r == king {
-                king_honest.clone()
+                king_honest
             } else {
                 let sent = if faulty.contains(&king) {
-                    adversary.value(king, phase, 2, r, &king_honest)
+                    lie(&mut values, king, phase, 2, r, king_honest)
                 } else {
-                    king_honest.clone()
+                    king_honest
                 };
                 messages += 1;
-                chan.unicast(king, r, bits, sent)
+                chan.unicast(king, r, bits, values.get(sent));
+                sent
             };
-            let (own, support) = proposal[&r].clone();
             // Strong support (≥ n − f announcers) survives any king;
             // otherwise defer to the king.
-            if support >= n - f {
-                next.insert(r, own);
-            } else {
-                next.insert(r, from_king);
-            }
+            *slot = if support >= n - f { own } else { from_king };
         }
-        value = next;
     }
 
     PkResult {
-        decisions: value,
+        decisions: participants
+            .iter()
+            .zip(value)
+            .map(|(&p, id)| (p, values.get(id).clone()))
+            .collect(),
         messages,
     }
 }
@@ -177,6 +183,125 @@ where
 mod tests {
     use super::*;
     use crate::eig::IdealChannel;
+
+    /// The pre-id implementation (owned values in per-node maps), kept as the
+    /// oracle for [`run_phase_king`].
+    #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+    fn run_phase_king_oracle<V, C>(
+        participants: &[NodeId],
+        source: NodeId,
+        f: usize,
+        input: V,
+        faulty: &BTreeSet<NodeId>,
+        adversary: &mut dyn PkAdversary<V>,
+        chan: &mut C,
+        bits: u64,
+    ) -> PkResult<V>
+    where
+        V: Clone + Eq + Ord + Default,
+        C: EigChannel<V>,
+    {
+        assert!(participants.contains(&source), "source must participate");
+        let n = participants.len();
+        assert!(n > 4 * f, "phase-king needs n > 4f (n={n}, f={f})");
+
+        let mut messages = 0u64;
+        let mut value: BTreeMap<NodeId, V> = BTreeMap::new();
+
+        // Phase 0: the source disperses its input.
+        for &r in participants {
+            let sent = if faulty.contains(&source) {
+                adversary.value(source, 0, 0, r, &input)
+            } else {
+                input.clone()
+            };
+            let got = if r == source {
+                sent
+            } else {
+                messages += 1;
+                chan.unicast(source, r, bits, &sent);
+                sent
+            };
+            value.insert(r, got);
+        }
+
+        // f + 1 king phases. Kings are the first f+1 participants — at least
+        // one of them is fault-free.
+        for phase in 1..=f + 1 {
+            let king = participants[(phase - 1) % n];
+
+            // Round 1: everyone announces its current value.
+            let mut heard: BTreeMap<NodeId, Vec<V>> =
+                participants.iter().map(|&p| (p, Vec::new())).collect();
+            for &s in participants {
+                let honest = value[&s].clone();
+                for &r in participants {
+                    let sent = if faulty.contains(&s) {
+                        adversary.value(s, phase, 1, r, &honest)
+                    } else {
+                        honest.clone()
+                    };
+                    let got = if r == s {
+                        sent
+                    } else {
+                        messages += 1;
+                        chan.unicast(s, r, bits, &sent);
+                        sent
+                    };
+                    heard.get_mut(&r).unwrap().push(got);
+                }
+            }
+
+            // Each node computes its plurality proposal and that proposal's
+            // support.
+            let mut proposal: BTreeMap<NodeId, (V, usize)> = BTreeMap::new();
+            for &p in participants {
+                let votes = &heard[&p];
+                let mut counts: BTreeMap<&V, usize> = BTreeMap::new();
+                for v in votes {
+                    *counts.entry(v).or_insert(0) += 1;
+                }
+                let (best, cnt) = counts
+                    .into_iter()
+                    .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v.clone())))
+                    .expect("non-empty votes");
+                proposal.insert(p, (best.clone(), cnt));
+            }
+
+            // Round 2: the king broadcasts its proposal; weakly supported
+            // nodes adopt it.
+            let king_honest = proposal[&king].0.clone();
+            let mut next: BTreeMap<NodeId, V> = BTreeMap::new();
+            for &r in participants {
+                let from_king = if r == king {
+                    king_honest.clone()
+                } else {
+                    let sent = if faulty.contains(&king) {
+                        adversary.value(king, phase, 2, r, &king_honest)
+                    } else {
+                        king_honest.clone()
+                    };
+                    messages += 1;
+                    chan.unicast(king, r, bits, &sent);
+                    sent
+                };
+                let (own, support) = proposal[&r].clone();
+                // Strong support (≥ n − f announcers) survives any king;
+                // otherwise defer to the king.
+                if support >= n - f {
+                    next.insert(r, own);
+                } else {
+                    next.insert(r, from_king);
+                }
+            }
+            value = next;
+        }
+
+        PkResult {
+            decisions: value,
+            messages,
+        }
+    }
 
     struct Equivocate;
 
@@ -197,6 +322,54 @@ mod tests {
     fn agreed(res: &PkResult<u64>, honest: &[NodeId]) -> Option<u64> {
         let vals: Vec<u64> = honest.iter().map(|n| res.decisions[n]).collect();
         vals.windows(2).all(|w| w[0] == w[1]).then(|| vals[0])
+    }
+
+    /// Ids vs owned values: identical decisions, message counts and wire
+    /// traffic on the `n > 4f` grid, for every source, every faulty set of
+    /// at most `f` nodes, and each adversary.
+    #[test]
+    fn ids_match_owned_value_oracle() {
+        use crate::eig::{faulty_sets, Tap};
+        type MakeAdv = fn() -> Box<dyn PkAdversary<u64>>;
+        let advs: [MakeAdv; 3] = [
+            || Box::new(PkHonest),
+            || Box::new(Equivocate),
+            || Box::new(Flip),
+        ];
+        for (n, f) in [(5, 1), (6, 1), (9, 2)] {
+            let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
+            for &source in &parts {
+                for faulty in &faulty_sets(n, f) {
+                    for adv in advs {
+                        let (mut tap, mut oracle_tap) = (Tap::default(), Tap::default());
+                        let got = run_phase_king(
+                            &parts,
+                            source,
+                            f,
+                            3u64,
+                            faulty,
+                            adv().as_mut(),
+                            &mut tap,
+                            8,
+                        );
+                        let want = run_phase_king_oracle(
+                            &parts,
+                            source,
+                            f,
+                            3u64,
+                            faulty,
+                            adv().as_mut(),
+                            &mut oracle_tap,
+                            8,
+                        );
+                        let case = format!("n={n} f={f} source={source} faulty={faulty:?}");
+                        assert_eq!(got.decisions, want.decisions, "{case}");
+                        assert_eq!(got.messages, want.messages, "{case}");
+                        assert_eq!(tap.0, oracle_tap.0, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

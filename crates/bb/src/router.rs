@@ -7,14 +7,14 @@
 //! always the sender's value. This turns any `2f+1`-connected network into
 //! a virtual complete graph on which classic BB protocols run unchanged.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use nab_netgraph::connectivity::{
     strongly_connected, vertex_connectivity_at_least, vertex_disjoint_paths,
 };
 use nab_netgraph::{DiGraph, NodeId};
-use nab_sim::{NetSim, SendError};
+use nab_sim::{NetSim, SendError, SentMsg};
 
 /// Errors surfaced by the fallible routing entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,23 +57,38 @@ impl From<SendError> for RouterError {
     }
 }
 
+/// A pair's memoized route: its disjoint paths and, per hop round of one
+/// unicast over them (round `h` forwards every copy whose path has an `h`-th
+/// link), the capacity that sets the round's duration.
+#[derive(Debug)]
+struct PairRoute {
+    /// The `2f + 1` internally-vertex-disjoint paths, each `src, …, dst`.
+    paths: Arc<Vec<Vec<NodeId>>>,
+    /// The smallest capacity among each hop round's links, in delivery
+    /// order. The network is a simple graph and the paths are internally
+    /// vertex-disjoint, so each link of a round carries exactly one copy and
+    /// the simulator's `max_e(bits_e / z_e)` is `bits` over the thinnest
+    /// link — the same f64, division being monotone in the divisor.
+    min_caps: Vec<u64>,
+}
+
+/// Memoized routes per ordered `(src, dst)` pair.
+type PairRoutes = BTreeMap<(NodeId, NodeId), Arc<PairRoute>>;
+
 /// Routes logical unicasts over vertex-disjoint path systems, computed
 /// lazily per ordered pair.
 ///
 /// Eager all-pairs routing is `O(n²)` max-flows before the first instance
 /// can run — the planning wall at datacenter scale. [`PathRouter::build`]
 /// now only proves the `2f+1`-connectivity precondition (so path existence
-/// is guaranteed by Menger's theorem) and each pair's paths are extracted on
+/// is guaranteed by Menger's theorem) and each pair's route is extracted on
 /// first use, memoized behind a lock. The extraction is deterministic per
 /// pair, so lazy evaluation is invisible to results regardless of which
 /// thread routes a pair first.
-/// Memoized disjoint-path sets per ordered `(src, dst)` pair.
-type PairPaths = BTreeMap<(NodeId, NodeId), Arc<Vec<Vec<NodeId>>>>;
-
 #[derive(Debug)]
 pub struct PathRouter {
     g: DiGraph,
-    paths: RwLock<PairPaths>,
+    routes: RwLock<PairRoutes>,
     copies: usize,
 }
 
@@ -81,14 +96,14 @@ impl Clone for PathRouter {
     fn clone(&self) -> Self {
         // Poison-tolerant: the memo only ever holds fully-constructed
         // `Arc` entries, so a panicked writer cannot leave torn state.
-        let paths = self
-            .paths
+        let routes = self
+            .routes
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         PathRouter {
             g: self.g.clone(),
-            paths: RwLock::new(paths),
+            routes: RwLock::new(routes),
             copies: self.copies,
         }
     }
@@ -126,7 +141,7 @@ impl PathRouter {
         };
         routable.then(|| PathRouter {
             g: g.clone(),
-            paths: RwLock::new(BTreeMap::new()),
+            routes: RwLock::new(BTreeMap::new()),
             copies,
         })
     }
@@ -134,6 +149,45 @@ impl PathRouter {
     /// Number of copies (`2f + 1`) each unicast travels on.
     pub fn copies(&self) -> usize {
         self.copies
+    }
+
+    /// The route of the ordered pair, computing and memoizing it on first
+    /// use.
+    fn route(&self, s: NodeId, t: NodeId) -> Result<Arc<PairRoute>, RouterError> {
+        // Lock access is poison-tolerant: the memo map only ever holds
+        // fully-constructed entries (`or_insert` of a finished `Arc`), so a
+        // panicked holder cannot have left it torn.
+        if let Some(r) = self
+            .routes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&(s, t))
+        {
+            return Ok(Arc::clone(r));
+        }
+        let paths = vertex_disjoint_paths(&self.g, s, t, self.copies)
+            .ok_or(RouterError::Unroutable { src: s, dst: t })?;
+        let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
+        let mut min_caps = vec![u64::MAX; max_hops];
+        for path in &paths {
+            for (min_cap, link) in min_caps.iter_mut().zip(path.windows(2)) {
+                let (a, b) = (link[0], link[1]);
+                let (_, e) = self
+                    .g
+                    .find_edge(a, b)
+                    .ok_or(SendError::NoSuchLink { src: a, dst: b })?;
+                *min_cap = (*min_cap).min(e.cap);
+            }
+        }
+        let route = Arc::new(PairRoute {
+            paths: Arc::new(paths),
+            min_caps,
+        });
+        let mut map = self.routes.write().unwrap_or_else(PoisonError::into_inner);
+        // Another thread may have raced us here; keep the first entry so
+        // every caller shares one allocation (both computations are
+        // identical anyway — extraction is deterministic).
+        Ok(Arc::clone(map.entry((s, t)).or_insert(route)))
     }
 
     /// The disjoint paths used for the ordered pair, computing and
@@ -147,25 +201,7 @@ impl PathRouter {
         s: NodeId,
         t: NodeId,
     ) -> Result<Arc<Vec<Vec<NodeId>>>, RouterError> {
-        // Lock access is poison-tolerant: the memo map only ever holds
-        // fully-constructed entries (`or_insert` of a finished `Arc`), so a
-        // panicked holder cannot have left it torn.
-        if let Some(p) = self
-            .paths
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&(s, t))
-        {
-            return Ok(Arc::clone(p));
-        }
-        let extracted = vertex_disjoint_paths(&self.g, s, t, self.copies)
-            .ok_or(RouterError::Unroutable { src: s, dst: t })?;
-        let p = Arc::new(extracted);
-        let mut map = self.paths.write().unwrap_or_else(PoisonError::into_inner);
-        // Another thread may have raced us here; keep the first entry so
-        // every caller shares one allocation (both computations are
-        // identical anyway — extraction is deterministic).
-        Ok(Arc::clone(map.entry((s, t)).or_insert(p)))
+        Ok(Arc::clone(&self.route(s, t)?.paths))
     }
 
     /// Infallible convenience over [`PathRouter::try_paths_for`].
@@ -180,111 +216,48 @@ impl PathRouter {
     }
 
     /// Performs one reliable unicast of `value` (`bits` wide) from `origin`
-    /// to `target`, hop-by-hop through the simulator.
+    /// to `target` on ground truth: links are reliable and at most `f` of
+    /// the `2f + 1` disjoint copies cross a faulty relay, so what the
+    /// receiver's majority vote yields is by construction `value`, and what
+    /// the transfer costs is a function of the pair's route and `bits`
+    /// alone. Each hop round is charged to `net`'s clock in delivery order
+    /// — the same f64 additions the message-level simulation performs — and
+    /// its [`SentMsg`]s (every copy carrying `value`) are built only if
+    /// `net` records a transcript. No inbox is touched.
     ///
-    /// `corrupt` is the Byzantine interposition hook: called whenever a
-    /// *faulty relay* forwards a copy, it returns the (possibly altered)
-    /// value to forward. Fault-free relays forward verbatim.
-    ///
-    /// Returns the majority value among delivered copies, or `None` if no
-    /// strict majority exists (cannot happen when at most `f` of `2f+1`
-    /// copies are corrupted). Fails with [`RouterError`] if the pair has no
-    /// path system or a path hop lost its link — both impossible while the
-    /// graph proven connected at build time is intact.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
-    pub fn try_unicast<V, FC>(
+    /// `net` must simulate the graph this router was built on.
+    pub fn try_charge_unicast<V: Clone>(
         &self,
         net: &mut NetSim<Routed<V>>,
-        faulty: &BTreeSet<NodeId>,
         origin: NodeId,
         target: NodeId,
         bits: u64,
-        value: V,
-        corrupt: &mut FC,
-    ) -> Result<Option<V>, RouterError>
-    where
-        V: Clone + Eq,
-        FC: FnMut(NodeId, &V) -> V,
-    {
-        let paths = self.try_paths_for(origin, target)?;
-        // Current position and carried value per copy.
-        let mut carried: Vec<V> = vec![value.clone(); paths.len()];
-        let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
-        for hop in 0..max_hops {
-            for (idx, path) in paths.iter().enumerate() {
-                if hop + 1 >= path.len() {
-                    continue;
-                }
-                let (a, b) = (path[hop], path[hop + 1]);
-                // A faulty relay (not the origin: origin equivocation is
-                // modeled a layer up) may corrupt the copy before
-                // forwarding.
-                if hop > 0 && faulty.contains(&a) {
-                    carried[idx] = corrupt(a, &carried[idx]);
-                }
-                let msg = Routed {
-                    origin,
-                    target,
-                    path_idx: idx,
-                    value: carried[idx].clone(),
-                };
-                net.send(a, b, bits, msg)?;
-            }
-            net.deliver_round(&format!("route/{origin}->{target}/hop{hop}"));
+        value: &V,
+    ) -> Result<(), RouterError> {
+        let route = self.route(origin, target)?;
+        for (hop, &min_cap) in route.min_caps.iter().enumerate() {
+            net.charge_round(bits as f64 / min_cap as f64, || {
+                let sends = route
+                    .paths
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, path)| hop + 1 < path.len())
+                    .map(|(path_idx, path)| SentMsg {
+                        src: path[hop],
+                        dst: path[hop + 1],
+                        bits,
+                        payload: Routed {
+                            origin,
+                            target,
+                            path_idx,
+                            value: value.clone(),
+                        },
+                    })
+                    .collect();
+                (format!("route/{origin}->{target}/hop{hop}"), sends)
+            });
         }
-        // Collect the copies that arrived at the target.
-        let inbox = net.take_inbox(target);
-        let mut final_copies: Vec<V> = Vec::new();
-        let mut leftovers = Vec::new();
-        for (from, m) in inbox {
-            if m.origin == origin && m.target == target {
-                // Only the last hop of each path terminates at target.
-                final_copies.push(m.value);
-            } else {
-                leftovers.push((from, m));
-            }
-        }
-        // Intermediate inboxes along paths were consumed implicitly: the
-        // simulator delivers to inboxes, but relays in this router forward
-        // from `carried`, so drain stale entries to keep inboxes clean.
-        for v in net.graph().node_set() {
-            if v != target {
-                let _ = net.take_inbox(v);
-            }
-        }
-        for m in leftovers {
-            // Copies addressed to other logical receivers should not occur
-            // within a single unicast call.
-            debug_assert!(false, "unexpected routed message {:?}", (m.0));
-        }
-        Ok(majority(&final_copies))
-    }
-
-    /// Infallible convenience over [`PathRouter::try_unicast`] for callers
-    /// operating on the graph that passed [`PathRouter::build`], where
-    /// routing cannot fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair cannot be routed or a path hop lost its link.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
-    pub fn unicast<V, FC>(
-        &self,
-        net: &mut NetSim<Routed<V>>,
-        faulty: &BTreeSet<NodeId>,
-        origin: NodeId,
-        target: NodeId,
-        bits: u64,
-        value: V,
-        corrupt: &mut FC,
-    ) -> Option<V>
-    where
-        V: Clone + Eq,
-        FC: FnMut(NodeId, &V) -> V,
-    {
-        self.try_unicast(net, faulty, origin, target, bits, value, corrupt)
-            // nab-lint: allow(NAB003): documented panicking convenience; fallible callers use try_unicast
-            .expect("routing over the build-time graph cannot fail")
+        Ok(())
     }
 }
 
@@ -292,9 +265,8 @@ impl PathRouter {
 ///
 /// Runs the Boyer–Moore majority-vote scan (one candidate pass plus one
 /// verification pass, `O(n)` comparisons) instead of the naive quadratic
-/// count — this sits under every unicast vote and every internal node of
-/// the EIG resolve tree, so it is one of the hottest comparisons in the
-/// whole simulator.
+/// count — this sits under every internal node of the EIG resolve (there
+/// over value ids) and under the message-level oracle's unicast vote.
 pub fn majority<V: Clone + Eq>(items: &[V]) -> Option<V> {
     let mut candidate: Option<&V> = None;
     let mut count = 0usize;
@@ -320,7 +292,101 @@ pub fn majority<V: Clone + Eq>(items: &[V]) -> Option<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    use crate::baselines::RoutedChannel;
+    use crate::eig::EigChannel;
     use nab_netgraph::gen;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The message-level unicast that [`PathRouter::try_charge_unicast`]
+    /// evaluates on ground truth, kept as its differential-test oracle: every
+    /// copy really travels through the simulator's inboxes, faulty relays
+    /// really corrupt, the receiver really votes.
+    impl PathRouter {
+        /// Performs one reliable unicast of `value` (`bits` wide) from `origin`
+        /// to `target`, hop-by-hop through the simulator.
+        ///
+        /// `corrupt` is the Byzantine interposition hook: called whenever a
+        /// *faulty relay* forwards a copy, it returns the (possibly altered)
+        /// value to forward. Fault-free relays forward verbatim.
+        ///
+        /// Returns the majority value among delivered copies, or `None` if no
+        /// strict majority exists (cannot happen when at most `f` of `2f+1`
+        /// copies are corrupted). Fails with [`RouterError`] if the pair has no
+        /// path system or a path hop lost its link — both impossible while the
+        /// graph proven connected at build time is intact.
+        #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+        pub(crate) fn try_unicast<V, FC>(
+            &self,
+            net: &mut NetSim<Routed<V>>,
+            faulty: &BTreeSet<NodeId>,
+            origin: NodeId,
+            target: NodeId,
+            bits: u64,
+            value: V,
+            corrupt: &mut FC,
+        ) -> Result<Option<V>, RouterError>
+        where
+            V: Clone + Eq,
+            FC: FnMut(NodeId, &V) -> V,
+        {
+            let paths = self.try_paths_for(origin, target)?;
+            // Current position and carried value per copy.
+            let mut carried: Vec<V> = vec![value.clone(); paths.len()];
+            let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
+            for hop in 0..max_hops {
+                for (idx, path) in paths.iter().enumerate() {
+                    if hop + 1 >= path.len() {
+                        continue;
+                    }
+                    let (a, b) = (path[hop], path[hop + 1]);
+                    // A faulty relay (not the origin: origin equivocation is
+                    // modeled a layer up) may corrupt the copy before
+                    // forwarding.
+                    if hop > 0 && faulty.contains(&a) {
+                        carried[idx] = corrupt(a, &carried[idx]);
+                    }
+                    let msg = Routed {
+                        origin,
+                        target,
+                        path_idx: idx,
+                        value: carried[idx].clone(),
+                    };
+                    net.send(a, b, bits, msg)?;
+                }
+                net.deliver_round(&format!("route/{origin}->{target}/hop{hop}"));
+            }
+            // Collect the copies that arrived at the target.
+            let inbox = net.take_inbox(target);
+            let mut final_copies: Vec<V> = Vec::new();
+            let mut leftovers = Vec::new();
+            for (from, m) in inbox {
+                if m.origin == origin && m.target == target {
+                    // Only the last hop of each path terminates at target.
+                    final_copies.push(m.value);
+                } else {
+                    leftovers.push((from, m));
+                }
+            }
+            // Intermediate inboxes along paths were consumed implicitly: the
+            // simulator delivers to inboxes, but relays in this router forward
+            // from `carried`, so drain stale entries to keep inboxes clean.
+            for v in net.graph().node_set() {
+                if v != target {
+                    let _ = net.take_inbox(v);
+                }
+            }
+            for m in leftovers {
+                // Copies addressed to other logical receivers should not occur
+                // within a single unicast call.
+                debug_assert!(false, "unexpected routed message {:?}", (m.0));
+            }
+            Ok(majority(&final_copies))
+        }
+    }
 
     #[test]
     fn majority_basic() {
@@ -344,7 +410,9 @@ mod tests {
         let router = PathRouter::build(&g, 1).unwrap();
         let mut net = NetSim::new(g);
         let faulty = BTreeSet::new();
-        let got = router.unicast(&mut net, &faulty, 0, 3, 1, 42u64, &mut |_, v| *v);
+        let got = router
+            .try_unicast(&mut net, &faulty, 0, 3, 1, 42u64, &mut |_, v| *v)
+            .unwrap();
         assert_eq!(got, Some(42));
         assert!(net.clock() > 0.0, "routing must consume time");
     }
@@ -356,7 +424,9 @@ mod tests {
         let mut net = NetSim::new(g);
         // Node 1 is faulty and flips every value it relays.
         let faulty = BTreeSet::from([1]);
-        let got = router.unicast(&mut net, &faulty, 0, 3, 1, 42u64, &mut |_, _| 999);
+        let got = router
+            .try_unicast(&mut net, &faulty, 0, 3, 1, 42u64, &mut |_, _| 999)
+            .unwrap();
         assert_eq!(
             got,
             Some(42),
@@ -370,8 +440,109 @@ mod tests {
         let router = PathRouter::build(&g, 2).unwrap();
         let mut net = NetSim::new(g);
         let faulty = BTreeSet::from([2, 3]);
-        let got = router.unicast(&mut net, &faulty, 0, 6, 1, 7u64, &mut |_, _| 0);
+        let got = router
+            .try_unicast(&mut net, &faulty, 0, 6, 1, 7u64, &mut |_, _| 0)
+            .unwrap();
         assert_eq!(got, Some(7), "5 disjoint paths beat 2 faults");
+    }
+
+    /// A random `2f+1`-connected network with heterogeneous capacities:
+    /// a sparse random one, a circulant with re-drawn capacities, or a
+    /// heterogeneous complete graph.
+    fn random_network(family: u8, n: usize, f: usize, rng: &mut StdRng) -> DiGraph {
+        match family % 3 {
+            0 => gen::random_k_connected(n, 2 * f + 1, 9, 0.2, rng),
+            1 => {
+                let mut g = gen::circulant(n, f + 1, 1);
+                let ids: Vec<_> = g.edges().map(|(id, _)| id).collect();
+                for id in ids {
+                    g.set_edge_cap(id, rng.gen_range(1..=12));
+                }
+                g
+            }
+            _ => gen::complete_heterogeneous(n, 1, 7, rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The schedule-driven channel against the message-level oracle,
+        /// over recording simulators: same delivered value, same clock to
+        /// the bit, same `(src, dst, bits)` rounds — with up to `f` faulty
+        /// relays corrupting every copy they forward in the oracle.
+        #[test]
+        fn charged_unicast_matches_message_level_oracle(
+            family in 0u8..3,
+            f in 0usize..=2,
+            extra in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let n = 3 * f + 3 + extra;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = random_network(family, n, f, &mut rng);
+            let router = PathRouter::build(&g, f).expect("2f+1-connected by construction");
+            let mut faulty = BTreeSet::new();
+            for _ in 0..rng.gen_range(0..=f) {
+                faulty.insert(rng.gen_range(0..n));
+            }
+            let mut charged: NetSim<Routed<u64>> = NetSim::new(g.clone());
+            let mut oracle: NetSim<Routed<u64>> = NetSim::new(g.clone());
+            for _ in 0..12 {
+                let origin = rng.gen_range(0..n);
+                let target = (origin + rng.gen_range(1..n)) % n;
+                let bits = rng.gen_range(1..=4096u64);
+                let value: u64 = rng.gen();
+                RoutedChannel { net: &mut charged, router: &router, faulty: &faulty }
+                    .unicast(origin, target, bits, &value);
+                let want = router
+                    .try_unicast(&mut oracle, &faulty, origin, target, bits, value, &mut |relay, v| {
+                        v ^ (relay as u64 + 1)
+                    })
+                    .unwrap();
+                // The channel delivers what was sent; so must the vote.
+                prop_assert_eq!(want, Some(value));
+                prop_assert_eq!(charged.clock().to_bits(), oracle.clock().to_bits());
+            }
+            let rounds = |net: &NetSim<Routed<u64>>| -> Vec<_> {
+                net.transcript()
+                    .rounds
+                    .iter()
+                    .map(|r| {
+                        let sends: Vec<_> = r
+                            .sends
+                            .iter()
+                            .map(|m| (m.src, m.dst, m.bits, m.payload.path_idx))
+                            .collect();
+                        (r.label.clone(), r.duration.to_bits(), sends)
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(rounds(&charged), rounds(&oracle));
+        }
+    }
+
+    #[test]
+    fn recorded_copies_carry_the_value_and_skip_inboxes() {
+        let g = gen::complete(4, 1);
+        let router = PathRouter::build(&g, 1).unwrap();
+        let mut net: NetSim<Routed<String>> = NetSim::new(g);
+        router
+            .try_charge_unicast(&mut net, 0, 3, 5, &"v".to_string())
+            .unwrap();
+        let sends: Vec<_> = net
+            .transcript()
+            .rounds
+            .iter()
+            .flat_map(|r| &r.sends)
+            .collect();
+        assert_eq!(sends.len(), 5, "one direct copy, two two-hop copies");
+        assert!(sends.iter().all(|m| m.payload.value == "v" && m.bits == 5));
+        assert!(g_nodes(&net).all(|v| net.inbox(v).is_empty()));
+    }
+
+    fn g_nodes<M: Clone>(net: &NetSim<M>) -> impl Iterator<Item = NodeId> + '_ {
+        net.graph().nodes()
     }
 
     #[test]

@@ -505,6 +505,80 @@ mod tests {
         assert!(out.duration > 0.0);
     }
 
+    /// `run_eig` once took each level's relay order from a `HashMap`, so
+    /// from `f = 2` up the recorded rounds — and the f64 summation order
+    /// behind `duration` — changed from run to run. The order is now
+    /// specified: a level's paths in arena order, relays and receivers in
+    /// participant order.
+    #[test]
+    fn flag_rounds_and_duration_are_reproducible_at_f2() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let heterogeneous = gen::complete_heterogeneous(7, 1, 7, &mut rng);
+        for g in [gen::complete(7, 1), heterogeneous] {
+            let router = PathRouter::build(&g, 2).unwrap();
+            let participants: Vec<NodeId> = g.nodes().collect();
+            let computed: BTreeMap<NodeId, bool> =
+                participants.iter().map(|&v| (v, false)).collect();
+            let run = || {
+                run_flag_broadcast(
+                    &g,
+                    &router,
+                    &participants,
+                    2,
+                    &computed,
+                    &BTreeSet::new(),
+                    &mut HonestStrategy,
+                    BroadcastKind::Eig,
+                    true,
+                )
+            };
+            let first = run();
+            for _ in 0..5 {
+                let again = run();
+                assert_eq!(again.rounds, first.rounds);
+                assert_eq!(again.duration.to_bits(), first.duration.to_bits());
+            }
+
+            // Broadcaster 0's first level-2 relays, by hand: after the
+            // source's 6 sends and the 6 × 6 level-1 relays, path [0, 1] is
+            // relayed by 2, then 3, …, each to everyone but itself.
+            let level2: [(NodeId, NodeId); 12] = [
+                (2, 0),
+                (2, 1),
+                (2, 3),
+                (2, 4),
+                (2, 5),
+                (2, 6),
+                (3, 0),
+                (3, 1),
+                (3, 2),
+                (3, 4),
+                (3, 5),
+                (3, 6),
+            ];
+            let level01: Vec<(NodeId, NodeId)> = (1..7)
+                .map(|r| (0, r))
+                .chain((1..7).flat_map(|q| (0..7).filter(move |&r| r != q).map(move |r| (q, r))))
+                .collect();
+            let hop_rounds = |unicasts: &[(NodeId, NodeId)]| -> Vec<Vec<(NodeId, NodeId, u64)>> {
+                let mut rounds = Vec::new();
+                for &(from, to) in unicasts {
+                    let paths = router.paths_for(from, to);
+                    let hops = paths.iter().map(|p| p.len() - 1).max().unwrap();
+                    for hop in 0..hops {
+                        let copies = paths.iter().filter(|p| hop + 1 < p.len());
+                        rounds.push(copies.map(|p| (p[hop], p[hop + 1], 1)).collect());
+                    }
+                }
+                rounds
+            };
+            let skip = hop_rounds(&level01).len();
+            let want = hop_rounds(&level2);
+            assert_eq!(first.rounds[skip..skip + want.len()], want[..]);
+        }
+    }
+
     #[test]
     fn false_alarm_is_agreed_as_mismatch() {
         let (g, _, _, _) = complete_setup();

@@ -159,7 +159,9 @@ pub struct Config {
     /// The only files allowed to read the wall clock (NAB001).
     pub clock_files: Vec<String>,
     /// Crates (by `crates/<name>` directory name, or `.` for the root
-    /// crate) whose data ends up in canonical JSON (NAB002, NAB005).
+    /// crate) whose data ends up in canonical JSON (NAB002, NAB005) —
+    /// including the ones that only decide a message order or a clock sum
+    /// that does.
     pub canonical_crates: Vec<String>,
     /// Files where `unsafe` is permitted — each block still needs a
     /// `SAFETY:` comment (NAB004).
@@ -176,7 +178,7 @@ impl Config {
     pub fn workspace_default() -> Config {
         Config {
             clock_files: vec!["crates/obs/src/clock.rs".into()],
-            canonical_crates: vec!["core".into(), "scenario".into()],
+            canonical_crates: vec!["core".into(), "scenario".into(), "bb".into(), "sim".into()],
             unsafe_files: vec![
                 "crates/gf/src/simd.rs".into(),
                 "crates/gf/src/kernel.rs".into(),

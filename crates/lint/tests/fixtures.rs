@@ -58,6 +58,16 @@ fn nab002_fires_in_canonical_crates_only() {
     // The same source in a non-canonical crate is clean.
     let found = lint_fixture("nab002_fire.rs", "crates/other/src/map.rs", &cfg);
     assert_eq!(found, vec![]);
+    // The real workspace scope: the engine, the sweep runner, and the two
+    // crates below them that fix message order and clock sums.
+    let ws = Config::workspace_default();
+    for krate in ["core", "scenario", "bb", "sim"] {
+        let rel = format!("crates/{krate}/src/map.rs");
+        assert!(
+            !lint_fixture("nab002_fire.rs", &rel, &ws).is_empty(),
+            "{rel}"
+        );
+    }
 }
 
 #[test]

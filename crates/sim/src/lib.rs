@@ -12,8 +12,11 @@
 //!   `max_e (bits_e / z_e)` — all links transmit in parallel, so a round
 //!   lasts as long as its most loaded link (this reproduces the paper's
 //!   `L/γ` and `L/ρ` phase costs, see `nab` crate tests);
-//! - every send is recorded in a [`Transcript`], which is what Phase 3
-//!   (dispute control) replays and cross-examines.
+//! - every delivered round is recorded in a [`Transcript`] (unless
+//!   recording is off), which is what message-level replay re-times;
+//! - a caller that evaluates a round on ground truth — links are reliable,
+//!   so it already knows what arrives — skips the inboxes and charges the
+//!   round directly ([`NetSim::charge_round`]).
 //!
 //! The simulator carries an arbitrary payload type `M`; Byzantine behavior
 //! is produced *above* this layer (faulty nodes simply hand different
@@ -254,6 +257,28 @@ impl<M: Clone> NetSim<M> {
         duration
     }
 
+    /// Charges one round evaluated on ground truth: advances the clock by
+    /// `duration` — which the caller computed as [`NetSim::deliver_round`]
+    /// would, `max_e(bits_e / z_e)` over the round's links — and, only when
+    /// the transcript is being recorded, appends the `(label, sends)` that
+    /// `record` builds. No inbox is touched: links are reliable, so a caller
+    /// that knows the round's sends already knows what every receiver gets.
+    pub fn charge_round(
+        &mut self,
+        duration: f64,
+        record: impl FnOnce() -> (String, Vec<SentMsg<M>>),
+    ) {
+        if self.record_transcript {
+            let (label, sends) = record();
+            self.transcript.rounds.push(RoundRecord {
+                label,
+                sends,
+                duration,
+            });
+        }
+        self.clock += duration;
+    }
+
     /// Removes and returns the accumulated inbox of `node` as
     /// (sender, payload) pairs in arrival order.
     pub fn take_inbox(&mut self, node: NodeId) -> Vec<(NodeId, M)> {
@@ -368,6 +393,34 @@ mod tests {
         assert!(n.transcript().rounds.is_empty());
         // Delivery still happened.
         assert_eq!(n.inbox(1).len(), 1);
+    }
+
+    #[test]
+    fn charged_round_matches_a_delivered_one_without_touching_inboxes() {
+        let mut sent = net();
+        sent.send(0, 1, 8, 1).unwrap();
+        sent.send(0, 2, 2, 2).unwrap();
+        let d = sent.deliver_round("r");
+
+        let mut charged = net();
+        charged.charge_round(d, || {
+            let msg = |dst, bits, payload| SentMsg {
+                src: 0,
+                dst,
+                bits,
+                payload,
+            };
+            ("r".to_string(), vec![msg(1, 8, 1), msg(2, 2, 2)])
+        });
+        assert_eq!(charged.clock().to_bits(), sent.clock().to_bits());
+        assert_eq!(charged.transcript(), sent.transcript());
+        assert!(charged.inbox(1).is_empty() && charged.inbox(2).is_empty());
+
+        // Not recording: the record is never built.
+        charged.set_record_transcript(false);
+        charged.charge_round(1.0, || unreachable!("record built while not recording"));
+        assert_eq!(charged.transcript().rounds.len(), 1);
+        assert_eq!(charged.clock(), d + 1.0);
     }
 
     #[test]

@@ -215,3 +215,127 @@ fn capacity_bound_respects_oblivious_baseline_too() {
         rep.capacity_upper
     );
 }
+
+/// The cost model of `Broadcast_Default`, pinned: rounds are *sequential*.
+/// `PhaseTimes.flags` of one undisputed instance is the sum — over
+/// broadcasters, over that broadcaster's EIG / Phase-King unicasts in
+/// protocol order, over the unicast's hop rounds — of
+/// `bits / (smallest capacity among the round's links)`, each hop round
+/// waiting for the previous one. Merging rounds (one vector broadcast, or
+/// overlapping unicasts that share no link) would be a different reading of
+/// the paper's model and must arrive as a declared canonical-schema bump:
+/// it moves the golden values below.
+#[test]
+fn flag_broadcast_cost_is_the_sum_of_sequential_hop_rounds() {
+    use nab_repro::bb::eig::EigChannel;
+    use nab_repro::bb::PathRouter;
+    use nab_repro::nab::phase2::{broadcast_value, run_flag_broadcast};
+    use nab_repro::nab::{BroadcastKind, Value};
+    use nab_repro::netgraph::{DiGraph, NodeId};
+    use std::collections::BTreeMap;
+
+    /// Adds up what each logical unicast costs under the sequential reading.
+    struct Sequential<'a> {
+        g: &'a DiGraph,
+        router: &'a PathRouter,
+        total: f64,
+    }
+    impl EigChannel<u64> for Sequential<'_> {
+        fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, _: &u64) {
+            let paths = self.router.paths_for(from, to);
+            let hops = paths.iter().map(|p| p.len() - 1).max().unwrap();
+            for hop in 0..hops {
+                let min_cap = paths
+                    .iter()
+                    .filter(|p| hop + 1 < p.len())
+                    .map(|p| self.g.find_edge(p[hop], p[hop + 1]).unwrap().1.cap)
+                    .min()
+                    .unwrap();
+                self.total += bits as f64 / min_cap as f64;
+            }
+        }
+    }
+
+    let cases: [(&str, DiGraph, usize, BroadcastKind, f64); 5] = [
+        ("fig1a/eig", gen::figure_1a(), 0, BroadcastKind::Eig, 17.5),
+        (
+            "fig1a/pk",
+            gen::figure_1a(),
+            0,
+            BroadcastKind::PhaseKing,
+            95.5,
+        ),
+        (
+            "complete:4:1/eig",
+            gen::complete(4, 1),
+            1,
+            BroadcastKind::Eig,
+            96.0,
+        ),
+        // n = 4 is not > 4f: Phase-King falls back to EIG.
+        (
+            "complete:4:1/pk",
+            gen::complete(4, 1),
+            1,
+            BroadcastKind::PhaseKing,
+            96.0,
+        ),
+        (
+            "complete:5:1/pk",
+            gen::complete(5, 1),
+            1,
+            BroadcastKind::PhaseKing,
+            520.0,
+        ),
+    ];
+    for (name, g, f, kind, golden) in cases {
+        let none = BTreeSet::new();
+        let participants: Vec<NodeId> = g.nodes().collect();
+        let router = PathRouter::build(&g, f).unwrap();
+        let clean: BTreeMap<NodeId, bool> = participants.iter().map(|&v| (v, false)).collect();
+        let flags = run_flag_broadcast(
+            &g,
+            &router,
+            &participants,
+            f,
+            &clean,
+            &none,
+            &mut HonestStrategy,
+            kind,
+            false,
+        );
+
+        let mut chan = Sequential {
+            g: &g,
+            router: &router,
+            total: 0.0,
+        };
+        for &b in &participants {
+            broadcast_value(kind, &participants, b, f, 0u64, &none, &mut chan, 1);
+        }
+        assert_eq!(flags.duration.to_bits(), chan.total.to_bits(), "{name}");
+        assert_eq!(flags.duration, golden, "{name}");
+
+        // The engine charges exactly this for an undisputed instance. (At
+        // f = 0 it skips step 2.2 altogether: nobody can be faulty.)
+        if f > 0 {
+            let cfg = NabConfig {
+                f,
+                symbols: 16,
+                seed: 3,
+            };
+            let mut engine = NabEngine::new(g.clone(), cfg).unwrap();
+            engine.set_broadcast_kind(kind);
+            let input = Value::from_u64s(&(0..16).collect::<Vec<_>>());
+            let rep = engine
+                .run_instance(&input, &none, &mut HonestStrategy)
+                .unwrap();
+            assert!(!rep.dispute_ran, "{name}");
+            assert_eq!(
+                rep.times.flags.to_bits(),
+                flags.duration.to_bits(),
+                "{name}"
+            );
+        }
+    }
+}
