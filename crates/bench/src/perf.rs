@@ -75,7 +75,7 @@ pub struct GfCase {
     /// Operation: `mul_row_add`, `mat_mul`, `invert`, `solve`, `encode`.
     pub op: &'static str,
     /// Implementation tier, `<field>/<kernel>` (e.g. `gf256/bytes`,
-    /// `gf2_16/split-table16`, `gf2_16/scalar`).
+    /// `gf2_16/log16`, `gf2_16/scalar`).
     pub tier: &'static str,
     /// Problem size: row length for row kernels, matrix dimension for
     /// `mat_mul`/`invert`/`solve`, symbol count for `encode`.
@@ -193,12 +193,7 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
         let mut dst16: Vec<Gf2_16> = (0..len)
             .map(|i| Gf2_16::from_u64(i as u64 * 41 + 5))
             .collect();
-        let table_tier = if len >= kernel::GF2_16_SPLIT_THRESHOLD {
-            "gf2_16/split-table16"
-        } else {
-            "gf2_16/log16"
-        };
-        let gf2_16_tier = row_tier("gf2_16", len, table_tier);
+        let gf2_16_tier = row_tier("gf2_16", len, "gf2_16/log16");
         cases.push(case("mul_row_add", gf2_16_tier, len as u64, iters, || {
             <Gf2_16 as FastOps>::mul_row_add(&mut dst16, &src16, Gf2_16(0xABCD))
         }));
@@ -644,7 +639,7 @@ mod tests {
         let expected_row = match simd::tier() {
             "avx2" => "gf2_16/simd-avx2",
             "ssse3" => "gf2_16/simd-ssse3",
-            _ => "gf2_16/split-table16",
+            _ => "gf2_16/log16",
         };
         assert!(
             cases

@@ -581,7 +581,7 @@ impl NabEngine {
                         g0: plan.graph(),
                         trees,
                         p1_sends: &p1.sends,
-                        eq_sends: None,
+                        eq: None,
                         flag_rounds: &[],
                         dispute_rounds: &[],
                     },
@@ -725,7 +725,7 @@ impl NabEngine {
                         g0: plan.graph(),
                         trees,
                         p1_sends: &p1.sends,
-                        eq_sends: Some(&eq.sends),
+                        eq: Some(&eq),
                         flag_rounds: &flags.rounds,
                         dispute_rounds: &[],
                     },
@@ -825,7 +825,7 @@ impl NabEngine {
                     g0: plan.graph(),
                     trees,
                     p1_sends: &p1.sends,
-                    eq_sends: Some(&eq.sends),
+                    eq: Some(&eq),
                     flag_rounds: &flags.rounds,
                     dispute_rounds: &dispute_rounds,
                 },

@@ -33,7 +33,9 @@ use crate::value::{Value, SYMBOL_BITS};
 #[derive(Debug, Clone)]
 pub struct CodingScheme {
     rho: usize,
-    matrices: BTreeMap<(NodeId, NodeId), Matrix<Gf2_16>>,
+    /// `C_eᵀ` (`z_e × ρ`) per edge: the left operand of the slab product
+    /// `Y_eᵀ = C_eᵀ · Xᵀ`, stored in the layout the multiply reads.
+    transposed: BTreeMap<(NodeId, NodeId), WordMatrix>,
 }
 
 impl CodingScheme {
@@ -46,12 +48,18 @@ impl CodingScheme {
     pub fn random(g: &DiGraph, rho: usize, seed: u64) -> Self {
         assert!(rho > 0, "equality-check parameter ρ must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut matrices = BTreeMap::new();
+        let mut transposed = BTreeMap::new();
         for (_, e) in g.edges() {
-            let c = Matrix::<Gf2_16>::random(rho, e.cap as usize, &mut rng);
-            matrices.insert((e.src, e.dst), c);
+            // Entries are drawn in `C_e`'s row-major order.
+            let mut ct = WordMatrix::zero(e.cap as usize, rho);
+            for r in 0..rho {
+                for c in 0..e.cap as usize {
+                    ct.set(c, r, Gf2_16::random(&mut rng));
+                }
+            }
+            transposed.insert((e.src, e.dst), ct);
         }
-        CodingScheme { rho, matrices }
+        CodingScheme { rho, transposed }
     }
 
     /// Builds a *deterministic* Vandermonde coding scheme: the `t`-th
@@ -75,21 +83,20 @@ impl CodingScheme {
         );
         let gen_elt = Gf2_16::from_u64(2); // generator of GF(2^16)* for 0x1100B
         let mut alpha = Gf2_16::from_u64(1);
-        let mut matrices = BTreeMap::new();
+        let mut transposed = BTreeMap::new();
         for (_, e) in g.edges() {
-            let cols = e.cap as usize;
-            let mut m = Matrix::zero(rho, cols);
-            for c in 0..cols {
+            let mut ct = WordMatrix::zero(e.cap as usize, rho);
+            for c in 0..e.cap as usize {
                 alpha = alpha.mul(gen_elt);
                 let mut p = Gf2_16::from_u64(1);
                 for r in 0..rho {
-                    m[(r, c)] = p;
+                    ct.set(c, r, p);
                     p = p.mul(alpha);
                 }
             }
-            matrices.insert((e.src, e.dst), m);
+            transposed.insert((e.src, e.dst), ct);
         }
-        CodingScheme { rho, matrices }
+        CodingScheme { rho, transposed }
     }
 
     /// The equality-check parameter `ρ`.
@@ -97,47 +104,50 @@ impl CodingScheme {
         self.rho
     }
 
-    /// The coding matrix of edge `(src, dst)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge has no matrix (edge absent at generation time).
-    pub fn matrix(&self, src: NodeId, dst: NodeId) -> &Matrix<Gf2_16> {
-        self.matrices
+    /// `C_eᵀ` of edge `(src, dst)`: `z_e × ρ`. Panics if the edge has no
+    /// matrix (edge absent at generation time).
+    fn transposed(&self, src: NodeId, dst: NodeId) -> &WordMatrix {
+        self.transposed
             .get(&(src, dst))
             // nab-lint: allow(NAB003): plan construction emits a matrix for every live edge
             .unwrap_or_else(|| panic!("no coding matrix for edge ({src}, {dst})"))
     }
 
-    /// Encodes a value for transmission on edge `(src, dst)`:
-    /// `Y_e = X C_e` computed per 16-bit column, flattened column-major.
+    /// The coding matrix `C_e` of edge `(src, dst)`: `ρ × z_e`.
     ///
-    /// The multiply runs on the [`nab_gf::kernel`] row kernels (the
-    /// split-table `GF(2^16)` fast path); when encoding the same value on
-    /// many edges, reshape once and use [`CodingScheme::encode_cols`].
-    pub fn encode(&self, src: NodeId, dst: NodeId, value: &Value) -> Vec<Gf2_16> {
-        self.encode_cols(src, dst, &value.reshape(self.rho))
+    /// # Panics
+    ///
+    /// Panics if the edge has no matrix (edge absent at generation time).
+    pub fn matrix(&self, src: NodeId, dst: NodeId) -> Matrix<Gf2_16> {
+        let ct = self.transposed(src, dst);
+        Matrix::from_fn(self.rho, ct.rows(), |r, c| ct.get(c, r))
     }
 
-    /// Encodes pre-reshaped symbol columns (from
-    /// [`Value::reshape`] with this scheme's `ρ`) for edge `(src, dst)`.
-    /// This is the per-edge hot path of Phase 2: the reshape is hoisted so
-    /// a node encoding on all its out-edges pays it once.
+    /// Encodes a value for transmission on edge `(src, dst)`:
+    /// `Y_e = X C_e` computed per 16-bit column, flattened column-major —
+    /// the one-value case of the slab product the equality phase runs.
+    pub fn encode(&self, src: NodeId, dst: NodeId, value: &Value) -> Vec<Gf2_16> {
+        let (xt, _) = pack_slab(&[value], self.rho);
+        let yt = self.encode_slab(src, dst, &xt);
+        wire_order(&yt, 0, yt.cols())
+    }
+
+    /// Test oracle for the slab path: encodes pre-reshaped symbol columns
+    /// (from [`Value::reshape`] with this scheme's `ρ`) one vector product
+    /// per column.
     pub fn encode_cols(&self, src: NodeId, dst: NodeId, cols: &[Vec<Gf2_16>]) -> Vec<Gf2_16> {
         let c = self.matrix(src, dst);
         let mut out = Vec::with_capacity(cols.len() * c.cols());
         for x in cols {
-            out.extend(nab_gf::kernel::left_mul_vec(c, x));
+            out.extend(nab_gf::kernel::left_mul_vec(&c, x));
         }
         out
     }
 
-    /// The batched-encode shape: `Y_eᵀ = C_eᵀ · Xᵀ`, where `xt` is a
-    /// `ρ × W` row-major slab whose columns are value columns (from any
-    /// number of instances/streams packed side by side). One blocked
-    /// [`WordMatrix::mat_mul`] with `W`-long rows replaces `W` per-column
-    /// [`nab_gf::kernel::left_mul_vec`] calls with `z_e`-long rows — the
-    /// hot path of the batched execution engine. Entry `(r, c)` of the
+    /// `Y_eᵀ = C_eᵀ · Xᵀ`, where `xt` is a `ρ × W` row-major slab whose
+    /// columns are value columns (from any number of instances/streams
+    /// packed side by side, see [`pack_slab`]): one
+    /// [`WordMatrix::mat_mul`] with `W`-long rows. Entry `(r, c)` of the
     /// result is coded symbol `r` of packed column `c`, bit-identical to
     /// [`CodingScheme::encode_cols`] on the same columns.
     ///
@@ -145,16 +155,14 @@ impl CodingScheme {
     ///
     /// Panics if the edge has no matrix or `xt` has `!= ρ` rows.
     pub fn encode_slab(&self, src: NodeId, dst: NodeId, xt: &WordMatrix) -> WordMatrix {
-        let c = self.matrix(src, dst);
         assert_eq!(xt.rows(), self.rho, "packed slab must have ρ rows");
-        let ct = WordMatrix::from_fn(c.cols(), c.rows(), |r, col| c[(col, r)].0);
-        ct.mat_mul(xt)
+        self.transposed(src, dst).mat_mul(xt)
     }
 
     /// Number of coded symbols [`CodingScheme::encode`] produces on an edge
     /// for a value of `s` symbols.
     pub fn encoded_len(&self, src: NodeId, dst: NodeId, s: usize) -> usize {
-        let z = self.matrix(src, dst).cols();
+        let z = self.transposed(src, dst).rows();
         s.div_ceil(self.rho) * z
     }
 
@@ -170,8 +178,7 @@ impl CodingScheme {
         self.encode(src, dst, own) == received
     }
 
-    /// [`CodingScheme::check`] on pre-reshaped columns (reshape hoisted,
-    /// for receivers checking many in-edges against the same value).
+    /// Test oracle: [`CodingScheme::check`] on pre-reshaped columns.
     pub fn check_cols(
         &self,
         src: NodeId,
@@ -183,8 +190,57 @@ impl CodingScheme {
     }
 }
 
+/// Packs the values one node holds (one per stream) into the `Xᵀ` operand
+/// of the slab product: a row-major `ρ × Σ_s cols_s` slab where symbol
+/// `j·ρ + r` of stream `s` lands at `(r, offsets[s] + j)`, zero-padded to
+/// whole columns — the layout of [`Value::reshape`], written straight from
+/// the symbols. Streams may hold **different lengths at the same node** (a
+/// length-tampering adversary grows or shrinks a forwarded block), which is
+/// why each stream gets a cumulative offset instead of a uniform stride.
+/// Returns the slab plus the `streams + 1` column offsets
+/// (`offsets[s]..offsets[s + 1]` is stream `s`'s span).
+pub(crate) fn pack_slab(values: &[&Value], rho: usize) -> (WordMatrix, Vec<usize>) {
+    let mut offsets = Vec::with_capacity(values.len() + 1);
+    let mut width = 0usize;
+    offsets.push(width);
+    for v in values {
+        width += v.len().div_ceil(rho);
+        offsets.push(width);
+    }
+    // DetSan: the loops below index the slab by this table; a
+    // non-monotonic table would silently interleave streams.
+    #[cfg(feature = "sanitize")]
+    crate::detsan::check_offsets_monotonic(&offsets);
+    let mut xt = WordMatrix::zero(rho, width);
+    let slab = xt.as_mut_slice();
+    for (v, &start) in values.iter().zip(&offsets) {
+        for (j, col) in v.symbols().chunks(rho).enumerate() {
+            for (r, &sym) in col.iter().enumerate() {
+                slab[r * width + start + j] = sym;
+            }
+        }
+    }
+    (xt, offsets)
+}
+
+/// One stream's coded symbols (slab columns `start..start + cols`) of a
+/// `Yᵀ = C_eᵀ · Xᵀ` product in the order they go on the wire, column-major
+/// like [`CodingScheme::encode_cols`]: symbol `j·z + r` is
+/// `Yᵀ(r, start + j)`.
+pub(crate) fn wire_order(yt: &WordMatrix, start: usize, cols: usize) -> Vec<Gf2_16> {
+    let z = yt.rows();
+    let mut out = vec![Gf2_16::ZERO; cols * z];
+    for r in 0..z {
+        for (j, &sym) in yt.row(r)[start..start + cols].iter().enumerate() {
+            out[j * z + r] = sym;
+        }
+    }
+    out
+}
+
 /// Pure (simulator-free) execution of Algorithm 1 on graph `g` with the
-/// values held by each node.
+/// values held by each node, one vector product per column — the test
+/// oracle for [`crate::phase2::run_equality_phase_batched`].
 ///
 /// `tamper(i, j, honest)` lets a Byzantine sender substitute the coded
 /// symbols it puts on edge `(i, j)`; pass [`no_tamper`] for fault-free
@@ -380,29 +436,38 @@ mod tests {
         let g = gen::complete(4, 3);
         let scheme = CodingScheme::random(&g, 2, 31);
         let mut rng = StdRng::seed_from_u64(8);
-        // Three "streams" of 6 symbols each → 3 columns per stream.
-        let vals: Vec<Value> = (0..3).map(|_| Value::random(6, &mut rng)).collect();
-        let reshaped: Vec<Vec<Vec<Gf2_16>>> = vals.iter().map(|v| v.reshape(2)).collect();
-        let cols = reshaped[0].len();
-        let mut xt = WordMatrix::zero(2, 3 * cols);
-        for (s, cs) in reshaped.iter().enumerate() {
-            for (j, col) in cs.iter().enumerate() {
-                for (r, &sym) in col.iter().enumerate() {
-                    xt.set(r, s * cols + j, sym);
-                }
-            }
-        }
+        // Three "streams" of unequal lengths, the odd ones zero-padded.
+        let vals: Vec<Value> = [6, 5, 9]
+            .iter()
+            .map(|&len| Value::random(len, &mut rng))
+            .collect();
+        let (xt, offsets) = pack_slab(&vals.iter().collect::<Vec<_>>(), 2);
+        assert_eq!(offsets, [0, 3, 6, 11]);
         let yt = scheme.encode_slab(0, 1, &xt);
         assert_eq!(yt.rows(), scheme.matrix(0, 1).cols());
-        for (s, cs) in reshaped.iter().enumerate() {
-            let expect = scheme.encode_cols(0, 1, cs);
-            let mut got = Vec::new();
-            for j in 0..cols {
-                for r in 0..yt.rows() {
-                    got.push(yt.get(r, s * cols + j));
-                }
-            }
+        for (s, v) in vals.iter().enumerate() {
+            let expect = scheme.encode_cols(0, 1, &v.reshape(2));
+            let got = wire_order(&yt, offsets[s], offsets[s + 1] - offsets[s]);
             assert_eq!(got, expect, "stream {s}");
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_column_oracle() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let g = gen::complete(3, 4);
+        let mut rng = StdRng::seed_from_u64(21);
+        for rho in [1, 3, 4] {
+            let scheme = CodingScheme::random(&g, rho, 77);
+            // Empty, shorter than one column, ragged, and wide enough for
+            // the vector kernel.
+            for len in [0, 1, rho, 4 * rho + 1, 997] {
+                let v = Value::random(len, &mut rng);
+                let expect = scheme.encode_cols(1, 2, &v.reshape(rho));
+                assert_eq!(scheme.encode(1, 2, &v), expect, "rho={rho} len={len}");
+                assert_eq!(expect.len(), scheme.encoded_len(1, 2, len));
+            }
         }
     }
 

@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use nab_gf::Gf2_16;
 use nab_net::{mix, EventNet, UNIT_NS};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
@@ -23,6 +22,7 @@ use nab_obs::metrics::Histogram;
 use nab_sim::Transcript;
 
 use crate::engine::PhaseTimes;
+use crate::phase2::EqOutcome;
 use crate::value::SYMBOL_BITS;
 
 /// Message-level execution config: the link models plus the seed all
@@ -109,8 +109,8 @@ pub(crate) struct ReplayInput<'a> {
     pub trees: &'a [Arborescence],
     /// Phase-1 blocks per `(tree, src, dst)`.
     pub p1_sends: &'a BTreeMap<(usize, NodeId, NodeId), crate::phase1::Block>,
-    /// Equality-check symbols per link; `None` when the phase did not run.
-    pub eq_sends: Option<&'a BTreeMap<(NodeId, NodeId), Vec<Gf2_16>>>,
+    /// The equality check's outcome; `None` when the phase did not run.
+    pub eq: Option<&'a EqOutcome>,
     /// Flag-broadcast rounds (from the `NetSim` transcript).
     pub flag_rounds: &'a [Vec<(NodeId, NodeId, u64)>],
     /// Dispute claim-broadcast rounds; empty when no dispute ran.
@@ -129,12 +129,9 @@ pub(crate) fn replay_instance(
     let mut delivered = DeliveredTimes::default();
 
     let p1_end = replay_phase1(nx, mix(seed, 0xF1A5E1), inp, &mut delivered.phase1);
-    let eq_end = match inp.eq_sends {
-        Some(sends) => {
-            let round: Vec<(NodeId, NodeId, u64)> = sends
-                .iter()
-                .map(|(&(src, dst), block)| (src, dst, block.len() as u64 * SYMBOL_BITS))
-                .collect();
+    let eq_end = match inp.eq {
+        Some(eq) => {
+            let round: Vec<(NodeId, NodeId, u64)> = eq.link_bits().collect();
             replay_rounds(
                 nx,
                 mix(seed, 0xE0),

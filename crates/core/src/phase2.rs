@@ -2,6 +2,7 @@
 //! and Byzantine broadcast of the 1-bit flags (step 2.2).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use nab_bb::baselines::RoutedChannel;
 use nab_bb::eig::{run_eig, EigChannel, HonestAdversary};
@@ -10,106 +11,106 @@ use nab_bb::router::{PathRouter, Routed};
 use nab_gf::{Gf2_16, WordMatrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
+use nab_obs::trace::{self, EventKind};
 use nab_sim::NetSim;
 
 use crate::adversary::NabAdversary;
 use crate::dispute::NodeClaims;
-use crate::equality::CodingScheme;
+use crate::equality::{pack_slab, wire_order, CodingScheme};
 use crate::value::{Value, SYMBOL_BITS};
+
+/// What one stream put on one edge.
+#[derive(Debug, Clone)]
+enum Sent {
+    /// The prescribed coded symbols, left in slab form: columns
+    /// `start..start + cols` of a `Yᵀ = C_eᵀ · Xᵀ` product that every
+    /// stream of the call shares.
+    Coded {
+        yt: Arc<WordMatrix>,
+        start: usize,
+        cols: usize,
+    },
+    /// What a faulty sender chose to transmit, in wire order.
+    Substituted(Vec<Gf2_16>),
+}
+
+impl Sent {
+    fn len(&self) -> usize {
+        match self {
+            Sent::Coded { yt, cols, .. } => cols * yt.rows(),
+            Sent::Substituted(symbols) => symbols.len(),
+        }
+    }
+
+    fn symbols(&self) -> Vec<Gf2_16> {
+        match self {
+            Sent::Coded { yt, start, cols } => wire_order(yt, *start, *cols),
+            Sent::Substituted(symbols) => symbols.clone(),
+        }
+    }
+}
 
 /// Ground truth of one equality-check execution (step 2.1).
 #[derive(Debug, Clone)]
 pub struct EqOutcome {
-    /// Coded symbols actually transmitted per edge.
-    pub sends: BTreeMap<(NodeId, NodeId), Vec<Gf2_16>>,
     /// Each node's honestly computed flag (`true` = MISMATCH). Faulty
     /// nodes may *announce* something else; see
     /// [`run_flag_broadcast`].
     pub flags: BTreeMap<NodeId, bool>,
     /// Wall-clock duration (`≈ L/ρ_k`).
     pub duration: f64,
+    sends: BTreeMap<(NodeId, NodeId), Sent>,
 }
 
-/// The synchronous round charge `max_e(bits_e / z_e)` over per-link bit
-/// totals — identical to `NetSim::deliver_round` on the same sends.
-fn equality_duration(gk: &DiGraph, link_bits: &BTreeMap<(NodeId, NodeId), u64>) -> f64 {
-    let mut duration: f64 = 0.0;
-    for (&(src, dst), &bits) in link_bits {
-        let cap = gk
-            .find_edge(src, dst)
-            .map(|(_, e)| e.cap)
-            .expect("edge exists"); // nab-lint: allow(NAB003): packed trees only use edges of G_k by construction
-        duration = duration.max(bits as f64 / cap as f64);
+impl EqOutcome {
+    /// Coded symbols actually transmitted per edge, in wire order. Built on
+    /// request: the phase keeps honest transmissions in slab form, and
+    /// only dispute control and tests read the symbols.
+    pub fn sends(&self) -> BTreeMap<(NodeId, NodeId), Vec<Gf2_16>> {
+        self.sends
+            .iter()
+            .map(|(&edge, sent)| (edge, sent.symbols()))
+            .collect()
     }
-    duration
+
+    /// Bits transmitted per edge, `(src, dst, bits)`.
+    pub(crate) fn link_bits(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+        self.sends
+            .iter()
+            .map(|(&(src, dst), sent)| (src, dst, sent.len() as u64 * SYMBOL_BITS))
+    }
 }
 
-/// Packs the reshaped value columns of every stream into one row-major
-/// `ρ × Σ_s cols_s` slab: stream `s`'s column `j` lands at slab column
-/// `offsets[s] + j`. This is the `Xᵀ` operand of the batched equality
-/// check. Streams may hold **different column counts at the same node**
-/// (a length-tampering adversary grows or shrinks a forwarded block, so
-/// a downstream node's assembled value no longer has `S` symbols), which
-/// is why each stream gets a cumulative offset instead of a uniform
-/// stride. Returns the slab plus the `streams + 1` column offsets
-/// (`offsets[s]..offsets[s + 1]` is stream `s`'s span).
-fn pack_columns(reshaped: &[&Vec<Vec<Gf2_16>>], rho: usize) -> (WordMatrix, Vec<usize>) {
-    let mut offsets = Vec::with_capacity(reshaped.len() + 1);
-    offsets.push(0usize);
-    for stream_cols in reshaped {
-        offsets.push(offsets.last().unwrap() + stream_cols.len()); // nab-lint: allow(NAB003): offsets starts as [0], never empty
-    }
-    let width = *offsets.last().unwrap(); // nab-lint: allow(NAB003): offsets starts as [0], never empty
-                                          // DetSan: the gather/scatter loops below index the slab by this
-                                          // table; a non-monotonic table would silently interleave streams.
-    #[cfg(feature = "sanitize")]
-    crate::detsan::check_offsets_monotonic(&offsets);
-    let mut xt = WordMatrix::zero(rho, width);
-    let slab = xt.as_mut_slice();
-    for (s, stream_cols) in reshaped.iter().enumerate() {
-        for (j, col) in stream_cols.iter().enumerate() {
-            for (r, &sym) in col.iter().enumerate() {
-                slab[r * width + offsets[s] + j] = sym;
-            }
-        }
-    }
-    (xt, offsets)
-}
-
-/// Extracts one stream's coded symbols (slab columns
-/// `start..start + cols`) from a batched `Yᵀ = C_eᵀ · Xᵀ` slab,
-/// flattened column-major exactly like [`CodingScheme::encode_cols`]:
-/// symbol `j·z + r` is `Yᵀ(r, start + j)`.
-fn scatter_stream(yt: &WordMatrix, start: usize, cols: usize) -> Vec<Gf2_16> {
-    let z = yt.rows();
-    let width = yt.cols();
-    let slab = yt.as_slice();
-    let mut out = Vec::with_capacity(cols * z);
-    for j in 0..cols {
-        for r in 0..z {
-            out.push(slab[r * width + start + j]);
-        }
-    }
-    out
+/// Nodes whose values are equal in every stream: they share one packed
+/// `Xᵀ` slab, hence one product per edge.
+struct ValueClass<'a> {
+    held: Vec<&'a Value>,
+    slab: WordMatrix,
+    offsets: Vec<usize>,
 }
 
 /// The equality check on `gk`: one execution of Algorithm 1 per stream,
 /// all sharing the same coding scheme (streams at the same instance index
-/// use identical per-edge matrices), evaluated as **one blocked matrix
-/// multiply per edge** over a packed cross-stream slab instead of
-/// per-column vector products.
+/// use identical per-edge matrices), evaluated as **one slab product per
+/// distinct value per edge** instead of per-column vector products.
 ///
 /// Links are reliable, so the receiver's view of an edge equals the
 /// sender's transmission; the phase is evaluated directly on the ground
 /// truth, charging the same `max_e(bits_e / z_e)` round time the
 /// simulator would.
 ///
-/// Per edge `e`, the sender-side slab is `Y_eᵀ = C_eᵀ · Xᵀ` where `Xᵀ`
-/// stacks every stream's value columns side by side (at cumulative
-/// offsets, since tampered values may differ in length); the
-/// receiver-side expectation reuses the same shape. Row lengths grow
-/// from `z_e` to `≈ streams · S/ρ`, which is the shape the
-/// [`nab_gf::simd`] row kernels want. Per stream the flags equal
+/// Nodes holding equal values in every stream form a class with one
+/// packed slab `Xᵀ` (every stream's value columns side by side, at
+/// cumulative offsets since tampered values may differ in length). Per
+/// edge `e`, the sender's class is multiplied once, `Y_eᵀ = C_eᵀ · Xᵀ`.
+/// When the receiver is in the same class its expectation *is* that
+/// product: a fault-free sender then transmits exactly what the receiver
+/// expects and no second multiply or compare is needed, while a faulty
+/// sender's [`NabAdversary::equality_symbols`] output is still compared
+/// against it. Across classes the receiver's slab is multiplied too and
+/// the two sides compared per stream, each with its own offsets, so a
+/// length mismatch fails the compare exactly like
+/// [`CodingScheme::check_cols`]. Per stream the flags equal
 /// [`crate::equality::equality_check_flags`] and the sends equal
 /// [`CodingScheme::encode_cols`] (`GF(2^16)` addition is exact XOR, so
 /// any grouping of the same multiply-accumulates produces the same
@@ -128,61 +129,82 @@ pub fn run_equality_phase_batched(
 ) -> Vec<EqOutcome> {
     assert_eq!(values.len(), advs.len(), "one adversary per stream");
     let streams = values.len();
-    let rho = scheme.rho();
 
-    // Reshape every node's value per stream, then pack per node.
-    let reshaped: Vec<BTreeMap<NodeId, Vec<Vec<Gf2_16>>>> = values
-        .iter()
-        .map(|vals| gk.nodes().map(|v| (v, vals[&v].reshape(rho))).collect())
-        .collect();
-    let packed: BTreeMap<NodeId, (WordMatrix, Vec<usize>)> = gk
-        .nodes()
-        .map(|v| {
-            let per_stream: Vec<&Vec<Vec<Gf2_16>>> = reshaped.iter().map(|r| &r[&v]).collect();
-            (v, pack_columns(&per_stream, rho))
-        })
-        .collect();
-
-    let mut sends: Vec<BTreeMap<(NodeId, NodeId), Vec<Gf2_16>>> = vec![BTreeMap::new(); streams];
-    let mut flags: Vec<BTreeMap<NodeId, bool>> = (0..streams)
-        .map(|_| gk.nodes().map(|v| (v, false)).collect())
-        .collect();
-    let mut link_bits: Vec<BTreeMap<(NodeId, NodeId), u64>> = vec![BTreeMap::new(); streams];
-
-    for (_, e) in gk.edges() {
-        // One blocked multiply covers every stream's encode on this edge;
-        // a second covers every stream's receiver-side expectation. The
-        // sender and receiver slabs carry independent per-stream widths
-        // (values may differ in length after tampering), so each side
-        // scatters with its own offsets — a cross-side length mismatch
-        // then fails the `sent != expected` compare exactly like
-        // [`CodingScheme::check_cols`] does.
-        let (src_slab, src_off) = &packed[&e.src];
-        let (dst_slab, dst_off) = &packed[&e.dst];
-        let ys = scheme.encode_slab(e.src, e.dst, src_slab);
-        let yd = scheme.encode_slab(e.src, e.dst, dst_slab);
-        for s in 0..streams {
-            let honest = scatter_stream(&ys, src_off[s], src_off[s + 1] - src_off[s]);
-            let sent = if faulty.contains(&e.src) {
-                advs[s].equality_symbols(e.src, e.dst, &honest)
-            } else {
-                honest
-            };
-            *link_bits[s].entry((e.src, e.dst)).or_insert(0) += sent.len() as u64 * SYMBOL_BITS;
-            if sent != scatter_stream(&yd, dst_off[s], dst_off[s + 1] - dst_off[s]) {
-                flags[s].insert(e.dst, true);
-            }
-            sends[s].insert((e.src, e.dst), sent);
-        }
+    let mut classes: Vec<ValueClass> = Vec::new();
+    let mut class_of: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for v in gk.nodes() {
+        let held: Vec<&Value> = values.iter().map(|vals| &vals[&v]).collect();
+        let class = classes
+            .iter()
+            .position(|c| c.held == held)
+            .unwrap_or_else(|| {
+                let (slab, offsets) = pack_slab(&held, scheme.rho());
+                classes.push(ValueClass {
+                    held,
+                    slab,
+                    offsets,
+                });
+                classes.len() - 1
+            });
+        class_of.insert(v, class);
     }
 
-    (0..streams)
-        .map(|s| EqOutcome {
-            sends: std::mem::take(&mut sends[s]),
-            flags: std::mem::take(&mut flags[s]),
-            duration: equality_duration(gk, &link_bits[s]),
+    let mut outcomes: Vec<EqOutcome> = (0..streams)
+        .map(|_| EqOutcome {
+            flags: gk.nodes().map(|v| (v, false)).collect(),
+            duration: 0.0,
+            sends: BTreeMap::new(),
         })
-        .collect()
+        .collect();
+    let (mut multiplies, mut expectations_shared) = (0u32, 0u32);
+
+    for (_, e) in gk.edges() {
+        let (sender, receiver) = (&classes[class_of[&e.src]], &classes[class_of[&e.dst]]);
+        let shared = class_of[&e.src] == class_of[&e.dst];
+        let ys = Arc::new(scheme.encode_slab(e.src, e.dst, &sender.slab));
+        let yd = if shared {
+            Arc::clone(&ys)
+        } else {
+            Arc::new(scheme.encode_slab(e.src, e.dst, &receiver.slab))
+        };
+        multiplies += if shared { 1 } else { 2 };
+        expectations_shared += u32::from(shared);
+        let sender_faulty = faulty.contains(&e.src);
+        for (s, out) in outcomes.iter_mut().enumerate() {
+            let (start, cols) = (sender.offsets[s], sender.offsets[s + 1] - sender.offsets[s]);
+            let expected = || {
+                let start = receiver.offsets[s];
+                wire_order(&yd, start, receiver.offsets[s + 1] - start)
+            };
+            let sent = if sender_faulty {
+                let honest = wire_order(&ys, start, cols);
+                let symbols = advs[s].equality_symbols(e.src, e.dst, &honest);
+                if symbols != expected() {
+                    out.flags.insert(e.dst, true);
+                }
+                Sent::Substituted(symbols)
+            } else {
+                if !shared && wire_order(&ys, start, cols) != expected() {
+                    out.flags.insert(e.dst, true);
+                }
+                Sent::Coded {
+                    yt: Arc::clone(&ys),
+                    start,
+                    cols,
+                }
+            };
+            // The synchronous round charge `max_e(bits_e / z_e)` —
+            // identical to `NetSim::deliver_round` on the same sends.
+            let bits = sent.len() as u64 * SYMBOL_BITS;
+            out.duration = out.duration.max(bits as f64 / e.cap as f64);
+            out.sends.insert((e.src, e.dst), sent);
+        }
+    }
+    trace::emit(EventKind::EqualityProducts {
+        multiplies,
+        expectations_shared,
+    });
+    outcomes
 }
 
 /// Which classic BB protocol serves as `Broadcast_Default` for flags and
@@ -374,7 +396,7 @@ pub fn honest_claims(
             .p1_received
             .insert((t, src), block.as_ref().clone());
     }
-    for (&(src, dst), symbols) in &eq.sends {
+    for ((src, dst), symbols) in eq.sends() {
         claims
             .get_mut(&src)
             .unwrap() // nab-lint: allow(NAB003): claims is pre-populated with an entry per node
@@ -384,7 +406,7 @@ pub fn honest_claims(
             .get_mut(&dst)
             .unwrap() // nab-lint: allow(NAB003): claims is pre-populated with an entry per node
             .eq_received
-            .insert(src, symbols.clone());
+            .insert(src, symbols);
     }
     claims
 }
@@ -477,6 +499,156 @@ mod tests {
         let p1 = run_phase1(&g, 0, &input, &trees, &faulty, &mut adv);
         let eq = equality_one_stream(&g, &p1.values, &scheme, &faulty, &mut adv);
         assert!(eq.flags.iter().any(|(v, f)| *f && *v != 2));
+    }
+
+    /// Runs the equality check with a trace sink installed and returns the
+    /// outcomes with the call's `(multiplies, expectations_shared)`.
+    fn equality_with_counts(
+        gk: &DiGraph,
+        values: &[&BTreeMap<NodeId, Value>],
+        scheme: &CodingScheme,
+        faulty: &BTreeSet<NodeId>,
+        advs: &mut [&mut dyn NabAdversary],
+    ) -> (Vec<EqOutcome>, (u32, u32)) {
+        let sink = Arc::new(nab_obs::BufferSink::new());
+        trace::set_thread_sink(Some(sink.clone()));
+        let eqs = run_equality_phase_batched(gk, values, scheme, faulty, advs);
+        trace::set_thread_sink(None);
+        let counts: Vec<(u32, u32)> = sink
+            .take_sorted()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::EqualityProducts {
+                    multiplies,
+                    expectations_shared,
+                } => Some((multiplies, expectations_shared)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(counts.len(), 1, "one event per equality call");
+        (eqs, counts[0])
+    }
+
+    /// Every node of K4 (12 edges) holding `v`, except the listed deviants.
+    fn k4_values(v: &Value, deviants: &[(NodeId, Value)]) -> BTreeMap<NodeId, Value> {
+        let mut values: BTreeMap<NodeId, Value> = (0..4).map(|n| (n, v.clone())).collect();
+        values.extend(deviants.iter().cloned());
+        values
+    }
+
+    /// Drops the last coded symbol of every equality transmission.
+    struct EqualityTruncator;
+    impl NabAdversary for EqualityTruncator {
+        fn equality_symbols(&mut self, _: NodeId, _: NodeId, honest: &[Gf2_16]) -> Vec<Gf2_16> {
+            honest[..honest.len() - 1].to_vec()
+        }
+    }
+
+    #[test]
+    fn one_class_with_honest_senders_shares_every_expectation() {
+        let (g, _, scheme, input) = complete_setup();
+        let values = k4_values(&input, &[]);
+        let (eqs, counts) = equality_with_counts(
+            &g,
+            &[&values],
+            &scheme,
+            &BTreeSet::new(),
+            &mut [&mut HonestStrategy],
+        );
+        assert_eq!(counts, (12, 12), "one product per edge, none for receivers");
+        assert!(eqs[0].flags.values().all(|f| !f));
+        for ((src, dst), symbols) in eqs[0].sends() {
+            assert_eq!(symbols, scheme.encode(src, dst, &input));
+        }
+    }
+
+    #[test]
+    fn faulty_sender_inside_a_class_is_still_compared() {
+        let (g, _, scheme, input) = complete_setup();
+        let values = k4_values(&input, &[]);
+        let faulty = BTreeSet::from([2]);
+        let tamperers: [&mut dyn NabAdversary; 2] = [&mut EqualityGarbler, &mut EqualityTruncator];
+        for adv in tamperers {
+            let (eqs, counts) = equality_with_counts(&g, &[&values], &scheme, &faulty, &mut [adv]);
+            assert_eq!(
+                counts,
+                (12, 12),
+                "values are equal: expectations stay shared"
+            );
+            let flagged: Vec<NodeId> = (0..4).filter(|v| eqs[0].flags[v]).collect();
+            assert_eq!(flagged, [0, 1, 3], "exactly node 2's receivers");
+            let sends = eqs[0].sends();
+            assert_ne!(sends[&(2, 0)], scheme.encode(2, 0, &input));
+            assert_eq!(sends[&(0, 2)], scheme.encode(0, 2, &input));
+        }
+    }
+
+    #[test]
+    fn deviant_value_multiplies_separately_and_flags_both_ways() {
+        let (_, _, _, input) = complete_setup();
+        // Figure 1(a) is not complete: node 3 touches three of its six
+        // edges, so the deviant's class boundary shows in the counts.
+        let g = gen::figure_1a();
+        let scheme = CodingScheme::random(&g, 1, 23);
+        let values = k4_values(&input, &[(3, input.corrupt_symbol(5, 9))]);
+        let (eqs, (multiplies, shared)) = equality_with_counts(
+            &g,
+            &[&values],
+            &scheme,
+            &BTreeSet::new(),
+            &mut [&mut HonestStrategy],
+        );
+        let touching_3 = g.edges().filter(|(_, e)| e.src == 3 || e.dst == 3).count() as u32;
+        let edges = g.edges().count() as u32;
+        assert!(touching_3 > 0 && touching_3 < edges);
+        assert_eq!(shared, edges - touching_3);
+        assert_eq!(multiplies, edges + touching_3);
+        let oracle = crate::equality::equality_check_flags(
+            &g,
+            &values,
+            &scheme,
+            &mut crate::equality::no_tamper,
+        );
+        assert_eq!(eqs[0].flags, oracle);
+        // Node 3 flags what it receives; whoever it sends to flags too.
+        assert!(eqs[0].flags[&3]);
+        for (_, e) in g.edges().filter(|(_, e)| e.src == 3) {
+            assert!(eqs[0].flags[&e.dst], "receiver {} of node 3", e.dst);
+        }
+    }
+
+    #[test]
+    fn classes_split_on_any_stream_but_flags_stay_per_stream() {
+        let (g, _, scheme, input) = complete_setup();
+        let other = Value::from_u64s(&[9, 9, 9, 7, 7, 7, 5, 5, 5, 3, 3, 3]);
+        // Stream 0: node 2 deviates. Stream 1: node 1 holds a longer value.
+        let stream0 = k4_values(&input, &[(2, input.corrupt_symbol(0, 1))]);
+        let mut longer = other.symbols().to_vec();
+        longer.push(Gf2_16(1));
+        let stream1 = k4_values(&other, &[(1, Value::from_symbols(longer))]);
+        let (eqs, counts) = equality_with_counts(
+            &g,
+            &[&stream0, &stream1],
+            &scheme,
+            &BTreeSet::new(),
+            &mut [&mut HonestStrategy, &mut HonestStrategy],
+        );
+        // Classes {0, 3}, {1}, {2}: only edges 0→3 and 3→0 share.
+        assert_eq!(counts, (22, 2));
+        for (eq, values) in eqs.iter().zip([&stream0, &stream1]) {
+            let oracle = crate::equality::equality_check_flags(
+                &g,
+                values,
+                &scheme,
+                &mut crate::equality::no_tamper,
+            );
+            assert_eq!(eq.flags, oracle);
+            for ((src, dst), symbols) in eq.sends() {
+                assert_eq!(symbols, scheme.encode(src, dst, &values[&src]));
+            }
+        }
+        // K4: the deviant's three neighbours are everyone else.
+        assert!(eqs.iter().all(|eq| eq.flags.values().all(|&f| f)));
     }
 
     #[test]

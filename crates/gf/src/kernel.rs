@@ -10,9 +10,9 @@
 //!
 //! - [`crate::gf256::Gf256`] — one 256-entry product-table row per scalar
 //!   (shared with [`crate::bytes`]),
-//! - [`crate::gf2m::Gf2_16`] — two 256-entry split tables (low/high byte)
-//!   built per scalar, amortized over long rows; short rows use a
-//!   log-domain loop,
+//! - [`crate::gf2m::Gf2_16`] — the 1×1 case of the arch-SIMD GEMM
+//!   micro-kernel ([`crate::simd`]) on rows long enough to fill vectors, a
+//!   log-domain loop on short rows, row tails and the portable tier,
 //! - [`crate::gf2m::Gf2m`] (any degree) — the scalar default, so generic
 //!   field code keeps working unchanged.
 //!
@@ -29,14 +29,6 @@ use crate::gf2m::{Gf2_16, Gf2m};
 use crate::linalg::Echelon;
 use crate::matrix::Matrix;
 use crate::simd;
-
-/// Row lengths below this use the log-domain loop for `Gf2_16`: building
-/// the two 256-entry split tables costs 512 field multiplications plus a
-/// kilobyte of cache traffic, which only pays off once the row is long
-/// enough to amortize it (measured break-even sits near 1k elements; see
-/// `BENCH_gf.json`). Rows of [`crate::simd::SIMD_THRESHOLD`] or more take
-/// the arch-SIMD tier first when one was detected (see [`crate::simd`]).
-pub const GF2_16_SPLIT_THRESHOLD: usize = 1024;
 
 /// The scalar reference implementation of the fused row kernel:
 /// `dst[i] += s · src[i]` one element at a time. This is both the default
@@ -150,21 +142,8 @@ fn gf256_bytes_mut(s: &mut [Gf256]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut u8, s.len()) }
 }
 
-/// Builds the split product tables for one `GF(2^16)` scalar:
-/// `lo[b] = s·b` and `hi[b] = s·(b << 8)`. Multiplication is
-/// `GF(2)`-linear, so `s·x = lo[x & 0xFF] ^ hi[x >> 8]`.
-fn gf2_16_split_tables(s: Gf2_16) -> ([u16; 256], [u16; 256]) {
-    let mut lo = [0u16; 256];
-    let mut hi = [0u16; 256];
-    for b in 1..256u16 {
-        lo[b as usize] = s.mul(Gf2_16(b)).0;
-        hi[b as usize] = s.mul(Gf2_16(b << 8)).0;
-    }
-    (lo, hi)
-}
-
 impl FastOps for Gf2_16 {
-    const KERNEL: &'static str = "split-table16";
+    const KERNEL: &'static str = "nibble-gemm16";
 
     fn mul_row_add(dst: &mut [Self], src: &[Self], s: Self) {
         assert_eq!(
@@ -174,39 +153,22 @@ impl FastOps for Gf2_16 {
             dst.len(),
             src.len()
         );
-        if s.0 == 0 {
-            return;
-        }
-        if s.0 == 1 {
-            for (d, &x) in dst.iter_mut().zip(src) {
-                d.0 ^= x.0;
+        match s.0 {
+            0 => {}
+            1 => {
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    d.0 ^= x.0;
+                }
             }
-        } else if dst.len() >= simd::SIMD_THRESHOLD && simd::gf2_16_mul_row_add(dst, src, s) {
-            // Handled by the detected arch-SIMD tier; `false` (no tier)
-            // falls through to the table loops below.
-        } else if dst.len() >= GF2_16_SPLIT_THRESHOLD {
-            let (lo, hi) = gf2_16_split_tables(s);
-            for (d, &x) in dst.iter_mut().zip(src) {
-                d.0 ^= lo[(x.0 & 0xFF) as usize] ^ hi[(x.0 >> 8) as usize];
-            }
-        } else {
-            crate::gf2m::mul_row_add_log16(dst, src, s);
+            _ => simd::gf2_16_mul_row_add(dst, src, s),
         }
     }
 
     fn scale_row(row: &mut [Self], s: Self) {
-        if s.0 == 1 {
-            return;
-        }
-        if s.0 == 0 {
-            row.fill(Gf2_16(0));
-        } else if row.len() >= GF2_16_SPLIT_THRESHOLD {
-            let (lo, hi) = gf2_16_split_tables(s);
-            for x in row.iter_mut() {
-                x.0 = lo[(x.0 & 0xFF) as usize] ^ hi[(x.0 >> 8) as usize];
-            }
-        } else {
-            crate::gf2m::scale_row_log16(row, s);
+        match s.0 {
+            0 => row.fill(Gf2_16(0)),
+            1 => {}
+            _ => crate::gf2m::scale_row_log16(row, s),
         }
     }
 }
@@ -369,21 +331,23 @@ mod tests {
     #[test]
     fn kernel_names_reflect_specialization() {
         assert_eq!(<Gf256 as FastOps>::KERNEL, "table256");
-        assert_eq!(<Gf2_16 as FastOps>::KERNEL, "split-table16");
+        assert_eq!(<Gf2_16 as FastOps>::KERNEL, "nibble-gemm16");
         assert_eq!(<Gf2m<13> as FastOps>::KERNEL, "scalar");
     }
 
     #[test]
-    fn gf2_16_split_kernel_matches_scalar_at_all_lengths() {
-        // Cover both sides of the split-table threshold.
+    fn gf2_16_kernel_matches_scalar_at_all_lengths() {
+        // Both sides of the SIMD dispatch threshold, with and without a
+        // log-domain tail.
         let mut rng = StdRng::seed_from_u64(71);
         for len in [
             0,
             1,
             7,
-            GF2_16_SPLIT_THRESHOLD - 1,
-            GF2_16_SPLIT_THRESHOLD,
+            simd::SIMD_THRESHOLD - 1,
+            simd::SIMD_THRESHOLD,
             200,
+            1024,
         ] {
             let src: Vec<Gf2_16> = (0..len).map(|_| Gf2_16::random(&mut rng)).collect();
             let base: Vec<Gf2_16> = (0..len).map(|_| Gf2_16::random(&mut rng)).collect();

@@ -1,4 +1,4 @@
-//! Arch-SIMD row kernels: nibble-split PSHUFB-style table lookups.
+//! Arch-SIMD kernels: nibble-split PSHUFB-style table lookups.
 //!
 //! `GF(2^m)` multiplication by a fixed scalar `s` is `GF(2)`-linear, so it
 //! splits over any basis of the operand: `s·x = Σ_k s·(nibble_k(x) << 4k)`.
@@ -8,9 +8,16 @@
 //! 16/32-byte vector. This is the classic SIMD erasure-coding kernel
 //! (ISA-L, klauspost/reedsolomon).
 //!
+//! `GF(256)` has row kernels (`dst ^= s·src`, `row = s·row`). `GF(2^16)`
+//! has one kernel per tier, a GEMM micro-kernel `out ^= a·b`: tables are
+//! built once per coefficient of `a`, each source block is split into its
+//! nibble planes once, and up to four output rows accumulate in registers
+//! across the whole inner dimension; the row kernel `dst ^= s·src` is its
+//! 1×1 case.
+//!
 //! The tier is picked **once per process** by runtime CPU-feature
 //! detection ([`tier`]): `avx2` → 32-byte vectors, `ssse3` → 16-byte
-//! vectors, `portable` → the chunked table loops the process already had
+//! vectors, `portable` → the scalar table and log-domain loops
 //! (non-x86 builds compile only the portable path). Every tier is
 //! **bit-identical**: characteristic-2 addition is XOR, so vectorization
 //! changes neither values nor any accumulation result. The differential
@@ -20,7 +27,6 @@
 use std::sync::OnceLock;
 
 use crate::bytes;
-use crate::field::Field;
 use crate::gf2m::Gf2_16;
 
 /// Rows shorter than this (in elements) skip the SIMD dispatch: below a
@@ -272,184 +278,288 @@ mod x86 {
         }
     }
 
-    // --- GF(2^16): four nibble tables, each split lo/hi product byte. ---
+    // --- GF(2^16): the GEMM micro-kernel, one body for both widths. ---
     //
-    // A 16-bit operand has four nibbles; `T_k[n] = s·(n << 4k)` for
-    // k = 0..3, with each table stored as two 16-byte PSHUFB registers
-    // (low product byte, high product byte). Per vector of operands:
-    // deinterleave into a low-byte vector and a high-byte vector with
-    // PACKUSWB (exact — inputs are pre-masked to ≤ 255, so saturation
-    // never fires), do 8 shuffles + XOR trees, then re-interleave the
-    // product bytes with PUNPCKL/HBW. Both pack and unpack operate
-    // per 128-bit lane, so the lane permutation pack introduces is
-    // exactly undone by unpack and products land back on their operands.
-
-    pub(super) struct Tables16x4 {
-        lo: [[u8; 16]; 4],
-        hi: [[u8; 16]; 4],
-    }
-
-    pub(super) fn gf2_16_nibble_tables(s: Gf2_16) -> Tables16x4 {
-        let mut t = Tables16x4 {
-            lo: [[0; 16]; 4],
-            hi: [[0; 16]; 4],
-        };
-        for k in 0..4 {
-            for n in 0..16u16 {
-                let p = s.mul(Gf2_16(n << (4 * k))).0;
-                t.lo[k][n as usize] = p as u8;
-                t.hi[k][n as usize] = (p >> 8) as u8;
+    // Per block of operands (two vectors of u16): deinterleave into a
+    // low-byte vector and a high-byte vector with PACKUSWB (exact — inputs
+    // are pre-masked to ≤ 255, so saturation never fires) and split those
+    // into the four nibble planes, once per source row. Each of the `R`
+    // output rows then does 8 shuffles + XORs into its own pair of
+    // byte-plane accumulators, which stay in registers across the whole
+    // `k` loop and are re-interleaved with PUNPCKL/HBW only when stored.
+    // Both pack and unpack operate per 128-bit lane, so the lane
+    // permutation pack introduces is exactly undone by unpack and products
+    // land back on their operands (`unpacklo` covers the block's first
+    // vector of columns, `unpackhi` its second).
+    macro_rules! gf2_16_panel_kernel {
+        ($name:ident, $feature:literal, $vec:ty, $step:literal, $table:ident, $zero:ident,
+         $set1_8:ident, $set1_16:ident, $load:ident, $store:ident, $and:ident, $xor:ident,
+         $packus:ident, $srli16:ident, $srli64:ident, $shuffle:ident, $unpacklo:ident,
+         $unpackhi:ident) => {
+            /// `out[r][j] ^= Σ_kk tables[r·k + kk] · b[kk][j]` for `r < R` and
+            /// `j < cols`; `out` and `b` have row stride `w`.
+            ///
+            /// # Safety
+            ///
+            /// The target feature must be available, `cols` a multiple of
+            /// the step, `out` must hold `(R − 1)·w + cols` elements, `b`
+            /// `(k − 1)·w + cols`, and `tables` `R·k` entries
+            /// ([`super::gf2_16_panel`] asserts all of it).
+            // SAFETY: every load and store below is unaligned and inside
+            // the bounds the contract above names.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name<const R: usize>(
+                out: &mut [Gf2_16],
+                tables: &[NibbleTables],
+                b: &[Gf2_16],
+                k: usize,
+                w: usize,
+                cols: usize,
+            ) {
+                let nib = $set1_8(0x0F);
+                let byte = $set1_16(0x00FF);
+                // `Gf2_16` is repr(transparent) over u16, so the slabs
+                // reinterpret as raw u16 (little-endian byte pairs).
+                let (bp, op) = (b.as_ptr(), out.as_mut_ptr());
+                for j in (0..cols).step_by($step) {
+                    let mut lo = [$zero(); R];
+                    let mut hi = [$zero(); R];
+                    for kk in 0..k {
+                        let sp = bp.add(kk * w + j) as *const $vec;
+                        let (v0, v1) = ($load(sp), $load(sp.add(1)));
+                        let lob = $packus($and(v0, byte), $and(v1, byte));
+                        let hib = $packus($srli16::<8>(v0), $srli16::<8>(v1));
+                        let planes = [
+                            $and(lob, nib),
+                            $and($srli64::<4>(lob), nib),
+                            $and(hib, nib),
+                            $and($srli64::<4>(hib), nib),
+                        ];
+                        for r in 0..R {
+                            let t = &tables[r * k + kk];
+                            for (q, &plane) in planes.iter().enumerate() {
+                                lo[r] = $xor(lo[r], $shuffle($table(&t.lo[q]), plane));
+                                hi[r] = $xor(hi[r], $shuffle($table(&t.hi[q]), plane));
+                            }
+                        }
+                    }
+                    for r in 0..R {
+                        let dp = op.add(r * w + j) as *mut $vec;
+                        $store(dp, $xor($load(dp), $unpacklo(lo[r], hi[r])));
+                        $store(dp.add(1), $xor($load(dp.add(1)), $unpackhi(lo[r], hi[r])));
+                    }
+                }
             }
-        }
-        t
+        };
     }
 
-    // SAFETY: caller must have verified SSSE3 via runtime
-    // detection; all vector loads/stores below are unaligned and
-    // bounded by the slice lengths, so no other obligations exist.
+    // SAFETY: a 16-byte unaligned load of a 16-byte array.
     #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn gf2_16_mul_row_add_ssse3(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) {
-        let t = gf2_16_nibble_tables(s);
-        let tl: [__m128i; 4] =
-            std::array::from_fn(|k| _mm_loadu_si128(t.lo[k].as_ptr() as *const __m128i));
-        let th: [__m128i; 4] =
-            std::array::from_fn(|k| _mm_loadu_si128(t.hi[k].as_ptr() as *const __m128i));
-        let nib = _mm_set1_epi8(0x0F);
-        let byte = _mm_set1_epi16(0x00FF);
-        let n = dst.len();
-        // `Gf2_16` is repr(transparent) over u16, so the slabs reinterpret
-        // as raw u16 (little-endian byte pairs) for the vector loads.
-        let sp = src.as_ptr() as *const u8;
-        let dp = dst.as_mut_ptr() as *mut u8;
-        let mut i = 0;
-        // 16 elements (two 8×u16 vectors) per iteration.
-        while i + 16 <= n {
-            let v0 = _mm_loadu_si128(sp.add(2 * i) as *const __m128i);
-            let v1 = _mm_loadu_si128(sp.add(2 * i + 16) as *const __m128i);
-            let lob = _mm_packus_epi16(_mm_and_si128(v0, byte), _mm_and_si128(v1, byte));
-            let hib = _mm_packus_epi16(_mm_srli_epi16::<8>(v0), _mm_srli_epi16::<8>(v1));
-            let n0 = _mm_and_si128(lob, nib);
-            let n1 = _mm_and_si128(_mm_srli_epi64::<4>(lob), nib);
-            let n2 = _mm_and_si128(hib, nib);
-            let n3 = _mm_and_si128(_mm_srli_epi64::<4>(hib), nib);
-            let plo = _mm_xor_si128(
-                _mm_xor_si128(_mm_shuffle_epi8(tl[0], n0), _mm_shuffle_epi8(tl[1], n1)),
-                _mm_xor_si128(_mm_shuffle_epi8(tl[2], n2), _mm_shuffle_epi8(tl[3], n3)),
-            );
-            let phi = _mm_xor_si128(
-                _mm_xor_si128(_mm_shuffle_epi8(th[0], n0), _mm_shuffle_epi8(th[1], n1)),
-                _mm_xor_si128(_mm_shuffle_epi8(th[2], n2), _mm_shuffle_epi8(th[3], n3)),
-            );
-            let r0 = _mm_unpacklo_epi8(plo, phi);
-            let r1 = _mm_unpackhi_epi8(plo, phi);
-            let d0 = _mm_loadu_si128(dp.add(2 * i) as *const __m128i);
-            let d1 = _mm_loadu_si128(dp.add(2 * i + 16) as *const __m128i);
-            _mm_storeu_si128(dp.add(2 * i) as *mut __m128i, _mm_xor_si128(d0, r0));
-            _mm_storeu_si128(dp.add(2 * i + 16) as *mut __m128i, _mm_xor_si128(d1, r1));
-            i += 16;
-        }
-        if i < n {
-            crate::gf2m::mul_row_add_log16(&mut dst[i..], &src[i..], s);
-        }
+    unsafe fn table128(t: &[u8; 16]) -> __m128i {
+        _mm_loadu_si128(t.as_ptr() as *const __m128i)
     }
 
-    // SAFETY: caller must have verified AVX2 via runtime
-    // detection; all vector loads/stores below are unaligned and
-    // bounded by the slice lengths, so no other obligations exist.
+    // SAFETY: as `table128`, broadcast to both lanes.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gf2_16_mul_row_add_avx2(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) {
-        let t = gf2_16_nibble_tables(s);
-        let tl: [__m256i; 4] = std::array::from_fn(|k| {
-            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo[k].as_ptr() as *const __m128i))
-        });
-        let th: [__m256i; 4] = std::array::from_fn(|k| {
-            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi[k].as_ptr() as *const __m128i))
-        });
-        let nib = _mm256_set1_epi8(0x0F);
-        let byte = _mm256_set1_epi16(0x00FF);
-        let n = dst.len();
-        let sp = src.as_ptr() as *const u8;
-        let dp = dst.as_mut_ptr() as *mut u8;
-        let mut i = 0;
-        // 32 elements (two 16×u16 vectors) per iteration. VPACKUSWB and
-        // VPUNPCKL/HBW are both per-lane, so pack's lane interleaving is
-        // undone by unpack: r0 covers elements i..i+16, r1 the next 16.
-        while i + 32 <= n {
-            let v0 = _mm256_loadu_si256(sp.add(2 * i) as *const __m256i);
-            let v1 = _mm256_loadu_si256(sp.add(2 * i + 32) as *const __m256i);
-            let lob = _mm256_packus_epi16(_mm256_and_si256(v0, byte), _mm256_and_si256(v1, byte));
-            let hib = _mm256_packus_epi16(_mm256_srli_epi16::<8>(v0), _mm256_srli_epi16::<8>(v1));
-            let n0 = _mm256_and_si256(lob, nib);
-            let n1 = _mm256_and_si256(_mm256_srli_epi64::<4>(lob), nib);
-            let n2 = _mm256_and_si256(hib, nib);
-            let n3 = _mm256_and_si256(_mm256_srli_epi64::<4>(hib), nib);
-            let plo = _mm256_xor_si256(
-                _mm256_xor_si256(
-                    _mm256_shuffle_epi8(tl[0], n0),
-                    _mm256_shuffle_epi8(tl[1], n1),
-                ),
-                _mm256_xor_si256(
-                    _mm256_shuffle_epi8(tl[2], n2),
-                    _mm256_shuffle_epi8(tl[3], n3),
-                ),
-            );
-            let phi = _mm256_xor_si256(
-                _mm256_xor_si256(
-                    _mm256_shuffle_epi8(th[0], n0),
-                    _mm256_shuffle_epi8(th[1], n1),
-                ),
-                _mm256_xor_si256(
-                    _mm256_shuffle_epi8(th[2], n2),
-                    _mm256_shuffle_epi8(th[3], n3),
-                ),
-            );
-            let r0 = _mm256_unpacklo_epi8(plo, phi);
-            let r1 = _mm256_unpackhi_epi8(plo, phi);
-            let d0 = _mm256_loadu_si256(dp.add(2 * i) as *const __m256i);
-            let d1 = _mm256_loadu_si256(dp.add(2 * i + 32) as *const __m256i);
-            _mm256_storeu_si256(dp.add(2 * i) as *mut __m256i, _mm256_xor_si256(d0, r0));
-            _mm256_storeu_si256(dp.add(2 * i + 32) as *mut __m256i, _mm256_xor_si256(d1, r1));
-            i += 32;
-        }
-        if i < n {
-            crate::gf2m::mul_row_add_log16(&mut dst[i..], &src[i..], s);
-        }
+    unsafe fn table256(t: &[u8; 16]) -> __m256i {
+        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr() as *const __m128i))
     }
+
+    #[rustfmt::skip]
+    gf2_16_panel_kernel!(
+        gf2_16_panel_ssse3, "ssse3", __m128i, 16, table128, _mm_setzero_si128,
+        _mm_set1_epi8, _mm_set1_epi16, _mm_loadu_si128, _mm_storeu_si128, _mm_and_si128,
+        _mm_xor_si128, _mm_packus_epi16, _mm_srli_epi16, _mm_srli_epi64, _mm_shuffle_epi8,
+        _mm_unpacklo_epi8, _mm_unpackhi_epi8
+    );
+    #[rustfmt::skip]
+    gf2_16_panel_kernel!(
+        gf2_16_panel_avx2, "avx2", __m256i, 32, table256, _mm256_setzero_si256,
+        _mm256_set1_epi8, _mm256_set1_epi16, _mm256_loadu_si256, _mm256_storeu_si256,
+        _mm256_and_si256, _mm256_xor_si256, _mm256_packus_epi16, _mm256_srli_epi16,
+        _mm256_srli_epi64, _mm256_shuffle_epi8, _mm256_unpacklo_epi8, _mm256_unpackhi_epi8
+    );
 }
 
 #[cfg(target_arch = "x86_64")]
 use x86::*;
 
-/// SIMD-dispatched `dst[i] ^= s · src[i]` over `GF(2^16)`.
+/// Output rows one micro-kernel pass accumulates in registers.
+const MR: usize = 4;
+
+/// The nibble product tables of one `GF(2^16)` coefficient `s`:
+/// `T_q[n] = s·(n << 4q)` for the four nibbles `q` of a 16-bit operand,
+/// each split into its low and high product byte — eight 16-byte `PSHUFB`
+/// registers; `s·x` is the XOR of the four lookups.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct NibbleTables {
+    lo: [[u8; 16]; 4],
+    hi: [[u8; 16]; 4],
+}
+
+impl NibbleTables {
+    /// Multiplication by `s` is `GF(2)`-linear, so sixteen doublings give
+    /// `s·2^b` and every table entry is the XOR of its set bits' products —
+    /// no log/exp lookups.
+    fn new(s: Gf2_16) -> Self {
+        let mut pow = [0u16; 16];
+        let mut p = u32::from(s.0);
+        for slot in &mut pow {
+            *slot = p as u16;
+            p <<= 1;
+            if p & 0x1_0000 != 0 {
+                p ^= crate::gf2m::GF2_16_MODULUS;
+            }
+        }
+        let mut t = NibbleTables {
+            lo: [[0; 16]; 4],
+            hi: [[0; 16]; 4],
+        };
+        for q in 0..4 {
+            let mut prod = [0u16; 16];
+            for n in 1..16usize {
+                prod[n] = prod[n & (n - 1)] ^ pow[4 * q + n.trailing_zeros() as usize];
+                t.lo[q][n] = prod[n] as u8;
+                t.hi[q][n] = (prod[n] >> 8) as u8;
+            }
+        }
+        t
+    }
+}
+
+/// How many leading columns of a `w`-wide row `tier`'s micro-kernel takes:
+/// whole vector blocks of rows that clear [`SIMD_THRESHOLD`]. The rest —
+/// every column on the portable tier — goes through the log-domain loop.
+fn gf2_16_vector_cols(tier: Tier, w: usize) -> usize {
+    let block = match tier {
+        Tier::Avx2 => 32,
+        Tier::Ssse3 => 16,
+        Tier::Portable => return 0,
+    };
+    if w < SIMD_THRESHOLD {
+        0
+    } else {
+        w - w % block
+    }
+}
+
+/// Runs `tier`'s micro-kernel: `out[r][j] ^= Σ_kk tables[r·k + kk] · b[kk][j]`
+/// for each of the `tables.len() / k ≤ MR` rows `r` and `j < cols`, with
+/// `out` and `b` row-major of stride `w`.
+fn gf2_16_panel(
+    tier: Tier,
+    out: &mut [Gf2_16],
+    tables: &[NibbleTables],
+    b: &[Gf2_16],
+    k: usize,
+    w: usize,
+    cols: usize,
+) {
+    assert!(k >= 1 && cols <= w);
+    let rows = tables.len() / k;
+    assert!((1..=MR).contains(&rows) && tables.len() == rows * k);
+    assert_eq!(
+        cols,
+        gf2_16_vector_cols(tier, cols),
+        "cols must be whole vector blocks"
+    );
+    assert!(out.len() >= (rows - 1) * w + cols && b.len() >= (k - 1) * w + cols);
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: this tier is only selected after runtime detection proved
+        // AVX2 is available on this CPU, and the asserts above are the
+        // bounds the kernel's contract names.
+        Tier::Avx2 => unsafe {
+            match rows {
+                1 => gf2_16_panel_avx2::<1>(out, tables, b, k, w, cols),
+                2 => gf2_16_panel_avx2::<2>(out, tables, b, k, w, cols),
+                3 => gf2_16_panel_avx2::<3>(out, tables, b, k, w, cols),
+                _ => gf2_16_panel_avx2::<4>(out, tables, b, k, w, cols),
+            }
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: this tier is only selected after runtime detection proved
+        // SSSE3 is available on this CPU, and the asserts above are the
+        // bounds the kernel's contract names.
+        Tier::Ssse3 => unsafe {
+            match rows {
+                1 => gf2_16_panel_ssse3::<1>(out, tables, b, k, w, cols),
+                2 => gf2_16_panel_ssse3::<2>(out, tables, b, k, w, cols),
+                3 => gf2_16_panel_ssse3::<3>(out, tables, b, k, w, cols),
+                _ => gf2_16_panel_ssse3::<4>(out, tables, b, k, w, cols),
+            }
+        },
+        _ => unreachable!("the portable tier takes no vector columns"), // nab-lint: allow(NAB003): gf2_16_vector_cols gives this tier zero columns, so no caller reaches the panel with it
+    }
+}
+
+/// `out ^= a · b` over `GF(2^16)`: `out` is `m × w`, `a` `m × k`, `b`
+/// `k × w`, all row-major. Tables are built once per coefficient of `a`;
+/// each [`MR`]-row panel of `out` streams through `b` once.
+pub(crate) fn gf2_16_gemm_acc(
+    out: &mut [Gf2_16],
+    a: &[Gf2_16],
+    b: &[Gf2_16],
+    m: usize,
+    k: usize,
+    w: usize,
+) {
+    gf2_16_gemm_acc_on(tier_enum(), out, a, b, m, k, w);
+}
+
+fn gf2_16_gemm_acc_on(
+    tier: Tier,
+    out: &mut [Gf2_16],
+    a: &[Gf2_16],
+    b: &[Gf2_16],
+    m: usize,
+    k: usize,
+    w: usize,
+) {
+    assert_eq!((out.len(), a.len(), b.len()), (m * w, m * k, k * w));
+    if k == 0 || w == 0 {
+        return;
+    }
+    let cols = gf2_16_vector_cols(tier, w);
+    if cols > 0 {
+        let mut tables = Vec::with_capacity(MR.min(m) * k);
+        for (panel, coeffs) in out.chunks_mut(MR * w).zip(a.chunks(MR * k)) {
+            tables.clear();
+            tables.extend(coeffs.iter().map(|&s| NibbleTables::new(s)));
+            gf2_16_panel(tier, panel, &tables, b, k, w, cols);
+        }
+    }
+    if cols < w {
+        for (orow, arow) in out.chunks_exact_mut(w).zip(a.chunks_exact(k)) {
+            for (brow, &s) in b.chunks_exact(w).zip(arow) {
+                if s.0 != 0 {
+                    crate::gf2m::mul_row_add_log16(&mut orow[cols..], &brow[cols..], s);
+                }
+            }
+        }
+    }
+}
+
+/// `dst[i] ^= s · src[i]` over `GF(2^16)` — the 1×1 case of the GEMM
+/// micro-kernel, with its one table on the stack.
 ///
-/// Caller guarantees `s ∉ {0, 1}` and equal lengths; returns `false`
-/// when no SIMD tier is available so the caller falls back to its table
-/// loops (the "portable" tier).
-pub(crate) fn gf2_16_mul_row_add(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) -> bool {
+/// Caller guarantees `s != 0` and equal lengths.
+pub(crate) fn gf2_16_mul_row_add(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) {
     debug_assert_eq!(dst.len(), src.len());
-    debug_assert!(s.0 >= 2);
-    match tier_enum() {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => {
-            // SAFETY: this tier is only selected after runtime detection
-            // proved AVX2 is available on this CPU.
-            unsafe { gf2_16_mul_row_add_avx2(dst, src, s) };
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Ssse3 => {
-            // SAFETY: this tier is only selected after runtime detection
-            // proved SSSE3 is available on this CPU.
-            unsafe { gf2_16_mul_row_add_ssse3(dst, src, s) };
-            true
-        }
-        _ => false,
+    let (tier, w) = (tier_enum(), dst.len());
+    let cols = gf2_16_vector_cols(tier, w);
+    if cols > 0 {
+        gf2_16_panel(tier, dst, &[NibbleTables::new(s)], src, 1, w, cols);
+    }
+    if cols < w {
+        crate::gf2m::mul_row_add_log16(&mut dst[cols..], &src[cols..], s);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Field;
     use crate::kernel::scalar_mul_row_add;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -500,21 +610,65 @@ mod tests {
         }
     }
 
+    /// Every tier this CPU can run, called directly rather than through
+    /// the once-per-process detection.
+    fn runnable_tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("ssse3") {
+                tiers.push(Tier::Ssse3);
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+        }
+        tiers
+    }
+
     #[test]
-    fn gf2_16_simd_matches_scalar_at_awkward_lengths() {
-        let mut rng = StdRng::seed_from_u64(0x51E);
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 47, 64, 65, 500] {
-            let src: Vec<Gf2_16> = (0..len).map(|_| Gf2_16::random(&mut rng)).collect();
-            let base: Vec<Gf2_16> = (0..len).map(|_| Gf2_16::random(&mut rng)).collect();
-            for s in [2u16, 0x100, 0xABCD, 0xFFFF] {
-                let s = Gf2_16(s);
-                let mut fast = base.clone();
-                if !gf2_16_mul_row_add(&mut fast, &src, s) {
-                    continue; // portable tier: nothing to compare
+    fn nibble_tables_hold_the_field_products() {
+        for s in [0u16, 1, 2, 0x100, 0x8000, 0xABCD, 0xFFFF] {
+            let t = NibbleTables::new(Gf2_16(s));
+            for q in 0..4 {
+                for n in 0..16u16 {
+                    let p = Gf2_16(s).mul(Gf2_16(n << (4 * q))).0;
+                    let got = u16::from(t.lo[q][n as usize]) | u16::from(t.hi[q][n as usize]) << 8;
+                    assert_eq!(got, p, "s={s:#x} q={q} n={n}");
                 }
-                let mut slow = base.clone();
-                scalar_mul_row_add(&mut slow, &src, s);
-                assert_eq!(fast, slow, "len={len} s={s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn gf2_16_gemm_matches_matrix_mul_on_every_tier_at_awkward_shapes() {
+        use crate::matrix::Matrix;
+        use crate::words::WordMatrix;
+        let mut rng = StdRng::seed_from_u64(0x51E);
+        for tier in runnable_tiers() {
+            for w in [0usize, 1, 31, 32, 63, 64, 1024 + 37] {
+                for m in [1usize, 3, 4, 5, 9] {
+                    for k in [1usize, 20] {
+                        let b = Matrix::<Gf2_16>::random(k, w, &mut rng);
+                        let base = Matrix::<Gf2_16>::random(m, w, &mut rng);
+                        let random = Matrix::<Gf2_16>::random(m, k, &mut rng);
+                        // Random coefficients, then the same with zeros and
+                        // ones planted, then an all-zero `a`.
+                        let planted = Matrix::from_fn(m, k, |r, c| match (r + c) % 3 {
+                            0 => Gf2_16(0),
+                            1 => Gf2_16(1),
+                            _ => random[(r, c)],
+                        });
+                        for a in [random, planted, Matrix::zero(m, k)] {
+                            let flat =
+                                |x: &Matrix<Gf2_16>| WordMatrix::from_matrix(x).as_slice().to_vec();
+                            let mut out = flat(&base);
+                            gf2_16_gemm_acc_on(tier, &mut out, &flat(&a), &flat(&b), m, k, w);
+                            let want = flat(&base.add(&a.mul(&b)));
+                            assert_eq!(out, want, "{tier:?} m={m} k={k} w={w}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -2,11 +2,10 @@
 //!
 //! The equality check packs the value-columns of many broadcast
 //! instances/streams into one flat slab so per-edge encode/check becomes a
-//! single blocked matrix multiply over long contiguous rows — the shape
-//! the arch-SIMD row kernels ([`crate::simd`]) are built for. Rows are
-//! contiguous `Gf2_16` (repr(transparent) over `u16`), so every row
-//! operation is one [`FastOps::mul_row_add`] call and inherits whichever
-//! kernel tier the process detected.
+//! single matrix multiply over long contiguous rows — the shape the
+//! arch-SIMD GEMM micro-kernel ([`crate::simd`]) is built for. Rows are
+//! contiguous `Gf2_16` (repr(transparent) over `u16`), so products run on
+//! whichever kernel tier the process detected.
 //!
 //! Every operation is bit-identical to the generic
 //! [`crate::matrix::Matrix`] path (pinned by `tests/differential.rs`).
@@ -14,13 +13,8 @@
 use rand::Rng;
 
 use crate::gf2m::Gf2_16;
-use crate::kernel::FastOps;
 use crate::matrix::Matrix;
-
-/// Column-stripe width for [`WordMatrix::mat_mul`] (elements, i.e. 2 KiB
-/// stripes): keeps destination and source stripes L1-resident for very
-/// wide packed slabs.
-const COL_BLOCK: usize = 1024;
+use crate::simd::gf2_16_gemm_acc;
 
 /// A dense row-major `GF(2^16)` matrix stored as a flat word slab.
 ///
@@ -161,9 +155,10 @@ impl WordMatrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Blocked matrix multiplication `self * rhs` on the `GF(2^16)` row
-    /// kernel: i–k–j loop order, striped [`COL_BLOCK`] columns at a time.
-    /// Bit-identical to [`Matrix::mul`].
+    /// Matrix multiplication `self * rhs` as one `GF(2^16)` GEMM: nibble
+    /// tables built once per coefficient of `self`, up to four output rows
+    /// accumulated in registers per pass over `rhs`. Bit-identical to
+    /// [`Matrix::mul`].
     ///
     /// # Panics
     ///
@@ -175,27 +170,19 @@ impl WordMatrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Self::zero(self.rows, rhs.cols);
-        let w = rhs.cols;
-        for j0 in (0..w).step_by(COL_BLOCK) {
-            let j1 = (j0 + COL_BLOCK).min(w);
-            for i in 0..self.rows {
-                for k in 0..self.cols {
-                    let s = self.data[i * self.cols + k];
-                    if s.0 != 0 {
-                        Gf2_16::mul_row_add(
-                            &mut out.data[i * w + j0..i * w + j1],
-                            &rhs.data[k * w + j0..k * w + j1],
-                            s,
-                        );
-                    }
-                }
-            }
-        }
+        gf2_16_gemm_acc(
+            &mut out.data,
+            &self.data,
+            &rhs.data,
+            self.rows,
+            self.cols,
+            rhs.cols,
+        );
         out
     }
 
     /// Row-vector × matrix product `v * self` (the Algorithm-1 encode
-    /// shape), as whole-row fused multiply-adds.
+    /// shape): the one-row GEMM.
     ///
     /// # Panics
     ///
@@ -209,11 +196,7 @@ impl WordMatrix {
             self.rows
         );
         let mut out = vec![Gf2_16(0); self.cols];
-        for (r, &x) in v.iter().enumerate() {
-            if x.0 != 0 {
-                Gf2_16::mul_row_add(&mut out, self.row(r), x);
-            }
-        }
+        gf2_16_gemm_acc(&mut out, v, &self.data, 1, self.rows, self.cols);
         out
     }
 
@@ -240,7 +223,7 @@ mod tests {
     #[test]
     fn mat_mul_matches_scalar_matrix() {
         let mut rng = StdRng::seed_from_u64(7);
-        for (r, k, c) in [(3, 4, 5), (1, 1, 1), (7, 2, 9), (4, 4, COL_BLOCK + 37)] {
+        for (r, k, c) in [(3, 4, 5), (1, 1, 1), (7, 2, 9), (4, 4, 1024 + 37)] {
             let a = WordMatrix::random(r, k, &mut rng);
             let b = WordMatrix::random(k, c, &mut rng);
             let fast = a.mat_mul(&b);

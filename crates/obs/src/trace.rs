@@ -127,6 +127,15 @@ pub enum EventKind {
         /// The exposed node's id.
         node: u32,
     },
+    /// One equality-check call (a group of batched streams) finished its
+    /// slab products.
+    EqualityProducts {
+        /// `C_eᵀ · Xᵀ` products computed: one per distinct value per edge.
+        multiplies: u32,
+        /// Edges whose endpoints held equal values, so the receiver's
+        /// expectation was the sender's product and no second multiply ran.
+        expectations_shared: u32,
+    },
     /// Determinism-sanitizer digest of engine state at a phase boundary.
     ///
     /// Only emitted by builds with the `sanitize` feature enabled; two runs
@@ -164,6 +173,7 @@ impl EventKind {
             EventKind::PlanDiskReject => "plan_disk_reject",
             EventKind::DisputeRaised { .. } => "dispute_raised",
             EventKind::NodeExposed { .. } => "node_exposed",
+            EventKind::EqualityProducts { .. } => "equality_products",
             EventKind::DetSanDigest { .. } => "detsan_digest",
         }
     }

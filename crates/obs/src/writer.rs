@@ -7,7 +7,7 @@
 //! - **JSONL** ([`to_jsonl`]): one JSON object per line, in the fixed key
 //!   order `seq, ts_ns, job, stream, instance, kind` followed by the
 //!   kind-specific payload (`jobs`, `phase`, `build_ns`, `new_pairs`,
-//!   `node`). Grep-friendly and trivially parseable line by line.
+//!   `node`, `multiplies`, `expectations_shared`). Grep-friendly and trivially parseable line by line.
 //! - **Chrome** ([`to_chrome_trace`]): a `{"traceEvents": [...]}` document
 //!   loadable in `about:tracing` or <https://ui.perfetto.dev>. Span-like
 //!   events (sweep/job/instance/phase) become `B`/`E` duration pairs;
@@ -71,6 +71,15 @@ fn write_jsonl_event(out: &mut String, ev: &Event) {
         }
         EventKind::NodeExposed { node } => {
             let _ = write!(out, ",\"node\":{node}");
+        }
+        EventKind::EqualityProducts {
+            multiplies,
+            expectations_shared,
+        } => {
+            let _ = write!(
+                out,
+                ",\"multiplies\":{multiplies},\"expectations_shared\":{expectations_shared}"
+            );
         }
         EventKind::DetSanDigest { phase, digest } => {
             let _ = write!(out, ",\"phase\":\"{}\",\"digest\":{digest}", phase.name());
@@ -156,6 +165,16 @@ fn write_chrome_event(out: &mut String, ev: &Event) {
                 EventKind::NodeExposed { node } => {
                     let _ = write!(out, ",\"args\":{{\"node\":{node}}}");
                 }
+                EventKind::EqualityProducts {
+                    multiplies,
+                    expectations_shared,
+                } => {
+                    let _ = write!(
+                        out,
+                        ",\"args\":{{\"multiplies\":{multiplies},\
+                         \"expectations_shared\":{expectations_shared}}}"
+                    );
+                }
                 EventKind::DetSanDigest { phase, digest } => {
                     let _ = write!(
                         out,
@@ -209,6 +228,16 @@ mod tests {
         ));
         let line = event_to_jsonl(&ev(1, EventKind::NodeExposed { node: 4 }));
         assert!(line.ends_with("\"kind\":\"node_exposed\",\"node\":4}"));
+        let line = event_to_jsonl(&ev(
+            2,
+            EventKind::EqualityProducts {
+                multiplies: 18,
+                expectations_shared: 6,
+            },
+        ));
+        assert!(line.ends_with(
+            "\"kind\":\"equality_products\",\"multiplies\":18,\"expectations_shared\":6}"
+        ));
     }
 
     #[test]
