@@ -1,6 +1,6 @@
 //! Exponential Information Gathering (EIG) Byzantine broadcast.
 //!
-//! The classic Pease–Shostak–Lamport protocol [19]: `f + 1` relay rounds
+//! The classic Pease–Shostak–Lamport protocol \[19\]: `f + 1` relay rounds
 //! build, at every node, a tree of claims `val(σ)` — "node `i_k` said that
 //! `i_{k-1}` said that … the source said `v`" — after which each node
 //! decides by recursive strict-majority over the tree. Correct for

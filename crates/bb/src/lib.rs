@@ -1,7 +1,7 @@
 //! Classic Byzantine-broadcast primitives and capacity-oblivious baselines.
 //!
 //! NAB uses "a previously proposed Byzantine broadcast algorithm, such as
-//! [19]/[6]" as a black box in two places: step 2.2 (agreeing on the 1-bit
+//! \[19\]/\[6\]" as a black box in two places: step 2.2 (agreeing on the 1-bit
 //! equality-check flags) and Phase 3 (dispute-control transcript
 //! broadcasts). This crate supplies that black box:
 //!

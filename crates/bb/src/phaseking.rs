@@ -56,7 +56,7 @@ pub struct PkResult<V> {
 /// Guarantees for `|participants| > 4f`: agreement among fault-free nodes
 /// always; validity when the source is fault-free.
 ///
-/// Node state is a value id per participant (see [`ValueTable`]); values
+/// Node state is a value id per participant (see `ValueTable`); values
 /// themselves are compared only to break plurality ties.
 ///
 /// # Panics

@@ -5,8 +5,8 @@
 //! perf [--quick] [--threads N] [--out DIR]
 //! ```
 //!
-//! Times the GF kernel tiers (byte-slab, table kernels, scalar reference)
-//! and a bundled scenario sweep, then writes both reports as
+//! Times the `GF(2^16)` kernels against the scalar reference and a
+//! bundled scenario sweep, then writes both reports as
 //! deterministic-schema JSON into `--out` (default: the current
 //! directory). See `docs/perf.md` for the schema and interpretation.
 

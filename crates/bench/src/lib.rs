@@ -2,9 +2,8 @@
 //! the paper (see DESIGN.md §4 for the index).
 //!
 //! Each module produces typed result rows plus a formatted table, so the
-//! same code backs the Criterion benches (`benches/`), the
-//! `experiments` binary that fills EXPERIMENTS.md, and the integration
-//! tests that assert the paper's claims hold.
+//! same code backs the `experiments` binary that fills EXPERIMENTS.md and
+//! the integration tests that assert the paper's claims hold.
 
 pub mod e1_examples;
 pub mod e2_theorem1;

@@ -15,12 +15,10 @@ use std::hint::black_box;
 
 use nab::equality::CodingScheme;
 use nab::value::Value;
-use nab_gf::bytes;
-use nab_gf::kernel::{self, scalar_mul_row_add, FastOps};
-use nab_gf::linalg;
+use nab_gf::kernel::{scalar_mul_row_add, FastOps};
 use nab_gf::matrix::Matrix;
 use nab_gf::words::WordMatrix;
-use nab_gf::{simd, Field, Gf256, Gf2_16};
+use nab_gf::{simd, Field, Gf2_16};
 use nab_netgraph::gen;
 use nab_scenario::json::Json;
 use nab_scenario::{parse_str, PhaseLatency, SweepReport};
@@ -49,7 +47,12 @@ use rand::SeedableRng;
 /// `gf256/bytes` `invert` cases (their kernels are gone), and the sweep
 /// report loses the `plan_repair` A/B section (the repair-off path is
 /// gone; the per-job/aggregate counters stay).
-pub const SCHEMA_VERSION: u64 = 6;
+/// v7: one production field — the GF op set is `mul_row_add`, `mat_mul`,
+/// `encode` and every tier is `gf2_16/*`: the `gf256/*` cases and the
+/// `invert`/`solve` kernel-vs-scalar pairs went with the GF(256) tier and
+/// the kernelized elimination, and `encode` is labeled by the slab
+/// product it runs (`gf2_16/words`).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Repetitions of every timed loop; the reported `total_ns` is the
 /// **minimum** over these (min-of-N filters scheduler and frequency
@@ -72,13 +75,13 @@ pub const PLAN_DISK_SCENARIO: &str = include_str!("../../../scenarios/dc-grid.sc
 /// One timed GF micro-benchmark case.
 #[derive(Debug, Clone)]
 pub struct GfCase {
-    /// Operation: `mul_row_add`, `mat_mul`, `invert`, `solve`, `encode`.
+    /// Operation: `mul_row_add`, `mat_mul`, `encode`.
     pub op: &'static str,
-    /// Implementation tier, `<field>/<kernel>` (e.g. `gf256/bytes`,
+    /// Implementation tier, `<field>/<kernel>` (e.g. `gf2_16/simd-avx2`,
     /// `gf2_16/log16`, `gf2_16/scalar`).
     pub tier: &'static str,
-    /// Problem size: row length for row kernels, matrix dimension for
-    /// `mat_mul`/`invert`/`solve`, symbol count for `encode`.
+    /// Problem size: row length for the row kernel, matrix dimension for
+    /// `mat_mul`, symbol count for `encode`.
     pub n: u64,
     /// Timed iterations per repetition (after one warmup iteration).
     pub iters: u64,
@@ -125,26 +128,21 @@ fn case<R>(
     }
 }
 
-/// The tier label a `FastOps` row call actually takes for rows of `len`
-/// elements: the detected arch-SIMD kernel when one exists and the row
-/// clears the dispatch threshold, otherwise the table-tier `fallback`.
-/// Labels are static so `GfCase` stays `&'static str` throughout.
-fn row_tier(field: &str, len: usize, fallback: &'static str) -> &'static str {
-    if len < simd::SIMD_THRESHOLD {
-        return fallback;
-    }
-    match (field, simd::tier()) {
-        ("gf256", "avx2") => "gf256/simd-avx2",
-        ("gf256", "ssse3") => "gf256/simd-ssse3",
-        ("gf2_16", "avx2") => "gf2_16/simd-avx2",
-        ("gf2_16", "ssse3") => "gf2_16/simd-ssse3",
-        _ => fallback,
+/// The tier label `<Gf2_16 as FastOps>::mul_row_add` actually takes for
+/// rows of `len` elements: the detected arch-SIMD kernel when one exists
+/// and the row clears the dispatch threshold, otherwise the log-domain
+/// loop. Labels are static so `GfCase` stays `&'static str` throughout.
+fn row_tier(len: usize) -> &'static str {
+    match simd::tier() {
+        "avx2" if len >= simd::SIMD_THRESHOLD => "gf2_16/simd-avx2",
+        "ssse3" if len >= simd::SIMD_THRESHOLD => "gf2_16/simd-ssse3",
+        _ => "gf2_16/log16",
     }
 }
 
-/// Runs the GF micro-benchmark grid: every kernel tier
-/// (byte slab / `FastOps` table kernels / scalar reference) on the row
-/// kernel, matrix multiply, inversion, solving, and Algorithm-1 encode.
+/// Runs the GF micro-benchmark grid: the production kernels (the SIMD row
+/// kernel, the word-slab GEMM) against the scalar reference on the row
+/// kernel and matrix multiply, plus the Algorithm-1 encode.
 ///
 /// `quick` shrinks sizes and iteration counts for smoke runs (CI, tests).
 pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
@@ -162,41 +160,21 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
     };
     for &len in row_lens {
         let iters = row_iters(len);
-        // `bytes::mul_row_add` and `<Gf256 as FastOps>::mul_row_add` are
-        // the same dispatched kernel (FastOps reinterprets and forwards),
-        // so one case covers both entry points. FastOps dispatches on row
-        // length and the detected SIMD tier: label the tier that actually
-        // runs, so BENCH_gf.json attributes timings to the right kernel.
-        let src8: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
-        let mut dst8: Vec<u8> = (0..len).map(|i| (i * 17 + 3) as u8).collect();
-        cases.push(case(
-            "mul_row_add",
-            row_tier("gf256", len, "gf256/bytes"),
-            len as u64,
-            iters,
-            || bytes::mul_row_add(&mut dst8, &src8, 0x57),
-        ));
-
-        let srcf: Vec<Gf256> = src8.iter().map(|&x| Gf256(x)).collect();
-        let mut dsts: Vec<Gf256> = (0..len).map(|i| Gf256((i * 13 + 1) as u8)).collect();
-        cases.push(case(
-            "mul_row_add",
-            "gf256/scalar",
-            len as u64,
-            iters,
-            || scalar_mul_row_add(&mut dsts, &srcf, Gf256(0x57)),
-        ));
-
         let src16: Vec<Gf2_16> = (0..len)
             .map(|i| Gf2_16::from_u64(i as u64 * 257 + 11))
             .collect();
         let mut dst16: Vec<Gf2_16> = (0..len)
             .map(|i| Gf2_16::from_u64(i as u64 * 41 + 5))
             .collect();
-        let gf2_16_tier = row_tier("gf2_16", len, "gf2_16/log16");
-        cases.push(case("mul_row_add", gf2_16_tier, len as u64, iters, || {
-            <Gf2_16 as FastOps>::mul_row_add(&mut dst16, &src16, Gf2_16(0xABCD))
-        }));
+        // Label the tier that actually runs, so BENCH_gf.json attributes
+        // timings to the right kernel.
+        cases.push(case(
+            "mul_row_add",
+            row_tier(len),
+            len as u64,
+            iters,
+            || <Gf2_16 as FastOps>::mul_row_add(&mut dst16, &src16, Gf2_16(0xABCD)),
+        ));
         let mut dst16s = dst16.clone();
         cases.push(case(
             "mul_row_add",
@@ -207,7 +185,7 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
         ));
     }
 
-    // --- Dense linear algebra: mat_mul / invert / solve. ---------------
+    // --- Matrix multiply: the word-slab GEMM vs. the scalar triple loop. --
     let dims: &[usize] = if quick { &[24] } else { &[48, 96] };
     for &n in dims {
         let iters = if quick {
@@ -225,21 +203,6 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
         cases.push(case("mat_mul", "gf2_16/scalar", n as u64, iters, || {
             a.mul(&b)
         }));
-
-        cases.push(case("invert", "gf2_16/kernel", n as u64, iters, || {
-            kernel::invert(&a)
-        }));
-        cases.push(case("invert", "gf2_16/scalar", n as u64, iters, || {
-            linalg::invert(&a)
-        }));
-
-        let rhs: Vec<Gf2_16> = (0..n).map(|i| Gf2_16::from_u64(i as u64 + 1)).collect();
-        cases.push(case("solve", "gf2_16/kernel", n as u64, iters, || {
-            kernel::solve(&a, &rhs)
-        }));
-        cases.push(case("solve", "gf2_16/scalar", n as u64, iters, || {
-            linalg::solve(&a, &rhs)
-        }));
     }
 
     // --- Algorithm-1 encode on the full coding-scheme path. ------------
@@ -250,7 +213,7 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
     let value = Value::random(symbols, &mut rng);
     cases.push(case(
         "encode",
-        "gf2_16/kernel",
+        "gf2_16/words",
         symbols as u64,
         enc_iters,
         || scheme.encode(0, 1, &value),
@@ -601,13 +564,13 @@ mod tests {
     fn gf_report_schema_is_stable() {
         let cases = vec![GfCase {
             op: "mul_row_add",
-            tier: "gf256/bytes",
+            tier: "gf2_16/log16",
             n: 64,
             iters: 10,
             total_ns: 1234,
         }];
         let j = gf_report_json(&cases, true).render();
-        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":6,\"quick\":true,\"tier\":\""));
+        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":7,\"quick\":true,\"tier\":\""));
         for key in [
             "\"cpu\":\"",
             "\"cases\":[",
@@ -628,12 +591,12 @@ mod tests {
         let ops: std::collections::BTreeSet<&str> = cases.iter().map(|c| c.op).collect();
         assert_eq!(
             ops.into_iter().collect::<Vec<_>>(),
-            vec!["encode", "invert", "mat_mul", "mul_row_add", "solve"]
+            vec!["encode", "mat_mul", "mul_row_add"]
         );
+        assert!(cases.iter().all(|c| c.tier.starts_with("gf2_16/")));
         // Every specialized tier appears alongside its scalar baseline,
         // with the row cases labeled by the kernel that actually runs on
-        // this machine (arch-SIMD when detected, table tiers otherwise).
-        assert!(cases.iter().any(|c| c.tier == "gf256/scalar"));
+        // this machine (arch-SIMD when detected, log-domain otherwise).
         assert!(cases.iter().any(|c| c.tier == "gf2_16/words"));
         assert!(cases.iter().any(|c| c.tier == "gf2_16/scalar"));
         let expected_row = match simd::tier() {
@@ -681,7 +644,7 @@ mod tests {
         assert!(report.aggregate.all_correct);
         let j = sweep_report_json(&report, wall_ns, threads, true, &fixture_plan_cache_bench())
             .render();
-        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":6"));
+        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":7"));
         assert!(
             j.contains("\"wall_total_ns\":"),
             "timed sweep embedded: {j}"

@@ -139,14 +139,14 @@ impl CodingScheme {
         let c = self.matrix(src, dst);
         let mut out = Vec::with_capacity(cols.len() * c.cols());
         for x in cols {
-            out.extend(nab_gf::kernel::left_mul_vec(&c, x));
+            out.extend(c.left_mul_vec(x));
         }
         out
     }
 
     /// `Y_eᵀ = C_eᵀ · Xᵀ`, where `xt` is a `ρ × W` row-major slab whose
     /// columns are value columns (from any number of instances/streams
-    /// packed side by side, see [`pack_slab`]): one
+    /// packed side by side, see `pack_slab`): one
     /// [`WordMatrix::mat_mul`] with `W`-long rows. Entry `(r, c)` of the
     /// result is coded symbol `r` of packed column `c`, bit-identical to
     /// [`CodingScheme::encode_cols`] on the same columns.

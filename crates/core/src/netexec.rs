@@ -4,8 +4,8 @@
 //!
 //! The protocol logic itself is untouched — outputs, flags, disputes,
 //! and `G_k` evolution come from the synchronous path as always; this
-//! layer re-times the *same messages* under a [`NetModel`] (latency,
-//! jitter, loss with bounded retransmit). The paper's protocol is
+//! layer re-times the *same messages* under a [`nab_net::NetModel`]
+//! (latency, jitter, loss with bounded retransmit). The paper's protocol is
 //! synchronous, so phases and broadcast rounds are barrier-sequenced:
 //! a phase (or BB round) begins when the previous one has fully
 //! completed everywhere, and *within* it messages flow through FIFO

@@ -12,11 +12,11 @@
 //! measure how often random coding matrices are correct and compare against
 //! the paper's probability bound.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use nab_gf::kernel;
 use nab_gf::matrix::Matrix;
-use nab_gf::{FastOps, Gf2_16};
+use nab_gf::{linalg, Field, Gf2_16};
 use nab_netgraph::treepack::Tree;
 use nab_netgraph::{DiGraph, NodeId};
 
@@ -42,9 +42,18 @@ pub fn column_layout(h: &DiGraph) -> BTreeMap<(NodeId, NodeId), (usize, usize)> 
 ///
 /// Panics if `h` has fewer than two active nodes.
 pub fn build_ch(h: &DiGraph, scheme: &CodingScheme) -> Matrix<Gf2_16> {
+    build_ch_with(h, scheme.rho(), |src, dst| scheme.matrix(src, dst))
+}
+
+/// `C_H` over any field, from a lookup of each edge's `ρ × z_e` coding
+/// matrix.
+fn build_ch_with<F: Field, M: Borrow<Matrix<F>>>(
+    h: &DiGraph,
+    rho: usize,
+    matrix_of: impl Fn(NodeId, NodeId) -> M,
+) -> Matrix<F> {
     let nodes: Vec<NodeId> = h.nodes().collect();
     assert!(nodes.len() >= 2, "C_H needs at least two nodes");
-    let rho = scheme.rho();
     let blocks = nodes.len() - 1; // all but the reference node
     let block_of: BTreeMap<NodeId, usize> = nodes[..blocks]
         .iter()
@@ -56,7 +65,7 @@ pub fn build_ch(h: &DiGraph, scheme: &CodingScheme) -> Matrix<Gf2_16> {
     let mut ch = Matrix::zero(blocks * rho, m);
     let layout = column_layout(h);
     for (_, e) in h.edges() {
-        let ce = scheme.matrix(e.src, e.dst);
+        let ce = matrix_of(e.src, e.dst);
         let (start, end) = layout[&(e.src, e.dst)];
         // Block for src gets +C_e; block for dst gets −C_e (identical in
         // characteristic 2). The reference node owns no block. C_e's rows
@@ -67,7 +76,7 @@ pub fn build_ch(h: &DiGraph, scheme: &CodingScheme) -> Matrix<Gf2_16> {
             .flatten()
         {
             for r in 0..rho {
-                ch.row_mut(block * rho + r)[start..end].copy_from_slice(ce.row(r));
+                ch.row_mut(block * rho + r)[start..end].copy_from_slice(ce.borrow().row(r));
             }
         }
     }
@@ -77,12 +86,21 @@ pub fn build_ch(h: &DiGraph, scheme: &CodingScheme) -> Matrix<Gf2_16> {
 /// Whether the equality check is sound on subgraph `h`: `D_H C_H = 0` only
 /// for `D_H = 0`, i.e. `C_H` has full row rank.
 pub fn ch_is_sound(h: &DiGraph, scheme: &CodingScheme) -> bool {
-    let nodes = h.active_count();
-    if nodes < 2 {
+    sound_with(h, scheme.rho(), |src, dst| scheme.matrix(src, dst))
+}
+
+/// The rank test of [`ch_is_sound`] over any field, from a lookup of each
+/// edge's coding matrix.
+fn sound_with<F: Field, M: Borrow<Matrix<F>>>(
+    h: &DiGraph,
+    rho: usize,
+    matrix_of: impl Fn(NodeId, NodeId) -> M,
+) -> bool {
+    if h.active_count() < 2 {
         return true;
     }
-    let ch = build_ch(h, scheme);
-    kernel::rank(&ch) == (nodes - 1) * scheme.rho()
+    let ch = build_ch_with(h, rho, matrix_of);
+    linalg::rank(&ch) == ch.rows()
 }
 
 /// Extracts the square spanning-tree submatrix `M_H` of `C_H`: one column
@@ -154,7 +172,7 @@ pub fn colliding_values(
     let rho = scheme.rho();
     let ch = build_ch(h, scheme);
     // Left kernel of C_H: row vectors D with D · C_H = 0.
-    let kernel = kernel::kernel_basis(&ch.transpose());
+    let kernel = linalg::kernel_basis(&ch.transpose());
     if kernel.rows() == 0 {
         return None;
     }
@@ -179,7 +197,7 @@ pub fn colliding_values(
 /// equality check is *simultaneously sound on every* `H ∈ Ω` — the event
 /// whose probability Theorem 1 lower-bounds by
 /// `1 − 2^{−m}·C(n, n−f)·(n−f−1)·ρ`.
-pub fn theorem1_trial<F: FastOps, R: rand::Rng + ?Sized>(
+pub fn theorem1_trial<F: Field, R: rand::Rng + ?Sized>(
     g: &DiGraph,
     f: usize,
     rho: usize,
@@ -192,46 +210,11 @@ pub fn theorem1_trial<F: FastOps, R: rand::Rng + ?Sized>(
     }
     for h_nodes in crate::bounds::omega_subsets(g, f, &std::collections::BTreeSet::new()) {
         let h = g.induced_subgraph(&h_nodes);
-        if !generic_ch_sound(&h, rho, &mats) {
+        if !sound_with(&h, rho, |src, dst| &mats[&(src, dst)]) {
             return false;
         }
     }
     true
-}
-
-/// Rank test of the generic `C_H` built from the supplied matrices.
-fn generic_ch_sound<F: FastOps>(
-    h: &DiGraph,
-    rho: usize,
-    mats: &BTreeMap<(NodeId, NodeId), Matrix<F>>,
-) -> bool {
-    let nodes: Vec<NodeId> = h.nodes().collect();
-    if nodes.len() < 2 {
-        return true;
-    }
-    let blocks = nodes.len() - 1;
-    let block_of: BTreeMap<NodeId, usize> = nodes[..blocks]
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i))
-        .collect();
-    let m: usize = h.edges().map(|(_, e)| e.cap as usize).sum();
-    let mut ch = Matrix::<F>::zero(blocks * rho, m);
-    let mut col0 = 0usize;
-    for (_, e) in h.edges() {
-        let ce = &mats[&(e.src, e.dst)];
-        let span = col0..col0 + ce.cols();
-        for &block in [block_of.get(&e.src), block_of.get(&e.dst)]
-            .iter()
-            .flatten()
-        {
-            for r in 0..rho {
-                ch.row_mut(block * rho + r)[span.clone()].copy_from_slice(ce.row(r));
-            }
-        }
-        col0 += ce.cols();
-    }
-    kernel::rank(&ch) == blocks * rho
 }
 
 /// End-to-end Theorem 1 verification for one subgraph: pack `ρ` spanning
@@ -243,7 +226,7 @@ pub fn mh_invertible(h: &DiGraph, scheme: &CodingScheme) -> Option<bool> {
     let u = nab_netgraph::UnGraph::from_digraph(h);
     let trees = nab_netgraph::treepack::pack_spanning_trees(&u, scheme.rho())?;
     let mh = spanning_submatrix(h, scheme, &trees)?;
-    Some(kernel::is_invertible(&mh))
+    Some(linalg::is_invertible(&mh))
 }
 
 #[cfg(test)]
@@ -272,7 +255,7 @@ mod tests {
         // difference vectors D_H with D_H C_H = 0) is trivial, i.e. only
         // equal values pass all checks.
         let ch = build_ch(&g, &scheme);
-        let kernel = nab_gf::linalg::kernel_basis(&ch.transpose());
+        let kernel = linalg::kernel_basis(&ch.transpose());
         assert_eq!(kernel.rows(), 0, "left kernel must be trivial when sound");
     }
 
@@ -392,6 +375,6 @@ mod tests {
         let scheme = CodingScheme::random(&g, 1, 6);
         let ch = build_ch(&g, &scheme);
         let fewer = ch.select_cols(&[0, 1]);
-        assert!(nab_gf::linalg::rank(&fewer) < ch.rows());
+        assert!(linalg::rank(&fewer) < ch.rows());
     }
 }

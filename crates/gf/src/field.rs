@@ -115,27 +115,29 @@ pub fn dot<F: Field>(a: &[F], b: &[F]) -> F {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gf256::Gf256;
+    use crate::gf2m::Gf2m;
+
+    type F8 = Gf2m<8>;
 
     #[test]
     fn dot_product_matches_manual_expansion() {
-        let a = [Gf256::from_u64(3), Gf256::from_u64(5)];
-        let b = [Gf256::from_u64(7), Gf256::from_u64(11)];
+        let a = [F8::from_u64(3), F8::from_u64(5)];
+        let b = [F8::from_u64(7), F8::from_u64(11)];
         let expected = a[0].mul(b[0]).add(a[1].mul(b[1]));
         assert_eq!(dot(&a, &b), expected);
     }
 
     #[test]
     fn sum_of_pairs_cancels_in_char_2() {
-        let x = Gf256::from_u64(123);
-        assert_eq!(sum([x, x]), Gf256::ZERO);
+        let x = F8::from_u64(123);
+        assert_eq!(sum([x, x]), F8::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "unequal-length")]
     fn dot_panics_on_length_mismatch() {
-        let a = [Gf256::ONE];
-        let b = [Gf256::ONE, Gf256::ONE];
+        let a = [F8::ONE];
+        let b = [F8::ONE, F8::ONE];
         let _ = dot(&a, &b);
     }
 }

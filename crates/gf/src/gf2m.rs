@@ -272,9 +272,10 @@ impl Field for Gf2_16 {
 }
 
 /// Log-domain fused row kernel for `GF(2^16)`: `dst[i] ^= s · src[i]`
-/// with the sender's discrete log hoisted out of the loop. Used by the
-/// [`crate::kernel::FastOps`] impl for rows too short to amortize
-/// building per-scalar split tables.
+/// with the scalar's discrete log hoisted out of the loop. The
+/// [`crate::simd`] GEMM runs it on rows under
+/// [`crate::simd::SIMD_THRESHOLD`], on the columns past the last whole
+/// vector block, and for every column on the portable tier.
 ///
 /// Caller guarantees `s != 0` and equal slice lengths.
 pub(crate) fn mul_row_add_log16(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) {
@@ -284,19 +285,6 @@ pub(crate) fn mul_row_add_log16(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) {
     for (d, &x) in dst.iter_mut().zip(src) {
         if x.0 != 0 {
             d.0 ^= t.exp[ls + t.log[x.0 as usize] as usize];
-        }
-    }
-}
-
-/// Log-domain in-place row scaling for `GF(2^16)` (caller guarantees
-/// `s != 0`).
-pub(crate) fn scale_row_log16(row: &mut [Gf2_16], s: Gf2_16) {
-    debug_assert!(s.0 != 0);
-    let t = tables16();
-    let ls = t.log[s.0 as usize] as usize;
-    for x in row.iter_mut() {
-        if x.0 != 0 {
-            x.0 = t.exp[ls + t.log[x.0 as usize] as usize];
         }
     }
 }

@@ -3,27 +3,34 @@
 //! The NAB equality-check algorithm (Algorithm 1 of Liang & Vaidya 2012)
 //! interprets an `L`-bit broadcast value as `ρ` symbols of `GF(2^{L/ρ})` and
 //! transmits random linear combinations of those symbols on every link. This
-//! crate provides everything that machinery needs:
+//! crate provides that machinery in two layers.
+//!
+//! **The production path** — the one field an instance executes
+//! (`nab::value::SYMBOL_BITS` pins the symbol at 16 bits) and its one
+//! vector kernel:
+//!
+//! - [`gf2m::Gf2_16`] — log/antilog-table `GF(2^16)`,
+//! - [`words`] — row-major word-slab storage ([`words::WordMatrix`]): the
+//!   slab product of the equality check,
+//! - [`simd`] — the runtime-detected arch-SIMD GEMM micro-kernel behind
+//!   [`words::WordMatrix::mat_mul`] (nibble-split PSHUFB tables via
+//!   SSSE3/AVX2 intrinsics; a log-domain loop elsewhere, identical in
+//!   results),
+//! - [`kernel`] — the row kernel `dst += s · src` ([`kernel::FastOps`]),
+//!   for `Gf2_16` the micro-kernel's 1×1 case.
+//!
+//! **The generic scalar path** — the oracle the production path is tested
+//! against, and what the Theorem-1 field-size experiments and the `C_H`
+//! rank tests run on:
 //!
 //! - [`field::Field`] — the abstract field interface,
-//! - [`gf256::Gf256`] and [`gf2m::Gf2_16`] — fast table-based fields,
 //! - [`gf2m::Gf2m`] — generic `GF(2^m)` for any `1 ≤ m ≤ 64` via carry-less
 //!   multiplication and a built-in table of low-weight irreducible
 //!   polynomials,
 //! - [`matrix::Matrix`] — dense matrices with multiplication, stacking and
 //!   slicing,
-//! - [`linalg`] — scalar Gaussian elimination: rank, determinant-zero
-//!   testing, inversion, solving, and kernel bases (the reference path),
-//! - [`kernel`] — the [`kernel::FastOps`] row-kernel specialization trait
-//!   and kernelized linear algebra, bit-identical to [`linalg`] but
-//!   table-driven for `GF(256)` and `GF(2^16)`,
-//! - [`bytes`] — the table-driven `GF(256)` byte-row kernels behind
-//!   `Gf256`'s [`kernel::FastOps`] implementation,
-//! - [`words`] — row-major `GF(2^16)` word-slab storage
-//!   ([`words::WordMatrix`]): the slab product of the equality check,
-//! - [`simd`] — the runtime-detected arch-SIMD row-kernel tier
-//!   (nibble-split PSHUFB tables via SSSE3/AVX2 intrinsics, with a
-//!   portable fallback identical in results).
+//! - [`linalg`] — Gaussian elimination: rank, determinant-zero testing,
+//!   inversion, solving, and kernel bases.
 //!
 //! # Example
 //!
@@ -41,9 +48,7 @@
 //! # }
 //! ```
 
-pub mod bytes;
 pub mod field;
-pub mod gf256;
 pub mod gf2m;
 pub mod kernel;
 pub mod linalg;
@@ -53,7 +58,6 @@ pub mod simd;
 pub mod words;
 
 pub use field::Field;
-pub use gf256::Gf256;
 pub use gf2m::{Gf2_16, Gf2_32, Gf2m};
 pub use kernel::FastOps;
 pub use matrix::Matrix;

@@ -37,13 +37,7 @@ pub fn echelon<F: Field>(a: &Matrix<F>) -> Echelon<F> {
             continue;
         };
         // Swap into place.
-        if sel != pr {
-            for c in 0..cols {
-                let tmp = m[(sel, c)];
-                m[(sel, c)] = m[(pr, c)];
-                m[(pr, c)] = tmp;
-            }
-        }
+        m.swap_rows(sel, pr);
         // Normalize pivot row.
         let inv = m[(pr, pc)].inv().expect("pivot is non-zero"); // nab-lint: allow(NAB003): pivot was selected non-zero by the search above
         for c in 0..cols {
@@ -166,14 +160,8 @@ pub fn determinant<F: Field>(a: &Matrix<F>) -> F {
         let Some(sel) = (pc..n).find(|&r| !m[(r, pc)].is_zero()) else {
             return F::ZERO;
         };
-        if sel != pc {
-            for c in 0..n {
-                let tmp = m[(sel, c)];
-                m[(sel, c)] = m[(pc, c)];
-                m[(pc, c)] = tmp;
-            }
-            // In characteristic 2 a row swap does not change the determinant.
-        }
+        // In characteristic 2 a row swap does not change the determinant.
+        m.swap_rows(sel, pc);
         det = det.mul(m[(pc, pc)]);
         let inv = m[(pc, pc)].inv().expect("pivot non-zero"); // nab-lint: allow(NAB003): pivot was selected non-zero by the search above
         for r in (pc + 1)..n {
@@ -192,23 +180,24 @@ pub fn determinant<F: Field>(a: &Matrix<F>) -> F {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gf256::Gf256;
-    use crate::gf2m::Gf2_16;
+    use crate::gf2m::{Gf2_16, Gf2m};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn m(rows: &[&[u64]]) -> Matrix<Gf256> {
+    type F8 = Gf2m<8>;
+
+    fn m(rows: &[&[u64]]) -> Matrix<F8> {
         Matrix::from_rows(
             rows.iter()
-                .map(|r| r.iter().map(|&x| Gf256::from_u64(x)).collect())
+                .map(|r| r.iter().map(|&x| F8::from_u64(x)).collect())
                 .collect(),
         )
     }
 
     #[test]
     fn rank_of_identity_and_zero() {
-        assert_eq!(rank(&Matrix::<Gf256>::identity(5)), 5);
-        assert_eq!(rank(&Matrix::<Gf256>::zero(4, 6)), 0);
+        assert_eq!(rank(&Matrix::<F8>::identity(5)), 5);
+        assert_eq!(rank(&Matrix::<F8>::zero(4, 6)), 0);
     }
 
     #[test]
@@ -257,7 +246,7 @@ mod tests {
     fn solve_inconsistent_returns_none() {
         // [1 0; 1 0] x = [1, 0] is inconsistent (x0 = 1 and x0 = 0).
         let a = m(&[&[1, 0], &[1, 0]]);
-        let b = [Gf256::ONE, Gf256::ZERO];
+        let b = [F8::ONE, F8::ZERO];
         assert!(solve(&a, &b).is_none());
     }
 
@@ -281,10 +270,10 @@ mod tests {
         let sing = m(&[&[1, 2], &[1, 2]]);
         assert!(determinant(&sing).is_zero());
         let nonsing = m(&[&[1, 0], &[0, 1]]);
-        assert_eq!(determinant(&nonsing), Gf256::ONE);
+        assert_eq!(determinant(&nonsing), F8::ONE);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
-            let a = Matrix::<Gf256>::random(4, 4, &mut rng);
+            let a = Matrix::<F8>::random(4, 4, &mut rng);
             assert_eq!(determinant(&a).is_zero(), !is_invertible(&a));
         }
     }
@@ -292,7 +281,7 @@ mod tests {
     #[test]
     fn echelon_pivots_are_increasing() {
         let mut rng = StdRng::seed_from_u64(11);
-        let a = Matrix::<Gf256>::random(5, 8, &mut rng);
+        let a = Matrix::<F8>::random(5, 8, &mut rng);
         let e = echelon(&a);
         for w in e.pivots.windows(2) {
             assert!(w[0] < w[1]);

@@ -17,9 +17,9 @@ use crate::field::Field;
 /// # Example
 ///
 /// ```
-/// use nab_gf::{Matrix, Gf256, Field};
-/// let i = Matrix::<Gf256>::identity(3);
-/// let a = Matrix::from_fn(3, 3, |r, c| Gf256::from_u64((r * 3 + c) as u64));
+/// use nab_gf::{Matrix, Gf2_16, Field};
+/// let i = Matrix::<Gf2_16>::identity(3);
+/// let a = Matrix::from_fn(3, 3, |r, c| Gf2_16::from_u64((r * 3 + c) as u64));
 /// assert_eq!(i.mul(&a), a);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -289,47 +289,9 @@ impl<F: Field> Matrix<F> {
             return;
         }
         let w = self.cols;
-        let (ra, rb) = split_rows_mut(&mut self.data, w, a, b);
-        ra.swap_with_slice(rb);
-    }
-
-    /// Disjoint mutable borrows of rows `a` and `b` — the split-borrow the
-    /// row-kernel elimination in [`crate::kernel`] needs ("add a multiple
-    /// of row `b` into row `a`").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either index is out of bounds.
-    pub fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [F], &mut [F]) {
-        assert!(
-            a < self.rows && b < self.rows,
-            "two_rows_mut({a}, {b}) out of bounds ({} rows)",
-            self.rows
-        );
-        split_rows_mut(&mut self.data, self.cols, a, b)
-    }
-}
-
-/// Splits two distinct rows of width `w` out of a flat row-major slab —
-/// the split-borrow [`Matrix`] needs for row-kernel elimination.
-///
-/// # Panics
-///
-/// Panics if `a == b`.
-pub(crate) fn split_rows_mut<T>(
-    data: &mut [T],
-    w: usize,
-    a: usize,
-    b: usize,
-) -> (&mut [T], &mut [T]) {
-    assert_ne!(a, b, "split_rows_mut requires distinct row indices");
-    if a < b {
-        let (head, tail) = data.split_at_mut(b * w);
-        (&mut head[a * w..(a + 1) * w], &mut tail[..w])
-    } else {
-        let (head, tail) = data.split_at_mut(a * w);
-        let rb = &mut head[b * w..(b + 1) * w];
-        (&mut tail[..w], rb)
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (head, tail) = self.data.split_at_mut(hi * w);
+        head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
     }
 }
 
@@ -378,14 +340,15 @@ impl<F: Field> fmt::Debug for Matrix<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gf256::Gf256;
+    use crate::gf2m::Gf2m;
 
-    type M = Matrix<Gf256>;
+    type F = Gf2m<8>;
+    type M = Matrix<F>;
 
     fn m(rows: &[&[u64]]) -> M {
         Matrix::from_rows(
             rows.iter()
-                .map(|r| r.iter().map(|&x| Gf256::from_u64(x)).collect())
+                .map(|r| r.iter().map(|&x| F::from_u64(x)).collect())
                 .collect(),
         )
     }
@@ -409,7 +372,7 @@ mod tests {
     #[test]
     fn left_mul_vec_matches_full_mul() {
         let a = m(&[&[1, 2], &[3, 4], &[5, 6]]);
-        let v = [Gf256::from_u64(9), Gf256::from_u64(8), Gf256::from_u64(7)];
+        let v = [F::from_u64(9), F::from_u64(8), F::from_u64(7)];
         let as_row = Matrix::from_rows(vec![v.to_vec()]);
         assert_eq!(a.left_mul_vec(&v), as_row.mul(&a).row(0).to_vec());
     }
@@ -456,18 +419,13 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_two_rows_mut() {
+    fn swap_rows_exchanges_rows_in_either_order() {
         let mut a = m(&[&[1, 2], &[3, 4], &[5, 6]]);
         a.swap_rows(0, 2);
         assert_eq!(a, m(&[&[5, 6], &[3, 4], &[1, 2]]));
         a.swap_rows(1, 1); // no-op
-        let (top, bottom) = a.two_rows_mut(0, 2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(bottom[0].to_u64(), 1);
-        // Order of the requested indices is preserved.
-        let (r2, r0) = a.two_rows_mut(2, 0);
-        assert_eq!(r2[0].to_u64(), 1);
-        assert_eq!(r0[0].to_u64(), 5);
+        a.swap_rows(2, 1);
+        assert_eq!(a, m(&[&[5, 6], &[1, 2], &[3, 4]]));
     }
 
     #[test]
@@ -476,13 +434,6 @@ mod tests {
     fn index_out_of_bounds_panics_with_shape() {
         let a = m(&[&[1, 2, 3], &[4, 5, 6]]);
         let _ = a[(2, 0)];
-    }
-
-    #[test]
-    #[should_panic(expected = "two_rows_mut(0, 3) out of bounds")]
-    fn two_rows_mut_rejects_out_of_bounds() {
-        let mut a = m(&[&[1, 2], &[3, 4]]);
-        let _ = a.two_rows_mut(0, 3);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Arch-SIMD kernels: nibble-split PSHUFB-style table lookups.
+//! The arch-SIMD `GF(2^16)` GEMM micro-kernel: nibble-split PSHUFB-style
+//! table lookups.
 //!
 //! `GF(2^m)` multiplication by a fixed scalar `s` is `GF(2)`-linear, so it
 //! splits over any basis of the operand: `s·x = Σ_k s·(nibble_k(x) << 4k)`.
@@ -8,30 +9,27 @@
 //! 16/32-byte vector. This is the classic SIMD erasure-coding kernel
 //! (ISA-L, klauspost/reedsolomon).
 //!
-//! `GF(256)` has row kernels (`dst ^= s·src`, `row = s·row`). `GF(2^16)`
-//! has one kernel per tier, a GEMM micro-kernel `out ^= a·b`: tables are
-//! built once per coefficient of `a`, each source block is split into its
-//! nibble planes once, and up to four output rows accumulate in registers
-//! across the whole inner dimension; the row kernel `dst ^= s·src` is its
-//! 1×1 case.
+//! There is one kernel per tier, `out ^= a·b`: tables are built once per
+//! coefficient of `a`, each source block is split into its nibble planes
+//! once, and up to four output rows accumulate in registers across the
+//! whole inner dimension; the row kernel `dst ^= s·src` is its 1×1 case.
 //!
 //! The tier is picked **once per process** by runtime CPU-feature
 //! detection ([`tier`]): `avx2` → 32-byte vectors, `ssse3` → 16-byte
-//! vectors, `portable` → the scalar table and log-domain loops
-//! (non-x86 builds compile only the portable path). Every tier is
-//! **bit-identical**: characteristic-2 addition is XOR, so vectorization
-//! changes neither values nor any accumulation result. The differential
-//! suite in `tests/differential.rs` pins all tiers against the scalar
-//! reference.
+//! vectors, `portable` → the log-domain loop (non-x86 builds compile only
+//! the portable path). Every tier is **bit-identical**: characteristic-2
+//! addition is XOR, so vectorization changes neither values nor any
+//! accumulation result. This module's tests pin every tier the CPU can run
+//! against [`crate::matrix::Matrix::mul`]; `tests/differential.rs` pins
+//! the detected one through the public entry points.
 
 use std::sync::OnceLock;
 
-use crate::bytes;
 use crate::gf2m::Gf2_16;
 
 /// Rows shorter than this (in elements) skip the SIMD dispatch: below a
 /// couple of vectors the table-build and tail handling dominate, and the
-/// scalar table loops are already fast.
+/// log-domain loop is already fast.
 pub const SIMD_THRESHOLD: usize = 64;
 
 /// The kernel tier selected for this process.
@@ -102,74 +100,6 @@ pub fn cpu_features() -> &'static str {
     })
 }
 
-// --- GF(256): two 16-entry nibble tables per scalar. ----------------------
-
-/// The 16-entry nibble product tables for one scalar: `lo[n] = s·n`,
-/// `hi[n] = s·(n << 4)`; then `s·x = lo[x & 0xF] ^ hi[x >> 4]`.
-#[inline]
-fn gf256_nibble_tables(s: u8) -> ([u8; 16], [u8; 16]) {
-    let t = bytes::mul_table(s);
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    for n in 0..16 {
-        lo[n] = t[n];
-        hi[n] = t[n << 4];
-    }
-    (lo, hi)
-}
-
-/// SIMD-dispatched `dst[i] ^= s · src[i]` over `GF(256)` bytes.
-///
-/// Caller guarantees `s >= 2` and equal lengths; [`bytes::mul_row_add`]
-/// handles the `0`/`1` fast cases and is the public entry point.
-pub(crate) fn gf256_mul_row_add(dst: &mut [u8], src: &[u8], s: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert!(s >= 2);
-    match tier_enum() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: this tier is only selected after runtime detection
-        // proved AVX2 is available on this CPU.
-        Tier::Avx2 => unsafe { gf256_mul_row_add_avx2(dst, src, s) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: this tier is only selected after runtime detection
-        // proved SSSE3 is available on this CPU.
-        Tier::Ssse3 => unsafe { gf256_mul_row_add_ssse3(dst, src, s) },
-        _ => gf256_mul_row_add_portable(dst, src, s),
-    }
-}
-
-/// SIMD-dispatched `row[i] = s · row[i]` over `GF(256)` bytes.
-///
-/// Caller guarantees `s >= 2`; [`bytes::scale_row`] handles `0`/`1`.
-pub(crate) fn gf256_scale_row(row: &mut [u8], s: u8) {
-    debug_assert!(s >= 2);
-    match tier_enum() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: this tier is only selected after runtime detection
-        // proved AVX2 is available on this CPU.
-        Tier::Avx2 => unsafe { gf256_scale_row_avx2(row, s) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: this tier is only selected after runtime detection
-        // proved SSSE3 is available on this CPU.
-        Tier::Ssse3 => unsafe { gf256_scale_row_ssse3(row, s) },
-        _ => {
-            let t = bytes::mul_table(s);
-            for x in row.iter_mut() {
-                *x = t[*x as usize];
-            }
-        }
-    }
-}
-
-/// The portable fallback: the same chunked table loop the pre-SIMD tier
-/// used (identical results by construction).
-fn gf256_mul_row_add_portable(dst: &mut [u8], src: &[u8], s: u8) {
-    let t = bytes::mul_table(s);
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d ^= t[x as usize];
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `cfg`-gated intrinsics bodies. Safety contract throughout:
@@ -178,105 +108,6 @@ mod x86 {
     //! unaligned (`loadu`/`storeu`) so no alignment obligations exist.
     use super::*;
     use std::arch::x86_64::*;
-
-    // SAFETY: caller must have verified SSSE3 via runtime
-    // detection; all vector loads/stores below are unaligned and
-    // bounded by the slice lengths, so no other obligations exist.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn gf256_mul_row_add_ssse3(dst: &mut [u8], src: &[u8], s: u8) {
-        let (lo, hi) = gf256_nibble_tables(s);
-        let vlo = _mm_loadu_si128(lo.as_ptr() as *const __m128i);
-        let vhi = _mm_loadu_si128(hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = dst.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            let x = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let nl = _mm_and_si128(x, mask);
-            let nh = _mm_and_si128(_mm_srli_epi64::<4>(x), mask);
-            let p = _mm_xor_si128(_mm_shuffle_epi8(vlo, nl), _mm_shuffle_epi8(vhi, nh));
-            let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, _mm_xor_si128(d, p));
-            i += 16;
-        }
-        gf256_mul_row_add_portable(&mut dst[i..], &src[i..], s);
-    }
-
-    // SAFETY: caller must have verified AVX2 via runtime
-    // detection; all vector loads/stores below are unaligned and
-    // bounded by the slice lengths, so no other obligations exist.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gf256_mul_row_add_avx2(dst: &mut [u8], src: &[u8], s: u8) {
-        let (lo, hi) = gf256_nibble_tables(s);
-        let vlo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr() as *const __m128i));
-        let vhi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = dst.len();
-        let mut i = 0;
-        while i + 32 <= n {
-            let x = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let nl = _mm256_and_si256(x, mask);
-            let nh = _mm256_and_si256(_mm256_srli_epi64::<4>(x), mask);
-            let p = _mm256_xor_si256(_mm256_shuffle_epi8(vlo, nl), _mm256_shuffle_epi8(vhi, nh));
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_xor_si256(d, p),
-            );
-            i += 32;
-        }
-        gf256_mul_row_add_portable(&mut dst[i..], &src[i..], s);
-    }
-
-    // SAFETY: caller must have verified SSSE3 via runtime
-    // detection; all vector loads/stores below are unaligned and
-    // bounded by the slice lengths, so no other obligations exist.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn gf256_scale_row_ssse3(row: &mut [u8], s: u8) {
-        let (lo, hi) = gf256_nibble_tables(s);
-        let vlo = _mm_loadu_si128(lo.as_ptr() as *const __m128i);
-        let vhi = _mm_loadu_si128(hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = row.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            let x = _mm_loadu_si128(row.as_ptr().add(i) as *const __m128i);
-            let nl = _mm_and_si128(x, mask);
-            let nh = _mm_and_si128(_mm_srli_epi64::<4>(x), mask);
-            let p = _mm_xor_si128(_mm_shuffle_epi8(vlo, nl), _mm_shuffle_epi8(vhi, nh));
-            _mm_storeu_si128(row.as_mut_ptr().add(i) as *mut __m128i, p);
-            i += 16;
-        }
-        let t = bytes::mul_table(s);
-        for x in row[i..].iter_mut() {
-            *x = t[*x as usize];
-        }
-    }
-
-    // SAFETY: caller must have verified AVX2 via runtime
-    // detection; all vector loads/stores below are unaligned and
-    // bounded by the slice lengths, so no other obligations exist.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gf256_scale_row_avx2(row: &mut [u8], s: u8) {
-        let (lo, hi) = gf256_nibble_tables(s);
-        let vlo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr() as *const __m128i));
-        let vhi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = row.len();
-        let mut i = 0;
-        while i + 32 <= n {
-            let x = _mm256_loadu_si256(row.as_ptr().add(i) as *const __m256i);
-            let nl = _mm256_and_si256(x, mask);
-            let nh = _mm256_and_si256(_mm256_srli_epi64::<4>(x), mask);
-            let p = _mm256_xor_si256(_mm256_shuffle_epi8(vlo, nl), _mm256_shuffle_epi8(vhi, nh));
-            _mm256_storeu_si256(row.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        let t = bytes::mul_table(s);
-        for x in row[i..].iter_mut() {
-            *x = t[*x as usize];
-        }
-    }
 
     // --- GF(2^16): the GEMM micro-kernel, one body for both widths. ---
     //
@@ -560,9 +391,8 @@ pub(crate) fn gf2_16_mul_row_add(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) 
 mod tests {
     use super::*;
     use crate::field::Field;
-    use crate::kernel::scalar_mul_row_add;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn tier_is_a_known_name_and_stable() {
@@ -579,34 +409,6 @@ mod tests {
             "avx2" => assert!(f.contains("avx2"), "{f}"),
             "ssse3" => assert!(f.contains("ssse3"), "{f}"),
             _ => {}
-        }
-    }
-
-    #[test]
-    fn gf256_simd_matches_scalar_at_awkward_lengths() {
-        let mut rng = StdRng::seed_from_u64(0x51D);
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1000] {
-            let src: Vec<u8> = (0..len).map(|_| rng.gen::<u64>() as u8).collect();
-            let base: Vec<u8> = (0..len).map(|_| rng.gen::<u64>() as u8).collect();
-            for s in [2u8, 0x1D, 0x80, 0xFF] {
-                let mut fast = base.clone();
-                gf256_mul_row_add(&mut fast, &src, s);
-                let mut slow: Vec<crate::Gf256> = base.iter().map(|&x| crate::Gf256(x)).collect();
-                let srcf: Vec<crate::Gf256> = src.iter().map(|&x| crate::Gf256(x)).collect();
-                scalar_mul_row_add(&mut slow, &srcf, crate::Gf256(s));
-                assert_eq!(
-                    fast,
-                    slow.iter().map(|x| x.0).collect::<Vec<_>>(),
-                    "len={len} s={s:#x}"
-                );
-                let mut fast = base.clone();
-                gf256_scale_row(&mut fast, s);
-                let expect: Vec<u8> = base
-                    .iter()
-                    .map(|&x| crate::Gf256(s).mul(crate::Gf256(x)).0)
-                    .collect();
-                assert_eq!(fast, expect, "scale len={len} s={s:#x}");
-            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Field-axiom property tests for `Gf256` and the generic `Gf2m` family:
+//! Field-axiom property tests for `Gf2_16` and the generic `Gf2m` family:
 //! associativity, distributivity, inverse round-trips, and the Frobenius
 //! endomorphism.
 //!
@@ -14,7 +14,7 @@
 //!   distributes over products (`(xy)⁻¹ = y⁻¹ x⁻¹`).
 
 use nab_gf::field::Field;
-use nab_gf::{Gf256, Gf2_16, Gf2m};
+use nab_gf::{Gf2_16, Gf2m};
 use proptest::prelude::*;
 
 /// Applies the Frobenius endomorphism `x ↦ x²`, `k` times.
@@ -110,7 +110,6 @@ macro_rules! axiom_suite {
     };
 }
 
-axiom_suite!(axioms_gf256, Gf256);
 axiom_suite!(axioms_gf2_16, Gf2_16);
 axiom_suite!(axioms_gf2m_1, Gf2m<1>);
 axiom_suite!(axioms_gf2m_8, Gf2m<8>);

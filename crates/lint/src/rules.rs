@@ -162,7 +162,7 @@ fn nab003_panics(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
 /// NAB004 — `unsafe` outside the audited allowlist, or inside it without
 /// a `SAFETY:` comment in the contiguous comment/attribute block directly
 /// above it (or on the same line). The workspace confines `unsafe` to the
-/// SIMD tier (`crates/gf/src/simd.rs`, `kernel.rs`); every block must
+/// SIMD tier (`crates/gf/src/simd.rs`); every block must
 /// state its proof obligation where the reviewer reads it. Applies to all
 /// code, tests included.
 fn nab004_unsafe(ctx: &FileCtx, cfg: &Config, diags: &mut Vec<Diagnostic>) {

@@ -17,8 +17,6 @@
 //!   trees (the structure underlying Theorem 1, Appendix C),
 //! - [`globalcut`] — Stoer–Wagner global min cut (the all-pairs minimum
 //!   `U_H` in one `O(V³)` pass instead of `V` max-flows),
-//! - [`gomoryhu`] — Gomory–Hu trees for the full all-pairs min-cut
-//!   structure (which pair is binding, and by how much),
 //! - [`gen`] — graph generators, including the paper's worked examples,
 //! - [`canon`] — stable graph keys: a relabeling-invariant canonical
 //!   digest plus a labeled digest, the content-addressing layer under the
@@ -30,7 +28,6 @@ pub mod connectivity;
 pub mod flow;
 pub mod gen;
 pub mod globalcut;
-pub mod gomoryhu;
 pub mod graph;
 pub mod treepack;
 pub mod undirected;

@@ -2,7 +2,7 @@
 //!
 //! Theorem 1's proof needs, for every candidate fault-free subgraph `H̄`
 //! with min cut `U`, a set of `⌊U/2⌋` edge-disjoint undirected spanning
-//! trees (Tutte/Nash-Williams, cited as [16] in the paper); the columns of
+//! trees (Tutte/Nash-Williams, cited as \[16\] in the paper); the columns of
 //! the check matrix `C_H` indexed by each tree form the invertible blocks of
 //! `M_H`. This module packs those trees with the classic matroid-union
 //! augmenting-path algorithm on `k` copies of the graphic matroid.

@@ -89,7 +89,7 @@ pub enum EventKind {
     PhaseStart(Phase),
     /// The protocol phase finished.
     PhaseEnd(Phase),
-    /// The plan cache served an [`ExecutionPlan`] without building.
+    /// The plan cache served an `ExecutionPlan` without building.
     PlanCacheHit,
     /// The plan cache had no plan for this key; a build follows.
     PlanCacheMiss,

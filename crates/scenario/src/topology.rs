@@ -2,10 +2,9 @@
 //!
 //! A scenario names a *family* (`complete:$n:$cap`), not a single graph;
 //! the sweep runner substitutes each job's grid point into the template's
-//! [`Tok`] parameters and materializes a concrete
-//! [`DiGraph`](nab_netgraph::DiGraph). Random families (`hetero`,
-//! `kconnected`) draw from the job's deterministic RNG, so the same job
-//! always sees the same graph.
+//! [`Tok`] parameters and materializes a concrete [`DiGraph`]. Random
+//! families (`hetero`, `kconnected`) draw from the job's deterministic
+//! RNG, so the same job always sees the same graph.
 
 use nab_netgraph::{gen, DiGraph};
 use rand::rngs::StdRng;

@@ -11,24 +11,30 @@ use nab_repro::nab::phase1::run_phase1;
 use nab_repro::nab::stats::{phase1_link_loads, phase1_utilization};
 use nab_repro::nab::Value;
 use nab_repro::netgraph::arborescence::pack_arborescences;
-use nab_repro::netgraph::flow::broadcast_rate;
+use nab_repro::netgraph::flow::{broadcast_rate, min_cut_undirected};
 use nab_repro::netgraph::gen;
-use nab_repro::netgraph::gomoryhu::GomoryHuTree;
-use nab_repro::netgraph::UnGraph;
+use nab_repro::netgraph::{NodeId, UnGraph};
 
 fn main() {
     // A deliberately lopsided network: a fast core with one thin pair.
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
     let g = gen::complete_heterogeneous(5, 1, 6, &mut rng);
 
-    // --- Cut structure: the Gomory–Hu tree. -------------------------------
+    // --- Cut structure: every pairwise min cut. ---------------------------
     let u = UnGraph::from_digraph(&g);
-    let tree = GomoryHuTree::build(&u).expect("≥ 2 nodes");
-    println!("Gomory–Hu tree (edge = pairwise min cut):");
-    for (a, b, w) in tree.edges() {
-        println!("  {a} — {b}: {w}");
+    let nodes: Vec<NodeId> = u.nodes().collect();
+    println!("pairwise min cuts:");
+    let mut binding = (0, 0, u64::MAX);
+    for (i, &a) in nodes.iter().enumerate() {
+        for &b in &nodes[i + 1..] {
+            let w = min_cut_undirected(&u, a, b);
+            println!("  {a} — {b}: {w}");
+            if w < binding.2 {
+                binding = (a, b, w);
+            }
+        }
     }
-    let (a, b, w) = tree.binding_pair();
+    let (a, b, w) = binding;
     println!("binding pair: ({a}, {b}) with cut {w}");
     println!("→ the equality-check budget is U/2 = {}\n", w / 2);
 

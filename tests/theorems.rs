@@ -339,3 +339,61 @@ fn flag_broadcast_cost_is_the_sum_of_sequential_hop_rounds() {
         }
     }
 }
+
+/// Pins the Gaussian elimination under `theory.rs` — which pivot it picks
+/// and which kernel vector comes out first — on a sound and a
+/// rank-deficient scheme per graph. `colliding_values` hands out the first
+/// basis row of `C_H`'s left kernel, so any change of pivot or elimination
+/// order moves the collision below even where the rank verdict holds.
+#[test]
+fn soundness_verdicts_and_first_collision_match_golden_values() {
+    use nab_repro::nab::equality::CodingScheme;
+    use nab_repro::nab::theory::{ch_is_sound, colliding_values};
+    use nab_repro::netgraph::DiGraph;
+
+    let fig = gen::figure_2a();
+    let k4 = gen::complete(4, 2);
+    // U = 2 on figure 2(a): ρ = 2 starves H = {0, 2, 3} of coded symbols.
+    let starved = fig.induced_subgraph(&BTreeSet::from([0, 2, 3]));
+    // Per node in id order, the ρ symbols of its colliding value; `None`
+    // where the scheme is sound.
+    type Collision = Option<Vec<Vec<u16>>>;
+    let cases: [(&str, &DiGraph, CodingScheme, Collision); 4] = [
+        ("fig2a ρ=1", &fig, CodingScheme::random(&fig, 1, 2), None),
+        ("K4 ρ=2", &k4, CodingScheme::random(&k4, 2, 7), None),
+        (
+            "fig2a H={0,2,3} ρ=2",
+            &starved,
+            CodingScheme::random(&fig, 2, 13),
+            Some(vec![vec![0x2d06, 0x0001], vec![0, 0], vec![0, 0]]),
+        ),
+        // 3ρ = 27 rows against m = 24 columns.
+        (
+            "K4 ρ=9",
+            &k4,
+            CodingScheme::random(&k4, 9, 7),
+            Some(vec![
+                vec![
+                    0x6c84, 0xce81, 0x1276, 0x17f0, 0x0321, 0xd393, 0x18d1, 0x9b5a, 0x8e8e,
+                ],
+                vec![
+                    0xf67c, 0x27b7, 0xe587, 0x105f, 0x9e4a, 0xcdcb, 0xbddf, 0xfc2d, 0xaa53,
+                ],
+                vec![
+                    0x701a, 0x355e, 0xe69f, 0xe0fd, 0x28e2, 0x8c81, 0x0001, 0x0000, 0x0000,
+                ],
+                vec![0; 9],
+            ]),
+        ),
+    ];
+    for (name, h, scheme, golden) in cases {
+        assert_eq!(ch_is_sound(h, &scheme), golden.is_none(), "{name}");
+        let collision: Collision = colliding_values(h, &scheme).map(|values| {
+            values
+                .values()
+                .map(|v| v.symbols().iter().map(|s| s.0).collect())
+                .collect()
+        });
+        assert_eq!(collision, golden, "{name}");
+    }
+}
