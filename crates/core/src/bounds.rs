@@ -439,6 +439,111 @@ mod tests {
         }
     }
 
+    /// `(γ_1, γ*, U_1)` at the default budget for every network a bundled
+    /// `bounds = true` scenario instantiates plus the neighbouring
+    /// families; the derived fields follow from these three. Captured at
+    /// the commit before the closed-set enumeration (PR 16) — all seven
+    /// `BoundsReport` fields must stay bit-identical wherever `γ*` is
+    /// exact.
+    #[test]
+    fn bounds_report_goldens() {
+        const DEFAULT_BUDGET: usize = 1 << 14;
+        let mut fig2a_closed = gen::figure_2a();
+        fig2a_closed.add_edge(3, 0, 1);
+        fig2a_closed.add_edge(2, 1, 1);
+        type Gold = (u64, u64, u64); // (γ_1, γ*, U_1)
+        let mut cases: Vec<(String, DiGraph, usize, Gold)> = vec![
+            ("fig1a".into(), gen::figure_1a(), 0, (2, 2, 3)),
+            ("fig2a-closed".into(), fig2a_closed, 0, (2, 2, 3)),
+            (
+                "circulant:10:2:2".into(),
+                gen::circulant(10, 2, 2),
+                1,
+                (8, 6, 12),
+            ),
+        ];
+        for (n, cap, gold) in [
+            (4, 1, (3, 2, 4)),
+            (4, 4, (12, 8, 16)),
+            (5, 1, (4, 3, 6)),
+            (5, 4, (16, 12, 24)),
+            (6, 1, (5, 4, 8)),
+            (6, 4, (20, 16, 32)),
+            (7, 1, (6, 5, 10)),
+            (7, 4, (24, 20, 40)),
+        ] {
+            cases.push((
+                format!("complete:{n}:{cap}"),
+                gen::complete(n, cap),
+                1,
+                gold,
+            ));
+        }
+        for (half, bridge_cap, gold) in [
+            (4, 1, (3, 2, 4)),
+            (4, 2, (6, 4, 8)),
+            (5, 1, (3, 2, 4)),
+            (5, 2, (6, 4, 8)),
+        ] {
+            cases.push((
+                format!("barbell:{half}:10:3:{bridge_cap}"),
+                gen::barbell(half, 10, 3, bridge_cap),
+                1,
+                gold,
+            ));
+        }
+        for (name, g, f, (gamma1, gs, u1)) in cases {
+            let rho_star = u1 / 2;
+            let tnab_lower = (gs * rho_star) as f64 / (gs + rho_star) as f64;
+            let capacity_upper = gs.min(2 * rho_star);
+            assert_eq!(
+                bounds_report(&g, 0, f, DEFAULT_BUDGET),
+                Some(BoundsReport {
+                    gamma1,
+                    gamma_star: GammaStar {
+                        value: gs,
+                        exact: true
+                    },
+                    u1,
+                    rho_star,
+                    tnab_lower,
+                    capacity_upper,
+                    guaranteed_fraction: tnab_lower / capacity_upper as f64,
+                }),
+                "{name} f={f}"
+            );
+        }
+        // Spot values written out in full, so the derivation above cannot
+        // drift together with the code under test.
+        assert_eq!(
+            bounds_report(&gen::figure_1a(), 0, 0, DEFAULT_BUDGET).map(|r| (
+                r.tnab_lower,
+                r.capacity_upper,
+                r.guaranteed_fraction
+            )),
+            Some((0.6666666666666666, 2, 0.3333333333333333))
+        );
+        assert_eq!(
+            bounds_report(&gen::complete(5, 1), 0, 1, DEFAULT_BUDGET).map(|r| (
+                r.tnab_lower,
+                r.capacity_upper,
+                r.guaranteed_fraction
+            )),
+            Some((1.5, 3, 0.5))
+        );
+        // Figure 1(b) has U_1 < 2 at f = 1 (no report), and a dispute set
+        // that disconnects a node, so γ* = 0.
+        let fig1b = gen::figure_1b();
+        assert_eq!(bounds_report(&fig1b, 0, 1, DEFAULT_BUDGET), None);
+        assert_eq!(
+            gamma_star(&fig1b, 0, 1, DEFAULT_BUDGET),
+            GammaStar {
+                value: 0,
+                exact: true
+            }
+        );
+    }
+
     #[test]
     fn bounds_report_fields_consistent() {
         let g = gen::complete(4, 2);
