@@ -252,7 +252,8 @@ impl ExecutionPlan {
         }
         // Computed outside the write lock; a concurrent duplicate
         // computes the identical value (deterministic per budget).
-        let computed = crate::bounds::bounds_report(&self.g0, SOURCE, self.f, budget);
+        let computed =
+            crate::bounds::bounds_report_given(&self.g0, SOURCE, self.f, budget, self.gamma0);
         self.bounds
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

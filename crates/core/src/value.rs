@@ -19,9 +19,23 @@ use rand::Rng;
 pub const SYMBOL_BITS: u64 = 16;
 
 /// An `L`-bit broadcast value as a vector of 16-bit field symbols.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Eq, Default)]
 pub struct Value {
     symbols: Vec<Gf2_16>,
+}
+
+/// Symbol-wise equality, decided bytewise: the equality check's class
+/// detection compares whole payloads per node per instance.
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        nab_gf::simd::gf2_16_slices_eq(&self.symbols, &other.symbols)
+    }
+}
+
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.symbols.hash(state);
+    }
 }
 
 impl Value {
@@ -146,6 +160,16 @@ impl fmt::Debug for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn equality_is_symbol_wise() {
+        let a = Value::from_u64s(&[7, 0, 65535, 9]);
+        assert_eq!(a, a.clone());
+        assert_ne!(a, Value::from_u64s(&[7, 0, 65535, 8]), "last symbol");
+        assert_ne!(a, Value::from_u64s(&[7, 0, 65535]), "a prefix");
+        assert_ne!(Value::zeros(3), Value::zeros(4));
+        assert_eq!(Value::zeros(0), Value::default());
+    }
 
     #[test]
     fn bits_count_symbols() {

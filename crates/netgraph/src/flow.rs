@@ -13,15 +13,25 @@ use crate::undirected::UnGraph;
 
 /// A reusable Dinic max-flow solver over an explicit arc list.
 ///
-/// Build with [`FlowNet::new`], add arcs, then call [`FlowNet::max_flow`].
-/// Residual state persists between calls, so create a fresh net per query.
+/// Build with [`FlowNet::new`] (or [`FlowNet::from_digraph`]), add arcs,
+/// then call [`FlowNet::max_flow`]. Residual state persists between
+/// calls; [`FlowNet::min_cut_to_sinks`] is the one query that restores
+/// capacities itself, so many sinks (and many arc masks) share one net.
 #[derive(Debug, Clone)]
 pub struct FlowNet {
     n: usize,
     // arcs[i] and arcs[i^1] are a residual pair.
     to: Vec<usize>,
     cap: Vec<u64>,
+    /// The capacity each arc was added with (0 for reverse twins).
+    cap0: Vec<u64>,
     head: Vec<Vec<usize>>, // arc indices per node
+    // Scratch (BFS/DFS state, the capacities under the current arc mask),
+    // kept so repeated queries on one net allocate nothing.
+    level: Vec<i32>,
+    it: Vec<usize>,
+    queue: Vec<usize>,
+    masked: Vec<u64>,
 }
 
 impl FlowNet {
@@ -31,8 +41,23 @@ impl FlowNet {
             n,
             to: Vec::new(),
             cap: Vec::new(),
+            cap0: Vec::new(),
             head: vec![Vec::new(); n],
+            level: vec![-1; n],
+            it: vec![0; n],
+            queue: Vec::with_capacity(n),
+            masked: Vec::new(),
         }
+    }
+
+    /// The network of `g`: one arc per live edge, in [`DiGraph::edges`]
+    /// order, so the `k`-th live edge is arc `2k`.
+    pub fn from_digraph(g: &DiGraph) -> Self {
+        let mut net = FlowNet::new(g.node_count());
+        for (_, e) in g.edges() {
+            net.add_arc(e.src, e.dst, e.cap);
+        }
+        net
     }
 
     /// Adds a directed arc `u → v` with the given capacity (and its zero
@@ -46,9 +71,11 @@ impl FlowNet {
         let id = self.to.len();
         self.to.push(v);
         self.cap.push(cap);
+        self.cap0.push(cap);
         self.head[u].push(id);
         self.to.push(u);
         self.cap.push(0);
+        self.cap0.push(0);
         self.head[v].push(id + 1);
         id
     }
@@ -64,46 +91,44 @@ impl FlowNet {
         self.cap[arc ^ 1]
     }
 
-    fn bfs_levels(&self, s: usize, t: usize) -> Option<Vec<i32>> {
-        let mut level = vec![-1i32; self.n];
-        let mut q = std::collections::VecDeque::new();
-        level[s] = 0;
-        q.push_back(s);
-        while let Some(u) = q.pop_front() {
+    /// Levels the residual graph from `s` into `self.level`; whether `t`
+    /// was reached.
+    fn bfs_levels(&mut self, s: usize, t: usize) -> bool {
+        self.level.fill(-1);
+        self.queue.clear();
+        self.level[s] = 0;
+        self.queue.push(s);
+        let mut next = 0;
+        while next < self.queue.len() {
+            let u = self.queue[next];
+            next += 1;
             for &a in &self.head[u] {
                 let v = self.to[a];
-                if self.cap[a] > 0 && level[v] < 0 {
-                    level[v] = level[u] + 1;
-                    q.push_back(v);
+                if self.cap[a] > 0 && self.level[v] < 0 {
+                    self.level[v] = self.level[u] + 1;
+                    self.queue.push(v);
                 }
             }
         }
-        (level[t] >= 0).then_some(level)
+        self.level[t] >= 0
     }
 
-    fn dfs_push(
-        &mut self,
-        u: usize,
-        t: usize,
-        pushed: u64,
-        level: &[i32],
-        it: &mut [usize],
-    ) -> u64 {
+    fn dfs_push(&mut self, u: usize, t: usize, pushed: u64) -> u64 {
         if u == t {
             return pushed;
         }
-        while it[u] < self.head[u].len() {
-            let a = self.head[u][it[u]];
+        while self.it[u] < self.head[u].len() {
+            let a = self.head[u][self.it[u]];
             let v = self.to[a];
-            if self.cap[a] > 0 && level[v] == level[u] + 1 {
-                let d = self.dfs_push(v, t, pushed.min(self.cap[a]), level, it);
+            if self.cap[a] > 0 && self.level[v] == self.level[u] + 1 {
+                let d = self.dfs_push(v, t, pushed.min(self.cap[a]));
                 if d > 0 {
                     self.cap[a] -= d;
                     self.cap[a ^ 1] += d;
                     return d;
                 }
             }
-            it[u] += 1;
+            self.it[u] += 1;
         }
         0
     }
@@ -114,19 +139,7 @@ impl FlowNet {
     ///
     /// Panics if `s == t` or either is out of range.
     pub fn max_flow(&mut self, s: usize, t: usize) -> u64 {
-        assert!(s < self.n && t < self.n && s != t, "bad flow endpoints");
-        let mut total = 0u64;
-        while let Some(level) = self.bfs_levels(s, t) {
-            let mut it = vec![0usize; self.n];
-            loop {
-                let pushed = self.dfs_push(s, t, u64::MAX, &level, &mut it);
-                if pushed == 0 {
-                    break;
-                }
-                total += pushed;
-            }
-        }
-        total
+        self.max_flow_limited(s, t, u64::MAX)
     }
 
     /// Like [`FlowNet::max_flow`] but stops augmenting once `limit` units
@@ -142,13 +155,10 @@ impl FlowNet {
     pub fn max_flow_limited(&mut self, s: usize, t: usize, limit: u64) -> u64 {
         assert!(s < self.n && t < self.n && s != t, "bad flow endpoints");
         let mut total = 0u64;
-        while total < limit {
-            let Some(level) = self.bfs_levels(s, t) else {
-                break;
-            };
-            let mut it = vec![0usize; self.n];
+        while total < limit && self.bfs_levels(s, t) {
+            self.it.fill(0);
             while total < limit {
-                let pushed = self.dfs_push(s, t, limit - total, &level, &mut it);
+                let pushed = self.dfs_push(s, t, limit - total);
                 if pushed == 0 {
                     break;
                 }
@@ -156,6 +166,42 @@ impl FlowNet {
             }
         }
         total
+    }
+
+    /// `min(limit, min_{t ∈ sinks} MINCUT(s, t))` over the arcs `keep`
+    /// admits (it sees the ids [`FlowNet::add_arc`] returned; a rejected
+    /// arc has capacity 0).
+    ///
+    /// Every sink starts from those capacities and zero flow, and is
+    /// capped at the running minimum — a sink whose cut is not below
+    /// it cannot change the answer, so its flow stops there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is a sink or an endpoint is out of range.
+    pub fn min_cut_to_sinks(
+        &mut self,
+        s: usize,
+        sinks: impl IntoIterator<Item = usize>,
+        keep: impl Fn(usize) -> bool,
+        limit: u64,
+    ) -> u64 {
+        self.masked.clear();
+        self.masked.extend_from_slice(&self.cap0);
+        for a in (0..self.masked.len()).step_by(2) {
+            if !keep(a) {
+                self.masked[a] = 0;
+            }
+        }
+        let mut best = limit;
+        for t in sinks {
+            if best == 0 {
+                break;
+            }
+            self.cap.copy_from_slice(&self.masked);
+            best = self.max_flow_limited(s, t, best);
+        }
+        best
     }
 
     /// After [`FlowNet::max_flow`], the set of nodes reachable from `s` in
@@ -188,11 +234,7 @@ pub fn min_cut(g: &DiGraph, s: NodeId, t: NodeId) -> u64 {
         g.is_active(s) && g.is_active(t),
         "min_cut endpoints must be active"
     );
-    let mut net = FlowNet::new(g.node_count());
-    for (_, e) in g.edges() {
-        net.add_arc(e.src, e.dst, e.cap);
-    }
-    net.max_flow(s, t)
+    FlowNet::from_digraph(g).max_flow(s, t)
 }
 
 /// The broadcast rate `γ = min_{j} MINCUT(G, s, j)` over all active `j ≠ s`.
@@ -206,11 +248,11 @@ pub fn min_cut(g: &DiGraph, s: NodeId, t: NodeId) -> u64 {
 /// Panics if `s` is inactive.
 pub fn broadcast_rate(g: &DiGraph, s: NodeId) -> u64 {
     assert!(g.is_active(s), "source must be active");
-    g.nodes()
-        .filter(|&j| j != s)
-        .map(|j| min_cut(g, s, j))
-        .min()
-        .unwrap_or(0)
+    if g.active_count() < 2 {
+        return 0;
+    }
+    let sinks = g.nodes().filter(|&j| j != s);
+    FlowNet::from_digraph(g).min_cut_to_sinks(s, sinks, |_| true, u64::MAX)
 }
 
 /// `MINCUT(H̄, s, t)` in an undirected capacitated graph.

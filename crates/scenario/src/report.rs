@@ -98,6 +98,12 @@ pub struct JobBounds {
     pub fraction_of_lower: f64,
     /// `throughput / thm2_upper` (≤ 1 always, per Theorem 2).
     pub fraction_of_upper: f64,
+    /// Whether `γ*` was enumerated exactly. `false` means the job's
+    /// `bounds_budget` tripped and both bounds above come from an upper
+    /// bound on `γ*`. Timed JSON and the text summary carry it; it joins
+    /// the canonical schema at the next declared bump (with the envelope
+    /// oracle), so canonical JSON stays byte-identical until then.
+    pub gamma_star_exact: bool,
 }
 
 /// Everything measured for one job.
@@ -449,13 +455,25 @@ impl SweepReport {
         }
         reg.counter_add("mismatch_instances", mismatch);
         reg.counter_add("defaulted_instances", defaulted);
+        reg.counter_add("bounds.inexact", self.inexact_bounds() as u64);
         for (name, histogram) in a.latency.phases() {
             reg.set_histogram(&format!("latency_{name}_ns"), histogram.clone());
         }
         reg
     }
 
-    /// A terminal-friendly summary table of the per-job outcomes.
+    /// Jobs whose Eq. 6 / Theorem 2 envelope rests on an upper bound on
+    /// `γ*` (their `bounds_budget` tripped).
+    fn inexact_bounds(&self) -> usize {
+        let inexact = |j: &&JobOutcome| {
+            let bounds = j.result.as_ref().ok().and_then(|m| m.bounds.as_ref());
+            bounds.is_some_and(|b| !b.gamma_star_exact)
+        };
+        self.jobs.iter().filter(inexact).count()
+    }
+
+    /// A terminal-friendly summary table of the per-job outcomes. A `≤`
+    /// after the `ok` column marks a job whose bounds are inexact.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         out.push_str(
@@ -468,7 +486,7 @@ impl SweepReport {
             let faulty = format!("{:?}", job.faulty);
             match &job.result {
                 Ok(m) => out.push_str(&format!(
-                    "{:>5} | {:>2} | {:>3} | {} | {:>7} | {:>5} | {:<11} | {:>10.3} | {:>8} | {}\n",
+                    "{:>5} | {:>2} | {:>3} | {} | {:>7} | {:>5} | {:<11} | {:>10.3} | {:>8} | {}{}\n",
                     job.index,
                     job.n,
                     job.cap,
@@ -479,12 +497,22 @@ impl SweepReport {
                     m.throughput,
                     m.dispute_rounds,
                     if m.all_correct { "yes" } else { "NO" },
+                    match &m.bounds {
+                        Some(b) if !b.gamma_star_exact => " ≤",
+                        _ => "",
+                    },
                 )),
                 Err(e) => out.push_str(&format!(
                     "{:>5} | {:>2} | {:>3} | {} | {:>7} | {:>5} | {:<11} | {:>10} | {:>8} | --  ({e})\n",
                     job.index, job.n, job.cap, job.f, job.symbols, job.seed_index, faulty, "rejected", "-",
                 )),
             }
+        }
+        let inexact = self.inexact_bounds();
+        if inexact > 0 {
+            out.push_str(&format!(
+                "≤ {inexact} job(s): bounds_budget tripped, the Eq. 6 / Theorem 2 envelope uses an upper bound on γ*\n"
+            ));
         }
         out
     }
@@ -582,6 +610,9 @@ fn metrics_json(m: &JobMetrics, with_timings: bool) -> Json {
         ));
     }
     if with_timings {
+        if let Some(b) = &m.bounds {
+            pairs.push(("gamma_star_exact", Json::Bool(b.gamma_star_exact)));
+        }
         pairs.push(("wall_phase1_ns", Json::U64(m.latency.phase1.sum())));
         pairs.push(("wall_equality_ns", Json::U64(m.latency.equality.sum())));
         pairs.push(("wall_flags_ns", Json::U64(m.latency.flags.sum())));

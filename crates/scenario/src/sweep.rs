@@ -736,6 +736,7 @@ fn measure(
                 } else {
                     0.0
                 },
+                gamma_star_exact: r.gamma_star.exact,
             });
     }
     metrics.wall_ns = job_start.elapsed().as_nanos() as u64;
@@ -1253,5 +1254,31 @@ mod tests {
         assert!(b.eq6_lower > 0.0);
         assert!(b.thm2_upper > 0);
         assert!(b.fraction_of_upper <= 1.0 + 1e-9, "Theorem 2 violated?");
+        assert!(b.gamma_star_exact);
+        assert!(!report.summary_table().contains('≤'));
+    }
+
+    #[test]
+    fn inexact_bounds_are_marked_outside_canonical_json() {
+        let mut spec = small_spec()
+            .with_n(vec![4])
+            .with_cap(vec![2])
+            .with_seeds(1)
+            .with_bounds(true);
+        let exact = run_sweep(&spec, 1).unwrap();
+        spec.bounds_budget = 2; // K4 has 9 closed dispute sets at f = 1
+        let report = run_sweep(&spec, 1).unwrap();
+        let m = report.jobs[0].result.as_ref().unwrap();
+        assert!(!m.bounds.as_ref().unwrap().gamma_star_exact);
+        assert_eq!(report.metrics_registry().counter("bounds.inexact"), 1);
+        assert_eq!(exact.metrics_registry().counter("bounds.inexact"), 0);
+        assert!(report
+            .to_json_timed()
+            .contains("\"gamma_star_exact\":false"));
+        assert!(exact.to_json_timed().contains("\"gamma_star_exact\":true"));
+        assert!(!report.to_json().contains("gamma_star_exact"));
+        let table = report.summary_table();
+        assert!(table.contains("| yes ≤\n"), "{table}");
+        assert!(table.contains("≤ 1 job(s)"), "{table}");
     }
 }
