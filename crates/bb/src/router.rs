@@ -6,6 +6,15 @@
 //! (each faulty node lies on at most one path), so the majority copy is
 //! always the sender's value. This turns any `2f+1`-connected network into
 //! a virtual complete graph on which classic BB protocols run unchanged.
+//!
+//! [`PathRouter::build`] proves the precondition once and planning takes
+//! that proof as its validation of the paper's connectivity assumption.
+//! The proof is the pivot check of [`nab_netgraph::connectivity`]: a
+//! separator of fewer than `2f + 1` nodes misses one of any `2f + 1` fixed
+//! pivots, so it is enough that every pivot has `2f + 1` disjoint paths to
+//! and from every other node — `2(2f+1)(n−1)` capped flows on two split
+//! networks built once (lemma and proof in that module's docs). Paths are
+//! then extracted per pair on first use; Menger's theorem says they exist.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -78,13 +87,11 @@ type PairRoutes = BTreeMap<(NodeId, NodeId), Arc<PairRoute>>;
 /// Routes logical unicasts over vertex-disjoint path systems, computed
 /// lazily per ordered pair.
 ///
-/// Eager all-pairs routing is `O(n²)` max-flows before the first instance
-/// can run — the planning wall at datacenter scale. [`PathRouter::build`]
-/// now only proves the `2f+1`-connectivity precondition (so path existence
-/// is guaranteed by Menger's theorem) and each pair's route is extracted on
-/// first use, memoized behind a lock. The extraction is deterministic per
-/// pair, so lazy evaluation is invisible to results regardless of which
-/// thread routes a pair first.
+/// [`PathRouter::build`] only proves the `2f+1`-connectivity precondition
+/// (so path existence is guaranteed by Menger's theorem) and each pair's
+/// route is extracted on first use, memoized behind a lock. The extraction
+/// is deterministic per pair, so lazy evaluation is invisible to results
+/// regardless of which thread routes a pair first.
 #[derive(Debug)]
 pub struct PathRouter {
     g: DiGraph,

@@ -45,6 +45,7 @@
 use std::collections::BTreeSet;
 
 use nab_netgraph::flow::{broadcast_rate, min_cut_undirected, FlowNet};
+use nab_netgraph::globalcut::bounded_min_cut;
 use nab_netgraph::{DiGraph, NodeId, UnGraph};
 
 /// An unordered node pair, stored sorted.
@@ -104,16 +105,18 @@ pub fn omega_subsets(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Vec<BT
 /// `U_k`: the minimum pairwise min cut of the undirected views of all
 /// subgraphs in `Ω_k`. `None` when `Ω_k` is empty or degenerate.
 ///
-/// The all-pairs minimum inside each subgraph is its *global* min cut,
-/// computed with Stoer–Wagner; the flow-based brute force remains as a
-/// test oracle ([`u_k_brute_force`]).
+/// The all-pairs minimum inside each subgraph is its *global* min cut.
+/// All members of `Ω_k` are selections from one undirected view of `g`,
+/// each bounded by the minimum over the members before it
+/// ([`bounded_min_cut`]); the flow-based brute force remains as a test
+/// oracle ([`u_k_brute_force`]).
 pub fn u_k(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Option<u64> {
+    let view = UnGraph::from_digraph(g);
     let mut best: Option<u64> = None;
     for h_nodes in omega_subsets(g, f, disputes) {
-        let h = g.induced_subgraph(&h_nodes);
-        let uh = UnGraph::from_digraph(&h);
-        if let Some(c) = nab_netgraph::globalcut::global_min_cut_value(&uh) {
-            best = Some(best.map_or(c, |b| b.min(c)));
+        if h_nodes.len() >= 2 {
+            let h_nodes: Vec<NodeId> = h_nodes.into_iter().collect();
+            best = Some(bounded_min_cut(&view, &h_nodes, best.unwrap_or(u64::MAX)));
         }
     }
     best
@@ -474,15 +477,47 @@ mod tests {
     #[test]
     fn uk_matches_brute_force_oracle() {
         use rand::rngs::StdRng;
-        use rand::SeedableRng;
+        use rand::{Rng, SeedableRng};
+        // Debug builds keep the small cases; CI's release-mode `bounds::`
+        // step runs the full set.
+        let heavy = !cfg!(debug_assertions);
         let mut rng = StdRng::seed_from_u64(88);
-        for _ in 0..8 {
-            let g = gen::random_connected(5, 0.6, 3, &mut rng);
-            assert_eq!(
-                u_k(&g, 1, &BTreeSet::new()),
-                u_k_brute_force(&g, 1, &BTreeSet::new())
-            );
+        let (mut defined, mut disputed, mut values) = (0, 0, BTreeSet::new());
+        for trial in 0..if heavy { 240 } else { 40 } {
+            let n = rng.gen_range(5..=if heavy { 9 } else { 7 });
+            let mut g = match trial % 4 {
+                0 => gen::random_connected(n, 0.6, 3, &mut rng),
+                1 => gen::complete_heterogeneous(n, 1, 6, &mut rng),
+                2 => gen::random_k_connected(n, 3, 4, 0.3, &mut rng),
+                _ => gen::complete(n, 2),
+            };
+            // Dispute control's state: disputed pairs lose their links and
+            // leave `Ω_k`; an exposed node leaves the graph.
+            let mut disputes = BTreeSet::new();
+            for _ in 0..rng.gen_range(0..=3) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    g.remove_edges_between(a, b);
+                    disputes.insert(pair(a, b));
+                }
+            }
+            if trial % 5 == 4 {
+                g.remove_node(rng.gen_range(1..n));
+            }
+            for f in 1..=2 {
+                let fast = u_k(&g, f, &disputes);
+                assert_eq!(
+                    fast,
+                    u_k_brute_force(&g, f, &disputes),
+                    "f={f} disputes={disputes:?} {g:?}"
+                );
+                defined += usize::from(fast.is_some());
+                disputed += usize::from(fast.is_some() && !disputes.is_empty());
+                values.extend(fast);
+            }
         }
+        assert!(defined >= 30 && disputed >= 10, "{defined} / {disputed}");
+        assert!(values.len() >= 5, "only saw U_k ∈ {values:?}");
         let disputes = BTreeSet::from([pair(1, 2)]);
         let g = gen::figure_1b();
         assert_eq!(u_k(&g, 1, &disputes), u_k_brute_force(&g, 1, &disputes));

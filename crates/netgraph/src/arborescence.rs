@@ -96,34 +96,44 @@ fn invariant_holds(g: &DiGraph, rem: &[u64], root: NodeId, need: u64) -> bool {
         .all(|v| residual_min_cut(g, rem, root, v) >= need)
 }
 
-/// Computes a sparse flow witness: a feasible `root → target` flow of value
-/// `need` in the residual graph `rem`, as `edge id → units shipped`, or
-/// `None` if the residual min cut is below `need`.
-fn capped_witness(
-    g: &DiGraph,
-    rem: &[u64],
-    root: NodeId,
-    target: NodeId,
-    need: u64,
-) -> Option<HashMap<EdgeId, u64>> {
-    let mut net = FlowNet::new(g.node_count());
-    let mut arcs: Vec<(EdgeId, usize)> = Vec::new();
-    for (id, e) in g.edges() {
-        if rem[id] > 0 {
-            arcs.push((id, net.add_arc(e.src, e.dst, rem[id])));
+/// The flow network of `g`, built once per packing and returned to the
+/// shrinking residual capacities `rem` before every witness solve.
+struct WitnessSolver {
+    net: FlowNet,
+    /// The id of the `k`-th live edge, which is arc `2k` of `net` — live
+    /// ids are sparse once a node has been removed.
+    edge_of_arc: Vec<EdgeId>,
+}
+
+impl WitnessSolver {
+    fn new(g: &DiGraph) -> WitnessSolver {
+        WitnessSolver {
+            net: FlowNet::from_digraph(g),
+            edge_of_arc: g.edges().map(|(id, _)| id).collect(),
         }
     }
-    if net.max_flow_limited(root, target, need) < need {
-        return None;
-    }
-    let mut flows = HashMap::new();
-    for (id, arc) in arcs {
-        let f = net.flow_on(arc);
-        if f > 0 {
-            flows.insert(id, f);
+
+    /// Computes a sparse flow witness: a feasible `root → target` flow of
+    /// value `need` in the residual graph `rem`, as `edge id → units
+    /// shipped`, or `None` if the residual min cut is below `need`.
+    fn capped_witness(
+        &mut self,
+        rem: &[u64],
+        root: NodeId,
+        target: NodeId,
+        need: u64,
+    ) -> Option<HashMap<EdgeId, u64>> {
+        let edge_of_arc = &self.edge_of_arc;
+        self.net.reset(|arc| rem[edge_of_arc[arc / 2]]);
+        if self.net.max_flow_limited(root, target, need) < need {
+            return None;
         }
+        let shipped = edge_of_arc
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| (id, self.net.flow_on(2 * k)));
+        Some(shipped.filter(|&(_, f)| f > 0).collect())
     }
-    Some(flows)
 }
 
 /// Packs `k` capacity-respecting spanning arborescences rooted at `root`.
@@ -137,10 +147,12 @@ fn capped_witness(
 /// decrement (as [`pack_arborescences_naive`] does), it keeps a sparse flow
 /// witness of value ≥ `need` per node. Decrementing edge `e` can only break
 /// witnesses that ship more than the new residual over `e`, so exactly those
-/// nodes are re-solved (with a flow capped at `need`); all others provably
-/// still meet the cut bound. The safety decision for every candidate edge is
-/// the same boolean the naive checker computes, so the produced packing is
-/// **identical** — a fact the differential tests (and the engine's
+/// nodes are re-solved (with a flow capped at `need`, on one flow network
+/// whose capacities are reset to the residuals before each solve); all
+/// others provably still meet the cut bound. The safety decision for every
+/// candidate edge is the same boolean the naive checker computes — it does
+/// not depend on which witness was found — so the produced packing is
+/// **identical**, a fact the differential tests (and the engine's
 /// repair-vs-recompute proptests) pin down.
 ///
 /// # Panics
@@ -162,11 +174,12 @@ pub fn pack_arborescences(g: &DiGraph, root: NodeId, k: u64) -> Option<Vec<Arbor
     let n = g.node_count();
     let mut wit: Vec<HashMap<EdgeId, u64>> = vec![HashMap::new(); n];
     let mut users: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); max_id];
+    let mut solver = WitnessSolver::new(g);
     for v in g.nodes() {
         if v == root {
             continue;
         }
-        let w = capped_witness(g, &rem, root, v, k)?;
+        let w = solver.capped_witness(&rem, root, v, k)?;
         for &e in w.keys() {
             users[e].insert(v);
         }
@@ -206,7 +219,7 @@ pub fn pack_arborescences(g: &DiGraph, root: NodeId, k: u64) -> Option<Vec<Arbor
                     let mut rebuilt = Vec::with_capacity(affected.len());
                     let mut feasible = true;
                     for &v in &affected {
-                        match capped_witness(g, &rem, root, v, need) {
+                        match solver.capped_witness(&rem, root, v, need) {
                             Some(w) => rebuilt.push((v, w)),
                             None => {
                                 feasible = false;
@@ -465,8 +478,18 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(41);
-        for trial in 0..10 {
+        let mut sparse_nontrivial = 0;
+        for trial in 0..16 {
             let mut g = gen::random_k_connected(8, 3, 3, 0.3, &mut rng);
+            // An exposed node leaves its edges in the id space, so the
+            // live ids are sparse (arc 2k of the shared net is the k-th
+            // *live* edge, not edge k).
+            let sparse = trial % 2 == 1;
+            if sparse {
+                g.remove_node(rng.gen_range(1..8));
+                let ids: Vec<EdgeId> = g.edges().map(|(id, _)| id).collect();
+                assert!(ids.iter().enumerate().any(|(k, &id)| k != id));
+            }
             // Dispute-style removals shrink the graph between packings.
             for _ in 0..3 {
                 let a = rng.gen_range(1..8);
@@ -475,13 +498,17 @@ mod tests {
                     g.remove_edges_between(a, b);
                 }
                 let k = broadcast_rate(&g, 0);
+                let packed = pack_arborescences(&g, 0, k);
                 assert_eq!(
-                    pack_arborescences(&g, 0, k),
+                    packed,
                     pack_arborescences_naive(&g, 0, k),
                     "trial {trial} diverged after removal"
                 );
+                validate_packing(&g, 0, &packed.unwrap()).unwrap();
+                sparse_nontrivial += usize::from(sparse && k > 1);
             }
         }
+        assert!(sparse_nontrivial >= 8, "sparse-id cases were trivial");
     }
 
     #[test]

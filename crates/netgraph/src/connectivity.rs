@@ -6,31 +6,63 @@
 //! message along every path and taking the majority at the receiver yields
 //! reliable end-to-end communication between fault-free nodes — a *complete
 //! graph emulation* on which any classic BB protocol can run.
+//!
+//! # The pivot check
+//!
+//! Write `κ(s, t)` for the number of internally-vertex-disjoint `s → t`
+//! paths (a direct link counts as one) and `κ(G) = min_{s ≠ t} κ(s, t)`.
+//!
+//! **Lemma.** Fix any `k` nodes `P` of a graph with more than `k` nodes.
+//! Then `κ(G) ≥ k` iff `κ(p, v) ≥ k` and `κ(v, p) ≥ k` for every `p ∈ P`
+//! and every `v ≠ p`.
+//!
+//! *Proof.* Only "if" needs one. Let `κ(s, t) < k`. By Menger's theorem
+//! (applied after deleting the link `s → t`, if there is one) some set `S`
+//! of internal nodes, with `|S| ≤ k − 1` and `|S| ≤ k − 2` when `s → t` is
+//! a link, meets every other `s → t` path. Let `A` be what `s` reaches in
+//! `G − S − (s → t)` and `B` the rest outside `S`: `t ∈ B`, and `s → t` is
+//! the only link that can lead from `A` to `B`. If it is not a link, some
+//! `p ∈ P` lies outside `S`; every path from `A` to `B` crosses `S`, so
+//! `κ(p, t) ≤ |S|` if `p ∈ A` and `κ(s, p) ≤ |S|` if `p ∈ B`. If it is,
+//! some `p ∈ P` lies outside `S ∪ {s}`. For `p = t` the pair `(s, t)`
+//! itself has an endpoint in `P`. Otherwise every `A → B` path crosses
+//! `S` or uses `s → t`, which makes `s` internal to a path from
+//! `p ∈ A` and `t` internal to a path to `p ∈ B` (neither can be a
+//! direct link, those would join `A` to `B`): `κ(p, t) ≤ |S| + 1` or
+//! `κ(s, p) ≤ |S| + 1`. Every case ends below `k`. ∎
+//!
+//! So [`vertex_connectivity_at_least`] runs `2k(n − 1)` flows capped at
+//! `k` instead of `n(n − 1)`, and all of them on two networks built once:
+//! a flow from `s_out` to `t_in` never uses the split arc of `s` or of
+//! `t` (one ends at the source, the other starts at the sink), so the
+//! same unit-capacity split network serves every pair.
 
 use crate::flow::FlowNet;
 use crate::graph::{DiGraph, NodeId};
 
-/// Large capacity standing in for ∞ in node-split constructions.
-const INF: u64 = u64::MAX / 4;
-
-/// Builds the node-split flow network for internally-vertex-disjoint path
-/// counting: every node `v` becomes `v_in = v`, `v_out = v + n` joined by a
-/// unit arc (infinite for `s`, `t`); every edge `(u, v)` becomes a unit arc
-/// `u_out → v_in`.
-fn split_network(g: &DiGraph, s: NodeId, t: NodeId) -> (FlowNet, Vec<Option<usize>>) {
+/// The node-split flow network for internally-vertex-disjoint path
+/// counting, of `g` or of its transpose: every active node `v` becomes
+/// `v_in = v`, `v_out = v + n` joined by a unit arc, and every live edge
+/// `(u, v)` a unit arc `u_out → v_in` (`v_out → u_in` transposed). The
+/// `s → t` paths are the flow from `s_out` to `t_in`.
+///
+/// Arcs come in [`DiGraph::nodes`] then [`DiGraph::edges`] order, so the
+/// `k`-th live edge is arc `2 · (active_count + k)`.
+fn split_network(g: &DiGraph, transpose: bool) -> FlowNet {
     let n = g.node_count();
     let mut net = FlowNet::new(2 * n);
     for v in g.nodes() {
-        let cap = if v == s || v == t { INF } else { 1 };
-        net.add_arc(v, v + n, cap);
+        net.add_arc(v, v + n, 1);
     }
-    // Track the arc id for each graph edge so paths can be decoded.
-    let mut edge_arcs = vec![None; g.edges().map(|(id, _)| id + 1).max().unwrap_or(0)];
-    for (id, e) in g.edges() {
-        let arc = net.add_arc(e.src + n, e.dst, 1);
-        edge_arcs[id] = Some(arc);
+    for (_, e) in g.edges() {
+        let (u, v) = if transpose {
+            (e.dst, e.src)
+        } else {
+            (e.src, e.dst)
+        };
+        net.add_arc(u + n, v, 1);
     }
-    (net, edge_arcs)
+    net
 }
 
 /// The maximum number of internally-vertex-disjoint directed paths from `s`
@@ -44,9 +76,7 @@ pub fn vertex_connectivity_pair(g: &DiGraph, s: NodeId, t: NodeId) -> u64 {
         g.is_active(s) && g.is_active(t) && s != t,
         "bad connectivity query"
     );
-    let n = g.node_count();
-    let (mut net, _) = split_network(g, s, t);
-    net.max_flow(s + n, t)
+    split_network(g, false).max_flow(s + g.node_count(), t)
 }
 
 /// The directed vertex connectivity of the graph: the minimum over all
@@ -59,22 +89,15 @@ pub fn vertex_connectivity_pair(g: &DiGraph, s: NodeId, t: NodeId) -> u64 {
 ///
 /// Returns `None` with fewer than two active nodes.
 pub fn vertex_connectivity(g: &DiGraph) -> Option<u64> {
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    if nodes.len() < 2 {
+    if g.active_count() < 2 {
         return None;
     }
     let n = g.node_count();
+    let mut net = split_network(g, false);
     let mut best = u64::MAX;
-    for &s in &nodes {
-        for &t in &nodes {
-            if s != t {
-                let (mut net, _) = split_network(g, s, t);
-                best = best.min(net.max_flow_limited(s + n, t, best));
-                if best == 0 {
-                    return Some(0);
-                }
-            }
-        }
+    for s in g.nodes() {
+        let sinks = g.nodes().filter(|&t| t != s);
+        best = net.min_cut_to_sinks(s + n, sinks, |_| true, best);
     }
     Some(best)
 }
@@ -113,33 +136,29 @@ pub fn strongly_connected(g: &DiGraph) -> bool {
     g.nodes().all(|v| down[v] && up[v])
 }
 
-/// Whether the directed vertex connectivity is at least `k`: every ordered
-/// pair must carry `k` internally-disjoint paths, so each pair's flow is
-/// capped at `k` (`O(k · (V + E))` per pair) and the scan exits on the
-/// first pair that falls short.
+/// Whether the directed vertex connectivity is at least `k`, by the pivot
+/// check of the module docs: the first `k` active nodes each need `k`
+/// internally-disjoint paths to and from every other node.
 ///
-/// Returns `false` with fewer than two active nodes (no pair exists), and
-/// trivially `true` for `k = 0`.
+/// Returns `false` with at most `k` active nodes (in particular with fewer
+/// than two, where no pair exists), and trivially `true` for `k = 0`.
 pub fn vertex_connectivity_at_least(g: &DiGraph, k: u64) -> bool {
     if k == 0 {
         return true;
     }
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    if nodes.len() < 2 {
+    // A pair has at most one direct path and one per other node.
+    if g.active_count() as u64 <= k {
         return false;
     }
     let n = g.node_count();
-    for &s in &nodes {
-        for &t in &nodes {
-            if s != t {
-                let (mut net, _) = split_network(g, s, t);
-                if net.max_flow_limited(s + n, t, k) < k {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    let mut out = split_network(g, false);
+    let mut back = split_network(g, true);
+    g.nodes().take(k as usize).all(|p| {
+        [&mut out, &mut back].into_iter().all(|net| {
+            let others = g.nodes().filter(|&v| v != p);
+            net.min_cut_to_sinks(p + n, others, |_| true, k) == k
+        })
+    })
 }
 
 /// Extracts `k` internally-vertex-disjoint directed paths from `s` to `t`,
@@ -158,7 +177,7 @@ pub fn vertex_disjoint_paths(
 ) -> Option<Vec<Vec<NodeId>>> {
     assert!(g.is_active(s) && g.is_active(t) && s != t, "bad path query");
     let n = g.node_count();
-    let (mut net, edge_arcs) = split_network(g, s, t);
+    let mut net = split_network(g, false);
     let flow = net.max_flow(s + n, t);
     if (flow as usize) < k {
         return None;
@@ -166,14 +185,13 @@ pub fn vertex_disjoint_paths(
 
     // Successor map via flow decomposition: for each node u with flow
     // leaving u_out, record which edges carry flow.
+    let first_edge_arc = 2 * g.active_count();
     let mut flow_out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (id, e) in g.edges() {
-        if let Some(arc) = edge_arcs[id] {
-            let f = net.flow_on(arc);
-            debug_assert!(f <= 1);
-            if f == 1 {
-                flow_out[e.src].push(e.dst);
-            }
+    for (i, (_, e)) in g.edges().enumerate() {
+        let f = net.flow_on(first_edge_arc + 2 * i);
+        debug_assert!(f <= 1);
+        if f == 1 {
+            flow_out[e.src].push(e.dst);
         }
     }
 
@@ -292,6 +310,47 @@ mod tests {
         assert!(strongly_connected(&lone));
     }
 
+    /// The all-pairs scan the pivot check replaced, kept as its oracle: a
+    /// fresh split network per ordered pair, the endpoints' own split arcs
+    /// uncapped.
+    fn connectivity_by_all_pairs(g: &DiGraph) -> Option<u64> {
+        let n = g.node_count();
+        let mut best = None::<u64>;
+        for s in g.nodes() {
+            for t in g.nodes().filter(|&t| t != s) {
+                let mut net = FlowNet::new(2 * n);
+                for v in g.nodes() {
+                    let cap = if v == s || v == t { u64::MAX / 4 } else { 1 };
+                    net.add_arc(v, v + n, cap);
+                }
+                for (_, e) in g.edges() {
+                    net.add_arc(e.src + n, e.dst, 1);
+                }
+                let pair = net.max_flow(s + n, t);
+                assert_eq!(vertex_connectivity_pair(g, s, t), pair, "{s}→{t} {g:?}");
+                best = Some(best.map_or(pair, |b| b.min(pair)));
+            }
+        }
+        best
+    }
+
+    /// Every threshold around `κ`, and the `f = 0` entry point, against
+    /// the oracle.
+    fn check_thresholds(g: &DiGraph) {
+        let exact = connectivity_by_all_pairs(g);
+        assert_eq!(vertex_connectivity(g), exact, "{g:?}");
+        for k in 0..=exact.unwrap_or(0) + 2 {
+            assert_eq!(
+                vertex_connectivity_at_least(g, k),
+                k == 0 || exact.is_some_and(|x| k <= x),
+                "threshold {k} vs exact {exact:?} on {g:?}"
+            );
+        }
+        if g.active_count() >= 2 {
+            assert_eq!(supports_byzantine_broadcast(g, 0), exact >= Some(1));
+        }
+    }
+
     #[test]
     fn threshold_check_agrees_with_exact_connectivity() {
         for g in [
@@ -299,16 +358,52 @@ mod tests {
             gen::circulant(7, 2, 1),
             gen::ring(5, 2),
             gen::figure_1a(),
+            gen::figure_2a(),
+            // n ≤ k: two and three nodes against thresholds up to κ + 2.
+            gen::complete(2, 1),
+            gen::complete(3, 1),
         ] {
-            let exact = vertex_connectivity(&g).unwrap();
-            for k in 0..=exact + 2 {
-                assert_eq!(
-                    vertex_connectivity_at_least(&g, k),
-                    k <= exact,
-                    "threshold {k} vs exact {exact}"
-                );
-            }
+            check_thresholds(&g);
         }
+        // Fewer than two active nodes: no pair, so no threshold but 0.
+        let mut lone = gen::complete(2, 1);
+        lone.remove_node(0);
+        check_thresholds(&lone);
+    }
+
+    #[test]
+    fn pivot_check_matches_all_pairs_on_asymmetric_and_punctured_graphs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Debug builds keep the small cases; CI's release-mode run of this
+        // crate adds the larger ones.
+        let heavy = !cfg!(debug_assertions);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut kappas = std::collections::BTreeSet::new();
+        for trial in 0..if heavy { 300 } else { 60 } {
+            let n = rng.gen_range(5..=if heavy { 14 } else { 9 });
+            let dense = match trial % 3 {
+                0 => gen::random_connected(n, 0.8, 2, &mut rng),
+                1 => gen::random_k_connected(n, 3, 2, 0.3, &mut rng),
+                _ => gen::complete(n, 1),
+            };
+            // One-way links: each direction of each link survives on its
+            // own coin, so in- and out-connectivity differ.
+            let mut g = DiGraph::new(n);
+            for (_, e) in dense.edges() {
+                if rng.gen_bool(0.85) {
+                    g.add_edge(e.src, e.dst, e.cap);
+                }
+            }
+            // Non-contiguous ids, and a pivot set that starts past id 0.
+            if trial % 2 == 0 {
+                g.remove_node(rng.gen_range(0..n));
+                g.remove_node(0);
+            }
+            check_thresholds(&g);
+            kappas.extend(vertex_connectivity(&g));
+        }
+        assert!(kappas.len() >= 4, "only saw κ ∈ {kappas:?}");
     }
 
     #[test]

@@ -15,19 +15,21 @@ use crate::undirected::UnGraph;
 ///
 /// Build with [`FlowNet::new`] (or [`FlowNet::from_digraph`]), add arcs,
 /// then call [`FlowNet::max_flow`]. Residual state persists between
-/// calls; [`FlowNet::min_cut_to_sinks`] is the one query that restores
-/// capacities itself, so many sinks (and many arc masks) share one net.
+/// calls until [`FlowNet::reset`] returns the net to zero flow under new
+/// capacities; that is how many queries (sinks, arc masks, shrinking
+/// residual graphs) share one net and one set of scratch buffers.
 #[derive(Debug, Clone)]
 pub struct FlowNet {
     n: usize,
     // arcs[i] and arcs[i^1] are a residual pair.
     to: Vec<usize>,
     cap: Vec<u64>,
-    /// The capacity each arc was added with (0 for reverse twins).
+    /// The capacity arc `2k` was added with, at index `k`.
     cap0: Vec<u64>,
     head: Vec<Vec<usize>>, // arc indices per node
-    // Scratch (BFS/DFS state, the capacities under the current arc mask),
-    // kept so repeated queries on one net allocate nothing.
+    // Scratch (BFS/DFS state, the capacities under the current arc mask,
+    // indexed like `cap0`), kept so repeated queries on one net allocate
+    // nothing.
     level: Vec<i32>,
     it: Vec<usize>,
     queue: Vec<usize>,
@@ -75,9 +77,18 @@ impl FlowNet {
         self.head[u].push(id);
         self.to.push(u);
         self.cap.push(0);
-        self.cap0.push(0);
         self.head[v].push(id + 1);
         id
+    }
+
+    /// Returns the net to zero flow with every arc `a` (the ids
+    /// [`FlowNet::add_arc`] returned) at capacity `cap_of(a)` and every
+    /// reverse twin at 0. Allocates nothing.
+    pub fn reset(&mut self, cap_of: impl Fn(usize) -> u64) {
+        for pair in 0..self.cap0.len() {
+            self.cap[2 * pair] = cap_of(2 * pair);
+            self.cap[2 * pair + 1] = 0;
+        }
     }
 
     /// Remaining capacity of the arc returned by [`FlowNet::add_arc`].
@@ -186,21 +197,20 @@ impl FlowNet {
         keep: impl Fn(usize) -> bool,
         limit: u64,
     ) -> u64 {
-        self.masked.clear();
-        self.masked.extend_from_slice(&self.cap0);
-        for a in (0..self.masked.len()).step_by(2) {
-            if !keep(a) {
-                self.masked[a] = 0;
-            }
-        }
+        // The mask is evaluated once, not once per sink.
+        let mut masked = std::mem::take(&mut self.masked);
+        masked.clear();
+        let caps = self.cap0.iter().enumerate();
+        masked.extend(caps.map(|(pair, &cap)| if keep(2 * pair) { cap } else { 0 }));
         let mut best = limit;
         for t in sinks {
             if best == 0 {
                 break;
             }
-            self.cap.copy_from_slice(&self.masked);
+            self.reset(|a| masked[a / 2]);
             best = self.max_flow_limited(s, t, best);
         }
+        self.masked = masked;
         best
     }
 

@@ -8,15 +8,17 @@
 //!   network (Figure 2 of the paper),
 //! - [`flow`] — Dinic max-flow, `MINCUT(G, s, t)`, and the broadcast rate
 //!   `γ = min_j MINCUT(G, 1, j)`,
-//! - [`connectivity`] — directed vertex connectivity and vertex-disjoint
-//!   path extraction (used to emulate a complete graph over a
-//!   `2f+1`-connected network),
+//! - [`connectivity`] — directed vertex connectivity (the `2f+1` check is
+//!   a pivot scan on two shared split networks) and vertex-disjoint path
+//!   extraction (used to emulate a complete graph over a `2f+1`-connected
+//!   network),
 //! - [`arborescence`] — Edmonds-style packing of `γ` capacity-respecting
 //!   spanning arborescences (Phase 1 unreliable broadcast, Appendix A),
 //! - [`treepack`] — matroid-union packing of `⌊U/2⌋` undirected spanning
 //!   trees (the structure underlying Theorem 1, Appendix C),
-//! - [`globalcut`] — Stoer–Wagner global min cut (the all-pairs minimum
-//!   `U_H` in one `O(V³)` pass instead of `V` max-flows),
+//! - [`globalcut`] — bounded global min cut by Nagamochi–Ono–Ibaraki
+//!   contraction (the all-pairs minimum `U_H` of every `(n−f)`-node
+//!   subgraph, each capped at the minimum over the ones before it),
 //! - [`gen`] — graph generators, including the paper's worked examples,
 //! - [`canon`] — stable graph keys: a relabeling-invariant canonical
 //!   digest plus a labeled digest, the content-addressing layer under the
