@@ -12,13 +12,17 @@
 use std::collections::BTreeSet;
 
 use nab_netgraph::{DiGraph, NodeId};
-use nab_sim::NetSim;
+use nab_sim::{NetSim, SentMsg};
 
 use crate::eig::{run_eig, EigAdversary, EigChannel, HonestAdversary};
-use crate::router::{PathRouter, Routed};
+use crate::router::{FormulaClock, HopChannel, HopRound, PathRouter, RoundSink, Routed};
 
 /// An [`EigChannel`] that transports every logical unicast over `2f+1`
-/// vertex-disjoint paths of the real network, charging real link time.
+/// vertex-disjoint paths of the real network and charges the hop rounds to
+/// a [`NetSim`]'s clock — and, when the simulator records, writes each
+/// round's copies into its transcript ([`Recording`]). Tests, the oracle
+/// replay and the benchmark harness's probes use it; the engine charges a
+/// [`HopChannel`] instead and never builds a payload.
 ///
 /// The transfer is evaluated on ground truth
 /// ([`PathRouter::try_charge_unicast`]): relay corruption cannot defeat the
@@ -26,13 +30,12 @@ use crate::router::{PathRouter, Routed};
 /// *content* is injected a layer up, by the sender itself — and the cost is
 /// the route's hop rounds.
 ///
-/// Two of the fields say more than the channel now needs and stay only so
-/// callers that build it by struct literal keep compiling: of `net` only the
-/// clock and the transcript are used (the route, not `net`'s graph, decides
-/// links and capacities), and `faulty` feeds a `debug_assert` alone. The
-/// follow-up they mark: `run_flag_broadcast` and the dispute phase still
-/// clone `g0` into a fresh `NetSim` per instance just to own that clock; a
-/// bare clock-plus-transcript would let the clone, and then both fields, go.
+/// Of `net` only the clock and the transcript are used (the route, not
+/// `net`'s graph, decides links and capacities), and `faulty` feeds a
+/// `debug_assert` alone. No caller in this workspace depends on either any
+/// more; `benchmark/` builds the channel by struct literal, so the graph
+/// dependence and the `faulty` field go in the benchmark-only PR that
+/// ROADMAP pairs with this one.
 pub struct RoutedChannel<'a, V> {
     /// The simulator whose clock (and transcript, if recording) the traffic
     /// is charged to; it must simulate the router's graph.
@@ -44,16 +47,77 @@ pub struct RoutedChannel<'a, V> {
     pub faulty: &'a BTreeSet<NodeId>,
 }
 
+/// The recording [`RoundSink`]: charges hop rounds to a [`NetSim`]'s clock
+/// and, while the simulator records, writes each round into its transcript
+/// with every copy carrying `value`. [`RoutedChannel`] makes one per
+/// unicast; with a fixed `value` (say `&()`) it serves a whole phase.
+pub struct Recording<'a, V> {
+    /// The simulator to charge.
+    pub net: &'a mut NetSim<Routed<V>>,
+    /// What every recorded copy carries.
+    pub value: &'a V,
+}
+
+impl<V: Clone> RoundSink for Recording<'_, V> {
+    fn hop_round(&mut self, round: &HopRound<'_>) {
+        let (origin, target, bits) = (round.origin, round.target, round.bits);
+        self.net.charge_round(round.duration(), || {
+            let sends = round
+                .copies()
+                .map(|(path_idx, src, dst)| SentMsg {
+                    src,
+                    dst,
+                    bits,
+                    payload: Routed {
+                        origin,
+                        target,
+                        path_idx,
+                        value: self.value.clone(),
+                    },
+                })
+                .collect();
+            (format!("route/{origin}->{target}/hop{}", round.hop), sends)
+        });
+    }
+
+    fn elapsed(&self) -> f64 {
+        self.net.clock()
+    }
+}
+
 impl<V: Clone> EigChannel<V> for RoutedChannel<'_, V> {
     fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V) {
         debug_assert!(
             2 * self.faulty.len() < self.router.copies(),
             "ground-truth delivery needs a fault-free majority of copies"
         );
-        self.router
-            .try_charge_unicast(self.net, from, to, bits, value)
-            // nab-lint: allow(NAB003): routing over the build-time graph cannot fail (Menger); a removed node is a caller bug
-            .expect("routing over the build-time graph cannot fail");
+        let mut sink = Recording {
+            net: &mut *self.net,
+            value,
+        };
+        HopChannel {
+            router: self.router,
+            sink: &mut sink,
+        }
+        .unicast(from, to, bits, value);
+    }
+}
+
+/// The formula clock plus a count of the bits the network carried.
+#[derive(Debug, Default)]
+struct BitCounter {
+    clock: FormulaClock,
+    bits: u64,
+}
+
+impl RoundSink for BitCounter {
+    fn hop_round(&mut self, round: &HopRound<'_>) {
+        self.clock.hop_round(round);
+        self.bits += round.bits * round.copies().count() as u64;
+    }
+
+    fn elapsed(&self) -> f64 {
+        self.clock.elapsed()
     }
 }
 
@@ -103,33 +167,28 @@ pub fn oblivious_broadcast_with_router(
     faulty: &BTreeSet<NodeId>,
     adversary: &mut dyn EigAdversary<u64>,
 ) -> BaselineReport {
-    let mut net: NetSim<Routed<u64>> = NetSim::new(g.clone());
-    net.set_record_transcript(true);
+    let mut sink = BitCounter::default();
     let participants: Vec<NodeId> = g.nodes().collect();
-    let res = {
-        let mut chan = RoutedChannel {
-            net: &mut net,
+    let res = run_eig(
+        &participants,
+        source,
+        f,
+        value,
+        faulty,
+        adversary,
+        &mut HopChannel {
             router,
-            faulty,
-        };
-        run_eig(
-            &participants,
-            source,
-            f,
-            value,
-            faulty,
-            adversary,
-            &mut chan,
-            l_bits,
-        )
-    };
+            sink: &mut sink,
+        },
+        l_bits,
+    );
     let correct = participants
         .iter()
         .filter(|p| !faulty.contains(p))
         .all(|p| res.decisions[p] == value || faulty.contains(&source));
     BaselineReport {
-        time: net.clock(),
-        bits_carried: net.transcript().total_bits(),
+        time: sink.elapsed(),
+        bits_carried: sink.bits,
         correct,
     }
 }
@@ -245,6 +304,48 @@ mod tests {
         assert_eq!(via_shared.time, via_private.time);
         assert_eq!(via_shared.bits_carried, via_private.bits_carried);
         assert!(via_shared.correct);
+    }
+
+    /// The sink-counted report against a recording simulator carrying the
+    /// same broadcast: same clock to the bit, same bits on the wire.
+    #[test]
+    fn counted_bits_and_time_match_a_recorded_transcript() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let sparse = gen::random_k_connected(9, 3, 9, 0.2, &mut rng);
+        for (g, f) in [(sparse, 1), (gen::complete(7, 3), 2)] {
+            let router = PathRouter::build(&g, f).unwrap();
+            let none = BTreeSet::new();
+            let rep = oblivious_broadcast_with_router(
+                &g,
+                &router,
+                0,
+                f,
+                96,
+                7,
+                &none,
+                &mut HonestAdversary,
+            );
+            let mut net: NetSim<Routed<u64>> = NetSim::new(g.clone());
+            let participants: Vec<NodeId> = g.nodes().collect();
+            let mut chan = RoutedChannel {
+                net: &mut net,
+                router: &router,
+                faulty: &none,
+            };
+            run_eig(
+                &participants,
+                0,
+                f,
+                7u64,
+                &none,
+                &mut HonestAdversary,
+                &mut chan,
+                96,
+            );
+            assert_eq!(rep.time.to_bits(), net.clock().to_bits());
+            assert_eq!(rep.bits_carried, net.transcript().total_bits());
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   and the receiver majority-votes (Appendix D of the paper). The vote's
 //!   outcome is known in advance (at most `f` copies can be corrupted), so
 //!   a unicast is charged from the pair's memoized hop-round schedule
-//!   rather than simulated message by message;
+//!   rather than simulated message by message — one
+//!   [`router::HopRound`] at a time, to whichever [`router::RoundSink`]
+//!   the caller times with (the formula clock, a recording simulator, the
+//!   event kernel);
 //! - [`baselines`] — the capacity-oblivious full-value broadcast that NAB
 //!   is compared against in experiment E5 (Section 1's "previously proposed
 //!   algorithms can perform poorly");

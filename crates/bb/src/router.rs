@@ -23,7 +23,9 @@ use nab_netgraph::connectivity::{
     strongly_connected, vertex_connectivity_at_least, vertex_disjoint_paths,
 };
 use nab_netgraph::{DiGraph, NodeId};
-use nab_sim::{NetSim, SendError, SentMsg};
+use nab_sim::SendError;
+
+use crate::eig::EigChannel;
 
 /// Errors surfaced by the fallible routing entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,6 +132,98 @@ pub struct Routed<V> {
     pub value: V,
 }
 
+/// One hop round of a routed unicast: every copy whose path has a
+/// `hop`-th link crosses it, all copies at once. This is the unit every
+/// timing consumer sees — a [`RoundSink`] is handed one per round, in the
+/// order the rounds happen, and never anything larger.
+#[derive(Debug, Clone, Copy)]
+pub struct HopRound<'a> {
+    /// Logical sender of the unicast.
+    pub origin: NodeId,
+    /// Logical receiver of the unicast.
+    pub target: NodeId,
+    /// Which link of each path this round crosses (0 = out of `origin`).
+    pub hop: usize,
+    /// Size of every copy.
+    pub bits: u64,
+    /// The thinnest capacity among the round's links.
+    pub min_cap: u64,
+    paths: &'a [Vec<NodeId>],
+}
+
+impl<'a> HopRound<'a> {
+    /// The copies in flight this round as `(path index, src, dst)`, in path
+    /// order. The paths are internally vertex-disjoint on a simple graph,
+    /// so every copy has a link to itself.
+    pub fn copies(&self) -> impl Iterator<Item = (usize, NodeId, NodeId)> + 'a {
+        let hop = self.hop;
+        self.paths
+            .iter()
+            .enumerate()
+            .filter(move |(_, path)| hop + 1 < path.len())
+            .map(move |(idx, path)| (idx, path[hop], path[hop + 1]))
+    }
+
+    /// The synchronous charge for the round, `max_e(bits_e / z_e)`: `bits`
+    /// over the thinnest link (the same f64 the per-link maximum yields,
+    /// division being monotone in the divisor).
+    pub fn duration(&self) -> f64 {
+        self.bits as f64 / self.min_cap as f64
+    }
+}
+
+/// A consumer of hop rounds, and the clock they advance.
+///
+/// The paper's network is synchronous with zero propagation delay, so the
+/// formula clock ([`FormulaClock`]) is the whole timing model by default;
+/// a recording simulator and the message-level event kernel are the other
+/// two implementations of the same primitive.
+pub trait RoundSink {
+    /// Charges one hop round. Rounds arrive in protocol order and are
+    /// barrier-sequenced: a round starts when the previous one is over.
+    fn hop_round(&mut self, round: &HopRound<'_>);
+
+    /// Time charged so far, in capacity time-units.
+    fn elapsed(&self) -> f64;
+}
+
+/// The synchronous formula clock: each round lasts [`HopRound::duration`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FormulaClock {
+    time: f64,
+}
+
+impl RoundSink for FormulaClock {
+    fn hop_round(&mut self, round: &HopRound<'_>) {
+        self.time += round.duration();
+    }
+
+    fn elapsed(&self) -> f64 {
+        self.time
+    }
+}
+
+/// An [`EigChannel`] that transports every logical unicast over the
+/// router's `2f+1` disjoint paths on ground truth and charges its hop
+/// rounds to `sink`. Sizes only: the value is never looked at, because
+/// relay corruption cannot defeat the majority vote — what arrives is what
+/// was sent.
+pub struct HopChannel<'a, S> {
+    /// Pre-built disjoint-path routing tables.
+    pub router: &'a PathRouter,
+    /// Where the hop rounds go.
+    pub sink: &'a mut S,
+}
+
+impl<V, S: RoundSink> EigChannel<V> for HopChannel<'_, S> {
+    fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, _value: &V) {
+        self.router
+            .try_charge_unicast(self.sink, from, to, bits)
+            // nab-lint: allow(NAB003): routing over the build-time graph cannot fail (Menger); a removed node is a caller bug
+            .expect("routing over the build-time graph cannot fail");
+    }
+}
+
 impl PathRouter {
     /// Prepares `2f + 1`-disjoint-path routing between every ordered pair
     /// of active nodes.
@@ -222,46 +316,29 @@ impl PathRouter {
             .expect("connectivity was proven at build time")
     }
 
-    /// Performs one reliable unicast of `value` (`bits` wide) from `origin`
-    /// to `target` on ground truth: links are reliable and at most `f` of
-    /// the `2f + 1` disjoint copies cross a faulty relay, so what the
-    /// receiver's majority vote yields is by construction `value`, and what
-    /// the transfer costs is a function of the pair's route and `bits`
-    /// alone. Each hop round is charged to `net`'s clock in delivery order
-    /// — the same f64 additions the message-level simulation performs — and
-    /// its [`SentMsg`]s (every copy carrying `value`) are built only if
-    /// `net` records a transcript. No inbox is touched.
-    ///
-    /// `net` must simulate the graph this router was built on.
-    pub fn try_charge_unicast<V: Clone>(
+    /// Performs one reliable unicast of `bits` bits from `origin` to `target`
+    /// on ground truth: links are reliable and at most `f` of the `2f + 1`
+    /// disjoint copies cross a faulty relay, so what the receiver's majority
+    /// vote yields is by construction what was sent, and what the transfer
+    /// costs is a function of the pair's route and `bits` alone. Each hop
+    /// round is handed to `sink` in delivery order; the formula clock adds
+    /// the same f64s the message-level simulation does.
+    pub fn try_charge_unicast<S: RoundSink>(
         &self,
-        net: &mut NetSim<Routed<V>>,
+        sink: &mut S,
         origin: NodeId,
         target: NodeId,
         bits: u64,
-        value: &V,
     ) -> Result<(), RouterError> {
         let route = self.route(origin, target)?;
         for (hop, &min_cap) in route.min_caps.iter().enumerate() {
-            net.charge_round(bits as f64 / min_cap as f64, || {
-                let sends = route
-                    .paths
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, path)| hop + 1 < path.len())
-                    .map(|(path_idx, path)| SentMsg {
-                        src: path[hop],
-                        dst: path[hop + 1],
-                        bits,
-                        payload: Routed {
-                            origin,
-                            target,
-                            path_idx,
-                            value: value.clone(),
-                        },
-                    })
-                    .collect();
-                (format!("route/{origin}->{target}/hop{hop}"), sends)
+            sink.hop_round(&HopRound {
+                origin,
+                target,
+                hop,
+                bits,
+                min_cap,
+                paths: &route.paths,
             });
         }
         Ok(())
@@ -302,8 +379,8 @@ mod tests {
     use std::collections::BTreeSet;
 
     use crate::baselines::RoutedChannel;
-    use crate::eig::EigChannel;
     use nab_netgraph::gen;
+    use nab_sim::NetSim;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -476,8 +553,9 @@ mod tests {
 
         /// The schedule-driven channel against the message-level oracle,
         /// over recording simulators: same delivered value, same clock to
-        /// the bit, same `(src, dst, bits)` rounds — with up to `f` faulty
-        /// relays corrupting every copy they forward in the oracle.
+        /// the bit (the recording sink's and the bare formula clock's),
+        /// same `(src, dst, bits)` rounds — with up to `f` faulty relays
+        /// corrupting every copy they forward in the oracle.
         #[test]
         fn charged_unicast_matches_message_level_oracle(
             family in 0u8..3,
@@ -495,12 +573,15 @@ mod tests {
             }
             let mut charged: NetSim<Routed<u64>> = NetSim::new(g.clone());
             let mut oracle: NetSim<Routed<u64>> = NetSim::new(g.clone());
+            let mut formula = FormulaClock::default();
             for _ in 0..12 {
                 let origin = rng.gen_range(0..n);
                 let target = (origin + rng.gen_range(1..n)) % n;
                 let bits = rng.gen_range(1..=4096u64);
                 let value: u64 = rng.gen();
                 RoutedChannel { net: &mut charged, router: &router, faulty: &faulty }
+                    .unicast(origin, target, bits, &value);
+                HopChannel { router: &router, sink: &mut formula }
                     .unicast(origin, target, bits, &value);
                 let want = router
                     .try_unicast(&mut oracle, &faulty, origin, target, bits, value, &mut |relay, v| {
@@ -510,6 +591,7 @@ mod tests {
                 // The channel delivers what was sent; so must the vote.
                 prop_assert_eq!(want, Some(value));
                 prop_assert_eq!(charged.clock().to_bits(), oracle.clock().to_bits());
+                prop_assert_eq!(formula.elapsed().to_bits(), oracle.clock().to_bits());
             }
             let rounds = |net: &NetSim<Routed<u64>>| -> Vec<_> {
                 net.transcript()
@@ -534,9 +616,13 @@ mod tests {
         let g = gen::complete(4, 1);
         let router = PathRouter::build(&g, 1).unwrap();
         let mut net: NetSim<Routed<String>> = NetSim::new(g);
-        router
-            .try_charge_unicast(&mut net, 0, 3, 5, &"v".to_string())
-            .unwrap();
+        let faulty = BTreeSet::new();
+        RoutedChannel {
+            net: &mut net,
+            router: &router,
+            faulty: &faulty,
+        }
+        .unicast(0, 3, 5, &"v".to_string());
         let sends: Vec<_> = net
             .transcript()
             .rounds

@@ -52,7 +52,12 @@ use rand::SeedableRng;
 /// `invert`/`solve` kernel-vs-scalar pairs went with the GF(256) tier and
 /// the kernelized elimination, and `encode` is labeled by the slab
 /// product it runs (`gf2_16/words`).
-pub const SCHEMA_VERSION: u64 = 7;
+/// v8: a `net` distribution — message-level timing outside the broadcast
+/// phases, empty unless a job ran `net = on` — in `percentiles` and in
+/// every `latency` block of the embedded timed sweep, `wall_net_ns` next
+/// to the other `wall_*_ns` sums, and the event kernel's `net.rounds` /
+/// `net.deliveries` / `net.retransmits` counters in `metrics`.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Repetitions of every timed loop; the reported `total_ns` is the
 /// **minimum** over these (min-of-N filters scheduler and frequency
@@ -570,7 +575,7 @@ mod tests {
             total_ns: 1234,
         }];
         let j = gf_report_json(&cases, true).render();
-        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":7,\"quick\":true,\"tier\":\""));
+        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":8,\"quick\":true,\"tier\":\""));
         for key in [
             "\"cpu\":\"",
             "\"cases\":[",
@@ -644,7 +649,7 @@ mod tests {
         assert!(report.aggregate.all_correct);
         let j = sweep_report_json(&report, wall_ns, threads, true, &fixture_plan_cache_bench())
             .render();
-        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":7"));
+        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":8"));
         assert!(
             j.contains("\"wall_total_ns\":"),
             "timed sweep embedded: {j}"
@@ -659,7 +664,7 @@ mod tests {
             j.contains("\"percentiles\":{\"phase1\":{\"count\":"),
             "latency percentiles embedded: {j}"
         );
-        for phase in ["phase1", "equality", "flags", "dispute", "instance"] {
+        for phase in ["phase1", "equality", "flags", "dispute", "net", "instance"] {
             assert!(
                 j.contains(&format!("\"{phase}\":{{\"count\":")),
                 "percentiles cover {phase}: {j}"

@@ -12,20 +12,18 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use nab_bb::baselines::RoutedChannel;
-use nab_bb::router::Routed;
+use nab_bb::router::RoundSink;
 use nab_netgraph::arborescence::{pack_arborescences, Arborescence};
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
-use nab_sim::NetSim;
 
 use crate::adversary::NabAdversary;
 use crate::bounds::{gamma_k, rho_k, Pair};
 use crate::dispute::{dc2_disputes, dc3_exposed, DisputeState, NodeClaims};
 use crate::equality::CodingScheme;
-use crate::netexec::{self, DeliveredTimes, NetExec, ReplayInput};
-use crate::phase1::run_phase1;
-use crate::phase2::{broadcast_value, honest_claims, run_flag_broadcast, BroadcastKind};
+use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec, PhaseClock};
+use crate::phase1::{run_phase1, Phase1Output};
+use crate::phase2::{broadcast_claims, flag_broadcast, honest_claims, BroadcastKind, EqOutcome};
 use crate::plan::ExecutionPlan;
 use crate::value::Value;
 
@@ -157,6 +155,11 @@ pub struct PhaseWallNanos {
     pub flags: u64,
     /// Dispute control (claims broadcast + DC2/DC3), 0 when not run.
     pub dispute: u64,
+    /// Message-level timing outside the broadcast phases: the Phase-1 and
+    /// equality-check kernel rounds, 0 on the formula path. (The flag and
+    /// claim broadcasts' hop rounds are timed by the kernel as they happen,
+    /// inside `flags` and `dispute`.)
+    pub net: u64,
 }
 
 impl PhaseWallNanos {
@@ -171,6 +174,7 @@ impl PhaseWallNanos {
         self.equality += other.equality;
         self.flags += other.flags;
         self.dispute += other.dispute;
+        self.net += other.net;
     }
 }
 
@@ -343,9 +347,9 @@ impl NabEngine {
     }
 
     /// Switches the engine to message-level execution: phase durations
-    /// and delivered-time distributions come from replaying the exact
-    /// send sets through the `nab-net` event kernel under the given
-    /// link models. `None` (the default) restores the formula path.
+    /// and delivered-time distributions come from timing the exact send
+    /// sets, round by round, on the `nab-net` event kernel under the
+    /// given link models. `None` (the default) restores the formula path.
     /// Protocol outputs and dispute evolution are identical either way
     /// — only timing differs.
     pub fn set_net(&mut self, net: Option<NetExec>) {
@@ -557,7 +561,7 @@ impl NabEngine {
             phase1: p1.duration,
             ..PhaseTimes::default()
         };
-        let wall = PhaseWallNanos {
+        let mut wall = PhaseWallNanos {
             phase1: t0.elapsed().as_nanos() as u64,
             ..PhaseWallNanos::default()
         };
@@ -571,24 +575,12 @@ impl NabEngine {
         // Special case 2: at least f nodes excluded → everyone left is
         // fault-free; Phase 1 alone is reliable.
         if self.disputes.removed.len() >= self.cfg.f {
-            let mut delivered = None;
-            if let Some(nx) = &self.net {
-                let (net_times, d) = netexec::replay_instance(
-                    nx,
-                    self.instance as u64,
-                    &ReplayInput {
-                        gk,
-                        g0: plan.graph(),
-                        trees,
-                        p1_sends: &p1.sends,
-                        eq: None,
-                        flag_rounds: &[],
-                        dispute_rounds: &[],
-                    },
-                );
-                times = net_times;
-                delivered = Some(d);
-            }
+            let instance = self.instance as u64;
+            let timing = self
+                .net
+                .as_ref()
+                .map(|nx| InstanceTiming::new(nx, instance));
+            let delivered = message_level(timing, gk, trees, &p1, None, &mut times, &mut wall);
             return Ok(ControlFlow::Break(InstanceReport {
                 outputs: p1.values,
                 times,
@@ -658,7 +650,7 @@ impl NabEngine {
     }
 
     /// The per-stream tail of an instance: flag broadcast, mismatch
-    /// evaluation, dispute control, message-level replay.
+    /// evaluation, dispute control, message-level timing.
     #[allow(clippy::too_many_arguments)] // internal seam of run_instances_batched
     fn finish_instance(
         &mut self,
@@ -686,8 +678,13 @@ impl NabEngine {
         let t0 = nab_obs::clock::mono_now();
         let participants: Vec<NodeId> = gk.nodes().collect();
         let f_res = self.residual_f();
-        let flags = run_flag_broadcast(
-            plan.graph(),
+        // Message-level timing of this instance; `None` on the formula path.
+        let instance = self.instance as u64;
+        let mut timing = self
+            .net
+            .as_ref()
+            .map(|nx| InstanceTiming::new(nx, instance));
+        let flags = flag_broadcast(
             plan.router(),
             &participants,
             f_res,
@@ -695,7 +692,7 @@ impl NabEngine {
             faulty,
             adv,
             self.broadcast,
-            self.net.is_some(),
+            &mut PhaseClock::new(timing.as_mut(), BroadcastPhase::Flags, plan.graph()),
         );
         times.flags = flags.duration;
         wall.flags = t0.elapsed().as_nanos() as u64;
@@ -715,24 +712,7 @@ impl NabEngine {
         let mismatch = flags.any_mismatch(observer);
 
         if !mismatch {
-            let mut delivered = None;
-            if let Some(nx) = &self.net {
-                let (net_times, d) = netexec::replay_instance(
-                    nx,
-                    self.instance as u64,
-                    &ReplayInput {
-                        gk,
-                        g0: plan.graph(),
-                        trees,
-                        p1_sends: &p1.sends,
-                        eq: Some(&eq),
-                        flag_rounds: &flags.rounds,
-                        dispute_rounds: &[],
-                    },
-                );
-                times = net_times;
-                delivered = Some(d);
-            }
+            let delivered = message_level(timing, gk, trees, &p1, Some(&eq), &mut times, &mut wall);
             return InstanceReport {
                 outputs: p1.values,
                 times,
@@ -752,43 +732,31 @@ impl NabEngine {
         let dispute_span = PhaseSpan::enter(Phase::Dispute);
         let t0 = nab_obs::clock::mono_now();
         let truthful = honest_claims(gk, SOURCE, input, trees, scheme, &p1, &eq, &flags.announced);
-        let mut broadcast_claims: BTreeMap<NodeId, NodeClaims> = BTreeMap::new();
+        let mut claims: BTreeMap<NodeId, NodeClaims> = BTreeMap::new();
         for (&v, honest) in &truthful {
             let c = if faulty.contains(&v) {
                 adv.claims(v, honest)
             } else {
                 honest.clone()
             };
-            broadcast_claims.insert(v, c);
+            claims.insert(v, c);
         }
 
         // Broadcast every node's claims with the classic BB protocol and
         // charge the (large) communication time.
-        let mut net: NetSim<Routed<NodeClaims>> = NetSim::new(plan.graph().clone());
-        net.set_record_transcript(self.net.is_some());
-        let mut agreed_claims: BTreeMap<NodeId, NodeClaims> = BTreeMap::new();
-        for &b in &participants {
-            let dec = {
-                let mut chan = RoutedChannel {
-                    net: &mut net,
-                    router: plan.router(),
-                    faulty,
-                };
-                broadcast_value(
-                    self.broadcast,
-                    &participants,
-                    b,
-                    f_res,
-                    broadcast_claims[&b].clone(),
-                    faulty,
-                    &mut chan,
-                    broadcast_claims[&b].bits(),
-                )
-            };
-            // All fault-free nodes agree; record the observer's copy.
-            agreed_claims.insert(b, dec[&observer].clone());
-        }
-        times.dispute = net.clock();
+        let mut clock = PhaseClock::new(timing.as_mut(), BroadcastPhase::Dispute, plan.graph());
+        let agreed_claims = broadcast_claims(
+            plan.router(),
+            &participants,
+            f_res,
+            &claims,
+            faulty,
+            self.broadcast,
+            observer,
+            &mut clock,
+        );
+        times.dispute = clock.elapsed();
+        drop(clock);
 
         // DC2 + DC3 on the agreed claims.
         let new_pairs = dc2_disputes(&agreed_claims);
@@ -814,25 +782,7 @@ impl NabEngine {
             digest: crate::detsan::digest_disputes(&self.disputes),
         });
 
-        let mut delivered = None;
-        if let Some(nx) = &self.net {
-            let dispute_rounds = netexec::transcript_rounds(net.transcript());
-            let (net_times, d) = netexec::replay_instance(
-                nx,
-                self.instance as u64,
-                &ReplayInput {
-                    gk,
-                    g0: plan.graph(),
-                    trees,
-                    p1_sends: &p1.sends,
-                    eq: Some(&eq),
-                    flag_rounds: &flags.rounds,
-                    dispute_rounds: &dispute_rounds,
-                },
-            );
-            times = net_times;
-            delivered = Some(d);
-        }
+        let delivered = message_level(timing, gk, trees, &p1, Some(&eq), &mut times, &mut wall);
 
         InstanceReport {
             outputs,
@@ -856,12 +806,34 @@ impl NabEngine {
     }
 }
 
+/// Closes an instance's message-level timing, if it has one: times Phase 1
+/// and the equality check on the kernel, replaces the formula `times` by
+/// the latency-aware ones, and returns the delivered-time distributions.
+fn message_level(
+    timing: Option<InstanceTiming<'_>>,
+    gk: &DiGraph,
+    trees: &[Arborescence],
+    p1: &Phase1Output,
+    eq: Option<&EqOutcome>,
+    times: &mut PhaseTimes,
+    wall: &mut PhaseWallNanos,
+) -> Option<DeliveredTimes> {
+    let mut timing = timing?;
+    let _span = PhaseSpan::enter(Phase::Net);
+    let t0 = nab_obs::clock::mono_now();
+    timing.streaming_phases(gk, trees, &p1.sends, eq);
+    let (net_times, delivered) = timing.finish();
+    *times = net_times;
+    wall.net = t0.elapsed().as_nanos() as u64;
+    Some(delivered)
+}
+
 /// Whether `e` can share `lead`'s equality slab this step:
 /// both engines must be on the undisputed fast path (so they share
 /// `G_k`, trees, ρ, and — because coding matrices depend only on
 /// `(seed, instance)` — the *same* [`CodingScheme`]), agree on config
 /// and instance counter, borrow the very same plan, and use formula
-/// timing (message-level replay retimes streams independently).
+/// timing (message-level execution times streams independently).
 fn batch_compatible(lead: &NabEngine, e: &NabEngine) -> bool {
     [lead, e].iter().all(|x| x.undisputed() && x.net.is_none())
         && e.cfg == lead.cfg
@@ -1618,51 +1590,103 @@ mod tests {
         }
     }
 
+    /// The pinned cross-check: the formula clock and the event kernel are
+    /// two sinks of one primitive, so with zero-latency lossless links the
+    /// kernel must reproduce the synchronous formula charges up to the
+    /// kernel's integer nanoseconds — a transmission takes
+    /// `⌈bits · UNIT_NS / cap⌉`, at most one ns (1e-6 time units) more than
+    /// the formula's share for it. On direct and multi-hop routes, for EIG
+    /// (two and three levels) and Phase-King, on the clean fast path and
+    /// through a full dispute round alike, and again once a `degrade`-style
+    /// mutation has migrated both engines to a re-provisioned network's
+    /// plan.
     #[test]
     fn message_level_zero_model_matches_formula() {
-        // The pinned cross-check: with zero-latency lossless links the
-        // event-driven path must reproduce the synchronous formula
-        // charges to within integer-nanosecond rounding (UNIT_NS ns per
-        // time unit → sub-microsecond absolute error), on the clean
-        // fast path and through a full dispute round alike.
-        let x = input(12);
         type MkAdv = fn() -> Box<dyn NabAdversary>;
-        let cases: [(BTreeSet<NodeId>, MkAdv); 2] = [
-            (BTreeSet::new(), || Box::new(HonestStrategy)),
-            (BTreeSet::from([2]), || Box::new(TruthfulCorruptor)),
+        let honest: (BTreeSet<NodeId>, MkAdv) = (BTreeSet::new(), || Box::new(HonestStrategy));
+        let corrupt: (BTreeSet<NodeId>, MkAdv) =
+            (BTreeSet::from([2]), || Box::new(TruthfulCorruptor));
+        let cases: [(&str, DiGraph, usize, BroadcastKind); 4] = [
+            ("complete:4/eig", gen::complete(4, 4), 1, BroadcastKind::Eig),
+            (
+                "circulant:10:2/eig",
+                gen::circulant(10, 2, 4),
+                1,
+                BroadcastKind::Eig,
+            ),
+            (
+                "circulant:10:2/phase-king",
+                gen::circulant(10, 2, 4),
+                1,
+                BroadcastKind::PhaseKing,
+            ),
+            ("complete:7/eig", gen::complete(7, 4), 2, BroadcastKind::Eig),
         ];
-        for (faulty, mk_adv) in cases {
-            let mut formula = engine(12);
-            let mut event = engine(12);
-            event.set_net(Some(crate::netexec::NetExec {
-                model: nab_net::NetModel::default(),
-                seed: 99,
-            }));
-            for _ in 0..3 {
-                let a = formula
-                    .run_instance(&x, &faulty, mk_adv().as_mut())
-                    .unwrap();
-                let b = event.run_instance(&x, &faulty, mk_adv().as_mut()).unwrap();
-                assert_eq!(a.outputs, b.outputs, "net mode must not change outputs");
-                assert_eq!(a.dispute_ran, b.dispute_ran);
-                assert!(a.delivered.is_none());
-                for (fa, fb, phase) in [
-                    (a.times.phase1, b.times.phase1, "phase1"),
-                    (a.times.equality, b.times.equality, "equality"),
-                    (a.times.flags, b.times.flags, "flags"),
-                    (a.times.dispute, b.times.dispute, "dispute"),
-                ] {
-                    assert!(
-                        (fa - fb).abs() < 5e-3,
-                        "{phase}: formula {fa} vs message-level {fb}"
-                    );
-                }
-                assert!((a.times.total() - b.times.total()).abs() < 5e-3);
-                if !b.defaulted {
-                    let d = b.delivered.as_ref().expect("net mode records deliveries");
+        let x = input(12);
+        for (name, g, f, kind) in cases {
+            for (faulty, mk_adv) in [&honest, &corrupt] {
+                let cfg = NabConfig {
+                    f,
+                    symbols: 12,
+                    seed: 42,
+                };
+                let mut formula = NabEngine::new(g.clone(), cfg).unwrap();
+                let mut event = NabEngine::new(g.clone(), cfg).unwrap();
+                event.set_net(Some(crate::netexec::NetExec {
+                    model: nab_net::NetModel::default(),
+                    seed: 99,
+                }));
+                let (mut disputed, mut retimed_thirds) = (false, false);
+                for inst in 0..5 {
+                    if inst == 3 {
+                        // Every third link loses a quarter of its capacity
+                        // (4 → 3): a rate that no longer divides UNIT_NS,
+                        // and a new plan for both engines.
+                        let mut degraded = g.clone();
+                        let thinned: Vec<_> = g.edges().step_by(3).collect();
+                        for (id, e) in thinned {
+                            degraded.set_edge_cap(id, e.cap * 3 / 4);
+                        }
+                        let plan = Arc::new(ExecutionPlan::build(degraded, f).unwrap());
+                        formula.migrate_to_plan(Arc::clone(&plan)).unwrap();
+                        event.migrate_to_plan(plan).unwrap();
+                    }
+                    formula.set_broadcast_kind(kind);
+                    event.set_broadcast_kind(kind);
+                    let a = formula.run_instance(&x, faulty, mk_adv().as_mut()).unwrap();
+                    let b = event.run_instance(&x, faulty, mk_adv().as_mut()).unwrap();
+                    let at = format!("{name}, faulty {faulty:?}, instance {inst}");
+                    assert_eq!(a.outputs, b.outputs, "{at}: net mode changed outputs");
+                    assert_eq!(a.dispute_ran, b.dispute_ran, "{at}");
+                    assert_eq!(a.newly_removed, b.newly_removed, "{at}");
+                    assert!(a.delivered.is_none());
+                    assert_eq!(b.defaulted, b.delivered.is_none(), "{at}");
+                    let Some(d) = b.delivered.as_ref() else {
+                        continue;
+                    };
                     assert!(d.phase1.count() > 0);
                     assert_eq!(d.instance.count(), 1);
+                    assert_eq!(d.kernel.retransmits, 0);
+                    for (fa, fb, deliveries, phase) in [
+                        (a.times.phase1, b.times.phase1, &d.phase1, "phase1"),
+                        (a.times.equality, b.times.equality, &d.equality, "equality"),
+                        (a.times.flags, b.times.flags, &d.flags, "flags"),
+                        (a.times.dispute, b.times.dispute, &d.dispute, "dispute"),
+                    ] {
+                        // The kernel only ever rounds up, once per message.
+                        let late = fb - fa;
+                        let bound = deliveries.count() as f64 * 1e-6 + 1e-9;
+                        assert!(
+                            (-1e-9..=bound).contains(&late),
+                            "{at}, {phase}: formula {fa} vs message-level {fb}"
+                        );
+                        retimed_thirds |= late > 1e-7;
+                    }
+                    disputed |= b.dispute_ran;
+                    assert_eq!(d.dispute.count() > 0, b.dispute_ran, "{at}");
                 }
+                assert_eq!(disputed, !faulty.is_empty(), "{name}");
+                assert!(retimed_thirds, "{name}: no rate ever left a remainder");
             }
         }
     }

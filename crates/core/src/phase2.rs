@@ -4,19 +4,18 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use nab_bb::baselines::RoutedChannel;
 use nab_bb::eig::{run_eig, EigChannel, HonestAdversary};
 use nab_bb::phaseking::{run_phase_king, PkHonest};
-use nab_bb::router::{PathRouter, Routed};
+use nab_bb::router::{FormulaClock, HopChannel, PathRouter, RoundSink};
 use nab_gf::{Gf2_16, WordMatrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind};
-use nab_sim::NetSim;
 
 use crate::adversary::NabAdversary;
 use crate::dispute::NodeClaims;
 use crate::equality::{pack_slab, wire_order, CodingScheme};
+use crate::netexec::PhaseClock;
 use crate::value::{Value, SYMBOL_BITS};
 
 /// What one stream put on one edge.
@@ -277,11 +276,8 @@ pub struct FlagOutcome {
     /// Per broadcaster, the decision each participant reached (all
     /// fault-free participants agree, by EIG correctness).
     pub decisions: BTreeMap<NodeId, BTreeMap<NodeId, bool>>,
-    /// Wall-clock duration of all flag broadcasts.
+    /// Duration of all flag broadcasts on the clock they were charged to.
     pub duration: f64,
-    /// Per-round send lists `(src, dst, bits)`, recorded only when the
-    /// caller asked for them (message-level replay); empty otherwise.
-    pub rounds: Vec<Vec<(NodeId, NodeId, u64)>>,
 }
 
 impl FlagOutcome {
@@ -296,16 +292,17 @@ impl FlagOutcome {
     }
 }
 
-/// Runs step 2.2: one EIG broadcast per participant of its 1-bit flag,
-/// over the `2f+1`-disjoint-path emulated complete graph of the *original*
-/// network `g0` (dispute-removed links still physically exist; NAB only
-/// stops trusting them for its own phases).
+/// Runs step 2.2 on the synchronous formula clock: [`flag_broadcast`] with
+/// a [`FormulaClock`] behind the sink.
 ///
-/// `f_residual` is the fault budget among the participants (original `f`
-/// minus nodes already exposed and excluded).
+/// `g0` and `record_rounds` no longer affect anything — the router's
+/// routes, not a graph handed in here, decide links and capacities, and a
+/// caller that wants the hop rounds passes a sink that keeps them. Both
+/// parameters stay for `benchmark/`'s call sites and go with the
+/// benchmark-only PR that ROADMAP pairs with the timing change.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 pub fn run_flag_broadcast(
-    g0: &DiGraph,
+    _g0: &DiGraph,
     router: &PathRouter,
     participants: &[NodeId],
     f_residual: usize,
@@ -313,11 +310,45 @@ pub fn run_flag_broadcast(
     faulty: &BTreeSet<NodeId>,
     adv: &mut dyn NabAdversary,
     kind: BroadcastKind,
-    record_rounds: bool,
+    _record_rounds: bool,
 ) -> FlagOutcome {
-    let mut net: NetSim<Routed<u64>> = NetSim::new(g0.clone());
-    net.set_record_transcript(record_rounds);
+    flag_broadcast(
+        router,
+        participants,
+        f_residual,
+        computed_flags,
+        faulty,
+        adv,
+        kind,
+        // The engine's own clock type, so both share one instantiation.
+        &mut PhaseClock::Formula(FormulaClock::default()),
+    )
+}
 
+/// Runs step 2.2: one `Broadcast_Default` per participant of its 1-bit
+/// flag, over the `2f+1`-disjoint-path emulated complete graph of the
+/// *original* network (dispute-removed links still physically exist; NAB
+/// only stops trusting them for its own phases). Every hop round is charged
+/// to `sink`, which is also the clock [`FlagOutcome::duration`] is read
+/// from.
+///
+/// `f_residual` is the fault budget among the participants (original `f`
+/// minus nodes already exposed and excluded).
+#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+pub fn flag_broadcast<S: RoundSink>(
+    router: &PathRouter,
+    participants: &[NodeId],
+    f_residual: usize,
+    computed_flags: &BTreeMap<NodeId, bool>,
+    faulty: &BTreeSet<NodeId>,
+    adv: &mut dyn NabAdversary,
+    kind: BroadcastKind,
+    sink: &mut S,
+) -> FlagOutcome {
+    let mut chan = HopChannel {
+        router,
+        sink: &mut *sink,
+    };
     let mut announced = BTreeMap::new();
     let mut decisions = BTreeMap::new();
     for &b in participants {
@@ -328,32 +359,60 @@ pub fn run_flag_broadcast(
             honest
         };
         announced.insert(b, flag);
-        let dec = {
-            let mut chan = RoutedChannel {
-                net: &mut net,
-                router,
-                faulty,
-            };
-            broadcast_value(
-                kind,
-                participants,
-                b,
-                f_residual,
-                flag as u64,
-                faulty,
-                &mut chan,
-                1,
-            )
-        };
+        let dec = broadcast_value(
+            kind,
+            participants,
+            b,
+            f_residual,
+            flag as u64,
+            faulty,
+            &mut chan,
+            1,
+        );
         decisions.insert(b, dec.iter().map(|(&n, &v)| (n, v != 0)).collect());
     }
 
     FlagOutcome {
         announced,
         decisions,
-        duration: net.clock(),
-        rounds: crate::netexec::transcript_rounds(net.transcript()),
+        duration: sink.elapsed(),
     }
+}
+
+/// Phase 3's DC1: every participant Byzantine-broadcasts its claims over
+/// the same routed emulation the flags used, charging the (large) hop
+/// rounds to `sink`. Returns the claims `observer` decided on per
+/// broadcaster — all fault-free nodes agree, so any fault-free observer
+/// will do.
+#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+pub(crate) fn broadcast_claims<S: RoundSink>(
+    router: &PathRouter,
+    participants: &[NodeId],
+    f_residual: usize,
+    claims: &BTreeMap<NodeId, NodeClaims>,
+    faulty: &BTreeSet<NodeId>,
+    kind: BroadcastKind,
+    observer: NodeId,
+    sink: &mut S,
+) -> BTreeMap<NodeId, NodeClaims> {
+    let mut chan = HopChannel { router, sink };
+    participants
+        .iter()
+        .map(|&b| {
+            let mut decided = broadcast_value(
+                kind,
+                participants,
+                b,
+                f_residual,
+                claims[&b].clone(),
+                faulty,
+                &mut chan,
+                claims[&b].bits(),
+            );
+            // nab-lint: allow(NAB003): the observer is a participant, and every participant decides
+            (b, decided.remove(&observer).expect("observer decides"))
+        })
+        .collect()
 }
 
 /// Builds every node's *truthful* claims from the ground truth of Phases
@@ -692,24 +751,27 @@ mod tests {
             let participants: Vec<NodeId> = g.nodes().collect();
             let computed: BTreeMap<NodeId, bool> =
                 participants.iter().map(|&v| (v, false)).collect();
+            // The hop rounds as a recording sink sees them.
             let run = || {
-                run_flag_broadcast(
-                    &g,
-                    &router,
-                    &participants,
-                    2,
-                    &computed,
-                    &BTreeSet::new(),
-                    &mut HonestStrategy,
-                    BroadcastKind::Eig,
-                    true,
-                )
+                let (out, rounds) = crate::netexec::tests::recorded(&g, |log| {
+                    flag_broadcast(
+                        &router,
+                        &participants,
+                        2,
+                        &computed,
+                        &BTreeSet::new(),
+                        &mut HonestStrategy,
+                        BroadcastKind::Eig,
+                        log,
+                    )
+                });
+                (rounds, out.duration)
             };
-            let first = run();
+            let (first_rounds, first_duration) = run();
             for _ in 0..5 {
-                let again = run();
-                assert_eq!(again.rounds, first.rounds);
-                assert_eq!(again.duration.to_bits(), first.duration.to_bits());
+                let (rounds, duration) = run();
+                assert_eq!(rounds, first_rounds);
+                assert_eq!(duration.to_bits(), first_duration.to_bits());
             }
 
             // Broadcaster 0's first level-2 relays, by hand: after the
@@ -747,7 +809,7 @@ mod tests {
             };
             let skip = hop_rounds(&level01).len();
             let want = hop_rounds(&level2);
-            assert_eq!(first.rounds[skip..skip + want.len()], want[..]);
+            assert_eq!(first_rounds[skip..skip + want.len()], want[..]);
         }
     }
 

@@ -1,10 +1,15 @@
 //! Deterministic discrete-event network timing kernel.
 //!
 //! The synchronous engine in `nab` charges phases by formula
-//! (`max_e bits_e / cap_e` per round); this crate replays the same
-//! message sets through an *event-driven* link model so that sweeps can
-//! report delivered-time **distributions** under WAN latency, jitter,
-//! stragglers, and lossy links — not just steady-state rates.
+//! (`max_e bits_e / cap_e` per round); this crate times the same message
+//! sets on an *event-driven* link model so that sweeps can report
+//! delivered-time **distributions** under WAN latency, jitter,
+//! stragglers, and lossy links — not just steady-state rates. Nothing is
+//! recorded and replayed: the engine hands a kernel each barrier round's
+//! sends (sizes only) as the round happens, and one kernel, [`reset`]
+//! between rounds, serves a whole phase.
+//!
+//! [`reset`]: EventNet::reset
 //!
 //! Design constraints, in priority order:
 //!
@@ -16,7 +21,8 @@
 //!    order in which messages were inserted or which worker thread runs
 //!    the simulation.
 //! 2. **Reproducible tie-breaking.** The event queue is a binary heap
-//!    keyed by `(time_ns, src, dst, bits, id, seq)`: simultaneous
+//!    keyed by `(time_ns, link, bits, id, seq)`, links numbered in
+//!    `(src, dst)` order: simultaneous
 //!    events pop in a canonical content order, with the insertion
 //!    sequence number only breaking ties between fully identical
 //!    (hence interchangeable) messages.
@@ -214,62 +220,173 @@ pub struct Delivery {
 /// A pending transmission attempt in the event queue.
 ///
 /// Derived `Ord` gives the canonical pop order
-/// `(time, src, dst, bits, id, seq, attempt)`: content keys first, the
-/// insertion sequence number only separating otherwise-identical
-/// (interchangeable) messages, so the delivery *schedule* is invariant
-/// under insertion-order permutations.
+/// `(time, link, bits, id, seq, attempt)`, and links are numbered in
+/// `(src, dst)` order, so this is `(time, src, dst, bits, …)`: content keys
+/// first, the insertion sequence number only separating
+/// otherwise-identical (interchangeable) messages, so the delivery
+/// *schedule* is invariant under insertion-order permutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Attempt {
     time_ns: u64,
-    src: NodeId,
-    dst: NodeId,
+    link: u32,
     bits: u64,
     id: u64,
     seq: u64,
     attempt: u32,
 }
 
+/// One directed link's fixed parameters and per-round state.
+#[derive(Debug, Clone)]
+struct Link {
+    src: NodeId,
+    dst: NodeId,
+    cap: u64,
+    /// Index of the governing model in [`EventNet::models`].
+    model: u32,
+    /// When the link finishes the last transmission queued on it.
+    busy_ns: u64,
+    /// Draws taken so far, in this link's deterministic pop order.
+    draws: u64,
+}
+
+impl Link {
+    /// Next 64-bit draw: mixed from the seed, the link identity, and the
+    /// per-link counter.
+    fn draw(&mut self, seed: u64) -> u64 {
+        let c = self.draws;
+        self.draws += 1;
+        let link_key = ((self.src as u64) << 32) ^ self.dst as u64;
+        mix(mix(seed, link_key), c)
+    }
+}
+
+/// Work a kernel has done since it was built, summed across
+/// [`EventNet::reset`]s. Observability only: nothing here feeds back into
+/// a schedule.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelStats {
+    /// Event-queue drains that carried at least one message.
+    pub rounds: u64,
+    /// Messages delivered.
+    pub deliveries: u64,
+    /// Lost attempts that were retransmitted.
+    pub retransmits: u64,
+}
+
+impl KernelStats {
+    /// Adds another kernel's (or job's) counters.
+    pub fn accumulate(&mut self, other: &KernelStats) {
+        self.rounds += other.rounds;
+        self.deliveries += other.deliveries;
+        self.retransmits += other.retransmits;
+    }
+}
+
 /// Deterministic discrete-event simulator over one capacitated graph.
 ///
 /// [`schedule`](EventNet::schedule) enqueues messages;
-/// [`run`](EventNet::run) drains the event heap, applying FIFO link
-/// serialization (`bits / cap`, virtual-ns), sampled propagation delay,
-/// and bounded retransmit on loss, and returns the deliveries. Per-node
-/// virtual clocks track the last delivery seen by each node.
+/// [`drain`](EventNet::drain) (or [`run`](EventNet::run), which collects
+/// and sorts) empties the event heap, applying FIFO link serialization
+/// (`bits / cap`, virtual-ns), sampled propagation delay, and bounded
+/// retransmit on loss. Per-node virtual clocks track the last delivery
+/// seen by each node.
+///
+/// One kernel serves many barrier-synchronized rounds:
+/// [`reset`](EventNet::reset) re-seeds it and clears the state of exactly
+/// the links the last round used, after which it behaves as a kernel
+/// freshly built with that seed. Link state is dense — capacity,
+/// busy-until, draw counter and model index per link, links sorted by
+/// `(src, dst)` and found through per-source row offsets.
 #[derive(Debug, Clone)]
 pub struct EventNet {
-    caps: BTreeMap<(NodeId, NodeId), u64>,
-    model: NetModel,
+    links: Vec<Link>,
+    /// `links[row[v]..row[v + 1]]` leave node `v`, sorted by destination.
+    row: Vec<u32>,
+    /// The default model, then each override that governs a link of the graph.
+    models: Vec<LinkModel>,
     seed: u64,
     heap: BinaryHeap<Reverse<Attempt>>,
     seq: u64,
-    link_busy: BTreeMap<(NodeId, NodeId), u64>,
-    link_draws: BTreeMap<(NodeId, NodeId), u64>,
-    node_clock: BTreeMap<NodeId, u64>,
+    /// Links scheduled on since the last reset (repeats allowed).
+    dirty: Vec<u32>,
+    node_clock: Vec<u64>,
     clock_ns: u64,
+    stats: KernelStats,
 }
 
 impl EventNet {
-    /// A simulator over `g`'s links (parallel edges pool their
-    /// capacity) under `model`, with all randomness derived from
-    /// `seed`.
+    /// A simulator over `g`'s links under `model`, with all randomness
+    /// derived from `seed`.
     #[must_use]
     pub fn new(g: &DiGraph, model: NetModel, seed: u64) -> Self {
-        let mut caps = BTreeMap::new();
-        for (_, e) in g.edges() {
-            *caps.entry((e.src, e.dst)).or_insert(0) += e.cap;
+        let NetModel { default, overrides } = model;
+        let mut models = vec![default];
+        // The network is a simple graph: one link per ordered pair.
+        let mut links: Vec<Link> = g
+            .edges()
+            .map(|(_, e)| Link {
+                src: e.src,
+                dst: e.dst,
+                cap: e.cap,
+                model: overrides.get(&(e.src, e.dst)).map_or(0, |m| {
+                    models.push(m.clone());
+                    models.len() as u32 - 1
+                }),
+                busy_ns: 0,
+                draws: 0,
+            })
+            .collect();
+        links.sort_unstable_by_key(|l| (l.src, l.dst));
+        let n = g.node_count();
+        let mut row = vec![0u32; n + 1];
+        for link in &links {
+            row[link.src + 1] += 1;
+        }
+        for v in 0..n {
+            row[v + 1] += row[v];
         }
         EventNet {
-            caps,
-            model,
+            links,
+            row,
+            models,
             seed,
             heap: BinaryHeap::new(),
             seq: 0,
-            link_busy: BTreeMap::new(),
-            link_draws: BTreeMap::new(),
-            node_clock: BTreeMap::new(),
+            dirty: Vec::new(),
+            node_clock: vec![0; n],
             clock_ns: 0,
+            stats: KernelStats::default(),
         }
+    }
+
+    /// Index of the directed link `src → dst`, if the graph has one.
+    fn link_index(&self, src: NodeId, dst: NodeId) -> Option<u32> {
+        let (lo, hi) = (
+            *self.row.get(src)? as usize,
+            *self.row.get(src + 1)? as usize,
+        );
+        let at = self.links[lo..hi]
+            .binary_search_by_key(&dst, |l| l.dst)
+            .ok()?;
+        Some((lo + at) as u32)
+    }
+
+    /// Starts a new round on the same links under a new seed: clears the
+    /// busy-until times, draw counters and node clocks the previous round
+    /// touched (nothing else), and the global clock. A kernel that has
+    /// been reset delivers exactly what [`EventNet::new`] with `seed`
+    /// would; [`stats`](EventNet::stats) keep counting.
+    pub fn reset(&mut self, seed: u64) {
+        self.seed = seed;
+        for l in self.dirty.drain(..) {
+            let link = &mut self.links[l as usize];
+            link.busy_ns = 0;
+            link.draws = 0;
+            self.node_clock[link.dst] = 0;
+        }
+        self.heap.clear();
+        self.seq = 0;
+        self.clock_ns = 0;
     }
 
     /// Enqueues a message of `bits` bits on `src → dst` at `at_ns`.
@@ -280,16 +397,16 @@ impl EventNet {
     /// missing link is a protocol-layer bug, mirroring
     /// `nab_sim::SendError::NoSuchLink`.
     pub fn schedule(&mut self, id: u64, src: NodeId, dst: NodeId, bits: u64, at_ns: u64) {
-        assert!(
-            self.caps.contains_key(&(src, dst)),
-            "EventNet::schedule: no such link {src} -> {dst}"
-        );
+        let Some(link) = self.link_index(src, dst) else {
+            // nab-lint: allow(NAB003): the documented panic — a send on a missing link is a protocol-layer bug
+            panic!("EventNet::schedule: no such link {src} -> {dst}");
+        };
+        self.dirty.push(link);
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Attempt {
             time_ns: at_ns,
-            src,
-            dst,
+            link,
             bits,
             id,
             seq,
@@ -297,33 +414,23 @@ impl EventNet {
         }));
     }
 
-    /// Next 64-bit draw for link `(src, dst)`: mixed from the seed, the
-    /// link identity, and a per-link counter advanced in that link's
-    /// deterministic pop order.
-    fn draw(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        let counter = self.link_draws.entry((src, dst)).or_insert(0);
-        let c = *counter;
-        *counter += 1;
-        let link_key = ((src as u64) << 32) ^ dst as u64;
-        mix(mix(self.seed, link_key), c)
-    }
-
-    /// Drains the event queue, returning every delivery sorted by
-    /// `(delivered_ns, src, dst, id)`.
-    pub fn run(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
+    /// Drains the event queue, handing each delivery to `on_delivery` as
+    /// it completes — in pop order, which is deterministic but not sorted
+    /// by delivery time.
+    pub fn drain(&mut self, mut on_delivery: impl FnMut(Delivery)) {
+        self.stats.rounds += u64::from(!self.heap.is_empty());
         while let Some(Reverse(ev)) = self.heap.pop() {
-            let cap = self.caps[&(ev.src, ev.dst)];
-            let busy = self.link_busy.entry((ev.src, ev.dst)).or_insert(0);
-            let start = ev.time_ns.max(*busy);
-            let tx_end = start + (ev.bits * UNIT_NS).div_ceil(cap);
-            *busy = tx_end;
+            let link = &mut self.links[ev.link as usize];
+            let start = ev.time_ns.max(link.busy_ns);
+            let tx_end = start + (ev.bits * UNIT_NS).div_ceil(link.cap);
+            link.busy_ns = tx_end;
 
-            let link = self.model.link(ev.src, ev.dst).clone();
-            if let Some(loss) = &link.loss {
-                if ev.attempt <= loss.max_retries && unit_f64(self.draw(ev.src, ev.dst)) < loss.p {
+            let model = &self.models[link.model as usize];
+            if let Some(loss) = &model.loss {
+                if ev.attempt <= loss.max_retries && unit_f64(link.draw(self.seed)) < loss.p {
                     let seq = self.seq;
                     self.seq += 1;
+                    self.stats.retransmits += 1;
                     self.heap.push(Reverse(Attempt {
                         time_ns: tx_end + loss.rto_ns,
                         attempt: ev.attempt + 1,
@@ -333,21 +440,28 @@ impl EventNet {
                     continue;
                 }
             }
-            let lat = link.latency.sample_ns(self.draw(ev.src, ev.dst));
-            let delivered_ns = tx_end + lat;
-            let clock = self.node_clock.entry(ev.dst).or_insert(0);
+            let delivered_ns = tx_end + model.latency.sample_ns(link.draw(self.seed));
+            let clock = &mut self.node_clock[link.dst];
             *clock = (*clock).max(delivered_ns);
             self.clock_ns = self.clock_ns.max(delivered_ns);
-            out.push(Delivery {
+            self.stats.deliveries += 1;
+            on_delivery(Delivery {
                 id: ev.id,
-                src: ev.src,
-                dst: ev.dst,
+                src: link.src,
+                dst: link.dst,
                 bits: ev.bits,
                 sent_ns: ev.time_ns,
                 delivered_ns,
                 attempts: ev.attempt,
             });
         }
+    }
+
+    /// Drains the event queue, returning every delivery sorted by
+    /// `(delivered_ns, src, dst, id)`.
+    pub fn run(&mut self) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        self.drain(|d| out.push(d));
         out.sort_by_key(|d| (d.delivered_ns, d.src, d.dst, d.id));
         out
     }
@@ -356,13 +470,19 @@ impl EventNet {
     /// received (0 if none yet).
     #[must_use]
     pub fn node_clock(&self, v: NodeId) -> u64 {
-        self.node_clock.get(&v).copied().unwrap_or(0)
+        self.node_clock.get(v).copied().unwrap_or(0)
     }
 
     /// Global virtual clock: the latest delivery so far.
     #[must_use]
     pub fn clock_ns(&self) -> u64 {
         self.clock_ns
+    }
+
+    /// Rounds, deliveries and retransmits since the kernel was built.
+    #[must_use]
+    pub fn stats(&self) -> KernelStats {
+        self.stats
     }
 }
 
@@ -692,9 +812,156 @@ mod tests {
     fn schedule_panics_on_missing_link() {
         let g = line(3, 1);
         let mut net = EventNet::new(&g, NetModel::default(), 1);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            net.schedule(0, 0, 2, 1, 0);
-        }));
-        assert!(err.is_err());
+        // Fresh, and again once the kernel has served a round: a link the
+        // graph lacks, and a source the graph lacks.
+        for round in 0..2 {
+            for (src, dst) in [(0, 2), (7, 0)] {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    net.schedule(0, src, dst, 1, 0);
+                }));
+                assert!(err.is_err(), "round {round}: {src} -> {dst} accepted");
+            }
+            net.schedule(0, 0, 1, 1, 0);
+            assert_eq!(net.run().len(), 1);
+            net.reset(round);
+        }
+    }
+
+    /// A 5-node network with every ordered pair linked, capacities 1..=4.
+    fn dense5() -> DiGraph {
+        let mut g = DiGraph::new(5);
+        for u in 0..5 {
+            for v in 0..5 {
+                if u != v {
+                    g.add_edge(u, v, 1 + ((u * 5 + v) % 4) as u64);
+                }
+            }
+        }
+        g
+    }
+
+    /// The three regimes a round can run under: jitter alone, loss with
+    /// retransmit, and a heavy tail with loss plus a straggler override.
+    fn regime(kind: u8) -> NetModel {
+        let spec = match kind % 3 {
+            0 => "uniform:1000:4000",
+            1 => "fixed:700+loss:0.4:3:900",
+            _ => "lognormal:2000:0.5+loss:0.3:2:500+straggler:0:1:16",
+        };
+        NetSpec::parse(spec).unwrap().build()
+    }
+
+    /// `count` messages `(id, src, dst, bits)` on `dense5`, derived from
+    /// `seed`; sources and destinations repeat, so links carry several.
+    fn messages(seed: u64, count: usize) -> Vec<(u64, NodeId, NodeId, u64)> {
+        (0..count as u64)
+            .map(|i| {
+                let x = mix(seed, i);
+                let src = (x % 5) as NodeId;
+                let dst = (src + 1 + ((x >> 8) % 4) as NodeId) % 5;
+                (i % 3, src, dst, 1 + (x >> 16) % 64)
+            })
+            .collect()
+    }
+
+    fn serve(net: &mut EventNet, msgs: &[(u64, NodeId, NodeId, u64)]) -> Vec<Delivery> {
+        for &(id, src, dst, bits) in msgs {
+            net.schedule(id, src, dst, bits, 0);
+        }
+        net.run()
+    }
+
+    #[test]
+    fn stats_count_across_resets() {
+        let g = line(2, 1);
+        let model = NetModel::uniform(LinkModel {
+            latency: Latency::Fixed { delay_ns: 0 },
+            loss: Some(Loss {
+                p: 1.0,
+                max_retries: 2,
+                rto_ns: 10,
+            }),
+        });
+        let mut net = EventNet::new(&g, model, 7);
+        assert_eq!(net.stats(), KernelStats::default());
+        net.schedule(0, 0, 1, 1, 0);
+        net.schedule(1, 1, 0, 1, 0);
+        net.run();
+        net.reset(8);
+        assert!(net.run().is_empty(), "an empty drain is not a round");
+        net.schedule(0, 0, 1, 1, 0);
+        net.run();
+        let want = KernelStats {
+            rounds: 2,
+            deliveries: 3,
+            retransmits: 6,
+        };
+        assert_eq!(net.stats(), want);
+        let mut sum = want;
+        sum.accumulate(&want);
+        assert_eq!(sum.retransmits, 12);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A kernel that served arbitrary earlier rounds and was reset
+        /// delivers, message for message, what a freshly built one does —
+        /// on links the earlier rounds left busy and with draws taken.
+        #[test]
+        fn reset_kernel_equals_fresh_kernel(
+            kind in 0u8..3,
+            seed in any::<u64>(),
+            earlier in 0usize..4,
+            count in 1usize..24,
+        ) {
+            let g = dense5();
+            let mut reused = EventNet::new(&g, regime(kind), mix(seed, 99));
+            for round in 0..earlier as u64 {
+                let msgs = messages(mix(seed, 100 + round), 1 + (round as usize * 7) % 20);
+                prop_assert_eq!(serve(&mut reused, &msgs).len(), msgs.len());
+                reused.reset(mix(seed, 200 + round));
+            }
+            reused.reset(seed);
+            let mut fresh = EventNet::new(&g, regime(kind), seed);
+
+            // The last earlier round's first link is used again for sure.
+            let mut msgs = messages(mix(seed, 300), count);
+            if earlier > 0 {
+                let (_, src, dst, _) = messages(mix(seed, 99 + earlier as u64), 1)[0];
+                msgs.push((9, src, dst, 5));
+            }
+            prop_assert_eq!(serve(&mut reused, &msgs), serve(&mut fresh, &msgs));
+            prop_assert_eq!(reused.clock_ns(), fresh.clock_ns());
+            for v in 0..5 {
+                prop_assert_eq!(reused.node_clock(v), fresh.node_clock(v));
+            }
+        }
+
+        /// The schedule of a reused kernel does not depend on the order
+        /// its messages were inserted in.
+        #[test]
+        fn reused_kernel_is_insertion_order_invariant(
+            kind in 0u8..3,
+            seed in any::<u64>(),
+            count in 1usize..24,
+        ) {
+            let g = dense5();
+            let msgs = messages(mix(seed, 1), count);
+            let mut reversed = msgs.clone();
+            reversed.reverse();
+            let mut rotated = msgs.clone();
+            rotated.rotate_left(count / 2);
+            let mut net = EventNet::new(&g, regime(kind), mix(seed, 2));
+            serve(&mut net, &messages(mix(seed, 3), 12));
+            net.reset(seed);
+            let want = serve(&mut net, &msgs);
+            for order in [&reversed, &rotated] {
+                net.reset(seed);
+                prop_assert_eq!(&serve(&mut net, order), &want);
+            }
+        }
     }
 }

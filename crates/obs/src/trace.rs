@@ -42,6 +42,9 @@ pub enum Phase {
     Flags,
     /// Phase 3 — dispute control.
     Dispute,
+    /// Message-level timing outside the broadcast phases (`net = on`
+    /// only): the Phase-1 and equality-check rounds on the event kernel.
+    Net,
 }
 
 impl Phase {
@@ -52,6 +55,7 @@ impl Phase {
             Phase::Equality => "equality",
             Phase::Flags => "flags",
             Phase::Dispute => "dispute",
+            Phase::Net => "net",
         }
     }
 }

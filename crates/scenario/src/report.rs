@@ -29,9 +29,10 @@ use crate::json::Json;
 ///
 /// A phase's histogram only receives a sample when that phase actually
 /// ran: defaulted instances record nothing per phase, instances served by
-/// the phase-1-only fast path skip `equality`/`flags`, and `dispute` only
-/// records when dispute control executed. The `instance` histogram records
-/// every instance's total (0 for defaulted ones). Merging is commutative
+/// the phase-1-only fast path skip `equality`/`flags`, `dispute` only
+/// records when dispute control executed, and `net` only when the instance
+/// ran message-level. The `instance` histogram records every instance's
+/// total (0 for defaulted ones). Merging is commutative
 /// and associative (see [`Histogram::merge`]), so aggregation is
 /// deterministic for any worker-thread partition of the jobs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -44,6 +45,9 @@ pub struct PhaseLatency {
     pub flags: Histogram,
     /// Dispute-control wall nanoseconds per instance that disputed.
     pub dispute: Histogram,
+    /// Message-level timing wall nanoseconds outside the broadcast phases
+    /// (the Phase-1 and equality kernel rounds), per `net = on` instance.
+    pub net: Histogram,
     /// Whole-instance wall nanoseconds (sum of the phases that ran).
     pub instance: Histogram,
 }
@@ -51,8 +55,9 @@ pub struct PhaseLatency {
 impl PhaseLatency {
     /// Record one instance's measured wall-clock breakdown.
     pub fn record_instance(&mut self, rep: &InstanceReport) {
-        let total = rep.wall.phase1 + rep.wall.equality + rep.wall.flags + rep.wall.dispute;
-        self.instance.record(total);
+        let wall = &rep.wall;
+        self.instance
+            .record(wall.phase1 + wall.equality + wall.flags + wall.dispute + wall.net);
         if rep.defaulted {
             return;
         }
@@ -64,6 +69,9 @@ impl PhaseLatency {
         if rep.dispute_ran {
             self.dispute.record(rep.wall.dispute);
         }
+        if rep.delivered.is_some() {
+            self.net.record(rep.wall.net);
+        }
     }
 
     /// Merge another job's distributions into this one.
@@ -72,16 +80,18 @@ impl PhaseLatency {
         self.equality.merge(&other.equality);
         self.flags.merge(&other.flags);
         self.dispute.merge(&other.dispute);
+        self.net.merge(&other.net);
         self.instance.merge(&other.instance);
     }
 
     /// `(name, histogram)` pairs in the fixed serialization order.
-    pub fn phases(&self) -> [(&'static str, &Histogram); 5] {
+    pub fn phases(&self) -> [(&'static str, &Histogram); 6] {
         [
             ("phase1", &self.phase1),
             ("equality", &self.equality),
             ("flags", &self.flags),
             ("dispute", &self.dispute),
+            ("net", &self.net),
             ("instance", &self.instance),
         ]
     }
@@ -456,6 +466,11 @@ impl SweepReport {
         reg.counter_add("mismatch_instances", mismatch);
         reg.counter_add("defaulted_instances", defaulted);
         reg.counter_add("bounds.inexact", self.inexact_bounds() as u64);
+        // Event-kernel work behind the `net = on` jobs (all zero without one).
+        let kernel = a.delivered.as_ref().map(|d| d.kernel).unwrap_or_default();
+        reg.counter_add("net.rounds", kernel.rounds);
+        reg.counter_add("net.deliveries", kernel.deliveries);
+        reg.counter_add("net.retransmits", kernel.retransmits);
         for (name, histogram) in a.latency.phases() {
             reg.set_histogram(&format!("latency_{name}_ns"), histogram.clone());
         }
@@ -617,6 +632,7 @@ fn metrics_json(m: &JobMetrics, with_timings: bool) -> Json {
         pairs.push(("wall_equality_ns", Json::U64(m.latency.equality.sum())));
         pairs.push(("wall_flags_ns", Json::U64(m.latency.flags.sum())));
         pairs.push(("wall_dispute_ns", Json::U64(m.latency.dispute.sum())));
+        pairs.push(("wall_net_ns", Json::U64(m.latency.net.sum())));
         pairs.push(("wall_total_ns", Json::U64(m.wall_ns)));
         pairs.push(("plan_cache_hits", Json::U64(m.plan_hits)));
         pairs.push(("plan_cache_misses", Json::U64(m.plan_misses)));
@@ -721,6 +737,7 @@ fn aggregate_json(a: &Aggregate, with_timings: bool) -> Json {
         pairs.push(("wall_equality_ns", Json::U64(a.latency.equality.sum())));
         pairs.push(("wall_flags_ns", Json::U64(a.latency.flags.sum())));
         pairs.push(("wall_dispute_ns", Json::U64(a.latency.dispute.sum())));
+        pairs.push(("wall_net_ns", Json::U64(a.latency.net.sum())));
         pairs.push(("wall_total_ns", Json::U64(a.wall_ns)));
         pairs.push(("plan_cache_hits", Json::U64(a.plan_hits)));
         pairs.push(("plan_cache_misses", Json::U64(a.plan_misses)));
@@ -1001,6 +1018,7 @@ mod tests {
                 equality: 20,
                 flags: 30,
                 dispute: 40,
+                net: 0,
             },
             gamma_k: 1,
             rho_k,

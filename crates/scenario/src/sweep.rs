@@ -1070,7 +1070,26 @@ mod tests {
         assert_eq!(m_on.removed, m_off.removed);
         assert_eq!(m_on.dispute_rounds, m_off.dispute_rounds);
         assert!(m_on.all_correct);
-        assert!(m_on.delivered.as_ref().unwrap().phase1.count() > 0);
+        let d = m_on.delivered.as_ref().unwrap();
+        assert!(d.phase1.count() > 0);
+
+        // The kernel's counters reach the registry and the timed report —
+        // one kernel delivery per recorded delivery, retransmits under 20 %
+        // loss — and stay out of canonical JSON; the formula sweep's are 0.
+        let deliveries =
+            d.phase1.count() + d.equality.count() + d.flags.count() + d.dispute.count();
+        let reg = on.metrics_registry();
+        assert_eq!(reg.counter("net.deliveries"), deliveries);
+        assert!((1..=deliveries).contains(&reg.counter("net.rounds")));
+        assert!(reg.counter("net.retransmits") > 0);
+        assert_eq!(off.metrics_registry().counter("net.deliveries"), 0);
+        let timed = on.to_json_timed();
+        assert!(timed.contains(&format!("\"net.deliveries\":{deliveries}")));
+        assert!(timed.contains("\"wall_net_ns\":"), "{timed}");
+        assert!(!on.to_json().contains("net."), "observability only");
+        // Every message-level instance lands in the `net` wall bucket.
+        assert_eq!(m_on.latency.net.count(), d.instance.count());
+        assert_eq!(m_off.latency.net.count(), 0);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! A synchronous message-passing simulator with per-link capacity/time
-//! accounting — the "testbed" for NAB.
+//! accounting — the "testbed" for NAB, and since the engine's broadcasts
+//! charge hop rounds to a bare clock (`nab_bb::router::RoundSink`), a
+//! recorder for tests, traces and probes rather than a production path:
+//! it is the sink that, besides advancing a clock, can keep every round.
 //!
 //! The paper's model (Section 1): a synchronous network where a directed
 //! link of capacity `z_e` can carry `z_e · τ` bits in time `τ`, with zero
@@ -13,7 +16,8 @@
 //!   lasts as long as its most loaded link (this reproduces the paper's
 //!   `L/γ` and `L/ρ` phase costs, see `nab` crate tests);
 //! - every delivered round is recorded in a [`Transcript`] (unless
-//!   recording is off), which is what message-level replay re-times;
+//!   recording is off) — what tests inspect, and what the message-level
+//!   timing's test oracle replays;
 //! - a caller that evaluates a round on ground truth — links are reliable,
 //!   so it already knows what arrives — skips the inboxes and charges the
 //!   round directly ([`NetSim::charge_round`]).
