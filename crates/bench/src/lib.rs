@@ -13,7 +13,6 @@ pub mod e5_baselines;
 pub mod e6_pipelining;
 pub mod e7_capacity;
 pub mod e8_ablation;
-pub mod perf;
 pub mod scenarios;
 
 /// Formats a table of rows for terminal/markdown output.

@@ -142,9 +142,9 @@ impl PhaseTimes {
 
 /// Per-phase **wall-clock** nanoseconds of one instance — how long the
 /// simulator itself took, as opposed to [`PhaseTimes`], which is the
-/// *simulated* link-time model. This is the raw material of the perf
-/// report (`BENCH_sweep.json`): summed per job by the sweep runner and
-/// serialized when timings are requested.
+/// *simulated* link-time model. This is the raw material of the timed
+/// sweep report: summed per job by the sweep runner and serialized when
+/// timings are requested.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseWallNanos {
     /// Phase 1 (arborescence streaming).

@@ -59,7 +59,6 @@ pub mod netexec;
 pub mod persist;
 pub mod phase1;
 pub mod phase2;
-pub mod pipeline;
 pub mod plan;
 pub mod stats;
 pub mod theory;

@@ -4,7 +4,7 @@
 //! Generic [`Field`] code multiplies one element at a time; the row shape
 //! "add a scalar multiple of one row into another" — the one-row,
 //! one-coefficient case of the slab product, and what the `benchmark/`
-//! probes and the `perf` report time per row — is factored out as
+//! probes time per row — is factored out as
 //! [`FastOps::mul_row_add`] so the production field answers it with its
 //! vector kernel:
 //!
@@ -24,7 +24,7 @@ use crate::simd;
 /// The scalar reference implementation of the fused row kernel:
 /// `dst[i] += s · src[i]` one element at a time. This is both the default
 /// body of [`FastOps::mul_row_add`] and the baseline the differential
-/// tests and the `perf` binary compare the specialized kernel against.
+/// tests compare the specialized kernel against.
 ///
 /// # Panics
 ///

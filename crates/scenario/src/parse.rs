@@ -125,7 +125,6 @@ pub fn parse_str(text: &str) -> Result<ScenarioSpec, ParseError> {
             "bounds" => spec.bounds = parse_bool(lineno, key, value)?,
             "bounds_budget" => spec.bounds_budget = parse_num(lineno, key, value)?,
             "threads" => spec.threads = parse_num(lineno, key, value)?,
-            "plan_cache" => spec.plan_cache = parse_bool(lineno, key, value)?,
             "link_model" => {
                 spec.link_model = nab_net::NetSpec::parse(value).map_err(|e| err(lineno, e))?
             }
@@ -136,7 +135,7 @@ pub fn parse_str(text: &str) -> Result<ScenarioSpec, ParseError> {
                     format!(
                         "unknown key {other:?} (known: name, topology, broadcast, adversary, \
                          faults, mutations, q, streams, n, cap, f, symbols, seeds, seed0, \
-                         bounds, bounds_budget, threads, plan_cache, link_model, net)"
+                         bounds, bounds_budget, threads, link_model, net)"
                     ),
                 ))
             }
@@ -204,7 +203,7 @@ pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
         "name = {}\ntopology = {}\nbroadcast = {}\nadversary = {}\nfaults = {}\n\
          mutations = {}\nq = {}\nstreams = {}\nn = {}\ncap = {}\nf = {}\nsymbols = {}\n\
          seeds = {}\nseed0 = {}\nbounds = {}\nbounds_budget = {}\nthreads = {}\n\
-         plan_cache = {}\nlink_model = {}\nnet = {}\n",
+         link_model = {}\nnet = {}\n",
         spec.name,
         spec.topology.spec_string(),
         broadcast,
@@ -222,7 +221,6 @@ pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
         spec.bounds,
         spec.bounds_budget,
         spec.threads,
-        spec.plan_cache,
         spec.link_model.spec_string(),
         spec.net,
     )
@@ -310,30 +308,21 @@ threads = 2
     }
 
     #[test]
-    fn plan_cache_key_parses_and_defaults_on() {
-        let s = parse_str("name = x\n").unwrap();
-        assert!(s.plan_cache, "plan cache is on by default");
-        let s = parse_str("name = x\nplan_cache = off\n").unwrap();
-        assert!(!s.plan_cache);
-        let e = parse_str("name = x\nplan_cache = maybe\n").unwrap_err();
-        assert!(e.message.contains("bad boolean"), "{e}");
-    }
-
-    #[test]
     fn removed_switch_keys_are_unknown_keys_with_line_numbers() {
-        // `batch` and `plan_repair` selected reference paths that no
-        // longer exist; a file that still sets them must say so.
-        for key in ["batch", "plan_repair"] {
-            let e = parse_str(&format!("name = x\nq = 2\n{key} = off\n")).unwrap_err();
-            assert_eq!(e.line, 3, "{e}");
+        // `batch`, `plan_repair` and `plan_cache` selected reference paths
+        // that no longer exist; a file that still sets them must say so.
+        for (head, line, key) in [
+            ("name = x\nq = 2\n", 3, "batch"),
+            ("name = x\nq = 2\n", 3, "plan_repair"),
+            ("name = x\n", 2, "plan_cache"),
+        ] {
+            let e = parse_str(&format!("{head}{key} = off\n")).unwrap_err();
+            assert_eq!(e.line, line, "{e}");
             assert!(e.message.contains(&format!("unknown key {key:?}")), "{e}");
             assert!(!e.message.contains(&format!(", {key},")), "{e}");
         }
         let text = to_scenario_string(&ScenarioSpec::new("x"));
-        assert!(
-            !text.contains("batch") && !text.contains("plan_repair"),
-            "{text}"
-        );
+        assert!(!text.contains("batch") && !text.contains("plan_"), "{text}");
         assert_eq!(parse_str(&text).unwrap(), ScenarioSpec::new("x"));
     }
 

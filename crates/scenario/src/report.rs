@@ -9,10 +9,9 @@
 //!   excluded, because they vary run to run.
 //! - [`SweepReport::to_json_timed`] / [`SweepReport::to_json_pretty_timed`]
 //!   — the same document plus the measured per-phase wall-clock
-//!   nanoseconds (`wall_*_ns` keys). This is what `nab-sim --timings` and
-//!   the `perf` binary's `BENCH_sweep.json` emit; the *schema* is still
-//!   deterministic (fixed keys in a fixed order), only the nanosecond
-//!   values vary.
+//!   nanoseconds (`wall_*_ns` keys). This is what `nab-sim --timings`
+//!   emits; the *schema* is still deterministic (fixed keys in a fixed
+//!   order), only the nanosecond values vary.
 
 use nab::engine::InstanceReport;
 use nab::DeliveredTimes;
@@ -411,9 +410,8 @@ impl SweepReport {
     }
 
     /// The report as a JSON value tree, optionally with wall-clock
-    /// timings — exposed so downstream tooling (the `perf` binary) can
-    /// embed the report in a larger document.
-    pub fn to_json_value(&self, with_timings: bool) -> Json {
+    /// timings.
+    fn to_json_value(&self, with_timings: bool) -> Json {
         let mut doc = Json::obj(vec![
             ("scenario", Json::str(&self.scenario)),
             ("topology", Json::str(&self.topology)),
@@ -440,9 +438,9 @@ impl SweepReport {
 
     /// The sweep's fixed-schema metrics registry: counters for the things
     /// the sweep did and per-phase latency histograms merged over all
-    /// measured jobs. This is what the timed JSON's `metrics` section and
-    /// the `perf` binary's percentile block render; future subsystems
-    /// (the stats endpoint of a serving layer) can consume it directly.
+    /// measured jobs. This is what the timed JSON's `metrics` section
+    /// renders; future subsystems (the stats endpoint of a serving layer)
+    /// can consume it directly.
     pub fn metrics_registry(&self) -> Registry {
         let a = &self.aggregate;
         let mut reg = Registry::new();

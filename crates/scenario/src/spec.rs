@@ -58,12 +58,6 @@ pub struct ScenarioSpec {
     /// Default worker threads (`0` = one per available CPU); the CLI
     /// `--threads` flag overrides this.
     pub threads: usize,
-    /// Whether sweep jobs share network plans through the
-    /// content-addressed `PlanCache` (on by default; results are
-    /// byte-identical either way — the toggle exists for cold-vs-cached
-    /// benchmarking and for the determinism tests that pin the
-    /// equivalence).
-    pub plan_cache: bool,
     /// Per-link latency/jitter/loss models used when message-level
     /// execution is on (see [`ScenarioSpec::net`]). The default is the
     /// zero model (zero latency, lossless), under which message-level
@@ -99,7 +93,6 @@ impl Default for ScenarioSpec {
             bounds: false,
             bounds_budget: 1 << 14,
             threads: 0,
-            plan_cache: true,
             link_model: nab_net::NetSpec::default(),
             net: false,
         }
@@ -196,12 +189,6 @@ impl ScenarioSpec {
     /// Enables or disables per-job bound computation.
     pub fn with_bounds(mut self, on: bool) -> Self {
         self.bounds = on;
-        self
-    }
-
-    /// Enables or disables plan sharing through the `PlanCache`.
-    pub fn with_plan_cache(mut self, on: bool) -> Self {
-        self.plan_cache = on;
         self
     }
 

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use nab::adversary::NabAdversary;
 use nab::dispute::DisputeState;
 use nab::engine::{instance_correct, run_instances_batched, NabConfig, NabEngine};
-use nab::plan::{ExecutionPlan, PlanCache};
+use nab::plan::{PlanCache, PlanFetch};
 use nab::value::{Value, SYMBOL_BITS};
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, TraceSink};
@@ -87,10 +87,9 @@ pub fn expand_jobs(spec: &ScenarioSpec) -> Vec<Job> {
 /// the results.
 ///
 /// `threads = 0` uses one worker per available CPU. Results are
-/// independent of the worker count *and* of the plan-cache state: when
-/// `spec.plan_cache` is on (the default) the workers share a
-/// content-addressed [`PlanCache`] of network plans, which changes wall
-/// clock but never canonical output.
+/// independent of the worker count *and* of the plan-cache state: the
+/// workers share a content-addressed [`PlanCache`] of network plans,
+/// which changes wall clock but never canonical output.
 ///
 /// # Errors
 ///
@@ -98,7 +97,13 @@ pub fn expand_jobs(spec: &ScenarioSpec) -> Vec<Job> {
 /// (impossible grid points, rejected networks) are recorded in the
 /// report instead of aborting the sweep.
 pub fn run_sweep(spec: &ScenarioSpec, threads: usize) -> Result<SweepReport, String> {
-    run_sweep_with_cache(spec, threads, None)
+    run_sweep_with_options(
+        spec,
+        &SweepOptions {
+            threads,
+            ..SweepOptions::default()
+        },
+    )
 }
 
 /// A point-in-time view of sweep progress, handed to the
@@ -128,7 +133,10 @@ pub struct ProgressSnapshot {
 pub struct SweepOptions<'a> {
     /// Worker threads; 0 = one per available CPU.
     pub threads: usize,
-    /// Externally owned plan cache (see [`run_sweep_with_cache`]).
+    /// Externally owned plan cache, so callers (long-lived services
+    /// sweeping many scenarios over the same topology family, the CLI's
+    /// `--plan-cache-dir`) can keep plans warm across sweeps. `None` uses
+    /// a cache private to the sweep.
     pub cache: Option<&'a PlanCache>,
     /// Trace sink installed on every worker thread for the duration of
     /// the sweep. Workers emit job/instance/phase/dispute/plan-cache
@@ -205,34 +213,11 @@ impl ProgressState {
     }
 }
 
-/// [`run_sweep`] with an externally owned plan cache, so callers (the
-/// `perf` benchmark, long-lived services sweeping many scenarios over
-/// the same topology family) can keep plans warm across sweeps. Passing
-/// `None` uses a sweep-private cache when `spec.plan_cache` is on, and
-/// no cache at all when it is off.
-///
-/// # Errors
-///
-/// Returns the scenario validation failure, if any.
-pub fn run_sweep_with_cache(
-    spec: &ScenarioSpec,
-    threads: usize,
-    external_cache: Option<&PlanCache>,
-) -> Result<SweepReport, String> {
-    run_sweep_with_options(
-        spec,
-        &SweepOptions {
-            threads,
-            cache: external_cache,
-            ..SweepOptions::default()
-        },
-    )
-}
-
-/// The fully general sweep entry point: [`run_sweep_with_cache`] plus
-/// observability hooks (trace sink, progress callback). The hooks never
-/// change canonical results — the determinism proptests pin JSON
-/// byte-equality with tracing on vs. off.
+/// The fully general sweep entry point: [`run_sweep`] plus an externally
+/// owned plan cache and observability hooks (trace sink, progress
+/// callback). None of them changes canonical results — the determinism
+/// proptests pin JSON byte-equality across cache states and with tracing
+/// on vs. off.
 ///
 /// # Errors
 ///
@@ -243,11 +228,7 @@ pub fn run_sweep_with_options(
 ) -> Result<SweepReport, String> {
     spec.validate()?;
     let private_cache = PlanCache::new();
-    let cache: Option<&PlanCache> = match opts.cache {
-        Some(c) => Some(c),
-        None if spec.plan_cache => Some(&private_cache),
-        None => None,
-    };
+    let cache = opts.cache.unwrap_or(&private_cache);
     let jobs = expand_jobs(spec);
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism()
@@ -291,7 +272,7 @@ pub fn run_sweep_with_options(
                     // panic poisoned every job slot behind it and the
                     // final assembly aborted the whole process.
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_job(spec, &jobs[i], cache)
+                        run_job(spec, &jobs[i], Some(cache))
                     }))
                     .unwrap_or_else(|payload| panicked_outcome(&jobs[i], payload.as_ref()));
                     trace::emit(EventKind::JobEnd);
@@ -320,15 +301,20 @@ pub fn run_sweep_with_options(
         })
         .collect();
 
-    let aggregate = Aggregate::from_outcomes(&outcomes);
-    Ok(SweepReport {
+    Ok(assemble_report(spec, outcomes))
+}
+
+/// Assembles the report of a scenario from its jobs' outcomes, in grid
+/// order, however they were produced.
+pub fn assemble_report(spec: &ScenarioSpec, jobs: Vec<JobOutcome>) -> SweepReport {
+    SweepReport {
         scenario: spec.name.clone(),
         topology: spec.topology.spec_string(),
         adversary: spec.adversary.spec_string(),
         faults: spec.faults.spec_string(),
-        jobs: outcomes,
-        aggregate,
-    })
+        aggregate: Aggregate::from_outcomes(&jobs),
+        jobs,
+    }
 }
 
 /// Builds the outcome recorded for a job whose measurement panicked:
@@ -358,9 +344,17 @@ fn panicked_outcome(job: &Job, payload: &(dyn std::any::Any + Send)) -> JobOutco
 
 /// Runs one job: materializes its graph, resolves the fault placement
 /// (searching candidates for worst-case schedules), and measures.
-/// `cache` is the sweep-shared plan cache (`None` = plan per engine,
-/// the cold path).
+/// `cache` is the sweep-shared plan cache (`None` = a cache private to
+/// this job).
 pub fn run_job(spec: &ScenarioSpec, job: &Job, cache: Option<&PlanCache>) -> JobOutcome {
+    let private_cache;
+    let cache = match cache {
+        Some(c) => c,
+        None => {
+            private_cache = PlanCache::new();
+            &private_cache
+        }
+    };
     let mut outcome = JobOutcome {
         index: job.index,
         n: job.n,
@@ -462,18 +456,27 @@ pub fn run_job(spec: &ScenarioSpec, job: &Job, cache: Option<&PlanCache>) -> Job
     outcome
 }
 
+/// Folds one plan fetch into a job's plan-cache accounting.
+fn record_fetch(metrics: &mut JobMetrics, fetch: &PlanFetch) {
+    if fetch.hit {
+        metrics.plan_hits += 1;
+    } else {
+        metrics.plan_misses += 1;
+        metrics.plan_build_ns += fetch.build_ns;
+    }
+}
+
 /// Measures one (graph, faulty-set) pair: `spec.streams` interleaved
-/// engines, `spec.q` instances each. With a cache, the network plan is
-/// fetched once and every stream's engine borrows it; without one, each
-/// stream realizes its own plan (the pre-split behavior, kept as the
-/// cold baseline). Either way the measured protocol behavior is
-/// bit-identical — plans are deterministic functions of `(G, f)`.
+/// engines, `spec.q` instances each. The network plan is fetched from
+/// the cache once and every stream's engine borrows it; whether that
+/// fetch hit, loaded from disk or built, the measured protocol behavior
+/// is bit-identical — plans are deterministic functions of `(G, f)`.
 fn measure(
     spec: &ScenarioSpec,
     job: &Job,
     graph: &DiGraph,
     faulty: &BTreeSet<NodeId>,
-    cache: Option<&PlanCache>,
+    cache: &PlanCache,
 ) -> Result<JobMetrics, String> {
     spec.adversary.validate_for(graph.node_count(), faulty)?;
     let job_start = nab_obs::clock::mono_now();
@@ -482,38 +485,15 @@ fn measure(
         symbols: job.symbols,
         seed: job.seed,
     };
-    let (mut plan_hits, mut plan_misses, mut plan_build_ns) = (0u64, 0u64, 0u64);
-    let shared_plan: Option<Arc<ExecutionPlan>> = match cache {
-        Some(c) => {
-            let fetch = c
-                .fetch(graph, job.f)
-                .map_err(|e| format!("network rejected: {e}"))?;
-            if fetch.hit {
-                plan_hits += 1;
-            } else {
-                plan_misses += 1;
-                plan_build_ns += fetch.build_ns;
-            }
-            Some(fetch.plan)
-        }
-        None => None,
-    };
+    let fetch = cache
+        .fetch(graph, job.f)
+        .map_err(|e| format!("network rejected: {e}"))?;
     let mut engines = Vec::with_capacity(spec.streams);
     let mut advs: Vec<Box<dyn NabAdversary>> = Vec::with_capacity(spec.streams);
     let mut input_rngs = Vec::with_capacity(spec.streams);
     for s in 0..spec.streams as u64 {
-        let plan = match &shared_plan {
-            Some(p) => Arc::clone(p),
-            None => {
-                let plan = ExecutionPlan::build(graph.clone(), job.f)
-                    .map_err(|e| format!("network rejected: {e}"))?;
-                plan_misses += 1;
-                plan_build_ns += plan.build_wall_ns();
-                Arc::new(plan)
-            }
-        };
-        let mut engine =
-            NabEngine::from_plan(plan, cfg).map_err(|e| format!("network rejected: {e}"))?;
+        let mut engine = NabEngine::from_plan(Arc::clone(&fetch.plan), cfg)
+            .map_err(|e| format!("network rejected: {e}"))?;
         engine.set_broadcast_kind(spec.broadcast);
         if spec.net {
             // Each stream samples its own jitter/loss stream, derived
@@ -559,13 +539,14 @@ fn measure(
         latency: PhaseLatency::default(),
         delivered: spec.net.then(nab::DeliveredTimes::default),
         wall_ns: 0,
-        plan_hits,
-        plan_misses,
-        plan_build_ns,
+        plan_hits: 0,
+        plan_misses: 0,
+        plan_build_ns: 0,
         plan_repairs: 0,
         plan_full_recomputes: 0,
         plan_repair_ns: 0,
     };
+    record_fetch(&mut metrics, &fetch);
     // Per-stream instance trace for the steady-state tail:
     // (time, useful bits, disputed). A defaulted instance (source already
     // exposed) delivers the default value, not the payload, at zero
@@ -586,36 +567,14 @@ fn measure(
         if epoch != cur_epoch {
             cur_epoch = epoch;
             let mutated = spec.mutations.graph_for_epoch(graph, epoch, job.seed);
-            match cache {
-                Some(c) => {
-                    let fetch = c
-                        .fetch(&mutated, job.f)
-                        .map_err(|e| format!("mutated network rejected: {e}"))?;
-                    if fetch.hit {
-                        metrics.plan_hits += 1;
-                    } else {
-                        metrics.plan_misses += 1;
-                        metrics.plan_build_ns += fetch.build_ns;
-                    }
-                    for engine in &mut engines {
-                        engine
-                            .migrate_to_plan(Arc::clone(&fetch.plan))
-                            .map_err(|e| format!("mutated network rejected: {e}"))?;
-                    }
-                }
-                None => {
-                    // Cold path: every stream replans privately, matching
-                    // the cache-off accounting at job start.
-                    for engine in &mut engines {
-                        let plan = ExecutionPlan::build(mutated.clone(), job.f)
-                            .map_err(|e| format!("mutated network rejected: {e}"))?;
-                        metrics.plan_misses += 1;
-                        metrics.plan_build_ns += plan.build_wall_ns();
-                        engine
-                            .migrate_to_plan(Arc::new(plan))
-                            .map_err(|e| format!("mutated network rejected: {e}"))?;
-                    }
-                }
+            let fetch = cache
+                .fetch(&mutated, job.f)
+                .map_err(|e| format!("mutated network rejected: {e}"))?;
+            record_fetch(&mut metrics, &fetch);
+            for engine in &mut engines {
+                engine
+                    .migrate_to_plan(Arc::clone(&fetch.plan))
+                    .map_err(|e| format!("mutated network rejected: {e}"))?;
             }
         }
         // One round-robin step: every stream runs instance `inst`. The
@@ -762,6 +721,23 @@ mod tests {
             .with_cap(vec![1, 2])
             .with_symbols(vec![8])
             .with_seeds(2)
+    }
+
+    /// The cold-plan oracle: every job plans on a fresh cache of its own,
+    /// so no plan (or memo inside one) is shared between jobs.
+    fn cold_plan_sweep(spec: &ScenarioSpec) -> SweepReport {
+        let jobs = expand_jobs(spec);
+        let cold = |job| run_job(spec, job, Some(&PlanCache::new()));
+        assemble_report(spec, jobs.iter().map(cold).collect())
+    }
+
+    fn sweep_on(spec: &ScenarioSpec, threads: usize, cache: &PlanCache) -> SweepReport {
+        let opts = SweepOptions {
+            threads,
+            cache: Some(cache),
+            ..SweepOptions::default()
+        };
+        run_sweep_with_options(spec, &opts).unwrap()
     }
 
     #[test]
@@ -918,7 +894,7 @@ mod tests {
                     seed: jobs[0].seed,
                 })
                 .unwrap();
-            let m = measure(&spec, &jobs[0], &g, &cand, None).unwrap();
+            let m = measure(&spec, &jobs[0], &g, &cand, &PlanCache::new()).unwrap();
             assert!(chosen <= m.throughput + 1e-12);
         }
     }
@@ -1122,15 +1098,15 @@ mod tests {
             .with_adversary(AdversarySpec::Corruptor)
             .with_faults(FaultSchedule::Rotating { count: 1 })
             .with_seeds(3);
-        let cached = run_sweep(&spec, 2).unwrap();
-        let cold = run_sweep(&spec.clone().with_plan_cache(false), 2).unwrap();
-        assert_eq!(cached.to_json(), cold.to_json());
+        let cold = cold_plan_sweep(&spec).to_json();
+        assert_eq!(run_sweep(&spec, 1).unwrap().to_json(), cold);
+        assert_eq!(run_sweep(&spec, 4).unwrap().to_json(), cold);
         // An externally warmed cache changes nothing either.
-        let cache = nab::plan::PlanCache::new();
-        let warm1 = run_sweep_with_cache(&spec, 2, Some(&cache)).unwrap();
-        let warm2 = run_sweep_with_cache(&spec, 2, Some(&cache)).unwrap();
-        assert_eq!(warm1.to_json(), cached.to_json());
-        assert_eq!(warm2.to_json(), cached.to_json());
+        let cache = PlanCache::new();
+        let warm1 = sweep_on(&spec, 2, &cache);
+        let warm2 = sweep_on(&spec, 2, &cache);
+        assert_eq!(warm1.to_json(), cold);
+        assert_eq!(warm2.to_json(), cold);
         // The second pass over a warmed cache is all hits.
         let w2 = &warm2.aggregate;
         assert_eq!(w2.plan_misses, 0, "warm cache rebuilds nothing");
@@ -1148,12 +1124,10 @@ mod tests {
         assert_eq!(a.plan_misses, 4);
         assert_eq!(a.plan_hits, 8);
         assert!(a.plan_build_ns > 0);
-        // With the cache off, every stream of every job plans privately.
-        let cold = run_sweep(&spec.with_plan_cache(false), 1).unwrap();
-        assert_eq!(cold.aggregate.plan_misses, 12);
-        assert_eq!(cold.aggregate.plan_hits, 0);
         // The stats live in timed JSON only; canonical JSON is identical
-        // despite the differing counters.
+        // to privately planned jobs' despite the differing counters.
+        let cold = cold_plan_sweep(&spec);
+        assert_eq!(cold.aggregate.plan_hits, 0);
         assert_eq!(report.to_json(), cold.to_json());
         assert!(report.to_json_timed().contains("\"plan_cache_hits\":8"));
     }
@@ -1247,12 +1221,12 @@ mod tests {
             .with_faults(FaultSchedule::Rotating { count: 1 });
         let cold = run_sweep(&spec, 2).unwrap();
         // First disk-backed sweep populates the directory…
-        let store = nab::plan::PlanCache::with_dir(&dir);
-        let warm1 = run_sweep_with_cache(&spec, 2, Some(&store)).unwrap();
+        let store = PlanCache::with_dir(&dir);
+        let warm1 = sweep_on(&spec, 2, &store);
         assert!(store.stats().disk_stores > 0, "plans persisted");
         // …a FRESH cache over the same directory loads instead of building.
-        let reload = nab::plan::PlanCache::with_dir(&dir);
-        let warm2 = run_sweep_with_cache(&spec, 2, Some(&reload)).unwrap();
+        let reload = PlanCache::with_dir(&dir);
+        let warm2 = sweep_on(&spec, 2, &reload);
         assert!(reload.stats().disk_hits > 0, "disk tier served plans");
         assert_eq!(reload.stats().misses, 0, "nothing rebuilt from scratch");
         assert_eq!(cold.to_json(), warm1.to_json());

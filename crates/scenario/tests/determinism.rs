@@ -3,9 +3,14 @@
 //! byte-identical `SweepReport` JSON — run-to-run and for 1 vs. N worker
 //! threads.
 
+use nab::plan::PlanCache;
 use nab_obs::trace::EventKind;
 use nab_obs::BufferSink;
-use nab_scenario::{parse_str, run_sweep, run_sweep_with_options, SweepOptions};
+use nab_scenario::sweep::{assemble_report, run_job};
+use nab_scenario::{
+    expand_jobs, parse_str, run_sweep, run_sweep_with_options, ScenarioSpec, SweepOptions,
+    SweepReport,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -49,6 +54,14 @@ fn scenario_text(
     )
 }
 
+/// The cold-plan oracle: every job plans on a fresh cache of its own, so
+/// no plan (or memo inside one) is shared between jobs.
+fn cold_plan_sweep(spec: &ScenarioSpec) -> SweepReport {
+    let jobs = expand_jobs(spec);
+    let cold = |job| run_job(spec, job, Some(&PlanCache::new()));
+    assemble_report(spec, jobs.iter().map(cold).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -86,9 +99,9 @@ proptest! {
     }
 
     /// The plan cache is a pure wall-clock optimization: canonical
-    /// `SweepReport` JSON is byte-identical with the cache enabled vs.
-    /// disabled, at 1 and at 4 worker threads, and against an externally
-    /// pre-warmed cache.
+    /// `SweepReport` JSON of a sweep sharing one cache, at 1 and at 4
+    /// worker threads, and of a sweep on an externally pre-warmed cache,
+    /// is byte-identical to that of jobs that each built their own plans.
     #[test]
     fn sweep_json_is_plan_cache_invariant(
         topo in 0usize..4,
@@ -101,25 +114,20 @@ proptest! {
         streams in 1usize..3,
     ) {
         let text = scenario_text(topo, adv, faults, q, symbols, seeds, seed0, streams);
-        let mut spec = parse_str(&text).unwrap();
-        spec.plan_cache = true;
-        let cached_single = run_sweep(&spec, 1).unwrap();
-        let cached_parallel = run_sweep(&spec, 4).unwrap();
-        spec.plan_cache = false;
-        let cold_single = run_sweep(&spec, 1).unwrap();
-        let cold_parallel = run_sweep(&spec, 4).unwrap();
+        let spec = parse_str(&text).unwrap();
+        let reference = cold_plan_sweep(&spec).to_json();
+        prop_assert_eq!(&reference, &run_sweep(&spec, 1).unwrap().to_json(), "shared, 1 thread");
+        prop_assert_eq!(&reference, &run_sweep(&spec, 4).unwrap().to_json(), "shared, 4 threads");
 
-        let reference = cached_single.to_json();
-        prop_assert_eq!(&reference, &cold_single.to_json(), "cache on vs off");
-        prop_assert_eq!(&reference, &cached_parallel.to_json(), "cached, 1 vs 4 threads");
-        prop_assert_eq!(&reference, &cold_parallel.to_json(), "cold, 1 vs 4 threads");
-
-        // A cache warmed by a previous sweep must not perturb the next.
-        spec.plan_cache = true;
-        let cache = nab::plan::PlanCache::new();
-        let _ = nab_scenario::run_sweep_with_cache(&spec, 2, Some(&cache)).unwrap();
-        let rewarmed = nab_scenario::run_sweep_with_cache(&spec, 2, Some(&cache)).unwrap();
+        // A cache warmed by a previous sweep must not perturb the next,
+        // which it serves from memory alone.
+        let cache = PlanCache::new();
+        let opts = SweepOptions { threads: 2, cache: Some(&cache), ..SweepOptions::default() };
+        let _ = run_sweep_with_options(&spec, &opts).unwrap();
+        let rewarmed = run_sweep_with_options(&spec, &opts).unwrap();
         prop_assert_eq!(&reference, &rewarmed.to_json(), "pre-warmed external cache");
+        prop_assert_eq!(rewarmed.aggregate.plan_misses, 0);
+        prop_assert_eq!(rewarmed.aggregate.plan_build_ns, 0);
     }
 
     /// Event tracing is a pure observer: installing a trace sink leaves

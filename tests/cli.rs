@@ -449,13 +449,24 @@ fn validate_mode_rejects_other_mode_flags() {
 fn scenario_mode_reports_parse_errors_with_line_numbers() {
     let dir = std::env::temp_dir().join("nab-sim-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("broken.scenario");
-    std::fs::write(&path, "name = broken\ntopology = hypercube:4:4\n").unwrap();
-    let out = nab_sim(&["--scenario", path.to_str().unwrap()]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(err.contains("line 2"), "stderr: {err}");
-    assert!(err.contains("unknown topology"), "stderr: {err}");
+    // A bad value, and a key that was removed with the path it selected.
+    for (file, key, value, message) in [
+        ("broken", "topology", "hypercube:4:4", "unknown topology"),
+        (
+            "removed-cache",
+            "plan_cache",
+            "off",
+            "unknown key \"plan_cache\"",
+        ),
+    ] {
+        let path = dir.join(format!("{file}.scenario"));
+        std::fs::write(&path, format!("name = x\n{key} = {value}\n")).unwrap();
+        let out = nab_sim(&["--scenario", path.to_str().unwrap()]);
+        assert!(!out.status.success());
+        let err = stderr(&out);
+        assert!(err.contains("line 2"), "stderr: {err}");
+        assert!(err.contains(message), "stderr: {err}");
+    }
 }
 
 #[test]
