@@ -14,8 +14,12 @@
 use std::collections::BTreeSet;
 
 use nab_scenario::{
-    run_sweep, AdversarySpec, FaultSchedule, ScenarioSpec, SweepReport, Tok, TopologyTemplate,
+    run_sweep, AdversarySpec, FaultSchedule, ScenarioSpec, SweepReport, TopologyTemplate,
 };
+
+fn template(spec: &str) -> TopologyTemplate {
+    TopologyTemplate::parse(spec).expect("experiment topologies are bundled families")
+}
 
 /// E3 as a scenario: fault-free throughput on the uniform complete-graph
 /// grid (K4 and K5, each at capacity ×1/×2/×4) against the paper's
@@ -25,10 +29,7 @@ use nab_scenario::{
 /// setting).
 pub fn e3_throughput_scenario(symbols: usize, q: usize) -> ScenarioSpec {
     ScenarioSpec::new("e3-throughput")
-        .with_topology(TopologyTemplate::Complete {
-            n: Tok::N,
-            cap: Tok::Cap,
-        })
+        .with_topology(template("complete:$n:$cap"))
         .with_q(q)
         .with_n(vec![4, 5])
         .with_cap(vec![1, 2, 4])
@@ -41,10 +42,7 @@ pub fn e3_throughput_scenario(symbols: usize, q: usize) -> ScenarioSpec {
 /// the `f(f+1)` claim.
 pub fn e4_amortization_scenario(q: usize) -> ScenarioSpec {
     ScenarioSpec::new("e4-amortization")
-        .with_topology(TopologyTemplate::Complete {
-            n: Tok::N,
-            cap: Tok::Cap,
-        })
+        .with_topology(template("complete:$n:$cap"))
         .with_adversary(AdversarySpec::FalseAlarm)
         .with_faults(FaultSchedule::Rotating { count: 1 })
         .with_q(q)
@@ -58,11 +56,7 @@ pub fn e4_amortization_scenario(q: usize) -> ScenarioSpec {
 /// meshes — the capacity-skew setting where placement matters most.
 pub fn e7_capacity_scenario(q: usize) -> ScenarioSpec {
     ScenarioSpec::new("e7-capacity")
-        .with_topology(TopologyTemplate::Hetero {
-            n: Tok::N,
-            lo: Tok::Lit(1),
-            hi: Tok::Cap,
-        })
+        .with_topology(template("hetero:$n:1:$cap"))
         .with_adversary(AdversarySpec::Corruptor)
         .with_faults(FaultSchedule::WorstCase {
             count: 1,

@@ -220,6 +220,24 @@ pub enum BroadcastKind {
     PhaseKing,
 }
 
+impl BroadcastKind {
+    /// The name scenario files and the CLI use: `eig` or `phase-king`.
+    pub fn name(self) -> &'static str {
+        match self {
+            BroadcastKind::Eig => "eig",
+            BroadcastKind::PhaseKing => "phase-king",
+        }
+    }
+
+    /// Parses a [`BroadcastKind::name`].
+    pub fn parse(s: &str) -> Result<Self, String> {
+        [BroadcastKind::Eig, BroadcastKind::PhaseKing]
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| format!("unknown broadcast {s:?} (known: eig, phase-king)"))
+    }
+}
+
 /// Runs one `Broadcast_Default` of `input` from `source` among
 /// `participants` over the given channel, returning every participant's
 /// decision.

@@ -181,6 +181,59 @@ impl EventKind {
             EventKind::DetSanDigest { .. } => "detsan_digest",
         }
     }
+
+    /// The kind-specific payload, in serialization order — the one list
+    /// both trace writers render.
+    pub fn fields(self) -> Vec<(&'static str, Field)> {
+        use Field::{Name, Num};
+        match self {
+            EventKind::SweepStart { jobs, tier, cpu } => {
+                vec![
+                    ("jobs", Num(jobs)),
+                    ("tier", Name(tier)),
+                    ("cpu", Name(cpu)),
+                ]
+            }
+            EventKind::PhaseStart(p) | EventKind::PhaseEnd(p) => vec![("phase", Name(p.name()))],
+            EventKind::PlanBuilt { build_ns } => vec![("build_ns", Num(build_ns))],
+            EventKind::PlanRepair { ns } | EventKind::PlanFullRecompute { ns } => {
+                vec![("ns", Num(ns))]
+            }
+            EventKind::DisputeRaised { new_pairs } => vec![("new_pairs", Num(new_pairs.into()))],
+            EventKind::NodeExposed { node } => vec![("node", Num(node.into()))],
+            EventKind::EqualityProducts {
+                multiplies,
+                expectations_shared,
+            } => vec![
+                ("multiplies", Num(multiplies.into())),
+                ("expectations_shared", Num(expectations_shared.into())),
+            ],
+            EventKind::DetSanDigest { phase, digest } => {
+                vec![("phase", Name(phase.name())), ("digest", Num(digest))]
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// One payload value of a serialized event: a number or a static name
+/// (a phase, a kernel tier, CPU feature names), so no writer needs JSON
+/// string escaping.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Field {
+    /// A count, duration, id or digest.
+    Num(u64),
+    /// A static name, rendered as a JSON string.
+    Name(&'static str),
+}
+
+impl std::fmt::Display for Field {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Field::Num(n) => write!(f, "{n}"),
+            Field::Name(s) => write!(f, "\"{s}\""),
+        }
+    }
 }
 
 /// One trace event: global order, timestamp, context, and the kind.

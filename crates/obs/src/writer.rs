@@ -1,19 +1,22 @@
 //! Render recorded trace events as JSONL or Chrome `trace_event` JSON.
 //!
 //! Both writers are pure functions from an event slice to a `String`, so
-//! they can be golden-file tested; all field names are static and all
-//! values numeric, so no JSON string escaping is needed.
+//! they can be golden-file tested, and both render a kind's payload from
+//! the one list [`EventKind::fields`] declares: field names are static
+//! and values are numbers or static names, so no JSON string escaping is
+//! needed.
 //!
 //! - **JSONL** ([`to_jsonl`]): one JSON object per line, in the fixed key
 //!   order `seq, ts_ns, job, stream, instance, kind` followed by the
-//!   kind-specific payload (`jobs`, `phase`, `build_ns`, `new_pairs`,
-//!   `node`, `multiplies`, `expectations_shared`). Grep-friendly and trivially parseable line by line.
+//!   kind's fields (`jobs`, `phase`, `build_ns`, `new_pairs`, `node`, …).
+//!   Grep-friendly and trivially parseable line by line.
 //! - **Chrome** ([`to_chrome_trace`]): a `{"traceEvents": [...]}` document
 //!   loadable in `about:tracing` or <https://ui.perfetto.dev>. Span-like
 //!   events (sweep/job/instance/phase) become `B`/`E` duration pairs;
 //!   point events (cache hits, dispute activity) become instant (`i`)
-//!   events. The sweep job index maps to `pid` and the stream index to
-//!   `tid`, so concurrent jobs render as parallel process tracks;
+//!   events; `args` holds the instance index and the kind's fields. The
+//!   sweep job index maps to `pid` and the stream index to `tid`, so
+//!   concurrent jobs render as parallel process tracks;
 //!   timestamps are microseconds with the native nanosecond resolution
 //!   kept in the fractional part.
 
@@ -49,42 +52,8 @@ fn write_jsonl_event(out: &mut String, ev: &Event) {
         ev.instance,
         ev.kind.name()
     );
-    match ev.kind {
-        EventKind::SweepStart { jobs, tier, cpu } => {
-            // `tier`/`cpu` are static feature names (no escaping needed).
-            let _ = write!(
-                out,
-                ",\"jobs\":{jobs},\"tier\":\"{tier}\",\"cpu\":\"{cpu}\""
-            );
-        }
-        EventKind::PhaseStart(p) | EventKind::PhaseEnd(p) => {
-            let _ = write!(out, ",\"phase\":\"{}\"", p.name());
-        }
-        EventKind::PlanBuilt { build_ns } => {
-            let _ = write!(out, ",\"build_ns\":{build_ns}");
-        }
-        EventKind::PlanRepair { ns } | EventKind::PlanFullRecompute { ns } => {
-            let _ = write!(out, ",\"ns\":{ns}");
-        }
-        EventKind::DisputeRaised { new_pairs } => {
-            let _ = write!(out, ",\"new_pairs\":{new_pairs}");
-        }
-        EventKind::NodeExposed { node } => {
-            let _ = write!(out, ",\"node\":{node}");
-        }
-        EventKind::EqualityProducts {
-            multiplies,
-            expectations_shared,
-        } => {
-            let _ = write!(
-                out,
-                ",\"multiplies\":{multiplies},\"expectations_shared\":{expectations_shared}"
-            );
-        }
-        EventKind::DetSanDigest { phase, digest } => {
-            let _ = write!(out, ",\"phase\":\"{}\",\"digest\":{digest}", phase.name());
-        }
-        _ => {}
+    for (name, value) in ev.kind.fields() {
+        let _ = write!(out, ",\"{name}\":{value}");
     }
     out.push('}');
 }
@@ -124,71 +93,26 @@ fn span_parts(kind: EventKind) -> Option<(&'static str, &'static str, char)> {
 fn write_chrome_event(out: &mut String, ev: &Event) {
     // Microseconds with nanosecond resolution in the fraction.
     let ts_us = ev.ts_ns as f64 / 1000.0;
-    match span_parts(ev.kind) {
-        Some((name, cat, ph)) => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{ts_us:.3},\
-                 \"pid\":{},\"tid\":{}",
-                ev.job, ev.stream
-            );
-            match ev.kind {
-                EventKind::SweepStart { jobs, tier, .. } => {
-                    let _ = write!(out, ",\"args\":{{\"jobs\":{jobs},\"tier\":\"{tier}\"}}");
-                }
-                EventKind::InstanceStart => {
-                    let _ = write!(out, ",\"args\":{{\"instance\":{}}}", ev.instance);
-                }
-                _ => {}
-            }
-            out.push('}');
-        }
-        None => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us:.3},\
-                 \"pid\":{},\"tid\":{}",
-                ev.kind.name(),
-                ev.job,
-                ev.stream
-            );
-            match ev.kind {
-                EventKind::PlanBuilt { build_ns } => {
-                    let _ = write!(out, ",\"args\":{{\"build_ns\":{build_ns}}}");
-                }
-                EventKind::PlanRepair { ns } | EventKind::PlanFullRecompute { ns } => {
-                    let _ = write!(out, ",\"args\":{{\"ns\":{ns}}}");
-                }
-                EventKind::DisputeRaised { new_pairs } => {
-                    let _ = write!(out, ",\"args\":{{\"new_pairs\":{new_pairs}}}");
-                }
-                EventKind::NodeExposed { node } => {
-                    let _ = write!(out, ",\"args\":{{\"node\":{node}}}");
-                }
-                EventKind::EqualityProducts {
-                    multiplies,
-                    expectations_shared,
-                } => {
-                    let _ = write!(
-                        out,
-                        ",\"args\":{{\"multiplies\":{multiplies},\
-                         \"expectations_shared\":{expectations_shared}}}"
-                    );
-                }
-                EventKind::DetSanDigest { phase, digest } => {
-                    let _ = write!(
-                        out,
-                        ",\"args\":{{\"phase\":\"{}\",\"digest\":{digest}}}",
-                        phase.name()
-                    );
-                }
-                _ => {
-                    let _ = write!(out, ",\"args\":{{\"instance\":{}}}", ev.instance);
-                }
-            }
-            out.push('}');
-        }
+    let _ = match span_parts(ev.kind) {
+        Some((name, cat, ph)) => write!(
+            out,
+            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\""
+        ),
+        None => write!(
+            out,
+            "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\"",
+            ev.kind.name()
+        ),
+    };
+    let _ = write!(
+        out,
+        ",\"ts\":{ts_us:.3},\"pid\":{},\"tid\":{},\"args\":{{\"instance\":{}",
+        ev.job, ev.stream, ev.instance
+    );
+    for (name, value) in ev.kind.fields() {
+        let _ = write!(out, ",\"{name}\":{value}");
     }
+    out.push_str("}}");
 }
 
 #[cfg(test)]
@@ -238,6 +162,39 @@ mod tests {
         assert!(line.ends_with(
             "\"kind\":\"equality_products\",\"multiplies\":18,\"expectations_shared\":6}"
         ));
+    }
+
+    #[test]
+    fn both_writers_render_the_same_fields() {
+        for kind in [
+            EventKind::SweepStart {
+                jobs: 9,
+                tier: "avx2",
+                cpu: "sse2,avx2",
+            },
+            EventKind::PhaseEnd(Phase::Dispute),
+            EventKind::PlanRepair { ns: 7 },
+            EventKind::DisputeRaised { new_pairs: 2 },
+            EventKind::DetSanDigest {
+                phase: Phase::Flags,
+                digest: u64::MAX,
+            },
+            EventKind::PlanCacheHit,
+        ] {
+            let e = ev(1, kind);
+            let fields: String = (kind.fields().iter())
+                .map(|(name, value)| format!(",\"{name}\":{value}"))
+                .collect();
+            assert!(event_to_jsonl(&e).ends_with(&format!("\"{}\"{fields}}}", kind.name())));
+            let mut chrome = String::new();
+            write_chrome_event(&mut chrome, &e);
+            assert!(
+                chrome.ends_with(&format!(
+                    "\"pid\":2,\"tid\":1,\"args\":{{\"instance\":3{fields}}}}}"
+                )),
+                "{chrome}"
+            );
+        }
     }
 
     #[test]

@@ -96,16 +96,7 @@ pub fn parse_str(text: &str) -> Result<ScenarioSpec, ParseError> {
                 spec.topology = TopologyTemplate::parse(value).map_err(|e| err(lineno, e))?
             }
             "broadcast" => {
-                spec.broadcast = match value {
-                    "eig" => BroadcastKind::Eig,
-                    "phase-king" => BroadcastKind::PhaseKing,
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!("unknown broadcast {other:?} (known: eig, phase-king)"),
-                        ))
-                    }
-                }
+                spec.broadcast = BroadcastKind::parse(value).map_err(|e| err(lineno, e))?
             }
             "adversary" => {
                 spec.adversary = AdversarySpec::parse(value).map_err(|e| err(lineno, e))?
@@ -124,7 +115,6 @@ pub fn parse_str(text: &str) -> Result<ScenarioSpec, ParseError> {
             "seed0" => spec.seed0 = parse_num(lineno, key, value)?,
             "bounds" => spec.bounds = parse_bool(lineno, key, value)?,
             "bounds_budget" => spec.bounds_budget = parse_num(lineno, key, value)?,
-            "threads" => spec.threads = parse_num(lineno, key, value)?,
             "link_model" => {
                 spec.link_model = nab_net::NetSpec::parse(value).map_err(|e| err(lineno, e))?
             }
@@ -135,7 +125,7 @@ pub fn parse_str(text: &str) -> Result<ScenarioSpec, ParseError> {
                     format!(
                         "unknown key {other:?} (known: name, topology, broadcast, adversary, \
                          faults, mutations, q, streams, n, cap, f, symbols, seeds, seed0, \
-                         bounds, bounds_budget, threads, link_model, net)"
+                         bounds, bounds_budget, link_model, net)"
                     ),
                 ))
             }
@@ -195,18 +185,13 @@ pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
             .collect::<Vec<_>>()
             .join(",")
     }
-    let broadcast = match spec.broadcast {
-        BroadcastKind::Eig => "eig",
-        BroadcastKind::PhaseKing => "phase-king",
-    };
     format!(
         "name = {}\ntopology = {}\nbroadcast = {}\nadversary = {}\nfaults = {}\n\
          mutations = {}\nq = {}\nstreams = {}\nn = {}\ncap = {}\nf = {}\nsymbols = {}\n\
-         seeds = {}\nseed0 = {}\nbounds = {}\nbounds_budget = {}\nthreads = {}\n\
-         link_model = {}\nnet = {}\n",
+         seeds = {}\nseed0 = {}\nbounds = {}\nbounds_budget = {}\nlink_model = {}\nnet = {}\n",
         spec.name,
         spec.topology.spec_string(),
-        broadcast,
+        spec.broadcast.name(),
         spec.adversary.spec_string(),
         spec.faults.spec_string(),
         spec.mutations.spec_string(),
@@ -220,7 +205,6 @@ pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
         spec.seed0,
         spec.bounds,
         spec.bounds_budget,
-        spec.threads,
         spec.link_model.spec_string(),
         spec.net,
     )
@@ -229,7 +213,6 @@ pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Tok;
     use std::collections::BTreeSet;
 
     const FULL: &str = r#"
@@ -249,22 +232,13 @@ seeds = 2
 seed0 = 13
 bounds = true
 bounds_budget = 4096
-threads = 2
 "#;
 
     #[test]
     fn full_document_parses() {
         let s = parse_str(FULL).unwrap();
         assert_eq!(s.name, "full");
-        assert_eq!(
-            s.topology,
-            TopologyTemplate::KConnected {
-                n: Tok::N,
-                k: Tok::TwoFPlusOne,
-                max_cap: Tok::Cap,
-                extra_pct: Tok::Lit(25),
-            }
-        );
+        assert_eq!(s.topology.spec_string(), "kconnected:$n:2f+1:$cap:25");
         assert_eq!(s.broadcast, BroadcastKind::PhaseKing);
         assert_eq!(s.adversary, AdversarySpec::Random { p: 0.3 });
         assert_eq!(s.faults, FaultSchedule::Rotating { count: 1 });
@@ -275,7 +249,6 @@ threads = 2
         assert_eq!((s.seeds, s.seed0), (2, 13));
         assert!(s.bounds);
         assert_eq!(s.bounds_budget, 4096);
-        assert_eq!(s.threads, 2);
         assert_eq!(s.job_count(), (2 * 3) * 2 * 2);
     }
 
@@ -310,11 +283,13 @@ threads = 2
     #[test]
     fn removed_switch_keys_are_unknown_keys_with_line_numbers() {
         // `batch`, `plan_repair` and `plan_cache` selected reference paths
-        // that no longer exist; a file that still sets them must say so.
+        // that no longer exist, and `threads` duplicated the `--threads`
+        // deployment setting; a file that still sets them must say so.
         for (head, line, key) in [
             ("name = x\nq = 2\n", 3, "batch"),
             ("name = x\nq = 2\n", 3, "plan_repair"),
             ("name = x\n", 2, "plan_cache"),
+            ("name = x\n", 2, "threads"),
         ] {
             let e = parse_str(&format!("{head}{key} = off\n")).unwrap_err();
             assert_eq!(e.line, line, "{e}");
@@ -322,7 +297,10 @@ threads = 2
             assert!(!e.message.contains(&format!(", {key},")), "{e}");
         }
         let text = to_scenario_string(&ScenarioSpec::new("x"));
-        assert!(!text.contains("batch") && !text.contains("plan_"), "{text}");
+        assert!(
+            !text.contains("batch") && !text.contains("plan_") && !text.contains("threads"),
+            "{text}"
+        );
         assert_eq!(parse_str(&text).unwrap(), ScenarioSpec::new("x"));
     }
 

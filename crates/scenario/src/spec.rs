@@ -55,9 +55,6 @@ pub struct ScenarioSpec {
     pub bounds: bool,
     /// Enumeration budget for `γ*` when `bounds` is on.
     pub bounds_budget: usize,
-    /// Default worker threads (`0` = one per available CPU); the CLI
-    /// `--threads` flag overrides this.
-    pub threads: usize,
     /// Per-link latency/jitter/loss models used when message-level
     /// execution is on (see [`ScenarioSpec::net`]). The default is the
     /// zero model (zero latency, lossless), under which message-level
@@ -74,10 +71,7 @@ impl Default for ScenarioSpec {
     fn default() -> Self {
         ScenarioSpec {
             name: "unnamed".into(),
-            topology: TopologyTemplate::Complete {
-                n: crate::topology::Tok::N,
-                cap: crate::topology::Tok::Cap,
-            },
+            topology: TopologyTemplate::parse("complete:$n:$cap").expect("a table family"), // nab-lint: allow(NAB003): a literal spec of a FAMILIES row; `defaults_fill_unset_keys` parses it on every test run
             broadcast: BroadcastKind::default(),
             adversary: AdversarySpec::Honest,
             faults: FaultSchedule::None,
@@ -92,7 +86,6 @@ impl Default for ScenarioSpec {
             seed0: 7,
             bounds: false,
             bounds_budget: 1 << 14,
-            threads: 0,
             link_model: nab_net::NetSpec::default(),
             net: false,
         }
@@ -251,7 +244,7 @@ mod tests {
     #[test]
     fn builder_composes() {
         let s = ScenarioSpec::new("t")
-            .with_topology(TopologyTemplate::Figure1a)
+            .with_topology(TopologyTemplate::parse("fig1a").unwrap())
             .with_adversary(AdversarySpec::Corruptor)
             .with_faults(FaultSchedule::Rotating { count: 1 })
             .with_q(4)

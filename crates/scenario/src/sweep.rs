@@ -25,6 +25,7 @@ use nab_obs::trace::{self, EventKind, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::faults::FaultSchedule;
 use crate::report::{Aggregate, JobBounds, JobMetrics, JobOutcome, PhaseLatency, SweepReport};
 use crate::spec::ScenarioSpec;
 use crate::topology::ResolveCtx;
@@ -46,6 +47,18 @@ pub struct Job {
     pub seed_index: u64,
     /// The job's derived deterministic seed.
     pub seed: u64,
+}
+
+impl Job {
+    /// The grid point the scenario's topology template resolves against.
+    pub fn ctx(&self) -> ResolveCtx {
+        ResolveCtx {
+            n: self.n,
+            cap: self.cap,
+            f: self.f,
+            seed: self.seed,
+        }
+    }
 }
 
 /// SplitMix64-style mixing for per-job seed derivation.
@@ -369,13 +382,7 @@ pub fn run_job(spec: &ScenarioSpec, job: &Job, cache: Option<&PlanCache>) -> Job
         candidate_error: None,
         result: Err("unresolved".into()),
     };
-    let ctx = ResolveCtx {
-        n: job.n,
-        cap: job.cap,
-        f: job.f,
-        seed: job.seed,
-    };
-    let graph = match spec.topology.build(&ctx) {
+    let graph = match spec.topology.build(&job.ctx()) {
         Ok(g) => g,
         Err(e) => {
             outcome.result = Err(format!("topology rejected: {e}"));
@@ -384,8 +391,12 @@ pub fn run_job(spec: &ScenarioSpec, job: &Job, cache: Option<&PlanCache>) -> Job
     };
     let candidates = spec.faults.candidates(graph.node_count(), job.seed_index);
     if candidates.is_empty() {
+        let why = match &spec.faults {
+            FaultSchedule::Fixed(set) => format!("names node {}", set.last().unwrap_or(&0)),
+            other => format!("places {} nodes", other.fault_count()),
+        };
         outcome.result = Err(format!(
-            "fault schedule {} has no valid placement on {} nodes",
+            "fault schedule {} {why}, but the network only has nodes 0..{}",
             spec.faults.spec_string(),
             graph.node_count()
         ));
@@ -708,14 +719,11 @@ mod tests {
     use crate::adversary::AdversarySpec;
     use crate::faults::FaultSchedule;
     use crate::spec::ScenarioSpec;
-    use crate::topology::{Tok, TopologyTemplate};
+    use crate::topology::TopologyTemplate;
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec::new("unit")
-            .with_topology(TopologyTemplate::Complete {
-                n: Tok::N,
-                cap: Tok::Cap,
-            })
+            .with_topology(TopologyTemplate::parse("complete:$n:$cap").unwrap())
             .with_q(2)
             .with_n(vec![4, 5])
             .with_cap(vec![1, 2])
@@ -937,10 +945,7 @@ mod tests {
     fn impossible_grid_points_are_recorded_not_fatal() {
         // A ring is never 3-connected: engine must reject, sweep must go on.
         let spec = ScenarioSpec::new("rejects")
-            .with_topology(TopologyTemplate::Ring {
-                n: Tok::N,
-                cap: Tok::Cap,
-            })
+            .with_topology(TopologyTemplate::parse("ring:$n:$cap").unwrap())
             .with_n(vec![5])
             .with_cap(vec![1])
             .with_q(1);

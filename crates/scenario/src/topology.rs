@@ -3,8 +3,17 @@
 //! A scenario names a *family* (`complete:$n:$cap`), not a single graph;
 //! the sweep runner substitutes each job's grid point into the template's
 //! [`Tok`] parameters and materializes a concrete [`DiGraph`]. Random
-//! families (`hetero`, `kconnected`) draw from the job's deterministic
-//! RNG, so the same job always sees the same graph.
+//! families (`hetero`, `kconnected`, `expander`) draw from the job's
+//! deterministic RNG, so the same job always sees the same graph.
+//!
+//! Every family is one row of [`FAMILIES`]: its name, its parameter
+//! names, a description, and the one function that checks the family's
+//! constraints and calls its generator. Parsing, rendering, building,
+//! the unknown-family error, `nab-sim --help` and the check that
+//! `docs/scenarios.md` lists every family are generic over that table,
+//! so a new fabric is a new row.
+
+use std::fmt;
 
 use nab_netgraph::{gen, DiGraph};
 use rand::rngs::StdRng;
@@ -64,293 +73,219 @@ impl Tok {
     }
 }
 
-/// A parameterized topology family.
+/// Renders the token as [`Tok::parse`] reads it.
+impl fmt::Display for Tok {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Tok::Lit(x) => write!(f, "{x}"),
+            Tok::N => f.write_str("$n"),
+            Tok::Cap => f.write_str("$cap"),
+            Tok::F => f.write_str("$f"),
+            Tok::TwoFPlusOne => f.write_str("2f+1"),
+        }
+    }
+}
+
+/// One topology family: a row of [`FAMILIES`].
+pub struct Family {
+    /// The name a spec string starts with.
+    pub name: &'static str,
+    /// Parameters in spec order: the name the docs and `--help` use, and
+    /// the smallest value the family accepts.
+    pub params: &'static [(&'static str, u64)],
+    /// One-line description.
+    pub about: &'static str,
+    /// Checks what the family needs across its resolved parameters (one
+    /// per entry of `params`, each already at least its minimum) and calls
+    /// its generator; `Err` names the violated constraint.
+    build: fn(&[u64], &mut StdRng) -> Result<DiGraph, String>,
+}
+
+impl Family {
+    /// The family as the docs write it: `complete:N:CAP`, `fig1a`.
+    pub fn signature(&self) -> String {
+        let name = self.name.to_string();
+        (self.params.iter()).fold(name, |s, (p, _)| format!("{s}:{p}"))
+    }
+}
+
+impl fmt::Debug for Family {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+/// Rows are distinct statics, so identity is equality.
+impl PartialEq for Family {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+fn need(ok: bool, what: &str) -> Result<(), String> {
+    ok.then_some(()).ok_or_else(|| what.into())
+}
+
+/// Every topology family, in the order help and errors list them.
+pub static FAMILIES: [Family; 14] = [
+    Family {
+        name: "fig1a",
+        params: &[],
+        about: "the paper's Figure 1(a) worked example (too sparse for f ≥ 1: run with f = 0)",
+        build: |_, _| Ok(gen::figure_1a()),
+    },
+    Family {
+        name: "fig1b",
+        params: &[],
+        about: "Figure 1(a) after the (2,3) dispute",
+        build: |_, _| Ok(gen::figure_1b()),
+    },
+    Family {
+        name: "fig2a",
+        params: &[],
+        about: "the paper's Figure 2(a) worked example (no path back to the source)",
+        build: |_, _| Ok(gen::figure_2a()),
+    },
+    // The raw figure cannot host an engine run; the minimum reverse unit
+    // links (4→1, 3→2 in paper numbering) add no in-capacity at the
+    // binding node 3, so γ stays 2.
+    Family {
+        name: "fig2a-closed",
+        params: &[],
+        about: "Figure 2(a) plus two reverse unit links: strongly connected, γ = 2 preserved",
+        build: |_, _| {
+            let mut g = gen::figure_2a();
+            g.add_edge(3, 0, 1);
+            g.add_edge(2, 1, 1);
+            Ok(g)
+        },
+    },
+    Family {
+        name: "complete",
+        params: &[("N", 2), ("CAP", 1)],
+        about: "complete digraph, uniform capacity",
+        build: |a, _| Ok(gen::complete(a[0] as usize, a[1])),
+    },
+    Family {
+        name: "hetero",
+        params: &[("N", 2), ("LO", 1), ("HI", 1)],
+        about: "complete digraph, capacities uniform in LO..=HI",
+        build: |a, rng| {
+            need(a[1] <= a[2], "LO ≤ HI")?;
+            Ok(gen::complete_heterogeneous(a[0] as usize, a[1], a[2], rng))
+        },
+    },
+    Family {
+        name: "ring",
+        params: &[("N", 3), ("CAP", 1)],
+        about: "bidirectional ring (2-connected: rejected for f ≥ 1)",
+        build: |a, _| Ok(gen::ring(a[0] as usize, a[1])),
+    },
+    Family {
+        name: "barbell",
+        params: &[("HALF", 2), ("CAP", 1), ("BRIDGES", 1), ("BCAP", 1)],
+        about: "two HALF-cliques joined by BRIDGES bidirectional bridges of capacity BCAP",
+        build: |a, _| {
+            need(a[2] <= a[0], "BRIDGES ≤ HALF")?;
+            Ok(gen::barbell(a[0] as usize, a[1], a[2] as usize, a[3]))
+        },
+    },
+    Family {
+        name: "circulant",
+        params: &[("N", 3), ("M", 1), ("CAP", 1)],
+        about: "Harary circulant: vertex connectivity exactly 2M at minimum edge count",
+        build: |a, _| {
+            need(2 * a[1] < a[0], "2M < N")?;
+            Ok(gen::circulant(a[0] as usize, a[1] as usize, a[2]))
+        },
+    },
+    Family {
+        name: "kconnected",
+        params: &[("N", 3), ("K", 1), ("MAXCAP", 1), ("EXTRA%", 0)],
+        about: "random K-vertex-connected graph (use K = 2f+1): circulant backbone + EXTRA% chords",
+        build: |a, rng| {
+            need(
+                2 * a[1].div_ceil(2) < a[0] && a[3] <= 100,
+                "2⌈K/2⌉ < N and EXTRA% ≤ 100",
+            )?;
+            let (n, k, extra) = (a[0] as usize, a[1] as usize, a[3] as f64 / 100.0);
+            Ok(gen::random_k_connected(n, k, a[2], extra, rng))
+        },
+    },
+    Family {
+        name: "fattree",
+        params: &[("K", 2), ("CAP", 1)],
+        about: "three-tier fat-tree: (K/2)² cores, K pods of K/2 + K/2 switches, 5K²/4 nodes",
+        build: |a, _| {
+            need(a[0] % 2 == 0, "even K")?;
+            Ok(gen::fat_tree(a[0] as usize, a[1]))
+        },
+    },
+    Family {
+        name: "torus",
+        params: &[("ROWS", 3), ("COLS", 3), ("CAP", 1)],
+        about: "2-D wraparound torus: four grid neighbors per node, vertex connectivity 4",
+        build: |a, _| Ok(gen::torus(a[0] as usize, a[1] as usize, a[2])),
+    },
+    Family {
+        name: "dragonfly",
+        params: &[("GROUPS", 2), ("ROUTERS", 2), ("CAP", 1)],
+        about: "fully meshed groups of ROUTERS routers, one global link per group pair",
+        build: |a, _| Ok(gen::dragonfly(a[0] as usize, a[1] as usize, a[2])),
+    },
+    Family {
+        name: "expander",
+        params: &[("N", 3), ("DEGREE", 2), ("MAXCAP", 1)],
+        about: "bidirectional ring plus random chords to degree ≈ DEGREE, caps in 1..=MAXCAP",
+        build: |a, rng| {
+            Ok(gen::random_expander(
+                a[0] as usize,
+                a[1] as usize,
+                a[2],
+                rng,
+            ))
+        },
+    },
+];
+
+/// A parameterized topology: a family and one [`Tok`] per parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TopologyTemplate {
-    /// The paper's Figure 1(a) worked example.
-    Figure1a,
-    /// Figure 1(a) after the (2,3) dispute.
-    Figure1b,
-    /// The paper's Figure 2(a) worked example.
-    Figure2a,
-    /// Figure 2(a) plus the minimum reverse unit links (4→1, 3→2 in paper
-    /// numbering) that make the digraph strongly connected — the raw
-    /// figure has no path back to the source, so only this closure can
-    /// host an engine run. The closure preserves `γ = 2` (it adds no
-    /// in-capacity at the binding node 3).
-    Figure2aClosed,
-    /// Complete digraph `complete:N:CAP`.
-    Complete {
-        /// Node count.
-        n: Tok,
-        /// Uniform capacity.
-        cap: Tok,
-    },
-    /// Complete digraph, capacities uniform in `LO..=HI`: `hetero:N:LO:HI`.
-    Hetero {
-        /// Node count.
-        n: Tok,
-        /// Minimum capacity.
-        lo: Tok,
-        /// Maximum capacity.
-        hi: Tok,
-    },
-    /// Bidirectional ring `ring:N:CAP`.
-    Ring {
-        /// Node count.
-        n: Tok,
-        /// Uniform capacity.
-        cap: Tok,
-    },
-    /// Two cliques joined by bridges: `barbell:HALF:CAP:BRIDGES:BCAP`.
-    Barbell {
-        /// Nodes per cluster.
-        half: Tok,
-        /// Intra-cluster capacity.
-        cluster_cap: Tok,
-        /// Bridge count.
-        bridges: Tok,
-        /// Per-bridge capacity.
-        bridge_cap: Tok,
-    },
-    /// Harary circulant `circulant:N:M:CAP` (connectivity exactly `2M`).
-    Circulant {
-        /// Node count.
-        n: Tok,
-        /// Chord half-width.
-        m: Tok,
-        /// Uniform capacity.
-        cap: Tok,
-    },
-    /// Three-tier fat-tree `fattree:K:CAP` (`K` even; `(K/2)²` cores,
-    /// `K` pods of `K/2` aggregation + `K/2` edge switches — the
-    /// datacenter Clos fabric, `5K²/4` nodes total).
-    FatTree {
-        /// Pod/port parameter (even, ≥ 2).
-        k: Tok,
-        /// Uniform link capacity.
-        cap: Tok,
-    },
-    /// 2-D wraparound torus `torus:ROWS:COLS:CAP` (each node links to its
-    /// four grid neighbors; vertex connectivity 4).
-    Torus {
-        /// Grid rows (≥ 3).
-        rows: Tok,
-        /// Grid columns (≥ 3).
-        cols: Tok,
-        /// Uniform link capacity.
-        cap: Tok,
-    },
-    /// Dragonfly `dragonfly:GROUPS:ROUTERS:CAP`: fully connected groups
-    /// of `ROUTERS` routers, one global link per group pair.
-    Dragonfly {
-        /// Number of groups (≥ 2).
-        groups: Tok,
-        /// Routers per group (≥ 2).
-        routers: Tok,
-        /// Uniform link capacity.
-        cap: Tok,
-    },
-    /// Random-regular-ish expander `expander:N:DEG:MAXCAP`: a
-    /// bidirectional ring plus random chords to degree ≈ `DEG`, caps
-    /// uniform in `1..=MAXCAP`.
-    Expander {
-        /// Node count (≥ 3).
-        n: Tok,
-        /// Target degree (≥ 2).
-        degree: Tok,
-        /// Maximum link capacity.
-        max_cap: Tok,
-    },
-    /// Random guaranteed-`K`-connected family
-    /// `kconnected:N:K:MAXCAP:EXTRA%` (see
-    /// [`gen::random_k_connected`]).
-    KConnected {
-        /// Node count.
-        n: Tok,
-        /// Connectivity guarantee (use `2f+1` for NAB's prerequisite).
-        k: Tok,
-        /// Maximum link capacity.
-        max_cap: Tok,
-        /// Extra-chord probability in percent (0–100).
-        extra_pct: Tok,
-    },
+pub struct TopologyTemplate {
+    family: &'static Family,
+    args: Vec<Tok>,
 }
 
 impl TopologyTemplate {
     /// Parses a topology spec like `complete:$n:$cap` or `fig1a`.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let tok = |i: usize| -> Result<Tok, String> {
-            parts
-                .get(i)
-                .ok_or_else(|| format!("topology {spec:?}: missing parameter {i}"))
-                .and_then(|s| Tok::parse(s))
-        };
-        let arity = |want: usize| -> Result<(), String> {
-            if parts.len() == want + 1 {
-                Ok(())
-            } else {
-                Err(format!(
-                    "topology {spec:?}: {} takes {want} parameter(s), got {}",
-                    parts[0],
-                    parts.len() - 1
-                ))
-            }
-        };
-        match parts[0] {
-            "fig1a" => arity(0).map(|_| TopologyTemplate::Figure1a),
-            "fig1b" => arity(0).map(|_| TopologyTemplate::Figure1b),
-            "fig2a" => arity(0).map(|_| TopologyTemplate::Figure2a),
-            "fig2a-closed" => arity(0).map(|_| TopologyTemplate::Figure2aClosed),
-            "complete" => {
-                arity(2)?;
-                Ok(TopologyTemplate::Complete {
-                    n: tok(1)?,
-                    cap: tok(2)?,
-                })
-            }
-            "hetero" => {
-                arity(3)?;
-                Ok(TopologyTemplate::Hetero {
-                    n: tok(1)?,
-                    lo: tok(2)?,
-                    hi: tok(3)?,
-                })
-            }
-            "ring" => {
-                arity(2)?;
-                Ok(TopologyTemplate::Ring {
-                    n: tok(1)?,
-                    cap: tok(2)?,
-                })
-            }
-            "barbell" => {
-                arity(4)?;
-                Ok(TopologyTemplate::Barbell {
-                    half: tok(1)?,
-                    cluster_cap: tok(2)?,
-                    bridges: tok(3)?,
-                    bridge_cap: tok(4)?,
-                })
-            }
-            "circulant" => {
-                arity(3)?;
-                Ok(TopologyTemplate::Circulant {
-                    n: tok(1)?,
-                    m: tok(2)?,
-                    cap: tok(3)?,
-                })
-            }
-            "kconnected" => {
-                arity(4)?;
-                Ok(TopologyTemplate::KConnected {
-                    n: tok(1)?,
-                    k: tok(2)?,
-                    max_cap: tok(3)?,
-                    extra_pct: tok(4)?,
-                })
-            }
-            "fattree" => {
-                arity(2)?;
-                Ok(TopologyTemplate::FatTree {
-                    k: tok(1)?,
-                    cap: tok(2)?,
-                })
-            }
-            "torus" => {
-                arity(3)?;
-                Ok(TopologyTemplate::Torus {
-                    rows: tok(1)?,
-                    cols: tok(2)?,
-                    cap: tok(3)?,
-                })
-            }
-            "dragonfly" => {
-                arity(3)?;
-                Ok(TopologyTemplate::Dragonfly {
-                    groups: tok(1)?,
-                    routers: tok(2)?,
-                    cap: tok(3)?,
-                })
-            }
-            "expander" => {
-                arity(3)?;
-                Ok(TopologyTemplate::Expander {
-                    n: tok(1)?,
-                    degree: tok(2)?,
-                    max_cap: tok(3)?,
-                })
-            }
-            other => Err(format!(
-                "unknown topology {other:?} (known: fig1a, fig1b, fig2a, fig2a-closed, \
-                 complete, hetero, ring, barbell, circulant, kconnected, fattree, torus, \
-                 dragonfly, expander)"
-            )),
+        let mut parts = spec.split(':');
+        let name = parts.next().unwrap_or_default();
+        let family = FAMILIES.iter().find(|f| f.name == name).ok_or_else(|| {
+            let known: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+            format!("unknown topology {name:?} (known: {})", known.join(", "))
+        })?;
+        let args: Vec<&str> = parts.collect();
+        if args.len() != family.params.len() {
+            return Err(format!(
+                "topology {spec:?}: {name} takes {} parameter(s), got {}",
+                family.params.len(),
+                args.len()
+            ));
         }
+        let args = args.into_iter().map(Tok::parse).collect::<Result<_, _>>()?;
+        Ok(TopologyTemplate { family, args })
     }
 
     /// The canonical spec string this template parses from.
     pub fn spec_string(&self) -> String {
-        fn t(tok: &Tok) -> String {
-            match tok {
-                Tok::Lit(x) => x.to_string(),
-                Tok::N => "$n".into(),
-                Tok::Cap => "$cap".into(),
-                Tok::F => "$f".into(),
-                Tok::TwoFPlusOne => "2f+1".into(),
-            }
-        }
-        match self {
-            TopologyTemplate::Figure1a => "fig1a".into(),
-            TopologyTemplate::Figure1b => "fig1b".into(),
-            TopologyTemplate::Figure2a => "fig2a".into(),
-            TopologyTemplate::Figure2aClosed => "fig2a-closed".into(),
-            TopologyTemplate::Complete { n, cap } => format!("complete:{}:{}", t(n), t(cap)),
-            TopologyTemplate::Hetero { n, lo, hi } => {
-                format!("hetero:{}:{}:{}", t(n), t(lo), t(hi))
-            }
-            TopologyTemplate::Ring { n, cap } => format!("ring:{}:{}", t(n), t(cap)),
-            TopologyTemplate::Barbell {
-                half,
-                cluster_cap,
-                bridges,
-                bridge_cap,
-            } => format!(
-                "barbell:{}:{}:{}:{}",
-                t(half),
-                t(cluster_cap),
-                t(bridges),
-                t(bridge_cap)
-            ),
-            TopologyTemplate::Circulant { n, m, cap } => {
-                format!("circulant:{}:{}:{}", t(n), t(m), t(cap))
-            }
-            TopologyTemplate::KConnected {
-                n,
-                k,
-                max_cap,
-                extra_pct,
-            } => format!(
-                "kconnected:{}:{}:{}:{}",
-                t(n),
-                t(k),
-                t(max_cap),
-                t(extra_pct)
-            ),
-            TopologyTemplate::FatTree { k, cap } => format!("fattree:{}:{}", t(k), t(cap)),
-            TopologyTemplate::Torus { rows, cols, cap } => {
-                format!("torus:{}:{}:{}", t(rows), t(cols), t(cap))
-            }
-            TopologyTemplate::Dragonfly {
-                groups,
-                routers,
-                cap,
-            } => format!("dragonfly:{}:{}:{}", t(groups), t(routers), t(cap)),
-            TopologyTemplate::Expander { n, degree, max_cap } => {
-                format!("expander:{}:{}:{}", t(n), t(degree), t(max_cap))
-            }
-        }
+        let name = self.family.name.to_string();
+        self.args.iter().fold(name, |s, tok| format!("{s}:{tok}"))
+    }
+
+    /// Whether any parameter is a grid variable (`$n`, `$cap`, `$f`,
+    /// `2f+1`) rather than a literal.
+    pub fn uses_grid_variables(&self) -> bool {
+        self.args.iter().any(|t| !matches!(t, Tok::Lit(_)))
     }
 
     /// Materializes the concrete graph for one grid point.
@@ -361,156 +296,16 @@ impl TopologyTemplate {
     /// panicking) so a sweep can record the grid point as rejected.
     pub fn build(&self, ctx: &ResolveCtx) -> Result<DiGraph, String> {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x746F_706F_6C6F_6779); // "topology"
-        match self {
-            TopologyTemplate::Figure1a => Ok(gen::figure_1a()),
-            TopologyTemplate::Figure1b => Ok(gen::figure_1b()),
-            TopologyTemplate::Figure2a => Ok(gen::figure_2a()),
-            TopologyTemplate::Figure2aClosed => {
-                let mut g = gen::figure_2a();
-                g.add_edge(3, 0, 1);
-                g.add_edge(2, 1, 1);
-                Ok(g)
-            }
-            TopologyTemplate::Complete { n, cap } => {
-                let (n, cap) = (n.resolve(ctx) as usize, cap.resolve(ctx));
-                if n < 2 || cap == 0 {
-                    return Err(format!(
-                        "complete: need n ≥ 2 and cap ≥ 1, got n={n} cap={cap}"
-                    ));
-                }
-                Ok(gen::complete(n, cap))
-            }
-            TopologyTemplate::Hetero { n, lo, hi } => {
-                let (n, lo, hi) = (n.resolve(ctx) as usize, lo.resolve(ctx), hi.resolve(ctx));
-                if n < 2 || lo == 0 || lo > hi {
-                    return Err(format!(
-                        "hetero: need n ≥ 2 and 1 ≤ lo ≤ hi, got n={n} lo={lo} hi={hi}"
-                    ));
-                }
-                Ok(gen::complete_heterogeneous(n, lo, hi, &mut rng))
-            }
-            TopologyTemplate::Ring { n, cap } => {
-                let (n, cap) = (n.resolve(ctx) as usize, cap.resolve(ctx));
-                if n < 3 || cap == 0 {
-                    return Err(format!("ring: need n ≥ 3 and cap ≥ 1, got n={n} cap={cap}"));
-                }
-                Ok(gen::ring(n, cap))
-            }
-            TopologyTemplate::Barbell {
-                half,
-                cluster_cap,
-                bridges,
-                bridge_cap,
-            } => {
-                let half = half.resolve(ctx) as usize;
-                let cluster_cap = cluster_cap.resolve(ctx);
-                let bridges = bridges.resolve(ctx) as usize;
-                let bridge_cap = bridge_cap.resolve(ctx);
-                if half < 2 || cluster_cap == 0 || bridge_cap == 0 || bridges == 0 {
-                    return Err(format!(
-                        "barbell: need half ≥ 2, bridges ≥ 1, caps ≥ 1; got \
-                         half={half} cluster_cap={cluster_cap} bridges={bridges} \
-                         bridge_cap={bridge_cap}"
-                    ));
-                }
-                if bridges > half {
-                    return Err(format!("barbell: bridges {bridges} > half {half}"));
-                }
-                Ok(gen::barbell(half, cluster_cap, bridges, bridge_cap))
-            }
-            TopologyTemplate::Circulant { n, m, cap } => {
-                let (n, m, cap) = (
-                    n.resolve(ctx) as usize,
-                    m.resolve(ctx) as usize,
-                    cap.resolve(ctx),
-                );
-                if m < 1 || 2 * m >= n || cap == 0 {
-                    return Err(format!(
-                        "circulant: need 1 ≤ m and 2m < n and cap ≥ 1, got n={n} m={m} cap={cap}"
-                    ));
-                }
-                Ok(gen::circulant(n, m, cap))
-            }
-            TopologyTemplate::KConnected {
-                n,
-                k,
-                max_cap,
-                extra_pct,
-            } => {
-                let nn = n.resolve(ctx) as usize;
-                let k = k.resolve(ctx) as usize;
-                let max_cap = max_cap.resolve(ctx);
-                let extra_pct = extra_pct.resolve(ctx);
-                if k < 1 || 2 * k.div_ceil(2) >= nn || max_cap == 0 || extra_pct > 100 {
-                    return Err(format!(
-                        "kconnected: need 1 ≤ k, 2⌈k/2⌉ < n, max_cap ≥ 1, extra ≤ 100; \
-                         got n={nn} k={k} max_cap={max_cap} extra={extra_pct}%"
-                    ));
-                }
-                Ok(gen::random_k_connected(
-                    nn,
-                    k,
-                    max_cap,
-                    extra_pct as f64 / 100.0,
-                    &mut rng,
-                ))
-            }
-            TopologyTemplate::FatTree { k, cap } => {
-                let (k, cap) = (k.resolve(ctx) as usize, cap.resolve(ctx));
-                if k < 2 || k % 2 != 0 || cap == 0 {
-                    return Err(format!(
-                        "fattree: need even k ≥ 2 and cap ≥ 1, got k={k} cap={cap}"
-                    ));
-                }
-                Ok(gen::fat_tree(k, cap))
-            }
-            TopologyTemplate::Torus { rows, cols, cap } => {
-                let (rows, cols, cap) = (
-                    rows.resolve(ctx) as usize,
-                    cols.resolve(ctx) as usize,
-                    cap.resolve(ctx),
-                );
-                if rows < 3 || cols < 3 || cap == 0 {
-                    return Err(format!(
-                        "torus: need rows ≥ 3, cols ≥ 3, cap ≥ 1; got rows={rows} \
-                         cols={cols} cap={cap}"
-                    ));
-                }
-                Ok(gen::torus(rows, cols, cap))
-            }
-            TopologyTemplate::Dragonfly {
-                groups,
-                routers,
-                cap,
-            } => {
-                let (groups, routers, cap) = (
-                    groups.resolve(ctx) as usize,
-                    routers.resolve(ctx) as usize,
-                    cap.resolve(ctx),
-                );
-                if groups < 2 || routers < 2 || cap == 0 {
-                    return Err(format!(
-                        "dragonfly: need groups ≥ 2, routers ≥ 2, cap ≥ 1; got \
-                         groups={groups} routers={routers} cap={cap}"
-                    ));
-                }
-                Ok(gen::dragonfly(groups, routers, cap))
-            }
-            TopologyTemplate::Expander { n, degree, max_cap } => {
-                let (nn, degree, max_cap) = (
-                    n.resolve(ctx) as usize,
-                    degree.resolve(ctx) as usize,
-                    max_cap.resolve(ctx),
-                );
-                if nn < 3 || degree < 2 || max_cap == 0 {
-                    return Err(format!(
-                        "expander: need n ≥ 3, degree ≥ 2, max_cap ≥ 1; got n={nn} \
-                         degree={degree} max_cap={max_cap}"
-                    ));
-                }
-                Ok(gen::random_expander(nn, degree, max_cap, &mut rng))
-            }
-        }
+        let args: Vec<u64> = self.args.iter().map(|t| t.resolve(ctx)).collect();
+        let params = self.family.params.iter().zip(&args);
+        let built = match params.clone().find(|((_, min), &v)| v < *min) {
+            Some(((p, min), _)) => Err(format!("{p} ≥ {min}")),
+            None => (self.family.build)(&args, &mut rng),
+        };
+        built.map_err(|what| {
+            let got: Vec<String> = params.map(|((p, _), v)| format!("{p}={v}")).collect();
+            format!("{}: need {what}; got {}", self.family.name, got.join(" "))
+        })
     }
 }
 
@@ -527,6 +322,16 @@ mod tests {
         }
     }
 
+    /// `family`'s spec with `arity` parameters drawn cyclically from `toks`.
+    fn spec_of(family: &Family, arity: usize, toks: &[&str]) -> String {
+        let mut spec = family.name.to_string();
+        for i in 0..arity {
+            spec.push(':');
+            spec.push_str(toks[i % toks.len()]);
+        }
+        spec
+    }
+
     #[test]
     fn tokens_resolve() {
         let c = ctx();
@@ -539,38 +344,132 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_spec_strings() {
-        for s in [
-            "fig1a",
-            "fig1b",
-            "fig2a",
-            "fig2a-closed",
-            "complete:$n:$cap",
-            "hetero:$n:1:$cap",
-            "ring:6:2",
-            "barbell:3:$cap:1:1",
-            "circulant:$n:2:$cap",
-            "kconnected:$n:2f+1:$cap:25",
-            "fattree:4:$cap",
-            "torus:4:8:$cap",
-            "dragonfly:6:4:$cap",
-            "expander:$n:4:$cap",
-        ] {
-            let t = TopologyTemplate::parse(s).unwrap();
-            assert_eq!(t.spec_string(), s);
+        for family in &FAMILIES {
+            let arity = family.params.len();
+            for toks in [
+                &["6", "2"][..],
+                &["$n", "$cap", "$f", "2f+1"],
+                &["2f+1", "7"],
+            ] {
+                let s = spec_of(family, arity, toks);
+                let t = TopologyTemplate::parse(&s).unwrap();
+                assert_eq!(t.spec_string(), s);
+                assert_eq!(t.uses_grid_variables(), arity > 0 && toks[0] != "6", "{s}");
+                assert_eq!(TopologyTemplate::parse(&t.spec_string()).unwrap(), t);
+            }
         }
     }
 
     #[test]
-    fn unknown_family_is_an_error() {
+    fn family_names_are_unique() {
+        for (i, a) in FAMILIES.iter().enumerate() {
+            assert!(FAMILIES[..i].iter().all(|b| b.name != a.name), "{a:?}");
+            assert_eq!(
+                TopologyTemplate::parse(&spec_of(a, a.params.len(), &["3"]))
+                    .unwrap()
+                    .family,
+                a
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_family_is_an_error_listing_every_family() {
         let e = TopologyTemplate::parse("hypercube:4:4").unwrap_err();
-        assert!(e.contains("unknown topology"), "{e}");
-        assert!(e.contains("known:"), "{e}");
+        assert!(e.contains("unknown topology \"hypercube\""), "{e}");
+        let known = e.split_once("(known: ").unwrap().1.trim_end_matches(')');
+        let names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        assert_eq!(known.split(", ").collect::<Vec<_>>(), names);
     }
 
     #[test]
     fn wrong_arity_is_an_error() {
-        assert!(TopologyTemplate::parse("complete:4").is_err());
-        assert!(TopologyTemplate::parse("fig1a:4").is_err());
+        for family in &FAMILIES {
+            let arity = family.params.len();
+            for wrong in [arity + 1, arity.wrapping_sub(1)] {
+                if wrong == usize::MAX {
+                    continue;
+                }
+                let s = spec_of(family, wrong, &["4"]);
+                let e = TopologyTemplate::parse(&s).unwrap_err();
+                assert!(
+                    e.contains(&format!("takes {arity} parameter(s), got {wrong}")),
+                    "{s}: {e}"
+                );
+            }
+        }
+        // A malformed parameter is reported after the arity is right.
+        let e = TopologyTemplate::parse("complete:four:2").unwrap_err();
+        assert!(e.contains("bad parameter \"four\""), "{e}");
+    }
+
+    #[test]
+    fn constraint_violations_are_errors_not_panics() {
+        // Every parameterized family has a parameter with a positive
+        // minimum first, so all-zero parameters violate every row.
+        for family in FAMILIES.iter().filter(|f| !f.params.is_empty()) {
+            let s = spec_of(family, family.params.len(), &["0"]);
+            let e = TopologyTemplate::parse(&s)
+                .unwrap()
+                .build(&ctx())
+                .unwrap_err();
+            assert!(
+                e.starts_with(&format!("{}: need ", family.name)),
+                "{s}: {e}"
+            );
+            assert!(
+                e.contains(&format!("got {}=0", family.params[0].0)),
+                "{s}: {e}"
+            );
+        }
+        // One violated clause at otherwise valid parameters: chords too
+        // wide, more bridges than nodes, odd fat-tree k, degenerate torus,
+        // 1-group dragonfly, degree-1 expander, inverted capacity range,
+        // 2-ring, K ≥ N, zero capacity.
+        for bad in [
+            "circulant:4:2:1",
+            "barbell:3:1:5:1",
+            "fattree:3:2",
+            "torus:2:4:1",
+            "dragonfly:1:4:1",
+            "expander:8:1:2",
+            "hetero:4:3:2",
+            "ring:2:1",
+            "kconnected:4:4:2:10",
+            "kconnected:8:3:2:101",
+            "complete:4:0",
+        ] {
+            let t = TopologyTemplate::parse(bad).unwrap();
+            assert!(t.build(&ctx()).is_err(), "{bad} should reject");
+        }
+        // Grid variables resolve before the check.
+        let t = TopologyTemplate::parse("circulant:$n:$cap:1").unwrap();
+        let e = t.build(&ctx()).unwrap_err();
+        assert_eq!(e, "circulant: need 2M < N; got N=5 M=3 CAP=1");
+    }
+
+    #[test]
+    fn docs_list_every_family_signature() {
+        let doc = include_str!("../../../docs/scenarios.md");
+        let section = doc
+            .split_once("## Topology templates")
+            .and_then(|(_, rest)| rest.split_once("\n## "))
+            .expect("docs/scenarios.md has a Topology templates section")
+            .0;
+        for family in &FAMILIES {
+            let sig = format!("`{}`", family.signature());
+            assert!(section.contains(&sig), "docs/scenarios.md lacks {sig}");
+        }
+        // ... and no family the table does not have.
+        for row in section.lines().filter(|l| l.starts_with("| `")) {
+            for sig in row.split('|').nth(1).unwrap().split(',') {
+                let sig = sig.trim().trim_matches('`');
+                assert!(
+                    FAMILIES.iter().any(|f| f.signature() == sig),
+                    "docs/scenarios.md documents {sig:?}, which is not in FAMILIES"
+                );
+            }
+        }
     }
 
     #[test]
@@ -587,9 +486,10 @@ mod tests {
     #[test]
     fn fig2a_closed_is_strongly_connected_with_gamma_2() {
         use nab_netgraph::flow::broadcast_rate;
-        let raw = TopologyTemplate::Figure2a.build(&ctx()).unwrap();
+        let build = |s: &str| TopologyTemplate::parse(s).unwrap().build(&ctx()).unwrap();
+        let raw = build("fig2a");
         assert!(!raw.all_reachable_from(2), "raw figure has no return path");
-        let closed = TopologyTemplate::Figure2aClosed.build(&ctx()).unwrap();
+        let closed = build("fig2a-closed");
         for s in closed.nodes() {
             assert!(closed.all_reachable_from(s));
         }
@@ -602,25 +502,8 @@ mod tests {
         let g = templ.build(&ctx()).unwrap();
         assert_eq!(g.active_count(), 5);
         assert_eq!(g.find_edge(0, 1).unwrap().1.cap, 3);
-    }
-
-    #[test]
-    fn constraint_violations_are_errors_not_panics() {
-        let t = TopologyTemplate::parse("circulant:4:2:1").unwrap();
-        assert!(t.build(&ctx()).is_err());
-        let t = TopologyTemplate::parse("barbell:3:1:5:1").unwrap();
-        assert!(t.build(&ctx()).is_err());
-        // Odd fat-tree k, degenerate torus, 1-group dragonfly, degree-1
-        // expander: all rejected, never panicked.
-        for bad in [
-            "fattree:3:2",
-            "torus:2:4:1",
-            "dragonfly:1:4:1",
-            "expander:8:1:2",
-        ] {
-            let t = TopologyTemplate::parse(bad).unwrap();
-            assert!(t.build(&ctx()).is_err(), "{bad} should reject");
-        }
+        let literal = TopologyTemplate::parse("complete:5:3").unwrap();
+        assert_eq!(literal.build(&ctx()).unwrap(), g);
     }
 
     #[test]

@@ -6,17 +6,14 @@
 //! Run with: `cargo run --release --example scenario_sweep`
 
 use nab_repro::scenario::{
-    run_sweep, AdversarySpec, FaultSchedule, ScenarioSpec, Tok, TopologyTemplate,
+    run_sweep, AdversarySpec, FaultSchedule, ScenarioSpec, TopologyTemplate,
 };
 
 fn main() {
     // A false-alarm adversary rotating around K5/K6: it burns dispute
     // rounds early, gets exposed, and steady-state throughput recovers.
     let spec = ScenarioSpec::new("example-amortization")
-        .with_topology(TopologyTemplate::Complete {
-            n: Tok::N,
-            cap: Tok::Cap,
-        })
+        .with_topology(TopologyTemplate::parse("complete:$n:$cap").expect("a bundled family"))
         .with_adversary(AdversarySpec::FalseAlarm)
         .with_faults(FaultSchedule::Rotating { count: 1 })
         .with_q(6)

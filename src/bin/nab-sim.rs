@@ -1,61 +1,84 @@
 //! `nab-sim` — run NAB simulations from the command line.
 //!
-//! Two modes:
+//! There is one run path: a [`ScenarioSpec`] handed to the sweep runner.
+//! The spec is written one of two ways.
 //!
-//! - **Single run** (default): one topology, one fault set, one adversary,
-//!   `Q` instances; prints throughput and dispute state.
+//! - **Flags** describe a one-job spec — one topology, one fault set, one
+//!   adversary, `Q` instances:
 //!
 //!   ```text
 //!   nab-sim --topology complete:5:2 --f 1 --symbols 64 --q 10 \
 //!           --faulty 2 --adversary corruptor --broadcast eig --bounds
 //!   ```
 //!
-//! - **Scenario sweep**: a declarative `.scenario` file expanded into a
-//!   parameter grid and run across worker threads (see `docs/scenarios.md`
-//!   and the bundled `scenarios/` library).
+//! - **A `.scenario` file** declares a parameter grid the runner expands
+//!   into jobs (see `docs/scenarios.md` and the bundled `scenarios/`):
 //!
 //!   ```text
 //!   nab-sim --scenario scenarios/fig1a.scenario --threads 4 --json -
 //!   ```
 //!
-//! - **Validate**: parse a `.scenario` file and *plan* every grid point
-//!   (topology realization, γ/ρ, arborescence packing, routing tables)
-//!   without executing a single instance.
+//! Every output option (`--json`, `--trace`, `--progress`, …) applies to
+//! both. Separately, **validate** parses a `.scenario` file and *plans*
+//! every grid point (topology realization, γ/ρ, arborescence packing,
+//! routing tables) without executing a single instance:
 //!
-//!   ```text
-//!   nab-sim --validate scenarios/scale-grid.scenario
-//!   ```
+//! ```text
+//! nab-sim --validate scenarios/scale-grid.scenario
+//! ```
 
-use std::collections::BTreeSet;
 use std::io::IsTerminal;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use nab_repro::nab::bounds::bounds_report;
-use nab_repro::nab::engine::{run_many, NabConfig, NabEngine};
 use nab_repro::nab::plan::PlanCache;
 use nab_repro::nab::BroadcastKind;
-use nab_repro::netgraph::DiGraph;
-use nab_repro::obs::trace::TraceSink;
+use nab_repro::obs::trace::{Event, TraceSink};
 use nab_repro::obs::{writer, BufferSink};
-use nab_repro::scenario::topology::ResolveCtx;
-use nab_repro::scenario::{self, AdversarySpec, ProgressSnapshot, SweepOptions, TopologyTemplate};
+use nab_repro::scenario::topology::FAMILIES;
+use nab_repro::scenario::{
+    self, AdversarySpec, FaultSchedule, ProgressSnapshot, ScenarioSpec, SweepOptions,
+    TopologyTemplate,
+};
 
-const HELP: &str =
-    "nab-sim — Network-Aware Byzantine broadcast simulator (Liang & Vaidya, PODC 2012)
+/// The help text; the family list comes from the topology table.
+fn help() -> String {
+    let families: String = FAMILIES
+        .iter()
+        .map(|f| format!("      {:<31}{}\n", f.signature(), f.about))
+        .collect();
+    format!(
+        "nab-sim — Network-Aware Byzantine broadcast simulator (Liang & Vaidya, PODC 2012)
 
 USAGE:
-    nab-sim [OPTIONS]                         single run
-    nab-sim --scenario FILE [OPTIONS]         declarative sweep
+    nab-sim [RUN FLAGS] [OPTIONS]             one run, described by flags
+    nab-sim --scenario FILE [OPTIONS]         the runs a .scenario file declares
     nab-sim --validate FILE                   plan a scenario, don't run it
 
-Flags are mode-exclusive: scenario sweeps take their parameters from the
-.scenario file, so single-run flags error under --scenario (and vice versa).
+Both forms run the same way: the run flags build a one-job scenario. With
+--scenario the file is the whole description, so a run flag is an error.
 
-SCENARIO MODE:
+RUN FLAGS:
+    --topology SPEC     topology with literal parameters (default
+                        complete:4:2); families are listed below
+    --f F               fault bound (default 1)
+    --symbols S         input size in 16-bit symbols (default 64)
+    --q Q               broadcast instances (default 10)
+    --faulty IDS        comma-separated ground-truth faulty node ids
+    --adversary SPEC    honest | corruptor | liar | false-alarm | equivocate
+                        | garbler | random:P | collude:SCAPEGOAT:CORRUPTOR
+    --broadcast KIND    eig | phase-king (default eig)
+    --seed SEED         base RNG seed (default 7)
+    --bounds            also compute the paper's Eq.6/Theorem-2 bounds and
+                        print the γ1/γ*/U1/ρ* line
+    A run the network cannot host (too many faulty nodes, a faulty node
+    outside the graph, connectivity < 2f+1) exits non-zero with the
+    reason. Dispute pairs and removed nodes are in the --json report.
+
+OPTIONS:
     --scenario FILE     run a .scenario file (see docs/scenarios.md)
-    --threads N         worker threads for the sweep (0 = one per CPU;
-                        overrides the file's `threads` key)
+    --threads N         worker threads (0 = one per CPU, the default)
     --net               execute message-level over the nab-net event
                         kernel: phase durations come from simulated
                         latency/jitter/loss on every link (the file's
@@ -67,13 +90,13 @@ SCENARIO MODE:
                         instead of rebuilding them. Results are
                         byte-identical with or without the directory
                         (see docs/plan-cache.md)
-    --json PATH         write the full sweep report as JSON (- = stdout)
+    --json PATH         write the full report as JSON (- = stdout)
     --timings           include measured wall-clock wall_*_ns, plan-cache,
                         latency-percentile, and metrics fields in the JSON
                         report (requires --json; omitted by default so
-                        identical sweeps serialize byte-identically — see
+                        identical runs serialize byte-identically — see
                         docs/perf.md)
-    --trace PATH        write a structured event trace of the sweep to PATH
+    --trace PATH        write a structured event trace to PATH
                         (- = stdout). Default format is JSONL: one event
                         object per line, covering sweep/job/instance/phase
                         spans plus plan-cache and dispute events (see
@@ -81,11 +104,12 @@ SCENARIO MODE:
     --trace-format FMT  jsonl (default) | chrome. chrome emits a Chrome
                         trace_event file loadable in about:tracing or
                         Perfetto (requires --trace)
-    --progress          live sweep progress on stderr after every finished
+    --progress          live progress on stderr after every finished
                         job: jobs done/total, instances/sec, dispute
                         rounds, plan-cache hit rate
+    -h, --help          show this help
 
-VALIDATE MODE:
+VALIDATE:
     --validate FILE     parse FILE and build every grid point's network
                         plan (validation, γ/ρ, arborescence packing,
                         routing tables) without executing instances.
@@ -93,63 +117,42 @@ VALIDATE MODE:
                         file cannot be read/parsed, 2 = some grid points
                         fail planning (each failure is reported)
 
-SINGLE-RUN MODE:
-    --topology SPEC     topology (default complete:4:2). Families:
-                          complete:N:CAP      hetero:N:LO:HI
-                          ring:N:CAP          barbell:HALF:CAP:BRIDGES:BCAP
-                          circulant:N:M:CAP   kconnected:N:K:MAXCAP:EXTRA%
-                          fig1a | fig1b | fig2a | fig2a-closed
-                        (the figure graphs are too sparse for f ≥ 1; run
-                        them with --f 0, and use fig2a-closed for fig2a —
-                        the raw figure has no return path to the source)
-    --f F               fault bound (default 1)
-    --symbols S         input size in 16-bit symbols (default 64)
-    --q Q               broadcast instances (default 10)
-    --faulty IDS        comma-separated ground-truth faulty node ids
-    --adversary SPEC    honest | corruptor | liar | false-alarm | equivocate
-                        | garbler | random:P | collude:SCAPEGOAT:CORRUPTOR
-    --broadcast KIND    eig | phase-king (default eig)
-    --seed SEED         base RNG seed (default 7)
-    --bounds            also print the paper's Eq.6/Theorem-2 bounds
-
-GENERAL:
-    -h, --help          show this help
-";
-
-/// Serialization for `--trace` output.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Jsonl,
-    Chrome,
+TOPOLOGY FAMILIES (in a .scenario file a parameter may also be $n, $cap,
+$f or 2f+1; the figure graphs need --f 0, and fig2a-closed for fig2a):
+{families}"
+    )
 }
 
 struct Args {
     scenario: Option<String>,
     validate: Option<String>,
-    threads: Option<usize>,
+    threads: usize,
     json: Option<String>,
     timings: bool,
     trace: Option<String>,
-    trace_format: Option<TraceFormat>,
+    /// The `--trace-format` serializer; JSONL when not given.
+    trace_format: Option<fn(&[Event]) -> String>,
     progress: bool,
     net: bool,
     plan_cache_dir: Option<String>,
-    topology: String,
-    f: usize,
-    symbols: usize,
-    q: usize,
-    faulty: BTreeSet<usize>,
-    adversary: String,
-    broadcast: BroadcastKind,
-    seed: u64,
-    show_bounds: bool,
+    /// The one-job spec the run flags describe (all defaults when none is
+    /// given), and the first run flag seen.
+    spec: ScenarioSpec,
+    run_flag: Option<String>,
+}
+
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         scenario: None,
         validate: None,
-        threads: None,
+        threads: 0,
         json: None,
         timings: false,
         trace: None,
@@ -157,84 +160,44 @@ fn parse_args() -> Result<Option<Args>, String> {
         progress: false,
         net: false,
         plan_cache_dir: None,
-        topology: "complete:4:2".into(),
-        f: 1,
-        symbols: 64,
-        q: 10,
-        faulty: BTreeSet::new(),
-        adversary: "honest".into(),
-        broadcast: BroadcastKind::Eig,
-        seed: 7,
-        show_bounds: false,
+        spec: ScenarioSpec::new("nab-sim")
+            .with_topology(TopologyTemplate::parse("complete:4:2")?)
+            .with_symbols(vec![64])
+            .with_q(10),
+        run_flag: None,
     };
-    // Flags only meaningful in one of the two modes, tracked so an
-    // inapplicable flag errors instead of being silently ignored.
-    const SINGLE_ONLY: [&str; 9] = [
-        "--topology",
-        "--f",
-        "--symbols",
-        "--q",
-        "--seed",
-        "--faulty",
-        "--adversary",
-        "--broadcast",
-        "--bounds",
-    ];
-    const SCENARIO_ONLY: [&str; 8] = [
-        "--threads",
-        "--json",
-        "--timings",
-        "--trace",
-        "--trace-format",
-        "--progress",
-        "--net",
-        "--plan-cache-dir",
-    ];
-    let mut single_flags: Vec<&'static str> = Vec::new();
-    let mut scenario_flags: Vec<&'static str> = Vec::new();
-    let mut seen_flags: Vec<String> = Vec::new();
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut seen_flags: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
+        let flag = argv[i].as_str();
+        let mut take = || -> Result<&str, String> {
+            i += 1;
+            let value = argv
+                .get(i)
+                .ok_or_else(|| format!("missing value for {flag}"))?;
+            Ok(value.as_str())
         };
-        if let Some(&flag) = SINGLE_ONLY.iter().find(|&&f| f == argv[i]) {
-            single_flags.push(flag);
-        }
-        if let Some(&flag) = SCENARIO_ONLY.iter().find(|&&f| f == argv[i]) {
-            scenario_flags.push(flag);
-        }
         // Repeated flags are last-wins in naive parsers; reject them like
         // the .scenario format rejects duplicate keys.
-        if argv[i].starts_with("--") && seen_flags.contains(&argv[i]) {
+        if flag.starts_with("--") && seen_flags.contains(&flag) {
             return Err(format!(
-                "duplicate flag {} (pass each flag at most once; \
-                 --faulty takes a comma-separated list)",
-                argv[i]
+                "duplicate flag {flag} (pass each flag at most once; \
+                 --faulty takes a comma-separated list)"
             ));
         }
-        seen_flags.push(argv[i].clone());
-        match argv[i].as_str() {
-            "--scenario" => args.scenario = Some(take(&mut i)?),
-            "--validate" => args.validate = Some(take(&mut i)?),
-            "--threads" => {
-                args.threads = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--json" => args.json = Some(take(&mut i)?),
+        seen_flags.push(flag);
+        match flag {
+            "--scenario" => args.scenario = Some(take()?.into()),
+            "--validate" => args.validate = Some(take()?.into()),
+            "--threads" => args.threads = num(flag, take()?)?,
+            "--json" => args.json = Some(take()?.into()),
             "--timings" => args.timings = true,
-            "--trace" => args.trace = Some(take(&mut i)?),
+            "--trace" => args.trace = Some(take()?.into()),
             "--trace-format" => {
-                args.trace_format = Some(match take(&mut i)?.as_str() {
-                    "jsonl" => TraceFormat::Jsonl,
-                    "chrome" => TraceFormat::Chrome,
+                args.trace_format = Some(match take()? {
+                    "jsonl" => writer::to_jsonl,
+                    "chrome" => writer::to_chrome_trace,
                     other => {
                         return Err(format!(
                             "unknown trace format {other:?} (known: jsonl, chrome)"
@@ -244,83 +207,58 @@ fn parse_args() -> Result<Option<Args>, String> {
             }
             "--progress" => args.progress = true,
             "--net" => args.net = true,
-            "--plan-cache-dir" => args.plan_cache_dir = Some(take(&mut i)?),
-            "--topology" => args.topology = take(&mut i)?,
-            "--f" => args.f = take(&mut i)?.parse().map_err(|e| format!("--f: {e}"))?,
-            "--symbols" => {
-                args.symbols = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--symbols: {e}"))?
-            }
-            "--q" => args.q = take(&mut i)?.parse().map_err(|e| format!("--q: {e}"))?,
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--faulty" => {
-                for part in take(&mut i)?.split(',') {
-                    args.faulty
-                        .insert(part.trim().parse().map_err(|e| format!("--faulty: {e}"))?);
-                }
-            }
-            "--adversary" => args.adversary = take(&mut i)?,
-            "--broadcast" => {
-                args.broadcast = match take(&mut i)?.as_str() {
-                    "eig" => BroadcastKind::Eig,
-                    "phase-king" => BroadcastKind::PhaseKing,
-                    other => {
-                        return Err(format!(
-                            "unknown broadcast kind {other:?} (known: eig, phase-king)"
-                        ))
-                    }
-                }
-            }
-            "--bounds" => args.show_bounds = true,
+            "--plan-cache-dir" => args.plan_cache_dir = Some(take()?.into()),
             "--help" | "-h" => {
-                print!("{HELP}");
+                print!("{}", help());
                 return Ok(None);
             }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+            // Every other flag describes the run itself: it sets the
+            // field of the one-job spec a .scenario key would.
+            _ => {
+                let spec = &mut args.spec;
+                match flag {
+                    "--topology" => {
+                        let value = take()?;
+                        spec.topology = TopologyTemplate::parse(value)?;
+                        if spec.topology.uses_grid_variables() {
+                            return Err(format!(
+                                "topology {value:?} uses grid variables ($n, $cap, $f, 2f+1), \
+                                 which only exist in .scenario sweeps; use literal values with \
+                                 --topology"
+                            ));
+                        }
+                    }
+                    "--f" => spec.f = vec![num(flag, take()?)?],
+                    "--symbols" => spec.symbols = vec![num(flag, take()?)?],
+                    "--q" => spec.q = num(flag, take()?)?,
+                    "--seed" => spec.seed0 = num(flag, take()?)?,
+                    "--faulty" => {
+                        spec.faults = FaultSchedule::parse(&format!("fixed:{}", take()?))
+                            .map_err(|e| format!("--faulty: {e}"))?
+                    }
+                    "--adversary" => spec.adversary = AdversarySpec::parse(take()?)?,
+                    "--broadcast" => spec.broadcast = BroadcastKind::parse(take()?)?,
+                    "--bounds" => spec.bounds = true,
+                    other => return Err(format!("unknown flag {other:?} (try --help)")),
+                }
+                args.run_flag.get_or_insert_with(|| flag.to_string());
+            }
         }
         i += 1;
     }
     if args.validate.is_some() {
-        if args.scenario.is_some() {
-            return Err("--validate and --scenario are mutually exclusive".into());
-        }
-        if let Some(&flag) = single_flags.first().or(scenario_flags.first()) {
+        if let Some(flag) = seen_flags.iter().find(|f| **f != "--validate") {
             return Err(format!(
                 "{flag} does not apply to --validate (validation only parses and plans)"
             ));
         }
-    } else if args.scenario.is_some() {
-        if let Some(flag) = single_flags.first() {
-            return Err(format!(
-                "{flag} applies to single-run mode only; with --scenario, set it in the \
-                 .scenario file instead"
-            ));
-        }
-    } else if let Some(flag) = scenario_flags.first() {
-        return Err(format!("{flag} requires --scenario"));
-    }
-    Ok(Some(args))
-}
-
-/// Builds a single-run topology. Grid variables (`$n`, `$cap`, `$f`,
-/// `2f+1`) only mean something inside a `.scenario` sweep, so they are
-/// rejected here rather than silently resolved to defaults.
-fn build_topology(spec: &str, f: usize, seed: u64) -> Result<DiGraph, String> {
-    if spec.contains('$') || spec.contains("2f+1") {
+    } else if let (Some(_), Some(flag)) = (&args.scenario, &args.run_flag) {
         return Err(format!(
-            "topology {spec:?} uses grid variables ($n, $cap, $f, 2f+1), which only exist \
-             in .scenario sweeps; use literal values in single-run mode"
+            "{flag} describes the run, and with --scenario the file is the whole description; \
+             set it in the .scenario file instead"
         ));
     }
-    let template = TopologyTemplate::parse(spec)?;
-    // With no variables left, the resolve context values are never read.
-    template.build(&ResolveCtx {
-        n: 0,
-        cap: 0,
-        f,
-        seed,
-    })
+    Ok(Some(args))
 }
 
 /// Validate mode: parse the scenario and *plan* every grid point through
@@ -331,22 +269,15 @@ fn build_topology(spec: &str, f: usize, seed: u64) -> Result<DiGraph, String> {
 ///
 /// Exit codes: 0 = every grid point plans; 2 = some grid points fail
 /// (reported per job); parse/read failures surface as `Err` → exit 1.
-fn run_validate_mode(args: &Args) -> Result<ExitCode, String> {
-    let path = args.validate.as_deref().expect("validate mode");
+fn run_validate_mode(path: &str) -> Result<ExitCode, String> {
     let spec = scenario::load(path).map_err(|e| format!("{path}: {e}"))?;
     let jobs = scenario::expand_jobs(&spec);
     let cache = PlanCache::new();
     let mut failed = 0usize;
     for job in &jobs {
-        let ctx = ResolveCtx {
-            n: job.n,
-            cap: job.cap,
-            f: job.f,
-            seed: job.seed,
-        };
         let planned = spec
             .topology
-            .build(&ctx)
+            .build(&job.ctx())
             .map_err(|e| format!("topology rejected: {e}"))
             .and_then(|g| {
                 cache
@@ -416,8 +347,31 @@ fn progress_line(s: &ProgressSnapshot, elapsed_secs: f64) -> String {
     line
 }
 
-fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
-    let path = args.scenario.as_deref().expect("scenario mode");
+/// The `--bounds` line of a flag-built spec: the paper's bounds on its
+/// one job's network, or `None` when the topology does not build (the
+/// job's rejection says why).
+fn bounds_line(spec: &ScenarioSpec) -> Option<String> {
+    let job = scenario::expand_jobs(spec).into_iter().next()?;
+    let g = spec.topology.build(&job.ctx()).ok()?;
+    Some(match bounds_report(&g, 0, job.f, spec.bounds_budget) {
+        Some(r) => format!(
+            "bounds: γ1={} γ*={}{} U1={} ρ*={}  Eq.6 lower={:.2}  Thm2 upper={}  fraction={:.3}\n",
+            r.gamma1,
+            r.gamma_star.value,
+            if r.gamma_star.exact { "" } else { " (approx)" },
+            r.u1,
+            r.rho_star,
+            r.tnab_lower,
+            r.capacity_upper,
+            r.guaranteed_fraction
+        ),
+        None => "bounds: undefined (U_1 < 2)\n".into(),
+    })
+}
+
+/// Runs `spec` — loaded from `--scenario` or built from the run flags —
+/// through the sweep runner and writes every requested output.
+fn run_spec(args: &Args, mut spec: ScenarioSpec) -> Result<ExitCode, String> {
     if args.timings && args.json.is_none() {
         return Err(
             "--timings adds wall_*_ns fields to the JSON report; pass --json PATH (or --json -) \
@@ -439,7 +393,6 @@ fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
             "--json - and --trace - both claim stdout; write at least one of them to a file".into(),
         );
     }
-    let mut spec = scenario::load(path).map_err(|e| format!("{path}: {e}"))?;
     if args.net {
         spec.net = true;
     }
@@ -447,7 +400,6 @@ fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
     // past this process; results stay byte-identical regardless (plans
     // are content-addressed and verified on load).
     let disk_cache = args.plan_cache_dir.as_deref().map(PlanCache::with_dir);
-    let threads = args.threads.unwrap_or(spec.threads);
     eprintln!(
         "scenario {:?}: {} jobs (topology {}, adversary {}, faults {}{})",
         spec.name,
@@ -485,7 +437,7 @@ fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
         }
     };
     let opts = SweepOptions {
-        threads,
+        threads: args.threads,
         cache: disk_cache.as_ref(),
         trace: sink.clone().map(|s| s as Arc<dyn TraceSink>),
         progress: if args.progress {
@@ -513,10 +465,15 @@ fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
     // summary moves to stderr.
     let stdout_claimed = json_on_stdout || trace_on_stdout;
     let a = &report.aggregate;
+    let flag_built = args.scenario.is_none();
     let summary = format!(
-        "{}jobs: {} ok, {} rejected | instances: {} | mean throughput: {:.3} \
+        "{}{}jobs: {} ok, {} rejected | instances: {} | mean throughput: {:.3} \
          (min {:.3}, max {:.3})\n\
          disputes: {} total (max {}/job, budget violated: {}) | exposures: {} | all correct: {}\n",
+        (flag_built && spec.bounds)
+            .then(|| bounds_line(&spec))
+            .flatten()
+            .unwrap_or_default(),
         report.summary_table(),
         a.ok_jobs,
         a.rejected_jobs,
@@ -549,17 +506,21 @@ fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
         std::fs::write(path, render(&report)).map_err(|e| format!("cannot write {path:?}: {e}"))?;
     }
     if let Some(sink) = sink {
-        let events = sink.take_sorted();
-        let rendered = match args.trace_format.unwrap_or(TraceFormat::Jsonl) {
-            TraceFormat::Jsonl => writer::to_jsonl(&events),
-            TraceFormat::Chrome => writer::to_chrome_trace(&events),
-        };
+        let rendered = args.trace_format.unwrap_or(writer::to_jsonl)(&sink.take_sorted());
         if trace_on_stdout {
             print!("{rendered}");
         } else {
             let path = args.trace.as_deref().expect("sink implies --trace");
             std::fs::write(path, rendered).map_err(|e| format!("cannot write {path:?}: {e}"))?;
         }
+    }
+    // A sweep records a rejected grid point and carries on; a flag-built
+    // spec is its one job, so that job's rejection is the run's failure.
+    if let (true, Some(Err(reason))) = (flag_built, report.jobs.first().map(|j| &j.result)) {
+        return Err(format!(
+            "the run was rejected: {reason} (the run is what --topology, --f, --faulty and \
+             --adversary describe)"
+        ));
     }
     Ok(if a.all_correct && !a.dispute_budget_violated {
         ExitCode::SUCCESS
@@ -568,107 +529,23 @@ fn run_scenario_mode(args: &Args) -> Result<ExitCode, String> {
     })
 }
 
-fn run_single_mode(args: &Args) -> Result<ExitCode, String> {
-    let g = build_topology(&args.topology, args.f, args.seed)?;
-    println!(
-        "network: {} ({} nodes, {} links, total capacity {})",
-        args.topology,
-        g.active_count(),
-        g.edge_count(),
-        g.total_capacity()
-    );
-
-    if args.show_bounds {
-        match bounds_report(&g, 0, args.f, 1 << 18) {
-            Some(r) => {
-                println!(
-                    "bounds: γ1={} γ*={}{} U1={} ρ*={}  Eq.6 lower={:.2}  Thm2 upper={}  fraction={:.3}",
-                    r.gamma1,
-                    r.gamma_star.value,
-                    if r.gamma_star.exact { "" } else { " (approx)" },
-                    r.u1,
-                    r.rho_star,
-                    r.tnab_lower,
-                    r.capacity_upper,
-                    r.guaranteed_fraction
-                );
-            }
-            None => println!("bounds: undefined (U_1 < 2)"),
+fn main() -> ExitCode {
+    let result = parse_args().and_then(|args| match args {
+        None => Ok(ExitCode::SUCCESS),
+        Some(Args {
+            validate: Some(path),
+            ..
+        }) => run_validate_mode(&path),
+        Some(args) => {
+            let spec = match args.scenario.as_deref() {
+                Some(path) => scenario::load(path).map_err(|e| format!("{path}: {e}"))?,
+                None => args.spec.clone(),
+            };
+            run_spec(&args, spec)
         }
-    }
-
-    let cfg = NabConfig {
-        f: args.f,
-        symbols: args.symbols,
-        seed: args.seed,
-    };
-    let mut engine = NabEngine::new(g, cfg).map_err(|e| format!("network rejected: {e}"))?;
-    engine.set_broadcast_kind(args.broadcast);
-
-    if args.faulty.len() > args.f {
-        return Err(format!(
-            "--faulty names {} nodes but --f is {}",
-            args.faulty.len(),
-            args.f
-        ));
-    }
-    let n = engine.original_graph().node_count();
-    if let Some(&bad) = args.faulty.iter().find(|&&v| v >= n) {
-        return Err(format!(
-            "--faulty names node {bad}, but the network only has nodes 0..{n}"
-        ));
-    }
-    let adv_spec = AdversarySpec::parse(&args.adversary)?;
-    adv_spec.validate_for(n, &args.faulty)?;
-    let mut adv = adv_spec.build(args.seed);
-
-    let sum = run_many(&mut engine, args.q, &args.faulty, adv.as_mut(), args.seed)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "ran {} instances of {} bits: total time {:.1}, throughput {:.3} bits/unit",
-        sum.instances,
-        args.symbols * 16,
-        sum.total_time,
-        sum.throughput
-    );
-    println!(
-        "dispute rounds: {}  disputes: {:?}  removed: {:?}",
-        sum.dispute_rounds,
-        engine.disputes().pairs,
-        engine.disputes().removed
-    );
-    println!(
-        "correctness (agreement + validity in every instance): {}",
-        sum.all_correct
-    );
-    Ok(if sum.all_correct {
-        ExitCode::SUCCESS
-    } else {
+    });
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         ExitCode::FAILURE
     })
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(Some(a)) => a,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.validate.is_some() {
-        run_validate_mode(&args)
-    } else if args.scenario.is_some() {
-        run_scenario_mode(&args)
-    } else {
-        run_single_mode(&args)
-    };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the `nab-sim` command-line interface: help
-//! output, clear errors on bad specs (no panics), and the scenario mode
-//! end-to-end.
+//! output, clear errors on bad specs (no panics), and runs end to end
+//! from a flag-built spec and from a `.scenario` file.
 
 use std::process::{Command, Output};
 
@@ -30,7 +30,15 @@ fn help_flag_prints_usage_and_succeeds() {
             text.contains("--scenario"),
             "{flag} documents scenario mode"
         );
-        assert!(text.contains("--topology"), "{flag} documents single mode");
+        assert!(
+            text.contains("--topology"),
+            "{flag} documents the run flags"
+        );
+        // The family list is generated from the topology table.
+        for family in &nab_repro::scenario::topology::FAMILIES {
+            let sig = format!("      {} ", family.signature());
+            assert!(text.contains(&sig), "{flag} lacks {sig:?}: {text}");
+        }
     }
 }
 
@@ -41,6 +49,9 @@ fn unknown_topology_is_a_clear_error_not_a_panic() {
     let err = stderr(&out);
     assert!(err.contains("unknown topology"), "stderr: {err}");
     assert!(err.contains("known:"), "error lists valid families: {err}");
+    for family in &nab_repro::scenario::topology::FAMILIES {
+        assert!(err.contains(family.name), "{} missing: {err}", family.name);
+    }
     assert!(!err.contains("panicked"), "must not panic: {err}");
 }
 
@@ -88,14 +99,78 @@ fn single_run_flags_are_rejected_in_scenario_mode() {
     assert!(err.contains(".scenario file"), "stderr: {err}");
 }
 
+/// A small run described by flags, plus the output options in `extra`.
+fn flag_built(extra: &[&str]) -> Output {
+    let mut argv = vec!["--q", "2", "--symbols", "8", "--faulty", "2"];
+    argv.extend_from_slice(&["--adversary", "corruptor"]);
+    argv.extend_from_slice(extra);
+    nab_sim(&argv)
+}
+
 #[test]
-fn scenario_flags_are_rejected_in_single_run_mode() {
-    for flags in [["--threads", "2"], ["--json", "-"]] {
-        let out = nab_sim(&flags);
-        assert!(!out.status.success(), "{flags:?} must not be ignored");
-        let err = stderr(&out);
-        assert!(err.contains("requires --scenario"), "stderr: {err}");
-    }
+fn threads_and_json_work_on_a_flag_built_spec() {
+    let out = flag_built(&["--threads", "2", "--json", "-"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.starts_with('{') && text.trim_end().ends_with('}'),
+        "stdout must be a single JSON document, got: {}",
+        &text[..text.len().min(120)]
+    );
+    assert!(text.contains("\"scenario\": \"nab-sim\""), "{text}");
+    assert!(text.contains("\"ok_jobs\": 1"), "{text}");
+    // Dispute pairs and removed nodes live in the report, not the summary.
+    assert!(text.contains("\"removed\": ["), "{text}");
+    assert!(
+        stderr(&out).contains("all correct: true"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn flag_built_spec_matches_the_scenario_file_that_spells_it_out() {
+    let dir = std::env::temp_dir().join("nab-sim-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("spelled-out.scenario");
+    std::fs::write(
+        &path,
+        "name = nab-sim\n\
+         topology = complete:5:2\n\
+         f = 1\n\
+         symbols = 64\n\
+         q = 10\n\
+         faults = fixed:2\n\
+         adversary = corruptor\n\
+         n = 4\n\
+         cap = 2\n\
+         seeds = 1\n\
+         seed0 = 7\n",
+    )
+    .unwrap();
+    let from_flags = nab_sim(&[
+        "--topology",
+        "complete:5:2",
+        "--f",
+        "1",
+        "--symbols",
+        "64",
+        "--q",
+        "10",
+        "--faulty",
+        "2",
+        "--adversary",
+        "corruptor",
+        "--seed",
+        "7",
+        "--json",
+        "-",
+    ]);
+    let from_file = nab_sim(&["--scenario", path.to_str().unwrap(), "--json", "-"]);
+    assert!(from_flags.status.success(), "{}", stderr(&from_flags));
+    assert!(from_file.status.success(), "{}", stderr(&from_file));
+    assert!(stdout(&from_flags).contains("\"all_correct\": true"));
+    assert_eq!(from_flags.stdout, from_file.stdout, "byte-identical JSON");
 }
 
 #[test]
@@ -154,7 +229,38 @@ fn single_run_mode_still_works() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("throughput"));
-    assert!(text.contains("correctness (agreement + validity in every instance): true"));
+    assert!(
+        text.contains("jobs: 1 ok, 0 rejected | instances: 2"),
+        "{text}"
+    );
+    assert!(text.contains("all correct: true"), "{text}");
+}
+
+#[test]
+fn bounds_flag_prints_the_bounds_line_and_fills_the_report() {
+    let out = flag_built(&["--bounds", "--json", "-"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("bounds: γ1=6 γ*=4 U1=8 ρ*=4"), "{err}");
+    assert!(err.contains("Eq.6 lower=2.00  Thm2 upper=4"), "{err}");
+    assert!(
+        stdout(&out).contains("\"eq6_lower\": 2"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn rejected_flag_built_run_exits_nonzero_where_a_sweep_records_and_exits_zero() {
+    // ring:5:1 is 2-connected: f = 1 needs 3.
+    let out = nab_sim(&["--topology", "ring:5:1", "--q", "1"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("error: the run was rejected"), "{err}");
+    assert!(err.contains("connectivity"), "{err}");
+    let sweep = nab_sim(&["--scenario", "scenarios/ring-reject.scenario"]);
+    assert!(sweep.status.success(), "{}", stderr(&sweep));
+    assert!(stdout(&sweep).contains("rejected"), "{}", stdout(&sweep));
 }
 
 #[test]
@@ -218,7 +324,7 @@ fn removed_switch_flags_are_rejected_like_any_unknown_flag() {
 fn removed_switch_keys_are_rejected_with_line_numbers() {
     let dir = std::env::temp_dir().join("nab-sim-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    for key in ["batch", "plan_repair"] {
+    for key in ["batch", "plan_repair", "threads"] {
         let path = dir.join(format!("removed-{key}.scenario"));
         std::fs::write(&path, format!("name = removed\nq = 1\n{key} = off\n")).unwrap();
         let out = nab_sim(&["--scenario", path.to_str().unwrap()]);
@@ -331,10 +437,14 @@ fn timings_are_excluded_without_the_flag() {
 }
 
 #[test]
-fn timings_flag_requires_scenario_mode() {
-    let out = nab_sim(&["--timings"]);
+fn timings_work_on_a_flag_built_spec() {
+    let out = flag_built(&["--timings", "--json", "-"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("\"wall_total_ns\": "), "timed fields");
+    // ... and still need somewhere to go.
+    let out = flag_built(&["--timings"]);
     assert!(!out.status.success(), "--timings must not be ignored");
-    assert!(stderr(&out).contains("requires --scenario"));
+    assert!(stderr(&out).contains("--json"), "{}", stderr(&out));
 }
 
 #[test]
@@ -626,16 +736,22 @@ fn trace_and_json_cannot_both_claim_stdout() {
 }
 
 #[test]
-fn trace_and_progress_require_scenario_mode() {
-    for flags in [["--trace", "/tmp/x"].as_slice(), ["--progress"].as_slice()] {
-        let out = nab_sim(flags);
-        assert!(!out.status.success(), "{flags:?} must not be ignored");
-        assert!(
-            stderr(&out).contains("requires --scenario"),
-            "{}",
-            stderr(&out)
-        );
+fn trace_and_progress_work_on_a_flag_built_spec() {
+    let out = flag_built(&["--trace", "-", "--progress"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.lines().all(|l| l.starts_with('{') && l.ends_with('}')),
+        "stdout must be pure JSONL, got: {}",
+        &text[..text.len().min(120)]
+    );
+    for kind in ["sweep_start", "job_end", "phase_start", "node_exposed"] {
+        assert!(text.contains(&format!("\"kind\":\"{kind}\"")), "{kind}");
     }
+    assert!(stderr(&out).contains("jobs 1/1"), "{}", stderr(&out));
+    let out = flag_built(&["--trace", "-", "--trace-format", "chrome"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).starts_with("{\"traceEvents\":["));
 }
 
 #[test]
