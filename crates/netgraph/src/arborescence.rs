@@ -511,6 +511,45 @@ mod tests {
         assert!(sparse_nontrivial >= 8, "sparse-id cases were trivial");
     }
 
+    /// FNV-1a over `root` and every tree's edge list in order, as
+    /// little-endian `u64` words.
+    fn packing_hash(trees: &[Arborescence]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: usize| {
+            for b in (w as u64).to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for t in trees {
+            word(t.root);
+            word(t.edges.len());
+            for &(s, d) in &t.edges {
+                word(s);
+                word(d);
+            }
+        }
+        h
+    }
+
+    /// The n = 1024 packings `tests/plan_golden.rs` (≤ 64 nodes) does not
+    /// reach; seconds in release, minutes in debug.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn torus_1024_packings_are_pinned() {
+        for (cap, want) in [(1, 0x551d_fe0d_890d_2416u64), (2, 0xe091_9d2b_97de_2499)] {
+            let g = gen::torus(32, 32, cap);
+            let k = broadcast_rate(&g, 0);
+            assert_eq!(k, 4 * cap);
+            let trees = pack_arborescences(&g, 0, k).expect("packing exists");
+            assert_eq!(
+                packing_hash(&trees),
+                want,
+                "torus:32:32:{cap} packing moved: {:#018x}",
+                packing_hash(&trees)
+            );
+        }
+    }
+
     #[test]
     fn bfs_order_parents_precede_children() {
         let g = gen::complete(5, 1);
