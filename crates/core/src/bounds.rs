@@ -45,7 +45,7 @@
 use std::collections::BTreeSet;
 
 use nab_netgraph::flow::{broadcast_rate, min_cut_undirected, FlowNet};
-use nab_netgraph::globalcut::bounded_min_cut;
+use nab_netgraph::globalcut::MinCutScratch;
 use nab_netgraph::{DiGraph, NodeId, UnGraph};
 
 /// An unordered node pair, stored sorted.
@@ -56,34 +56,56 @@ pub fn pair(a: NodeId, b: NodeId) -> Pair {
     (a.min(b), a.max(b))
 }
 
-/// All `k`-element subsets of `items`, in lexicographic order.
-pub fn k_subsets<T: Copy + Ord>(items: &[T], k: usize) -> Vec<BTreeSet<T>> {
-    let mut out = Vec::new();
+/// Calls `visit` on every `k`-element subset of `items`, in lexicographic
+/// order, each as a slice (in `items` order) of one reused buffer.
+fn for_each_k_subset<T: Copy>(items: &[T], k: usize, mut visit: impl FnMut(&[T])) {
     if k > items.len() {
-        return out;
+        return;
     }
     let mut idx: Vec<usize> = (0..k).collect();
+    let mut member: Vec<T> = items[..k].to_vec();
     loop {
-        out.push(idx.iter().map(|&i| items[i]).collect());
-        // Advance the combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + items.len() - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
+        visit(&member);
+        // Advance the rightmost index that still can; those after it
+        // restart right behind it.
+        let Some(i) = (0..k).rfind(|&i| idx[i] != i + items.len() - k) else {
+            return;
+        };
         idx[i] += 1;
         for j in i + 1..k {
             idx[j] = idx[j - 1] + 1;
         }
+        for j in i..k {
+            member[j] = items[idx[j]];
+        }
     }
+}
+
+/// All `k`-element subsets of `items`, in lexicographic order.
+pub fn k_subsets<T: Copy + Ord>(items: &[T], k: usize) -> Vec<BTreeSet<T>> {
+    let mut out = Vec::new();
+    for_each_k_subset(items, k, |member| {
+        out.push(member.iter().copied().collect())
+    });
+    out
+}
+
+/// Calls `visit` on every member of `Ω_k` (see [`omega_subsets`]), in
+/// lexicographic order, each as an ascending slice of one reused buffer.
+fn for_each_omega(
+    g: &DiGraph,
+    f: usize,
+    disputes: &BTreeSet<Pair>,
+    mut visit: impl FnMut(&[NodeId]),
+) {
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let want = g.node_count().saturating_sub(f);
+    for_each_k_subset(&nodes, want, |h| {
+        let has = |v: &NodeId| h.binary_search(v).is_ok();
+        if !disputes.iter().any(|(a, b)| a != b && has(a) && has(b)) {
+            visit(h);
+        }
+    });
 }
 
 /// The set `Ω_k`: all `(n − f)`-node subsets of the active nodes of `g`
@@ -91,15 +113,9 @@ pub fn k_subsets<T: Copy + Ord>(items: &[T], k: usize) -> Vec<BTreeSet<T>> {
 ///
 /// `n` is the size of the graph's original node universe, per the paper.
 pub fn omega_subsets(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Vec<BTreeSet<NodeId>> {
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let want = g.node_count().saturating_sub(f);
-    k_subsets(&nodes, want)
-        .into_iter()
-        .filter(|h| {
-            h.iter()
-                .all(|&a| h.iter().all(|&b| a >= b || !disputes.contains(&pair(a, b))))
-        })
-        .collect()
+    let mut out = Vec::new();
+    for_each_omega(g, f, disputes, |h| out.push(h.iter().copied().collect()));
+    out
 }
 
 /// `U_k`: the minimum pairwise min cut of the undirected views of all
@@ -107,18 +123,18 @@ pub fn omega_subsets(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Vec<BT
 ///
 /// The all-pairs minimum inside each subgraph is its *global* min cut.
 /// All members of `Ω_k` are selections from one undirected view of `g`,
-/// each bounded by the minimum over the members before it
-/// ([`bounded_min_cut`]); the flow-based brute force remains as a test
-/// oracle ([`u_k_brute_force`]).
+/// visited one at a time without materialising `Ω_k`, each bounded by the
+/// minimum over the members before it ([`MinCutScratch::min_cut`]); the
+/// flow-based brute force remains as a test oracle ([`u_k_brute_force`]).
 pub fn u_k(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Option<u64> {
     let view = UnGraph::from_digraph(g);
+    let mut scratch = MinCutScratch::default();
     let mut best: Option<u64> = None;
-    for h_nodes in omega_subsets(g, f, disputes) {
-        if h_nodes.len() >= 2 {
-            let h_nodes: Vec<NodeId> = h_nodes.into_iter().collect();
-            best = Some(bounded_min_cut(&view, &h_nodes, best.unwrap_or(u64::MAX)));
+    for_each_omega(g, f, disputes, |h| {
+        if h.len() >= 2 {
+            best = Some(scratch.min_cut(&view, h, best.unwrap_or(u64::MAX)));
         }
-    }
+    });
     best
 }
 

@@ -129,11 +129,12 @@ pub fn dc3_exposed(
     claims: &BTreeMap<NodeId, NodeClaims>,
 ) -> Vec<NodeId> {
     let mut exposed = BTreeSet::new();
+    let indices: Vec<_> = trees.iter().map(Arborescence::index).collect();
     for (&v, c) in claims {
         // Phase 1 discipline: on tree t, the source must send its t-th
         // input block identically to every child; a relay must forward the
         // block it claims to have received from its tree parent.
-        for (t, tree) in trees.iter().enumerate() {
+        for (t, tree) in indices.iter().enumerate() {
             let prescribed: Option<Vec<Gf2_16>> = if v == source {
                 c.input
                     .as_ref()

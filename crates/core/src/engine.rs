@@ -212,12 +212,12 @@ pub struct InstanceReport {
 /// [`NabEngine::repair_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Replans resolved by incremental repair: the γ/ρ bounds survived the
-    /// dispute, so the packing was patched by the witness-incremental
-    /// packer without touching the bounds.
+    /// Replans whose `γ_k` and `ρ_k` still equal the plan's `γ_1` and
+    /// `ρ_1`. The work is the same as a full recompute's — `γ_k`, the
+    /// packing and `ρ_k` are derived from `G_k` alone — the two counters
+    /// only tell the outcomes apart.
     pub repairs: u64,
-    /// Replans where a γ or ρ bound actually changed, forcing the full
-    /// recompute fallback.
+    /// Replans where `γ_k` or `ρ_k` moved.
     pub full_recomputes: u64,
     /// Total wall nanoseconds spent replanning (repairs + recomputes).
     pub repair_ns: u64,
@@ -504,9 +504,8 @@ impl NabEngine {
             trees_memo = None;
             plan.trees0()
         } else {
-            // Incremental repair: re-derive (γ_k, trees) only when the
-            // dispute state changed since the last derivation, and use the
-            // witness-incremental packer when it did. Both are exact — the
+            // Re-derive (γ_k, trees) only when the dispute state changed
+            // since the last derivation, then from `G_k` alone. The
             // memoized artifacts equal a from-scratch naive recompute bit
             // for bit (the oracle proptests pin this).
             let hit = self.memo.as_ref().is_some_and(|m| {
@@ -523,12 +522,11 @@ impl NabEngine {
                     }
                 })?;
                 let ns = t0.elapsed().as_nanos() as u64;
-                // DetSan: the witness-incremental packer must produce a
-                // packing as valid as the from-scratch one; re-verify it
-                // against `G_k` before it is memoized and used.
+                // DetSan: re-verify the packing against `G_k` before it is
+                // memoized and used.
                 #[cfg(feature = "sanitize")]
                 nab_netgraph::arborescence::validate_packing(gk, SOURCE, &trees_new)
-                    .expect("DetSan: incremental repair produced an invalid packing"); // nab-lint: allow(NAB003): DetSan check; aborting on a violated invariant is the point
+                    .expect("DetSan: the replan produced an invalid packing"); // nab-lint: allow(NAB003): DetSan check; aborting on a violated invariant is the point
                 let counted_repair = gamma_new == plan.gamma0();
                 if counted_repair {
                     self.repair_stats.repairs += 1;

@@ -318,18 +318,16 @@ fn time_phase1(
     let mut end = 0;
     for (t, tree) in trees.iter().enumerate() {
         let mut done: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for u in tree.bfs_order() {
+        for (u, child) in tree.bfs_edges() {
             let du = done.get(&u).copied().unwrap_or(0);
-            for child in tree.children(u) {
-                let arrived = by_edge
-                    .get(&(t as u64, u, child))
-                    .copied()
-                    .unwrap_or(du)
-                    .max(du);
-                done.insert(child, arrived);
-                hist.record(arrived);
-                end = end.max(arrived);
-            }
+            let arrived = by_edge
+                .get(&(t as u64, u, child))
+                .copied()
+                .unwrap_or(du)
+                .max(du);
+            done.insert(child, arrived);
+            hist.record(arrived);
+            end = end.max(arrived);
         }
     }
     end

@@ -61,28 +61,33 @@ pub fn run_phase1(
         .collect();
 
     let mut sends: BTreeMap<(usize, NodeId, NodeId), Block> = BTreeMap::new();
-    // Per-tree block held at each node.
-    let mut held: Vec<BTreeMap<NodeId, Block>> = vec![BTreeMap::new(); trees.len()];
+    // Per-tree block held at each node, and the bits each link (by edge
+    // id) carries over all trees.
+    let mut held: Vec<Vec<Option<Block>>> = vec![vec![None; gk.node_count()]; trees.len()];
+    let mut link_bits: Vec<u64> = Vec::new();
 
     for (t, tree) in trees.iter().enumerate() {
-        held[t].insert(source, Arc::clone(&honest_blocks[t]));
-        for u in tree.bfs_order() {
-            let received = held[t].get(&u).cloned().unwrap_or_default();
-            for child in tree.children(u) {
-                let payload = if u == source {
-                    if faulty.contains(&source) {
-                        Arc::new(adv.phase1_source_block(t, child, &honest_blocks[t]))
-                    } else {
-                        Arc::clone(&honest_blocks[t])
-                    }
-                } else if faulty.contains(&u) {
-                    Arc::new(adv.phase1_forward(u, t, child, &received))
+        held[t][source] = Some(Arc::clone(&honest_blocks[t]));
+        for (u, child) in tree.bfs_edges() {
+            let received = held[t][u].clone().unwrap_or_default();
+            let payload = if u == source {
+                if faulty.contains(&source) {
+                    Arc::new(adv.phase1_source_block(t, child, &honest_blocks[t]))
                 } else {
-                    Arc::clone(&received)
-                };
-                sends.insert((t, u, child), Arc::clone(&payload));
-                held[t].insert(child, payload);
+                    Arc::clone(&honest_blocks[t])
+                }
+            } else if faulty.contains(&u) {
+                Arc::new(adv.phase1_forward(u, t, child, &received))
+            } else {
+                received
+            };
+            let (link, _) = gk.find_edge(u, child).expect("tree edges exist in G_k"); // nab-lint: allow(NAB003): packed trees only use edges of G_k by construction
+            if link >= link_bits.len() {
+                link_bits.resize(link + 1, 0);
             }
+            link_bits[link] += payload.len() as u64 * SYMBOL_BITS;
+            sends.insert((t, u, child), Arc::clone(&payload));
+            held[t][child] = Some(payload);
         }
     }
 
@@ -90,16 +95,9 @@ pub fn run_phase1(
     // propagation delay), so the phase lasts as long as its busiest link
     // — `max_e(bits_e / z_e)` with per-link bit totals, exactly the
     // round charge `NetSim::deliver_round` computes.
-    let mut link_bits: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-    for ((_, src, dst), block) in &sends {
-        *link_bits.entry((*src, *dst)).or_insert(0) += block.len() as u64 * SYMBOL_BITS;
-    }
     let mut duration: f64 = 0.0;
-    for (&(src, dst), &bits) in &link_bits {
-        let cap = gk
-            .find_edge(src, dst)
-            .map(|(_, e)| e.cap)
-            .expect("tree edges exist in G_k"); // nab-lint: allow(NAB003): packed trees only use edges of G_k by construction
+    for (link, &bits) in link_bits.iter().enumerate().filter(|&(_, &bits)| bits > 0) {
+        let cap = gk.edge(link).expect("a link that carried bits is live").cap; // nab-lint: allow(NAB003): only ids `find_edge` returned are charged
         duration = duration.max(bits as f64 / cap as f64);
     }
 
@@ -110,10 +108,8 @@ pub fn run_phase1(
             values.insert(v, input.clone());
         } else {
             let mut symbols = Vec::with_capacity(input.len());
-            for per_tree in &held {
-                if let Some(block) = per_tree.get(&v) {
-                    symbols.extend_from_slice(block);
-                }
+            for block in held.iter().filter_map(|per_tree| per_tree[v].as_ref()) {
+                symbols.extend_from_slice(block);
             }
             values.insert(v, Value::from_symbols(symbols));
         }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use nab_bb::router::PathRouter;
-use nab_netgraph::arborescence::{pack_arborescences, Arborescence};
+use nab_netgraph::arborescence::{pack_arborescences_with_stats, Arborescence, PackStats};
 use nab_netgraph::canon;
 use nab_netgraph::treepack::{pack_spanning_trees, Tree};
 use nab_netgraph::{DiGraph, UnGraph};
@@ -54,6 +54,9 @@ pub struct ExecutionPlan {
     spanning_trees0: OnceLock<Option<Vec<Tree>>>,
     router: PathRouter,
     build_wall_ns: u64,
+    /// What packing `trees0` took (all zero on a plan loaded from disk,
+    /// which packed nothing); reported on the `plan_built` trace event.
+    pack_stats: PackStats,
     /// Lazily computed Eq. 6 / Theorem 2 bounds, keyed by enumeration
     /// budget (each distinct budget is computed once; results are
     /// deterministic per `(G, f, budget)`).
@@ -97,13 +100,14 @@ impl ExecutionPlan {
         let router = PathRouter::build(&g, f).ok_or(NabError::InsufficientConnectivity)?;
         let rho0 = rho_k(&g, f, &BTreeSet::new()).ok_or(NabError::NoEqualityParameter)?;
         let gamma0 = gamma_k(&g, SOURCE);
-        let trees0 = pack_arborescences(&g, SOURCE, gamma0).ok_or_else(|| {
-            NabError::ArborescencePacking {
-                n,
-                edges: g.edge_count(),
-                gamma: gamma0,
-            }
-        })?;
+        let (trees0, pack_stats) =
+            pack_arborescences_with_stats(&g, SOURCE, gamma0).ok_or_else(|| {
+                NabError::ArborescencePacking {
+                    n,
+                    edges: g.edge_count(),
+                    gamma: gamma0,
+                }
+            })?;
         Ok(ExecutionPlan {
             labeled: canon::labeled_key(&g),
             g0: g,
@@ -114,6 +118,7 @@ impl ExecutionPlan {
             spanning_trees0: OnceLock::new(),
             router,
             build_wall_ns: t0.elapsed().as_nanos() as u64,
+            pack_stats,
             bounds: RwLock::new(HashMap::new()), // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
         })
     }
@@ -155,6 +160,7 @@ impl ExecutionPlan {
             spanning_trees0: OnceLock::new(),
             router,
             build_wall_ns: wall_ns,
+            pack_stats: PackStats::default(),
             bounds: RwLock::new(HashMap::new()), // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
         })
     }
@@ -472,7 +478,18 @@ impl PlanCache {
         let build_ns = plan.build_wall_ns();
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.build_ns.fetch_add(build_ns, Ordering::Relaxed);
-        nab_obs::trace::emit(nab_obs::trace::EventKind::PlanBuilt { build_ns });
+        let s = plan.pack_stats;
+        nab_obs::trace::emit(nab_obs::trace::EventKind::PlanBuilt {
+            build_ns,
+            pack: [
+                s.tried,
+                s.accepted,
+                s.rejected,
+                s.memo_skipped,
+                s.repaired,
+                s.searches,
+            ],
+        });
         if let Some(dir) = &self.dir {
             match crate::persist::save_plan(dir, &key, &plan) {
                 Ok(()) => {

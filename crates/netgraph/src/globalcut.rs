@@ -47,84 +47,132 @@ use crate::undirected::UnGraph;
 ///
 /// Panics if a node is outside the universe.
 pub fn bounded_min_cut(u: &UnGraph, nodes: &[NodeId], limit: u64) -> u64 {
-    // Vertices are positions in `nodes`; a merged class goes by its
-    // union-find root, and `alive` lists the roots.
-    let k = nodes.len();
-    let mut position = vec![usize::MAX; u.node_count()];
-    for (i, &v) in nodes.iter().enumerate() {
-        position[v] = i;
-    }
-    let mut links: Vec<(usize, usize, u64)> = u
-        .edges()
-        .map(|(_, e)| (position[e.a], position[e.b], e.cap))
-        .filter(|&(a, b, _)| a != usize::MAX && b != usize::MAX)
-        .collect();
-    let mut alive: Vec<usize> = (0..k).collect();
-    let mut parent: Vec<usize> = (0..k).collect();
-    // This phase's adjacency lists: `v`'s is
-    // `neighbours[first[v]..first[v + 1]]`, filled up to `filled[v]`.
-    let mut first = vec![0usize; k + 1];
-    let mut filled = vec![0usize; k];
-    let mut neighbours = vec![(0usize, 0u64); 2 * links.len()];
-    let mut adjacency = vec![0u64; k];
-    let mut chosen = vec![false; k];
-    let mut heap = BinaryHeap::new();
-    let mut bound = limit;
-    while alive.len() > 1 {
-        first.fill(0);
-        for &(a, b, _) in &links {
-            first[a + 1] += 1;
-            first[b + 1] += 1;
+    MinCutScratch::default().min_cut(u, nodes, limit)
+}
+
+/// The working buffers of [`bounded_min_cut`], for a caller that cuts many
+/// node selections of one graph (the members of `Ω_k`) to reuse.
+#[derive(Default)]
+pub struct MinCutScratch {
+    position: Vec<usize>,
+    links: Vec<(usize, usize, u64)>,
+    alive: Vec<usize>,
+    parent: Vec<usize>,
+    first: Vec<usize>,
+    filled: Vec<usize>,
+    neighbours: Vec<(usize, u64)>,
+    adjacency: Vec<u64>,
+    chosen: Vec<bool>,
+    heap: BinaryHeap<(u64, usize)>,
+}
+
+/// Empties `buf` and refills it with `len` copies of `value`.
+fn refill<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
+impl MinCutScratch {
+    /// [`bounded_min_cut`], allocating only what earlier calls did not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is outside the universe.
+    pub fn min_cut(&mut self, u: &UnGraph, nodes: &[NodeId], limit: u64) -> u64 {
+        let MinCutScratch {
+            position,
+            links,
+            alive,
+            parent,
+            first,
+            filled,
+            neighbours,
+            adjacency,
+            chosen,
+            heap,
+        } = self;
+        // Vertices are positions in `nodes`; a merged class goes by its
+        // union-find root, and `alive` lists the roots.
+        let k = nodes.len();
+        refill(position, u.node_count(), usize::MAX);
+        for (i, &v) in nodes.iter().enumerate() {
+            position[v] = i;
         }
-        for v in 0..k {
-            first[v + 1] += first[v];
-        }
-        filled.copy_from_slice(&first[..k]);
-        adjacency.fill(0);
-        for &(a, b, w) in &links {
-            for (v, u) in [(a, b), (b, a)] {
-                neighbours[filled[v]] = (u, w);
-                filled[v] += 1;
-                adjacency[v] += w;
+        links.clear();
+        links.extend(
+            u.edges()
+                .map(|(_, e)| (position[e.a], position[e.b], e.cap))
+                .filter(|&(a, b, _)| a != usize::MAX && b != usize::MAX),
+        );
+        alive.clear();
+        alive.extend(0..k);
+        parent.clear();
+        parent.extend(0..k);
+        // This phase's adjacency lists: `v`'s is
+        // `neighbours[first[v]..first[v + 1]]`, filled up to `filled[v]`.
+        refill(first, k + 1, 0);
+        refill(filled, k, 0);
+        refill(neighbours, 2 * links.len(), (0, 0));
+        refill(adjacency, k, 0);
+        refill(chosen, k, false);
+        heap.clear();
+        let mut bound = limit;
+        while alive.len() > 1 {
+            first.fill(0);
+            for &(a, b, _) in links.iter() {
+                first[a + 1] += 1;
+                first[b + 1] += 1;
             }
-        }
-        // A vertex on its own is a cut (`adjacency` holds degrees here).
-        bound = alive.iter().map(|&v| adjacency[v]).fold(bound, u64::min);
-        if bound == 0 {
-            break;
-        }
-        // One maximum-adjacency order (stale heap entries are skipped);
-        // `parent` collects the merges.
-        for &v in &alive {
-            adjacency[v] = 0;
-            chosen[v] = false;
-        }
-        heap.extend(alive.iter().map(|&v| (0, v)));
-        while let Some((seen, next)) = heap.pop() {
-            if chosen[next] || seen != adjacency[next] {
-                continue;
+            for v in 0..k {
+                first[v + 1] += first[v];
             }
-            chosen[next] = true;
-            for &(u, w) in &neighbours[first[next]..first[next + 1]] {
-                if chosen[u] {
+            filled.copy_from_slice(&first[..k]);
+            adjacency.fill(0);
+            for &(a, b, w) in links.iter() {
+                for (v, u) in [(a, b), (b, a)] {
+                    neighbours[filled[v]] = (u, w);
+                    filled[v] += 1;
+                    adjacency[v] += w;
+                }
+            }
+            // A vertex on its own is a cut (`adjacency` holds degrees here).
+            bound = alive.iter().map(|&v| adjacency[v]).fold(bound, u64::min);
+            if bound == 0 {
+                break;
+            }
+            // One maximum-adjacency order (stale heap entries are skipped);
+            // `parent` collects the merges.
+            for &v in alive.iter() {
+                adjacency[v] = 0;
+                chosen[v] = false;
+            }
+            heap.extend(alive.iter().map(|&v| (0, v)));
+            while let Some((seen, next)) = heap.pop() {
+                if chosen[next] || seen != adjacency[next] {
                     continue;
                 }
-                adjacency[u] += w;
-                heap.push((adjacency[u], u));
-                if adjacency[u] >= bound {
-                    let (a, b) = (find(&mut parent, u), find(&mut parent, next));
-                    parent[a] = b;
+                chosen[next] = true;
+                for &(u, w) in &neighbours[first[next]..first[next + 1]] {
+                    if chosen[u] {
+                        continue;
+                    }
+                    adjacency[u] += w;
+                    heap.push((adjacency[u], u));
+                    if adjacency[u] >= bound {
+                        let (a, b) = (find(parent, u), find(parent, next));
+                        parent[a] = b;
+                    }
                 }
             }
+            // Contract: links inside a class vanish, parallel ones just add.
+            for link in links.iter_mut() {
+                *link = (find(parent, link.0), find(parent, link.1), link.2);
+            }
+            links.retain(|&(a, b, _)| a != b);
+            alive.retain(|&v| parent[v] == v);
         }
-        // Contract: links inside a class vanish, parallel ones just add.
-        for link in &mut links {
-            *link = (find(&mut parent, link.0), find(&mut parent, link.1), link.2);
-        }
-        links.retain(|&(a, b, _)| a != b);
-        alive.retain(|&v| parent[v] == v);
+        bound
     }
-    bound
 }
 
 /// Union-find root with path halving.

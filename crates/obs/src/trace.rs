@@ -60,6 +60,19 @@ impl Phase {
     }
 }
 
+/// Field names of `plan_built`'s packer counts: candidate edges whose
+/// safety was decided, found safe, found unsafe, passed over by the
+/// per-tree unsafe memo; flow witnesses repaired, and the searches that
+/// took.
+pub const PACK_COUNTS: [&str; 6] = [
+    "pack_tried",
+    "pack_accepted",
+    "pack_rejected",
+    "pack_memo_skipped",
+    "pack_repaired",
+    "pack_searches",
+];
+
 /// What happened. Payload fields are the event-specific data; shared
 /// context (job/stream/instance) lives on [`Event`] itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,17 +114,19 @@ pub enum EventKind {
     PlanBuilt {
         /// Wall-clock nanoseconds spent building the plan.
         build_ns: u64,
+        /// The Edmonds packer's deterministic work counts, in the order
+        /// of [`PACK_COUNTS`].
+        pack: [u64; 6],
     },
-    /// Per-`G_k` replanning patched the packing incrementally (γ/ρ bounds
-    /// unchanged) in `ns` nanoseconds.
+    /// A per-`G_k` replan found `γ_k = γ_1`, in `ns` nanoseconds.
     PlanRepair {
-        /// Wall-clock nanoseconds spent on the incremental repair.
+        /// Wall-clock nanoseconds spent deriving `γ_k` and the packing.
         ns: u64,
     },
-    /// Per-`G_k` replanning fell back to a full recompute (γ/ρ bounds
-    /// changed) in `ns` nanoseconds.
+    /// A per-`G_k` replan found `γ_k < γ_1`, in `ns` nanoseconds — the
+    /// same derivation as [`EventKind::PlanRepair`], another outcome.
     PlanFullRecompute {
-        /// Wall-clock nanoseconds spent on the full recompute.
+        /// Wall-clock nanoseconds spent deriving `γ_k` and the packing.
         ns: u64,
     },
     /// The plan cache loaded a persisted plan from its on-disk store.
@@ -195,7 +210,12 @@ impl EventKind {
                 ]
             }
             EventKind::PhaseStart(p) | EventKind::PhaseEnd(p) => vec![("phase", Name(p.name()))],
-            EventKind::PlanBuilt { build_ns } => vec![("build_ns", Num(build_ns))],
+            EventKind::PlanBuilt { build_ns, pack } => {
+                let counts = PACK_COUNTS.into_iter().zip(pack.map(Num));
+                std::iter::once(("build_ns", Num(build_ns)))
+                    .chain(counts)
+                    .collect()
+            }
             EventKind::PlanRepair { ns } | EventKind::PlanFullRecompute { ns } => {
                 vec![("ns", Num(ns))]
             }
@@ -509,7 +529,10 @@ mod tests {
         set_stream(1);
         let span = InstanceSpan::enter(7);
         emit(EventKind::PlanCacheMiss);
-        emit(EventKind::PlanBuilt { build_ns: 42 });
+        emit(EventKind::PlanBuilt {
+            build_ns: 42,
+            pack: [0; 6],
+        });
         drop(span);
         assert!(sink.is_empty(), "events buffer until flush");
         set_thread_sink(None);

@@ -190,11 +190,11 @@ pub struct JobMetrics {
     pub plan_misses: u64,
     /// Wall nanoseconds this job spent building network plans.
     pub plan_build_ns: u64,
-    /// Disputed-`G_k` replans resolved by incremental repair (γ/ρ bounds
-    /// unchanged) across the job's engines (timed JSON only).
+    /// Disputed-`G_k` replans that found `γ_k = γ_1` and `ρ_k = ρ_1`,
+    /// across the job's engines (timed JSON only).
     pub plan_repairs: u64,
-    /// Disputed-`G_k` replans that fell back to a full recompute (a γ or
-    /// ρ bound changed, or repair was disabled).
+    /// Disputed-`G_k` replans where `γ_k` or `ρ_k` moved (the same work,
+    /// another outcome).
     pub plan_full_recomputes: u64,
     /// Wall nanoseconds spent replanning disputed `G_k`s.
     pub plan_repair_ns: u64,

@@ -84,11 +84,11 @@ fn fig1a_single_thread_trace_matches_golden() {
 #[test]
 fn normalize_only_touches_wall_clock_payloads() {
     let line = "{\"seq\":3,\"ts_ns\":528287,\"job\":0,\"stream\":0,\"instance\":0,\
-                \"kind\":\"plan_built\",\"build_ns\":297283}";
+                \"kind\":\"plan_built\",\"build_ns\":297283,\"pack_tried\":6}";
     assert_eq!(
         normalize(line),
         "{\"seq\":3,\"ts_ns\":0,\"job\":0,\"stream\":0,\"instance\":0,\
-         \"kind\":\"plan_built\",\"build_ns\":0}"
+         \"kind\":\"plan_built\",\"build_ns\":0,\"pack_tried\":6}"
     );
 }
 
