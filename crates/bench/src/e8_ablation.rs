@@ -1,4 +1,4 @@
-//! E8 — ablations of NAB's design choices (DESIGN.md §5).
+//! E8 — ablations of NAB's design choices.
 //!
 //! 1. **ρ sweep**: the equality check gets faster as `ρ` grows (`L/ρ`
 //!    time) but becomes *attackable* the moment `ρ > U/2` — the

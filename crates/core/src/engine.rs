@@ -979,24 +979,6 @@ pub fn run_instances_batched(
         .collect())
 }
 
-/// Summary of a multi-instance run (the throughput experiment quantum).
-#[derive(Debug, Clone)]
-pub struct RunSummary {
-    /// Instances executed.
-    pub instances: usize,
-    /// Total simulated time.
-    pub total_time: f64,
-    /// Total payload bits broadcast (`L · Q`).
-    pub total_bits: u64,
-    /// Dispute-control executions observed.
-    pub dispute_rounds: usize,
-    /// `total_bits / total_time`.
-    pub throughput: f64,
-    /// Every fault-free node agreed with the source's input in every
-    /// instance (validity + agreement).
-    pub all_correct: bool,
-}
-
 /// The paper's per-instance correctness conditions: *agreement* among
 /// fault-free nodes always, and *validity* (every fault-free output equals
 /// the input) when the source is fault-free and the known-faulty-source
@@ -1015,48 +997,6 @@ pub fn instance_correct(rep: &InstanceReport, faulty: &BTreeSet<NodeId>, input: 
         return honest.first().is_some_and(|v| **v == *input);
     }
     true
-}
-
-/// Runs `q` instances with fresh random inputs and returns the aggregate
-/// throughput report. Inputs are generated from `seed`.
-pub fn run_many(
-    engine: &mut NabEngine,
-    q: usize,
-    faulty: &BTreeSet<NodeId>,
-    adv: &mut dyn NabAdversary,
-    seed: u64,
-) -> Result<RunSummary, NabError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let symbols = engine.config().symbols;
-    let mut total_time = 0.0;
-    let mut dispute_rounds = 0;
-    let mut all_correct = true;
-
-    for _ in 0..q {
-        let input = Value::random(symbols, &mut rng);
-        let rep = engine.run_instance(&input, faulty, adv)?;
-        total_time += rep.times.total();
-        dispute_rounds += usize::from(rep.dispute_ran);
-        if !instance_correct(&rep, faulty, &input) {
-            all_correct = false;
-        }
-    }
-
-    let total_bits = (q * symbols) as u64 * crate::value::SYMBOL_BITS;
-    Ok(RunSummary {
-        instances: q,
-        total_time,
-        total_bits,
-        dispute_rounds,
-        throughput: if total_time > 0.0 {
-            total_bits as f64 / total_time
-        } else {
-            0.0
-        },
-        all_correct,
-    })
 }
 
 #[cfg(test)]
@@ -1371,28 +1311,6 @@ mod tests {
             }
         }
         assert_eq!(rep.newly_removed, vec![2]);
-    }
-
-    #[test]
-    fn run_many_fault_free_has_full_validity() {
-        let mut e = engine(8);
-        let sum = run_many(&mut e, 5, &BTreeSet::new(), &mut HonestStrategy, 9).unwrap();
-        assert_eq!(sum.instances, 5);
-        assert!(sum.all_correct);
-        assert_eq!(sum.dispute_rounds, 0);
-        assert!(sum.throughput > 0.0);
-    }
-
-    #[test]
-    fn run_many_with_adversary_amortizes() {
-        let mut e = engine(8);
-        let faulty = BTreeSet::from([1]);
-        let sum = run_many(&mut e, 6, &faulty, &mut TruthfulCorruptor, 9).unwrap();
-        assert!(sum.all_correct);
-        // The corruptor is exposed in the first dispute round; afterwards
-        // the fast path runs (f=1 node removed → residual faults 0).
-        assert_eq!(sum.dispute_rounds, 1);
-        assert!(sum.dispute_rounds <= DisputeState::max_executions(1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `S = L/16` symbols; the giant field `GF(2^{L/ρ})` is realized as `S/ρ`
 //! independent `GF(2^16)` *columns* checked with the same coding matrices —
 //! exactly the block decomposition the random-coding argument factorizes
-//! over (see DESIGN.md, substitutions).
+//! over (see docs/perf.md, "One field, one kernel").
 
 use std::fmt;
 

@@ -8,6 +8,11 @@ use nab::adversary::{
 use nab_gf::Gf2_16;
 use nab_netgraph::NodeId;
 
+/// Every form [`AdversarySpec::parse`] reads: its unknown-adversary error and
+/// `nab-sim --help` print this, and `docs/scenarios.md` must list each.
+pub const KNOWN: &str = "honest, corruptor, liar, false-alarm, equivocate, garbler, random:P, \
+                         collude:SCAPEGOAT:CORRUPTOR, chaos-panic";
+
 /// A declarative adversary strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdversarySpec {
@@ -113,10 +118,7 @@ impl AdversarySpec {
                 })
             }
             "chaos-panic" if parts.len() == 1 => Ok(AdversarySpec::ChaosPanic),
-            other => Err(format!(
-                "unknown adversary {other:?} (known: honest, corruptor, liar, false-alarm, \
-                 equivocate, garbler, random:P, collude:SCAPEGOAT:CORRUPTOR, chaos-panic)"
-            )),
+            other => Err(format!("unknown adversary {other:?} (known: {KNOWN})")),
         }
     }
 

@@ -17,6 +17,10 @@ use std::collections::BTreeSet;
 
 use nab_netgraph::NodeId;
 
+/// Every form [`FaultSchedule::parse`] reads: its unknown-schedule error and
+/// `nab-sim --help` print this, and `docs/scenarios.md` must list each.
+pub const KNOWN: &str = "none, fixed:IDS, rotating:COUNT, worst-case:COUNT[:MAX_CANDIDATES]";
+
 /// How faulty nodes are placed for each job of a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultSchedule {
@@ -92,15 +96,15 @@ impl FaultSchedule {
                         "faults worst-case: too many parameters in {rest:?}"
                     ));
                 }
+                if max_candidates == 0 {
+                    return Err("faults worst-case: MAX_CANDIDATES must be ≥ 1".into());
+                }
                 Ok(FaultSchedule::WorstCase {
                     count,
                     max_candidates,
                 })
             }
-            other => Err(format!(
-                "unknown fault schedule {other:?} (known: none, fixed:IDS, rotating:COUNT, \
-                 worst-case:COUNT[:MAX_CANDIDATES])"
-            )),
+            other => Err(format!("unknown fault schedule {other:?} (known: {KNOWN})")),
         }
     }
 
@@ -251,6 +255,9 @@ mod tests {
         assert!(FaultSchedule::parse("rotating").is_err());
         assert!(FaultSchedule::parse("sometimes:1").is_err());
         assert!(FaultSchedule::parse("none:1").is_err());
+        // A search over zero candidates would reject every job it reaches.
+        let e = FaultSchedule::parse("worst-case:1:0").unwrap_err();
+        assert!(e.contains("MAX_CANDIDATES must be ≥ 1"), "{e}");
     }
 
     #[test]

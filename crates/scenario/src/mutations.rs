@@ -19,6 +19,11 @@ use nab_netgraph::DiGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Every form [`MutationSchedule::parse`] reads: its unknown-schedule error
+/// and `nab-sim --help` print this, and `docs/scenarios.md` must list each.
+pub const KNOWN: &str =
+    "none, degrade:EVERY:LINKS:PCT, boost:EVERY:LINKS:PCT, flap:EVERY:LINKS:PCT";
+
 /// How (and how often) a job's network mutates between instance epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationSchedule {
@@ -101,8 +106,7 @@ impl MutationSchedule {
             "boost" => Ok(MutationSchedule::Boost { every, links, pct }),
             "flap" => Ok(MutationSchedule::Flap { every, links, pct }),
             other => Err(format!(
-                "unknown mutation schedule {other:?} (known: none, degrade:EVERY:LINKS:PCT, \
-                 boost:EVERY:LINKS:PCT, flap:EVERY:LINKS:PCT)"
+                "unknown mutation schedule {other:?} (known: {KNOWN})"
             )),
         }
     }

@@ -342,4 +342,24 @@ bounds_budget = 4096
         assert_eq!(e.line, 0);
         assert!(e.message.contains("q"));
     }
+
+    #[test]
+    fn docs_list_every_adversary_fault_and_mutation_form() {
+        let doc = include_str!("../../../docs/scenarios.md");
+        for (heading, known) in [
+            ("## Adversaries", crate::adversary::KNOWN),
+            ("## Fault schedules", crate::faults::KNOWN),
+            ("## Mutation schedules", crate::mutations::KNOWN),
+        ] {
+            let section = doc
+                .split_once(heading)
+                .and_then(|(_, rest)| rest.split_once("\n## "))
+                .unwrap_or_else(|| panic!("docs/scenarios.md has a {heading:?} section"))
+                .0;
+            for form in known.split(", ") {
+                let form = format!("`{form}`");
+                assert!(section.contains(&form), "{heading} lacks {form}");
+            }
+        }
+    }
 }

@@ -127,7 +127,7 @@ fn need(ok: bool, what: &str) -> Result<(), String> {
 }
 
 /// Every topology family, in the order help and errors list them.
-pub static FAMILIES: [Family; 14] = [
+pub static FAMILIES: [Family; 15] = [
     Family {
         name: "fig1a",
         params: &[],
@@ -165,6 +165,20 @@ pub static FAMILIES: [Family; 14] = [
         params: &[("N", 2), ("CAP", 1)],
         about: "complete digraph, uniform capacity",
         build: |a, _| Ok(gen::complete(a[0] as usize, a[1])),
+    },
+    Family {
+        name: "thinlink",
+        params: &[("N", 2), ("CAP", 1)],
+        about: "complete:N:CAP with capacity 1 on the two links between nodes N-2 and N-1",
+        build: |a, _| {
+            let (n, mut g) = (a[0] as usize, gen::complete(a[0] as usize, a[1]));
+            for (u, v) in [(n - 2, n - 1), (n - 1, n - 2)] {
+                if let Some((id, _)) = g.find_edge(u, v) {
+                    g.set_edge_cap(id, 1);
+                }
+            }
+            Ok(g)
+        },
     },
     Family {
         name: "hetero",
@@ -504,6 +518,18 @@ mod tests {
         assert_eq!(g.find_edge(0, 1).unwrap().1.cap, 3);
         let literal = TopologyTemplate::parse("complete:5:3").unwrap();
         assert_eq!(literal.build(&ctx()).unwrap(), g);
+    }
+
+    #[test]
+    fn thinlink_is_complete_with_one_thin_pair() {
+        let build = |s: &str| TopologyTemplate::parse(s).unwrap().build(&ctx()).unwrap();
+        let g = build("thinlink:4:8");
+        assert_eq!(g.edge_count(), 12);
+        for (_, e) in g.edges() {
+            let thin = (e.src, e.dst) == (2, 3) || (e.src, e.dst) == (3, 2);
+            assert_eq!(e.cap, if thin { 1 } else { 8 }, "{}→{}", e.src, e.dst);
+        }
+        assert_eq!(build("thinlink:5:1"), build("complete:5:1"));
     }
 
     #[test]

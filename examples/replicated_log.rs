@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use nab_repro::nab::adversary::LyingCorruptor;
-use nab_repro::nab::engine::{run_many, NabConfig, NabEngine, SOURCE};
+use nab_repro::nab::engine::{instance_correct, NabConfig, NabEngine};
 use nab_repro::nab::Value;
 use nab_repro::netgraph::gen;
 use rand::rngs::StdRng;
@@ -89,9 +89,14 @@ fn main() {
         vec![std::collections::BTreeMap::new(); 5];
 
     for (i, cmd) in commands.iter().enumerate() {
+        let entry = cmd.to_value(32);
         let report = engine
-            .run_instance(&cmd.to_value(32), &compromised, &mut adv)
+            .run_instance(&entry, &compromised, &mut adv)
             .expect("instance runs");
+        assert!(
+            instance_correct(&report, &compromised, &entry),
+            "agreement and validity hold on every log entry"
+        );
         println!(
             "log[{i}] {:?}: dispute={} disputes_so_far={:?}",
             cmd,
@@ -121,12 +126,5 @@ fn main() {
     println!(
         "\nfinal ledger (all honest replicas agree): {:?}",
         ledgers[honest[0]]
-    );
-
-    // Throughput over a longer run for capacity planning.
-    let summary = run_many(&mut engine, 20, &compromised, &mut adv, 5).expect("run");
-    println!(
-        "\n20 more entries: throughput {:.2} bits/time-unit, {} dispute rounds, correct={} (source = replica {})",
-        summary.throughput, summary.dispute_rounds, summary.all_correct, SOURCE
     );
 }

@@ -42,7 +42,8 @@ use nab_repro::scenario::{
     TopologyTemplate,
 };
 
-/// The help text; the family list comes from the topology table.
+/// The help text; the family list comes from the topology table, the
+/// adversary, fault and mutation forms from the `KNOWN` list beside each parser.
 fn help() -> String {
     let families: String = FAMILIES
         .iter()
@@ -66,8 +67,8 @@ RUN FLAGS:
     --symbols S         input size in 16-bit symbols (default 64)
     --q Q               broadcast instances (default 10)
     --faulty IDS        comma-separated ground-truth faulty node ids
-    --adversary SPEC    honest | corruptor | liar | false-alarm | equivocate
-                        | garbler | random:P | collude:SCAPEGOAT:CORRUPTOR
+    --adversary SPEC    Byzantine strategy of the faulty nodes (default
+                        honest); the forms are listed below
     --broadcast KIND    eig | phase-king (default eig)
     --seed SEED         base RNG seed (default 7)
     --bounds            also compute the paper's Eq.6/Theorem-2 bounds and
@@ -119,7 +120,16 @@ VALIDATE:
 
 TOPOLOGY FAMILIES (in a .scenario file a parameter may also be $n, $cap,
 $f or 2f+1; the figure graphs need --f 0, and fig2a-closed for fig2a):
-{families}"
+{families}
+SCHEDULES (a file's `adversary`, `faults` and `mutations` keys; --adversary
+takes the first, and --faulty IDS is `faults = fixed:IDS`):
+    adversary   {adversaries}
+    faults      {faults}
+    mutations   {mutations}
+",
+        adversaries = scenario::adversary::KNOWN,
+        faults = scenario::faults::KNOWN,
+        mutations = scenario::mutations::KNOWN,
     )
 }
 

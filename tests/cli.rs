@@ -39,6 +39,11 @@ fn help_flag_prints_usage_and_succeeds() {
             let sig = format!("      {} ", family.signature());
             assert!(text.contains(&sig), "{flag} lacks {sig:?}: {text}");
         }
+        // ... and the schedule grammars are the lists the parsers print.
+        use nab_repro::scenario::{adversary, faults, mutations};
+        for known in [adversary::KNOWN, faults::KNOWN, mutations::KNOWN] {
+            assert!(text.contains(known), "{flag} lacks {known:?}: {text}");
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use nab_repro::gf::Gf2m;
 use nab_repro::nab::adversary::HonestStrategy;
 use nab_repro::nab::bounds::{self, bounds_report};
-use nab_repro::nab::engine::{run_many, NabConfig, NabEngine};
+use nab_repro::nab::engine::{NabConfig, NabEngine};
 use nab_repro::nab::equality::theorem1_failure_bound;
 use nab_repro::nab::theory::theorem1_trial;
 use nab_repro::netgraph::flow::min_pairwise_cut_undirected;
@@ -176,28 +176,27 @@ fn measured_phase_costs_match_model_on_random_graphs() {
 fn throughput_approaches_eq6_with_large_l() {
     // As L grows, measured fault-free throughput converges towards (and
     // above) the per-instance bound γ_1ρ_1/(γ_1+ρ_1) ≥ Eq.6's γ*ρ*/(γ*+ρ*).
-    let g = gen::complete(4, 2);
-    let rep = bounds_report(&g, 0, 1, 1 << 18).unwrap();
-    let mut prev = 0.0;
-    for symbols in [60usize, 240, 960] {
-        let cfg = NabConfig {
-            f: 1,
-            symbols,
-            seed: 8,
-        };
-        let mut engine = NabEngine::new(g.clone(), cfg).unwrap();
-        let s = run_many(&mut engine, 3, &BTreeSet::new(), &mut HonestStrategy, 2).unwrap();
+    let spec = nab_repro::scenario::parse_str(
+        "topology = complete:4:2\nq = 3\nsymbols = 60,240,960\nbounds = true\n",
+    )
+    .unwrap();
+    let report = nab_repro::scenario::run_sweep(&spec, 1).unwrap();
+    let jobs: Vec<_> = (report.jobs.iter())
+        .map(|j| j.result.as_ref().expect("K4 hosts f = 1"))
+        .collect();
+    assert_eq!(jobs.len(), 3);
+    for w in jobs.windows(2) {
         assert!(
-            s.throughput >= prev * 0.999,
+            w[1].throughput >= w[0].throughput * 0.999,
             "throughput not improving in L"
         );
-        prev = s.throughput;
     }
+    let (last, bounds) = (jobs[2], jobs[2].bounds.as_ref().unwrap());
     assert!(
-        prev >= rep.tnab_lower,
+        last.throughput >= bounds.eq6_lower,
         "large-L throughput {} below Eq.6 bound {}",
-        prev,
-        rep.tnab_lower
+        last.throughput,
+        bounds.eq6_lower
     );
 }
 
