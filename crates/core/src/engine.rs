@@ -23,7 +23,10 @@ use crate::dispute::{dc2_disputes, dc3_exposed, DisputeState, NodeClaims};
 use crate::equality::CodingScheme;
 use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec, PhaseClock};
 use crate::phase1::{run_phase1, Phase1Output};
-use crate::phase2::{broadcast_claims, flag_broadcast, honest_claims, BroadcastKind, EqOutcome};
+use crate::phase2::{
+    broadcast_claims, flag_broadcast, honest_claims, run_equality_phase, BroadcastKind, EqOutcome,
+    EqScratch,
+};
 use crate::plan::ExecutionPlan;
 use crate::value::Value;
 
@@ -267,6 +270,9 @@ pub struct NabEngine {
     net: Option<NetExec>,
     memo: Option<GkMemo>,
     repair_stats: RepairStats,
+    /// The equality check's slabs and products, rewritten in place from
+    /// one instance to the next (a batched group uses its lead's).
+    eq_scratch: EqScratch,
 }
 
 impl NabEngine {
@@ -305,6 +311,7 @@ impl NabEngine {
             net: None,
             memo: None,
             repair_stats: RepairStats::default(),
+            eq_scratch: EqScratch::default(),
         })
     }
 
@@ -936,20 +943,22 @@ pub fn run_instances_batched(
 
         // Equality check: one coding scheme (identical across the group's
         // streams by construction), all their columns in one slab per
-        // edge. The first stream's span brackets the whole computation;
-        // the others' only mark their share of it.
+        // value class, in the lead's scratch. The first stream's span
+        // brackets the whole computation; the others' only mark their
+        // share of it.
         trace::set_stream(s as u32);
         trace::set_instance((engines[s].instance - 1) as u64);
         let mut eq_span = Some(PhaseSpan::enter(Phase::Equality));
         let t0 = nab_obs::clock::mono_now();
         let (rho, scheme) = engines[s].equality_setup(gk)?;
         let values: Vec<&BTreeMap<NodeId, Value>> = group.iter().map(|f| &f.p1.values).collect();
-        let eqs = crate::phase2::run_equality_phase_batched(
+        let eqs = run_equality_phase(
             gk,
             &values,
             &scheme,
             faulty,
             &mut advs[s..end],
+            &mut engines[s].eq_scratch,
         );
         let eq_wall = t0.elapsed().as_nanos() as u64 / group.len() as u64;
 
@@ -1334,6 +1343,48 @@ mod tests {
                 assert_eq!(*out, Value::zeros(8));
             }
         }
+    }
+
+    /// One engine's equality slab and product are rewritten where they lie
+    /// from its second instance on — through the disputed instances too,
+    /// whose `honest_claims` read the products (via `eq.sends()`) before
+    /// the next instance recycles them — and every report equals that of
+    /// the same engine state running on fresh buffers.
+    #[test]
+    fn equality_scratch_is_reused_across_instances_and_disputes() {
+        // f = 2, so the equality check still runs once a node is exposed.
+        let cfg = NabConfig {
+            f: 2,
+            symbols: 720,
+            seed: 42,
+        };
+        let mut e = NabEngine::new(gen::complete(7, 1), cfg).unwrap();
+        let x = input(720);
+        let faulty = BTreeSet::from([2]);
+        let mut storage = None;
+        let (mut disputes, mut reused_after_a_dispute) = (0, 0);
+        for i in 0..5 {
+            let mut fresh = e.clone();
+            fresh.eq_scratch = EqScratch::default();
+            let [got, want] = [&mut e, &mut fresh].map(|engine| {
+                let adv: &mut dyn NabAdversary = if i == 1 {
+                    &mut TruthfulCorruptor
+                } else {
+                    &mut HonestStrategy
+                };
+                engine.run_instance(&x, &faulty, adv).unwrap()
+            });
+            assert_reports_match(&got, &want, &format!("instance {i}"));
+            assert!(got.rho_k > 0, "instance {i} ran the equality check");
+            // Class 0 (the source's) exists in every instance.
+            let now = e.eq_scratch.storage()[0];
+            assert_eq!(*storage.get_or_insert(now), now, "instance {i}");
+            assert_ne!(now, fresh.eq_scratch.storage()[0], "the oracle is fresh");
+            disputes += usize::from(got.dispute_ran);
+            reused_after_a_dispute += usize::from(disputes > 0 && !got.dispute_ran);
+        }
+        assert_eq!((disputes, reused_after_a_dispute), (1, 3));
+        assert!(!e.undisputed(), "the later instances ran on a shrunken G_k");
     }
 
     /// Everything deterministic in a report (wall-clock excluded).

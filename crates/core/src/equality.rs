@@ -15,6 +15,7 @@
 //! `1 − 2^{−L/ρ}·C(n, n−f)·(n−f−1)·ρ`.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use nab_gf::field::Field;
 use nab_gf::matrix::Matrix;
@@ -33,12 +34,33 @@ use crate::value::{Value, SYMBOL_BITS};
 #[derive(Debug, Clone)]
 pub struct CodingScheme {
     rho: usize,
-    /// `C_eᵀ` (`z_e × ρ`) per edge: the left operand of the slab product
-    /// `Y_eᵀ = C_eᵀ · Xᵀ`, stored in the layout the multiply reads.
-    transposed: BTreeMap<(NodeId, NodeId), WordMatrix>,
+    /// Every `C_eᵀ` (`z_e × ρ`) stacked row-wise, edges in `g.edges()`
+    /// order: the left operand of the slab product `Yᵀ = Cᵀ · Xᵀ`, stored
+    /// in the layout the multiply reads — so when every node holds the
+    /// same value the whole check is this matrix times that value's slab.
+    stacked: WordMatrix,
+    /// The rows of `stacked` that are edge `(src, dst)`'s `C_eᵀ`.
+    rows: BTreeMap<(NodeId, NodeId), Range<usize>>,
 }
 
 impl CodingScheme {
+    /// The all-zero scheme on `g`'s live edges: the row layout, entries
+    /// still to be written.
+    fn zeroed(g: &DiGraph, rho: usize) -> Self {
+        assert!(rho > 0, "equality-check parameter ρ must be positive");
+        let mut rows = BTreeMap::new();
+        let mut total = 0;
+        for (_, e) in g.edges() {
+            rows.insert((e.src, e.dst), total..total + e.cap as usize);
+            total += e.cap as usize;
+        }
+        CodingScheme {
+            rho,
+            stacked: WordMatrix::zero(total, rho),
+            rows,
+        }
+    }
+
     /// Samples uniform random coding matrices for every live edge of `g`,
     /// with equality-check parameter `rho`, from a deterministic seed.
     ///
@@ -46,20 +68,19 @@ impl CodingScheme {
     ///
     /// Panics if `rho` is zero.
     pub fn random(g: &DiGraph, rho: usize, seed: u64) -> Self {
-        assert!(rho > 0, "equality-check parameter ρ must be positive");
+        let mut scheme = Self::zeroed(g, rho);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut transposed = BTreeMap::new();
+        let mut start = 0;
         for (_, e) in g.edges() {
             // Entries are drawn in `C_e`'s row-major order.
-            let mut ct = WordMatrix::zero(e.cap as usize, rho);
             for r in 0..rho {
                 for c in 0..e.cap as usize {
-                    ct.set(c, r, Gf2_16::random(&mut rng));
+                    scheme.stacked.set(start + c, r, Gf2_16::random(&mut rng));
                 }
             }
-            transposed.insert((e.src, e.dst), ct);
+            start += e.cap as usize;
         }
-        CodingScheme { rho, transposed }
+        scheme
     }
 
     /// Builds a *deterministic* Vandermonde coding scheme: the `t`-th
@@ -75,28 +96,23 @@ impl CodingScheme {
     /// Panics if `rho` is zero or the graph needs more than `2^16 − 1`
     /// distinct evaluation points.
     pub fn vandermonde(g: &DiGraph, rho: usize) -> Self {
-        assert!(rho > 0, "equality-check parameter ρ must be positive");
-        let total: u64 = g.edges().map(|(_, e)| e.cap).sum();
+        let mut scheme = Self::zeroed(g, rho);
         assert!(
-            total < 65_535,
+            scheme.stacked.rows() < 65_535,
             "graph too large for distinct GF(2^16) points"
         );
         let gen_elt = Gf2_16::from_u64(2); // generator of GF(2^16)* for 0x1100B
         let mut alpha = Gf2_16::from_u64(1);
-        let mut transposed = BTreeMap::new();
-        for (_, e) in g.edges() {
-            let mut ct = WordMatrix::zero(e.cap as usize, rho);
-            for c in 0..e.cap as usize {
-                alpha = alpha.mul(gen_elt);
-                let mut p = Gf2_16::from_u64(1);
-                for r in 0..rho {
-                    ct.set(c, r, p);
-                    p = p.mul(alpha);
-                }
+        // Row `i` of the stack is the `i`-th coded symbol overall.
+        for row in 0..scheme.stacked.rows() {
+            alpha = alpha.mul(gen_elt);
+            let mut p = Gf2_16::from_u64(1);
+            for r in 0..rho {
+                scheme.stacked.set(row, r, p);
+                p = p.mul(alpha);
             }
-            transposed.insert((e.src, e.dst), ct);
         }
-        CodingScheme { rho, transposed }
+        scheme
     }
 
     /// The equality-check parameter `ρ`.
@@ -104,11 +120,18 @@ impl CodingScheme {
         self.rho
     }
 
-    /// `C_eᵀ` of edge `(src, dst)`: `z_e × ρ`. Panics if the edge has no
-    /// matrix (edge absent at generation time).
-    fn transposed(&self, src: NodeId, dst: NodeId) -> &WordMatrix {
-        self.transposed
+    /// All of `Cᵀ`: every edge's `C_eᵀ` stacked, `Σ_e z_e × ρ`.
+    pub(crate) fn stacked(&self) -> &WordMatrix {
+        &self.stacked
+    }
+
+    /// The rows of [`CodingScheme::stacked`] that are `C_eᵀ` of edge
+    /// `(src, dst)`. Panics if the edge has no matrix (edge absent at
+    /// generation time).
+    pub(crate) fn rows(&self, src: NodeId, dst: NodeId) -> Range<usize> {
+        self.rows
             .get(&(src, dst))
+            .cloned()
             // nab-lint: allow(NAB003): plan construction emits a matrix for every live edge
             .unwrap_or_else(|| panic!("no coding matrix for edge ({src}, {dst})"))
     }
@@ -119,17 +142,20 @@ impl CodingScheme {
     ///
     /// Panics if the edge has no matrix (edge absent at generation time).
     pub fn matrix(&self, src: NodeId, dst: NodeId) -> Matrix<Gf2_16> {
-        let ct = self.transposed(src, dst);
-        Matrix::from_fn(self.rho, ct.rows(), |r, c| ct.get(c, r))
+        let rows = self.rows(src, dst);
+        Matrix::from_fn(self.rho, rows.len(), |r, c| {
+            self.stacked.get(rows.start + c, r)
+        })
     }
 
     /// Encodes a value for transmission on edge `(src, dst)`:
     /// `Y_e = X C_e` computed per 16-bit column, flattened column-major —
     /// the one-value case of the slab product the equality phase runs.
     pub fn encode(&self, src: NodeId, dst: NodeId, value: &Value) -> Vec<Gf2_16> {
-        let (xt, _) = pack_slab(&[value], self.rho);
+        let mut xt = WordMatrix::default();
+        pack_slab(&[value], self.rho, &mut xt);
         let yt = self.encode_slab(src, dst, &xt);
-        wire_order(&yt, 0, yt.cols())
+        wire_order(&yt, 0..yt.rows(), 0, yt.cols())
     }
 
     /// Test oracle for the slab path: encodes pre-reshaped symbol columns
@@ -144,26 +170,31 @@ impl CodingScheme {
         out
     }
 
-    /// `Y_eᵀ = C_eᵀ · Xᵀ`, where `xt` is a `ρ × W` row-major slab whose
-    /// columns are value columns (from any number of instances/streams
-    /// packed side by side, see `pack_slab`): one
+    /// `Y_eᵀ = C_eᵀ · Xᵀ` for one edge, where `xt` is a `ρ × W` row-major
+    /// slab whose columns are value columns (from any number of
+    /// instances/streams packed side by side, see `pack_slab`): the
+    /// edge's rows of the stack times the slab, one
     /// [`WordMatrix::mat_mul`] with `W`-long rows. Entry `(r, c)` of the
     /// result is coded symbol `r` of packed column `c`, bit-identical to
-    /// [`CodingScheme::encode_cols`] on the same columns.
+    /// [`CodingScheme::encode_cols`] on the same columns. (The equality
+    /// phase multiplies the whole stack at once instead.)
     ///
     /// # Panics
     ///
     /// Panics if the edge has no matrix or `xt` has `!= ρ` rows.
     pub fn encode_slab(&self, src: NodeId, dst: NodeId, xt: &WordMatrix) -> WordMatrix {
         assert_eq!(xt.rows(), self.rho, "packed slab must have ρ rows");
-        self.transposed(src, dst).mat_mul(xt)
+        let rows = self.rows(src, dst);
+        WordMatrix::from_fn(rows.len(), self.rho, |r, c| {
+            self.stacked.get(rows.start + r, c).0
+        })
+        .mat_mul(xt)
     }
 
     /// Number of coded symbols [`CodingScheme::encode`] produces on an edge
     /// for a value of `s` symbols.
     pub fn encoded_len(&self, src: NodeId, dst: NodeId, s: usize) -> usize {
-        let z = self.transposed(src, dst).rows();
-        s.div_ceil(self.rho) * z
+        s.div_ceil(self.rho) * self.rows(src, dst).len()
     }
 
     /// Bits transmitted on the edge for a value of `s` symbols
@@ -190,16 +221,17 @@ impl CodingScheme {
     }
 }
 
-/// Packs the values one node holds (one per stream) into the `Xᵀ` operand
-/// of the slab product: a row-major `ρ × Σ_s cols_s` slab where symbol
-/// `j·ρ + r` of stream `s` lands at `(r, offsets[s] + j)`, zero-padded to
-/// whole columns — the layout of [`Value::reshape`], written straight from
-/// the symbols. Streams may hold **different lengths at the same node** (a
-/// length-tampering adversary grows or shrinks a forwarded block), which is
-/// why each stream gets a cumulative offset instead of a uniform stride.
-/// Returns the slab plus the `streams + 1` column offsets
+/// Packs the values one node holds (one per stream) into `xt`, the `Xᵀ`
+/// operand of the slab product: a row-major `ρ × Σ_s cols_s` slab where
+/// symbol `j·ρ + r` of stream `s` lands at `(r, offsets[s] + j)`,
+/// zero-padded to whole columns — the layout of [`Value::reshape`], written
+/// straight from the symbols. Whatever `xt` held is overwritten; its
+/// allocation is kept. Streams may hold **different lengths at the same
+/// node** (a length-tampering adversary grows or shrinks a forwarded
+/// block), which is why each stream gets a cumulative offset instead of a
+/// uniform stride. Returns the `streams + 1` column offsets
 /// (`offsets[s]..offsets[s + 1]` is stream `s`'s span).
-pub(crate) fn pack_slab(values: &[&Value], rho: usize) -> (WordMatrix, Vec<usize>) {
+pub(crate) fn pack_slab(values: &[&Value], rho: usize, xt: &mut WordMatrix) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(values.len() + 1);
     let mut width = 0usize;
     offsets.push(width);
@@ -211,7 +243,7 @@ pub(crate) fn pack_slab(values: &[&Value], rho: usize) -> (WordMatrix, Vec<usize
     // non-monotonic table would silently interleave streams.
     #[cfg(feature = "sanitize")]
     crate::detsan::check_offsets_monotonic(&offsets);
-    let mut xt = WordMatrix::zero(rho, width);
+    xt.reset(rho, width);
     let slab = xt.as_mut_slice();
     for (v, &start) in values.iter().zip(&offsets) {
         for (j, col) in v.symbols().chunks(rho).enumerate() {
@@ -220,18 +252,23 @@ pub(crate) fn pack_slab(values: &[&Value], rho: usize) -> (WordMatrix, Vec<usize
             }
         }
     }
-    (xt, offsets)
+    offsets
 }
 
-/// One stream's coded symbols (slab columns `start..start + cols`) of a
-/// `Yᵀ = C_eᵀ · Xᵀ` product in the order they go on the wire, column-major
-/// like [`CodingScheme::encode_cols`]: symbol `j·z + r` is
-/// `Yᵀ(r, start + j)`.
-pub(crate) fn wire_order(yt: &WordMatrix, start: usize, cols: usize) -> Vec<Gf2_16> {
-    let z = yt.rows();
+/// One stream's coded symbols on one edge — rows `rows`, columns
+/// `start..start + cols` of a `Yᵀ = Cᵀ · Xᵀ` product — in the order they go
+/// on the wire, column-major like [`CodingScheme::encode_cols`]: with
+/// `z = rows.len()`, symbol `j·z + r` is `Yᵀ(rows.start + r, start + j)`.
+pub(crate) fn wire_order(
+    yt: &WordMatrix,
+    rows: Range<usize>,
+    start: usize,
+    cols: usize,
+) -> Vec<Gf2_16> {
+    let z = rows.len();
     let mut out = vec![Gf2_16::ZERO; cols * z];
-    for r in 0..z {
-        for (j, &sym) in yt.row(r)[start..start + cols].iter().enumerate() {
+    for (r, row) in rows.enumerate() {
+        for (j, &sym) in yt.row(row)[start..start + cols].iter().enumerate() {
             out[j * z + r] = sym;
         }
     }
@@ -441,13 +478,14 @@ mod tests {
             .iter()
             .map(|&len| Value::random(len, &mut rng))
             .collect();
-        let (xt, offsets) = pack_slab(&vals.iter().collect::<Vec<_>>(), 2);
+        let mut xt = WordMatrix::default();
+        let offsets = pack_slab(&vals.iter().collect::<Vec<_>>(), 2, &mut xt);
         assert_eq!(offsets, [0, 3, 6, 11]);
         let yt = scheme.encode_slab(0, 1, &xt);
         assert_eq!(yt.rows(), scheme.matrix(0, 1).cols());
         for (s, v) in vals.iter().enumerate() {
             let expect = scheme.encode_cols(0, 1, &v.reshape(2));
-            let got = wire_order(&yt, offsets[s], offsets[s + 1] - offsets[s]);
+            let got = wire_order(&yt, 0..yt.rows(), offsets[s], offsets[s + 1] - offsets[s]);
             assert_eq!(got, expect, "stream {s}");
         }
     }

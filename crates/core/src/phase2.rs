@@ -2,6 +2,7 @@
 //! and Byzantine broadcast of the 1-bit flags (step 2.2).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use nab_bb::eig::{run_eig, EigChannel, HonestAdversary};
@@ -21,11 +22,13 @@ use crate::value::{Value, SYMBOL_BITS};
 /// What one stream put on one edge.
 #[derive(Debug, Clone)]
 enum Sent {
-    /// The prescribed coded symbols, left in slab form: columns
-    /// `start..start + cols` of a `Yᵀ = C_eᵀ · Xᵀ` product that every
-    /// stream of the call shares.
+    /// The prescribed coded symbols, left in slab form: rows `rows`,
+    /// columns `start..start + cols` of the `Yᵀ = Cᵀ · Xᵀ` product of the
+    /// sender's value class, which every edge and stream of the call
+    /// shares.
     Coded {
         yt: Arc<WordMatrix>,
+        rows: Range<usize>,
         start: usize,
         cols: usize,
     },
@@ -36,14 +39,19 @@ enum Sent {
 impl Sent {
     fn len(&self) -> usize {
         match self {
-            Sent::Coded { yt, cols, .. } => cols * yt.rows(),
+            Sent::Coded { rows, cols, .. } => cols * rows.len(),
             Sent::Substituted(symbols) => symbols.len(),
         }
     }
 
     fn symbols(&self) -> Vec<Gf2_16> {
         match self {
-            Sent::Coded { yt, start, cols } => wire_order(yt, *start, *cols),
+            Sent::Coded {
+                yt,
+                rows,
+                start,
+                cols,
+            } => wire_order(yt, rows.clone(), *start, *cols),
             Sent::Substituted(symbols) => symbols.clone(),
         }
     }
@@ -81,17 +89,66 @@ impl EqOutcome {
 }
 
 /// Nodes whose values are equal in every stream: they share one packed
-/// `Xᵀ` slab, hence one product per edge.
+/// `Xᵀ` slab (in the scratch), hence one product.
 struct ValueClass<'a> {
     held: Vec<&'a Value>,
-    slab: WordMatrix,
     offsets: Vec<usize>,
+    /// The row ranges of the scheme's stacked `Cᵀ` this class multiplies,
+    /// in the order they stack in its product.
+    coding_rows: Vec<Range<usize>>,
+    /// Rows of the product so far.
+    height: usize,
+}
+
+impl ValueClass<'_> {
+    /// Adds an edge's rows of `Cᵀ` to this class's stack; returns where
+    /// they land in its product.
+    fn stack(&mut self, coding_rows: Range<usize>) -> Range<usize> {
+        let at = self.height;
+        self.height += coding_rows.len();
+        self.coding_rows.push(coding_rows);
+        at..self.height
+    }
+}
+
+/// The equality check's working memory. An engine keeps one across its
+/// instances, so from the second instance on the phase allocates nothing
+/// proportional to `L`: every buffer is rewritten in place once the
+/// previous call's [`EqOutcome`]s — which share the products — are gone.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EqScratch {
+    classes: Vec<ClassBuffers>,
+}
+
+/// One value class's buffers.
+#[derive(Debug, Clone, Default)]
+struct ClassBuffers {
+    /// The packed `Xᵀ`.
+    slab: WordMatrix,
+    /// The class's rows of `Cᵀ`, gathered — unused while the class
+    /// multiplies the scheme's whole matrix.
+    coding: WordMatrix,
+    /// `Yᵀ = Cᵀ · Xᵀ`.
+    product: Arc<WordMatrix>,
+}
+
+impl EqScratch {
+    /// Where each class's slab and product live, to tell reuse from
+    /// reallocation.
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> Vec<[*const Gf2_16; 2]> {
+        let at = |m: &WordMatrix| m.as_slice().as_ptr();
+        self.classes
+            .iter()
+            .map(|c| [at(&c.slab), at(&c.product)])
+            .collect()
+    }
 }
 
 /// The equality check on `gk`: one execution of Algorithm 1 per stream,
 /// all sharing the same coding scheme (streams at the same instance index
 /// use identical per-edge matrices), evaluated as **one slab product per
-/// distinct value per edge** instead of per-column vector products.
+/// distinct value** instead of per-edge, per-column vector products.
 ///
 /// Links are reliable, so the receiver's view of an edge equals the
 /// sender's transmission; the phase is evaluated directly on the ground
@@ -100,19 +157,26 @@ struct ValueClass<'a> {
 ///
 /// Nodes holding equal values in every stream form a class with one
 /// packed slab `Xᵀ` (every stream's value columns side by side, at
-/// cumulative offsets since tampered values may differ in length). Per
-/// edge `e`, the sender's class is multiplied once, `Y_eᵀ = C_eᵀ · Xᵀ`.
-/// When the receiver is in the same class its expectation *is* that
-/// product: a fault-free sender then transmits exactly what the receiver
-/// expects and no second multiply or compare is needed, while a faulty
-/// sender's [`NabAdversary::equality_symbols`] output is still compared
-/// against it. Across classes the receiver's slab is multiplied too and
-/// the two sides compared per stream, each with its own offsets, so a
-/// length mismatch fails the compare exactly like
-/// [`CodingScheme::check_cols`]. Per stream the flags equal
-/// [`crate::equality::equality_check_flags`] and the sends equal
-/// [`CodingScheme::encode_cols`] (`GF(2^16)` addition is exact XOR, so
-/// any grouping of the same multiply-accumulates produces the same
+/// cumulative offsets since tampered values may differ in length), and
+/// each class is multiplied once, `Yᵀ = Cᵀ · Xᵀ`, by the rows of the
+/// scheme's stacked coding matrix it needs: those of every edge whose
+/// sender is in the class and, for an edge that crosses classes, the
+/// same rows again in the receiver's class. Fault-free, there is one
+/// class and `Cᵀ` is the scheme's matrix as it stands. (This entry point
+/// allocates slabs and products afresh; an engine keeps them from one
+/// instance to the next.)
+///
+/// Per edge, the transmission is a (row range, column range) view into
+/// the sender's product. When the receiver is in the same class its
+/// expectation *is* that view: a fault-free sender then transmits exactly
+/// what the receiver expects and no second multiply or compare is needed,
+/// while a faulty sender's [`NabAdversary::equality_symbols`] output is
+/// still compared against it. Across classes the two sides' views are
+/// compared per stream, each with its own offsets, so a length mismatch
+/// fails the compare exactly like [`CodingScheme::check_cols`]. Per stream
+/// the flags equal [`crate::equality::equality_check_flags`] and the sends
+/// equal [`CodingScheme::encode_cols`] (`GF(2^16)` addition is exact XOR,
+/// so any grouping of the same multiply-accumulates produces the same
 /// symbols), which the differential proptests pin.
 ///
 /// # Panics
@@ -126,8 +190,22 @@ pub fn run_equality_phase_batched(
     faulty: &BTreeSet<NodeId>,
     advs: &mut [&mut dyn NabAdversary],
 ) -> Vec<EqOutcome> {
+    run_equality_phase(gk, values, scheme, faulty, advs, &mut EqScratch::default())
+}
+
+/// [`run_equality_phase_batched`] in the caller's `scratch`, whose buffers
+/// it rewrites in place.
+pub(crate) fn run_equality_phase(
+    gk: &DiGraph,
+    values: &[&BTreeMap<NodeId, Value>],
+    scheme: &CodingScheme,
+    faulty: &BTreeSet<NodeId>,
+    advs: &mut [&mut dyn NabAdversary],
+    scratch: &mut EqScratch,
+) -> Vec<EqOutcome> {
     assert_eq!(values.len(), advs.len(), "one adversary per stream");
     let streams = values.len();
+    let rho = scheme.rho();
 
     let mut classes: Vec<ValueClass> = Vec::new();
     let mut class_of: BTreeMap<NodeId, usize> = BTreeMap::new();
@@ -137,15 +215,61 @@ pub fn run_equality_phase_batched(
             .iter()
             .position(|c| c.held == held)
             .unwrap_or_else(|| {
-                let (slab, offsets) = pack_slab(&held, scheme.rho());
+                let class = classes.len();
+                if scratch.classes.len() == class {
+                    scratch.classes.push(ClassBuffers::default());
+                }
+                let offsets = pack_slab(&held, rho, &mut scratch.classes[class].slab);
                 classes.push(ValueClass {
                     held,
-                    slab,
                     offsets,
+                    coding_rows: Vec::new(),
+                    height: 0,
                 });
-                classes.len() - 1
+                class
             });
         class_of.insert(v, class);
+    }
+
+    // Per edge, where its transmission and its receiver's expectation sit
+    // in their classes' products.
+    let edges: Vec<_> = gk
+        .edges()
+        .map(|(_, e)| {
+            let (sender, receiver) = (class_of[&e.src], class_of[&e.dst]);
+            let coding_rows = scheme.rows(e.src, e.dst);
+            let sent = classes[sender].stack(coding_rows.clone());
+            let expected = if sender == receiver {
+                sent.clone()
+            } else {
+                classes[receiver].stack(coding_rows)
+            };
+            (e, [sender, receiver], sent, expected)
+        })
+        .collect();
+
+    for (class, buffers) in classes.iter().zip(&mut scratch.classes) {
+        let whole = scheme.stacked();
+        let in_order = class
+            .coding_rows
+            .iter()
+            .try_fold(0, |at, rows| (rows.start == at).then_some(rows.end));
+        let coding = if in_order == Some(whole.rows()) {
+            whole
+        } else {
+            buffers.coding.reset(class.height, rho);
+            let gathered = buffers.coding.as_mut_slice().chunks_exact_mut(rho);
+            let needed = class.coding_rows.iter().flat_map(|rows| rows.clone());
+            for (row, from) in gathered.zip(needed) {
+                row.copy_from_slice(whole.row(from));
+            }
+            &buffers.coding
+        };
+        // Rewrite the last call's product where it lies unless an
+        // `EqOutcome` of that call is still alive and reading it.
+        let mut product = Arc::try_unwrap(std::mem::take(&mut buffers.product)).unwrap_or_default();
+        coding.mat_mul_into(&buffers.slab, &mut product);
+        buffers.product = Arc::new(product);
     }
 
     let mut outcomes: Vec<EqOutcome> = (0..streams)
@@ -157,37 +281,37 @@ pub fn run_equality_phase_batched(
         .collect();
     let (mut multiplies, mut expectations_shared) = (0u32, 0u32);
 
-    for (_, e) in gk.edges() {
-        let (sender, receiver) = (&classes[class_of[&e.src]], &classes[class_of[&e.dst]]);
-        let shared = class_of[&e.src] == class_of[&e.dst];
-        let ys = Arc::new(scheme.encode_slab(e.src, e.dst, &sender.slab));
-        let yd = if shared {
-            Arc::clone(&ys)
-        } else {
-            Arc::new(scheme.encode_slab(e.src, e.dst, &receiver.slab))
-        };
+    for (e, [sender, receiver], sent_rows, expected_rows) in edges {
+        let shared = sender == receiver;
+        let (ys, yd) = (
+            &scratch.classes[sender].product,
+            &scratch.classes[receiver].product,
+        );
+        let (sender, receiver) = (&classes[sender], &classes[receiver]);
         multiplies += if shared { 1 } else { 2 };
         expectations_shared += u32::from(shared);
         let sender_faulty = faulty.contains(&e.src);
         for (s, out) in outcomes.iter_mut().enumerate() {
             let (start, cols) = (sender.offsets[s], sender.offsets[s + 1] - sender.offsets[s]);
+            let sent = || wire_order(ys, sent_rows.clone(), start, cols);
             let expected = || {
                 let start = receiver.offsets[s];
-                wire_order(&yd, start, receiver.offsets[s + 1] - start)
+                let cols = receiver.offsets[s + 1] - start;
+                wire_order(yd, expected_rows.clone(), start, cols)
             };
             let sent = if sender_faulty {
-                let honest = wire_order(&ys, start, cols);
-                let symbols = advs[s].equality_symbols(e.src, e.dst, &honest);
+                let symbols = advs[s].equality_symbols(e.src, e.dst, &sent());
                 if symbols != expected() {
                     out.flags.insert(e.dst, true);
                 }
                 Sent::Substituted(symbols)
             } else {
-                if !shared && wire_order(&ys, start, cols) != expected() {
+                if !shared && sent() != expected() {
                     out.flags.insert(e.dst, true);
                 }
                 Sent::Coded {
-                    yt: Arc::clone(&ys),
+                    yt: Arc::clone(ys),
+                    rows: sent_rows.clone(),
                     start,
                     cols,
                 }
@@ -726,6 +850,61 @@ mod tests {
         }
         // K4: the deviant's three neighbours are everyone else.
         assert!(eqs.iter().all(|eq| eq.flags.values().all(|&f| f)));
+    }
+
+    /// Four value classes in one call on unequal capacities — what an
+    /// equivocating source (nodes 1 and 2 received different values in
+    /// stream 0) plus a length-tampering relay (node 3 holds a longer
+    /// value in stream 1) leave behind, the two streams of unequal
+    /// lengths. Every edge between classes has its rows in two products
+    /// at different row offsets, and none of the classes multiplies the
+    /// scheme's matrix as it stands; the wide streams take the vector
+    /// kernel, the narrow ones the scalar loop.
+    #[test]
+    fn stacked_products_match_the_column_oracle_where_the_stacks_differ() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x57AC);
+        let g = gen::complete_heterogeneous(5, 1, 3, &mut rng);
+        let rho = 3;
+        let scheme = CodingScheme::random(&g, rho, 29);
+        for (len0, len1) in [(12, 7), (400, 333)] {
+            let (a, b) = (Value::random(len0, &mut rng), Value::random(len1, &mut rng));
+            let mut stream0: BTreeMap<NodeId, Value> = (0..5).map(|n| (n, a.clone())).collect();
+            stream0.insert(1, a.corrupt_symbol(0, 1));
+            stream0.insert(2, a.corrupt_symbol(len0 - 1, 5));
+            let mut stream1: BTreeMap<NodeId, Value> = (0..5).map(|n| (n, b.clone())).collect();
+            let mut longer = b.symbols().to_vec();
+            longer.extend([Gf2_16(7), Gf2_16(0), Gf2_16(9), Gf2_16(1)]);
+            stream1.insert(3, Value::from_symbols(longer));
+
+            let (eqs, (multiplies, shared)) = equality_with_counts(
+                &g,
+                &[&stream0, &stream1],
+                &scheme,
+                &BTreeSet::new(),
+                &mut [&mut HonestStrategy, &mut HonestStrategy],
+            );
+            // Classes {0, 4}, {1}, {2}, {3}: only 0→4 and 4→0 share.
+            assert_eq!((multiplies, shared), (2 * 20 - 2, 2));
+            for (eq, values) in eqs.iter().zip([&stream0, &stream1]) {
+                let oracle = crate::equality::equality_check_flags(
+                    &g,
+                    values,
+                    &scheme,
+                    &mut crate::equality::no_tamper,
+                );
+                assert_eq!(eq.flags, oracle);
+                let sends = eq.sends();
+                assert_eq!(sends.len(), 20);
+                for ((src, dst), symbols) in sends {
+                    let want = scheme.encode_cols(src, dst, &values[&src].reshape(rho));
+                    assert_eq!(
+                        symbols, want,
+                        "edge ({src}, {dst}) at lengths {len0}/{len1}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

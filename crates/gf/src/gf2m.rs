@@ -274,8 +274,9 @@ impl Field for Gf2_16 {
 /// Log-domain fused row kernel for `GF(2^16)`: `dst[i] ^= s · src[i]`
 /// with the scalar's discrete log hoisted out of the loop. The
 /// [`crate::simd`] GEMM runs it on rows under
-/// [`crate::simd::SIMD_THRESHOLD`], on the columns past the last whole
-/// vector block, and for every column on the portable tier.
+/// [`crate::simd::SIMD_THRESHOLD`], on the columns past the `avx2`
+/// tier's last whole vector block, and for every column on the portable
+/// tier.
 ///
 /// Caller guarantees `s != 0` and equal slice lengths.
 pub(crate) fn mul_row_add_log16(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) {

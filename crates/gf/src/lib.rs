@@ -13,9 +13,9 @@
 //! - [`words`] — row-major word-slab storage ([`words::WordMatrix`]): the
 //!   slab product of the equality check,
 //! - [`simd`] — the runtime-detected arch-SIMD GEMM micro-kernel behind
-//!   [`words::WordMatrix::mat_mul`] (nibble-split PSHUFB tables via
-//!   SSSE3/AVX2 intrinsics; a log-domain loop elsewhere, identical in
-//!   results),
+//!   [`words::WordMatrix::mat_mul`] (`GF2P8AFFINEQB` bit-matrices on
+//!   GFNI + AVX-512 CPUs, nibble-split `PSHUFB` tables on AVX2 ones; a
+//!   log-domain loop elsewhere, identical in results),
 //! - [`kernel`] — the row kernel `dst += s · src` ([`kernel::FastOps`]),
 //!   for `Gf2_16` the micro-kernel's 1×1 case.
 //!

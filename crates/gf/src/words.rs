@@ -1,8 +1,8 @@
 //! Row-major `GF(2^16)` word-slab linear algebra.
 //!
 //! The equality check packs the value-columns of many broadcast
-//! instances/streams into one flat slab so per-edge encode/check becomes a
-//! single matrix multiply over long contiguous rows — the shape the
+//! instances/streams into one flat slab so encode/check on every edge
+//! becomes a single matrix multiply over long contiguous rows — the shape the
 //! arch-SIMD GEMM micro-kernel ([`crate::simd`]) is built for. Rows are
 //! contiguous `Gf2_16` (repr(transparent) over `u16`), so products run on
 //! whichever kernel tier the process detected.
@@ -26,7 +26,7 @@ use crate::simd::gf2_16_gemm_acc;
 /// let a = WordMatrix::from_fn(3, 3, |r, c| (r * 3 + c) as u16);
 /// assert_eq!(i.mat_mul(&a), a);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 pub struct WordMatrix {
     rows: usize,
     cols: usize,
@@ -36,14 +36,24 @@ pub struct WordMatrix {
 impl WordMatrix {
     /// The all-zero `rows × cols` matrix.
     pub fn zero(rows: usize, cols: usize) -> Self {
+        let mut m = Self::default();
+        m.reset(rows, cols);
+        m
+    }
+
+    /// Makes `self` the all-zero `rows × cols` matrix, keeping its
+    /// allocation when that is large enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
         let len = rows
             .checked_mul(cols)
             .expect("WordMatrix dimensions overflow usize"); // nab-lint: allow(NAB003): dimension overflow is unrecoverable misuse; documented panic
-        WordMatrix {
-            rows,
-            cols,
-            data: vec![Gf2_16(0); len],
-        }
+        (self.rows, self.cols) = (rows, cols);
+        self.data.clear();
+        self.data.resize(len, Gf2_16(0));
     }
 
     /// The `n × n` identity matrix.
@@ -155,21 +165,34 @@ impl WordMatrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix multiplication `self * rhs` as one `GF(2^16)` GEMM: nibble
-    /// tables built once per coefficient of `self`, up to four output rows
-    /// accumulated in registers per pass over `rhs`. Bit-identical to
-    /// [`Matrix::mul`].
+    /// Matrix multiplication `self * rhs` as one `GF(2^16)` GEMM: the
+    /// kernel tier's tables built once per coefficient of `self`, up to
+    /// four output rows accumulated in registers per pass over `rhs`.
+    /// Bit-identical to [`Matrix::mul`].
     ///
     /// # Panics
     ///
     /// Panics unless `self.cols() == rhs.rows()`.
     pub fn mat_mul(&self, rhs: &WordMatrix) -> WordMatrix {
+        let mut out = Self::default();
+        self.mat_mul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`WordMatrix::mat_mul`] into a caller-owned matrix: `out` becomes
+    /// `self * rhs` whatever it held (any shape), and allocates only when
+    /// its buffer is smaller than the product.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self.cols() == rhs.rows()`.
+    pub fn mat_mul_into(&self, rhs: &WordMatrix, out: &mut WordMatrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "mat_mul dim mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Self::zero(self.rows, rhs.cols);
+        out.reset(self.rows, rhs.cols);
         gf2_16_gemm_acc(
             &mut out.data,
             &self.data,
@@ -178,7 +201,6 @@ impl WordMatrix {
             self.cols,
             rhs.cols,
         );
-        out
     }
 
     /// Row-vector × matrix product `v * self` (the Algorithm-1 encode

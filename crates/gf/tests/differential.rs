@@ -81,6 +81,26 @@ proptest! {
         );
     }
 
+    /// `mat_mul_into` owns nothing of what the buffer held: a dirty
+    /// product of a *different* earlier shape (smaller or larger, so the
+    /// buffer is both grown and reused) must not leak into the result.
+    #[test]
+    fn word_mat_mul_into_a_dirty_buffer_matches_matrix(
+        r in 1usize..8, k in 1usize..8,
+        c in (any::<bool>(), 1usize..12).prop_map(|(wide, c)| if wide { 1018 + c } else { c }),
+        prev_rows in 0usize..12, prev_cols in 0usize..300,
+        seed in any::<u64>(),
+    ) {
+        let a = word_mat(r, k, seed);
+        let b = word_mat(k, c, seed ^ 0xC0DE);
+        let mut out = word_mat(prev_rows, prev_cols, seed ^ 0xD127);
+        for _ in 0..2 {
+            a.mat_mul_into(&b, &mut out);
+            prop_assert_eq!((out.rows(), out.cols()), (r, c));
+            prop_assert_eq!(out.to_matrix(), a.to_matrix().mul(&b.to_matrix()));
+        }
+    }
+
     #[test]
     fn word_left_mul_vec_matches_matrix(
         r in 1usize..12, c in 1usize..12,

@@ -81,7 +81,7 @@ pub enum EventKind {
     SweepStart {
         /// Total number of jobs in the sweep grid.
         jobs: u64,
-        /// GF kernel tier selected at runtime (`avx2`, `ssse3`,
+        /// GF kernel tier selected at runtime (`gfni`, `avx2`,
         /// `portable`) — machine-dependent; trace comparisons normalize
         /// it away.
         tier: &'static str,
