@@ -466,6 +466,39 @@ mod tests {
         assert_matches_oracle(input, || HonestAdversary);
     }
 
+    /// With relays that follow the protocol, who is faulty is invisible:
+    /// for every source and every faulty set of the grid, the decisions,
+    /// the message count and the wire log equal those of the fault-free
+    /// run — which is why `Broadcast_Default` need not be told the set.
+    #[test]
+    fn honest_relays_make_the_faulty_set_irrelevant() {
+        for n in 4..=7 {
+            for f in (1..=2).filter(|&f| n > 3 * f) {
+                let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
+                for &source in &parts {
+                    let run = |faulty: &BTreeSet<NodeId>| {
+                        let mut tap = Tap::default();
+                        let res = run_eig(
+                            &parts,
+                            source,
+                            f,
+                            "v".to_string(),
+                            faulty,
+                            &mut HonestAdversary,
+                            &mut tap,
+                            5,
+                        );
+                        (res.decisions, res.messages, tap.0)
+                    };
+                    let clean = run(&BTreeSet::new());
+                    for faulty in faulty_sets(n, f) {
+                        assert_eq!(run(&faulty), clean, "n={n} f={f} {source} {faulty:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn relay_order_is_participant_order() {
         // K7, f = 2, source 0: after the source's 6 sends and the level-1

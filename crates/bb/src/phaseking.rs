@@ -372,6 +372,39 @@ mod tests {
         }
     }
 
+    /// [`PkHonest`] relays make the faulty set invisible: on every grid
+    /// point with `n > 4f`, every source and every faulty set give the
+    /// fault-free run's decisions, message count and wire log.
+    #[test]
+    fn honest_relays_make_the_faulty_set_irrelevant() {
+        use crate::eig::{faulty_sets, Tap};
+        for n in 4..=7 {
+            for f in (1..=2).filter(|&f| n > 4 * f) {
+                let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
+                for &source in &parts {
+                    let run = |faulty: &BTreeSet<NodeId>| {
+                        let mut tap = Tap::default();
+                        let res = run_phase_king(
+                            &parts,
+                            source,
+                            f,
+                            6u64,
+                            faulty,
+                            &mut PkHonest,
+                            &mut tap,
+                            5,
+                        );
+                        (res.decisions, res.messages, tap.0)
+                    };
+                    let clean = run(&BTreeSet::new());
+                    for faulty in faulty_sets(n, f) {
+                        assert_eq!(run(&faulty), clean, "n={n} f={f} {source} {faulty:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn validity_fault_free() {
         let parts: Vec<NodeId> = (0..5).collect();

@@ -14,14 +14,13 @@
 //! pivots, so it is enough that every pivot has `2f + 1` disjoint paths to
 //! and from every other node — `2(2f+1)(n−1)` capped flows on two split
 //! networks built once (lemma and proof in that module's docs). Paths are
-//! then extracted per pair on first use; Menger's theorem says they exist.
+//! then extracted per pair on first use (Menger's theorem says they
+//! exist), all on one reused split network, into a per-source table that
+//! later unicasts read without a lock.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-use nab_netgraph::connectivity::{
-    strongly_connected, vertex_connectivity_at_least, vertex_disjoint_paths,
-};
+use nab_netgraph::connectivity::{strongly_connected, vertex_connectivity_at_least, PathExtractor};
 use nab_netgraph::{DiGraph, NodeId};
 use nab_sim::SendError;
 
@@ -30,8 +29,9 @@ use crate::eig::EigChannel;
 /// Errors surfaced by the fallible routing entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouterError {
-    /// The pair has no `2f+1` disjoint paths — the node was removed after
-    /// [`PathRouter::build`] proved connectivity, or never existed.
+    /// The pair has no `2f+1` disjoint paths: `src == dst`, or a node was
+    /// removed after [`PathRouter::build`] proved connectivity, or never
+    /// existed.
     Unroutable {
         /// Requested source.
         src: NodeId,
@@ -74,7 +74,7 @@ impl From<SendError> for RouterError {
 #[derive(Debug)]
 struct PairRoute {
     /// The `2f + 1` internally-vertex-disjoint paths, each `src, …, dst`.
-    paths: Arc<Vec<Vec<NodeId>>>,
+    paths: Vec<Vec<NodeId>>,
     /// The smallest capacity among each hop round's links, in delivery
     /// order. The network is a simple graph and the paths are internally
     /// vertex-disjoint, so each link of a round carries exactly one copy and
@@ -83,39 +83,36 @@ struct PairRoute {
     min_caps: Vec<u64>,
 }
 
-/// Memoized routes per ordered `(src, dst)` pair.
-type PairRoutes = BTreeMap<(NodeId, NodeId), Arc<PairRoute>>;
+/// One source's routes, indexed by target id.
+type Row = Box<[OnceLock<PairRoute>]>;
+
+/// `n` empty write-once cells.
+fn slots<T>(n: usize) -> Box<[OnceLock<T>]> {
+    (0..n).map(|_| OnceLock::new()).collect()
+}
 
 /// Routes logical unicasts over vertex-disjoint path systems, computed
 /// lazily per ordered pair.
 ///
 /// [`PathRouter::build`] only proves the `2f+1`-connectivity precondition
 /// (so path existence is guaranteed by Menger's theorem) and each pair's
-/// route is extracted on first use, memoized behind a lock. The extraction
-/// is deterministic per pair, so lazy evaluation is invisible to results
-/// regardless of which thread routes a pair first.
+/// route is extracted on first use into a dense table: one row per source,
+/// allocated on the first route from it, one write-once cell per target. A
+/// routed unicast reads its cell with no lock, map lookup or refcount; a
+/// first use extracts on the router's one split network under a mutex. The
+/// extraction is deterministic per pair, so lazy evaluation is invisible
+/// to results regardless of which thread routes a pair first.
 #[derive(Debug)]
 pub struct PathRouter {
     g: DiGraph,
-    routes: RwLock<PairRoutes>,
+    /// The table (a slot per source id) and the extractor are made on the
+    /// first route: a router that is only a connectivity proof — a plan
+    /// nobody broadcasts on — allocates neither and stays small. (Slots
+    /// allocated at build time, or the extractor held inline, each raised
+    /// a planning-only run's peak RSS by ≈ 0.2–0.3 MB.)
+    rows: OnceLock<Box<[OnceLock<Row>]>>,
+    extractor: Mutex<Option<Box<PathExtractor>>>,
     copies: usize,
-}
-
-impl Clone for PathRouter {
-    fn clone(&self) -> Self {
-        // Poison-tolerant: the memo only ever holds fully-constructed
-        // `Arc` entries, so a panicked writer cannot leave torn state.
-        let routes = self
-            .routes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        PathRouter {
-            g: self.g.clone(),
-            routes: RwLock::new(routes),
-            copies: self.copies,
-        }
-    }
 }
 
 /// A payload in flight along one path: the logical value plus routing
@@ -242,7 +239,8 @@ impl PathRouter {
         };
         routable.then(|| PathRouter {
             g: g.clone(),
-            routes: RwLock::new(BTreeMap::new()),
+            rows: OnceLock::new(),
+            extractor: Mutex::new(None),
             copies,
         })
     }
@@ -252,21 +250,48 @@ impl PathRouter {
         self.copies
     }
 
-    /// The route of the ordered pair, computing and memoizing it on first
-    /// use.
-    fn route(&self, s: NodeId, t: NodeId) -> Result<Arc<PairRoute>, RouterError> {
-        // Lock access is poison-tolerant: the memo map only ever holds
-        // fully-constructed entries (`or_insert` of a finished `Arc`), so a
-        // panicked holder cannot have left it torn.
-        if let Some(r) = self
-            .routes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&(s, t))
-        {
-            return Ok(Arc::clone(r));
+    /// How many pairs' path systems have been extracted so far — the
+    /// planning work routing has done on first use. Every routed pair is
+    /// extracted exactly once, so this is the number of distinct pairs
+    /// routed, whichever threads routed them.
+    pub fn routes_extracted(&self) -> u64 {
+        let rows = self.rows.get().into_iter().flatten();
+        rows.filter_map(OnceLock::get)
+            .flat_map(|row| row.iter().filter(|cell| cell.get().is_some()))
+            .count() as u64
+    }
+
+    /// The route of the ordered pair, extracting it on first use.
+    fn route(&self, s: NodeId, t: NodeId) -> Result<&PairRoute, RouterError> {
+        let row = self.rows.get().and_then(|rows| rows.get(s)?.get());
+        match row.and_then(|row| row.get(t)?.get()) {
+            Some(route) => Ok(route),
+            None => self.extract(s, t),
         }
-        let paths = vertex_disjoint_paths(&self.g, s, t, self.copies)
+    }
+
+    /// A route's first use: extracts the pair's paths on the shared split
+    /// network and fills its cell. An inactive endpoint has no paths.
+    #[cold]
+    fn extract(&self, s: NodeId, t: NodeId) -> Result<&PairRoute, RouterError> {
+        let n = self.g.node_count();
+        if s == t || s >= n || t >= n {
+            return Err(RouterError::Unroutable { src: s, dst: t });
+        }
+        let row = self.rows.get_or_init(|| slots(n))[s].get_or_init(|| slots(n));
+        // Poison-tolerant: every extraction starts from a reset network,
+        // so a panicked holder cannot leave state the next one reads.
+        let mut extractor = self
+            .extractor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Another thread may have extracted the pair while this one waited.
+        if let Some(route) = row[t].get() {
+            return Ok(route);
+        }
+        let paths = extractor
+            .get_or_insert_with(|| Box::new(PathExtractor::new(&self.g)))
+            .extract(s, t, self.copies)
             .ok_or(RouterError::Unroutable { src: s, dst: t })?;
         let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
         let mut min_caps = vec![u64::MAX; max_hops];
@@ -280,37 +305,26 @@ impl PathRouter {
                 *min_cap = (*min_cap).min(e.cap);
             }
         }
-        let route = Arc::new(PairRoute {
-            paths: Arc::new(paths),
-            min_caps,
-        });
-        let mut map = self.routes.write().unwrap_or_else(PoisonError::into_inner);
-        // Another thread may have raced us here; keep the first entry so
-        // every caller shares one allocation (both computations are
-        // identical anyway — extraction is deterministic).
-        Ok(Arc::clone(map.entry((s, t)).or_insert(route)))
+        Ok(row[t].get_or_init(|| PairRoute { paths, min_caps }))
     }
 
     /// The disjoint paths used for the ordered pair, computing and
     /// memoizing them on first use.
     ///
-    /// Returns [`RouterError::Unroutable`] if the pair cannot be routed
-    /// (inactive node) — impossible while the graph that passed
+    /// Returns [`RouterError::Unroutable`] if the pair cannot be routed:
+    /// `s == t`, an id outside the graph, or an inactive node. Otherwise
+    /// routing cannot fail while the graph that passed
     /// [`PathRouter::build`] is intact, by Menger's theorem.
-    pub fn try_paths_for(
-        &self,
-        s: NodeId,
-        t: NodeId,
-    ) -> Result<Arc<Vec<Vec<NodeId>>>, RouterError> {
-        Ok(Arc::clone(&self.route(s, t)?.paths))
+    pub fn try_paths_for(&self, s: NodeId, t: NodeId) -> Result<&[Vec<NodeId>], RouterError> {
+        Ok(&self.route(s, t)?.paths)
     }
 
     /// Infallible convenience over [`PathRouter::try_paths_for`].
     ///
     /// # Panics
     ///
-    /// Panics if the pair cannot be routed (inactive node).
-    pub fn paths_for(&self, s: NodeId, t: NodeId) -> Arc<Vec<Vec<NodeId>>> {
+    /// Panics if the pair cannot be routed.
+    pub fn paths_for(&self, s: NodeId, t: NodeId) -> &[Vec<NodeId>] {
         self.try_paths_for(s, t)
             // nab-lint: allow(NAB003): documented panicking convenience; fallible callers use try_paths_for
             .expect("connectivity was proven at build time")
@@ -323,6 +337,9 @@ impl PathRouter {
     /// costs is a function of the pair's route and `bits` alone. Each hop
     /// round is handed to `sink` in delivery order; the formula clock adds
     /// the same f64s the message-level simulation does.
+    ///
+    /// Fails with [`RouterError::Unroutable`] exactly where
+    /// [`PathRouter::try_paths_for`] does.
     pub fn try_charge_unicast<S: RoundSink>(
         &self,
         sink: &mut S,
@@ -644,13 +661,83 @@ mod tests {
         let router = PathRouter::build(&g, 1).unwrap();
         let paths = router.paths_for(0, 4);
         assert_eq!(paths.len(), 3);
-        // A second lookup shares the memoized allocation.
-        assert!(Arc::ptr_eq(&paths, &router.paths_for(0, 4)));
+        // A second lookup reads the memoized route.
+        assert!(std::ptr::eq(paths, router.paths_for(0, 4)));
+        assert_eq!(router.routes_extracted(), 1);
         let mut internal = std::collections::HashSet::new();
         for p in paths.iter() {
             for &v in &p[1..p.len() - 1] {
                 assert!(internal.insert(v));
             }
         }
+    }
+
+    #[test]
+    fn unroutable_pairs_are_errors_not_panics() {
+        let mut g = gen::complete(5, 1);
+        let full = PathRouter::build(&g, 1).unwrap();
+        g.remove_node(3);
+        let punctured = PathRouter::build(&g, 1).unwrap();
+        for (router, s, t) in [
+            (&full, 0, 0),
+            (&full, 0, 9),
+            (&full, 9, 0),
+            (&punctured, 0, 3),
+        ] {
+            let unroutable = Some(RouterError::Unroutable { src: s, dst: t });
+            assert_eq!(router.try_paths_for(s, t).err(), unroutable);
+            let mut clock = FormulaClock::default();
+            let charged = router.try_charge_unicast(&mut clock, s, t, 8);
+            assert_eq!(charged.err(), unroutable);
+            assert_eq!(clock.elapsed(), 0.0, "nothing charged");
+        }
+        assert_eq!(punctured.paths_for(0, 4).len(), 3);
+        assert_eq!(full.routes_extracted() + punctured.routes_extracted(), 1);
+    }
+
+    /// Every ordered pair of `g`'s active nodes.
+    fn all_pairs(g: &DiGraph) -> Vec<(NodeId, NodeId)> {
+        g.nodes()
+            .flat_map(|s| g.nodes().filter(move |&t| t != s).map(move |t| (s, t)))
+            .collect()
+    }
+
+    #[test]
+    fn racing_first_uses_build_the_routes_one_thread_builds() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for (g, f) in [
+            (gen::random_k_connected(12, 3, 9, 0.2, &mut rng), 1),
+            (gen::complete_heterogeneous(8, 1, 7, &mut rng), 2),
+        ] {
+            let pairs = all_pairs(&g);
+            let alone = PathRouter::build(&g, f).unwrap();
+            let raced = PathRouter::build(&g, f).unwrap();
+            let start = std::sync::Barrier::new(2);
+            let route_all = |order: &mut dyn Iterator<Item = &(NodeId, NodeId)>| {
+                start.wait();
+                for &(s, t) in order {
+                    raced.paths_for(s, t);
+                }
+            };
+            std::thread::scope(|scope| {
+                scope.spawn(|| route_all(&mut pairs.iter()));
+                scope.spawn(|| route_all(&mut pairs.iter().rev()));
+            });
+            for &(s, t) in &pairs {
+                assert_eq!(raced.paths_for(s, t), alone.paths_for(s, t), "{s} -> {t}");
+            }
+            assert_eq!(raced.routes_extracted(), pairs.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_route_allocates_its_source_row_only() {
+        let g = gen::circulant(1024, 2, 1);
+        let router = PathRouter::build(&g, 0).unwrap();
+        assert_eq!(router.routes_extracted(), 0);
+        assert_eq!(router.paths_for(5, 700).len(), 1);
+        let rows = router.rows.get().unwrap().iter();
+        assert_eq!(rows.filter(|row| row.get().is_some()).count(), 1);
+        assert_eq!(router.routes_extracted(), 1);
     }
 }

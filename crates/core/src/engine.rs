@@ -737,15 +737,17 @@ impl NabEngine {
         let dispute_span = PhaseSpan::enter(Phase::Dispute);
         let t0 = nab_obs::clock::mono_now();
         let truthful = honest_claims(gk, SOURCE, input, trees, scheme, &p1, &eq, &flags.announced);
-        let mut claims: BTreeMap<NodeId, NodeClaims> = BTreeMap::new();
-        for (&v, honest) in &truthful {
-            let c = if faulty.contains(&v) {
-                adv.claims(v, honest)
-            } else {
-                honest.clone()
-            };
-            claims.insert(v, c);
-        }
+        let claims: BTreeMap<NodeId, NodeClaims> = truthful
+            .into_iter()
+            .map(|(v, honest)| {
+                let c = if faulty.contains(&v) {
+                    adv.claims(v, &honest)
+                } else {
+                    honest
+                };
+                (v, c)
+            })
+            .collect();
 
         // Broadcast every node's claims with the classic BB protocol and
         // charge the (large) communication time.
@@ -754,8 +756,7 @@ impl NabEngine {
             plan.router(),
             &participants,
             f_res,
-            &claims,
-            faulty,
+            claims,
             self.broadcast,
             observer,
             &mut clock,

@@ -463,8 +463,7 @@ pub(crate) mod tests {
             router,
             &participants,
             f,
-            &claims,
-            &faulty,
+            claims.clone(),
             kind,
             observer,
             &mut timing.broadcast_phase(BroadcastPhase::Dispute, g0),
@@ -487,16 +486,7 @@ pub(crate) mod tests {
         });
         assert_eq!(logged.decisions, flags.decisions);
         let (logged, claim_rounds) = recorded(g0, |log| {
-            broadcast_claims(
-                router,
-                &participants,
-                f,
-                &claims,
-                &faulty,
-                kind,
-                observer,
-                log,
-            )
+            broadcast_claims(router, &participants, f, claims, kind, observer, log)
         });
         assert_eq!(logged, agreed);
 

@@ -365,6 +365,12 @@ impl BroadcastKind {
 /// Runs one `Broadcast_Default` of `input` from `source` among
 /// `participants` over the given channel, returning every participant's
 /// decision.
+///
+/// Faulty participants relay by the protocol: NAB's adversary acts
+/// through what a node broadcasts (its flag, its claims), never through
+/// the relays of `Broadcast_Default`, so the faulty set cannot change the
+/// outcome and `_faulty` is not read. It stays only for `benchmark/`'s
+/// call sites.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 pub fn broadcast_value<V, C>(
     kind: BroadcastKind,
@@ -372,7 +378,7 @@ pub fn broadcast_value<V, C>(
     source: NodeId,
     f: usize,
     input: V,
-    faulty: &BTreeSet<NodeId>,
+    _faulty: &BTreeSet<NodeId>,
     chan: &mut C,
     bits: u64,
 ) -> BTreeMap<NodeId, V>
@@ -380,6 +386,7 @@ where
     V: Clone + Eq + Ord + Default,
     C: EigChannel<V>,
 {
+    let no_liars = &BTreeSet::new();
     match kind {
         BroadcastKind::PhaseKing if participants.len() > 4 * f => {
             run_phase_king(
@@ -387,7 +394,7 @@ where
                 source,
                 f,
                 input,
-                faulty,
+                no_liars,
                 &mut PkHonest,
                 chan,
                 bits,
@@ -400,7 +407,7 @@ where
                 source,
                 f,
                 input,
-                faulty,
+                no_liars,
                 &mut HonestAdversary,
                 chan,
                 bits,
@@ -521,38 +528,46 @@ pub fn flag_broadcast<S: RoundSink>(
     }
 }
 
-/// Phase 3's DC1: every participant Byzantine-broadcasts its claims over
-/// the same routed emulation the flags used, charging the (large) hop
-/// rounds to `sink`. Returns the claims `observer` decided on per
-/// broadcaster — all fault-free nodes agree, so any fault-free observer
-/// will do.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+/// Phase 3's DC1: every participant Byzantine-broadcasts the claims it
+/// chose (`claims`, one per participant) over the same routed emulation
+/// the flags used, charging the (large) hop rounds to `sink`. Returns the
+/// claims `observer` decided on per broadcaster — all fault-free nodes
+/// agree, so any fault-free observer will do.
+///
+/// A broadcast carries its claims behind an [`Arc`]: relays and decisions
+/// share the broadcaster's one copy, which is handed back as the
+/// observer's decision once the others are dropped.
 pub(crate) fn broadcast_claims<S: RoundSink>(
     router: &PathRouter,
     participants: &[NodeId],
     f_residual: usize,
-    claims: &BTreeMap<NodeId, NodeClaims>,
-    faulty: &BTreeSet<NodeId>,
+    mut claims: BTreeMap<NodeId, NodeClaims>,
     kind: BroadcastKind,
     observer: NodeId,
     sink: &mut S,
 ) -> BTreeMap<NodeId, NodeClaims> {
     let mut chan = HopChannel { router, sink };
+    let none = BTreeSet::new();
     participants
         .iter()
         .map(|&b| {
+            // nab-lint: allow(NAB003): every participant has claims
+            let input = Arc::new(claims.remove(&b).expect("one claim per participant"));
+            let bits = input.bits();
             let mut decided = broadcast_value(
                 kind,
                 participants,
                 b,
                 f_residual,
-                claims[&b].clone(),
-                faulty,
+                input,
+                &none,
                 &mut chan,
-                claims[&b].bits(),
+                bits,
             );
             // nab-lint: allow(NAB003): the observer is a participant, and every participant decides
-            (b, decided.remove(&observer).expect("observer decides"))
+            let agreed = decided.remove(&observer).expect("observer decides");
+            drop(decided);
+            (b, Arc::unwrap_or_clone(agreed))
         })
         .collect()
 }
@@ -1033,6 +1048,98 @@ mod tests {
             assert!(out.agreed(3, o));
             assert!(out.any_mismatch(o));
         }
+    }
+
+    /// The claims broadcasts over `Arc<NodeClaims>` against the by-value
+    /// computation they replaced — each broadcaster's claims cloned into an
+    /// EIG run that is handed the faulty set, the observer's decision
+    /// cloned out — on a disputed instance of two colluders framing node 3
+    /// on K7: the same agreed claims and the same hop rounds.
+    #[test]
+    fn shared_claims_broadcast_matches_the_by_value_one() {
+        use crate::adversary::FramingCollusion;
+        use crate::netexec::tests::recorded;
+        let g = gen::complete(7, 2);
+        let plan = crate::plan::ExecutionPlan::build(g.clone(), 2).unwrap();
+        let router = plan.router();
+        let participants: Vec<NodeId> = g.nodes().collect();
+        let faulty = BTreeSet::from([1, 2]);
+        let mut adv = FramingCollusion {
+            scapegoat: 3,
+            corruptor: 1,
+        };
+        let input = Value::from_u64s(&(1..=16).collect::<Vec<_>>());
+        let scheme = plan.instance_scheme(5, 1);
+        let p1 = run_phase1(&g, 0, &input, plan.trees0(), &faulty, &mut adv);
+        let eq = equality_one_stream(&g, &p1.values, &scheme, &faulty, &mut adv);
+        let flags = run_flag_broadcast(
+            &g,
+            router,
+            &participants,
+            2,
+            &eq.flags,
+            &faulty,
+            &mut adv,
+            BroadcastKind::Eig,
+            false,
+        );
+        let observer = 0;
+        assert!(flags.any_mismatch(observer), "the instance must dispute");
+        let truthful = honest_claims(
+            &g,
+            0,
+            &input,
+            plan.trees0(),
+            &scheme,
+            &p1,
+            &eq,
+            &flags.announced,
+        );
+        let claims: BTreeMap<NodeId, NodeClaims> = truthful
+            .iter()
+            .map(|(&v, honest)| {
+                let c = if faulty.contains(&v) {
+                    adv.claims(v, honest)
+                } else {
+                    honest.clone()
+                };
+                (v, c)
+            })
+            .collect();
+
+        let (shared, shared_rounds) = recorded(&g, |log| {
+            broadcast_claims(
+                router,
+                &participants,
+                2,
+                claims.clone(),
+                BroadcastKind::Eig,
+                observer,
+                log,
+            )
+        });
+        let (by_value, by_value_rounds) = recorded(&g, |log| {
+            let mut chan = HopChannel { router, sink: log };
+            let decide = |b: &NodeId| {
+                let c = &claims[b];
+                let mut decided = run_eig(
+                    &participants,
+                    *b,
+                    2,
+                    c.clone(),
+                    &faulty,
+                    &mut HonestAdversary,
+                    &mut chan,
+                    c.bits(),
+                );
+                (*b, decided.decisions.remove(&observer).unwrap())
+            };
+            participants.iter().map(decide).collect::<BTreeMap<_, _>>()
+        });
+        assert_eq!(shared, by_value);
+        assert_eq!(shared_rounds, by_value_rounds);
+        assert_eq!(shared, claims, "relays follow the protocol");
+        assert!(!crate::dispute::dc2_disputes(&shared).is_empty());
     }
 
     #[test]

@@ -541,6 +541,25 @@ impl PlanCache {
             .sum()
     }
 
+    /// Path systems the routers of the cached plans have extracted so far,
+    /// each distinct plan counted once ([`PathRouter::routes_extracted`]):
+    /// first-use routing, which is planning work although it runs inside
+    /// whichever instance first routes a pair. A function of the pairs the
+    /// jobs routed, not of the threads that ran them.
+    pub fn routes_extracted(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| {
+                let plans = s.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+                // An order-free sum over the shard.
+                plans
+                    .values()
+                    .map(|plan| plan.router().routes_extracted())
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
     /// Snapshot of the hit/miss/build-time counters.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {

@@ -161,8 +161,86 @@ pub fn vertex_connectivity_at_least(g: &DiGraph, k: u64) -> bool {
     })
 }
 
+/// Extracts internally-vertex-disjoint path systems pair after pair on one
+/// unit split network of a graph, built once: every query returns the net
+/// to zero flow, runs the same uncapped max-flow a fresh network would
+/// (same arcs, same order, hence the same flow and the same paths), and
+/// decomposes it without allocating anything but the paths themselves.
+#[derive(Debug, Clone)]
+pub struct PathExtractor {
+    net: FlowNet,
+    /// The graph's node universe: node `v` is split into `v` and `v + n`.
+    n: usize,
+    /// Live edges `(src, dst)` in [`DiGraph::edges`] order: edge `i` is
+    /// arc `first_edge_arc + 2i` of `net`.
+    edges: Vec<(NodeId, NodeId)>,
+    first_edge_arc: usize,
+    /// Per node other than the query's source, the head of the edge its
+    /// unit of flow leaves by (an internal node's split arc admits one).
+    succ: Vec<NodeId>,
+    /// The source's flow-carrying successors, in edge order.
+    firsts: Vec<NodeId>,
+}
+
+impl PathExtractor {
+    /// The extractor over `g`'s split network.
+    pub fn new(g: &DiGraph) -> Self {
+        let n = g.node_count();
+        PathExtractor {
+            net: split_network(g, false),
+            n,
+            edges: g.edges().map(|(_, e)| (e.src, e.dst)).collect(),
+            first_edge_arc: 2 * g.active_count(),
+            succ: vec![0; n],
+            firsts: Vec::new(),
+        }
+    }
+
+    /// `k` internally-vertex-disjoint directed paths from `s` to `t`, each
+    /// the node sequence `s, …, t`, or `None` if fewer than `k` exist (an
+    /// inactive endpoint has none). The paths leave `s` by its
+    /// flow-carrying edges taken from the last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` or `t` is outside the graph, or `s == t`.
+    pub fn extract(&mut self, s: NodeId, t: NodeId, k: usize) -> Option<Vec<Vec<NodeId>>> {
+        assert!(s < self.n && t < self.n && s != t, "bad path query");
+        self.net.reset(|_| 1);
+        let flow = self.net.max_flow(s + self.n, t);
+        if (flow as usize) < k {
+            return None;
+        }
+        self.firsts.clear();
+        for (i, &(u, v)) in self.edges.iter().enumerate() {
+            let f = self.net.flow_on(self.first_edge_arc + 2 * i);
+            debug_assert!(f <= 1);
+            if f == 1 {
+                if u == s {
+                    self.firsts.push(v);
+                } else {
+                    self.succ[u] = v;
+                }
+            }
+        }
+        // Flow enters no internal node it does not leave, and none of it
+        // passes the sink, so each walk from `s` ends at `t`.
+        let paths = self.firsts.iter().rev().take(k).map(|&first| {
+            let mut path = vec![s, first];
+            let mut cur = first;
+            while cur != t {
+                cur = self.succ[cur];
+                path.push(cur);
+            }
+            path
+        });
+        Some(paths.collect())
+    }
+}
+
 /// Extracts `k` internally-vertex-disjoint directed paths from `s` to `t`,
-/// each given as the node sequence `s, …, t`.
+/// each given as the node sequence `s, …, t`: one query of a fresh
+/// [`PathExtractor`].
 ///
 /// Returns `None` if fewer than `k` disjoint paths exist.
 ///
@@ -176,40 +254,7 @@ pub fn vertex_disjoint_paths(
     k: usize,
 ) -> Option<Vec<Vec<NodeId>>> {
     assert!(g.is_active(s) && g.is_active(t) && s != t, "bad path query");
-    let n = g.node_count();
-    let mut net = split_network(g, false);
-    let flow = net.max_flow(s + n, t);
-    if (flow as usize) < k {
-        return None;
-    }
-
-    // Successor map via flow decomposition: for each node u with flow
-    // leaving u_out, record which edges carry flow.
-    let first_edge_arc = 2 * g.active_count();
-    let mut flow_out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (i, (_, e)) in g.edges().enumerate() {
-        let f = net.flow_on(first_edge_arc + 2 * i);
-        debug_assert!(f <= 1);
-        if f == 1 {
-            flow_out[e.src].push(e.dst);
-        }
-    }
-
-    let mut paths = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut path = vec![s];
-        let mut cur = s;
-        loop {
-            let next = flow_out[cur].pop().expect("flow decomposition ran dry"); // nab-lint: allow(NAB003): flow conservation yields an outgoing unit at every non-sink
-            path.push(next);
-            if next == t {
-                break;
-            }
-            cur = next;
-        }
-        paths.push(path);
-    }
-    Some(paths)
+    PathExtractor::new(g).extract(s, t, k)
 }
 
 /// Checks the existence conditions for Byzantine broadcast from the paper's

@@ -1,16 +1,58 @@
 //! Property-based tests for flows, packings, and connectivity.
 
 use nab_netgraph::arborescence::{pack_arborescences, validate_packing};
-use nab_netgraph::connectivity::{vertex_connectivity_pair, vertex_disjoint_paths};
+use nab_netgraph::connectivity::{vertex_connectivity_pair, vertex_disjoint_paths, PathExtractor};
 use nab_netgraph::flow::{
-    broadcast_rate, min_cut, min_cut_undirected, min_pairwise_cut_undirected,
+    broadcast_rate, min_cut, min_cut_undirected, min_pairwise_cut_undirected, FlowNet,
 };
 use nab_netgraph::gen;
 use nab_netgraph::treepack::{max_spanning_trees, pack_spanning_trees, validate_tree_packing};
-use nab_netgraph::{DiGraph, UnGraph};
+use nab_netgraph::{DiGraph, NodeId, UnGraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// The path extraction [`PathExtractor`] replaced, kept as its oracle: a
+/// fresh split network for the one pair (every node `v` split into `v`
+/// and `v + n` by a unit arc, every live edge a unit arc `u + n → v`), an
+/// uncapped max-flow, and per node a list of flow-carrying successors
+/// popped from the back.
+fn paths_on_a_fresh_network(
+    g: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    k: usize,
+) -> Option<Vec<Vec<NodeId>>> {
+    let n = g.node_count();
+    let mut net = FlowNet::new(2 * n);
+    for v in g.nodes() {
+        net.add_arc(v, v + n, 1);
+    }
+    let arcs: Vec<_> = g
+        .edges()
+        .map(|(_, e)| (net.add_arc(e.src + n, e.dst, 1), e.src, e.dst))
+        .collect();
+    if (net.max_flow(s + n, t) as usize) < k {
+        return None;
+    }
+    let mut flow_out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    for (arc, src, dst) in arcs {
+        if net.flow_on(arc) == 1 {
+            flow_out[src].push(dst);
+        }
+    }
+    let mut paths = Vec::with_capacity(k);
+    for _ in 0..k {
+        let mut path = vec![s];
+        let mut cur = s;
+        while cur != t {
+            cur = flow_out[cur].pop().expect("flow decomposition ran dry");
+            path.push(cur);
+        }
+        paths.push(path);
+    }
+    Some(paths)
+}
 
 /// Strategy: a random strongly-connected digraph described by (n, seed,
 /// density, max capacity).
@@ -95,6 +137,52 @@ proptest! {
             }
         }
         prop_assert!(vertex_disjoint_paths(&g, 0, g.node_count() - 1, k + 1).is_none());
+    }
+
+    /// One extractor reused over every ordered pair, in a shuffled order,
+    /// against the decomposition it replaced (a fresh split network per
+    /// pair) and against the one-shot wrapper: the same paths, in the same
+    /// order, or `None` alike — on sparse, re-capped circulant and
+    /// heterogeneous complete graphs, some with nodes removed.
+    #[test]
+    fn reused_extractor_matches_a_fresh_network_per_pair(
+        family in 0u8..3,
+        f in 0usize..=2,
+        extra in 0usize..4,
+        removed in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let n = 3 * f + 3 + extra;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = match family {
+            0 => gen::random_k_connected(n, 2 * f + 1, 9, 0.2, &mut rng),
+            1 => {
+                let mut g = gen::circulant(n, f + 1, 1);
+                let ids: Vec<_> = g.edges().map(|(id, _)| id).collect();
+                for id in ids {
+                    g.set_edge_cap(id, rng.gen_range(1..=12));
+                }
+                g
+            }
+            _ => gen::complete_heterogeneous(n, 1, 7, &mut rng),
+        };
+        for _ in 0..removed {
+            g.remove_node(rng.gen_range(0..n));
+        }
+        let k = 2 * f + 1;
+        let mut pairs: Vec<(usize, usize)> = g
+            .nodes()
+            .flat_map(|s| g.nodes().filter(move |&t| t != s).map(move |t| (s, t)))
+            .collect();
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..=i));
+        }
+        let mut extractor = PathExtractor::new(&g);
+        for (s, t) in pairs {
+            let want = paths_on_a_fresh_network(&g, s, t, k);
+            prop_assert_eq!(&extractor.extract(s, t, k), &want, "{} -> {}", s, t);
+            prop_assert_eq!(&vertex_disjoint_paths(&g, s, t, k), &want, "{} -> {}", s, t);
+        }
     }
 
     #[test]

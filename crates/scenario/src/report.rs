@@ -280,6 +280,10 @@ pub struct Aggregate {
     /// Replanning wall nanoseconds summed over measured jobs (timed JSON
     /// only).
     pub plan_repair_ns: u64,
+    /// Path systems extracted by the routers of the distinct plans in the
+    /// sweep's cache at the end ([`nab::plan::PlanCache::routes_extracted`];
+    /// 0 for a report assembled from outcomes alone). Timed JSON only.
+    pub routes_extracted: u64,
     /// Per-phase latency distributions merged over all measured jobs
     /// (timed JSON only; the merge is partition-invariant, so this is
     /// identical for any worker-thread count).
@@ -318,6 +322,7 @@ impl Aggregate {
             plan_repairs: 0,
             plan_full_recomputes: 0,
             plan_repair_ns: 0,
+            routes_extracted: 0,
             latency: PhaseLatency::default(),
             delivered: None,
         };
@@ -454,6 +459,7 @@ impl SweepReport {
         reg.counter_add("plan_cache_misses", a.plan_misses);
         reg.counter_add("plan_repairs", a.plan_repairs);
         reg.counter_add("plan_full_recomputes", a.plan_full_recomputes);
+        reg.counter_add("router.routes_extracted", a.routes_extracted);
         let (mut mismatch, mut defaulted) = (0u64, 0u64);
         for job in &self.jobs {
             if let Ok(m) = &job.result {

@@ -314,7 +314,9 @@ pub fn run_sweep_with_options(
         })
         .collect();
 
-    Ok(assemble_report(spec, outcomes))
+    let mut report = assemble_report(spec, outcomes);
+    report.aggregate.routes_extracted = cache.routes_extracted();
+    Ok(report)
 }
 
 /// Assembles the report of a scenario from its jobs' outcomes, in grid
@@ -1095,6 +1097,14 @@ mod tests {
         let a = run_sweep(&spec, 1).unwrap();
         let b = run_sweep(&spec, 4).unwrap();
         assert_eq!(a.to_json(), b.to_json());
+        // First-use routing is counted per distinct plan, whichever worker
+        // routed a pair first: the flag broadcasts route every ordered pair
+        // of the four plans K4 and K5 at capacities 1 and 2.
+        let routes = |r: &SweepReport| r.metrics_registry().counter("router.routes_extracted");
+        assert_eq!(routes(&a), 2 * (4 * 3 + 5 * 4));
+        assert_eq!(routes(&b), routes(&a));
+        assert!(b.to_json_timed().contains("\"router.routes_extracted\":64"));
+        assert!(!b.to_json().contains("routes_extracted"), "timed JSON only");
     }
 
     #[test]
