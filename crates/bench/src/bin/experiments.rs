@@ -117,8 +117,8 @@ fn failures(reports: &[SweepReport]) -> Vec<String> {
 /// corruptor at node 1.
 fn e3(threads: usize) -> Section {
     let attack = |mut spec: ScenarioSpec| {
-        spec.adversary = AdversarySpec::Corruptor;
-        spec.faults = FaultSchedule::Fixed(BTreeSet::from([1]));
+        spec.adversary = AdversarySpec::parse("corruptor").expect("a bundled form");
+        spec.faults = FaultSchedule::parse("fixed:1").expect("a bundled form");
         spec
     };
     let clean = E3.map(|text| sweep(&bundled(text), threads, None));
@@ -136,10 +136,9 @@ fn e3(threads: usize) -> Section {
 
 /// E4: the same deployment under three dispute-forcing adversaries.
 fn e4(threads: usize) -> Section {
-    use AdversarySpec::{Corruptor, FalseAlarm, Liar};
     let mut spec = bundled(E4);
-    let reports = Vec::from([FalseAlarm, Corruptor, Liar].map(|adversary| {
-        spec.adversary = adversary;
+    let reports = Vec::from(["false-alarm", "corruptor", "liar"].map(|adversary| {
+        spec.adversary = AdversarySpec::parse(adversary).expect("a bundled form");
         sweep(&spec, threads, None)
     }));
     let cols = "adversary | faulty | disputes / f(f+1) | T | T steady | t / instance | overhead / instance | ok";

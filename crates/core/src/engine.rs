@@ -1662,9 +1662,19 @@ mod tests {
     #[test]
     fn message_level_latency_slows_instances_deterministically() {
         let x = input(12);
-        let model = nab_net::NetSpec::parse("uniform:1000000:500000+loss:0.2:2:2000000")
-            .unwrap()
-            .build();
+        let model = nab_net::NetSpec {
+            latency: nab_net::Latency::Uniform {
+                base_ns: 1_000_000,
+                jitter_ns: 500_000,
+            },
+            loss: Some(nab_net::Loss {
+                p: 0.2,
+                max_retries: 2,
+                rto_ns: 2_000_000,
+            }),
+            straggler: None,
+        }
+        .build();
         let run = |seed: u64| {
             let mut e = engine(12);
             e.set_net(Some(crate::netexec::NetExec {

@@ -418,10 +418,18 @@ pub(crate) mod tests {
         let faulty = BTreeSet::from([2]);
         let observer = 0;
         let nx = NetExec {
-            model: nab_net::NetSpec::parse(
-                "lognormal:2000000:0.4+loss:0.25:3:5000000+straggler:0:1:8",
-            )
-            .unwrap()
+            model: nab_net::NetSpec {
+                latency: nab_net::Latency::LogNormal {
+                    median_ns: 2_000_000,
+                    sigma: 0.4,
+                },
+                loss: Some(nab_net::Loss {
+                    p: 0.25,
+                    max_retries: 3,
+                    rto_ns: 5_000_000,
+                }),
+                straggler: Some((0, 1, 8)),
+            }
             .build(),
             seed: 0xD1FF,
         };

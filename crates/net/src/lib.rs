@@ -486,18 +486,10 @@ impl EventNet {
     }
 }
 
-/// Textual link-model spec, as written in a `.scenario` document's
-/// `link_model` key. Grammar (all times in virtual nanoseconds;
-/// [`UNIT_NS`] ns = one capacity time-unit):
-///
-/// ```text
-/// link_model = <latency>[+loss:P:RETRIES:RTO][+straggler:SRC:DST:FACTOR]
-/// <latency>  = fixed:DELAY | uniform:BASE:JITTER | lognormal:MEDIAN:SIGMA
-/// ```
-///
-/// `straggler` multiplies the latency parameters of the single directed
-/// link `SRC → DST` by `FACTOR`, leaving every other link on the
-/// default model.
+/// A network's link models as a scenario describes them: one latency
+/// model and an optional loss model for every link, and an optional
+/// straggler link whose latency is scaled. A scenario writes it in its
+/// `link_model` key (`nab_scenario::link_model` holds that grammar).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetSpec {
     /// Default latency model for every link.
@@ -519,102 +511,6 @@ impl Default for NetSpec {
 }
 
 impl NetSpec {
-    /// Parses a spec string like
-    /// `uniform:1000000:250000+loss:0.01:3:2000000`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed clause.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut out = NetSpec::default();
-        let mut clauses = spec.split('+');
-        let latency = clauses.next().unwrap_or("");
-        let parts: Vec<&str> = latency.split(':').collect();
-        out.latency = match (parts[0], parts.len()) {
-            ("fixed", 2) => Latency::Fixed {
-                delay_ns: parse_u64("fixed delay", parts[1])?,
-            },
-            ("uniform", 3) => Latency::Uniform {
-                base_ns: parse_u64("uniform base", parts[1])?,
-                jitter_ns: parse_u64("uniform jitter", parts[2])?,
-            },
-            ("lognormal", 3) => {
-                let sigma = parse_f64("lognormal sigma", parts[2])?;
-                if !(0.0..=4.0).contains(&sigma) {
-                    return Err(format!("link_model: lognormal sigma {sigma} outside [0,4]"));
-                }
-                Latency::LogNormal {
-                    median_ns: parse_u64("lognormal median", parts[1])?,
-                    sigma,
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "link_model: unknown latency {latency:?} (known: fixed:DELAY_NS, \
-                     uniform:BASE_NS:JITTER_NS, lognormal:MEDIAN_NS:SIGMA)"
-                ))
-            }
-        };
-        for clause in clauses {
-            let parts: Vec<&str> = clause.split(':').collect();
-            match (parts[0], parts.len()) {
-                ("loss", 4) => {
-                    let p = parse_f64("loss probability", parts[1])?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("link_model: loss probability {p} outside [0,1]"));
-                    }
-                    let max_retries = parse_u64("loss retries", parts[2])? as u32;
-                    if max_retries > 16 {
-                        return Err("link_model: loss retries capped at 16".into());
-                    }
-                    out.loss = Some(Loss {
-                        p,
-                        max_retries,
-                        rto_ns: parse_u64("loss rto", parts[3])?,
-                    });
-                }
-                ("straggler", 4) => {
-                    let factor = parse_u64("straggler factor", parts[3])?;
-                    if factor == 0 {
-                        return Err("link_model: straggler factor must be >= 1".into());
-                    }
-                    out.straggler = Some((
-                        parse_u64("straggler src", parts[1])? as NodeId,
-                        parse_u64("straggler dst", parts[2])? as NodeId,
-                        factor,
-                    ));
-                }
-                _ => {
-                    return Err(format!(
-                        "link_model: unknown clause {clause:?} (known: loss:P:RETRIES:RTO_NS, \
-                         straggler:SRC:DST:FACTOR)"
-                    ))
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The canonical spec string this parses back from.
-    #[must_use]
-    pub fn spec_string(&self) -> String {
-        let mut s = match &self.latency {
-            Latency::Fixed { delay_ns } => format!("fixed:{delay_ns}"),
-            Latency::Uniform { base_ns, jitter_ns } => format!("uniform:{base_ns}:{jitter_ns}"),
-            Latency::LogNormal { median_ns, sigma } => format!("lognormal:{median_ns}:{sigma}"),
-        };
-        if let Some(loss) = &self.loss {
-            s.push_str(&format!(
-                "+loss:{}:{}:{}",
-                loss.p, loss.max_retries, loss.rto_ns
-            ));
-        }
-        if let Some((src, dst, factor)) = self.straggler {
-            s.push_str(&format!("+straggler:{src}:{dst}:{factor}"));
-        }
-        s
-    }
-
     /// Resolves the spec into a concrete [`NetModel`].
     #[must_use]
     pub fn build(&self) -> NetModel {
@@ -634,16 +530,6 @@ impl NetSpec {
         }
         model
     }
-}
-
-fn parse_u64(what: &str, raw: &str) -> Result<u64, String> {
-    raw.parse()
-        .map_err(|_| format!("link_model: bad {what} {raw:?}"))
-}
-
-fn parse_f64(what: &str, raw: &str) -> Result<f64, String> {
-    raw.parse()
-        .map_err(|_| format!("link_model: bad {what} {raw:?}"))
 }
 
 #[cfg(test)]
@@ -768,44 +654,14 @@ mod tests {
 
     #[test]
     fn straggler_override_scales_one_link() {
-        let spec = NetSpec::parse("fixed:100+straggler:0:1:20").unwrap();
+        let spec = NetSpec {
+            latency: Latency::Fixed { delay_ns: 100 },
+            straggler: Some((0, 1, 20)),
+            ..NetSpec::default()
+        };
         let model = spec.build();
         assert_eq!(model.link(0, 1).latency, Latency::Fixed { delay_ns: 2000 });
         assert_eq!(model.link(1, 0).latency, Latency::Fixed { delay_ns: 100 });
-    }
-
-    #[test]
-    fn spec_string_roundtrips() {
-        for s in [
-            "fixed:0",
-            "fixed:1000000",
-            "uniform:1000000:250000",
-            "lognormal:2000000:0.5",
-            "fixed:100000+loss:0.05:3:400000",
-            "uniform:10:20+loss:0.5:2:30+straggler:0:1:16",
-        ] {
-            let spec = NetSpec::parse(s).unwrap();
-            assert_eq!(spec.spec_string(), s);
-            assert_eq!(NetSpec::parse(&spec.spec_string()).unwrap(), spec);
-        }
-    }
-
-    #[test]
-    fn spec_parse_rejects_malformed_clauses() {
-        for bad in [
-            "",
-            "fixed",
-            "fixed:abc",
-            "gaussian:5",
-            "uniform:1",
-            "lognormal:10:9.0",
-            "fixed:1+loss:2.0:1:1",
-            "fixed:1+loss:0.5:99:1",
-            "fixed:1+straggler:0:1:0",
-            "fixed:1+warp:9",
-        ] {
-            assert!(NetSpec::parse(bad).is_err(), "accepted {bad:?}");
-        }
     }
 
     #[test]
@@ -843,12 +699,36 @@ mod tests {
     /// The three regimes a round can run under: jitter alone, loss with
     /// retransmit, and a heavy tail with loss plus a straggler override.
     fn regime(kind: u8) -> NetModel {
-        let spec = match kind % 3 {
-            0 => "uniform:1000:4000",
-            1 => "fixed:700+loss:0.4:3:900",
-            _ => "lognormal:2000:0.5+loss:0.3:2:500+straggler:0:1:16",
+        let loss = |p, max_retries, rto_ns| {
+            Some(Loss {
+                p,
+                max_retries,
+                rto_ns,
+            })
         };
-        NetSpec::parse(spec).unwrap().build()
+        let spec = match kind % 3 {
+            0 => NetSpec {
+                latency: Latency::Uniform {
+                    base_ns: 1000,
+                    jitter_ns: 4000,
+                },
+                ..NetSpec::default()
+            },
+            1 => NetSpec {
+                latency: Latency::Fixed { delay_ns: 700 },
+                loss: loss(0.4, 3, 900),
+                straggler: None,
+            },
+            _ => NetSpec {
+                latency: Latency::LogNormal {
+                    median_ns: 2000,
+                    sigma: 0.5,
+                },
+                loss: loss(0.3, 2, 500),
+                straggler: Some((0, 1, 16)),
+            },
+        };
+        spec.build()
     }
 
     /// `count` messages `(id, src, dst, bits)` on `dense5`, derived from

@@ -37,7 +37,7 @@ proptest! {
 
     /// Identical seeds produce identical delivery schedules regardless of
     /// the order messages were scheduled in — the property that makes
-    /// `--net` sweeps thread-count invariant.
+    /// `net = on` sweeps thread-count invariant.
     #[test]
     fn delivery_schedule_is_insertion_order_invariant(
         seed in any::<u64>(),

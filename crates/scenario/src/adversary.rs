@@ -1,6 +1,8 @@
 //! Per-node adversary strategy specs, resolved to live
 //! [`NabAdversary`] instances per job.
 
+use std::collections::BTreeSet;
+
 use nab::adversary::{
     EqualityGarbler, EquivocatingSource, FalseAlarm, FramingCollusion, HonestStrategy,
     LyingCorruptor, NabAdversary, RandomStrategy, TruthfulCorruptor,
@@ -8,46 +10,92 @@ use nab::adversary::{
 use nab_gf::Gf2_16;
 use nab_netgraph::NodeId;
 
-/// Every form [`AdversarySpec::parse`] reads: its unknown-adversary error and
-/// `nab-sim --help` print this, and `docs/scenarios.md` must list each.
-pub const KNOWN: &str = "honest, corruptor, liar, false-alarm, equivocate, garbler, random:P, \
-                         collude:SCAPEGOAT:CORRUPTOR, chaos-panic";
+use crate::grammar::{param, Arg, Form, Kind, Term};
 
-/// A declarative adversary strategy.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdversarySpec {
-    /// Faulty nodes follow the protocol ("crash-like" faults).
-    Honest,
-    /// Corrupt Phase-1 forwards, tell the truth in dispute control.
-    Corruptor,
-    /// Corrupt Phase-1 forwards and lie in dispute control.
-    Liar,
-    /// Announce MISMATCH on clean instances (the amortization attack).
-    FalseAlarm,
-    /// A source that equivocates across arborescences.
-    Equivocate,
-    /// Garble equality-check symbols only.
-    Garbler,
-    /// Corrupt each hook independently with probability `p`.
-    Random {
-        /// Per-hook corruption probability.
-        p: f64,
-    },
-    /// Two colluding faulty nodes frame an innocent `scapegoat`.
-    Collude {
-        /// The fault-free node the colluders implicate.
-        scapegoat: NodeId,
-        /// The faulty node that corrupts Phase 1.
-        corruptor: NodeId,
-    },
-    /// Chaos-testing hook: the adversary **panics** the first time a
-    /// faulty node acts. Not a protocol attack — it exists to exercise
-    /// the sweep runner's per-job panic isolation (a panicking job must
-    /// become a job-level error, never take down the sweep).
-    ChaosPanic,
-}
+/// What an adversary form builds: the live strategy for one job from the
+/// term's arguments and the job's seed.
+pub type Strategy = fn(&[Arg], u64) -> Box<dyn NabAdversary>;
 
-/// The live strategy behind [`AdversarySpec::ChaosPanic`].
+/// A declarative adversary strategy: a row of [`FORMS`] and its arguments.
+pub type AdversarySpec = Term<Strategy>;
+
+/// Every adversary form, in the order help and errors list them.
+pub static FORMS: [Form<Strategy>; 9] = [
+    Form {
+        name: "honest",
+        params: &[],
+        about: "faulty nodes follow the protocol (crash-like faults)",
+        build: |_, _| Box::new(HonestStrategy),
+    },
+    Form {
+        name: "corruptor",
+        params: &[],
+        about: "corrupts Phase-1 forwards, truthful in dispute control (gets exposed)",
+        build: |_, _| Box::new(TruthfulCorruptor),
+    },
+    Form {
+        name: "liar",
+        params: &[],
+        about: "corrupts Phase-1 forwards and lies in dispute control (lands in dispute pairs)",
+        build: |_, _| Box::new(LyingCorruptor),
+    },
+    Form {
+        name: "false-alarm",
+        params: &[],
+        about: "announces MISMATCH on clean instances (the amortization attack)",
+        build: |_, _| Box::new(FalseAlarm),
+    },
+    Form {
+        name: "equivocate",
+        params: &[],
+        about: "a source that sends different values per arborescence",
+        build: |_, _| Box::new(EquivocatingSource),
+    },
+    Form {
+        name: "garbler",
+        params: &[],
+        about: "corrupts equality-check symbols only",
+        build: |_, _| Box::new(EqualityGarbler),
+    },
+    Form {
+        name: "random",
+        params: &[param("P", Kind::Float(0.0, 1.0)).or("0.5")],
+        about: "corrupts each hook independently with probability P, job-seeded",
+        build: |a, seed| {
+            Box::new(RandomStrategy::new(
+                seed ^ 0x6164_7665_7273_6172,
+                a[0].float(),
+            ))
+        }, // "adversar"
+    },
+    Form {
+        name: "collude",
+        params: &[
+            param("SCAPEGOAT", Kind::Node(false)),
+            param("CORRUPTOR", Kind::Node(true)),
+        ],
+        about: "two colluding faulty nodes frame the fault-free SCAPEGOAT",
+        build: |a, _| {
+            let (scapegoat, corruptor) = (a[0].uint() as NodeId, a[1].uint() as NodeId);
+            Box::new(FramingCollusion {
+                scapegoat,
+                corruptor,
+            })
+        },
+    },
+    // Not a protocol attack: it exercises the sweep runner's per-job panic
+    // isolation (a panicking job must become a job-level error, never take
+    // down the sweep).
+    Form {
+        name: "chaos-panic",
+        params: &[],
+        about:
+            "panics the first time a faulty node acts: the job records the panic, the sweep goes on",
+        build: |_, _| Box::new(PanicInjector),
+    },
+];
+
+/// The live strategy behind `chaos-panic`.
 struct PanicInjector;
 
 impl NabAdversary for PanicInjector {
@@ -84,100 +132,37 @@ impl NabAdversary for PanicInjector {
 impl AdversarySpec {
     /// Parses specs like `honest`, `random:0.3`, `collude:3:2`.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        match parts[0] {
-            "honest" if parts.len() == 1 => Ok(AdversarySpec::Honest),
-            "corruptor" if parts.len() == 1 => Ok(AdversarySpec::Corruptor),
-            "liar" if parts.len() == 1 => Ok(AdversarySpec::Liar),
-            "false-alarm" if parts.len() == 1 => Ok(AdversarySpec::FalseAlarm),
-            "equivocate" if parts.len() == 1 => Ok(AdversarySpec::Equivocate),
-            "garbler" if parts.len() == 1 => Ok(AdversarySpec::Garbler),
-            "random" => {
-                let p: f64 = match parts.len() {
-                    1 => 0.5,
-                    2 => parts[1]
-                        .parse()
-                        .map_err(|_| format!("adversary random: bad probability {:?}", parts[1]))?,
-                    _ => return Err("adversary random takes one parameter: random:P".into()),
-                };
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("adversary random: probability {p} outside [0,1]"));
-                }
-                Ok(AdversarySpec::Random { p })
-            }
-            "collude" if parts.len() == 3 => {
-                let scapegoat = parts[1]
-                    .parse()
-                    .map_err(|_| format!("adversary collude: bad scapegoat id {:?}", parts[1]))?;
-                let corruptor = parts[2]
-                    .parse()
-                    .map_err(|_| format!("adversary collude: bad corruptor id {:?}", parts[2]))?;
-                Ok(AdversarySpec::Collude {
-                    scapegoat,
-                    corruptor,
-                })
-            }
-            "chaos-panic" if parts.len() == 1 => Ok(AdversarySpec::ChaosPanic),
-            other => Err(format!("unknown adversary {other:?} (known: {KNOWN})")),
-        }
+        Term::read("adversary", &FORMS, spec)
     }
 
-    /// The canonical spec string this adversary parses from.
-    pub fn spec_string(&self) -> String {
-        match self {
-            AdversarySpec::Honest => "honest".into(),
-            AdversarySpec::Corruptor => "corruptor".into(),
-            AdversarySpec::Liar => "liar".into(),
-            AdversarySpec::FalseAlarm => "false-alarm".into(),
-            AdversarySpec::Equivocate => "equivocate".into(),
-            AdversarySpec::Garbler => "garbler".into(),
-            AdversarySpec::Random { p } => format!("random:{p}"),
-            AdversarySpec::Collude {
-                scapegoat,
-                corruptor,
-            } => format!("collude:{scapegoat}:{corruptor}"),
-            AdversarySpec::ChaosPanic => "chaos-panic".into(),
-        }
-    }
-
-    /// Checks the strategy is meaningful for a concrete network and fault
-    /// placement. Only `collude` carries node ids: its corruptor must
-    /// actually be faulty (adversary hooks fire only for faulty nodes)
-    /// and its scapegoat must be an existing fault-free node — otherwise
-    /// the "attack" silently never executes and the run measures an
-    /// honest deployment.
+    /// Checks the strategy can act on a concrete network and fault
+    /// placement: every node parameter ([`Kind::Node`]) names a node of the
+    /// network, faulty or fault-free as the parameter requires. Adversary
+    /// hooks fire only for faulty nodes, so otherwise the "attack" silently
+    /// never executes and the run measures an honest deployment.
     ///
     /// # Errors
     ///
     /// Returns why the strategy cannot act.
-    pub fn validate_for(
-        &self,
-        n: usize,
-        faulty: &std::collections::BTreeSet<NodeId>,
-    ) -> Result<(), String> {
-        let AdversarySpec::Collude {
-            scapegoat,
-            corruptor,
-        } = self
-        else {
-            return Ok(());
-        };
-        if *scapegoat >= n || *corruptor >= n {
-            return Err(format!(
-                "collude:{scapegoat}:{corruptor} names a node outside 0..{n}"
-            ));
-        }
-        if !faulty.contains(corruptor) {
-            return Err(format!(
-                "collude corruptor {corruptor} is not in the faulty set {faulty:?}, \
-                 so the attack would never execute"
-            ));
-        }
-        if faulty.contains(scapegoat) {
-            return Err(format!(
-                "collude scapegoat {scapegoat} must be fault-free, but it is in the \
-                 faulty set {faulty:?}"
-            ));
+    pub fn validate_for(&self, n: usize, faulty: &BTreeSet<NodeId>) -> Result<(), String> {
+        for (p, arg) in self.form.params.iter().zip(&self.args) {
+            let Kind::Node(must_be_faulty) = p.kind else {
+                continue;
+            };
+            let (v, spec) = (arg.uint() as NodeId, self.spec_string());
+            if v >= n {
+                return Err(format!("{spec} names a node outside 0..{n}"));
+            }
+            if faulty.contains(&v) != must_be_faulty {
+                let role = match must_be_faulty {
+                    true => "faulty, or the attack would never execute",
+                    false => "fault-free",
+                };
+                let name = p.name;
+                return Err(format!(
+                    "{spec}: {name} {v} must be {role}; faulty set {faulty:?}"
+                ));
+            }
         }
         Ok(())
     }
@@ -185,26 +170,7 @@ impl AdversarySpec {
     /// Instantiates the strategy for one job; randomized strategies are
     /// seeded from the job's deterministic seed.
     pub fn build(&self, job_seed: u64) -> Box<dyn NabAdversary> {
-        match self {
-            AdversarySpec::Honest => Box::new(HonestStrategy),
-            AdversarySpec::Corruptor => Box::new(TruthfulCorruptor),
-            AdversarySpec::Liar => Box::new(LyingCorruptor),
-            AdversarySpec::FalseAlarm => Box::new(FalseAlarm),
-            AdversarySpec::Equivocate => Box::new(EquivocatingSource),
-            AdversarySpec::Garbler => Box::new(EqualityGarbler),
-            AdversarySpec::Random { p } => Box::new(RandomStrategy::new(
-                job_seed ^ 0x6164_7665_7273_6172, // "adversar"
-                *p,
-            )),
-            AdversarySpec::Collude {
-                scapegoat,
-                corruptor,
-            } => Box::new(FramingCollusion {
-                scapegoat: *scapegoat,
-                corruptor: *corruptor,
-            }),
-            AdversarySpec::ChaosPanic => Box::new(PanicInjector),
-        }
+        (self.form.build)(&self.args, job_seed)
     }
 }
 
@@ -212,67 +178,44 @@ impl AdversarySpec {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_roundtrips() {
-        for s in [
-            "honest",
-            "corruptor",
-            "liar",
-            "false-alarm",
-            "equivocate",
-            "garbler",
-            "random:0.25",
-            "collude:3:2",
-            "chaos-panic",
-        ] {
-            let a = AdversarySpec::parse(s).unwrap();
-            assert_eq!(a.spec_string(), s);
-        }
-    }
-
-    #[test]
-    fn bad_specs_are_errors() {
-        assert!(AdversarySpec::parse("evil").is_err());
-        assert!(AdversarySpec::parse("random:2.0").is_err());
-        assert!(AdversarySpec::parse("random:x").is_err());
-        assert!(AdversarySpec::parse("collude:1").is_err());
-        assert!(AdversarySpec::parse("honest:1").is_err());
+    fn spec(s: &str) -> AdversarySpec {
+        AdversarySpec::parse(s).unwrap()
     }
 
     #[test]
     fn collude_validation_requires_a_faulty_corruptor_and_honest_scapegoat() {
-        use std::collections::BTreeSet;
-        let spec = AdversarySpec::Collude {
-            scapegoat: 3,
-            corruptor: 1,
-        };
+        let collude = spec("collude:3:1");
         let faulty = BTreeSet::from([1, 2]);
-        assert!(spec.validate_for(7, &faulty).is_ok());
+        assert!(collude.validate_for(7, &faulty).is_ok());
         // Corruptor not faulty → the attack would never run.
-        let e = spec.validate_for(7, &BTreeSet::from([2])).unwrap_err();
-        assert!(e.contains("never execute"), "{e}");
+        let e = collude.validate_for(7, &BTreeSet::from([2])).unwrap_err();
+        assert!(
+            e.contains("CORRUPTOR 1") && e.contains("never execute"),
+            "{e}"
+        );
         // Scapegoat faulty → nothing to frame.
-        let e = spec.validate_for(7, &BTreeSet::from([1, 3])).unwrap_err();
-        assert!(e.contains("fault-free"), "{e}");
+        let e = collude
+            .validate_for(7, &BTreeSet::from([1, 3]))
+            .unwrap_err();
+        assert!(e.contains("SCAPEGOAT 3") && e.contains("fault-free"), "{e}");
         // Ids outside the graph.
-        let e = spec.validate_for(3, &faulty).unwrap_err();
+        let e = collude.validate_for(3, &faulty).unwrap_err();
         assert!(e.contains("outside"), "{e}");
-        // Non-collude strategies have nothing to validate.
-        assert!(AdversarySpec::Honest.validate_for(1, &faulty).is_ok());
+        // Forms without node parameters have nothing to validate.
+        assert!(spec("honest").validate_for(1, &faulty).is_ok());
     }
 
     #[test]
     fn build_produces_working_strategies() {
         use nab_gf::field::Field;
-        use nab_gf::Gf2_16;
         let block = vec![Gf2_16::ONE, Gf2_16::ZERO];
         // Honest is the identity on forwards; corruptor is not.
-        let mut honest = AdversarySpec::Honest.build(1);
+        let mut honest = spec("honest").build(1);
         assert_eq!(honest.phase1_forward(1, 0, 2, &block), block);
-        let mut corr = AdversarySpec::Corruptor.build(1);
+        let mut corr = spec("corruptor").build(1);
         assert_ne!(corr.phase1_forward(1, 0, 2, &block), block);
         // p=1 random always corrupts the flag.
-        let mut rnd = AdversarySpec::Random { p: 1.0 }.build(1);
+        let mut rnd = spec("random:1").build(1);
         assert!(rnd.flag(0, false));
     }
 }

@@ -3,171 +3,94 @@
 //! The paper's fault model fixes the faulty set for the lifetime of a
 //! deployment (dispute state assumes a node exposed once is faulty
 //! forever), so a schedule varies placement **across jobs**, never within
-//! one engine's instance stream:
-//!
-//! - [`FaultSchedule::Fixed`] — the same explicit set in every job;
-//! - [`FaultSchedule::Rotating`] — a contiguous window of `count` nodes
-//!   whose start rotates with the job's seed index, sweeping placement
-//!   around the network across the sweep;
-//! - [`FaultSchedule::WorstCase`] — per job, try candidate `count`-subsets
-//!   and keep the placement that minimizes throughput (an empirical
-//!   inner `min` over the adversary's placement choice).
+//! one engine's instance stream. Every schedule is one row of [`FORMS`];
+//! `worst-case` keeps the throughput-minimizing candidate, an empirical
+//! inner `min` over the adversary's placement choice.
 
 use std::collections::BTreeSet;
 
 use nab_netgraph::NodeId;
 
-/// Every form [`FaultSchedule::parse`] reads: its unknown-schedule error and
-/// `nab-sim --help` print this, and `docs/scenarios.md` must list each.
-pub const KNOWN: &str = "none, fixed:IDS, rotating:COUNT, worst-case:COUNT[:MAX_CANDIDATES]";
+use crate::grammar::{param, Arg, Form, Kind, Term, USIZE};
 
-/// How faulty nodes are placed for each job of a sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultSchedule {
-    /// No faulty nodes anywhere.
-    None,
-    /// The same explicit faulty set in every job.
-    Fixed(BTreeSet<NodeId>),
-    /// `count` contiguous node ids starting at `seed_index mod n`.
-    Rotating {
-        /// Number of faulty nodes.
-        count: usize,
+/// What a fault form builds: the candidate faulty sets of a job on `n`
+/// nodes (the arguments, `n`, the job's seed index).
+pub type Placement = fn(&[Arg], usize, u64) -> Vec<BTreeSet<NodeId>>;
+
+/// How faulty nodes are placed for each job of a sweep: a row of [`FORMS`]
+/// and its arguments.
+pub type FaultSchedule = Term<Placement>;
+
+/// Every fault schedule, in the order help and errors list them. A form's
+/// first parameter, if any, is its node set or its node count.
+pub static FORMS: [Form<Placement>; 4] = [
+    Form {
+        name: "none",
+        params: &[],
+        about: "no faulty nodes",
+        build: |_, _, _| vec![BTreeSet::new()],
     },
-    /// Search candidate placements, keep the throughput-minimizing one.
-    WorstCase {
-        /// Number of faulty nodes per candidate set.
-        count: usize,
-        /// Upper bound on candidate sets tried per job. When `C(n, count)`
-        /// exceeds this, the candidates are evenly spaced ranks of the
-        /// lexicographic combination ordering (not a prefix), so they span
-        /// the whole node-id range.
-        max_candidates: usize,
+    Form {
+        name: "fixed",
+        params: &[param("IDS", Kind::Ids)],
+        about: "the same explicit set in every job, e.g. fixed:2,3",
+        build: |a, n, _| match &a[0] {
+            Arg::Ids(set) if set.iter().all(|&v| v < n) => vec![set.clone()],
+            _ => Vec::new(),
+        },
     },
-}
+    Form {
+        name: "rotating",
+        params: &[param("COUNT", Kind::Uint(0, USIZE))],
+        about: "COUNT contiguous ids starting at seed_index mod n",
+        build: |a, n, seed_index| match a[0].uint() as usize {
+            count if count >= n => Vec::new(),
+            count => {
+                let start = (seed_index as usize) % n;
+                vec![(0..count).map(|i| (start + i) % n).collect()]
+            }
+        },
+    },
+    Form {
+        name: "worst-case",
+        params: &[
+            param("COUNT", Kind::Uint(0, USIZE)),
+            param("MAX_CANDIDATES", Kind::Uint(1, USIZE)).or("16"),
+        ],
+        about: "measure up to MAX_CANDIDATES spread COUNT-subsets, report the slowest",
+        build: |a, n, _| match a[0].uint() as usize {
+            count if count >= n => Vec::new(),
+            count => spread_subsets(n, count, a[1].uint() as usize),
+        },
+    },
+];
 
 impl FaultSchedule {
     /// Parses specs like `none`, `fixed:2,3`, `rotating:1`,
     /// `worst-case:1` or `worst-case:1:12`.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let (kind, rest) = match spec.split_once(':') {
-            Some((k, r)) => (k, Some(r)),
-            None => (spec, None),
-        };
-        match kind {
-            "none" => match rest {
-                None => Ok(FaultSchedule::None),
-                Some(_) => Err("faults none takes no parameters".into()),
-            },
-            "fixed" => {
-                let rest = rest.ok_or("faults fixed needs node ids, e.g. fixed:2,3")?;
-                let mut set = BTreeSet::new();
-                for part in rest.split(',') {
-                    let id: NodeId = part
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("faults fixed: bad node id {part:?}"))?;
-                    set.insert(id);
-                }
-                Ok(FaultSchedule::Fixed(set))
-            }
-            "rotating" => {
-                let count = rest
-                    .ok_or("faults rotating needs a count, e.g. rotating:1")?
-                    .parse()
-                    .map_err(|_| format!("faults rotating: bad count {rest:?}"))?;
-                Ok(FaultSchedule::Rotating { count })
-            }
-            "worst-case" => {
-                let rest = rest.ok_or("faults worst-case needs a count, e.g. worst-case:1")?;
-                let mut it = rest.split(':');
-                let count = it
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|_| format!("faults worst-case: bad count in {rest:?}"))?;
-                let max_candidates = match it.next() {
-                    None => 16,
-                    Some(m) => m
-                        .parse()
-                        .map_err(|_| format!("faults worst-case: bad candidate cap {m:?}"))?,
-                };
-                if it.next().is_some() {
-                    return Err(format!(
-                        "faults worst-case: too many parameters in {rest:?}"
-                    ));
-                }
-                if max_candidates == 0 {
-                    return Err("faults worst-case: MAX_CANDIDATES must be ≥ 1".into());
-                }
-                Ok(FaultSchedule::WorstCase {
-                    count,
-                    max_candidates,
-                })
-            }
-            other => Err(format!("unknown fault schedule {other:?} (known: {KNOWN})")),
-        }
-    }
-
-    /// The canonical spec string this schedule parses from.
-    pub fn spec_string(&self) -> String {
-        match self {
-            FaultSchedule::None => "none".into(),
-            FaultSchedule::Fixed(set) => {
-                let ids: Vec<String> = set.iter().map(|v| v.to_string()).collect();
-                format!("fixed:{}", ids.join(","))
-            }
-            FaultSchedule::Rotating { count } => format!("rotating:{count}"),
-            FaultSchedule::WorstCase {
-                count,
-                max_candidates,
-            } => format!("worst-case:{count}:{max_candidates}"),
-        }
+        Term::read("fault schedule", &FORMS, spec)
     }
 
     /// Number of faulty nodes this schedule places.
     pub fn fault_count(&self) -> usize {
-        match self {
-            FaultSchedule::None => 0,
-            FaultSchedule::Fixed(set) => set.len(),
-            FaultSchedule::Rotating { count } => *count,
-            FaultSchedule::WorstCase { count, .. } => *count,
+        match self.args.first() {
+            Some(Arg::Ids(set)) => set.len(),
+            Some(count) => count.uint() as usize,
+            None => 0,
         }
     }
 
     /// The candidate faulty sets for a job on `n` nodes with seed index
     /// `seed_index`. Single-candidate schedules return one set;
-    /// [`FaultSchedule::WorstCase`] returns the (truncated) search space.
+    /// `worst-case` returns the (truncated) search space, spread across the
+    /// whole node-id range when `C(n, COUNT)` exceeds `MAX_CANDIDATES`.
     ///
     /// Candidates containing node ids `≥ n` are filtered out (a `fixed`
     /// set can name nodes a small grid point does not have — the caller
     /// rejects the job in that case).
     pub fn candidates(&self, n: usize, seed_index: u64) -> Vec<BTreeSet<NodeId>> {
-        match self {
-            FaultSchedule::None => vec![BTreeSet::new()],
-            FaultSchedule::Fixed(set) => {
-                if set.iter().any(|&v| v >= n) {
-                    Vec::new()
-                } else {
-                    vec![set.clone()]
-                }
-            }
-            FaultSchedule::Rotating { count } => {
-                if *count >= n {
-                    return Vec::new();
-                }
-                let start = (seed_index as usize) % n;
-                vec![(0..*count).map(|i| (start + i) % n).collect()]
-            }
-            FaultSchedule::WorstCase {
-                count,
-                max_candidates,
-            } => {
-                if *count >= n {
-                    return Vec::new();
-                }
-                spread_subsets(n, *count, *max_candidates)
-            }
-        }
+        (self.form.build)(&self.args, n, seed_index)
     }
 }
 
@@ -235,34 +158,13 @@ fn unrank_subset(n: usize, k: usize, mut rank: u128) -> BTreeSet<NodeId> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_roundtrips() {
-        for s in ["none", "fixed:2,3", "rotating:1", "worst-case:1:16"] {
-            let sched = FaultSchedule::parse(s).unwrap();
-            assert_eq!(sched.spec_string(), s);
-        }
-        // Default candidate cap fills in.
-        assert_eq!(
-            FaultSchedule::parse("worst-case:2").unwrap().spec_string(),
-            "worst-case:2:16"
-        );
-    }
-
-    #[test]
-    fn bad_specs_are_errors() {
-        assert!(FaultSchedule::parse("fixed").is_err());
-        assert!(FaultSchedule::parse("fixed:x").is_err());
-        assert!(FaultSchedule::parse("rotating").is_err());
-        assert!(FaultSchedule::parse("sometimes:1").is_err());
-        assert!(FaultSchedule::parse("none:1").is_err());
-        // A search over zero candidates would reject every job it reaches.
-        let e = FaultSchedule::parse("worst-case:1:0").unwrap_err();
-        assert!(e.contains("MAX_CANDIDATES must be ≥ 1"), "{e}");
+    fn sched(s: &str) -> FaultSchedule {
+        FaultSchedule::parse(s).unwrap()
     }
 
     #[test]
     fn rotating_sweeps_placement() {
-        let sched = FaultSchedule::Rotating { count: 2 };
+        let sched = sched("rotating:2");
         let a = &sched.candidates(5, 0)[0];
         let b = &sched.candidates(5, 1)[0];
         let wrap = &sched.candidates(5, 4)[0];
@@ -273,17 +175,9 @@ mod tests {
 
     #[test]
     fn worst_case_enumerates_subsets() {
-        let sched = FaultSchedule::WorstCase {
-            count: 1,
-            max_candidates: 16,
-        };
-        let cands = sched.candidates(4, 0);
-        assert_eq!(cands.len(), 4);
-        let sched = FaultSchedule::WorstCase {
-            count: 2,
-            max_candidates: 3,
-        };
-        assert_eq!(sched.candidates(5, 0).len(), 3, "cap applies");
+        assert_eq!(sched("worst-case:1").candidates(4, 0).len(), 4);
+        let capped = sched("worst-case:2:3").candidates(5, 0);
+        assert_eq!(capped.len(), 3, "cap applies");
     }
 
     #[test]
@@ -314,11 +208,7 @@ mod tests {
         // and the candidates must span the id range, not cluster at the
         // low ids (a lexicographic prefix would confine all 16 candidates
         // to nodes {0..6}).
-        let sched = FaultSchedule::WorstCase {
-            count: 4,
-            max_candidates: 16,
-        };
-        let cands = sched.candidates(64, 0);
+        let cands = sched("worst-case:4:16").candidates(64, 0);
         assert_eq!(cands.len(), 16);
         assert_eq!(
             cands[0],
@@ -339,11 +229,7 @@ mod tests {
     fn saturated_binomials_do_not_overflow_rank_spacing() {
         // C(130, 65) saturates binom() to u128::MAX; spacing must stay
         // well-defined (stride-first math) and candidates distinct.
-        let sched = FaultSchedule::WorstCase {
-            count: 65,
-            max_candidates: 8,
-        };
-        let cands = sched.candidates(130, 0);
+        let cands = sched("worst-case:65:8").candidates(130, 0);
         assert_eq!(cands.len(), 8);
         assert_eq!(cands.iter().collect::<BTreeSet<_>>().len(), 8);
         for c in &cands {
@@ -354,7 +240,6 @@ mod tests {
 
     #[test]
     fn out_of_range_fixed_set_yields_no_candidates() {
-        let sched = FaultSchedule::Fixed(BTreeSet::from([6]));
-        assert!(sched.candidates(4, 0).is_empty());
+        assert!(sched("fixed:6").candidates(4, 0).is_empty());
     }
 }

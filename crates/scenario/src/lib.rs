@@ -11,7 +11,9 @@
 //!   workload grid (`n × cap × f × symbols × seeds`, `q` instances per
 //!   job, optional interleaved streams);
 //! - [`parse`] — the `.scenario` text format (see `docs/scenarios.md`
-//!   for the reference and `scenarios/` for the bundled library);
+//!   for the reference and `scenarios/` for the bundled library), one row
+//!   of [`parse::KEYS`] per key; the topology, adversary, fault, mutation
+//!   and `link_model` values are [`grammar`] terms, one table row per form;
 //! - [`sweep`] — grid expansion into jobs and the multi-threaded runner
 //!   with deterministic per-job seeding: results are bit-identical for
 //!   any worker-thread count;
@@ -46,7 +48,9 @@
 
 pub mod adversary;
 pub mod faults;
+pub mod grammar;
 pub mod json;
+pub mod link_model;
 pub mod mutations;
 pub mod parse;
 pub mod report;

@@ -3,14 +3,14 @@
 //! Datacenter fabrics are not static: optical circuit switches re-provision
 //! link rates between traffic epochs, failures degrade links, and
 //! maintenance restores them. A [`MutationSchedule`] models this inside one
-//! job's instance stream: every `every` instances the job's network is
+//! job's instance stream: every `EVERY` instances the job's network is
 //! re-derived (capacity-only — the node and edge sets never change, so
 //! accumulated dispute state stays meaningful) and the engines migrate to
-//! the new network's plan.
+//! the new network's plan. Every schedule is one row of [`FORMS`].
 //!
 //! Every mutation is a deterministic function of `(base graph, epoch,
 //! job seed)`, so sweeps stay bit-identical across worker-thread counts;
-//! and because [`MutationSchedule::Flap`] alternates between exactly two
+//! and because `flap` alternates between exactly two
 //! capacity profiles, its plans land on the same content-addressed
 //! `PlanCache` entries every other epoch — the access pattern the
 //! persistent plan cache is designed for.
@@ -19,118 +19,76 @@ use nab_netgraph::DiGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every form [`MutationSchedule::parse`] reads: its unknown-schedule error
-/// and `nab-sim --help` print this, and `docs/scenarios.md` must list each.
-pub const KNOWN: &str =
-    "none, degrade:EVERY:LINKS:PCT, boost:EVERY:LINKS:PCT, flap:EVERY:LINKS:PCT";
+use crate::grammar::{param, Arg, Form, Kind, Param, Term, USIZE};
 
-/// How (and how often) a job's network mutates between instance epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutationSchedule {
-    /// The network never changes (the default).
-    None,
-    /// Every `every` instances, `links` random links lose `pct`% of their
-    /// capacity (cumulative across epochs, clamped to ≥ 1).
-    Degrade {
-        /// Instances per epoch.
-        every: usize,
-        /// Links mutated per epoch.
-        links: usize,
-        /// Capacity reduction percent (1–99).
-        pct: u64,
+/// What a mutation form builds: the capacity rewrites of one epoch,
+/// applied to a copy of the base graph (the arguments, the graph, the
+/// epoch, the job seed).
+pub type Rewrite = fn(&[Arg], &mut DiGraph, usize, u64);
+
+/// How (and how often) a job's network mutates between instance epochs:
+/// a row of [`FORMS`] and its arguments.
+pub type MutationSchedule = Term<Rewrite>;
+
+/// Instances per epoch: the first parameter of every form that mutates.
+const EVERY: Param = param("EVERY", Kind::Uint(1, USIZE));
+/// Links rewritten per epoch.
+const LINKS: Param = param("LINKS", Kind::Uint(1, USIZE));
+/// A capacity cut: a link never vanishes, it degrades.
+const CUT: Param = param("PCT", Kind::Uint(1, 99));
+
+/// Every mutation schedule, in the order help and errors list them.
+pub static FORMS: [Form<Rewrite>; 4] = [
+    Form {
+        name: "none",
+        params: &[],
+        about: "the network never changes",
+        build: |_, _, _, _| {},
     },
-    /// Every `every` instances, `links` random links gain `pct`% capacity
-    /// (cumulative across epochs, rounded up so a boost always boosts).
-    Boost {
-        /// Instances per epoch.
-        every: usize,
-        /// Links mutated per epoch.
-        links: usize,
-        /// Capacity increase percent (≥ 1).
-        pct: u64,
+    Form {
+        name: "degrade",
+        params: &[EVERY, LINKS, CUT],
+        about: "every EVERY instances LINKS random links lose PCT% capacity, cumulatively",
+        build: |a, g, epoch, seed| {
+            for round in 1..=epoch as u64 {
+                rewrite_caps(g, a[1].uint(), seed, round, |cap| degrade(cap, a[2].uint()));
+            }
+        },
     },
-    /// OCS-style flapping: odd epochs degrade `links` links by `pct`%,
-    /// even epochs restore the base capacities — the network alternates
-    /// between exactly two profiles.
-    Flap {
-        /// Instances per epoch.
-        every: usize,
-        /// Links mutated per odd epoch.
-        links: usize,
-        /// Capacity reduction percent (1–99).
-        pct: u64,
+    Form {
+        name: "boost",
+        params: &[EVERY, LINKS, param("PCT", Kind::Uint(1, 1000))],
+        about: "every EVERY instances LINKS random links gain PCT% capacity, cumulatively",
+        build: |a, g, epoch, seed| {
+            for round in 1..=epoch as u64 {
+                rewrite_caps(g, a[1].uint(), seed, round, |cap| boost(cap, a[2].uint()));
+            }
+        },
     },
-}
+    // Odd epochs all apply the SAME degraded profile (round key 1), so the
+    // job alternates between two graphs.
+    Form {
+        name: "flap",
+        params: &[EVERY, LINKS, CUT],
+        about: "odd epochs degrade LINKS links by PCT%, even epochs restore the base network",
+        build: |a, g, epoch, seed| {
+            if epoch % 2 == 1 {
+                rewrite_caps(g, a[1].uint(), seed, 1, |cap| degrade(cap, a[2].uint()));
+            }
+        },
+    },
+];
 
 impl MutationSchedule {
     /// Parses specs like `none`, `degrade:8:4:50`, `boost:8:4:100`, or
     /// `flap:8:4:50` (`KIND:EVERY:LINKS:PCT`).
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let (kind, rest) = match spec.split_once(':') {
-            Some((k, r)) => (k, Some(r)),
-            None => (spec, None),
-        };
-        if kind == "none" {
-            return match rest {
-                None => Ok(MutationSchedule::None),
-                Some(_) => Err("mutations none takes no parameters".into()),
-            };
-        }
-        let rest = rest
-            .ok_or_else(|| format!("mutations {kind} needs EVERY:LINKS:PCT, e.g. {kind}:8:4:50"))?;
-        let parts: Vec<&str> = rest.split(':').collect();
-        if parts.len() != 3 {
-            return Err(format!(
-                "mutations {kind} takes 3 parameters (EVERY:LINKS:PCT), got {}",
-                parts.len()
-            ));
-        }
-        let num = |i: usize, what: &str| -> Result<u64, String> {
-            parts[i]
-                .parse()
-                .map_err(|_| format!("mutations {kind}: bad {what} {:?}", parts[i]))
-        };
-        let every = num(0, "epoch length")? as usize;
-        let links = num(1, "link count")? as usize;
-        let pct = num(2, "percent")?;
-        if every == 0 || links == 0 || pct == 0 {
-            return Err(format!(
-                "mutations {kind}: EVERY, LINKS, and PCT must all be ≥ 1"
-            ));
-        }
-        match kind {
-            "degrade" | "flap" if pct > 99 => Err(format!(
-                "mutations {kind}: PCT must be ≤ 99 (a link never vanishes, it degrades)"
-            )),
-            "degrade" => Ok(MutationSchedule::Degrade { every, links, pct }),
-            "boost" => Ok(MutationSchedule::Boost { every, links, pct }),
-            "flap" => Ok(MutationSchedule::Flap { every, links, pct }),
-            other => Err(format!(
-                "unknown mutation schedule {other:?} (known: {KNOWN})"
-            )),
-        }
-    }
-
-    /// The canonical spec string this schedule parses from.
-    pub fn spec_string(&self) -> String {
-        match self {
-            MutationSchedule::None => "none".into(),
-            MutationSchedule::Degrade { every, links, pct } => {
-                format!("degrade:{every}:{links}:{pct}")
-            }
-            MutationSchedule::Boost { every, links, pct } => format!("boost:{every}:{links}:{pct}"),
-            MutationSchedule::Flap { every, links, pct } => format!("flap:{every}:{links}:{pct}"),
-        }
+        Term::read("mutation schedule", &FORMS, spec)
     }
 
     /// The epoch instance `inst` falls into (always 0 for `none`).
     pub fn epoch(&self, inst: usize) -> usize {
-        match self {
-            MutationSchedule::None => 0,
-            MutationSchedule::Degrade { every, .. }
-            | MutationSchedule::Boost { every, .. }
-            | MutationSchedule::Flap { every, .. } => inst / every,
-        }
+        (self.args.first()).map_or(0, |every| inst / every.uint() as usize)
     }
 
     /// The network for `epoch`, derived from the base graph and the job
@@ -140,41 +98,29 @@ impl MutationSchedule {
     /// `PlanCache` entries.
     pub fn graph_for_epoch(&self, base: &DiGraph, epoch: usize, seed: u64) -> DiGraph {
         let mut g = base.clone();
-        match *self {
-            MutationSchedule::None => {}
-            MutationSchedule::Degrade { links, pct, .. } => {
-                for round in 1..=epoch {
-                    rewrite_caps(&mut g, links, seed, round as u64, |cap| {
-                        (cap * (100 - pct) / 100).max(1)
-                    });
-                }
-            }
-            MutationSchedule::Boost { links, pct, .. } => {
-                for round in 1..=epoch {
-                    rewrite_caps(&mut g, links, seed, round as u64, |cap| {
-                        (cap * (100 + pct)).div_ceil(100)
-                    });
-                }
-            }
-            MutationSchedule::Flap { links, pct, .. } => {
-                // Odd epochs all apply the SAME degraded profile (round
-                // key 1), so the job alternates between two graphs.
-                if epoch % 2 == 1 {
-                    rewrite_caps(&mut g, links, seed, 1, |cap| {
-                        (cap * (100 - pct) / 100).max(1)
-                    });
-                }
-            }
-        }
+        (self.form.build)(&self.args, &mut g, epoch, seed);
         g
     }
+}
+
+/// `cap` less `pct` percent, rounded down and never below 1.
+fn degrade(cap: u64, pct: u64) -> u64 {
+    let kept = u128::from(cap) * u128::from(100 - pct) / 100;
+    (kept as u64).max(1)
+}
+
+/// `cap` plus `pct` percent, rounded up (a boost always boosts) and
+/// saturating: epochs compound, and no capacity may wrap around.
+fn boost(cap: u64, pct: u64) -> u64 {
+    let grown = (u128::from(cap) * u128::from(100 + pct)).div_ceil(100);
+    u64::try_from(grown).unwrap_or(u64::MAX)
 }
 
 /// Applies `f` to the capacities of `links` deterministically chosen live
 /// edges. Selection draws edge positions from an RNG keyed by `(seed,
 /// round)`; duplicates re-apply `f`, which keeps the draw count fixed (and
 /// therefore the selection deterministic) without rejection loops.
-fn rewrite_caps(g: &mut DiGraph, links: usize, seed: u64, round: u64, f: impl Fn(u64) -> u64) {
+fn rewrite_caps(g: &mut DiGraph, links: u64, seed: u64, round: u64, f: impl Fn(u64) -> u64) {
     let ids: Vec<usize> = g.edges().map(|(id, _)| id).collect();
     if ids.is_empty() {
         return;
@@ -195,37 +141,13 @@ mod tests {
     use nab_netgraph::gen;
 
     #[test]
-    fn parse_roundtrips() {
-        for s in ["none", "degrade:8:4:50", "boost:4:2:100", "flap:6:3:30"] {
-            let m = MutationSchedule::parse(s).unwrap();
-            assert_eq!(m.spec_string(), s);
-        }
-    }
-
-    #[test]
-    fn bad_specs_are_errors() {
-        for bad in [
-            "degrade",
-            "degrade:8:4",
-            "degrade:8:4:0",
-            "degrade:8:4:100",
-            "flap:8:4:250",
-            "boost:0:1:10",
-            "sometimes:1:2:3",
-            "none:1",
-        ] {
-            assert!(MutationSchedule::parse(bad).is_err(), "{bad} should fail");
-        }
-    }
-
-    #[test]
     fn epochs_partition_the_instance_stream() {
         let m = MutationSchedule::parse("degrade:4:1:50").unwrap();
         assert_eq!(m.epoch(0), 0);
         assert_eq!(m.epoch(3), 0);
         assert_eq!(m.epoch(4), 1);
         assert_eq!(m.epoch(11), 2);
-        assert_eq!(MutationSchedule::None.epoch(999), 0);
+        assert_eq!(MutationSchedule::parse("none").unwrap().epoch(999), 0);
     }
 
     #[test]
@@ -280,5 +202,27 @@ mod tests {
         assert_eq!(e2, base, "even epochs restore the base profile");
         assert_eq!(e1, e3, "odd epochs reuse one degraded profile");
         assert_ne!(e1, base);
+    }
+
+    #[test]
+    fn boost_pct_is_bounded_and_compounding_saturates() {
+        // `100 + PCT` used to overflow: a panic in debug builds, and in
+        // release a boost that wrapped into a degrade.
+        let e = MutationSchedule::parse("boost:1:1:18446744073709551615").unwrap_err();
+        assert!(e.contains("PCT must be an integer in 1..=1000"), "{e}");
+        let mut base = gen::complete(3, 1);
+        let ids: Vec<usize> = base.edges().map(|(id, _)| id).collect();
+        for id in ids {
+            base.set_edge_cap(id, u64::MAX / 2);
+        }
+        let m = MutationSchedule::parse("boost:1:6:1000").unwrap();
+        let g = m.graph_for_epoch(&base, 4, 5);
+        assert!(
+            g.edges().any(|(_, e)| e.cap == u64::MAX),
+            "compounded boosts saturate"
+        );
+        for ((_, grown), (_, was)) in g.edges().zip(base.edges()) {
+            assert!(grown.cap >= was.cap, "a boost never shrinks a link");
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! One `key = value` assignment per line; `#` starts a comment; blank
 //! lines are ignored. Unknown keys and malformed values are hard errors
 //! with line numbers, so a typo'd scenario fails loudly instead of
-//! silently running defaults. See `docs/scenarios.md` for the complete
-//! reference, and `scenarios/` for the bundled library.
+//! silently running defaults. Every key is one row of [`KEYS`]. See
+//! `docs/scenarios.md` for the complete reference, and `scenarios/` for
+//! the bundled library.
 //!
 //! ```text
 //! # Throughput sweep on heterogeneous meshes under a framing collusion.
@@ -23,10 +24,15 @@
 //! bounds    = true
 //! ```
 
+use std::fmt::Display;
+use std::str::FromStr;
+
 use nab::BroadcastKind;
 
 use crate::adversary::AdversarySpec;
 use crate::faults::FaultSchedule;
+use crate::grammar::Term;
+use crate::link_model;
 use crate::mutations::MutationSchedule;
 use crate::spec::ScenarioSpec;
 use crate::topology::TopologyTemplate;
@@ -59,6 +65,58 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// One `.scenario` key: a row of [`KEYS`].
+pub struct Key {
+    /// The name a line assigns, which is also the [`ScenarioSpec`] field
+    /// it sets.
+    pub name: &'static str,
+    /// Sets the key's field of a spec from a line's value.
+    set: fn(&mut ScenarioSpec, &str) -> Result<(), String>,
+    /// The field's value as `set` reads it.
+    get: fn(&ScenarioSpec) -> String,
+}
+
+impl Key {
+    /// The value an omitted key takes, as a file writes it.
+    pub fn default_value(&self) -> String {
+        (self.get)(&ScenarioSpec::default())
+    }
+}
+
+/// The [`Key`] for `field`: `parse` reads a value into it, `render` writes
+/// it back.
+macro_rules! key {
+    ($field:ident, $parse:expr, $render:expr) => {
+        Key {
+            name: stringify!($field),
+            set: |s, v| $parse(v).map(|x| s.$field = x),
+            get: |s| $render(&s.$field),
+        }
+    };
+}
+
+/// Every key, in the order [`to_scenario_string`] writes them.
+pub static KEYS: [Key; 18] = [
+    key!(name, text, String::clone),
+    key!(topology, TopologyTemplate::parse, Term::spec_string),
+    key!(broadcast, BroadcastKind::parse, broadcast_name),
+    key!(adversary, AdversarySpec::parse, Term::spec_string),
+    key!(faults, FaultSchedule::parse, Term::spec_string),
+    key!(mutations, MutationSchedule::parse, Term::spec_string),
+    key!(q, num, ToString::to_string),
+    key!(streams, num, ToString::to_string),
+    key!(n, list, join),
+    key!(cap, list, join),
+    key!(f, list, join),
+    key!(symbols, list, join),
+    key!(seeds, num, ToString::to_string),
+    key!(seed0, num, ToString::to_string),
+    key!(bounds, boolean, ToString::to_string),
+    key!(bounds_budget, num, ToString::to_string),
+    key!(link_model, link_model::parse, link_model::spec_string),
+    key!(net, boolean, ToString::to_string),
+];
+
 /// Parses a `.scenario` document.
 ///
 /// # Errors
@@ -90,46 +148,12 @@ pub fn parse_str(text: &str) -> Result<ScenarioSpec, ParseError> {
                 format!("duplicate key {key:?} (first set on line {prev})"),
             ));
         }
-        match key {
-            "name" => spec.name = value.to_string(),
-            "topology" => {
-                spec.topology = TopologyTemplate::parse(value).map_err(|e| err(lineno, e))?
-            }
-            "broadcast" => {
-                spec.broadcast = BroadcastKind::parse(value).map_err(|e| err(lineno, e))?
-            }
-            "adversary" => {
-                spec.adversary = AdversarySpec::parse(value).map_err(|e| err(lineno, e))?
-            }
-            "faults" => spec.faults = FaultSchedule::parse(value).map_err(|e| err(lineno, e))?,
-            "mutations" => {
-                spec.mutations = MutationSchedule::parse(value).map_err(|e| err(lineno, e))?
-            }
-            "q" => spec.q = parse_num(lineno, key, value)?,
-            "streams" => spec.streams = parse_num(lineno, key, value)?,
-            "n" => spec.n = parse_list(lineno, key, value)?,
-            "cap" => spec.cap = parse_list(lineno, key, value)?,
-            "f" => spec.f = parse_list(lineno, key, value)?,
-            "symbols" => spec.symbols = parse_list(lineno, key, value)?,
-            "seeds" => spec.seeds = parse_num(lineno, key, value)?,
-            "seed0" => spec.seed0 = parse_num(lineno, key, value)?,
-            "bounds" => spec.bounds = parse_bool(lineno, key, value)?,
-            "bounds_budget" => spec.bounds_budget = parse_num(lineno, key, value)?,
-            "link_model" => {
-                spec.link_model = nab_net::NetSpec::parse(value).map_err(|e| err(lineno, e))?
-            }
-            "net" => spec.net = parse_bool(lineno, key, value)?,
-            other => {
-                return Err(err(
-                    lineno,
-                    format!(
-                        "unknown key {other:?} (known: name, topology, broadcast, adversary, \
-                         faults, mutations, q, streams, n, cap, f, symbols, seeds, seed0, \
-                         bounds, bounds_budget, link_model, net)"
-                    ),
-                ))
-            }
-        }
+        let Some(row) = KEYS.iter().find(|k| k.name == key) else {
+            let known: Vec<&str> = KEYS.iter().map(|k| k.name).collect();
+            let known = known.join(", ");
+            return Err(err(lineno, format!("unknown key {key:?} (known: {known})")));
+        };
+        (row.set)(&mut spec, value).map_err(|e| err(lineno, format!("key {key:?}: {e}")))?;
     }
     spec.validate().map_err(|e| err(0, e))?;
     Ok(spec)
@@ -147,73 +171,47 @@ pub fn load(path: &str) -> Result<ScenarioSpec, ParseError> {
     parse_str(&text)
 }
 
-fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, ParseError> {
+fn broadcast_name(kind: &BroadcastKind) -> String {
+    kind.name().into()
+}
+
+fn text(value: &str) -> Result<String, String> {
+    Ok(value.into())
+}
+
+fn boolean(value: &str) -> Result<bool, String> {
     match value {
         "true" | "on" | "yes" => Ok(true),
         "false" | "off" | "no" => Ok(false),
-        other => Err(err(line, format!("key {key:?}: bad boolean {other:?}"))),
+        other => Err(format!("bad boolean {other:?}")),
     }
 }
 
-fn parse_num<T: std::str::FromStr>(line: usize, key: &str, value: &str) -> Result<T, ParseError> {
-    value
-        .parse()
-        .map_err(|_| err(line, format!("key {key:?}: bad number {value:?}")))
+fn num<T: FromStr>(value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad number {value:?}"))
 }
 
-fn parse_list<T: std::str::FromStr>(
-    line: usize,
-    key: &str,
-    value: &str,
-) -> Result<Vec<T>, ParseError> {
-    value
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| err(line, format!("key {key:?}: bad list entry {part:?}")))
-        })
+fn list<T: FromStr>(value: &str) -> Result<Vec<T>, String> {
+    (value.split(','))
+        .map(|part| (part.trim().parse()).map_err(|_| format!("bad list entry {part:?}")))
         .collect()
+}
+
+fn join<T: Display>(items: &[T]) -> String {
+    let items: Vec<String> = items.iter().map(T::to_string).collect();
+    items.join(",")
 }
 
 /// Renders a spec back to the `.scenario` format (canonical form).
 pub fn to_scenario_string(spec: &ScenarioSpec) -> String {
-    fn list<T: std::fmt::Display>(items: &[T]) -> String {
-        items
-            .iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-    format!(
-        "name = {}\ntopology = {}\nbroadcast = {}\nadversary = {}\nfaults = {}\n\
-         mutations = {}\nq = {}\nstreams = {}\nn = {}\ncap = {}\nf = {}\nsymbols = {}\n\
-         seeds = {}\nseed0 = {}\nbounds = {}\nbounds_budget = {}\nlink_model = {}\nnet = {}\n",
-        spec.name,
-        spec.topology.spec_string(),
-        spec.broadcast.name(),
-        spec.adversary.spec_string(),
-        spec.faults.spec_string(),
-        spec.mutations.spec_string(),
-        spec.q,
-        spec.streams,
-        list(&spec.n),
-        list(&spec.cap),
-        list(&spec.f),
-        list(&spec.symbols),
-        spec.seeds,
-        spec.seed0,
-        spec.bounds,
-        spec.bounds_budget,
-        spec.link_model.spec_string(),
-        spec.net,
-    )
+    (KEYS.iter())
+        .map(|key| format!("{} = {}\n", key.name, (key.get)(spec)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     const FULL: &str = r#"
 # A full scenario exercising every key.
@@ -222,6 +220,7 @@ topology = kconnected:$n:2f+1:$cap:25
 broadcast = phase-king
 adversary = random:0.3
 faults = rotating:1
+mutations = flap:4:2:50
 q = 5
 streams = 2
 n = 5, 7
@@ -232,6 +231,8 @@ seeds = 2
 seed0 = 13
 bounds = true
 bounds_budget = 4096
+link_model = uniform:10:20+straggler:0:1:3
+net = on
 "#;
 
     #[test]
@@ -240,15 +241,17 @@ bounds_budget = 4096
         assert_eq!(s.name, "full");
         assert_eq!(s.topology.spec_string(), "kconnected:$n:2f+1:$cap:25");
         assert_eq!(s.broadcast, BroadcastKind::PhaseKing);
-        assert_eq!(s.adversary, AdversarySpec::Random { p: 0.3 });
-        assert_eq!(s.faults, FaultSchedule::Rotating { count: 1 });
+        assert_eq!(s.adversary.spec_string(), "random:0.3");
+        assert_eq!(s.faults.spec_string(), "rotating:1");
+        assert_eq!(s.mutations.spec_string(), "flap:4:2:50");
         assert_eq!((s.q, s.streams), (5, 2));
         assert_eq!(s.n, vec![5, 7]);
         assert_eq!(s.cap, vec![1, 2, 4]);
         assert_eq!(s.symbols, vec![8, 32]);
         assert_eq!((s.seeds, s.seed0), (2, 13));
-        assert!(s.bounds);
+        assert!(s.bounds && s.net);
         assert_eq!(s.bounds_budget, 4096);
+        assert_eq!(s.link_model.straggler, Some((0, 1, 3)));
         assert_eq!(s.job_count(), (2 * 3) * 2 * 2);
     }
 
@@ -256,15 +259,40 @@ bounds_budget = 4096
     fn roundtrip_through_canonical_form() {
         let s = parse_str(FULL).unwrap();
         let text = to_scenario_string(&s);
+        assert_eq!(text.lines().count(), KEYS.len(), "every key, once");
         assert_eq!(parse_str(&text).unwrap(), s);
+    }
+
+    /// `parse(to_scenario_string(parse(f))) == parse(f)` for every bundled
+    /// scenario and every benchmark workload file.
+    #[test]
+    fn every_bundled_and_workload_file_roundtrips() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut dirs = vec![root.join("scenarios")];
+        for entry in std::fs::read_dir(root.join("benchmark/workloads")).unwrap() {
+            dirs.push(entry.unwrap().path());
+        }
+        let mut files = 0;
+        for dir in dirs {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                let text = std::fs::read_to_string(&path).unwrap();
+                let spec = parse_str(&text.replace("{{SEED}}", "11"))
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                let again = parse_str(&to_scenario_string(&spec)).unwrap();
+                assert_eq!(again, spec, "{}", path.display());
+                files += 1;
+            }
+        }
+        assert_eq!(files, 21 + 11);
     }
 
     #[test]
     fn defaults_fill_unset_keys() {
         let s = parse_str("name = tiny\n").unwrap();
+        assert_eq!(s, ScenarioSpec::new("tiny"));
         assert_eq!(s.q, 8);
         assert_eq!(s.n, vec![4]);
-        assert_eq!(s.faults, FaultSchedule::None);
     }
 
     #[test]
@@ -272,10 +300,14 @@ bounds_budget = 4096
         let e = parse_str("name = x\nbogus-key = 1\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("unknown key"));
+        let known: Vec<&str> = KEYS.iter().map(|k| k.name).collect();
+        assert!(e
+            .message
+            .ends_with(&format!("(known: {})", known.join(", "))));
         let e = parse_str("topology = torus:3\n").unwrap_err();
         assert_eq!(e.line, 1);
         let e = parse_str("q = many\n").unwrap_err();
-        assert!(e.message.contains("bad number"));
+        assert!(e.message.contains("key \"q\": bad number"), "{e}");
         let e = parse_str("name = x\nq 9\n").unwrap_err();
         assert!(e.message.contains("key = value"));
     }
@@ -305,21 +337,13 @@ bounds_budget = 4096
     }
 
     #[test]
-    fn mutations_key_parses_and_defaults_none() {
-        let s = parse_str("name = x\n").unwrap();
-        assert_eq!(s.mutations, MutationSchedule::None);
-        let s = parse_str("name = x\nmutations = flap:4:2:50\n").unwrap();
-        assert_eq!(
-            s.mutations,
-            MutationSchedule::Flap {
-                every: 4,
-                links: 2,
-                pct: 50
-            }
-        );
+    fn schedule_errors_keep_their_line() {
         let e = parse_str("name = x\nmutations = degrade:4:2\n").unwrap_err();
         assert_eq!(e.line, 2);
-        assert!(e.message.contains("3 parameters"), "{e}");
+        assert!(e.message.contains("takes 3 parameter(s), got 2"), "{e}");
+        let e = parse_str("name = x\n\nfaults = rotating:x\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("rotating: COUNT must be"), "{e}");
     }
 
     #[test]
@@ -332,8 +356,9 @@ bounds_budget = 4096
 
     #[test]
     fn fixed_fault_sets_parse_into_sorted_sets() {
-        let s = parse_str("name = x\nfaults = fixed:3,1\n").unwrap();
-        assert_eq!(s.faults, FaultSchedule::Fixed(BTreeSet::from([1, 3])));
+        let s = parse_str("name = x\nfaults = fixed:3, 1,3\n").unwrap();
+        assert_eq!(s.faults.spec_string(), "fixed:1,3");
+        assert_eq!(s.faults.fault_count(), 2);
     }
 
     #[test]
@@ -343,23 +368,47 @@ bounds_budget = 4096
         assert!(e.message.contains("q"));
     }
 
+    /// `docs/scenarios.md` documents exactly the table rows, in table
+    /// order: the topology families, every schedule form, and every key
+    /// with its default.
     #[test]
-    fn docs_list_every_adversary_fault_and_mutation_form() {
+    fn docs_list_every_table_row() {
         let doc = include_str!("../../../docs/scenarios.md");
-        for (heading, known) in [
-            ("## Adversaries", crate::adversary::KNOWN),
-            ("## Fault schedules", crate::faults::KNOWN),
-            ("## Mutation schedules", crate::mutations::KNOWN),
-        ] {
-            let section = doc
-                .split_once(heading)
+        // The first two cells of each table row in a section.
+        let rows = |heading: &str| -> Vec<(String, String)> {
+            let section = (doc.split_once(heading))
                 .and_then(|(_, rest)| rest.split_once("\n## "))
                 .unwrap_or_else(|| panic!("docs/scenarios.md has a {heading:?} section"))
                 .0;
-            for form in known.split(", ") {
-                let form = format!("`{form}`");
-                assert!(section.contains(&form), "{heading} lacks {form}");
-            }
+            (section.lines().filter(|l| l.starts_with("| `")))
+                .map(|l| {
+                    let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+                    (cells[1].to_string(), cells[2].to_string())
+                })
+                .collect()
+        };
+        let forms = crate::grammar::forms();
+        let of_key = |key: &str| -> Vec<String> {
+            (forms.iter().filter(|f| f.0 == key))
+                .map(|f| f.1.clone())
+                .collect()
+        };
+        for (heading, want) in [
+            ("## Topology templates", of_key("topology")),
+            ("## Adversaries", of_key("adversary")),
+            ("## Fault schedules", of_key("faults")),
+            ("## Mutation schedules", of_key("mutations")),
+            ("## Link models", of_key("link_model")),
+        ] {
+            let documented: Vec<String> = (rows(heading).iter())
+                .flat_map(|(first, _)| first.split(','))
+                .map(|sig| sig.trim().trim_matches('`').to_string())
+                .collect();
+            assert_eq!(documented, want, "{heading}");
         }
+        let keys: Vec<(String, String)> = (KEYS.iter())
+            .map(|k| (format!("`{}`", k.name), format!("`{}`", k.default_value())))
+            .collect();
+        assert_eq!(rows("## Keys"), keys, "## Keys");
     }
 }

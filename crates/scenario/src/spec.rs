@@ -4,9 +4,9 @@
 //! parameterized topology, a fault placement schedule, an adversary
 //! strategy, a broadcast backend, a workload shape, and the grid of
 //! parameters (`n`, `cap`, `f`, `symbols`, seed repetitions) the sweep
-//! runner expands into jobs. Build one in Rust with the chainable
-//! `with_*` methods, or load one from a `.scenario` file via
-//! [`crate::parse`].
+//! runner expands into jobs. Build one in Rust from
+//! [`ScenarioSpec::new`] and its public fields, or load one from a
+//! `.scenario` file via [`crate::parse`].
 
 use nab::BroadcastKind;
 
@@ -63,7 +63,7 @@ pub struct ScenarioSpec {
     /// Whether jobs execute message-level over the `nab-net` event
     /// kernel (phase durations and delivered-time histograms come from
     /// messages in flight) instead of the synchronous formula charges.
-    /// Off by default; the CLI `--net` flag switches it on.
+    /// Off by default.
     pub net: bool,
 }
 
@@ -73,9 +73,9 @@ impl Default for ScenarioSpec {
             name: "unnamed".into(),
             topology: TopologyTemplate::parse("complete:$n:$cap").expect("a table family"), // nab-lint: allow(NAB003): a literal spec of a FAMILIES row; `defaults_fill_unset_keys` parses it on every test run
             broadcast: BroadcastKind::default(),
-            adversary: AdversarySpec::Honest,
-            faults: FaultSchedule::None,
-            mutations: MutationSchedule::None,
+            adversary: AdversarySpec::parse("honest").expect("a table row"), // nab-lint: allow(NAB003): a literal spec of a FORMS row, parsed by `defaults_fill_unset_keys` on every test run
+            faults: FaultSchedule::parse("none").expect("a table row"), // nab-lint: allow(NAB003): as for `adversary`
+            mutations: MutationSchedule::parse("none").expect("a table row"), // nab-lint: allow(NAB003): as for `adversary`
             q: 8,
             streams: 1,
             n: vec![4],
@@ -99,102 +99,6 @@ impl ScenarioSpec {
             name: name.into(),
             ..ScenarioSpec::default()
         }
-    }
-
-    /// Sets the topology family.
-    pub fn with_topology(mut self, t: TopologyTemplate) -> Self {
-        self.topology = t;
-        self
-    }
-
-    /// Sets the broadcast backend.
-    pub fn with_broadcast(mut self, b: BroadcastKind) -> Self {
-        self.broadcast = b;
-        self
-    }
-
-    /// Sets the adversary strategy.
-    pub fn with_adversary(mut self, a: AdversarySpec) -> Self {
-        self.adversary = a;
-        self
-    }
-
-    /// Sets the fault schedule.
-    pub fn with_faults(mut self, f: FaultSchedule) -> Self {
-        self.faults = f;
-        self
-    }
-
-    /// Sets the topology mutation schedule.
-    pub fn with_mutations(mut self, m: MutationSchedule) -> Self {
-        self.mutations = m;
-        self
-    }
-
-    /// Sets instances per job.
-    pub fn with_q(mut self, q: usize) -> Self {
-        self.q = q;
-        self
-    }
-
-    /// Sets interleaved streams per job.
-    pub fn with_streams(mut self, s: usize) -> Self {
-        self.streams = s;
-        self
-    }
-
-    /// Sets the `$n` grid axis.
-    pub fn with_n(mut self, n: Vec<usize>) -> Self {
-        self.n = n;
-        self
-    }
-
-    /// Sets the `$cap` grid axis.
-    pub fn with_cap(mut self, cap: Vec<u64>) -> Self {
-        self.cap = cap;
-        self
-    }
-
-    /// Sets the `$f` grid axis.
-    pub fn with_f(mut self, f: Vec<usize>) -> Self {
-        self.f = f;
-        self
-    }
-
-    /// Sets the symbols grid axis.
-    pub fn with_symbols(mut self, symbols: Vec<usize>) -> Self {
-        self.symbols = symbols;
-        self
-    }
-
-    /// Sets seed repetitions per grid point.
-    pub fn with_seeds(mut self, seeds: u64) -> Self {
-        self.seeds = seeds;
-        self
-    }
-
-    /// Sets the base seed.
-    pub fn with_seed0(mut self, seed0: u64) -> Self {
-        self.seed0 = seed0;
-        self
-    }
-
-    /// Enables or disables per-job bound computation.
-    pub fn with_bounds(mut self, on: bool) -> Self {
-        self.bounds = on;
-        self
-    }
-
-    /// Sets the link models for message-level execution.
-    pub fn with_link_model(mut self, m: nab_net::NetSpec) -> Self {
-        self.link_model = m;
-        self
-    }
-
-    /// Enables or disables message-level (event-driven) execution.
-    pub fn with_net(mut self, on: bool) -> Self {
-        self.net = on;
-        self
     }
 
     /// Validates cross-field consistency.
@@ -242,29 +146,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_composes() {
-        let s = ScenarioSpec::new("t")
-            .with_topology(TopologyTemplate::parse("fig1a").unwrap())
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Rotating { count: 1 })
-            .with_q(4)
-            .with_n(vec![4, 5])
-            .with_cap(vec![1, 2])
-            .with_f(vec![1])
-            .with_symbols(vec![8, 16])
-            .with_seeds(3)
-            .with_seed0(99);
+    fn fields_compose() {
+        let s = ScenarioSpec {
+            topology: TopologyTemplate::parse("fig1a").unwrap(),
+            adversary: AdversarySpec::parse("corruptor").unwrap(),
+            faults: FaultSchedule::parse("rotating:1").unwrap(),
+            q: 4,
+            n: vec![4, 5],
+            cap: vec![1, 2],
+            f: vec![1],
+            symbols: vec![8, 16],
+            seeds: 3,
+            seed0: 99,
+            ..ScenarioSpec::new("t")
+        };
         assert!(s.validate().is_ok());
         assert_eq!(s.job_count(), 2 * 2 * 2 * 3);
     }
 
     #[test]
     fn validation_catches_empty_axes() {
-        let s = ScenarioSpec::new("t").with_n(vec![]);
+        let s = ScenarioSpec {
+            n: vec![],
+            ..ScenarioSpec::new("t")
+        };
         assert!(s.validate().unwrap_err().contains("\"n\""));
-        let s = ScenarioSpec::new("t").with_q(0);
+        let s = ScenarioSpec {
+            q: 0,
+            ..ScenarioSpec::new("t")
+        };
         assert!(s.validate().is_err());
-        let s = ScenarioSpec::new("t").with_symbols(vec![0]);
+        let s = ScenarioSpec {
+            symbols: vec![0],
+            ..ScenarioSpec::new("t")
+        };
         assert!(s.validate().is_err());
     }
 }

@@ -25,7 +25,7 @@ use nab_obs::trace::{self, EventKind, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::faults::FaultSchedule;
+use crate::grammar::Arg;
 use crate::report::{Aggregate, JobBounds, JobMetrics, JobOutcome, PhaseLatency, SweepReport};
 use crate::spec::ScenarioSpec;
 use crate::topology::ResolveCtx;
@@ -393,9 +393,9 @@ pub fn run_job(spec: &ScenarioSpec, job: &Job, cache: Option<&PlanCache>) -> Job
     };
     let candidates = spec.faults.candidates(graph.node_count(), job.seed_index);
     if candidates.is_empty() {
-        let why = match &spec.faults {
-            FaultSchedule::Fixed(set) => format!("names node {}", set.last().unwrap_or(&0)),
-            other => format!("places {} nodes", other.fault_count()),
+        let why = match spec.faults.args.first() {
+            Some(Arg::Ids(set)) => format!("names node {}", set.last().unwrap_or(&0)),
+            _ => format!("places {} nodes", spec.faults.fault_count()),
         };
         outcome.result = Err(format!(
             "fault schedule {} {why}, but the network only has nodes 0..{}",
@@ -723,14 +723,24 @@ mod tests {
     use crate::spec::ScenarioSpec;
     use crate::topology::TopologyTemplate;
 
+    fn adv(spec: &str) -> AdversarySpec {
+        AdversarySpec::parse(spec).unwrap()
+    }
+
+    fn faults(spec: &str) -> FaultSchedule {
+        FaultSchedule::parse(spec).unwrap()
+    }
+
     fn small_spec() -> ScenarioSpec {
-        ScenarioSpec::new("unit")
-            .with_topology(TopologyTemplate::parse("complete:$n:$cap").unwrap())
-            .with_q(2)
-            .with_n(vec![4, 5])
-            .with_cap(vec![1, 2])
-            .with_symbols(vec![8])
-            .with_seeds(2)
+        ScenarioSpec {
+            topology: TopologyTemplate::parse("complete:$n:$cap").unwrap(),
+            q: 2,
+            n: vec![4, 5],
+            cap: vec![1, 2],
+            symbols: vec![8],
+            seeds: 2,
+            ..ScenarioSpec::new("unit")
+        }
     }
 
     /// The cold-plan oracle: every job plans on a fresh cache of its own,
@@ -846,10 +856,12 @@ mod tests {
 
     #[test]
     fn corruptor_sweep_finds_disputes_and_stays_correct() {
-        let spec = small_spec()
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Fixed(std::collections::BTreeSet::from([2])))
-            .with_q(3);
+        let spec = ScenarioSpec {
+            adversary: adv("corruptor"),
+            faults: faults("fixed:2"),
+            q: 3,
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         assert!(report.aggregate.all_correct);
         assert!(report.aggregate.total_dispute_rounds > 0);
@@ -864,12 +876,14 @@ mod tests {
 
     #[test]
     fn rotating_schedule_covers_distinct_placements() {
-        let spec = small_spec()
-            .with_n(vec![4])
-            .with_cap(vec![2])
-            .with_faults(FaultSchedule::Rotating { count: 1 })
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_seeds(4);
+        let spec = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            faults: faults("rotating:1"),
+            adversary: adv("corruptor"),
+            seeds: 4,
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         let placements: BTreeSet<Vec<usize>> =
             report.jobs.iter().map(|j| j.faulty.clone()).collect();
@@ -879,15 +893,14 @@ mod tests {
 
     #[test]
     fn worst_case_search_picks_throughput_minimizer() {
-        let spec = small_spec()
-            .with_n(vec![4])
-            .with_cap(vec![2])
-            .with_seeds(1)
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::WorstCase {
-                count: 1,
-                max_candidates: 4,
-            });
+        let spec = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            seeds: 1,
+            adversary: adv("corruptor"),
+            faults: faults("worst-case:1:4"),
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         let job = &report.jobs[0];
         assert_eq!(job.candidates_tried, 4);
@@ -916,16 +929,15 @@ mod tests {
         // defaulted instances counted full payload bits (at zero cost),
         // the source placement would look artificially fast and the
         // search would always avoid it.
-        let spec = small_spec()
-            .with_n(vec![4])
-            .with_cap(vec![2])
-            .with_seeds(1)
-            .with_q(6)
-            .with_adversary(AdversarySpec::Equivocate)
-            .with_faults(FaultSchedule::WorstCase {
-                count: 1,
-                max_candidates: 4,
-            });
+        let spec = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            seeds: 1,
+            q: 6,
+            adversary: adv("equivocate"),
+            faults: faults("worst-case:1:4"),
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         let job = &report.jobs[0];
         let m = job.result.as_ref().unwrap();
@@ -946,11 +958,13 @@ mod tests {
     #[test]
     fn impossible_grid_points_are_recorded_not_fatal() {
         // A ring is never 3-connected: engine must reject, sweep must go on.
-        let spec = ScenarioSpec::new("rejects")
-            .with_topology(TopologyTemplate::parse("ring:$n:$cap").unwrap())
-            .with_n(vec![5])
-            .with_cap(vec![1])
-            .with_q(1);
+        let spec = ScenarioSpec {
+            topology: TopologyTemplate::parse("ring:$n:$cap").unwrap(),
+            n: vec![5],
+            cap: vec![1],
+            q: 1,
+            ..ScenarioSpec::new("rejects")
+        };
         let report = run_sweep(&spec, 1).unwrap();
         assert_eq!(report.aggregate.rejected_jobs, 1);
         let job = &report.jobs[0];
@@ -963,11 +977,11 @@ mod tests {
 
     #[test]
     fn fault_count_above_f_is_rejected_cleanly() {
-        let spec = small_spec()
-            .with_faults(FaultSchedule::Fixed(std::collections::BTreeSet::from([
-                1, 2,
-            ])))
-            .with_f(vec![1]);
+        let spec = ScenarioSpec {
+            faults: faults("fixed:1,2"),
+            f: vec![1],
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         assert_eq!(report.aggregate.rejected_jobs, report.jobs.len());
         assert!(report.jobs[0]
@@ -979,12 +993,14 @@ mod tests {
 
     #[test]
     fn streams_interleave_and_scale_bits() {
-        let spec = small_spec()
-            .with_n(vec![4])
-            .with_cap(vec![2])
-            .with_seeds(1)
-            .with_streams(3)
-            .with_q(2);
+        let spec = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            seeds: 1,
+            streams: 3,
+            q: 2,
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         let m = report.jobs[0].result.as_ref().unwrap();
         assert_eq!(m.instances, 6);
@@ -996,9 +1012,11 @@ mod tests {
         // Every job's adversary panics mid-instance (faulty node 2 acts
         // in every Phase 1). The sweep must finish all 8 jobs, record
         // each panic as a job-level error, and keep the report sound.
-        let spec = small_spec()
-            .with_adversary(AdversarySpec::ChaosPanic)
-            .with_faults(FaultSchedule::Fixed(std::collections::BTreeSet::from([2])));
+        let spec = ScenarioSpec {
+            adversary: adv("chaos-panic"),
+            faults: faults("fixed:2"),
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 2).unwrap();
         assert_eq!(report.jobs.len(), 8);
         assert_eq!(report.aggregate.rejected_jobs, 8);
@@ -1011,9 +1029,21 @@ mod tests {
 
     #[test]
     fn net_zero_model_matches_formula_and_carries_delivered_times() {
-        let base = small_spec().with_n(vec![4]).with_cap(vec![2]).with_seeds(1);
+        let base = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            seeds: 1,
+            ..small_spec()
+        };
         let off = run_sweep(&base, 1).unwrap();
-        let zero = run_sweep(&base.clone().with_net(true), 1).unwrap();
+        let zero = run_sweep(
+            &ScenarioSpec {
+                net: true,
+                ..base.clone()
+            },
+            1,
+        )
+        .unwrap();
         let m_off = off.jobs[0].result.as_ref().unwrap();
         let m_zero = zero.jobs[0].result.as_ref().unwrap();
         // Zero-latency lossless links: message-level time equals the
@@ -1032,17 +1062,22 @@ mod tests {
 
     #[test]
     fn net_latency_slows_jobs_without_changing_outcomes() {
-        let base = small_spec()
-            .with_n(vec![4])
-            .with_cap(vec![2])
-            .with_seeds(1)
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Fixed(std::collections::BTreeSet::from([2])))
-            .with_q(3);
+        let base = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            seeds: 1,
+            adversary: adv("corruptor"),
+            faults: faults("fixed:2"),
+            q: 3,
+            ..small_spec()
+        };
         let off = run_sweep(&base, 1).unwrap();
-        let spec = base.with_net(true).with_link_model(
-            nab_net::NetSpec::parse("uniform:1000000:500000+loss:0.2:2:2000000").unwrap(),
-        );
+        let spec = ScenarioSpec {
+            net: true,
+            link_model: crate::link_model::parse("uniform:1000000:500000+loss:0.2:2:2000000")
+                .unwrap(),
+            ..base
+        };
         let on = run_sweep(&spec, 1).unwrap();
         let m_off = off.jobs[0].result.as_ref().unwrap();
         let m_on = on.jobs[0].result.as_ref().unwrap();
@@ -1077,13 +1112,14 @@ mod tests {
 
     #[test]
     fn net_mode_is_thread_invariant() {
-        let spec = small_spec()
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Rotating { count: 1 })
-            .with_net(true)
-            .with_link_model(
-                nab_net::NetSpec::parse("lognormal:1000000:0.5+loss:0.1:2:2000000").unwrap(),
-            );
+        let spec = ScenarioSpec {
+            adversary: adv("corruptor"),
+            faults: faults("rotating:1"),
+            net: true,
+            link_model: crate::link_model::parse("lognormal:1000000:0.5+loss:0.1:2:2000000")
+                .unwrap(),
+            ..small_spec()
+        };
         let a = run_sweep(&spec, 1).unwrap();
         let b = run_sweep(&spec, 4).unwrap();
         assert_eq!(a.to_json(), b.to_json());
@@ -1091,9 +1127,11 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let spec = small_spec()
-            .with_adversary(AdversarySpec::Random { p: 0.4 })
-            .with_faults(FaultSchedule::Rotating { count: 1 });
+        let spec = ScenarioSpec {
+            adversary: adv("random:0.4"),
+            faults: faults("rotating:1"),
+            ..small_spec()
+        };
         let a = run_sweep(&spec, 1).unwrap();
         let b = run_sweep(&spec, 4).unwrap();
         assert_eq!(a.to_json(), b.to_json());
@@ -1109,10 +1147,12 @@ mod tests {
 
     #[test]
     fn plan_cache_state_does_not_change_results() {
-        let spec = small_spec()
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Rotating { count: 1 })
-            .with_seeds(3);
+        let spec = ScenarioSpec {
+            adversary: adv("corruptor"),
+            faults: faults("rotating:1"),
+            seeds: 3,
+            ..small_spec()
+        };
         let cold = cold_plan_sweep(&spec).to_json();
         assert_eq!(run_sweep(&spec, 1).unwrap().to_json(), cold);
         assert_eq!(run_sweep(&spec, 4).unwrap().to_json(), cold);
@@ -1133,7 +1173,10 @@ mod tests {
     fn plan_stats_account_for_sharing() {
         // 2 n-values × 2 caps × 3 seeds on a deterministic topology:
         // 4 distinct networks, 12 jobs → 4 misses, 8 hits.
-        let spec = small_spec().with_seeds(3);
+        let spec = ScenarioSpec {
+            seeds: 3,
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         let a = &report.aggregate;
         assert_eq!(a.plan_misses, 4);
@@ -1150,11 +1193,13 @@ mod tests {
     #[test]
     fn replan_counters_surface_in_timed_json_only() {
         // Dispute-heavy: a corruptor forces replans on the shrunken G_k.
-        let spec = small_spec()
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Rotating { count: 1 })
-            .with_q(4)
-            .with_seeds(2);
+        let spec = ScenarioSpec {
+            adversary: adv("corruptor"),
+            faults: faults("rotating:1"),
+            q: 4,
+            seeds: 2,
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 2).unwrap();
         assert!(
             report.aggregate.plan_repairs + report.aggregate.plan_full_recomputes > 0,
@@ -1172,12 +1217,14 @@ mod tests {
         // 8 instances, flapping every 2: epochs 0..3 alternate between the
         // base and one degraded profile, so the shared cache sees exactly
         // 2 distinct networks and the revisits all hit.
-        let spec = small_spec()
-            .with_n(vec![5])
-            .with_cap(vec![4])
-            .with_seeds(1)
-            .with_q(8)
-            .with_mutations(crate::mutations::MutationSchedule::parse("flap:2:3:50").unwrap());
+        let spec = ScenarioSpec {
+            n: vec![5],
+            cap: vec![4],
+            seeds: 1,
+            q: 8,
+            mutations: crate::mutations::MutationSchedule::parse("flap:2:3:50").unwrap(),
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         assert!(report.aggregate.all_correct);
         let m = report.jobs[0].result.as_ref().unwrap();
@@ -1190,9 +1237,10 @@ mod tests {
         // Mutations change measured behavior vs. the static network
         // (degraded links slow instances down).
         let static_net = run_sweep(
-            &spec
-                .clone()
-                .with_mutations(crate::mutations::MutationSchedule::None),
+            &ScenarioSpec {
+                mutations: crate::mutations::MutationSchedule::parse("none").unwrap(),
+                ..spec.clone()
+            },
             1,
         )
         .unwrap();
@@ -1201,14 +1249,16 @@ mod tests {
 
     #[test]
     fn mutations_carry_dispute_state_across_migrations() {
-        let spec = small_spec()
-            .with_n(vec![5])
-            .with_cap(vec![4])
-            .with_seeds(1)
-            .with_q(6)
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Fixed(std::collections::BTreeSet::from([2])))
-            .with_mutations(crate::mutations::MutationSchedule::parse("flap:3:2:50").unwrap());
+        let spec = ScenarioSpec {
+            n: vec![5],
+            cap: vec![4],
+            seeds: 1,
+            q: 6,
+            adversary: adv("corruptor"),
+            faults: faults("fixed:2"),
+            mutations: crate::mutations::MutationSchedule::parse("flap:3:2:50").unwrap(),
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         assert!(report.aggregate.all_correct);
         let m = report.jobs[0].result.as_ref().unwrap();
@@ -1231,9 +1281,11 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
-        let spec = small_spec()
-            .with_adversary(AdversarySpec::Corruptor)
-            .with_faults(FaultSchedule::Rotating { count: 1 });
+        let spec = ScenarioSpec {
+            adversary: adv("corruptor"),
+            faults: faults("rotating:1"),
+            ..small_spec()
+        };
         let cold = run_sweep(&spec, 2).unwrap();
         // First disk-backed sweep populates the directory…
         let store = PlanCache::with_dir(&dir);
@@ -1251,11 +1303,13 @@ mod tests {
 
     #[test]
     fn bounds_attach_when_requested() {
-        let spec = small_spec()
-            .with_n(vec![4])
-            .with_cap(vec![2])
-            .with_seeds(1)
-            .with_bounds(true);
+        let spec = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            seeds: 1,
+            bounds: true,
+            ..small_spec()
+        };
         let report = run_sweep(&spec, 1).unwrap();
         let m = report.jobs[0].result.as_ref().unwrap();
         let b = m.bounds.as_ref().expect("bounds computed");
@@ -1268,11 +1322,13 @@ mod tests {
 
     #[test]
     fn inexact_bounds_are_marked_outside_canonical_json() {
-        let mut spec = small_spec()
-            .with_n(vec![4])
-            .with_cap(vec![2])
-            .with_seeds(1)
-            .with_bounds(true);
+        let mut spec = ScenarioSpec {
+            n: vec![4],
+            cap: vec![2],
+            seeds: 1,
+            bounds: true,
+            ..small_spec()
+        };
         let exact = run_sweep(&spec, 1).unwrap();
         spec.bounds_budget = 2; // K4 has 9 closed dispute sets at f = 1
         let report = run_sweep(&spec, 1).unwrap();

@@ -6,11 +6,9 @@
 //! families (`hetero`, `kconnected`, `expander`) draw from the job's
 //! deterministic RNG, so the same job always sees the same graph.
 //!
-//! Every family is one row of [`FAMILIES`]: its name, its parameter
-//! names, a description, and the one function that checks the family's
-//! constraints and calls its generator. Parsing, rendering, building,
-//! the unknown-family error, `nab-sim --help` and the check that
-//! `docs/scenarios.md` lists every family are generic over that table,
+//! Every family is one row of [`FAMILIES`] (see [`crate::grammar`]): its
+//! name, its parameters with their minimums, a description, and the one
+//! function that checks the family's constraints and calls its generator,
 //! so a new fabric is a new row.
 
 use std::fmt;
@@ -18,6 +16,8 @@ use std::fmt;
 use nab_netgraph::{gen, DiGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use crate::grammar::{param, Arg, Form, Kind, Param, Term};
 
 /// One template parameter: a literal or a job-grid variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,15 +60,13 @@ impl Tok {
     }
 
     /// Parses one template token: a number, `$n`, `$cap`, `$f`, or `2f+1`.
-    pub fn parse(s: &str) -> Result<Tok, String> {
+    pub fn parse(s: &str) -> Option<Tok> {
         match s {
-            "$n" => Ok(Tok::N),
-            "$cap" => Ok(Tok::Cap),
-            "$f" => Ok(Tok::F),
-            "2f+1" => Ok(Tok::TwoFPlusOne),
-            _ => s.parse::<u64>().map(Tok::Lit).map_err(|_| {
-                format!("bad parameter {s:?}: expected a number, $n, $cap, $f, or 2f+1")
-            }),
+            "$n" => Some(Tok::N),
+            "$cap" => Some(Tok::Cap),
+            "$f" => Some(Tok::F),
+            "2f+1" => Some(Tok::TwoFPlusOne),
+            _ => s.parse().ok().map(Tok::Lit),
         }
     }
 }
@@ -86,40 +84,18 @@ impl fmt::Display for Tok {
     }
 }
 
-/// One topology family: a row of [`FAMILIES`].
-pub struct Family {
-    /// The name a spec string starts with.
-    pub name: &'static str,
-    /// Parameters in spec order: the name the docs and `--help` use, and
-    /// the smallest value the family accepts.
-    pub params: &'static [(&'static str, u64)],
-    /// One-line description.
-    pub about: &'static str,
-    /// Checks what the family needs across its resolved parameters (one
-    /// per entry of `params`, each already at least its minimum) and calls
-    /// its generator; `Err` names the violated constraint.
-    build: fn(&[u64], &mut StdRng) -> Result<DiGraph, String>,
-}
+/// What a topology family builds: checks what the family needs across its
+/// resolved parameters (one per parameter, each already at least its
+/// minimum) and calls its generator; `Err` names the violated constraint.
+pub type Generator = fn(&[u64], &mut StdRng) -> Result<DiGraph, String>;
 
-impl Family {
-    /// The family as the docs write it: `complete:N:CAP`, `fig1a`.
-    pub fn signature(&self) -> String {
-        let name = self.name.to_string();
-        (self.params.iter()).fold(name, |s, (p, _)| format!("{s}:{p}"))
-    }
-}
+/// A parameterized topology: a row of [`FAMILIES`] and one [`Tok`] per
+/// parameter.
+pub type TopologyTemplate = Term<Generator>;
 
-impl fmt::Debug for Family {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name)
-    }
-}
-
-/// Rows are distinct statics, so identity is equality.
-impl PartialEq for Family {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self, other)
-    }
+/// A template parameter whose resolved value must be at least `min`.
+const fn tok(name: &'static str, min: u64) -> Param {
+    param(name, Kind::Tok(min))
 }
 
 fn need(ok: bool, what: &str) -> Result<(), String> {
@@ -127,20 +103,20 @@ fn need(ok: bool, what: &str) -> Result<(), String> {
 }
 
 /// Every topology family, in the order help and errors list them.
-pub static FAMILIES: [Family; 15] = [
-    Family {
+pub static FAMILIES: [Form<Generator>; 15] = [
+    Form {
         name: "fig1a",
         params: &[],
         about: "the paper's Figure 1(a) worked example (too sparse for f ≥ 1: run with f = 0)",
         build: |_, _| Ok(gen::figure_1a()),
     },
-    Family {
+    Form {
         name: "fig1b",
         params: &[],
         about: "Figure 1(a) after the (2,3) dispute",
         build: |_, _| Ok(gen::figure_1b()),
     },
-    Family {
+    Form {
         name: "fig2a",
         params: &[],
         about: "the paper's Figure 2(a) worked example (no path back to the source)",
@@ -149,7 +125,7 @@ pub static FAMILIES: [Family; 15] = [
     // The raw figure cannot host an engine run; the minimum reverse unit
     // links (4→1, 3→2 in paper numbering) add no in-capacity at the
     // binding node 3, so γ stays 2.
-    Family {
+    Form {
         name: "fig2a-closed",
         params: &[],
         about: "Figure 2(a) plus two reverse unit links: strongly connected, γ = 2 preserved",
@@ -160,15 +136,15 @@ pub static FAMILIES: [Family; 15] = [
             Ok(g)
         },
     },
-    Family {
+    Form {
         name: "complete",
-        params: &[("N", 2), ("CAP", 1)],
+        params: &[tok("N", 2), tok("CAP", 1)],
         about: "complete digraph, uniform capacity",
         build: |a, _| Ok(gen::complete(a[0] as usize, a[1])),
     },
-    Family {
+    Form {
         name: "thinlink",
-        params: &[("N", 2), ("CAP", 1)],
+        params: &[tok("N", 2), tok("CAP", 1)],
         about: "complete:N:CAP with capacity 1 on the two links between nodes N-2 and N-1",
         build: |a, _| {
             let (n, mut g) = (a[0] as usize, gen::complete(a[0] as usize, a[1]));
@@ -180,42 +156,47 @@ pub static FAMILIES: [Family; 15] = [
             Ok(g)
         },
     },
-    Family {
+    Form {
         name: "hetero",
-        params: &[("N", 2), ("LO", 1), ("HI", 1)],
+        params: &[tok("N", 2), tok("LO", 1), tok("HI", 1)],
         about: "complete digraph, capacities uniform in LO..=HI",
         build: |a, rng| {
             need(a[1] <= a[2], "LO ≤ HI")?;
             Ok(gen::complete_heterogeneous(a[0] as usize, a[1], a[2], rng))
         },
     },
-    Family {
+    Form {
         name: "ring",
-        params: &[("N", 3), ("CAP", 1)],
+        params: &[tok("N", 3), tok("CAP", 1)],
         about: "bidirectional ring (2-connected: rejected for f ≥ 1)",
         build: |a, _| Ok(gen::ring(a[0] as usize, a[1])),
     },
-    Family {
+    Form {
         name: "barbell",
-        params: &[("HALF", 2), ("CAP", 1), ("BRIDGES", 1), ("BCAP", 1)],
+        params: &[
+            tok("HALF", 2),
+            tok("CAP", 1),
+            tok("BRIDGES", 1),
+            tok("BCAP", 1),
+        ],
         about: "two HALF-cliques joined by BRIDGES bidirectional bridges of capacity BCAP",
         build: |a, _| {
             need(a[2] <= a[0], "BRIDGES ≤ HALF")?;
             Ok(gen::barbell(a[0] as usize, a[1], a[2] as usize, a[3]))
         },
     },
-    Family {
+    Form {
         name: "circulant",
-        params: &[("N", 3), ("M", 1), ("CAP", 1)],
+        params: &[tok("N", 3), tok("M", 1), tok("CAP", 1)],
         about: "Harary circulant: vertex connectivity exactly 2M at minimum edge count",
         build: |a, _| {
             need(2 * a[1] < a[0], "2M < N")?;
             Ok(gen::circulant(a[0] as usize, a[1] as usize, a[2]))
         },
     },
-    Family {
+    Form {
         name: "kconnected",
-        params: &[("N", 3), ("K", 1), ("MAXCAP", 1), ("EXTRA%", 0)],
+        params: &[tok("N", 3), tok("K", 1), tok("MAXCAP", 1), tok("EXTRA%", 0)],
         about: "random K-vertex-connected graph (use K = 2f+1): circulant backbone + EXTRA% chords",
         build: |a, rng| {
             need(
@@ -226,30 +207,30 @@ pub static FAMILIES: [Family; 15] = [
             Ok(gen::random_k_connected(n, k, a[2], extra, rng))
         },
     },
-    Family {
+    Form {
         name: "fattree",
-        params: &[("K", 2), ("CAP", 1)],
+        params: &[tok("K", 2), tok("CAP", 1)],
         about: "three-tier fat-tree: (K/2)² cores, K pods of K/2 + K/2 switches, 5K²/4 nodes",
         build: |a, _| {
             need(a[0] % 2 == 0, "even K")?;
             Ok(gen::fat_tree(a[0] as usize, a[1]))
         },
     },
-    Family {
+    Form {
         name: "torus",
-        params: &[("ROWS", 3), ("COLS", 3), ("CAP", 1)],
+        params: &[tok("ROWS", 3), tok("COLS", 3), tok("CAP", 1)],
         about: "2-D wraparound torus: four grid neighbors per node, vertex connectivity 4",
         build: |a, _| Ok(gen::torus(a[0] as usize, a[1] as usize, a[2])),
     },
-    Family {
+    Form {
         name: "dragonfly",
-        params: &[("GROUPS", 2), ("ROUTERS", 2), ("CAP", 1)],
+        params: &[tok("GROUPS", 2), tok("ROUTERS", 2), tok("CAP", 1)],
         about: "fully meshed groups of ROUTERS routers, one global link per group pair",
         build: |a, _| Ok(gen::dragonfly(a[0] as usize, a[1] as usize, a[2])),
     },
-    Family {
+    Form {
         name: "expander",
-        params: &[("N", 3), ("DEGREE", 2), ("MAXCAP", 1)],
+        params: &[tok("N", 3), tok("DEGREE", 2), tok("MAXCAP", 1)],
         about: "bidirectional ring plus random chords to degree ≈ DEGREE, caps in 1..=MAXCAP",
         build: |a, rng| {
             Ok(gen::random_expander(
@@ -262,44 +243,16 @@ pub static FAMILIES: [Family; 15] = [
     },
 ];
 
-/// A parameterized topology: a family and one [`Tok`] per parameter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopologyTemplate {
-    family: &'static Family,
-    args: Vec<Tok>,
-}
-
 impl TopologyTemplate {
     /// Parses a topology spec like `complete:$n:$cap` or `fig1a`.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut parts = spec.split(':');
-        let name = parts.next().unwrap_or_default();
-        let family = FAMILIES.iter().find(|f| f.name == name).ok_or_else(|| {
-            let known: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
-            format!("unknown topology {name:?} (known: {})", known.join(", "))
-        })?;
-        let args: Vec<&str> = parts.collect();
-        if args.len() != family.params.len() {
-            return Err(format!(
-                "topology {spec:?}: {name} takes {} parameter(s), got {}",
-                family.params.len(),
-                args.len()
-            ));
-        }
-        let args = args.into_iter().map(Tok::parse).collect::<Result<_, _>>()?;
-        Ok(TopologyTemplate { family, args })
-    }
-
-    /// The canonical spec string this template parses from.
-    pub fn spec_string(&self) -> String {
-        let name = self.family.name.to_string();
-        self.args.iter().fold(name, |s, tok| format!("{s}:{tok}"))
+        Term::read("topology", &FAMILIES, spec)
     }
 
     /// Whether any parameter is a grid variable (`$n`, `$cap`, `$f`,
     /// `2f+1`) rather than a literal.
     pub fn uses_grid_variables(&self) -> bool {
-        self.args.iter().any(|t| !matches!(t, Tok::Lit(_)))
+        (self.args.iter()).any(|a| matches!(a, Arg::Tok(t) if !matches!(t, Tok::Lit(_))))
     }
 
     /// Materializes the concrete graph for one grid point.
@@ -310,15 +263,23 @@ impl TopologyTemplate {
     /// panicking) so a sweep can record the grid point as rejected.
     pub fn build(&self, ctx: &ResolveCtx) -> Result<DiGraph, String> {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x746F_706F_6C6F_6779); // "topology"
-        let args: Vec<u64> = self.args.iter().map(|t| t.resolve(ctx)).collect();
-        let params = self.family.params.iter().zip(&args);
-        let built = match params.clone().find(|((_, min), &v)| v < *min) {
-            Some(((p, min), _)) => Err(format!("{p} ≥ {min}")),
-            None => (self.family.build)(&args, &mut rng),
+        let resolve = |a: &Arg| match a {
+            Arg::Tok(t) => t.resolve(ctx),
+            other => other.uint(),
+        };
+        let args: Vec<u64> = self.args.iter().map(resolve).collect();
+        let params = self.form.params.iter().zip(&args);
+        let below = params.clone().find_map(|(p, &v)| match p.kind {
+            Kind::Tok(min) if v < min => Some(format!("{} ≥ {min}", p.name)),
+            _ => None,
+        });
+        let built = match below {
+            Some(what) => Err(what),
+            None => (self.form.build)(&args, &mut rng),
         };
         built.map_err(|what| {
-            let got: Vec<String> = params.map(|((p, _), v)| format!("{p}={v}")).collect();
-            format!("{}: need {what}; got {}", self.family.name, got.join(" "))
+            let got: Vec<String> = params.map(|(p, v)| format!("{}={v}", p.name)).collect();
+            format!("{}: need {what}; got {}", self.form.name, got.join(" "))
         })
     }
 }
@@ -337,7 +298,7 @@ mod tests {
     }
 
     /// `family`'s spec with `arity` parameters drawn cyclically from `toks`.
-    fn spec_of(family: &Family, arity: usize, toks: &[&str]) -> String {
+    fn spec_of(family: &Form<Generator>, arity: usize, toks: &[&str]) -> String {
         let mut spec = family.name.to_string();
         for i in 0..arity {
             spec.push(':');
@@ -375,49 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn family_names_are_unique() {
-        for (i, a) in FAMILIES.iter().enumerate() {
-            assert!(FAMILIES[..i].iter().all(|b| b.name != a.name), "{a:?}");
-            assert_eq!(
-                TopologyTemplate::parse(&spec_of(a, a.params.len(), &["3"]))
-                    .unwrap()
-                    .family,
-                a
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_family_is_an_error_listing_every_family() {
-        let e = TopologyTemplate::parse("hypercube:4:4").unwrap_err();
-        assert!(e.contains("unknown topology \"hypercube\""), "{e}");
-        let known = e.split_once("(known: ").unwrap().1.trim_end_matches(')');
-        let names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
-        assert_eq!(known.split(", ").collect::<Vec<_>>(), names);
-    }
-
-    #[test]
-    fn wrong_arity_is_an_error() {
-        for family in &FAMILIES {
-            let arity = family.params.len();
-            for wrong in [arity + 1, arity.wrapping_sub(1)] {
-                if wrong == usize::MAX {
-                    continue;
-                }
-                let s = spec_of(family, wrong, &["4"]);
-                let e = TopologyTemplate::parse(&s).unwrap_err();
-                assert!(
-                    e.contains(&format!("takes {arity} parameter(s), got {wrong}")),
-                    "{s}: {e}"
-                );
-            }
-        }
-        // A malformed parameter is reported after the arity is right.
-        let e = TopologyTemplate::parse("complete:four:2").unwrap_err();
-        assert!(e.contains("bad parameter \"four\""), "{e}");
-    }
-
-    #[test]
     fn constraint_violations_are_errors_not_panics() {
         // Every parameterized family has a parameter with a positive
         // minimum first, so all-zero parameters violate every row.
@@ -432,7 +350,7 @@ mod tests {
                 "{s}: {e}"
             );
             assert!(
-                e.contains(&format!("got {}=0", family.params[0].0)),
+                e.contains(&format!("got {}=0", family.params[0].name)),
                 "{s}: {e}"
             );
         }
@@ -460,30 +378,6 @@ mod tests {
         let t = TopologyTemplate::parse("circulant:$n:$cap:1").unwrap();
         let e = t.build(&ctx()).unwrap_err();
         assert_eq!(e, "circulant: need 2M < N; got N=5 M=3 CAP=1");
-    }
-
-    #[test]
-    fn docs_list_every_family_signature() {
-        let doc = include_str!("../../../docs/scenarios.md");
-        let section = doc
-            .split_once("## Topology templates")
-            .and_then(|(_, rest)| rest.split_once("\n## "))
-            .expect("docs/scenarios.md has a Topology templates section")
-            .0;
-        for family in &FAMILIES {
-            let sig = format!("`{}`", family.signature());
-            assert!(section.contains(&sig), "docs/scenarios.md lacks {sig}");
-        }
-        // ... and no family the table does not have.
-        for row in section.lines().filter(|l| l.starts_with("| `")) {
-            for sig in row.split('|').nth(1).unwrap().split(',') {
-                let sig = sig.trim().trim_matches('`');
-                assert!(
-                    FAMILIES.iter().any(|f| f.signature() == sig),
-                    "docs/scenarios.md documents {sig:?}, which is not in FAMILIES"
-                );
-            }
-        }
     }
 
     #[test]

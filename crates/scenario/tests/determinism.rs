@@ -178,7 +178,7 @@ proptest! {
         let text = scenario_text(topo, adv, faults, q, symbols, 1, seed0, 1);
         let mut spec = parse_str(&text).unwrap();
         let base = run_sweep(&spec, 2).unwrap();
-        spec.link_model = nab_net::NetSpec::parse([
+        spec.link_model = nab_scenario::link_model::parse([
             "fixed:3000000",
             "uniform:2000000:1000000+loss:0.2:2:4000000",
             "lognormal:5000000:1.5+straggler:0:1:10",
@@ -242,7 +242,8 @@ fn delivered_histograms_are_thread_invariant() {
     let text = scenario_text(0, 1, 2, 2, 8, 2, 11, 2);
     let mut spec = parse_str(&text).unwrap();
     spec.net = true;
-    spec.link_model = nab_net::NetSpec::parse("uniform:1000000:500000+loss:0.1:2:2000000").unwrap();
+    spec.link_model =
+        nab_scenario::link_model::parse("uniform:1000000:500000+loss:0.1:2:2000000").unwrap();
     let single = run_sweep(&spec, 1).unwrap();
     let parallel = run_sweep(&spec, 4).unwrap();
     let d1 = single.aggregate.delivered.as_ref().expect("net on records");

@@ -1,5 +1,5 @@
-//! Drive the scenario engine from Rust: build a spec with the builder
-//! API (no `.scenario` file needed), run it across threads, and inspect
+//! Drive the scenario engine from Rust: build a spec from its public
+//! fields (no `.scenario` file needed), run it across threads, and inspect
 //! the aggregated report — including the amortized-overhead story the
 //! `f(f+1)` dispute bound guarantees.
 //!
@@ -12,17 +12,19 @@ use nab_repro::scenario::{
 fn main() {
     // A false-alarm adversary rotating around K5/K6: it burns dispute
     // rounds early, gets exposed, and steady-state throughput recovers.
-    let spec = ScenarioSpec::new("example-amortization")
-        .with_topology(TopologyTemplate::parse("complete:$n:$cap").expect("a bundled family"))
-        .with_adversary(AdversarySpec::FalseAlarm)
-        .with_faults(FaultSchedule::Rotating { count: 1 })
-        .with_q(6)
-        .with_n(vec![5, 6])
-        .with_cap(vec![2])
-        .with_symbols(vec![32])
-        .with_seeds(3)
-        .with_seed0(17)
-        .with_bounds(true);
+    let spec = ScenarioSpec {
+        topology: TopologyTemplate::parse("complete:$n:$cap").expect("a bundled family"),
+        adversary: AdversarySpec::parse("false-alarm").expect("a bundled form"),
+        faults: FaultSchedule::parse("rotating:1").expect("a bundled form"),
+        q: 6,
+        n: vec![5, 6],
+        cap: vec![2],
+        symbols: vec![32],
+        seeds: 3,
+        seed0: 17,
+        bounds: true,
+        ..ScenarioSpec::new("example-amortization")
+    };
 
     let report = run_sweep(&spec, 0).expect("spec is valid");
     print!("{}", report.summary_table());

@@ -36,19 +36,22 @@ use nab_repro::nab::plan::PlanCache;
 use nab_repro::nab::BroadcastKind;
 use nab_repro::obs::trace::{Event, TraceSink};
 use nab_repro::obs::{writer, BufferSink};
-use nab_repro::scenario::topology::FAMILIES;
+use nab_repro::scenario::grammar::forms;
 use nab_repro::scenario::{
-    self, AdversarySpec, FaultSchedule, ProgressSnapshot, ScenarioSpec, SweepOptions,
+    self, link_model, AdversarySpec, FaultSchedule, ProgressSnapshot, ScenarioSpec, SweepOptions,
     TopologyTemplate,
 };
 
-/// The help text; the family list comes from the topology table, the
-/// adversary, fault and mutation forms from the `KNOWN` list beside each parser.
+/// The help text; the forms each key takes come from the grammar tables.
 fn help() -> String {
-    let families: String = FAMILIES
-        .iter()
-        .map(|f| format!("      {:<31}{}\n", f.signature(), f.about))
-        .collect();
+    let (mut forms_text, mut last) = (String::new(), "");
+    for (key, signature, about) in forms() {
+        if key != last {
+            forms_text.push_str(&format!("    {key}\n"));
+            last = key;
+        }
+        forms_text.push_str(&format!("      {signature:<33} {about}\n"));
+    }
     format!(
         "nab-sim — Network-Aware Byzantine broadcast simulator (Liang & Vaidya, PODC 2012)
 
@@ -80,11 +83,6 @@ RUN FLAGS:
 OPTIONS:
     --scenario FILE     run a .scenario file (see docs/scenarios.md)
     --threads N         worker threads (0 = one per CPU, the default)
-    --net               execute message-level over the nab-net event
-                        kernel: phase durations come from simulated
-                        latency/jitter/loss on every link (the file's
-                        `link_model` key; see docs/network-sim.md).
-                        Overrides the file's `net` key to on
     --plan-cache-dir D  persist network plans under directory D,
                         content-addressed by canonical digest; later runs
                         over the same networks load plans from disk
@@ -118,18 +116,12 @@ VALIDATE:
                         file cannot be read/parsed, 2 = some grid points
                         fail planning (each failure is reported)
 
-TOPOLOGY FAMILIES (in a .scenario file a parameter may also be $n, $cap,
-$f or 2f+1; the figure graphs need --f 0, and fig2a-closed for fig2a):
-{families}
-SCHEDULES (a file's `adversary`, `faults` and `mutations` keys; --adversary
-takes the first, and --faulty IDS is `faults = fixed:IDS`):
-    adversary   {adversaries}
-    faults      {faults}
-    mutations   {mutations}
-",
-        adversaries = scenario::adversary::KNOWN,
-        faults = scenario::faults::KNOWN,
-        mutations = scenario::mutations::KNOWN,
+FORMS (a file's topology, adversary, faults, mutations and link_model keys;
+--topology and --adversary take the first two, and --faulty IDS is
+`faults = fixed:IDS`. In a file a topology parameter may also be $n, $cap,
+$f or 2f+1; the figure graphs need --f 0, and fig2a-closed for fig2a. A
+[:PARAM] may be omitted for its default):
+{forms_text}"
     )
 }
 
@@ -143,7 +135,6 @@ struct Args {
     /// The `--trace-format` serializer; JSONL when not given.
     trace_format: Option<fn(&[Event]) -> String>,
     progress: bool,
-    net: bool,
     plan_cache_dir: Option<String>,
     /// The one-job spec the run flags describe (all defaults when none is
     /// given), and the first run flag seen.
@@ -168,12 +159,13 @@ fn parse_args() -> Result<Option<Args>, String> {
         trace: None,
         trace_format: None,
         progress: false,
-        net: false,
         plan_cache_dir: None,
-        spec: ScenarioSpec::new("nab-sim")
-            .with_topology(TopologyTemplate::parse("complete:4:2")?)
-            .with_symbols(vec![64])
-            .with_q(10),
+        spec: ScenarioSpec {
+            topology: TopologyTemplate::parse("complete:4:2")?,
+            symbols: vec![64],
+            q: 10,
+            ..ScenarioSpec::new("nab-sim")
+        },
         run_flag: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -216,7 +208,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 })
             }
             "--progress" => args.progress = true,
-            "--net" => args.net = true,
             "--plan-cache-dir" => args.plan_cache_dir = Some(take()?.into()),
             "--help" | "-h" => {
                 print!("{}", help());
@@ -381,7 +372,7 @@ fn bounds_line(spec: &ScenarioSpec) -> Option<String> {
 
 /// Runs `spec` — loaded from `--scenario` or built from the run flags —
 /// through the sweep runner and writes every requested output.
-fn run_spec(args: &Args, mut spec: ScenarioSpec) -> Result<ExitCode, String> {
+fn run_spec(args: &Args, spec: ScenarioSpec) -> Result<ExitCode, String> {
     if args.timings && args.json.is_none() {
         return Err(
             "--timings adds wall_*_ns fields to the JSON report; pass --json PATH (or --json -) \
@@ -403,9 +394,6 @@ fn run_spec(args: &Args, mut spec: ScenarioSpec) -> Result<ExitCode, String> {
             "--json - and --trace - both claim stdout; write at least one of them to a file".into(),
         );
     }
-    if args.net {
-        spec.net = true;
-    }
     // The disk tier lives behind a sweep-external cache so plans persist
     // past this process; results stay byte-identical regardless (plans
     // are content-addressed and verified on load).
@@ -418,7 +406,7 @@ fn run_spec(args: &Args, mut spec: ScenarioSpec) -> Result<ExitCode, String> {
         spec.adversary.spec_string(),
         spec.faults.spec_string(),
         if spec.net {
-            format!(", net {}", spec.link_model.spec_string())
+            format!(", net {}", link_model::spec_string(&spec.link_model))
         } else {
             String::new()
         },

@@ -115,7 +115,8 @@ fn row(path: &str, text: &str, threads: usize, traced: bool, cache: &PlanCache) 
     format!("{path}\t{canonical:016x}\t{}", jobs.join(" "))
 }
 
-/// Where `got` first differs from `want`: the column, or the first job.
+/// Where `got` first differs from `want`: the first job, else the
+/// canonical digest.
 fn divergence(got: &str, want: &str) -> String {
     let (g, w): (Vec<&str>, Vec<&str>) = (got.split('\t').collect(), want.split('\t').collect());
     let (gj, wj): (Vec<&str>, Vec<&str>) = (
@@ -123,13 +124,14 @@ fn divergence(got: &str, want: &str) -> String {
         w.get(2).map_or(vec![], |s| s.split(' ').collect()),
     );
     match (0..gj.len().max(wj.len())).find(|&i| gj.get(i) != wj.get(i)) {
-        Some(i) => format!(
-            "job {i} diverges first ({:?} vs golden {:?})",
-            gj.get(i),
-            wj.get(i)
-        ),
-        None if gj.len() != wj.len() => format!("{} jobs vs golden {}", gj.len(), wj.len()),
-        None => format!("canonical {:?} vs golden {:?}", g.get(1), w.get(1)),
+        Some(i) => {
+            let (got, want) = (gj.get(i).unwrap_or(&"none"), wj.get(i).unwrap_or(&"none"));
+            format!("job {i} diverges first ({got} vs golden {want})")
+        }
+        None => {
+            let (got, want) = (g.get(1).unwrap_or(&"none"), w.get(1).unwrap_or(&"none"));
+            format!("canonical {got} vs golden {want}")
+        }
     }
 }
 

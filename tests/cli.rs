@@ -34,15 +34,10 @@ fn help_flag_prints_usage_and_succeeds() {
             text.contains("--topology"),
             "{flag} documents the run flags"
         );
-        // The family list is generated from the topology table.
-        for family in &nab_repro::scenario::topology::FAMILIES {
-            let sig = format!("      {} ", family.signature());
-            assert!(text.contains(&sig), "{flag} lacks {sig:?}: {text}");
-        }
-        // ... and the schedule grammars are the lists the parsers print.
-        use nab_repro::scenario::{adversary, faults, mutations};
-        for known in [adversary::KNOWN, faults::KNOWN, mutations::KNOWN] {
-            assert!(text.contains(known), "{flag} lacks {known:?}: {text}");
+        // Every topology family and schedule form, from the grammar tables.
+        for (_, signature, about) in nab_repro::scenario::grammar::forms() {
+            let row = format!("      {signature:<33} {about}\n");
+            assert!(text.contains(&row), "{flag} lacks {row:?}: {text}");
         }
     }
 }
@@ -307,10 +302,10 @@ fn scenario_mode_runs_a_file_and_emits_json() {
 #[test]
 fn removed_switch_flags_are_rejected_like_any_unknown_flag() {
     // `--no-batch` / `--no-repair` selected reference paths that no longer
-    // exist: they fail exactly like a flag that never existed, in either
-    // mode, without a panic.
+    // exist, and `--net` duplicated the file's `net` key: they fail exactly
+    // like a flag that never existed, in either mode, without a panic.
     let unknown = nab_sim(&["--frobnicate"]);
-    for flag in ["--no-batch", "--no-repair"] {
+    for flag in ["--no-batch", "--no-repair", "--net"] {
         for args in [
             vec![flag],
             vec!["--scenario", "scenarios/fig1a.scenario", flag],
