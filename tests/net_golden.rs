@@ -1,6 +1,8 @@
 //! Golden values of message-level execution (`net = on`): the canonical
-//! sweep JSON and every job's `delivered` block (per phase: count, sum,
-//! min, max and the three percentiles the timed JSON renders).
+//! sweep JSON, every job's `delivered` block (per phase: count, sum, min,
+//! max and the three percentiles the timed JSON renders) and the event
+//! kernel's own counters (`net.rounds`, `net.deliveries`,
+//! `net.retransmits`).
 //!
 //! Captured at the commit before message-level timing moved from replaying
 //! a recorded transcript through a fresh kernel per round to streaming hop
@@ -8,7 +10,14 @@
 //! function of the phase seed, the round's index within its phase, the
 //! message ids within the round and the per-link draw counters, so one hash
 //! per job pins all of them; the rewrite must leave this file passing
-//! unmodified.
+//! unmodified. The kernel counters were captured the same way, before hop
+//! rounds and the equality round left the event queue for a closed form.
+//!
+//! Every case also checks what the timed report promises whatever the
+//! values: empty histograms render zeroed, `min ≤ max ≤ sum` and
+//! `p50 ≤ p90 ≤ p99` otherwise, one kernel delivery per recorded
+//! delivered time, `0 < rounds ≤ deliveries`, no retransmit on a lossless
+//! link, and a non-zero `wall_net_ns`.
 //!
 //! Covered: the three bundled `net = on` scenarios, the `wan-replay`
 //! benchmark workload at its default seed, and one configuration no bundled
@@ -17,6 +26,7 @@
 //! and records no flag or dispute delivery at all).
 
 use nab_repro::nab::DeliveredTimes;
+use nab_repro::net::KernelStats;
 use nab_repro::scenario::{parse_str, run_sweep, SweepReport};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -46,12 +56,53 @@ fn delivered_text(d: &DeliveredTimes) -> String {
 
 /// What one scenario pins: the hash of its canonical JSON, the hash of
 /// each job's `delivered` block, and — readable, so a failure says which
-/// phase moved — the sweep-wide `(count, sum_ns)` per phase.
+/// phase moved — the sweep-wide `(count, sum_ns)` per phase and kernel
+/// counters.
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     canonical: u64,
     jobs: Vec<u64>,
     totals: [(u64, u64); 5],
+    kernel: KernelStats,
+}
+
+/// Deliveries the phase histograms recorded: every phase but `instance`,
+/// which records one completion time per instance.
+fn recorded(d: &DeliveredTimes) -> u64 {
+    d.phases()[..4].iter().map(|(_, h)| h.count()).sum()
+}
+
+/// The timed report's schema and counter invariants (the checks the
+/// `delivered` blocks and `net.*` counters must pass on any input).
+fn check_timed_report(report: &SweepReport, lossless: bool) {
+    let aggregate = report.aggregate.delivered.as_ref().expect("net = on");
+    let jobs = report.jobs.iter().map(|job| {
+        let m = job.result.as_ref().expect("every grid point runs");
+        (format!("job {}", job.index), m.delivered.as_ref().unwrap())
+    });
+    for (name, d) in jobs.chain([("aggregate".to_string(), aggregate)]) {
+        for (phase, h) in d.phases() {
+            let at = format!("{name}/{phase}");
+            if h.count() == 0 {
+                assert_eq!((h.sum(), h.min(), h.max()), (0, 0, 0), "{at}");
+                continue;
+            }
+            assert!(h.min() <= h.max() && h.max() <= h.sum(), "{at}");
+            let [p50, p90, p99] = [50.0, 90.0, 99.0].map(|p| h.percentile(p));
+            assert!(p50 <= p90 && p90 <= p99, "{at}: {p50} {p90} {p99}");
+        }
+        // Phase 1 records per tree edge, which is per message too.
+        assert_eq!(d.kernel.deliveries, recorded(d), "{name}");
+    }
+    let counters = report.metrics_registry();
+    let [rounds, deliveries, retransmits] =
+        ["net.rounds", "net.deliveries", "net.retransmits"].map(|c| counters.counter(c));
+    assert_eq!(deliveries, recorded(aggregate));
+    assert!(0 < rounds && rounds <= deliveries, "{rounds} rounds");
+    assert_eq!(lossless, retransmits == 0, "{retransmits} retransmits");
+    assert!(report.aggregate.latency.net.sum() > 0, "wall_net_ns");
+    let timed = report.to_json_timed();
+    assert!(!timed.contains(&u64::MAX.to_string()), "a sentinel leaked");
 }
 
 fn measure(report: &SweepReport) -> Golden {
@@ -75,12 +126,23 @@ fn measure(report: &SweepReport) -> Golden {
         canonical: fnv1a(report.to_json().as_bytes()),
         jobs,
         totals: total.phases().map(|(_, h)| (h.count(), h.sum())),
+        kernel: total.kernel,
     }
 }
 
 fn run(text: &str) -> Golden {
     let spec = parse_str(text).unwrap_or_else(|e| panic!("{e}"));
-    measure(&run_sweep(&spec, 1).expect("spec is valid"))
+    let report = run_sweep(&spec, 1).expect("spec is valid");
+    check_timed_report(&report, !text.contains("+loss:"));
+    measure(&report)
+}
+
+fn kernel(rounds: u64, deliveries: u64, retransmits: u64) -> KernelStats {
+    KernelStats {
+        rounds,
+        deliveries,
+        retransmits,
+    }
 }
 
 fn check(name: &str, got: Golden, want: Golden) {
@@ -89,9 +151,18 @@ fn check(name: &str, got: Golden, want: Golden) {
 
 #[test]
 fn wan_grid_matches_golden() {
+    let got = run(include_str!("../scenarios/wan-grid.scenario"));
+    // wan-grid streams, equality-checks, flag-broadcasts and (with the
+    // rotating corruptor) disputes: every phase's distribution is populated.
+    for (phase, (count, _)) in ["phase1", "equality", "flags", "dispute", "instance"]
+        .iter()
+        .zip(got.totals)
+    {
+        assert!(count > 0, "wan-grid recorded no {phase} delivery");
+    }
     check(
         "wan-grid",
-        run(include_str!("../scenarios/wan-grid.scenario")),
+        got,
         Golden {
             canonical: 0xe077_75d1_86ba_47db,
             jobs: vec![
@@ -111,6 +182,7 @@ fn wan_grid_matches_golden() {
                 (1_530, 159_528_087_201_585),
                 (32, 809_913_668_904),
             ],
+            kernel: kernel(3_604, 10_156, 0),
         },
     );
 }
@@ -137,6 +209,7 @@ fn straggler_link_matches_golden() {
                 (0, 0),
                 (30, 13_050_000_000),
             ],
+            kernel: kernel(6_060, 17_790, 0),
         },
     );
 }
@@ -173,6 +246,7 @@ fn lossy_ring_matches_golden() {
                 (0, 0),
                 (64, 11_438_553_233),
             ],
+            kernel: kernel(64, 1_056, 105),
         },
     );
 }
@@ -201,6 +275,7 @@ fn wan_replay_workload_matches_golden() {
                 (37_200, 150_737_904_902_207_670),
                 (32, 15_826_656_685_041),
             ],
+            kernel: kernel(175_970, 375_036, 0),
         },
     );
 }
@@ -233,6 +308,7 @@ fn lossy_straggling_disputes_match_golden() {
                 (3_264, 2_370_925_768_299_683),
                 (12, 1_516_598_043_540),
             ],
+            kernel: kernel(11_923, 26_851, 6_452),
         },
     );
     check(
@@ -248,6 +324,7 @@ fn lossy_straggling_disputes_match_golden() {
                 (7_752, 13_304_324_402_551_083),
                 (12, 3_588_343_613_260),
             ],
+            kernel: kernel(28_387, 62_755, 15_701),
         },
     );
 }
