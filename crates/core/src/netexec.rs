@@ -15,14 +15,18 @@
 //!
 //! Nothing is recorded and replayed. The flag and claim broadcasts charge
 //! their hop rounds to a [`RoundSink`]; with `net = on` that sink is a
-//! `PhaseKernel` — one [`EventNet`] per phase, re-seeded per round, fed
-//! sizes only, its deliveries folded straight into the phase histogram —
-//! where the formula path has a [`nab_bb::router::FormulaClock`]. Phase 1
-//! and the equality check are one kernel round each. Seeds: a phase's is
-//! `mix(mix(nx.seed, instance), phase tag)`, a round's is
-//! `mix(phase seed, i)` with `i` the round's index within the phase, and a
-//! message's id is its position in the round. The transcript replay this
-//! replaced is kept below as the differential-test oracle.
+//! `PhaseKernel` — one [`EventNet`] per phase, fed sizes only, its
+//! deliveries folded straight into the phase histogram — where the formula
+//! path has a [`nab_bb::router::FormulaClock`]. Phase 1 and the equality
+//! check are one kernel round each. A hop round's copies travel
+//! vertex-disjoint paths and the equality check sends once per link, so
+//! those rounds are exclusive and [`EventNet::serve_exclusive`] serves them
+//! in closed form; only Phase 1, whose trees share links, runs through the
+//! event queue. Seeds: a phase's is `mix(mix(nx.seed, instance), phase
+//! tag)`, a round's is `mix(phase seed, i)` with `i` the round's index
+//! within the phase, and a queued message's id is its tree. The transcript
+//! replay this replaced is kept below as the differential-test oracle: it
+//! queues every round on a fresh kernel.
 
 use std::collections::BTreeMap;
 
@@ -164,7 +168,9 @@ impl<'a> InstanceTiming<'a> {
     }
 
     /// Times Phase 1 and, when it ran, the equality check on `gk`: one
-    /// kernel round each, every link transmitting at once.
+    /// kernel round each, every link transmitting at once — Phase 1 through
+    /// the queue of a fresh kernel, the equality check (one send per link)
+    /// in closed form.
     pub(crate) fn streaming_phases(
         &mut self,
         gk: &DiGraph,
@@ -172,14 +178,14 @@ impl<'a> InstanceTiming<'a> {
         p1_sends: &BTreeMap<(usize, NodeId, NodeId), Block>,
         eq: Option<&EqOutcome>,
     ) {
-        // One kernel serves both rounds; `reset` makes the second fresh.
         let mut net = EventNet::new(gk, self.nx.model.clone(), mix(self.seed, PHASE1_TAG));
         if !p1_sends.is_empty() {
             self.ends[0] = time_phase1(&mut net, trees, p1_sends, &mut self.delivered.phase1);
         }
         if let Some(eq) = eq {
-            net.reset(mix(mix(self.seed, EQUALITY_TAG), 0));
-            self.ends[1] = serve_round(&mut net, eq.link_bits(), 0, &mut self.delivered.equality);
+            let seed = mix(mix(self.seed, EQUALITY_TAG), 0);
+            let hist = &mut self.delivered.equality;
+            self.ends[1] = net.serve_exclusive(seed, eq.link_bits(), |t| hist.record(t));
         }
         self.delivered.kernel.accumulate(&net.stats());
     }
@@ -206,27 +212,10 @@ fn units(ns: u64) -> f64 {
     ns as f64 / UNIT_NS as f64
 }
 
-/// Serves one barrier round on a kernel that is fresh or freshly reset:
-/// schedules `sends` (message id = position) at time 0, records every
-/// delivery at `offset` past the phase start, and returns the round's
-/// completion time.
-fn serve_round(
-    net: &mut EventNet,
-    sends: impl Iterator<Item = (NodeId, NodeId, u64)>,
-    offset: u64,
-    hist: &mut Histogram,
-) -> u64 {
-    for (id, (src, dst, bits)) in sends.enumerate() {
-        net.schedule(id as u64, src, dst, bits, 0);
-    }
-    net.drain(|d| hist.record(offset + d.delivered_ns));
-    net.clock_ns()
-}
-
 /// The message-level [`RoundSink`]: one broadcast phase's hop rounds, each
-/// served as a barrier round on one reused kernel. A round's deliveries are
-/// recorded at the sum of the earlier rounds' completion times, which is
-/// also the phase's clock.
+/// an exclusive barrier round served in closed form on one kernel. A
+/// round's deliveries are recorded at the sum of the earlier rounds'
+/// completion times, which is also the phase's clock.
 pub(crate) struct PhaseKernel<'a> {
     net: EventNet,
     seed: u64,
@@ -239,11 +228,14 @@ pub(crate) struct PhaseKernel<'a> {
 
 impl RoundSink for PhaseKernel<'_> {
     fn hop_round(&mut self, round: &HopRound<'_>) {
-        self.net.reset(mix(self.seed, self.rounds));
+        let (seed, offset) = (mix(self.seed, self.rounds), *self.end_ns);
         self.rounds += 1;
-        let bits = round.bits;
-        let sends = round.copies().map(|(_, src, dst)| (src, dst, bits));
-        *self.end_ns += serve_round(&mut self.net, sends, *self.end_ns, self.hist);
+        let sends = round.copies().map(|(_, src, dst)| (src, dst, round.bits));
+        let hist = &mut *self.hist;
+        let end = self
+            .net
+            .serve_exclusive(seed, sends, |t| hist.record(offset + t));
+        *self.end_ns += end;
     }
 
     fn elapsed(&self) -> f64 {

@@ -6,10 +6,9 @@
 //! delivered-time **distributions** under WAN latency, jitter,
 //! stragglers, and lossy links — not just steady-state rates. Nothing is
 //! recorded and replayed: the engine hands a kernel each barrier round's
-//! sends (sizes only) as the round happens, and one kernel, [`reset`]
-//! between rounds, serves a whole phase.
-//!
-//! [`reset`]: EventNet::reset
+//! sends (sizes only) as the round happens. A round whose messages share
+//! links goes through the event queue; a round that gives each message a
+//! link of its own is served in closed form by [`EventNet::serve_exclusive`].
 //!
 //! Design constraints, in priority order:
 //!
@@ -247,25 +246,34 @@ struct Link {
     busy_ns: u64,
     /// Draws taken so far, in this link's deterministic pop order.
     draws: u64,
+    /// The last exclusive round that used the link.
+    round: u64,
 }
 
 impl Link {
-    /// Next 64-bit draw: mixed from the seed, the link identity, and the
-    /// per-link counter.
+    /// The link's draws under `seed`: the `c`-th is `mix(stream, c)`.
+    fn stream(&self, seed: u64) -> u64 {
+        mix(seed, ((self.src as u64) << 32) ^ self.dst as u64)
+    }
+
+    /// Next 64-bit draw of the queue's pop order.
     fn draw(&mut self, seed: u64) -> u64 {
         let c = self.draws;
         self.draws += 1;
-        let link_key = ((self.src as u64) << 32) ^ self.dst as u64;
-        mix(mix(seed, link_key), c)
+        mix(self.stream(seed), c)
+    }
+
+    /// Serialization time of `bits` on the link.
+    fn transmit_ns(&self, bits: u64) -> u64 {
+        (bits * UNIT_NS).div_ceil(self.cap)
     }
 }
 
-/// Work a kernel has done since it was built, summed across
-/// [`EventNet::reset`]s. Observability only: nothing here feeds back into
-/// a schedule.
+/// Work a kernel has done since it was built. Observability only: nothing
+/// here feeds back into a schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Event-queue drains that carried at least one message.
+    /// Queue drains and exclusive rounds that carried at least one message.
     pub rounds: u64,
     /// Messages delivered.
     pub deliveries: u64,
@@ -288,15 +296,14 @@ impl KernelStats {
 /// [`drain`](EventNet::drain) (or [`run`](EventNet::run), which collects
 /// and sorts) empties the event heap, applying FIFO link serialization
 /// (`bits / cap`, virtual-ns), sampled propagation delay, and bounded
-/// retransmit on loss. Per-node virtual clocks track the last delivery
-/// seen by each node.
+/// retransmit on loss.
 ///
-/// One kernel serves many barrier-synchronized rounds:
-/// [`reset`](EventNet::reset) re-seeds it and clears the state of exactly
-/// the links the last round used, after which it behaves as a kernel
-/// freshly built with that seed. Link state is dense — capacity,
-/// busy-until, draw counter and model index per link, links sorted by
-/// `(src, dst)` and found through per-source row offsets.
+/// [`serve_exclusive`](EventNet::serve_exclusive) serves one
+/// barrier-synchronized round with at most one message per link in closed
+/// form, and one kernel serves any number of them: it neither reads nor
+/// changes the queue's state. Link state is dense — capacity, busy-until,
+/// draw counter, last exclusive round and model index per link, links
+/// sorted by `(src, dst)` and found through per-source row offsets.
 #[derive(Debug, Clone)]
 pub struct EventNet {
     links: Vec<Link>,
@@ -307,10 +314,9 @@ pub struct EventNet {
     seed: u64,
     heap: BinaryHeap<Reverse<Attempt>>,
     seq: u64,
-    /// Links scheduled on since the last reset (repeats allowed).
-    dirty: Vec<u32>,
-    node_clock: Vec<u64>,
     clock_ns: u64,
+    /// Exclusive rounds served so far: the stamp of the current one.
+    round: u64,
     stats: KernelStats,
 }
 
@@ -334,6 +340,7 @@ impl EventNet {
                 }),
                 busy_ns: 0,
                 draws: 0,
+                round: 0,
             })
             .collect();
         links.sort_unstable_by_key(|l| (l.src, l.dst));
@@ -352,56 +359,32 @@ impl EventNet {
             seed,
             heap: BinaryHeap::new(),
             seq: 0,
-            dirty: Vec::new(),
-            node_clock: vec![0; n],
             clock_ns: 0,
+            round: 0,
             stats: KernelStats::default(),
         }
     }
 
-    /// Index of the directed link `src → dst`, if the graph has one.
-    fn link_index(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        let (lo, hi) = (
-            *self.row.get(src)? as usize,
-            *self.row.get(src + 1)? as usize,
-        );
-        let at = self.links[lo..hi]
-            .binary_search_by_key(&dst, |l| l.dst)
-            .ok()?;
-        Some((lo + at) as u32)
-    }
-
-    /// Starts a new round on the same links under a new seed: clears the
-    /// busy-until times, draw counters and node clocks the previous round
-    /// touched (nothing else), and the global clock. A kernel that has
-    /// been reset delivers exactly what [`EventNet::new`] with `seed`
-    /// would; [`stats`](EventNet::stats) keep counting.
-    pub fn reset(&mut self, seed: u64) {
-        self.seed = seed;
-        for l in self.dirty.drain(..) {
-            let link = &mut self.links[l as usize];
-            link.busy_ns = 0;
-            link.draws = 0;
-            self.node_clock[link.dst] = 0;
+    /// Index of the directed link `src → dst`; panics if the graph has
+    /// none — a send on a missing link is a protocol-layer bug, mirroring
+    /// `nab_sim::SendError::NoSuchLink`.
+    fn link_index(&self, src: NodeId, dst: NodeId) -> u32 {
+        let row = self.row.get(src..src + 2).unwrap_or(&[0, 0]);
+        let out = &self.links[row[0] as usize..row[1] as usize];
+        match out.binary_search_by_key(&dst, |l| l.dst) {
+            Ok(at) => row[0] + at as u32,
+            // nab-lint: allow(NAB003): the documented panic — a send on a missing link is a protocol-layer bug
+            Err(_) => panic!("EventNet: no such link {src} -> {dst}"),
         }
-        self.heap.clear();
-        self.seq = 0;
-        self.clock_ns = 0;
     }
 
     /// Enqueues a message of `bits` bits on `src → dst` at `at_ns`.
     ///
     /// # Panics
     ///
-    /// Panics if the graph has no `src → dst` link — scheduling on a
-    /// missing link is a protocol-layer bug, mirroring
-    /// `nab_sim::SendError::NoSuchLink`.
+    /// Panics if the graph has no `src → dst` link.
     pub fn schedule(&mut self, id: u64, src: NodeId, dst: NodeId, bits: u64, at_ns: u64) {
-        let Some(link) = self.link_index(src, dst) else {
-            // nab-lint: allow(NAB003): the documented panic — a send on a missing link is a protocol-layer bug
-            panic!("EventNet::schedule: no such link {src} -> {dst}");
-        };
-        self.dirty.push(link);
+        let link = self.link_index(src, dst);
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Attempt {
@@ -422,7 +405,7 @@ impl EventNet {
         while let Some(Reverse(ev)) = self.heap.pop() {
             let link = &mut self.links[ev.link as usize];
             let start = ev.time_ns.max(link.busy_ns);
-            let tx_end = start + (ev.bits * UNIT_NS).div_ceil(link.cap);
+            let tx_end = start + link.transmit_ns(ev.bits);
             link.busy_ns = tx_end;
 
             let model = &self.models[link.model as usize];
@@ -441,8 +424,6 @@ impl EventNet {
                 }
             }
             let delivered_ns = tx_end + model.latency.sample_ns(link.draw(self.seed));
-            let clock = &mut self.node_clock[link.dst];
-            *clock = (*clock).max(delivered_ns);
             self.clock_ns = self.clock_ns.max(delivered_ns);
             self.stats.deliveries += 1;
             on_delivery(Delivery {
@@ -466,14 +447,62 @@ impl EventNet {
         out
     }
 
-    /// The virtual clock of `v`: the time of the last delivery it has
-    /// received (0 if none yet).
-    #[must_use]
-    pub fn node_clock(&self, v: NodeId) -> u64 {
-        self.node_clock.get(v).copied().unwrap_or(0)
+    /// Serves one barrier round of messages `(src, dst, bits)` that all
+    /// start at time 0, each on a link of its own, in closed form: hands
+    /// every delivery time to `on_delivery` and returns the latest (0 if
+    /// none). As no transmission waits on another and each link's draws
+    /// count from 0 under `seed`, a delivery is `tx = ⌈bits · UNIT_NS /
+    /// cap⌉`, plus `rto + tx` per lost attempt (one loss draw per attempt up
+    /// to `max_retries`), plus one latency draw: what a kernel built with
+    /// `seed` delivers through [`schedule`](EventNet::schedule) and
+    /// [`drain`](EventNet::drain), stats included, but with no heap. The
+    /// queue's state is neither read nor changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a missing link, or on a link the round uses twice (the
+    /// closed form would not hold).
+    pub fn serve_exclusive(
+        &mut self,
+        seed: u64,
+        sends: impl IntoIterator<Item = (NodeId, NodeId, u64)>,
+        mut on_delivery: impl FnMut(u64),
+    ) -> u64 {
+        self.round += 1;
+        let (mut end_ns, served) = (0, self.stats.deliveries);
+        for (src, dst, bits) in sends {
+            let l = self.link_index(src, dst);
+            let link = &mut self.links[l as usize];
+            if link.round == self.round {
+                // nab-lint: allow(NAB003): the documented panic — two messages on one link break the closed form
+                panic!("EventNet::serve_exclusive: link {src} -> {dst} repeats within the round");
+            }
+            link.round = self.round;
+            let model = &self.models[link.model as usize];
+            let (tx, stream, mut c) = (link.transmit_ns(bits), link.stream(seed), 0);
+            let mut draw = || {
+                c += 1;
+                mix(stream, c - 1)
+            };
+            let mut delivered_ns = tx;
+            if let Some(loss) = &model.loss {
+                let mut retries = 0;
+                while retries < loss.max_retries && unit_f64(draw()) < loss.p {
+                    retries += 1;
+                    delivered_ns += loss.rto_ns + tx;
+                }
+                self.stats.retransmits += u64::from(retries);
+            }
+            delivered_ns += model.latency.sample_ns(draw());
+            end_ns = end_ns.max(delivered_ns);
+            self.stats.deliveries += 1;
+            on_delivery(delivered_ns);
+        }
+        self.stats.rounds += u64::from(self.stats.deliveries > served);
+        end_ns
     }
 
-    /// Global virtual clock: the latest delivery so far.
+    /// Global virtual clock of the queue: its latest delivery so far.
     #[must_use]
     pub fn clock_ns(&self) -> u64 {
         self.clock_ns
@@ -558,8 +587,6 @@ mod tests {
         assert_eq!(deliveries.len(), 3);
         assert_eq!(deliveries.last().unwrap().delivered_ns, 6 * UNIT_NS);
         assert_eq!(net.clock_ns(), 6 * UNIT_NS);
-        assert_eq!(net.node_clock(1), 6 * UNIT_NS);
-        assert_eq!(net.node_clock(0), 0);
     }
 
     #[test]
@@ -664,22 +691,44 @@ mod tests {
         assert_eq!(model.link(1, 0).latency, Latency::Fixed { delay_ns: 100 });
     }
 
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
     #[test]
-    fn schedule_panics_on_missing_link() {
+    fn sends_on_a_missing_link_panic() {
         let g = line(3, 1);
         let mut net = EventNet::new(&g, NetModel::default(), 1);
-        // Fresh, and again once the kernel has served a round: a link the
-        // graph lacks, and a source the graph lacks.
+        // Fresh, and again once the kernel has served a round of each kind:
+        // a link the graph lacks, and a source the graph lacks.
         for round in 0..2 {
             for (src, dst) in [(0, 2), (7, 0)] {
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    net.schedule(0, src, dst, 1, 0);
+                assert!(
+                    panics(|| net.schedule(0, src, dst, 1, 0)),
+                    "{round}: {src} -> {dst}"
+                );
+                let send = [(1, 0, 1), (src, dst, 1)];
+                assert!(panics(|| {
+                    net.serve_exclusive(round, send, |_| {});
                 }));
-                assert!(err.is_err(), "round {round}: {src} -> {dst} accepted");
             }
             net.schedule(0, 0, 1, 1, 0);
             assert_eq!(net.run().len(), 1);
-            net.reset(round);
+            assert_eq!(net.serve_exclusive(round, [(0, 1, 1)], |_| {}), UNIT_NS);
+        }
+    }
+
+    #[test]
+    fn a_link_repeated_within_an_exclusive_round_panics() {
+        let g = line(3, 1);
+        let mut net = EventNet::new(&g, NetModel::default(), 1);
+        let twice = [(0, 1, 1), (1, 2, 1), (0, 1, 1)];
+        assert!(panics(|| {
+            net.serve_exclusive(3, twice, |_| {});
+        }));
+        // Rounds are separate: the same link in consecutive rounds is fine.
+        for _ in 0..2 {
+            assert_eq!(net.serve_exclusive(3, [(0, 1, 2)], |_| {}), 2 * UNIT_NS);
         }
     }
 
@@ -696,8 +745,9 @@ mod tests {
         g
     }
 
-    /// The three regimes a round can run under: jitter alone, loss with
-    /// retransmit, and a heavy tail with loss plus a straggler override.
+    /// The three regimes a round can run under — jitter alone, loss with
+    /// retransmit, and a heavy tail with loss plus a straggler override —
+    /// then every attempt lost, at 0 and at 16 retries.
     fn regime(kind: u8) -> NetModel {
         let loss = |p, max_retries, rto_ns| {
             Some(Loss {
@@ -706,7 +756,7 @@ mod tests {
                 rto_ns,
             })
         };
-        let spec = match kind % 3 {
+        let spec = match kind {
             0 => NetSpec {
                 latency: Latency::Uniform {
                     base_ns: 1000,
@@ -719,7 +769,7 @@ mod tests {
                 loss: loss(0.4, 3, 900),
                 straggler: None,
             },
-            _ => NetSpec {
+            2 => NetSpec {
                 latency: Latency::LogNormal {
                     median_ns: 2000,
                     sigma: 0.5,
@@ -727,32 +777,35 @@ mod tests {
                 loss: loss(0.3, 2, 500),
                 straggler: Some((0, 1, 16)),
             },
+            _ => NetSpec {
+                latency: Latency::Uniform {
+                    base_ns: 300,
+                    jitter_ns: 600,
+                },
+                loss: loss(1.0, if kind == 3 { 0 } else { 16 }, 1100),
+                straggler: None,
+            },
         };
         spec.build()
     }
 
-    /// `count` messages `(id, src, dst, bits)` on `dense5`, derived from
-    /// `seed`; sources and destinations repeat, so links carry several.
-    fn messages(seed: u64, count: usize) -> Vec<(u64, NodeId, NodeId, u64)> {
-        (0..count as u64)
-            .map(|i| {
-                let x = mix(seed, i);
-                let src = (x % 5) as NodeId;
-                let dst = (src + 1 + ((x >> 8) % 4) as NodeId) % 5;
-                (i % 3, src, dst, 1 + (x >> 16) % 64)
-            })
-            .collect()
-    }
-
-    fn serve(net: &mut EventNet, msgs: &[(u64, NodeId, NodeId, u64)]) -> Vec<Delivery> {
-        for &(id, src, dst, bits) in msgs {
-            net.schedule(id, src, dst, bits, 0);
-        }
-        net.run()
+    /// An exclusive round on `dense5`: one message `(src, dst, bits)` on
+    /// each link whose bit is set in `links` (the 20 ordered pairs in
+    /// `(src, dst)` order), sizes derived from `seed`, sent in a
+    /// seed-dependent order.
+    fn exclusive_round(seed: u64, links: u32) -> Vec<(NodeId, NodeId, u64)> {
+        let pairs = (0..5).flat_map(|u| (0..5).filter(move |&v| v != u).map(move |v| (u, v)));
+        let mut sends: Vec<_> = (pairs.enumerate())
+            .filter(|&(i, _)| links >> i & 1 == 1)
+            .map(|(i, (u, v))| (u, v, 1 + mix(seed, i as u64) % 64))
+            .collect();
+        let turn = (seed % 7) as usize % sends.len().max(1);
+        sends.rotate_left(turn);
+        sends
     }
 
     #[test]
-    fn stats_count_across_resets() {
+    fn stats_count_every_round_of_either_kind() {
         let g = line(2, 1);
         let model = NetModel::uniform(LinkModel {
             latency: Latency::Fixed { delay_ns: 0 },
@@ -767,10 +820,9 @@ mod tests {
         net.schedule(0, 0, 1, 1, 0);
         net.schedule(1, 1, 0, 1, 0);
         net.run();
-        net.reset(8);
         assert!(net.run().is_empty(), "an empty drain is not a round");
-        net.schedule(0, 0, 1, 1, 0);
-        net.run();
+        assert_eq!(net.serve_exclusive(8, [], |_| {}), 0, "nor an empty round");
+        net.serve_exclusive(8, [(0, 1, 1)], |_| {});
         let want = KernelStats {
             rounds: 2,
             deliveries: 3,
@@ -787,61 +839,41 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// A kernel that served arbitrary earlier rounds and was reset
-        /// delivers, message for message, what a freshly built one does —
-        /// on links the earlier rounds left busy and with draws taken.
+        /// The closed form is the queue: an exclusive round served by
+        /// `serve_exclusive` delivers the multiset of times, the end time
+        /// and the stats that `schedule` + `drain` on a fresh kernel do —
+        /// twice in a row on one kernel that has served other rounds.
         #[test]
-        fn reset_kernel_equals_fresh_kernel(
-            kind in 0u8..3,
+        fn exclusive_round_closed_form_equals_the_queue(
+            kind in 0u8..5,
             seed in any::<u64>(),
-            earlier in 0usize..4,
-            count in 1usize..24,
+            links in any::<u32>(),
         ) {
             let g = dense5();
-            let mut reused = EventNet::new(&g, regime(kind), mix(seed, 99));
-            for round in 0..earlier as u64 {
-                let msgs = messages(mix(seed, 100 + round), 1 + (round as usize * 7) % 20);
-                prop_assert_eq!(serve(&mut reused, &msgs).len(), msgs.len());
-                reused.reset(mix(seed, 200 + round));
+            let sends = exclusive_round(seed, links);
+            let mut queue = EventNet::new(&g, regime(kind), seed);
+            for (id, &(src, dst, bits)) in sends.iter().enumerate() {
+                queue.schedule(id as u64, src, dst, bits, 0);
             }
-            reused.reset(seed);
-            let mut fresh = EventNet::new(&g, regime(kind), seed);
+            let mut want: Vec<u64> = queue.run().iter().map(|d| d.delivered_ns).collect();
+            want.sort_unstable();
 
-            // The last earlier round's first link is used again for sure.
-            let mut msgs = messages(mix(seed, 300), count);
-            if earlier > 0 {
-                let (_, src, dst, _) = messages(mix(seed, 99 + earlier as u64), 1)[0];
-                msgs.push((9, src, dst, 5));
+            let mut closed = EventNet::new(&g, regime(kind), !seed);
+            closed.schedule(0, 0, 1, 7, 0);
+            closed.run();
+            closed.serve_exclusive(!seed, exclusive_round(!seed, !links), |_| {});
+            let before = closed.stats();
+            for _ in 0..2 {
+                let mut got = Vec::new();
+                let end = closed.serve_exclusive(seed, sends.iter().copied(), |t| got.push(t));
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(end, queue.clock_ns());
             }
-            prop_assert_eq!(serve(&mut reused, &msgs), serve(&mut fresh, &msgs));
-            prop_assert_eq!(reused.clock_ns(), fresh.clock_ns());
-            for v in 0..5 {
-                prop_assert_eq!(reused.node_clock(v), fresh.node_clock(v));
-            }
-        }
-
-        /// The schedule of a reused kernel does not depend on the order
-        /// its messages were inserted in.
-        #[test]
-        fn reused_kernel_is_insertion_order_invariant(
-            kind in 0u8..3,
-            seed in any::<u64>(),
-            count in 1usize..24,
-        ) {
-            let g = dense5();
-            let msgs = messages(mix(seed, 1), count);
-            let mut reversed = msgs.clone();
-            reversed.reverse();
-            let mut rotated = msgs.clone();
-            rotated.rotate_left(count / 2);
-            let mut net = EventNet::new(&g, regime(kind), mix(seed, 2));
-            serve(&mut net, &messages(mix(seed, 3), 12));
-            net.reset(seed);
-            let want = serve(&mut net, &msgs);
-            for order in [&reversed, &rotated] {
-                net.reset(seed);
-                prop_assert_eq!(&serve(&mut net, order), &want);
-            }
+            let mut twice = queue.stats();
+            twice.accumulate(&queue.stats());
+            twice.accumulate(&before);
+            prop_assert_eq!(closed.stats(), twice);
         }
     }
 }
