@@ -193,7 +193,8 @@ impl<'a> InstanceTiming<'a> {
     /// The instance's latency-aware [`PhaseTimes`] (in the formula path's
     /// time units) and its delivered-time distributions.
     pub(crate) fn finish(mut self) -> (PhaseTimes, DeliveredTimes) {
-        self.delivered.instance.record(self.ends.iter().sum());
+        let total = self.ends.into_iter().fold(0, u64::saturating_add);
+        self.delivered.instance.record(total);
         let [phase1, equality, flags, dispute] = self.ends.map(units);
         (
             PhaseTimes {
@@ -234,8 +235,8 @@ impl RoundSink for PhaseKernel<'_> {
         let hist = &mut *self.hist;
         let end = self
             .net
-            .serve_exclusive(seed, sends, |t| hist.record(offset + t));
-        *self.end_ns += end;
+            .serve_exclusive(seed, sends, |t| hist.record(offset.saturating_add(t)));
+        *self.end_ns = offset.saturating_add(end);
     }
 
     fn elapsed(&self) -> f64 {

@@ -93,7 +93,7 @@ impl Latency {
         match *self {
             Latency::Fixed { delay_ns } => delay_ns,
             Latency::Uniform { base_ns, jitter_ns } => {
-                base_ns + (unit_f64(draw) * jitter_ns as f64).round() as u64
+                base_ns.saturating_add((unit_f64(draw) * jitter_ns as f64).round() as u64)
             }
             Latency::LogNormal { median_ns, sigma } => {
                 // Box-Muller from two sub-draws of the same 64-bit seed.
@@ -111,14 +111,14 @@ impl Latency {
     pub fn scaled(&self, factor: u64) -> Latency {
         match *self {
             Latency::Fixed { delay_ns } => Latency::Fixed {
-                delay_ns: delay_ns * factor,
+                delay_ns: delay_ns.saturating_mul(factor),
             },
             Latency::Uniform { base_ns, jitter_ns } => Latency::Uniform {
-                base_ns: base_ns * factor,
-                jitter_ns: jitter_ns * factor,
+                base_ns: base_ns.saturating_mul(factor),
+                jitter_ns: jitter_ns.saturating_mul(factor),
             },
             Latency::LogNormal { median_ns, sigma } => Latency::LogNormal {
-                median_ns: median_ns * factor,
+                median_ns: median_ns.saturating_mul(factor),
                 sigma,
             },
         }
@@ -265,7 +265,7 @@ impl Link {
 
     /// Serialization time of `bits` on the link.
     fn transmit_ns(&self, bits: u64) -> u64 {
-        (bits * UNIT_NS).div_ceil(self.cap)
+        bits.saturating_mul(UNIT_NS).div_ceil(self.cap)
     }
 }
 
@@ -405,7 +405,7 @@ impl EventNet {
         while let Some(Reverse(ev)) = self.heap.pop() {
             let link = &mut self.links[ev.link as usize];
             let start = ev.time_ns.max(link.busy_ns);
-            let tx_end = start + link.transmit_ns(ev.bits);
+            let tx_end = start.saturating_add(link.transmit_ns(ev.bits));
             link.busy_ns = tx_end;
 
             let model = &self.models[link.model as usize];
@@ -415,7 +415,7 @@ impl EventNet {
                     self.seq += 1;
                     self.stats.retransmits += 1;
                     self.heap.push(Reverse(Attempt {
-                        time_ns: tx_end + loss.rto_ns,
+                        time_ns: tx_end.saturating_add(loss.rto_ns),
                         attempt: ev.attempt + 1,
                         seq,
                         ..ev
@@ -423,7 +423,8 @@ impl EventNet {
                     continue;
                 }
             }
-            let delivered_ns = tx_end + model.latency.sample_ns(link.draw(self.seed));
+            let latency_ns = model.latency.sample_ns(link.draw(self.seed));
+            let delivered_ns = tx_end.saturating_add(latency_ns);
             self.clock_ns = self.clock_ns.max(delivered_ns);
             self.stats.deliveries += 1;
             on_delivery(Delivery {
@@ -489,11 +490,11 @@ impl EventNet {
                 let mut retries = 0;
                 while retries < loss.max_retries && unit_f64(draw()) < loss.p {
                     retries += 1;
-                    delivered_ns += loss.rto_ns + tx;
+                    delivered_ns = delivered_ns.saturating_add(loss.rto_ns).saturating_add(tx);
                 }
                 self.stats.retransmits += u64::from(retries);
             }
-            delivered_ns += model.latency.sample_ns(draw());
+            delivered_ns = delivered_ns.saturating_add(model.latency.sample_ns(draw()));
             end_ns = end_ns.max(delivered_ns);
             self.stats.deliveries += 1;
             on_delivery(delivered_ns);
