@@ -156,7 +156,10 @@ pub fn oblivious_full_value_broadcast(
 /// plan (e.g. the NAB planning layer, which owns a `2f+1`-disjoint-path
 /// router per network) lend it here instead of paying the all-pairs
 /// vertex-disjoint-path construction again per baseline run.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 pub fn oblivious_broadcast_with_router(
     g: &DiGraph,
     router: &PathRouter,

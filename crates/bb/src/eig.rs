@@ -154,7 +154,10 @@ const DEFAULT: u32 = 0;
 /// # Panics
 ///
 /// Panics if `source` is not a participant or `|participants| ≤ 3f`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 pub fn run_eig<V, C>(
     participants: &[NodeId],
     source: NodeId,
@@ -259,6 +262,10 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the pre-arena oracle keeps its per-node hash trees; it lists each level in arena order, so no result depends on hash order"
+)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
@@ -267,7 +274,10 @@ mod tests {
     /// trees keyed by claim path, and the recursive resolve over them. Its
     /// only change is that a level's paths are listed in arena order (it
     /// used to take them from the hash map's iteration order).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors run_eig's parameter list"
+    )]
     fn run_eig_oracle<V, C>(
         participants: &[NodeId],
         source: NodeId,

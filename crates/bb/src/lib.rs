@@ -23,6 +23,15 @@
 //! - [`phaseking`] — a polynomial-message alternative `Broadcast_Default`
 //!   (`O(f·n²)` messages, needs `n > 4f`).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod baselines;
 pub mod eig;
 pub mod phaseking;

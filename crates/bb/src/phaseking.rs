@@ -62,7 +62,10 @@ pub struct PkResult<V> {
 /// # Panics
 ///
 /// Panics if `source` is not a participant or `|participants| ≤ 4f`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 pub fn run_phase_king<V, C>(
     participants: &[NodeId],
     source: NodeId,
@@ -131,6 +134,10 @@ where
 
         // Each node computes its plurality proposal (ties go to the
         // smallest value) and that proposal's support.
+        #[expect(
+            clippy::expect_used,
+            reason = "the table holds the input from the start"
+        )]
         let proposal: Vec<(u32, usize)> = heard
             .iter()
             .map(|votes| {
@@ -143,7 +150,7 @@ where
                     .max_by(|&(a, ca), &(b, cb)| {
                         ca.cmp(&cb).then_with(|| values.get(b).cmp(values.get(a)))
                     })
-                    .expect("non-empty table") // nab-lint: allow(NAB003): the table holds the input from the start
+                    .expect("non-empty table")
             })
             .collect();
 
@@ -186,7 +193,10 @@ mod tests {
 
     /// The pre-id implementation (owned values in per-node maps), kept as the
     /// oracle for [`run_phase_king`].
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the paper's parameter list"
+    )]
     fn run_phase_king_oracle<V, C>(
         participants: &[NodeId],
         source: NodeId,

@@ -214,9 +214,12 @@ pub struct HopChannel<'a, S> {
 
 impl<V, S: RoundSink> EigChannel<V> for HopChannel<'_, S> {
     fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, _value: &V) {
+        #[expect(
+            clippy::expect_used,
+            reason = "routing over the build-time graph cannot fail (Menger); a removed node is a caller bug"
+        )]
         self.router
             .try_charge_unicast(self.sink, from, to, bits)
-            // nab-lint: allow(NAB003): routing over the build-time graph cannot fail (Menger); a removed node is a caller bug
             .expect("routing over the build-time graph cannot fail");
     }
 }
@@ -324,9 +327,12 @@ impl PathRouter {
     /// # Panics
     ///
     /// Panics if the pair cannot be routed.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience; fallible callers use try_paths_for"
+    )]
     pub fn paths_for(&self, s: NodeId, t: NodeId) -> &[Vec<NodeId>] {
         self.try_paths_for(s, t)
-            // nab-lint: allow(NAB003): documented panicking convenience; fallible callers use try_paths_for
             .expect("connectivity was proven at build time")
     }
 
@@ -419,7 +425,10 @@ mod tests {
         /// copies are corrupted). Fails with [`RouterError`] if the pair has no
         /// path system or a path hop lost its link — both impossible while the
         /// graph proven connected at build time is intact.
-        #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "mirrors the paper's parameter list"
+        )]
         pub(crate) fn try_unicast<V, FC>(
             &self,
             net: &mut NetSim<Routed<V>>,
@@ -664,6 +673,10 @@ mod tests {
         // A second lookup reads the memoized route.
         assert!(std::ptr::eq(paths, router.paths_for(0, 4)));
         assert_eq!(router.routes_extracted(), 1);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a membership oracle; never iterated"
+        )]
         let mut internal = std::collections::HashSet::new();
         for p in paths.iter() {
             for &v in &p[1..p.len() - 1] {

@@ -5,7 +5,10 @@
 //! and `U_k = 2` of Figure 1(b), and the two-arborescence packing of
 //! Figure 2(a)/(c) with link (1,2) shared by both trees.
 
-// nab-lint: allow-file(NAB003): perf-harness setup; aborting on a malformed experiment configuration is the intended behavior
+#![expect(
+    clippy::expect_used,
+    reason = "perf-harness setup; aborting on a malformed experiment configuration is the intended behavior"
+)]
 
 use std::collections::BTreeSet;
 

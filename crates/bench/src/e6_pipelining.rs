@@ -10,7 +10,10 @@
 //! The experiment compares the two schedules on tree depths measured from
 //! real arborescence packings.
 
-// nab-lint: allow-file(NAB003): perf-harness setup; aborting on a malformed experiment configuration is the intended behavior
+#![expect(
+    clippy::expect_used,
+    reason = "perf-harness setup; aborting on a malformed experiment configuration is the intended behavior"
+)]
 
 use nab_netgraph::arborescence::pack_arborescences;
 use nab_netgraph::flow::broadcast_rate;

@@ -8,7 +8,10 @@
 //! 3. **Arborescence packing vs single tree**: Phase 1 at rate `γ` vs
 //!    rate 1, propagated through Eq. 6.
 
-// nab-lint: allow-file(NAB003): perf-harness setup; aborting on a malformed experiment configuration is the intended behavior
+#![expect(
+    clippy::expect_used,
+    reason = "perf-harness setup; aborting on a malformed experiment configuration is the intended behavior"
+)]
 
 use std::collections::BTreeSet;
 

@@ -10,6 +10,15 @@
 //! `scenarios/`, and the binary only selects report columns to print, so
 //! they have no module here.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod e1_examples;
 pub mod e2_theorem1;
 pub mod e6_pipelining;

@@ -288,7 +288,10 @@ impl DisputeFamily {
             .collect();
         let mut acc = None;
         search(&d, self.f, &mut Vec::new(), &mut acc);
-        // nab-lint: allow(NAB003): every caller passes D(𝒞) of a non-empty family, which each of its members covers
+        #[expect(
+            clippy::expect_used,
+            reason = "every caller passes D(𝒞) of a non-empty family, which each of its members covers"
+        )]
         let mut implied = acc.expect("a dispute set is covered by every member of its family");
         implied.sort_unstable();
         implied
@@ -375,11 +378,14 @@ fn gamma_star_below(
 
     let mut net = FlowNet::from_digraph(g);
     // Per arc `2k`: its endpoints and the index of its pair.
+    #[expect(
+        clippy::expect_used,
+        reason = "`pairs` was collected from these same edges"
+    )]
     let arcs: Vec<(NodeId, NodeId, usize)> = g
         .edges()
         .map(|(_, e)| {
             let p = family.pairs.binary_search(&pair(e.src, e.dst));
-            // nab-lint: allow(NAB003): `pairs` was collected from these same edges
             (e.src, e.dst, p.expect("every edge joins an adjacent pair"))
         })
         .collect();

@@ -1,15 +1,16 @@
 //! DetSan — the runtime determinism sanitizer (`--features sanitize`).
 //!
-//! The static pass (`nab-lint`) keeps nondeterminism *sources* out of the
-//! code; DetSan checks the *effects* at runtime. With the `sanitize`
-//! feature enabled, the engine digests its canonical state at every phase
-//! boundary (FNV-1a over a fixed serialization order) and emits the digest
-//! as an [`EventKind::DetSanDigest`] trace event, and a handful of
-//! invariants that the optimized paths rely on — packing validity after
-//! incremental plan repair, slab-offset monotonicity, histogram merge
-//! commutativity — are re-verified on the spot. Two runs of the same
-//! configuration must produce identical digest sequences; diffing two
-//! sanitize traces pinpoints the first phase where determinism broke.
+//! The static lints (`clippy.toml`, `docs/lint.md`) keep nondeterminism
+//! *sources* out of the code; DetSan checks the *effects* at runtime. With
+//! the `sanitize` feature enabled, the engine digests its canonical state
+//! at every phase boundary (FNV-1a over a fixed serialization order) and
+//! emits the digest as an [`EventKind::DetSanDigest`] trace event, and a
+//! handful of invariants that the optimized paths rely on — packing
+//! validity after incremental plan repair, slab-offset monotonicity,
+//! histogram merge commutativity — are re-verified on the spot. Two runs
+//! of the same configuration must produce identical digest sequences;
+//! diffing two sanitize traces pinpoints the first phase where
+//! determinism broke.
 //!
 //! Everything in this module is compiled out without the feature; the
 //! default build carries zero cost. The canonical outputs themselves are
@@ -18,7 +19,7 @@
 //!
 //! [`EventKind::DetSanDigest`]: nab_obs::trace::EventKind::DetSanDigest
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use nab_netgraph::NodeId;
 
@@ -109,17 +110,6 @@ pub fn digest_disputes(disputes: &DisputeState) -> u64 {
     }
     h.u64(disputes.removed.len() as u64);
     for &v in &disputes.removed {
-        h.u64(v as u64);
-    }
-    h.finish()
-}
-
-/// Digest of a faulty set, mixed into instance-level digests so runs with
-/// different fault injections cannot alias.
-pub fn digest_node_set(set: &BTreeSet<NodeId>) -> u64 {
-    let mut h = Fnv1a::new();
-    h.u64(set.len() as u64);
-    for &v in set {
         h.u64(v as u64);
     }
     h.finish()

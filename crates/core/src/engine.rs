@@ -147,7 +147,9 @@ impl PhaseTimes {
 /// simulator itself took, as opposed to [`PhaseTimes`], which is the
 /// *simulated* link-time model. This is the raw material of the timed
 /// sweep report: summed per job by the sweep runner and serialized when
-/// timings are requested.
+/// timings are requested. There is deliberately no `total()`: the per-job
+/// total is `JobMetrics::wall_ns`, which also covers engine setup and
+/// input generation, so a phase sum would silently disagree with it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseWallNanos {
     /// Phase 1 (arborescence streaming).
@@ -163,22 +165,6 @@ pub struct PhaseWallNanos {
     /// claim broadcasts' hop rounds are timed by the kernel as they happen,
     /// inside `flags` and `dispute`.)
     pub net: u64,
-}
-
-impl PhaseWallNanos {
-    /// Accumulates another instance's breakdown.
-    ///
-    /// (There is deliberately no `total()` here: the per-job total the
-    /// sweep report serializes is `JobMetrics::wall_ns`, which also
-    /// covers engine setup and input generation — a phase-sum "total"
-    /// would silently disagree with it.)
-    pub fn accumulate(&mut self, other: &PhaseWallNanos) {
-        self.phase1 += other.phase1;
-        self.equality += other.equality;
-        self.flags += other.flags;
-        self.dispute += other.dispute;
-        self.net += other.net;
-    }
 }
 
 /// Everything observable about one NAB instance.
@@ -224,15 +210,6 @@ pub struct RepairStats {
     pub full_recomputes: u64,
     /// Total wall nanoseconds spent replanning (repairs + recomputes).
     pub repair_ns: u64,
-}
-
-impl RepairStats {
-    /// Accumulates another engine's counters (sweep aggregation).
-    pub fn accumulate(&mut self, other: &RepairStats) {
-        self.repairs += other.repairs;
-        self.full_recomputes += other.full_recomputes;
-        self.repair_ns += other.repair_ns;
-    }
 }
 
 /// Memoized per-`G_k` planning artifacts, keyed by the dispute state that
@@ -373,11 +350,6 @@ impl NabEngine {
         &self.plan
     }
 
-    /// The original network.
-    pub fn original_graph(&self) -> &DiGraph {
-        self.plan.graph()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &NabConfig {
         &self.cfg
@@ -433,6 +405,10 @@ impl NabEngine {
     /// # Panics
     ///
     /// Panics if `faulty` has more than `f` members.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_instances_batched returns engines.len() reports"
+    )]
     pub fn run_instance(
         &mut self,
         input: &Value,
@@ -445,7 +421,7 @@ impl NabEngine {
             faulty,
             &mut [adv],
         )?;
-        Ok(reports.pop().expect("one report per stream")) // nab-lint: allow(NAB003): run_instances_batched returns engines.len() reports
+        Ok(reports.pop().expect("one report per stream"))
     }
 
     /// The memoised `(γ_k, arborescences, ρ_k)` of the last disputed `G_k`
@@ -532,8 +508,12 @@ impl NabEngine {
                 // DetSan: re-verify the packing against `G_k` before it is
                 // memoized and used.
                 #[cfg(feature = "sanitize")]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "DetSan check; aborting on a violated invariant is the point"
+                )]
                 nab_netgraph::arborescence::validate_packing(gk, SOURCE, &trees_new)
-                    .expect("DetSan: the replan produced an invalid packing"); // nab-lint: allow(NAB003): DetSan check; aborting on a violated invariant is the point
+                    .expect("DetSan: the replan produced an invalid packing");
                 let counted_repair = gamma_new == plan.gamma0();
                 if counted_repair {
                     self.repair_stats.repairs += 1;
@@ -552,7 +532,11 @@ impl NabEngine {
                     counted_repair,
                 });
             }
-            let m = self.memo.as_ref().expect("memo was just ensured"); // nab-lint: allow(NAB003): ensure_memo() on the preceding line set it
+            #[expect(
+                clippy::expect_used,
+                reason = "on a miss the re-derivation block just above set the memo"
+            )]
+            let m = self.memo.as_ref().expect("memo was just ensured");
             gamma = m.gamma;
             trees_memo = Some(Arc::clone(&m.trees));
             &m.trees
@@ -622,7 +606,11 @@ impl NabEngine {
             plan.rho0()
         } else {
             let rho0 = plan.rho0();
-            let m = self.memo.as_mut().expect("memo set while packing trees"); // nab-lint: allow(NAB003): memo is set before tree packing completes
+            #[expect(
+                clippy::expect_used,
+                reason = "begin_instance of this disputed instance set the memo before Phase 2"
+            )]
+            let m = self.memo.as_mut().expect("memo set while packing trees");
             match m.rho {
                 Some(r) => r,
                 None => {
@@ -656,7 +644,10 @@ impl NabEngine {
 
     /// The per-stream tail of an instance: flag broadcast, mismatch
     /// evaluation, dispute control, message-level timing.
-    #[allow(clippy::too_many_arguments)] // internal seam of run_instances_batched
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "internal seam of run_instances_batched"
+    )]
     fn finish_instance(
         &mut self,
         flight: InFlight,
@@ -710,10 +701,14 @@ impl NabEngine {
 
         // All fault-free nodes see the same set of agreed flags; evaluate
         // at an arbitrary fault-free participant.
+        #[expect(
+            clippy::expect_used,
+            reason = "n >= 3f+1 leaves a fault-free node after f removals"
+        )]
         let observer = *participants
             .iter()
             .find(|v| !faulty.contains(v))
-            .expect("at least one fault-free node"); // nab-lint: allow(NAB003): n >= 3f+1 leaves a fault-free node after f removals
+            .expect("at least one fault-free node");
         let mismatch = flags.any_mismatch(observer);
 
         if !mismatch {
@@ -886,6 +881,10 @@ struct InFlight {
 ///
 /// Panics if `engines`, `inputs`, and `advs` have mismatched lengths or
 /// a `faulty` set exceeds the configured `f`.
+#[expect(
+    clippy::expect_used,
+    reason = "each stream either finished in begin_instance or rode exactly one group"
+)]
 pub fn run_instances_batched(
     engines: &mut [NabEngine],
     inputs: &[Value],
@@ -985,7 +984,7 @@ pub fn run_instances_batched(
     }
     Ok(reports
         .into_iter()
-        .map(|r| r.expect("every stream reported")) // nab-lint: allow(NAB003): each stream either finished in begin_instance or rode exactly one group
+        .map(|r| r.expect("every stream reported"))
         .collect())
 }
 

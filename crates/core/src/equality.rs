@@ -128,11 +128,14 @@ impl CodingScheme {
     /// The rows of [`CodingScheme::stacked`] that are `C_eᵀ` of edge
     /// `(src, dst)`. Panics if the edge has no matrix (edge absent at
     /// generation time).
+    #[expect(
+        clippy::panic,
+        reason = "plan construction emits a matrix for every live edge"
+    )]
     pub(crate) fn rows(&self, src: NodeId, dst: NodeId) -> Range<usize> {
         self.rows
             .get(&(src, dst))
             .cloned()
-            // nab-lint: allow(NAB003): plan construction emits a matrix for every live edge
             .unwrap_or_else(|| panic!("no coding matrix for edge ({src}, {dst})"))
     }
 

@@ -48,6 +48,15 @@
 //! # }
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod adversary;
 pub mod bounds;
 #[cfg(feature = "sanitize")]

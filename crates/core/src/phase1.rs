@@ -81,7 +81,11 @@ pub fn run_phase1(
             } else {
                 received
             };
-            let (link, _) = gk.find_edge(u, child).expect("tree edges exist in G_k"); // nab-lint: allow(NAB003): packed trees only use edges of G_k by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "packed trees only use edges of G_k by construction"
+            )]
+            let (link, _) = gk.find_edge(u, child).expect("tree edges exist in G_k");
             if link >= link_bits.len() {
                 link_bits.resize(link + 1, 0);
             }
@@ -97,7 +101,11 @@ pub fn run_phase1(
     // round charge `NetSim::deliver_round` computes.
     let mut duration: f64 = 0.0;
     for (link, &bits) in link_bits.iter().enumerate().filter(|&(_, &bits)| bits > 0) {
-        let cap = gk.edge(link).expect("a link that carried bits is live").cap; // nab-lint: allow(NAB003): only ids `find_edge` returned are charged
+        #[expect(
+            clippy::expect_used,
+            reason = "only ids `find_edge` returned are charged"
+        )]
+        let cap = gk.edge(link).expect("a link that carried bits is live").cap;
         duration = duration.max(bits as f64 / cap as f64);
     }
 
@@ -180,6 +188,10 @@ mod tests {
         let (trees, input) = setup(&g);
         let faulty = BTreeSet::from([0]);
         let out = run_phase1(&g, 0, &input, &trees, &faulty, &mut EquivocatingSource);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "counts distinct values; `Value` is not `Ord`, and the set is never iterated"
+        )]
         let distinct: std::collections::HashSet<_> = g
             .nodes()
             .filter(|&v| v != 0)

@@ -371,7 +371,10 @@ impl BroadcastKind {
 /// the relays of `Broadcast_Default`, so the faulty set cannot change the
 /// outcome and `_faulty` is not read. It stays only for `benchmark/`'s
 /// call sites.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 pub fn broadcast_value<V, C>(
     kind: BroadcastKind,
     participants: &[NodeId],
@@ -449,7 +452,10 @@ impl FlagOutcome {
 /// caller that wants the hop rounds passes a sink that keeps them. Both
 /// parameters stay for `benchmark/`'s call sites and go with the
 /// benchmark-only PR that ROADMAP pairs with the timing change.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 pub fn run_flag_broadcast(
     _g0: &DiGraph,
     router: &PathRouter,
@@ -483,7 +489,10 @@ pub fn run_flag_broadcast(
 ///
 /// `f_residual` is the fault budget among the participants (original `f`
 /// minus nodes already exposed and excluded).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 pub fn flag_broadcast<S: RoundSink>(
     router: &PathRouter,
     participants: &[NodeId],
@@ -537,6 +546,10 @@ pub fn flag_broadcast<S: RoundSink>(
 /// A broadcast carries its claims behind an [`Arc`]: relays and decisions
 /// share the broadcaster's one copy, which is handed back as the
 /// observer's decision once the others are dropped.
+#[expect(
+    clippy::expect_used,
+    reason = "every participant has claims; the observer is a participant, and every participant decides"
+)]
 pub(crate) fn broadcast_claims<S: RoundSink>(
     router: &PathRouter,
     participants: &[NodeId],
@@ -551,7 +564,6 @@ pub(crate) fn broadcast_claims<S: RoundSink>(
     participants
         .iter()
         .map(|&b| {
-            // nab-lint: allow(NAB003): every participant has claims
             let input = Arc::new(claims.remove(&b).expect("one claim per participant"));
             let bits = input.bits();
             let mut decided = broadcast_value(
@@ -564,7 +576,6 @@ pub(crate) fn broadcast_claims<S: RoundSink>(
                 &mut chan,
                 bits,
             );
-            // nab-lint: allow(NAB003): the observer is a participant, and every participant decides
             let agreed = decided.remove(&observer).expect("observer decides");
             drop(decided);
             (b, Arc::unwrap_or_clone(agreed))
@@ -575,7 +586,14 @@ pub(crate) fn broadcast_claims<S: RoundSink>(
 /// Builds every node's *truthful* claims from the ground truth of Phases
 /// 1–2 (what Phase 3 broadcasts when nodes do not lie about their
 /// transcripts). `announced_flags` are the flags from step 2.2.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
+#[expect(
+    clippy::unwrap_used,
+    reason = "claims is pre-populated with an entry per node"
+)]
 pub fn honest_claims(
     gk: &DiGraph,
     source: NodeId,
@@ -598,29 +616,29 @@ pub fn honest_claims(
             )
         })
         .collect();
-    claims.get_mut(&source).unwrap().input = Some(input.symbols().to_vec()); // nab-lint: allow(NAB003): claims is pre-populated with an entry per node
+    claims.get_mut(&source).unwrap().input = Some(input.symbols().to_vec());
 
     for (&(t, src, dst), block) in &p1.sends {
         claims
             .get_mut(&src)
-            .unwrap() // nab-lint: allow(NAB003): claims is pre-populated with an entry per node
+            .unwrap()
             .p1_sent
             .insert((t, dst), block.as_ref().clone());
         claims
             .get_mut(&dst)
-            .unwrap() // nab-lint: allow(NAB003): claims is pre-populated with an entry per node
+            .unwrap()
             .p1_received
             .insert((t, src), block.as_ref().clone());
     }
     for ((src, dst), symbols) in eq.sends() {
         claims
             .get_mut(&src)
-            .unwrap() // nab-lint: allow(NAB003): claims is pre-populated with an entry per node
+            .unwrap()
             .eq_sent
             .insert(dst, symbols.clone());
         claims
             .get_mut(&dst)
-            .unwrap() // nab-lint: allow(NAB003): claims is pre-populated with an entry per node
+            .unwrap()
             .eq_received
             .insert(src, symbols);
     }

@@ -17,21 +17,25 @@
 //! worker threads without perturbing canonical report JSON.
 
 use nab_obs::clock;
-// nab-lint: allow(NAB002): HashMap here backs point-lookup memo/cache
-// tables only; nothing ever iterates them toward canonical output.
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use nab_bb::router::PathRouter;
 use nab_netgraph::arborescence::{pack_arborescences_with_stats, Arborescence, PackStats};
 use nab_netgraph::canon;
-use nab_netgraph::treepack::{pack_spanning_trees, Tree};
-use nab_netgraph::{DiGraph, UnGraph};
+use nab_netgraph::DiGraph;
 
 use crate::bounds::{gamma_k, rho_k, BoundsReport};
 use crate::engine::{NabError, SOURCE};
 use crate::equality::CodingScheme;
+
+/// The point-lookup memo and cache tables of this module.
+#[expect(
+    clippy::disallowed_types,
+    reason = "point lookups only; nothing ever iterates these tables toward canonical output"
+)]
+type PointMap<K, V> = std::collections::HashMap<K, V>;
 
 /// The immutable one-time planning artifact for one network deployment
 /// `(G, f)` rooted at [`SOURCE`].
@@ -48,10 +52,6 @@ pub struct ExecutionPlan {
     gamma0: u64,
     rho0: u64,
     trees0: Vec<Arborescence>,
-    /// Theorem-1 spanning-tree packing, computed on first request (the
-    /// protocol's execution path never consumes it, so plan builds — the
-    /// cold path the cache exists to amortize — don't pay for it).
-    spanning_trees0: OnceLock<Option<Vec<Tree>>>,
     router: PathRouter,
     build_wall_ns: u64,
     /// What packing `trees0` took (all zero on a plan loaded from disk,
@@ -60,7 +60,7 @@ pub struct ExecutionPlan {
     /// Lazily computed Eq. 6 / Theorem 2 bounds, keyed by enumeration
     /// budget (each distinct budget is computed once; results are
     /// deterministic per `(G, f, budget)`).
-    bounds: RwLock<HashMap<usize, Option<BoundsReport>>>, // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
+    bounds: RwLock<PointMap<usize, Option<BoundsReport>>>,
 }
 
 impl std::fmt::Debug for ExecutionPlan {
@@ -115,11 +115,10 @@ impl ExecutionPlan {
             gamma0,
             rho0,
             trees0,
-            spanning_trees0: OnceLock::new(),
             router,
             build_wall_ns: t0.elapsed().as_nanos() as u64,
             pack_stats,
-            bounds: RwLock::new(HashMap::new()), // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
+            bounds: RwLock::new(PointMap::new()),
         })
     }
 
@@ -157,11 +156,10 @@ impl ExecutionPlan {
             gamma0,
             rho0,
             trees0,
-            spanning_trees0: OnceLock::new(),
             router,
             build_wall_ns: wall_ns,
             pack_stats: PackStats::default(),
-            bounds: RwLock::new(HashMap::new()), // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
+            bounds: RwLock::new(PointMap::new()),
         })
     }
 
@@ -195,18 +193,6 @@ impl ExecutionPlan {
     /// streams over while no disputes have shrunk the graph.
     pub fn trees0(&self) -> &[Arborescence] {
         &self.trees0
-    }
-
-    /// Theorem 1's packing of `ρ_1` edge-disjoint undirected spanning
-    /// trees, when the full graph admits one (`U_1` is a minimum over
-    /// subgraphs, so the packing can legitimately be absent). Packed on
-    /// first call and cached in the plan.
-    pub fn spanning_trees0(&self) -> Option<&[Tree]> {
-        self.spanning_trees0
-            .get_or_init(|| {
-                pack_spanning_trees(&UnGraph::from_digraph(&self.g0), self.rho0 as usize)
-            })
-            .as_deref()
     }
 
     /// The `2f+1`-disjoint-path router emulating a complete graph — the
@@ -342,7 +328,7 @@ pub struct PlanCacheStats {
 /// cache builds a private plan instead of returning a wrong one), so a
 /// hit is always semantically identical to a rebuild.
 pub struct PlanCache {
-    shards: Vec<RwLock<HashMap<PlanKey, Arc<ExecutionPlan>>>>, // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
+    shards: Vec<RwLock<PointMap<PlanKey, Arc<ExecutionPlan>>>>,
     /// Disk tier root: misses probe it before building, fresh builds are
     /// persisted into it ([`crate::persist`]).
     dir: Option<std::path::PathBuf>,
@@ -370,7 +356,7 @@ impl PlanCache {
     pub fn with_shards(shards: usize) -> Self {
         PlanCache {
             shards: (0..shards.max(1))
-                .map(|_| RwLock::new(HashMap::new())) // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
+                .map(|_| RwLock::new(PointMap::new()))
                 .collect(),
             dir: None,
             hits: AtomicU64::new(0),
@@ -397,8 +383,7 @@ impl PlanCache {
         self.dir.as_deref()
     }
 
-    // nab-lint: allow(NAB002): point lookups only; never iterated toward canonical output
-    fn shard(&self, key: &PlanKey) -> &RwLock<HashMap<PlanKey, Arc<ExecutionPlan>>> {
+    fn shard(&self, key: &PlanKey) -> &RwLock<PointMap<PlanKey, Arc<ExecutionPlan>>> {
         let idx = (key.canon ^ key.labeled.rotate_left(17) ^ key.f as u64) as usize;
         &self.shards[idx % self.shards.len()]
     }
@@ -601,7 +586,9 @@ mod tests {
         assert_eq!(plan.trees0().len(), plan.gamma0() as usize);
         assert_eq!(plan.router().copies(), 3);
         // K4 cap 2 admits the Theorem-1 packing of ρ₁ spanning trees.
-        let trees = plan.spanning_trees0().expect("packing exists");
+        let u = nab_netgraph::UnGraph::from_digraph(plan.graph());
+        let trees = nab_netgraph::treepack::pack_spanning_trees(&u, plan.rho0() as usize)
+            .expect("packing exists");
         assert_eq!(trees.len(), plan.rho0() as usize);
     }
 

@@ -322,6 +322,10 @@ mod tests {
         let h_nodes: BTreeSet<NodeId> = BTreeSet::from([0, 2, 3]);
         let h = g.induced_subgraph(&h_nodes);
         let collision = colliding_values(&h, &scheme).expect("ρ > U_H/2 must be attackable on H");
+        #[expect(
+            clippy::disallowed_types,
+            reason = "counts distinct values; `Value` is not `Ord`, and the set is never iterated"
+        )]
         let distinct: std::collections::HashSet<_> = collision.values().collect();
         assert!(distinct.len() > 1, "attack must produce disagreement");
 

@@ -187,7 +187,10 @@ struct Tables16 {
     log: Vec<u32>,
 }
 
-#[allow(clippy::needless_range_loop)] // the index is the discrete log itself
+#[expect(
+    clippy::needless_range_loop,
+    reason = "the index is the discrete log itself"
+)]
 fn tables16() -> &'static Tables16 {
     static TABLES: OnceLock<Tables16> = OnceLock::new();
     TABLES.get_or_init(|| {

@@ -48,6 +48,16 @@
 //! # }
 //! ```
 
+#![expect(clippy::disallowed_types, reason = "emits no canonical JSON")]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod field;
 pub mod gf2m;
 pub mod kernel;

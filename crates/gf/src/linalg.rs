@@ -39,7 +39,11 @@ pub fn echelon<F: Field>(a: &Matrix<F>) -> Echelon<F> {
         // Swap into place.
         m.swap_rows(sel, pr);
         // Normalize pivot row.
-        let inv = m[(pr, pc)].inv().expect("pivot is non-zero"); // nab-lint: allow(NAB003): pivot was selected non-zero by the search above
+        #[expect(
+            clippy::expect_used,
+            reason = "pivot was selected non-zero by the search above"
+        )]
+        let inv = m[(pr, pc)].inv().expect("pivot is non-zero");
         for c in 0..cols {
             m[(pr, c)] = m[(pr, c)].mul(inv);
         }
@@ -163,7 +167,11 @@ pub fn determinant<F: Field>(a: &Matrix<F>) -> F {
         // In characteristic 2 a row swap does not change the determinant.
         m.swap_rows(sel, pc);
         det = det.mul(m[(pc, pc)]);
-        let inv = m[(pc, pc)].inv().expect("pivot non-zero"); // nab-lint: allow(NAB003): pivot was selected non-zero by the search above
+        #[expect(
+            clippy::expect_used,
+            reason = "pivot was selected non-zero by the search above"
+        )]
+        let inv = m[(pc, pc)].inv().expect("pivot non-zero");
         for r in (pc + 1)..n {
             if !m[(r, pc)].is_zero() {
                 let factor = m[(r, pc)].mul(inv);

@@ -36,9 +36,13 @@ impl<F: Field> Matrix<F> {
     ///
     /// Panics if `rows * cols` overflows `usize`.
     pub fn zero(rows: usize, cols: usize) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "dimension overflow is unrecoverable misuse; documented panic"
+        )]
         let len = rows
             .checked_mul(cols)
-            .expect("matrix dimensions overflow usize"); // nab-lint: allow(NAB003): dimension overflow is unrecoverable misuse; documented panic
+            .expect("matrix dimensions overflow usize");
         Matrix {
             rows,
             cols,
@@ -61,9 +65,13 @@ impl<F: Field> Matrix<F> {
     ///
     /// Panics if `rows * cols` overflows `usize`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "dimension overflow is unrecoverable misuse; documented panic"
+        )]
         let len = rows
             .checked_mul(cols)
-            .expect("matrix dimensions overflow usize"); // nab-lint: allow(NAB003): dimension overflow is unrecoverable misuse; documented panic
+            .expect("matrix dimensions overflow usize");
         let mut data = Vec::with_capacity(len);
         for r in 0..rows {
             for c in 0..cols {

@@ -36,6 +36,8 @@
 //! `tests/differential.rs` pins the detected tier through the public
 //! entry points.
 
+#![expect(unsafe_code, reason = "the workspace's one audited `unsafe` module")]
+
 use std::sync::OnceLock;
 
 use crate::gf2m::Gf2_16;
@@ -287,19 +289,20 @@ mod x86 {
 }
 
 /// Output rows one micro-kernel pass accumulates in registers.
+#[cfg(target_arch = "x86_64")]
 const MR: usize = 4;
 
 /// The `avx2` tier's tables of one `GF(2^16)` coefficient `s`:
 /// `T_q[n] = s·(n << 4q)` for the four nibbles `q` of a 16-bit operand,
 /// each split into its low and high product byte — eight 16-byte `PSHUFB`
 /// registers; `s·x` is the XOR of the four lookups.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[cfg(any(target_arch = "x86_64", test))]
 struct NibbleTables {
     lo: [[u8; 16]; 4],
     hi: [[u8; 16]; 4],
 }
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[cfg(any(target_arch = "x86_64", test))]
 impl NibbleTables {
     /// Multiplication by `s` is `GF(2)`-linear, so sixteen doublings give
     /// `s·2^b` and every table entry is the XOR of its set bits' products —
@@ -323,6 +326,7 @@ impl NibbleTables {
 }
 
 /// `s·2^j` for `j < 16`, by doubling modulo the field polynomial.
+#[cfg(any(target_arch = "x86_64", test))]
 const fn doublings(s: u16) -> [u16; 16] {
     let mut pow = [0u16; 16];
     let mut p = s as u32;
@@ -344,11 +348,11 @@ const fn doublings(s: u16) -> [u16; 16] {
 /// byte), each in `GF2P8AFFINEQB`'s operand layout — the matrix row that
 /// produces result bit `i` is byte `7 − i` of the `u64`, and bit `j` of
 /// that row multiplies operand bit `j`.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[cfg(any(target_arch = "x86_64", test))]
 struct AffineTables([u64; 4]);
 
 /// [`AffineTables`] of the sixteen basis coefficients `2^b`.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[cfg(any(target_arch = "x86_64", test))]
 const AFFINE_BASIS: [[u64; 4]; 16] = {
     let mut basis = [[0u64; 4]; 16];
     let mut b = 0;
@@ -371,7 +375,7 @@ const AFFINE_BASIS: [[u64; 4]; 16] = {
     basis
 };
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[cfg(any(target_arch = "x86_64", test))]
 impl AffineTables {
     /// Multiplication is linear in the coefficient too, so the matrices of
     /// `s` are the XOR of the basis matrices of its set bits — this sits on
@@ -485,7 +489,10 @@ type Panel<T> = fn(&mut [Gf2_16], &[T], &[Gf2_16], usize, usize, usize);
 /// `table` builds the tier's tables once per coefficient of the panel,
 /// `panel` streams the panel through `b` once.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // the GEMM's operands plus the tier's two functions
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the GEMM's operands plus the tier's two functions"
+)]
 fn gf2_16_panels<T>(
     out: &mut [Gf2_16],
     a: &[Gf2_16],
@@ -542,7 +549,11 @@ fn gf2_16_gemm_acc_on(
             Tier::Avx2 => {
                 gf2_16_panels(out, a, b, k, w, cols, NibbleTables::new, gf2_16_panel_avx2)
             }
-            _ => unreachable!("the portable tier takes no vector columns"), // nab-lint: allow(NAB003): gf2_16_vector_cols gives this tier zero columns
+            #[expect(
+                clippy::unreachable,
+                reason = "gf2_16_vector_cols gives this tier zero columns"
+            )]
+            _ => unreachable!("the portable tier takes no vector columns"),
         }
     }
     if cols < w {
@@ -570,7 +581,11 @@ pub(crate) fn gf2_16_mul_row_add(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) 
             Tier::Gfni => gf2_16_panel_gfni(dst, &[AffineTables::new(s)], src, 1, w, cols),
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => gf2_16_panel_avx2(dst, &[NibbleTables::new(s)], src, 1, w, cols),
-            _ => unreachable!("the portable tier takes no vector columns"), // nab-lint: allow(NAB003): gf2_16_vector_cols gives this tier zero columns
+            #[expect(
+                clippy::unreachable,
+                reason = "gf2_16_vector_cols gives this tier zero columns"
+            )]
+            _ => unreachable!("the portable tier takes no vector columns"),
         }
     }
     if cols < w {
@@ -651,6 +666,10 @@ mod tests {
     /// `cargo test -p nab-gf --release --lib -- --ignored --nocapture tier_throughput`.
     #[test]
     #[ignore = "prints a timing table; nothing to assert"]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wall-clock measurement by design; it reaches no output but this test's"
+    )]
     fn tier_throughput_at_the_engine_shapes() {
         use crate::words::WordMatrix;
         let mut rng = StdRng::seed_from_u64(7);

@@ -48,9 +48,13 @@ impl WordMatrix {
     ///
     /// Panics if `rows * cols` overflows `usize`.
     pub fn reset(&mut self, rows: usize, cols: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "dimension overflow is unrecoverable misuse; documented panic"
+        )]
         let len = rows
             .checked_mul(cols)
-            .expect("WordMatrix dimensions overflow usize"); // nab-lint: allow(NAB003): dimension overflow is unrecoverable misuse; documented panic
+            .expect("WordMatrix dimensions overflow usize");
         (self.rows, self.cols) = (rows, cols);
         self.data.clear();
         self.data.resize(len, Gf2_16(0));

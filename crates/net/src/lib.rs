@@ -35,6 +35,15 @@
 //! abstract capacity time-unit (the time a `cap = 1` link needs for one
 //! bit), which is the unit the formula path reports.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -373,7 +382,10 @@ impl EventNet {
         let out = &self.links[row[0] as usize..row[1] as usize];
         match out.binary_search_by_key(&dst, |l| l.dst) {
             Ok(at) => row[0] + at as u32,
-            // nab-lint: allow(NAB003): the documented panic — a send on a missing link is a protocol-layer bug
+            #[expect(
+                clippy::panic,
+                reason = "the documented panic — a send on a missing link is a protocol-layer bug"
+            )]
             Err(_) => panic!("EventNet: no such link {src} -> {dst}"),
         }
     }
@@ -474,8 +486,11 @@ impl EventNet {
         for (src, dst, bits) in sends {
             let l = self.link_index(src, dst);
             let link = &mut self.links[l as usize];
+            #[expect(
+                clippy::panic,
+                reason = "the documented panic — two messages on one link break the closed form"
+            )]
             if link.round == self.round {
-                // nab-lint: allow(NAB003): the documented panic — two messages on one link break the closed form
                 panic!("EventNet::serve_exclusive: link {src} -> {dst} repeats within the round");
             }
             link.round = self.round;

@@ -304,9 +304,13 @@ impl Witnesses {
     /// unless that was a cycle.
     fn cancel(&mut self, v: NodeId, e: usize) {
         let row = v * self.stride;
+        #[expect(
+            clippy::expect_used,
+            reason = "a node that got a unit ships it on, and one that ships a unit got it"
+        )]
         let shipped = |w: &Witnesses, edges: &[usize]| -> usize {
             let found = edges.iter().copied().find(|&a| w.cells[row + a] > 0);
-            found.expect("a flow is conserved at every inner node") // nab-lint: allow(NAB003): a node that got a unit ships it on, and one that ships a unit got it
+            found.expect("a flow is conserved at every inner node")
         };
         self.set(row + e, self.cells[row + e] - 1);
         let (tail, head) = (self.src[e], self.dst[e]);

@@ -24,6 +24,16 @@
 //!   digest plus a labeled digest, the content-addressing layer under the
 //!   engine's plan cache.
 
+#![expect(clippy::disallowed_types, reason = "emits no canonical JSON")]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod arborescence;
 pub mod canon;
 pub mod connectivity;

@@ -275,59 +275,59 @@ pub fn validate_tree_packing(u: &UnGraph, trees: &[Tree]) -> Result<(), String> 
     Ok(())
 }
 
-/// Exhaustive Nash-Williams bound for small graphs: the minimum over all
-/// partitions `P` of active nodes of `⌊ cross(P) / (|P| − 1) ⌋`. Exponential
-/// in node count — test-support only.
-pub fn nash_williams_bound_exhaustive(u: &UnGraph) -> usize {
-    let nodes: Vec<NodeId> = u.nodes().collect();
-    let n = nodes.len();
-    assert!(
-        n <= 10,
-        "exhaustive partition enumeration is for small graphs"
-    );
-    if n <= 1 {
-        return 1 << 20;
-    }
-    // Enumerate set partitions via restricted growth strings.
-    let mut best = usize::MAX;
-    let mut rgs = vec![0usize; n];
-    loop {
-        let parts = rgs.iter().copied().max().unwrap() + 1; // nab-lint: allow(NAB003): rgs is non-empty: one entry per node
-        if parts >= 2 {
-            let mut cross = 0u64;
-            for (_, e) in u.edges() {
-                let ia = nodes.iter().position(|&v| v == e.a).unwrap(); // nab-lint: allow(NAB003): edge endpoints are members of nodes
-                let ib = nodes.iter().position(|&v| v == e.b).unwrap(); // nab-lint: allow(NAB003): edge endpoints are members of nodes
-                if rgs[ia] != rgs[ib] {
-                    cross += e.cap;
-                }
-            }
-            best = best.min((cross / (parts as u64 - 1)) as usize);
-        }
-        // Next restricted growth string.
-        let mut i = n - 1;
-        loop {
-            if i == 0 {
-                return best;
-            }
-            let max_prefix = rgs[..i].iter().copied().max().unwrap(); // nab-lint: allow(NAB003): prefix is non-empty for i >= 1
-            if rgs[i] <= max_prefix {
-                rgs[i] += 1;
-                for r in rgs[i + 1..].iter_mut() {
-                    *r = 0;
-                }
-                break;
-            }
-            i -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::min_pairwise_cut_undirected;
     use crate::gen;
+
+    /// Exhaustive Nash-Williams bound for small graphs: the minimum over
+    /// all partitions `P` of active nodes of `⌊ cross(P) / (|P| − 1) ⌋`.
+    /// Exponential in node count — the oracle for `max_spanning_trees`.
+    fn nash_williams_bound_exhaustive(u: &UnGraph) -> usize {
+        let nodes: Vec<NodeId> = u.nodes().collect();
+        let n = nodes.len();
+        assert!(
+            n <= 10,
+            "exhaustive partition enumeration is for small graphs"
+        );
+        if n <= 1 {
+            return 1 << 20;
+        }
+        // Enumerate set partitions via restricted growth strings.
+        let mut best = usize::MAX;
+        let mut rgs = vec![0usize; n];
+        loop {
+            let parts = rgs.iter().copied().max().unwrap() + 1;
+            if parts >= 2 {
+                let mut cross = 0u64;
+                for (_, e) in u.edges() {
+                    let ia = nodes.iter().position(|&v| v == e.a).unwrap();
+                    let ib = nodes.iter().position(|&v| v == e.b).unwrap();
+                    if rgs[ia] != rgs[ib] {
+                        cross += e.cap;
+                    }
+                }
+                best = best.min((cross / (parts as u64 - 1)) as usize);
+            }
+            // Next restricted growth string.
+            let mut i = n - 1;
+            loop {
+                if i == 0 {
+                    return best;
+                }
+                let max_prefix = rgs[..i].iter().copied().max().unwrap();
+                if rgs[i] <= max_prefix {
+                    rgs[i] += 1;
+                    for r in rgs[i + 1..].iter_mut() {
+                        *r = 0;
+                    }
+                    break;
+                }
+                i -= 1;
+            }
+        }
+    }
 
     #[test]
     fn k4_packs_two_unit_trees() {

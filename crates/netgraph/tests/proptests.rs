@@ -129,6 +129,7 @@ proptest! {
                 .expect("connectivity many paths");
             prop_assert_eq!(paths.len(), k);
             // Pairwise internal disjointness.
+            #[expect(clippy::disallowed_types, reason = "a membership oracle; never iterated")]
             let mut internal = std::collections::HashSet::new();
             for p in &paths {
                 for &v in &p[1..p.len() - 1] {

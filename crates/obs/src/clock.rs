@@ -1,9 +1,9 @@
 //! The workspace's single wall-clock authority.
 //!
 //! Every monotonic-clock read in library code routes through this file,
-//! which keeps the `nab-lint` NAB001 whitelist exactly one file wide:
-//! any other `Instant::now()`/`SystemTime::now()` in a deterministic
-//! path is a lint error. Wall time in this workspace is strictly
+//! which keeps the NAB001 whitelist exactly one file wide: any other
+//! `Instant::now()`/`SystemTime::now()` is a `clippy::disallowed_methods`
+//! error (see `docs/lint.md`). Wall time in this workspace is strictly
 //! *observational* — it feeds timed JSON, traces, and perf baselines,
 //! never canonical output or control flow — and funneling the reads
 //! through one audited chokepoint is what makes that claim checkable.
@@ -14,6 +14,7 @@ use std::time::Instant;
 ///
 /// The only sanctioned way for library code to obtain an [`Instant`].
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "the one sanctioned clock read")]
 pub fn mono_now() -> Instant {
     Instant::now()
 }

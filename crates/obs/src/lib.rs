@@ -31,6 +31,15 @@
 //!
 //! See `docs/observability.md` for the event taxonomy and usage.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod clock;
 pub mod metrics;
 pub mod trace;

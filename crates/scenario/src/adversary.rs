@@ -98,6 +98,10 @@ pub static FORMS: [Form<Strategy>; 9] = [
 /// The live strategy behind `chaos-panic`.
 struct PanicInjector;
 
+#[expect(
+    clippy::panic,
+    reason = "chaos-panic adversary panics by design; harness catches the unwind"
+)]
 impl NabAdversary for PanicInjector {
     fn phase1_source_block(
         &mut self,
@@ -105,7 +109,6 @@ impl NabAdversary for PanicInjector {
         child: NodeId,
         _honest: &[Gf2_16],
     ) -> Vec<Gf2_16> {
-        // nab-lint: allow(NAB003): chaos-panic adversary panics by design; harness catches the unwind
         panic!("chaos-panic adversary fired (source block, tree {tree}, child {child})");
     }
 
@@ -116,16 +119,15 @@ impl NabAdversary for PanicInjector {
         _child: NodeId,
         _honest: &[Gf2_16],
     ) -> Vec<Gf2_16> {
-        // nab-lint: allow(NAB003): chaos-panic adversary panics by design; harness catches the unwind
         panic!("chaos-panic adversary fired (forward, node {node}, tree {tree})");
     }
 
     fn equality_symbols(&mut self, src: NodeId, _dst: NodeId, _honest: &[Gf2_16]) -> Vec<Gf2_16> {
-        panic!("chaos-panic adversary fired (equality, node {src})"); // nab-lint: allow(NAB003): chaos-panic adversary panics by design; harness catches the unwind
+        panic!("chaos-panic adversary fired (equality, node {src})");
     }
 
     fn flag(&mut self, node: NodeId, _honest: bool) -> bool {
-        panic!("chaos-panic adversary fired (flag, node {node})"); // nab-lint: allow(NAB003): chaos-panic adversary panics by design; harness catches the unwind
+        panic!("chaos-panic adversary fired (flag, node {node})");
     }
 }
 

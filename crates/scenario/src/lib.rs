@@ -46,6 +46,15 @@
 //! assert!(report.to_json().contains("\"scenario\":\"demo\""));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod adversary;
 pub mod faults;
 pub mod grammar;

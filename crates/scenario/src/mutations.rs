@@ -130,7 +130,11 @@ fn rewrite_caps(g: &mut DiGraph, links: u64, seed: u64, round: u64, f: impl Fn(u
     );
     for _ in 0..links {
         let id = ids[rng.gen_range(0..ids.len())];
-        let cap = g.edge(id).expect("selected edge is live").cap; // nab-lint: allow(NAB003): edge id was drawn from the live edge list above
+        #[expect(
+            clippy::expect_used,
+            reason = "edge id was drawn from the live edge list above"
+        )]
+        let cap = g.edge(id).expect("selected edge is live").cap;
         g.set_edge_cap(id, f(cap));
     }
 }

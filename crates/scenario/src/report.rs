@@ -13,6 +13,10 @@
 //!   emits; the *schema* is still deterministic (fixed keys in a fixed
 //!   order), only the nanosecond values vary.
 
+// NAB005: a float minted here from an integer must argue it is a
+// deterministic function of the inputs (see docs/lint.md).
+#![deny(clippy::cast_precision_loss)]
+
 use nab::engine::InstanceReport;
 use nab::DeliveredTimes;
 use nab_netgraph::NodeId;
@@ -303,12 +307,9 @@ impl Aggregate {
             rejected_jobs: 0,
             total_instances: 0,
             total_bits: 0,
-            // nab-lint: allow(NAB005): constant zero initializer
             total_time: 0.0,
-            // nab-lint: allow(NAB005): constant zero initializer
             mean_throughput: 0.0,
             min_throughput: f64::INFINITY,
-            // nab-lint: allow(NAB005): constant zero initializer
             max_throughput: 0.0,
             total_dispute_rounds: 0,
             max_dispute_rounds: 0,
@@ -326,7 +327,7 @@ impl Aggregate {
             latency: PhaseLatency::default(),
             delivered: None,
         };
-        let mut throughput_sum = 0.0; // nab-lint: allow(NAB005): constant zero initializer
+        let mut throughput_sum = 0.0;
         for outcome in outcomes {
             match &outcome.result {
                 Ok(m) => {
@@ -363,12 +364,14 @@ impl Aggregate {
                 Err(_) => agg.rejected_jobs += 1,
             }
         }
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "mean over the outcome slice in its fixed job order — a deterministic function of the inputs"
+        )]
         if agg.ok_jobs > 0 {
-            // nab-lint: allow(NAB005): mean over the outcome slice in its
-            // fixed job order — a deterministic function of the inputs.
             agg.mean_throughput = throughput_sum / agg.ok_jobs as f64;
         } else {
-            agg.min_throughput = 0.0; // nab-lint: allow(NAB005): constant zero
+            agg.min_throughput = 0.0;
         }
         agg
     }
@@ -665,12 +668,9 @@ fn histogram_json(h: &Histogram) -> Json {
         ("max_ns", Json::U64(h.max())),
     ];
     if h.count() > 0 {
-        // nab-lint: allow(NAB005): constant percentile ranks (the values
-        // serialized are the u64 bucket bounds, not floats)
+        // The values serialized are the u64 bucket bounds, not floats.
         pairs.push(("p50_ns", Json::U64(h.percentile(50.0))));
-        // nab-lint: allow(NAB005): constant percentile rank
         pairs.push(("p90_ns", Json::U64(h.percentile(90.0))));
-        // nab-lint: allow(NAB005): constant percentile rank
         pairs.push(("p99_ns", Json::U64(h.percentile(99.0))));
     }
     Json::obj(pairs)

@@ -71,11 +71,21 @@ impl Default for ScenarioSpec {
     fn default() -> Self {
         ScenarioSpec {
             name: "unnamed".into(),
-            topology: TopologyTemplate::parse("complete:$n:$cap").expect("a table family"), // nab-lint: allow(NAB003): a literal spec of a FAMILIES row; `defaults_fill_unset_keys` parses it on every test run
+            #[expect(
+                clippy::expect_used,
+                reason = "a literal spec of a FAMILIES row; `defaults_fill_unset_keys` parses it on every test run"
+            )]
+            topology: TopologyTemplate::parse("complete:$n:$cap").expect("a table family"),
             broadcast: BroadcastKind::default(),
-            adversary: AdversarySpec::parse("honest").expect("a table row"), // nab-lint: allow(NAB003): a literal spec of a FORMS row, parsed by `defaults_fill_unset_keys` on every test run
-            faults: FaultSchedule::parse("none").expect("a table row"), // nab-lint: allow(NAB003): as for `adversary`
-            mutations: MutationSchedule::parse("none").expect("a table row"), // nab-lint: allow(NAB003): as for `adversary`
+            #[expect(
+                clippy::expect_used,
+                reason = "a literal spec of a FORMS row, parsed by `defaults_fill_unset_keys` on every test run"
+            )]
+            adversary: AdversarySpec::parse("honest").expect("a table row"),
+            #[expect(clippy::expect_used, reason = "as for `adversary`")]
+            faults: FaultSchedule::parse("none").expect("a table row"),
+            #[expect(clippy::expect_used, reason = "as for `adversary`")]
+            mutations: MutationSchedule::parse("none").expect("a table row"),
             q: 8,
             streams: 1,
             n: vec![4],

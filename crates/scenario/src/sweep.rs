@@ -158,7 +158,6 @@ pub struct SweepOptions<'a> {
     /// Called after each completed job with cumulative progress — the
     /// CLI's `--progress` reporter. Invoked from worker threads; must be
     /// `Sync`.
-    #[allow(clippy::type_complexity)]
     pub progress: Option<&'a (dyn Fn(ProgressSnapshot) + Sync)>,
 }
 
@@ -305,12 +304,16 @@ pub fn run_sweep_with_options(
         trace::emit(EventKind::SweepEnd);
         trace::set_thread_sink(None);
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "static partition assigns every job to exactly one worker"
+    )]
     let outcomes: Vec<JobOutcome> = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(|e| e.into_inner())
-                .expect("worker loop covered every job") // nab-lint: allow(NAB003): static partition assigns every job to exactly one worker
+                .expect("worker loop covered every job")
         })
         .collect();
 
@@ -1273,6 +1276,10 @@ mod tests {
 
     #[test]
     fn disk_warm_cache_reproduces_cold_results_byte_for_byte() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "names a fresh temp directory; the time reaches nothing else"
+        )]
         let dir = std::env::temp_dir().join(format!(
             "nab-sweep-disk-{}-{:x}",
             std::process::id(),

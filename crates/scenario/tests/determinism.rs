@@ -15,7 +15,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Builds a random-but-valid `.scenario` document from drawn parameters.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per drawn proptest value"
+)]
 fn scenario_text(
     topo: usize,
     adv: usize,

@@ -28,6 +28,15 @@
 //! which mirrors the paper's model where links are reliable and only nodes
 //! misbehave.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 
 use nab_netgraph::{DiGraph, NodeId};
@@ -178,11 +187,6 @@ impl<M: Clone> NetSim<M> {
         &self.graph
     }
 
-    /// Mutable access to the graph — NAB shrinks `G_k` between instances.
-    pub fn graph_mut(&mut self) -> &mut DiGraph {
-        &mut self.graph
-    }
-
     /// Elapsed simulated time.
     pub fn clock(&self) -> f64 {
         self.clock
@@ -236,11 +240,15 @@ impl<M: Clone> NetSim<M> {
         }
         let mut duration: f64 = 0.0;
         for ((src, dst), bits) in &per_link {
+            #[expect(
+                clippy::expect_used,
+                reason = "send() verified the link; topology is frozen within a round"
+            )]
             let cap = self
                 .graph
                 .find_edge(*src, *dst)
                 .map(|(_, e)| e.cap)
-                .expect("link vanished mid-round"); // nab-lint: allow(NAB003): send() verified the link; topology is frozen within a round
+                .expect("link vanished mid-round");
             duration = duration.max(*bits as f64 / cap as f64);
         }
         let sends = std::mem::take(&mut self.pending);
@@ -297,12 +305,6 @@ impl<M: Clone> NetSim<M> {
     /// The execution transcript so far.
     pub fn transcript(&self) -> &Transcript<M> {
         &self.transcript
-    }
-
-    /// Clears the transcript (e.g. between NAB instances once disputes have
-    /// been resolved).
-    pub fn clear_transcript(&mut self) {
-        self.transcript.rounds.clear();
     }
 
     /// Resets the clock to zero, keeping graph and transcript.
@@ -422,6 +424,7 @@ mod tests {
 
         // Not recording: the record is never built.
         charged.set_record_transcript(false);
+        #[expect(clippy::unreachable, reason = "the assertion this test makes")]
         charged.charge_round(1.0, || unreachable!("record built while not recording"));
         assert_eq!(charged.transcript().rounds.len(), 1);
         assert_eq!(charged.clock(), d + 1.0);

@@ -15,6 +15,15 @@
 //! - [`scenario`] — declarative fault/workload scenarios and the parallel
 //!   sweep runner (see `docs/scenarios.md`).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub use nab;
 pub use nab_bb as bb;
 pub use nab_gf as gf;
