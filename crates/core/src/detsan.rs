@@ -6,11 +6,10 @@
 //! at every phase boundary (FNV-1a over a fixed serialization order) and
 //! emits the digest as an [`EventKind::DetSanDigest`] trace event, and a
 //! handful of invariants that the optimized paths rely on — packing
-//! validity after incremental plan repair, slab-offset monotonicity,
-//! histogram merge commutativity — are re-verified on the spot. Two runs
-//! of the same configuration must produce identical digest sequences;
-//! diffing two sanitize traces pinpoints the first phase where
-//! determinism broke.
+//! validity after a `G_k` replan, histogram merge commutativity — are
+//! re-verified on the spot. Two runs of the same configuration must
+//! produce identical digest sequences; diffing two sanitize traces
+//! pinpoints the first phase where determinism broke.
 //!
 //! Everything in this module is compiled out without the feature; the
 //! default build carries zero cost. The canonical outputs themselves are
@@ -115,29 +114,6 @@ pub fn digest_disputes(disputes: &DisputeState) -> u64 {
     h.finish()
 }
 
-/// Asserts that a slab offset table is strictly monotonic and starts at
-/// zero — the invariant the batched Phase-2 gather/scatter kernels index
-/// by. Called by `phase2` under `sanitize`.
-///
-/// # Panics
-///
-/// Panics with the offending index when the invariant is violated.
-pub fn check_offsets_monotonic(offsets: &[usize]) {
-    assert!(
-        offsets.first() == Some(&0),
-        "DetSan: slab offset table must start at 0, got {:?}",
-        offsets.first()
-    );
-    for (i, w) in offsets.windows(2).enumerate() {
-        assert!(
-            w[0] <= w[1],
-            "DetSan: slab offsets not monotonic at index {i}: {} > {}",
-            w[0],
-            w[1]
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,17 +149,5 @@ mod tests {
         assert_eq!(digest_flags(&a), digest_flags(&b));
         b.insert(2, false);
         assert_ne!(digest_flags(&a), digest_flags(&b));
-    }
-
-    #[test]
-    fn offsets_check_accepts_valid_tables() {
-        check_offsets_monotonic(&[0]);
-        check_offsets_monotonic(&[0, 3, 3, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not monotonic")]
-    fn offsets_check_rejects_regression() {
-        check_offsets_monotonic(&[0, 4, 2]);
     }
 }

@@ -9,16 +9,15 @@
 //! execute against one shared plan.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use nab_bb::router::RoundSink;
-use nab_netgraph::arborescence::{pack_arborescences, Arborescence};
+use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
 
 use crate::adversary::NabAdversary;
-use crate::bounds::{gamma_k, rho_k, Pair};
+use crate::bounds::{rho_k, Pair};
 use crate::dispute::{dc2_disputes, dc3_exposed, DisputeState, NodeClaims};
 use crate::equality::CodingScheme;
 use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec, PhaseClock};
@@ -27,7 +26,7 @@ use crate::phase2::{
     broadcast_claims, flag_broadcast, honest_claims, run_equality_phase, BroadcastKind, EqOutcome,
     EqScratch,
 };
-use crate::plan::ExecutionPlan;
+use crate::plan::{ExecutionPlan, Gk};
 use crate::value::Value;
 
 /// The broadcast source — the paper's "node 1" is node 0 here.
@@ -168,7 +167,7 @@ pub struct PhaseWallNanos {
 }
 
 /// Everything observable about one NAB instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InstanceReport {
     /// Output value decided by each *fault-free* node (faulty nodes'
     /// entries are present but meaningless).
@@ -212,24 +211,6 @@ pub struct RepairStats {
     pub repair_ns: u64,
 }
 
-/// Memoized per-`G_k` planning artifacts, keyed by the dispute state that
-/// produced them. Derivation is a deterministic function of
-/// `(G_1, pairs, removed)`, so reuse across instances is bit-identical to
-/// recomputing every time — it only removes redundant work.
-#[derive(Debug, Clone)]
-struct GkMemo {
-    pairs: BTreeSet<Pair>,
-    removed: BTreeSet<NodeId>,
-    gamma: u64,
-    trees: Arc<Vec<Arborescence>>,
-    /// `ρ_k`, filled lazily on the first instance that reaches Phase 2
-    /// under this dispute state (earlier phases never need it).
-    rho: Option<u64>,
-    /// Whether this derivation was counted as a repair (γ unchanged); a
-    /// later ρ change reclassifies it as a full recompute.
-    counted_repair: bool,
-}
-
 /// The NAB protocol engine (execution layer).
 ///
 /// Create one engine per deployment and call
@@ -245,10 +226,12 @@ pub struct NabEngine {
     instance: usize,
     broadcast: BroadcastKind,
     net: Option<NetExec>,
-    memo: Option<GkMemo>,
+    /// The `G_k` the last instance ran on: the plan's `G_1` until dispute
+    /// control grows the dispute state.
+    gk: Gk,
     repair_stats: RepairStats,
     /// The equality check's slabs and products, rewritten in place from
-    /// one instance to the next (a batched group uses its lead's).
+    /// one instance to the next.
     eq_scratch: EqScratch,
 }
 
@@ -280,13 +263,13 @@ impl NabEngine {
             });
         }
         Ok(NabEngine {
+            gk: plan.g1().clone(),
             plan,
             cfg,
             disputes: DisputeState::new(),
             instance: 0,
             broadcast: BroadcastKind::default(),
             net: None,
-            memo: None,
             repair_stats: RepairStats::default(),
             eq_scratch: EqScratch::default(),
         })
@@ -296,10 +279,12 @@ impl NabEngine {
     /// network was re-provisioned mid-stream (link capacities changed,
     /// OCS-style) — while carrying forward everything it learned:
     /// dispute state, the instance counter (which seeds per-instance
-    /// coding schemes), and the replanning counters. The per-`G_k` memo
-    /// is dropped: it was derived against the old network. The node set
-    /// must be unchanged (capacity-only mutation), or carried dispute
-    /// state would reference nodes the new plan does not have.
+    /// coding schemes), and the replanning counters. `G_k` restarts from
+    /// the new plan's `G_1` (the old one was derived against the old
+    /// network) and is derived again before the next instance if disputes
+    /// have shrunk it. The node set must be unchanged (capacity-only
+    /// mutation), or carried dispute state would reference nodes the new
+    /// plan does not have.
     ///
     /// # Errors
     ///
@@ -320,8 +305,8 @@ impl NabEngine {
             self.plan.graph().node_count(),
             "plan migration requires a capacity-only mutation"
         );
+        self.gk = plan.g1().clone();
         self.plan = plan;
-        self.memo = None;
         Ok(())
     }
 
@@ -372,6 +357,14 @@ impl NabEngine {
         self.disputes.current_graph(self.plan.graph())
     }
 
+    /// The `G_k` (with `γ_k`, its packing and, once an instance reached
+    /// the equality check on it, `ρ_k`) the last instance ran on — the
+    /// plan's `G_1` until a dispute grows the dispute state. Read-only,
+    /// for the oracle tests that compare it with from-scratch derivations.
+    pub fn gk(&self) -> &Gk {
+        &self.gk
+    }
+
     /// Accumulated dispute state.
     pub fn disputes(&self) -> &DisputeState {
         &self.disputes
@@ -388,8 +381,9 @@ impl NabEngine {
         self.cfg.f.saturating_sub(self.disputes.removed.len())
     }
 
-    /// Runs one NAB instance: the one-stream call of
-    /// [`run_instances_batched`].
+    /// Runs one NAB instance on `G_k` (Section 2): Phase 1, the equality
+    /// check, the flag broadcast and, on an agreed MISMATCH, dispute
+    /// control, whose new pairs and exclusions `G_{k+1}` is derived from.
     ///
     /// `faulty` is the ground-truth faulty set (fixed across instances per
     /// the fault model; must have at most `f` members); `adv` chooses the
@@ -397,155 +391,67 @@ impl NabEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`NabError::WrongInputSize`] on a bad input, or
-    /// [`NabError::NoEqualityParameter`] if dispute evolution drove
-    /// `U_k` below 2 (cannot happen on networks meeting the paper's
+    /// Returns [`NabError::WrongInputSize`] on a bad input (before the
+    /// engine's state is touched), [`NabError::ArborescencePacking`] if
+    /// `G_k` admits no packing at `γ_k`, or
+    /// [`NabError::NoEqualityParameter`] if dispute evolution drove `U_k`
+    /// below 2 (neither can happen on networks meeting the paper's
     /// assumptions).
     ///
     /// # Panics
     ///
     /// Panics if `faulty` has more than `f` members.
-    #[expect(
-        clippy::expect_used,
-        reason = "run_instances_batched returns engines.len() reports"
-    )]
     pub fn run_instance(
         &mut self,
         input: &Value,
         faulty: &BTreeSet<NodeId>,
         adv: &mut dyn NabAdversary,
     ) -> Result<InstanceReport, NabError> {
-        let mut reports = run_instances_batched(
-            std::slice::from_mut(self),
-            std::slice::from_ref(input),
-            faulty,
-            &mut [adv],
-        )?;
-        Ok(reports.pop().expect("one report per stream"))
-    }
-
-    /// The memoised `(γ_k, arborescences, ρ_k)` of the last disputed `G_k`
-    /// this engine derived — `None` before the first disputed instance,
-    /// `ρ_k` `None` until an instance on that `G_k` reaches Phase 2.
-    /// Read-only, for the oracle tests that compare it with from-scratch
-    /// derivations.
-    pub fn gk_memo(&self) -> Option<(u64, &[Arborescence], Option<u64>)> {
-        let m = self.memo.as_ref()?;
-        Some((m.gamma, &m.trees, m.rho))
-    }
-
-    /// The per-stream front half of an instance: derives `G_k`, runs
-    /// Phase 1, and finishes the instance right there in the two special
-    /// cases that need no Phase 2 (`Break`).
-    fn begin_instance(
-        &mut self,
-        input: &Value,
-        faulty: &BTreeSet<NodeId>,
-        adv: &mut dyn NabAdversary,
-    ) -> Result<ControlFlow<InstanceReport, InFlight>, NabError> {
+        assert!(
+            faulty.len() <= self.cfg.f,
+            "faulty set exceeds configured f"
+        );
+        if input.len() != self.cfg.symbols {
+            return Err(NabError::WrongInputSize {
+                expect: self.cfg.symbols,
+                got: input.len(),
+            });
+        }
         self.instance += 1;
+        let instance = self.instance as u64;
         // Tracing: a no-op unless a sink is installed on this thread (the
         // sweep runner installs one per worker when `--trace` is active).
-        let span = InstanceSpan::enter((self.instance - 1) as u64);
-        let plan = Arc::clone(&self.plan);
-        // While no disputes have shrunk the graph, `G_k` *is* `G_1` and
-        // the plan's precomputed γ/ρ/arborescences apply verbatim; only
-        // after dispute control bites do the per-`G_k` quantities get
-        // recomputed. Either way the values are identical to deriving
-        // them from scratch (the plan is a deterministic function of the
-        // same inputs), which keeps cached and uncached runs bit-equal.
-        let undisputed = self.undisputed();
-        let gk_shrunk = (!undisputed).then(|| self.disputes.current_graph(plan.graph()));
-        let gk: &DiGraph = gk_shrunk.as_ref().unwrap_or(plan.graph());
+        let _span = InstanceSpan::enter(instance - 1);
 
         // Special case 1: the source is known faulty — agree on default.
-        if !gk.is_active(SOURCE) {
+        if self.disputes.removed.contains(&SOURCE) {
             trace::emit(EventKind::InstanceDefaulted);
-            let outputs = gk
+            let removed = &self.disputes.removed;
+            let outputs = self
+                .plan
+                .graph()
                 .nodes()
+                .filter(|v| !removed.contains(v))
                 .map(|v| (v, Value::zeros(self.cfg.symbols)))
                 .collect();
-            return Ok(ControlFlow::Break(InstanceReport {
+            return Ok(InstanceReport {
                 outputs,
-                times: PhaseTimes::default(),
-                wall: PhaseWallNanos::default(),
-                gamma_k: 0,
-                rho_k: 0,
-                mismatch_detected: false,
-                dispute_ran: false,
-                new_pairs: Vec::new(),
-                newly_removed: Vec::new(),
                 defaulted: true,
-                delivered: None,
-            }));
+                ..InstanceReport::default()
+            });
         }
 
-        let gamma;
-        let trees_memo;
-        let trees: &[Arborescence] = if undisputed {
-            gamma = plan.gamma0();
-            trees_memo = None;
-            plan.trees0()
-        } else {
-            // Re-derive (γ_k, trees) only when the dispute state changed
-            // since the last derivation, then from `G_k` alone. The
-            // memoized artifacts equal a from-scratch naive recompute bit
-            // for bit (the oracle proptests pin this).
-            let hit = self.memo.as_ref().is_some_and(|m| {
-                m.pairs == self.disputes.pairs && m.removed == self.disputes.removed
-            });
-            if !hit {
-                let t0 = nab_obs::clock::mono_now();
-                let gamma_new = gamma_k(gk, SOURCE);
-                let trees_new = pack_arborescences(gk, SOURCE, gamma_new).ok_or_else(|| {
-                    NabError::ArborescencePacking {
-                        n: gk.active_count(),
-                        edges: gk.edge_count(),
-                        gamma: gamma_new,
-                    }
-                })?;
-                let ns = t0.elapsed().as_nanos() as u64;
-                // DetSan: re-verify the packing against `G_k` before it is
-                // memoized and used.
-                #[cfg(feature = "sanitize")]
-                #[expect(
-                    clippy::expect_used,
-                    reason = "DetSan check; aborting on a violated invariant is the point"
-                )]
-                nab_netgraph::arborescence::validate_packing(gk, SOURCE, &trees_new)
-                    .expect("DetSan: the replan produced an invalid packing");
-                let counted_repair = gamma_new == plan.gamma0();
-                if counted_repair {
-                    self.repair_stats.repairs += 1;
-                    trace::emit(EventKind::PlanRepair { ns });
-                } else {
-                    self.repair_stats.full_recomputes += 1;
-                    trace::emit(EventKind::PlanFullRecompute { ns });
-                }
-                self.repair_stats.repair_ns += ns;
-                self.memo = Some(GkMemo {
-                    pairs: self.disputes.pairs.clone(),
-                    removed: self.disputes.removed.clone(),
-                    gamma: gamma_new,
-                    trees: Arc::new(trees_new),
-                    rho: None,
-                    counted_repair,
-                });
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "on a miss the re-derivation block just above set the memo"
-            )]
-            let m = self.memo.as_ref().expect("memo was just ensured");
-            gamma = m.gamma;
-            trees_memo = Some(Arc::clone(&m.trees));
-            &m.trees
-        };
+        if !self.gk.derived_from(&self.disputes) {
+            self.gk = self.derive_gk()?;
+        }
+        let plan = Arc::clone(&self.plan);
+        let gk = self.gk.clone();
+        let (g, trees) = (gk.graph(), gk.trees());
 
         // Phase 1.
         let p1_span = PhaseSpan::enter(Phase::Phase1);
         let t0 = nab_obs::clock::mono_now();
-        let p1 = run_phase1(gk, SOURCE, input, trees, faulty, adv);
+        let p1 = run_phase1(g, SOURCE, input, trees, faulty, adv);
         let mut times = PhaseTimes {
             phase1: p1.duration,
             ..PhaseTimes::default()
@@ -564,118 +470,46 @@ impl NabEngine {
         // Special case 2: at least f nodes excluded → everyone left is
         // fault-free; Phase 1 alone is reliable.
         if self.disputes.removed.len() >= self.cfg.f {
-            let instance = self.instance as u64;
             let timing = self
                 .net
                 .as_ref()
                 .map(|nx| InstanceTiming::new(nx, instance));
-            let delivered = message_level(timing, gk, trees, &p1, None, &mut times, &mut wall);
-            return Ok(ControlFlow::Break(InstanceReport {
+            let delivered = message_level(timing, g, trees, &p1, None, &mut times, &mut wall);
+            return Ok(InstanceReport {
                 outputs: p1.values,
                 times,
                 wall,
-                gamma_k: gamma,
-                rho_k: 0,
-                mismatch_detected: false,
-                dispute_ran: false,
-                new_pairs: Vec::new(),
-                newly_removed: Vec::new(),
-                defaulted: false,
+                gamma_k: gk.gamma(),
                 delivered,
-            }));
+                ..InstanceReport::default()
+            });
         }
-        Ok(ControlFlow::Continue(InFlight {
-            plan,
-            gk_shrunk,
-            trees_memo,
-            gamma,
-            p1,
-            times,
-            wall,
-            span,
-        }))
-    }
 
-    /// `ρ_k` and the coding scheme for an equality check on `gk`: the
-    /// plan's while undisputed, else `ρ_k` is memoised with the `G_k`
-    /// derivation (lazily — earlier phases never need it).
-    fn equality_setup(&mut self, gk: &DiGraph) -> Result<(u64, CodingScheme), NabError> {
-        let plan = &self.plan;
-        let undisputed = self.undisputed();
-        let rho = if undisputed {
-            plan.rho0()
-        } else {
-            let rho0 = plan.rho0();
-            #[expect(
-                clippy::expect_used,
-                reason = "begin_instance of this disputed instance set the memo before Phase 2"
-            )]
-            let m = self.memo.as_mut().expect("memo set while packing trees");
-            match m.rho {
-                Some(r) => r,
-                None => {
-                    let t0 = nab_obs::clock::mono_now();
-                    let r = rho_k(gk, self.cfg.f, &self.disputes.pairs)
-                        .ok_or(NabError::NoEqualityParameter)?;
-                    self.repair_stats.repair_ns += t0.elapsed().as_nanos() as u64;
-                    m.rho = Some(r);
-                    if m.counted_repair && r != rho0 {
-                        // The ρ bound moved after all: this derivation was
-                        // a full recompute, not a repair.
-                        m.counted_repair = false;
-                        self.repair_stats.repairs -= 1;
-                        self.repair_stats.full_recomputes += 1;
-                    }
-                    r
-                }
-            }
+        // Step 2.1: the equality check, with the instance's public coding
+        // matrices at `ρ_k`.
+        let eq_span = PhaseSpan::enter(Phase::Equality);
+        let t0 = nab_obs::clock::mono_now();
+        let rho = match self.gk.rho() {
+            Some(rho) => rho,
+            None => self.derive_rho()?,
         };
-        let scheme = if undisputed {
-            plan.instance_scheme(self.cfg.seed, self.instance as u64)
-        } else {
-            CodingScheme::random(
-                gk,
-                rho as usize,
-                self.cfg.seed.wrapping_add(self.instance as u64),
-            )
-        };
-        Ok((rho, scheme))
-    }
+        let scheme = CodingScheme::random(g, rho as usize, self.cfg.seed.wrapping_add(instance));
+        let eq = run_equality_phase(g, &p1.values, &scheme, faulty, adv, &mut self.eq_scratch);
+        times.equality = eq.duration;
+        wall.equality = t0.elapsed().as_nanos() as u64;
+        drop(eq_span);
+        #[cfg(feature = "sanitize")]
+        trace::emit(EventKind::DetSanDigest {
+            phase: Phase::Equality,
+            digest: crate::detsan::digest_flags(&eq.flags),
+        });
 
-    /// The per-stream tail of an instance: flag broadcast, mismatch
-    /// evaluation, dispute control, message-level timing.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "internal seam of run_instances_batched"
-    )]
-    fn finish_instance(
-        &mut self,
-        flight: InFlight,
-        rho: u64,
-        scheme: &CodingScheme,
-        eq: crate::phase2::EqOutcome,
-        input: &Value,
-        faulty: &BTreeSet<NodeId>,
-        adv: &mut dyn NabAdversary,
-    ) -> InstanceReport {
-        let InFlight {
-            plan,
-            gk_shrunk,
-            trees_memo,
-            gamma,
-            p1,
-            mut times,
-            mut wall,
-            span: _span,
-        } = flight;
-        let gk: &DiGraph = gk_shrunk.as_ref().unwrap_or(plan.graph());
-        let trees: &[Arborescence] = trees_memo.as_ref().map_or(plan.trees0(), |t| t);
+        // Step 2.2: every participant broadcasts its flag.
         let flags_span = PhaseSpan::enter(Phase::Flags);
         let t0 = nab_obs::clock::mono_now();
-        let participants: Vec<NodeId> = gk.nodes().collect();
+        let participants: Vec<NodeId> = g.nodes().collect();
         let f_res = self.residual_f();
         // Message-level timing of this instance; `None` on the formula path.
-        let instance = self.instance as u64;
         let mut timing = self
             .net
             .as_ref()
@@ -709,29 +543,23 @@ impl NabEngine {
             .iter()
             .find(|v| !faulty.contains(v))
             .expect("at least one fault-free node");
-        let mismatch = flags.any_mismatch(observer);
-
-        if !mismatch {
-            let delivered = message_level(timing, gk, trees, &p1, Some(&eq), &mut times, &mut wall);
-            return InstanceReport {
+        if !flags.any_mismatch(observer) {
+            let delivered = message_level(timing, g, trees, &p1, Some(&eq), &mut times, &mut wall);
+            return Ok(InstanceReport {
                 outputs: p1.values,
                 times,
                 wall,
-                gamma_k: gamma,
+                gamma_k: gk.gamma(),
                 rho_k: rho,
-                mismatch_detected: false,
-                dispute_ran: false,
-                new_pairs: Vec::new(),
-                newly_removed: Vec::new(),
-                defaulted: false,
                 delivered,
-            };
+                ..InstanceReport::default()
+            });
         }
 
         // Phase 3: dispute control.
         let dispute_span = PhaseSpan::enter(Phase::Dispute);
         let t0 = nab_obs::clock::mono_now();
-        let truthful = honest_claims(gk, SOURCE, input, trees, scheme, &p1, &eq, &flags.announced);
+        let truthful = honest_claims(g, SOURCE, input, trees, &scheme, &p1, &eq, &flags.announced);
         let claims: BTreeMap<NodeId, NodeClaims> = truthful
             .into_iter()
             .map(|(v, honest)| {
@@ -759,9 +587,9 @@ impl NabEngine {
         times.dispute = clock.elapsed();
         drop(clock);
 
-        // DC2 + DC3 on the agreed claims.
+        // DC2 + DC3 on the agreed claims, DC4 into the dispute state.
         let new_pairs = dc2_disputes(&agreed_claims);
-        let exposed = dc3_exposed(gk, SOURCE, trees, scheme, &agreed_claims);
+        let exposed = dc3_exposed(g, SOURCE, trees, &scheme, &agreed_claims);
         let newly_removed = self
             .disputes
             .integrate(plan.graph(), self.cfg.f, &new_pairs, &exposed);
@@ -783,13 +611,12 @@ impl NabEngine {
             digest: crate::detsan::digest_disputes(&self.disputes),
         });
 
-        let delivered = message_level(timing, gk, trees, &p1, Some(&eq), &mut times, &mut wall);
-
-        InstanceReport {
+        let delivered = message_level(timing, g, trees, &p1, Some(&eq), &mut times, &mut wall);
+        Ok(InstanceReport {
             outputs,
             times,
             wall,
-            gamma_k: gamma,
+            gamma_k: gk.gamma(),
             rho_k: rho,
             mismatch_detected: true,
             dispute_ran: true,
@@ -797,13 +624,41 @@ impl NabEngine {
             newly_removed,
             defaulted: false,
             delivered,
-        }
+        })
     }
 
-    /// Whether no dispute has shrunk `G_k` yet — the precondition for
-    /// the plan's precomputed γ/ρ/trees (and for cross-stream batching).
-    fn undisputed(&self) -> bool {
-        self.disputes.pairs.is_empty() && self.disputes.removed.is_empty()
+    /// Derives `G_k` for the current dispute state from the plan's `G_1`,
+    /// counting the replan as a repair (`γ_k = γ_1`) or a full recompute.
+    fn derive_gk(&mut self) -> Result<Gk, NabError> {
+        let t0 = nab_obs::clock::mono_now();
+        let gk = Gk::derive(self.plan.graph(), &self.disputes)?;
+        let ns = t0.elapsed().as_nanos() as u64;
+        if gk.gamma() == self.plan.gamma0() {
+            self.repair_stats.repairs += 1;
+            trace::emit(EventKind::PlanRepair { ns });
+        } else {
+            self.repair_stats.full_recomputes += 1;
+            trace::emit(EventKind::PlanFullRecompute { ns });
+        }
+        self.repair_stats.repair_ns += ns;
+        Ok(gk)
+    }
+
+    /// `ρ_k` of a derived `G_k`, computed by the first instance on it that
+    /// reaches the equality check (earlier phases never need it).
+    fn derive_rho(&mut self) -> Result<u64, NabError> {
+        let t0 = nab_obs::clock::mono_now();
+        let rho = rho_k(self.gk.graph(), self.cfg.f, &self.disputes.pairs)
+            .ok_or(NabError::NoEqualityParameter)?;
+        self.repair_stats.repair_ns += t0.elapsed().as_nanos() as u64;
+        self.gk.set_rho(rho);
+        if self.gk.gamma() == self.plan.gamma0() && rho != self.plan.rho0() {
+            // The ρ bound moved after all: the derivation counted as a
+            // repair was a full recompute.
+            self.repair_stats.repairs -= 1;
+            self.repair_stats.full_recomputes += 1;
+        }
+        Ok(rho)
     }
 }
 
@@ -829,169 +684,10 @@ fn message_level(
     Some(delivered)
 }
 
-/// Whether `e` can share `lead`'s equality slab this step:
-/// both engines must be on the undisputed fast path (so they share
-/// `G_k`, trees, ρ, and — because coding matrices depend only on
-/// `(seed, instance)` — the *same* [`CodingScheme`]), agree on config
-/// and instance counter, borrow the very same plan, and use formula
-/// timing (message-level execution times streams independently).
-fn batch_compatible(lead: &NabEngine, e: &NabEngine) -> bool {
-    [lead, e].iter().all(|x| x.undisputed() && x.net.is_none())
-        && e.cfg == lead.cfg
-        && e.instance == lead.instance
-        && e.broadcast == lead.broadcast
-        && Arc::ptr_eq(&e.plan, &lead.plan)
-}
-
-/// One stream's instance between its Phase 1 and its tail. `gk_shrunk`
-/// and `trees_memo` are `None` while undisputed: `G_k` is then the plan's
-/// `G_1` with its precomputed arborescences.
-struct InFlight {
-    plan: Arc<ExecutionPlan>,
-    gk_shrunk: Option<DiGraph>,
-    trees_memo: Option<Arc<Vec<Arborescence>>>,
-    gamma: u64,
-    p1: crate::phase1::Phase1Output,
-    times: PhaseTimes,
-    wall: PhaseWallNanos,
-    span: InstanceSpan,
-}
-
-/// Runs one instance on every engine (one per stream) — the only
-/// implementation of an instance. Phase 1 runs per stream; the equality
-/// check runs per *group*, a maximal run of consecutive streams that are
-/// `batch_compatible`, packing all the group's
-/// streams' equality-check columns into a single slab multiply per edge
-/// (a disputed, message-level or heterogeneous stream is a group of
-/// one); flag broadcast and dispute control run per stream. Results are
-/// bit-identical however streams group — batching only regroups XOR-exact GF
-/// arithmetic and never changes protocol messages or RNG draw order.
-///
-/// `inputs` and `advs` are indexed by stream, matching `engines`.
-///
-/// # Errors
-///
-/// Returns [`NabError::WrongInputSize`] for the first stream with a bad
-/// input — before any engine is touched, so a rejected step leaves every
-/// stream's instance counter and dispute state alone — or
-/// [`NabError::NoEqualityParameter`] if dispute evolution drove `U_k`
-/// below 2 (cannot happen on networks meeting the paper's assumptions).
-///
-/// # Panics
-///
-/// Panics if `engines`, `inputs`, and `advs` have mismatched lengths or
-/// a `faulty` set exceeds the configured `f`.
-#[expect(
-    clippy::expect_used,
-    reason = "each stream either finished in begin_instance or rode exactly one group"
-)]
-pub fn run_instances_batched(
-    engines: &mut [NabEngine],
-    inputs: &[Value],
-    faulty: &BTreeSet<NodeId>,
-    advs: &mut [&mut dyn NabAdversary],
-) -> Result<Vec<InstanceReport>, NabError> {
-    assert_eq!(engines.len(), inputs.len(), "one input per stream");
-    assert_eq!(engines.len(), advs.len(), "one adversary per stream");
-    let streams = engines.len();
-    for (engine, input) in engines.iter().zip(inputs) {
-        assert!(
-            faulty.len() <= engine.cfg.f,
-            "faulty set exceeds configured f"
-        );
-        if input.len() != engine.cfg.symbols {
-            return Err(NabError::WrongInputSize {
-                expect: engine.cfg.symbols,
-                got: input.len(),
-            });
-        }
-    }
-
-    // Phase 1 per stream (protocol messages are per-stream regardless).
-    let mut reports: Vec<Option<InstanceReport>> = vec![None; streams];
-    let mut flights: Vec<Option<InFlight>> = Vec::with_capacity(streams);
-    for (s, (engine, input)) in engines.iter_mut().zip(inputs).enumerate() {
-        trace::set_stream(s as u32);
-        flights.push(match engine.begin_instance(input, faulty, &mut *advs[s])? {
-            ControlFlow::Continue(flight) => Some(flight),
-            ControlFlow::Break(report) => {
-                reports[s] = Some(report);
-                None
-            }
-        });
-    }
-
-    let mut s = 0;
-    while s < streams {
-        if flights[s].is_none() {
-            s += 1;
-            continue;
-        }
-        let mut end = s + 1;
-        while end < streams
-            && flights[end].is_some()
-            && batch_compatible(&engines[s], &engines[end])
-        {
-            end += 1;
-        }
-        let group: Vec<InFlight> = flights[s..end]
-            .iter_mut()
-            .filter_map(Option::take)
-            .collect();
-        let lead = &group[0];
-        let gk: &DiGraph = lead.gk_shrunk.as_ref().unwrap_or(lead.plan.graph());
-
-        // Equality check: one coding scheme (identical across the group's
-        // streams by construction), all their columns in one slab per
-        // value class, in the lead's scratch. The first stream's span
-        // brackets the whole computation; the others' only mark their
-        // share of it.
-        trace::set_stream(s as u32);
-        trace::set_instance((engines[s].instance - 1) as u64);
-        let mut eq_span = Some(PhaseSpan::enter(Phase::Equality));
-        let t0 = nab_obs::clock::mono_now();
-        let (rho, scheme) = engines[s].equality_setup(gk)?;
-        let values: Vec<&BTreeMap<NodeId, Value>> = group.iter().map(|f| &f.p1.values).collect();
-        let eqs = run_equality_phase(
-            gk,
-            &values,
-            &scheme,
-            faulty,
-            &mut advs[s..end],
-            &mut engines[s].eq_scratch,
-        );
-        let eq_wall = t0.elapsed().as_nanos() as u64 / group.len() as u64;
-
-        // Per-stream tail: flag broadcast, disputes, report.
-        for (t, (mut flight, eq)) in (s..end).zip(group.into_iter().zip(eqs)) {
-            trace::set_stream(t as u32);
-            let eq_span = eq_span
-                .take()
-                .unwrap_or_else(|| PhaseSpan::enter(Phase::Equality));
-            flight.times.equality = eq.duration;
-            flight.wall.equality = eq_wall;
-            drop(eq_span);
-            #[cfg(feature = "sanitize")]
-            trace::emit(EventKind::DetSanDigest {
-                phase: Phase::Equality,
-                digest: crate::detsan::digest_flags(&eq.flags),
-            });
-            let (input, adv) = (&inputs[t], &mut *advs[t]);
-            reports[t] =
-                Some(engines[t].finish_instance(flight, rho, &scheme, eq, input, faulty, adv));
-        }
-        s = end;
-    }
-    Ok(reports
-        .into_iter()
-        .map(|r| r.expect("every stream reported"))
-        .collect())
-}
-
 /// The paper's per-instance correctness conditions: *agreement* among
 /// fault-free nodes always, and *validity* (every fault-free output equals
-/// the input) when the source is fault-free and the known-faulty-source
-/// fast path did not default the instance.
+/// the input) whenever the source is fault-free — a defaulted instance
+/// included, since only a faulty source may ever be excluded.
 pub fn instance_correct(rep: &InstanceReport, faulty: &BTreeSet<NodeId>, input: &Value) -> bool {
     let honest: Vec<&Value> = rep
         .outputs
@@ -1002,10 +698,7 @@ pub fn instance_correct(rep: &InstanceReport, faulty: &BTreeSet<NodeId>, input: 
     if honest.windows(2).any(|w| w[0] != w[1]) {
         return false;
     }
-    if !faulty.contains(&SOURCE) && !rep.defaulted {
-        return honest.first().is_some_and(|v| **v == *input);
-    }
-    true
+    faulty.contains(&SOURCE) || honest.first().is_some_and(|v| **v == *input)
 }
 
 #[cfg(test)]
@@ -1148,25 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_input_leaves_every_stream_untouched() {
-        // A bad input in the *last* stream must be caught before any
-        // engine runs: no instance counter advances, no dispute lands.
-        let mut engines: Vec<NabEngine> = (0..3).map(|_| engine(12)).collect();
-        let inputs = vec![input(12), input(12), input(5)];
-        let faulty = BTreeSet::from([2]);
-        let (mut a0, mut a1, mut a2) = (TruthfulCorruptor, TruthfulCorruptor, TruthfulCorruptor);
-        let mut advs: Vec<&mut dyn NabAdversary> = vec![&mut a0, &mut a1, &mut a2];
-        assert!(matches!(
-            run_instances_batched(&mut engines, &inputs, &faulty, &mut advs),
-            Err(NabError::WrongInputSize { expect: 12, got: 5 })
-        ));
-        for e in &engines {
-            assert_eq!(e.instances_run(), 0);
-            assert!(e.undisputed());
-        }
-    }
-
-    #[test]
     fn corrupting_relay_triggers_dispute_and_correct_output() {
         let mut e = engine(12);
         let x = input(12);
@@ -1244,18 +918,19 @@ mod tests {
         }
     }
 
-    /// The memo an instance ran on must equal a from-scratch derivation
+    /// The `G_k` an instance ran on must equal a from-scratch derivation
     /// (`gamma_k`, the reference packer, `rho_k`) on `before`, the `G_k`
     /// the engine held when the instance started.
-    fn assert_memo_matches_from_scratch(e: &NabEngine, before: &DiGraph, ctx: &str) {
+    fn assert_gk_matches_from_scratch(e: &NabEngine, before: &DiGraph, pairs: &BTreeSet<Pair>) {
+        use crate::bounds::gamma_k;
         use nab_netgraph::arborescence::pack_arborescences_naive;
-        let (gamma, trees, rho) = e.gk_memo().expect("a disputed instance derives G_k");
-        assert_eq!(gamma, gamma_k(before, SOURCE), "{ctx}: γ_k");
-        let want = pack_arborescences_naive(before, SOURCE, gamma).unwrap();
-        assert_eq!(trees, want.as_slice(), "{ctx}: arborescences");
-        if let Some(rho) = rho {
-            let pairs = &e.memo.as_ref().unwrap().pairs;
-            assert_eq!(Some(rho), rho_k(before, e.cfg.f, pairs), "{ctx}: ρ_k");
+        let gk = e.gk();
+        assert_eq!(gk.graph(), before, "G_k");
+        assert_eq!(gk.gamma(), gamma_k(before, SOURCE), "γ_k");
+        let want = pack_arborescences_naive(before, SOURCE, gk.gamma()).unwrap();
+        assert_eq!(gk.trees(), want.as_slice(), "arborescences");
+        if let Some(rho) = gk.rho() {
+            assert_eq!(Some(rho), rho_k(before, e.cfg.f, pairs), "ρ_k");
         }
     }
 
@@ -1264,33 +939,31 @@ mod tests {
         let x = input(12);
         let faulty = BTreeSet::from([2]);
         let mut e = engine(12);
-        assert!(e.gk_memo().is_none(), "no memo while undisputed");
         // Raise a dispute, then keep running so later instances replan on
         // the shrunken G_k.
-        let mut disputed_instances = 0;
+        let (mut disputed_instances, mut states) = (0, BTreeSet::new());
         for i in 0..5 {
             let adv: &mut dyn NabAdversary = if i < 2 {
                 &mut LyingCorruptor
             } else {
                 &mut HonestStrategy
             };
-            let was_disputed = !e.undisputed();
             let before = e.current_graph();
+            let state = e.disputes().clone();
             let rep = e.run_instance(&x, &faulty, adv).unwrap();
-            if was_disputed {
+            assert_gk_matches_from_scratch(&e, &before, &state.pairs);
+            assert_eq!(rep.gamma_k, e.gk().gamma());
+            assert_eq!(rep.rho_k, e.gk().rho().unwrap_or(0));
+            if state != DisputeState::new() {
                 disputed_instances += 1;
-                assert_memo_matches_from_scratch(&e, &before, &format!("instance {i}"));
-                let (gamma, _, rho) = e.gk_memo().unwrap();
-                assert_eq!(rep.gamma_k, gamma);
-                assert_eq!(rep.rho_k, rho.unwrap_or(0));
+                states.insert((state.pairs, state.removed));
             }
         }
+        // One derivation per dispute state a disputed instance started
+        // from, however many instances ran on it.
         assert!(disputed_instances >= 4);
         let stats = *e.repair_stats();
-        assert!(
-            (1..disputed_instances).contains(&(stats.repairs + stats.full_recomputes)),
-            "memo must collapse stable dispute states: {stats:?}"
-        );
+        assert_eq!(stats.repairs + stats.full_recomputes, states.len() as u64);
     }
 
     #[test]
@@ -1384,7 +1057,10 @@ mod tests {
             reused_after_a_dispute += usize::from(disputes > 0 && !got.dispute_ran);
         }
         assert_eq!((disputes, reused_after_a_dispute), (1, 3));
-        assert!(!e.undisputed(), "the later instances ran on a shrunken G_k");
+        assert!(
+            e.gk().graph() != e.plan().graph(),
+            "the later instances ran on a shrunken G_k"
+        );
     }
 
     /// Everything deterministic in a report (wall-clock excluded).
@@ -1397,164 +1073,6 @@ mod tests {
         assert_eq!(a.new_pairs, b.new_pairs, "{ctx}: new_pairs");
         assert_eq!(a.newly_removed, b.newly_removed, "{ctx}: removed");
         assert_eq!(a.defaulted, b.defaulted, "{ctx}: defaulted");
-    }
-
-    /// One Q-stream call ≡ Q one-stream engines: drives
-    /// `run_instances_batched` over three streams for several instances
-    /// and mirrors every stream with an independent engine stepped alone,
-    /// asserting bit-identical reports and dispute evolution throughout
-    /// (this pins the cumulative-offset slab packing).
-    fn check_batched_equivalence<A: NabAdversary + Default>(
-        faulty: &BTreeSet<NodeId>,
-        instances: usize,
-    ) {
-        let g = gen::complete(4, 2);
-        let cfg = NabConfig {
-            f: 1,
-            symbols: 12,
-            seed: 42,
-        };
-        let plan = Arc::new(ExecutionPlan::build(g, 1).unwrap());
-        let mk = |n: usize| -> Vec<NabEngine> {
-            (0..n)
-                .map(|_| NabEngine::from_plan(Arc::clone(&plan), cfg).unwrap())
-                .collect()
-        };
-        let mut batched = mk(3);
-        let mut solo = mk(3);
-        let inputs: Vec<Value> = (0..3u64)
-            .map(|s| Value::from_u64s(&(0..12u64).map(|i| i * 7 + s + 1).collect::<Vec<_>>()))
-            .collect();
-        for k in 0..instances {
-            let mut a0 = A::default();
-            let mut a1 = A::default();
-            let mut a2 = A::default();
-            let mut advs: Vec<&mut dyn NabAdversary> = vec![&mut a0, &mut a1, &mut a2];
-            let reps = run_instances_batched(&mut batched, &inputs, faulty, &mut advs).unwrap();
-            assert_eq!(reps.len(), 3);
-            for (s, rep) in reps.iter().enumerate() {
-                let mut adv = A::default();
-                let want = solo[s].run_instance(&inputs[s], faulty, &mut adv).unwrap();
-                assert_reports_match(rep, &want, &format!("instance {k} stream {s}"));
-            }
-        }
-        for (b, s) in batched.iter().zip(&solo) {
-            assert_eq!(b.disputes().pairs, s.disputes().pairs);
-            assert_eq!(b.disputes().removed, s.disputes().removed);
-            assert_eq!(b.instances_run(), s.instances_run());
-        }
-    }
-
-    #[test]
-    fn batched_streams_match_per_instance_fault_free() {
-        check_batched_equivalence::<HonestStrategy>(&BTreeSet::new(), 3);
-    }
-
-    #[test]
-    fn batched_streams_match_per_instance_through_dispute_fallback() {
-        // Instance 0 shares one slab and exposes node 2 via DC3; from
-        // instance 1 on the engines are disputed, so each stream is its
-        // own group — reports and dispute state stay bit-identical to
-        // solo engines either way.
-        check_batched_equivalence::<TruthfulCorruptor>(&BTreeSet::from([2]), 4);
-    }
-
-    /// Grows every forwarded Phase-1 block by one symbol, so downstream
-    /// nodes assemble values *longer* than the source's input and
-    /// per-node (and per-stream) column counts diverge — the
-    /// heterogeneous-width case of the packed-slab equality check.
-    #[derive(Default)]
-    struct BlockStretcher;
-    impl NabAdversary for BlockStretcher {
-        fn phase1_forward(
-            &mut self,
-            _: NodeId,
-            _: usize,
-            _: NodeId,
-            honest: &[nab_gf::Gf2_16],
-        ) -> Vec<nab_gf::Gf2_16> {
-            let mut out = honest.to_vec();
-            out.push(nab_gf::Gf2_16(0x5A));
-            out
-        }
-    }
-
-    #[test]
-    fn batched_streams_match_per_instance_under_length_tampering() {
-        // A length-tampering relay makes node values (hence reshaped
-        // column counts) unequal across nodes; the batched pack must
-        // reproduce the one-stream flags and sends exactly.
-        check_batched_equivalence::<BlockStretcher>(&BTreeSet::from([2]), 3);
-    }
-
-    #[test]
-    fn batched_streams_match_per_instance_under_equality_tampering() {
-        // The garbler corrupts coded symbols *inside* the equality phase,
-        // exercising a shared slab's per-stream adversary calls (and
-        // their RNG-free determinism) rather than Phase-1 corruption.
-        check_batched_equivalence::<crate::adversary::EqualityGarbler>(&BTreeSet::from([1]), 3);
-    }
-
-    #[test]
-    fn equality_span_brackets_the_shared_slab_product() {
-        // The lead stream's Equality span must cover the group's whole
-        // computation: at least the wall time the reports attribute to it.
-        let cfg = NabConfig {
-            f: 1,
-            symbols: 2048,
-            seed: 42,
-        };
-        let plan = Arc::new(ExecutionPlan::build(gen::complete(4, 2), 1).unwrap());
-        let mut engines: Vec<NabEngine> = (0..2)
-            .map(|_| NabEngine::from_plan(Arc::clone(&plan), cfg).unwrap())
-            .collect();
-        let inputs = vec![input(2048), input(2048)];
-        let (mut a0, mut a1) = (HonestStrategy, HonestStrategy);
-        let mut advs: Vec<&mut dyn NabAdversary> = vec![&mut a0, &mut a1];
-        let sink = Arc::new(trace::BufferSink::new());
-        trace::set_thread_sink(Some(sink.clone()));
-        let reps = run_instances_batched(&mut engines, &inputs, &BTreeSet::new(), &mut advs);
-        trace::set_thread_sink(None);
-        let events = sink.take_sorted();
-        let at = |kind: EventKind| {
-            let e = events.iter().find(|e| e.stream == 0 && e.kind == kind);
-            e.expect("lead stream emits the event").ts_ns
-        };
-        let span =
-            at(EventKind::PhaseEnd(Phase::Equality)) - at(EventKind::PhaseStart(Phase::Equality));
-        let wall: u64 = reps.unwrap().iter().map(|r| r.wall.equality).sum();
-        assert!(wall > 0 && span >= wall, "span {span} ns < wall {wall} ns");
-    }
-
-    #[test]
-    fn batched_entry_point_handles_heterogeneous_engines() {
-        // Engines with private (non-shared) plans are batch-incompatible:
-        // each is a group of one and must still match.
-        let g = gen::complete(4, 2);
-        let cfg = NabConfig {
-            f: 1,
-            symbols: 12,
-            seed: 42,
-        };
-        let mut batched: Vec<NabEngine> = (0..2)
-            .map(|_| NabEngine::new(g.clone(), cfg).unwrap())
-            .collect();
-        let mut solo: Vec<NabEngine> = (0..2)
-            .map(|_| NabEngine::new(g.clone(), cfg).unwrap())
-            .collect();
-        let x = input(12);
-        let inputs = vec![x.clone(), x.clone()];
-        let mut a0 = HonestStrategy;
-        let mut a1 = HonestStrategy;
-        let mut advs: Vec<&mut dyn NabAdversary> = vec![&mut a0, &mut a1];
-        let reps =
-            run_instances_batched(&mut batched, &inputs, &BTreeSet::new(), &mut advs).unwrap();
-        for (s, rep) in reps.iter().enumerate() {
-            let want = solo[s]
-                .run_instance(&x, &BTreeSet::new(), &mut HonestStrategy)
-                .unwrap();
-            assert_reports_match(rep, &want, &format!("stream {s}"));
-        }
     }
 
     /// The pinned cross-check: the formula clock and the event kernel are
@@ -1700,6 +1218,20 @@ mod tests {
         assert_eq!(a.delivered, b.delivered);
         let c = run(6);
         assert_ne!(a.delivered, c.delivered);
+    }
+
+    #[test]
+    fn a_defaulted_instance_is_valid_only_when_the_source_is_faulty() {
+        // A fault-free source wrongly excluded defaults every output to
+        // zeros: agreement holds, validity does not.
+        let x = input(4);
+        let rep = InstanceReport {
+            outputs: (0..4).map(|v| (v, Value::zeros(4))).collect(),
+            defaulted: true,
+            ..InstanceReport::default()
+        };
+        assert!(!instance_correct(&rep, &BTreeSet::new(), &x));
+        assert!(instance_correct(&rep, &BTreeSet::from([SOURCE]), &x));
     }
 
     #[test]

@@ -156,9 +156,9 @@ impl CodingScheme {
     /// the one-value case of the slab product the equality phase runs.
     pub fn encode(&self, src: NodeId, dst: NodeId, value: &Value) -> Vec<Gf2_16> {
         let mut xt = WordMatrix::default();
-        pack_slab(&[value], self.rho, &mut xt);
+        pack_slab(value, self.rho, &mut xt);
         let yt = self.encode_slab(src, dst, &xt);
-        wire_order(&yt, 0..yt.rows(), 0, yt.cols())
+        wire_order(&yt, 0..yt.rows(), yt.cols())
     }
 
     /// Test oracle for the slab path: encodes pre-reshaped symbol columns
@@ -174,8 +174,7 @@ impl CodingScheme {
     }
 
     /// `Y_eᵀ = C_eᵀ · Xᵀ` for one edge, where `xt` is a `ρ × W` row-major
-    /// slab whose columns are value columns (from any number of
-    /// instances/streams packed side by side, see `pack_slab`): the
+    /// slab whose columns are a value's columns (see `pack_slab`): the
     /// edge's rows of the stack times the slab, one
     /// [`WordMatrix::mat_mul`] with `W`-long rows. Entry `(r, c)` of the
     /// result is coded symbol `r` of packed column `c`, bit-identical to
@@ -224,54 +223,32 @@ impl CodingScheme {
     }
 }
 
-/// Packs the values one node holds (one per stream) into `xt`, the `Xᵀ`
-/// operand of the slab product: a row-major `ρ × Σ_s cols_s` slab where
-/// symbol `j·ρ + r` of stream `s` lands at `(r, offsets[s] + j)`,
+/// Packs `value` into `xt`, the `Xᵀ` operand of the slab product: a
+/// row-major `ρ × ⌈len/ρ⌉` slab where symbol `j·ρ + r` lands at `(r, j)`,
 /// zero-padded to whole columns — the layout of [`Value::reshape`], written
 /// straight from the symbols. Whatever `xt` held is overwritten; its
-/// allocation is kept. Streams may hold **different lengths at the same
-/// node** (a length-tampering adversary grows or shrinks a forwarded
-/// block), which is why each stream gets a cumulative offset instead of a
-/// uniform stride. Returns the `streams + 1` column offsets
-/// (`offsets[s]..offsets[s + 1]` is stream `s`'s span).
-pub(crate) fn pack_slab(values: &[&Value], rho: usize, xt: &mut WordMatrix) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(values.len() + 1);
-    let mut width = 0usize;
-    offsets.push(width);
-    for v in values {
-        width += v.len().div_ceil(rho);
-        offsets.push(width);
-    }
-    // DetSan: the loops below index the slab by this table; a
-    // non-monotonic table would silently interleave streams.
-    #[cfg(feature = "sanitize")]
-    crate::detsan::check_offsets_monotonic(&offsets);
+/// allocation is kept. Returns the column count.
+pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut WordMatrix) -> usize {
+    let width = value.len().div_ceil(rho);
     xt.reset(rho, width);
     let slab = xt.as_mut_slice();
-    for (v, &start) in values.iter().zip(&offsets) {
-        for (j, col) in v.symbols().chunks(rho).enumerate() {
-            for (r, &sym) in col.iter().enumerate() {
-                slab[r * width + start + j] = sym;
-            }
+    for (j, col) in value.symbols().chunks(rho).enumerate() {
+        for (r, &sym) in col.iter().enumerate() {
+            slab[r * width + j] = sym;
         }
     }
-    offsets
+    width
 }
 
-/// One stream's coded symbols on one edge — rows `rows`, columns
-/// `start..start + cols` of a `Yᵀ = Cᵀ · Xᵀ` product — in the order they go
-/// on the wire, column-major like [`CodingScheme::encode_cols`]: with
-/// `z = rows.len()`, symbol `j·z + r` is `Yᵀ(rows.start + r, start + j)`.
-pub(crate) fn wire_order(
-    yt: &WordMatrix,
-    rows: Range<usize>,
-    start: usize,
-    cols: usize,
-) -> Vec<Gf2_16> {
+/// The coded symbols on one edge — rows `rows`, the first `cols` columns
+/// of a `Yᵀ = Cᵀ · Xᵀ` product — in the order they go on the wire,
+/// column-major like [`CodingScheme::encode_cols`]: with `z = rows.len()`,
+/// symbol `j·z + r` is `Yᵀ(rows.start + r, j)`.
+pub(crate) fn wire_order(yt: &WordMatrix, rows: Range<usize>, cols: usize) -> Vec<Gf2_16> {
     let z = rows.len();
     let mut out = vec![Gf2_16::ZERO; cols * z];
     for (r, row) in rows.enumerate() {
-        for (j, &sym) in yt.row(row)[start..start + cols].iter().enumerate() {
+        for (j, &sym) in yt.row(row)[..cols].iter().enumerate() {
             out[j * z + r] = sym;
         }
     }
@@ -280,7 +257,7 @@ pub(crate) fn wire_order(
 
 /// Pure (simulator-free) execution of Algorithm 1 on graph `g` with the
 /// values held by each node, one vector product per column — the test
-/// oracle for [`crate::phase2::run_equality_phase_batched`].
+/// oracle for the slab-product equality check of [`crate::phase2`].
 ///
 /// `tamper(i, j, honest)` lets a Byzantine sender substitute the coded
 /// symbols it puts on edge `(i, j)`; pass [`no_tamper`] for fault-free
@@ -467,30 +444,6 @@ mod tests {
         let m = scheme.matrix(0, 1);
         let sub = m.select_cols(&[0, 1, 2]);
         assert!(linalg::is_invertible(&sub));
-    }
-
-    #[test]
-    fn encode_slab_matches_encode_cols_per_packed_stream() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let g = gen::complete(4, 3);
-        let scheme = CodingScheme::random(&g, 2, 31);
-        let mut rng = StdRng::seed_from_u64(8);
-        // Three "streams" of unequal lengths, the odd ones zero-padded.
-        let vals: Vec<Value> = [6, 5, 9]
-            .iter()
-            .map(|&len| Value::random(len, &mut rng))
-            .collect();
-        let mut xt = WordMatrix::default();
-        let offsets = pack_slab(&vals.iter().collect::<Vec<_>>(), 2, &mut xt);
-        assert_eq!(offsets, [0, 3, 6, 11]);
-        let yt = scheme.encode_slab(0, 1, &xt);
-        assert_eq!(yt.rows(), scheme.matrix(0, 1).cols());
-        for (s, v) in vals.iter().enumerate() {
-            let expect = scheme.encode_cols(0, 1, &v.reshape(2));
-            let got = wire_order(&yt, 0..yt.rows(), offsets[s], offsets[s + 1] - offsets[s]);
-            assert_eq!(got, expect, "stream {s}");
-        }
     }
 
     #[test]

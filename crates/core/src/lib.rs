@@ -73,7 +73,7 @@ pub mod stats;
 pub mod theory;
 pub mod value;
 
-pub use engine::{run_instances_batched, InstanceReport, NabConfig, NabEngine, NabError};
+pub use engine::{InstanceReport, NabConfig, NabEngine, NabError};
 pub use netexec::{DeliveredTimes, NetExec};
 pub use phase2::BroadcastKind;
 pub use plan::{ExecutionPlan, PlanCache, PlanCacheStats, PlanFetch, PlanKey};

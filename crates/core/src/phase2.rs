@@ -19,17 +19,15 @@ use crate::equality::{pack_slab, wire_order, CodingScheme};
 use crate::netexec::PhaseClock;
 use crate::value::{Value, SYMBOL_BITS};
 
-/// What one stream put on one edge.
+/// What a sender put on one edge.
 #[derive(Debug, Clone)]
 enum Sent {
-    /// The prescribed coded symbols, left in slab form: rows `rows`,
-    /// columns `start..start + cols` of the `Yᵀ = Cᵀ · Xᵀ` product of the
-    /// sender's value class, which every edge and stream of the call
-    /// shares.
+    /// The prescribed coded symbols, left in slab form: rows `rows`, the
+    /// first `cols` columns of the `Yᵀ = Cᵀ · Xᵀ` product of the sender's
+    /// value class.
     Coded {
         yt: Arc<WordMatrix>,
         rows: Range<usize>,
-        start: usize,
         cols: usize,
     },
     /// What a faulty sender chose to transmit, in wire order.
@@ -46,12 +44,7 @@ impl Sent {
 
     fn symbols(&self) -> Vec<Gf2_16> {
         match self {
-            Sent::Coded {
-                yt,
-                rows,
-                start,
-                cols,
-            } => wire_order(yt, rows.clone(), *start, *cols),
+            Sent::Coded { yt, rows, cols } => wire_order(yt, rows.clone(), *cols),
             Sent::Substituted(symbols) => symbols.clone(),
         }
     }
@@ -88,11 +81,12 @@ impl EqOutcome {
     }
 }
 
-/// Nodes whose values are equal in every stream: they share one packed
-/// `Xᵀ` slab (in the scratch), hence one product.
+/// Nodes holding equal values: they share one packed `Xᵀ` slab (in the
+/// scratch), hence one product.
 struct ValueClass<'a> {
-    held: Vec<&'a Value>,
-    offsets: Vec<usize>,
+    held: &'a Value,
+    /// Columns of the packed slab.
+    cols: usize,
     /// The row ranges of the scheme's stacked `Cᵀ` this class multiplies,
     /// in the order they stack in its product.
     coding_rows: Vec<Range<usize>>,
@@ -114,7 +108,8 @@ impl ValueClass<'_> {
 /// The equality check's working memory. An engine keeps one across its
 /// instances, so from the second instance on the phase allocates nothing
 /// proportional to `L`: every buffer is rewritten in place once the
-/// previous call's [`EqOutcome`]s — which share the products — are gone.
+/// previous instance's [`EqOutcome`] — which shares the products — is
+/// gone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EqScratch {
     classes: Vec<ClassBuffers>,
@@ -145,39 +140,12 @@ impl EqScratch {
     }
 }
 
-/// The equality check on `gk`: one execution of Algorithm 1 per stream,
-/// all sharing the same coding scheme (streams at the same instance index
-/// use identical per-edge matrices), evaluated as **one slab product per
-/// distinct value** instead of per-edge, per-column vector products.
+/// The equality check once per stream, each on fresh buffers: a loop of
+/// the one-instance check the engine runs.
 ///
-/// Links are reliable, so the receiver's view of an edge equals the
-/// sender's transmission; the phase is evaluated directly on the ground
-/// truth, charging the same `max_e(bits_e / z_e)` round time the
-/// simulator would.
-///
-/// Nodes holding equal values in every stream form a class with one
-/// packed slab `Xᵀ` (every stream's value columns side by side, at
-/// cumulative offsets since tampered values may differ in length), and
-/// each class is multiplied once, `Yᵀ = Cᵀ · Xᵀ`, by the rows of the
-/// scheme's stacked coding matrix it needs: those of every edge whose
-/// sender is in the class and, for an edge that crosses classes, the
-/// same rows again in the receiver's class. Fault-free, there is one
-/// class and `Cᵀ` is the scheme's matrix as it stands. (This entry point
-/// allocates slabs and products afresh; an engine keeps them from one
-/// instance to the next.)
-///
-/// Per edge, the transmission is a (row range, column range) view into
-/// the sender's product. When the receiver is in the same class its
-/// expectation *is* that view: a fault-free sender then transmits exactly
-/// what the receiver expects and no second multiply or compare is needed,
-/// while a faulty sender's [`NabAdversary::equality_symbols`] output is
-/// still compared against it. Across classes the two sides' views are
-/// compared per stream, each with its own offsets, so a length mismatch
-/// fails the compare exactly like [`CodingScheme::check_cols`]. Per stream
-/// the flags equal [`crate::equality::equality_check_flags`] and the sends
-/// equal [`CodingScheme::encode_cols`] (`GF(2^16)` addition is exact XOR,
-/// so any grouping of the same multiply-accumulates produces the same
-/// symbols), which the differential proptests pin.
+/// Nothing in the workspace calls this outside tests; it stays only for
+/// `benchmark/`'s call sites and goes with the benchmark-only PR that
+/// ROADMAP item 6b describes.
 ///
 /// # Panics
 ///
@@ -190,27 +158,63 @@ pub fn run_equality_phase_batched(
     faulty: &BTreeSet<NodeId>,
     advs: &mut [&mut dyn NabAdversary],
 ) -> Vec<EqOutcome> {
-    run_equality_phase(gk, values, scheme, faulty, advs, &mut EqScratch::default())
+    assert_eq!(values.len(), advs.len(), "one adversary per stream");
+    values
+        .iter()
+        .zip(advs)
+        .map(|(values, adv)| {
+            run_equality_phase(gk, values, scheme, faulty, *adv, &mut EqScratch::default())
+        })
+        .collect()
 }
 
-/// [`run_equality_phase_batched`] in the caller's `scratch`, whose buffers
-/// it rewrites in place.
+/// The equality check on `gk` (Algorithm 1), evaluated as **one slab
+/// product per distinct value** instead of per-edge, per-column vector
+/// products, in `scratch`, whose buffers it rewrites in place.
+///
+/// Links are reliable, so the receiver's view of an edge equals the
+/// sender's transmission; the phase is evaluated directly on the ground
+/// truth, charging the same `max_e(bits_e / z_e)` round time the
+/// simulator would.
+///
+/// Nodes holding equal values form a class with one packed slab `Xᵀ`,
+/// and each class is multiplied once, `Yᵀ = Cᵀ · Xᵀ`, by the rows of the
+/// scheme's stacked coding matrix it needs: those of every edge whose
+/// sender is in the class and, for an edge that crosses classes, the same
+/// rows again in the receiver's class. Fault-free, there is one class and
+/// `Cᵀ` is the scheme's matrix as it stands.
+///
+/// Per edge, the transmission is a (row range, column count) view into the
+/// sender's product. When the receiver is in the same class its
+/// expectation *is* that view: a fault-free sender then transmits exactly
+/// what the receiver expects and no second multiply or compare is needed,
+/// while a faulty sender's [`NabAdversary::equality_symbols`] output is
+/// still compared against it. Across classes the two sides' views are
+/// compared, each with its own column count (a length-tampering relay
+/// leaves values of unequal lengths), so a length mismatch fails the
+/// compare exactly like [`CodingScheme::check_cols`]. The flags equal
+/// [`crate::equality::equality_check_flags`] and the sends equal
+/// [`CodingScheme::encode_cols`] (`GF(2^16)` addition is exact XOR, so any
+/// grouping of the same multiply-accumulates produces the same symbols),
+/// which the differential proptests pin.
+///
+/// # Panics
+///
+/// Panics if some active node is missing a value.
 pub(crate) fn run_equality_phase(
     gk: &DiGraph,
-    values: &[&BTreeMap<NodeId, Value>],
+    values: &BTreeMap<NodeId, Value>,
     scheme: &CodingScheme,
     faulty: &BTreeSet<NodeId>,
-    advs: &mut [&mut dyn NabAdversary],
+    adv: &mut dyn NabAdversary,
     scratch: &mut EqScratch,
-) -> Vec<EqOutcome> {
-    assert_eq!(values.len(), advs.len(), "one adversary per stream");
-    let streams = values.len();
+) -> EqOutcome {
     let rho = scheme.rho();
 
     let mut classes: Vec<ValueClass> = Vec::new();
     let mut class_of: BTreeMap<NodeId, usize> = BTreeMap::new();
     for v in gk.nodes() {
-        let held: Vec<&Value> = values.iter().map(|vals| &vals[&v]).collect();
+        let held = &values[&v];
         let class = classes
             .iter()
             .position(|c| c.held == held)
@@ -219,10 +223,10 @@ pub(crate) fn run_equality_phase(
                 if scratch.classes.len() == class {
                     scratch.classes.push(ClassBuffers::default());
                 }
-                let offsets = pack_slab(&held, rho, &mut scratch.classes[class].slab);
+                let cols = pack_slab(held, rho, &mut scratch.classes[class].slab);
                 classes.push(ValueClass {
                     held,
-                    offsets,
+                    cols,
                     coding_rows: Vec::new(),
                     height: 0,
                 });
@@ -272,62 +276,49 @@ pub(crate) fn run_equality_phase(
         buffers.product = Arc::new(product);
     }
 
-    let mut outcomes: Vec<EqOutcome> = (0..streams)
-        .map(|_| EqOutcome {
-            flags: gk.nodes().map(|v| (v, false)).collect(),
-            duration: 0.0,
-            sends: BTreeMap::new(),
-        })
-        .collect();
+    let mut out = EqOutcome {
+        flags: gk.nodes().map(|v| (v, false)).collect(),
+        duration: 0.0,
+        sends: BTreeMap::new(),
+    };
     let (mut multiplies, mut expectations_shared) = (0u32, 0u32);
-
     for (e, [sender, receiver], sent_rows, expected_rows) in edges {
         let shared = sender == receiver;
-        let (ys, yd) = (
-            &scratch.classes[sender].product,
-            &scratch.classes[receiver].product,
-        );
-        let (sender, receiver) = (&classes[sender], &classes[receiver]);
         multiplies += if shared { 1 } else { 2 };
         expectations_shared += u32::from(shared);
-        let sender_faulty = faulty.contains(&e.src);
-        for (s, out) in outcomes.iter_mut().enumerate() {
-            let (start, cols) = (sender.offsets[s], sender.offsets[s + 1] - sender.offsets[s]);
-            let sent = || wire_order(ys, sent_rows.clone(), start, cols);
-            let expected = || {
-                let start = receiver.offsets[s];
-                let cols = receiver.offsets[s + 1] - start;
-                wire_order(yd, expected_rows.clone(), start, cols)
-            };
-            let sent = if sender_faulty {
-                let symbols = advs[s].equality_symbols(e.src, e.dst, &sent());
-                if symbols != expected() {
-                    out.flags.insert(e.dst, true);
-                }
-                Sent::Substituted(symbols)
-            } else {
-                if !shared && sent() != expected() {
-                    out.flags.insert(e.dst, true);
-                }
-                Sent::Coded {
-                    yt: Arc::clone(ys),
-                    rows: sent_rows.clone(),
-                    start,
-                    cols,
-                }
-            };
-            // The synchronous round charge `max_e(bits_e / z_e)` —
-            // identical to `NetSim::deliver_round` on the same sends.
-            let bits = sent.len() as u64 * SYMBOL_BITS;
-            out.duration = out.duration.max(bits as f64 / e.cap as f64);
-            out.sends.insert((e.src, e.dst), sent);
-        }
+        let (ys, cols) = (&scratch.classes[sender].product, classes[sender].cols);
+        let sent = || wire_order(ys, sent_rows.clone(), cols);
+        let expected = || {
+            let yd = &scratch.classes[receiver].product;
+            wire_order(yd, expected_rows.clone(), classes[receiver].cols)
+        };
+        let sent = if faulty.contains(&e.src) {
+            let symbols = adv.equality_symbols(e.src, e.dst, &sent());
+            if symbols != expected() {
+                out.flags.insert(e.dst, true);
+            }
+            Sent::Substituted(symbols)
+        } else {
+            if !shared && sent() != expected() {
+                out.flags.insert(e.dst, true);
+            }
+            Sent::Coded {
+                yt: Arc::clone(ys),
+                rows: sent_rows.clone(),
+                cols,
+            }
+        };
+        // The synchronous round charge `max_e(bits_e / z_e)` —
+        // identical to `NetSim::deliver_round` on the same sends.
+        let bits = sent.len() as u64 * SYMBOL_BITS;
+        out.duration = out.duration.max(bits as f64 / e.cap as f64);
+        out.sends.insert((e.src, e.dst), sent);
     }
     trace::emit(EventKind::EqualityProducts {
         multiplies,
         expectations_shared,
     });
-    outcomes
+    out
 }
 
 /// Which classic BB protocol serves as `Broadcast_Default` for flags and
@@ -654,7 +645,7 @@ mod tests {
     use nab_netgraph::flow::broadcast_rate;
     use nab_netgraph::gen;
 
-    /// The one-stream call of the equality check.
+    /// The equality check on fresh buffers.
     fn equality_one_stream(
         gk: &DiGraph,
         values: &BTreeMap<NodeId, Value>,
@@ -662,9 +653,7 @@ mod tests {
         faulty: &BTreeSet<NodeId>,
         adv: &mut dyn NabAdversary,
     ) -> EqOutcome {
-        run_equality_phase_batched(gk, &[values], scheme, faulty, &mut [adv])
-            .pop()
-            .unwrap()
+        run_equality_phase(gk, values, scheme, faulty, adv, &mut EqScratch::default())
     }
 
     fn complete_setup() -> (DiGraph, Vec<Arborescence>, CodingScheme, Value) {
@@ -736,17 +725,17 @@ mod tests {
     }
 
     /// Runs the equality check with a trace sink installed and returns the
-    /// outcomes with the call's `(multiplies, expectations_shared)`.
+    /// outcome with the call's `(multiplies, expectations_shared)`.
     fn equality_with_counts(
         gk: &DiGraph,
-        values: &[&BTreeMap<NodeId, Value>],
+        values: &BTreeMap<NodeId, Value>,
         scheme: &CodingScheme,
         faulty: &BTreeSet<NodeId>,
-        advs: &mut [&mut dyn NabAdversary],
-    ) -> (Vec<EqOutcome>, (u32, u32)) {
+        adv: &mut dyn NabAdversary,
+    ) -> (EqOutcome, (u32, u32)) {
         let sink = Arc::new(nab_obs::BufferSink::new());
         trace::set_thread_sink(Some(sink.clone()));
-        let eqs = run_equality_phase_batched(gk, values, scheme, faulty, advs);
+        let eq = equality_one_stream(gk, values, scheme, faulty, adv);
         trace::set_thread_sink(None);
         let counts: Vec<(u32, u32)> = sink
             .take_sorted()
@@ -760,7 +749,7 @@ mod tests {
             })
             .collect();
         assert_eq!(counts.len(), 1, "one event per equality call");
-        (eqs, counts[0])
+        (eq, counts[0])
     }
 
     /// Every node of K4 (12 edges) holding `v`, except the listed deviants.
@@ -782,16 +771,11 @@ mod tests {
     fn one_class_with_honest_senders_shares_every_expectation() {
         let (g, _, scheme, input) = complete_setup();
         let values = k4_values(&input, &[]);
-        let (eqs, counts) = equality_with_counts(
-            &g,
-            &[&values],
-            &scheme,
-            &BTreeSet::new(),
-            &mut [&mut HonestStrategy],
-        );
+        let (eq, counts) =
+            equality_with_counts(&g, &values, &scheme, &BTreeSet::new(), &mut HonestStrategy);
         assert_eq!(counts, (12, 12), "one product per edge, none for receivers");
-        assert!(eqs[0].flags.values().all(|f| !f));
-        for ((src, dst), symbols) in eqs[0].sends() {
+        assert!(eq.flags.values().all(|f| !f));
+        for ((src, dst), symbols) in eq.sends() {
             assert_eq!(symbols, scheme.encode(src, dst, &input));
         }
     }
@@ -803,15 +787,15 @@ mod tests {
         let faulty = BTreeSet::from([2]);
         let tamperers: [&mut dyn NabAdversary; 2] = [&mut EqualityGarbler, &mut EqualityTruncator];
         for adv in tamperers {
-            let (eqs, counts) = equality_with_counts(&g, &[&values], &scheme, &faulty, &mut [adv]);
+            let (eq, counts) = equality_with_counts(&g, &values, &scheme, &faulty, adv);
             assert_eq!(
                 counts,
                 (12, 12),
                 "values are equal: expectations stay shared"
             );
-            let flagged: Vec<NodeId> = (0..4).filter(|v| eqs[0].flags[v]).collect();
+            let flagged: Vec<NodeId> = (0..4).filter(|v| eq.flags[v]).collect();
             assert_eq!(flagged, [0, 1, 3], "exactly node 2's receivers");
-            let sends = eqs[0].sends();
+            let sends = eq.sends();
             assert_ne!(sends[&(2, 0)], scheme.encode(2, 0, &input));
             assert_eq!(sends[&(0, 2)], scheme.encode(0, 2, &input));
         }
@@ -825,13 +809,8 @@ mod tests {
         let g = gen::figure_1a();
         let scheme = CodingScheme::random(&g, 1, 23);
         let values = k4_values(&input, &[(3, input.corrupt_symbol(5, 9))]);
-        let (eqs, (multiplies, shared)) = equality_with_counts(
-            &g,
-            &[&values],
-            &scheme,
-            &BTreeSet::new(),
-            &mut [&mut HonestStrategy],
-        );
+        let (eq, (multiplies, shared)) =
+            equality_with_counts(&g, &values, &scheme, &BTreeSet::new(), &mut HonestStrategy);
         let touching_3 = g.edges().filter(|(_, e)| e.src == 3 || e.dst == 3).count() as u32;
         let edges = g.edges().count() as u32;
         assert!(touching_3 > 0 && touching_3 < edges);
@@ -843,33 +822,30 @@ mod tests {
             &scheme,
             &mut crate::equality::no_tamper,
         );
-        assert_eq!(eqs[0].flags, oracle);
+        assert_eq!(eq.flags, oracle);
         // Node 3 flags what it receives; whoever it sends to flags too.
-        assert!(eqs[0].flags[&3]);
+        assert!(eq.flags[&3]);
         for (_, e) in g.edges().filter(|(_, e)| e.src == 3) {
-            assert!(eqs[0].flags[&e.dst], "receiver {} of node 3", e.dst);
+            assert!(eq.flags[&e.dst], "receiver {} of node 3", e.dst);
         }
     }
 
     #[test]
-    fn classes_split_on_any_stream_but_flags_stay_per_stream() {
+    fn deviant_and_longer_values_split_classes_and_match_the_oracle() {
         let (g, _, scheme, input) = complete_setup();
         let other = Value::from_u64s(&[9, 9, 9, 7, 7, 7, 5, 5, 5, 3, 3, 3]);
-        // Stream 0: node 2 deviates. Stream 1: node 1 holds a longer value.
-        let stream0 = k4_values(&input, &[(2, input.corrupt_symbol(0, 1))]);
+        // Node 2 deviates in one instance; node 1 holds a longer value in
+        // the other.
+        let deviant = k4_values(&input, &[(2, input.corrupt_symbol(0, 1))]);
         let mut longer = other.symbols().to_vec();
         longer.push(Gf2_16(1));
-        let stream1 = k4_values(&other, &[(1, Value::from_symbols(longer))]);
-        let (eqs, counts) = equality_with_counts(
-            &g,
-            &[&stream0, &stream1],
-            &scheme,
-            &BTreeSet::new(),
-            &mut [&mut HonestStrategy, &mut HonestStrategy],
-        );
-        // Classes {0, 3}, {1}, {2}: only edges 0→3 and 3→0 share.
-        assert_eq!(counts, (22, 2));
-        for (eq, values) in eqs.iter().zip([&stream0, &stream1]) {
+        let stretched = k4_values(&other, &[(1, Value::from_symbols(longer))]);
+        for values in [&deviant, &stretched] {
+            let (eq, counts) =
+                equality_with_counts(&g, values, &scheme, &BTreeSet::new(), &mut HonestStrategy);
+            // Two classes: the odd node's 6 edges multiply twice, the
+            // other 6 share.
+            assert_eq!(counts, (18, 6));
             let oracle = crate::equality::equality_check_flags(
                 &g,
                 values,
@@ -880,18 +856,17 @@ mod tests {
             for ((src, dst), symbols) in eq.sends() {
                 assert_eq!(symbols, scheme.encode(src, dst, &values[&src]));
             }
+            // K4: the odd node's three neighbours are everyone else.
+            assert!(eq.flags.values().all(|&f| f));
         }
-        // K4: the deviant's three neighbours are everyone else.
-        assert!(eqs.iter().all(|eq| eq.flags.values().all(|&f| f)));
     }
 
     /// Four value classes in one call on unequal capacities — what an
-    /// equivocating source (nodes 1 and 2 received different values in
-    /// stream 0) plus a length-tampering relay (node 3 holds a longer
-    /// value in stream 1) leave behind, the two streams of unequal
-    /// lengths. Every edge between classes has its rows in two products
-    /// at different row offsets, and none of the classes multiplies the
-    /// scheme's matrix as it stands; the wide streams take the vector
+    /// equivocating source (nodes 1 and 2 received different values) plus
+    /// a length-tampering relay (node 3 holds a longer value) leave
+    /// behind. Every edge between classes has its rows in two products at
+    /// different row offsets, and none of the classes multiplies the
+    /// scheme's matrix as it stands; the wide values take the vector
     /// kernel, the narrow ones the scalar loop.
     #[test]
     fn stacked_products_match_the_column_oracle_where_the_stacks_differ() {
@@ -900,42 +875,31 @@ mod tests {
         let g = gen::complete_heterogeneous(5, 1, 3, &mut rng);
         let rho = 3;
         let scheme = CodingScheme::random(&g, rho, 29);
-        for (len0, len1) in [(12, 7), (400, 333)] {
-            let (a, b) = (Value::random(len0, &mut rng), Value::random(len1, &mut rng));
-            let mut stream0: BTreeMap<NodeId, Value> = (0..5).map(|n| (n, a.clone())).collect();
-            stream0.insert(1, a.corrupt_symbol(0, 1));
-            stream0.insert(2, a.corrupt_symbol(len0 - 1, 5));
-            let mut stream1: BTreeMap<NodeId, Value> = (0..5).map(|n| (n, b.clone())).collect();
-            let mut longer = b.symbols().to_vec();
+        for len in [7, 12, 333, 400] {
+            let a = Value::random(len, &mut rng);
+            let mut values: BTreeMap<NodeId, Value> = (0..5).map(|n| (n, a.clone())).collect();
+            values.insert(1, a.corrupt_symbol(0, 1));
+            values.insert(2, a.corrupt_symbol(len - 1, 5));
+            let mut longer = a.symbols().to_vec();
             longer.extend([Gf2_16(7), Gf2_16(0), Gf2_16(9), Gf2_16(1)]);
-            stream1.insert(3, Value::from_symbols(longer));
+            values.insert(3, Value::from_symbols(longer));
 
-            let (eqs, (multiplies, shared)) = equality_with_counts(
-                &g,
-                &[&stream0, &stream1],
-                &scheme,
-                &BTreeSet::new(),
-                &mut [&mut HonestStrategy, &mut HonestStrategy],
-            );
+            let (eq, (multiplies, shared)) =
+                equality_with_counts(&g, &values, &scheme, &BTreeSet::new(), &mut HonestStrategy);
             // Classes {0, 4}, {1}, {2}, {3}: only 0→4 and 4→0 share.
             assert_eq!((multiplies, shared), (2 * 20 - 2, 2));
-            for (eq, values) in eqs.iter().zip([&stream0, &stream1]) {
-                let oracle = crate::equality::equality_check_flags(
-                    &g,
-                    values,
-                    &scheme,
-                    &mut crate::equality::no_tamper,
-                );
-                assert_eq!(eq.flags, oracle);
-                let sends = eq.sends();
-                assert_eq!(sends.len(), 20);
-                for ((src, dst), symbols) in sends {
-                    let want = scheme.encode_cols(src, dst, &values[&src].reshape(rho));
-                    assert_eq!(
-                        symbols, want,
-                        "edge ({src}, {dst}) at lengths {len0}/{len1}"
-                    );
-                }
+            let oracle = crate::equality::equality_check_flags(
+                &g,
+                &values,
+                &scheme,
+                &mut crate::equality::no_tamper,
+            );
+            assert_eq!(eq.flags, oracle);
+            let sends = eq.sends();
+            assert_eq!(sends.len(), 20);
+            for ((src, dst), symbols) in sends {
+                let want = scheme.encode_cols(src, dst, &values[&src].reshape(rho));
+                assert_eq!(symbols, want, "edge ({src}, {dst}) at length {len}");
             }
         }
     }

@@ -22,11 +22,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use nab_bb::router::PathRouter;
-use nab_netgraph::arborescence::{pack_arborescences_with_stats, Arborescence, PackStats};
+use nab_netgraph::arborescence::{
+    pack_arborescences, pack_arborescences_with_stats, Arborescence, PackStats,
+};
 use nab_netgraph::canon;
 use nab_netgraph::DiGraph;
 
 use crate::bounds::{gamma_k, rho_k, BoundsReport};
+use crate::dispute::DisputeState;
 use crate::engine::{NabError, SOURCE};
 use crate::equality::CodingScheme;
 
@@ -44,14 +47,12 @@ type PointMap<K, V> = std::collections::HashMap<K, V>;
 /// and dispute evolution; the execution layer recomputes the per-`G_k`
 /// quantities only after disputes actually shrink the graph.
 pub struct ExecutionPlan {
-    g0: DiGraph,
+    /// `G_1` with `γ_1`, its packing and `ρ_1`.
+    g1: Gk,
     f: usize,
-    /// Labeled-graph digest of `g0`, fixed at build time so cache-hit
+    /// Labeled-graph digest of `G_1`, fixed at build time so cache-hit
     /// verification and disk addressing never re-hash the graph.
     labeled: u64,
-    gamma0: u64,
-    rho0: u64,
-    trees0: Vec<Arborescence>,
     router: PathRouter,
     build_wall_ns: u64,
     /// What packing `trees0` took (all zero on a plan loaded from disk,
@@ -66,12 +67,12 @@ pub struct ExecutionPlan {
 impl std::fmt::Debug for ExecutionPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutionPlan")
-            .field("n", &self.g0.active_count())
-            .field("edges", &self.g0.edge_count())
+            .field("n", &self.graph().active_count())
+            .field("edges", &self.graph().edge_count())
             .field("f", &self.f)
-            .field("gamma0", &self.gamma0)
-            .field("rho0", &self.rho0)
-            .field("trees0", &self.trees0.len())
+            .field("gamma0", &self.gamma0())
+            .field("rho0", &self.rho0())
+            .field("trees0", &self.trees0().len())
             .field("build_wall_ns", &self.build_wall_ns)
             .finish()
     }
@@ -110,11 +111,8 @@ impl ExecutionPlan {
             })?;
         Ok(ExecutionPlan {
             labeled: canon::labeled_key(&g),
-            g0: g,
+            g1: Gk::first(g, gamma0, trees0, rho0),
             f,
-            gamma0,
-            rho0,
-            trees0,
             router,
             build_wall_ns: t0.elapsed().as_nanos() as u64,
             pack_stats,
@@ -151,11 +149,8 @@ impl ExecutionPlan {
         let router = PathRouter::build(&g, f).ok_or(NabError::InsufficientConnectivity)?;
         Ok(ExecutionPlan {
             labeled: canon::labeled_key(&g),
-            g0: g,
+            g1: Gk::first(g, gamma0, trees0, rho0),
             f,
-            gamma0,
-            rho0,
-            trees0,
             router,
             build_wall_ns: wall_ns,
             pack_stats: PackStats::default(),
@@ -165,7 +160,13 @@ impl ExecutionPlan {
 
     /// The planned network `G_1`.
     pub fn graph(&self) -> &DiGraph {
-        &self.g0
+        self.g1.graph()
+    }
+
+    /// `G_1` as the first `G_k`: what an engine runs on until a dispute
+    /// shrinks the graph.
+    pub(crate) fn g1(&self) -> &Gk {
+        &self.g1
     }
 
     /// The labeled digest of the planned network, fixed at build time.
@@ -180,19 +181,20 @@ impl ExecutionPlan {
 
     /// `γ_1`, the Phase-1 broadcast rate of the undisputed graph.
     pub fn gamma0(&self) -> u64 {
-        self.gamma0
+        self.g1.gamma
     }
 
     /// `ρ_1 = ⌊U_1/2⌋`, the equality-check parameter of the undisputed
     /// graph.
     pub fn rho0(&self) -> u64 {
-        self.rho0
+        // Always set: a plan is built or loaded with `ρ_1`.
+        self.g1.rho.unwrap_or_default()
     }
 
     /// The `γ_1` capacity-respecting spanning arborescences Phase 1
     /// streams over while no disputes have shrunk the graph.
     pub fn trees0(&self) -> &[Arborescence] {
-        &self.trees0
+        self.g1.trees()
     }
 
     /// The `2f+1`-disjoint-path router emulating a complete graph — the
@@ -216,11 +218,15 @@ impl ExecutionPlan {
 
     /// The per-instance coding scheme on the undisputed graph: uniform
     /// random `C_e` matrices at parameter `ρ_1`, derived from the public
-    /// per-instance seed exactly as the engine derives them.
+    /// per-instance seed exactly as the engine derives them on any `G_k`.
+    ///
+    /// Nothing in the workspace calls this outside tests; it stays only
+    /// for `benchmark/`'s call sites and goes with the benchmark-only PR
+    /// that ROADMAP item 6b describes.
     pub fn instance_scheme(&self, cfg_seed: u64, instance: u64) -> CodingScheme {
         CodingScheme::random(
-            &self.g0,
-            self.rho0 as usize,
+            self.graph(),
+            self.rho0() as usize,
             cfg_seed.wrapping_add(instance),
         )
     }
@@ -247,7 +253,7 @@ impl ExecutionPlan {
         // Computed outside the write lock; a concurrent duplicate
         // computes the identical value (deterministic per budget).
         let computed =
-            crate::bounds::bounds_report_given(&self.g0, SOURCE, self.f, budget, self.gamma0);
+            crate::bounds::bounds_report_given(self.graph(), SOURCE, self.f, budget, self.gamma0());
         self.bounds
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -255,6 +261,110 @@ impl ExecutionPlan {
             .or_insert_with(|| computed.clone());
         computed
     }
+}
+
+/// `G_k` and what an instance on it runs with: the graph left by the
+/// disputes so far, `γ_k` with its Phase-1 arborescence packing, and
+/// `ρ_k`. A plan holds `G_1`; an engine derives the next value from it
+/// once dispute control has grown its dispute state (Section 2). Every
+/// quantity is a deterministic function of `(G_1, pairs, removed)`, so a
+/// derived value equals a from-scratch derivation bit for bit. Cloning
+/// shares the graph and the packing.
+#[derive(Debug, Clone)]
+pub struct Gk {
+    graph: Arc<DiGraph>,
+    gamma: u64,
+    trees: Arc<[Arborescence]>,
+    /// `ρ_k`, `None` until an instance on this `G_k` reaches the equality
+    /// check (earlier phases never need it).
+    rho: Option<u64>,
+    /// `(|pairs|, |removed|)` of the dispute state this value was derived
+    /// from. Both sets only grow, so equal sizes mean an equal state.
+    disputes: (usize, usize),
+}
+
+impl Gk {
+    /// `G_1`: the undisputed graph with its planned quantities.
+    fn first(g: DiGraph, gamma: u64, trees: Vec<Arborescence>, rho: u64) -> Gk {
+        Gk {
+            graph: Arc::new(g),
+            gamma,
+            trees: trees.into(),
+            rho: Some(rho),
+            disputes: (0, 0),
+        }
+    }
+
+    /// Derives `G_k` for `disputes` from `g1`: removes the excluded nodes
+    /// and disputed links, then computes `γ_k` and packs its arborescences
+    /// from scratch. `ρ_k` is left to [`Gk::set_rho`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NabError::ArborescencePacking`] if no packing exists at
+    /// `γ_k`.
+    pub(crate) fn derive(g1: &DiGraph, disputes: &DisputeState) -> Result<Gk, NabError> {
+        let graph = disputes.current_graph(g1);
+        let gamma = gamma_k(&graph, SOURCE);
+        let trees = pack_arborescences(&graph, SOURCE, gamma).ok_or_else(|| {
+            NabError::ArborescencePacking {
+                n: graph.active_count(),
+                edges: graph.edge_count(),
+                gamma,
+            }
+        })?;
+        // DetSan: re-verify the packing against `G_k` before it is used.
+        #[cfg(feature = "sanitize")]
+        #[expect(
+            clippy::expect_used,
+            reason = "DetSan check; aborting on a violated invariant is the point"
+        )]
+        nab_netgraph::arborescence::validate_packing(&graph, SOURCE, &trees)
+            .expect("DetSan: the replan produced an invalid packing");
+        Ok(Gk {
+            graph: Arc::new(graph),
+            gamma,
+            trees: trees.into(),
+            rho: None,
+            disputes: dispute_sizes(disputes),
+        })
+    }
+
+    /// Whether this value was derived from `disputes` (and so is still
+    /// `G_k` for it).
+    pub(crate) fn derived_from(&self, disputes: &DisputeState) -> bool {
+        self.disputes == dispute_sizes(disputes)
+    }
+
+    /// Records `ρ_k` once an instance has computed it.
+    pub(crate) fn set_rho(&mut self, rho: u64) {
+        self.rho = Some(rho);
+    }
+
+    /// The graph `G_k`.
+    pub fn graph(&self) -> &DiGraph {
+        &self.graph
+    }
+
+    /// `γ_k`, the Phase-1 broadcast rate of `G_k`.
+    pub fn gamma(&self) -> u64 {
+        self.gamma
+    }
+
+    /// The `γ_k` arborescences Phase 1 streams over.
+    pub fn trees(&self) -> &[Arborescence] {
+        &self.trees
+    }
+
+    /// `ρ_k`, once an instance on this `G_k` has reached the equality
+    /// check (always set on `G_1`).
+    pub fn rho(&self) -> Option<u64> {
+        self.rho
+    }
+}
+
+fn dispute_sizes(disputes: &DisputeState) -> (usize, usize) {
+    (disputes.pairs.len(), disputes.removed.len())
 }
 
 /// Cache key. What actually gates plan reuse is the *labeled* digest
@@ -376,11 +486,6 @@ impl PlanCache {
         let mut cache = Self::new();
         cache.dir = Some(dir.into());
         cache
-    }
-
-    /// The disk-tier root, if one was configured.
-    pub fn dir(&self) -> Option<&std::path::Path> {
-        self.dir.as_deref()
     }
 
     fn shard(&self, key: &PlanKey) -> &RwLock<PointMap<PlanKey, Arc<ExecutionPlan>>> {
@@ -685,7 +790,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let g = gen::complete(5, 2);
         let c1 = PlanCache::with_dir(&dir);
-        assert_eq!(c1.dir(), Some(dir.as_path()));
         let a = c1.fetch(&g, 1).unwrap();
         assert!(!a.hit);
         assert_eq!(c1.stats().disk_stores, 1);

@@ -245,8 +245,8 @@ fn adversary(code: u8) -> Box<dyn NabAdversary> {
 }
 
 /// Runs one instance and checks the `G_k` artifacts it ran on — the
-/// report's rates and, once disputed, the engine's memoised `(γ_k, trees,
-/// ρ_k)` — against from-scratch `gamma_k` / `pack_arborescences_naive` /
+/// report's rates and, once disputed, the engine's derived `G_k` with its
+/// `(γ_k, trees, ρ_k)` — against from-scratch `gamma_k` / `pack_arborescences_naive` /
 /// `rho_k` on the `G_k` the engine held when the instance started.
 fn oracle_step(engine: &mut NabEngine, x: &Value, faulty: &BTreeSet<usize>, code: u8) {
     let before = engine.current_graph();
@@ -274,12 +274,12 @@ fn oracle_step(engine: &mut NabEngine, x: &Value, faulty: &BTreeSet<usize>, code
         assert_eq!(Some(rep.rho_k), bounds::rho_k(&before, f, &pairs));
     }
     if disputed {
-        let (memo_gamma, memo_trees, memo_rho) =
-            engine.gk_memo().expect("a disputed instance derives G_k");
-        assert_eq!(memo_gamma, gamma);
+        let gk = engine.gk();
+        assert_eq!(gk.graph(), &before);
+        assert_eq!(gk.gamma(), gamma);
         let want = pack_arborescences_naive(&before, SOURCE, gamma).expect("γ_k is packable");
-        assert_eq!(memo_trees, want.as_slice());
-        assert_eq!(memo_rho.unwrap_or(0), rep.rho_k);
+        assert_eq!(gk.trees(), want.as_slice());
+        assert_eq!(gk.rho().unwrap_or(0), rep.rho_k);
     }
 }
 
@@ -325,7 +325,7 @@ proptest! {
     /// equal a from-scratch derivation with the reference packer —
     /// including dispute chains where γ/ρ change, and a mid-sequence
     /// capacity mutation that migrates the engine onto a fresh plan and
-    /// invalidates the memo.
+    /// restarts its `G_k` from the new `G_1`.
     #[test]
     fn plan_repair_matches_full_recompute_on_random_sequences(
         seed in any::<u64>(),
@@ -350,8 +350,8 @@ proptest! {
             if mutate_at == i {
                 // OCS-style capacity rewrite mid-sequence: halve every
                 // other link, rebuild the plan, migrate the engine onto
-                // it (disputes carry over; the repair memo is dropped, so
-                // the next disputed instance derives G_k from scratch).
+                // it (disputes carry over; G_k restarts from the new G_1,
+                // so the next disputed instance derives it from scratch).
                 let mut m = g.clone();
                 let ids: Vec<usize> = m.edges().map(|(id, _)| id).collect();
                 for &id in ids.iter().step_by(2) {

@@ -47,6 +47,5 @@ pub mod writer;
 
 pub use metrics::{Histogram, Registry};
 pub use trace::{
-    emit, set_thread_sink, BufferSink, Event, EventKind, InstanceSpan, NullSink, Phase, PhaseSpan,
-    TraceSink,
+    emit, set_thread_sink, BufferSink, Event, EventKind, InstanceSpan, Phase, PhaseSpan, TraceSink,
 };

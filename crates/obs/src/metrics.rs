@@ -198,33 +198,9 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Mutable access to the named histogram, creating it empty first.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
-    }
-
-    /// The named histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Insert (or replace) a histogram wholesale.
     pub fn set_histogram(&mut self, name: &str, histogram: Histogram) {
         self.histograms.insert(name.to_string(), histogram);
-    }
-
-    /// Merge another registry into this one: counters add, histograms
-    /// merge. Commutative and associative like [`Histogram::merge`].
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, histogram) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(histogram);
-        }
     }
 
     /// Counters in lexicographic name order.
@@ -314,24 +290,19 @@ mod tests {
     }
 
     #[test]
-    fn registry_is_sorted_and_merges() {
+    fn registry_iterates_in_name_order() {
         let mut r = Registry::new();
         r.counter_add("zeta", 2);
         r.counter_add("alpha", 1);
-        r.histogram_mut("lat_b").record(10);
-        r.histogram_mut("lat_a").record(20);
+        r.counter_add("alpha", 5);
+        r.set_histogram("lat_b", Histogram::new());
+        r.set_histogram("lat_a", Histogram::new());
 
         let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
         assert_eq!(names, ["alpha", "zeta"]);
+        assert_eq!(r.counter("alpha"), 6);
+        assert_eq!(r.counter("absent"), 0);
         let hnames: Vec<&str> = r.histograms().map(|(n, _)| n).collect();
         assert_eq!(hnames, ["lat_a", "lat_b"]);
-
-        let mut other = Registry::new();
-        other.counter_add("alpha", 5);
-        other.histogram_mut("lat_a").record(30);
-        r.merge(&other);
-        assert_eq!(r.counter("alpha"), 6);
-        assert_eq!(r.counter("zeta"), 2);
-        assert_eq!(r.histogram("lat_a").unwrap().count(), 2);
     }
 }

@@ -146,8 +146,7 @@ pub enum EventKind {
         /// The exposed node's id.
         node: u32,
     },
-    /// One equality-check call (a group of batched streams) finished its
-    /// slab products.
+    /// One instance's equality check finished its slab products.
     EqualityProducts {
         /// `C_eᵀ · Xᵀ` products computed: one per distinct value per edge.
         multiplies: u32,
@@ -285,15 +284,6 @@ pub trait TraceSink: Send + Sync {
     fn record_batch(&self, events: &[Event]);
 }
 
-/// A sink that discards everything. Useful for measuring instrumentation
-/// overhead with the full emit path (clock, sequence, buffer) active.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record_batch(&self, _events: &[Event]) {}
-}
-
 /// A sink that accumulates events in memory, for tests and for the CLI's
 /// end-of-run trace writers.
 #[derive(Debug, Default)]
@@ -407,12 +397,6 @@ pub fn set_thread_sink(sink: Option<Arc<dyn TraceSink>>) {
     });
 }
 
-/// True if a sink is installed on the current thread (i.e. [`emit`] will
-/// record). Lets callers skip computing expensive event payloads.
-pub fn enabled() -> bool {
-    STATE.with(|s| s.borrow().sink.is_some())
-}
-
 /// Set the sweep-job context for subsequent events on this thread, and
 /// reset the stream/instance context to 0.
 pub fn set_job(job: u64) {
@@ -457,11 +441,6 @@ pub fn emit(kind: EventKind) {
             s.flush();
         }
     });
-}
-
-/// Flush the current thread's buffered events to its sink, if any.
-pub fn flush() {
-    STATE.with(|s| s.borrow_mut().flush());
 }
 
 /// RAII guard for a phase: emits `PhaseStart` on construction and
@@ -517,14 +496,12 @@ mod tests {
         // Nothing to observe directly; this pins that no sink ⇒ no panic
         // and no state change visible afterwards.
         emit(EventKind::PlanCacheHit);
-        assert!(!enabled());
     }
 
     #[test]
     fn events_reach_the_sink_on_flush_and_uninstall() {
         let sink = Arc::new(BufferSink::new());
         set_thread_sink(Some(sink.clone()));
-        assert!(enabled());
         set_job(3);
         set_stream(1);
         let span = InstanceSpan::enter(7);
@@ -536,7 +513,6 @@ mod tests {
         drop(span);
         assert!(sink.is_empty(), "events buffer until flush");
         set_thread_sink(None);
-        assert!(!enabled());
 
         let events = sink.take_sorted();
         assert_eq!(events.len(), 4);

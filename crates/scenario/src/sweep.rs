@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use nab::adversary::NabAdversary;
 use nab::dispute::DisputeState;
-use nab::engine::{instance_correct, run_instances_batched, NabConfig, NabEngine};
+use nab::engine::{instance_correct, NabConfig, NabEngine};
 use nab::plan::{PlanCache, PlanFetch};
 use nab::value::{Value, SYMBOL_BITS};
 use nab_netgraph::{DiGraph, NodeId};
@@ -593,22 +593,15 @@ fn measure(
                     .map_err(|e| format!("mutated network rejected: {e}"))?;
             }
         }
-        // One round-robin step: every stream runs instance `inst`. The
-        // engine packs all undisputed streams' equality columns into one
-        // slab multiply per edge; a stream whose G_k disputes have shrunk,
-        // or that executes message-level, runs its equality check alone.
-        // Inputs are drawn per stream from that stream's own RNG.
-        let inputs: Vec<Value> = input_rngs
-            .iter_mut()
-            .map(|rng| Value::random(job.symbols, rng))
-            .collect();
-        let mut adv_refs: Vec<&mut dyn NabAdversary> = advs
-            .iter_mut()
-            .map(|a| &mut **a as &mut dyn NabAdversary)
-            .collect();
-        let reps = run_instances_batched(&mut engines, &inputs, faulty, &mut adv_refs)
-            .map_err(|e| format!("instance failed: {e}"))?;
-        for (s, (input, rep)) in inputs.iter().zip(&reps).enumerate() {
+        // One round-robin step: every stream's engine runs instance `inst`
+        // on an input drawn from that stream's own RNG.
+        let streams = engines.iter_mut().zip(&mut advs).zip(&mut input_rngs);
+        for (s, ((engine, adv), rng)) in streams.enumerate() {
+            trace::set_stream(s as u32);
+            let input = Value::random(job.symbols, rng);
+            let rep = engine
+                .run_instance(&input, faulty, adv.as_mut())
+                .map_err(|e| format!("instance failed: {e}"))?;
             let global_inst = inst * spec.streams + s;
             if global_inst == 0 {
                 metrics.gamma1 = rep.gamma_k;
@@ -623,7 +616,7 @@ fn measure(
             metrics.equality_time += rep.times.equality;
             metrics.flags_time += rep.times.flags;
             metrics.dispute_time += rep.times.dispute;
-            metrics.latency.record_instance(rep);
+            metrics.latency.record_instance(&rep);
             if let (Some(acc), Some(d)) = (metrics.delivered.as_mut(), rep.delivered.as_ref()) {
                 acc.merge(d);
             }
@@ -635,7 +628,7 @@ fn measure(
             }
             traces[s].push((t, useful_bits, rep.dispute_ran));
 
-            if !instance_correct(rep, faulty, input) {
+            if !instance_correct(&rep, faulty, &input) {
                 metrics.all_correct = false;
             }
         }

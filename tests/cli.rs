@@ -612,16 +612,25 @@ fn trace_jsonl_covers_sweep_jobs_instances_and_phases() {
         "2",
         "--trace",
         trace_path.to_str().unwrap(),
+        "--progress",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("jobs 2/2"), "{}", stderr(&out));
     let trace = std::fs::read_to_string(&trace_path).unwrap();
-    // Every line is one event object with the fixed key prefix.
+    // Every line is one event object whose first six keys are, in order,
+    // `seq, ts_ns, job, stream, instance, kind`, the first five numbers.
     for line in trace.lines() {
-        assert!(
-            line.starts_with("{\"seq\":") && line.ends_with('}'),
-            "malformed JSONL line: {line}"
-        );
-        assert!(line.contains("\"kind\":\""), "no kind: {line}");
+        assert!(line.ends_with('}'), "malformed JSONL line: {line}");
+        let mut rest = line.strip_prefix('{').expect("an object per line");
+        for key in ["seq", "ts_ns", "job", "stream", "instance"] {
+            let value = rest
+                .strip_prefix(&format!("\"{key}\":"))
+                .unwrap_or_else(|| panic!("{key} out of place: {line}"));
+            let digits = value.find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
+            assert!(digits > 0, "{key} is not a number: {line}");
+            rest = value[digits..].strip_prefix(',').expect("more keys follow");
+        }
+        assert!(rest.starts_with("\"kind\":\""), "kind out of place: {line}");
     }
     // The stream covers every layer the ISSUE promises: sweep, job,
     // instance, phase, plan cache, and (corruptor run) disputes.
@@ -674,6 +683,8 @@ fn trace_chrome_format_is_one_json_document_with_balanced_spans() {
     let out = nab_sim(&[
         "--scenario",
         path.to_str().unwrap(),
+        "--threads",
+        "2",
         "--trace",
         "-",
         "--trace-format",
@@ -695,7 +706,10 @@ fn trace_chrome_format_is_one_json_document_with_balanced_spans() {
         text.matches("\"ph\":\"B\"").count(),
         text.matches("\"ph\":\"E\"").count(),
     );
-    assert!(text.contains("\"name\":\"phase1\""), "phase spans present");
+    for span in ["sweep", "job", "instance", "phase1"] {
+        let opened = format!("{{\"name\":\"{span}\",\"cat\":");
+        assert!(text.contains(&opened), "no {span} span");
+    }
 }
 
 #[test]
