@@ -17,12 +17,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nab_gf::Gf2_16;
+use nab_gf::{Gf2_16, WordMatrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 
 use crate::bounds::{k_subsets, pair, Pair};
-use crate::equality::CodingScheme;
+use crate::equality::{pack_slab, CodingScheme};
 use crate::value::Value;
 
 /// A node's broadcast claims about one instance's Phases 1–2.
@@ -130,22 +130,24 @@ pub fn dc3_exposed(
 ) -> Vec<NodeId> {
     let mut exposed = BTreeSet::new();
     let indices: Vec<_> = trees.iter().map(Arborescence::index).collect();
+    let mut xt = WordMatrix::default();
     for (&v, c) in claims {
         // Phase 1 discipline: on tree t, the source must send its t-th
         // input block identically to every child; a relay must forward the
         // block it claims to have received from its tree parent.
+        let input_blocks = c
+            .input
+            .as_ref()
+            .filter(|_| v == source)
+            .map(|i| Value::from_symbols(i.clone()).split_blocks(trees.len().max(1)));
         for (t, tree) in indices.iter().enumerate() {
-            let prescribed: Option<Vec<Gf2_16>> = if v == source {
-                c.input
-                    .as_ref()
-                    .map(|i| Value::from_symbols(i.clone()).split_blocks(trees.len())[t].clone())
-            } else {
-                tree.parent(v)
-                    .and_then(|p| c.p1_received.get(&(t, p)).cloned())
+            let prescribed = match &input_blocks {
+                Some(blocks) => Some(&blocks[t]),
+                None => tree.parent(v).and_then(|p| c.p1_received.get(&(t, p))),
             };
             for child in tree.children(v) {
                 let claimed = c.p1_sent.get(&(t, child));
-                match (&prescribed, claimed) {
+                match (prescribed, claimed) {
                     (Some(p), Some(s)) if p == s => {}
                     (None, None) => {}
                     // A relay that claims to have received nothing must
@@ -160,10 +162,11 @@ pub fn dc3_exposed(
         }
         // Phase 2 discipline: coded symbols must encode the value implied
         // by the node's own claims, and the announced flag must equal the
-        // outcome of checking the claimed received symbols.
-        let implied = c.implied_value(trees.len());
+        // outcome of checking the claimed received symbols. The implied
+        // value is packed once for all its incident edges.
+        pack_slab(&c.implied_value(trees.len()), scheme.rho(), &mut xt);
         for (_, e) in gk.out_edges(v) {
-            let prescribed = scheme.encode(v, e.dst, &implied);
+            let prescribed = scheme.encode_packed(v, e.dst, &xt);
             match c.eq_sent.get(&e.dst) {
                 Some(s) if *s == prescribed => {}
                 _ => {
@@ -173,8 +176,8 @@ pub fn dc3_exposed(
         }
         let mut should_flag = false;
         for (_, e) in gk.in_edges(v) {
-            let got = c.eq_received.get(&e.src).cloned().unwrap_or_default();
-            if !scheme.check(e.src, v, &implied, &got) {
+            let got = c.eq_received.get(&e.src).map_or(&[][..], Vec::as_slice);
+            if scheme.encode_packed(e.src, v, &xt) != got {
                 should_flag = true;
             }
         }

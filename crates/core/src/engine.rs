@@ -427,12 +427,13 @@ impl NabEngine {
         if self.disputes.removed.contains(&SOURCE) {
             trace::emit(EventKind::InstanceDefaulted);
             let removed = &self.disputes.removed;
+            let zeros = Value::zeros(self.cfg.symbols);
             let outputs = self
                 .plan
                 .graph()
                 .nodes()
                 .filter(|v| !removed.contains(v))
-                .map(|v| (v, Value::zeros(self.cfg.symbols)))
+                .map(|v| (v, zeros.clone()))
                 .collect();
             return Ok(InstanceReport {
                 outputs,
@@ -596,7 +597,7 @@ impl NabEngine {
 
         // Instance output: the source's broadcast input claim (agreement is
         // inherited from the claim broadcast; validity because a fault-free
-        // source claims its true input).
+        // source claims its true input), one value every node shares.
         let decided = agreed_claims
             .get(&SOURCE)
             .and_then(|c| c.input.clone())
@@ -687,8 +688,19 @@ fn message_level(
 /// The paper's per-instance correctness conditions: *agreement* among
 /// fault-free nodes always, and *validity* (every fault-free output equals
 /// the input) whenever the source is fault-free — a defaulted instance
-/// included, since only a faulty source may ever be excluded.
+/// included, since only a faulty source may ever be excluded. Dispute
+/// control must be *sound* too: every node it newly excludes is faulty,
+/// and every new dispute pair has a faulty member.
 pub fn instance_correct(rep: &InstanceReport, faulty: &BTreeSet<NodeId>, input: &Value) -> bool {
+    let is_faulty = |v: &NodeId| faulty.contains(v);
+    if !rep.newly_removed.iter().all(is_faulty)
+        || !rep
+            .new_pairs
+            .iter()
+            .all(|(a, b)| is_faulty(a) || is_faulty(b))
+    {
+        return false;
+    }
     let honest: Vec<&Value> = rep
         .outputs
         .iter()
@@ -736,6 +748,7 @@ mod tests {
         assert!(!rep.dispute_ran);
         for v in rep.outputs.values() {
             assert_eq!(*v, x);
+            assert_eq!(v.symbols().as_ptr(), x.symbols().as_ptr(), "shares x");
         }
         assert!(rep.times.phase1 > 0.0);
         assert!(rep.times.equality > 0.0);
@@ -856,6 +869,27 @@ mod tests {
         }
         // The truthful corruptor exposes itself via DC3.
         assert_eq!(rep.newly_removed, vec![2]);
+        assert_eq!(storages(&rep).len(), 1, "one decided value, shared");
+        assert!(instance_correct(&rep, &faulty, &x));
+    }
+
+    /// The distinct allocations behind a report's outputs.
+    fn storages(rep: &InstanceReport) -> BTreeSet<*const nab_gf::Gf2_16> {
+        rep.outputs.values().map(|o| o.symbols().as_ptr()).collect()
+    }
+
+    #[test]
+    fn a_defaulted_instance_shares_one_zero_value() {
+        let mut e = engine(8);
+        e.disputes.removed.insert(SOURCE);
+        let faulty = BTreeSet::from([SOURCE]);
+        let rep = e
+            .run_instance(&input(8), &faulty, &mut HonestStrategy)
+            .unwrap();
+        assert!(rep.defaulted);
+        assert_eq!(rep.outputs.len(), 3);
+        assert!(rep.outputs.values().all(|o| *o == Value::zeros(8)));
+        assert_eq!(storages(&rep).len(), 1);
     }
 
     #[test]
@@ -1232,6 +1266,36 @@ mod tests {
         };
         assert!(!instance_correct(&rep, &BTreeSet::new(), &x));
         assert!(instance_correct(&rep, &BTreeSet::from([SOURCE]), &x));
+    }
+
+    /// Agreement and validity hold in each report below; only the blame
+    /// differs.
+    fn blamed(newly_removed: Vec<NodeId>, new_pairs: Vec<Pair>) -> InstanceReport {
+        InstanceReport {
+            outputs: (0..4).map(|v| (v, input(4))).collect(),
+            dispute_ran: true,
+            newly_removed,
+            new_pairs,
+            ..InstanceReport::default()
+        }
+    }
+
+    #[test]
+    fn an_instance_blaming_a_fault_free_node_is_incorrect() {
+        let (x, faulty) = (input(4), BTreeSet::from([2]));
+        assert!(instance_correct(&blamed(vec![2], vec![]), &faulty, &x));
+        assert!(
+            !instance_correct(&blamed(vec![3], vec![]), &faulty, &x),
+            "a fault-free node exposed"
+        );
+        assert!(
+            !instance_correct(&blamed(vec![], vec![(1, 3)]), &faulty, &x),
+            "a pair of fault-free nodes"
+        );
+        assert!(
+            instance_correct(&blamed(vec![], vec![(1, 2), (2, 3)]), &faulty, &x),
+            "a pair with one faulty member"
+        );
     }
 
     #[test]

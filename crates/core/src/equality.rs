@@ -157,7 +157,13 @@ impl CodingScheme {
     pub fn encode(&self, src: NodeId, dst: NodeId, value: &Value) -> Vec<Gf2_16> {
         let mut xt = WordMatrix::default();
         pack_slab(value, self.rho, &mut xt);
-        let yt = self.encode_slab(src, dst, &xt);
+        self.encode_packed(src, dst, &xt)
+    }
+
+    /// [`CodingScheme::encode`] of a value already packed by `pack_slab`,
+    /// for a caller encoding one value on several edges.
+    pub(crate) fn encode_packed(&self, src: NodeId, dst: NodeId, xt: &WordMatrix) -> Vec<Gf2_16> {
+        let yt = self.encode_slab(src, dst, xt);
         wire_order(&yt, 0..yt.rows(), yt.cols())
     }
 
@@ -205,13 +211,9 @@ impl CodingScheme {
         self.encoded_len(src, dst, s) as u64 * SYMBOL_BITS
     }
 
-    /// The receiver check of step 2: does `received` equal `X_j C_e` for
-    /// the receiver's own value?
-    pub fn check(&self, src: NodeId, dst: NodeId, own: &Value, received: &[Gf2_16]) -> bool {
-        self.encode(src, dst, own) == received
-    }
-
-    /// Test oracle: [`CodingScheme::check`] on pre-reshaped columns.
+    /// Test oracle for the receiver check of step 2, on pre-reshaped
+    /// columns: does `received` equal `X_j C_e` for the receiver's own
+    /// value?
     pub fn check_cols(
         &self,
         src: NodeId,
@@ -396,9 +398,10 @@ mod tests {
         let scheme = CodingScheme::random(&g, 2, 5);
         let v = Value::from_u64s(&[9, 8, 7, 6]);
         let y = scheme.encode(0, 1, &v);
-        assert!(scheme.check(0, 1, &v, &y));
+        assert!(scheme.check_cols(0, 1, &v.reshape(2), &y));
         let w = v.corrupt_symbol(0, 2);
-        assert!(!scheme.check(0, 1, &w, &y));
+        assert_ne!(scheme.encode(0, 1, &w), y);
+        assert!(!scheme.check_cols(0, 1, &w.reshape(2), &y));
     }
 
     #[test]

@@ -19,7 +19,11 @@ use crate::value::{Value, SYMBOL_BITS};
 /// A Phase-1 block as carried by the network. Honest relays forward the
 /// block they received unchanged, so the ground truth shares one
 /// allocation per tree among the source, every relay, and the send
-/// records — only faulty nodes materialize new blocks.
+/// records — only faulty nodes materialize new blocks. The same holds for
+/// the assembled values: a node holding the source's own block on every
+/// tree holds the input, and shares the input's [`Value`] storage; only a
+/// node below a faulty relay (or the faulty source) gets a value of its
+/// own.
 pub type Block = Arc<Vec<Gf2_16>>;
 
 /// Ground truth of one Phase-1 execution.
@@ -109,10 +113,16 @@ pub fn run_phase1(
         duration = duration.max(bits as f64 / cap as f64);
     }
 
-    // Final values.
+    // Final values. The blocks the source split join back into the input,
+    // so a node that holds them all — the very allocations, not a copy —
+    // shares the input's storage; any other node joins what it holds.
     let mut values = BTreeMap::new();
     for v in gk.nodes() {
-        if v == source {
+        let intact = !trees.is_empty()
+            && held.iter().zip(&honest_blocks).all(|(per_tree, honest)| {
+                per_tree[v].as_ref().is_some_and(|b| Arc::ptr_eq(b, honest))
+            });
+        if v == source || intact {
             values.insert(v, input.clone());
         } else {
             let mut symbols = Vec::with_capacity(input.len());
@@ -152,6 +162,8 @@ mod tests {
         let out = run_phase1(&g, 0, &input, &trees, &BTreeSet::new(), &mut HonestStrategy);
         for v in g.nodes() {
             assert_eq!(out.values[&v], input, "node {v} got wrong value");
+            let storage = out.values[&v].symbols().as_ptr();
+            assert_eq!(storage, input.symbols().as_ptr(), "node {v} copied");
         }
     }
 
@@ -180,6 +192,24 @@ mod tests {
         assert!(poisoned > 0, "corruption must reach someone");
         // The source always holds its own input.
         assert_eq!(out.values[&0], input);
+        // Node 1's subtrees, node 1 excluded: it received honest blocks.
+        let mut below = BTreeSet::new();
+        for tree in &trees {
+            let mut reached = BTreeSet::from([1]);
+            for (u, child) in tree.bfs_edges() {
+                if reached.contains(&u) {
+                    reached.insert(child);
+                    below.insert(child);
+                }
+            }
+        }
+        for v in g.nodes() {
+            let shares = out.values[&v].symbols().as_ptr() == input.symbols().as_ptr();
+            assert_eq!(shares, !below.contains(&v), "node {v}");
+            if out.values[&v] != input {
+                assert!(!shares, "node {v} differs, so it cannot share");
+            }
+        }
     }
 
     #[test]

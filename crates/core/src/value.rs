@@ -10,6 +10,7 @@
 //! over (see docs/perf.md, "One field, one kernel").
 
 use std::fmt;
+use std::sync::Arc;
 
 use nab_gf::field::Field;
 use nab_gf::Gf2_16;
@@ -19,16 +20,25 @@ use rand::Rng;
 pub const SYMBOL_BITS: u64 = 16;
 
 /// An `L`-bit broadcast value as a vector of 16-bit field symbols.
+///
+/// The symbols sit behind an [`Arc`], so a clone shares them: every holder
+/// of the same bits can hold one allocation. Phase 1 hands each node below
+/// only fault-free relays the input itself, so in an undisputed instance
+/// every output shares the source's storage. Nothing mutates shared
+/// symbols ([`Value::corrupt_symbol`] copies first).
 #[derive(Clone, Eq, Default)]
 pub struct Value {
-    symbols: Vec<Gf2_16>,
+    symbols: Arc<Vec<Gf2_16>>,
 }
 
-/// Symbol-wise equality, decided bytewise: the equality check's class
-/// detection compares whole payloads per node per instance.
+/// Symbol-wise equality. Two values sharing storage are equal without a
+/// look at the symbols (one allocation holds one content); otherwise the
+/// payloads are compared bytewise, as the equality check's class detection
+/// and `instance_correct` do per node per instance.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        nab_gf::simd::gf2_16_slices_eq(&self.symbols, &other.symbols)
+        Arc::ptr_eq(&self.symbols, &other.symbols)
+            || nab_gf::simd::gf2_16_slices_eq(&self.symbols, &other.symbols)
     }
 }
 
@@ -41,28 +51,24 @@ impl std::hash::Hash for Value {
 impl Value {
     /// A value of `s` zero symbols.
     pub fn zeros(s: usize) -> Self {
-        Value {
-            symbols: vec![Gf2_16::ZERO; s],
-        }
+        Value::from_symbols(vec![Gf2_16::ZERO; s])
     }
 
     /// Builds a value from raw integers (each truncated to 16 bits).
     pub fn from_u64s(raw: &[u64]) -> Self {
-        Value {
-            symbols: raw.iter().map(|&x| Gf2_16::from_u64(x)).collect(),
-        }
+        Value::from_symbols(raw.iter().map(|&x| Gf2_16::from_u64(x)).collect())
     }
 
-    /// Builds a value from field symbols.
+    /// Builds a value from field symbols (taking the vector, not copying it).
     pub fn from_symbols(symbols: Vec<Gf2_16>) -> Self {
-        Value { symbols }
+        Value {
+            symbols: Arc::new(symbols),
+        }
     }
 
     /// A uniformly random value of `s` symbols.
     pub fn random<R: Rng + ?Sized>(s: usize, rng: &mut R) -> Self {
-        Value {
-            symbols: (0..s).map(|_| Gf2_16::random(rng)).collect(),
-        }
+        Value::from_symbols((0..s).map(|_| Gf2_16::random(rng)).collect())
     }
 
     /// Number of symbols `S`.
@@ -109,9 +115,7 @@ impl Value {
     /// Reassembles a value from contiguous blocks (inverse of
     /// [`Value::split_blocks`]).
     pub fn join_blocks(blocks: &[Vec<Gf2_16>]) -> Self {
-        Value {
-            symbols: blocks.iter().flatten().copied().collect(),
-        }
+        Value::from_symbols(blocks.iter().flatten().copied().collect())
     }
 
     /// Re-shapes the value into a `ρ × cols` matrix for the equality check:
@@ -132,15 +136,16 @@ impl Value {
         out
     }
 
-    /// Flips one symbol (test helper for corruption scenarios).
+    /// Flips one symbol (test helper for corruption scenarios), in a copy:
+    /// the result never shares `self`'s storage.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn corrupt_symbol(&self, idx: usize, delta: u64) -> Self {
-        let mut v = self.clone();
-        v.symbols[idx] = v.symbols[idx].add(Gf2_16::from_u64(delta | 1));
-        v
+        let mut symbols = self.symbols.to_vec();
+        symbols[idx] = symbols[idx].add(Gf2_16::from_u64(delta | 1));
+        Value::from_symbols(symbols)
     }
 }
 
@@ -164,8 +169,14 @@ mod tests {
     #[test]
     fn equality_is_symbol_wise() {
         let a = Value::from_u64s(&[7, 0, 65535, 9]);
-        assert_eq!(a, a.clone());
+        let shared = a.clone();
+        assert_eq!(shared.symbols().as_ptr(), a.symbols().as_ptr());
+        assert_eq!(a, shared, "a shared clone");
+        let copy = Value::from_symbols(a.symbols().to_vec());
+        assert_ne!(copy.symbols().as_ptr(), a.symbols().as_ptr());
+        assert_eq!(a, copy, "equal contents in distinct storage");
         assert_ne!(a, Value::from_u64s(&[7, 0, 65535, 8]), "last symbol");
+        assert_ne!(a, a.corrupt_symbol(1, 4), "one symbol, copied");
         assert_ne!(a, Value::from_u64s(&[7, 0, 65535]), "a prefix");
         assert_ne!(Value::zeros(3), Value::zeros(4));
         assert_eq!(Value::zeros(0), Value::default());

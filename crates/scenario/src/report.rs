@@ -165,7 +165,8 @@ pub struct JobMetrics {
     /// Per-instance time beyond Phase 1 (the overhead the `f(f+1)` bound
     /// amortizes away).
     pub amortized_overhead: f64,
-    /// Agreement + validity held in every instance.
+    /// Agreement, validity and dispute soundness (blame only on faulty
+    /// nodes) held in every instance ([`nab::engine::instance_correct`]).
     pub all_correct: bool,
     /// `γ_k` of the first instance.
     pub gamma1: u64,
@@ -262,7 +263,7 @@ pub struct Aggregate {
     pub max_dispute_rounds: usize,
     /// Whether any job exceeded its `f(f+1)` dispute budget.
     pub dispute_budget_violated: bool,
-    /// Agreement + validity held in every instance of every job.
+    /// Every job's [`JobMetrics::all_correct`] held.
     pub all_correct: bool,
     /// Total exposure events.
     pub exposed_nodes: usize,
