@@ -14,8 +14,9 @@ use std::collections::BTreeSet;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_sim::{NetSim, SentMsg};
 
-use crate::eig::{run_eig, EigAdversary, EigChannel, HonestAdversary};
+use crate::eig::{EigAdversary, EigChannel, HonestAdversary};
 use crate::router::{FormulaClock, HopChannel, HopRound, PathRouter, RoundSink, Routed};
+use crate::workspace::Workspace;
 
 /// An [`EigChannel`] that transports every logical unicast over `2f+1`
 /// vertex-disjoint paths of the real network and charges the hop rounds to
@@ -172,7 +173,8 @@ pub fn oblivious_broadcast_with_router(
 ) -> BaselineReport {
     let mut sink = BitCounter::default();
     let participants: Vec<NodeId> = g.nodes().collect();
-    let res = run_eig(
+    let mut ws = Workspace::default();
+    ws.eig(
         &participants,
         source,
         f,
@@ -187,8 +189,9 @@ pub fn oblivious_broadcast_with_router(
     );
     let correct = participants
         .iter()
-        .filter(|p| !faulty.contains(p))
-        .all(|p| res.decisions[p] == value || faulty.contains(&source));
+        .zip(ws.decisions())
+        .filter(|(p, _)| !faulty.contains(p))
+        .all(|(_, &d)| d == value || faulty.contains(&source));
     BaselineReport {
         time: sink.elapsed(),
         bits_carried: sink.bits,
@@ -336,7 +339,7 @@ mod tests {
                 router: &router,
                 faulty: &none,
             };
-            run_eig(
+            Workspace::default().eig(
                 &participants,
                 0,
                 f,

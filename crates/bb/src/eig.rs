@@ -9,11 +9,13 @@
 //! NAB invokes this as `Broadcast_Default` for the 1-bit equality-check
 //! flags (step 2.2) and for the dispute-control transcript claims (Phase 3);
 //! its cost is the `O(n^α)` per-bit overhead that the throughput analysis
-//! amortizes away.
+//! amortizes away. It runs in a reusable [`Workspace`]
+//! ([`Workspace::eig`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::router::majority;
+use crate::workspace::Workspace;
 
 /// Re-export: node identifier.
 pub use nab_netgraph::NodeId;
@@ -37,16 +39,6 @@ impl<V: Clone> EigAdversary<V> for HonestAdversary {
     }
 }
 
-/// Outcome of one EIG broadcast.
-#[derive(Debug, Clone)]
-pub struct EigResult<V> {
-    /// Decision of every participant (faulty ones included, for
-    /// inspection; only fault-free decisions are meaningful).
-    pub decisions: BTreeMap<NodeId, V>,
-    /// Number of logical point-to-point messages exchanged.
-    pub messages: u64,
-}
-
 /// The transport EIG runs over: a reliable logical unicast (on a real
 /// complete graph this is a link; on an incomplete one, a
 /// [`crate::router::PathRouter`] majority-unicast).
@@ -66,198 +58,155 @@ impl<V> EigChannel<V> for IdealChannel {
     fn unicast(&mut self, _: NodeId, _: NodeId, _: u64, _: &V) {}
 }
 
-/// A channel that logs every logical message it carries.
-#[cfg(test)]
-#[derive(Default)]
-pub(crate) struct Tap<V>(pub(crate) Vec<(NodeId, NodeId, u64, V)>);
-
-#[cfg(test)]
-impl<V: Clone> EigChannel<V> for Tap<V> {
-    fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V) {
-        self.0.push((from, to, bits, value.clone()));
-    }
-}
-
-/// Every faulty set of at most `f ≤ 2` of the nodes `0..n`.
-#[cfg(test)]
-pub(crate) fn faulty_sets(n: usize, f: usize) -> Vec<BTreeSet<NodeId>> {
-    let mut out = vec![BTreeSet::new()];
-    for a in 0..n {
-        out.push(BTreeSet::from([a]));
-        if f >= 2 {
-            out.extend((a + 1..n).map(|b| BTreeSet::from([a, b])));
-        }
-    }
-    out
-}
-
-/// The distinct values of one broadcast. Protocol state holds `u32` ids
-/// into this table, so a relayed claim is stored and compared as an integer
-/// whatever its size; a value is cloned only when a hook hands back one the
-/// table has not seen.
-pub(crate) struct ValueTable<V>(Vec<V>);
-
-impl<V: Clone + Eq> ValueTable<V> {
-    /// A table holding `first` as id 0.
-    pub(crate) fn new(first: V) -> Self {
-        ValueTable(vec![first])
-    }
-
-    /// Number of distinct values seen so far (ids are `0..len`).
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The value behind `id`.
-    pub(crate) fn get(&self, id: u32) -> &V {
-        &self.0[id as usize]
-    }
-
-    /// The id of `v`, entering it if new. `likely` is the id it most
-    /// probably equals (what an honest sender would have sent).
-    pub(crate) fn intern(&mut self, v: V, likely: u32) -> u32 {
-        if *self.get(likely) == v {
-            return likely;
-        }
-        let known = self.0.iter().position(|x| *x == v);
-        known.unwrap_or_else(|| {
-            self.0.push(v);
-            self.0.len() - 1
-        }) as u32
-    }
-}
-
-/// Id of `V::default()` in [`run_eig`]'s value table.
+/// Id of `V::default()` in an EIG run's value table.
 const DEFAULT: u32 = 0;
 
-/// Runs one EIG Byzantine broadcast.
-///
-/// - `participants`: the nodes taking part (must include `source`);
-/// - `f`: upper bound on the number of faulty *participants*;
-/// - `input`: the source's input value;
-/// - `faulty` / `adversary`: which nodes misbehave and how;
-/// - `chan`: the transport;
-/// - `bits`: the width charged per logical message.
-///
-/// Guarantees (for `|participants| > 3f`): all fault-free participants
-/// decide the same value, equal to `input` when the source is fault-free.
-///
-/// The claim tree is one arena shared by all nodes. Level `k` holds the
-/// claim paths of length `k + 1`, flat, built from level `k − 1` in arena
-/// order by appending every participant not yet on the path, in participant
-/// order — which is also the order the relays transmit in, so message
-/// order is part of the specification, not an artefact of a container. The
-/// `n − k − 1` children of path `i` are therefore paths
-/// `i·(n−k−1) .. (i+1)·(n−k−1)` of the next level, and each node's view of
-/// a level is a column of value ids, one per path.
-///
-/// # Panics
-///
-/// Panics if `source` is not a participant or `|participants| ≤ 3f`.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "mirrors the paper's parameter list"
-)]
-pub fn run_eig<V, C>(
-    participants: &[NodeId],
-    source: NodeId,
-    f: usize,
-    input: V,
-    faulty: &BTreeSet<NodeId>,
-    adversary: &mut dyn EigAdversary<V>,
-    chan: &mut C,
-    bits: u64,
-) -> EigResult<V>
-where
-    V: Clone + Eq + Default,
-    C: EigChannel<V>,
-{
-    assert!(participants.contains(&source), "source must participate");
-    let n = participants.len();
-    assert!(n > 3 * f, "EIG requires n > 3f (n={n}, f={f})");
+impl<V: Clone + Eq + Default> Workspace<V> {
+    /// Runs one EIG Byzantine broadcast in this workspace and returns the
+    /// number of logical point-to-point messages sent; the decisions stay
+    /// in the workspace ([`Workspace::decisions`]).
+    ///
+    /// - `participants`: the nodes taking part (must include `source`);
+    /// - `f`: upper bound on the number of faulty *participants*;
+    /// - `input`: the source's input value;
+    /// - `faulty` / `adversary`: which nodes misbehave and how;
+    /// - `chan`: the transport;
+    /// - `bits`: the width charged per logical message.
+    ///
+    /// Guarantees (for `|participants| > 3f`): all fault-free participants
+    /// decide the same value, equal to `input` when the source is
+    /// fault-free.
+    ///
+    /// The claim tree is built one level at a time, shared by all nodes.
+    /// Level `k` holds the claim paths of length `k + 1`, flat, built from
+    /// level `k − 1` in order by appending every participant not yet on the
+    /// path, in participant order — which is also the order the relays
+    /// transmit in, so message order is part of the specification, not an
+    /// artefact of a container. The `n − k − 1` children of path `i` are
+    /// therefore paths `i·(n−k−1) .. (i+1)·(n−k−1)` of the next level, and
+    /// each node's view of a level is its row of value ids, one per path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is not a participant or `|participants| ≤ 3f`.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the paper's parameter list"
+    )]
+    pub fn eig<C: EigChannel<V>>(
+        &mut self,
+        participants: &[NodeId],
+        source: NodeId,
+        f: usize,
+        input: V,
+        faulty: &BTreeSet<NodeId>,
+        adversary: &mut dyn EigAdversary<V>,
+        chan: &mut C,
+        bits: u64,
+    ) -> u64 {
+        assert!(participants.contains(&source), "source must participate");
+        let n = participants.len();
+        assert!(n > 3 * f, "EIG requires n > 3f (n={n}, f={f})");
+        let Workspace {
+            values,
+            paths,
+            next_paths,
+            ids,
+            next_ids,
+            decided,
+            ..
+        } = self;
 
-    let mut messages = 0u64;
-    let mut values = ValueTable::new(V::default());
-    let input = values.intern(input, DEFAULT);
+        let mut messages = 0u64;
+        values.reset(V::default());
+        let input = values.intern(input, DEFAULT);
 
-    // Round 1: the source announces its input.
-    let mut paths: Vec<NodeId> = vec![source];
-    let mut cols: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let source_lies = faulty.contains(&source);
-    for &r in participants {
-        let sent = if source_lies {
-            let v = adversary.send_value(source, &paths, r, values.get(input));
-            values.intern(v, input)
-        } else {
-            input
-        };
-        if r != source {
-            // (The source's own copy is a self-delivery.)
-            messages += 1;
-            chan.unicast(source, r, bits, values.get(sent));
+        // Round 1: the source announces its input.
+        paths.clear();
+        paths.push(source);
+        ids.clear();
+        let source_lies = faulty.contains(&source);
+        for &r in participants {
+            let sent = if source_lies {
+                let v = adversary.send_value(source, paths, r, values.get(input));
+                values.intern(v, input)
+            } else {
+                input
+            };
+            if r != source {
+                // (The source's own copy is a self-delivery.)
+                messages += 1;
+                chan.unicast(source, r, bits, values.get(sent));
+            }
+            ids.push(sent);
         }
-        cols.push(vec![sent]);
-    }
 
-    // Rounds 2..=f+1: relay every level-(k-1) claim.
-    for len in 1..=f {
-        let children = (paths.len() / len) * (n - len);
-        let mut next_paths: Vec<NodeId> = Vec::with_capacity(children * (len + 1));
-        let mut next_cols: Vec<Vec<u32>> = vec![Vec::with_capacity(children); n];
-        for (i, path) in paths.chunks_exact(len).enumerate() {
-            for (relay_idx, &relay) in participants.iter().enumerate() {
-                if path.contains(&relay) {
-                    continue;
-                }
-                let start = next_paths.len();
-                next_paths.extend_from_slice(path);
-                next_paths.push(relay);
-                let new_path = &next_paths[start..];
-                let honest = cols[relay_idx][i];
-                let lies = faulty.contains(&relay);
-                for (col, &r) in next_cols.iter_mut().zip(participants) {
-                    if r == relay {
-                        col.push(honest);
+        // Rounds 2..=f+1: relay every level-(k-1) claim. `width` is the
+        // level's path count, the length of each node's row.
+        let mut width = 1;
+        for len in 1..=f {
+            let next_width = width * (n - len);
+            next_paths.clear();
+            next_ids.clear();
+            next_ids.resize(n * next_width, DEFAULT);
+            let mut child = 0;
+            for (i, path) in paths.chunks_exact(len).enumerate() {
+                for (relay_idx, &relay) in participants.iter().enumerate() {
+                    if path.contains(&relay) {
                         continue;
                     }
-                    let sent = if lies {
-                        let v = adversary.send_value(relay, new_path, r, values.get(honest));
-                        values.intern(v, honest)
-                    } else {
-                        honest
-                    };
-                    messages += 1;
-                    chan.unicast(relay, r, bits, values.get(sent));
-                    col.push(sent);
+                    let start = next_paths.len();
+                    next_paths.extend_from_slice(path);
+                    next_paths.push(relay);
+                    let new_path = &next_paths[start..];
+                    let honest = ids[relay_idx * width + i];
+                    let lies = faulty.contains(&relay);
+                    for (row, &r) in next_ids.chunks_exact_mut(next_width).zip(participants) {
+                        let sent = if r == relay {
+                            honest
+                        } else {
+                            let sent = if lies {
+                                let v =
+                                    adversary.send_value(relay, new_path, r, values.get(honest));
+                                values.intern(v, honest)
+                            } else {
+                                honest
+                            };
+                            messages += 1;
+                            chan.unicast(relay, r, bits, values.get(sent));
+                            sent
+                        };
+                        row[child] = sent;
+                    }
+                    child += 1;
                 }
             }
+            std::mem::swap(paths, next_paths);
+            std::mem::swap(ids, next_ids);
+            width = next_width;
         }
-        paths = next_paths;
-        cols = next_cols;
-    }
 
-    // Decision: strict-majority resolve, leaves upward. Leaves report the
-    // stored value; an internal path takes the strict majority of its
-    // children. No strict majority → the protocol-wide default value.
-    // (Falling back to the node's own stored value would break agreement:
-    // an equivocating source gives every node a different stored value.)
-    let decisions = participants
-        .iter()
-        .zip(cols)
-        .map(|(&p, mut col)| {
+        // Decision: strict-majority resolve, leaves upward, in place in each
+        // node's row (a parent's slot lies at or before its first child's).
+        // Leaves report the stored value; an internal path takes the strict
+        // majority of its children. No strict majority → the protocol-wide
+        // default value. (Falling back to the node's own stored value would
+        // break agreement: an equivocating source gives every node a
+        // different stored value.)
+        decided.clear();
+        for row in ids.chunks_exact_mut(width) {
+            let mut paths_left = width;
             for len in (1..=f).rev() {
-                col = col
-                    .chunks_exact(n - len)
-                    .map(|children| majority(children).unwrap_or(DEFAULT))
-                    .collect();
+                let fan_out = n - len;
+                paths_left /= fan_out;
+                for parent in 0..paths_left {
+                    let children = &row[parent * fan_out..(parent + 1) * fan_out];
+                    row[parent] = majority(children).unwrap_or(DEFAULT);
+                }
             }
-            (p, values.get(col[0]).clone())
-        })
-        .collect();
-
-    EigResult {
-        decisions,
-        messages,
+            decided.push(row[0]);
+        }
+        messages
     }
 }
 
@@ -266,9 +215,79 @@ where
     clippy::disallowed_types,
     reason = "the pre-arena oracle keeps its per-node hash trees; it lists each level in arena order, so no result depends on hash order"
 )]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// A channel that logs every logical message it carries.
+    #[derive(Default)]
+    pub(crate) struct Tap<V>(pub(crate) Vec<(NodeId, NodeId, u64, V)>);
+
+    impl<V: Clone> EigChannel<V> for Tap<V> {
+        fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V) {
+            self.0.push((from, to, bits, value.clone()));
+        }
+    }
+
+    /// Every faulty set of at most `f ≤ 2` of the nodes `0..n`.
+    pub(crate) fn faulty_sets(n: usize, f: usize) -> Vec<BTreeSet<NodeId>> {
+        let mut out = vec![BTreeSet::new()];
+        for a in 0..n {
+            out.push(BTreeSet::from([a]));
+            if f >= 2 {
+                out.extend((a + 1..n).map(|b| BTreeSet::from([a, b])));
+            }
+        }
+        out
+    }
+
+    /// Outcome of one broadcast: every participant's decision (faulty ones
+    /// included) and the number of logical messages.
+    #[derive(Debug)]
+    pub(crate) struct EigResult<V> {
+        pub(crate) decisions: BTreeMap<NodeId, V>,
+        pub(crate) messages: u64,
+    }
+
+    /// One EIG broadcast on a fresh workspace, decisions keyed by node.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors Workspace::eig's parameter list"
+    )]
+    pub(crate) fn run_eig<V, C>(
+        participants: &[NodeId],
+        source: NodeId,
+        f: usize,
+        input: V,
+        faulty: &BTreeSet<NodeId>,
+        adversary: &mut dyn EigAdversary<V>,
+        chan: &mut C,
+        bits: u64,
+    ) -> EigResult<V>
+    where
+        V: Clone + Eq + Default,
+        C: EigChannel<V>,
+    {
+        let mut ws = Workspace::default();
+        let messages = ws.eig(
+            participants,
+            source,
+            f,
+            input,
+            faulty,
+            adversary,
+            chan,
+            bits,
+        );
+        EigResult {
+            decisions: participants
+                .iter()
+                .copied()
+                .zip(ws.decisions().cloned())
+                .collect(),
+            messages,
+        }
+    }
 
     /// The pre-arena implementation, kept as the oracle: per-node hash
     /// trees keyed by claim path, and the recursive resolve over them. Its
@@ -276,7 +295,7 @@ mod tests {
     /// used to take them from the hash map's iteration order).
     #[expect(
         clippy::too_many_arguments,
-        reason = "mirrors run_eig's parameter list"
+        reason = "mirrors Workspace::eig's parameter list"
     )]
     fn run_eig_oracle<V, C>(
         participants: &[NodeId],

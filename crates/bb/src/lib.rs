@@ -21,7 +21,10 @@
 //!   is compared against in experiment E5 (Section 1's "previously proposed
 //!   algorithms can perform poorly");
 //! - [`phaseking`] — a polynomial-message alternative `Broadcast_Default`
-//!   (`O(f·n²)` messages, needs `n > 4f`).
+//!   (`O(f·n²)` messages, needs `n > 4f`);
+//! - [`workspace`] — the flat, reusable state both protocols run in, so a
+//!   caller that broadcasts repeatedly (every flag of every instance)
+//!   allocates once.
 
 #![deny(
     clippy::unwrap_used,
@@ -36,7 +39,9 @@ pub mod baselines;
 pub mod eig;
 pub mod phaseking;
 pub mod router;
+pub mod workspace;
 
-pub use eig::{run_eig, EigAdversary, EigResult, HonestAdversary};
-pub use phaseking::{run_phase_king, PkAdversary, PkResult};
+pub use eig::{EigAdversary, HonestAdversary};
+pub use phaseking::PkAdversary;
 pub use router::PathRouter;
+pub use workspace::Workspace;

@@ -10,12 +10,15 @@
 //! Structure: the source disperses its value, then `f + 1` consensus
 //! phases run, each with a designated *king*. Some phase has a fault-free
 //! king, after which all fault-free nodes agree and agreement persists.
+//! It runs in the same reusable [`Workspace`] as EIG
+//! ([`Workspace::phase_king`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use nab_netgraph::NodeId;
 
-use crate::eig::{EigChannel, ValueTable};
+use crate::eig::EigChannel;
+use crate::workspace::{ValueTable, Workspace};
 
 /// Adversary hook for Phase-King: what a faulty `sender` transmits to
 /// `receiver` in the given `(phase, round)` (source dispersal is phase 0).
@@ -42,157 +45,204 @@ impl<V: Clone> PkAdversary<V> for PkHonest {
     }
 }
 
-/// Outcome of one Phase-King broadcast.
-#[derive(Debug, Clone)]
-pub struct PkResult<V> {
-    /// Every participant's decision.
-    pub decisions: BTreeMap<NodeId, V>,
-    /// Logical point-to-point messages sent.
-    pub messages: u64,
-}
+impl<V: Clone + Ord> Workspace<V> {
+    /// Runs one Phase-King broadcast in this workspace and returns the
+    /// number of logical point-to-point messages sent; the decisions stay
+    /// in the workspace ([`Workspace::decisions`]). The parameters are
+    /// [`Workspace::eig`]'s.
+    ///
+    /// Guarantees for `|participants| > 4f`: agreement among fault-free
+    /// nodes always; validity when the source is fault-free.
+    ///
+    /// Node state is a value id per participant; values themselves are
+    /// compared only to break plurality ties.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is not a participant or `|participants| ≤ 4f`.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the paper's parameter list"
+    )]
+    pub fn phase_king<C: EigChannel<V>>(
+        &mut self,
+        participants: &[NodeId],
+        source: NodeId,
+        f: usize,
+        input: V,
+        faulty: &BTreeSet<NodeId>,
+        adversary: &mut dyn PkAdversary<V>,
+        chan: &mut C,
+        bits: u64,
+    ) -> u64 {
+        assert!(participants.contains(&source), "source must participate");
+        let n = participants.len();
+        assert!(n > 4 * f, "phase-king needs n > 4f (n={n}, f={f})");
+        let Workspace {
+            values,
+            ids: heard,
+            support,
+            proposal,
+            decided: value,
+            ..
+        } = self;
 
-/// Runs Phase-King broadcast.
-///
-/// Guarantees for `|participants| > 4f`: agreement among fault-free nodes
-/// always; validity when the source is fault-free.
-///
-/// Node state is a value id per participant (see `ValueTable`); values
-/// themselves are compared only to break plurality ties.
-///
-/// # Panics
-///
-/// Panics if `source` is not a participant or `|participants| ≤ 4f`.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "mirrors the paper's parameter list"
-)]
-pub fn run_phase_king<V, C>(
-    participants: &[NodeId],
-    source: NodeId,
-    f: usize,
-    input: V,
-    faulty: &BTreeSet<NodeId>,
-    adversary: &mut dyn PkAdversary<V>,
-    chan: &mut C,
-    bits: u64,
-) -> PkResult<V>
-where
-    V: Clone + Eq + Ord + Default,
-    C: EigChannel<V>,
-{
-    assert!(participants.contains(&source), "source must participate");
-    let n = participants.len();
-    assert!(n > 4 * f, "phase-king needs n > 4f (n={n}, f={f})");
-
-    let mut messages = 0u64;
-    let mut values = ValueTable::new(input);
-    const INPUT: u32 = 0;
-    // What faulty `s` sends `r` in place of `honest`.
-    let mut lie = |values: &mut ValueTable<V>, s, phase, round, r, honest: u32| {
-        let v = adversary.value(s, phase, round, r, values.get(honest));
-        values.intern(v, honest)
-    };
-
-    // Phase 0: the source disperses its input.
-    let mut value: Vec<u32> = Vec::with_capacity(n);
-    for &r in participants {
-        let sent = if faulty.contains(&source) {
-            lie(&mut values, source, 0, 0, r, INPUT)
-        } else {
-            INPUT
+        let mut messages = 0u64;
+        values.reset(input);
+        const INPUT: u32 = 0;
+        // What faulty `s` sends `r` in place of `honest`.
+        let mut lie = |values: &mut ValueTable<V>, s, phase, round, r, honest: u32| {
+            let v = adversary.value(s, phase, round, r, values.get(honest));
+            values.intern(v, honest)
         };
-        if r != source {
-            messages += 1;
-            chan.unicast(source, r, bits, values.get(sent));
-        }
-        value.push(sent);
-    }
 
-    // f + 1 king phases. Kings are the first f+1 participants — at least
-    // one of them is fault-free.
-    for phase in 1..=f + 1 {
-        let king_idx = (phase - 1) % n;
-        let king = participants[king_idx];
-
-        // Round 1: everyone announces its current value.
-        let mut heard: Vec<Vec<u32>> = vec![Vec::with_capacity(n); n];
-        for (&s, &honest) in participants.iter().zip(&value) {
-            let lies = faulty.contains(&s);
-            for (votes, &r) in heard.iter_mut().zip(participants) {
-                let sent = if lies {
-                    lie(&mut values, s, phase, 1, r, honest)
-                } else {
-                    honest
-                };
-                if r != s {
-                    messages += 1;
-                    chan.unicast(s, r, bits, values.get(sent));
-                }
-                votes.push(sent);
+        // Phase 0: the source disperses its input.
+        value.clear();
+        for &r in participants {
+            let sent = if faulty.contains(&source) {
+                lie(values, source, 0, 0, r, INPUT)
+            } else {
+                INPUT
+            };
+            if r != source {
+                messages += 1;
+                chan.unicast(source, r, bits, values.get(sent));
             }
+            value.push(sent);
         }
 
-        // Each node computes its plurality proposal (ties go to the
-        // smallest value) and that proposal's support.
-        #[expect(
-            clippy::expect_used,
-            reason = "the table holds the input from the start"
-        )]
-        let proposal: Vec<(u32, usize)> = heard
-            .iter()
-            .map(|votes| {
-                let mut support = vec![0usize; values.len()];
+        // f + 1 king phases. Kings are the first f+1 participants — at
+        // least one of them is fault-free.
+        for phase in 1..=f + 1 {
+            let king_idx = (phase - 1) % n;
+            let king = participants[king_idx];
+
+            // Round 1: everyone announces its current value. Receiver
+            // `r`'s votes are row `r` of `heard`, in sender order.
+            heard.clear();
+            heard.resize(n * n, INPUT);
+            for (s_idx, (&s, &honest)) in participants.iter().zip(value.iter()).enumerate() {
+                let lies = faulty.contains(&s);
+                for (votes, &r) in heard.chunks_exact_mut(n).zip(participants) {
+                    let sent = if lies {
+                        lie(values, s, phase, 1, r, honest)
+                    } else {
+                        honest
+                    };
+                    if r != s {
+                        messages += 1;
+                        chan.unicast(s, r, bits, values.get(sent));
+                    }
+                    votes[s_idx] = sent;
+                }
+            }
+
+            // Each node computes its plurality proposal (ties go to the
+            // smallest value) and that proposal's support.
+            proposal.clear();
+            for votes in heard.chunks_exact(n) {
+                support.clear();
+                support.resize(values.len(), 0);
                 for &id in votes {
                     support[id as usize] += 1;
                 }
-                (0u32..)
-                    .zip(support)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the table holds the input from the start"
+                )]
+                let best = (0u32..)
+                    .zip(support.iter().copied())
                     .max_by(|&(a, ca), &(b, cb)| {
                         ca.cmp(&cb).then_with(|| values.get(b).cmp(values.get(a)))
                     })
-                    .expect("non-empty table")
-            })
-            .collect();
+                    .expect("non-empty table");
+                proposal.push(best);
+            }
 
-        // Round 2: the king broadcasts its proposal; weakly supported
-        // nodes adopt it.
-        let king_honest = proposal[king_idx].0;
-        for ((slot, &r), &(own, support)) in value.iter_mut().zip(participants).zip(&proposal) {
-            let from_king = if r == king {
-                king_honest
-            } else {
-                let sent = if faulty.contains(&king) {
-                    lie(&mut values, king, phase, 2, r, king_honest)
-                } else {
+            // Round 2: the king broadcasts its proposal; weakly supported
+            // nodes adopt it.
+            let king_honest = proposal[king_idx].0;
+            for ((slot, &r), &(own, support)) in
+                value.iter_mut().zip(participants).zip(proposal.iter())
+            {
+                let from_king = if r == king {
                     king_honest
+                } else {
+                    let sent = if faulty.contains(&king) {
+                        lie(values, king, phase, 2, r, king_honest)
+                    } else {
+                        king_honest
+                    };
+                    messages += 1;
+                    chan.unicast(king, r, bits, values.get(sent));
+                    sent
                 };
-                messages += 1;
-                chan.unicast(king, r, bits, values.get(sent));
-                sent
-            };
-            // Strong support (≥ n − f announcers) survives any king;
-            // otherwise defer to the king.
-            *slot = if support >= n - f { own } else { from_king };
+                // Strong support (≥ n − f announcers) survives any king;
+                // otherwise defer to the king.
+                *slot = if support >= n - f { own } else { from_king };
+            }
         }
-    }
-
-    PkResult {
-        decisions: participants
-            .iter()
-            .zip(value)
-            .map(|(&p, id)| (p, values.get(id).clone()))
-            .collect(),
-        messages,
+        messages
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::eig::IdealChannel;
+    use std::collections::BTreeMap;
+
+    /// Outcome of one broadcast: every participant's decision and the
+    /// number of logical messages.
+    #[derive(Debug)]
+    pub(crate) struct PkResult<V> {
+        pub(crate) decisions: BTreeMap<NodeId, V>,
+        pub(crate) messages: u64,
+    }
+
+    /// One Phase-King broadcast on a fresh workspace, decisions keyed by
+    /// node.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors Workspace::phase_king's parameter list"
+    )]
+    pub(crate) fn run_phase_king<V, C>(
+        participants: &[NodeId],
+        source: NodeId,
+        f: usize,
+        input: V,
+        faulty: &BTreeSet<NodeId>,
+        adversary: &mut dyn PkAdversary<V>,
+        chan: &mut C,
+        bits: u64,
+    ) -> PkResult<V>
+    where
+        V: Clone + Ord + Default,
+        C: EigChannel<V>,
+    {
+        let mut ws = Workspace::default();
+        let messages = ws.phase_king(
+            participants,
+            source,
+            f,
+            input,
+            faulty,
+            adversary,
+            chan,
+            bits,
+        );
+        PkResult {
+            decisions: participants
+                .iter()
+                .copied()
+                .zip(ws.decisions().cloned())
+                .collect(),
+            messages,
+        }
+    }
 
     /// The pre-id implementation (owned values in per-node maps), kept as the
-    /// oracle for [`run_phase_king`].
+    /// oracle for [`Workspace::phase_king`].
     #[expect(
         clippy::too_many_arguments,
         reason = "mirrors the paper's parameter list"
@@ -339,7 +389,7 @@ mod tests {
     /// at most `f` nodes, and each adversary.
     #[test]
     fn ids_match_owned_value_oracle() {
-        use crate::eig::{faulty_sets, Tap};
+        use crate::eig::tests::{faulty_sets, Tap};
         type MakeAdv = fn() -> Box<dyn PkAdversary<u64>>;
         let advs: [MakeAdv; 3] = [
             || Box::new(PkHonest),
@@ -387,7 +437,7 @@ mod tests {
     /// fault-free run's decisions, message count and wire log.
     #[test]
     fn honest_relays_make_the_faulty_set_irrelevant() {
-        use crate::eig::{faulty_sets, Tap};
+        use crate::eig::tests::{faulty_sets, Tap};
         for n in 4..=7 {
             for f in (1..=2).filter(|&f| n > 4 * f) {
                 let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
@@ -516,7 +566,7 @@ mod tests {
     fn polynomial_vs_exponential_messages() {
         // Phase-King messages grow ~n², EIG ~n^{f+1}; at f=2 the gap is
         // visible already for n=9.
-        use crate::eig::{run_eig, HonestAdversary};
+        use crate::eig::{tests::run_eig, HonestAdversary};
         let parts: Vec<NodeId> = (0..9).collect();
         let pk = run_phase_king(
             &parts,

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use nab_bb::router::RoundSink;
+use nab_bb::Workspace;
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
@@ -233,6 +234,9 @@ pub struct NabEngine {
     /// The equality check's slabs and products, rewritten in place from
     /// one instance to the next.
     eq_scratch: EqScratch,
+    /// `Broadcast_Default`'s buffers, reused by every flag broadcast of
+    /// every instance.
+    flags_ws: Workspace<u64>,
 }
 
 impl NabEngine {
@@ -272,6 +276,7 @@ impl NabEngine {
             net: None,
             repair_stats: RepairStats::default(),
             eq_scratch: EqScratch::default(),
+            flags_ws: Workspace::default(),
         })
     }
 
@@ -523,6 +528,7 @@ impl NabEngine {
             faulty,
             adv,
             self.broadcast,
+            &mut self.flags_ws,
             &mut PhaseClock::new(timing.as_mut(), BroadcastPhase::Flags, plan.graph()),
         );
         times.flags = flags.duration;

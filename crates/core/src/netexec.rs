@@ -447,6 +447,7 @@ pub(crate) mod tests {
             &faulty,
             &mut adv,
             kind,
+            &mut nab_bb::Workspace::default(),
             &mut timing.broadcast_phase(BroadcastPhase::Flags, g0),
         );
         assert!(flags.any_mismatch(observer), "the instance must dispute");
@@ -482,6 +483,7 @@ pub(crate) mod tests {
                 &faulty,
                 &mut adv,
                 kind,
+                &mut nab_bb::Workspace::default(),
                 log,
             )
         });

@@ -5,9 +5,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-use nab_bb::eig::{run_eig, EigChannel, HonestAdversary};
-use nab_bb::phaseking::{run_phase_king, PkHonest};
+use nab_bb::eig::{EigChannel, HonestAdversary};
+use nab_bb::phaseking::PkHonest;
 use nab_bb::router::{FormulaClock, HopChannel, PathRouter, RoundSink};
+use nab_bb::Workspace;
 use nab_gf::{Gf2_16, WordMatrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
@@ -380,34 +381,40 @@ where
     V: Clone + Eq + Ord + Default,
     C: EigChannel<V>,
 {
-    let no_liars = &BTreeSet::new();
-    match kind {
-        BroadcastKind::PhaseKing if participants.len() > 4 * f => {
-            run_phase_king(
-                participants,
-                source,
-                f,
-                input,
-                no_liars,
-                &mut PkHonest,
-                chan,
-                bits,
-            )
-            .decisions
-        }
-        _ => {
-            run_eig(
-                participants,
-                source,
-                f,
-                input,
-                no_liars,
-                &mut HonestAdversary,
-                chan,
-                bits,
-            )
-            .decisions
-        }
+    let mut ws = Workspace::default();
+    broadcast_in(&mut ws, kind, participants, source, f, input, chan, bits);
+    participants
+        .iter()
+        .copied()
+        .zip(ws.decisions().cloned())
+        .collect()
+}
+
+/// [`broadcast_value`] among `nodes` in a caller's workspace: the
+/// decisions are left in `ws`, in participant order.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
+fn broadcast_in<V, C>(
+    ws: &mut Workspace<V>,
+    kind: BroadcastKind,
+    nodes: &[NodeId],
+    source: NodeId,
+    f: usize,
+    input: V,
+    chan: &mut C,
+    bits: u64,
+) where
+    V: Clone + Eq + Ord + Default,
+    C: EigChannel<V>,
+{
+    let none = &BTreeSet::new();
+    if kind == BroadcastKind::PhaseKing && nodes.len() > 4 * f {
+        ws.phase_king(nodes, source, f, input, none, &mut PkHonest, chan, bits);
+    } else {
+        let honest = &mut HonestAdversary;
+        ws.eig(nodes, source, f, input, none, honest, chan, bits);
     }
 }
 
@@ -416,9 +423,13 @@ where
 pub struct FlagOutcome {
     /// The flag each node *announced* (faulty nodes may have lied).
     pub announced: BTreeMap<NodeId, bool>,
-    /// Per broadcaster, the decision each participant reached (all
-    /// fault-free participants agree, by EIG correctness).
-    pub decisions: BTreeMap<NodeId, BTreeMap<NodeId, bool>>,
+    /// The participants, in the order they broadcast.
+    pub participants: Vec<NodeId>,
+    /// The decision every participant reached on every broadcaster's flag,
+    /// flat: row `i` is the `i`-th participant's broadcast, column `j` the
+    /// `j`-th participant's decision (all fault-free participants agree,
+    /// by the protocol's correctness).
+    pub decisions: Vec<bool>,
     /// Duration of all flag broadcasts on the clock they were charged to.
     pub duration: f64,
 }
@@ -426,12 +437,28 @@ pub struct FlagOutcome {
 impl FlagOutcome {
     /// The agreed flag of broadcaster `b` as seen by `observer`.
     pub fn agreed(&self, b: NodeId, observer: NodeId) -> bool {
-        self.decisions[&b][&observer]
+        let n = self.participants.len();
+        self.decisions[self.index(b) * n + self.index(observer)]
     }
 
     /// Whether any broadcaster's agreed flag (at `observer`) is MISMATCH.
     pub fn any_mismatch(&self, observer: NodeId) -> bool {
-        self.decisions.values().any(|d| d[&observer])
+        let n = self.participants.len();
+        let column = self.decisions.iter().skip(self.index(observer));
+        column.step_by(n).any(|&flag| flag)
+    }
+
+    /// Where `v` broadcast; panics on a node that did not take part, as
+    /// indexing a map of them would.
+    #[expect(
+        clippy::expect_used,
+        reason = "a query about a node that did not take part is a caller bug"
+    )]
+    fn index(&self, v: NodeId) -> usize {
+        self.participants
+            .iter()
+            .position(|&p| p == v)
+            .expect("a participant of the flag broadcast")
     }
 }
 
@@ -466,6 +493,7 @@ pub fn run_flag_broadcast(
         faulty,
         adv,
         kind,
+        &mut Workspace::default(),
         // The engine's own clock type, so both share one instantiation.
         &mut PhaseClock::Formula(FormulaClock::default()),
     )
@@ -476,7 +504,8 @@ pub fn run_flag_broadcast(
 /// *original* network (dispute-removed links still physically exist; NAB
 /// only stops trusting them for its own phases). Every hop round is charged
 /// to `sink`, which is also the clock [`FlagOutcome::duration`] is read
-/// from.
+/// from. All `n` broadcasts run in `ws`, which the engine keeps across
+/// instances.
 ///
 /// `f_residual` is the fault budget among the participants (original `f`
 /// minus nodes already exposed and excluded).
@@ -492,14 +521,16 @@ pub fn flag_broadcast<S: RoundSink>(
     faulty: &BTreeSet<NodeId>,
     adv: &mut dyn NabAdversary,
     kind: BroadcastKind,
+    ws: &mut Workspace<u64>,
     sink: &mut S,
 ) -> FlagOutcome {
     let mut chan = HopChannel {
         router,
         sink: &mut *sink,
     };
+    let n = participants.len();
     let mut announced = BTreeMap::new();
-    let mut decisions = BTreeMap::new();
+    let mut decisions = Vec::with_capacity(n * n);
     for &b in participants {
         let honest = computed_flags[&b];
         let flag = if faulty.contains(&b) {
@@ -508,21 +539,22 @@ pub fn flag_broadcast<S: RoundSink>(
             honest
         };
         announced.insert(b, flag);
-        let dec = broadcast_value(
+        broadcast_in(
+            ws,
             kind,
             participants,
             b,
             f_residual,
             flag as u64,
-            faulty,
             &mut chan,
             1,
         );
-        decisions.insert(b, dec.iter().map(|(&n, &v)| (n, v != 0)).collect());
+        decisions.extend(ws.decisions().map(|&v| v != 0));
     }
 
     FlagOutcome {
         announced,
+        participants: participants.to_vec(),
         decisions,
         duration: sink.elapsed(),
     }
@@ -535,11 +567,12 @@ pub fn flag_broadcast<S: RoundSink>(
 /// agree, so any fault-free observer will do.
 ///
 /// A broadcast carries its claims behind an [`Arc`]: relays and decisions
-/// share the broadcaster's one copy, which is handed back as the
-/// observer's decision once the others are dropped.
+/// share the broadcaster's one copy, which is moved out of the workspace
+/// as the observer's decision and unwrapped without a clone. The `n`
+/// broadcasts share one workspace.
 #[expect(
     clippy::expect_used,
-    reason = "every participant has claims; the observer is a participant, and every participant decides"
+    reason = "every participant has claims, and the observer is a participant"
 )]
 pub(crate) fn broadcast_claims<S: RoundSink>(
     router: &PathRouter,
@@ -551,25 +584,27 @@ pub(crate) fn broadcast_claims<S: RoundSink>(
     sink: &mut S,
 ) -> BTreeMap<NodeId, NodeClaims> {
     let mut chan = HopChannel { router, sink };
-    let none = BTreeSet::new();
+    let mut ws = Workspace::default();
+    let at = participants
+        .iter()
+        .position(|&p| p == observer)
+        .expect("the observer participates");
     participants
         .iter()
         .map(|&b| {
             let input = Arc::new(claims.remove(&b).expect("one claim per participant"));
             let bits = input.bits();
-            let mut decided = broadcast_value(
+            broadcast_in(
+                &mut ws,
                 kind,
                 participants,
                 b,
                 f_residual,
                 input,
-                &none,
                 &mut chan,
                 bits,
             );
-            let agreed = decided.remove(&observer).expect("observer decides");
-            drop(decided);
-            (b, Arc::unwrap_or_clone(agreed))
+            (b, Arc::unwrap_or_clone(ws.take_decision(at)))
         })
         .collect()
 }
@@ -956,6 +991,7 @@ mod tests {
                         &BTreeSet::new(),
                         &mut HonestStrategy,
                         BroadcastKind::Eig,
+                        &mut Workspace::default(),
                         log,
                     )
                 });
@@ -1104,7 +1140,8 @@ mod tests {
             let mut chan = HopChannel { router, sink: log };
             let decide = |b: &NodeId| {
                 let c = &claims[b];
-                let mut decided = run_eig(
+                let mut ws = Workspace::default();
+                ws.eig(
                     &participants,
                     *b,
                     2,
@@ -1114,7 +1151,9 @@ mod tests {
                     &mut chan,
                     c.bits(),
                 );
-                (*b, decided.decisions.remove(&observer).unwrap())
+                // Participants are 0..7, so the observer's index is its id.
+                let decided = ws.decisions().nth(observer).unwrap().clone();
+                (*b, decided)
             };
             participants.iter().map(decide).collect::<BTreeMap<_, _>>()
         });
