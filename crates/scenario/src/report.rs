@@ -826,6 +826,45 @@ mod tests {
         }
     }
 
+    /// A report that takes every optional branch of the JSON: inexact
+    /// bounds, `delivered`, a failed candidate, a rejected job and a
+    /// never-run dispute histogram.
+    fn every_branch() -> SweepReport {
+        let mut m = metrics();
+        m.bounds = Some(JobBounds {
+            eq6_lower: 2.5,
+            thm2_upper: 6,
+            fraction_of_lower: 1.6,
+            fraction_of_upper: 0.75,
+            gamma_star_exact: false,
+        });
+        let mut d = DeliveredTimes::default();
+        d.phase1.record(1_000);
+        d.instance.record(3_000);
+        d.kernel.rounds = 2;
+        d.kernel.deliveries = 5;
+        m.delivered = Some(d);
+        let mut failing = outcome(0, Ok(m));
+        failing.candidates_failed = 1;
+        failing.candidate_error = Some("placement [0]: boom".into());
+        let jobs = vec![failing, outcome(1, Err("bad".into()))];
+        SweepReport {
+            scenario: "pin".into(),
+            topology: "complete:$n:$cap".into(),
+            adversary: "honest".into(),
+            faults: "fixed:2".into(),
+            aggregate: Aggregate::from_outcomes(&jobs),
+            jobs,
+        }
+    }
+
+    #[test]
+    fn every_rendering_matches_the_pinned_bytes() {
+        let r = every_branch();
+        let rendered = [r.to_json(), r.to_json_timed(), r.to_json_pretty_timed()].join("\n");
+        assert_eq!(rendered, include_str!("../tests/golden/report.txt"));
+    }
+
     #[test]
     fn aggregate_folds_ok_and_rejected() {
         let outcomes = vec![
