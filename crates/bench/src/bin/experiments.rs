@@ -6,8 +6,9 @@
 //! E1, E2, E6, E7 and E8 compute (`nab_bench::e*`). E3, E4, E5 and E7's
 //! worst-case placement run the engine, and every row they print is a job of
 //! the sweep runner, described by a file under `scenarios/` and printed by
-//! [`table`] from fields its report already carries. Exits non-zero, after
-//! printing every table, if such a job's `ok` cell is not `yes`.
+//! `nab_scenario::report::table` from fields its report already carries.
+//! Exits non-zero, after printing every table, if such a job's `ok` cell
+//! is not `yes`.
 //!
 //! Usage: `cargo run --release -p nab-bench --bin experiments`
 
@@ -19,8 +20,9 @@ use nab::value::SYMBOL_BITS;
 use nab_bb::baselines::oblivious_broadcast_with_router;
 use nab_bb::eig::HonestAdversary;
 use nab_bench::format_table;
+use nab_scenario::report::{failures, table};
 use nab_scenario::{
-    expand_jobs, parse_str, run_sweep_with_options, AdversarySpec, FaultSchedule, Job, JobOutcome,
+    expand_jobs, parse_str, run_sweep_with_options, AdversarySpec, FaultSchedule, Job,
     ScenarioSpec, SweepOptions, SweepReport,
 };
 
@@ -53,64 +55,6 @@ fn sweep(spec: &ScenarioSpec, threads: usize, cache: Option<&PlanCache>) -> Swee
         ..SweepOptions::default()
     };
     run_sweep_with_options(spec, &opts).expect("bundled experiment scenarios validate")
-}
-
-/// The cell of the column headed `col` for job `j` of sweep `r`: `-` where
-/// there is nothing to show (a rejected job, no `bounds`, no steady state).
-fn cell(col: &str, r: &SweepReport, j: &JobOutcome) -> String {
-    let m = j.result.as_ref().ok();
-    let b = m.and_then(|m| m.bounds.as_ref());
-    let dec = |x: Option<f64>, places: usize| x.map(|x| format!("{x:.places$}"));
-    let cell = match col {
-        "scenario" => Some(r.scenario.clone()),
-        "adversary" => Some(r.adversary.clone()),
-        "grid point" => {
-            let (n, cap, f, s, i) = (j.n, j.cap, j.f, j.symbols, j.seed_index);
-            Some(format!("n={n} cap={cap} f={f} S={s} #{i}"))
-        }
-        "faulty" => Some(format!("{:?}", j.faulty)),
-        "T" => dec(m.map(|m| m.throughput), 3),
-        // Throughput after each stream's last dispute round.
-        "T steady" => dec(m.and_then(|m| m.steady_throughput), 3),
-        "disputes / f(f+1)" => m.map(|m| format!("{}/{}", m.dispute_rounds, m.dispute_budget)),
-        // Simulated time per instance, dispute rounds included.
-        "t / instance" => dec(m.map(|m| m.total_time / m.instances as f64), 1),
-        // Time beyond Phase 1 per instance: what the f(f+1) bound amortises.
-        "overhead / instance" => dec(m.map(|m| m.amortized_overhead), 1),
-        "Eq.6 lower" => dec(b.map(|b| b.eq6_lower), 2),
-        "Thm2 upper" => b.map(|b| b.thm2_upper.to_string()),
-        "T / Thm2" => dec(b.map(|b| b.fraction_of_upper), 3),
-        // Anything but `yes` makes `experiments` exit non-zero.
-        "ok" => Some(match &j.result {
-            Err(e) => format!("rejected: {e}"),
-            Ok(m) if !m.all_correct => "NO: agreement or validity broken".into(),
-            Ok(m) if m.dispute_budget_exceeded => "NO: over the dispute budget".into(),
-            Ok(_) => "yes".into(),
-        }),
-        other => unreachable!("no engine-table column is headed {other:?}"),
-    };
-    cell.unwrap_or_else(|| "-".into())
-}
-
-/// Every job of `reports`, in order, with the sweep it belongs to.
-fn jobs(reports: &[SweepReport]) -> impl Iterator<Item = (&SweepReport, &JobOutcome)> {
-    (reports.iter()).flat_map(|r| r.jobs.iter().map(move |j| (r, j)))
-}
-
-/// One row per job of `reports`, under the header row `cols` (`a | b | c`).
-fn table(cols: &str, reports: &[SweepReport]) -> String {
-    let cols: Vec<&str> = cols.split(" | ").collect();
-    let row = |(r, j)| cols.iter().map(|col| cell(col, r, j)).collect();
-    format_table(&cols, &jobs(reports).map(row).collect::<Vec<_>>())
-}
-
-/// Every job whose `ok` cell is not `yes`, named.
-fn failures(reports: &[SweepReport]) -> Vec<String> {
-    let named = |(r, j): (&SweepReport, &JobOutcome)| {
-        let ok = Some(cell("ok", r, j)).filter(|ok| ok != "yes")?;
-        Some(format!("{} job {}: {ok}", r.scenario, j.index))
-    };
-    jobs(reports).filter_map(named).collect()
 }
 
 /// E3: every network fault-free against the paper's bounds, then under a
@@ -246,7 +190,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nab_scenario::JobMetrics;
+    use nab_scenario::{JobMetrics, JobOutcome};
     use std::sync::OnceLock;
 
     /// Every engine experiment, run once at the default worker count.
@@ -375,7 +319,12 @@ mod tests {
         assert!(table("ok", std::slice::from_ref(&report)).contains("rejected: "));
         let metrics = report.jobs[0].result.as_mut().unwrap();
         metrics.all_correct = false;
-        assert_eq!(failures(std::slice::from_ref(&report)).len(), 2);
+        let found = failures(std::slice::from_ref(&report));
+        assert_eq!(found.len(), 2);
+        assert!(
+            found[0].contains("job 0: NO: agreement, validity or dispute soundness broken"),
+            "{found:?}"
+        );
         let metrics = report.jobs[0].result.as_mut().unwrap();
         (metrics.all_correct, metrics.dispute_budget_exceeded) = (true, true);
         let found = failures(&[report]);

@@ -25,10 +25,8 @@ use nab_obs::{Histogram, Registry};
 use crate::json::Json;
 
 /// Per-phase wall-clock **latency distributions** over a set of broadcast
-/// instances. Replaces the old sum-only `PhaseWallNanos` accumulation in
-/// job metrics: the exact per-phase sums are still available
-/// ([`Histogram::sum`] backs the legacy `wall_*_ns` keys), but the
-/// histograms additionally carry p50/p90/p99 and min/max.
+/// instances: exact per-phase sums ([`Histogram::sum`] backs the
+/// `wall_*_ns` keys) plus p50/p90/p99 and min/max.
 ///
 /// A phase's histogram only receives a sample when that phase actually
 /// ran: defaulted instances record nothing per phase, instances served by
@@ -120,7 +118,7 @@ pub struct JobBounds {
 }
 
 /// Everything measured for one job.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobMetrics {
     /// Broadcast instances executed (`q × streams`).
     pub instances: usize,
@@ -176,7 +174,7 @@ pub struct JobMetrics {
     pub bounds: Option<JobBounds>,
     /// Per-phase **wall-clock** latency distributions across the job's
     /// instances (measured, not simulated; excluded from canonical JSON).
-    /// The per-phase sums back the legacy `wall_*_ns` keys.
+    /// The per-phase sums back the `wall_*_ns` keys.
     pub latency: PhaseLatency,
     /// Per-phase **delivered-time** distributions (virtual nanoseconds)
     /// from message-level execution, merged over the job's instances.
@@ -237,7 +235,7 @@ pub struct JobOutcome {
 }
 
 /// Whole-sweep summary statistics (over successfully measured jobs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Aggregate {
     /// Total jobs in the grid.
     pub jobs: usize,
@@ -304,67 +302,39 @@ impl Aggregate {
     pub fn from_outcomes(outcomes: &[JobOutcome]) -> Aggregate {
         let mut agg = Aggregate {
             jobs: outcomes.len(),
-            ok_jobs: 0,
-            rejected_jobs: 0,
-            total_instances: 0,
-            total_bits: 0,
-            total_time: 0.0,
-            mean_throughput: 0.0,
             min_throughput: f64::INFINITY,
-            max_throughput: 0.0,
-            total_dispute_rounds: 0,
-            max_dispute_rounds: 0,
-            dispute_budget_violated: false,
             all_correct: true,
-            exposed_nodes: 0,
-            wall_ns: 0,
-            plan_hits: 0,
-            plan_misses: 0,
-            plan_build_ns: 0,
-            plan_repairs: 0,
-            plan_full_recomputes: 0,
-            plan_repair_ns: 0,
-            routes_extracted: 0,
-            latency: PhaseLatency::default(),
-            delivered: None,
+            ..Aggregate::default()
         };
         let mut throughput_sum = 0.0;
-        for outcome in outcomes {
-            match &outcome.result {
-                Ok(m) => {
-                    agg.ok_jobs += 1;
-                    agg.total_instances += m.instances;
-                    agg.total_bits += m.total_bits;
-                    agg.total_time += m.total_time;
-                    throughput_sum += m.throughput;
-                    agg.min_throughput = agg.min_throughput.min(m.throughput);
-                    agg.max_throughput = agg.max_throughput.max(m.throughput);
-                    agg.total_dispute_rounds += m.dispute_rounds;
-                    agg.max_dispute_rounds = agg.max_dispute_rounds.max(m.dispute_rounds);
-                    if m.dispute_budget_exceeded {
-                        agg.dispute_budget_violated = true;
-                    }
-                    if !m.all_correct {
-                        agg.all_correct = false;
-                    }
-                    agg.exposed_nodes += m.exposed_history.len();
-                    agg.wall_ns += m.wall_ns;
-                    agg.plan_hits += m.plan_hits;
-                    agg.plan_misses += m.plan_misses;
-                    agg.plan_build_ns += m.plan_build_ns;
-                    agg.plan_repairs += m.plan_repairs;
-                    agg.plan_full_recomputes += m.plan_full_recomputes;
-                    agg.plan_repair_ns += m.plan_repair_ns;
-                    agg.latency.merge(&m.latency);
-                    if let Some(d) = &m.delivered {
-                        agg.delivered
-                            .get_or_insert_with(DeliveredTimes::default)
-                            .merge(d);
-                    }
-                }
-                Err(_) => agg.rejected_jobs += 1,
+        for m in outcomes.iter().filter_map(measured) {
+            agg.ok_jobs += 1;
+            agg.total_instances += m.instances;
+            agg.total_bits += m.total_bits;
+            agg.total_time += m.total_time;
+            throughput_sum += m.throughput;
+            agg.min_throughput = agg.min_throughput.min(m.throughput);
+            agg.max_throughput = agg.max_throughput.max(m.throughput);
+            agg.total_dispute_rounds += m.dispute_rounds;
+            agg.max_dispute_rounds = agg.max_dispute_rounds.max(m.dispute_rounds);
+            agg.dispute_budget_violated |= m.dispute_budget_exceeded;
+            agg.all_correct &= m.all_correct;
+            agg.exposed_nodes += m.exposed_history.len();
+            agg.wall_ns += m.wall_ns;
+            agg.plan_hits += m.plan_hits;
+            agg.plan_misses += m.plan_misses;
+            agg.plan_build_ns += m.plan_build_ns;
+            agg.plan_repairs += m.plan_repairs;
+            agg.plan_full_recomputes += m.plan_full_recomputes;
+            agg.plan_repair_ns += m.plan_repair_ns;
+            agg.latency.merge(&m.latency);
+            if let Some(d) = &m.delivered {
+                agg.delivered
+                    .get_or_insert_with(DeliveredTimes::default)
+                    .merge(d);
             }
         }
+        agg.rejected_jobs = agg.jobs - agg.ok_jobs;
         #[expect(
             clippy::cast_precision_loss,
             reason = "mean over the outcome slice in its fixed job order — a deterministic function of the inputs"
@@ -399,50 +369,40 @@ impl SweepReport {
     /// Serializes to compact JSON. Byte-identical for identical sweeps
     /// regardless of worker-thread count (wall-clock timings excluded).
     pub fn to_json(&self) -> String {
-        self.to_json_value(false).render()
+        self.to_json_value(Canonical).render()
     }
 
     /// Serializes to pretty-printed JSON (same determinism guarantee).
     pub fn to_json_pretty(&self) -> String {
-        self.to_json_value(false).render_pretty()
+        self.to_json_value(Canonical).render_pretty()
     }
 
     /// Compact JSON including measured `wall_*_ns` timing fields (schema
     /// deterministic, values run-dependent).
     pub fn to_json_timed(&self) -> String {
-        self.to_json_value(true).render()
+        self.to_json_value(Timed).render()
     }
 
     /// Pretty JSON including measured `wall_*_ns` timing fields.
     pub fn to_json_pretty_timed(&self) -> String {
-        self.to_json_value(true).render_pretty()
+        self.to_json_value(Timed).render_pretty()
     }
 
-    /// The report as a JSON value tree, optionally with wall-clock
-    /// timings.
-    fn to_json_value(&self, with_timings: bool) -> Json {
-        let mut doc = Json::obj(vec![
+    /// The report as a JSON value tree: the rows of `tier` and below.
+    fn to_json_value(&self, tier: Tier) -> Json {
+        let jobs = self.jobs.iter().map(|j| job_json(j, tier)).collect();
+        let mut pairs = vec![
             ("scenario", Json::str(&self.scenario)),
             ("topology", Json::str(&self.topology)),
             ("adversary", Json::str(&self.adversary)),
             ("faults", Json::str(&self.faults)),
-            (
-                "jobs",
-                Json::Arr(
-                    self.jobs
-                        .iter()
-                        .map(|j| job_json(j, with_timings))
-                        .collect(),
-                ),
-            ),
-            ("aggregate", aggregate_json(&self.aggregate, with_timings)),
-        ]);
-        if with_timings {
-            if let Json::Obj(pairs) = &mut doc {
-                pairs.push(("metrics".into(), registry_json(&self.metrics_registry())));
-            }
+            ("jobs", Json::Arr(jobs)),
+            ("aggregate", object(AGGREGATE, &self.aggregate, tier)),
+        ];
+        if tier == Timed {
+            pairs.push(("metrics", registry_json(&self.metrics_registry())));
         }
-        doc
+        Json::obj(pairs)
     }
 
     /// The sweep's fixed-schema metrics registry: counters for the things
@@ -464,15 +424,11 @@ impl SweepReport {
         reg.counter_add("plan_repairs", a.plan_repairs);
         reg.counter_add("plan_full_recomputes", a.plan_full_recomputes);
         reg.counter_add("router.routes_extracted", a.routes_extracted);
-        let (mut mismatch, mut defaulted) = (0u64, 0u64);
-        for job in &self.jobs {
-            if let Ok(m) = &job.result {
-                mismatch += m.mismatch_instances as u64;
-                defaulted += m.defaulted_instances as u64;
-            }
-        }
-        reg.counter_add("mismatch_instances", mismatch);
-        reg.counter_add("defaulted_instances", defaulted);
+        let sum = |n: fn(&JobMetrics) -> usize| {
+            self.jobs.iter().filter_map(measured).map(n).sum::<usize>() as u64
+        };
+        reg.counter_add("mismatch_instances", sum(|m| m.mismatch_instances));
+        reg.counter_add("defaulted_instances", sum(|m| m.defaulted_instances));
         reg.counter_add("bounds.inexact", self.inexact_bounds() as u64);
         // Event-kernel work behind the `net = on` jobs (all zero without one).
         let kernel = a.delivered.as_ref().map(|d| d.kernel).unwrap_or_default();
@@ -488,49 +444,15 @@ impl SweepReport {
     /// Jobs whose Eq. 6 / Theorem 2 envelope rests on an upper bound on
     /// `γ*` (their `bounds_budget` tripped).
     fn inexact_bounds(&self) -> usize {
-        let inexact = |j: &&JobOutcome| {
-            let bounds = j.result.as_ref().ok().and_then(|m| m.bounds.as_ref());
-            bounds.is_some_and(|b| !b.gamma_star_exact)
-        };
+        let inexact = |j: &&JobOutcome| bounds(j).is_some_and(|b| !b.gamma_star_exact);
         self.jobs.iter().filter(inexact).count()
     }
 
-    /// A terminal-friendly summary table of the per-job outcomes. A `≤`
-    /// after the `ok` column marks a job whose bounds are inexact.
+    /// A terminal-friendly table of the per-job outcomes. A `≤` in the
+    /// `γ*` column marks a job whose bounds are inexact.
     pub fn summary_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "  job |  n | cap | f | symbols | seed# | faulty      | throughput | disputes | ok\n",
-        );
-        out.push_str(
-            "------+----+-----+---+---------+-------+-------------+------------+----------+----\n",
-        );
-        for job in &self.jobs {
-            let faulty = format!("{:?}", job.faulty);
-            match &job.result {
-                Ok(m) => out.push_str(&format!(
-                    "{:>5} | {:>2} | {:>3} | {} | {:>7} | {:>5} | {:<11} | {:>10.3} | {:>8} | {}{}\n",
-                    job.index,
-                    job.n,
-                    job.cap,
-                    job.f,
-                    job.symbols,
-                    job.seed_index,
-                    faulty,
-                    m.throughput,
-                    m.dispute_rounds,
-                    if m.all_correct { "yes" } else { "NO" },
-                    match &m.bounds {
-                        Some(b) if !b.gamma_star_exact => " ≤",
-                        _ => "",
-                    },
-                )),
-                Err(e) => out.push_str(&format!(
-                    "{:>5} | {:>2} | {:>3} | {} | {:>7} | {:>5} | {:<11} | {:>10} | {:>8} | --  ({e})\n",
-                    job.index, job.n, job.cap, job.f, job.symbols, job.seed_index, faulty, "rejected", "-",
-                )),
-            }
-        }
+        let cols = "job | grid point | faulty | T | disputes / f(f+1) | ok | γ*";
+        let mut out = table(cols, std::slice::from_ref(self));
         let inexact = self.inexact_bounds();
         if inexact > 0 {
             out.push_str(&format!(
@@ -541,7 +463,166 @@ impl SweepReport {
     }
 }
 
-fn job_json(job: &JobOutcome, with_timings: bool) -> Json {
+/// Which JSON rendering a report key belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tier {
+    /// A deterministic function of the scenario: in every rendering.
+    Canonical,
+    /// Measured (wall clock, cache and scheduling state): timed JSON only.
+    Timed,
+}
+
+use Tier::{Canonical, Timed};
+
+/// One key of a report object: its name, its tier, and its value
+/// (`None` omits the key).
+type Row<T> = (&'static str, Tier, fn(&T) -> Option<Json>);
+
+/// The [`Row`] of `field`, under the field's own name, valued by `json`.
+macro_rules! field {
+    ($tier:ident, $field:ident, $json:expr) => {
+        (stringify!($field), $tier, |x| $json(&x.$field))
+    };
+}
+
+/// Renders `value` through `rows`, in row order, keeping the rows of
+/// `tier` and below.
+fn object<T>(rows: &[Row<T>], value: &T, tier: Tier) -> Json {
+    let kept = rows.iter().filter(|(_, row_tier, _)| *row_tier <= tier);
+    let pairs = kept.filter_map(|(key, _, json)| Some((key.to_string(), json(value)?)));
+    Json::Obj(pairs.collect())
+}
+
+fn int(x: &u64) -> Option<Json> {
+    Some(Json::U64(*x))
+}
+
+fn count(x: &usize) -> Option<Json> {
+    Some(Json::U64(*x as u64))
+}
+
+fn real(x: &f64) -> Option<Json> {
+    Some(Json::F64(*x))
+}
+
+fn flag(x: &bool) -> Option<Json> {
+    Some(Json::Bool(*x))
+}
+
+fn nodes(ids: &[NodeId]) -> Option<Json> {
+    let ids = ids.iter().map(|&v| Json::U64(v as u64));
+    Some(Json::Arr(ids.collect()))
+}
+
+fn node_pairs(pairs: &[(usize, NodeId)]) -> Option<Json> {
+    let pair =
+        |&(a, b): &(usize, NodeId)| Json::Arr(vec![Json::U64(a as u64), Json::U64(b as u64)]);
+    Some(Json::Arr(pairs.iter().map(pair).collect()))
+}
+
+/// One [`histogram_json`] object per named histogram.
+fn histograms<'a>(named: impl IntoIterator<Item = (&'a str, &'a Histogram)>) -> Json {
+    let named = named.into_iter().map(|(name, h)| (name, histogram_json(h)));
+    Json::obj(named.collect())
+}
+
+/// Every key of a job's `metrics` object, in order.
+const METRICS: &[Row<JobMetrics>] = &[
+    field!(Canonical, instances, count),
+    field!(Canonical, total_bits, int),
+    field!(Canonical, total_time, real),
+    field!(Canonical, throughput, real),
+    ("steady_throughput", Canonical, |m| {
+        Some(m.steady_throughput.map_or(Json::Null, Json::F64))
+    }),
+    field!(Canonical, phase1_time, real),
+    field!(Canonical, equality_time, real),
+    field!(Canonical, flags_time, real),
+    field!(Canonical, dispute_time, real),
+    field!(Canonical, dispute_rounds, count),
+    field!(Canonical, dispute_budget, count),
+    field!(Canonical, dispute_budget_exceeded, flag),
+    field!(Canonical, mismatch_instances, count),
+    field!(Canonical, defaulted_instances, count),
+    field!(Canonical, pairs, node_pairs),
+    field!(Canonical, removed, nodes),
+    field!(Canonical, exposed_history, node_pairs),
+    field!(Canonical, amortized_overhead, real),
+    field!(Canonical, all_correct, flag),
+    field!(Canonical, gamma1, int),
+    field!(Canonical, rho1, int),
+    ("bounds", Canonical, |m| {
+        Some(object(BOUNDS, m.bounds.as_ref()?, Canonical))
+    }),
+    // Joins the canonical schema at the next declared bump.
+    ("gamma_star_exact", Timed, |m| {
+        flag(&m.bounds.as_ref()?.gamma_star_exact)
+    }),
+    ("wall_phase1_ns", Timed, |m| int(&m.latency.phase1.sum())),
+    ("wall_equality_ns", Timed, |m| {
+        int(&m.latency.equality.sum())
+    }),
+    ("wall_flags_ns", Timed, |m| int(&m.latency.flags.sum())),
+    ("wall_dispute_ns", Timed, |m| int(&m.latency.dispute.sum())),
+    ("wall_net_ns", Timed, |m| int(&m.latency.net.sum())),
+    ("wall_total_ns", Timed, |m| int(&m.wall_ns)),
+    ("plan_cache_hits", Timed, |m| int(&m.plan_hits)),
+    ("plan_cache_misses", Timed, |m| int(&m.plan_misses)),
+    field!(Timed, plan_build_ns, int),
+    field!(Timed, plan_repairs, int),
+    field!(Timed, plan_full_recomputes, int),
+    field!(Timed, plan_repair_ns, int),
+    ("latency", Timed, |m| Some(histograms(m.latency.phases()))),
+    ("delivered", Timed, |m| {
+        Some(histograms(m.delivered.as_ref()?.phases()))
+    }),
+];
+
+/// Every key of a job's `bounds` object, in order.
+const BOUNDS: &[Row<JobBounds>] = &[
+    field!(Canonical, eq6_lower, real),
+    field!(Canonical, thm2_upper, int),
+    field!(Canonical, fraction_of_lower, real),
+    field!(Canonical, fraction_of_upper, real),
+];
+
+/// Every key of the report's `aggregate` object, in order.
+const AGGREGATE: &[Row<Aggregate>] = &[
+    field!(Canonical, jobs, count),
+    field!(Canonical, ok_jobs, count),
+    field!(Canonical, rejected_jobs, count),
+    field!(Canonical, total_instances, count),
+    field!(Canonical, total_bits, int),
+    field!(Canonical, total_time, real),
+    field!(Canonical, mean_throughput, real),
+    field!(Canonical, min_throughput, real),
+    field!(Canonical, max_throughput, real),
+    field!(Canonical, total_dispute_rounds, count),
+    field!(Canonical, max_dispute_rounds, count),
+    field!(Canonical, dispute_budget_violated, flag),
+    field!(Canonical, all_correct, flag),
+    field!(Canonical, exposed_nodes, count),
+    ("wall_phase1_ns", Timed, |a| int(&a.latency.phase1.sum())),
+    ("wall_equality_ns", Timed, |a| {
+        int(&a.latency.equality.sum())
+    }),
+    ("wall_flags_ns", Timed, |a| int(&a.latency.flags.sum())),
+    ("wall_dispute_ns", Timed, |a| int(&a.latency.dispute.sum())),
+    ("wall_net_ns", Timed, |a| int(&a.latency.net.sum())),
+    ("wall_total_ns", Timed, |a| int(&a.wall_ns)),
+    ("plan_cache_hits", Timed, |a| int(&a.plan_hits)),
+    ("plan_cache_misses", Timed, |a| int(&a.plan_misses)),
+    field!(Timed, plan_build_ns, int),
+    field!(Timed, plan_repairs, int),
+    field!(Timed, plan_full_recomputes, int),
+    field!(Timed, plan_repair_ns, int),
+    ("latency", Timed, |a| Some(histograms(a.latency.phases()))),
+    ("delivered", Timed, |a| {
+        Some(histograms(a.delivered.as_ref()?.phases()))
+    }),
+];
+
+fn job_json(job: &JobOutcome, tier: Tier) -> Json {
     let mut pairs = vec![
         ("index", Json::U64(job.index as u64)),
         ("n", Json::U64(job.n as u64)),
@@ -563,95 +644,8 @@ fn job_json(job: &JobOutcome, with_timings: bool) -> Json {
         }
     }
     match &job.result {
-        Ok(m) => pairs.push(("metrics", metrics_json(m, with_timings))),
+        Ok(m) => pairs.push(("metrics", object(METRICS, m, tier))),
         Err(e) => pairs.push(("error", Json::str(e))),
-    }
-    Json::obj(pairs)
-}
-
-fn metrics_json(m: &JobMetrics, with_timings: bool) -> Json {
-    let mut pairs = vec![
-        ("instances", Json::U64(m.instances as u64)),
-        ("total_bits", Json::U64(m.total_bits)),
-        ("total_time", Json::F64(m.total_time)),
-        ("throughput", Json::F64(m.throughput)),
-        (
-            "steady_throughput",
-            m.steady_throughput.map(Json::F64).unwrap_or(Json::Null),
-        ),
-        ("phase1_time", Json::F64(m.phase1_time)),
-        ("equality_time", Json::F64(m.equality_time)),
-        ("flags_time", Json::F64(m.flags_time)),
-        ("dispute_time", Json::F64(m.dispute_time)),
-        ("dispute_rounds", Json::U64(m.dispute_rounds as u64)),
-        ("dispute_budget", Json::U64(m.dispute_budget as u64)),
-        (
-            "dispute_budget_exceeded",
-            Json::Bool(m.dispute_budget_exceeded),
-        ),
-        ("mismatch_instances", Json::U64(m.mismatch_instances as u64)),
-        (
-            "defaulted_instances",
-            Json::U64(m.defaulted_instances as u64),
-        ),
-        (
-            "pairs",
-            Json::Arr(
-                m.pairs
-                    .iter()
-                    .map(|&(a, b)| Json::Arr(vec![Json::U64(a as u64), Json::U64(b as u64)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "removed",
-            Json::Arr(m.removed.iter().map(|&v| Json::U64(v as u64)).collect()),
-        ),
-        (
-            "exposed_history",
-            Json::Arr(
-                m.exposed_history
-                    .iter()
-                    .map(|&(i, v)| Json::Arr(vec![Json::U64(i as u64), Json::U64(v as u64)]))
-                    .collect(),
-            ),
-        ),
-        ("amortized_overhead", Json::F64(m.amortized_overhead)),
-        ("all_correct", Json::Bool(m.all_correct)),
-        ("gamma1", Json::U64(m.gamma1)),
-        ("rho1", Json::U64(m.rho1)),
-    ];
-    if let Some(b) = &m.bounds {
-        pairs.push((
-            "bounds",
-            Json::obj(vec![
-                ("eq6_lower", Json::F64(b.eq6_lower)),
-                ("thm2_upper", Json::U64(b.thm2_upper)),
-                ("fraction_of_lower", Json::F64(b.fraction_of_lower)),
-                ("fraction_of_upper", Json::F64(b.fraction_of_upper)),
-            ]),
-        ));
-    }
-    if with_timings {
-        if let Some(b) = &m.bounds {
-            pairs.push(("gamma_star_exact", Json::Bool(b.gamma_star_exact)));
-        }
-        pairs.push(("wall_phase1_ns", Json::U64(m.latency.phase1.sum())));
-        pairs.push(("wall_equality_ns", Json::U64(m.latency.equality.sum())));
-        pairs.push(("wall_flags_ns", Json::U64(m.latency.flags.sum())));
-        pairs.push(("wall_dispute_ns", Json::U64(m.latency.dispute.sum())));
-        pairs.push(("wall_net_ns", Json::U64(m.latency.net.sum())));
-        pairs.push(("wall_total_ns", Json::U64(m.wall_ns)));
-        pairs.push(("plan_cache_hits", Json::U64(m.plan_hits)));
-        pairs.push(("plan_cache_misses", Json::U64(m.plan_misses)));
-        pairs.push(("plan_build_ns", Json::U64(m.plan_build_ns)));
-        pairs.push(("plan_repairs", Json::U64(m.plan_repairs)));
-        pairs.push(("plan_full_recomputes", Json::U64(m.plan_full_recomputes)));
-        pairs.push(("plan_repair_ns", Json::U64(m.plan_repair_ns)));
-        pairs.push(("latency", latency_json(&m.latency)));
-        if let Some(d) = &m.delivered {
-            pairs.push(("delivered", delivered_json(d)));
-        }
     }
     Json::obj(pairs)
 }
@@ -677,85 +671,157 @@ fn histogram_json(h: &Histogram) -> Json {
     Json::obj(pairs)
 }
 
-fn latency_json(latency: &PhaseLatency) -> Json {
-    Json::obj(
-        latency
-            .phases()
-            .into_iter()
-            .map(|(name, h)| (name, histogram_json(h)))
-            .collect(),
-    )
-}
-
-fn delivered_json(delivered: &DeliveredTimes) -> Json {
-    Json::obj(
-        delivered
-            .phases()
-            .into_iter()
-            .map(|(name, h)| (name, histogram_json(h)))
-            .collect(),
-    )
-}
-
 fn registry_json(reg: &Registry) -> Json {
     Json::obj(vec![
         (
             "counters",
             Json::obj(reg.counters().map(|(n, v)| (n, Json::U64(v))).collect()),
         ),
-        (
-            "histograms",
-            Json::obj(
-                reg.histograms()
-                    .map(|(n, h)| (n, histogram_json(h)))
-                    .collect(),
-            ),
-        ),
+        ("histograms", histograms(reg.histograms())),
     ])
 }
 
-fn aggregate_json(a: &Aggregate, with_timings: bool) -> Json {
-    let mut pairs = vec![
-        ("jobs", Json::U64(a.jobs as u64)),
-        ("ok_jobs", Json::U64(a.ok_jobs as u64)),
-        ("rejected_jobs", Json::U64(a.rejected_jobs as u64)),
-        ("total_instances", Json::U64(a.total_instances as u64)),
-        ("total_bits", Json::U64(a.total_bits)),
-        ("total_time", Json::F64(a.total_time)),
-        ("mean_throughput", Json::F64(a.mean_throughput)),
-        ("min_throughput", Json::F64(a.min_throughput)),
-        ("max_throughput", Json::F64(a.max_throughput)),
-        (
-            "total_dispute_rounds",
-            Json::U64(a.total_dispute_rounds as u64),
-        ),
-        ("max_dispute_rounds", Json::U64(a.max_dispute_rounds as u64)),
-        (
-            "dispute_budget_violated",
-            Json::Bool(a.dispute_budget_violated),
-        ),
-        ("all_correct", Json::Bool(a.all_correct)),
-        ("exposed_nodes", Json::U64(a.exposed_nodes as u64)),
-    ];
-    if with_timings {
-        pairs.push(("wall_phase1_ns", Json::U64(a.latency.phase1.sum())));
-        pairs.push(("wall_equality_ns", Json::U64(a.latency.equality.sum())));
-        pairs.push(("wall_flags_ns", Json::U64(a.latency.flags.sum())));
-        pairs.push(("wall_dispute_ns", Json::U64(a.latency.dispute.sum())));
-        pairs.push(("wall_net_ns", Json::U64(a.latency.net.sum())));
-        pairs.push(("wall_total_ns", Json::U64(a.wall_ns)));
-        pairs.push(("plan_cache_hits", Json::U64(a.plan_hits)));
-        pairs.push(("plan_cache_misses", Json::U64(a.plan_misses)));
-        pairs.push(("plan_build_ns", Json::U64(a.plan_build_ns)));
-        pairs.push(("plan_repairs", Json::U64(a.plan_repairs)));
-        pairs.push(("plan_full_recomputes", Json::U64(a.plan_full_recomputes)));
-        pairs.push(("plan_repair_ns", Json::U64(a.plan_repair_ns)));
-        pairs.push(("latency", latency_json(&a.latency)));
-        if let Some(d) = &a.delivered {
-            pairs.push(("delivered", delivered_json(d)));
+/// A job-table cell for a job of a sweep (`None` prints `-`: a rejected
+/// job, no `bounds`, no steady state).
+type Cell = fn(&SweepReport, &JobOutcome) -> Option<String>;
+
+/// One column of a job table: its header and its cell.
+type Column = (&'static str, Cell);
+
+/// Every column [`table`] prints, by header.
+const COLUMNS: &[Column] = &[
+    ("scenario", |r, _| Some(r.scenario.clone())),
+    ("adversary", |r, _| Some(r.adversary.clone())),
+    ("job", |_, j| Some(j.index.to_string())),
+    ("grid point", |_, j| {
+        let (n, cap, f, s, i) = (j.n, j.cap, j.f, j.symbols, j.seed_index);
+        Some(format!("n={n} cap={cap} f={f} S={s} #{i}"))
+    }),
+    ("faulty", |_, j| Some(format!("{:?}", j.faulty))),
+    ("T", |_, j| dec(measured(j)?.throughput, 3)),
+    // Throughput after each stream's last dispute round.
+    ("T steady", |_, j| dec(measured(j)?.steady_throughput?, 3)),
+    ("disputes / f(f+1)", |_, j| {
+        let m = measured(j)?;
+        Some(format!("{}/{}", m.dispute_rounds, m.dispute_budget))
+    }),
+    // Simulated time per instance, dispute rounds included.
+    ("t / instance", |_, j| dec(per_instance(measured(j)?), 1)),
+    // Time beyond Phase 1 per instance: what the f(f+1) bound amortises.
+    ("overhead / instance", |_, j| {
+        dec(measured(j)?.amortized_overhead, 1)
+    }),
+    ("Eq.6 lower", |_, j| dec(bounds(j)?.eq6_lower, 2)),
+    ("Thm2 upper", |_, j| Some(bounds(j)?.thm2_upper.to_string())),
+    ("T / Thm2", |_, j| dec(bounds(j)?.fraction_of_upper, 3)),
+    // `≤`: the bounds rest on an upper bound on γ* (`bounds_budget` tripped).
+    ("γ*", |_, j| {
+        let exact = bounds(j)?.gamma_star_exact;
+        Some(if exact { "=" } else { "≤" }.into())
+    }),
+    // Anything but `yes` is a `failures` entry.
+    ("ok", |_, j| Some(verdict(j))),
+];
+
+fn measured(j: &JobOutcome) -> Option<&JobMetrics> {
+    j.result.as_ref().ok()
+}
+
+fn bounds(j: &JobOutcome) -> Option<&JobBounds> {
+    measured(j)?.bounds.as_ref()
+}
+
+fn dec(x: f64, places: usize) -> Option<String> {
+    Some(format!("{x:.places$}"))
+}
+
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "a display cell: the instance count of one job, far below 2^52, over its own simulated time"
+)]
+fn per_instance(m: &JobMetrics) -> f64 {
+    m.total_time / m.instances as f64
+}
+
+/// A job's `ok` cell: `yes`, or why not.
+fn verdict(j: &JobOutcome) -> String {
+    match &j.result {
+        Err(e) => format!("rejected: {e}"),
+        Ok(m) if !m.all_correct => "NO: agreement, validity or dispute soundness broken".into(),
+        Ok(m) if m.dispute_budget_exceeded => "NO: over the dispute budget".into(),
+        Ok(_) => "yes".into(),
+    }
+}
+
+/// Every job of `reports`, in order, with the sweep it belongs to.
+fn jobs(reports: &[SweepReport]) -> impl Iterator<Item = (&SweepReport, &JobOutcome)> {
+    (reports.iter()).flat_map(|r| r.jobs.iter().map(move |j| (r, j)))
+}
+
+/// One row per job of `reports`, under the header row `cols` (`a | b |
+/// c`, each a header of this module's `COLUMNS` table).
+///
+/// # Panics
+///
+/// On a header that is not in `COLUMNS`.
+#[expect(
+    clippy::panic,
+    reason = "every caller passes a literal header row: an unknown header is a typo in the program"
+)]
+pub fn table(cols: &str, reports: &[SweepReport]) -> String {
+    let column = |header| {
+        let found = COLUMNS.iter().find(|(h, _)| *h == header);
+        found.unwrap_or_else(|| panic!("no job-table column is headed {header:?}"))
+    };
+    let cols: Vec<&Column> = cols.split(" | ").map(column).collect();
+    let headers: Vec<&str> = cols.iter().map(|(h, _)| *h).collect();
+    let row = |(r, j)| {
+        let cell = |(_, cell): &&Column| cell(r, j).unwrap_or_else(|| "-".into());
+        cols.iter().map(cell).collect()
+    };
+    format_table(&headers, &jobs(reports).map(row).collect::<Vec<_>>())
+}
+
+/// Every job of `reports` whose `ok` cell is not `yes`, named.
+pub fn failures(reports: &[SweepReport]) -> Vec<String> {
+    let named = |(r, j): (&SweepReport, &JobOutcome)| {
+        let ok = Some(verdict(j)).filter(|ok| ok != "yes")?;
+        Some(format!("{} job {}: {ok}", r.scenario, j.index))
+    };
+    jobs(reports).filter_map(named).collect()
+}
+
+/// Formats a table of rows for terminal/markdown output.
+pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (i, cell) in row.iter().enumerate() {
+            if i < widths.len() {
+                widths[i] = widths[i].max(cell.len());
+            }
         }
     }
-    Json::obj(pairs)
+    let mut out = String::new();
+    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        let mut line = String::from("|");
+        for (c, w) in cells.iter().zip(widths) {
+            line.push_str(&format!(" {c:w$} |"));
+        }
+        line
+    };
+    let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
+    out.push_str(&fmt_row(&head, &widths));
+    out.push('\n');
+    out.push('|');
+    for w in &widths {
+        out.push_str(&format!("{:-<1$}|", "", w + 2));
+    }
+    out.push('\n');
+    for row in rows {
+        out.push_str(&fmt_row(row, &widths));
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -783,12 +849,7 @@ mod tests {
             phase1_time: 32.0,
             equality_time: 16.0,
             flags_time: 16.0,
-            dispute_time: 0.0,
-            dispute_rounds: 0,
             dispute_budget: 2,
-            dispute_budget_exceeded: false,
-            mismatch_instances: 0,
-            defaulted_instances: 0,
             pairs: vec![(1, 2)],
             removed: vec![2],
             exposed_history: vec![(0, 2)],
@@ -796,9 +857,7 @@ mod tests {
             all_correct: true,
             gamma1: 6,
             rho1: 4,
-            bounds: None,
             latency: latency(),
-            delivered: None,
             wall_ns: 200,
             plan_hits: 1,
             plan_misses: 1,
@@ -806,6 +865,7 @@ mod tests {
             plan_repairs: 3,
             plan_full_recomputes: 1,
             plan_repair_ns: 60,
+            ..JobMetrics::default()
         }
     }
 
@@ -934,61 +994,64 @@ mod tests {
         assert!(t.lines().count() >= 4);
     }
 
+    /// The keys of the rows of `tier` in the `metrics`, `bounds` and
+    /// `aggregate` tables.
+    fn keys(tier: Tier) -> Vec<&'static str> {
+        fn of<T>(rows: &[Row<T>], tier: Tier) -> impl Iterator<Item = &'static str> + '_ {
+            rows.iter()
+                .filter(move |row| row.1 == tier)
+                .map(|row| row.0)
+        }
+        (of(METRICS, tier).chain(of(BOUNDS, tier)))
+            .chain(of(AGGREGATE, tier))
+            .collect()
+    }
+
     #[test]
     fn wall_timings_only_appear_in_timed_json() {
-        let report = SweepReport {
-            scenario: "t".into(),
-            topology: "complete:$n:$cap".into(),
-            adversary: "honest".into(),
-            faults: "none".into(),
-            jobs: vec![outcome(0, Ok(metrics()))],
-            aggregate: Aggregate::from_outcomes(&[outcome(0, Ok(metrics()))]),
-        };
         // Canonical JSON stays timing- and cache-stat-free (the
         // determinism guarantee: cache state and scheduling must not
-        // perturb it).
-        let canonical = report.to_json();
-        assert!(!canonical.contains("wall_"), "{canonical}");
-        assert!(!canonical.contains("plan_"), "{canonical}");
-        assert!(!canonical.contains("latency"), "{canonical}");
-        assert!(!canonical.contains("delivered"), "{canonical}");
+        // perturb it); timed JSON carries every row of both tiers.
+        let report = every_branch();
+        let (canonical, timed) = (report.to_json(), report.to_json_timed());
+        for key in keys(Timed) {
+            let key = format!("\"{key}\":");
+            assert!(!canonical.contains(&key), "{key} in {canonical}");
+            assert!(timed.contains(&key), "missing {key} in {timed}");
+        }
+        for key in keys(Canonical) {
+            let key = format!("\"{key}\":");
+            assert!(canonical.contains(&key), "missing {key} in {canonical}");
+        }
+        // The report-level metrics section closes the timed document.
         assert!(
             !canonical.contains("\"metrics\":{\"counters\""),
             "{canonical}"
         );
-        // Timed JSON carries the full per-phase breakdown plus totals
-        // and the plan-cache counters.
-        let timed = report.to_json_timed();
-        for key in [
-            "\"wall_phase1_ns\":100",
-            "\"wall_equality_ns\":50",
-            "\"wall_flags_ns\":25",
-            "\"wall_dispute_ns\":0",
-            "\"wall_total_ns\":200",
-            "\"plan_cache_hits\":1",
-            "\"plan_cache_misses\":1",
-            "\"plan_build_ns\":40",
-            "\"plan_repairs\":3",
-            "\"plan_full_recomputes\":1",
-            "\"plan_repair_ns\":60",
-        ] {
-            assert!(timed.contains(key), "missing {key} in {timed}");
-        }
-        // Per-job and aggregate latency distributions with percentiles.
-        assert!(
-            timed.contains("\"latency\":{\"phase1\":{\"count\":1,\"sum_ns\":100"),
-            "{timed}"
-        );
-        for key in ["\"p50_ns\":", "\"p90_ns\":", "\"p99_ns\":"] {
-            assert!(timed.contains(key), "missing {key} in {timed}");
-        }
-        // The report-level metrics section closes the timed document.
         assert!(timed.contains("\"metrics\":{\"counters\":{"), "{timed}");
         assert!(timed.contains("\"latency_phase1_ns\":{"), "{timed}");
         assert!(timed.ends_with("}}}"), "{timed}");
-        assert!(report
-            .to_json_pretty_timed()
-            .contains("\"wall_total_ns\": 200"));
+    }
+
+    #[test]
+    fn perf_docs_name_every_timed_key() {
+        let doc = include_str!("../../../docs/perf.md");
+        for key in keys(Timed) {
+            assert!(
+                doc.contains(&format!("`{key}`")),
+                "docs/perf.md lacks `{key}`"
+            );
+        }
+    }
+
+    #[test]
+    fn table_formatting_aligns() {
+        let t = format_table(
+            &["a", "bb"],
+            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+        );
+        assert!(t.contains("| a   | bb |"));
+        assert!(t.contains("| 333 | 4  |"));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::grammar::Arg;
-use crate::report::{Aggregate, JobBounds, JobMetrics, JobOutcome, PhaseLatency, SweepReport};
+use crate::report::{Aggregate, JobBounds, JobMetrics, JobOutcome, SweepReport};
 use crate::spec::ScenarioSpec;
 use crate::topology::ResolveCtx;
 
@@ -344,6 +344,12 @@ fn panicked_outcome(job: &Job, payload: &(dyn std::any::Any + Send)) -> JobOutco
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into());
+    unmeasured(job, format!("job panicked: {msg}"))
+}
+
+/// `job`'s outcome before any placement is measured: no faults tried,
+/// the job rejected for `error`.
+fn unmeasured(job: &Job, error: String) -> JobOutcome {
     JobOutcome {
         index: job.index,
         n: job.n,
@@ -356,7 +362,7 @@ fn panicked_outcome(job: &Job, payload: &(dyn std::any::Any + Send)) -> JobOutco
         candidates_tried: 0,
         candidates_failed: 0,
         candidate_error: None,
-        result: Err(format!("job panicked: {msg}")),
+        result: Err(error),
     }
 }
 
@@ -373,20 +379,7 @@ pub fn run_job(spec: &ScenarioSpec, job: &Job, cache: Option<&PlanCache>) -> Job
             &private_cache
         }
     };
-    let mut outcome = JobOutcome {
-        index: job.index,
-        n: job.n,
-        cap: job.cap,
-        f: job.f,
-        symbols: job.symbols,
-        seed_index: job.seed_index,
-        seed: job.seed,
-        faulty: Vec::new(),
-        candidates_tried: 0,
-        candidates_failed: 0,
-        candidate_error: None,
-        result: Err("unresolved".into()),
-    };
+    let mut outcome = unmeasured(job, "unresolved".into());
     let graph = match spec.topology.build(&job.ctx()) {
         Ok(g) => g,
         Err(e) => {
@@ -527,40 +520,13 @@ fn measure(
 
     let bits_per_instance = job.symbols as u64 * SYMBOL_BITS;
     let mut metrics = JobMetrics {
-        instances: 0,
-        total_bits: 0,
-        total_time: 0.0,
-        throughput: 0.0,
-        steady_throughput: None,
-        phase1_time: 0.0,
-        equality_time: 0.0,
-        flags_time: 0.0,
-        dispute_time: 0.0,
-        dispute_rounds: 0,
         // Each stream is an independent deployment with its own f(f+1)
         // dispute budget; the job-level budget is their sum. Per-stream
         // compliance is checked once the traces are complete.
         dispute_budget: spec.streams * DisputeState::max_executions(job.f),
-        dispute_budget_exceeded: false,
-        mismatch_instances: 0,
-        defaulted_instances: 0,
-        pairs: Vec::new(),
-        removed: Vec::new(),
-        exposed_history: Vec::new(),
-        amortized_overhead: 0.0,
         all_correct: true,
-        gamma1: 0,
-        rho1: 0,
-        bounds: None,
-        latency: PhaseLatency::default(),
         delivered: spec.net.then(nab::DeliveredTimes::default),
-        wall_ns: 0,
-        plan_hits: 0,
-        plan_misses: 0,
-        plan_build_ns: 0,
-        plan_repairs: 0,
-        plan_full_recomputes: 0,
-        plan_repair_ns: 0,
+        ..JobMetrics::default()
     };
     record_fetch(&mut metrics, &fetch);
     // Per-stream instance trace for the steady-state tail:
@@ -1342,7 +1308,7 @@ mod tests {
         assert!(exact.to_json_timed().contains("\"gamma_star_exact\":true"));
         assert!(!report.to_json().contains("gamma_star_exact"));
         let table = report.summary_table();
-        assert!(table.contains("| yes ≤\n"), "{table}");
+        assert!(table.contains("| yes | ≤ "), "{table}");
         assert!(table.contains("≤ 1 job(s)"), "{table}");
     }
 }
