@@ -19,6 +19,7 @@ use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
 
 use crate::adversary::NabAdversary;
 use crate::bounds::{rho_k, Pair};
+use crate::detsan;
 use crate::dispute::{dc2_disputes, dc3_exposed, DisputeState, NodeClaims};
 use crate::equality::CodingScheme;
 use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec, PhaseClock};
@@ -456,22 +457,15 @@ impl NabEngine {
 
         // Phase 1.
         let p1_span = PhaseSpan::enter(Phase::Phase1);
-        let t0 = nab_obs::clock::mono_now();
         let p1 = run_phase1(g, SOURCE, input, trees, faulty, adv);
         let mut times = PhaseTimes {
             phase1: p1.duration,
             ..PhaseTimes::default()
         };
         let mut wall = PhaseWallNanos {
-            phase1: t0.elapsed().as_nanos() as u64,
+            phase1: p1_span.close(Some(&|| detsan::digest_values(&p1.values))),
             ..PhaseWallNanos::default()
         };
-        drop(p1_span);
-        #[cfg(feature = "sanitize")]
-        trace::emit(EventKind::DetSanDigest {
-            phase: Phase::Phase1,
-            digest: crate::detsan::digest_values(&p1.values),
-        });
 
         // Special case 2: at least f nodes excluded → everyone left is
         // fault-free; Phase 1 alone is reliable.
@@ -494,7 +488,6 @@ impl NabEngine {
         // Step 2.1: the equality check, with the instance's public coding
         // matrices at `ρ_k`.
         let eq_span = PhaseSpan::enter(Phase::Equality);
-        let t0 = nab_obs::clock::mono_now();
         let rho = match self.gk.rho() {
             Some(rho) => rho,
             None => self.derive_rho()?,
@@ -502,17 +495,10 @@ impl NabEngine {
         let scheme = CodingScheme::random(g, rho as usize, self.cfg.seed.wrapping_add(instance));
         let eq = run_equality_phase(g, &p1.values, &scheme, faulty, adv, &mut self.eq_scratch);
         times.equality = eq.duration;
-        wall.equality = t0.elapsed().as_nanos() as u64;
-        drop(eq_span);
-        #[cfg(feature = "sanitize")]
-        trace::emit(EventKind::DetSanDigest {
-            phase: Phase::Equality,
-            digest: crate::detsan::digest_flags(&eq.flags),
-        });
+        wall.equality = eq_span.close(Some(&|| detsan::digest_flags(&eq.flags)));
 
         // Step 2.2: every participant broadcasts its flag.
         let flags_span = PhaseSpan::enter(Phase::Flags);
-        let t0 = nab_obs::clock::mono_now();
         let participants: Vec<NodeId> = g.nodes().collect();
         let f_res = self.residual_f();
         // Message-level timing of this instance; `None` on the formula path.
@@ -532,13 +518,7 @@ impl NabEngine {
             &mut PhaseClock::new(timing.as_mut(), BroadcastPhase::Flags, plan.graph()),
         );
         times.flags = flags.duration;
-        wall.flags = t0.elapsed().as_nanos() as u64;
-        drop(flags_span);
-        #[cfg(feature = "sanitize")]
-        trace::emit(EventKind::DetSanDigest {
-            phase: Phase::Flags,
-            digest: crate::detsan::digest_flags(&flags.announced),
-        });
+        wall.flags = flags_span.close(Some(&|| detsan::digest_flags(&flags.announced)));
 
         // All fault-free nodes see the same set of agreed flags; evaluate
         // at an arbitrary fault-free participant.
@@ -565,7 +545,6 @@ impl NabEngine {
 
         // Phase 3: dispute control.
         let dispute_span = PhaseSpan::enter(Phase::Dispute);
-        let t0 = nab_obs::clock::mono_now();
         let truthful = honest_claims(g, SOURCE, input, trees, &scheme, &p1, &eq, &flags.announced);
         let claims: BTreeMap<NodeId, NodeClaims> = truthful
             .into_iter()
@@ -610,13 +589,7 @@ impl NabEngine {
             .map(Value::from_symbols)
             .unwrap_or_else(|| Value::zeros(self.cfg.symbols));
         let outputs = participants.iter().map(|&v| (v, decided.clone())).collect();
-        wall.dispute = t0.elapsed().as_nanos() as u64;
-        drop(dispute_span);
-        #[cfg(feature = "sanitize")]
-        trace::emit(EventKind::DetSanDigest {
-            phase: Phase::Dispute,
-            digest: crate::detsan::digest_disputes(&self.disputes),
-        });
+        wall.dispute = dispute_span.close(Some(&|| detsan::digest_disputes(&self.disputes)));
 
         let delivered = message_level(timing, g, trees, &p1, Some(&eq), &mut times, &mut wall);
         Ok(InstanceReport {
@@ -682,12 +655,11 @@ fn message_level(
     wall: &mut PhaseWallNanos,
 ) -> Option<DeliveredTimes> {
     let mut timing = timing?;
-    let _span = PhaseSpan::enter(Phase::Net);
-    let t0 = nab_obs::clock::mono_now();
+    let span = PhaseSpan::enter(Phase::Net);
     timing.streaming_phases(gk, trees, &p1.sends, eq);
     let (net_times, delivered) = timing.finish();
     *times = net_times;
-    wall.net = t0.elapsed().as_nanos() as u64;
+    wall.net = span.close(None);
     Some(delivered)
 }
 

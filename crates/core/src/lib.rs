@@ -59,7 +59,6 @@
 
 pub mod adversary;
 pub mod bounds;
-#[cfg(feature = "sanitize")]
 pub mod detsan;
 pub mod dispute;
 pub mod engine;

@@ -84,16 +84,16 @@ impl Histogram {
     /// addition plus exact-stat combination: commutative and associative,
     /// so any partition of the same samples merges to the same result.
     pub fn merge(&mut self, other: &Histogram) {
-        // DetSan: spot-check the commutativity claim above on the actual
-        // operands — merge the other way around and compare.
-        #[cfg(feature = "sanitize")]
+        // DetSan (debug builds): spot-check the commutativity claim above
+        // on the actual operands — merge the other way around and compare.
+        #[cfg(debug_assertions)]
         let flipped = {
             let mut f = other.clone();
             f.merge_unchecked(self);
             f
         };
         self.merge_unchecked(other);
-        #[cfg(feature = "sanitize")]
+        #[cfg(debug_assertions)]
         assert!(
             *self == flipped,
             "DetSan: histogram merge is not commutative for these operands"

@@ -23,6 +23,7 @@
 //!   traffic, no buffer write.
 
 use std::cell::RefCell;
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -154,15 +155,16 @@ pub enum EventKind {
         /// expectation was the sender's product and no second multiply ran.
         expectations_shared: u32,
     },
-    /// Determinism-sanitizer digest of engine state at a phase boundary.
-    ///
-    /// Only emitted by builds with the `sanitize` feature enabled; two runs
-    /// of the same configuration must produce identical digest sequences,
-    /// so diffing traces pinpoints the first phase where determinism broke.
+    /// DetSan digest of engine state at a phase boundary, emitted right
+    /// after the phase's `PhaseEnd` by [`PhaseSpan::close`] in every traced
+    /// run. Two runs of the same configuration must produce identical
+    /// digest sequences, so diffing traces pinpoints the first phase where
+    /// determinism broke.
     DetSanDigest {
         /// The phase whose end state was digested.
         phase: Phase,
-        /// FNV-1a digest of the canonical engine state after the phase.
+        /// FNV digest of the canonical engine state after the phase,
+        /// rendered as 16 hex digits.
         digest: u64,
     },
 }
@@ -199,7 +201,7 @@ impl EventKind {
     /// The kind-specific payload, in serialization order — the one list
     /// both trace writers render.
     pub fn fields(self) -> Vec<(&'static str, Field)> {
-        use Field::{Name, Num};
+        use Field::{Hex, Name, Num};
         match self {
             EventKind::SweepStart { jobs, tier, cpu } => {
                 vec![
@@ -228,20 +230,24 @@ impl EventKind {
                 ("expectations_shared", Num(expectations_shared.into())),
             ],
             EventKind::DetSanDigest { phase, digest } => {
-                vec![("phase", Name(phase.name())), ("digest", Num(digest))]
+                vec![("phase", Name(phase.name())), ("digest", Hex(digest))]
             }
             _ => Vec::new(),
         }
     }
 }
 
-/// One payload value of a serialized event: a number or a static name
-/// (a phase, a kernel tier, CPU feature names), so no writer needs JSON
-/// string escaping.
+/// One payload value of a serialized event: a number, a digest or a
+/// static name (a phase, a kernel tier, CPU feature names), so no writer
+/// needs JSON string escaping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Field {
-    /// A count, duration, id or digest.
+    /// A count, duration or id.
     Num(u64),
+    /// A digest, rendered as a JSON string of 16 hex digits: as a number,
+    /// a JavaScript reader (`about:tracing`, Perfetto) would round values
+    /// above 2^53 and could show two digests as equal.
+    Hex(u64),
     /// A static name, rendered as a JSON string.
     Name(&'static str),
 }
@@ -250,6 +256,7 @@ impl std::fmt::Display for Field {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Field::Num(n) => write!(f, "{n}"),
+            Field::Hex(n) => write!(f, "\"{n:016x}\""),
             Field::Name(s) => write!(f, "\"{s}\""),
         }
     }
@@ -360,6 +367,23 @@ impl ThreadState {
         }
     }
 
+    /// Appends one event, flushing a full batch; only called with a sink
+    /// installed.
+    fn push(&mut self, kind: EventKind) {
+        let ev = Event {
+            seq: SEQ.fetch_add(1, Ordering::Relaxed),
+            ts_ns: epoch().elapsed().as_nanos() as u64,
+            job: self.job,
+            stream: self.stream,
+            instance: self.instance,
+            kind,
+        };
+        self.buf.push(ev);
+        if self.buf.len() >= BUFFER_CAPACITY {
+            self.flush();
+        }
+    }
+
     fn flush(&mut self) {
         if let Some(sink) = &self.sink {
             if !self.buf.is_empty() {
@@ -425,37 +449,53 @@ pub fn set_instance(instance: u64) {
 pub fn emit(kind: EventKind) {
     STATE.with(|s| {
         let mut s = s.borrow_mut();
-        if s.sink.is_none() {
-            return;
-        }
-        let ev = Event {
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            ts_ns: epoch().elapsed().as_nanos() as u64,
-            job: s.job,
-            stream: s.stream,
-            instance: s.instance,
-            kind,
-        };
-        s.buf.push(ev);
-        if s.buf.len() >= BUFFER_CAPACITY {
-            s.flush();
+        if s.sink.is_some() {
+            s.push(kind);
         }
     });
 }
 
-/// RAII guard for a phase: emits `PhaseStart` on construction and
-/// `PhaseEnd` on drop, so every exit path (including `?` early returns)
-/// closes the span.
+/// A phase's one instrument: it times the phase and, on a traced thread,
+/// brackets it with `PhaseStart` / `PhaseEnd` and carries its DetSan
+/// digest. [`PhaseSpan::close`] ends it; a span dropped instead (a `?`
+/// early return) still emits its one `PhaseEnd`.
 #[must_use = "dropping the span immediately emits PhaseEnd right after PhaseStart"]
 pub struct PhaseSpan {
     phase: Phase,
+    start: Instant,
 }
 
 impl PhaseSpan {
-    /// Open a phase span.
+    /// Open a phase span: emits `PhaseStart` and reads the clock once.
     pub fn enter(phase: Phase) -> Self {
         emit(EventKind::PhaseStart(phase));
-        Self { phase }
+        Self {
+            phase,
+            start: crate::clock::mono_now(),
+        }
+    }
+
+    /// Close the span and return the phase's wall-clock nanoseconds. On a
+    /// traced thread it emits `PhaseEnd`, then the phase's
+    /// [`EventKind::DetSanDigest`] of `digest()`, in one borrow of the
+    /// thread's trace state; untraced, `digest` is never called. `digest`
+    /// must not emit events itself.
+    pub fn close(self, digest: Option<&dyn Fn() -> u64>) -> u64 {
+        let ns = crate::clock::elapsed_ns(self.start);
+        let phase = ManuallyDrop::new(self).phase;
+        STATE.with(|s| {
+            let mut s = s.borrow_mut();
+            if s.sink.is_some() {
+                s.push(EventKind::PhaseEnd(phase));
+                if let Some(digest) = digest {
+                    s.push(EventKind::DetSanDigest {
+                        phase,
+                        digest: digest(),
+                    });
+                }
+            }
+        });
+        ns
     }
 }
 
@@ -568,6 +608,126 @@ mod tests {
             kinds,
             ["phase_start", "phase_end", "phase_start", "phase_end"]
         );
+    }
+
+    #[test]
+    fn close_emits_one_phase_end_then_the_digest_and_returns_the_elapsed_ns() {
+        let sink = Arc::new(BufferSink::new());
+        set_thread_sink(Some(sink.clone()));
+        let span = PhaseSpan::enter(Phase::Flags);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let ns = span.close(Some(&|| 7));
+        set_thread_sink(None);
+        assert!(ns >= 1_000_000, "{ns} ns");
+        let kinds: Vec<EventKind> = sink.take_sorted().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::PhaseStart(Phase::Flags),
+                EventKind::PhaseEnd(Phase::Flags),
+                EventKind::DetSanDigest {
+                    phase: Phase::Flags,
+                    digest: 7
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_span_without_a_digest_closes_with_its_phase_end_alone() {
+        let sink = Arc::new(BufferSink::new());
+        set_thread_sink(Some(sink.clone()));
+        let _ = PhaseSpan::enter(Phase::Net).close(None);
+        set_thread_sink(None);
+        let kinds: Vec<&str> = sink.take_sorted().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(kinds, ["phase_start", "phase_end"]);
+    }
+
+    #[test]
+    fn the_digest_is_not_computed_without_a_sink() {
+        let called = std::cell::Cell::new(false);
+        let _ = PhaseSpan::enter(Phase::Dispute).close(Some(&|| {
+            called.set(true);
+            0
+        }));
+        assert!(!called.get());
+    }
+
+    #[test]
+    fn observability_doc_names_every_event_kind() {
+        let doc = include_str!("../../../docs/observability.md");
+        let code_spans = doc.split('`').skip(1).step_by(2);
+        let every_kind = [
+            EventKind::SweepStart {
+                jobs: 0,
+                tier: "",
+                cpu: "",
+            },
+            EventKind::SweepEnd,
+            EventKind::JobStart,
+            EventKind::JobEnd,
+            EventKind::InstanceStart,
+            EventKind::InstanceEnd,
+            EventKind::InstanceDefaulted,
+            EventKind::PhaseStart(Phase::Net),
+            EventKind::PhaseEnd(Phase::Net),
+            EventKind::PlanCacheHit,
+            EventKind::PlanCacheMiss,
+            EventKind::PlanBuilt {
+                build_ns: 0,
+                pack: [0; 6],
+            },
+            EventKind::PlanRepair { ns: 0 },
+            EventKind::PlanFullRecompute { ns: 0 },
+            EventKind::PlanDiskHit,
+            EventKind::PlanDiskStore,
+            EventKind::PlanDiskReject,
+            EventKind::DisputeRaised { new_pairs: 0 },
+            EventKind::NodeExposed { node: 0 },
+            EventKind::EqualityProducts {
+                multiplies: 0,
+                expectations_shared: 0,
+            },
+            EventKind::DetSanDigest {
+                phase: Phase::Net,
+                digest: 0,
+            },
+        ];
+        for kind in every_kind {
+            // No wildcard: a new kind fails to compile here until it is
+            // listed above (and so checked against the doc).
+            match kind {
+                EventKind::SweepStart { .. }
+                | EventKind::SweepEnd
+                | EventKind::JobStart
+                | EventKind::JobEnd
+                | EventKind::InstanceStart
+                | EventKind::InstanceEnd
+                | EventKind::InstanceDefaulted
+                | EventKind::PhaseStart(_)
+                | EventKind::PhaseEnd(_)
+                | EventKind::PlanCacheHit
+                | EventKind::PlanCacheMiss
+                | EventKind::PlanBuilt { .. }
+                | EventKind::PlanRepair { .. }
+                | EventKind::PlanFullRecompute { .. }
+                | EventKind::PlanDiskHit
+                | EventKind::PlanDiskStore
+                | EventKind::PlanDiskReject
+                | EventKind::DisputeRaised { .. }
+                | EventKind::NodeExposed { .. }
+                | EventKind::EqualityProducts { .. }
+                | EventKind::DetSanDigest { .. } => {}
+            }
+            // A code span that opens with the name: `name` or `name {…}`.
+            let name = kind.name();
+            assert!(
+                code_spans
+                    .clone()
+                    .any(|c| c.split_whitespace().next() == Some(name)),
+                "docs/observability.md lacks `{name}`"
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Both writers are pure functions from an event slice to a `String`, so
 //! they can be golden-file tested, and both render a kind's payload from
 //! the one list [`EventKind::fields`] declares: field names are static
-//! and values are numbers or static names, so no JSON string escaping is
-//! needed.
+//! and values are numbers, hex digests or static names, so no JSON string
+//! escaping is needed.
 //!
 //! - **JSONL** ([`to_jsonl`]): one JSON object per line, in the fixed key
 //!   order `seq, ts_ns, job, stream, instance, kind` followed by the
@@ -195,6 +195,25 @@ mod tests {
                 "{chrome}"
             );
         }
+    }
+
+    #[test]
+    fn digests_render_as_hex_strings_in_both_writers() {
+        let e = ev(
+            4,
+            EventKind::DetSanDigest {
+                phase: Phase::Equality,
+                digest: u64::MAX,
+            },
+        );
+        let digest = "\"phase\":\"equality\",\"digest\":\"ffffffffffffffff\"";
+        assert!(
+            event_to_jsonl(&e).ends_with(&format!("{digest}}}")),
+            "{}",
+            event_to_jsonl(&e)
+        );
+        let chrome = to_chrome_trace(&[e]);
+        assert!(chrome.contains(&format!("{digest}}}}}")), "{chrome}");
     }
 
     #[test]

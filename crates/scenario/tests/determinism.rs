@@ -283,3 +283,47 @@ fn bundled_scenarios_parse_and_shrunk_runs_are_deterministic() {
         "bundled scenario library shrank to {found} files"
     );
 }
+
+/// DetSan digests are a function of (scenario, seed) alone: a traced
+/// sweep of a dispute-bearing bundled scenario emits the same digest at
+/// every (job, stream, instance, phase) at 1 and 4 worker threads.
+#[test]
+fn detsan_digests_are_thread_invariant() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/collusion.scenario"
+    );
+    let mut spec = parse_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    spec.q = spec.q.min(3);
+    spec.seeds = spec.seeds.min(2);
+    spec.symbols.truncate(1);
+    let digests = |threads| {
+        let sink = Arc::new(BufferSink::new());
+        let opts = SweepOptions {
+            threads,
+            trace: Some(sink.clone()),
+            ..SweepOptions::default()
+        };
+        run_sweep_with_options(&spec, &opts).unwrap();
+        let mut d: Vec<_> = sink
+            .take_sorted()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::DetSanDigest { phase, digest } => {
+                    Some((e.job, e.stream, e.instance, phase.name(), digest))
+                }
+                _ => None,
+            })
+            .collect();
+        d.sort_unstable();
+        d
+    };
+    let single = digests(1);
+    assert_eq!(single, digests(4), "digests at 1 vs 4 threads");
+    for phase in ["phase1", "equality", "flags", "dispute"] {
+        assert!(
+            single.iter().any(|d| d.3 == phase),
+            "no {phase} digest in {single:?}"
+        );
+    }
+}
