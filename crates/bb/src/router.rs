@@ -21,7 +21,7 @@
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use nab_netgraph::connectivity::{strongly_connected, vertex_connectivity_at_least, PathExtractor};
-use nab_netgraph::{DiGraph, NodeId};
+use nab_netgraph::{DiGraph, EdgeId, NodeId};
 use nab_sim::SendError;
 
 use crate::eig::EigChannel;
@@ -70,17 +70,18 @@ impl From<SendError> for RouterError {
 
 /// A pair's memoized route: its disjoint paths and, per hop round of one
 /// unicast over them (round `h` forwards every copy whose path has an `h`-th
-/// link), the capacity that sets the round's duration.
+/// link), the links it crosses and the capacity that sets its duration.
 #[derive(Debug)]
 struct PairRoute {
     /// The `2f + 1` internally-vertex-disjoint paths, each `src, …, dst`.
     paths: Vec<Vec<NodeId>>,
-    /// The smallest capacity among each hop round's links, in delivery
-    /// order. The network is a simple graph and the paths are internally
-    /// vertex-disjoint, so each link of a round carries exactly one copy and
-    /// the simulator's `max_e(bits_e / z_e)` is `bits` over the thinnest
-    /// link — the same f64, division being monotone in the divisor.
-    min_caps: Vec<u64>,
+    /// Per hop round, in delivery order: its thinnest link's capacity, and
+    /// where its links end in `edges`. Each link of a round carries exactly
+    /// one copy (a simple graph, internally vertex-disjoint paths), so the
+    /// simulator's `max_e(bits_e / z_e)` is `bits` over the thinnest link.
+    hops: Vec<(u64, usize)>,
+    /// Hop-major: the router graph's ids of each round's links, path order.
+    edges: Vec<EdgeId>,
 }
 
 /// One source's routes, indexed by target id.
@@ -145,7 +146,7 @@ pub struct HopRound<'a> {
     pub bits: u64,
     /// The thinnest capacity among the round's links.
     pub min_cap: u64,
-    paths: &'a [Vec<NodeId>],
+    route: &'a PairRoute,
 }
 
 impl<'a> HopRound<'a> {
@@ -154,11 +155,20 @@ impl<'a> HopRound<'a> {
     /// so every copy has a link to itself.
     pub fn copies(&self) -> impl Iterator<Item = (usize, NodeId, NodeId)> + 'a {
         let hop = self.hop;
-        self.paths
+        self.route
+            .paths
             .iter()
             .enumerate()
             .filter(move |(_, path)| hop + 1 < path.len())
             .map(move |(idx, path)| (idx, path[hop], path[hop + 1]))
+    }
+
+    /// The round's links as ids of [`PathRouter::graph`], one per copy, in
+    /// the order of [`copies`](HopRound::copies).
+    pub fn edges(&self) -> &'a [EdgeId] {
+        let (hops, hop) = (&self.route.hops, self.hop);
+        let start = hop.checked_sub(1).map_or(0, |h| hops[h].1);
+        &self.route.edges[start..hops[hop].1]
     }
 
     /// The synchronous charge for the round, `max_e(bits_e / z_e)`: `bits`
@@ -248,6 +258,11 @@ impl PathRouter {
         })
     }
 
+    /// The graph the router routes on, which hop rounds' edge ids index.
+    pub fn graph(&self) -> &DiGraph {
+        &self.g
+    }
+
     /// Number of copies (`2f + 1`) each unicast travels on.
     pub fn copies(&self) -> usize {
         self.copies
@@ -297,18 +312,20 @@ impl PathRouter {
             .extract(s, t, self.copies)
             .ok_or(RouterError::Unroutable { src: s, dst: t })?;
         let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
-        let mut min_caps = vec![u64::MAX; max_hops];
-        for path in &paths {
-            for (min_cap, link) in min_caps.iter_mut().zip(path.windows(2)) {
+        let links = paths.iter().map(|p| p.len() - 1).sum();
+        let (mut hops, mut edges) = (Vec::with_capacity(max_hops), Vec::with_capacity(links));
+        for hop in 0..max_hops {
+            let mut min_cap = u64::MAX;
+            for link in paths.iter().filter_map(|p| p.get(hop..hop + 2)) {
                 let (a, b) = (link[0], link[1]);
-                let (_, e) = self
-                    .g
-                    .find_edge(a, b)
-                    .ok_or(SendError::NoSuchLink { src: a, dst: b })?;
-                *min_cap = (*min_cap).min(e.cap);
+                let (id, e) =
+                    (self.g.find_edge(a, b)).ok_or(SendError::NoSuchLink { src: a, dst: b })?;
+                min_cap = min_cap.min(e.cap);
+                edges.push(id);
             }
+            hops.push((min_cap, edges.len()));
         }
-        Ok(row[t].get_or_init(|| PairRoute { paths, min_caps }))
+        Ok(row[t].get_or_init(|| PairRoute { paths, hops, edges }))
     }
 
     /// The disjoint paths used for the ordered pair, computing and
@@ -354,14 +371,14 @@ impl PathRouter {
         bits: u64,
     ) -> Result<(), RouterError> {
         let route = self.route(origin, target)?;
-        for (hop, &min_cap) in route.min_caps.iter().enumerate() {
+        for (hop, &(min_cap, _)) in route.hops.iter().enumerate() {
             sink.hop_round(&HopRound {
                 origin,
                 target,
                 hop,
                 bits,
                 min_cap,
-                paths: &route.paths,
+                route,
             });
         }
         Ok(())
@@ -637,6 +654,64 @@ mod tests {
         }
     }
 
+    /// A sink that checks each hop round's edge ids against its copies:
+    /// through the router's graph, `edges()` names exactly the links
+    /// `copies()` does, in order.
+    struct EdgeCheck<'a> {
+        g: &'a DiGraph,
+        rounds: usize,
+    }
+
+    impl RoundSink for EdgeCheck<'_> {
+        fn hop_round(&mut self, round: &HopRound<'_>) {
+            let by_id: Vec<_> = (round.edges().iter())
+                .map(|&id| self.g.edge(id).map(|e| (e.src, e.dst)))
+                .collect();
+            let by_path: Vec<_> = round.copies().map(|(_, a, b)| Some((a, b))).collect();
+            assert_eq!(
+                by_id, by_path,
+                "{} -> {} hop {}",
+                round.origin, round.target, round.hop
+            );
+            self.rounds += 1;
+        }
+
+        fn elapsed(&self) -> f64 {
+            0.0
+        }
+    }
+
+    /// Charges one unicast between every ordered pair of the router's
+    /// graph to an [`EdgeCheck`]; returns the rounds checked.
+    fn check_every_pairs_edges(router: &PathRouter) -> usize {
+        let mut check = EdgeCheck {
+            g: router.graph(),
+            rounds: 0,
+        };
+        for (s, t) in all_pairs(router.graph()) {
+            router.try_charge_unicast(&mut check, s, t, 1).unwrap();
+        }
+        check.rounds
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every hop round of every ordered pair, on each family at `f ≤ 2`.
+        #[test]
+        fn hop_round_edges_are_its_copies_links(
+            family in 0u8..3,
+            f in 0usize..=2,
+            extra in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let n = 3 * f + 3 + extra;
+            let g = random_network(family, n, f, &mut StdRng::seed_from_u64(seed));
+            let router = PathRouter::build(&g, f).expect("2f+1-connected by construction");
+            prop_assert!(check_every_pairs_edges(&router) >= n * (n - 1));
+        }
+    }
+
     #[test]
     fn recorded_copies_carry_the_value_and_skip_inboxes() {
         let g = gen::complete(4, 1);
@@ -706,6 +781,9 @@ mod tests {
         }
         assert_eq!(punctured.paths_for(0, 4).len(), 3);
         assert_eq!(full.routes_extracted() + punctured.routes_extracted(), 1);
+        // The removed node's links keep their ids, so the live ones are not
+        // dense: the rounds must still name the links their copies cross.
+        assert!(check_every_pairs_edges(&punctured) >= 12);
     }
 
     /// Every ordered pair of `g`'s active nodes.

@@ -515,7 +515,7 @@ impl NabEngine {
             adv,
             self.broadcast,
             &mut self.flags_ws,
-            &mut PhaseClock::new(timing.as_mut(), BroadcastPhase::Flags, plan.graph()),
+            &mut PhaseClock::new(timing.as_mut(), BroadcastPhase::Flags, plan.router()),
         );
         times.flags = flags.duration;
         wall.flags = flags_span.close(Some(&|| detsan::digest_flags(&flags.announced)));
@@ -560,7 +560,7 @@ impl NabEngine {
 
         // Broadcast every node's claims with the classic BB protocol and
         // charge the (large) communication time.
-        let mut clock = PhaseClock::new(timing.as_mut(), BroadcastPhase::Dispute, plan.graph());
+        let mut clock = PhaseClock::new(timing.as_mut(), BroadcastPhase::Dispute, plan.router());
         let agreed_claims = broadcast_claims(
             plan.router(),
             &participants,

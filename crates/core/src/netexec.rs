@@ -21,16 +21,18 @@
 //! check are one kernel round each. A hop round's copies travel
 //! vertex-disjoint paths and the equality check sends once per link, so
 //! those rounds are exclusive and [`EventNet::serve_exclusive`] serves them
-//! in closed form; only Phase 1, whose trees share links, runs through the
-//! event queue. Seeds: a phase's is `mix(mix(nx.seed, instance), phase
-//! tag)`, a round's is `mix(phase seed, i)` with `i` the round's index
-//! within the phase, and a queued message's id is its tree. The transcript
-//! replay this replaced is kept below as the differential-test oracle: it
-//! queues every round on a fresh kernel.
+//! in closed form, by edge id: a hop round's come with its route (so a
+//! broadcast phase's kernel is built on the router's graph), the equality
+//! check's are resolved on `G_k`. Only Phase 1, whose trees share links,
+//! runs through the event queue. Seeds: a phase's is `mix(mix(nx.seed,
+//! instance), phase tag)`, a round's is `mix(phase seed, i)` with `i` the
+//! round's index within the phase, and a queued message's id is its tree.
+//! The transcript replay this replaced is kept below as the
+//! differential-test oracle: it queues every round on a fresh kernel.
 
 use std::collections::BTreeMap;
 
-use nab_bb::router::{FormulaClock, HopRound, RoundSink};
+use nab_bb::router::{FormulaClock, HopRound, PathRouter, RoundSink};
 use nab_net::{mix, EventNet, KernelStats, UNIT_NS};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
@@ -145,12 +147,12 @@ impl<'a> InstanceTiming<'a> {
         }
     }
 
-    /// The sink for one broadcast phase's hop rounds over `g0`, the
-    /// original network the broadcasts route on.
+    /// The sink for one broadcast phase's hop rounds: a kernel on the
+    /// router's own graph, which the rounds' edge ids index.
     pub(crate) fn broadcast_phase(
         &mut self,
         phase: BroadcastPhase,
-        g0: &DiGraph,
+        router: &PathRouter,
     ) -> PhaseKernel<'_> {
         let (end_ns, hist) = match phase {
             BroadcastPhase::Flags => (&mut self.ends[2], &mut self.delivered.flags),
@@ -158,7 +160,7 @@ impl<'a> InstanceTiming<'a> {
         };
         let seed = mix(self.seed, phase as u64);
         PhaseKernel {
-            net: EventNet::new(g0, self.nx.model.clone(), seed),
+            net: EventNet::new(router.graph(), self.nx.model.clone(), seed),
             seed,
             rounds: 0,
             end_ns,
@@ -170,7 +172,7 @@ impl<'a> InstanceTiming<'a> {
     /// Times Phase 1 and, when it ran, the equality check on `gk`: one
     /// kernel round each, every link transmitting at once — Phase 1 through
     /// the queue of a fresh kernel, the equality check (one send per link)
-    /// in closed form.
+    /// in closed form, each link's `(src, dst)` resolved on `gk` once.
     pub(crate) fn streaming_phases(
         &mut self,
         gk: &DiGraph,
@@ -185,7 +187,7 @@ impl<'a> InstanceTiming<'a> {
         if let Some(eq) = eq {
             let seed = mix(mix(self.seed, EQUALITY_TAG), 0);
             let hist = &mut self.delivered.equality;
-            self.ends[1] = net.serve_exclusive(seed, eq.link_bits(), |t| hist.record(t));
+            self.ends[1] = net.serve_exclusive(seed, eq.link_bits(gk), |t| hist.record(t));
         }
         self.delivered.kernel.accumulate(&net.stats());
     }
@@ -231,7 +233,7 @@ impl RoundSink for PhaseKernel<'_> {
     fn hop_round(&mut self, round: &HopRound<'_>) {
         let (seed, offset) = (mix(self.seed, self.rounds), *self.end_ns);
         self.rounds += 1;
-        let sends = round.copies().map(|(_, src, dst)| (src, dst, round.bits));
+        let sends = round.edges().iter().map(|&edge| (edge, round.bits));
         let hist = &mut *self.hist;
         let end = self
             .net
@@ -260,15 +262,16 @@ pub(crate) enum PhaseClock<'a> {
 }
 
 impl<'a> PhaseClock<'a> {
-    /// The clock for `phase`: `timing`'s kernel sink over `g0` when the
-    /// instance has message-level timing, else a fresh formula clock.
+    /// The clock for `phase`: `timing`'s kernel sink on `router`'s graph
+    /// when the instance has message-level timing, else a fresh formula
+    /// clock.
     pub(crate) fn new(
         timing: Option<&'a mut InstanceTiming<'_>>,
         phase: BroadcastPhase,
-        g0: &DiGraph,
+        router: &PathRouter,
     ) -> Self {
         match timing {
-            Some(t) => PhaseClock::Kernel(Box::new(t.broadcast_phase(phase, g0))),
+            Some(t) => PhaseClock::Kernel(Box::new(t.broadcast_phase(phase, router))),
             None => PhaseClock::Formula(FormulaClock::default()),
         }
     }
@@ -448,7 +451,7 @@ pub(crate) mod tests {
             &mut adv,
             kind,
             &mut nab_bb::Workspace::default(),
-            &mut timing.broadcast_phase(BroadcastPhase::Flags, g0),
+            &mut timing.broadcast_phase(BroadcastPhase::Flags, router),
         );
         assert!(flags.any_mismatch(observer), "the instance must dispute");
         let claims = honest_claims(
@@ -468,7 +471,7 @@ pub(crate) mod tests {
             claims.clone(),
             kind,
             observer,
-            &mut timing.broadcast_phase(BroadcastPhase::Dispute, g0),
+            &mut timing.broadcast_phase(BroadcastPhase::Dispute, router),
         );
         let (times, delivered) = timing.finish();
         assert_eq!(times.flags, flags.duration, "the sink is the phase's clock");

@@ -11,7 +11,7 @@ use nab_bb::router::{FormulaClock, HopChannel, PathRouter, RoundSink};
 use nab_bb::Workspace;
 use nab_gf::{Gf2_16, WordMatrix};
 use nab_netgraph::arborescence::Arborescence;
-use nab_netgraph::{DiGraph, NodeId};
+use nab_netgraph::{DiGraph, EdgeId, NodeId};
 use nab_obs::trace::{self, EventKind};
 
 use crate::adversary::NabAdversary;
@@ -74,11 +74,16 @@ impl EqOutcome {
             .collect()
     }
 
-    /// Bits transmitted per edge, `(src, dst, bits)`.
-    pub(crate) fn link_bits(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.sends
-            .iter()
-            .map(|(&(src, dst), sent)| (src, dst, sent.len() as u64 * SYMBOL_BITS))
+    /// Bits transmitted per link, `(edge id in g, bits)`; a link `g` lacks
+    /// gets an id no graph has.
+    pub(crate) fn link_bits<'a>(
+        &'a self,
+        g: &'a DiGraph,
+    ) -> impl Iterator<Item = (EdgeId, u64)> + 'a {
+        self.sends.iter().map(|(&(src, dst), sent)| {
+            let id = g.find_edge(src, dst).map_or(usize::MAX, |(id, _)| id);
+            (id, sent.len() as u64 * SYMBOL_BITS)
+        })
     }
 }
 

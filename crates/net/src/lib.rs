@@ -47,7 +47,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use nab_netgraph::{DiGraph, NodeId};
+use nab_netgraph::{DiGraph, EdgeId, NodeId};
 
 /// Virtual nanoseconds per abstract capacity time-unit (one bit on a
 /// `cap = 1` link). Event times divided by `UNIT_NS` are in the same
@@ -312,12 +312,13 @@ impl KernelStats {
 /// form, and one kernel serves any number of them: it neither reads nor
 /// changes the queue's state. Link state is dense — capacity, busy-until,
 /// draw counter, last exclusive round and model index per link, links
-/// sorted by `(src, dst)` and found through per-source row offsets.
+/// sorted by `(src, dst)`. A queued message finds its link by binary
+/// search, an exclusive round's by its graph edge id.
 #[derive(Debug, Clone)]
 pub struct EventNet {
     links: Vec<Link>,
-    /// `links[row[v]..row[v + 1]]` leave node `v`, sorted by destination.
-    row: Vec<u32>,
+    /// The link of each of the graph's edge ids; `u32::MAX` for none.
+    by_edge: Vec<u32>,
     /// The default model, then each override that governs a link of the graph.
     models: Vec<LinkModel>,
     seed: u64,
@@ -337,9 +338,13 @@ impl EventNet {
         let NetModel { default, overrides } = model;
         let mut models = vec![default];
         // The network is a simple graph: one link per ordered pair.
-        let mut links: Vec<Link> = g
-            .edges()
-            .map(|(_, e)| Link {
+        let mut edges: Vec<_> = g.edges().collect();
+        edges.sort_unstable_by_key(|(_, e)| (e.src, e.dst));
+        let (mut links, mut by_edge) = (Vec::with_capacity(edges.len()), Vec::new());
+        for (id, e) in edges {
+            by_edge.resize(by_edge.len().max(id + 1), u32::MAX);
+            by_edge[id] = links.len() as u32;
+            links.push(Link {
                 src: e.src,
                 dst: e.dst,
                 cap: e.cap,
@@ -350,20 +355,11 @@ impl EventNet {
                 busy_ns: 0,
                 draws: 0,
                 round: 0,
-            })
-            .collect();
-        links.sort_unstable_by_key(|l| (l.src, l.dst));
-        let n = g.node_count();
-        let mut row = vec![0u32; n + 1];
-        for link in &links {
-            row[link.src + 1] += 1;
-        }
-        for v in 0..n {
-            row[v + 1] += row[v];
+            });
         }
         EventNet {
             links,
-            row,
+            by_edge,
             models,
             seed,
             heap: BinaryHeap::new(),
@@ -378,10 +374,8 @@ impl EventNet {
     /// none — a send on a missing link is a protocol-layer bug, mirroring
     /// `nab_sim::SendError::NoSuchLink`.
     fn link_index(&self, src: NodeId, dst: NodeId) -> u32 {
-        let row = self.row.get(src..src + 2).unwrap_or(&[0, 0]);
-        let out = &self.links[row[0] as usize..row[1] as usize];
-        match out.binary_search_by_key(&dst, |l| l.dst) {
-            Ok(at) => row[0] + at as u32,
+        match (self.links).binary_search_by_key(&(src, dst), |l| (l.src, l.dst)) {
+            Ok(at) => at as u32,
             #[expect(
                 clippy::panic,
                 reason = "the documented panic — a send on a missing link is a protocol-layer bug"
@@ -460,37 +454,45 @@ impl EventNet {
         out
     }
 
-    /// Serves one barrier round of messages `(src, dst, bits)` that all
-    /// start at time 0, each on a link of its own, in closed form: hands
-    /// every delivery time to `on_delivery` and returns the latest (0 if
-    /// none). As no transmission waits on another and each link's draws
-    /// count from 0 under `seed`, a delivery is `tx = ⌈bits · UNIT_NS /
-    /// cap⌉`, plus `rto + tx` per lost attempt (one loss draw per attempt up
-    /// to `max_retries`), plus one latency draw: what a kernel built with
-    /// `seed` delivers through [`schedule`](EventNet::schedule) and
+    /// Serves one barrier round of messages `(edge, bits)` that all start at
+    /// time 0, each on a link of its own, in closed form: hands every
+    /// delivery time to `on_delivery` and returns the latest (0 if none). An
+    /// `edge` is an id of the graph the kernel was built on. As no
+    /// transmission waits on another and each link's draws count from 0
+    /// under `seed`, a delivery is `tx = ⌈bits · UNIT_NS / cap⌉`, plus `rto +
+    /// tx` per lost attempt (one loss draw per attempt up to `max_retries`),
+    /// plus one latency draw: what a kernel built with `seed` delivers
+    /// through [`schedule`](EventNet::schedule) and
     /// [`drain`](EventNet::drain), stats included, but with no heap. The
     /// queue's state is neither read nor changed.
     ///
     /// # Panics
     ///
-    /// Panics on a missing link, or on a link the round uses twice (the
-    /// closed form would not hold).
+    /// Panics on an edge id the graph has no link for, or on a link the
+    /// round uses twice (the closed form would not hold).
     pub fn serve_exclusive(
         &mut self,
         seed: u64,
-        sends: impl IntoIterator<Item = (NodeId, NodeId, u64)>,
+        sends: impl IntoIterator<Item = (EdgeId, u64)>,
         mut on_delivery: impl FnMut(u64),
     ) -> u64 {
         self.round += 1;
         let (mut end_ns, served) = (0, self.stats.deliveries);
-        for (src, dst, bits) in sends {
-            let l = self.link_index(src, dst);
-            let link = &mut self.links[l as usize];
+        for (edge, bits) in sends {
+            #[expect(
+                clippy::panic,
+                reason = "the documented panic — a send on a missing link is a protocol-layer bug"
+            )]
+            let link = match self.by_edge.get(edge) {
+                Some(&l) if l != u32::MAX => &mut self.links[l as usize],
+                _ => panic!("EventNet: no such link: edge {edge}"),
+            };
             #[expect(
                 clippy::panic,
                 reason = "the documented panic — two messages on one link break the closed form"
             )]
             if link.round == self.round {
+                let (src, dst) = (link.src, link.dst);
                 panic!("EventNet::serve_exclusive: link {src} -> {dst} repeats within the round");
             }
             link.round = self.round;
@@ -713,24 +715,30 @@ mod tests {
 
     #[test]
     fn sends_on_a_missing_link_panic() {
-        let g = line(3, 1);
+        // Ids 0 and 1 are `0 <-> 1`, which leaves with node 0; `1 -> 2` is 2.
+        let mut g = line(4, 1);
+        g.remove_node(0);
         let mut net = EventNet::new(&g, NetModel::default(), 1);
         // Fresh, and again once the kernel has served a round of each kind:
-        // a link the graph lacks, and a source the graph lacks.
+        // a link the graph lacks, a removed node's link, and a source the
+        // graph lacks; by edge id, a removed link's and ids past the last.
         for round in 0..2 {
-            for (src, dst) in [(0, 2), (7, 0)] {
+            for ((src, dst), edge) in [((1, 3), 0), ((0, 1), 6), ((7, 1), usize::MAX)] {
                 assert!(
                     panics(|| net.schedule(0, src, dst, 1, 0)),
                     "{round}: {src} -> {dst}"
                 );
-                let send = [(1, 0, 1), (src, dst, 1)];
-                assert!(panics(|| {
-                    net.serve_exclusive(round, send, |_| {});
-                }));
+                let send = [(2, 1), (edge, 1)];
+                assert!(
+                    panics(|| {
+                        net.serve_exclusive(round, send, |_| {});
+                    }),
+                    "{round}: edge {edge}"
+                );
             }
-            net.schedule(0, 0, 1, 1, 0);
+            net.schedule(0, 1, 2, 1, 0);
             assert_eq!(net.run().len(), 1);
-            assert_eq!(net.serve_exclusive(round, [(0, 1, 1)], |_| {}), UNIT_NS);
+            assert_eq!(net.serve_exclusive(round, [(2, 1)], |_| {}), UNIT_NS);
         }
     }
 
@@ -738,21 +746,23 @@ mod tests {
     fn a_link_repeated_within_an_exclusive_round_panics() {
         let g = line(3, 1);
         let mut net = EventNet::new(&g, NetModel::default(), 1);
-        let twice = [(0, 1, 1), (1, 2, 1), (0, 1, 1)];
+        // Edge 0 is `0 -> 1`, edge 2 is `1 -> 2`.
+        let twice = [(0, 1), (2, 1), (0, 1)];
         assert!(panics(|| {
             net.serve_exclusive(3, twice, |_| {});
         }));
         // Rounds are separate: the same link in consecutive rounds is fine.
         for _ in 0..2 {
-            assert_eq!(net.serve_exclusive(3, [(0, 1, 2)], |_| {}), 2 * UNIT_NS);
+            assert_eq!(net.serve_exclusive(3, [(0, 2)], |_| {}), 2 * UNIT_NS);
         }
     }
 
-    /// A 5-node network with every ordered pair linked, capacities 1..=4.
+    /// A 5-node network with every ordered pair linked, capacities 1..=4,
+    /// its edge ids running against the kernel's `(src, dst)` link order.
     fn dense5() -> DiGraph {
         let mut g = DiGraph::new(5);
-        for u in 0..5 {
-            for v in 0..5 {
+        for u in (0..5).rev() {
+            for v in (0..5).rev() {
                 if u != v {
                     g.add_edge(u, v, 1 + ((u * 5 + v) % 4) as u64);
                 }
@@ -805,15 +815,13 @@ mod tests {
         spec.build()
     }
 
-    /// An exclusive round on `dense5`: one message `(src, dst, bits)` on
-    /// each link whose bit is set in `links` (the 20 ordered pairs in
-    /// `(src, dst)` order), sizes derived from `seed`, sent in a
-    /// seed-dependent order.
-    fn exclusive_round(seed: u64, links: u32) -> Vec<(NodeId, NodeId, u64)> {
-        let pairs = (0..5).flat_map(|u| (0..5).filter(move |&v| v != u).map(move |v| (u, v)));
-        let mut sends: Vec<_> = (pairs.enumerate())
-            .filter(|&(i, _)| links >> i & 1 == 1)
-            .map(|(i, (u, v))| (u, v, 1 + mix(seed, i as u64) % 64))
+    /// An exclusive round on `dense5`: one message `(edge, bits)` on each of
+    /// the 20 edge ids whose bit is set in `links`, sizes derived from
+    /// `seed`, sent in a seed-dependent order.
+    fn exclusive_round(seed: u64, links: u32) -> Vec<(EdgeId, u64)> {
+        let mut sends: Vec<_> = (0..20)
+            .filter(|&id| links >> id & 1 == 1)
+            .map(|id| (id, 1 + mix(seed, id as u64) % 64))
             .collect();
         let turn = (seed % 7) as usize % sends.len().max(1);
         sends.rotate_left(turn);
@@ -838,7 +846,7 @@ mod tests {
         net.run();
         assert!(net.run().is_empty(), "an empty drain is not a round");
         assert_eq!(net.serve_exclusive(8, [], |_| {}), 0, "nor an empty round");
-        net.serve_exclusive(8, [(0, 1, 1)], |_| {});
+        net.serve_exclusive(8, [(0, 1)], |_| {});
         let want = KernelStats {
             rounds: 2,
             deliveries: 3,
@@ -868,8 +876,9 @@ mod tests {
             let g = dense5();
             let sends = exclusive_round(seed, links);
             let mut queue = EventNet::new(&g, regime(kind), seed);
-            for (id, &(src, dst, bits)) in sends.iter().enumerate() {
-                queue.schedule(id as u64, src, dst, bits, 0);
+            for (id, &(edge, bits)) in sends.iter().enumerate() {
+                let e = g.edge(edge).unwrap();
+                queue.schedule(id as u64, e.src, e.dst, bits, 0);
             }
             let mut want: Vec<u64> = queue.run().iter().map(|d| d.delivered_ns).collect();
             want.sort_unstable();

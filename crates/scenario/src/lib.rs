@@ -74,6 +74,7 @@ pub use parse::{load, parse_str, ParseError};
 pub use report::{Aggregate, JobMetrics, JobOutcome, PhaseLatency, SweepReport};
 pub use spec::ScenarioSpec;
 pub use sweep::{
-    expand_jobs, run_sweep, run_sweep_with_options, Job, ProgressSnapshot, SweepOptions,
+    expand_jobs, job_network, run_sweep, run_sweep_with_options, Job, ProgressSnapshot,
+    SweepOptions,
 };
 pub use topology::{Tok, TopologyTemplate};

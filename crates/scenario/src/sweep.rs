@@ -366,6 +366,21 @@ fn unmeasured(job: &Job, error: String) -> JobOutcome {
     }
 }
 
+/// `job`'s initial network. With `net = on`, a straggler must name one of
+/// its links (dispute removal and `degrade` may drop links later).
+pub fn job_network(spec: &ScenarioSpec, job: &Job) -> Result<DiGraph, String> {
+    let g = (spec.topology.build(&job.ctx())).map_err(|e| format!("topology rejected: {e}"))?;
+    match spec.link_model.straggler {
+        Some((a, b, _)) if spec.net && g.find_edge(a, b).is_none() => Err(format!(
+            "link_model straggler names link {a} -> {b}, which topology {} lacks at n={} cap={}",
+            spec.topology.spec_string(),
+            job.n,
+            job.cap
+        )),
+        _ => Ok(g),
+    }
+}
+
 /// Runs one job: materializes its graph, resolves the fault placement
 /// (searching candidates for worst-case schedules), and measures.
 /// `cache` is the sweep-shared plan cache (`None` = a cache private to
@@ -380,10 +395,10 @@ pub fn run_job(spec: &ScenarioSpec, job: &Job, cache: Option<&PlanCache>) -> Job
         }
     };
     let mut outcome = unmeasured(job, "unresolved".into());
-    let graph = match spec.topology.build(&job.ctx()) {
+    let graph = match job_network(spec, job) {
         Ok(g) => g,
         Err(e) => {
-            outcome.result = Err(format!("topology rejected: {e}"));
+            outcome.result = Err(e);
             return outcome;
         }
     };
@@ -1020,6 +1035,40 @@ mod tests {
         let d = m_zero.delivered.as_ref().expect("net mode records");
         assert_eq!(d.instance.count() as usize, m_zero.instances);
         assert!(m_zero.all_correct);
+    }
+
+    #[test]
+    fn a_straggler_on_a_link_the_network_lacks_is_rejected() {
+        // `circulant:10:2:2` links each node to its neighbours at distance
+        // 1 and 2: it has `0 -> 1` but not `0 -> 5`.
+        let spec = |straggler: &str, net| ScenarioSpec {
+            topology: TopologyTemplate::parse("circulant:10:2:2").unwrap(),
+            n: vec![10],
+            cap: vec![2],
+            seeds: 1,
+            q: 1,
+            net,
+            link_model: crate::link_model::parse(&format!("uniform:20000000:5000000{straggler}"))
+                .unwrap(),
+            ..small_spec()
+        };
+        let bad = spec("+straggler:0:5:8", true);
+        let err = job_network(&bad, &expand_jobs(&bad)[0]).unwrap_err();
+        assert!(
+            err.contains("0 -> 5") && err.contains("circulant:10:2:2"),
+            "{err}"
+        );
+        let report = run_sweep(&bad, 1).unwrap();
+        assert_eq!(report.aggregate.rejected_jobs, 1);
+        assert_eq!(report.jobs[0].result.as_ref().unwrap_err(), &err);
+        // A link the network has runs; so does any straggler with `net` off,
+        // where link models are inert.
+        for ok in [
+            spec("+straggler:0:1:8", true),
+            spec("+straggler:0:5:8", false),
+        ] {
+            assert!(run_sweep(&ok, 1).unwrap().jobs[0].result.is_ok());
+        }
     }
 
     #[test]

@@ -276,15 +276,11 @@ fn run_validate_mode(path: &str) -> Result<ExitCode, String> {
     let cache = PlanCache::new();
     let mut failed = 0usize;
     for job in &jobs {
-        let planned = spec
-            .topology
-            .build(&job.ctx())
-            .map_err(|e| format!("topology rejected: {e}"))
-            .and_then(|g| {
-                cache
-                    .fetch(&g, job.f)
-                    .map_err(|e| format!("network rejected: {e}"))
-            });
+        let planned = scenario::job_network(&spec, job).and_then(|g| {
+            cache
+                .fetch(&g, job.f)
+                .map_err(|e| format!("network rejected: {e}"))
+        });
         match planned {
             Ok(fetch) => {
                 let p = &fetch.plan;
