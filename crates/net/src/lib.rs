@@ -339,10 +339,10 @@ impl EventNet {
         let mut models = vec![default];
         // The network is a simple graph: one link per ordered pair.
         let mut edges: Vec<_> = g.edges().collect();
+        let mut by_edge = vec![u32::MAX; edges.last().map_or(0, |&(id, _)| id + 1)];
         edges.sort_unstable_by_key(|(_, e)| (e.src, e.dst));
-        let (mut links, mut by_edge) = (Vec::with_capacity(edges.len()), Vec::new());
+        let mut links = Vec::with_capacity(edges.len());
         for (id, e) in edges {
-            by_edge.resize(by_edge.len().max(id + 1), u32::MAX);
             by_edge[id] = links.len() as u32;
             links.push(Link {
                 src: e.src,
