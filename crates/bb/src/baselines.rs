@@ -7,16 +7,17 @@
 //! throughput." The canonical prior algorithm broadcasts the whole `L`-bit
 //! value through a classic BB protocol (EIG) over the emulated complete
 //! graph, ignoring link capacities entirely — every logical message carries
-//! all `L` bits regardless of how thin the links it crosses are.
+//! all `L` bits regardless of how thin the links it crosses are. The
+//! baseline is EIG's schedule ([`crate::eig::schedule`]) charged at
+//! `bits = L`.
 
 use std::collections::BTreeSet;
 
 use nab_netgraph::{DiGraph, NodeId};
 use nab_sim::{NetSim, SentMsg};
 
-use crate::eig::{EigAdversary, EigChannel, HonestAdversary};
+use crate::eig::{self, EigChannel};
 use crate::router::{FormulaClock, HopChannel, HopRound, PathRouter, RoundSink, Routed};
-use crate::workspace::Workspace;
 
 /// An [`EigChannel`] that transports every logical unicast over `2f+1`
 /// vertex-disjoint paths of the real network and charges the hop rounds to
@@ -129,12 +130,10 @@ pub struct BaselineReport {
     pub time: f64,
     /// Total bits carried by the network.
     pub bits_carried: u64,
-    /// Whether all fault-free nodes agreed on the source's value.
-    pub correct: bool,
 }
 
 /// Runs the capacity-oblivious baseline: one EIG broadcast of an `L`-bit
-/// value (token `value`) over the emulated complete graph of `g`.
+/// value over the emulated complete graph of `g`.
 ///
 /// Returns `None` if `g` lacks the `2f+1` connectivity the emulation needs.
 pub fn oblivious_full_value_broadcast(
@@ -142,13 +141,10 @@ pub fn oblivious_full_value_broadcast(
     source: NodeId,
     f: usize,
     l_bits: u64,
-    value: u64,
-    faulty: &BTreeSet<NodeId>,
-    adversary: &mut dyn EigAdversary<u64>,
 ) -> Option<BaselineReport> {
     let router = PathRouter::build(g, f)?;
     Some(oblivious_broadcast_with_router(
-        g, &router, source, f, l_bits, value, faulty, adversary,
+        g, &router, source, f, l_bits,
     ))
 }
 
@@ -157,45 +153,25 @@ pub fn oblivious_full_value_broadcast(
 /// plan (e.g. the NAB planning layer, which owns a `2f+1`-disjoint-path
 /// router per network) lend it here instead of paying the all-pairs
 /// vertex-disjoint-path construction again per baseline run.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "mirrors the paper's parameter list"
-)]
 pub fn oblivious_broadcast_with_router(
     g: &DiGraph,
     router: &PathRouter,
     source: NodeId,
     f: usize,
     l_bits: u64,
-    value: u64,
-    faulty: &BTreeSet<NodeId>,
-    adversary: &mut dyn EigAdversary<u64>,
 ) -> BaselineReport {
     let mut sink = BitCounter::default();
     let participants: Vec<NodeId> = g.nodes().collect();
-    let mut ws = Workspace::default();
-    ws.eig(
-        &participants,
-        source,
-        f,
-        value,
-        faulty,
-        adversary,
-        &mut HopChannel {
-            router,
-            sink: &mut sink,
-        },
-        l_bits,
-    );
-    let correct = participants
-        .iter()
-        .zip(ws.decisions())
-        .filter(|(p, _)| !faulty.contains(p))
-        .all(|(_, &d)| d == value || faulty.contains(&source));
+    let mut chan = HopChannel {
+        router,
+        sink: &mut sink,
+    };
+    eig::schedule(&participants, source, f, |from, to| {
+        chan.unicast(from, to, l_bits, &());
+    });
     BaselineReport {
         time: sink.elapsed(),
         bits_carried: sink.bits,
-        correct,
     }
 }
 
@@ -203,15 +179,7 @@ pub fn oblivious_broadcast_with_router(
 /// fault-free execution: `L / time(L)`. The per-instance EIG round
 /// structure is independent of `L`, so this is also the large-`L` limit.
 pub fn oblivious_throughput(g: &DiGraph, source: NodeId, f: usize, l_bits: u64) -> Option<f64> {
-    let rep = oblivious_full_value_broadcast(
-        g,
-        source,
-        f,
-        l_bits,
-        0xA5A5,
-        &BTreeSet::new(),
-        &mut HonestAdversary,
-    )?;
+    let rep = oblivious_full_value_broadcast(g, source, f, l_bits)?;
     Some(l_bits as f64 / rep.time)
 }
 
@@ -221,19 +189,9 @@ mod tests {
     use nab_netgraph::gen;
 
     #[test]
-    fn baseline_is_correct_without_faults() {
+    fn baseline_charges_time_and_bits() {
         let g = gen::complete(4, 1);
-        let rep = oblivious_full_value_broadcast(
-            &g,
-            0,
-            1,
-            64,
-            123,
-            &BTreeSet::new(),
-            &mut HonestAdversary,
-        )
-        .unwrap();
-        assert!(rep.correct);
+        let rep = oblivious_full_value_broadcast(&g, 0, 1, 64).unwrap();
         assert!(rep.time > 0.0);
         assert!(rep.bits_carried >= 64);
     }
@@ -271,45 +229,17 @@ mod tests {
         for i in 0..4 {
             g.add_edge(i, (i + 1) % 4, 1);
         }
-        assert!(oblivious_full_value_broadcast(
-            &g,
-            0,
-            1,
-            8,
-            1,
-            &BTreeSet::new(),
-            &mut HonestAdversary
-        )
-        .is_none());
+        assert!(oblivious_full_value_broadcast(&g, 0, 1, 8).is_none());
     }
 
     #[test]
     fn borrowed_router_matches_private_router() {
         let g = gen::complete(4, 2);
         let router = PathRouter::build(&g, 1).unwrap();
-        let via_shared = oblivious_broadcast_with_router(
-            &g,
-            &router,
-            0,
-            1,
-            64,
-            123,
-            &BTreeSet::new(),
-            &mut HonestAdversary,
-        );
-        let via_private = oblivious_full_value_broadcast(
-            &g,
-            0,
-            1,
-            64,
-            123,
-            &BTreeSet::new(),
-            &mut HonestAdversary,
-        )
-        .unwrap();
+        let via_shared = oblivious_broadcast_with_router(&g, &router, 0, 1, 64);
+        let via_private = oblivious_full_value_broadcast(&g, 0, 1, 64).unwrap();
         assert_eq!(via_shared.time, via_private.time);
         assert_eq!(via_shared.bits_carried, via_private.bits_carried);
-        assert!(via_shared.correct);
     }
 
     /// The sink-counted report against a recording simulator carrying the
@@ -322,16 +252,7 @@ mod tests {
         for (g, f) in [(sparse, 1), (gen::complete(7, 3), 2)] {
             let router = PathRouter::build(&g, f).unwrap();
             let none = BTreeSet::new();
-            let rep = oblivious_broadcast_with_router(
-                &g,
-                &router,
-                0,
-                f,
-                96,
-                7,
-                &none,
-                &mut HonestAdversary,
-            );
+            let rep = oblivious_broadcast_with_router(&g, &router, 0, f, 96);
             let mut net: NetSim<Routed<u64>> = NetSim::new(g.clone());
             let participants: Vec<NodeId> = g.nodes().collect();
             let mut chan = RoutedChannel {
@@ -339,32 +260,11 @@ mod tests {
                 router: &router,
                 faulty: &none,
             };
-            Workspace::default().eig(
-                &participants,
-                0,
-                f,
-                7u64,
-                &none,
-                &mut HonestAdversary,
-                &mut chan,
-                96,
-            );
+            eig::schedule(&participants, 0, f, |from, to| {
+                chan.unicast(from, to, 96, &7u64)
+            });
             assert_eq!(rep.time.to_bits(), net.clock().to_bits());
             assert_eq!(rep.bits_carried, net.transcript().total_bits());
         }
-    }
-
-    #[test]
-    fn baseline_survives_faulty_relay() {
-        struct Flip;
-        impl EigAdversary<u64> for Flip {
-            fn send_value(&mut self, _: NodeId, _: &[NodeId], _: NodeId, honest: &u64) -> u64 {
-                honest ^ 0xFFFF
-            }
-        }
-        let g = gen::complete(4, 1);
-        let rep = oblivious_full_value_broadcast(&g, 0, 1, 64, 55, &BTreeSet::from([2]), &mut Flip)
-            .unwrap();
-        assert!(rep.correct, "EIG must tolerate one faulty relay at n=4");
     }
 }

@@ -1,4 +1,5 @@
-//! Exponential Information Gathering (EIG) Byzantine broadcast.
+//! Exponential Information Gathering (EIG) Byzantine broadcast, as the
+//! schedule of unicasts it sends.
 //!
 //! The classic Pease–Shostak–Lamport protocol \[19\]: `f + 1` relay rounds
 //! build, at every node, a tree of claims `val(σ)` — "node `i_k` said that
@@ -9,39 +10,19 @@
 //! NAB invokes this as `Broadcast_Default` for the 1-bit equality-check
 //! flags (step 2.2) and for the dispute-control transcript claims (Phase 3);
 //! its cost is the `O(n^α)` per-bit overhead that the throughput analysis
-//! amortizes away. It runs in a reusable [`Workspace`]
-//! ([`Workspace::eig`]).
-
-use std::collections::BTreeSet;
-
-use crate::router::majority;
-use crate::workspace::Workspace;
+//! amortizes away. NAB's adversary acts through what a node broadcasts,
+//! never through its relays, so every decision is the broadcaster's input
+//! (validity) and only the protocol's messages cost anything. Which
+//! unicasts EIG sends, and in which order, depends on participant indices
+//! alone: [`schedule`] emits them for the caller to charge. The
+//! value-running protocol is kept as the test oracle that pins it.
 
 /// Re-export: node identifier.
 pub use nab_netgraph::NodeId;
 
-/// Adversary hook: chooses what a *faulty* node transmits at each point of
-/// the EIG protocol.
-pub trait EigAdversary<V> {
-    /// The value faulty `sender` reports to `receiver` for claim-path
-    /// `path` (which ends in `sender`); `honest` is what a correct node
-    /// would have sent.
-    fn send_value(&mut self, sender: NodeId, path: &[NodeId], receiver: NodeId, honest: &V) -> V;
-}
-
-/// The trivial adversary: faulty nodes follow the protocol.
-#[derive(Debug, Clone, Default)]
-pub struct HonestAdversary;
-
-impl<V: Clone> EigAdversary<V> for HonestAdversary {
-    fn send_value(&mut self, _: NodeId, _: &[NodeId], _: NodeId, honest: &V) -> V {
-        honest.clone()
-    }
-}
-
-/// The transport EIG runs over: a reliable logical unicast (on a real
-/// complete graph this is a link; on an incomplete one, a
-/// [`crate::router::PathRouter`] majority-unicast).
+/// The transport `Broadcast_Default` is charged to: a reliable logical
+/// unicast (on a real complete graph this is a link; on an incomplete one,
+/// a [`crate::router::PathRouter`] majority-unicast).
 pub trait EigChannel<V> {
     /// Delivers `value` (`bits` wide) from `from` to `to`. The transport is
     /// reliable — what arrives is what was sent — so the value is only lent,
@@ -49,175 +30,101 @@ pub trait EigChannel<V> {
     fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V);
 }
 
-/// An ideal channel: direct, lossless, free. Useful for unit tests and for
-/// cost models that charge communication separately.
-#[derive(Debug, Clone, Default)]
-pub struct IdealChannel;
-
-impl<V> EigChannel<V> for IdealChannel {
-    fn unicast(&mut self, _: NodeId, _: NodeId, _: u64, _: &V) {}
+/// Emits every logical unicast `(from, to)` of one EIG broadcast from
+/// `source` among `participants`, in the order the protocol sends them.
+///
+/// The source first sends to every other participant. Then, for each
+/// level `k` in `1..=f`, the claim paths of `k + 1` distinct participants
+/// that start at the source are taken in lexicographic order of
+/// participant index, and each path's last node relays it to every
+/// participant but itself. That is the order the relays transmit in, so
+/// message order is part of the specification, not an artefact of a
+/// container. The walk keeps one path of at most `f + 1` nodes.
+///
+/// # Panics
+///
+/// Panics if `source` is not a participant or `|participants| ≤ 3f`.
+pub fn schedule(
+    participants: &[NodeId],
+    source: NodeId,
+    f: usize,
+    mut send: impl FnMut(NodeId, NodeId),
+) {
+    assert!(participants.contains(&source), "source must participate");
+    let n = participants.len();
+    assert!(n > 3 * f, "EIG requires n > 3f (n={n}, f={f})");
+    let mut path = Vec::with_capacity(f + 1);
+    path.push(source);
+    for len in 1..=f + 1 {
+        relay_paths(participants, &mut path, len, &mut send);
+    }
 }
 
-/// Id of `V::default()` in an EIG run's value table.
-const DEFAULT: u32 = 0;
-
-impl<V: Clone + Eq + Default> Workspace<V> {
-    /// Runs one EIG Byzantine broadcast in this workspace and returns the
-    /// number of logical point-to-point messages sent; the decisions stay
-    /// in the workspace ([`Workspace::decisions`]).
-    ///
-    /// - `participants`: the nodes taking part (must include `source`);
-    /// - `f`: upper bound on the number of faulty *participants*;
-    /// - `input`: the source's input value;
-    /// - `faulty` / `adversary`: which nodes misbehave and how;
-    /// - `chan`: the transport;
-    /// - `bits`: the width charged per logical message.
-    ///
-    /// Guarantees (for `|participants| > 3f`): all fault-free participants
-    /// decide the same value, equal to `input` when the source is
-    /// fault-free.
-    ///
-    /// The claim tree is built one level at a time, shared by all nodes.
-    /// Level `k` holds the claim paths of length `k + 1`, flat, built from
-    /// level `k − 1` in order by appending every participant not yet on the
-    /// path, in participant order — which is also the order the relays
-    /// transmit in, so message order is part of the specification, not an
-    /// artefact of a container. The `n − k − 1` children of path `i` are
-    /// therefore paths `i·(n−k−1) .. (i+1)·(n−k−1)` of the next level, and
-    /// each node's view of a level is its row of value ids, one per path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is not a participant or `|participants| ≤ 3f`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors the paper's parameter list"
-    )]
-    pub fn eig<C: EigChannel<V>>(
-        &mut self,
-        participants: &[NodeId],
-        source: NodeId,
-        f: usize,
-        input: V,
-        faulty: &BTreeSet<NodeId>,
-        adversary: &mut dyn EigAdversary<V>,
-        chan: &mut C,
-        bits: u64,
-    ) -> u64 {
-        assert!(participants.contains(&source), "source must participate");
-        let n = participants.len();
-        assert!(n > 3 * f, "EIG requires n > 3f (n={n}, f={f})");
-        let Workspace {
-            values,
-            paths,
-            next_paths,
-            ids,
-            next_ids,
-            decided,
-            ..
-        } = self;
-
-        let mut messages = 0u64;
-        values.reset(V::default());
-        let input = values.intern(input, DEFAULT);
-
-        // Round 1: the source announces its input.
-        paths.clear();
-        paths.push(source);
-        ids.clear();
-        let source_lies = faulty.contains(&source);
-        for &r in participants {
-            let sent = if source_lies {
-                let v = adversary.send_value(source, paths, r, values.get(input));
-                values.intern(v, input)
-            } else {
-                input
-            };
-            if r != source {
-                // (The source's own copy is a self-delivery.)
-                messages += 1;
-                chan.unicast(source, r, bits, values.get(sent));
-            }
-            ids.push(sent);
+/// Extends `path` in lexicographic order to every claim path of `len`
+/// distinct participants, and sends each one from its last node to every
+/// other participant.
+fn relay_paths(
+    participants: &[NodeId],
+    path: &mut Vec<NodeId>,
+    len: usize,
+    send: &mut impl FnMut(NodeId, NodeId),
+) {
+    if path.len() == len {
+        let relay = path[len - 1];
+        for &to in participants.iter().filter(|&&to| to != relay) {
+            send(relay, to);
         }
-
-        // Rounds 2..=f+1: relay every level-(k-1) claim. `width` is the
-        // level's path count, the length of each node's row.
-        let mut width = 1;
-        for len in 1..=f {
-            let next_width = width * (n - len);
-            next_paths.clear();
-            next_ids.clear();
-            next_ids.resize(n * next_width, DEFAULT);
-            let mut child = 0;
-            for (i, path) in paths.chunks_exact(len).enumerate() {
-                for (relay_idx, &relay) in participants.iter().enumerate() {
-                    if path.contains(&relay) {
-                        continue;
-                    }
-                    let start = next_paths.len();
-                    next_paths.extend_from_slice(path);
-                    next_paths.push(relay);
-                    let new_path = &next_paths[start..];
-                    let honest = ids[relay_idx * width + i];
-                    let lies = faulty.contains(&relay);
-                    for (row, &r) in next_ids.chunks_exact_mut(next_width).zip(participants) {
-                        let sent = if r == relay {
-                            honest
-                        } else {
-                            let sent = if lies {
-                                let v =
-                                    adversary.send_value(relay, new_path, r, values.get(honest));
-                                values.intern(v, honest)
-                            } else {
-                                honest
-                            };
-                            messages += 1;
-                            chan.unicast(relay, r, bits, values.get(sent));
-                            sent
-                        };
-                        row[child] = sent;
-                    }
-                    child += 1;
-                }
-            }
-            std::mem::swap(paths, next_paths);
-            std::mem::swap(ids, next_ids);
-            width = next_width;
+        return;
+    }
+    for &next in participants {
+        if !path.contains(&next) {
+            path.push(next);
+            relay_paths(participants, path, len, send);
+            path.pop();
         }
-
-        // Decision: strict-majority resolve, leaves upward, in place in each
-        // node's row (a parent's slot lies at or before its first child's).
-        // Leaves report the stored value; an internal path takes the strict
-        // majority of its children. No strict majority → the protocol-wide
-        // default value. (Falling back to the node's own stored value would
-        // break agreement: an equivocating source gives every node a
-        // different stored value.)
-        decided.clear();
-        for row in ids.chunks_exact_mut(width) {
-            let mut paths_left = width;
-            for len in (1..=f).rev() {
-                let fan_out = n - len;
-                paths_left /= fan_out;
-                for parent in 0..paths_left {
-                    let children = &row[parent * fan_out..(parent + 1) * fan_out];
-                    row[parent] = majority(children).unwrap_or(DEFAULT);
-                }
-            }
-            decided.push(row[0]);
-        }
-        messages
     }
 }
 
 #[cfg(test)]
 #[expect(
     clippy::disallowed_types,
-    reason = "the pre-arena oracle keeps its per-node hash trees; it lists each level in arena order, so no result depends on hash order"
+    reason = "the oracle keeps its per-node hash trees; it lists each level in schedule order, so no result depends on hash order"
 )]
 pub(crate) mod tests {
     use super::*;
-    use std::collections::{BTreeMap, HashMap};
+    use crate::router::majority;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+    /// Adversary hook: chooses what a *faulty* node transmits at each point
+    /// of the EIG protocol.
+    pub(crate) trait EigAdversary<V> {
+        /// The value faulty `sender` reports to `receiver` for claim-path
+        /// `path` (which ends in `sender`); `honest` is what a correct node
+        /// would have sent.
+        fn send_value(
+            &mut self,
+            sender: NodeId,
+            path: &[NodeId],
+            receiver: NodeId,
+            honest: &V,
+        ) -> V;
+    }
+
+    /// The trivial adversary: faulty nodes follow the protocol.
+    pub(crate) struct HonestAdversary;
+
+    impl<V: Clone> EigAdversary<V> for HonestAdversary {
+        fn send_value(&mut self, _: NodeId, _: &[NodeId], _: NodeId, honest: &V) -> V {
+            honest.clone()
+        }
+    }
+
+    /// An ideal channel: direct, lossless, free.
+    pub(crate) struct IdealChannel;
+
+    impl<V> EigChannel<V> for IdealChannel {
+        fn unicast(&mut self, _: NodeId, _: NodeId, _: u64, _: &V) {}
+    }
 
     /// A channel that logs every logical message it carries.
     #[derive(Default)]
@@ -227,6 +134,26 @@ pub(crate) mod tests {
         fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: &V) {
             self.0.push((from, to, bits, value.clone()));
         }
+    }
+
+    impl<V> Tap<V> {
+        /// The logged unicasts without their values.
+        pub(crate) fn wire(&self) -> Vec<(NodeId, NodeId, u64)> {
+            self.0
+                .iter()
+                .map(|&(from, to, bits, _)| (from, to, bits))
+                .collect()
+        }
+    }
+
+    /// A schedule's unicasts, each `bits` wide.
+    pub(crate) fn listed(
+        schedule: impl FnOnce(&mut dyn FnMut(NodeId, NodeId)),
+        bits: u64,
+    ) -> Vec<(NodeId, NodeId, u64)> {
+        let mut out = Vec::new();
+        schedule(&mut |from, to| out.push((from, to, bits)));
+        out
     }
 
     /// Every faulty set of at most `f ≤ 2` of the nodes `0..n`.
@@ -249,55 +176,14 @@ pub(crate) mod tests {
         pub(crate) messages: u64,
     }
 
-    /// One EIG broadcast on a fresh workspace, decisions keyed by node.
+    /// The value-running protocol, kept as the oracle: per-node hash trees
+    /// keyed by claim path, and the recursive resolve over them. A level's
+    /// paths are listed in [`schedule`] order.
     #[expect(
         clippy::too_many_arguments,
-        reason = "mirrors Workspace::eig's parameter list"
+        reason = "mirrors the paper's parameter list"
     )]
-    pub(crate) fn run_eig<V, C>(
-        participants: &[NodeId],
-        source: NodeId,
-        f: usize,
-        input: V,
-        faulty: &BTreeSet<NodeId>,
-        adversary: &mut dyn EigAdversary<V>,
-        chan: &mut C,
-        bits: u64,
-    ) -> EigResult<V>
-    where
-        V: Clone + Eq + Default,
-        C: EigChannel<V>,
-    {
-        let mut ws = Workspace::default();
-        let messages = ws.eig(
-            participants,
-            source,
-            f,
-            input,
-            faulty,
-            adversary,
-            chan,
-            bits,
-        );
-        EigResult {
-            decisions: participants
-                .iter()
-                .copied()
-                .zip(ws.decisions().cloned())
-                .collect(),
-            messages,
-        }
-    }
-
-    /// The pre-arena implementation, kept as the oracle: per-node hash
-    /// trees keyed by claim path, and the recursive resolve over them. Its
-    /// only change is that a level's paths are listed in arena order (it
-    /// used to take them from the hash map's iteration order).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors Workspace::eig's parameter list"
-    )]
-    fn run_eig_oracle<V, C>(
+    pub(crate) fn run_eig_oracle<V, C>(
         participants: &[NodeId],
         source: NodeId,
         f: usize,
@@ -413,23 +299,24 @@ pub(crate) mod tests {
         }
     }
 
-    /// Runs arena and oracle side by side on every `(n, f, source, faulty
-    /// set)` of the grid and requires identical decisions, message counts,
-    /// and wire traffic (every unicast's endpoints, width and value, in
-    /// order).
-    fn assert_matches_oracle<V, A>(input: V, mut adversary: impl FnMut() -> A)
+    /// Runs the oracle on every `(n, f, source, faulty set)` of the grid
+    /// under `adversary` and requires its wire traffic (every unicast's
+    /// endpoints and width, in order) to be the schedule, whatever the
+    /// liars send.
+    fn assert_oracle_sends_the_schedule<V, A>(input: V, mut adversary: impl FnMut() -> A)
     where
         V: Clone + Eq + Default + std::fmt::Debug,
         A: EigAdversary<V>,
     {
         for (n, f) in [(4, 1), (5, 1), (6, 1), (7, 1), (7, 2)] {
-            // Participant order is not id order: the arena must follow the
-            // former.
+            // Participant order is not id order: the schedule must follow
+            // the former.
             let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
             for &source in &parts {
+                let want = listed(|send| schedule(&parts, source, f, send), 9);
                 for faulty in faulty_sets(n, f) {
-                    let (mut tap, mut oracle_tap) = (Tap::default(), Tap::default());
-                    let got = run_eig(
+                    let mut tap = Tap::default();
+                    let got = run_eig_oracle(
                         &parts,
                         source,
                         f,
@@ -439,32 +326,20 @@ pub(crate) mod tests {
                         &mut tap,
                         9,
                     );
-                    let want = run_eig_oracle(
-                        &parts,
-                        source,
-                        f,
-                        input.clone(),
-                        &faulty,
-                        &mut adversary(),
-                        &mut oracle_tap,
-                        9,
-                    );
                     let case = format!("n={n} f={f} source={source} faulty={faulty:?}");
-                    assert_eq!(got.decisions, want.decisions, "{case}");
-                    assert_eq!(got.messages, want.messages, "{case}");
                     assert_eq!(got.messages, tap.0.len() as u64, "{case}");
-                    assert_eq!(tap.0, oracle_tap.0, "{case}");
+                    assert_eq!(tap.wire(), want, "{case}");
                 }
             }
         }
     }
 
     #[test]
-    fn arena_matches_hash_tree_oracle_on_u64() {
-        assert_matches_oracle(42u64, || Equivocator);
-        assert_matches_oracle(42u64, || Flipper);
-        assert_matches_oracle(0u64, || HonestAdversary);
-        assert_matches_oracle(5u64, || {
+    fn schedule_matches_hash_tree_oracle_on_u64() {
+        assert_oracle_sends_the_schedule(42u64, || Equivocator);
+        assert_oracle_sends_the_schedule(42u64, || Flipper);
+        assert_oracle_sends_the_schedule(0u64, || HonestAdversary);
+        assert_oracle_sends_the_schedule(5u64, || {
             FnAdv(0, |call, s, path: &[NodeId], r, honest: &u64| {
                 (honest + call * 7 + (s + r + path.len()) as u64) % 3
             })
@@ -472,18 +347,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn arena_matches_hash_tree_oracle_on_non_copy_values() {
+    fn schedule_matches_hash_tree_oracle_on_non_copy_values() {
         // Strings, and a claims-shaped value (a map of vectors) whose
         // equality is structural, like dispute control's `NodeClaims`.
-        assert_matches_oracle("claim".to_string(), || {
+        assert_oracle_sends_the_schedule("claim".to_string(), || {
             FnAdv(0, |_, _, _: &[NodeId], r, honest: &String| {
                 format!("{honest}/{}", r % 2)
             })
         });
-        assert_matches_oracle(String::new(), || HonestAdversary);
+        assert_oracle_sends_the_schedule(String::new(), || HonestAdversary);
         type Claims = BTreeMap<NodeId, Vec<u16>>;
         let input: Claims = BTreeMap::from([(0, vec![1, 2, 3]), (2, vec![])]);
-        assert_matches_oracle(input.clone(), || {
+        assert_oracle_sends_the_schedule(input.clone(), || {
             FnAdv(0, |call: u64, s, _: &[NodeId], r, honest: &Claims| {
                 let mut c = honest.clone();
                 if (call + r as u64).is_multiple_of(3) {
@@ -492,7 +367,7 @@ pub(crate) mod tests {
                 c
             })
         });
-        assert_matches_oracle(input, || HonestAdversary);
+        assert_oracle_sends_the_schedule(input, || HonestAdversary);
     }
 
     /// With relays that follow the protocol, who is faulty is invisible:
@@ -507,7 +382,7 @@ pub(crate) mod tests {
                 for &source in &parts {
                     let run = |faulty: &BTreeSet<NodeId>| {
                         let mut tap = Tap::default();
-                        let res = run_eig(
+                        let res = run_eig_oracle(
                             &parts,
                             source,
                             f,
@@ -534,24 +409,8 @@ pub(crate) mod tests {
         // relays' 6 × 6, level 2 opens with path [0, 1] relayed by 2, 3, …,
         // each to everyone but itself, in participant order.
         let parts: Vec<NodeId> = (0..7).collect();
-        let run = || {
-            let mut tap = Tap::default();
-            run_eig(
-                &parts,
-                0,
-                2,
-                1u64,
-                &BTreeSet::new(),
-                &mut HonestAdversary,
-                &mut tap,
-                1,
-            );
-            tap.0
-                .iter()
-                .map(|&(from, to, _, _)| (from, to))
-                .collect::<Vec<_>>()
-        };
-        let wire = run();
+        let mut wire = Vec::new();
+        schedule(&parts, 0, 2, |from, to| wire.push((from, to)));
         assert_eq!(wire.len(), 6 + 6 * 6 + 6 * 5 * 6);
         assert_eq!(
             wire[42..54],
@@ -570,7 +429,6 @@ pub(crate) mod tests {
                 (3, 6)
             ]
         );
-        assert_eq!(wire, run());
     }
 
     /// Adversary: faulty nodes send `receiver-id`-dependent garbage.
@@ -599,7 +457,7 @@ pub(crate) mod tests {
     #[test]
     fn validity_with_honest_source() {
         let parts: Vec<NodeId> = (0..4).collect();
-        let res = run_eig(
+        let res = run_eig_oracle(
             &parts,
             0,
             1,
@@ -616,7 +474,7 @@ pub(crate) mod tests {
     fn agreement_with_equivocating_source_f1() {
         let parts: Vec<NodeId> = (0..4).collect();
         let faulty = BTreeSet::from([0]);
-        let res = run_eig(
+        let res = run_eig_oracle(
             &parts,
             0,
             1,
@@ -637,7 +495,7 @@ pub(crate) mod tests {
     fn validity_despite_faulty_relay_f1() {
         let parts: Vec<NodeId> = (0..4).collect();
         let faulty = BTreeSet::from([2]);
-        let res = run_eig(
+        let res = run_eig_oracle(
             &parts,
             0,
             1,
@@ -656,7 +514,7 @@ pub(crate) mod tests {
     fn agreement_with_two_faults_f2() {
         let parts: Vec<NodeId> = (0..7).collect();
         let faulty = BTreeSet::from([0, 3]);
-        let res = run_eig(
+        let res = run_eig_oracle(
             &parts,
             0,
             2,
@@ -678,7 +536,7 @@ pub(crate) mod tests {
     fn validity_with_two_faulty_relays_f2() {
         let parts: Vec<NodeId> = (0..7).collect();
         let faulty = BTreeSet::from([5, 6]);
-        let res = run_eig(
+        let res = run_eig_oracle(
             &parts,
             0,
             2,
@@ -696,7 +554,7 @@ pub(crate) mod tests {
     #[test]
     fn f0_is_single_round() {
         let parts: Vec<NodeId> = (0..2).collect();
-        let res = run_eig(
+        let res = run_eig_oracle(
             &parts,
             1,
             0,
@@ -708,22 +566,21 @@ pub(crate) mod tests {
         );
         assert_eq!(res.decisions[&0], 3);
         assert_eq!(res.messages, 1);
+        assert_eq!(listed(|send| schedule(&parts, 1, 0, send), 1), [(1, 0, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "n > 3f")]
     fn too_few_participants_rejected() {
         let parts: Vec<NodeId> = (0..3).collect();
-        let _ = run_eig(
-            &parts,
-            0,
-            1,
-            0u64,
-            &BTreeSet::new(),
-            &mut HonestAdversary,
-            &mut IdealChannel,
-            1,
-        );
+        schedule(&parts, 0, 1, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "source must participate")]
+    fn absent_source_rejected() {
+        let parts: Vec<NodeId> = (0..4).collect();
+        schedule(&parts, 9, 1, |_, _| {});
     }
 
     #[test]
@@ -731,7 +588,7 @@ pub(crate) mod tests {
         // EIG is generic over the value domain — dispute control broadcasts
         // structured claims, not bits.
         let parts: Vec<NodeId> = (0..4).collect();
-        let res = run_eig(
+        let res = run_eig_oracle(
             &parts,
             0,
             1,
@@ -756,7 +613,7 @@ pub(crate) mod tests {
                 let mut flip = Flipper;
                 let adversary: &mut dyn EigAdversary<u64> =
                     if adv_kind == 0 { &mut equiv } else { &mut flip };
-                let res = run_eig(
+                let res = run_eig_oracle(
                     &parts,
                     0,
                     1,

@@ -1,196 +1,85 @@
-//! Phase-King Byzantine broadcast (Berman–Garay–Perry style).
+//! Phase-King Byzantine broadcast (Berman–Garay–Perry style), as the
+//! schedule of unicasts it sends.
 //!
 //! An alternative `Broadcast_Default` with *polynomial* message complexity
 //! `O(f · n²)` — EIG sends `O(n^{f+1})` messages, which is fine for the
 //! small `f` NAB targets but explodes for larger deployments. The classic
-//! two-round phase-king protocol implemented here requires `n > 4f`
+//! two-round phase-king protocol modelled here requires `n > 4f`
 //! (the three-round `n > 3f` variant trades more rounds for resilience);
 //! callers choose it when their network clears that threshold.
 //!
 //! Structure: the source disperses its value, then `f + 1` consensus
 //! phases run, each with a designated *king*. Some phase has a fault-free
 //! king, after which all fault-free nodes agree and agreement persists.
-//! It runs in the same reusable [`Workspace`] as EIG
-//! ([`Workspace::phase_king`]).
-
-use std::collections::BTreeSet;
+//! As with [`crate::eig`], who sends to whom never depends on a value, so
+//! [`schedule`] emits the unicasts for the caller to charge; the
+//! value-running protocol is kept as the test oracle that pins it.
 
 use nab_netgraph::NodeId;
 
-use crate::eig::EigChannel;
-use crate::workspace::{ValueTable, Workspace};
-
-/// Adversary hook for Phase-King: what a faulty `sender` transmits to
-/// `receiver` in the given `(phase, round)` (source dispersal is phase 0).
-pub trait PkAdversary<V> {
-    /// Returns the (possibly corrupted) value to send; `honest` is the
-    /// protocol-prescribed one.
-    fn value(
-        &mut self,
-        sender: NodeId,
-        phase: usize,
-        round: usize,
-        receiver: NodeId,
-        honest: &V,
-    ) -> V;
-}
-
-/// Faulty nodes follow the protocol.
-#[derive(Debug, Clone, Default)]
-pub struct PkHonest;
-
-impl<V: Clone> PkAdversary<V> for PkHonest {
-    fn value(&mut self, _: NodeId, _: usize, _: usize, _: NodeId, honest: &V) -> V {
-        honest.clone()
-    }
-}
-
-impl<V: Clone + Ord> Workspace<V> {
-    /// Runs one Phase-King broadcast in this workspace and returns the
-    /// number of logical point-to-point messages sent; the decisions stay
-    /// in the workspace ([`Workspace::decisions`]). The parameters are
-    /// [`Workspace::eig`]'s.
-    ///
-    /// Guarantees for `|participants| > 4f`: agreement among fault-free
-    /// nodes always; validity when the source is fault-free.
-    ///
-    /// Node state is a value id per participant; values themselves are
-    /// compared only to break plurality ties.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is not a participant or `|participants| ≤ 4f`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors the paper's parameter list"
-    )]
-    pub fn phase_king<C: EigChannel<V>>(
-        &mut self,
-        participants: &[NodeId],
-        source: NodeId,
-        f: usize,
-        input: V,
-        faulty: &BTreeSet<NodeId>,
-        adversary: &mut dyn PkAdversary<V>,
-        chan: &mut C,
-        bits: u64,
-    ) -> u64 {
-        assert!(participants.contains(&source), "source must participate");
-        let n = participants.len();
-        assert!(n > 4 * f, "phase-king needs n > 4f (n={n}, f={f})");
-        let Workspace {
-            values,
-            ids: heard,
-            support,
-            proposal,
-            decided: value,
-            ..
-        } = self;
-
-        let mut messages = 0u64;
-        values.reset(input);
-        const INPUT: u32 = 0;
-        // What faulty `s` sends `r` in place of `honest`.
-        let mut lie = |values: &mut ValueTable<V>, s, phase, round, r, honest: u32| {
-            let v = adversary.value(s, phase, round, r, values.get(honest));
-            values.intern(v, honest)
-        };
-
-        // Phase 0: the source disperses its input.
-        value.clear();
-        for &r in participants {
-            let sent = if faulty.contains(&source) {
-                lie(values, source, 0, 0, r, INPUT)
-            } else {
-                INPUT
-            };
-            if r != source {
-                messages += 1;
-                chan.unicast(source, r, bits, values.get(sent));
-            }
-            value.push(sent);
+/// Emits every logical unicast `(from, to)` of one Phase-King broadcast
+/// from `source` among `participants`, in the order the protocol sends
+/// them: the source disperses its value to every other participant, then
+/// each of the `f + 1` phases has every participant, in participant order,
+/// announce to every other, followed by the phase's king (the first `f + 1`
+/// participants in turn) sending to every other.
+///
+/// # Panics
+///
+/// Panics if `source` is not a participant or `|participants| ≤ 4f`.
+pub fn schedule(
+    participants: &[NodeId],
+    source: NodeId,
+    f: usize,
+    mut send: impl FnMut(NodeId, NodeId),
+) {
+    assert!(participants.contains(&source), "source must participate");
+    let n = participants.len();
+    assert!(n > 4 * f, "phase-king needs n > 4f (n={n}, f={f})");
+    let mut to_others = |from: NodeId| {
+        for &to in participants.iter().filter(|&&to| to != from) {
+            send(from, to);
         }
-
-        // f + 1 king phases. Kings are the first f+1 participants — at
-        // least one of them is fault-free.
-        for phase in 1..=f + 1 {
-            let king_idx = (phase - 1) % n;
-            let king = participants[king_idx];
-
-            // Round 1: everyone announces its current value. Receiver
-            // `r`'s votes are row `r` of `heard`, in sender order.
-            heard.clear();
-            heard.resize(n * n, INPUT);
-            for (s_idx, (&s, &honest)) in participants.iter().zip(value.iter()).enumerate() {
-                let lies = faulty.contains(&s);
-                for (votes, &r) in heard.chunks_exact_mut(n).zip(participants) {
-                    let sent = if lies {
-                        lie(values, s, phase, 1, r, honest)
-                    } else {
-                        honest
-                    };
-                    if r != s {
-                        messages += 1;
-                        chan.unicast(s, r, bits, values.get(sent));
-                    }
-                    votes[s_idx] = sent;
-                }
-            }
-
-            // Each node computes its plurality proposal (ties go to the
-            // smallest value) and that proposal's support.
-            proposal.clear();
-            for votes in heard.chunks_exact(n) {
-                support.clear();
-                support.resize(values.len(), 0);
-                for &id in votes {
-                    support[id as usize] += 1;
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the table holds the input from the start"
-                )]
-                let best = (0u32..)
-                    .zip(support.iter().copied())
-                    .max_by(|&(a, ca), &(b, cb)| {
-                        ca.cmp(&cb).then_with(|| values.get(b).cmp(values.get(a)))
-                    })
-                    .expect("non-empty table");
-                proposal.push(best);
-            }
-
-            // Round 2: the king broadcasts its proposal; weakly supported
-            // nodes adopt it.
-            let king_honest = proposal[king_idx].0;
-            for ((slot, &r), &(own, support)) in
-                value.iter_mut().zip(participants).zip(proposal.iter())
-            {
-                let from_king = if r == king {
-                    king_honest
-                } else {
-                    let sent = if faulty.contains(&king) {
-                        lie(values, king, phase, 2, r, king_honest)
-                    } else {
-                        king_honest
-                    };
-                    messages += 1;
-                    chan.unicast(king, r, bits, values.get(sent));
-                    sent
-                };
-                // Strong support (≥ n − f announcers) survives any king;
-                // otherwise defer to the king.
-                *slot = if support >= n - f { own } else { from_king };
-            }
+    };
+    to_others(source);
+    for &king in participants.iter().cycle().take(f + 1) {
+        for &s in participants {
+            to_others(s);
         }
-        messages
+        to_others(king);
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::eig::IdealChannel;
-    use std::collections::BTreeMap;
+    use crate::eig::tests::{faulty_sets, listed, IdealChannel, Tap};
+    use crate::eig::EigChannel;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Adversary hook for Phase-King: what a faulty `sender` transmits to
+    /// `receiver` in the given `(phase, round)` (source dispersal is phase 0).
+    pub(crate) trait PkAdversary<V> {
+        /// Returns the (possibly corrupted) value to send; `honest` is the
+        /// protocol-prescribed one.
+        fn value(
+            &mut self,
+            sender: NodeId,
+            phase: usize,
+            round: usize,
+            receiver: NodeId,
+            honest: &V,
+        ) -> V;
+    }
+
+    /// Faulty nodes follow the protocol.
+    pub(crate) struct PkHonest;
+
+    impl<V: Clone> PkAdversary<V> for PkHonest {
+        fn value(&mut self, _: NodeId, _: usize, _: usize, _: NodeId, honest: &V) -> V {
+            honest.clone()
+        }
+    }
 
     /// Outcome of one broadcast: every participant's decision and the
     /// number of logical messages.
@@ -200,54 +89,13 @@ pub(crate) mod tests {
         pub(crate) messages: u64,
     }
 
-    /// One Phase-King broadcast on a fresh workspace, decisions keyed by
-    /// node.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors Workspace::phase_king's parameter list"
-    )]
-    pub(crate) fn run_phase_king<V, C>(
-        participants: &[NodeId],
-        source: NodeId,
-        f: usize,
-        input: V,
-        faulty: &BTreeSet<NodeId>,
-        adversary: &mut dyn PkAdversary<V>,
-        chan: &mut C,
-        bits: u64,
-    ) -> PkResult<V>
-    where
-        V: Clone + Ord + Default,
-        C: EigChannel<V>,
-    {
-        let mut ws = Workspace::default();
-        let messages = ws.phase_king(
-            participants,
-            source,
-            f,
-            input,
-            faulty,
-            adversary,
-            chan,
-            bits,
-        );
-        PkResult {
-            decisions: participants
-                .iter()
-                .copied()
-                .zip(ws.decisions().cloned())
-                .collect(),
-            messages,
-        }
-    }
-
-    /// The pre-id implementation (owned values in per-node maps), kept as the
-    /// oracle for [`Workspace::phase_king`].
+    /// The value-running protocol (owned values in per-node maps), kept as
+    /// the oracle for [`schedule`].
     #[expect(
         clippy::too_many_arguments,
         reason = "mirrors the paper's parameter list"
     )]
-    fn run_phase_king_oracle<V, C>(
+    pub(crate) fn run_phase_king_oracle<V, C>(
         participants: &[NodeId],
         source: NodeId,
         f: usize,
@@ -384,12 +232,11 @@ pub(crate) mod tests {
         vals.windows(2).all(|w| w[0] == w[1]).then(|| vals[0])
     }
 
-    /// Ids vs owned values: identical decisions, message counts and wire
-    /// traffic on the `n > 4f` grid, for every source, every faulty set of
-    /// at most `f` nodes, and each adversary.
+    /// The oracle's wire traffic is the schedule on the `n > 4f` grid, for
+    /// every source, every faulty set of at most `f` nodes, and each
+    /// adversary: whatever the liars send, who sends to whom is fixed.
     #[test]
-    fn ids_match_owned_value_oracle() {
-        use crate::eig::tests::{faulty_sets, Tap};
+    fn schedule_matches_owned_value_oracle() {
         type MakeAdv = fn() -> Box<dyn PkAdversary<u64>>;
         let advs: [MakeAdv; 3] = [
             || Box::new(PkHonest),
@@ -399,10 +246,11 @@ pub(crate) mod tests {
         for (n, f) in [(5, 1), (6, 1), (9, 2)] {
             let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
             for &source in &parts {
+                let want = listed(|send| schedule(&parts, source, f, send), 8);
                 for faulty in &faulty_sets(n, f) {
                     for adv in advs {
-                        let (mut tap, mut oracle_tap) = (Tap::default(), Tap::default());
-                        let got = run_phase_king(
+                        let mut tap = Tap::default();
+                        let got = run_phase_king_oracle(
                             &parts,
                             source,
                             f,
@@ -412,20 +260,9 @@ pub(crate) mod tests {
                             &mut tap,
                             8,
                         );
-                        let want = run_phase_king_oracle(
-                            &parts,
-                            source,
-                            f,
-                            3u64,
-                            faulty,
-                            adv().as_mut(),
-                            &mut oracle_tap,
-                            8,
-                        );
                         let case = format!("n={n} f={f} source={source} faulty={faulty:?}");
-                        assert_eq!(got.decisions, want.decisions, "{case}");
-                        assert_eq!(got.messages, want.messages, "{case}");
-                        assert_eq!(tap.0, oracle_tap.0, "{case}");
+                        assert_eq!(got.messages, tap.0.len() as u64, "{case}");
+                        assert_eq!(tap.wire(), want, "{case}");
                     }
                 }
             }
@@ -437,14 +274,13 @@ pub(crate) mod tests {
     /// fault-free run's decisions, message count and wire log.
     #[test]
     fn honest_relays_make_the_faulty_set_irrelevant() {
-        use crate::eig::tests::{faulty_sets, Tap};
         for n in 4..=7 {
             for f in (1..=2).filter(|&f| n > 4 * f) {
                 let parts: Vec<NodeId> = (0..n).rev().map(|i| (i + 2) % n).collect();
                 for &source in &parts {
                     let run = |faulty: &BTreeSet<NodeId>| {
                         let mut tap = Tap::default();
-                        let res = run_phase_king(
+                        let res = run_phase_king_oracle(
                             &parts,
                             source,
                             f,
@@ -468,7 +304,7 @@ pub(crate) mod tests {
     #[test]
     fn validity_fault_free() {
         let parts: Vec<NodeId> = (0..5).collect();
-        let res = run_phase_king(
+        let res = run_phase_king_oracle(
             &parts,
             0,
             1,
@@ -485,7 +321,7 @@ pub(crate) mod tests {
     fn agreement_under_equivocating_source() {
         let parts: Vec<NodeId> = (0..5).collect();
         let faulty = BTreeSet::from([0]);
-        let res = run_phase_king(
+        let res = run_phase_king_oracle(
             &parts,
             0,
             1,
@@ -504,7 +340,8 @@ pub(crate) mod tests {
         let parts: Vec<NodeId> = (0..5).collect();
         for bad in 1..5 {
             let faulty = BTreeSet::from([bad]);
-            let res = run_phase_king(&parts, 0, 1, 7u64, &faulty, &mut Flip, &mut IdealChannel, 8);
+            let res =
+                run_phase_king_oracle(&parts, 0, 1, 7u64, &faulty, &mut Flip, &mut IdealChannel, 8);
             let honest: Vec<NodeId> = parts.iter().copied().filter(|&p| p != bad).collect();
             assert_eq!(agreed(&res, &honest), Some(7), "faulty={bad}");
         }
@@ -515,7 +352,7 @@ pub(crate) mod tests {
         let parts: Vec<NodeId> = (0..5).collect();
         for bad in 0..5 {
             let faulty = BTreeSet::from([bad]);
-            let res = run_phase_king(
+            let res = run_phase_king_oracle(
                 &parts,
                 0,
                 1,
@@ -539,7 +376,7 @@ pub(crate) mod tests {
         let parts: Vec<NodeId> = (0..9).collect();
         for pair in [[0usize, 1], [1, 2], [7, 8]] {
             let faulty: BTreeSet<NodeId> = pair.into_iter().collect();
-            let res = run_phase_king(
+            let res = run_phase_king_oracle(
                 &parts,
                 0,
                 2,
@@ -562,54 +399,97 @@ pub(crate) mod tests {
         }
     }
 
+    /// Both schedules' message counts in closed form: EIG sends
+    /// `(n−1)·(1 + Σ_{k=1..f} Π_{j=1..k}(n−j))` unicasts (level `k` has
+    /// `Π_{j=1..k}(n−j)` claim paths), Phase-King `(n−1)·(1 + (f+1)(n+1))`.
+    /// Phase-King grows ~n², EIG ~n^{f+1}; at f=2 the gap is visible
+    /// already for n=9.
     #[test]
     fn polynomial_vs_exponential_messages() {
-        // Phase-King messages grow ~n², EIG ~n^{f+1}; at f=2 the gap is
-        // visible already for n=9.
-        use crate::eig::{tests::run_eig, HonestAdversary};
+        use crate::eig::tests::{run_eig_oracle, HonestAdversary};
+        let eig_closed = |n: u64, f: u64| {
+            let levels: u64 = (1..=f)
+                .map(|k| (1..=k).map(|j| n - j).product::<u64>())
+                .sum();
+            (n - 1) * (1 + levels)
+        };
+        let pk_closed = |n: u64, f: u64| (n - 1) * (1 + (f + 1) * (n + 1));
+        let eig = |parts: &[NodeId], source, f| {
+            listed(|send| crate::eig::schedule(parts, source, f, send), 1).len() as u64
+        };
+        let pk = |parts: &[NodeId], source, f| {
+            listed(|send| schedule(parts, source, f, send), 1).len() as u64
+        };
+        for n in 1..=14usize {
+            let parts: Vec<NodeId> = (0..n).collect();
+            for f in (0..=3).filter(|&f| n > 3 * f) {
+                let (nn, ff) = (n as u64, f as u64);
+                assert_eq!(eig(&parts, n - 1, f), eig_closed(nn, ff), "EIG n={n} f={f}");
+                if n > 4 * f {
+                    assert_eq!(pk(&parts, 0, f), pk_closed(nn, ff), "PK n={n} f={f}");
+                }
+            }
+        }
+
+        // The oracles send as many.
         let parts: Vec<NodeId> = (0..9).collect();
-        let pk = run_phase_king(
+        let none = BTreeSet::new();
+        let pk_run = run_phase_king_oracle(
             &parts,
             0,
             2,
             1u64,
-            &BTreeSet::new(),
+            &none,
             &mut PkHonest,
             &mut IdealChannel,
             1,
         );
-        let eig = run_eig(
+        let eig_run = run_eig_oracle(
             &parts,
             0,
             2,
             1u64,
-            &BTreeSet::new(),
+            &none,
             &mut HonestAdversary,
             &mut IdealChannel,
             1,
         );
+        assert_eq!(pk_run.messages, pk_closed(9, 2));
+        assert_eq!(eig_run.messages, eig_closed(9, 2));
         assert!(
-            pk.messages < eig.messages,
+            pk_run.messages < eig_run.messages,
             "phase-king {} !< EIG {}",
-            pk.messages,
-            eig.messages
+            pk_run.messages,
+            eig_run.messages
         );
+
+        // One flag phase is n EIG broadcasts, one from each participant.
+        for (n, f, per_phase) in [
+            (4, 1, 48),
+            (7, 1, 294),
+            (7, 2, 1_554),
+            (10, 1, 900),
+            (14, 1, 2_548),
+        ] {
+            let parts: Vec<NodeId> = (0..n).collect();
+            let sent: u64 = parts.iter().map(|&b| eig(&parts, b, f)).sum();
+            assert_eq!(sent, per_phase, "K{n} f={f}");
+            assert_eq!(n as u64 * eig_closed(n as u64, f as u64), per_phase);
+        }
     }
 
     #[test]
     #[should_panic(expected = "n > 4f")]
     fn rejects_insufficient_n() {
         let parts: Vec<NodeId> = (0..4).collect();
-        let _ = run_phase_king(
-            &parts,
-            0,
-            1,
-            0u64,
-            &BTreeSet::new(),
-            &mut PkHonest,
-            &mut IdealChannel,
-            1,
-        );
+        schedule(&parts, 0, 1, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "source must participate")]
+    fn rejects_absent_source() {
+        let parts: Vec<NodeId> = (0..5).collect();
+        schedule(&parts, 7, 1, |_, _| {});
     }
 
     #[test]
@@ -624,8 +504,16 @@ pub(crate) mod tests {
                     let mut fl = Flip;
                     let adv: &mut dyn PkAdversary<u64> =
                         if adv_id == 0 { &mut eq } else { &mut fl };
-                    let res =
-                        run_phase_king(&parts, 0, 1, input, &faulty, adv, &mut IdealChannel, 1);
+                    let res = run_phase_king_oracle(
+                        &parts,
+                        0,
+                        1,
+                        input,
+                        &faulty,
+                        adv,
+                        &mut IdealChannel,
+                        1,
+                    );
                     let honest: Vec<NodeId> = parts.iter().copied().filter(|&p| p != bad).collect();
                     let a = agreed(&res, &honest);
                     assert!(a.is_some(), "bad={bad} input={input} adv={adv_id}");

@@ -12,13 +12,11 @@
 //!
 //! Usage: `cargo run --release -p nab-bench --bin experiments`
 
-use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use nab::plan::PlanCache;
 use nab::value::SYMBOL_BITS;
 use nab_bb::baselines::oblivious_broadcast_with_router;
-use nab_bb::eig::HonestAdversary;
 use nab_bench::format_table;
 use nab_scenario::report::{failures, table};
 use nab_scenario::{
@@ -97,9 +95,7 @@ fn oblivious_throughput(spec: &ScenarioSpec, job: &Job, cache: &PlanCache) -> Op
     let g = spec.topology.build(&job.ctx()).ok()?;
     let plan = cache.fetch(&g, job.f).ok()?.plan;
     let l_bits = job.symbols as u64 * SYMBOL_BITS;
-    let (none, honest) = (BTreeSet::new(), &mut HonestAdversary);
-    let rep =
-        oblivious_broadcast_with_router(&g, plan.router(), 0, job.f, l_bits, 0xA5A5, &none, honest);
+    let rep = oblivious_broadcast_with_router(&g, plan.router(), 0, job.f, l_bits);
     Some(l_bits as f64 / rep.time)
 }
 

@@ -12,7 +12,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use nab_bb::router::RoundSink;
-use nab_bb::Workspace;
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
@@ -235,9 +234,6 @@ pub struct NabEngine {
     /// The equality check's slabs and products, rewritten in place from
     /// one instance to the next.
     eq_scratch: EqScratch,
-    /// `Broadcast_Default`'s buffers, reused by every flag broadcast of
-    /// every instance.
-    flags_ws: Workspace<u64>,
 }
 
 impl NabEngine {
@@ -277,7 +273,6 @@ impl NabEngine {
             net: None,
             repair_stats: RepairStats::default(),
             eq_scratch: EqScratch::default(),
-            flags_ws: Workspace::default(),
         })
     }
 
@@ -514,7 +509,6 @@ impl NabEngine {
             faulty,
             adv,
             self.broadcast,
-            &mut self.flags_ws,
             &mut PhaseClock::new(timing.as_mut(), BroadcastPhase::Flags, plan.router()),
         );
         times.flags = flags.duration;
@@ -567,7 +561,6 @@ impl NabEngine {
             f_res,
             claims,
             self.broadcast,
-            observer,
             &mut clock,
         );
         times.dispute = clock.elapsed();

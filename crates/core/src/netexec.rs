@@ -450,7 +450,6 @@ pub(crate) mod tests {
             &faulty,
             &mut adv,
             kind,
-            &mut nab_bb::Workspace::default(),
             &mut timing.broadcast_phase(BroadcastPhase::Flags, router),
         );
         assert!(flags.any_mismatch(observer), "the instance must dispute");
@@ -470,7 +469,6 @@ pub(crate) mod tests {
             f,
             claims.clone(),
             kind,
-            observer,
             &mut timing.broadcast_phase(BroadcastPhase::Dispute, router),
         );
         let (times, delivered) = timing.finish();
@@ -486,13 +484,12 @@ pub(crate) mod tests {
                 &faulty,
                 &mut adv,
                 kind,
-                &mut nab_bb::Workspace::default(),
                 log,
             )
         });
-        assert_eq!(logged.decisions, flags.decisions);
+        assert_eq!(logged.announced, flags.announced);
         let (logged, claim_rounds) = recorded(g0, |log| {
-            broadcast_claims(router, &participants, f, claims, kind, observer, log)
+            broadcast_claims(router, &participants, f, claims, kind, log)
         });
         assert_eq!(logged, agreed);
 

@@ -5,10 +5,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-use nab_bb::eig::{EigChannel, HonestAdversary};
-use nab_bb::phaseking::PkHonest;
+use nab_bb::eig::{self, EigChannel};
+use nab_bb::phaseking;
 use nab_bb::router::{FormulaClock, HopChannel, PathRouter, RoundSink};
-use nab_bb::Workspace;
 use nab_gf::{Gf2_16, WordMatrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, EdgeId, NodeId};
@@ -361,13 +360,14 @@ impl BroadcastKind {
 
 /// Runs one `Broadcast_Default` of `input` from `source` among
 /// `participants` over the given channel, returning every participant's
-/// decision.
+/// decision: `input`, by validity.
 ///
 /// Faulty participants relay by the protocol: NAB's adversary acts
 /// through what a node broadcasts (its flag, its claims), never through
-/// the relays of `Broadcast_Default`, so the faulty set cannot change the
-/// outcome and `_faulty` is not read. It stays only for `benchmark/`'s
-/// call sites.
+/// the relays of `Broadcast_Default`, so every decision is fixed before the
+/// broadcast runs and the call only charges the protocol's unicasts to
+/// `chan`. `_faulty` is not read. It stays only for `benchmark/`'s call
+/// sites.
 #[expect(
     clippy::too_many_arguments,
     reason = "mirrors the paper's parameter list"
@@ -383,87 +383,53 @@ pub fn broadcast_value<V, C>(
     bits: u64,
 ) -> BTreeMap<NodeId, V>
 where
-    V: Clone + Eq + Ord + Default,
+    V: Clone,
     C: EigChannel<V>,
 {
-    let mut ws = Workspace::default();
-    broadcast_in(&mut ws, kind, participants, source, f, input, chan, bits);
-    participants
-        .iter()
-        .copied()
-        .zip(ws.decisions().cloned())
-        .collect()
+    broadcast_in(kind, participants, source, f, &input, chan, bits);
+    participants.iter().map(|&p| (p, input.clone())).collect()
 }
 
-/// [`broadcast_value`] among `nodes` in a caller's workspace: the
-/// decisions are left in `ws`, in participant order.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "mirrors the paper's parameter list"
-)]
-fn broadcast_in<V, C>(
-    ws: &mut Workspace<V>,
+/// Charges one `Broadcast_Default` from `source` among `nodes` to `chan`:
+/// every unicast of the protocol's schedule, in order, carrying `input`.
+/// Phase-King needs `n > 4f` and falls back to EIG below it.
+fn broadcast_in<V, C: EigChannel<V>>(
     kind: BroadcastKind,
     nodes: &[NodeId],
     source: NodeId,
     f: usize,
-    input: V,
+    input: &V,
     chan: &mut C,
     bits: u64,
-) where
-    V: Clone + Eq + Ord + Default,
-    C: EigChannel<V>,
-{
-    let none = &BTreeSet::new();
+) {
+    let send = |from, to| chan.unicast(from, to, bits, input);
     if kind == BroadcastKind::PhaseKing && nodes.len() > 4 * f {
-        ws.phase_king(nodes, source, f, input, none, &mut PkHonest, chan, bits);
+        phaseking::schedule(nodes, source, f, send);
     } else {
-        let honest = &mut HonestAdversary;
-        ws.eig(nodes, source, f, input, none, honest, chan, bits);
+        eig::schedule(nodes, source, f, send);
     }
 }
 
 /// Outcome of step 2.2: every participant Byzantine-broadcasts its flag.
 #[derive(Debug, Clone)]
 pub struct FlagOutcome {
-    /// The flag each node *announced* (faulty nodes may have lied).
+    /// The flag each node *announced* (faulty nodes may have lied). By
+    /// validity it is also the flag every participant decided on.
     pub announced: BTreeMap<NodeId, bool>,
-    /// The participants, in the order they broadcast.
-    pub participants: Vec<NodeId>,
-    /// The decision every participant reached on every broadcaster's flag,
-    /// flat: row `i` is the `i`-th participant's broadcast, column `j` the
-    /// `j`-th participant's decision (all fault-free participants agree,
-    /// by the protocol's correctness).
-    pub decisions: Vec<bool>,
     /// Duration of all flag broadcasts on the clock they were charged to.
     pub duration: f64,
 }
 
 impl FlagOutcome {
-    /// The agreed flag of broadcaster `b` as seen by `observer`.
-    pub fn agreed(&self, b: NodeId, observer: NodeId) -> bool {
-        let n = self.participants.len();
-        self.decisions[self.index(b) * n + self.index(observer)]
-    }
-
     /// Whether any broadcaster's agreed flag (at `observer`) is MISMATCH.
+    /// Every participant decides the announced flags, so `observer` is
+    /// only checked to have taken part.
     pub fn any_mismatch(&self, observer: NodeId) -> bool {
-        let n = self.participants.len();
-        let column = self.decisions.iter().skip(self.index(observer));
-        column.step_by(n).any(|&flag| flag)
-    }
-
-    /// Where `v` broadcast; panics on a node that did not take part, as
-    /// indexing a map of them would.
-    #[expect(
-        clippy::expect_used,
-        reason = "a query about a node that did not take part is a caller bug"
-    )]
-    fn index(&self, v: NodeId) -> usize {
-        self.participants
-            .iter()
-            .position(|&p| p == v)
-            .expect("a participant of the flag broadcast")
+        assert!(
+            self.announced.contains_key(&observer),
+            "a participant of the flag broadcast"
+        );
+        self.announced.values().any(|&flag| flag)
     }
 }
 
@@ -498,7 +464,6 @@ pub fn run_flag_broadcast(
         faulty,
         adv,
         kind,
-        &mut Workspace::default(),
         // The engine's own clock type, so both share one instantiation.
         &mut PhaseClock::Formula(FormulaClock::default()),
     )
@@ -509,8 +474,7 @@ pub fn run_flag_broadcast(
 /// *original* network (dispute-removed links still physically exist; NAB
 /// only stops trusting them for its own phases). Every hop round is charged
 /// to `sink`, which is also the clock [`FlagOutcome::duration`] is read
-/// from. All `n` broadcasts run in `ws`, which the engine keeps across
-/// instances.
+/// from.
 ///
 /// `f_residual` is the fault budget among the participants (original `f`
 /// minus nodes already exposed and excluded).
@@ -526,16 +490,13 @@ pub fn flag_broadcast<S: RoundSink>(
     faulty: &BTreeSet<NodeId>,
     adv: &mut dyn NabAdversary,
     kind: BroadcastKind,
-    ws: &mut Workspace<u64>,
     sink: &mut S,
 ) -> FlagOutcome {
     let mut chan = HopChannel {
         router,
         sink: &mut *sink,
     };
-    let n = participants.len();
     let mut announced = BTreeMap::new();
-    let mut decisions = Vec::with_capacity(n * n);
     for &b in participants {
         let honest = computed_flags[&b];
         let flag = if faulty.contains(&b) {
@@ -544,74 +505,34 @@ pub fn flag_broadcast<S: RoundSink>(
             honest
         };
         announced.insert(b, flag);
-        broadcast_in(
-            ws,
-            kind,
-            participants,
-            b,
-            f_residual,
-            flag as u64,
-            &mut chan,
-            1,
-        );
-        decisions.extend(ws.decisions().map(|&v| v != 0));
+        broadcast_in(kind, participants, b, f_residual, &flag, &mut chan, 1);
     }
 
     FlagOutcome {
         announced,
-        participants: participants.to_vec(),
-        decisions,
         duration: sink.elapsed(),
     }
 }
 
 /// Phase 3's DC1: every participant Byzantine-broadcasts the claims it
 /// chose (`claims`, one per participant) over the same routed emulation
-/// the flags used, charging the (large) hop rounds to `sink`. Returns the
-/// claims `observer` decided on per broadcaster — all fault-free nodes
-/// agree, so any fault-free observer will do.
-///
-/// A broadcast carries its claims behind an [`Arc`]: relays and decisions
-/// share the broadcaster's one copy, which is moved out of the workspace
-/// as the observer's decision and unwrapped without a clone. The `n`
-/// broadcasts share one workspace.
-#[expect(
-    clippy::expect_used,
-    reason = "every participant has claims, and the observer is a participant"
-)]
+/// the flags used, charging the (large) hop rounds to `sink`. By validity
+/// every participant decides each broadcaster's claims, so the agreed
+/// claims are `claims`, returned as given.
 pub(crate) fn broadcast_claims<S: RoundSink>(
     router: &PathRouter,
     participants: &[NodeId],
     f_residual: usize,
-    mut claims: BTreeMap<NodeId, NodeClaims>,
+    claims: BTreeMap<NodeId, NodeClaims>,
     kind: BroadcastKind,
-    observer: NodeId,
     sink: &mut S,
 ) -> BTreeMap<NodeId, NodeClaims> {
     let mut chan = HopChannel { router, sink };
-    let mut ws = Workspace::default();
-    let at = participants
-        .iter()
-        .position(|&p| p == observer)
-        .expect("the observer participates");
-    participants
-        .iter()
-        .map(|&b| {
-            let input = Arc::new(claims.remove(&b).expect("one claim per participant"));
-            let bits = input.bits();
-            broadcast_in(
-                &mut ws,
-                kind,
-                participants,
-                b,
-                f_residual,
-                input,
-                &mut chan,
-                bits,
-            );
-            (b, Arc::unwrap_or_clone(ws.take_decision(at)))
-        })
-        .collect()
+    for &b in participants {
+        let c = &claims[&b];
+        broadcast_in(kind, participants, b, f_residual, c, &mut chan, c.bits());
+    }
+    claims
 }
 
 /// Builds every node's *truthful* claims from the ground truth of Phases
@@ -961,20 +882,16 @@ mod tests {
             BroadcastKind::Eig,
             false,
         );
-        for &b in &participants {
-            for &o in &participants {
-                assert_eq!(out.agreed(b, o), b == 2);
-            }
-        }
-        assert!(out.any_mismatch(0));
+        assert_eq!(out.announced, computed);
+        assert!(participants.iter().all(|&o| out.any_mismatch(o)));
         assert!(out.duration > 0.0);
     }
 
     /// `run_eig` once took each level's relay order from a `HashMap`, so
     /// from `f = 2` up the recorded rounds — and the f64 summation order
     /// behind `duration` — changed from run to run. The order is now
-    /// specified: a level's paths in arena order, relays and receivers in
-    /// participant order.
+    /// specified: a level's paths in lexicographic order, relays and
+    /// receivers in participant order.
     #[test]
     fn flag_rounds_and_duration_are_reproducible_at_f2() {
         use rand::{rngs::StdRng, SeedableRng};
@@ -996,7 +913,6 @@ mod tests {
                         &BTreeSet::new(),
                         &mut HonestStrategy,
                         BroadcastKind::Eig,
-                        &mut Workspace::default(),
                         log,
                     )
                 });
@@ -1067,21 +983,21 @@ mod tests {
             false,
         );
         // All honest observers see node 3's MISMATCH announcement.
+        assert!(out.announced[&3]);
         for o in [0, 1, 2] {
-            assert!(out.agreed(3, o));
             assert!(out.any_mismatch(o));
         }
     }
 
-    /// The claims broadcasts over `Arc<NodeClaims>` against the by-value
-    /// computation they replaced — each broadcaster's claims cloned into an
-    /// EIG run that is handed the faulty set, the observer's decision
-    /// cloned out — on a disputed instance of two colluders framing node 3
-    /// on K7: the same agreed claims and the same hop rounds.
+    /// The claims broadcasts on a disputed instance of two colluders
+    /// framing node 3 on K7: the agreed claims are the claims broadcast
+    /// (validity), and the recorded hop rounds are EIG's schedule from
+    /// each broadcaster in turn, every unicast `bits()` of its claims
+    /// wide, routed over the router's disjoint paths.
     #[test]
-    fn shared_claims_broadcast_matches_the_by_value_one() {
+    fn claims_broadcast_charges_the_schedule() {
         use crate::adversary::FramingCollusion;
-        use crate::netexec::tests::recorded;
+        use crate::netexec::tests::{recorded, Rounds};
         let g = gen::complete(7, 2);
         let plan = crate::plan::ExecutionPlan::build(g.clone(), 2).unwrap();
         let router = plan.router();
@@ -1137,33 +1053,22 @@ mod tests {
                 2,
                 claims.clone(),
                 BroadcastKind::Eig,
-                observer,
                 log,
             )
         });
-        let (by_value, by_value_rounds) = recorded(&g, |log| {
-            let mut chan = HopChannel { router, sink: log };
-            let decide = |b: &NodeId| {
-                let c = &claims[b];
-                let mut ws = Workspace::default();
-                ws.eig(
-                    &participants,
-                    *b,
-                    2,
-                    c.clone(),
-                    &faulty,
-                    &mut HonestAdversary,
-                    &mut chan,
-                    c.bits(),
-                );
-                // Participants are 0..7, so the observer's index is its id.
-                let decided = ws.decisions().nth(observer).unwrap().clone();
-                (*b, decided)
-            };
-            participants.iter().map(decide).collect::<BTreeMap<_, _>>()
-        });
-        assert_eq!(shared, by_value);
-        assert_eq!(shared_rounds, by_value_rounds);
+        let mut want_rounds: Rounds = Vec::new();
+        for &b in &participants {
+            let bits = claims[&b].bits();
+            eig::schedule(&participants, b, 2, |from, to| {
+                let paths = router.paths_for(from, to);
+                let hops = paths.iter().map(|p| p.len() - 1).max().unwrap();
+                for hop in 0..hops {
+                    let copies = paths.iter().filter(|p| hop + 1 < p.len());
+                    want_rounds.push(copies.map(|p| (p[hop], p[hop + 1], bits)).collect());
+                }
+            });
+        }
+        assert_eq!(shared_rounds, want_rounds);
         assert_eq!(shared, claims, "relays follow the protocol");
         assert!(!crate::dispute::dc2_disputes(&shared).is_empty());
     }
