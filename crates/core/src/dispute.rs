@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nab_gf::{Gf2_16, WordMatrix};
+use nab_gf::{Gf2_16, Matrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 
@@ -130,7 +130,7 @@ pub fn dc3_exposed(
 ) -> Vec<NodeId> {
     let mut exposed = BTreeSet::new();
     let indices: Vec<_> = trees.iter().map(Arborescence::index).collect();
-    let mut xt = WordMatrix::default();
+    let mut xt = Matrix::default();
     for (&v, c) in claims {
         // Phase 1 discipline: on tree t, the source must send its t-th
         // input block identically to every child; a relay must forward the

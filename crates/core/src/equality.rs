@@ -18,8 +18,9 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use nab_gf::field::Field;
+use nab_gf::kernel::scalar_gemm_acc;
 use nab_gf::matrix::Matrix;
-use nab_gf::{Gf2_16, WordMatrix};
+use nab_gf::Gf2_16;
 use nab_netgraph::{DiGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +39,7 @@ pub struct CodingScheme {
     /// order: the left operand of the slab product `Yᵀ = Cᵀ · Xᵀ`, stored
     /// in the layout the multiply reads — so when every node holds the
     /// same value the whole check is this matrix times that value's slab.
-    stacked: WordMatrix,
+    stacked: Matrix<Gf2_16>,
     /// The rows of `stacked` that are edge `(src, dst)`'s `C_eᵀ`.
     rows: BTreeMap<(NodeId, NodeId), Range<usize>>,
 }
@@ -56,7 +57,7 @@ impl CodingScheme {
         }
         CodingScheme {
             rho,
-            stacked: WordMatrix::zero(total, rho),
+            stacked: Matrix::zero(total, rho),
             rows,
         }
     }
@@ -75,7 +76,7 @@ impl CodingScheme {
             // Entries are drawn in `C_e`'s row-major order.
             for r in 0..rho {
                 for c in 0..e.cap as usize {
-                    scheme.stacked.set(start + c, r, Gf2_16::random(&mut rng));
+                    scheme.stacked[(start + c, r)] = Gf2_16::random(&mut rng);
                 }
             }
             start += e.cap as usize;
@@ -108,7 +109,7 @@ impl CodingScheme {
             alpha = alpha.mul(gen_elt);
             let mut p = Gf2_16::from_u64(1);
             for r in 0..rho {
-                scheme.stacked.set(row, r, p);
+                scheme.stacked[(row, r)] = p;
                 p = p.mul(alpha);
             }
         }
@@ -121,7 +122,7 @@ impl CodingScheme {
     }
 
     /// All of `Cᵀ`: every edge's `C_eᵀ` stacked, `Σ_e z_e × ρ`.
-    pub(crate) fn stacked(&self) -> &WordMatrix {
+    pub(crate) fn stacked(&self) -> &Matrix<Gf2_16> {
         &self.stacked
     }
 
@@ -139,7 +140,8 @@ impl CodingScheme {
             .unwrap_or_else(|| panic!("no coding matrix for edge ({src}, {dst})"))
     }
 
-    /// The coding matrix `C_e` of edge `(src, dst)`: `ρ × z_e`.
+    /// The coding matrix `C_e` of edge `(src, dst)`: `ρ × z_e`, the
+    /// transpose of the edge's rows of the stack.
     ///
     /// # Panics
     ///
@@ -147,7 +149,7 @@ impl CodingScheme {
     pub fn matrix(&self, src: NodeId, dst: NodeId) -> Matrix<Gf2_16> {
         let rows = self.rows(src, dst);
         Matrix::from_fn(self.rho, rows.len(), |r, c| {
-            self.stacked.get(rows.start + c, r)
+            self.stacked[(rows.start + c, r)]
         })
     }
 
@@ -155,48 +157,47 @@ impl CodingScheme {
     /// `Y_e = X C_e` computed per 16-bit column, flattened column-major —
     /// the one-value case of the slab product the equality phase runs.
     pub fn encode(&self, src: NodeId, dst: NodeId, value: &Value) -> Vec<Gf2_16> {
-        let mut xt = WordMatrix::default();
+        let mut xt = Matrix::default();
         pack_slab(value, self.rho, &mut xt);
         self.encode_packed(src, dst, &xt)
     }
 
     /// [`CodingScheme::encode`] of a value already packed by `pack_slab`,
-    /// for a caller encoding one value on several edges.
-    pub(crate) fn encode_packed(&self, src: NodeId, dst: NodeId, xt: &WordMatrix) -> Vec<Gf2_16> {
-        let yt = self.encode_slab(src, dst, xt);
+    /// for a caller encoding one value on several edges:
+    /// `Y_eᵀ = C_eᵀ · Xᵀ`, the edge's rows of the stack times the `ρ × W`
+    /// slab `xt`, in wire order. (The equality phase multiplies the whole
+    /// stack at once instead.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge has no matrix or `xt` has `!= ρ` rows.
+    pub(crate) fn encode_packed(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        xt: &Matrix<Gf2_16>,
+    ) -> Vec<Gf2_16> {
+        assert_eq!(xt.rows(), self.rho, "packed slab must have ρ rows");
+        let rows = self.rows(src, dst);
+        let ct = Matrix::from_fn(rows.len(), self.rho, |r, c| {
+            self.stacked[(rows.start + r, c)]
+        });
+        let yt = ct.mat_mul(xt);
         wire_order(&yt, 0..yt.rows(), yt.cols())
     }
 
     /// Test oracle for the slab path: encodes pre-reshaped symbol columns
     /// (from [`Value::reshape`] with this scheme's `ρ`) one vector product
-    /// per column.
+    /// per column, one [`Field::mul`] at a time.
     pub fn encode_cols(&self, src: NodeId, dst: NodeId, cols: &[Vec<Gf2_16>]) -> Vec<Gf2_16> {
         let c = self.matrix(src, dst);
         let mut out = Vec::with_capacity(cols.len() * c.cols());
         for x in cols {
-            out.extend(c.left_mul_vec(x));
+            let mut y = vec![Gf2_16::ZERO; c.cols()];
+            scalar_gemm_acc(&mut y, x, c.as_slice(), 1, self.rho, c.cols());
+            out.extend(y);
         }
         out
-    }
-
-    /// `Y_eᵀ = C_eᵀ · Xᵀ` for one edge, where `xt` is a `ρ × W` row-major
-    /// slab whose columns are a value's columns (see `pack_slab`): the
-    /// edge's rows of the stack times the slab, one
-    /// [`WordMatrix::mat_mul`] with `W`-long rows. Entry `(r, c)` of the
-    /// result is coded symbol `r` of packed column `c`, bit-identical to
-    /// [`CodingScheme::encode_cols`] on the same columns. (The equality
-    /// phase multiplies the whole stack at once instead.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge has no matrix or `xt` has `!= ρ` rows.
-    pub fn encode_slab(&self, src: NodeId, dst: NodeId, xt: &WordMatrix) -> WordMatrix {
-        assert_eq!(xt.rows(), self.rho, "packed slab must have ρ rows");
-        let rows = self.rows(src, dst);
-        WordMatrix::from_fn(rows.len(), self.rho, |r, c| {
-            self.stacked.get(rows.start + r, c).0
-        })
-        .mat_mul(xt)
     }
 
     /// Number of coded symbols [`CodingScheme::encode`] produces on an edge
@@ -230,7 +231,7 @@ impl CodingScheme {
 /// zero-padded to whole columns — the layout of [`Value::reshape`], written
 /// straight from the symbols. Whatever `xt` held is overwritten; its
 /// allocation is kept. Returns the column count.
-pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut WordMatrix) -> usize {
+pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut Matrix<Gf2_16>) -> usize {
     let width = value.len().div_ceil(rho);
     xt.reset(rho, width);
     let slab = xt.as_mut_slice();
@@ -246,7 +247,7 @@ pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut WordMatrix) -> usize
 /// of a `Yᵀ = Cᵀ · Xᵀ` product — in the order they go on the wire,
 /// column-major like [`CodingScheme::encode_cols`]: with `z = rows.len()`,
 /// symbol `j·z + r` is `Yᵀ(rows.start + r, j)`.
-pub(crate) fn wire_order(yt: &WordMatrix, rows: Range<usize>, cols: usize) -> Vec<Gf2_16> {
+pub(crate) fn wire_order(yt: &Matrix<Gf2_16>, rows: Range<usize>, cols: usize) -> Vec<Gf2_16> {
     let z = rows.len();
     let mut out = vec![Gf2_16::ZERO; cols * z];
     for (r, row) in rows.enumerate() {
@@ -303,17 +304,34 @@ pub fn theorem1_failure_bound(n: usize, f: usize, rho: usize, m_bits: u32) -> f6
     choose * (n - f - 1) as f64 * rho as f64 / 2f64.powi(m_bits as i32)
 }
 
-/// Binomial coefficient (saturating; fine for the small `n` used here).
+/// Binomial coefficient `C(n, k)`: exact whenever it fits in a `u128`,
+/// `u128::MAX` when it does not.
 pub fn binomial(n: usize, k: usize) -> u128 {
     if k > n {
         return 0;
     }
     let k = k.min(n - k);
-    let mut num: u128 = 1;
+    // After step `i`, `c = C(n, i + 1)`, which never exceeds `C(n, k)` for
+    // `i < k ≤ n/2`: an overflow at any step means the result overflows.
+    // `i+1` divides `c·(n−i)`; once `c` and `i+1` are divided by their gcd
+    // `g`, `(i+1)/g` is coprime to `c/g`, so it divides `n−i` exactly.
+    let mut c: u128 = 1;
     for i in 0..k {
-        num = num * (n - i) as u128 / (i + 1) as u128;
+        let (d, m) = ((i + 1) as u128, (n - i) as u128);
+        let g = gcd(c, d);
+        match (c / g).checked_mul(m / (d / g)) {
+            Some(next) => c = next,
+            None => return u128::MAX,
+        }
     }
-    num
+    c
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 #[cfg(test)]
@@ -474,6 +492,23 @@ mod tests {
         assert_eq!(binomial(7, 5), 21);
         assert_eq!(binomial(5, 0), 1);
         assert_eq!(binomial(3, 5), 0);
+    }
+
+    #[test]
+    fn binomials_are_exact_up_to_u128_and_saturate_past_it() {
+        // Fits, though `C(126, 60)·66`, a product on the way to it, does
+        // not.
+        assert_eq!(
+            binomial(126, 63),
+            6_034_934_435_761_406_706_427_864_636_568_328_000
+        );
+        // The largest central binomial that fits.
+        assert_eq!(
+            binomial(131, 65),
+            188_694_833_082_770_476_622_296_176_145_946_360_850
+        );
+        assert_eq!(binomial(132, 66), u128::MAX);
+        assert_eq!(binomial(200, 100), u128::MAX);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use nab_bb::eig::{self, EigChannel};
 use nab_bb::phaseking;
 use nab_bb::router::{FormulaClock, HopChannel, PathRouter, RoundSink};
-use nab_gf::{Gf2_16, WordMatrix};
+use nab_gf::{Gf2_16, Matrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, EdgeId, NodeId};
 use nab_obs::trace::{self, EventKind};
@@ -26,7 +26,7 @@ enum Sent {
     /// first `cols` columns of the `Yᵀ = Cᵀ · Xᵀ` product of the sender's
     /// value class.
     Coded {
-        yt: Arc<WordMatrix>,
+        yt: Arc<Matrix<Gf2_16>>,
         rows: Range<usize>,
         cols: usize,
     },
@@ -124,12 +124,12 @@ pub(crate) struct EqScratch {
 #[derive(Debug, Clone, Default)]
 struct ClassBuffers {
     /// The packed `Xᵀ`.
-    slab: WordMatrix,
+    slab: Matrix<Gf2_16>,
     /// The class's rows of `Cᵀ`, gathered — unused while the class
     /// multiplies the scheme's whole matrix.
-    coding: WordMatrix,
+    coding: Matrix<Gf2_16>,
     /// `Yᵀ = Cᵀ · Xᵀ`.
-    product: Arc<WordMatrix>,
+    product: Arc<Matrix<Gf2_16>>,
 }
 
 impl EqScratch {
@@ -137,7 +137,7 @@ impl EqScratch {
     /// reallocation.
     #[cfg(test)]
     pub(crate) fn storage(&self) -> Vec<[*const Gf2_16; 2]> {
-        let at = |m: &WordMatrix| m.as_slice().as_ptr();
+        let at = |m: &Matrix<Gf2_16>| m.as_slice().as_ptr();
         self.classes
             .iter()
             .map(|c| [at(&c.slab), at(&c.product)])

@@ -455,18 +455,14 @@ impl Default for PlanCache {
     }
 }
 
-impl PlanCache {
-    /// A cache with the default shard count and no disk tier.
-    pub fn new() -> Self {
-        Self::with_shards(8)
-    }
+/// Lock shards of a [`PlanCache`].
+const SHARDS: usize = 8;
 
-    /// A cache with `shards` lock shards (at least 1) and no disk tier.
-    pub fn with_shards(shards: usize) -> Self {
+impl PlanCache {
+    /// A cache with no disk tier.
+    pub fn new() -> Self {
         PlanCache {
-            shards: (0..shards.max(1))
-                .map(|_| RwLock::new(PointMap::new()))
-                .collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(PointMap::new())).collect(),
             dir: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -606,16 +602,6 @@ impl PlanCache {
     /// structural equality check that makes collisions harmless.
     fn verify_hit(plan: &ExecutionPlan, key: &PlanKey, g: &DiGraph, f: usize) -> bool {
         plan.labeled_digest() == key.labeled && plan.f() == f && plan.graph() == g
-    }
-
-    /// Convenience wrapper around [`PlanCache::fetch`] discarding the
-    /// hit/miss metadata.
-    ///
-    /// # Errors
-    ///
-    /// Returns the plan-validation failure.
-    pub fn get_or_build(&self, g: &DiGraph, f: usize) -> Result<Arc<ExecutionPlan>, NabError> {
-        self.fetch(g, f).map(|f| f.plan)
     }
 
     /// Distinct plans currently cached.
@@ -763,9 +749,9 @@ mod tests {
     #[test]
     fn cache_distinguishes_f_and_capacities() {
         let cache = PlanCache::new();
-        let p1 = cache.get_or_build(&gen::complete(7, 2), 1).unwrap();
-        let p2 = cache.get_or_build(&gen::complete(7, 2), 2).unwrap();
-        let p3 = cache.get_or_build(&gen::complete(7, 4), 1).unwrap();
+        let p1 = cache.fetch(&gen::complete(7, 2), 1).unwrap().plan;
+        let p2 = cache.fetch(&gen::complete(7, 2), 2).unwrap().plan;
+        let p3 = cache.fetch(&gen::complete(7, 4), 1).unwrap().plan;
         assert!(!Arc::ptr_eq(&p1, &p2));
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(cache.plan_count(), 3);
@@ -810,7 +796,7 @@ mod tests {
         let g = gen::complete(6, 2);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| cache.get_or_build(&g, 1).unwrap()))
+                .map(|_| scope.spawn(|| cache.fetch(&g, 1).unwrap().plan))
                 .collect();
             let plans: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             for p in &plans[1..] {

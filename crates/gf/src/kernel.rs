@@ -1,21 +1,27 @@
-//! The row kernel `dst += s · src` and its per-field specialization seam,
-//! [`FastOps`].
+//! The two vector-shaped operations of the crate and their per-field
+//! specialization seam, [`FastOps`].
 //!
-//! Generic [`Field`] code multiplies one element at a time; the row shape
-//! "add a scalar multiple of one row into another" — the one-row,
-//! one-coefficient case of the slab product, and what the `benchmark/`
-//! probes time per row — is factored out as
-//! [`FastOps::mul_row_add`] so the production field answers it with its
-//! vector kernel:
+//! Generic [`Field`] code multiplies one element at a time. Two shapes are
+//! factored out so the production field answers them with its vector
+//! kernel:
 //!
-//! - [`crate::gf2m::Gf2_16`] — the 1×1 case of the arch-SIMD GEMM
-//!   micro-kernel ([`crate::simd`]) on rows long enough to fill vectors, a
-//!   log-domain loop on short rows, row tails and the portable tier,
-//! - [`crate::gf2m::Gf2m`] (any degree) — the scalar default
-//!   ([`scalar_mul_row_add`]).
+//! - [`FastOps::gemm_acc`], the product `out += a · b` of row-major
+//!   slices: every [`crate::Matrix`] multiply (`mat_mul`, `mat_mul_into`,
+//!   `left_mul_vec`) is one call of it;
+//! - [`FastOps::mul_row_add`], the row kernel `dst += s · src`: the
+//!   one-row, one-coefficient case of the product, and what the
+//!   `benchmark/` probes time per row.
+//!
+//! Per field:
+//!
+//! - [`crate::gf2m::Gf2_16`] — the arch-SIMD GEMM micro-kernel
+//!   ([`crate::simd`]) on rows long enough to fill vectors, a log-domain
+//!   loop on short rows, row tails and the portable tier;
+//! - [`crate::gf2m::Gf2m`] (any degree) — the scalar defaults
+//!   ([`scalar_gemm_acc`], [`scalar_mul_row_add`]).
 //!
 //! Specialized kernels are exact: they may change speed, never values
-//! (pinned against the scalar default by `tests/differential.rs`).
+//! (pinned against the scalar defaults by `tests/differential.rs`).
 
 use crate::field::Field;
 use crate::gf2m::{Gf2_16, Gf2m};
@@ -45,10 +51,45 @@ pub fn scalar_mul_row_add<F: Field>(dst: &mut [F], src: &[F], s: F) {
     }
 }
 
-/// The per-field row kernel — the specialization seam between generic
-/// [`Field`] code and the vector kernels. Fields without a special kernel
-/// inherit the scalar default.
+/// The scalar reference implementation of the product kernel:
+/// `out += a · b`, where `out` is `m × n`, `a` `m × k` and `b` `k × n`, all
+/// row-major, one [`Field::mul`] at a time. This is both the default body
+/// of [`FastOps::gemm_acc`] and the baseline the differential tests
+/// compare the specialized kernel against.
+///
+/// # Panics
+///
+/// Panics unless the slice lengths are `m·n`, `m·k` and `k·n`.
+pub fn scalar_gemm_acc<F: Field>(out: &mut [F], a: &[F], b: &[F], m: usize, k: usize, n: usize) {
+    assert_eq!(
+        (out.len(), a.len(), b.len()),
+        (m * n, m * k, k * n),
+        "gemm_acc length mismatch for an {m}x{k} by {k}x{n} product"
+    );
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (brow, &s) in b.chunks_exact(n).zip(arow) {
+            scalar_mul_row_add(orow, brow, s);
+        }
+    }
+}
+
+/// The per-field product and row kernels — the specialization seam
+/// between generic [`Field`] code and the vector kernels. Fields without a
+/// special kernel inherit the scalar defaults.
 pub trait FastOps: Field {
+    /// Product kernel: `out += a · b`, where `out` is `m × n`, `a` `m × k`
+    /// and `b` `k × n`, all row-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the slice lengths are `m·n`, `m·k` and `k·n`.
+    fn gemm_acc(out: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
+        scalar_gemm_acc(out, a, b, m, k, n);
+    }
+
     /// Fused multiply-add row kernel: `dst[i] += s · src[i]`
     /// (equivalently `-=` in characteristic 2).
     ///
@@ -61,6 +102,10 @@ pub trait FastOps: Field {
 }
 
 impl FastOps for Gf2_16 {
+    fn gemm_acc(out: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
+        simd::gf2_16_gemm_acc(out, a, b, m, k, n);
+    }
+
     fn mul_row_add(dst: &mut [Self], src: &[Self], s: Self) {
         assert_eq!(
             dst.len(),

@@ -6,18 +6,17 @@
 //! crate provides that machinery in two layers.
 //!
 //! **The production path** — the one field an instance executes
-//! (`nab::value::SYMBOL_BITS` pins the symbol at 16 bits) and its one
-//! vector kernel:
+//! (`nab::value::SYMBOL_BITS` pins the symbol at 16 bits) and its vector
+//! kernels:
 //!
 //! - [`gf2m::Gf2_16`] — log/antilog-table `GF(2^16)`,
-//! - [`words`] — row-major word-slab storage ([`words::WordMatrix`]): the
-//!   slab product of the equality check,
-//! - [`simd`] — the runtime-detected arch-SIMD GEMM micro-kernel behind
-//!   [`words::WordMatrix::mat_mul`] (`GF2P8AFFINEQB` bit-matrices on
+//! - [`kernel`] — the per-field kernel seam ([`kernel::FastOps`]): the
+//!   product `out += a · b` behind every [`matrix::Matrix`] multiply, and
+//!   the row kernel `dst += s · src`,
+//! - [`simd`] — the runtime-detected arch-SIMD GEMM micro-kernel that
+//!   answers both for `Gf2_16` (`GF2P8AFFINEQB` bit-matrices on
 //!   GFNI + AVX-512 CPUs, nibble-split `PSHUFB` tables on AVX2 ones; a
-//!   log-domain loop elsewhere, identical in results),
-//! - [`kernel`] — the row kernel `dst += s · src` ([`kernel::FastOps`]),
-//!   for `Gf2_16` the micro-kernel's 1×1 case.
+//!   log-domain loop elsewhere, identical in results).
 //!
 //! **The generic scalar path** — the oracle the production path is tested
 //! against, and what the Theorem-1 field-size experiments and the `C_H`
@@ -27,10 +26,15 @@
 //! - [`gf2m::Gf2m`] — generic `GF(2^m)` for any `1 ≤ m ≤ 64` via carry-less
 //!   multiplication and a built-in table of low-weight irreducible
 //!   polynomials,
-//! - [`matrix::Matrix`] — dense matrices with multiplication, stacking and
-//!   slicing,
+//! - [`kernel::scalar_gemm_acc`] / [`kernel::scalar_mul_row_add`] — the
+//!   kernels one [`Field::mul`] at a time, [`kernel::FastOps`]'s defaults,
 //! - [`linalg`] — Gaussian elimination: rank, determinant-zero testing,
 //!   inversion, solving, and kernel bases.
+//!
+//! Both paths share one matrix type, [`matrix::Matrix`]: dense row-major
+//! storage with multiplication (in place or allocating), stacking and
+//! slicing. A `Matrix<Gf2_16>` multiplies on the vector kernel, any other
+//! `Matrix<F>` on the scalar one.
 //!
 //! # Example
 //!
@@ -43,7 +47,7 @@
 //! let mut rng = rand::thread_rng();
 //! let a = Matrix::<Gf2_16>::random(4, 4, &mut rng);
 //! if let Some(inv) = nab_gf::linalg::invert(&a) {
-//!     assert_eq!(a.mul(&inv), Matrix::identity(4));
+//!     assert_eq!(a.mat_mul(&inv), Matrix::identity(4));
 //! }
 //! # }
 //! ```
@@ -65,10 +69,14 @@ pub mod linalg;
 pub mod matrix;
 pub mod poly2;
 pub mod simd;
-pub mod words;
 
 pub use field::Field;
 pub use gf2m::{Gf2_16, Gf2_32, Gf2m};
 pub use kernel::FastOps;
 pub use matrix::Matrix;
-pub use words::WordMatrix;
+
+/// `Matrix<Gf2_16>` under its former name, which the `benchmark/`
+/// harness's probes still import (`WordMatrix::random`, `mat_mul`, `row`).
+/// It goes when the harness's probe surface is next changed (ROADMAP item
+/// 1b); new code names `Matrix<Gf2_16>`.
+pub type WordMatrix = Matrix<Gf2_16>;

@@ -222,8 +222,8 @@ mod tests {
         for _ in 0..20 {
             let a = Matrix::<Gf2_16>::random(6, 6, &mut rng);
             if let Some(inv) = invert(&a) {
-                assert_eq!(a.mul(&inv), Matrix::identity(6));
-                assert_eq!(inv.mul(&a), Matrix::identity(6));
+                assert_eq!(a.mat_mul(&inv), Matrix::identity(6));
+                assert_eq!(inv.mat_mul(&a), Matrix::identity(6));
                 found += 1;
             }
         }

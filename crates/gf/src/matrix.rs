@@ -4,6 +4,13 @@
 //! language: per-edge coding matrices `C_e` (`ρ × z_e`), their block
 //! expansions `B_e`, the concatenated check matrix `C_H`, and the square
 //! spanning-tree submatrix `M_H` whose invertibility Theorem 1 establishes.
+//! The equality check itself runs as one product of such matrices: the
+//! stacked `Cᵀ` times a value's packed `Xᵀ` slab, rewritten in place with
+//! [`Matrix::mat_mul_into`].
+//!
+//! Every product goes through the field's [`FastOps::gemm_acc`], so
+//! `Matrix<Gf2_16>` multiplies on the arch-SIMD GEMM micro-kernel and every
+//! other field one [`Field::mul`] at a time.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -11,6 +18,7 @@ use std::ops::{Index, IndexMut};
 use rand::Rng;
 
 use crate::field::Field;
+use crate::kernel::FastOps;
 
 /// A dense row-major matrix over a finite field `F`.
 ///
@@ -20,9 +28,9 @@ use crate::field::Field;
 /// use nab_gf::{Matrix, Gf2_16, Field};
 /// let i = Matrix::<Gf2_16>::identity(3);
 /// let a = Matrix::from_fn(3, 3, |r, c| Gf2_16::from_u64((r * 3 + c) as u64));
-/// assert_eq!(i.mul(&a), a);
+/// assert_eq!(i.mat_mul(&a), a);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Matrix<F> {
     rows: usize,
     cols: usize,
@@ -36,6 +44,18 @@ impl<F: Field> Matrix<F> {
     ///
     /// Panics if `rows * cols` overflows `usize`.
     pub fn zero(rows: usize, cols: usize) -> Self {
+        let mut m = Self::default();
+        m.reset(rows, cols);
+        m
+    }
+
+    /// Makes `self` the all-zero `rows × cols` matrix, keeping its
+    /// allocation when that is large enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
         #[expect(
             clippy::expect_used,
             reason = "dimension overflow is unrecoverable misuse; documented panic"
@@ -43,11 +63,9 @@ impl<F: Field> Matrix<F> {
         let len = rows
             .checked_mul(cols)
             .expect("matrix dimensions overflow usize");
-        Matrix {
-            rows,
-            cols,
-            data: vec![F::ZERO; len],
-        }
+        (self.rows, self.cols) = (rows, cols);
+        self.data.clear();
+        self.data.resize(len, F::ZERO);
     }
 
     /// The `n × n` identity matrix.
@@ -65,20 +83,11 @@ impl<F: Field> Matrix<F> {
     ///
     /// Panics if `rows * cols` overflows `usize`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F) -> Self {
-        #[expect(
-            clippy::expect_used,
-            reason = "dimension overflow is unrecoverable misuse; documented panic"
-        )]
-        let len = rows
-            .checked_mul(cols)
-            .expect("matrix dimensions overflow usize");
-        let mut data = Vec::with_capacity(len);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
+        let mut m = Self::zero(rows, cols);
+        for (i, x) in m.data.iter_mut().enumerate() {
+            *x = f(i / cols, i % cols);
         }
-        Matrix { rows, cols, data }
+        m
     }
 
     /// Builds a matrix from a row-major nested vector.
@@ -139,6 +148,18 @@ impl<F: Field> Matrix<F> {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Borrow every entry, row-major (rows contiguous).
+    #[inline]
+    pub fn as_slice(&self) -> &[F] {
+        &self.data
+    }
+
+    /// Mutably borrow every entry, row-major (rows contiguous).
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [F] {
+        &mut self.data
+    }
+
     /// Extracts column `c` as an owned vector.
     ///
     /// # Panics
@@ -170,55 +191,6 @@ impl<F: Field> Matrix<F> {
                 .map(|(&a, &b)| a.add(b))
                 .collect(),
         }
-    }
-
-    /// Matrix multiplication `self * rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self.cols() == rhs.rows()`.
-    pub fn mul(&self, rhs: &Self) -> Self {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "mul dim mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Self::zero(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a.is_zero() {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    let prod = a.mul(rhs[(k, c)]);
-                    out[(r, c)] = out[(r, c)].add(prod);
-                }
-            }
-        }
-        out
-    }
-
-    /// Row-vector × matrix product: `v * self`, returning a vector of length
-    /// `self.cols()`.
-    ///
-    /// This is the shape used by Algorithm 1 (`Y_e = X_i · C_e`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `v.len() == self.rows()`.
-    pub fn left_mul_vec(&self, v: &[F]) -> Vec<F> {
-        assert_eq!(v.len(), self.rows, "left_mul_vec dim mismatch");
-        let mut out = vec![F::ZERO; self.cols];
-        for (r, &x) in v.iter().enumerate() {
-            if x.is_zero() {
-                continue;
-            }
-            for c in 0..self.cols {
-                out[c] = out[c].add(x.mul(self[(r, c)]));
-            }
-        }
-        out
     }
 
     /// Scalar multiplication.
@@ -303,6 +275,65 @@ impl<F: Field> Matrix<F> {
     }
 }
 
+impl<F: FastOps> Matrix<F> {
+    /// Matrix multiplication `self * rhs`: one [`FastOps::gemm_acc`] into
+    /// a fresh matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self.cols() == rhs.rows()`.
+    pub fn mat_mul(&self, rhs: &Self) -> Self {
+        let mut out = Self::default();
+        self.mat_mul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::mat_mul`] into a caller-owned matrix: `out` becomes
+    /// `self * rhs` whatever it held (any shape), and allocates only when
+    /// its buffer is smaller than the product.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self.cols() == rhs.rows()`.
+    pub fn mat_mul_into(&self, rhs: &Self, out: &mut Self) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "mat_mul dim mismatch: {}x{} * {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        out.reset(self.rows, rhs.cols);
+        F::gemm_acc(
+            &mut out.data,
+            &self.data,
+            &rhs.data,
+            self.rows,
+            self.cols,
+            rhs.cols,
+        );
+    }
+
+    /// Row-vector × matrix product `v * self`, a vector of length
+    /// `self.cols()`: the one-row product.
+    ///
+    /// This is the shape used by Algorithm 1 (`Y_e = X_i · C_e`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `v.len() == self.rows()`.
+    pub fn left_mul_vec(&self, v: &[F]) -> Vec<F> {
+        assert_eq!(
+            v.len(),
+            self.rows,
+            "left_mul_vec dim mismatch: vector of {} over {} rows",
+            v.len(),
+            self.rows
+        );
+        let mut out = vec![F::ZERO; self.cols];
+        F::gemm_acc(&mut out, v, &self.data, 1, self.rows, self.cols);
+        out
+    }
+}
+
 impl<F: Field> Index<(usize, usize)> for Matrix<F> {
     type Output = F;
 
@@ -365,8 +396,8 @@ mod tests {
     fn identity_is_multiplicative_unit() {
         let a = m(&[&[1, 2, 3], &[4, 5, 6], &[7, 8, 9]]);
         let i = M::identity(3);
-        assert_eq!(i.mul(&a), a);
-        assert_eq!(a.mul(&i), a);
+        assert_eq!(i.mat_mul(&a), a);
+        assert_eq!(a.mat_mul(&i), a);
     }
 
     #[test]
@@ -382,7 +413,7 @@ mod tests {
         let a = m(&[&[1, 2], &[3, 4], &[5, 6]]);
         let v = [F::from_u64(9), F::from_u64(8), F::from_u64(7)];
         let as_row = Matrix::from_rows(vec![v.to_vec()]);
-        assert_eq!(a.left_mul_vec(&v), as_row.mul(&a).row(0).to_vec());
+        assert_eq!(a.left_mul_vec(&v), as_row.mat_mul(&a).row(0).to_vec());
     }
 
     #[test]
@@ -411,19 +442,35 @@ mod tests {
     }
 
     #[test]
-    fn mul_associates() {
+    fn mat_mul_associates() {
         let a = m(&[&[1, 2], &[3, 4]]);
         let b = m(&[&[5, 6], &[7, 8]]);
         let c = m(&[&[9, 10], &[11, 12]]);
-        assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
+        assert_eq!(a.mat_mul(&b).mat_mul(&c), a.mat_mul(&b.mat_mul(&c)));
     }
 
     #[test]
-    #[should_panic(expected = "mul dim mismatch")]
-    fn mul_rejects_bad_shapes() {
+    #[should_panic(expected = "mat_mul dim mismatch")]
+    fn mat_mul_rejects_bad_shapes() {
         let a = m(&[&[1, 2, 3]]);
         let b = m(&[&[1, 2]]);
-        let _ = a.mul(&b);
+        let _ = a.mat_mul(&b);
+    }
+
+    #[test]
+    fn reset_keeps_the_allocation_and_zeroes_every_entry() {
+        let mut a = m(&[&[1, 2, 3], &[4, 5, 6]]);
+        let at = a.as_slice().as_ptr();
+        a.reset(3, 2);
+        assert_eq!((a.rows(), a.cols()), (3, 2));
+        assert!(a.is_zero());
+        assert_eq!(
+            a.as_slice().as_ptr(),
+            at,
+            "a shape no larger reuses the buffer"
+        );
+        a.reset(0, 5);
+        assert_eq!(a, M::zero(0, 5));
     }
 
     #[test]
@@ -442,6 +489,20 @@ mod tests {
     fn index_out_of_bounds_panics_with_shape() {
         let a = m(&[&[1, 2, 3], &[4, 5, 6]]);
         let _ = a[(2, 0)];
+    }
+
+    #[test]
+    fn identity_and_accessors_over_the_production_field() {
+        use crate::gf2m::Gf2_16;
+        let i = Matrix::<Gf2_16>::identity(4);
+        assert_eq!(i[(2, 2)], Gf2_16(1));
+        assert_eq!(i[(2, 3)], Gf2_16(0));
+        let mut a = Matrix::<Gf2_16>::zero(2, 3);
+        a[(1, 2)] = Gf2_16(0xABCD);
+        assert_eq!(a.row(1), &[Gf2_16(0), Gf2_16(0), Gf2_16(0xABCD)]);
+        assert_eq!(a.as_slice().len(), 6);
+        a.as_mut_slice()[0] = Gf2_16(7);
+        assert_eq!(a[(0, 0)], Gf2_16(7));
     }
 
     #[test]

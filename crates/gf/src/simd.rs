@@ -31,7 +31,7 @@
 //! detection ([`tier`]); nothing else selects it. Every tier is
 //! **bit-identical**: characteristic-2 addition is XOR, so vectorization
 //! changes neither values nor any accumulation result. This module's tests
-//! pin every tier the CPU can run against [`crate::matrix::Matrix::mul`]
+//! pin every tier the CPU can run against [`crate::kernel::scalar_gemm_acc`]
 //! and both table kinds against the field's own product on every machine;
 //! `tests/differential.rs` pins the detected tier through the public
 //! entry points.
@@ -534,7 +534,11 @@ fn gf2_16_gemm_acc_on(
     k: usize,
     w: usize,
 ) {
-    assert_eq!((out.len(), a.len(), b.len()), (m * w, m * k, k * w));
+    assert_eq!(
+        (out.len(), a.len(), b.len()),
+        (m * w, m * k, k * w),
+        "gemm_acc length mismatch for an {m}x{k} by {k}x{w} product"
+    );
     if k == 0 || w == 0 {
         return;
     }
@@ -671,11 +675,11 @@ mod tests {
         reason = "a wall-clock measurement by design; it reaches no output but this test's"
     )]
     fn tier_throughput_at_the_engine_shapes() {
-        use crate::words::WordMatrix;
+        use crate::matrix::Matrix;
         let mut rng = StdRng::seed_from_u64(7);
         for (m, k, w) in [(4, 12, 5462), (40, 6, 10923), (168, 12, 5462)] {
-            let a = WordMatrix::random(m, k, &mut rng);
-            let b = WordMatrix::random(k, w, &mut rng);
+            let a = Matrix::<Gf2_16>::random(m, k, &mut rng);
+            let b = Matrix::<Gf2_16>::random(k, w, &mut rng);
             let mut out = vec![Gf2_16(0); m * w];
             for tier in runnable_tiers() {
                 let reps = if tier == Tier::Portable { 3 } else { 40 };
@@ -746,9 +750,9 @@ mod tests {
     }
 
     #[test]
-    fn gf2_16_gemm_matches_matrix_mul_on_every_tier_at_awkward_shapes() {
+    fn gf2_16_gemm_matches_the_scalar_gemm_on_every_tier_at_awkward_shapes() {
+        use crate::kernel::scalar_gemm_acc;
         use crate::matrix::Matrix;
-        use crate::words::WordMatrix;
         let mut rng = StdRng::seed_from_u64(0x51E);
         for tier in runnable_tiers() {
             // Both sides of the 32- and 64-symbol blocks, then one
@@ -769,10 +773,10 @@ mod tests {
                     _ => random[(r, c)],
                 });
                 for a in [random, planted, Matrix::zero(m, k)] {
-                    let flat = |x: &Matrix<Gf2_16>| WordMatrix::from_matrix(x).as_slice().to_vec();
-                    let mut out = flat(&base);
-                    gf2_16_gemm_acc_on(tier, &mut out, &flat(&a), &flat(&b), m, k, w);
-                    let want = flat(&base.add(&a.mul(&b)));
+                    let mut out = base.as_slice().to_vec();
+                    gf2_16_gemm_acc_on(tier, &mut out, a.as_slice(), b.as_slice(), m, k, w);
+                    let mut want = base.as_slice().to_vec();
+                    scalar_gemm_acc(&mut want, a.as_slice(), b.as_slice(), m, k, w);
                     assert_eq!(out, want, "{tier:?} m={m} k={k} w={w}");
                 }
             }

@@ -100,8 +100,8 @@ proptest! {
     #[test]
     fn inverse_is_two_sided(m in arb_matrix(5, 5)) {
         if let Some(inv) = linalg::invert(&m) {
-            prop_assert_eq!(m.mul(&inv), Matrix::identity(5));
-            prop_assert_eq!(inv.mul(&m), Matrix::identity(5));
+            prop_assert_eq!(m.mat_mul(&inv), Matrix::identity(5));
+            prop_assert_eq!(inv.mat_mul(&m), Matrix::identity(5));
         } else {
             prop_assert!(linalg::rank(&m) < 5);
         }
@@ -117,7 +117,7 @@ proptest! {
     fn determinant_multiplicative(a in arb_matrix(3, 3), b in arb_matrix(3, 3)) {
         let da = linalg::determinant(&a);
         let db = linalg::determinant(&b);
-        let dab = linalg::determinant(&a.mul(&b));
+        let dab = linalg::determinant(&a.mat_mul(&b));
         prop_assert_eq!(dab, da.mul(db));
     }
 
