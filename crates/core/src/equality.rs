@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use nab_gf::field::Field;
 use nab_gf::kernel::scalar_gemm_acc;
@@ -32,22 +33,39 @@ use crate::value::{Value, SYMBOL_BITS};
 /// The matrices are part of the *algorithm specification*: every node knows
 /// all of them (they are generated from a public seed), so a receiver can
 /// recompute the expected coded symbols from its own value.
+///
+/// A clone shares the row layout and the entries, so it costs two
+/// reference-count bumps.
 #[derive(Debug, Clone)]
 pub struct CodingScheme {
     rho: usize,
-    /// Every `C_eᵀ` (`z_e × ρ`) stacked row-wise, edges in `g.edges()`
-    /// order: the left operand of the slab product `Yᵀ = Cᵀ · Xᵀ`, stored
-    /// in the layout the multiply reads — so when every node holds the
-    /// same value the whole check is this matrix times that value's slab.
-    stacked: Matrix<Gf2_16>,
-    /// The rows of `stacked` that are edge `(src, dst)`'s `C_eᵀ`.
-    rows: BTreeMap<(NodeId, NodeId), Range<usize>>,
+    /// The rows of the stack that are edge `(src, dst)`'s `C_eᵀ`, edges
+    /// stacked in `g.edges()` order.
+    rows: Arc<BTreeMap<(NodeId, NodeId), Range<usize>>>,
+    /// Rows of the stack: `Σ_e z_e`.
+    height: usize,
+    /// The seed [`CodingScheme::random`] draws the entries from (a
+    /// Vandermonde stack is built up front and never drawn).
+    seed: u64,
+    /// Every `C_eᵀ` (`z_e × ρ`) stacked row-wise: the left operand of the
+    /// slab product `Yᵀ = Cᵀ · Xᵀ`, stored in the layout the multiply
+    /// reads — so when every node holds the same value the whole check is
+    /// this matrix times that value's slab. A random stack is drawn on
+    /// first read: an equality check whose verdict is settled without it
+    /// (one value class, no faulty sender) never draws it.
+    stacked: Arc<OnceLock<Matrix<Gf2_16>>>,
 }
 
 impl CodingScheme {
-    /// The all-zero scheme on `g`'s live edges: the row layout, entries
-    /// still to be written.
-    fn zeroed(g: &DiGraph, rho: usize) -> Self {
+    /// Uniform random coding matrices for every live edge of `g`, with
+    /// equality-check parameter `rho`, from a deterministic seed. Only the
+    /// row layout is built here; the entries are drawn on first read, in
+    /// the same order whoever reads first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho` is zero.
+    pub fn random(g: &DiGraph, rho: usize, seed: u64) -> Self {
         assert!(rho > 0, "equality-check parameter ρ must be positive");
         let mut rows = BTreeMap::new();
         let mut total = 0;
@@ -57,31 +75,32 @@ impl CodingScheme {
         }
         CodingScheme {
             rho,
-            stacked: Matrix::zero(total, rho),
-            rows,
+            rows: Arc::new(rows),
+            height: total,
+            seed,
+            stacked: Arc::default(),
         }
     }
 
-    /// Samples uniform random coding matrices for every live edge of `g`,
-    /// with equality-check parameter `rho`, from a deterministic seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is zero.
-    pub fn random(g: &DiGraph, rho: usize, seed: u64) -> Self {
-        let mut scheme = Self::zeroed(g, rho);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut start = 0;
-        for (_, e) in g.edges() {
-            // Entries are drawn in `C_e`'s row-major order.
-            for r in 0..rho {
-                for c in 0..e.cap as usize {
-                    scheme.stacked[(start + c, r)] = Gf2_16::random(&mut rng);
+    /// Draws the random stack from the seed: edges in `g.edges()` order,
+    /// each `C_e`'s entries in its row-major order.
+    fn draw(&self) -> Matrix<Gf2_16> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        // Edges stack in draw order, so edge `e`'s `C_e` is the `z_e·ρ`
+        // draws from `start·ρ` on.
+        let draws: Vec<Gf2_16> = (0..self.height * self.rho)
+            .map(|_| Gf2_16::random(&mut rng))
+            .collect();
+        let mut stacked = Matrix::zero(self.height, self.rho);
+        for rows in self.rows.values() {
+            let c_e = &draws[rows.start * self.rho..rows.end * self.rho];
+            for (r, c_row) in c_e.chunks_exact(rows.len()).enumerate() {
+                for (c, &entry) in c_row.iter().enumerate() {
+                    stacked[(rows.start + c, r)] = entry;
                 }
             }
-            start += e.cap as usize;
         }
-        scheme
+        stacked
     }
 
     /// Builds a *deterministic* Vandermonde coding scheme: the `t`-th
@@ -97,23 +116,29 @@ impl CodingScheme {
     /// Panics if `rho` is zero or the graph needs more than `2^16 − 1`
     /// distinct evaluation points.
     pub fn vandermonde(g: &DiGraph, rho: usize) -> Self {
-        let mut scheme = Self::zeroed(g, rho);
+        // The layout; the entries are built here, so no seed is read.
+        let scheme = Self::random(g, rho, 0);
+        let height = scheme.height;
         assert!(
-            scheme.stacked.rows() < 65_535,
+            height <= 65_535,
             "graph too large for distinct GF(2^16) points"
         );
+        let mut stacked = Matrix::zero(height, rho);
         let gen_elt = Gf2_16::from_u64(2); // generator of GF(2^16)* for 0x1100B
         let mut alpha = Gf2_16::from_u64(1);
         // Row `i` of the stack is the `i`-th coded symbol overall.
-        for row in 0..scheme.stacked.rows() {
+        for row in 0..height {
             alpha = alpha.mul(gen_elt);
             let mut p = Gf2_16::from_u64(1);
             for r in 0..rho {
-                scheme.stacked[(row, r)] = p;
+                stacked[(row, r)] = p;
                 p = p.mul(alpha);
             }
         }
-        scheme
+        CodingScheme {
+            stacked: Arc::new(OnceLock::from(stacked)),
+            ..scheme
+        }
     }
 
     /// The equality-check parameter `ρ`.
@@ -121,9 +146,16 @@ impl CodingScheme {
         self.rho
     }
 
-    /// All of `Cᵀ`: every edge's `C_eᵀ` stacked, `Σ_e z_e × ρ`.
+    /// All of `Cᵀ`: every edge's `C_eᵀ` stacked, `Σ_e z_e × ρ`, drawn
+    /// here on the first read of any clone.
     pub(crate) fn stacked(&self) -> &Matrix<Gf2_16> {
-        &self.stacked
+        self.stacked.get_or_init(|| self.draw())
+    }
+
+    /// Whether the entries have been drawn (or built).
+    #[cfg(test)]
+    pub(crate) fn is_drawn(&self) -> bool {
+        self.stacked.get().is_some()
     }
 
     /// The rows of [`CodingScheme::stacked`] that are `C_eᵀ` of edge
@@ -147,10 +179,8 @@ impl CodingScheme {
     ///
     /// Panics if the edge has no matrix (edge absent at generation time).
     pub fn matrix(&self, src: NodeId, dst: NodeId) -> Matrix<Gf2_16> {
-        let rows = self.rows(src, dst);
-        Matrix::from_fn(self.rho, rows.len(), |r, c| {
-            self.stacked[(rows.start + c, r)]
-        })
+        let (rows, stacked) = (self.rows(src, dst), self.stacked());
+        Matrix::from_fn(self.rho, rows.len(), |r, c| stacked[(rows.start + c, r)])
     }
 
     /// Encodes a value for transmission on edge `(src, dst)`:
@@ -178,10 +208,8 @@ impl CodingScheme {
         xt: &Matrix<Gf2_16>,
     ) -> Vec<Gf2_16> {
         assert_eq!(xt.rows(), self.rho, "packed slab must have ρ rows");
-        let rows = self.rows(src, dst);
-        let ct = Matrix::from_fn(rows.len(), self.rho, |r, c| {
-            self.stacked[(rows.start + r, c)]
-        });
+        let (rows, stacked) = (self.rows(src, dst), self.stacked());
+        let ct = Matrix::from_fn(rows.len(), self.rho, |r, c| stacked[(rows.start + r, c)]);
         let yt = ct.mat_mul(xt);
         wire_order(&yt, 0..yt.rows(), yt.cols())
     }
@@ -230,8 +258,8 @@ impl CodingScheme {
 /// row-major `ρ × ⌈len/ρ⌉` slab where symbol `j·ρ + r` lands at `(r, j)`,
 /// zero-padded to whole columns — the layout of [`Value::reshape`], written
 /// straight from the symbols. Whatever `xt` held is overwritten; its
-/// allocation is kept. Returns the column count.
-pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut Matrix<Gf2_16>) -> usize {
+/// allocation is kept.
+pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut Matrix<Gf2_16>) {
     let width = value.len().div_ceil(rho);
     xt.reset(rho, width);
     let slab = xt.as_mut_slice();
@@ -240,7 +268,6 @@ pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut Matrix<Gf2_16>) -> u
             slab[r * width + j] = sym;
         }
     }
-    width
 }
 
 /// The coded symbols on one edge — rows `rows`, the first `cols` columns
@@ -465,6 +492,30 @@ mod tests {
         let m = scheme.matrix(0, 1);
         let sub = m.select_cols(&[0, 1, 2]);
         assert!(linalg::is_invertible(&sub));
+    }
+
+    /// `2` has order `2^16 − 1` under `0x1100B`, so a stack of 65,535
+    /// coded symbols gets 65,535 distinct points `2^1 … 2^65535`.
+    #[test]
+    fn vandermonde_gives_65535_symbols_distinct_points() {
+        let mut g = DiGraph::new(2);
+        g.add_edge(0, 1, 65_535);
+        assert_eq!(CodingScheme::vandermonde(&g, 1).matrix(0, 1).cols(), 65_535);
+        // At ρ = 2 the second row holds the points.
+        let m = CodingScheme::vandermonde(&g, 2).matrix(0, 1);
+        assert!(m.row(0).iter().all(|&one| one == Gf2_16::ONE));
+        let mut points: Vec<u64> = m.row(1).iter().map(|p| p.to_u64()).collect();
+        points.sort_unstable();
+        points.dedup();
+        assert_eq!(points.len(), 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "graph too large for distinct GF(2^16) points")]
+    fn vandermonde_rejects_a_65536th_symbol() {
+        let mut g = DiGraph::new(2);
+        g.add_edge(0, 1, 65_536);
+        let _ = CodingScheme::vandermonde(&g, 1);
     }
 
     #[test]

@@ -30,6 +30,10 @@ enum Sent {
         rows: Range<usize>,
         cols: usize,
     },
+    /// The prescribed coded symbols of a sender whose class's product the
+    /// check never read: `cols` columns of `z` symbols, encoded from
+    /// `held` only if asked for.
+    Deferred { held: Value, z: usize, cols: usize },
     /// What a faulty sender chose to transmit, in wire order.
     Substituted(Vec<Gf2_16>),
 }
@@ -38,14 +42,8 @@ impl Sent {
     fn len(&self) -> usize {
         match self {
             Sent::Coded { rows, cols, .. } => cols * rows.len(),
+            Sent::Deferred { z, cols, .. } => cols * z,
             Sent::Substituted(symbols) => symbols.len(),
-        }
-    }
-
-    fn symbols(&self) -> Vec<Gf2_16> {
-        match self {
-            Sent::Coded { yt, rows, cols } => wire_order(yt, rows.clone(), *cols),
-            Sent::Substituted(symbols) => symbols.clone(),
         }
     }
 }
@@ -60,17 +58,34 @@ pub struct EqOutcome {
     /// Wall-clock duration (`≈ L/ρ_k`).
     pub duration: f64,
     sends: BTreeMap<(NodeId, NodeId), Sent>,
+    /// The instance's coding matrices, for the deferred sends.
+    scheme: CodingScheme,
 }
 
 impl EqOutcome {
     /// Coded symbols actually transmitted per edge, in wire order. Built on
-    /// request: the phase keeps honest transmissions in slab form, and
-    /// only dispute control and tests read the symbols.
+    /// request: the phase keeps honest transmissions in slab form, or not
+    /// at all where it read none of a class's, and only dispute control
+    /// and tests read the symbols.
     pub fn sends(&self) -> BTreeMap<(NodeId, NodeId), Vec<Gf2_16>> {
         self.sends
             .iter()
-            .map(|(&edge, sent)| (edge, sent.symbols()))
+            .map(|(&(src, dst), sent)| {
+                let symbols = match sent {
+                    Sent::Coded { yt, rows, cols } => wire_order(yt, rows.clone(), *cols),
+                    Sent::Deferred { held, .. } => self.scheme.encode(src, dst, held),
+                    Sent::Substituted(symbols) => symbols.clone(),
+                };
+                ((src, dst), symbols)
+            })
             .collect()
+    }
+
+    /// How many edges' prescribed symbols the check left unencoded.
+    #[cfg(test)]
+    pub(crate) fn deferred(&self) -> usize {
+        let deferred = |sent: &&Sent| matches!(sent, Sent::Deferred { .. });
+        self.sends.values().filter(deferred).count()
     }
 
     /// Bits transmitted per link, `(edge id in g, bits)`; a link `g` lacks
@@ -87,7 +102,8 @@ impl EqOutcome {
 }
 
 /// Nodes holding equal values: they share one packed `Xᵀ` slab (in the
-/// scratch), hence one product.
+/// scratch), hence one product — packed and multiplied only if the check
+/// reads it.
 struct ValueClass<'a> {
     held: &'a Value,
     /// Columns of the packed slab.
@@ -97,6 +113,9 @@ struct ValueClass<'a> {
     coding_rows: Vec<Range<usize>>,
     /// Rows of the product so far.
     height: usize,
+    /// Whether the check reads the product: some edge crosses into or out
+    /// of the class, or a faulty node sends from or to it.
+    read: bool,
 }
 
 impl ValueClass<'_> {
@@ -112,9 +131,9 @@ impl ValueClass<'_> {
 
 /// The equality check's working memory. An engine keeps one across its
 /// instances, so from the second instance on the phase allocates nothing
-/// proportional to `L`: every buffer is rewritten in place once the
-/// previous instance's [`EqOutcome`] — which shares the products — is
-/// gone.
+/// proportional to `L`: every buffer of a class the check reads is
+/// rewritten in place once the previous instance's [`EqOutcome`] — which
+/// shares the products — is gone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EqScratch {
     classes: Vec<ClassBuffers>,
@@ -189,6 +208,13 @@ pub fn run_equality_phase_batched(
 /// rows again in the receiver's class. Fault-free, there is one class and
 /// `Cᵀ` is the scheme's matrix as it stands.
 ///
+/// A class is packed and multiplied only if the check reads its product:
+/// an edge crosses into or out of it, or a faulty node sends from or to
+/// it. Otherwise every edge inside it passes whatever the coding matrices
+/// hold, so the phase draws no matrix, packs nothing and multiplies
+/// nothing for it — fault-free with one value, the whole check — and
+/// [`EqOutcome::sends`] encodes those edges only if asked.
+///
 /// Per edge, the transmission is a (row range, column count) view into the
 /// sender's product. When the receiver is in the same class its
 /// expectation *is* that view: a fault-free sender then transmits exactly
@@ -224,18 +250,17 @@ pub(crate) fn run_equality_phase(
             .iter()
             .position(|c| c.held == held)
             .unwrap_or_else(|| {
-                let class = classes.len();
-                if scratch.classes.len() == class {
+                if scratch.classes.len() == classes.len() {
                     scratch.classes.push(ClassBuffers::default());
                 }
-                let cols = pack_slab(held, rho, &mut scratch.classes[class].slab);
                 classes.push(ValueClass {
                     held,
-                    cols,
+                    cols: held.len().div_ceil(rho),
                     coding_rows: Vec::new(),
                     height: 0,
+                    read: false,
                 });
-                class
+                classes.len() - 1
             });
         class_of.insert(v, class);
     }
@@ -253,11 +278,20 @@ pub(crate) fn run_equality_phase(
             } else {
                 classes[receiver].stack(coding_rows)
             };
-            (e, [sender, receiver], sent, expected)
+            let faulty_sender = faulty.contains(&e.src);
+            if sender != receiver || faulty_sender {
+                classes[sender].read = true;
+                classes[receiver].read = true;
+            }
+            (e, faulty_sender, [sender, receiver], sent, expected)
         })
         .collect();
 
     for (class, buffers) in classes.iter().zip(&mut scratch.classes) {
+        if !class.read {
+            continue;
+        }
+        pack_slab(class.held, rho, &mut buffers.slab);
         let whole = scheme.stacked();
         let in_order = class
             .coding_rows
@@ -285,9 +319,10 @@ pub(crate) fn run_equality_phase(
         flags: gk.nodes().map(|v| (v, false)).collect(),
         duration: 0.0,
         sends: BTreeMap::new(),
+        scheme: scheme.clone(),
     };
     let (mut multiplies, mut expectations_shared) = (0u32, 0u32);
-    for (e, [sender, receiver], sent_rows, expected_rows) in edges {
+    for (e, faulty_sender, [sender, receiver], sent_rows, expected_rows) in edges {
         let shared = sender == receiver;
         multiplies += if shared { 1 } else { 2 };
         expectations_shared += u32::from(shared);
@@ -297,12 +332,20 @@ pub(crate) fn run_equality_phase(
             let yd = &scratch.classes[receiver].product;
             wire_order(yd, expected_rows.clone(), classes[receiver].cols)
         };
-        let sent = if faulty.contains(&e.src) {
+        let sent = if faulty_sender {
             let symbols = adv.equality_symbols(e.src, e.dst, &sent());
             if symbols != expected() {
                 out.flags.insert(e.dst, true);
             }
             Sent::Substituted(symbols)
+        } else if !classes[sender].read {
+            // The sender's class is the receiver's, and nothing reads
+            // what it sends: the check passes whatever the matrices.
+            Sent::Deferred {
+                held: classes[sender].held.clone(),
+                z: sent_rows.len(),
+                cols,
+            }
         } else {
             if !shared && sent() != expected() {
                 out.flags.insert(e.dst, true);
@@ -739,6 +782,63 @@ mod tests {
         for ((src, dst), symbols) in eq.sends() {
             assert_eq!(symbols, scheme.encode(src, dst, &input));
         }
+    }
+
+    /// One value class and no faulty sender: every check passes whatever
+    /// the coding matrices hold, so none is drawn, no slab is packed and
+    /// no product is computed. A corrupting relay splits the classes and
+    /// sends from inside one, so the same call then does all three.
+    #[test]
+    fn only_a_read_product_is_drawn_packed_and_multiplied() {
+        let (g, trees, scheme, input) = complete_setup();
+        let mut scratch = EqScratch::default();
+        let none = BTreeSet::new();
+        let p1 = run_phase1(&g, 0, &input, &trees, &none, &mut HonestStrategy);
+        let eq = run_equality_phase(
+            &g,
+            &p1.values,
+            &scheme,
+            &none,
+            &mut HonestStrategy,
+            &mut scratch,
+        );
+        assert!(eq.flags.values().all(|f| !f));
+        assert!(!scheme.is_drawn(), "no coding matrix drawn");
+        assert_eq!(eq.deferred(), 12, "no edge encoded");
+        // Per class: whether its slab was packed, whether its product
+        // was computed.
+        let computed = |scratch: &EqScratch| -> Vec<[bool; 2]> {
+            let buffers = scratch.classes.iter();
+            buffers
+                .map(|c| [&c.slab, &*c.product].map(|m| !m.as_slice().is_empty()))
+                .collect()
+        };
+        assert_eq!(
+            computed(&scratch),
+            [[false; 2]],
+            "nothing packed or multiplied"
+        );
+
+        let (_, _, scheme, _) = complete_setup();
+        let faulty = BTreeSet::from([1]);
+        let p1 = run_phase1(&g, 0, &input, &trees, &faulty, &mut TruthfulCorruptor);
+        let eq = run_equality_phase(
+            &g,
+            &p1.values,
+            &scheme,
+            &faulty,
+            &mut TruthfulCorruptor,
+            &mut scratch,
+        );
+        assert!(eq.flags.values().any(|&f| f));
+        assert!(scheme.is_drawn());
+        assert_eq!(eq.deferred(), 0);
+        let classes = computed(&scratch);
+        assert!(classes.len() > 1, "the corruption splits the classes");
+        assert!(
+            classes.iter().all(|&c| c == [true; 2]),
+            "every class is read"
+        );
     }
 
     #[test]

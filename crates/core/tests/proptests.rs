@@ -173,6 +173,74 @@ proptest! {
         prop_assert_eq!(s1.encode(2, 1, &v), s2.encode(2, 1, &v));
     }
 
+    /// `CodingScheme::random` draws its matrices on first read, in the
+    /// order the construction once drew them up front — edges in
+    /// `g.edges()` order, each `C_e` row-major, copied inline here as the
+    /// oracle. A clone taken before the first read sees the same entries,
+    /// whichever of the two reads first.
+    #[test]
+    fn lazy_draw_matches_the_eager_draw_order(
+        seed in any::<u64>(),
+        n in 4usize..9,
+        k in 1usize..3,
+        max_cap in 1u64..5,
+        rho in 1usize..6,
+        clone_reads_first in any::<bool>(),
+    ) {
+        use nab_gf::field::Field;
+        use nab_gf::Matrix;
+        let g = gen::random_k_connected(n, k, max_cap, 0.3, &mut StdRng::seed_from_u64(seed));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut oracle = Vec::new();
+        for (_, e) in g.edges() {
+            let mut c = Matrix::zero(rho, e.cap as usize);
+            for r in 0..rho {
+                for col in 0..e.cap as usize {
+                    c[(r, col)] = Gf2_16::random(&mut rng);
+                }
+            }
+            oracle.push(((e.src, e.dst), c));
+        }
+        let scheme = CodingScheme::random(&g, rho, seed);
+        let clone = scheme.clone();
+        let readers = if clone_reads_first { [&clone, &scheme] } else { [&scheme, &clone] };
+        for reader in readers {
+            // The first reader starts from the last edge.
+            for ((src, dst), want) in oracle.iter().rev() {
+                prop_assert_eq!(&reader.matrix(*src, *dst), want);
+            }
+        }
+    }
+
+    /// A clean check — every node holds the same value, no node is
+    /// faulty — reads no product, yet `sends()` afterwards returns
+    /// exactly `encode_cols`'s symbols on every edge.
+    #[test]
+    fn sends_after_a_clean_check_equal_encode_cols(
+        seed in any::<u64>(),
+        n in 5usize..9,
+        k in 1usize..4,
+        max_cap in 1u64..5,
+        rho in 1usize..5,
+        symbols in 1usize..400,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = gen::random_k_connected(n, k, max_cap, 0.3, &mut rng);
+        let scheme = CodingScheme::random(&g, rho, seed);
+        let x = Value::random(symbols, &mut rng);
+        let values: BTreeMap<usize, Value> = g.nodes().map(|v| (v, x.clone())).collect();
+        let eq = run_equality_phase_batched(&g, &[&values], &scheme, &BTreeSet::new(), &mut [&mut HonestStrategy])
+            .pop()
+            .expect("one stream in, one outcome out");
+        prop_assert!(eq.flags.values().all(|f| !f));
+        let sends = eq.sends();
+        prop_assert_eq!(sends.len(), g.edges().count());
+        let cols = x.reshape(rho);
+        for ((src, dst), symbols) in sends {
+            prop_assert_eq!(symbols, scheme.encode_cols(src, dst, &cols), "edge ({}, {})", src, dst);
+        }
+    }
+
     /// Independent oracle for the one equality implementation: at Q = 1
     /// and Q = 3, under Phase-1 and equality-phase tampering (length
     /// changes included), `run_equality_phase_batched` yields per stream

@@ -6,8 +6,8 @@
 //! kernel:
 //!
 //! - [`FastOps::gemm_acc`], the product `out += a · b` of row-major
-//!   slices: every [`crate::Matrix`] multiply (`mat_mul`, `mat_mul_into`,
-//!   `left_mul_vec`) is one call of it;
+//!   slices: every [`crate::Matrix`] multiply (`mat_mul`, `mat_mul_into`)
+//!   is one call of it;
 //! - [`FastOps::mul_row_add`], the row kernel `dst += s · src`: the
 //!   one-row, one-coefficient case of the product, and what the
 //!   `benchmark/` probes time per row.

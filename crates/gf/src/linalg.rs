@@ -189,10 +189,17 @@ pub fn determinant<F: Field>(a: &Matrix<F>) -> F {
 mod tests {
     use super::*;
     use crate::gf2m::{Gf2_16, Gf2m};
+    use crate::kernel::FastOps;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     type F8 = Gf2m<8>;
+
+    /// `a · x`, as the one-row product `xᵀ · aᵀ`.
+    fn mul_vec<F: FastOps>(a: &Matrix<F>, x: &[F]) -> Vec<F> {
+        let xt = Matrix::from_rows(vec![x.to_vec()]);
+        xt.mat_mul(&a.transpose()).row(0).to_vec()
+    }
 
     fn m(rows: &[&[u64]]) -> Matrix<F8> {
         Matrix::from_rows(
@@ -243,9 +250,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let a = Matrix::<Gf2_16>::random(5, 5, &mut rng);
         let x_true: Vec<Gf2_16> = (0..5).map(|i| Gf2_16::from_u64(i as u64 + 1)).collect();
-        let b = a.transpose().left_mul_vec(&x_true); // a * x computed via transpose trick
+        let b = mul_vec(&a, &x_true);
         if let Some(x) = solve(&a, &b) {
-            let ax = a.transpose().left_mul_vec(&x);
+            let ax = mul_vec(&a, &x);
             assert_eq!(ax, b);
         }
     }
@@ -265,7 +272,7 @@ mod tests {
         assert_eq!(k.rows() + rank(&a), a.cols(), "rank-nullity");
         for r in 0..k.rows() {
             let v = k.row(r).to_vec();
-            let av = a.transpose().left_mul_vec(&v);
+            let av = mul_vec(&a, &v);
             assert!(
                 av.iter().all(|x| x.is_zero()),
                 "kernel vector not annihilated"

@@ -160,48 +160,6 @@ impl<F: Field> Matrix<F> {
         &mut self.data
     }
 
-    /// Extracts column `c` as an owned vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of bounds.
-    pub fn col(&self, c: usize) -> Vec<F> {
-        assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Matrix addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn add(&self, rhs: &Self) -> Self {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "add dim mismatch"
-        );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| a.add(b))
-                .collect(),
-        }
-    }
-
-    /// Scalar multiplication.
-    pub fn scale(&self, s: F) -> Self {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| x.mul(s)).collect(),
-        }
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -219,22 +177,6 @@ impl<F: Field> Matrix<F> {
                 self[(r, c)]
             } else {
                 rhs[(r, c - self.cols)]
-            }
-        })
-    }
-
-    /// Vertical concatenation `[self; rhs]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless column counts match.
-    pub fn vstack(&self, rhs: &Self) -> Self {
-        assert_eq!(self.cols, rhs.cols, "vstack col mismatch");
-        Self::from_fn(self.rows + rhs.rows, self.cols, |r, c| {
-            if r < self.rows {
-                self[(r, c)]
-            } else {
-                rhs[(r - self.rows, c)]
             }
         })
     }
@@ -310,27 +252,6 @@ impl<F: FastOps> Matrix<F> {
             self.cols,
             rhs.cols,
         );
-    }
-
-    /// Row-vector × matrix product `v * self`, a vector of length
-    /// `self.cols()`: the one-row product.
-    ///
-    /// This is the shape used by Algorithm 1 (`Y_e = X_i · C_e`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `v.len() == self.rows()`.
-    pub fn left_mul_vec(&self, v: &[F]) -> Vec<F> {
-        assert_eq!(
-            v.len(),
-            self.rows,
-            "left_mul_vec dim mismatch: vector of {} over {} rows",
-            v.len(),
-            self.rows
-        );
-        let mut out = vec![F::ZERO; self.cols];
-        F::gemm_acc(&mut out, v, &self.data, 1, self.rows, self.cols);
-        out
     }
 }
 
@@ -409,21 +330,10 @@ mod tests {
     }
 
     #[test]
-    fn left_mul_vec_matches_full_mul() {
-        let a = m(&[&[1, 2], &[3, 4], &[5, 6]]);
-        let v = [F::from_u64(9), F::from_u64(8), F::from_u64(7)];
-        let as_row = Matrix::from_rows(vec![v.to_vec()]);
-        assert_eq!(a.left_mul_vec(&v), as_row.mat_mul(&a).row(0).to_vec());
-    }
-
-    #[test]
-    fn hstack_vstack_shapes_and_content() {
+    fn hstack_shape_and_content() {
         let a = m(&[&[1, 2]]);
         let b = m(&[&[3, 4]]);
-        let h = a.hstack(&b);
-        assert_eq!(h, m(&[&[1, 2, 3, 4]]));
-        let v = a.vstack(&b);
-        assert_eq!(v, m(&[&[1, 2], &[3, 4]]));
+        assert_eq!(a.hstack(&b), m(&[&[1, 2, 3, 4]]));
     }
 
     #[test]
@@ -433,12 +343,6 @@ mod tests {
         assert_eq!(s, m(&[&[2, 3], &[8, 9]]));
         let c = a.select_cols(&[0]);
         assert_eq!(c, m(&[&[1], &[4], &[7]]));
-    }
-
-    #[test]
-    fn addition_is_xor_in_char_2() {
-        let a = m(&[&[1, 2]]);
-        assert!(a.add(&a).is_zero());
     }
 
     #[test]
@@ -506,15 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_accessors() {
+    fn row_accessor() {
         let a = m(&[&[1, 2, 3], &[4, 5, 6]]);
         assert_eq!(
             a.row(1).iter().map(|x| x.to_u64()).collect::<Vec<_>>(),
             vec![4, 5, 6]
-        );
-        assert_eq!(
-            a.col(2).iter().map(|x| x.to_u64()).collect::<Vec<_>>(),
-            vec![3, 6]
         );
     }
 }

@@ -116,13 +116,13 @@ proptest! {
     }
 
     #[test]
-    fn left_mul_vec_matches_the_scalar_gemm(
+    fn one_row_mat_mul_matches_the_scalar_gemm(
         r in 1usize..12, c in 1usize..12,
         seed in any::<u64>(),
     ) {
         let m = mat(r, c, seed);
         let v = Matrix::from_rows(vec![vec_of(r, seed ^ 0xF00D)]);
-        prop_assert_eq!(m.left_mul_vec(v.row(0)), scalar_product(&v, &m));
+        prop_assert_eq!(v.mat_mul(&m).as_slice(), &scalar_product(&v, &m)[..]);
     }
 
     /// `GF(2^16)` twice over: log/antilog tables on the GEMM micro-kernel,

@@ -83,6 +83,12 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<F8>> {
     })
 }
 
+/// `a · x`, as the one-row product `xᵀ · aᵀ`.
+fn mul_vec(a: &Matrix<F8>, x: &[F8]) -> Vec<F8> {
+    let xt = Matrix::from_rows(vec![x.to_vec()]);
+    xt.mat_mul(&a.transpose()).row(0).to_vec()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -125,9 +131,9 @@ proptest! {
     fn solve_produces_solutions(a in arb_matrix(4, 4), xs in proptest::collection::vec(any::<u8>(), 4)) {
         let x: Vec<F8> = xs.into_iter().map(|x| F8::from_u64(x.into())).collect();
         // b = a * x
-        let b = a.transpose().left_mul_vec(&x);
+        let b = mul_vec(&a, &x);
         if let Some(sol) = linalg::solve(&a, &b) {
-            let asol = a.transpose().left_mul_vec(&sol);
+            let asol = mul_vec(&a, &sol);
             prop_assert_eq!(asol, b);
         } else {
             // a*x = b always has solution x; solve must not return None.

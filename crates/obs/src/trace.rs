@@ -149,7 +149,9 @@ pub enum EventKind {
     },
     /// One instance's equality check finished its slab products.
     EqualityProducts {
-        /// `C_eᵀ · Xᵀ` products computed: one per distinct value per edge.
+        /// `C_eᵀ · Xᵀ` products the check prescribes, one per distinct
+        /// value per edge — computed or not: a value class whose product
+        /// nothing reads is never multiplied.
         multiplies: u32,
         /// Edges whose endpoints held equal values, so the receiver's
         /// expectation was the sender's product and no second multiply ran.
