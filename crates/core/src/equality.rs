@@ -44,28 +44,28 @@ pub struct CodingScheme {
     rows: Arc<BTreeMap<(NodeId, NodeId), Range<usize>>>,
     /// Rows of the stack: `Σ_e z_e`.
     height: usize,
-    /// The seed [`CodingScheme::random`] draws the entries from (a
-    /// Vandermonde stack is built up front and never drawn).
-    seed: u64,
     /// Every `C_eᵀ` (`z_e × ρ`) stacked row-wise: the left operand of the
     /// slab product `Yᵀ = Cᵀ · Xᵀ`, stored in the layout the multiply
     /// reads — so when every node holds the same value the whole check is
-    /// this matrix times that value's slab. A random stack is drawn on
-    /// first read: an equality check whose verdict is settled without it
-    /// (one value class, no faulty sender) never draws it.
-    stacked: Arc<OnceLock<Matrix<Gf2_16>>>,
+    /// this matrix times that value's slab.
+    stacked: Arc<Stack>,
+}
+
+/// Where a scheme's stacked `Cᵀ` comes from.
+#[derive(Debug)]
+enum Stack {
+    /// Uniform random entries from `seed`, drawn on first read.
+    Drawn {
+        seed: u64,
+        entries: OnceLock<Matrix<Gf2_16>>,
+    },
+    /// Entries built with the layout.
+    Built(Matrix<Gf2_16>),
 }
 
 impl CodingScheme {
-    /// Uniform random coding matrices for every live edge of `g`, with
-    /// equality-check parameter `rho`, from a deterministic seed. Only the
-    /// row layout is built here; the entries are drawn on first read, in
-    /// the same order whoever reads first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is zero.
-    pub fn random(g: &DiGraph, rho: usize, seed: u64) -> Self {
+    /// The row layout of `g`'s live edges, filled by `stacked(Σ_e z_e)`.
+    fn with_layout(g: &DiGraph, rho: usize, stacked: impl FnOnce(usize) -> Stack) -> Self {
         assert!(rho > 0, "equality-check parameter ρ must be positive");
         let mut rows = BTreeMap::new();
         let mut total = 0;
@@ -77,15 +77,29 @@ impl CodingScheme {
             rho,
             rows: Arc::new(rows),
             height: total,
-            seed,
-            stacked: Arc::default(),
+            stacked: Arc::new(stacked(total)),
         }
     }
 
-    /// Draws the random stack from the seed: edges in `g.edges()` order,
+    /// Uniform random coding matrices for every live edge of `g`, with
+    /// equality-check parameter `rho`, from a deterministic seed. Only the
+    /// row layout is built here; the entries are drawn on first read, in
+    /// the same order whoever reads first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho` is zero.
+    pub fn random(g: &DiGraph, rho: usize, seed: u64) -> Self {
+        Self::with_layout(g, rho, |_| Stack::Drawn {
+            seed,
+            entries: OnceLock::new(),
+        })
+    }
+
+    /// Draws the random stack from `seed`: edges in `g.edges()` order,
     /// each `C_e`'s entries in its row-major order.
-    fn draw(&self) -> Matrix<Gf2_16> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+    fn draw(&self, seed: u64) -> Matrix<Gf2_16> {
+        let mut rng = StdRng::seed_from_u64(seed);
         // Edges stack in draw order, so edge `e`'s `C_e` is the `z_e·ρ`
         // draws from `start·ρ` on.
         let draws: Vec<Gf2_16> = (0..self.height * self.rho)
@@ -116,29 +130,25 @@ impl CodingScheme {
     /// Panics if `rho` is zero or the graph needs more than `2^16 − 1`
     /// distinct evaluation points.
     pub fn vandermonde(g: &DiGraph, rho: usize) -> Self {
-        // The layout; the entries are built here, so no seed is read.
-        let scheme = Self::random(g, rho, 0);
-        let height = scheme.height;
-        assert!(
-            height <= 65_535,
-            "graph too large for distinct GF(2^16) points"
-        );
-        let mut stacked = Matrix::zero(height, rho);
-        let gen_elt = Gf2_16::from_u64(2); // generator of GF(2^16)* for 0x1100B
-        let mut alpha = Gf2_16::from_u64(1);
-        // Row `i` of the stack is the `i`-th coded symbol overall.
-        for row in 0..height {
-            alpha = alpha.mul(gen_elt);
-            let mut p = Gf2_16::from_u64(1);
-            for r in 0..rho {
-                stacked[(row, r)] = p;
-                p = p.mul(alpha);
+        Self::with_layout(g, rho, |height| {
+            assert!(
+                height <= 65_535,
+                "graph too large for distinct GF(2^16) points"
+            );
+            let mut stacked = Matrix::zero(height, rho);
+            let gen_elt = Gf2_16::from_u64(2); // generator of GF(2^16)* for 0x1100B
+            let mut alpha = Gf2_16::from_u64(1);
+            // Row `i` of the stack is the `i`-th coded symbol overall.
+            for row in 0..height {
+                alpha = alpha.mul(gen_elt);
+                let mut p = Gf2_16::from_u64(1);
+                for r in 0..rho {
+                    stacked[(row, r)] = p;
+                    p = p.mul(alpha);
+                }
             }
-        }
-        CodingScheme {
-            stacked: Arc::new(OnceLock::from(stacked)),
-            ..scheme
-        }
+            Stack::Built(stacked)
+        })
     }
 
     /// The equality-check parameter `ρ`.
@@ -146,16 +156,13 @@ impl CodingScheme {
         self.rho
     }
 
-    /// All of `Cᵀ`: every edge's `C_eᵀ` stacked, `Σ_e z_e × ρ`, drawn
-    /// here on the first read of any clone.
+    /// All of `Cᵀ`: every edge's `C_eᵀ` stacked, `Σ_e z_e × ρ`; a random
+    /// stack is drawn here on the first read of any clone.
     pub(crate) fn stacked(&self) -> &Matrix<Gf2_16> {
-        self.stacked.get_or_init(|| self.draw())
-    }
-
-    /// Whether the entries have been drawn (or built).
-    #[cfg(test)]
-    pub(crate) fn is_drawn(&self) -> bool {
-        self.stacked.get().is_some()
+        match &*self.stacked {
+            Stack::Drawn { seed, entries } => entries.get_or_init(|| self.draw(*seed)),
+            Stack::Built(stacked) => stacked,
+        }
     }
 
     /// The rows of [`CodingScheme::stacked`] that are `C_eᵀ` of edge
@@ -365,6 +372,16 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
 mod tests {
     use super::*;
     use nab_netgraph::gen;
+
+    impl CodingScheme {
+        /// Whether the entries have been drawn (or built).
+        pub(crate) fn is_drawn(&self) -> bool {
+            match &*self.stacked {
+                Stack::Drawn { entries, .. } => entries.get().is_some(),
+                Stack::Built(_) => true,
+            }
+        }
+    }
 
     fn values_all_equal(g: &DiGraph, v: &Value) -> BTreeMap<NodeId, Value> {
         g.nodes().map(|n| (n, v.clone())).collect()

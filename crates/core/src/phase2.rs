@@ -81,13 +81,6 @@ impl EqOutcome {
             .collect()
     }
 
-    /// How many edges' prescribed symbols the check left unencoded.
-    #[cfg(test)]
-    pub(crate) fn deferred(&self) -> usize {
-        let deferred = |sent: &&Sent| matches!(sent, Sent::Deferred { .. });
-        self.sends.values().filter(deferred).count()
-    }
-
     /// Bits transmitted per link, `(edge id in g, bits)`; a link `g` lacks
     /// gets an id no graph has.
     pub(crate) fn link_bits<'a>(
@@ -648,6 +641,14 @@ mod tests {
     use nab_netgraph::arborescence::pack_arborescences;
     use nab_netgraph::flow::broadcast_rate;
     use nab_netgraph::gen;
+
+    impl EqOutcome {
+        /// How many edges' prescribed symbols the check left unencoded.
+        fn deferred(&self) -> usize {
+            let deferred = |sent: &&Sent| matches!(sent, Sent::Deferred { .. });
+            self.sends.values().filter(deferred).count()
+        }
+    }
 
     /// The equality check on fresh buffers.
     fn equality_one_stream(
