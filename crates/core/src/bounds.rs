@@ -44,7 +44,7 @@
 
 use std::collections::BTreeSet;
 
-use nab_netgraph::flow::{broadcast_rate, min_cut_undirected, FlowNet};
+use nab_netgraph::flow::{broadcast_rate, FlowNet};
 use nab_netgraph::globalcut::MinCutScratch;
 use nab_netgraph::{DiGraph, NodeId, UnGraph};
 
@@ -125,7 +125,7 @@ pub fn omega_subsets(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Vec<BT
 /// All members of `Ω_k` are selections from one undirected view of `g`,
 /// visited one at a time without materialising `Ω_k`, each bounded by the
 /// minimum over the members before it ([`MinCutScratch::min_cut`]); the
-/// flow-based brute force remains as a test oracle ([`u_k_brute_force`]).
+/// flow-based brute force remains as the tests' oracle.
 pub fn u_k(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Option<u64> {
     let view = UnGraph::from_digraph(g);
     let mut scratch = MinCutScratch::default();
@@ -135,27 +135,6 @@ pub fn u_k(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Option<u64> {
             best = Some(scratch.min_cut(&view, h, best.unwrap_or(u64::MAX)));
         }
     });
-    best
-}
-
-/// Flow-based oracle for [`u_k`] (one max-flow per node pair per
-/// subgraph). Exposed for tests and cross-validation only.
-pub fn u_k_brute_force(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Option<u64> {
-    let mut best: Option<u64> = None;
-    for h_nodes in omega_subsets(g, f, disputes) {
-        let h = g.induced_subgraph(&h_nodes);
-        let uh = UnGraph::from_digraph(&h);
-        let nodes: Vec<NodeId> = uh.nodes().collect();
-        if nodes.len() < 2 {
-            continue;
-        }
-        for i in 0..nodes.len() {
-            for j in (i + 1)..nodes.len() {
-                let c = min_cut_undirected(&uh, nodes[i], nodes[j]);
-                best = Some(best.map_or(c, |b| b.min(c)));
-            }
-        }
-    }
     best
 }
 
@@ -472,7 +451,29 @@ pub(crate) fn bounds_report_given(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nab_netgraph::flow::min_cut_undirected;
     use nab_netgraph::gen;
+
+    /// Flow-based oracle for [`u_k`]: one max-flow per node pair per
+    /// subgraph.
+    fn u_k_brute_force(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Option<u64> {
+        let mut best: Option<u64> = None;
+        for h_nodes in omega_subsets(g, f, disputes) {
+            let h = g.induced_subgraph(&h_nodes);
+            let uh = UnGraph::from_digraph(&h);
+            let nodes: Vec<NodeId> = uh.nodes().collect();
+            if nodes.len() < 2 {
+                continue;
+            }
+            for i in 0..nodes.len() {
+                for j in (i + 1)..nodes.len() {
+                    let c = min_cut_undirected(&uh, nodes[i], nodes[j]);
+                    best = Some(best.map_or(c, |b| b.min(c)));
+                }
+            }
+        }
+        best
+    }
 
     #[test]
     fn k_subsets_counts() {

@@ -23,6 +23,7 @@ use nab_netgraph::{DiGraph, NodeId};
 
 use crate::bounds::{k_subsets, pair, Pair};
 use crate::equality::{pack_slab, CodingScheme};
+use crate::phase1::RouteTable;
 use crate::value::Value;
 
 /// A node's broadcast claims about one instance's Phases 1–2.
@@ -59,17 +60,9 @@ impl NodeClaims {
         if let Some(input) = &self.input {
             return Value::from_symbols(input.clone());
         }
-        let mut blocks: Vec<Vec<Gf2_16>> = Vec::with_capacity(tree_count);
-        for t in 0..tree_count {
-            let block = self
-                .p1_received
-                .iter()
-                .find(|((tt, _), _)| *tt == t)
-                .map(|(_, b)| b.clone())
-                .unwrap_or_default();
-            blocks.push(block);
-        }
-        Value::join_blocks(&blocks)
+        let received = |t| self.p1_received.iter().find(|((tt, _), _)| *tt == t);
+        let blocks = (0..tree_count).filter_map(received).flat_map(|(_, b)| b);
+        Value::from_symbols(blocks.copied().collect())
     }
 }
 
@@ -129,37 +122,36 @@ pub fn dc3_exposed(
     claims: &BTreeMap<NodeId, NodeClaims>,
 ) -> Vec<NodeId> {
     let mut exposed = BTreeSet::new();
-    let indices: Vec<_> = trees.iter().map(Arborescence::index).collect();
-    let mut xt = Matrix::default();
-    for (&v, c) in claims {
-        // Phase 1 discipline: on tree t, the source must send its t-th
-        // input block identically to every child; a relay must forward the
-        // block it claims to have received from its tree parent.
-        let input_blocks = c
-            .input
-            .as_ref()
-            .filter(|_| v == source)
-            .map(|i| Value::from_symbols(i.clone()).split_blocks(trees.len().max(1)));
-        for (t, tree) in indices.iter().enumerate() {
-            let prescribed = match &input_blocks {
-                Some(blocks) => Some(&blocks[t]),
-                None => tree.parent(v).and_then(|p| c.p1_received.get(&(t, p))),
-            };
-            for child in tree.children(v) {
-                let claimed = c.p1_sent.get(&(t, child));
-                match (prescribed, claimed) {
-                    (Some(p), Some(s)) if p == s => {}
-                    (None, None) => {}
-                    // A relay that claims to have received nothing must
-                    // send nothing (default-value rule); any other
-                    // combination is inconsistent.
-                    (None, Some(s)) if s.is_empty() => {}
-                    _ => {
-                        exposed.insert(v);
-                    }
-                }
+    // Phase 1 discipline, route by route: on tree t, the source must send
+    // its t-th input block identically to every child; a relay must
+    // forward the block it claims to have received from its tree parent.
+    // A node's parent on tree t is recorded before its own routes there.
+    let routes = RouteTable::new(gk, trees);
+    let input_blocks = (claims.get(&source).and_then(|c| c.input.as_ref()))
+        .map(|i| Value::from_symbols(i.clone()).split_blocks(trees.len().max(1)));
+    let mut parent = vec![None; routes.node_bound()];
+    for r in routes.routes() {
+        parent[r.child] = Some(r.parent);
+        let (v, t) = (r.parent, r.tree);
+        let Some(c) = claims.get(&v) else { continue };
+        let prescribed = match &input_blocks {
+            Some(blocks) if v == source => Some(&blocks[t]),
+            _ => parent[v].and_then(|p| c.p1_received.get(&(t, p))),
+        };
+        match (prescribed, c.p1_sent.get(&(t, r.child))) {
+            (Some(p), Some(s)) if p == s => {}
+            (None, None) => {}
+            // A relay that claims to have received nothing must send
+            // nothing (default-value rule); any other combination is
+            // inconsistent.
+            (None, Some(s)) if s.is_empty() => {}
+            _ => {
+                exposed.insert(v);
             }
         }
+    }
+    let mut xt = Matrix::default();
+    for (&v, c) in claims {
         // Phase 2 discipline: coded symbols must encode the value implied
         // by the node's own claims, and the announced flag must equal the
         // outcome of checking the claimed received symbols. The implied

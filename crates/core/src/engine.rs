@@ -12,7 +12,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use nab_bb::router::RoundSink;
-use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
 
@@ -20,9 +19,9 @@ use crate::adversary::NabAdversary;
 use crate::bounds::{rho_k, Pair};
 use crate::detsan;
 use crate::dispute::{dc2_disputes, dc3_exposed, DisputeState, NodeClaims};
-use crate::equality::CodingScheme;
+use crate::equality::{CodingScheme, RowLayout};
 use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec, PhaseClock};
-use crate::phase1::{run_phase1, Phase1Output};
+use crate::phase1::{run_routes, Phase1Output};
 use crate::phase2::{
     broadcast_claims, flag_broadcast, honest_claims, run_equality_phase, BroadcastKind, EqOutcome,
     EqScratch,
@@ -452,7 +451,7 @@ impl NabEngine {
 
         // Phase 1.
         let p1_span = PhaseSpan::enter(Phase::Phase1);
-        let p1 = run_phase1(g, SOURCE, input, trees, faulty, adv);
+        let p1 = run_routes(gk.routes(), SOURCE, input, faulty, adv);
         let mut times = PhaseTimes {
             phase1: p1.duration,
             ..PhaseTimes::default()
@@ -469,7 +468,7 @@ impl NabEngine {
                 .net
                 .as_ref()
                 .map(|nx| InstanceTiming::new(nx, instance));
-            let delivered = message_level(timing, g, trees, &p1, None, &mut times, &mut wall);
+            let delivered = message_level(timing, g, &p1, None, &mut times, &mut wall);
             return Ok(InstanceReport {
                 outputs: p1.values,
                 times,
@@ -483,11 +482,12 @@ impl NabEngine {
         // Step 2.1: the equality check, with the instance's public coding
         // matrices at `ρ_k`.
         let eq_span = PhaseSpan::enter(Phase::Equality);
-        let rho = match self.gk.rho() {
-            Some(rho) => rho,
+        let (rho, layout) = match self.gk.equality() {
+            Some(equality) => equality.clone(),
             None => self.derive_rho()?,
         };
-        let scheme = CodingScheme::random(g, rho as usize, self.cfg.seed.wrapping_add(instance));
+        let scheme =
+            CodingScheme::drawn(layout, rho as usize, self.cfg.seed.wrapping_add(instance));
         let eq = run_equality_phase(g, &p1.values, &scheme, faulty, adv, &mut self.eq_scratch);
         times.equality = eq.duration;
         wall.equality = eq_span.close(Some(&|| detsan::digest_flags(&eq.flags)));
@@ -525,7 +525,7 @@ impl NabEngine {
             .find(|v| !faulty.contains(v))
             .expect("at least one fault-free node");
         if !flags.any_mismatch(observer) {
-            let delivered = message_level(timing, g, trees, &p1, Some(&eq), &mut times, &mut wall);
+            let delivered = message_level(timing, g, &p1, Some(&eq), &mut times, &mut wall);
             return Ok(InstanceReport {
                 outputs: p1.values,
                 times,
@@ -584,7 +584,7 @@ impl NabEngine {
         let outputs = participants.iter().map(|&v| (v, decided.clone())).collect();
         wall.dispute = dispute_span.close(Some(&|| detsan::digest_disputes(&self.disputes)));
 
-        let delivered = message_level(timing, g, trees, &p1, Some(&eq), &mut times, &mut wall);
+        let delivered = message_level(timing, g, &p1, Some(&eq), &mut times, &mut wall);
         Ok(InstanceReport {
             outputs,
             times,
@@ -617,21 +617,21 @@ impl NabEngine {
         Ok(gk)
     }
 
-    /// `ρ_k` of a derived `G_k`, computed by the first instance on it that
-    /// reaches the equality check (earlier phases never need it).
-    fn derive_rho(&mut self) -> Result<u64, NabError> {
+    /// `ρ_k` and the row layout of a derived `G_k`, computed by the first
+    /// instance on it that reaches the equality check.
+    fn derive_rho(&mut self) -> Result<(u64, Arc<RowLayout>), NabError> {
         let t0 = nab_obs::clock::mono_now();
         let rho = rho_k(self.gk.graph(), self.cfg.f, &self.disputes.pairs)
             .ok_or(NabError::NoEqualityParameter)?;
+        let equality = self.gk.set_rho(rho).clone();
         self.repair_stats.repair_ns += t0.elapsed().as_nanos() as u64;
-        self.gk.set_rho(rho);
         if self.gk.gamma() == self.plan.gamma0() && rho != self.plan.rho0() {
             // The ρ bound moved after all: the derivation counted as a
             // repair was a full recompute.
             self.repair_stats.repairs -= 1;
             self.repair_stats.full_recomputes += 1;
         }
-        Ok(rho)
+        Ok(equality)
     }
 }
 
@@ -641,7 +641,6 @@ impl NabEngine {
 fn message_level(
     timing: Option<InstanceTiming<'_>>,
     gk: &DiGraph,
-    trees: &[Arborescence],
     p1: &Phase1Output,
     eq: Option<&EqOutcome>,
     times: &mut PhaseTimes,
@@ -649,7 +648,7 @@ fn message_level(
 ) -> Option<DeliveredTimes> {
     let mut timing = timing?;
     let span = PhaseSpan::enter(Phase::Net);
-    timing.streaming_phases(gk, trees, &p1.sends, eq);
+    timing.streaming_phases(gk, p1, eq);
     let (net_times, delivered) = timing.finish();
     *times = net_times;
     wall.net = span.close(None);

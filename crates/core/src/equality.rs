@@ -26,7 +26,7 @@ use nab_netgraph::{DiGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::value::{Value, SYMBOL_BITS};
+use crate::value::Value;
 
 /// The per-edge coding matrices `{C_e | e ∈ E_k}` for one instance.
 ///
@@ -39,16 +39,35 @@ use crate::value::{Value, SYMBOL_BITS};
 #[derive(Debug, Clone)]
 pub struct CodingScheme {
     rho: usize,
-    /// The rows of the stack that are edge `(src, dst)`'s `C_eᵀ`, edges
-    /// stacked in `g.edges()` order.
-    rows: Arc<BTreeMap<(NodeId, NodeId), Range<usize>>>,
-    /// Rows of the stack: `Σ_e z_e`.
-    height: usize,
+    layout: Arc<RowLayout>,
     /// Every `C_eᵀ` (`z_e × ρ`) stacked row-wise: the left operand of the
     /// slab product `Yᵀ = Cᵀ · Xᵀ`, stored in the layout the multiply
     /// reads — so when every node holds the same value the whole check is
     /// this matrix times that value's slab.
     stacked: Arc<Stack>,
+}
+
+/// Which rows of the stacked `Cᵀ` are each live edge's `C_eᵀ`, edges
+/// stacked in `g.edges()` order. It depends on the graph alone, so one
+/// layout serves every instance on a `G_k` ([`crate::plan::Gk`] holds it).
+#[derive(Debug, PartialEq, Eq)]
+pub struct RowLayout {
+    rows: BTreeMap<(NodeId, NodeId), Range<usize>>,
+    /// Rows of the stack: `Σ_e z_e`.
+    height: usize,
+}
+
+impl RowLayout {
+    /// The layout of `g`'s live edges.
+    pub fn new(g: &DiGraph) -> RowLayout {
+        let mut rows = BTreeMap::new();
+        let mut height = 0;
+        for (_, e) in g.edges() {
+            rows.insert((e.src, e.dst), height..height + e.cap as usize);
+            height += e.cap as usize;
+        }
+        RowLayout { rows, height }
+    }
 }
 
 /// Where a scheme's stacked `Cᵀ` comes from.
@@ -64,36 +83,38 @@ enum Stack {
 }
 
 impl CodingScheme {
-    /// The row layout of `g`'s live edges, filled by `stacked(Σ_e z_e)`.
-    fn with_layout(g: &DiGraph, rho: usize, stacked: impl FnOnce(usize) -> Stack) -> Self {
+    /// A scheme on `layout` with the stacked `Cᵀ` from `stack`.
+    fn new(layout: Arc<RowLayout>, rho: usize, stack: Stack) -> Self {
         assert!(rho > 0, "equality-check parameter ρ must be positive");
-        let mut rows = BTreeMap::new();
-        let mut total = 0;
-        for (_, e) in g.edges() {
-            rows.insert((e.src, e.dst), total..total + e.cap as usize);
-            total += e.cap as usize;
-        }
+        let stacked = Arc::new(stack);
         CodingScheme {
             rho,
-            rows: Arc::new(rows),
-            height: total,
-            stacked: Arc::new(stacked(total)),
+            layout,
+            stacked,
         }
     }
 
     /// Uniform random coding matrices for every live edge of `g`, with
-    /// equality-check parameter `rho`, from a deterministic seed. Only the
-    /// row layout is built here; the entries are drawn on first read, in
-    /// the same order whoever reads first.
+    /// equality-check parameter `rho`, from a deterministic seed:
+    /// [`CodingScheme::drawn`] on `g`'s [`RowLayout`].
     ///
     /// # Panics
     ///
     /// Panics if `rho` is zero.
     pub fn random(g: &DiGraph, rho: usize, seed: u64) -> Self {
-        Self::with_layout(g, rho, |_| Stack::Drawn {
-            seed,
-            entries: OnceLock::new(),
-        })
+        Self::drawn(Arc::new(RowLayout::new(g)), rho, seed)
+    }
+
+    /// Uniform random coding matrices on `layout`. Nothing is drawn here;
+    /// the entries are drawn on first read, in the same order whoever
+    /// reads first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho` is zero.
+    pub fn drawn(layout: Arc<RowLayout>, rho: usize, seed: u64) -> Self {
+        let entries = OnceLock::new();
+        Self::new(layout, rho, Stack::Drawn { seed, entries })
     }
 
     /// Draws the random stack from `seed`: edges in `g.edges()` order,
@@ -102,11 +123,11 @@ impl CodingScheme {
         let mut rng = StdRng::seed_from_u64(seed);
         // Edges stack in draw order, so edge `e`'s `C_e` is the `z_e·ρ`
         // draws from `start·ρ` on.
-        let draws: Vec<Gf2_16> = (0..self.height * self.rho)
+        let draws: Vec<Gf2_16> = (0..self.layout.height * self.rho)
             .map(|_| Gf2_16::random(&mut rng))
             .collect();
-        let mut stacked = Matrix::zero(self.height, self.rho);
-        for rows in self.rows.values() {
+        let mut stacked = Matrix::zero(self.layout.height, self.rho);
+        for rows in self.layout.rows.values() {
             let c_e = &draws[rows.start * self.rho..rows.end * self.rho];
             for (r, c_row) in c_e.chunks_exact(rows.len()).enumerate() {
                 for (c, &entry) in c_row.iter().enumerate() {
@@ -130,25 +151,25 @@ impl CodingScheme {
     /// Panics if `rho` is zero or the graph needs more than `2^16 − 1`
     /// distinct evaluation points.
     pub fn vandermonde(g: &DiGraph, rho: usize) -> Self {
-        Self::with_layout(g, rho, |height| {
-            assert!(
-                height <= 65_535,
-                "graph too large for distinct GF(2^16) points"
-            );
-            let mut stacked = Matrix::zero(height, rho);
-            let gen_elt = Gf2_16::from_u64(2); // generator of GF(2^16)* for 0x1100B
-            let mut alpha = Gf2_16::from_u64(1);
-            // Row `i` of the stack is the `i`-th coded symbol overall.
-            for row in 0..height {
-                alpha = alpha.mul(gen_elt);
-                let mut p = Gf2_16::from_u64(1);
-                for r in 0..rho {
-                    stacked[(row, r)] = p;
-                    p = p.mul(alpha);
-                }
+        let layout = RowLayout::new(g);
+        let height = layout.height;
+        assert!(
+            height <= 65_535,
+            "graph too large for distinct GF(2^16) points"
+        );
+        let mut stacked = Matrix::zero(height, rho);
+        let gen_elt = Gf2_16::from_u64(2); // generator of GF(2^16)* for 0x1100B
+        let mut alpha = Gf2_16::from_u64(1);
+        // Row `i` of the stack is the `i`-th coded symbol overall.
+        for row in 0..height {
+            alpha = alpha.mul(gen_elt);
+            let mut p = Gf2_16::from_u64(1);
+            for r in 0..rho {
+                stacked[(row, r)] = p;
+                p = p.mul(alpha);
             }
-            Stack::Built(stacked)
-        })
+        }
+        Self::new(Arc::new(layout), rho, Stack::Built(stacked))
     }
 
     /// The equality-check parameter `ρ`.
@@ -173,7 +194,7 @@ impl CodingScheme {
         reason = "plan construction emits a matrix for every live edge"
     )]
     pub(crate) fn rows(&self, src: NodeId, dst: NodeId) -> Range<usize> {
-        self.rows
+        (self.layout.rows)
             .get(&(src, dst))
             .cloned()
             .unwrap_or_else(|| panic!("no coding matrix for edge ({src}, {dst})"))
@@ -233,18 +254,6 @@ impl CodingScheme {
             out.extend(y);
         }
         out
-    }
-
-    /// Number of coded symbols [`CodingScheme::encode`] produces on an edge
-    /// for a value of `s` symbols.
-    pub fn encoded_len(&self, src: NodeId, dst: NodeId, s: usize) -> usize {
-        s.div_ceil(self.rho) * self.rows(src, dst).len()
-    }
-
-    /// Bits transmitted on the edge for a value of `s` symbols
-    /// (`z_e · L/ρ`, rounded up to whole columns).
-    pub fn encoded_bits(&self, src: NodeId, dst: NodeId, s: usize) -> u64 {
-        self.encoded_len(src, dst, s) as u64 * SYMBOL_BITS
     }
 
     /// Test oracle for the receiver check of step 2, on pre-reshaped
@@ -371,7 +380,22 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::SYMBOL_BITS;
     use nab_netgraph::gen;
+
+    impl CodingScheme {
+        /// Number of coded symbols [`CodingScheme::encode`] produces on an edge
+        /// for a value of `s` symbols.
+        fn encoded_len(&self, src: NodeId, dst: NodeId, s: usize) -> usize {
+            s.div_ceil(self.rho) * self.rows(src, dst).len()
+        }
+
+        /// Bits transmitted on the edge for a value of `s` symbols
+        /// (`z_e · L/ρ`, rounded up to whole columns).
+        fn encoded_bits(&self, src: NodeId, dst: NodeId, s: usize) -> u64 {
+            self.encoded_len(src, dst, s) as u64 * SYMBOL_BITS
+        }
+    }
 
     impl CodingScheme {
         /// Whether the entries have been drawn (or built).

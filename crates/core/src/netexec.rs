@@ -26,20 +26,19 @@
 //! check's are resolved on `G_k`. Only Phase 1, whose trees share links,
 //! runs through the event queue. Seeds: a phase's is `mix(mix(nx.seed,
 //! instance), phase tag)`, a round's is `mix(phase seed, i)` with `i` the
-//! round's index within the phase, and a queued message's id is its tree.
+//! round's index within the phase, and a queued message's id is its
+//! route's index; indices run tree-major, so messages that tie on a link
+//! still pop in tree order.
 //! The transcript replay this replaced is kept below as the
 //! differential-test oracle: it queues every round on a fresh kernel.
 
-use std::collections::BTreeMap;
-
 use nab_bb::router::{FormulaClock, HopRound, PathRouter, RoundSink};
 use nab_net::{mix, EventNet, KernelStats, UNIT_NS};
-use nab_netgraph::arborescence::Arborescence;
-use nab_netgraph::{DiGraph, NodeId};
+use nab_netgraph::DiGraph;
 use nab_obs::metrics::Histogram;
 
 use crate::engine::PhaseTimes;
-use crate::phase1::Block;
+use crate::phase1::Phase1Output;
 use crate::phase2::EqOutcome;
 use crate::value::SYMBOL_BITS;
 
@@ -176,14 +175,11 @@ impl<'a> InstanceTiming<'a> {
     pub(crate) fn streaming_phases(
         &mut self,
         gk: &DiGraph,
-        trees: &[Arborescence],
-        p1_sends: &BTreeMap<(usize, NodeId, NodeId), Block>,
+        p1: &Phase1Output,
         eq: Option<&EqOutcome>,
     ) {
         let mut net = EventNet::new(gk, self.nx.model.clone(), mix(self.seed, PHASE1_TAG));
-        if !p1_sends.is_empty() {
-            self.ends[0] = time_phase1(&mut net, trees, p1_sends, &mut self.delivered.phase1);
-        }
+        self.ends[0] = time_phase1(&mut net, p1, &mut self.delivered.phase1);
         if let Some(eq) = eq {
             let seed = mix(mix(self.seed, EQUALITY_TAG), 0);
             let hist = &mut self.delivered.equality;
@@ -298,33 +294,22 @@ impl RoundSink for PhaseClock<'_> {
 /// block on tree `t` counts as delivered no earlier than its parent's
 /// (the tail of a stream cannot overtake the stream), which is how
 /// per-hop latency accumulates down each arborescence.
-fn time_phase1(
-    net: &mut EventNet,
-    trees: &[Arborescence],
-    p1_sends: &BTreeMap<(usize, NodeId, NodeId), Block>,
-    hist: &mut Histogram,
-) -> u64 {
-    for (&(t, src, dst), block) in p1_sends {
-        net.schedule(t as u64, src, dst, block.len() as u64 * SYMBOL_BITS, 0);
+fn time_phase1(net: &mut EventNet, p1: &Phase1Output, hist: &mut Histogram) -> u64 {
+    let routes = p1.routes().routes();
+    for ((i, r), len) in routes.iter().enumerate().zip(p1.send_lens()) {
+        net.schedule(i as u64, r.parent, r.child, len as u64 * SYMBOL_BITS, 0);
     }
-    let mut by_edge: BTreeMap<(u64, NodeId, NodeId), u64> = BTreeMap::new();
-    net.drain(|d| {
-        by_edge.insert((d.id, d.src, d.dst), d.delivered_ns);
-    });
-    let mut end = 0;
-    for (t, tree) in trees.iter().enumerate() {
-        let mut done: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for (u, child) in tree.bfs_edges() {
-            let du = done.get(&u).copied().unwrap_or(0);
-            let arrived = by_edge
-                .get(&(t as u64, u, child))
-                .copied()
-                .unwrap_or(du)
-                .max(du);
-            done.insert(child, arrived);
-            hist.record(arrived);
-            end = end.max(arrived);
-        }
+    let mut arrived = vec![None; routes.len()];
+    net.drain(|d| arrived[d.id as usize] = Some(d.delivered_ns));
+    // The root is no route's child, so it stays at 0 on every tree; any
+    // other parent is set earlier in its own tree's BFS order.
+    let (mut done, mut end) = (vec![0; p1.routes().node_bound()], 0);
+    for (r, arrived) in routes.iter().zip(arrived) {
+        let du = done[r.parent];
+        let arrived = arrived.unwrap_or(du).max(du);
+        done[r.child] = arrived;
+        hist.record(arrived);
+        end = end.max(arrived);
     }
     end
 }
@@ -342,7 +327,7 @@ pub(crate) mod tests {
     use crate::value::Value;
     use nab_bb::baselines::Recording;
     use nab_bb::router::Routed;
-    use nab_netgraph::gen;
+    use nab_netgraph::{gen, NodeId};
     use nab_sim::{NetSim, Transcript};
     use std::collections::BTreeSet;
 

@@ -606,7 +606,7 @@ pub fn honest_claims(
         .collect();
     claims.get_mut(&source).unwrap().input = Some(input.symbols().to_vec());
 
-    for (&(t, src, dst), block) in &p1.sends {
+    for (&(t, src, dst), block) in &p1.sends() {
         claims
             .get_mut(&src)
             .unwrap()

@@ -31,7 +31,8 @@ use nab_netgraph::DiGraph;
 use crate::bounds::{gamma_k, rho_k, BoundsReport};
 use crate::dispute::DisputeState;
 use crate::engine::{NabError, SOURCE};
-use crate::equality::CodingScheme;
+use crate::equality::{CodingScheme, RowLayout};
+use crate::phase1::RouteTable;
 
 /// The point-lookup memo and cache tables of this module.
 #[expect(
@@ -188,7 +189,7 @@ impl ExecutionPlan {
     /// graph.
     pub fn rho0(&self) -> u64 {
         // Always set: a plan is built or loaded with `ρ_1`.
-        self.g1.rho.unwrap_or_default()
+        self.g1.rho().unwrap_or_default()
     }
 
     /// The `γ_1` capacity-respecting spanning arborescences Phase 1
@@ -264,35 +265,46 @@ impl ExecutionPlan {
 }
 
 /// `G_k` and what an instance on it runs with: the graph left by the
-/// disputes so far, `γ_k` with its Phase-1 arborescence packing, and
-/// `ρ_k`. A plan holds `G_1`; an engine derives the next value from it
+/// disputes so far, `γ_k` with its Phase-1 arborescence packing and the
+/// [`RouteTable`] laid out on it, and `ρ_k` with the coding matrices' row
+/// layout. A plan holds `G_1`; an engine derives the next value from it
 /// once dispute control has grown its dispute state (Section 2). Every
 /// quantity is a deterministic function of `(G_1, pairs, removed)`, so a
 /// derived value equals a from-scratch derivation bit for bit. Cloning
-/// shares the graph and the packing.
+/// shares the graph, the packing, the routes and the layout.
 #[derive(Debug, Clone)]
 pub struct Gk {
     graph: Arc<DiGraph>,
     gamma: u64,
     trees: Arc<[Arborescence]>,
-    /// `ρ_k`, `None` until an instance on this `G_k` reaches the equality
-    /// check (earlier phases never need it).
-    rho: Option<u64>,
+    routes: Arc<RouteTable>,
+    /// `ρ_k` and `G_k`'s [`RowLayout`], `None` until an instance on this
+    /// `G_k` reaches the equality check (earlier phases never need them).
+    rho: Option<(u64, Arc<RowLayout>)>,
     /// `(|pairs|, |removed|)` of the dispute state this value was derived
     /// from. Both sets only grow, so equal sizes mean an equal state.
     disputes: (usize, usize),
 }
 
 impl Gk {
-    /// `G_1`: the undisputed graph with its planned quantities.
-    fn first(g: DiGraph, gamma: u64, trees: Vec<Arborescence>, rho: u64) -> Gk {
+    /// `G_k` with its packing and routes, `ρ_k` not yet set.
+    fn new(graph: DiGraph, gamma: u64, trees: Vec<Arborescence>, disputes: (usize, usize)) -> Gk {
+        let routes = Arc::new(RouteTable::new(&graph, &trees));
         Gk {
-            graph: Arc::new(g),
+            graph: Arc::new(graph),
             gamma,
             trees: trees.into(),
-            rho: Some(rho),
-            disputes: (0, 0),
+            routes,
+            rho: None,
+            disputes,
         }
+    }
+
+    /// `G_1`: the undisputed graph with its planned quantities.
+    fn first(g: DiGraph, gamma: u64, trees: Vec<Arborescence>, rho: u64) -> Gk {
+        let mut g1 = Gk::new(g, gamma, trees, (0, 0));
+        g1.set_rho(rho);
+        g1
     }
 
     /// Derives `G_k` for `disputes` from `g1`: removes the excluded nodes
@@ -320,13 +332,7 @@ impl Gk {
             Ok(()),
             "DetSan: the replan produced an invalid packing"
         );
-        Ok(Gk {
-            graph: Arc::new(graph),
-            gamma,
-            trees: trees.into(),
-            rho: None,
-            disputes: dispute_sizes(disputes),
-        })
+        Ok(Gk::new(graph, gamma, trees, dispute_sizes(disputes)))
     }
 
     /// Whether this value was derived from `disputes` (and so is still
@@ -335,9 +341,16 @@ impl Gk {
         self.disputes == dispute_sizes(disputes)
     }
 
-    /// Records `ρ_k` once an instance has computed it.
-    pub(crate) fn set_rho(&mut self, rho: u64) {
-        self.rho = Some(rho);
+    /// Records `ρ_k` once an instance has computed it, with the row layout
+    /// every later instance's coding scheme shares.
+    pub(crate) fn set_rho(&mut self, rho: u64) -> &(u64, Arc<RowLayout>) {
+        self.rho
+            .insert((rho, Arc::new(RowLayout::new(&self.graph))))
+    }
+
+    /// `ρ_k` and the row layout, once set.
+    pub(crate) fn equality(&self) -> Option<&(u64, Arc<RowLayout>)> {
+        self.rho.as_ref()
     }
 
     /// The graph `G_k`.
@@ -355,10 +368,15 @@ impl Gk {
         &self.trees
     }
 
+    /// Phase 1's routes over [`Gk::trees`].
+    pub fn routes(&self) -> &Arc<RouteTable> {
+        &self.routes
+    }
+
     /// `ρ_k`, once an instance on this `G_k` has reached the equality
     /// check (always set on `G_1`).
     pub fn rho(&self) -> Option<u64> {
-        self.rho
+        self.rho.as_ref().map(|&(rho, _)| rho)
     }
 }
 
@@ -680,6 +698,30 @@ mod tests {
         let trees = nab_netgraph::treepack::pack_spanning_trees(&u, plan.rho0() as usize)
             .expect("packing exists");
         assert_eq!(trees.len(), plan.rho0() as usize);
+    }
+
+    /// The row layout a `G_k` caches gives the scheme
+    /// `CodingScheme::random` lays out from scratch — the same stack and
+    /// the same rows — on `G_1` and on a derived `G_k`, at several seeds.
+    #[test]
+    fn cached_row_layout_schemes_equal_random() {
+        let plan = ExecutionPlan::build(gen::complete(5, 2), 1).unwrap();
+        let mut disputes = DisputeState::new();
+        disputes.pairs.insert((1, 3));
+        let mut gk = Gk::derive(plan.graph(), &disputes).unwrap();
+        gk.set_rho(rho_k(gk.graph(), 1, &disputes.pairs).unwrap());
+        assert_ne!(gk.equality().unwrap().1, plan.g1().equality().unwrap().1);
+        for gk in [plan.g1(), &gk] {
+            let (rho, layout) = gk.equality().unwrap().clone();
+            for seed in [0, 1, 42, u64::MAX] {
+                let cached = CodingScheme::drawn(Arc::clone(&layout), rho as usize, seed);
+                let fresh = CodingScheme::random(gk.graph(), rho as usize, seed);
+                assert_eq!(cached.stacked(), fresh.stacked());
+                for (_, e) in gk.graph().edges() {
+                    assert_eq!(cached.rows(e.src, e.dst), fresh.rows(e.src, e.dst));
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct LinkLoad {
 /// Per-link Phase-1 loads from the ground-truth sends.
 pub fn phase1_link_loads(gk: &DiGraph, p1: &Phase1Output) -> BTreeMap<(NodeId, NodeId), LinkLoad> {
     let mut bits: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-    for (&(_, src, dst), block) in &p1.sends {
+    for (&(_, src, dst), block) in &p1.sends() {
         *bits.entry((src, dst)).or_insert(0) += block.len() as u64 * SYMBOL_BITS;
     }
     bits.into_iter()

@@ -89,26 +89,6 @@ impl Buckets {
     }
 }
 
-/// Every node's parent and children in one [`Arborescence`], indexed once
-/// (`O(n)`) so that walking the tree is linear.
-pub struct TreeIndex<'a> {
-    tree: &'a Arborescence,
-    parent: Vec<Option<NodeId>>,
-    by_src: Buckets,
-}
-
-impl TreeIndex<'_> {
-    /// The parent of `v` in the tree, if `v` is not the root.
-    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent.get(v).copied().flatten()
-    }
-
-    /// Children of `u`, in the order of [`Arborescence::edges`].
-    pub fn children(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_src.of(u).iter().map(|&i| self.tree.edges[i].1)
-    }
-}
-
 impl Arborescence {
     /// Edge indices bucketed by source node: each node's child edges, in
     /// the order of [`Arborescence::edges`].
@@ -116,20 +96,6 @@ impl Arborescence {
         let ends = self.edges.iter().map(|&(s, d)| s.max(d));
         let n = ends.max().unwrap_or(0).max(self.root) + 1;
         Buckets::new(n, self.edges.iter().map(|&(s, _)| s))
-    }
-
-    /// The parent/children index of this tree.
-    pub fn index(&self) -> TreeIndex<'_> {
-        let by_src = self.by_src();
-        let mut parent = vec![None; by_src.first.len() - 1];
-        for &(s, d) in self.edges.iter().rev() {
-            parent[d] = Some(s);
-        }
-        TreeIndex {
-            tree: self,
-            parent,
-            by_src,
-        }
     }
 
     /// Tree edges `(parent, child)` in BFS order from the root: parents
@@ -978,12 +944,6 @@ mod tests {
             root: 0,
             edges: vec![(0, 1), (1, 2), (0, 3)],
         };
-        let index = t.index();
-        assert_eq!(index.parent(2), Some(1));
-        assert_eq!(index.parent(0), None);
-        assert_eq!(index.parent(9), None);
-        assert_eq!(index.children(0).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(index.children(9).count(), 0);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.bfs_edges(), vec![(0, 1), (0, 3), (1, 2)]);
         assert_eq!(t.bfs_order(), vec![0, 1, 3, 2]);

@@ -124,37 +124,37 @@ pub fn canonical_key(g: &DiGraph) -> u64 {
     ])
 }
 
-/// Renames the nodes of `g` through the permutation `perm` (old id `v`
-/// becomes `perm[v]`). Exposed for canonicalization tests and tooling.
-///
-/// # Panics
-///
-/// Panics if `perm` is not a permutation of `0..g.node_count()`.
-pub fn relabel(g: &DiGraph, perm: &[NodeId]) -> DiGraph {
-    assert_eq!(perm.len(), g.node_count(), "permutation length mismatch");
-    let mut seen = vec![false; perm.len()];
-    for &p in perm {
-        assert!(p < perm.len() && !seen[p], "not a permutation: {perm:?}");
-        seen[p] = true;
-    }
-    let mut out = DiGraph::new(g.node_count());
-    for (_, e) in g.edges() {
-        out.add_edge(perm[e.src], perm[e.dst], e.cap);
-    }
-    for (v, &p) in perm.iter().enumerate() {
-        if !g.is_active(v) {
-            out.remove_node(p);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Renames the nodes of `g` through the permutation `perm` (old id `v`
+    /// becomes `perm[v]`). Exposed for canonicalization tests and tooling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not a permutation of `0..g.node_count()`.
+    fn relabel(g: &DiGraph, perm: &[NodeId]) -> DiGraph {
+        assert_eq!(perm.len(), g.node_count(), "permutation length mismatch");
+        let mut seen = vec![false; perm.len()];
+        for &p in perm {
+            assert!(p < perm.len() && !seen[p], "not a permutation: {perm:?}");
+            seen[p] = true;
+        }
+        let mut out = DiGraph::new(g.node_count());
+        for (_, e) in g.edges() {
+            out.add_edge(perm[e.src], perm[e.dst], e.cap);
+        }
+        for (v, &p) in perm.iter().enumerate() {
+            if !g.is_active(v) {
+                out.remove_node(p);
+            }
+        }
+        out
+    }
 
     fn random_perm(n: usize, rng: &mut StdRng) -> Vec<NodeId> {
         let mut p: Vec<NodeId> = (0..n).collect();

@@ -6,8 +6,6 @@
 //! equality-check parameter comes from pairwise min cuts of undirected
 //! views (Section 3).
 
-use std::collections::BTreeSet;
-
 use crate::graph::{DiGraph, NodeId};
 use crate::undirected::UnGraph;
 
@@ -89,11 +87,6 @@ impl FlowNet {
             self.cap[2 * pair] = cap_of(2 * pair);
             self.cap[2 * pair + 1] = 0;
         }
-    }
-
-    /// Remaining capacity of the arc returned by [`FlowNet::add_arc`].
-    pub fn residual(&self, arc: usize) -> u64 {
-        self.cap[arc]
     }
 
     /// Flow pushed through the arc returned by [`FlowNet::add_arc`]
@@ -213,24 +206,6 @@ impl FlowNet {
         self.masked = masked;
         best
     }
-
-    /// After [`FlowNet::max_flow`], the set of nodes reachable from `s` in
-    /// the residual graph — the source side of a minimum cut.
-    pub fn source_side(&self, s: usize) -> BTreeSet<usize> {
-        let mut seen = vec![false; self.n];
-        seen[s] = true;
-        let mut stack = vec![s];
-        while let Some(u) = stack.pop() {
-            for &a in &self.head[u] {
-                let v = self.to[a];
-                if self.cap[a] > 0 && !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        (0..self.n).filter(|&v| seen[v]).collect()
-    }
 }
 
 /// `MINCUT(G, s, t)`: the max-flow value from `s` to `t` in the directed
@@ -305,28 +280,54 @@ pub fn min_pairwise_cut_undirected(u: &UnGraph) -> Option<u64> {
     Some(best)
 }
 
-/// The source side of a minimum `s`–`t` cut in an undirected graph
-/// (used to construct the partition attacks of Theorem 2's proof).
-pub fn min_cut_partition_undirected(
-    u: &UnGraph,
-    s: NodeId,
-    t: NodeId,
-) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
-    let mut net = FlowNet::new(u.node_count());
-    for (_, e) in u.edges() {
-        net.add_arc(e.a, e.b, e.cap);
-        net.add_arc(e.b, e.a, e.cap);
-    }
-    net.max_flow(s, t);
-    let raw = net.source_side(s);
-    let left: BTreeSet<NodeId> = u.nodes().filter(|v| raw.contains(v)).collect();
-    let right: BTreeSet<NodeId> = u.nodes().filter(|v| !raw.contains(v)).collect();
-    (left, right)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    impl FlowNet {
+        /// After [`FlowNet::max_flow`], the set of nodes reachable from `s` in
+        /// the residual graph — the source side of a minimum cut.
+        fn source_side(&self, s: usize) -> BTreeSet<usize> {
+            let mut seen = vec![false; self.n];
+            seen[s] = true;
+            let mut stack = vec![s];
+            while let Some(u) = stack.pop() {
+                for &a in &self.head[u] {
+                    let v = self.to[a];
+                    if self.cap[a] > 0 && !seen[v] {
+                        seen[v] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+            (0..self.n).filter(|&v| seen[v]).collect()
+        }
+
+        /// Remaining capacity of the arc returned by [`FlowNet::add_arc`].
+        fn residual(&self, arc: usize) -> u64 {
+            self.cap[arc]
+        }
+    }
+
+    /// The source side of a minimum `s`–`t` cut in an undirected graph
+    /// (used to construct the partition attacks of Theorem 2's proof).
+    fn min_cut_partition_undirected(
+        u: &UnGraph,
+        s: NodeId,
+        t: NodeId,
+    ) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
+        let mut net = FlowNet::new(u.node_count());
+        for (_, e) in u.edges() {
+            net.add_arc(e.a, e.b, e.cap);
+            net.add_arc(e.b, e.a, e.cap);
+        }
+        net.max_flow(s, t);
+        let raw = net.source_side(s);
+        let left: BTreeSet<NodeId> = u.nodes().filter(|v| raw.contains(v)).collect();
+        let right: BTreeSet<NodeId> = u.nodes().filter(|v| !raw.contains(v)).collect();
+        (left, right)
+    }
 
     /// The directed graph of Figure 1(a): 4 nodes, capacities as printed.
     /// (Edge list reconstructed so that MINCUT(1,2)=MINCUT(1,4)=2,

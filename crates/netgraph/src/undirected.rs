@@ -149,26 +149,6 @@ impl UnGraph {
         }
         g
     }
-
-    /// Whether the active part of the graph is connected (ignoring isolated
-    /// inactive ids). An empty graph counts as connected.
-    pub fn is_connected(&self) -> bool {
-        let Some(start) = self.nodes().next() else {
-            return true;
-        };
-        let mut seen = vec![false; self.node_count];
-        seen[start] = true;
-        let mut stack = vec![start];
-        while let Some(u) = stack.pop() {
-            for v in self.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        self.nodes().all(|v| seen[v])
-    }
 }
 
 impl fmt::Debug for UnGraph {
@@ -192,6 +172,28 @@ impl fmt::Debug for UnGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UnGraph {
+        /// Whether the active part of the graph is connected (ignoring isolated
+        /// inactive ids). An empty graph counts as connected.
+        fn is_connected(&self) -> bool {
+            let Some(start) = self.nodes().next() else {
+                return true;
+            };
+            let mut seen = vec![false; self.node_count];
+            seen[start] = true;
+            let mut stack = vec![start];
+            while let Some(u) = stack.pop() {
+                for v in self.neighbors(u) {
+                    if !seen[v] {
+                        seen[v] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+            self.nodes().all(|v| seen[v])
+        }
+    }
 
     #[test]
     fn from_digraph_sums_antiparallel_capacities() {

@@ -34,13 +34,6 @@ pub fn to_jsonl(events: &[Event]) -> String {
     out
 }
 
-/// Render one event as a single-line JSON object (no trailing newline).
-pub fn event_to_jsonl(ev: &Event) -> String {
-    let mut out = String::with_capacity(96);
-    write_jsonl_event(&mut out, ev);
-    out
-}
-
 fn write_jsonl_event(out: &mut String, ev: &Event) {
     let _ = write!(
         out,
@@ -119,6 +112,13 @@ fn write_chrome_event(out: &mut String, ev: &Event) {
 mod tests {
     use super::*;
     use crate::trace::Phase;
+
+    /// Render one event as a single-line JSON object (no trailing newline).
+    fn event_to_jsonl(ev: &Event) -> String {
+        let mut out = String::with_capacity(96);
+        write_jsonl_event(&mut out, ev);
+        out
+    }
 
     fn ev(seq: u64, kind: EventKind) -> Event {
         Event {

@@ -79,32 +79,6 @@ impl<M> Default for Transcript<M> {
 }
 
 impl<M: Clone> Transcript<M> {
-    /// All messages sent by `node`, with round labels.
-    pub fn sent_by(&self, node: NodeId) -> Vec<(&str, &SentMsg<M>)> {
-        self.rounds
-            .iter()
-            .flat_map(|r| {
-                r.sends
-                    .iter()
-                    .filter(move |s| s.src == node)
-                    .map(move |s| (r.label.as_str(), s))
-            })
-            .collect()
-    }
-
-    /// All messages received by `node`, with round labels.
-    pub fn received_by(&self, node: NodeId) -> Vec<(&str, &SentMsg<M>)> {
-        self.rounds
-            .iter()
-            .flat_map(|r| {
-                r.sends
-                    .iter()
-                    .filter(move |s| s.dst == node)
-                    .map(move |s| (r.label.as_str(), s))
-            })
-            .collect()
-    }
-
     /// Total bits carried across all rounds.
     pub fn total_bits(&self) -> u64 {
         self.rounds
@@ -306,28 +280,58 @@ impl<M: Clone> NetSim<M> {
     pub fn transcript(&self) -> &Transcript<M> {
         &self.transcript
     }
-
-    /// Resets the clock to zero, keeping graph and transcript.
-    pub fn reset_clock(&mut self) {
-        self.clock = 0.0;
-    }
-}
-
-/// Per-link load statistics over a transcript, for utilization reports.
-pub fn link_loads<M: Clone>(t: &Transcript<M>) -> BTreeMap<(NodeId, NodeId), u64> {
-    let mut out = BTreeMap::new();
-    for r in &t.rounds {
-        for s in &r.sends {
-            *out.entry((s.src, s.dst)).or_insert(0) += s.bits;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nab_netgraph::gen;
+
+    /// Per-link load statistics over a transcript, for utilization reports.
+    fn link_loads<M: Clone>(t: &Transcript<M>) -> BTreeMap<(NodeId, NodeId), u64> {
+        let mut out = BTreeMap::new();
+        for r in &t.rounds {
+            for s in &r.sends {
+                *out.entry((s.src, s.dst)).or_insert(0) += s.bits;
+            }
+        }
+        out
+    }
+
+    impl<M: Clone> NetSim<M> {
+        /// Resets the clock to zero, keeping graph and transcript.
+        fn reset_clock(&mut self) {
+            self.clock = 0.0;
+        }
+    }
+
+    impl<M: Clone> Transcript<M> {
+        /// All messages sent by `node`, with round labels.
+        fn sent_by(&self, node: NodeId) -> Vec<(&str, &SentMsg<M>)> {
+            self.rounds
+                .iter()
+                .flat_map(|r| {
+                    r.sends
+                        .iter()
+                        .filter(move |s| s.src == node)
+                        .map(move |s| (r.label.as_str(), s))
+                })
+                .collect()
+        }
+
+        /// All messages received by `node`, with round labels.
+        fn received_by(&self, node: NodeId) -> Vec<(&str, &SentMsg<M>)> {
+            self.rounds
+                .iter()
+                .flat_map(|r| {
+                    r.sends
+                        .iter()
+                        .filter(move |s| s.dst == node)
+                        .map(move |s| (r.label.as_str(), s))
+                })
+                .collect()
+        }
+    }
 
     fn net() -> NetSim<u64> {
         NetSim::new(gen::figure_1a())
