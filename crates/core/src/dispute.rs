@@ -113,11 +113,23 @@ fn tree_indices(a: &NodeClaims, b: &NodeClaims) -> BTreeSet<usize> {
 
 /// DC3: replays the deterministic protocol against each node's claims and
 /// exposes nodes whose claimed sends don't follow from their claimed
-/// receives (and input).
+/// receives (and input): `dc3_on_routes` on a [`RouteTable`] laid out
+/// from `trees`.
 pub fn dc3_exposed(
     gk: &DiGraph,
     source: NodeId,
     trees: &[Arborescence],
+    scheme: &CodingScheme,
+    claims: &BTreeMap<NodeId, NodeClaims>,
+) -> Vec<NodeId> {
+    dc3_on_routes(gk, source, &RouteTable::new(gk, trees), scheme, claims)
+}
+
+/// DC3 on `G_k`'s Phase-1 `routes`, the table the instance ran on.
+pub(crate) fn dc3_on_routes(
+    gk: &DiGraph,
+    source: NodeId,
+    routes: &RouteTable,
     scheme: &CodingScheme,
     claims: &BTreeMap<NodeId, NodeClaims>,
 ) -> Vec<NodeId> {
@@ -126,9 +138,9 @@ pub fn dc3_exposed(
     // its t-th input block identically to every child; a relay must
     // forward the block it claims to have received from its tree parent.
     // A node's parent on tree t is recorded before its own routes there.
-    let routes = RouteTable::new(gk, trees);
+    let trees = routes.tree_count();
     let input_blocks = (claims.get(&source).and_then(|c| c.input.as_ref()))
-        .map(|i| Value::from_symbols(i.clone()).split_blocks(trees.len().max(1)));
+        .map(|i| Value::from_symbols(i.clone()).split_blocks(trees.max(1)));
     let mut parent = vec![None; routes.node_bound()];
     for r in routes.routes() {
         parent[r.child] = Some(r.parent);
@@ -156,7 +168,7 @@ pub fn dc3_exposed(
         // by the node's own claims, and the announced flag must equal the
         // outcome of checking the claimed received symbols. The implied
         // value is packed once for all its incident edges.
-        pack_slab(&c.implied_value(trees.len()), scheme.rho(), &mut xt);
+        pack_slab(&c.implied_value(trees), scheme.rho(), &mut xt);
         for (_, e) in gk.out_edges(v) {
             let prescribed = scheme.encode_packed(v, e.dst, &xt);
             match c.eq_sent.get(&e.dst) {

@@ -18,13 +18,13 @@ use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
 use crate::adversary::NabAdversary;
 use crate::bounds::{rho_k, Pair};
 use crate::detsan;
-use crate::dispute::{dc2_disputes, dc3_exposed, DisputeState, NodeClaims};
+use crate::dispute::{dc2_disputes, dc3_on_routes, DisputeState, NodeClaims};
 use crate::equality::{CodingScheme, RowLayout};
 use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec, PhaseClock};
 use crate::phase1::{run_routes, Phase1Output};
 use crate::phase2::{
-    broadcast_claims, flag_broadcast, honest_claims, run_equality_phase, BroadcastKind, EqOutcome,
-    EqScratch,
+    announce_flags, broadcast_claims, flag_broadcast, honest_claims, run_equality_phase,
+    BroadcastKind, EqOutcome, EqScratch, FlagOutcome,
 };
 use crate::plan::{ExecutionPlan, Gk};
 use crate::value::Value;
@@ -501,16 +501,23 @@ impl NabEngine {
             .net
             .as_ref()
             .map(|nx| InstanceTiming::new(nx, instance));
-        let flags = flag_broadcast(
-            plan.router(),
-            &participants,
-            f_res,
-            &eq.flags,
-            faulty,
-            adv,
-            self.broadcast,
-            &mut PhaseClock::new(timing.as_mut(), BroadcastPhase::Flags, plan.router()),
-        );
+        let flags = match timing.as_mut() {
+            // The kernel's link models draw per round: replay every round.
+            Some(t) => flag_broadcast(
+                plan.router(),
+                &participants,
+                f_res,
+                &eq.flags,
+                faulty,
+                adv,
+                self.broadcast,
+                &mut PhaseClock::new(Some(t), BroadcastPhase::Flags, plan.router()),
+            ),
+            None => FlagOutcome {
+                announced: announce_flags(&participants, &eq.flags, faulty, adv),
+                duration: gk.flag_charge(&plan, self.broadcast),
+            },
+        };
         times.flags = flags.duration;
         wall.flags = flags_span.close(Some(&|| detsan::digest_flags(&flags.announced)));
 
@@ -568,7 +575,7 @@ impl NabEngine {
 
         // DC2 + DC3 on the agreed claims, DC4 into the dispute state.
         let new_pairs = dc2_disputes(&agreed_claims);
-        let exposed = dc3_exposed(g, SOURCE, trees, &scheme, &agreed_claims);
+        let exposed = dc3_on_routes(g, SOURCE, gk.routes(), &scheme, &agreed_claims);
         let newly_removed = self
             .disputes
             .integrate(plan.graph(), self.cfg.f, &new_pairs, &exposed);
@@ -1222,6 +1229,133 @@ mod tests {
         assert_eq!(a.delivered, b.delivered);
         let c = run(6);
         assert_ne!(a.delivered, c.delivered);
+    }
+
+    /// The formula-clock flag charge of `kind` on `plan`'s `G_1`, replayed
+    /// on `sink` by a fresh `flag_broadcast`.
+    fn replayed_flags<S: RoundSink>(
+        plan: &ExecutionPlan,
+        kind: BroadcastKind,
+        sink: &mut S,
+    ) -> f64 {
+        let participants: Vec<NodeId> = plan.graph().nodes().collect();
+        let computed = participants.iter().map(|&v| (v, false)).collect();
+        let (faulty, f) = (BTreeSet::new(), plan.f());
+        let router = plan.router();
+        flag_broadcast(
+            router,
+            &participants,
+            f,
+            &computed,
+            &faulty,
+            &mut HonestStrategy,
+            kind,
+            sink,
+        )
+        .duration
+    }
+
+    /// Two engines on one plan charge bit-equal flag phases: the first
+    /// instance fills `G_1`'s slot for its kind with a fresh replay's
+    /// f64, and the second engine reads it. The adversary still announces
+    /// its flag: a false alarm on the second engine is agreed and
+    /// disputed.
+    #[test]
+    fn flag_charge_is_shared_by_engines_on_one_plan() {
+        let x = input(8);
+        let cfg = NabConfig {
+            f: 1,
+            symbols: 8,
+            seed: 3,
+        };
+        for kind in [BroadcastKind::Eig, BroadcastKind::PhaseKing] {
+            let plan = Arc::new(ExecutionPlan::build(gen::complete(5, 2), 1).unwrap());
+            let mut a = NabEngine::from_plan(Arc::clone(&plan), cfg).unwrap();
+            let mut b = NabEngine::from_plan(Arc::clone(&plan), cfg).unwrap();
+            a.set_broadcast_kind(kind);
+            b.set_broadcast_kind(kind);
+            assert_eq!(plan.g1().cached_flag_charge(kind), None);
+            let ra = a
+                .run_instance(&x, &BTreeSet::new(), &mut HonestStrategy)
+                .unwrap();
+            let cached = plan.g1().cached_flag_charge(kind).map(f64::to_bits);
+            assert_eq!(cached, Some(ra.times.flags.to_bits()), "{kind:?}");
+            let fresh = replayed_flags(&plan, kind, &mut nab_bb::router::FormulaClock::default());
+            assert_eq!(ra.times.flags.to_bits(), fresh.to_bits(), "{kind:?}");
+            let rb = b
+                .run_instance(&x, &BTreeSet::from([3]), &mut FalseAlarm)
+                .unwrap();
+            assert_eq!(
+                ra.times.flags.to_bits(),
+                rb.times.flags.to_bits(),
+                "{kind:?}"
+            );
+            assert!(!ra.mismatch_detected);
+            assert!(rb.mismatch_detected && rb.dispute_ran, "{kind:?}");
+        }
+    }
+
+    /// With message-level timing the flag phase is replayed on the event
+    /// kernel every instance, under jittered links: `times.flags` is what
+    /// `flag_broadcast` gives on that instance's kernel sink, with the
+    /// formula slot cold or warm, and the kernel path never fills it.
+    #[test]
+    fn flag_charge_memo_is_bypassed_on_the_kernel_clock() {
+        let x = input(8);
+        let cfg = NabConfig {
+            f: 1,
+            symbols: 8,
+            seed: 3,
+        };
+        let nx = crate::netexec::NetExec {
+            model: nab_net::NetSpec {
+                latency: nab_net::Latency::Uniform {
+                    base_ns: 1_000_000,
+                    jitter_ns: 500_000,
+                },
+                loss: None,
+                straggler: None,
+            }
+            .build(),
+            seed: 5,
+        };
+        let kind = BroadcastKind::Eig;
+        let plan = Arc::new(ExecutionPlan::build(gen::complete(5, 2), 1).unwrap());
+        let kernel_flags = |instance: u64| {
+            let mut timing = InstanceTiming::new(&nx, instance);
+            let phase = BroadcastPhase::Flags;
+            let sink = &mut PhaseClock::new(Some(&mut timing), phase, plan.router());
+            replayed_flags(&plan, kind, sink)
+        };
+        let net_engine = || {
+            let mut e = NabEngine::from_plan(Arc::clone(&plan), cfg).unwrap();
+            e.set_net(Some(nx.clone()));
+            e
+        };
+        let mut cold = net_engine();
+        let c = cold
+            .run_instance(&x, &BTreeSet::new(), &mut HonestStrategy)
+            .unwrap();
+        assert_eq!(c.times.flags.to_bits(), kernel_flags(1).to_bits());
+        assert_eq!(plan.g1().cached_flag_charge(kind), None);
+
+        let mut formula = NabEngine::from_plan(Arc::clone(&plan), cfg).unwrap();
+        let warm_up = formula
+            .run_instance(&x, &BTreeSet::new(), &mut HonestStrategy)
+            .unwrap();
+        assert!(plan.g1().cached_flag_charge(kind).is_some());
+        assert!(
+            warm_up.times.flags < c.times.flags,
+            "latency slows the flags"
+        );
+
+        let mut warm = net_engine();
+        for instance in 1..=2 {
+            let w = warm
+                .run_instance(&x, &BTreeSet::new(), &mut HonestStrategy)
+                .unwrap();
+            assert_eq!(w.times.flags.to_bits(), kernel_flags(instance).to_bits());
+        }
     }
 
     #[test]

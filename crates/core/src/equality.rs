@@ -19,7 +19,6 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use nab_gf::field::Field;
-use nab_gf::kernel::scalar_gemm_acc;
 use nab_gf::matrix::Matrix;
 use nab_gf::Gf2_16;
 use nab_netgraph::{DiGraph, NodeId};
@@ -241,40 +240,12 @@ impl CodingScheme {
         let yt = ct.mat_mul(xt);
         wire_order(&yt, 0..yt.rows(), yt.cols())
     }
-
-    /// Test oracle for the slab path: encodes pre-reshaped symbol columns
-    /// (from [`Value::reshape`] with this scheme's `ρ`) one vector product
-    /// per column, one [`Field::mul`] at a time.
-    pub fn encode_cols(&self, src: NodeId, dst: NodeId, cols: &[Vec<Gf2_16>]) -> Vec<Gf2_16> {
-        let c = self.matrix(src, dst);
-        let mut out = Vec::with_capacity(cols.len() * c.cols());
-        for x in cols {
-            let mut y = vec![Gf2_16::ZERO; c.cols()];
-            scalar_gemm_acc(&mut y, x, c.as_slice(), 1, self.rho, c.cols());
-            out.extend(y);
-        }
-        out
-    }
-
-    /// Test oracle for the receiver check of step 2, on pre-reshaped
-    /// columns: does `received` equal `X_j C_e` for the receiver's own
-    /// value?
-    pub fn check_cols(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        own_cols: &[Vec<Gf2_16>],
-        received: &[Gf2_16],
-    ) -> bool {
-        self.encode_cols(src, dst, own_cols) == received
-    }
 }
 
 /// Packs `value` into `xt`, the `Xᵀ` operand of the slab product: a
 /// row-major `ρ × ⌈len/ρ⌉` slab where symbol `j·ρ + r` lands at `(r, j)`,
-/// zero-padded to whole columns — the layout of [`Value::reshape`], written
-/// straight from the symbols. Whatever `xt` held is overwritten; its
-/// allocation is kept.
+/// zero-padded to whole columns, written straight from the symbols.
+/// Whatever `xt` held is overwritten; its allocation is kept.
 pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut Matrix<Gf2_16>) {
     let width = value.len().div_ceil(rho);
     xt.reset(rho, width);
@@ -288,8 +259,8 @@ pub(crate) fn pack_slab(value: &Value, rho: usize, xt: &mut Matrix<Gf2_16>) {
 
 /// The coded symbols on one edge — rows `rows`, the first `cols` columns
 /// of a `Yᵀ = Cᵀ · Xᵀ` product — in the order they go on the wire,
-/// column-major like [`CodingScheme::encode_cols`]: with `z = rows.len()`,
-/// symbol `j·z + r` is `Yᵀ(rows.start + r, j)`.
+/// column-major, one `z`-symbol product after another: with
+/// `z = rows.len()`, symbol `j·z + r` is `Yᵀ(rows.start + r, j)`.
 pub(crate) fn wire_order(yt: &Matrix<Gf2_16>, rows: Range<usize>, cols: usize) -> Vec<Gf2_16> {
     let z = rows.len();
     let mut out = vec![Gf2_16::ZERO; cols * z];
@@ -299,44 +270,6 @@ pub(crate) fn wire_order(yt: &Matrix<Gf2_16>, rows: Range<usize>, cols: usize) -
         }
     }
     out
-}
-
-/// Pure (simulator-free) execution of Algorithm 1 on graph `g` with the
-/// values held by each node, one vector product per column — the test
-/// oracle for the slab-product equality check of [`crate::phase2`].
-///
-/// `tamper(i, j, honest)` lets a Byzantine sender substitute the coded
-/// symbols it puts on edge `(i, j)`; pass [`no_tamper`] for fault-free
-/// runs. Returns each node's 1-bit flag: `true` = MISMATCH.
-///
-/// # Panics
-///
-/// Panics if some active node is missing from `values`.
-pub fn equality_check_flags(
-    g: &DiGraph,
-    values: &BTreeMap<NodeId, Value>,
-    scheme: &CodingScheme,
-    tamper: &mut dyn FnMut(NodeId, NodeId, Vec<Gf2_16>) -> Vec<Gf2_16>,
-) -> BTreeMap<NodeId, bool> {
-    let mut flags: BTreeMap<NodeId, bool> = g.nodes().map(|v| (v, false)).collect();
-    // Reshape each node's value once, not once per incident edge.
-    let reshaped: BTreeMap<NodeId, Vec<Vec<Gf2_16>>> = g
-        .nodes()
-        .map(|v| (v, values[&v].reshape(scheme.rho())))
-        .collect();
-    for (_, e) in g.edges() {
-        let honest = scheme.encode_cols(e.src, e.dst, &reshaped[&e.src]);
-        let sent = tamper(e.src, e.dst, honest);
-        if !scheme.check_cols(e.src, e.dst, &reshaped[&e.dst], &sent) {
-            flags.insert(e.dst, true);
-        }
-    }
-    flags
-}
-
-/// A pass-through tamper function (all nodes follow the protocol).
-pub fn no_tamper(_: NodeId, _: NodeId, honest: Vec<Gf2_16>) -> Vec<Gf2_16> {
-    honest
 }
 
 /// The Theorem 1 failure-probability bound
@@ -378,12 +311,85 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::value::tests::arb_value;
     use crate::value::SYMBOL_BITS;
+    use nab_gf::kernel::scalar_gemm_acc;
     use nab_netgraph::gen;
+    use proptest::prelude::*;
+
+    /// Pure (simulator-free) execution of Algorithm 1 on graph `g` with the
+    /// values held by each node, one vector product per column — the test
+    /// oracle for the slab-product equality check of [`crate::phase2`].
+    ///
+    /// `tamper(i, j, honest)` lets a Byzantine sender substitute the coded
+    /// symbols it puts on edge `(i, j)`; pass [`no_tamper`] for fault-free
+    /// runs. Returns each node's 1-bit flag: `true` = MISMATCH.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some active node is missing from `values`.
+    pub(crate) fn equality_check_flags(
+        g: &DiGraph,
+        values: &BTreeMap<NodeId, Value>,
+        scheme: &CodingScheme,
+        tamper: &mut dyn FnMut(NodeId, NodeId, Vec<Gf2_16>) -> Vec<Gf2_16>,
+    ) -> BTreeMap<NodeId, bool> {
+        let mut flags: BTreeMap<NodeId, bool> = g.nodes().map(|v| (v, false)).collect();
+        // Reshape each node's value once, not once per incident edge.
+        let reshaped: BTreeMap<NodeId, Vec<Vec<Gf2_16>>> = g
+            .nodes()
+            .map(|v| (v, values[&v].reshape(scheme.rho())))
+            .collect();
+        for (_, e) in g.edges() {
+            let honest = scheme.encode_cols(e.src, e.dst, &reshaped[&e.src]);
+            let sent = tamper(e.src, e.dst, honest);
+            if !scheme.check_cols(e.src, e.dst, &reshaped[&e.dst], &sent) {
+                flags.insert(e.dst, true);
+            }
+        }
+        flags
+    }
+
+    /// A pass-through tamper function (all nodes follow the protocol).
+    pub(crate) fn no_tamper(_: NodeId, _: NodeId, honest: Vec<Gf2_16>) -> Vec<Gf2_16> {
+        honest
+    }
 
     impl CodingScheme {
+        /// Test oracle for the slab path: encodes pre-reshaped symbol
+        /// columns (from [`Value::reshape`] with this scheme's `ρ`) one
+        /// vector product per column, one [`Field::mul`] at a time.
+        pub(crate) fn encode_cols(
+            &self,
+            src: NodeId,
+            dst: NodeId,
+            cols: &[Vec<Gf2_16>],
+        ) -> Vec<Gf2_16> {
+            let c = self.matrix(src, dst);
+            let mut out = Vec::with_capacity(cols.len() * c.cols());
+            for x in cols {
+                let mut y = vec![Gf2_16::ZERO; c.cols()];
+                scalar_gemm_acc(&mut y, x, c.as_slice(), 1, self.rho, c.cols());
+                out.extend(y);
+            }
+            out
+        }
+
+        /// Test oracle for the receiver check of step 2, on pre-reshaped
+        /// columns: does `received` equal `X_j C_e` for the receiver's own
+        /// value?
+        pub(crate) fn check_cols(
+            &self,
+            src: NodeId,
+            dst: NodeId,
+            own_cols: &[Vec<Gf2_16>],
+            received: &[Gf2_16],
+        ) -> bool {
+            self.encode_cols(src, dst, own_cols) == received
+        }
+
         /// Number of coded symbols [`CodingScheme::encode`] produces on an edge
         /// for a value of `s` symbols.
         fn encoded_len(&self, src: NodeId, dst: NodeId, s: usize) -> usize {
@@ -395,9 +401,7 @@ mod tests {
         fn encoded_bits(&self, src: NodeId, dst: NodeId, s: usize) -> u64 {
             self.encoded_len(src, dst, s) as u64 * SYMBOL_BITS
         }
-    }
 
-    impl CodingScheme {
         /// Whether the entries have been drawn (or built).
         pub(crate) fn is_drawn(&self) -> bool {
             match &*self.stacked {
@@ -409,6 +413,37 @@ mod tests {
 
     fn values_all_equal(g: &DiGraph, v: &Value) -> BTreeMap<NodeId, Value> {
         g.nodes().map(|n| (n, v.clone())).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn equal_values_never_flag(v in arb_value(32), seed in any::<u64>(), rho in 1usize..4) {
+            let g = gen::complete(4, 2);
+            let scheme = CodingScheme::random(&g, rho, seed);
+            let values = g.nodes().map(|n| (n, v.clone())).collect();
+            let flags = equality_check_flags(&g, &values, &scheme, &mut no_tamper);
+            prop_assert!(flags.values().all(|f| !f));
+        }
+
+        #[test]
+        fn single_symbol_deviation_always_detected(
+            v in arb_value(32),
+            idx_seed in any::<u64>(),
+            delta in 1u64..0xFFFF,
+            seed in any::<u64>(),
+        ) {
+            // Over GF(2^16) a one-symbol deviation escapes a single coded
+            // check with probability 2^-16; over the whole graph and test run
+            // this should never fire.
+            let g = gen::complete(4, 2);
+            let scheme = CodingScheme::random(&g, 2, seed);
+            let idx = (idx_seed as usize) % v.len();
+            let mut values: std::collections::BTreeMap<_, _> =
+                g.nodes().map(|n| (n, v.clone())).collect();
+            values.insert(3, v.corrupt_symbol(idx, delta));
+            let flags = equality_check_flags(&g, &values, &scheme, &mut no_tamper);
+            prop_assert!(flags.values().any(|f| *f));
+        }
     }
 
     #[test]

@@ -110,6 +110,11 @@ impl RouteTable {
         &self.routes
     }
 
+    /// How many trees the routes run on.
+    pub(crate) fn tree_count(&self) -> usize {
+        self.trees
+    }
+
     /// One past the largest node id of `G_k`.
     pub(crate) fn node_bound(&self) -> usize {
         self.senders.len()

@@ -16,7 +16,6 @@ use nab_obs::trace::{self, EventKind};
 use crate::adversary::NabAdversary;
 use crate::dispute::NodeClaims;
 use crate::equality::{pack_slab, wire_order, CodingScheme};
-use crate::netexec::PhaseClock;
 use crate::value::{Value, SYMBOL_BITS};
 
 /// What a sender put on one edge.
@@ -216,11 +215,11 @@ pub fn run_equality_phase_batched(
 /// still compared against it. Across classes the two sides' views are
 /// compared, each with its own column count (a length-tampering relay
 /// leaves values of unequal lengths), so a length mismatch fails the
-/// compare exactly like [`CodingScheme::check_cols`]. The flags equal
-/// [`crate::equality::equality_check_flags`] and the sends equal
-/// [`CodingScheme::encode_cols`] (`GF(2^16)` addition is exact XOR, so any
-/// grouping of the same multiply-accumulates produces the same symbols),
-/// which the differential proptests pin.
+/// compare exactly like a column-by-column check. The flags and sends
+/// equal those of the test modules' one-product-per-column oracle
+/// (`GF(2^16)` addition is exact XOR, so any grouping of the same
+/// multiply-accumulates produces the same symbols), which the
+/// differential proptests pin.
 ///
 /// # Panics
 ///
@@ -470,7 +469,10 @@ impl FlagOutcome {
 }
 
 /// Runs step 2.2 on the synchronous formula clock: [`flag_broadcast`] with
-/// a [`FormulaClock`] behind the sink.
+/// a [`FormulaClock`] behind the sink. Every call replays each unicast of
+/// the schedule; the engine replays it once per `G_k` and broadcast kind
+/// and reuses that total (see [`crate::plan::Gk`]), so a caller timing
+/// this function times the replay the engine no longer repeats.
 ///
 /// `g0` and `record_rounds` no longer affect anything — the router's
 /// routes, not a graph handed in here, decide links and capacities, and a
@@ -500,8 +502,9 @@ pub fn run_flag_broadcast(
         faulty,
         adv,
         kind,
-        // The engine's own clock type, so both share one instantiation.
-        &mut PhaseClock::Formula(FormulaClock::default()),
+        // The clock `Gk::flag_charge` replays on, so both share one
+        // instantiation.
+        &mut FormulaClock::default(),
     )
 }
 
@@ -510,7 +513,7 @@ pub fn run_flag_broadcast(
 /// *original* network (dispute-removed links still physically exist; NAB
 /// only stops trusting them for its own phases). Every hop round is charged
 /// to `sink`, which is also the clock [`FlagOutcome::duration`] is read
-/// from.
+/// from. It is `announce_flags`, then `charge_flags`.
 ///
 /// `f_residual` is the fault budget among the participants (original `f`
 /// minus nodes already exposed and excluded).
@@ -528,26 +531,51 @@ pub fn flag_broadcast<S: RoundSink>(
     kind: BroadcastKind,
     sink: &mut S,
 ) -> FlagOutcome {
-    let mut chan = HopChannel {
-        router,
-        sink: &mut *sink,
-    };
-    let mut announced = BTreeMap::new();
-    for &b in participants {
+    FlagOutcome {
+        announced: announce_flags(participants, computed_flags, faulty, adv),
+        duration: charge_flags(router, participants, f_residual, kind, sink),
+    }
+}
+
+/// Step 2.2's announcements: each participant's computed flag, or what
+/// `adv.flag` makes of it for a faulty one, asked in participant order.
+pub(crate) fn announce_flags(
+    participants: &[NodeId],
+    computed_flags: &BTreeMap<NodeId, bool>,
+    faulty: &BTreeSet<NodeId>,
+    adv: &mut dyn NabAdversary,
+) -> BTreeMap<NodeId, bool> {
+    let announce = |&b: &NodeId| {
         let honest = computed_flags[&b];
         let flag = if faulty.contains(&b) {
             adv.flag(b, honest)
         } else {
             honest
         };
-        announced.insert(b, flag);
-        broadcast_in(kind, participants, b, f_residual, &flag, &mut chan, 1);
-    }
+        (b, flag)
+    };
+    participants.iter().map(announce).collect()
+}
 
-    FlagOutcome {
-        announced,
-        duration: sink.elapsed(),
+/// Step 2.2's charge: one `Broadcast_Default` of a 1-bit flag from each
+/// participant in turn, every hop round to `sink`; returns what `sink`
+/// reads after the last. The channel charges sizes only, so what the
+/// flags say does not enter.
+pub(crate) fn charge_flags<S: RoundSink>(
+    router: &PathRouter,
+    participants: &[NodeId],
+    f_residual: usize,
+    kind: BroadcastKind,
+    sink: &mut S,
+) -> f64 {
+    let mut chan = HopChannel {
+        router,
+        sink: &mut *sink,
+    };
+    for &b in participants {
+        broadcast_in(kind, participants, b, f_residual, &false, &mut chan, 1);
     }
+    sink.elapsed()
 }
 
 /// Phase 3's DC1: every participant Byzantine-broadcasts the claims it
@@ -636,11 +664,18 @@ pub fn honest_claims(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{EqualityGarbler, FalseAlarm, HonestStrategy, TruthfulCorruptor};
+    use crate::adversary::{
+        EqualityGarbler, FalseAlarm, HonestStrategy, RandomStrategy, TruthfulCorruptor,
+    };
+    use crate::bounds;
+    use crate::engine::SOURCE;
     use crate::phase1::run_phase1;
     use nab_netgraph::arborescence::pack_arborescences;
     use nab_netgraph::flow::broadcast_rate;
     use nab_netgraph::gen;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     impl EqOutcome {
         /// How many edges' prescribed symbols the check left unencoded.
@@ -768,7 +803,7 @@ mod tests {
     struct EqualityTruncator;
     impl NabAdversary for EqualityTruncator {
         fn equality_symbols(&mut self, _: NodeId, _: NodeId, honest: &[Gf2_16]) -> Vec<Gf2_16> {
-            honest[..honest.len() - 1].to_vec()
+            honest[..honest.len().saturating_sub(1)].to_vec()
         }
     }
 
@@ -878,11 +913,11 @@ mod tests {
         assert!(touching_3 > 0 && touching_3 < edges);
         assert_eq!(shared, edges - touching_3);
         assert_eq!(multiplies, edges + touching_3);
-        let oracle = crate::equality::equality_check_flags(
+        let oracle = crate::equality::tests::equality_check_flags(
             &g,
             &values,
             &scheme,
-            &mut crate::equality::no_tamper,
+            &mut crate::equality::tests::no_tamper,
         );
         assert_eq!(eq.flags, oracle);
         // Node 3 flags what it receives; whoever it sends to flags too.
@@ -908,11 +943,11 @@ mod tests {
             // Two classes: the odd node's 6 edges multiply twice, the
             // other 6 share.
             assert_eq!(counts, (18, 6));
-            let oracle = crate::equality::equality_check_flags(
+            let oracle = crate::equality::tests::equality_check_flags(
                 &g,
                 values,
                 &scheme,
-                &mut crate::equality::no_tamper,
+                &mut crate::equality::tests::no_tamper,
             );
             assert_eq!(eq.flags, oracle);
             for ((src, dst), symbols) in eq.sends() {
@@ -950,11 +985,11 @@ mod tests {
                 equality_with_counts(&g, &values, &scheme, &BTreeSet::new(), &mut HonestStrategy);
             // Classes {0, 4}, {1}, {2}, {3}: only 0→4 and 4→0 share.
             assert_eq!((multiplies, shared), (2 * 20 - 2, 2));
-            let oracle = crate::equality::equality_check_flags(
+            let oracle = crate::equality::tests::equality_check_flags(
                 &g,
                 &values,
                 &scheme,
-                &mut crate::equality::no_tamper,
+                &mut crate::equality::tests::no_tamper,
             );
             assert_eq!(eq.flags, oracle);
             let sends = eq.sends();
@@ -1191,5 +1226,125 @@ mod tests {
         // Claims have meaningful sizes.
         assert!(claims[&0].bits() > 0);
         assert_eq!(claims[&0].implied_value(trees.len()), input);
+    }
+
+    /// Grows every forwarded Phase-1 block by one symbol, so downstream
+    /// nodes assemble values of unequal lengths.
+    struct BlockStretcher;
+    impl NabAdversary for BlockStretcher {
+        fn phase1_forward(
+            &mut self,
+            _: usize,
+            _: usize,
+            _: usize,
+            honest: &[Gf2_16],
+        ) -> Vec<Gf2_16> {
+            let mut out = honest.to_vec();
+            out.push(Gf2_16(0x5A));
+            out
+        }
+    }
+
+    /// Tampering strategies for the equality oracle, by code.
+    fn tamperer(code: u8, seed: u64) -> Box<dyn NabAdversary> {
+        match code % 6 {
+            0 => Box::new(HonestStrategy),
+            1 => Box::new(TruthfulCorruptor),
+            2 => Box::new(BlockStretcher),
+            3 => Box::new(EqualityGarbler),
+            4 => Box::new(EqualityTruncator),
+            _ => Box::new(RandomStrategy::new(seed, 0.5)),
+        }
+    }
+
+    proptest! {
+        /// A clean check — every node holds the same value, no node is
+        /// faulty — reads no product, yet `sends()` afterwards returns
+        /// exactly `encode_cols`'s symbols on every edge.
+        #[test]
+        fn sends_after_a_clean_check_equal_encode_cols(
+            seed in any::<u64>(),
+            n in 5usize..9,
+            k in 1usize..4,
+            max_cap in 1u64..5,
+            rho in 1usize..5,
+            symbols in 1usize..400,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = gen::random_k_connected(n, k, max_cap, 0.3, &mut rng);
+            let scheme = CodingScheme::random(&g, rho, seed);
+            let x = Value::random(symbols, &mut rng);
+            let values: BTreeMap<usize, Value> = g.nodes().map(|v| (v, x.clone())).collect();
+            let eq = run_equality_phase_batched(&g, &[&values], &scheme, &BTreeSet::new(), &mut [&mut HonestStrategy])
+                .pop()
+                .expect("one stream in, one outcome out");
+            prop_assert!(eq.flags.values().all(|f| !f));
+            let sends = eq.sends();
+            prop_assert_eq!(sends.len(), g.edges().count());
+            let cols = x.reshape(rho);
+            for ((src, dst), symbols) in sends {
+                prop_assert_eq!(symbols, scheme.encode_cols(src, dst, &cols), "edge ({}, {})", src, dst);
+            }
+        }
+
+        /// Independent oracle for the one equality implementation: at Q = 1
+        /// and Q = 3, under Phase-1 and equality-phase tampering (length
+        /// changes included), `run_equality_phase_batched` yields per stream
+        /// the flags of the pure `equality_check_flags` with the same tamper
+        /// closure, and exactly the (tampered) `encode_cols` symbols as sends.
+        /// A quarter of the cases stretch the value to thousands of symbols,
+        /// so slab rows leave the scalar tail and run the vector kernel.
+        #[test]
+        fn batched_equality_matches_pure_oracle(
+            seed in any::<u64>(),
+            n in 4usize..7,
+            cap in 1u64..4,
+            rho in 1usize..4,
+            symbols in 1usize..40,
+            stretch in 0u8..4,
+            three_streams in any::<bool>(),
+            code in 0u8..6,
+            bad in 0usize..7,
+        ) {
+            let symbols = if stretch == 0 { symbols * 100 + 3 } else { symbols };
+            let g = gen::complete(n, cap);
+            let gamma = bounds::gamma_k(&g, SOURCE);
+            let trees = pack_arborescences(&g, SOURCE, gamma).expect("γ_1 is packable");
+            let scheme = CodingScheme::random(&g, rho, seed);
+            let faulty = BTreeSet::from([bad % n]);
+            let q: u64 = if three_streams { 3 } else { 1 };
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Per stream: Phase 1 under the tamperer gives each node its
+            // (possibly corrupted, possibly longer) value.
+            let values: Vec<BTreeMap<usize, Value>> = (0..q)
+                .map(|s| {
+                    let x = Value::random(symbols, &mut rng);
+                    run_phase1(&g, SOURCE, &x, &trees, &faulty, tamperer(code, seed ^ s).as_mut()).values
+                })
+                .collect();
+            let mut advs: Vec<Box<dyn NabAdversary>> =
+                (0..q).map(|s| tamperer(code, seed.wrapping_add(s))).collect();
+            let mut adv_refs: Vec<&mut dyn NabAdversary> =
+                advs.iter_mut().map(|a| &mut **a as &mut dyn NabAdversary).collect();
+            let value_refs: Vec<&BTreeMap<usize, Value>> = values.iter().collect();
+            let got = run_equality_phase_batched(&g, &value_refs, &scheme, &faulty, &mut adv_refs);
+            prop_assert_eq!(got.len(), q as usize);
+            for (s, (eq, vals)) in got.iter().zip(&values).enumerate() {
+                let mut adv = tamperer(code, seed.wrapping_add(s as u64));
+                let mut sends = BTreeMap::new();
+                let mut tamper = |i: usize, j: usize, honest: Vec<Gf2_16>| {
+                    let sent = if faulty.contains(&i) {
+                        adv.equality_symbols(i, j, &honest)
+                    } else {
+                        honest
+                    };
+                    sends.insert((i, j), sent.clone());
+                    sent
+                };
+                let flags = crate::equality::tests::equality_check_flags(&g, vals, &scheme, &mut tamper);
+                prop_assert_eq!(&eq.flags, &flags, "stream {} flags", s);
+                prop_assert_eq!(&eq.sends(), &sends, "stream {} sends", s);
+            }
+        }
     }
 }

@@ -19,20 +19,21 @@
 use nab_obs::clock;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-use nab_bb::router::PathRouter;
+use nab_bb::router::{FormulaClock, PathRouter};
 use nab_netgraph::arborescence::{
     pack_arborescences, pack_arborescences_with_stats, Arborescence, PackStats,
 };
 use nab_netgraph::canon;
-use nab_netgraph::DiGraph;
+use nab_netgraph::{DiGraph, NodeId};
 
 use crate::bounds::{gamma_k, rho_k, BoundsReport};
 use crate::dispute::DisputeState;
 use crate::engine::{NabError, SOURCE};
 use crate::equality::{CodingScheme, RowLayout};
 use crate::phase1::RouteTable;
+use crate::phase2::{charge_flags, BroadcastKind};
 
 /// The point-lookup memo and cache tables of this module.
 #[expect(
@@ -271,7 +272,8 @@ impl ExecutionPlan {
 /// once dispute control has grown its dispute state (Section 2). Every
 /// quantity is a deterministic function of `(G_1, pairs, removed)`, so a
 /// derived value equals a from-scratch derivation bit for bit. Cloning
-/// shares the graph, the packing, the routes and the layout.
+/// shares the graph, the packing, the routes, the layout and the flag
+/// charges.
 #[derive(Debug, Clone)]
 pub struct Gk {
     graph: Arc<DiGraph>,
@@ -284,6 +286,9 @@ pub struct Gk {
     /// `(|pairs|, |removed|)` of the dispute state this value was derived
     /// from. Both sets only grow, so equal sizes mean an equal state.
     disputes: (usize, usize),
+    /// Step 2.2's formula-clock charge, one slot per [`BroadcastKind`],
+    /// filled by [`Gk::flag_charge`]'s first call for that kind.
+    flag_charges: Arc<[OnceLock<f64>; 2]>,
 }
 
 impl Gk {
@@ -297,6 +302,7 @@ impl Gk {
             routes,
             rho: None,
             disputes,
+            flag_charges: Arc::default(),
         }
     }
 
@@ -351,6 +357,22 @@ impl Gk {
     /// `ρ_k` and the row layout, once set.
     pub(crate) fn equality(&self) -> Option<&(u64, Arc<RowLayout>)> {
         self.rho.as_ref()
+    }
+
+    /// Step 2.2's charge for `kind` on the formula clock over `plan`'s
+    /// router: what [`charge_flags`] reads on a fresh [`FormulaClock`]
+    /// with `G_k`'s nodes as participants and `plan.f()` less `G_k`'s
+    /// removed nodes as `f_residual`, the same inputs on every instance
+    /// on `G_k`. The first call for a kind runs that replay; every later
+    /// call, on this value or a clone, returns its f64 as it is.
+    /// `plan` is the plan `G_k` was planned or derived on.
+    pub(crate) fn flag_charge(&self, plan: &ExecutionPlan, kind: BroadcastKind) -> f64 {
+        *self.flag_charges[kind as usize].get_or_init(|| {
+            let participants: Vec<NodeId> = self.graph.nodes().collect();
+            let f_residual = plan.f().saturating_sub(self.disputes.1);
+            let clock = &mut FormulaClock::default();
+            charge_flags(plan.router(), &participants, f_residual, kind, clock)
+        })
     }
 
     /// The graph `G_k`.
@@ -681,7 +703,87 @@ impl std::fmt::Debug for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::HonestStrategy;
+    use crate::phase2::flag_broadcast;
     use nab_netgraph::gen;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl Gk {
+        /// The flag charge [`Gk::flag_charge`] keeps for `kind`, if any.
+        pub(crate) fn cached_flag_charge(&self, kind: BroadcastKind) -> Option<f64> {
+            self.flag_charges[kind as usize].get().copied()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On random `2f+1`-connected graphs (n ≤ 10, f ≤ 2), with 0 to f
+        /// removed nodes and `f_residual` to match, the memoised flag
+        /// charge of either kind is the f64 of a fresh `flag_broadcast`
+        /// on a formula clock, bit for bit, whatever the flags say; a
+        /// clone reads the same slot; and where Phase-King lacks the
+        /// `n > 4·f_residual` participants it needs, it charges what EIG
+        /// does.
+        #[test]
+        fn flag_charge_memo_is_bit_identical_to_a_fresh_replay(
+            seed in any::<u64>(),
+            n in 4usize..=10,
+            f in 0usize..=2,
+            max_cap in 1u64..5,
+        ) {
+            // `n ≥ 3f + 1`, and `random_k_connected` needs `n > 2f + 2`.
+            let f = f.min((n - 1) / 3).min((n - 3) / 2);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = gen::random_k_connected(n, 2 * f + 1, max_cap, 0.3, &mut rng);
+            let Ok(plan) = ExecutionPlan::build(g, f) else {
+                return Ok(());
+            };
+            let mut disputes = DisputeState::new();
+            for removed in 0..=f {
+                // Remove one more node that is not the source.
+                while disputes.removed.len() < removed {
+                    disputes.removed.insert(rng.gen_range(1..n));
+                }
+                let gk = if removed == 0 {
+                    plan.g1().clone()
+                } else {
+                    match Gk::derive(plan.graph(), &disputes) {
+                        Ok(gk) => gk,
+                        Err(_) => continue,
+                    }
+                };
+                let participants: Vec<NodeId> = gk.graph().nodes().collect();
+                let f_residual = f - removed;
+                let mut charges = Vec::new();
+                for kind in [BroadcastKind::Eig, BroadcastKind::PhaseKing] {
+                    prop_assert_eq!(gk.cached_flag_charge(kind), None);
+                    let memo = gk.flag_charge(&plan, kind);
+                    let computed = participants.iter().map(|&v| (v, rng.gen_bool(0.5))).collect();
+                    let fresh = flag_broadcast(
+                        plan.router(),
+                        &participants,
+                        f_residual,
+                        &computed,
+                        &BTreeSet::new(),
+                        &mut HonestStrategy,
+                        kind,
+                        &mut FormulaClock::default(),
+                    );
+                    prop_assert_eq!(memo.to_bits(), fresh.duration.to_bits(), "{:?}, {} removed", kind, removed);
+                    let clone = gk.clone();
+                    prop_assert_eq!(clone.cached_flag_charge(kind).map(f64::to_bits), Some(memo.to_bits()));
+                    prop_assert_eq!(clone.flag_charge(&plan, kind).to_bits(), memo.to_bits());
+                    charges.push(memo.to_bits());
+                }
+                if participants.len() <= 4 * f_residual {
+                    prop_assert_eq!(charges[0], charges[1], "Phase-King falls back to EIG");
+                }
+            }
+        }
+    }
 
     #[test]
     fn plan_captures_network_quantities() {

@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn colliding_values_defeat_overgreedy_rho() {
-        use crate::equality::equality_check_flags;
+        use crate::equality::tests::equality_check_flags;
         use std::collections::BTreeSet;
         // figure_2a's undirected view has U = 2 → the paper requires
         // ρ ≤ 1. With ρ = 2, the candidate fault-free subgraph

@@ -118,24 +118,6 @@ impl Value {
         Value::from_symbols(blocks.iter().flatten().copied().collect())
     }
 
-    /// Re-shapes the value into a `ρ × cols` matrix for the equality check:
-    /// entry `(r, c)` is symbol `c·ρ + r`, zero-padded to a whole number of
-    /// columns. Column `c` plays the role of the vector `X_i` in Algorithm 1
-    /// over one 16-bit slice of `GF(2^{L/ρ})`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is zero.
-    pub fn reshape(&self, rho: usize) -> Vec<Vec<Gf2_16>> {
-        assert!(rho > 0, "equality-check parameter ρ must be positive");
-        let cols = self.symbols.len().div_ceil(rho);
-        let mut out = vec![vec![Gf2_16::ZERO; rho]; cols];
-        for (i, &sym) in self.symbols.iter().enumerate() {
-            out[i / rho][i % rho] = sym;
-        }
-        out
-    }
-
     /// Flips one symbol (test helper for corruption scenarios), in a copy:
     /// the result never shares `self`'s storage.
     ///
@@ -163,8 +145,48 @@ impl fmt::Debug for Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Value {
+        /// Re-shapes the value into a `ρ × cols` matrix for the equality check:
+        /// entry `(r, c)` is symbol `c·ρ + r`, zero-padded to a whole number of
+        /// columns. Column `c` plays the role of the vector `X_i` in Algorithm 1
+        /// over one 16-bit slice of `GF(2^{L/ρ})`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `rho` is zero.
+        pub(crate) fn reshape(&self, rho: usize) -> Vec<Vec<Gf2_16>> {
+            assert!(rho > 0, "equality-check parameter ρ must be positive");
+            let cols = self.symbols.len().div_ceil(rho);
+            let mut out = vec![vec![Gf2_16::ZERO; rho]; cols];
+            for (i, &sym) in self.symbols.iter().enumerate() {
+                out[i / rho][i % rho] = sym;
+            }
+            out
+        }
+    }
+
+    /// Values of 1 to `max_len` arbitrary symbols.
+    pub(crate) fn arb_value(max_len: usize) -> impl Strategy<Value = Value> {
+        proptest::collection::vec(any::<u16>(), 1..=max_len)
+            .prop_map(|v| Value::from_u64s(&v.iter().map(|&x| x as u64).collect::<Vec<_>>()))
+    }
+
+    proptest! {
+        #[test]
+        fn reshape_covers_all_symbols(v in arb_value(64), rho in 1usize..9) {
+            let m = v.reshape(rho);
+            let total: usize = m.len() * rho;
+            prop_assert!(total >= v.len());
+            prop_assert!(total < v.len() + rho);
+            // Flattening column-major recovers the symbols (plus padding).
+            let flat: Vec<_> = m.iter().flatten().copied().collect();
+            prop_assert_eq!(&flat[..v.len()], v.symbols());
+        }
+    }
 
     #[test]
     fn equality_is_symbol_wise() {

@@ -1,23 +1,18 @@
 //! Property-based tests for the NAB core: value plumbing, equality-check
 //! algebra, dispute-control soundness, and bound consistency.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use nab::adversary::{
-    EqualityGarbler, FalseAlarm, HonestStrategy, LyingCorruptor, NabAdversary, RandomStrategy,
-    TruthfulCorruptor,
-};
+use nab::adversary::{FalseAlarm, HonestStrategy, LyingCorruptor, NabAdversary, TruthfulCorruptor};
 use nab::bounds::{self, pair};
 use nab::dispute::DisputeState;
 use nab::engine::{NabConfig, NabEngine, NabError, SOURCE};
-use nab::equality::{equality_check_flags, no_tamper, CodingScheme};
-use nab::phase1::run_phase1;
-use nab::phase2::run_equality_phase_batched;
+use nab::equality::CodingScheme;
 use nab::plan::ExecutionPlan;
 use nab::value::Value;
 use nab_gf::Gf2_16;
-use nab_netgraph::arborescence::{pack_arborescences, pack_arborescences_naive};
+use nab_netgraph::arborescence::pack_arborescences_naive;
 use nab_netgraph::gen;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -41,17 +36,6 @@ proptest! {
     }
 
     #[test]
-    fn reshape_covers_all_symbols(v in arb_value(64), rho in 1usize..9) {
-        let m = v.reshape(rho);
-        let total: usize = m.len() * rho;
-        prop_assert!(total >= v.len());
-        prop_assert!(total < v.len() + rho);
-        // Flattening column-major recovers the symbols (plus padding).
-        let flat: Vec<_> = m.iter().flatten().copied().collect();
-        prop_assert_eq!(&flat[..v.len()], v.symbols());
-    }
-
-    #[test]
     fn encode_is_linear(a in arb_value(24), b_seed in any::<u64>(), seed in any::<u64>()) {
         use nab_gf::field::Field;
         // Y(a + b) = Y(a) + Y(b): the coding is GF-linear, the property
@@ -72,35 +56,6 @@ proptest! {
         let ysum = scheme.encode(0, 1, &sum);
         let manual: Vec<_> = ya.iter().zip(&yb).map(|(&x, &y)| x.add(y)).collect();
         prop_assert_eq!(ysum, manual);
-    }
-
-    #[test]
-    fn equal_values_never_flag(v in arb_value(32), seed in any::<u64>(), rho in 1usize..4) {
-        let g = gen::complete(4, 2);
-        let scheme = CodingScheme::random(&g, rho, seed);
-        let values = g.nodes().map(|n| (n, v.clone())).collect();
-        let flags = equality_check_flags(&g, &values, &scheme, &mut no_tamper);
-        prop_assert!(flags.values().all(|f| !f));
-    }
-
-    #[test]
-    fn single_symbol_deviation_always_detected(
-        v in arb_value(32),
-        idx_seed in any::<u64>(),
-        delta in 1u64..0xFFFF,
-        seed in any::<u64>(),
-    ) {
-        // Over GF(2^16) a one-symbol deviation escapes a single coded
-        // check with probability 2^-16; over the whole graph and test run
-        // this should never fire.
-        let g = gen::complete(4, 2);
-        let scheme = CodingScheme::random(&g, 2, seed);
-        let idx = (idx_seed as usize) % v.len();
-        let mut values: std::collections::BTreeMap<_, _> =
-            g.nodes().map(|n| (n, v.clone())).collect();
-        values.insert(3, v.corrupt_symbol(idx, delta));
-        let flags = equality_check_flags(&g, &values, &scheme, &mut no_tamper);
-        prop_assert!(flags.values().any(|f| *f));
     }
 
     #[test]
@@ -212,94 +167,6 @@ proptest! {
         }
     }
 
-    /// A clean check — every node holds the same value, no node is
-    /// faulty — reads no product, yet `sends()` afterwards returns
-    /// exactly `encode_cols`'s symbols on every edge.
-    #[test]
-    fn sends_after_a_clean_check_equal_encode_cols(
-        seed in any::<u64>(),
-        n in 5usize..9,
-        k in 1usize..4,
-        max_cap in 1u64..5,
-        rho in 1usize..5,
-        symbols in 1usize..400,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = gen::random_k_connected(n, k, max_cap, 0.3, &mut rng);
-        let scheme = CodingScheme::random(&g, rho, seed);
-        let x = Value::random(symbols, &mut rng);
-        let values: BTreeMap<usize, Value> = g.nodes().map(|v| (v, x.clone())).collect();
-        let eq = run_equality_phase_batched(&g, &[&values], &scheme, &BTreeSet::new(), &mut [&mut HonestStrategy])
-            .pop()
-            .expect("one stream in, one outcome out");
-        prop_assert!(eq.flags.values().all(|f| !f));
-        let sends = eq.sends();
-        prop_assert_eq!(sends.len(), g.edges().count());
-        let cols = x.reshape(rho);
-        for ((src, dst), symbols) in sends {
-            prop_assert_eq!(symbols, scheme.encode_cols(src, dst, &cols), "edge ({}, {})", src, dst);
-        }
-    }
-
-    /// Independent oracle for the one equality implementation: at Q = 1
-    /// and Q = 3, under Phase-1 and equality-phase tampering (length
-    /// changes included), `run_equality_phase_batched` yields per stream
-    /// the flags of the pure `equality_check_flags` with the same tamper
-    /// closure, and exactly the (tampered) `encode_cols` symbols as sends.
-    /// A quarter of the cases stretch the value to thousands of symbols,
-    /// so slab rows leave the scalar tail and run the vector kernel.
-    #[test]
-    fn batched_equality_matches_pure_oracle(
-        seed in any::<u64>(),
-        n in 4usize..7,
-        cap in 1u64..4,
-        rho in 1usize..4,
-        symbols in 1usize..40,
-        stretch in 0u8..4,
-        three_streams in any::<bool>(),
-        code in 0u8..6,
-        bad in 0usize..7,
-    ) {
-        let symbols = if stretch == 0 { symbols * 100 + 3 } else { symbols };
-        let g = gen::complete(n, cap);
-        let gamma = bounds::gamma_k(&g, SOURCE);
-        let trees = pack_arborescences(&g, SOURCE, gamma).expect("γ_1 is packable");
-        let scheme = CodingScheme::random(&g, rho, seed);
-        let faulty = BTreeSet::from([bad % n]);
-        let q: u64 = if three_streams { 3 } else { 1 };
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Per stream: Phase 1 under the tamperer gives each node its
-        // (possibly corrupted, possibly longer) value.
-        let values: Vec<BTreeMap<usize, Value>> = (0..q)
-            .map(|s| {
-                let x = Value::random(symbols, &mut rng);
-                run_phase1(&g, SOURCE, &x, &trees, &faulty, tamperer(code, seed ^ s).as_mut()).values
-            })
-            .collect();
-        let mut advs: Vec<Box<dyn NabAdversary>> =
-            (0..q).map(|s| tamperer(code, seed.wrapping_add(s))).collect();
-        let mut adv_refs: Vec<&mut dyn NabAdversary> =
-            advs.iter_mut().map(|a| &mut **a as &mut dyn NabAdversary).collect();
-        let value_refs: Vec<&BTreeMap<usize, Value>> = values.iter().collect();
-        let got = run_equality_phase_batched(&g, &value_refs, &scheme, &faulty, &mut adv_refs);
-        prop_assert_eq!(got.len(), q as usize);
-        for (s, (eq, vals)) in got.iter().zip(&values).enumerate() {
-            let mut adv = tamperer(code, seed.wrapping_add(s as u64));
-            let mut sends = BTreeMap::new();
-            let mut tamper = |i: usize, j: usize, honest: Vec<Gf2_16>| {
-                let sent = if faulty.contains(&i) {
-                    adv.equality_symbols(i, j, &honest)
-                } else {
-                    honest
-                };
-                sends.insert((i, j), sent.clone());
-                sent
-            };
-            let flags = equality_check_flags(&g, vals, &scheme, &mut tamper);
-            prop_assert_eq!(&eq.flags, &flags, "stream {} flags", s);
-            prop_assert_eq!(&eq.sends(), &sends, "stream {} sends", s);
-        }
-    }
 }
 
 /// One adversary strategy per schedule code.
@@ -348,37 +215,6 @@ fn oracle_step(engine: &mut NabEngine, x: &Value, faulty: &BTreeSet<usize>, code
         let want = pack_arborescences_naive(&before, SOURCE, gamma).expect("γ_k is packable");
         assert_eq!(gk.trees(), want.as_slice());
         assert_eq!(gk.rho().unwrap_or(0), rep.rho_k);
-    }
-}
-
-/// Grows every forwarded Phase-1 block by one symbol, so downstream
-/// nodes assemble values of unequal lengths.
-struct BlockStretcher;
-impl NabAdversary for BlockStretcher {
-    fn phase1_forward(&mut self, _: usize, _: usize, _: usize, honest: &[Gf2_16]) -> Vec<Gf2_16> {
-        let mut out = honest.to_vec();
-        out.push(Gf2_16(0x5A));
-        out
-    }
-}
-
-/// Drops the last coded symbol of every equality transmission.
-struct EqualityTruncator;
-impl NabAdversary for EqualityTruncator {
-    fn equality_symbols(&mut self, _: usize, _: usize, honest: &[Gf2_16]) -> Vec<Gf2_16> {
-        honest[..honest.len().saturating_sub(1)].to_vec()
-    }
-}
-
-/// Tampering strategies for the equality oracle, by code.
-fn tamperer(code: u8, seed: u64) -> Box<dyn NabAdversary> {
-    match code % 6 {
-        0 => Box::new(HonestStrategy),
-        1 => Box::new(TruthfulCorruptor),
-        2 => Box::new(BlockStretcher),
-        3 => Box::new(EqualityGarbler),
-        4 => Box::new(EqualityTruncator),
-        _ => Box::new(RandomStrategy::new(seed, 0.5)),
     }
 }
 
