@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use nab_bb::router::RoundSink;
+use nab_bb::router::{FormulaClock, RoundSink};
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
 
@@ -20,7 +20,7 @@ use crate::bounds::{rho_k, Pair};
 use crate::detsan;
 use crate::dispute::{dc2_disputes, dc3_on_routes, DisputeState, NodeClaims};
 use crate::equality::{CodingScheme, RowLayout};
-use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec, PhaseClock};
+use crate::netexec::{BroadcastPhase, DeliveredTimes, InstanceTiming, NetExec};
 use crate::phase1::{run_routes, Phase1Output};
 use crate::phase2::{
     announce_flags, broadcast_claims, flag_broadcast, honest_claims, run_equality_phase,
@@ -511,7 +511,7 @@ impl NabEngine {
                 faulty,
                 adv,
                 self.broadcast,
-                &mut PhaseClock::new(Some(t), BroadcastPhase::Flags, plan.router()),
+                &mut t.broadcast_phase(BroadcastPhase::Flags, plan.router()),
             ),
             None => FlagOutcome {
                 announced: announce_flags(&participants, &eq.flags, faulty, adv),
@@ -560,18 +560,21 @@ impl NabEngine {
             .collect();
 
         // Broadcast every node's claims with the classic BB protocol and
-        // charge the (large) communication time.
-        let mut clock = PhaseClock::new(timing.as_mut(), BroadcastPhase::Dispute, plan.router());
-        let agreed_claims = broadcast_claims(
-            plan.router(),
-            &participants,
-            f_res,
-            claims,
-            self.broadcast,
-            &mut clock,
-        );
-        times.dispute = clock.elapsed();
-        drop(clock);
+        // charge the (large) communication time: to the event kernel with
+        // net on, else to the formula, as step 2.2 does.
+        let (router, kind) = (plan.router(), self.broadcast);
+        let mut kernel = timing
+            .as_mut()
+            .map(|t| t.broadcast_phase(BroadcastPhase::Dispute, router));
+        let mut formula = FormulaClock::default();
+        let agreed_claims = match kernel.as_mut() {
+            Some(k) => broadcast_claims(router, &participants, f_res, claims, kind, k),
+            None => broadcast_claims(router, &participants, f_res, claims, kind, &mut formula),
+        };
+        times.dispute = kernel
+            .as_ref()
+            .map_or(formula.elapsed(), RoundSink::elapsed);
+        drop(kernel);
 
         // DC2 + DC3 on the agreed claims, DC4 into the dispute state.
         let new_pairs = dc2_disputes(&agreed_claims);
@@ -1280,7 +1283,7 @@ mod tests {
                 .unwrap();
             let cached = plan.g1().cached_flag_charge(kind).map(f64::to_bits);
             assert_eq!(cached, Some(ra.times.flags.to_bits()), "{kind:?}");
-            let fresh = replayed_flags(&plan, kind, &mut nab_bb::router::FormulaClock::default());
+            let fresh = replayed_flags(&plan, kind, &mut FormulaClock::default());
             assert_eq!(ra.times.flags.to_bits(), fresh.to_bits(), "{kind:?}");
             let rb = b
                 .run_instance(&x, &BTreeSet::from([3]), &mut FalseAlarm)
@@ -1323,8 +1326,7 @@ mod tests {
         let plan = Arc::new(ExecutionPlan::build(gen::complete(5, 2), 1).unwrap());
         let kernel_flags = |instance: u64| {
             let mut timing = InstanceTiming::new(&nx, instance);
-            let phase = BroadcastPhase::Flags;
-            let sink = &mut PhaseClock::new(Some(&mut timing), phase, plan.router());
+            let sink = &mut timing.broadcast_phase(BroadcastPhase::Flags, plan.router());
             replayed_flags(&plan, kind, sink)
         };
         let net_engine = || {

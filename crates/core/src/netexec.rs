@@ -32,7 +32,7 @@
 //! The transcript replay this replaced is kept below as the
 //! differential-test oracle: it queues every round on a fresh kernel.
 
-use nab_bb::router::{FormulaClock, HopRound, PathRouter, RoundSink};
+use nab_bb::router::{HopRound, PathRouter, RoundSink};
 use nab_net::{mix, EventNet, KernelStats, UNIT_NS};
 use nab_netgraph::DiGraph;
 use nab_obs::metrics::Histogram;
@@ -245,47 +245,6 @@ impl RoundSink for PhaseKernel<'_> {
 impl Drop for PhaseKernel<'_> {
     fn drop(&mut self) {
         self.kernel.accumulate(&self.net.stats());
-    }
-}
-
-/// The clock one broadcast phase charges its hop rounds to: the formula,
-/// or the event kernel when the instance runs message-level.
-pub(crate) enum PhaseClock<'a> {
-    /// The synchronous formula — the zero-latency, zero-loss kernel.
-    Formula(FormulaClock),
-    /// The event kernel under the instance's link models.
-    Kernel(Box<PhaseKernel<'a>>),
-}
-
-impl<'a> PhaseClock<'a> {
-    /// The clock for `phase`: `timing`'s kernel sink on `router`'s graph
-    /// when the instance has message-level timing, else a fresh formula
-    /// clock.
-    pub(crate) fn new(
-        timing: Option<&'a mut InstanceTiming<'_>>,
-        phase: BroadcastPhase,
-        router: &PathRouter,
-    ) -> Self {
-        match timing {
-            Some(t) => PhaseClock::Kernel(Box::new(t.broadcast_phase(phase, router))),
-            None => PhaseClock::Formula(FormulaClock::default()),
-        }
-    }
-}
-
-impl RoundSink for PhaseClock<'_> {
-    fn hop_round(&mut self, round: &HopRound<'_>) {
-        match self {
-            PhaseClock::Formula(clock) => clock.hop_round(round),
-            PhaseClock::Kernel(kernel) => kernel.hop_round(round),
-        }
-    }
-
-    fn elapsed(&self) -> f64 {
-        match self {
-            PhaseClock::Formula(clock) => clock.elapsed(),
-            PhaseClock::Kernel(kernel) => kernel.elapsed(),
-        }
     }
 }
 

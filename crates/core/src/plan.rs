@@ -125,12 +125,12 @@ impl ExecutionPlan {
     /// Reassembles a plan from verified persisted artifacts (γ₁, ρ₁, the
     /// arborescence packing), rebuilding only the pieces that are not
     /// persisted — the router's connectivity proof and the on-demand
-    /// caches. The proof is the larger part of a load: ≈ 1.8 ms of a
-    /// 3.0 ms load-and-verify (`core.plan_load_ms`) on the benchmark's
-    /// 36- to 64-node `plan-cold` fabrics at `f = 1`; as an all-pairs scan
-    /// it was 53 ms of 64 ms. The caller (the persistence layer) is
-    /// responsible for having verified the artifacts; `wall_ns` records
-    /// what the reassembly cost.
+    /// caches. The proof is ≈ 0.3–0.4 ms of a 1.2–1.4 ms load-and-verify
+    /// (`core.plan_load_ms`) on the benchmark's 36- to 64-node `plan-cold`
+    /// fabrics at `f = 1`; as the pivot check it was 2.3–2.5 of 3.4–3.6
+    /// ms, as an all-pairs scan 53 of 64. The caller (the persistence
+    /// layer) is responsible for having verified the artifacts; `wall_ns`
+    /// records what the reassembly cost.
     ///
     /// # Errors
     ///

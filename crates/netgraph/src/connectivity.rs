@@ -7,35 +7,42 @@
 //! reliable end-to-end communication between fault-free nodes — a *complete
 //! graph emulation* on which any classic BB protocol can run.
 //!
-//! # The pivot check
+//! # Even's check
 //!
 //! Write `κ(s, t)` for the number of internally-vertex-disjoint `s → t`
 //! paths (a direct link counts as one) and `κ(G) = min_{s ≠ t} κ(s, t)`.
 //!
-//! **Lemma.** Fix any `k` nodes `P` of a graph with more than `k` nodes.
-//! Then `κ(G) ≥ k` iff `κ(p, v) ≥ k` and `κ(v, p) ≥ k` for every `p ∈ P`
-//! and every `v ≠ p`.
+//! **Lemma** (S. Even, *An algorithm for determining whether the
+//! connectivity of a graph is at least k*, SIAM J. Comput. 4(3), 1975).
+//! Order the nodes `v₁, …, vₙ`, `n > k`. Then `κ(G) ≥ k` iff (a)
+//! `κ(vᵢ, vⱼ) ≥ k` for all `i ≠ j ≤ k`, and (b) for every `j > k`, `k`
+//! paths disjoint but at `vⱼ` lead into `vⱼ` from distinct nodes of
+//! `{v₁, …, vⱼ₋₁}`, and `k` lead out of `vⱼ` to distinct nodes of it.
 //!
-//! *Proof.* Only "if" needs one. Let `κ(s, t) < k`. By Menger's theorem
-//! (applied after deleting the link `s → t`, if there is one) some set `S`
-//! of internal nodes, with `|S| ≤ k − 1` and `|S| ≤ k − 2` when `s → t` is
-//! a link, meets every other `s → t` path. Let `A` be what `s` reaches in
-//! `G − S − (s → t)` and `B` the rest outside `S`: `t ∈ B`, and `s → t` is
-//! the only link that can lead from `A` to `B`. If it is not a link, some
-//! `p ∈ P` lies outside `S`; every path from `A` to `B` crosses `S`, so
-//! `κ(p, t) ≤ |S|` if `p ∈ A` and `κ(s, p) ≤ |S|` if `p ∈ B`. If it is,
-//! some `p ∈ P` lies outside `S ∪ {s}`. For `p = t` the pair `(s, t)`
-//! itself has an endpoint in `P`. Otherwise every `A → B` path crosses
-//! `S` or uses `s → t`, which makes `s` internal to a path from
-//! `p ∈ A` and `t` internal to a path to `p ∈ B` (neither can be a
-//! direct link, those would join `A` to `B`): `κ(p, t) ≤ |S| + 1` or
-//! `κ(s, p) ≤ |S| + 1`. Every case ends below `k`. ∎
+//! *Proof.* "Only if": if a set `S`, `|S| < k`, `vⱼ ∉ S`, meets every path
+//! into `vⱼ` from that set (Menger's fan lemma), some `vᵢ ∉ S`, `i < j`,
+//! remains (`j − 1 ≥ k`); it has no link to `vⱼ`, and `S` separates the
+//! two, so `κ(vᵢ, vⱼ) < k`; likewise out of `vⱼ`. "If": let `κ(s, t) < k`.
+//! Then some `S` with `|S| < k` separates nonempty sides `A` and `B`, with
+//! no link from `A` to `B`. Without a link `s → t`, Menger gives it. With
+//! one, Menger in `G − (s → t)` gives `|S| ≤ k − 2`, `A` what `s` reaches
+//! in `G − S − (s → t)` and `B` the rest; then `S ∪ {s}` separates
+//! `A ∖ {s}` from `B`, and `S ∪ {t}` separates `A` from `B ∖ {t}`, and
+//! both sides cannot be singletons, because `n > k`. If the first `k`
+//! nodes include a node of `A` and a node of `B`, that pair fails (a).
+//! Otherwise let `j` be the first index with `vⱼ` on the side that holds
+//! none of them: every path into `vⱼ ∈ B` from an earlier node, or out of
+//! `vⱼ ∈ A` to one, crosses `S`, and (b) fails. ∎
 //!
-//! So [`vertex_connectivity_at_least`] runs `2k(n − 1)` flows capped at
-//! `k` instead of `n(n − 1)`, and all of them on two networks built once:
-//! a flow from `s_out` to `t_in` never uses the split arc of `s` or of
-//! `t` (one ends at the source, the other starts at the sink), so the
-//! same unit-capacity split network serves every pair.
+//! So [`vertex_connectivity_at_least`] runs `k(k − 1) + 2(n − k)` flows
+//! capped at `k` instead of `n(n − 1)`, all on two networks built once:
+//! the unit split network of `G` and of its transpose, each with a hub
+//! that has a unit arc into every node. (a) closes the hub's arcs; (b)
+//! at `j` opens those into `v₁, …, vⱼ₋₁` and pushes from the hub, and
+//! the unit split arcs make its units leave from distinct nodes. A flow
+//! from `s_out` (or the hub) to `t_in` never uses `t`'s split arc (it
+//! starts at the sink) nor `s`'s (it ends at the source), so the same
+//! network serves every query.
 
 use crate::flow::FlowNet;
 use crate::graph::{DiGraph, NodeId};
@@ -47,10 +54,11 @@ use crate::graph::{DiGraph, NodeId};
 /// `s → t` paths are the flow from `s_out` to `t_in`.
 ///
 /// Arcs come in [`DiGraph::nodes`] then [`DiGraph::edges`] order, so the
-/// `k`-th live edge is arc `2 · (active_count + k)`.
-fn split_network(g: &DiGraph, transpose: bool) -> FlowNet {
+/// `k`-th live edge is arc `2 · (active_count + k)`. With `hub`, node
+/// `2n` follows with a unit arc to every active `v_in`, in node order.
+fn split_network(g: &DiGraph, transpose: bool, hub: bool) -> FlowNet {
     let n = g.node_count();
-    let mut net = FlowNet::new(2 * n);
+    let mut net = FlowNet::new(2 * n + usize::from(hub));
     for v in g.nodes() {
         net.add_arc(v, v + n, 1);
     }
@@ -61,6 +69,11 @@ fn split_network(g: &DiGraph, transpose: bool) -> FlowNet {
             (e.src, e.dst)
         };
         net.add_arc(u + n, v, 1);
+    }
+    if hub {
+        for v in g.nodes() {
+            net.add_arc(2 * n, v, 1);
+        }
     }
     net
 }
@@ -76,30 +89,7 @@ pub fn vertex_connectivity_pair(g: &DiGraph, s: NodeId, t: NodeId) -> u64 {
         g.is_active(s) && g.is_active(t) && s != t,
         "bad connectivity query"
     );
-    split_network(g, false).max_flow(s + g.node_count(), t)
-}
-
-/// The directed vertex connectivity of the graph: the minimum over all
-/// ordered pairs of active nodes of [`vertex_connectivity_pair`].
-///
-/// Each pair's flow is capped at the best minimum seen so far — a pair can
-/// only matter if it pushes *less* than the current best, so later pairs
-/// cost `O(best · (V + E))` instead of a full max-flow. The returned value
-/// is exact.
-///
-/// Returns `None` with fewer than two active nodes.
-pub fn vertex_connectivity(g: &DiGraph) -> Option<u64> {
-    if g.active_count() < 2 {
-        return None;
-    }
-    let n = g.node_count();
-    let mut net = split_network(g, false);
-    let mut best = u64::MAX;
-    for s in g.nodes() {
-        let sinks = g.nodes().filter(|&t| t != s);
-        best = net.min_cut_to_sinks(s + n, sinks, |_| true, best);
-    }
-    Some(best)
+    split_network(g, false, false).max_flow(s + g.node_count(), t)
 }
 
 /// Whether every active node can reach every other active node — directed
@@ -136,9 +126,10 @@ pub fn strongly_connected(g: &DiGraph) -> bool {
     g.nodes().all(|v| down[v] && up[v])
 }
 
-/// Whether the directed vertex connectivity is at least `k`, by the pivot
-/// check of the module docs: the first `k` active nodes each need `k`
-/// internally-disjoint paths to and from every other node.
+/// Whether the directed vertex connectivity is at least `k`, by Even's
+/// check of the module docs: `k` paths between every two of the first
+/// `k` active nodes, and into and out of every later node from and to
+/// distinct earlier ones.
 ///
 /// Returns `false` with at most `k` active nodes (in particular with fewer
 /// than two, where no pair exists), and trivially `true` for `k = 0`.
@@ -150,15 +141,23 @@ pub fn vertex_connectivity_at_least(g: &DiGraph, k: u64) -> bool {
     if g.active_count() as u64 <= k {
         return false;
     }
-    let n = g.node_count();
-    let mut out = split_network(g, false);
-    let mut back = split_network(g, true);
-    g.nodes().take(k as usize).all(|p| {
-        [&mut out, &mut back].into_iter().all(|net| {
-            let others = g.nodes().filter(|&v| v != p);
-            net.min_cut_to_sinks(p + n, others, |_| true, k) == k
+    let (n, nodes) = (g.node_count(), g.nodes().collect::<Vec<_>>());
+    let (pivots, later) = nodes.split_at(k as usize);
+    // The hub's arcs follow the split and edge arcs.
+    let hub_arcs = 2 * (nodes.len() + g.edge_count());
+    let mut out = split_network(g, false, true);
+    let pairs = pivots.iter().all(|&p| {
+        let others = pivots.iter().copied().filter(|&v| v != p);
+        out.min_cut_to_sinks(p + n, others, |a| a < hub_arcs, k) == k
+    });
+    let mut back = split_network(g, true, true);
+    pairs
+        && later.iter().zip(pivots.len()..).all(|(&v, j)| {
+            [&mut out, &mut back].into_iter().all(|net| {
+                net.reset(|a| u64::from(a < hub_arcs + 2 * j));
+                net.max_flow_limited(2 * n, v, k) == k
+            })
         })
-    })
 }
 
 /// Extracts internally-vertex-disjoint path systems pair after pair on one
@@ -187,7 +186,7 @@ impl PathExtractor {
     pub fn new(g: &DiGraph) -> Self {
         let n = g.node_count();
         PathExtractor {
-            net: split_network(g, false),
+            net: split_network(g, false, false),
             n,
             edges: g.edges().map(|(_, e)| (e.src, e.dst)).collect(),
             first_edge_arc: 2 * g.active_count(),
@@ -277,9 +276,51 @@ pub fn supports_byzantine_broadcast(g: &DiGraph, f: usize) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gen;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The directed vertex connectivity of the graph: the minimum over all
+    /// ordered pairs of active nodes of [`vertex_connectivity_pair`], each
+    /// pair's flow capped at the best minimum seen so far; `None` with
+    /// fewer than two active nodes.
+    pub(crate) fn vertex_connectivity(g: &DiGraph) -> Option<u64> {
+        if g.active_count() < 2 {
+            return None;
+        }
+        let n = g.node_count();
+        let mut net = split_network(g, false, false);
+        let mut best = u64::MAX;
+        for s in g.nodes() {
+            let sinks = g.nodes().filter(|&t| t != s);
+            best = net.min_cut_to_sinks(s + n, sinks, |_| true, best);
+        }
+        Some(best)
+    }
+
+    /// The pivot check Even's replaced, kept as its oracle: the first `k`
+    /// active nodes each need `k` internally-disjoint paths to and from
+    /// every other node (`2k(n − 1)` flows).
+    fn pivot_check(g: &DiGraph, k: u64) -> bool {
+        if k == 0 {
+            return true;
+        }
+        if g.active_count() as u64 <= k {
+            return false;
+        }
+        let n = g.node_count();
+        let mut out = split_network(g, false, false);
+        let mut back = split_network(g, true, false);
+        g.nodes().take(k as usize).all(|p| {
+            [&mut out, &mut back].into_iter().all(|net| {
+                let others = g.nodes().filter(|&v| v != p);
+                net.min_cut_to_sinks(p + n, others, |_| true, k) == k
+            })
+        })
+    }
 
     #[test]
     fn complete_graph_connectivity_is_n_minus_1() {
@@ -379,17 +420,20 @@ mod tests {
         best
     }
 
-    /// Every threshold around `κ`, and the `f = 0` entry point, against
-    /// the oracle.
+    /// Every threshold around `κ`, `n − 1` and `n` (where `n` is the
+    /// active count), and the `f = 0` entry point, against the oracles.
     fn check_thresholds(g: &DiGraph) {
         let exact = connectivity_by_all_pairs(g);
         assert_eq!(vertex_connectivity(g), exact, "{g:?}");
-        for k in 0..=exact.unwrap_or(0) + 2 {
+        let n = g.active_count() as u64;
+        for k in (0..=exact.unwrap_or(0) + 2).chain([n.saturating_sub(1), n]) {
+            let at_least = vertex_connectivity_at_least(g, k);
+            let expected = k == 0 || exact.is_some_and(|x| k <= x);
             assert_eq!(
-                vertex_connectivity_at_least(g, k),
-                k == 0 || exact.is_some_and(|x| k <= x),
+                at_least, expected,
                 "threshold {k} vs exact {exact:?} on {g:?}"
             );
+            assert_eq!(pivot_check(g, k), expected, "pivot oracle at {k} on {g:?}");
         }
         if g.active_count() >= 2 {
             assert_eq!(supports_byzantine_broadcast(g, 0), exact >= Some(1));
@@ -416,39 +460,105 @@ mod tests {
         check_thresholds(&lone);
     }
 
-    #[test]
-    fn pivot_check_matches_all_pairs_on_asymmetric_and_punctured_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Debug builds keep the small cases; CI's release-mode run of this
-        // crate adds the larger ones.
-        let heavy = !cfg!(debug_assertions);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut kappas = std::collections::BTreeSet::new();
-        for trial in 0..if heavy { 300 } else { 60 } {
-            let n = rng.gen_range(5..=if heavy { 14 } else { 9 });
-            let dense = match trial % 3 {
-                0 => gen::random_connected(n, 0.8, 2, &mut rng),
-                1 => gen::random_k_connected(n, 3, 2, 0.3, &mut rng),
-                _ => gen::complete(n, 1),
+    /// A graph of `n ≤ max_n` nodes from one of five families: `complete`,
+    /// `circulant`, `random_k_connected`, and `random_k_connected` or
+    /// `random_connected` with one-way links (each direction of each link
+    /// kept on its own coin, so in- and out-connectivity differ and the
+    /// transposed hub flows matter). Half the graphs lose node 0 and one
+    /// random node: ids stop being contiguous and the pivots start past 0.
+    fn arb_threshold_graph(max_n: usize) -> impl Strategy<Value = DiGraph> {
+        (0u8..5, 3..=max_n, any::<u64>(), any::<bool>()).prop_map(|(family, n, seed, punch)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = rng.gen_range(1..=(n - 1) / 2);
+            let k = 2 * m - rng.gen_range(0..2usize);
+            let dense = match family {
+                0 => gen::complete(n, 1),
+                1 => gen::circulant(n, m, 1),
+                2 | 3 => gen::random_k_connected(n, k, 2, 0.3, &mut rng),
+                _ => gen::random_connected(n, 0.8, 2, &mut rng),
             };
-            // One-way links: each direction of each link survives on its
-            // own coin, so in- and out-connectivity differ.
             let mut g = DiGraph::new(n);
             for (_, e) in dense.edges() {
-                if rng.gen_bool(0.85) {
+                if family < 3 || rng.gen_bool(0.85) {
                     g.add_edge(e.src, e.dst, e.cap);
                 }
             }
-            // Non-contiguous ids, and a pivot set that starts past id 0.
-            if trial % 2 == 0 {
+            if punch {
                 g.remove_node(rng.gen_range(0..n));
                 g.remove_node(0);
             }
+            g
+        })
+    }
+
+    proptest! {
+        // Debug builds keep the small cases; CI's release-mode run of
+        // this crate adds the larger ones.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 96 } else { 600 }
+        ))]
+
+        /// Even's check equals the all-pairs connectivity and the pivot
+        /// check at every threshold from 0 to `κ + 2`, and at `n − 1` and
+        /// `n`.
+        #[test]
+        fn even_check_matches_all_pairs_and_pivot_oracles(
+            g in arb_threshold_graph(if cfg!(debug_assertions) { 9 } else { 14 }),
+        ) {
             check_thresholds(&g);
-            kappas.extend(vertex_connectivity(&g));
         }
-        assert!(kappas.len() >= 4, "only saw κ ∈ {kappas:?}");
+
+        /// Route extraction is the one `FlowNet` user whose output is the
+        /// flow itself: the paths the early-stop Dinic gives equal those
+        /// of a fresh split network under the whole-network levelling, for
+        /// every ordered pair at its full connectivity, and one more path
+        /// is refused.
+        #[test]
+        fn extracted_paths_match_the_full_levelling_dinic(
+            case in (5usize..if cfg!(debug_assertions) { 10 } else { 16 }, 1usize..5, any::<u64>()),
+        ) {
+            let (n, k, seed) = case;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = k.min((n - 1) / 2 * 2);
+            let g = gen::random_k_connected(n, k, 3, 0.25, &mut rng);
+            let mut extractor = PathExtractor::new(&g);
+            for s in g.nodes() {
+                for t in g.nodes().filter(|&t| t != s) {
+                    let (flow, paths) = full_levelling_paths(&g, s, t);
+                    prop_assert_eq!(extractor.extract(s, t, flow), Some(paths));
+                    prop_assert_eq!(extractor.extract(s, t, flow + 1), None);
+                }
+            }
+        }
+    }
+
+    /// The oracle of `extracted_paths_match_the_full_levelling_dinic`: a
+    /// fresh split network, the whole-network levelling Dinic uncapped,
+    /// and the flow decomposed into paths leaving `s` by its
+    /// flow-carrying edges from the last, each internal node followed by
+    /// the head of its one flow-carrying out-edge.
+    fn full_levelling_paths(g: &DiGraph, s: NodeId, t: NodeId) -> (usize, Vec<Vec<NodeId>>) {
+        let n = g.node_count();
+        let mut net = split_network(g, false, false);
+        let flow = net.max_flow_levelling_all(s + n, t, u64::MAX) as usize;
+        let first_edge_arc = 2 * g.active_count();
+        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for (i, (_, e)) in g.edges().enumerate() {
+            if net.flow_on(first_edge_arc + 2 * i) == 1 {
+                out[e.src].push(e.dst);
+            }
+        }
+        let paths = (0..flow)
+            .map(|_| {
+                let mut path = vec![s];
+                while path[path.len() - 1] != t {
+                    let next = out[path[path.len() - 1]].pop();
+                    path.push(next.expect("flow enters no node it does not leave"));
+                }
+                path
+            })
+            .collect();
+        (flow, paths)
     }
 
     #[test]

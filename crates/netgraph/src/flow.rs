@@ -95,8 +95,16 @@ impl FlowNet {
         self.cap[arc ^ 1]
     }
 
-    /// Levels the residual graph from `s` into `self.level`; whether `t`
-    /// was reached.
+    /// Levels the residual graph from `s` into `self.level` until `t` is
+    /// levelled; whether it was.
+    ///
+    /// Stopping there changes no flow. BFS levels layer by layer, so when
+    /// `t` gets level `L` every node below `L` has its level, and every
+    /// node left at −1 lies at `L` or beyond. Levels rise by one along a
+    /// level path, so no node at `L` or beyond but `t` lies on one to
+    /// `t`: levelled or not, such a node is a dead end to `dfs_push`,
+    /// which tries the same arcs in the same order and finds the same
+    /// augmenting paths as after a full levelling.
     fn bfs_levels(&mut self, s: usize, t: usize) -> bool {
         self.level.fill(-1);
         self.queue.clear();
@@ -110,11 +118,14 @@ impl FlowNet {
                 let v = self.to[a];
                 if self.cap[a] > 0 && self.level[v] < 0 {
                     self.level[v] = self.level[u] + 1;
+                    if v == t {
+                        return true;
+                    }
                     self.queue.push(v);
                 }
             }
         }
-        self.level[t] >= 0
+        false
     }
 
     fn dfs_push(&mut self, u: usize, t: usize, pushed: u64) -> u64 {
@@ -283,6 +294,9 @@ pub fn min_pairwise_cut_undirected(u: &UnGraph) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
     impl FlowNet {
@@ -307,6 +321,91 @@ mod tests {
         /// Remaining capacity of the arc returned by [`FlowNet::add_arc`].
         fn residual(&self, arc: usize) -> u64 {
             self.cap[arc]
+        }
+
+        /// The Dinic that levels the whole residual network every phase,
+        /// which the early stop of `bfs_levels` replaced, kept as its
+        /// oracle: same phases, same `dfs_push`.
+        pub(crate) fn max_flow_levelling_all(&mut self, s: usize, t: usize, limit: u64) -> u64 {
+            let mut total = 0u64;
+            while total < limit && self.level_everything(s, t) {
+                self.it.fill(0);
+                while total < limit {
+                    let pushed = self.dfs_push(s, t, limit - total);
+                    if pushed == 0 {
+                        break;
+                    }
+                    total += pushed;
+                }
+            }
+            total
+        }
+
+        fn level_everything(&mut self, s: usize, t: usize) -> bool {
+            self.level.fill(-1);
+            self.queue.clear();
+            self.level[s] = 0;
+            self.queue.push(s);
+            let mut next = 0;
+            while next < self.queue.len() {
+                let u = self.queue[next];
+                next += 1;
+                for &a in &self.head[u] {
+                    let v = self.to[a];
+                    if self.cap[a] > 0 && self.level[v] < 0 {
+                        self.level[v] = self.level[u] + 1;
+                        self.queue.push(v);
+                    }
+                }
+            }
+            self.level[t] >= 0
+        }
+    }
+
+    /// A random net: `n` nodes and up to `3n` arcs (parallel and
+    /// antiparallel ones included) of capacity `1..=max_cap`.
+    fn arb_net() -> impl Strategy<Value = FlowNet> {
+        (2usize..14, any::<u64>(), 1u64..5).prop_map(|(n, seed, max_cap)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut net = FlowNet::new(n);
+            for _ in 0..rng.gen_range(0..=3 * n) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    net.add_arc(u, v, rng.gen_range(1..=max_cap));
+                }
+            }
+            net
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 200 } else { 2000 }
+        ))]
+
+        /// Stopping the level search at the sink leaves every arc's flow
+        /// as the whole-network levelling leaves it, query after query on
+        /// one residual network (later queries start from earlier flows)
+        /// and at every limit.
+        #[test]
+        fn early_stop_dinic_pushes_the_flow_of_the_full_levelling(
+            net in arb_net(),
+            queries in proptest::collection::vec((0usize..14, 0usize..14, 0u64..6), 1..5),
+        ) {
+            let (mut fast, mut full) = (net.clone(), net);
+            for (s, t, limit) in queries {
+                let (s, t) = (s % fast.n, t % fast.n);
+                if s == t {
+                    continue;
+                }
+                // 0 means uncapped.
+                let limit = if limit == 0 { u64::MAX } else { limit };
+                prop_assert_eq!(
+                    fast.max_flow_limited(s, t, limit),
+                    full.max_flow_levelling_all(s, t, limit)
+                );
+                prop_assert_eq!(&fast.cap, &full.cap);
+            }
         }
     }
 

@@ -353,7 +353,8 @@ pub fn random_expander<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connectivity::{strongly_connected, vertex_connectivity};
+    use crate::connectivity::strongly_connected;
+    use crate::connectivity::tests::vertex_connectivity;
     use crate::flow::{broadcast_rate, min_cut};
 
     #[test]
