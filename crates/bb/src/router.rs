@@ -501,7 +501,7 @@ mod tests {
             // Intermediate inboxes along paths were consumed implicitly: the
             // simulator delivers to inboxes, but relays in this router forward
             // from `carried`, so drain stale entries to keep inboxes clean.
-            for v in net.graph().node_set() {
+            for v in net.graph().nodes().collect::<Vec<_>>() {
                 if v != target {
                     let _ = net.take_inbox(v);
                 }

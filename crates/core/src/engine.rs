@@ -26,7 +26,7 @@ use crate::phase2::{
     announce_flags, broadcast_claims, flag_broadcast, honest_claims, run_equality_phase,
     BroadcastKind, EqOutcome, EqScratch, FlagOutcome,
 };
-use crate::plan::{ExecutionPlan, Gk};
+use crate::plan::{ExecutionPlan, Gk, MAX_TREES};
 use crate::value::Value;
 
 /// The broadcast source — the paper's "node 1" is node 0 here.
@@ -76,6 +76,12 @@ pub enum NabError {
         /// The rate `γ` the packing was attempted at.
         gamma: u64,
     },
+    /// `γ₁`, one Phase-1 arborescence per unit, is above
+    /// [`MAX_TREES`].
+    TooManyTrees {
+        /// The broadcast rate `γ₁`.
+        gamma: u64,
+    },
     /// [`NabEngine::from_plan`] was given a plan built for a different
     /// fault bound than the configuration asks for.
     PlanMismatch {
@@ -108,6 +114,9 @@ impl std::fmt::Display for NabError {
                      {edges}-edge graph (the rate should be achievable; this \
                      indicates an inconsistent topology)"
                 )
+            }
+            NabError::TooManyTrees { gamma } => {
+                write!(f, "γ₁={gamma} > {MAX_TREES} trees: scale capacities down")
             }
             NabError::PlanMismatch { plan_f, cfg_f } => {
                 write!(

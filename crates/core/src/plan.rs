@@ -42,6 +42,12 @@ use crate::phase2::{charge_flags, BroadcastKind};
 )]
 type PointMap<K, V> = std::collections::HashMap<K, V>;
 
+/// The most Phase-1 arborescences [`ExecutionPlan::build`] packs, one per
+/// unit of `γ₁`. The largest `γ₁` of a bundled scenario or benchmark
+/// workload is 65 (`e5-thinlink`); link capacities in the billions would
+/// otherwise ask for billions of `(n − 1)`-edge trees.
+pub const MAX_TREES: u64 = 1 << 16;
+
 /// The immutable one-time planning artifact for one network deployment
 /// `(G, f)` rooted at [`SOURCE`].
 ///
@@ -91,7 +97,8 @@ impl ExecutionPlan {
     /// # Errors
     ///
     /// Returns the violated condition, with topology/rate context for
-    /// packing failures.
+    /// packing failures, and [`NabError::TooManyTrees`] before packing
+    /// when `γ₁` is above [`MAX_TREES`].
     pub fn build(g: DiGraph, f: usize) -> Result<ExecutionPlan, NabError> {
         let t0 = clock::mono_now();
         let n = g.active_count();
@@ -103,6 +110,9 @@ impl ExecutionPlan {
         let router = PathRouter::build(&g, f).ok_or(NabError::InsufficientConnectivity)?;
         let rho0 = rho_k(&g, f, &BTreeSet::new()).ok_or(NabError::NoEqualityParameter)?;
         let gamma0 = gamma_k(&g, SOURCE);
+        if gamma0 > MAX_TREES {
+            return Err(NabError::TooManyTrees { gamma: gamma0 });
+        }
         let (trees0, pack_stats) =
             pack_arborescences_with_stats(&g, SOURCE, gamma0).ok_or_else(|| {
                 NabError::ArborescencePacking {
@@ -836,6 +846,16 @@ mod tests {
             ExecutionPlan::build(gen::ring(5, 1), 1),
             Err(NabError::InsufficientConnectivity)
         ));
+        // γ₁ = 3·cap: just under `MAX_TREES` packs; just over it, and over
+        // the packer's `u32` cells, is refused before packing.
+        let cap = MAX_TREES / 3;
+        assert!(ExecutionPlan::build(gen::complete(4, cap), 1).is_ok());
+        for cap in [cap + 1, 1 << 31] {
+            assert!(matches!(
+                ExecutionPlan::build(gen::complete(4, cap), 1),
+                Err(NabError::TooManyTrees { gamma }) if gamma == 3 * cap
+            ));
+        }
     }
 
     #[test]

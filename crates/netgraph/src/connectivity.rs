@@ -237,25 +237,6 @@ impl PathExtractor {
     }
 }
 
-/// Extracts `k` internally-vertex-disjoint directed paths from `s` to `t`,
-/// each given as the node sequence `s, …, t`: one query of a fresh
-/// [`PathExtractor`].
-///
-/// Returns `None` if fewer than `k` disjoint paths exist.
-///
-/// # Panics
-///
-/// Panics if `s` or `t` is inactive or `s == t`.
-pub fn vertex_disjoint_paths(
-    g: &DiGraph,
-    s: NodeId,
-    t: NodeId,
-    k: usize,
-) -> Option<Vec<Vec<NodeId>>> {
-    assert!(g.is_active(s) && g.is_active(t) && s != t, "bad path query");
-    PathExtractor::new(g).extract(s, t, k)
-}
-
 /// Checks the existence conditions for Byzantine broadcast from the paper's
 /// system model: `n ≥ 3f + 1` active nodes and vertex connectivity
 /// `≥ 2f + 1`.
@@ -341,7 +322,9 @@ pub(crate) mod tests {
     #[test]
     fn disjoint_paths_in_complete_graph() {
         let g = gen::complete(6, 1);
-        let paths = vertex_disjoint_paths(&g, 0, 5, 5).expect("K6 has 5 disjoint paths");
+        let paths = PathExtractor::new(&g)
+            .extract(0, 5, 5)
+            .expect("K6 has 5 disjoint paths");
         assert_eq!(paths.len(), 5);
         // Internal nodes must be distinct across paths.
         let mut seen = std::collections::HashSet::new();
@@ -357,7 +340,7 @@ pub(crate) mod tests {
     #[test]
     fn disjoint_paths_paths_are_edges() {
         let g = gen::complete(4, 1);
-        let paths = vertex_disjoint_paths(&g, 0, 3, 3).unwrap();
+        let paths = PathExtractor::new(&g).extract(0, 3, 3).unwrap();
         for p in &paths {
             for w in p.windows(2) {
                 assert!(g.find_edge(w[0], w[1]).is_some(), "non-edge {w:?} in path");
@@ -368,7 +351,7 @@ pub(crate) mod tests {
     #[test]
     fn too_many_paths_requested_returns_none() {
         let g = gen::complete(4, 1);
-        assert!(vertex_disjoint_paths(&g, 0, 3, 4).is_none());
+        assert!(PathExtractor::new(&g).extract(0, 3, 4).is_none());
     }
 
     #[test]

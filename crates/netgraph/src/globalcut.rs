@@ -1,69 +1,77 @@
 //! Bounded global minimum cut of undirected capacitated graphs
-//! (Nagamochi–Ono–Ibaraki contraction).
+//! (Nagamochi–Ono–Ibaraki contraction on a capped bucket queue).
 //!
-//! `U_k` asks for the minimum over *all pairs* of undirected min cuts in
-//! every candidate subgraph — the global min cut of each member of `Ω_k`,
-//! of which there are `C(n, n−f)`, differing in `f` nodes. Only the
-//! minimum over the members matters, so each one is asked for
-//! `min(limit, mincut)` with `limit` the minimum found so far, and a
-//! member that cannot beat it collapses in a phase or two.
+//! `U_k` is the global min cut of each member of `Ω_k` — `C(n, n−f)` node
+//! selections of one graph — minimised over the members, so each member is
+//! asked for `min(limit, mincut)` with `limit` the minimum so far. That
+//! saves little: whether it beats `limit` or not, a member takes 5–6
+//! contraction phases on `torus:8:8:2` at `f = 1` (337 over 64 members),
+//! 2–8 on the other `plan-cold` fabrics and 14–32 on `circulant:64:3:2` at
+//! `f = 2`, so the phase is what has to be cheap.
 //!
 //! # The contraction rule
 //!
-//! A *maximum-adjacency order* `v_1, v_2, …` starts anywhere and always
-//! continues with a vertex most heavily joined to those already chosen;
-//! write `V_i = {v_1, …, v_i}` and `λ(u, v)` for the minimum cut
-//! separating `u` from `v`.
+//! For a bound `λ̄`, a *capped maximum-adjacency order* `v_1, v_2, …` always
+//! continues with a vertex `v` maximising the key `min(λ̄, w(V_{l−1}, v))`,
+//! where `V_l = {v_1, …, v_l}`; `λ(u, v)` is the minimum cut separating `u`
+//! from `v`. With `λ̄ = ∞` it is Stoer and Wagner's order.
 //!
-//! **Lemma.** `λ(v_i, v_j) ≥ w(V_i, v_j)` for all `i < j`.
+//! **Lemma** (Nagamochi, Ono and Ibaraki's bounded priority).
+//! `λ(v_i, v_j) ≥ min(λ̄, w(V_i, v_j))` for all `i < j`.
 //!
-//! *Proof.* Let `H` be the subgraph induced by `V_i ∪ {v_j}`. The order
-//! `v_1, …, v_i, v_j` is a maximum-adjacency order of `H`: each `v_l` was
-//! the heaviest choice among everything outside `V_{l−1}`, hence among the
-//! part of it in `H`, and `v_j` is all that is left at the end. By Stoer
-//! and Wagner's lemma the last vertex of such an order, cut off alone, is
-//! a minimum cut between the last two: `λ_H(v_i, v_j) = w(V_i, v_j)`.
-//! Every cut of the whole graph that separates `v_i` from `v_j` contains a
-//! cut of `H` that does, so `λ(v_i, v_j) ≥ λ_H(v_i, v_j)`. ∎
+//! *Proof.* Let `H` be the subgraph induced by `V_i ∪ {v_j}`: `v_1, …, v_i,
+//! v_j` is a capped order of `H` (keys count only edges into `V_{l−1}`, and
+//! each pick beat all of `H` left), and a cut of the graph separating `v_i`
+//! from `v_j` contains one of `H`. So take `j = i + 1` and a cut `C`
+//! separating them. Call `v_l` *active* if `C` separates it from `v_{l−1}`,
+//! and let `C_l` be the edges of `C` inside `V_l`. Every active `v_l` has
+//! `min(λ̄, w(V_{l−1}, v_l)) ≤ w(C_l)`: for the first, every edge from
+//! `V_{l−1}` to `v_l` is in `C_l`; for a later one, with `v_a` the active
+//! vertex before it, `v_a, …, v_{l−1}` lie across `C` from `v_l`, so the
+//! edges `b = w(V_{l−1} ∖ V_{a−1}, v_l)` are in `C_l ∖ C_a`, and
 //!
-//! So while an order is being built, any not-yet-chosen `u` whose
-//! adjacency to the chosen part has reached an upper bound `λ̄` on the
-//! answer can be merged with the vertex just chosen: no cut below `λ̄`
-//! separates them. `λ̄` starts at `limit` and drops to the smallest
-//! weighted degree before each phase (a vertex alone is a cut); the last
-//! vertex of a phase always qualifies — Stoer–Wagner's one contraction per
-//! phase — and in practice most of the graph does.
+//! ```text
+//! min(λ̄, w(V_{l−1}, v_l)) ≤ min(λ̄, w(V_{a−1}, v_l)) + b   (min(λ̄, x + b) ≤ min(λ̄, x) + b)
+//!                         ≤ min(λ̄, w(V_{a−1}, v_a)) + b   (v_a was picked over v_l)
+//!                         ≤ w(C_a) + b ≤ w(C_l).
+//! ```
+//!
+//! `v_{i+1}` is active and `C_{i+1} = C`. ∎
+//!
+//! So a not-yet-chosen `u` whose adjacency to the chosen part reaches an
+//! upper bound `λ̄` on the answer merges with the vertex just chosen: no
+//! cut below `λ̄` separates them. `λ̄` is `limit`, lowered to the smallest
+//! weighted degree before each phase (a vertex alone is a cut). The last
+//! vertex of a phase always merges, and the answer does not depend on
+//! which capped order a phase takes.
+//!
+//! # The queue
+//!
+//! Keys lie in `0..=λ̄` and only rise. When `λ̄` is at most the phase's
+//! half-edge count `2m` (every bundled scenario and workload), a phase
+//! keeps one bucket per key and a top pointer, pushes a vertex again only
+//! when its key changes and skips stale entries: `O(m + λ̄) = O(m)`. Above
+//! `2m`, which only wide capacities reach, buckets would outnumber links,
+//! and a binary heap on the same keys takes `O(m log m)`.
 
 use std::collections::BinaryHeap;
 
 use crate::graph::NodeId;
 use crate::undirected::UnGraph;
 
-/// `min(limit, c)` with `c` the global minimum cut of the subgraph of `u`
-/// induced by `nodes` (distinct ids): 0 if it is disconnected, and `limit`
-/// itself with fewer than two nodes, where there is no cut.
-///
-/// # Panics
-///
-/// Panics if a node is outside the universe.
-pub fn bounded_min_cut(u: &UnGraph, nodes: &[NodeId], limit: u64) -> u64 {
-    MinCutScratch::default().min_cut(u, nodes, limit)
-}
-
-/// The working buffers of [`bounded_min_cut`], for a caller that cuts many
-/// node selections of one graph (the members of `Ω_k`) to reuse.
+/// The working buffers of [`MinCutScratch::min_cut`], for a caller that
+/// cuts many node selections of one graph (the members of `Ω_k`) to reuse.
 #[derive(Default)]
 pub struct MinCutScratch {
     position: Vec<usize>,
     links: Vec<(usize, usize, u64)>,
-    alive: Vec<usize>,
     parent: Vec<usize>,
+    class: Vec<usize>,
     first: Vec<usize>,
-    filled: Vec<usize>,
     neighbours: Vec<(usize, u64)>,
     adjacency: Vec<u64>,
     chosen: Vec<bool>,
-    heap: BinaryHeap<(u64, usize)>,
+    queue: OrderQueue,
 }
 
 /// Empties `buf` and refills it with `len` copies of `value`.
@@ -73,7 +81,10 @@ fn refill<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
 }
 
 impl MinCutScratch {
-    /// [`bounded_min_cut`], allocating only what earlier calls did not.
+    /// `min(limit, c)` with `c` the global minimum cut of the subgraph of
+    /// `u` induced by `nodes` (distinct ids): 0 if it is disconnected, and
+    /// `limit` itself with fewer than two nodes, where there is no cut.
+    /// Allocates only what earlier calls did not.
     ///
     /// # Panics
     ///
@@ -82,18 +93,16 @@ impl MinCutScratch {
         let MinCutScratch {
             position,
             links,
-            alive,
             parent,
+            class,
             first,
-            filled,
             neighbours,
             adjacency,
             chosen,
-            heap,
+            queue,
         } = self;
-        // Vertices are positions in `nodes`; a merged class goes by its
-        // union-find root, and `alive` lists the roots.
-        let k = nodes.len();
+        // Vertices are `0..alive`: positions in `nodes` at first, then the
+        // classes the last phase merged them into, numbered afresh.
         refill(position, u.node_count(), usize::MAX);
         for (i, &v) in nodes.iter().enumerate() {
             position[v] = i;
@@ -104,74 +113,133 @@ impl MinCutScratch {
                 .map(|(_, e)| (position[e.a], position[e.b], e.cap))
                 .filter(|&(a, b, _)| a != usize::MAX && b != usize::MAX),
         );
-        alive.clear();
-        alive.extend(0..k);
-        parent.clear();
-        parent.extend(0..k);
-        // This phase's adjacency lists: `v`'s is
-        // `neighbours[first[v]..first[v + 1]]`, filled up to `filled[v]`.
-        refill(first, k + 1, 0);
-        refill(filled, k, 0);
-        refill(neighbours, 2 * links.len(), (0, 0));
-        refill(adjacency, k, 0);
-        refill(chosen, k, false);
-        heap.clear();
+        let mut alive = nodes.len();
         let mut bound = limit;
-        while alive.len() > 1 {
-            first.fill(0);
+        while alive > 1 {
+            // This phase's adjacency lists: `v`'s is
+            // `neighbours[first[v]..first[v + 1]]`, filled from its end.
+            refill(first, alive + 1, 0);
             for &(a, b, _) in links.iter() {
-                first[a + 1] += 1;
-                first[b + 1] += 1;
+                first[a] += 1;
+                first[b] += 1;
             }
-            for v in 0..k {
-                first[v + 1] += first[v];
+            for v in 1..=alive {
+                first[v] += first[v - 1];
             }
-            filled.copy_from_slice(&first[..k]);
-            adjacency.fill(0);
+            refill(neighbours, 2 * links.len(), (0, 0));
+            refill(adjacency, alive, 0);
             for &(a, b, w) in links.iter() {
                 for (v, u) in [(a, b), (b, a)] {
-                    neighbours[filled[v]] = (u, w);
-                    filled[v] += 1;
+                    first[v] -= 1;
+                    neighbours[first[v]] = (u, w);
                     adjacency[v] += w;
                 }
             }
             // A vertex on its own is a cut (`adjacency` holds degrees here).
-            bound = alive.iter().map(|&v| adjacency[v]).fold(bound, u64::min);
+            bound = adjacency.iter().copied().fold(bound, u64::min);
             if bound == 0 {
                 break;
             }
-            // One maximum-adjacency order (stale heap entries are skipped);
-            // `parent` collects the merges.
-            for &v in alive.iter() {
-                adjacency[v] = 0;
-                chosen[v] = false;
-            }
-            heap.extend(alive.iter().map(|&v| (0, v)));
-            while let Some((seen, next)) = heap.pop() {
-                if chosen[next] || seen != adjacency[next] {
-                    continue;
-                }
+            // One capped maximum-adjacency order (keys `min(bound,
+            // adjacency)`, stale entries skipped, a vertex no link reached
+            // when the queue runs dry); `parent` collects the merges.
+            adjacency.fill(0);
+            refill(chosen, alive, false);
+            parent.clear();
+            parent.extend(0..alive);
+            queue.reset(bound, 2 * links.len());
+            loop {
+                let next = match queue.pop() {
+                    Some((seen, v)) if !chosen[v] && seen == adjacency[v].min(bound) => v,
+                    Some(_) => continue,
+                    None => match (0..alive).find(|&v| !chosen[v]) {
+                        Some(v) => v,
+                        None => break,
+                    },
+                };
                 chosen[next] = true;
+                // Stays a root: the merges below hang other roots on it.
+                let root = find(parent, next);
                 for &(u, w) in &neighbours[first[next]..first[next + 1]] {
                     if chosen[u] {
                         continue;
                     }
                     adjacency[u] += w;
-                    heap.push((adjacency[u], u));
                     if adjacency[u] >= bound {
-                        let (a, b) = (find(parent, u), find(parent, next));
-                        parent[a] = b;
+                        let a = find(parent, u);
+                        parent[a] = root;
+                    }
+                    if adjacency[u] - w < bound {
+                        queue.push(adjacency[u].min(bound), u);
                     }
                 }
             }
-            // Contract: links inside a class vanish, parallel ones just add.
+            // Contract: number the classes; links inside one vanish,
+            // parallel ones just add.
+            refill(class, alive, usize::MAX);
+            let mut classes = 0;
+            for v in 0..alive {
+                let root = find(parent, v);
+                if class[root] == usize::MAX {
+                    class[root] = classes;
+                    classes += 1;
+                }
+                class[v] = class[root];
+            }
             for link in links.iter_mut() {
-                *link = (find(parent, link.0), find(parent, link.1), link.2);
+                *link = (class[link.0], class[link.1], link.2);
             }
             links.retain(|&(a, b, _)| a != b);
-            alive.retain(|&v| parent[v] == v);
+            alive = classes;
         }
         bound
+    }
+}
+
+/// One phase's vertices by key, highest first: one bucket per key, or a
+/// heap when there are none (the module doc's *The queue*). Entries go
+/// stale when a key rises; the caller skips them.
+#[derive(Default)]
+struct OrderQueue {
+    buckets: Vec<Vec<usize>>,
+    /// No bucket above this one holds an entry.
+    top: usize,
+    heap: BinaryHeap<(u64, usize)>,
+}
+
+impl OrderQueue {
+    /// Empties the queue for keys `0..=cap`: buckets if `cap` is at most
+    /// `half_edges`, else the heap.
+    fn reset(&mut self, cap: u64, half_edges: usize) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        let cap = usize::try_from(cap).unwrap_or(usize::MAX);
+        let buckets = if cap <= half_edges { cap + 1 } else { 0 };
+        self.buckets.resize_with(buckets, Vec::new);
+        self.top = 0;
+        self.heap.clear();
+    }
+
+    fn push(&mut self, key: u64, v: usize) {
+        match self.buckets.get_mut(key as usize) {
+            Some(bucket) => {
+                bucket.push(v);
+                self.top = self.top.max(key as usize);
+            }
+            None => self.heap.push((key, v)),
+        }
+    }
+
+    /// Removes an entry of the highest key: `(key, vertex)`.
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        if self.buckets.is_empty() {
+            return self.heap.pop();
+        }
+        loop {
+            if let Some(v) = self.buckets[self.top].pop() {
+                return Some((self.top as u64, v));
+            }
+            self.top = self.top.checked_sub(1)?;
+        }
     }
 }
 
@@ -222,7 +290,7 @@ mod tests {
             u64::MAX,
         ] {
             assert_eq!(
-                bounded_min_cut(&u, nodes, limit),
+                MinCutScratch::default().min_cut(&u, nodes, limit),
                 limit.min(cut),
                 "limit {limit}, cut {exact:?}, nodes {nodes:?} of {g:?}"
             );
@@ -239,12 +307,18 @@ mod tests {
         let heavy = !cfg!(debug_assertions);
         let mut rng = StdRng::seed_from_u64(1234);
         let mut cuts = BTreeSet::new();
-        for trial in 0..if heavy { 300 } else { 60 } {
+        for trial in 0..if heavy { 500 } else { 100 } {
             let n = rng.gen_range(5..=if heavy { 14 } else { 9 });
-            let dense = match trial % 3 {
+            let dense = match trial % 5 {
                 0 => gen::random_connected(n, 0.5, 4, &mut rng),
                 1 => gen::complete_heterogeneous(n, 1, 5, &mut rng),
-                _ => gen::random_k_connected(n, 3, 3, 0.2, &mut rng),
+                2 => gen::random_k_connected(n, 3, 3, 0.2, &mut rng),
+                // Links of at most 2 keep every phase on buckets: its
+                // smallest degree is at most `4m / alive ≤ 2m`.
+                3 => gen::random_connected(n, 0.8, 1, &mut rng),
+                // Links of 2^33 and more: a phase's bound is 0 (no queue)
+                // or above `2m`, so every queue is the heap.
+                _ => gen::complete_heterogeneous(n, 1 << 33, 1 << 40, &mut rng),
             };
             // Thinned so that some graphs fall apart.
             let keep_link = if trial % 2 == 0 { 1.0 } else { 0.55 };
@@ -293,8 +367,8 @@ mod tests {
     #[test]
     fn fewer_than_two_nodes_have_no_cut() {
         let u = UnGraph::from_digraph(&gen::complete(3, 1));
-        assert_eq!(bounded_min_cut(&u, &[1], 9), 9);
-        assert_eq!(bounded_min_cut(&u, &[], 9), 9);
+        assert_eq!(MinCutScratch::default().min_cut(&u, &[1], 9), 9);
+        assert_eq!(MinCutScratch::default().min_cut(&u, &[], 9), 9);
     }
 
     #[test]
@@ -305,6 +379,9 @@ mod tests {
         // and the removed node's links are gone from the view.
         assert_eq!(check(&g, &[0, 1, 2, 3]), Some(6));
         let u = UnGraph::from_digraph(&g);
-        assert_eq!(bounded_min_cut(&u, &[0, 1, 2, 3, 4], u64::MAX), 0);
+        assert_eq!(
+            MinCutScratch::default().min_cut(&u, &[0, 1, 2, 3, 4], u64::MAX),
+            0
+        );
     }
 }

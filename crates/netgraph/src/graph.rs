@@ -100,11 +100,6 @@ impl DiGraph {
         (0..self.node_count).filter(move |&v| self.active[v])
     }
 
-    /// The set of active nodes.
-    pub fn node_set(&self) -> BTreeSet<NodeId> {
-        self.nodes().collect()
-    }
-
     /// Adds a directed edge.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Property-based tests for flows, packings, and connectivity.
 
 use nab_netgraph::arborescence::{pack_arborescences, validate_packing};
-use nab_netgraph::connectivity::{vertex_connectivity_pair, vertex_disjoint_paths, PathExtractor};
+use nab_netgraph::connectivity::{vertex_connectivity_pair, PathExtractor};
 use nab_netgraph::flow::{
     broadcast_rate, min_cut, min_cut_undirected, min_pairwise_cut_undirected, FlowNet,
 };
@@ -125,7 +125,7 @@ proptest! {
     fn disjoint_paths_match_connectivity(g in arb_graph()) {
         let k = vertex_connectivity_pair(&g, 0, g.node_count() - 1) as usize;
         if k > 0 {
-            let paths = vertex_disjoint_paths(&g, 0, g.node_count() - 1, k)
+            let paths = PathExtractor::new(&g).extract(0, g.node_count() - 1, k)
                 .expect("connectivity many paths");
             prop_assert_eq!(paths.len(), k);
             // Pairwise internal disjointness.
@@ -137,7 +137,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(vertex_disjoint_paths(&g, 0, g.node_count() - 1, k + 1).is_none());
+        prop_assert!(PathExtractor::new(&g).extract(0, g.node_count() - 1, k + 1).is_none());
     }
 
     /// One extractor reused over every ordered pair, in a shuffled order,
@@ -182,7 +182,7 @@ proptest! {
         for (s, t) in pairs {
             let want = paths_on_a_fresh_network(&g, s, t, k);
             prop_assert_eq!(&extractor.extract(s, t, k), &want, "{} -> {}", s, t);
-            prop_assert_eq!(&vertex_disjoint_paths(&g, s, t, k), &want, "{} -> {}", s, t);
+            prop_assert_eq!(&PathExtractor::new(&g).extract(s, t, k), &want, "{} -> {}", s, t);
         }
     }
 

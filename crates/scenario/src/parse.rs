@@ -76,13 +76,6 @@ pub struct Key {
     get: fn(&ScenarioSpec) -> String,
 }
 
-impl Key {
-    /// The value an omitted key takes, as a file writes it.
-    pub fn default_value(&self) -> String {
-        (self.get)(&ScenarioSpec::default())
-    }
-}
-
 /// The [`Key`] for `field`: `parse` reads a value into it, `render` writes
 /// it back.
 macro_rules! key {
@@ -284,7 +277,7 @@ net = on
                 files += 1;
             }
         }
-        assert_eq!(files, 21 + 11);
+        assert_eq!(files, 22 + 11);
     }
 
     #[test]
@@ -407,7 +400,12 @@ net = on
             assert_eq!(documented, want, "{heading}");
         }
         let keys: Vec<(String, String)> = (KEYS.iter())
-            .map(|k| (format!("`{}`", k.name), format!("`{}`", k.default_value())))
+            .map(|k| {
+                (
+                    format!("`{}`", k.name),
+                    format!("`{}`", (k.get)(&ScenarioSpec::default())),
+                )
+            })
             .collect();
         assert_eq!(rows("## Keys"), keys, "## Keys");
     }
