@@ -5,8 +5,8 @@
 //! selections of one graph — minimised over the members, so each member is
 //! asked for `min(limit, mincut)` with `limit` the minimum so far. That
 //! saves little: whether it beats `limit` or not, a member takes 5–6
-//! contraction phases on `torus:8:8:2` at `f = 1` (337 over 64 members),
-//! 2–8 on the other `plan-cold` fabrics and 14–32 on `circulant:64:3:2` at
+//! contraction phases on `torus:8:8:2` at `f = 1` (325 over 64 members),
+//! 2–5 on the other `plan-cold` fabrics and 14–32 on `circulant:64:3:2` at
 //! `f = 2`, so the phase is what has to be cheap.
 //!
 //! # The contraction rule
@@ -148,11 +148,12 @@ impl MinCutScratch {
             parent.clear();
             parent.extend(0..alive);
             queue.reset(bound, 2 * links.len());
+            let mut unreached = 0..alive;
             loop {
                 let next = match queue.pop() {
                     Some((seen, v)) if !chosen[v] && seen == adjacency[v].min(bound) => v,
                     Some(_) => continue,
-                    None => match (0..alive).find(|&v| !chosen[v]) {
+                    None => match unreached.find(|&v| !chosen[v]) {
                         Some(v) => v,
                         None => break,
                     },
@@ -169,6 +170,7 @@ impl MinCutScratch {
                         let a = find(parent, u);
                         parent[a] = root;
                     }
+                    // Below the cap before, so its key rose.
                     if adjacency[u] - w < bound {
                         queue.push(adjacency[u].min(bound), u);
                     }
