@@ -125,11 +125,7 @@ pub fn omega_subsets(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Vec<BT
 /// All members of `Ω_k` are selections from one undirected view of `g`,
 /// visited one at a time without materialising `Ω_k`, each cut by
 /// [`MinCutScratch::min_cut`] bounded by the minimum over the members
-/// before it. The bound does not shorten a member (2–6 contraction phases
-/// on the `plan-cold` fabrics, 14–32 on `circulant:64:3:2` at `f = 2`), so
-/// a phase orders its vertices on buckets capped at the bound, linear in
-/// its links, or on a heap when the bound exceeds its half-edge count.
-/// The flow-based brute force remains as the tests' oracle.
+/// before it; the flow-based brute force remains as the tests' oracle.
 pub fn u_k(g: &DiGraph, f: usize, disputes: &BTreeSet<Pair>) -> Option<u64> {
     let view = UnGraph::from_digraph(g);
     let mut scratch = MinCutScratch::default();

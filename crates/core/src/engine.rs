@@ -76,10 +76,10 @@ pub enum NabError {
         /// The rate `γ` the packing was attempted at.
         gamma: u64,
     },
-    /// `γ₁`, one Phase-1 arborescence per unit, is above
+    /// `γ_k`, one Phase-1 arborescence per unit, is above
     /// [`MAX_TREES`].
     TooManyTrees {
-        /// The broadcast rate `γ₁`.
+        /// The broadcast rate `γ_k`.
         gamma: u64,
     },
     /// [`NabEngine::from_plan`] was given a plan built for a different
@@ -116,7 +116,7 @@ impl std::fmt::Display for NabError {
                 )
             }
             NabError::TooManyTrees { gamma } => {
-                write!(f, "γ₁={gamma} > {MAX_TREES} trees: scale capacities down")
+                write!(f, "γ={gamma} > {MAX_TREES} trees: scale capacities down")
             }
             NabError::PlanMismatch { plan_f, cfg_f } => {
                 write!(
@@ -401,8 +401,10 @@ impl NabEngine {
     /// # Errors
     ///
     /// Returns [`NabError::WrongInputSize`] on a bad input (before the
-    /// engine's state is touched), [`NabError::ArborescencePacking`] if
-    /// `G_k` admits no packing at `γ_k`, or
+    /// engine's state is touched), [`NabError::TooManyTrees`] if a
+    /// replan's `γ_k` is above [`MAX_TREES`],
+    /// [`NabError::ArborescencePacking`] if `G_k` admits no packing at
+    /// `γ_k`, or
     /// [`NabError::NoEqualityParameter`] if dispute evolution drove `U_k`
     /// below 2 (neither can happen on networks meeting the paper's
     /// assumptions).

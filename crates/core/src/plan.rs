@@ -42,11 +42,22 @@ use crate::phase2::{charge_flags, BroadcastKind};
 )]
 type PointMap<K, V> = std::collections::HashMap<K, V>;
 
-/// The most Phase-1 arborescences [`ExecutionPlan::build`] packs, one per
-/// unit of `γ₁`. The largest `γ₁` of a bundled scenario or benchmark
+/// The most Phase-1 arborescences a plan packs for one `G_k`, one per
+/// unit of `γ_k`. The largest `γ₁` of a bundled scenario or benchmark
 /// workload is 65 (`e5-thinlink`); link capacities in the billions would
 /// otherwise ask for billions of `(n − 1)`-edge trees.
 pub const MAX_TREES: u64 = 1 << 16;
+
+/// `γ_k` of `g`, refused above [`MAX_TREES`] before anything packs it:
+/// [`ExecutionPlan::build`] checks `G_1` with it and [`Gk::derive`] each
+/// replan, whose `γ_k` can exceed `γ₁` once an excluded node's thin links
+/// no longer bound it.
+fn tree_count(g: &DiGraph) -> Result<u64, NabError> {
+    match gamma_k(g, SOURCE) {
+        gamma if gamma > MAX_TREES => Err(NabError::TooManyTrees { gamma }),
+        gamma => Ok(gamma),
+    }
+}
 
 /// The immutable one-time planning artifact for one network deployment
 /// `(G, f)` rooted at [`SOURCE`].
@@ -98,7 +109,7 @@ impl ExecutionPlan {
     ///
     /// Returns the violated condition, with topology/rate context for
     /// packing failures, and [`NabError::TooManyTrees`] before packing
-    /// when `γ₁` is above [`MAX_TREES`].
+    /// when `γ₁` is above [`MAX_TREES`] ([`tree_count`]).
     pub fn build(g: DiGraph, f: usize) -> Result<ExecutionPlan, NabError> {
         let t0 = clock::mono_now();
         let n = g.active_count();
@@ -109,10 +120,7 @@ impl ExecutionPlan {
         // paper's `2f+1` condition; it is not proven a second time.
         let router = PathRouter::build(&g, f).ok_or(NabError::InsufficientConnectivity)?;
         let rho0 = rho_k(&g, f, &BTreeSet::new()).ok_or(NabError::NoEqualityParameter)?;
-        let gamma0 = gamma_k(&g, SOURCE);
-        if gamma0 > MAX_TREES {
-            return Err(NabError::TooManyTrees { gamma: gamma0 });
-        }
+        let gamma0 = tree_count(&g)?;
         let (trees0, pack_stats) =
             pack_arborescences_with_stats(&g, SOURCE, gamma0).ok_or_else(|| {
                 NabError::ArborescencePacking {
@@ -329,11 +337,12 @@ impl Gk {
     ///
     /// # Errors
     ///
-    /// Returns [`NabError::ArborescencePacking`] if no packing exists at
-    /// `γ_k`.
+    /// Returns [`NabError::TooManyTrees`] if `γ_k` is above [`MAX_TREES`]
+    /// ([`tree_count`]), and [`NabError::ArborescencePacking`] if no
+    /// packing exists at `γ_k`.
     pub(crate) fn derive(g1: &DiGraph, disputes: &DisputeState) -> Result<Gk, NabError> {
         let graph = disputes.current_graph(g1);
-        let gamma = gamma_k(&graph, SOURCE);
+        let gamma = tree_count(&graph)?;
         let trees = pack_arborescences(&graph, SOURCE, gamma).ok_or_else(|| {
             NabError::ArborescencePacking {
                 n: graph.active_count(),
@@ -856,6 +865,23 @@ mod tests {
                 Err(NabError::TooManyTrees { gamma }) if gamma == 3 * cap
             ));
         }
+        // A replan is refused too: K5 whose node 4 has links of 1 and the
+        // rest links of 2^20 plans at γ₁ = 4, but with node 4 excluded
+        // `G_k` is a K4 of γ_k = 3·2^20.
+        let mut g = DiGraph::new(5);
+        for a in 0..5 {
+            for b in (0..5).filter(|&b| b != a) {
+                g.add_edge(a, b, if a == 4 || b == 4 { 1 } else { 1 << 20 });
+            }
+        }
+        let plan = ExecutionPlan::build(g, 1).unwrap();
+        assert_eq!(plan.gamma0(), 4);
+        let mut disputes = DisputeState::new();
+        disputes.removed.insert(4);
+        assert!(matches!(
+            Gk::derive(plan.graph(), &disputes),
+            Err(NabError::TooManyTrees { gamma }) if gamma == 3 << 20
+        ));
     }
 
     #[test]

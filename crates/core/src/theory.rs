@@ -8,15 +8,16 @@
 //! invertible square submatrix `M_H` whose columns follow `ρ ≤ U/2`
 //! edge-disjoint spanning trees of `H̄`.
 //!
-//! This module builds `C_H` explicitly so the experiments can measure how
-//! often random coding matrices are correct and compare against the
-//! paper's probability bound; its tests build `M_H` from a tree packing.
+//! This module builds `C_H` and `M_H` explicitly so the experiments can
+//! measure how often random coding matrices are correct and compare against
+//! the paper's probability bound.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use nab_gf::matrix::Matrix;
 use nab_gf::{linalg, Field, Gf2_16};
+use nab_netgraph::treepack::Tree;
 use nab_netgraph::{DiGraph, NodeId};
 
 use crate::equality::CodingScheme;
@@ -102,6 +103,55 @@ fn sound_with<F: Field, M: Borrow<Matrix<F>>>(
     linalg::rank(&ch) == ch.rows()
 }
 
+/// Extracts the square spanning-tree submatrix `M_H` of `C_H`: one column
+/// per tree edge per tree, where `trees` is a packing of `ρ` edge-disjoint
+/// spanning trees of `H̄` (from [`nab_netgraph::treepack`]).
+///
+/// Returns `None` if the trees over-consume some directed edge's capacity
+/// (which a valid packing never does).
+///
+/// # Panics
+///
+/// Panics if `trees.len() != scheme.rho()`.
+pub fn spanning_submatrix(
+    h: &DiGraph,
+    scheme: &CodingScheme,
+    trees: &[Tree],
+) -> Option<Matrix<Gf2_16>> {
+    assert_eq!(
+        trees.len(),
+        scheme.rho(),
+        "need exactly ρ spanning trees for M_H"
+    );
+    let ch = build_ch(h, scheme);
+    let layout = column_layout(h);
+    // Per-directed-edge consumption counters: an undirected tree edge
+    // (a, b) consumes one capacity unit, drawn from (a→b) columns first,
+    // then (b→a).
+    let mut used: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
+    let mut cols: Vec<usize> = Vec::new();
+    for tree in trees {
+        for &(a, b) in tree {
+            let mut took = false;
+            for key in [(a, b), (b, a)] {
+                if let Some(&(start, end)) = layout.get(&key) {
+                    let u = used.entry(key).or_insert(0);
+                    if start + *u < end {
+                        cols.push(start + *u);
+                        *u += 1;
+                        took = true;
+                        break;
+                    }
+                }
+            }
+            if !took {
+                return None;
+            }
+        }
+    }
+    Some(ch.select_cols(&cols))
+}
+
 /// Constructs *colliding values* defeating the equality check on `h`, if
 /// any exist: distinct per-node values (each of `ρ` symbols) for which
 /// every check in Algorithm 1 passes, so no fault-free node raises
@@ -167,74 +217,24 @@ pub fn theorem1_trial<F: Field, R: rand::Rng + ?Sized>(
     true
 }
 
+/// End-to-end Theorem 1 verification for one subgraph: pack `ρ` spanning
+/// trees of `H̄`, extract `M_H`, and test invertibility.
+///
+/// Returns `None` when no `ρ`-tree packing exists (i.e. `ρ > U_H/2` was
+/// chosen too aggressively).
+pub fn mh_invertible(h: &DiGraph, scheme: &CodingScheme) -> Option<bool> {
+    let u = nab_netgraph::UnGraph::from_digraph(h);
+    let trees = nab_netgraph::treepack::pack_spanning_trees(&u, scheme.rho())?;
+    let mh = spanning_submatrix(h, scheme, &trees)?;
+    Some(linalg::is_invertible(&mh))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds;
     use nab_netgraph::gen;
-    use nab_netgraph::treepack::Tree;
     use std::collections::BTreeSet;
-
-    /// Extracts the square spanning-tree submatrix `M_H` of `C_H`: one column
-    /// per tree edge per tree, where `trees` is a packing of `ρ` edge-disjoint
-    /// spanning trees of `H̄` (from [`nab_netgraph::treepack`]).
-    ///
-    /// Returns `None` if the trees over-consume some directed edge's capacity
-    /// (which a valid packing never does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trees.len() != scheme.rho()`.
-    fn spanning_submatrix(
-        h: &DiGraph,
-        scheme: &CodingScheme,
-        trees: &[Tree],
-    ) -> Option<Matrix<Gf2_16>> {
-        assert_eq!(
-            trees.len(),
-            scheme.rho(),
-            "need exactly ρ spanning trees for M_H"
-        );
-        let ch = build_ch(h, scheme);
-        let layout = column_layout(h);
-        // Per-directed-edge consumption counters: an undirected tree edge
-        // (a, b) consumes one capacity unit, drawn from (a→b) columns first,
-        // then (b→a).
-        let mut used: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
-        let mut cols: Vec<usize> = Vec::new();
-        for tree in trees {
-            for &(a, b) in tree {
-                let mut took = false;
-                for key in [(a, b), (b, a)] {
-                    if let Some(&(start, end)) = layout.get(&key) {
-                        let u = used.entry(key).or_insert(0);
-                        if start + *u < end {
-                            cols.push(start + *u);
-                            *u += 1;
-                            took = true;
-                            break;
-                        }
-                    }
-                }
-                if !took {
-                    return None;
-                }
-            }
-        }
-        Some(ch.select_cols(&cols))
-    }
-
-    /// End-to-end Theorem 1 verification for one subgraph: pack `ρ` spanning
-    /// trees of `H̄`, extract `M_H`, and test invertibility.
-    ///
-    /// Returns `None` when no `ρ`-tree packing exists (i.e. `ρ > U_H/2` was
-    /// chosen too aggressively).
-    fn mh_invertible(h: &DiGraph, scheme: &CodingScheme) -> Option<bool> {
-        let u = nab_netgraph::UnGraph::from_digraph(h);
-        let trees = nab_netgraph::treepack::pack_spanning_trees(&u, scheme.rho())?;
-        let mh = spanning_submatrix(h, scheme, &trees)?;
-        Some(linalg::is_invertible(&mh))
-    }
 
     #[test]
     fn ch_dimensions() {

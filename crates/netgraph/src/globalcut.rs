@@ -1,13 +1,11 @@
 //! Bounded global minimum cut of undirected capacitated graphs
 //! (Nagamochi–Ono–Ibaraki contraction on a capped bucket queue).
 //!
-//! `U_k` is the global min cut of each member of `Ω_k` — `C(n, n−f)` node
-//! selections of one graph — minimised over the members, so each member is
-//! asked for `min(limit, mincut)` with `limit` the minimum so far. That
-//! saves little: whether it beats `limit` or not, a member takes 5–6
-//! contraction phases on `torus:8:8:2` at `f = 1` (325 over 64 members),
-//! 2–5 on the other `plan-cold` fabrics and 14–32 on `circulant:64:3:2` at
-//! `f = 2`, so the phase is what has to be cheap.
+//! `U_k` minimises the global min cut over the members of `Ω_k`, so each
+//! member is asked for `min(limit, mincut)` with `limit` the minimum so
+//! far. Whether it beats `limit` or not, a member takes 2–6 contraction
+//! phases on the `plan-cold` fabrics and 14–32 on `circulant:64:3:2` at
+//! `f = 2`, so the phase has to be cheap.
 //!
 //! # The contraction rule
 //!
@@ -39,20 +37,17 @@
 //! `v_{i+1}` is active and `C_{i+1} = C`. ∎
 //!
 //! So a not-yet-chosen `u` whose adjacency to the chosen part reaches an
-//! upper bound `λ̄` on the answer merges with the vertex just chosen: no
-//! cut below `λ̄` separates them. `λ̄` is `limit`, lowered to the smallest
-//! weighted degree before each phase (a vertex alone is a cut). The last
-//! vertex of a phase always merges, and the answer does not depend on
-//! which capped order a phase takes.
+//! upper bound `λ̄` on the answer merges with the vertex just chosen. `λ̄`
+//! is `limit`, lowered to the smallest weighted degree before each phase
+//! (a vertex alone is a cut); the last vertex of a phase always merges.
 //!
 //! # The queue
 //!
-//! Keys lie in `0..=λ̄` and only rise. When `λ̄` is at most the phase's
-//! half-edge count `2m` (every bundled scenario and workload), a phase
-//! keeps one bucket per key and a top pointer, pushes a vertex again only
-//! when its key changes and skips stale entries: `O(m + λ̄) = O(m)`. Above
-//! `2m`, which only wide capacities reach, buckets would outnumber links,
-//! and a binary heap on the same keys takes `O(m log m)`.
+//! Keys lie in `0..=λ̄` and only rise. While `λ̄ ≤ 8m` for the phase's `m`
+//! links, a phase keeps one bucket per key and a top pointer and skips
+//! stale entries, `O(m + λ̄)`; above, where the buckets' memory would
+//! outgrow the links', a binary heap of the same keys, `O(m log m)`. The
+//! crossover measured in `docs/perf.md` lies at about `9m`–`11m`.
 
 use std::collections::BinaryHeap;
 
@@ -211,11 +206,11 @@ struct OrderQueue {
 
 impl OrderQueue {
     /// Empties the queue for keys `0..=cap`: buckets if `cap` is at most
-    /// `half_edges`, else the heap.
+    /// four per half-edge, else the heap.
     fn reset(&mut self, cap: u64, half_edges: usize) {
         self.buckets.iter_mut().for_each(Vec::clear);
         let cap = usize::try_from(cap).unwrap_or(usize::MAX);
-        let buckets = if cap <= half_edges { cap + 1 } else { 0 };
+        let buckets = if cap <= 4 * half_edges { cap + 1 } else { 0 };
         self.buckets.resize_with(buckets, Vec::new);
         self.top = 0;
         self.heap.clear();
@@ -311,29 +306,37 @@ mod tests {
         let mut cuts = BTreeSet::new();
         for trial in 0..if heavy { 500 } else { 100 } {
             let n = rng.gen_range(5..=if heavy { 14 } else { 9 });
+            // Two complete halves joined by a few bridges: the cut is
+            // below every degree, so only a true capped order finds it.
+            let (half, bridges) = (n / 2, rng.gen_range(1..=2));
             let dense = match trial % 5 {
                 0 => gen::random_connected(n, 0.5, 4, &mut rng),
                 1 => gen::complete_heterogeneous(n, 1, 5, &mut rng),
                 2 => gen::random_k_connected(n, 3, 3, 0.2, &mut rng),
                 // Links of at most 2 keep every phase on buckets: its
                 // smallest degree is at most `4m / alive ≤ 2m`.
-                3 => gen::random_connected(n, 0.8, 1, &mut rng),
+                3 => gen::barbell(half, 1, bridges, 1),
                 // Links of 2^33 and more: a phase's bound is 0 (no queue)
-                // or above `2m`, so every queue is the heap.
-                _ => gen::complete_heterogeneous(n, 1 << 33, 1 << 40, &mut rng),
+                // or above `8m`, so every queue is the heap.
+                _ => gen::barbell(half, rng.gen_range(1 << 34..1 << 40), bridges, 1 << 33),
             };
-            // Thinned so that some graphs fall apart.
+            // Thinned so that some graphs fall apart, and relabelled so
+            // that no order by id is a maximum-adjacency one.
             let keep_link = if trial % 2 == 0 { 1.0 } else { 0.55 };
-            let mut g = DiGraph::new(n);
+            let mut label: Vec<NodeId> = dense.nodes().collect();
+            for i in (1..label.len()).rev() {
+                label.swap(i, rng.gen_range(0..=i));
+            }
+            let mut g = DiGraph::new(dense.node_count());
             for (_, e) in dense.edges() {
                 if rng.gen_bool(keep_link) {
-                    g.add_edge(e.src, e.dst, e.cap);
+                    g.add_edge(label[e.src], label[e.dst], e.cap);
                 }
             }
             let all: Vec<NodeId> = g.nodes().collect();
             cuts.extend(check(&g, &all));
             // A proper subset, as `Ω_k` selects them.
-            let dropped = rng.gen_range(0..n);
+            let dropped = rng.gen_range(0..g.node_count());
             let subset: Vec<NodeId> = all.iter().copied().filter(|&v| v != dropped).collect();
             cuts.extend(check(&g, &subset));
         }

@@ -76,6 +76,13 @@ pub struct Key {
     get: fn(&ScenarioSpec) -> String,
 }
 
+impl Key {
+    /// The value an omitted key takes, as a file writes it.
+    pub fn default_value(&self) -> String {
+        (self.get)(&ScenarioSpec::default())
+    }
+}
+
 /// The [`Key`] for `field`: `parse` reads a value into it, `render` writes
 /// it back.
 macro_rules! key {
@@ -400,12 +407,7 @@ net = on
             assert_eq!(documented, want, "{heading}");
         }
         let keys: Vec<(String, String)> = (KEYS.iter())
-            .map(|k| {
-                (
-                    format!("`{}`", k.name),
-                    format!("`{}`", (k.get)(&ScenarioSpec::default())),
-                )
-            })
+            .map(|k| (format!("`{}`", k.name), format!("`{}`", k.default_value())))
             .collect();
         assert_eq!(rows("## Keys"), keys, "## Keys");
     }
