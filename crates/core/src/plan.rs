@@ -109,7 +109,7 @@ impl ExecutionPlan {
     ///
     /// Returns the violated condition, with topology/rate context for
     /// packing failures, and [`NabError::TooManyTrees`] before packing
-    /// when `γ₁` is above [`MAX_TREES`] ([`tree_count`]).
+    /// when `γ₁` is above [`MAX_TREES`].
     pub fn build(g: DiGraph, f: usize) -> Result<ExecutionPlan, NabError> {
         let t0 = clock::mono_now();
         let n = g.active_count();
@@ -337,9 +337,9 @@ impl Gk {
     ///
     /// # Errors
     ///
-    /// Returns [`NabError::TooManyTrees`] if `γ_k` is above [`MAX_TREES`]
-    /// ([`tree_count`]), and [`NabError::ArborescencePacking`] if no
-    /// packing exists at `γ_k`.
+    /// Returns [`NabError::TooManyTrees`] if `γ_k` is above [`MAX_TREES`],
+    /// and [`NabError::ArborescencePacking`] if no packing exists at
+    /// `γ_k`.
     pub(crate) fn derive(g1: &DiGraph, disputes: &DisputeState) -> Result<Gk, NabError> {
         let graph = disputes.current_graph(g1);
         let gamma = tree_count(&graph)?;
