@@ -169,8 +169,8 @@ pub(crate) fn dc3_on_routes(
         // outcome of checking the claimed received symbols. The implied
         // value is packed once for all its incident edges.
         pack_slab(&c.implied_value(trees), scheme.rho(), &mut xt);
-        for (_, e) in gk.out_edges(v) {
-            let prescribed = scheme.encode_packed(v, e.dst, &xt);
+        for (id, e) in gk.out_edges(v) {
+            let prescribed = scheme.encode_packed(scheme.edge_rows(id), &xt);
             match c.eq_sent.get(&e.dst) {
                 Some(s) if *s == prescribed => {}
                 _ => {
@@ -179,9 +179,9 @@ pub(crate) fn dc3_on_routes(
             }
         }
         let mut should_flag = false;
-        for (_, e) in gk.in_edges(v) {
+        for (id, e) in gk.in_edges(v) {
             let got = c.eq_received.get(&e.src).map_or(&[][..], Vec::as_slice);
-            if scheme.encode_packed(e.src, v, &xt) != got {
+            if scheme.encode_packed(scheme.edge_rows(id), &xt) != got {
                 should_flag = true;
             }
         }

@@ -1043,11 +1043,31 @@ mod tests {
         }
     }
 
+    /// Node 2 corrupts its Phase-1 forwards as [`TruthfulCorruptor`] does;
+    /// every other faulty node follows the protocol.
+    struct Node2Corrupts;
+
+    impl NabAdversary for Node2Corrupts {
+        fn phase1_forward(
+            &mut self,
+            node: NodeId,
+            tree: usize,
+            child: NodeId,
+            honest: &[nab_gf::Gf2_16],
+        ) -> Vec<nab_gf::Gf2_16> {
+            if node == 2 {
+                TruthfulCorruptor.phase1_forward(node, tree, child, honest)
+            } else {
+                honest.to_vec()
+            }
+        }
+    }
+
     /// One engine's equality slab and product are rewritten where they lie
-    /// from its second instance on — through the disputed instances too,
-    /// whose `honest_claims` read the products (via `eq.sends()`) before
-    /// the next instance recycles them — and every report equals that of
-    /// the same engine state running on fresh buffers.
+    /// whenever they hold no more symbols than they have held before —
+    /// through the disputed instance too, whose `honest_claims` reads
+    /// `eq.sends()` — and every report equals that of the same engine state
+    /// running on fresh buffers.
     #[test]
     fn equality_scratch_is_reused_across_instances_and_disputes() {
         // f = 2, so the equality check still runs once a node is exposed.
@@ -1058,15 +1078,21 @@ mod tests {
         };
         let mut e = NabEngine::new(gen::complete(7, 1), cfg).unwrap();
         let x = input(720);
-        let faulty = BTreeSet::from([2]);
-        let mut storage = None;
-        let (mut disputes, mut reused_after_a_dispute) = (0, 0);
-        for i in 0..5 {
+        // Node 2 corrupts in instance 2 and is exposed; node 5 stays in
+        // G_k, so its out-edges are compared (stacked and multiplied) in
+        // every instance, before the dispute and after it.
+        let faulty = BTreeSet::from([2, 5]);
+        // Class 0's slab and product: where each lies, and the most
+        // symbols it has held.
+        let mut held: Option<[(*const nab_gf::Gf2_16, usize); 2]> = None;
+        let mut in_place = Vec::new();
+        let mut disputed = Vec::new();
+        for i in 0..6 {
             let mut fresh = e.clone();
             fresh.eq_scratch = EqScratch::default();
             let [got, want] = [&mut e, &mut fresh].map(|engine| {
-                let adv: &mut dyn NabAdversary = if i == 1 {
-                    &mut TruthfulCorruptor
+                let adv: &mut dyn NabAdversary = if i == 2 {
+                    &mut Node2Corrupts
                 } else {
                     &mut HonestStrategy
                 };
@@ -1074,14 +1100,36 @@ mod tests {
             });
             assert_reports_match(&got, &want, &format!("instance {i}"));
             assert!(got.rho_k > 0, "instance {i} ran the equality check");
+            if got.dispute_ran {
+                disputed.push(i);
+            }
             // Class 0 (the source's) exists in every instance.
             let now = e.eq_scratch.storage()[0];
-            assert_eq!(*storage.get_or_insert(now), now, "instance {i}");
-            assert_ne!(now, fresh.eq_scratch.storage()[0], "the oracle is fresh");
-            disputes += usize::from(got.dispute_ran);
-            reused_after_a_dispute += usize::from(disputes > 0 && !got.dispute_ran);
+            assert!(now[1].1 > 0, "instance {i} multiplied class 0");
+            assert_ne!(
+                now.map(|(at, _)| at),
+                fresh.eq_scratch.storage()[0].map(|(at, _)| at),
+                "the oracle is fresh"
+            );
+            if let Some(held) = &mut held {
+                if now.iter().zip(held.iter()).all(|(n, h)| n.1 <= h.1) {
+                    assert_eq!(
+                        now.map(|(at, _)| at),
+                        held.map(|(at, _)| at),
+                        "instance {i}"
+                    );
+                    in_place.push(i);
+                }
+                for (h, n) in held.iter_mut().zip(now) {
+                    *h = (n.0, h.1.max(n.1));
+                }
+            } else {
+                held = Some(now);
+            }
         }
-        assert_eq!((disputes, reused_after_a_dispute), (1, 3));
+        assert_eq!(disputed, [2]);
+        assert_eq!(in_place, [1, 3, 4, 5]);
+        assert_eq!(e.disputes().removed, BTreeSet::from([2]));
         assert!(
             e.gk().graph() != e.plan().graph(),
             "the later instances ran on a shrunken G_k"

@@ -14,14 +14,13 @@
 //! cause a MISMATCH at some fault-free node — with probability at least
 //! `1 − 2^{−L/ρ}·C(n, n−f)·(n−f−1)·ρ`.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use nab_gf::field::Field;
 use nab_gf::matrix::Matrix;
 use nab_gf::Gf2_16;
-use nab_netgraph::{DiGraph, NodeId};
+use nab_netgraph::{DiGraph, EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,26 +45,45 @@ pub struct CodingScheme {
     stacked: Arc<Stack>,
 }
 
-/// Which rows of the stacked `Cᵀ` are each live edge's `C_eᵀ`, edges
-/// stacked in `g.edges()` order. It depends on the graph alone, so one
-/// layout serves every instance on a `G_k` ([`crate::plan::Gk`] holds it).
+/// Which rows of the stacked `Cᵀ` are each live edge's `C_eᵀ`: one entry
+/// per live edge in `g.edges()` order, each edge's rows after the last
+/// one's. It depends on the graph alone, so one layout serves every
+/// instance on a `G_k` ([`crate::plan::Gk`] holds it).
 #[derive(Debug, PartialEq, Eq)]
 pub struct RowLayout {
-    rows: BTreeMap<(NodeId, NodeId), Range<usize>>,
+    edges: Vec<LaidEdge>,
     /// Rows of the stack: `Σ_e z_e`.
     height: usize,
+}
+
+/// One live edge of a [`RowLayout`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct LaidEdge {
+    pub(crate) id: EdgeId,
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    /// Its `z_e` rows of the stack.
+    pub(crate) rows: Range<usize>,
 }
 
 impl RowLayout {
     /// The layout of `g`'s live edges.
     pub fn new(g: &DiGraph) -> RowLayout {
-        let mut rows = BTreeMap::new();
         let mut height = 0;
-        for (_, e) in g.edges() {
-            rows.insert((e.src, e.dst), height..height + e.cap as usize);
-            height += e.cap as usize;
-        }
-        RowLayout { rows, height }
+        let edges = g
+            .edges()
+            .map(|(id, e)| {
+                let rows = height..height + e.cap as usize;
+                height = rows.end;
+                LaidEdge {
+                    id,
+                    src: e.src,
+                    dst: e.dst,
+                    rows,
+                }
+            })
+            .collect();
+        RowLayout { edges, height }
     }
 }
 
@@ -126,7 +144,7 @@ impl CodingScheme {
             .map(|_| Gf2_16::random(&mut rng))
             .collect();
         let mut stacked = Matrix::zero(self.layout.height, self.rho);
-        for rows in self.layout.rows.values() {
+        for LaidEdge { rows, .. } in &self.layout.edges {
             let c_e = &draws[rows.start * self.rho..rows.end * self.rho];
             for (r, c_row) in c_e.chunks_exact(rows.len()).enumerate() {
                 for (c, &entry) in c_row.iter().enumerate() {
@@ -185,18 +203,37 @@ impl CodingScheme {
         }
     }
 
+    /// Every live edge of the graph the scheme was laid out on, in
+    /// `g.edges()` order, with its rows of [`CodingScheme::stacked`].
+    pub(crate) fn layout(&self) -> &[LaidEdge] {
+        &self.layout.edges
+    }
+
     /// The rows of [`CodingScheme::stacked`] that are `C_eᵀ` of edge
-    /// `(src, dst)`. Panics if the edge has no matrix (edge absent at
-    /// generation time).
+    /// `(src, dst)`, found by a scan of the layout: `matrix`, `encode` and
+    /// tests ask by endpoints. Panics if the edge has no matrix (edge
+    /// absent at generation time).
     #[expect(
         clippy::panic,
         reason = "plan construction emits a matrix for every live edge"
     )]
     pub(crate) fn rows(&self, src: NodeId, dst: NodeId) -> Range<usize> {
-        (self.layout.rows)
-            .get(&(src, dst))
-            .cloned()
+        let laid = self.layout().iter().find(|e| (e.src, e.dst) == (src, dst));
+        laid.map(|e| e.rows.clone())
             .unwrap_or_else(|| panic!("no coding matrix for edge ({src}, {dst})"))
+    }
+
+    /// The rows of [`CodingScheme::stacked`] that are `C_eᵀ` of edge `id`,
+    /// found by a binary search of the layout, which is in edge-id order.
+    /// Panics if the edge has no matrix.
+    #[expect(
+        clippy::panic,
+        reason = "plan construction emits a matrix for every live edge"
+    )]
+    pub(crate) fn edge_rows(&self, id: EdgeId) -> Range<usize> {
+        let at = self.layout().binary_search_by_key(&id, |e| e.id);
+        at.map(|i| self.layout()[i].rows.clone())
+            .unwrap_or_else(|_| panic!("no coding matrix for edge {id}"))
     }
 
     /// The coding matrix `C_e` of edge `(src, dst)`: `ρ × z_e`, the
@@ -216,26 +253,21 @@ impl CodingScheme {
     pub fn encode(&self, src: NodeId, dst: NodeId, value: &Value) -> Vec<Gf2_16> {
         let mut xt = Matrix::default();
         pack_slab(value, self.rho, &mut xt);
-        self.encode_packed(src, dst, &xt)
+        self.encode_packed(self.rows(src, dst), &xt)
     }
 
     /// [`CodingScheme::encode`] of a value already packed by `pack_slab`,
-    /// for a caller encoding one value on several edges:
-    /// `Y_eᵀ = C_eᵀ · Xᵀ`, the edge's rows of the stack times the `ρ × W`
-    /// slab `xt`, in wire order. (The equality phase multiplies the whole
-    /// stack at once instead.)
+    /// for a caller encoding one value on several edges: `Y_eᵀ = C_eᵀ ·
+    /// Xᵀ` for the edge whose rows of the stack are `rows`, those rows
+    /// times the `ρ × W` slab `xt`, in wire order. (The equality phase
+    /// multiplies a class's rows at once instead.)
     ///
     /// # Panics
     ///
-    /// Panics if the edge has no matrix or `xt` has `!= ρ` rows.
-    pub(crate) fn encode_packed(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        xt: &Matrix<Gf2_16>,
-    ) -> Vec<Gf2_16> {
+    /// Panics if `xt` has `!= ρ` rows.
+    pub(crate) fn encode_packed(&self, rows: Range<usize>, xt: &Matrix<Gf2_16>) -> Vec<Gf2_16> {
         assert_eq!(xt.rows(), self.rho, "packed slab must have ρ rows");
-        let (rows, stacked) = (self.rows(src, dst), self.stacked());
+        let stacked = self.stacked();
         let ct = Matrix::from_fn(rows.len(), self.rho, |r, c| stacked[(rows.start + r, c)]);
         let yt = ct.mat_mul(xt);
         wire_order(&yt, 0..yt.rows(), yt.cols())
@@ -318,6 +350,7 @@ pub(crate) mod tests {
     use nab_gf::kernel::scalar_gemm_acc;
     use nab_netgraph::gen;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// Pure (simulator-free) execution of Algorithm 1 on graph `g` with the
     /// values held by each node, one vector product per column — the test

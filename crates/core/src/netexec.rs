@@ -183,7 +183,7 @@ impl<'a> InstanceTiming<'a> {
         if let Some(eq) = eq {
             let seed = mix(mix(self.seed, EQUALITY_TAG), 0);
             let hist = &mut self.delivered.equality;
-            self.ends[1] = net.serve_exclusive(seed, eq.link_bits(gk), |t| hist.record(t));
+            self.ends[1] = net.serve_exclusive(seed, eq.link_bits(), |t| hist.record(t));
         }
         self.delivered.kernel.accumulate(&net.stats());
     }

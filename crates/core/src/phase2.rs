@@ -3,7 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::Arc;
 
 use nab_bb::eig::{self, EigChannel};
 use nab_bb::phaseking;
@@ -21,30 +20,11 @@ use crate::value::{Value, SYMBOL_BITS};
 /// What a sender put on one edge.
 #[derive(Debug, Clone)]
 enum Sent {
-    /// The prescribed coded symbols, left in slab form: rows `rows`, the
-    /// first `cols` columns of the `Yᵀ = Cᵀ · Xᵀ` product of the sender's
-    /// value class.
-    Coded {
-        yt: Arc<Matrix<Gf2_16>>,
-        rows: Range<usize>,
-        cols: usize,
-    },
-    /// The prescribed coded symbols of a sender whose class's product the
-    /// check never read: `cols` columns of `z` symbols, encoded from
-    /// `held` only if asked for.
-    Deferred { held: Value, z: usize, cols: usize },
+    /// The prescribed coded symbols of an honest sender holding the value
+    /// of class `class`, encoded only if asked for.
+    Prescribed { class: usize },
     /// What a faulty sender chose to transmit, in wire order.
     Substituted(Vec<Gf2_16>),
-}
-
-impl Sent {
-    fn len(&self) -> usize {
-        match self {
-            Sent::Coded { rows, cols, .. } => cols * rows.len(),
-            Sent::Deferred { z, cols, .. } => cols * z,
-            Sent::Substituted(symbols) => symbols.len(),
-        }
-    }
 }
 
 /// Ground truth of one equality-check execution (step 2.1).
@@ -56,61 +36,85 @@ pub struct EqOutcome {
     pub flags: BTreeMap<NodeId, bool>,
     /// Wall-clock duration (`≈ L/ρ_k`).
     pub duration: f64,
-    sends: BTreeMap<(NodeId, NodeId), Sent>,
-    /// The instance's coding matrices, for the deferred sends.
+    /// Per edge of the scheme's layout, in its order.
+    sends: Vec<Sent>,
+    /// Each value class's value.
+    held: Vec<Value>,
+    /// The instance's coding matrices, for the prescribed sends.
     scheme: CodingScheme,
 }
 
 impl EqOutcome {
     /// Coded symbols actually transmitted per edge, in wire order. Built on
-    /// request: the phase keeps honest transmissions in slab form, or not
-    /// at all where it read none of a class's, and only dispute control
-    /// and tests read the symbols.
+    /// request, as only dispute control and tests read the symbols: the
+    /// phase keeps an honest transmission as its sender's value class.
     pub fn sends(&self) -> BTreeMap<(NodeId, NodeId), Vec<Gf2_16>> {
-        self.sends
-            .iter()
-            .map(|(&(src, dst), sent)| {
+        let mut slabs = vec![Matrix::default(); self.held.len()];
+        for (held, xt) in self.held.iter().zip(&mut slabs) {
+            pack_slab(held, self.scheme.rho(), xt);
+        }
+        let edges = self.scheme.layout().iter().zip(&self.sends);
+        edges
+            .map(|(laid, sent)| {
                 let symbols = match sent {
-                    Sent::Coded { yt, rows, cols } => wire_order(yt, rows.clone(), *cols),
-                    Sent::Deferred { held, .. } => self.scheme.encode(src, dst, held),
+                    Sent::Prescribed { class } => {
+                        self.scheme.encode_packed(laid.rows.clone(), &slabs[*class])
+                    }
                     Sent::Substituted(symbols) => symbols.clone(),
                 };
-                ((src, dst), symbols)
+                ((laid.src, laid.dst), symbols)
             })
             .collect()
     }
 
-    /// Bits transmitted per link, `(edge id in g, bits)`; a link `g` lacks
-    /// gets an id no graph has.
-    pub(crate) fn link_bits<'a>(
-        &'a self,
-        g: &'a DiGraph,
-    ) -> impl Iterator<Item = (EdgeId, u64)> + 'a {
-        self.sends.iter().map(|(&(src, dst), sent)| {
-            let id = g.find_edge(src, dst).map_or(usize::MAX, |(id, _)| id);
-            (id, sent.len() as u64 * SYMBOL_BITS)
+    /// Bits transmitted per link of `G_k`, `(edge id, bits)`.
+    pub(crate) fn link_bits(&self) -> impl Iterator<Item = (EdgeId, u64)> + '_ {
+        let edges = self.scheme.layout().iter().zip(&self.sends);
+        edges.map(|(laid, sent)| {
+            let symbols = match sent {
+                Sent::Prescribed { class } => {
+                    self.held[*class].len().div_ceil(self.scheme.rho()) * laid.rows.len()
+                }
+                Sent::Substituted(symbols) => symbols.len(),
+            };
+            (laid.id, symbols as u64 * SYMBOL_BITS)
         })
     }
 }
 
-/// Nodes holding equal values: they share one packed `Xᵀ` slab (in the
-/// scratch), hence one product — packed and multiplied only if the check
-/// reads it.
-struct ValueClass<'a> {
-    held: &'a Value,
-    /// Columns of the packed slab.
-    cols: usize,
+/// The equality check's working memory. An engine keeps one across its
+/// instances, and every buffer is rewritten in place. A class's coding
+/// rows and product are sized to the rows it compares, so they grow when
+/// an instance compares more rows than any before it (a corrupted
+/// instance after clean ones); from then on they allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EqScratch {
+    /// Per node id of `G_k`: its value class and whether it is faulty.
+    nodes: Vec<(usize, bool)>,
+    classes: Vec<ClassBuffers>,
+    /// The edges the check compares, in layout order: an edge's index in
+    /// the layout and the rows of its sender's and its receiver's class
+    /// product it sits at.
+    checks: Vec<(usize, Range<usize>, Range<usize>)>,
+}
+
+/// One value class's buffers.
+#[derive(Debug, Clone, Default)]
+struct ClassBuffers {
     /// The row ranges of the scheme's stacked `Cᵀ` this class multiplies,
     /// in the order they stack in its product.
     coding_rows: Vec<Range<usize>>,
     /// Rows of the product so far.
     height: usize,
-    /// Whether the check reads the product: some edge crosses into or out
-    /// of the class, or a faulty node sends from or to it.
-    read: bool,
+    /// The packed `Xᵀ`.
+    slab: Matrix<Gf2_16>,
+    /// The class's rows of `Cᵀ`, gathered.
+    coding: Matrix<Gf2_16>,
+    /// `Yᵀ = Cᵀ · Xᵀ`.
+    product: Matrix<Gf2_16>,
 }
 
-impl ValueClass<'_> {
+impl ClassBuffers {
     /// Adds an edge's rows of `Cᵀ` to this class's stack; returns where
     /// they land in its product.
     fn stack(&mut self, coding_rows: Range<usize>) -> Range<usize> {
@@ -121,34 +125,12 @@ impl ValueClass<'_> {
     }
 }
 
-/// The equality check's working memory. An engine keeps one across its
-/// instances, so from the second instance on the phase allocates nothing
-/// proportional to `L`: every buffer of a class the check reads is
-/// rewritten in place once the previous instance's [`EqOutcome`] — which
-/// shares the products — is gone.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EqScratch {
-    classes: Vec<ClassBuffers>,
-}
-
-/// One value class's buffers.
-#[derive(Debug, Clone, Default)]
-struct ClassBuffers {
-    /// The packed `Xᵀ`.
-    slab: Matrix<Gf2_16>,
-    /// The class's rows of `Cᵀ`, gathered — unused while the class
-    /// multiplies the scheme's whole matrix.
-    coding: Matrix<Gf2_16>,
-    /// `Yᵀ = Cᵀ · Xᵀ`.
-    product: Arc<Matrix<Gf2_16>>,
-}
-
 impl EqScratch {
-    /// Where each class's slab and product live, to tell reuse from
-    /// reallocation.
+    /// Where each class's slab and product live and how many symbols each
+    /// holds, to tell reuse from reallocation.
     #[cfg(test)]
-    pub(crate) fn storage(&self) -> Vec<[*const Gf2_16; 2]> {
-        let at = |m: &Matrix<Gf2_16>| m.as_slice().as_ptr();
+    pub(crate) fn storage(&self) -> Vec<[(*const Gf2_16, usize); 2]> {
+        let at = |m: &Matrix<Gf2_16>| (m.as_slice().as_ptr(), m.as_slice().len());
         self.classes
             .iter()
             .map(|c| [at(&c.slab), at(&c.product)])
@@ -161,7 +143,7 @@ impl EqScratch {
 ///
 /// Nothing in the workspace calls this outside tests; it stays only for
 /// `benchmark/`'s call sites and goes with the benchmark-only PR that
-/// ROADMAP item 6b describes.
+/// ROADMAP item 1(b) describes.
 ///
 /// # Panics
 ///
@@ -195,35 +177,35 @@ pub fn run_equality_phase_batched(
 ///
 /// Nodes holding equal values form a class with one packed slab `Xᵀ`,
 /// and each class is multiplied once, `Yᵀ = Cᵀ · Xᵀ`, by the rows of the
-/// scheme's stacked coding matrix it needs: those of every edge whose
-/// sender is in the class and, for an edge that crosses classes, the same
-/// rows again in the receiver's class. Fault-free, there is one class and
-/// `Cᵀ` is the scheme's matrix as it stands.
+/// scheme's stacked coding matrix the check compares: those of every
+/// compared edge whose sender is in the class and, for an edge that
+/// crosses classes, the same rows again in the receiver's class. An edge
+/// is compared if it crosses classes or its sender is faulty. An honest
+/// sender's edge inside its class passes whatever the coding matrices
+/// hold, so nothing is stacked for it and [`EqOutcome::sends`] encodes it
+/// only if asked: fault-free with one value, the phase draws no matrix,
+/// packs nothing and multiplies nothing.
 ///
-/// A class is packed and multiplied only if the check reads its product:
-/// an edge crosses into or out of it, or a faulty node sends from or to
-/// it. Otherwise every edge inside it passes whatever the coding matrices
-/// hold, so the phase draws no matrix, packs nothing and multiplies
-/// nothing for it — fault-free with one value, the whole check — and
-/// [`EqOutcome::sends`] encodes those edges only if asked.
-///
-/// Per edge, the transmission is a (row range, column count) view into the
-/// sender's product. When the receiver is in the same class its
-/// expectation *is* that view: a fault-free sender then transmits exactly
-/// what the receiver expects and no second multiply or compare is needed,
-/// while a faulty sender's [`NabAdversary::equality_symbols`] output is
-/// still compared against it. Across classes the two sides' views are
-/// compared, each with its own column count (a length-tampering relay
-/// leaves values of unequal lengths), so a length mismatch fails the
-/// compare exactly like a column-by-column check. The flags and sends
-/// equal those of the test modules' one-product-per-column oracle
-/// (`GF(2^16)` addition is exact XOR, so any grouping of the same
+/// Per compared edge, the transmission is a (row range, column count)
+/// view into the sender's product. When the receiver is in the same class
+/// its expectation *is* that view, against which a faulty sender's
+/// [`NabAdversary::equality_symbols`] output is compared. Across classes
+/// the two sides' views are compared, each with its own column count (a
+/// length-tampering relay leaves values of unequal lengths), so a length
+/// mismatch fails the compare exactly like a column-by-column check. The
+/// flags and sends equal those of the test modules' one-product-per-column
+/// oracle (`GF(2^16)` addition is exact XOR, so any grouping of the same
 /// multiply-accumulates produces the same symbols), which the
 /// differential proptests pin.
 ///
+/// The bookkeeping is dense: classes by node id, sends by the scheme's
+/// layout, which walks `gk.edges()` in order. An instance the check passes
+/// without a compare touches no map per edge.
+///
 /// # Panics
 ///
-/// Panics if some active node is missing a value.
+/// Panics if some active node is missing a value, or `scheme` was laid
+/// out on another graph.
 pub(crate) fn run_equality_phase(
     gk: &DiGraph,
     values: &BTreeMap<NodeId, Value>,
@@ -232,128 +214,100 @@ pub(crate) fn run_equality_phase(
     adv: &mut dyn NabAdversary,
     scratch: &mut EqScratch,
 ) -> EqOutcome {
-    let rho = scheme.rho();
-
-    let mut classes: Vec<ValueClass> = Vec::new();
-    let mut class_of: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for v in gk.nodes() {
-        let held = &values[&v];
-        let class = classes
-            .iter()
-            .position(|c| c.held == held)
-            .unwrap_or_else(|| {
-                if scratch.classes.len() == classes.len() {
-                    scratch.classes.push(ClassBuffers::default());
-                }
-                classes.push(ValueClass {
-                    held,
-                    cols: held.len().div_ceil(rho),
-                    coding_rows: Vec::new(),
-                    height: 0,
-                    read: false,
-                });
-                classes.len() - 1
-            });
-        class_of.insert(v, class);
-    }
-
-    // Per edge, where its transmission and its receiver's expectation sit
-    // in their classes' products.
-    let edges: Vec<_> = gk
-        .edges()
-        .map(|(_, e)| {
-            let (sender, receiver) = (class_of[&e.src], class_of[&e.dst]);
-            let coding_rows = scheme.rows(e.src, e.dst);
-            let sent = classes[sender].stack(coding_rows.clone());
-            let expected = if sender == receiver {
-                sent.clone()
-            } else {
-                classes[receiver].stack(coding_rows)
-            };
-            let faulty_sender = faulty.contains(&e.src);
-            if sender != receiver || faulty_sender {
-                classes[sender].read = true;
-                classes[receiver].read = true;
-            }
-            (e, faulty_sender, [sender, receiver], sent, expected)
-        })
-        .collect();
-
-    for (class, buffers) in classes.iter().zip(&mut scratch.classes) {
-        if !class.read {
-            continue;
-        }
-        pack_slab(class.held, rho, &mut buffers.slab);
-        let whole = scheme.stacked();
-        let in_order = class
-            .coding_rows
-            .iter()
-            .try_fold(0, |at, rows| (rows.start == at).then_some(rows.end));
-        let coding = if in_order == Some(whole.rows()) {
-            whole
-        } else {
-            buffers.coding.reset(class.height, rho);
-            let gathered = buffers.coding.as_mut_slice().chunks_exact_mut(rho);
-            let needed = class.coding_rows.iter().flat_map(|rows| rows.clone());
-            for (row, from) in gathered.zip(needed) {
-                row.copy_from_slice(whole.row(from));
-            }
-            &buffers.coding
-        };
-        // Rewrite the last call's product where it lies unless an
-        // `EqOutcome` of that call is still alive and reading it.
-        let mut product = Arc::try_unwrap(std::mem::take(&mut buffers.product)).unwrap_or_default();
-        coding.mat_mul_into(&buffers.slab, &mut product);
-        buffers.product = Arc::new(product);
-    }
-
+    let (rho, layout) = (scheme.rho(), scheme.layout());
     let mut out = EqOutcome {
         flags: gk.nodes().map(|v| (v, false)).collect(),
         duration: 0.0,
-        sends: BTreeMap::new(),
+        sends: Vec::with_capacity(layout.len()),
+        held: Vec::new(),
         scheme: scheme.clone(),
     };
+    let EqScratch {
+        nodes,
+        classes,
+        checks,
+    } = scratch;
+    nodes.resize(gk.node_count(), (0, false));
+    for v in gk.nodes() {
+        let held = &values[&v];
+        let class = out.held.iter().position(|c| c == held).unwrap_or_else(|| {
+            out.held.push(held.clone());
+            out.held.len() - 1
+        });
+        nodes[v] = (class, faulty.contains(&v));
+    }
+    if classes.len() < out.held.len() {
+        classes.resize_with(out.held.len(), ClassBuffers::default);
+    }
+    for buffers in &mut classes[..out.held.len()] {
+        buffers.coding_rows.clear();
+        buffers.height = 0;
+    }
+
+    checks.clear();
     let (mut multiplies, mut expectations_shared) = (0u32, 0u32);
-    for (e, faulty_sender, [sender, receiver], sent_rows, expected_rows) in edges {
+    let mut live = gk.edges().map(|(id, _)| id);
+    for (i, laid) in layout.iter().enumerate() {
+        assert_eq!(live.next(), Some(laid.id), "scheme of another graph");
+        let ((sender, faulty_sender), (receiver, _)) = (nodes[laid.src], nodes[laid.dst]);
         let shared = sender == receiver;
         multiplies += if shared { 1 } else { 2 };
         expectations_shared += u32::from(shared);
-        let (ys, cols) = (&scratch.classes[sender].product, classes[sender].cols);
-        let sent = || wire_order(ys, sent_rows.clone(), cols);
-        let expected = || {
-            let yd = &scratch.classes[receiver].product;
-            wire_order(yd, expected_rows.clone(), classes[receiver].cols)
-        };
-        let sent = if faulty_sender {
-            let symbols = adv.equality_symbols(e.src, e.dst, &sent());
-            if symbols != expected() {
-                out.flags.insert(e.dst, true);
-            }
-            Sent::Substituted(symbols)
-        } else if !classes[sender].read {
-            // The sender's class is the receiver's, and nothing reads
-            // what it sends: the check passes whatever the matrices.
-            Sent::Deferred {
-                held: classes[sender].held.clone(),
-                z: sent_rows.len(),
-                cols,
-            }
+        out.sends.push(Sent::Prescribed { class: sender });
+        if shared && !faulty_sender {
+            continue;
+        }
+        let sent = classes[sender].stack(laid.rows.clone());
+        let expected = if shared {
+            sent.clone()
         } else {
-            if !shared && sent() != expected() {
-                out.flags.insert(e.dst, true);
-            }
-            Sent::Coded {
-                yt: Arc::clone(ys),
-                rows: sent_rows.clone(),
-                cols,
-            }
+            classes[receiver].stack(laid.rows.clone())
         };
-        // The synchronous round charge `max_e(bits_e / z_e)` —
-        // identical to `NetSim::deliver_round` on the same sends.
-        let bits = sent.len() as u64 * SYMBOL_BITS;
-        out.duration = out.duration.max(bits as f64 / e.cap as f64);
-        out.sends.insert((e.src, e.dst), sent);
+        checks.push((i, sent, expected));
     }
+    assert_eq!(live.next(), None, "scheme of another graph");
+
+    for (held, buffers) in out.held.iter().zip(classes.iter_mut()) {
+        if buffers.height == 0 {
+            continue;
+        }
+        pack_slab(held, rho, &mut buffers.slab);
+        let whole = scheme.stacked();
+        buffers.coding.reset(buffers.height, rho);
+        let gathered = buffers.coding.as_mut_slice().chunks_exact_mut(rho);
+        let needed = buffers.coding_rows.iter().flat_map(|rows| rows.clone());
+        for (row, from) in gathered.zip(needed) {
+            row.copy_from_slice(whole.row(from));
+        }
+        buffers
+            .coding
+            .mat_mul_into(&buffers.slab, &mut buffers.product);
+    }
+
+    let view = |class: usize, rows: &Range<usize>| {
+        let cols = out.held[class].len().div_ceil(rho);
+        wire_order(&classes[class].product, rows.clone(), cols)
+    };
+    for (i, sent, expected) in checks.iter() {
+        let laid = &layout[*i];
+        let ((sender, faulty_sender), (receiver, _)) = (nodes[laid.src], nodes[laid.dst]);
+        let (sent, expected) = (view(sender, sent), view(receiver, expected));
+        if faulty_sender {
+            let symbols = adv.equality_symbols(laid.src, laid.dst, &sent);
+            if symbols != expected {
+                out.flags.insert(laid.dst, true);
+            }
+            out.sends[*i] = Sent::Substituted(symbols);
+        } else if sent != expected {
+            out.flags.insert(laid.dst, true);
+        }
+    }
+    // The synchronous round charge `max_e(bits_e / z_e)` — identical to
+    // `NetSim::deliver_round` on the same sends.
+    let charges = out.link_bits().zip(layout);
+    out.duration = charges.fold(0.0, |d: f64, ((_, bits), laid)| {
+        d.max(bits as f64 / laid.rows.len() as f64)
+    });
     trace::emit(EventKind::EqualityProducts {
         multiplies,
         expectations_shared,
@@ -675,15 +629,8 @@ mod tests {
     use nab_netgraph::gen;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    impl EqOutcome {
-        /// How many edges' prescribed symbols the check left unencoded.
-        fn deferred(&self) -> usize {
-            let deferred = |sent: &&Sent| matches!(sent, Sent::Deferred { .. });
-            self.sends.values().filter(deferred).count()
-        }
-    }
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     /// The equality check on fresh buffers.
     fn equality_one_stream(
@@ -717,6 +664,35 @@ mod tests {
             &mut HonestStrategy,
         );
         assert!(eq.flags.values().all(|f| !f));
+    }
+
+    /// Runs the check on a triangle with `gk_edges` of its six edges live,
+    /// on a scheme laid out on the first `scheme_edges` of them.
+    fn check_on_triangle(gk_edges: usize, scheme_edges: usize) {
+        let pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)];
+        let triangle = |edges: usize| {
+            let mut g = DiGraph::new(3);
+            for &(a, b) in &pairs[..edges] {
+                g.add_edge(a, b, 1);
+            }
+            g
+        };
+        let scheme = CodingScheme::random(&triangle(scheme_edges), 1, 5);
+        let values = (0..3).map(|v| (v, Value::from_u64s(&[1, 2]))).collect();
+        let gk = triangle(gk_edges);
+        equality_one_stream(&gk, &values, &scheme, &BTreeSet::new(), &mut HonestStrategy);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme of another graph")]
+    fn a_scheme_missing_the_last_edges_panics() {
+        check_on_triangle(6, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme of another graph")]
+    fn a_scheme_with_extra_edges_panics() {
+        check_on_triangle(4, 6);
     }
 
     #[test]
@@ -823,9 +799,10 @@ mod tests {
     /// One value class and no faulty sender: every check passes whatever
     /// the coding matrices hold, so none is drawn, no slab is packed and
     /// no product is computed. A corrupting relay splits the classes and
-    /// sends from inside one, so the same call then does all three.
+    /// sends from inside one, so the same call then does all three, for
+    /// the rows of the edges it compares only.
     #[test]
-    fn only_a_read_product_is_drawn_packed_and_multiplied() {
+    fn only_compared_rows_are_drawn_packed_and_multiplied() {
         let (g, trees, scheme, input) = complete_setup();
         let mut scratch = EqScratch::default();
         let none = BTreeSet::new();
@@ -840,18 +817,16 @@ mod tests {
         );
         assert!(eq.flags.values().all(|f| !f));
         assert!(!scheme.is_drawn(), "no coding matrix drawn");
-        assert_eq!(eq.deferred(), 12, "no edge encoded");
-        // Per class: whether its slab was packed, whether its product
-        // was computed.
-        let computed = |scratch: &EqScratch| -> Vec<[bool; 2]> {
+        // Per class: whether its slab was packed, and its product's rows.
+        let computed = |scratch: &EqScratch| -> Vec<(bool, usize)> {
             let buffers = scratch.classes.iter();
             buffers
-                .map(|c| [&c.slab, &*c.product].map(|m| !m.as_slice().is_empty()))
+                .map(|c| (!c.slab.as_slice().is_empty(), c.product.rows()))
                 .collect()
         };
         assert_eq!(
             computed(&scratch),
-            [[false; 2]],
+            [(false, 0)],
             "nothing packed or multiplied"
         );
 
@@ -868,12 +843,25 @@ mod tests {
         );
         assert!(eq.flags.values().any(|&f| f));
         assert!(scheme.is_drawn());
-        assert_eq!(eq.deferred(), 0);
         let classes = computed(&scratch);
         assert!(classes.len() > 1, "the corruption splits the classes");
         assert!(
-            classes.iter().all(|&c| c == [true; 2]),
-            "every class is read"
+            classes.iter().all(|&(packed, _)| packed),
+            "every class read"
+        );
+        // A faulty sender's rows once, a cross-class edge's in both classes.
+        let compared = g.edges().map(|(_, e)| {
+            let cross = p1.values[&e.src] != p1.values[&e.dst];
+            e.cap as usize * if cross { 2 } else { usize::from(e.src == 1) }
+        });
+        let multiplied = classes.iter().map(|&(_, rows)| rows);
+        assert_eq!(multiplied.sum::<usize>(), compared.sum());
+        let honest_inside = g
+            .edges()
+            .filter(|(_, e)| e.src != 1 && p1.values[&e.src] == p1.values[&e.dst]);
+        assert!(
+            honest_inside.count() > 0,
+            "some edge is neither compared nor multiplied"
         );
     }
 
@@ -1254,6 +1242,93 @@ mod tests {
             3 => Box::new(EqualityGarbler),
             4 => Box::new(EqualityTruncator),
             _ => Box::new(RandomStrategy::new(seed, 0.5)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 1024 }
+        ))]
+
+        /// The edge-indexed check against the column oracles where live
+        /// edge ids are sparse: random `2f+1`-connected graphs (n ≤ 9,
+        /// f ≤ 2) with 0 to f nodes removed, so `G_k`'s layout is not
+        /// `G_1`'s, checked on a scratch that last ran on `G_1`; 1–3 value
+        /// classes (a deviant symbol, a longer value); and faulty senders
+        /// that corrupt Phase 1 only, garble or truncate their coded
+        /// symbols. The flags, the duration bit for bit, `sends()` and the
+        /// multiset of `link_bits` equal `equality_check_flags` and
+        /// `encode_cols` with the same tampering.
+        #[test]
+        fn sparse_edge_ids_match_the_column_oracles(
+            seed in any::<u64>(),
+            f in 0usize..=2,
+            extra in 0usize..=9,
+            removed in 0usize..=2,
+            classes in 1usize..=3,
+            rho in 1usize..4,
+            symbols in 1usize..40,
+            code in 0u8..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = 2 * f + 1;
+            let n = (3 * f + 1).max(2 * k.div_ceil(2) + 1);
+            let n = n + extra % (10 - n);
+            let g1 = gen::random_k_connected(n, k, 3, 0.3, &mut rng);
+            let mut g = g1.clone();
+            for _ in 0..removed.min(f) {
+                g.remove_node(rng.gen_range(1..n));
+            }
+            let x = Value::random(symbols, &mut rng);
+            let mut longer = x.symbols().to_vec();
+            longer.push(Gf2_16(rng.gen_range(0..=0xFFFF)));
+            let deviant = x.corrupt_symbol(rng.gen_range(0..symbols), rng.gen());
+            let held = [x, deviant, Value::from_symbols(longer)];
+            let values: BTreeMap<NodeId, Value> =
+                g1.nodes().map(|v| (v, held[rng.gen_range(0..classes)].clone())).collect();
+            let live: Vec<NodeId> = g.nodes().collect();
+            let faulty: BTreeSet<NodeId> =
+                (0..f).map(|_| live[rng.gen_range(0..live.len())]).collect();
+            let adversary = || -> Box<dyn NabAdversary> {
+                match code {
+                    0 => Box::new(TruthfulCorruptor),
+                    1 => Box::new(EqualityGarbler),
+                    _ => Box::new(EqualityTruncator),
+                }
+            };
+
+            let mut scratch = EqScratch::default();
+            let scheme1 = CodingScheme::random(&g1, rho, seed ^ 1);
+            let mut adv = adversary();
+            run_equality_phase(&g1, &values, &scheme1, &faulty, adv.as_mut(), &mut scratch);
+            let scheme = CodingScheme::random(&g, rho, seed);
+            let mut adv = adversary();
+            let eq = run_equality_phase(&g, &values, &scheme, &faulty, adv.as_mut(), &mut scratch);
+
+            let (mut adv, mut sends, mut duration) = (adversary(), BTreeMap::new(), 0f64);
+            let mut tamper = |i: NodeId, j: NodeId, honest: Vec<Gf2_16>| {
+                let sent = if faulty.contains(&i) {
+                    adv.equality_symbols(i, j, &honest)
+                } else {
+                    honest
+                };
+                sends.insert((i, j), sent.clone());
+                sent
+            };
+            let flags =
+                crate::equality::tests::equality_check_flags(&g, &values, &scheme, &mut tamper);
+            let mut want_bits = Vec::new();
+            for (id, e) in g.edges() {
+                let bits = sends[&(e.src, e.dst)].len() as u64 * SYMBOL_BITS;
+                duration = duration.max(bits as f64 / e.cap as f64);
+                want_bits.push((id, bits));
+            }
+            let mut got_bits: Vec<(EdgeId, u64)> = eq.link_bits().collect();
+            got_bits.sort_unstable();
+            prop_assert_eq!(&eq.flags, &flags);
+            prop_assert_eq!(eq.duration.to_bits(), duration.to_bits());
+            prop_assert_eq!(eq.sends(), sends);
+            prop_assert_eq!(got_bits, want_bits);
         }
     }
 

@@ -242,7 +242,7 @@ impl ExecutionPlan {
     ///
     /// Nothing in the workspace calls this outside tests; it stays only
     /// for `benchmark/`'s call sites and goes with the benchmark-only PR
-    /// that ROADMAP item 6b describes.
+    /// that ROADMAP item 1(b) describes.
     pub fn instance_scheme(&self, cfg_seed: u64, instance: u64) -> CodingScheme {
         CodingScheme::random(
             self.graph(),

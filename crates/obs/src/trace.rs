@@ -150,8 +150,8 @@ pub enum EventKind {
     /// One instance's equality check finished its slab products.
     EqualityProducts {
         /// `C_eᵀ · Xᵀ` products the check prescribes, one per distinct
-        /// value per edge — computed or not: a value class whose product
-        /// nothing reads is never multiplied.
+        /// value per edge — computed or not: an edge the check does not
+        /// compare is never multiplied.
         multiplies: u32,
         /// Edges whose endpoints held equal values, so the receiver's
         /// expectation was the sender's product and no second multiply ran.
