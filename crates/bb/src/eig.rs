@@ -92,7 +92,7 @@ fn relay_paths(
 )]
 pub(crate) mod tests {
     use super::*;
-    use crate::router::majority;
+    use crate::router::tests::majority;
     use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     /// Adversary hook: chooses what a *faulty* node transmits at each point

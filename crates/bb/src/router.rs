@@ -385,36 +385,8 @@ impl PathRouter {
     }
 }
 
-/// The strict-majority element of a slice, if one exists.
-///
-/// Runs the Boyer–Moore majority-vote scan (one candidate pass plus one
-/// verification pass, `O(n)` comparisons) instead of the naive quadratic
-/// count — this sits under every internal node of the EIG resolve (there
-/// over value ids) and under the message-level oracle's unicast vote.
-pub fn majority<V: Clone + Eq>(items: &[V]) -> Option<V> {
-    let mut candidate: Option<&V> = None;
-    let mut count = 0usize;
-    for x in items {
-        match candidate {
-            Some(c) if c == x => count += 1,
-            _ if count == 0 => {
-                candidate = Some(x);
-                count = 1;
-            }
-            _ => count -= 1,
-        }
-    }
-    // Only a strict majority (not a mere plurality) wins; verify.
-    let c = candidate?;
-    if 2 * items.iter().filter(|x| *x == c).count() > items.len() {
-        Some(c.clone())
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
@@ -424,6 +396,34 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The strict-majority element of a slice, if one exists.
+    ///
+    /// Runs the Boyer–Moore majority-vote scan (one candidate pass plus one
+    /// verification pass, `O(n)` comparisons) instead of the naive quadratic
+    /// count. The oracles vote with it: `eig::tests`' resolve over value ids,
+    /// and the message-level unicast below.
+    pub(crate) fn majority<V: Clone + Eq>(items: &[V]) -> Option<V> {
+        let mut candidate: Option<&V> = None;
+        let mut count = 0usize;
+        for x in items {
+            match candidate {
+                Some(c) if c == x => count += 1,
+                _ if count == 0 => {
+                    candidate = Some(x);
+                    count = 1;
+                }
+                _ => count -= 1,
+            }
+        }
+        // Only a strict majority (not a mere plurality) wins; verify.
+        let c = candidate?;
+        if 2 * items.iter().filter(|x| *x == c).count() > items.len() {
+            Some(c.clone())
+        } else {
+            None
+        }
+    }
 
     /// The message-level unicast that [`PathRouter::try_charge_unicast`]
     /// evaluates on ground truth, kept as its differential-test oracle: every

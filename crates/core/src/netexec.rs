@@ -23,7 +23,7 @@
 //! those rounds are exclusive and [`EventNet::serve_exclusive`] serves them
 //! in closed form, by edge id: a hop round's come with its route (so a
 //! broadcast phase's kernel is built on the router's graph), the equality
-//! check's are resolved on `G_k`. Only Phase 1, whose trees share links,
+//! check's are ids of `G_k`. Only Phase 1, whose trees share links,
 //! runs through the event queue. Seeds: a phase's is `mix(mix(nx.seed,
 //! instance), phase tag)`, a round's is `mix(phase seed, i)` with `i` the
 //! round's index within the phase, and a queued message's id is its
@@ -171,7 +171,7 @@ impl<'a> InstanceTiming<'a> {
     /// Times Phase 1 and, when it ran, the equality check on `gk`: one
     /// kernel round each, every link transmitting at once — Phase 1 through
     /// the queue of a fresh kernel, the equality check (one send per link)
-    /// in closed form, each link's `(src, dst)` resolved on `gk` once.
+    /// in closed form, by `gk`'s edge ids.
     pub(crate) fn streaming_phases(
         &mut self,
         gk: &DiGraph,

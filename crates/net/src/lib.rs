@@ -59,11 +59,14 @@ pub const UNIT_NS: u64 = 1_000_000;
 /// seed-mixing discipline.
 #[must_use]
 pub fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut z = a ^ b.wrapping_mul(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// [`mix`]'s multiplier: `mix(a, b)` is `mix(a ^ b · GOLDEN, 0)`.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Maps a mixed 64-bit draw onto the unit interval `[0, 1)`.
 fn unit_f64(x: u64) -> f64 {
@@ -96,13 +99,23 @@ pub enum Latency {
 }
 
 impl Latency {
-    /// Samples a delay from `draw` (a mixed 64-bit value).
+    /// Samples a delay from `draw` (a mixed 64-bit value); inlined across
+    /// crates, as an exclusive round calls it once per delivery.
+    #[inline]
     #[must_use]
     pub fn sample_ns(&self, draw: u64) -> u64 {
         match *self {
             Latency::Fixed { delay_ns } => delay_ns,
             Latency::Uniform { base_ns, jitter_ns } => {
-                base_ns.saturating_add((unit_f64(draw) * jitter_ns as f64).round() as u64)
+                // `x.round() as u64` without a libm call: below 2^52, `x - i` is
+                // exact; from 2^52 up, every f64 is whole.
+                let x = unit_f64(draw) * jitter_ns as f64;
+                base_ns.saturating_add(if x < (1u64 << 52) as f64 {
+                    let i = x as i64;
+                    (i + i64::from(x - i as f64 >= 0.5)) as u64
+                } else {
+                    x as u64
+                })
             }
             Latency::LogNormal { median_ns, sigma } => {
                 // Box-Muller from two sub-draws of the same 64-bit seed.
@@ -243,33 +256,30 @@ struct Attempt {
     attempt: u32,
 }
 
-/// One directed link's fixed parameters and per-round state.
-#[derive(Debug, Clone)]
+/// One directed link, stored at its graph edge id: what a delivery reads
+/// (stream key, capacity, model, last exclusive round), then the queue's
+/// state. An edge id the graph has no link for holds `cap` 0.
+#[derive(Debug, Clone, Default)]
 struct Link {
-    src: NodeId,
-    dst: NodeId,
+    /// `((src << 32) ^ dst) · GOLDEN`, so the link's stream under `seed`,
+    /// `mix(seed ^ key, 0)`, is `mix(seed, (src << 32) ^ dst)`.
+    key: u64,
     cap: u64,
     /// Index of the governing model in [`EventNet::models`].
     model: u32,
+    /// The last exclusive round that used the link.
+    round: u64,
     /// When the link finishes the last transmission queued on it.
     busy_ns: u64,
     /// Draws taken so far, in this link's deterministic pop order.
     draws: u64,
-    /// The last exclusive round that used the link.
-    round: u64,
 }
 
 impl Link {
-    /// The link's draws under `seed`: the `c`-th is `mix(stream, c)`.
-    fn stream(&self, seed: u64) -> u64 {
-        mix(seed, ((self.src as u64) << 32) ^ self.dst as u64)
-    }
-
-    /// Next 64-bit draw of the queue's pop order.
+    /// Next draw of the queue's pop order: the `c`-th is `mix(stream, c)`.
     fn draw(&mut self, seed: u64) -> u64 {
-        let c = self.draws;
         self.draws += 1;
-        mix(self.stream(seed), c)
+        mix(mix(seed ^ self.key, 0), self.draws - 1)
     }
 
     /// Serialization time of `bits` on the link.
@@ -310,15 +320,16 @@ impl KernelStats {
 /// [`serve_exclusive`](EventNet::serve_exclusive) serves one
 /// barrier-synchronized round with at most one message per link in closed
 /// form, and one kernel serves any number of them: it neither reads nor
-/// changes the queue's state. Link state is dense — capacity, busy-until,
-/// draw counter, last exclusive round and model index per link, links
-/// sorted by `(src, dst)`. A queued message finds its link by binary
-/// search, an exclusive round's by its graph edge id.
+/// changes the queue's state. Each link is one record at its graph edge
+/// id, which an exclusive round's send names; a queued message finds its
+/// link by binary search on the `(src, dst)` order.
 #[derive(Debug, Clone)]
 pub struct EventNet {
+    /// The link of each of the graph's edge ids.
     links: Vec<Link>,
-    /// The link of each of the graph's edge ids; `u32::MAX` for none.
-    by_edge: Vec<u32>,
+    /// Each live link's `(src, dst, edge id)`, sorted: a queued message
+    /// names its link by its index here.
+    order: Vec<(NodeId, NodeId, u32)>,
     /// The default model, then each override that governs a link of the graph.
     models: Vec<LinkModel>,
     seed: u64,
@@ -337,29 +348,24 @@ impl EventNet {
     pub fn new(g: &DiGraph, model: NetModel, seed: u64) -> Self {
         let NetModel { default, overrides } = model;
         let mut models = vec![default];
-        // The network is a simple graph: one link per ordered pair.
-        let mut edges: Vec<_> = g.edges().collect();
-        let mut by_edge = vec![u32::MAX; edges.last().map_or(0, |&(id, _)| id + 1)];
-        edges.sort_unstable_by_key(|(_, e)| (e.src, e.dst));
-        let mut links = Vec::with_capacity(edges.len());
-        for (id, e) in edges {
-            by_edge[id] = links.len() as u32;
-            links.push(Link {
-                src: e.src,
-                dst: e.dst,
+        let mut links = vec![Link::default(); g.edges().last().map_or(0, |(id, _)| id + 1)];
+        for (id, e) in g.edges() {
+            links[id] = Link {
+                key: (((e.src as u64) << 32) ^ e.dst as u64).wrapping_mul(GOLDEN),
                 cap: e.cap,
                 model: overrides.get(&(e.src, e.dst)).map_or(0, |m| {
                     models.push(m.clone());
                     models.len() as u32 - 1
                 }),
-                busy_ns: 0,
-                draws: 0,
-                round: 0,
-            });
+                ..Link::default()
+            };
         }
+        // The network is a simple graph: one link per ordered pair.
+        let mut order: Vec<_> = g.edges().map(|(id, e)| (e.src, e.dst, id as u32)).collect();
+        order.sort_unstable();
         EventNet {
             links,
-            by_edge,
+            order,
             models,
             seed,
             heap: BinaryHeap::new(),
@@ -370,27 +376,21 @@ impl EventNet {
         }
     }
 
-    /// Index of the directed link `src → dst`; panics if the graph has
-    /// none — a send on a missing link is a protocol-layer bug, mirroring
-    /// `nab_sim::SendError::NoSuchLink`.
-    fn link_index(&self, src: NodeId, dst: NodeId) -> u32 {
-        match (self.links).binary_search_by_key(&(src, dst), |l| (l.src, l.dst)) {
+    /// Enqueues a message of `bits` bits on `src → dst` at `at_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no `src → dst` link: a send on a missing link
+    /// is a protocol-layer bug, mirroring `nab_sim::SendError::NoSuchLink`.
+    pub fn schedule(&mut self, id: u64, src: NodeId, dst: NodeId, bits: u64, at_ns: u64) {
+        let link = match (self.order).binary_search_by_key(&(src, dst), |&(s, d, _)| (s, d)) {
             Ok(at) => at as u32,
             #[expect(
                 clippy::panic,
                 reason = "the documented panic — a send on a missing link is a protocol-layer bug"
             )]
             Err(_) => panic!("EventNet: no such link {src} -> {dst}"),
-        }
-    }
-
-    /// Enqueues a message of `bits` bits on `src → dst` at `at_ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no `src → dst` link.
-    pub fn schedule(&mut self, id: u64, src: NodeId, dst: NodeId, bits: u64, at_ns: u64) {
-        let link = self.link_index(src, dst);
+        };
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Attempt {
@@ -409,7 +409,8 @@ impl EventNet {
     pub fn drain(&mut self, mut on_delivery: impl FnMut(Delivery)) {
         self.stats.rounds += u64::from(!self.heap.is_empty());
         while let Some(Reverse(ev)) = self.heap.pop() {
-            let link = &mut self.links[ev.link as usize];
+            let (src, dst, edge) = self.order[ev.link as usize];
+            let link = &mut self.links[edge as usize];
             let start = ev.time_ns.max(link.busy_ns);
             let tx_end = start.saturating_add(link.transmit_ns(ev.bits));
             link.busy_ns = tx_end;
@@ -435,8 +436,8 @@ impl EventNet {
             self.stats.deliveries += 1;
             on_delivery(Delivery {
                 id: ev.id,
-                src: link.src,
-                dst: link.dst,
+                src,
+                dst,
                 bits: ev.bits,
                 sent_ns: ev.time_ns,
                 delivered_ns,
@@ -457,14 +458,15 @@ impl EventNet {
     /// Serves one barrier round of messages `(edge, bits)` that all start at
     /// time 0, each on a link of its own, in closed form: hands every
     /// delivery time to `on_delivery` and returns the latest (0 if none). An
-    /// `edge` is an id of the graph the kernel was built on. As no
-    /// transmission waits on another and each link's draws count from 0
-    /// under `seed`, a delivery is `tx = ⌈bits · UNIT_NS / cap⌉`, plus `rto +
-    /// tx` per lost attempt (one loss draw per attempt up to `max_retries`),
-    /// plus one latency draw: what a kernel built with `seed` delivers
-    /// through [`schedule`](EventNet::schedule) and
-    /// [`drain`](EventNet::drain), stats included, but with no heap. The
-    /// queue's state is neither read nor changed.
+    /// `edge` is an id of the graph the kernel was built on, and indexes
+    /// the link's record directly. As no transmission waits on another and
+    /// each link's draws count from 0 under `seed`, a delivery is `tx =
+    /// ⌈bits · UNIT_NS / cap⌉`, plus `rto + tx` per lost attempt (one loss
+    /// draw per attempt up to `max_retries`), plus one latency draw: what a
+    /// kernel built with `seed` delivers through
+    /// [`schedule`](EventNet::schedule) and [`drain`](EventNet::drain),
+    /// stats included, but with no heap. The queue's state is neither read
+    /// nor changed.
     ///
     /// # Panics
     ///
@@ -477,14 +479,14 @@ impl EventNet {
         mut on_delivery: impl FnMut(u64),
     ) -> u64 {
         self.round += 1;
-        let (mut end_ns, served) = (0, self.stats.deliveries);
+        let (mut end_ns, mut served) = (0, 0);
         for (edge, bits) in sends {
             #[expect(
                 clippy::panic,
                 reason = "the documented panic — a send on a missing link is a protocol-layer bug"
             )]
-            let link = match self.by_edge.get(edge) {
-                Some(&l) if l != u32::MAX => &mut self.links[l as usize],
+            let link = match self.links.get_mut(edge) {
+                Some(l) if l.cap != 0 => l,
                 _ => panic!("EventNet: no such link: edge {edge}"),
             };
             #[expect(
@@ -492,31 +494,29 @@ impl EventNet {
                 reason = "the documented panic — two messages on one link break the closed form"
             )]
             if link.round == self.round {
-                let (src, dst) = (link.src, link.dst);
-                panic!("EventNet::serve_exclusive: link {src} -> {dst} repeats within the round");
+                panic!("EventNet::serve_exclusive: edge {edge} repeats within the round");
             }
             link.round = self.round;
-            let model = &self.models[link.model as usize];
-            let (tx, stream, mut c) = (link.transmit_ns(bits), link.stream(seed), 0);
-            let mut draw = || {
-                c += 1;
-                mix(stream, c - 1)
-            };
+            let (model, stream) = (&self.models[link.model as usize], mix(seed ^ link.key, 0));
+            let (tx, mut c) = (link.transmit_ns(bits), 0);
             let mut delivered_ns = tx;
             if let Some(loss) = &model.loss {
-                let mut retries = 0;
-                while retries < loss.max_retries && unit_f64(draw()) < loss.p {
-                    retries += 1;
+                let tries = u64::from(loss.max_retries);
+                while c < tries && unit_f64(mix(stream, c)) < loss.p {
+                    c += 1;
                     delivered_ns = delivered_ns.saturating_add(loss.rto_ns).saturating_add(tx);
                 }
-                self.stats.retransmits += u64::from(retries);
+                self.stats.retransmits += c;
+                // Below the cap, the draw that ended the loop was taken too.
+                c += u64::from(c < tries);
             }
-            delivered_ns = delivered_ns.saturating_add(model.latency.sample_ns(draw()));
+            delivered_ns = delivered_ns.saturating_add(model.latency.sample_ns(mix(stream, c)));
             end_ns = end_ns.max(delivered_ns);
-            self.stats.deliveries += 1;
+            served += 1;
             on_delivery(delivered_ns);
         }
-        self.stats.rounds += u64::from(self.stats.deliveries > served);
+        self.stats.deliveries += served;
+        self.stats.rounds += u64::from(served > 0);
         end_ns
     }
 
@@ -697,6 +697,61 @@ mod tests {
         );
     }
 
+    /// `Latency::Uniform` rounds `x = unit_f64(draw) · jitter` exactly as
+    /// `x.round() as u64` does: at `k + 0.5` and the f64 just below it, on
+    /// either side of 2^52 and 2^53, and at a million random draws and
+    /// jitters up to `u64::MAX`.
+    #[test]
+    fn uniform_latency_rounds_as_f64_round() {
+        let sample = |draw: u64, jitter_ns: u64| {
+            let want = 5u64.saturating_add((unit_f64(draw) * jitter_ns as f64).round() as u64);
+            let uniform = Latency::Uniform {
+                base_ns: 5,
+                jitter_ns,
+            };
+            assert_eq!(
+                uniform.sample_ns(draw),
+                want,
+                "draw {draw:#x}, jitter {jitter_ns}"
+            );
+        };
+        // Every f64 `x` in `[2^e, 2^(e+1))` is `unit_f64(m << 11) · 2^(e+1)`
+        // with `m = x · 2^(52-e) < 2^53`; below 1, `m = x · 2^53` when whole.
+        // A jitter of 2^64 is `u64::MAX`, which converts to it.
+        let at = |x: f64| {
+            let e = (((x.to_bits() >> 52) as i32) - 1023).max(-1);
+            let m = x * 2f64.powi(52 - e);
+            assert!(m.fract() == 0.0 && m < 2f64.powi(53), "{x} is no draw");
+            let jitter = (1u128 << (e + 1)).min(u64::MAX.into()) as u64;
+            let draw = (m as u64) << 11;
+            assert_eq!(unit_f64(draw) * jitter as f64, x);
+            sample(draw, jitter);
+        };
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for k in [1u64, 2, 3, 7, 1_000, (1 << 20) + 7, (1 << 51) - 1] {
+            let x = k as f64 + 0.5;
+            for x in [x, below(x), k as f64, below(k as f64)] {
+                at(x);
+            }
+        }
+        for x in [0.0, 0.25, 0.5, 0.5 - 2f64.powi(-53), 0.75] {
+            at(x);
+        }
+        for e in [52, 53, 63] {
+            let x = 2f64.powi(e);
+            for x in [below(x), x, below(x) - 1.0, x + 2.0 * (x - below(x))] {
+                at(x);
+            }
+        }
+        for i in 0..1_000_000u64 {
+            let jitter = match i % 8 {
+                0 => u64::MAX,
+                _ => mix(i, 2) >> (i % 64),
+            };
+            sample(mix(i, 1), jitter);
+        }
+    }
+
     #[test]
     fn straggler_override_scales_one_link() {
         let spec = NetSpec {
@@ -768,6 +823,21 @@ mod tests {
                 }
             }
         }
+        g
+    }
+
+    /// `dense5`'s pattern on six nodes with node `gone` removed: the 20 live
+    /// links' edge ids are sparse among 30 and run against `(src, dst)` order.
+    fn sparse6(gone: NodeId) -> DiGraph {
+        let mut g = DiGraph::new(6);
+        for u in (0..6).rev() {
+            for v in (0..6).rev() {
+                if u != v {
+                    g.add_edge(u, v, 1 + ((u * 6 + v) % 4) as u64);
+                }
+            }
+        }
+        g.remove_node(gone);
         g
     }
 
@@ -899,6 +969,48 @@ mod tests {
             twice.accumulate(&queue.stats());
             twice.accumulate(&before);
             prop_assert_eq!(closed.stats(), twice);
+        }
+
+        /// A phase on one kernel, shaped like a claims phase: rounds in
+        /// pairs over the same links with different `bits`, on a graph whose
+        /// removed node leaves its edge ids sparse. Every round delivers the
+        /// multiset of times, the end time and the stats of a fresh queue
+        /// built with the round's seed.
+        #[test]
+        fn a_phase_of_exclusive_rounds_equals_fresh_queues(
+            kind in 0u8..5,
+            seed in any::<u64>(),
+            gone in 0usize..6,
+            masks in proptest::collection::vec(any::<u32>(), 1..5),
+        ) {
+            let g = sparse6(gone);
+            let live: Vec<_> = g.edges().map(|(id, e)| (id, e.src, e.dst)).collect();
+            let mut phase = EventNet::new(&g, regime(kind), !seed);
+            let mut stats = KernelStats::default();
+            for r in 0..2 * masks.len() {
+                let round_seed = mix(seed, r as u64);
+                let bits = 1 + round_seed % 4096;
+                let mut sends: Vec<_> = (live.iter().enumerate())
+                    .filter(|&(i, _)| masks[r / 2] >> i & 1 == 1)
+                    .map(|(_, &link)| link)
+                    .collect();
+                let turn = r % sends.len().max(1);
+                sends.rotate_left(turn);
+                let mut queue = EventNet::new(&g, regime(kind), round_seed);
+                for (id, &(_, src, dst)) in sends.iter().enumerate() {
+                    queue.schedule(id as u64, src, dst, bits, 0);
+                }
+                let mut want: Vec<u64> = queue.run().iter().map(|d| d.delivered_ns).collect();
+                let mut got = Vec::new();
+                let round = sends.iter().map(|&(edge, ..)| (edge, bits));
+                let end = phase.serve_exclusive(round_seed, round, |t| got.push(t));
+                want.sort_unstable();
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want, "round {}", r);
+                prop_assert_eq!(end, queue.clock_ns(), "round {}", r);
+                stats.accumulate(&queue.stats());
+                prop_assert_eq!(phase.stats(), stats, "round {}", r);
+            }
         }
     }
 }
