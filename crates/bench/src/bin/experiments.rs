@@ -1,9 +1,9 @@
 //! Regenerates every paper artifact as a table. The output is
 //! byte-deterministic and pinned by `tests/golden/experiments.txt`. There is
 //! one size and no flags: sizes live in the `.scenario` files named below
-//! and in the constants passed to E2 and E6.
+//! and in the constant passed to E2.
 //!
-//! E1, E2, E6, E7 and E8 compute (`nab_bench::e*`). E3, E4, E5 and E7's
+//! E1, E2, E7 and E8 compute (`nab_bench::e*`). E3, E4, E5 and E7's
 //! worst-case placement run the engine, and every row they print is a job of
 //! the sweep runner, described by a file under `scenarios/` and printed by
 //! `nab_scenario::report::table` from fields its report already carries.
@@ -160,10 +160,6 @@ fn main() -> ExitCode {
 
     println!("## E5 — NAB vs capacity-oblivious baseline (capacity skew sweep)\n");
     engine(e5(0));
-
-    println!("## E6 — pipelining under propagation delay (Figure 3 model)\n");
-    let e6 = nab_bench::e6_pipelining::run(1000);
-    println!("{}", nab_bench::e6_pipelining::table(&e6));
 
     println!("## E7 — capacity table (Theorem 2 + Theorem 3 fractions)\n");
     let e7 = nab_bench::e7_capacity::run();

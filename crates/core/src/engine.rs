@@ -948,7 +948,7 @@ mod tests {
     /// the engine held when the instance started.
     fn assert_gk_matches_from_scratch(e: &NabEngine, before: &DiGraph, pairs: &BTreeSet<Pair>) {
         use crate::bounds::gamma_k;
-        use nab_netgraph::arborescence::pack_arborescences_naive;
+        use nab_oracle::arborescence::pack_arborescences_naive;
         let gk = e.gk();
         assert_eq!(gk.graph(), before, "G_k");
         assert_eq!(gk.gamma(), gamma_k(before, SOURCE), "γ_k");

@@ -234,7 +234,7 @@ fn decode(bytes: &[u8], key: &PlanKey, g: &DiGraph, f: usize) -> Result<Executio
     if rho0 == 0 {
         return Err("invalid rho".into());
     }
-    ExecutionPlan::from_parts(decoded, f, gamma0, rho0, trees, 0)
+    ExecutionPlan::from_parts(decoded, f, gamma0, rho0, trees)
         .map_err(|e| format!("plan validation failed: {e:?}"))
 }
 

@@ -22,9 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use nab_bb::router::{FormulaClock, PathRouter};
-use nab_netgraph::arborescence::{
-    pack_arborescences, pack_arborescences_with_stats, Arborescence, PackStats,
-};
+use nab_netgraph::arborescence::{pack_arborescences_with_stats, Arborescence, PackStats};
 use nab_netgraph::canon;
 use nab_netgraph::{DiGraph, NodeId};
 
@@ -48,15 +46,15 @@ type PointMap<K, V> = std::collections::HashMap<K, V>;
 /// otherwise ask for billions of `(n − 1)`-edge trees.
 pub const MAX_TREES: u64 = 1 << 16;
 
-/// `γ_k` of `g`, refused above [`MAX_TREES`] before anything packs it:
-/// [`ExecutionPlan::build`] checks `G_1` with it and [`Gk::derive`] each
-/// replan, whose `γ_k` can exceed `γ₁` once an excluded node's thin links
-/// no longer bound it.
-fn tree_count(g: &DiGraph) -> Result<u64, NabError> {
-    match gamma_k(g, SOURCE) {
-        gamma if gamma > MAX_TREES => Err(NabError::TooManyTrees { gamma }),
-        gamma => Ok(gamma),
+/// What every plan of `(g, f)`, built or loaded, starts with: `n ≥ 3f+1`,
+/// then the router, whose connectivity proof is the validation of the
+/// paper's `2f+1` condition (it is not proven a second time).
+fn validated_router(g: &DiGraph, f: usize) -> Result<PathRouter, NabError> {
+    let n = g.active_count();
+    if n < 3 * f + 1 {
+        return Err(NabError::TooManyFaults { n, f });
     }
+    PathRouter::build(g, f).ok_or(NabError::InsufficientConnectivity)
 }
 
 /// The immutable one-time planning artifact for one network deployment
@@ -112,32 +110,13 @@ impl ExecutionPlan {
     /// when `γ₁` is above [`MAX_TREES`].
     pub fn build(g: DiGraph, f: usize) -> Result<ExecutionPlan, NabError> {
         let t0 = clock::mono_now();
-        let n = g.active_count();
-        if n < 3 * f + 1 {
-            return Err(NabError::TooManyFaults { n, f });
-        }
-        // The router's connectivity proof is the validation of the
-        // paper's `2f+1` condition; it is not proven a second time.
-        let router = PathRouter::build(&g, f).ok_or(NabError::InsufficientConnectivity)?;
+        let router = validated_router(&g, f)?;
         let rho0 = rho_k(&g, f, &BTreeSet::new()).ok_or(NabError::NoEqualityParameter)?;
-        let gamma0 = tree_count(&g)?;
-        let (trees0, pack_stats) =
-            pack_arborescences_with_stats(&g, SOURCE, gamma0).ok_or_else(|| {
-                NabError::ArborescencePacking {
-                    n,
-                    edges: g.edge_count(),
-                    gamma: gamma0,
-                }
-            })?;
-        Ok(ExecutionPlan {
-            labeled: canon::labeled_key(&g),
-            g1: Gk::first(g, gamma0, trees0, rho0),
-            f,
-            router,
-            build_wall_ns: t0.elapsed().as_nanos() as u64,
-            pack_stats,
-            bounds: RwLock::new(PointMap::new()),
-        })
+        let (mut g1, pack_stats) = Gk::lay_out(g, (0, 0))?;
+        g1.set_rho(rho0);
+        let mut plan = ExecutionPlan::assemble(g1, f, router, pack_stats);
+        plan.build_wall_ns = t0.elapsed().as_nanos() as u64;
+        Ok(plan)
     }
 
     /// Reassembles a plan from verified persisted artifacts (γ₁, ρ₁, the
@@ -147,8 +126,8 @@ impl ExecutionPlan {
     /// (`core.plan_load_ms`) on the benchmark's 36- to 64-node `plan-cold`
     /// fabrics at `f = 1`; as the pivot check it was 2.3–2.5 of 3.4–3.6
     /// ms, as an all-pairs scan 53 of 64. The caller (the persistence
-    /// layer) is responsible for having verified the artifacts; `wall_ns`
-    /// records what the reassembly cost.
+    /// layer) is responsible for having verified the artifacts and sets
+    /// what the reassembly cost with [`ExecutionPlan::set_build_wall_ns`].
     ///
     /// # Errors
     ///
@@ -160,22 +139,24 @@ impl ExecutionPlan {
         gamma0: u64,
         rho0: u64,
         trees0: Vec<Arborescence>,
-        wall_ns: u64,
     ) -> Result<ExecutionPlan, NabError> {
-        let n = g.active_count();
-        if n < 3 * f + 1 {
-            return Err(NabError::TooManyFaults { n, f });
-        }
-        let router = PathRouter::build(&g, f).ok_or(NabError::InsufficientConnectivity)?;
-        Ok(ExecutionPlan {
-            labeled: canon::labeled_key(&g),
-            g1: Gk::first(g, gamma0, trees0, rho0),
+        let router = validated_router(&g, f)?;
+        let mut g1 = Gk::new(g, gamma0, trees0, (0, 0));
+        g1.set_rho(rho0);
+        Ok(ExecutionPlan::assemble(g1, f, router, PackStats::default()))
+    }
+
+    /// A plan on `G_1` with `ρ_1` set, its build wall time not yet set.
+    fn assemble(g1: Gk, f: usize, router: PathRouter, pack_stats: PackStats) -> ExecutionPlan {
+        ExecutionPlan {
+            labeled: canon::labeled_key(g1.graph()),
+            g1,
             f,
             router,
-            build_wall_ns: wall_ns,
-            pack_stats: PackStats::default(),
+            build_wall_ns: 0,
+            pack_stats,
             bounds: RwLock::new(PointMap::new()),
-        })
+        }
     }
 
     /// The planned network `G_1`.
@@ -324,40 +305,52 @@ impl Gk {
         }
     }
 
-    /// `G_1`: the undisputed graph with its planned quantities.
-    fn first(g: DiGraph, gamma: u64, trees: Vec<Arborescence>, rho: u64) -> Gk {
-        let mut g1 = Gk::new(g, gamma, trees, (0, 0));
-        g1.set_rho(rho);
-        g1
+    /// Derives `G_k` for `disputes` from `g1`: removes the excluded nodes
+    /// and disputed links, then lays `G_k` out with [`Gk::lay_out`], as
+    /// [`ExecutionPlan::build`] lays out `G_1`. `ρ_k` is left to
+    /// [`Gk::set_rho`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Gk::lay_out`].
+    pub(crate) fn derive(g1: &DiGraph, disputes: &DisputeState) -> Result<Gk, NabError> {
+        let graph = disputes.current_graph(g1);
+        Ok(Gk::lay_out(graph, dispute_sizes(disputes))?.0)
     }
 
-    /// Derives `G_k` for `disputes` from `g1`: removes the excluded nodes
-    /// and disputed links, then computes `γ_k` and packs its arborescences
-    /// from scratch. `ρ_k` is left to [`Gk::set_rho`].
+    /// Lays `G_k` out on `graph`: `γ_k`, its arborescence packing from
+    /// scratch (returned with what the packing took) and the route table.
+    /// Every `G_k` is derived here: [`ExecutionPlan::build`] calls it for
+    /// `G_1`, [`Gk::derive`] for each replan.
     ///
     /// # Errors
     ///
     /// Returns [`NabError::TooManyTrees`] if `γ_k` is above [`MAX_TREES`],
     /// and [`NabError::ArborescencePacking`] if no packing exists at
     /// `γ_k`.
-    pub(crate) fn derive(g1: &DiGraph, disputes: &DisputeState) -> Result<Gk, NabError> {
-        let graph = disputes.current_graph(g1);
-        let gamma = tree_count(&graph)?;
-        let trees = pack_arborescences(&graph, SOURCE, gamma).ok_or_else(|| {
-            NabError::ArborescencePacking {
-                n: graph.active_count(),
-                edges: graph.edge_count(),
-                gamma,
-            }
-        })?;
+    fn lay_out(graph: DiGraph, disputes: (usize, usize)) -> Result<(Gk, PackStats), NabError> {
+        // Refused before anything packs it: a replan's `γ_k` can exceed
+        // `γ₁` once an excluded node's thin links no longer bound it.
+        let gamma = gamma_k(&graph, SOURCE);
+        if gamma > MAX_TREES {
+            return Err(NabError::TooManyTrees { gamma });
+        }
+        let (trees, stats) =
+            pack_arborescences_with_stats(&graph, SOURCE, gamma).ok_or_else(|| {
+                NabError::ArborescencePacking {
+                    n: graph.active_count(),
+                    edges: graph.edge_count(),
+                    gamma,
+                }
+            })?;
         // DetSan (debug builds): re-verify the packing against `G_k`
         // before it is used.
         debug_assert_eq!(
             nab_netgraph::arborescence::validate_packing(&graph, SOURCE, &trees),
             Ok(()),
-            "DetSan: the replan produced an invalid packing"
+            "DetSan: the packing is invalid"
         );
-        Ok(Gk::new(graph, gamma, trees, dispute_sizes(disputes)))
+        Ok((Gk::new(graph, gamma, trees, disputes), stats))
     }
 
     /// Whether this value was derived from `disputes` (and so is still

@@ -12,8 +12,8 @@ use nab::equality::CodingScheme;
 use nab::plan::ExecutionPlan;
 use nab::value::Value;
 use nab_gf::Gf2_16;
-use nab_netgraph::arborescence::pack_arborescences_naive;
 use nab_netgraph::gen;
+use nab_oracle::arborescence::pack_arborescences_naive;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -15,8 +15,9 @@
 //!
 //! # Deciding safety
 //!
-//! [`pack_arborescences_naive`] re-runs a max-flow to every node per
-//! candidate. [`pack_arborescences`] keeps, per node `v`, one persistent
+//! The reference packer, `pack_arborescences_naive` in the dev-only
+//! `nab-oracle` crate (`tests/oracle`), re-runs a max-flow to every node
+//! per candidate. [`pack_arborescences`] keeps, per node `v`, one persistent
 //! *witness*: an integral `root → v` flow inside the remaining capacities
 //! whose value is at least the number of trees still to build (`need`).
 //! Taking a unit of edge `e` breaks only the witnesses that ship more than
@@ -42,7 +43,6 @@
 //! finished and is not tried again (the *unsafe memo*). [`PackStats`]
 //! counts all of this.
 
-use crate::flow::FlowNet;
 use crate::graph::{DiGraph, NodeId};
 
 /// A spanning arborescence: `parent_edge[v] = Some((u, v))` for every
@@ -133,29 +133,6 @@ impl Arborescence {
         }
         depth.into_iter().max().unwrap_or(0)
     }
-}
-
-/// Computes the residual min cut from `root` to `target` given per-edge
-/// remaining capacities.
-fn residual_min_cut(g: &DiGraph, rem: &[u64], root: NodeId, target: NodeId) -> u64 {
-    let mut net = FlowNet::new(g.node_count());
-    for (id, e) in g.edges() {
-        if rem[id] > 0 {
-            net.add_arc(e.src, e.dst, rem[id]);
-        }
-    }
-    net.max_flow(root, target)
-}
-
-/// Whether, with remaining capacities `rem`, every active node still has
-/// min cut ≥ `need` from the root.
-fn invariant_holds(g: &DiGraph, rem: &[u64], root: NodeId, need: u64) -> bool {
-    if need == 0 {
-        return true;
-    }
-    g.nodes()
-        .filter(|&v| v != root)
-        .all(|v| residual_min_cut(g, rem, root, v) >= need)
 }
 
 /// What one [`pack_arborescences`] run did, as deterministic counts (a
@@ -414,9 +391,10 @@ impl Witnesses {
 ///
 /// Safety of a candidate edge is decided by repairing persistent flow
 /// witnesses in place (see the [module docs](self)). The decision is the
-/// same boolean [`pack_arborescences_naive`] computes — it does not depend
-/// on which witness was found — so the produced packing is **identical**,
-/// a fact the differential tests (and the engine's replan proptests) pin
+/// same boolean the reference packer (`nab-oracle`'s
+/// `pack_arborescences_naive`) computes — it does not depend on which
+/// witness was found — so the produced packing is **identical**, a fact
+/// that crate's differential tests (and the engine's replan proptests) pin
 /// down.
 ///
 /// # Panics
@@ -489,70 +467,6 @@ pub fn pack_arborescences_with_stats(
         trees.push(Arborescence { root, edges });
     }
     Some((trees, stats))
-}
-
-/// Reference implementation of [`pack_arborescences`]: Lovász's constructive
-/// proof with a full `O(V)`-max-flow invariant check per candidate edge.
-///
-/// Kept as the differential oracle: [`pack_arborescences`] must produce
-/// bit-identical output.
-///
-/// # Panics
-///
-/// Panics if `root` is inactive.
-pub fn pack_arborescences_naive(g: &DiGraph, root: NodeId, k: u64) -> Option<Vec<Arborescence>> {
-    assert!(g.is_active(root), "root must be active");
-    if k == 0 {
-        return Some(Vec::new());
-    }
-    let max_id = g.edges().map(|(id, _)| id + 1).max().unwrap_or(0);
-    let mut rem = vec![0u64; max_id];
-    for (id, e) in g.edges() {
-        rem[id] = e.cap;
-    }
-    if !invariant_holds(g, &rem, root, k) {
-        return None;
-    }
-
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let mut trees = Vec::with_capacity(k as usize);
-
-    for tree_idx in 0..k {
-        // Remaining trees to build after this one.
-        let need = k - tree_idx - 1;
-        let mut in_tree = vec![false; g.node_count()];
-        in_tree[root] = true;
-        let mut covered = 1usize;
-        let mut edges = Vec::new();
-
-        while covered < nodes.len() {
-            // Find a safe frontier edge: src in tree, dst not, and removing
-            // one unit of its capacity keeps every node's residual min cut
-            // ≥ `need`.
-            let mut advanced = false;
-            'candidates: for (id, e) in g.edges() {
-                if rem[id] == 0 || !in_tree[e.src] || in_tree[e.dst] {
-                    continue;
-                }
-                rem[id] -= 1;
-                if invariant_holds(g, &rem, root, need) {
-                    in_tree[e.dst] = true;
-                    covered += 1;
-                    edges.push((e.src, e.dst));
-                    advanced = true;
-                    break 'candidates;
-                }
-                rem[id] += 1;
-            }
-            if !advanced {
-                // Cannot happen when Edmonds' condition held at entry; kept
-                // as a defensive bail-out rather than a panic.
-                return None;
-            }
-        }
-        trees.push(Arborescence { root, edges });
-    }
-    Some(trees)
 }
 
 /// Validates an arborescence packing: each tree spans all active nodes from
@@ -674,86 +588,6 @@ mod tests {
         }
     }
 
-    /// Asserts `packed == naive` on `g` for `k − 1`, `k` and `k + 1` trees
-    /// (`k` the broadcast rate) and returns `k`.
-    fn assert_matches_naive(g: &DiGraph, what: &str) -> u64 {
-        let k = broadcast_rate(g, 0);
-        for req in k.saturating_sub(1)..=k + 1 {
-            let packed = pack_arborescences(g, 0, req);
-            assert_eq!(
-                packed,
-                pack_arborescences_naive(g, 0, req),
-                "{what} diverged at k={req}"
-            );
-            assert_eq!(packed.is_some(), req <= k, "{what} at k={req}");
-            if let Some(trees) = packed {
-                validate_packing(g, 0, &trees).unwrap();
-            }
-        }
-        k
-    }
-
-    // Debug builds keep a sample of the differential cases; CI's
-    // release-mode run of this crate covers ≥ 500 (a case is one graph at
-    // one `k`).
-
-    #[test]
-    fn witness_packer_is_bit_identical_to_naive() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let heavy = !cfg!(debug_assertions);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut nontrivial = 0;
-        let trials = if heavy { 180 } else { 24 };
-        for trial in 0..trials {
-            let n = rng.gen_range(5..=if heavy { 9 } else { 7 });
-            let g = match trial % 3 {
-                0 => gen::random_connected(n, 0.5, 3, &mut rng),
-                1 => gen::random_k_connected(n, 3, 4, 0.2, &mut rng),
-                _ => gen::complete_heterogeneous(n.min(6), 1, 3, &mut rng),
-            };
-            let k = assert_matches_naive(&g, &format!("trial {trial}"));
-            nontrivial += usize::from(k > 1);
-        }
-        assert!(nontrivial >= trials / 2, "mostly trivial packings");
-    }
-
-    #[test]
-    fn witness_packer_matches_naive_after_edge_removals() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let heavy = !cfg!(debug_assertions);
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut sparse_nontrivial = 0;
-        let trials = if heavy { 64 } else { 16 };
-        for trial in 0..trials {
-            let mut g = gen::random_k_connected(8, 3, 3, 0.3, &mut rng);
-            // An exposed node leaves its edges in the id space, so the
-            // live ids are sparse (the packer's edge `k` is the k-th
-            // *live* edge, not edge id `k`).
-            let sparse = trial % 2 == 1;
-            if sparse {
-                g.remove_node(rng.gen_range(1..8));
-                let ids: Vec<crate::EdgeId> = g.edges().map(|(id, _)| id).collect();
-                assert!(ids.iter().enumerate().any(|(k, &id)| k != id));
-            }
-            // Dispute-style removals shrink the graph between packings.
-            for _ in 0..3 {
-                let a = rng.gen_range(1..8);
-                let b = rng.gen_range(1..8);
-                if a != b {
-                    g.remove_edges_between(a, b);
-                }
-                let k = assert_matches_naive(&g, &format!("trial {trial} after removal"));
-                sparse_nontrivial += usize::from(sparse && k > 1);
-            }
-        }
-        assert!(
-            sparse_nontrivial >= trials / 2,
-            "sparse-id cases were trivial"
-        );
-    }
-
     /// Asserts that every node's witness is a flow of its recorded value,
     /// at least `need`, inside the remaining capacities.
     fn assert_witnesses_hold(w: &Witnesses, g: &DiGraph, need: u32) {
@@ -826,7 +660,7 @@ mod tests {
         for (s, d, cap) in links {
             g.add_edge(s, d, cap);
         }
-        assert_eq!(assert_matches_naive(&g, "rollback case"), 4);
+        assert_eq!(broadcast_rate(&g, 0), 4);
 
         let mut w = Witnesses::new(&g, 0);
         assert!(w.fill(&g, 4));
