@@ -4,9 +4,9 @@
 //! One-time network setup (validation, γ₁/ρ₁, arborescence packing, the
 //! disjoint-path router) lives in the planning layer
 //! ([`crate::plan::ExecutionPlan`]); the engine borrows a plan via
-//! [`Arc`] and keeps only per-instance state, so many engines — a sweep
-//! job's interleaved streams, or every job of a grid sharing a topology —
-//! execute against one shared plan.
+//! [`Arc`] and keeps only per-instance state, so many engines — every
+//! job of a grid sharing a topology, or every candidate placement of a
+//! worst-case search — execute against one shared plan.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -332,11 +332,6 @@ impl NabEngine {
     /// — only timing differs.
     pub fn set_net(&mut self, net: Option<NetExec>) {
         self.net = net;
-    }
-
-    /// The message-level execution config, if enabled.
-    pub fn net(&self) -> Option<&NetExec> {
-        self.net.as_ref()
     }
 
     /// The shared planning artifact this engine executes against.

@@ -1,6 +1,6 @@
 //! The planning layer: one-time network setup split out of the engine,
 //! plus the concurrent content-addressed [`PlanCache`] that lets many
-//! broadcast deployments (sweep jobs, interleaved streams) share it.
+//! broadcast deployments (sweep jobs, worst-case candidates) share it.
 //!
 //! NAB's per-network setup is expensive — validating the paper's
 //! conditions, building `2f+1` disjoint-path routing tables for every
@@ -235,10 +235,10 @@ impl ExecutionPlan {
     /// The paper's Eq. 6 / Theorem 2 bounds for this network at the
     /// given `γ*` enumeration budget, computed once per distinct budget
     /// and cached in the plan thereafter (so a sweep's worst-case
-    /// candidate search and interleaved streams pay for the enumeration
-    /// once per network, not once per measurement — and a plan reused
-    /// across sweeps with *different* budgets still reports each sweep's
-    /// own deterministic values).
+    /// candidate search pays for the enumeration once per network, not
+    /// once per measurement — and a plan reused across sweeps with
+    /// *different* budgets still reports each sweep's own deterministic
+    /// values).
     pub fn bounds_report(&self, budget: usize) -> Option<BoundsReport> {
         // Poison-tolerant lock access throughout: the maps only ever hold
         // fully-constructed values, so a panicked holder cannot leave them

@@ -9,16 +9,17 @@
 //!   slices: every [`crate::Matrix`] multiply (`mat_mul`, `mat_mul_into`)
 //!   is one call of it;
 //! - [`FastOps::mul_row_add`], the row kernel `dst += s · src`: the
-//!   one-row, one-coefficient case of the product, and what the
-//!   `benchmark/` probes time per row.
+//!   one-row, one-coefficient case of the product. No product code calls
+//!   it; every field runs its scalar default ([`scalar_mul_row_add`]),
+//!   which the `benchmark/` probes time per row.
 //!
-//! Per field:
+//! Per field, the product kernel is:
 //!
 //! - [`crate::gf2m::Gf2_16`] — the arch-SIMD GEMM micro-kernel
 //!   ([`crate::simd`]) on rows long enough to fill vectors, a log-domain
 //!   loop on short rows, row tails and the portable tier;
-//! - [`crate::gf2m::Gf2m`] (any degree) — the scalar defaults
-//!   ([`scalar_gemm_acc`], [`scalar_mul_row_add`]).
+//! - [`crate::gf2m::Gf2m`] (any degree) — the scalar default
+//!   ([`scalar_gemm_acc`]).
 //!
 //! Specialized kernels are exact: they may change speed, never values
 //! (pinned against the scalar defaults by `tests/differential.rs`).
@@ -28,9 +29,9 @@ use crate::gf2m::{Gf2_16, Gf2m};
 use crate::simd;
 
 /// The scalar reference implementation of the fused row kernel:
-/// `dst[i] += s · src[i]` one element at a time. This is both the default
-/// body of [`FastOps::mul_row_add`] and the baseline the differential
-/// tests compare the specialized kernel against.
+/// `dst[i] += s · src[i]` one element at a time. This is the body of
+/// [`FastOps::mul_row_add`] for every field and the inner loop of
+/// [`scalar_gemm_acc`].
 ///
 /// # Panics
 ///
@@ -105,61 +106,8 @@ impl FastOps for Gf2_16 {
     fn gemm_acc(out: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
         simd::gf2_16_gemm_acc(out, a, b, m, k, n);
     }
-
-    fn mul_row_add(dst: &mut [Self], src: &[Self], s: Self) {
-        assert_eq!(
-            dst.len(),
-            src.len(),
-            "mul_row_add length mismatch: dst has {} elements, src has {}",
-            dst.len(),
-            src.len()
-        );
-        match s.0 {
-            0 => {}
-            1 => {
-                for (d, &x) in dst.iter_mut().zip(src) {
-                    d.0 ^= x.0;
-                }
-            }
-            _ => simd::gf2_16_mul_row_add(dst, src, s),
-        }
-    }
 }
 
 // Every other degree: the scalar default (carry-less multiplication has no
 // table representation worth building at runtime).
 impl<const M: u32> FastOps for Gf2m<M> {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn gf2_16_kernel_matches_scalar_at_all_lengths() {
-        // Both sides of the SIMD dispatch threshold, with and without a
-        // log-domain tail.
-        let mut rng = StdRng::seed_from_u64(71);
-        for len in [
-            0,
-            1,
-            7,
-            simd::SIMD_THRESHOLD - 1,
-            simd::SIMD_THRESHOLD,
-            200,
-            1024,
-        ] {
-            let src: Vec<Gf2_16> = (0..len).map(|_| Gf2_16::random(&mut rng)).collect();
-            let base: Vec<Gf2_16> = (0..len).map(|_| Gf2_16::random(&mut rng)).collect();
-            for s in [0u64, 1, 2, 0xFFFF, 0xABCD] {
-                let s = Gf2_16::from_u64(s);
-                let mut fast = base.clone();
-                let mut slow = base.clone();
-                Gf2_16::mul_row_add(&mut fast, &src, s);
-                scalar_mul_row_add(&mut slow, &src, s);
-                assert_eq!(fast, slow, "len={len} s={s:?}");
-            }
-        }
-    }
-}

@@ -571,32 +571,6 @@ fn gf2_16_gemm_acc_on(
     }
 }
 
-/// `dst[i] ^= s · src[i]` over `GF(2^16)` — the 1×1 case of the GEMM
-/// micro-kernel, with its one table on the stack.
-///
-/// Caller guarantees `s != 0` and equal lengths.
-pub(crate) fn gf2_16_mul_row_add(dst: &mut [Gf2_16], src: &[Gf2_16], s: Gf2_16) {
-    debug_assert_eq!(dst.len(), src.len());
-    let (tier, w) = (tier_enum(), dst.len());
-    let cols = gf2_16_vector_cols(tier, w);
-    if cols > 0 {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            Tier::Gfni => gf2_16_panel_gfni(dst, &[AffineTables::new(s)], src, 1, w, cols),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => gf2_16_panel_avx2(dst, &[NibbleTables::new(s)], src, 1, w, cols),
-            #[expect(
-                clippy::unreachable,
-                reason = "gf2_16_vector_cols gives this tier zero columns"
-            )]
-            _ => unreachable!("the portable tier takes no vector columns"),
-        }
-    }
-    if cols < w {
-        crate::gf2m::mul_row_add_log16(&mut dst[cols..], &src[cols..], s);
-    }
-}
-
 /// `a == b`, decided by one `memcmp` over the symbol storage instead of
 /// the derived element-by-element loop (21× on a 65536-symbol payload,
 /// and a libc call's speed does not move with the caller's code

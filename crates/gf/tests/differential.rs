@@ -8,10 +8,10 @@
 //! never values. Each property draws random shapes (including degenerate
 //! 0/1 dimensions and rows straddling the SIMD dispatch threshold) and
 //! compares the kernel output against the scalar reference
-//! ([`scalar_gemm_acc`], [`scalar_mul_row_add`]) element-for-element.
+//! ([`scalar_gemm_acc`]) element-for-element.
 
 use nab_gf::field::Field;
-use nab_gf::kernel::{scalar_gemm_acc, scalar_mul_row_add, FastOps};
+use nab_gf::kernel::scalar_gemm_acc;
 use nab_gf::{Gf2_16, Gf2m, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,37 +20,6 @@ use rand::SeedableRng;
 fn vec_of(len: usize, seed: u64) -> Vec<Gf2_16> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len).map(|_| Gf2_16::random(&mut rng)).collect()
-}
-
-/// Row lengths covering both sides of the SIMD dispatch threshold
-/// ([`nab_gf::simd::SIMD_THRESHOLD`], 64 elements): half the draws are
-/// short rows (0..200), half are long rows (1000..1100) that end in a
-/// log-domain tail.
-fn row_len() -> impl Strategy<Value = usize> {
-    (any::<bool>(), 0usize..200).prop_map(|(long, l)| if long { 1000 + l % 100 } else { l })
-}
-
-// ---------------------------------------------------------------------------
-// The GF(2^16) row kernel vs. the scalar row loop.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn mul_row_add_matches_scalar(
-        len in row_len(),
-        seed in any::<u64>(),
-        s in any::<u64>(),
-    ) {
-        let s = Gf2_16::from_u64(s);
-        let src = vec_of(len, seed);
-        let mut fast = vec_of(len, seed ^ 1);
-        let mut slow = fast.clone();
-        <Gf2_16 as FastOps>::mul_row_add(&mut fast, &src, s);
-        scalar_mul_row_add(&mut slow, &src, s);
-        prop_assert_eq!(fast, slow);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-//! Observability layer for the NAB reproduction: structured event tracing,
-//! a metrics registry, and latency-distribution histograms.
+//! Observability layer for the NAB reproduction: structured event tracing
+//! and latency-distribution histograms.
 //!
 //! The crate has **zero dependencies** (not even on the rest of the
 //! workspace) so every other crate can depend on it, and it is built around
@@ -22,9 +22,7 @@
 //! - [`metrics`] — [`metrics::Histogram`], a fixed 65-bucket log2 latency
 //!   histogram with exact `count`/`sum`/`min`/`max` and p50/p90/p99
 //!   extraction, whose merge is commutative and associative (so per-thread
-//!   histograms merge to the same result for any work partition), plus a
-//!   [`metrics::Registry`] of named counters and histograms with
-//!   deterministic (sorted) iteration order.
+//!   histograms merge to the same result for any work partition).
 //! - [`writer`] — renderers from a recorded event slice to JSONL (one JSON
 //!   object per line) and to Chrome `trace_event` JSON loadable in
 //!   `about:tracing` / [Perfetto](https://ui.perfetto.dev).
@@ -45,7 +43,7 @@ pub mod metrics;
 pub mod trace;
 pub mod writer;
 
-pub use metrics::{Histogram, Registry};
+pub use metrics::Histogram;
 pub use trace::{
     emit, set_thread_sink, BufferSink, Event, EventKind, InstanceSpan, Phase, PhaseSpan, TraceSink,
 };

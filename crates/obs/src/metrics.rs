@@ -1,5 +1,5 @@
-//! Counters and fixed-bucket log2 latency histograms with a deterministic,
-//! commutative merge.
+//! Fixed-bucket log2 latency histograms with a deterministic, commutative
+//! merge.
 //!
 //! # Bucket layout
 //!
@@ -17,8 +17,6 @@
 //! and `max`, so sum-style reporting (the legacy `wall_*_ns` fields) stays
 //! exact; only the percentiles are bucket-resolution approximations
 //! (within 2× of the true value, clamped to the observed `[min, max]`).
-
-use std::collections::BTreeMap;
 
 /// Number of histogram buckets: one for zero plus one per bit length.
 pub const NUM_BUCKETS: usize = 65;
@@ -173,47 +171,6 @@ impl Histogram {
     }
 }
 
-/// A named collection of counters and histograms with deterministic
-/// (lexicographic) iteration order, so serialized metric sections have a
-/// fixed schema.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Registry {
-    /// New empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `delta` to the named counter, creating it at 0 first.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Current value of the named counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Insert (or replace) a histogram wholesale.
-    pub fn set_histogram(&mut self, name: &str, histogram: Histogram) {
-        self.histograms.insert(name.to_string(), histogram);
-    }
-
-    /// Counters in lexicographic name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Histograms in lexicographic name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,22 +244,5 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, whole);
         assert_eq!(ba, whole);
-    }
-
-    #[test]
-    fn registry_iterates_in_name_order() {
-        let mut r = Registry::new();
-        r.counter_add("zeta", 2);
-        r.counter_add("alpha", 1);
-        r.counter_add("alpha", 5);
-        r.set_histogram("lat_b", Histogram::new());
-        r.set_histogram("lat_a", Histogram::new());
-
-        let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, ["alpha", "zeta"]);
-        assert_eq!(r.counter("alpha"), 6);
-        assert_eq!(r.counter("absent"), 0);
-        let hnames: Vec<&str> = r.histograms().map(|(n, _)| n).collect();
-        assert_eq!(hnames, ["lat_a", "lat_b"]);
     }
 }

@@ -7,9 +7,9 @@
 //! when tracing is off and must not allocate per event when it is on:
 //!
 //! - Events are plain `Copy` structs — no strings, no boxing. Context that
-//!   would otherwise be repeated on every event (job index, stream,
-//!   instance) lives in thread-local *context* fields set once by the
-//!   enclosing scope ([`set_job`], [`set_stream`], [`set_instance`]).
+//!   would otherwise be repeated on every event (job index, instance)
+//!   lives in thread-local *context* fields set once by the enclosing
+//!   scope ([`set_job`], [`set_instance`]).
 //! - Each thread owns a preallocated buffer of [`BUFFER_CAPACITY`] events.
 //!   [`emit`] appends to it and only calls the sink when the buffer fills;
 //!   uninstalling the sink ([`set_thread_sink`] with `None`) flushes the
@@ -75,7 +75,7 @@ pub const PACK_COUNTS: [&str; 6] = [
 ];
 
 /// What happened. Payload fields are the event-specific data; shared
-/// context (job/stream/instance) lives on [`Event`] itself.
+/// context (job/instance) lives on [`Event`] itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A sweep over `jobs` grid points is starting.
@@ -274,8 +274,6 @@ pub struct Event {
     pub ts_ns: u64,
     /// Sweep job index (0 outside any job).
     pub job: u64,
-    /// Stream index within the job (0 outside any stream).
-    pub stream: u32,
     /// 0-based broadcast instance index within the job.
     pub instance: u64,
     /// What happened.
@@ -353,7 +351,6 @@ fn epoch() -> Instant {
 struct ThreadState {
     sink: Option<Arc<dyn TraceSink>>,
     job: u64,
-    stream: u32,
     instance: u64,
     buf: Vec<Event>,
 }
@@ -363,7 +360,6 @@ impl ThreadState {
         Self {
             sink: None,
             job: 0,
-            stream: 0,
             instance: 0,
             buf: Vec::new(),
         }
@@ -376,7 +372,6 @@ impl ThreadState {
             seq: SEQ.fetch_add(1, Ordering::Relaxed),
             ts_ns: epoch().elapsed().as_nanos() as u64,
             job: self.job,
-            stream: self.stream,
             instance: self.instance,
             kind,
         };
@@ -424,19 +419,13 @@ pub fn set_thread_sink(sink: Option<Arc<dyn TraceSink>>) {
 }
 
 /// Set the sweep-job context for subsequent events on this thread, and
-/// reset the stream/instance context to 0.
+/// reset the instance context to 0.
 pub fn set_job(job: u64) {
     STATE.with(|s| {
         let mut s = s.borrow_mut();
         s.job = job;
-        s.stream = 0;
         s.instance = 0;
     });
-}
-
-/// Set the stream context for subsequent events on this thread.
-pub fn set_stream(stream: u32) {
-    STATE.with(|s| s.borrow_mut().stream = stream);
 }
 
 /// Set the 0-based instance context for subsequent events on this thread.
@@ -545,7 +534,6 @@ mod tests {
         let sink = Arc::new(BufferSink::new());
         set_thread_sink(Some(sink.clone()));
         set_job(3);
-        set_stream(1);
         let span = InstanceSpan::enter(7);
         emit(EventKind::PlanCacheMiss);
         emit(EventKind::PlanBuilt {
@@ -569,7 +557,7 @@ mod tests {
             ]
         );
         for e in &events {
-            assert_eq!((e.job, e.stream, e.instance), (3, 1, 7));
+            assert_eq!((e.job, e.instance), (3, 7));
         }
         // seq strictly increasing, timestamps monotone within the thread.
         for w in events.windows(2) {
@@ -733,19 +721,15 @@ mod tests {
     }
 
     #[test]
-    fn set_job_resets_stream_and_instance() {
+    fn set_job_resets_instance() {
         let sink = Arc::new(BufferSink::new());
         set_thread_sink(Some(sink.clone()));
         set_job(1);
-        set_stream(2);
         set_instance(9);
         set_job(4);
         emit(EventKind::JobStart);
         set_thread_sink(None);
         let events = sink.take_sorted();
-        assert_eq!(
-            (events[0].job, events[0].stream, events[0].instance),
-            (4, 0, 0)
-        );
+        assert_eq!((events[0].job, events[0].instance), (4, 0));
     }
 }

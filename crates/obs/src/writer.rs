@@ -7,7 +7,7 @@
 //! escaping is needed.
 //!
 //! - **JSONL** ([`to_jsonl`]): one JSON object per line, in the fixed key
-//!   order `seq, ts_ns, job, stream, instance, kind` followed by the
+//!   order `seq, ts_ns, job, instance, kind` followed by the
 //!   kind's fields (`jobs`, `phase`, `build_ns`, `new_pairs`, `node`, …).
 //!   Grep-friendly and trivially parseable line by line.
 //! - **Chrome** ([`to_chrome_trace`]): a `{"traceEvents": [...]}` document
@@ -15,8 +15,8 @@
 //!   events (sweep/job/instance/phase) become `B`/`E` duration pairs;
 //!   point events (cache hits, dispute activity) become instant (`i`)
 //!   events; `args` holds the instance index and the kind's fields. The
-//!   sweep job index maps to `pid` and the stream index to `tid`, so
-//!   concurrent jobs render as parallel process tracks;
+//!   sweep job index maps to `pid` (with `tid` 0), so each job is one
+//!   track and concurrent jobs render as parallel process tracks;
 //!   timestamps are microseconds with the native nanosecond resolution
 //!   kept in the fractional part.
 
@@ -37,11 +37,10 @@ pub fn to_jsonl(events: &[Event]) -> String {
 fn write_jsonl_event(out: &mut String, ev: &Event) {
     let _ = write!(
         out,
-        "{{\"seq\":{},\"ts_ns\":{},\"job\":{},\"stream\":{},\"instance\":{},\"kind\":\"{}\"",
+        "{{\"seq\":{},\"ts_ns\":{},\"job\":{},\"instance\":{},\"kind\":\"{}\"",
         ev.seq,
         ev.ts_ns,
         ev.job,
-        ev.stream,
         ev.instance,
         ev.kind.name()
     );
@@ -99,8 +98,8 @@ fn write_chrome_event(out: &mut String, ev: &Event) {
     };
     let _ = write!(
         out,
-        ",\"ts\":{ts_us:.3},\"pid\":{},\"tid\":{},\"args\":{{\"instance\":{}",
-        ev.job, ev.stream, ev.instance
+        ",\"ts\":{ts_us:.3},\"pid\":{},\"tid\":0,\"args\":{{\"instance\":{}",
+        ev.job, ev.instance
     );
     for (name, value) in ev.kind.fields() {
         let _ = write!(out, ",\"{name}\":{value}");
@@ -125,7 +124,6 @@ mod tests {
             seq,
             ts_ns: seq * 1500,
             job: 2,
-            stream: 1,
             instance: 3,
             kind,
         }
@@ -136,7 +134,7 @@ mod tests {
         let line = event_to_jsonl(&ev(5, EventKind::PhaseStart(Phase::Flags)));
         assert_eq!(
             line,
-            "{\"seq\":5,\"ts_ns\":7500,\"job\":2,\"stream\":1,\"instance\":3,\
+            "{\"seq\":5,\"ts_ns\":7500,\"job\":2,\"instance\":3,\
              \"kind\":\"phase_start\",\"phase\":\"flags\"}"
         );
         let line = event_to_jsonl(&ev(
@@ -190,7 +188,7 @@ mod tests {
             write_chrome_event(&mut chrome, &e);
             assert!(
                 chrome.ends_with(&format!(
-                    "\"pid\":2,\"tid\":1,\"args\":{{\"instance\":3{fields}}}}}"
+                    "\"pid\":2,\"tid\":0,\"args\":{{\"instance\":3{fields}}}}}"
                 )),
                 "{chrome}"
             );

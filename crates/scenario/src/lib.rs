@@ -9,7 +9,7 @@
 //!   [`topology::TopologyTemplate`], a [`faults::FaultSchedule`], an
 //!   [`adversary::AdversarySpec`], the broadcast backend, and the
 //!   workload grid (`n × cap × f × symbols × seeds`, `q` instances per
-//!   job, optional interleaved streams);
+//!   job);
 //! - [`parse`] — the `.scenario` text format (see `docs/scenarios.md`
 //!   for the reference and `scenarios/` for the bundled library), one row
 //!   of [`parse::KEYS`] per key; the topology, adversary, fault, mutation

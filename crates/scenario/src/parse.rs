@@ -96,7 +96,7 @@ macro_rules! key {
 }
 
 /// Every key, in the order [`to_scenario_string`] writes them.
-pub static KEYS: [Key; 18] = [
+pub static KEYS: [Key; 17] = [
     key!(name, text, String::clone),
     key!(topology, TopologyTemplate::parse, Term::spec_string),
     key!(broadcast, BroadcastKind::parse, broadcast_name),
@@ -104,7 +104,6 @@ pub static KEYS: [Key; 18] = [
     key!(faults, FaultSchedule::parse, Term::spec_string),
     key!(mutations, MutationSchedule::parse, Term::spec_string),
     key!(q, num, ToString::to_string),
-    key!(streams, num, ToString::to_string),
     key!(n, list, join),
     key!(cap, list, join),
     key!(f, list, join),
@@ -222,7 +221,6 @@ adversary = random:0.3
 faults = rotating:1
 mutations = flap:4:2:50
 q = 5
-streams = 2
 n = 5, 7
 cap = 1,2,4
 f = 1
@@ -244,7 +242,7 @@ net = on
         assert_eq!(s.adversary.spec_string(), "random:0.3");
         assert_eq!(s.faults.spec_string(), "rotating:1");
         assert_eq!(s.mutations.spec_string(), "flap:4:2:50");
-        assert_eq!((s.q, s.streams), (5, 2));
+        assert_eq!(s.q, 5);
         assert_eq!(s.n, vec![5, 7]);
         assert_eq!(s.cap, vec![1, 2, 4]);
         assert_eq!(s.symbols, vec![8, 32]);
@@ -315,13 +313,16 @@ net = on
     #[test]
     fn removed_switch_keys_are_unknown_keys_with_line_numbers() {
         // `batch`, `plan_repair` and `plan_cache` selected reference paths
-        // that no longer exist, and `threads` duplicated the `--threads`
-        // deployment setting; a file that still sets them must say so.
+        // that no longer exist, `threads` duplicated the `--threads`
+        // deployment setting, and `streams` ran several deployments in one
+        // job where `seeds` already does; a file that still sets them must
+        // say so.
         for (head, line, key) in [
             ("name = x\nq = 2\n", 3, "batch"),
             ("name = x\nq = 2\n", 3, "plan_repair"),
             ("name = x\n", 2, "plan_cache"),
             ("name = x\n", 2, "threads"),
+            ("name = x\nq = 2\n", 3, "streams"),
         ] {
             let e = parse_str(&format!("{head}{key} = off\n")).unwrap_err();
             assert_eq!(e.line, line, "{e}");
@@ -330,7 +331,10 @@ net = on
         }
         let text = to_scenario_string(&ScenarioSpec::new("x"));
         assert!(
-            !text.contains("batch") && !text.contains("plan_") && !text.contains("threads"),
+            !text.contains("batch")
+                && !text.contains("plan_")
+                && !text.contains("threads")
+                && !text.contains("streams"),
             "{text}"
         );
         assert_eq!(parse_str(&text).unwrap(), ScenarioSpec::new("x"));

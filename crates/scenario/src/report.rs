@@ -20,7 +20,7 @@
 use nab::engine::InstanceReport;
 use nab::DeliveredTimes;
 use nab_netgraph::NodeId;
-use nab_obs::{Histogram, Registry};
+use nab_obs::Histogram;
 
 use crate::json::Json;
 
@@ -120,7 +120,7 @@ pub struct JobBounds {
 /// Everything measured for one job.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobMetrics {
-    /// Broadcast instances executed (`q × streams`).
+    /// Broadcast instances executed (`q`).
     pub instances: usize,
     /// Useful payload bits broadcast: `L` per instance, except defaulted
     /// instances (source already exposed), which deliver the default
@@ -130,10 +130,10 @@ pub struct JobMetrics {
     pub total_time: f64,
     /// `total_bits / total_time`.
     pub throughput: f64,
-    /// Throughput over the instances after each stream's last dispute
-    /// round. `None` when no such instance carries simulated time: every
-    /// instance disputed, or the post-dispute tail consists only of
-    /// zero-cost defaulted instances (source exposed as faulty).
+    /// Throughput over the instances after the last dispute round. `None`
+    /// when no such instance carries simulated time: every instance
+    /// disputed, or the post-dispute tail consists only of zero-cost
+    /// defaulted instances (source exposed as faulty).
     pub steady_throughput: Option<f64>,
     /// Summed Phase-1 time.
     pub phase1_time: f64,
@@ -143,20 +143,19 @@ pub struct JobMetrics {
     pub flags_time: f64,
     /// Summed dispute-control time.
     pub dispute_time: f64,
-    /// Dispute-control executions observed (summed over streams).
+    /// Dispute-control executions observed.
     pub dispute_rounds: usize,
-    /// Job-level dispute budget: `streams × f(f+1)` (each stream is an
-    /// independent deployment with its own paper bound).
+    /// The paper's dispute budget, `f(f+1)`.
     pub dispute_budget: usize,
-    /// Whether any single stream exceeded its own `f(f+1)` budget.
+    /// Whether the job exceeded its `f(f+1)` budget.
     pub dispute_budget_exceeded: bool,
     /// Instances whose equality check raised MISMATCH.
     pub mismatch_instances: usize,
     /// Instances served by the known-faulty-source fast path.
     pub defaulted_instances: usize,
-    /// All dispute pairs accumulated (union across streams).
+    /// All dispute pairs accumulated.
     pub pairs: Vec<(NodeId, NodeId)>,
-    /// Nodes exposed as faulty (union across streams).
+    /// Nodes exposed as faulty.
     pub removed: Vec<NodeId>,
     /// `(instance, node)` exposure events in execution order.
     pub exposed_history: Vec<(usize, NodeId)>,
@@ -391,61 +390,14 @@ impl SweepReport {
     /// The report as a JSON value tree: the rows of `tier` and below.
     fn to_json_value(&self, tier: Tier) -> Json {
         let jobs = self.jobs.iter().map(|j| job_json(j, tier)).collect();
-        let mut pairs = vec![
+        Json::obj(vec![
             ("scenario", Json::str(&self.scenario)),
             ("topology", Json::str(&self.topology)),
             ("adversary", Json::str(&self.adversary)),
             ("faults", Json::str(&self.faults)),
             ("jobs", Json::Arr(jobs)),
             ("aggregate", object(AGGREGATE, &self.aggregate, tier)),
-        ];
-        if tier == Timed {
-            pairs.push(("metrics", registry_json(&self.metrics_registry())));
-        }
-        Json::obj(pairs)
-    }
-
-    /// The sweep's fixed-schema metrics registry: counters for the things
-    /// the sweep did and per-phase latency histograms merged over all
-    /// measured jobs. This is what the timed JSON's `metrics` section
-    /// renders; future subsystems (the stats endpoint of a serving layer)
-    /// can consume it directly.
-    pub fn metrics_registry(&self) -> Registry {
-        let a = &self.aggregate;
-        let mut reg = Registry::new();
-        reg.counter_add("jobs", a.jobs as u64);
-        reg.counter_add("jobs_ok", a.ok_jobs as u64);
-        reg.counter_add("jobs_rejected", a.rejected_jobs as u64);
-        reg.counter_add("instances", a.total_instances as u64);
-        reg.counter_add("dispute_rounds", a.total_dispute_rounds as u64);
-        reg.counter_add("nodes_exposed", a.exposed_nodes as u64);
-        reg.counter_add("plan_cache_hits", a.plan_hits);
-        reg.counter_add("plan_cache_misses", a.plan_misses);
-        reg.counter_add("plan_repairs", a.plan_repairs);
-        reg.counter_add("plan_full_recomputes", a.plan_full_recomputes);
-        reg.counter_add("router.routes_extracted", a.routes_extracted);
-        let sum = |n: fn(&JobMetrics) -> usize| {
-            self.jobs.iter().filter_map(measured).map(n).sum::<usize>() as u64
-        };
-        reg.counter_add("mismatch_instances", sum(|m| m.mismatch_instances));
-        reg.counter_add("defaulted_instances", sum(|m| m.defaulted_instances));
-        reg.counter_add("bounds.inexact", self.inexact_bounds() as u64);
-        // Event-kernel work behind the `net = on` jobs (all zero without one).
-        let kernel = a.delivered.as_ref().map(|d| d.kernel).unwrap_or_default();
-        reg.counter_add("net.rounds", kernel.rounds);
-        reg.counter_add("net.deliveries", kernel.deliveries);
-        reg.counter_add("net.retransmits", kernel.retransmits);
-        for (name, histogram) in a.latency.phases() {
-            reg.set_histogram(&format!("latency_{name}_ns"), histogram.clone());
-        }
-        reg
-    }
-
-    /// Jobs whose Eq. 6 / Theorem 2 envelope rests on an upper bound on
-    /// `γ*` (their `bounds_budget` tripped).
-    fn inexact_bounds(&self) -> usize {
-        let inexact = |j: &&JobOutcome| bounds(j).is_some_and(|b| !b.gamma_star_exact);
-        self.jobs.iter().filter(inexact).count()
+        ])
     }
 
     /// A terminal-friendly table of the per-job outcomes. A `≤` in the
@@ -453,7 +405,10 @@ impl SweepReport {
     pub fn summary_table(&self) -> String {
         let cols = "job | grid point | faulty | T | disputes / f(f+1) | ok | γ*";
         let mut out = table(cols, std::slice::from_ref(self));
-        let inexact = self.inexact_bounds();
+        // Jobs whose Eq. 6 / Theorem 2 envelope rests on an upper bound on
+        // `γ*` (their `bounds_budget` tripped).
+        let inexact_job = |j: &&JobOutcome| bounds(j).is_some_and(|b| !b.gamma_star_exact);
+        let inexact = self.jobs.iter().filter(inexact_job).count();
         if inexact > 0 {
             out.push_str(&format!(
                 "≤ {inexact} job(s): bounds_budget tripped, the Eq. 6 / Theorem 2 envelope uses an upper bound on γ*\n"
@@ -616,11 +571,21 @@ const AGGREGATE: &[Row<Aggregate>] = &[
     field!(Timed, plan_repairs, int),
     field!(Timed, plan_full_recomputes, int),
     field!(Timed, plan_repair_ns, int),
+    field!(Timed, routes_extracted, int),
+    // Event-kernel work behind the `net = on` jobs (0 without one).
+    ("net_rounds", Timed, |a| int(&kernel(a).rounds)),
+    ("net_deliveries", Timed, |a| int(&kernel(a).deliveries)),
+    ("net_retransmits", Timed, |a| int(&kernel(a).retransmits)),
     ("latency", Timed, |a| Some(histograms(a.latency.phases()))),
     ("delivered", Timed, |a| {
         Some(histograms(a.delivered.as_ref()?.phases()))
     }),
 ];
+
+/// The event-kernel counters summed over the sweep's `net = on` jobs.
+fn kernel(a: &Aggregate) -> nab_net::KernelStats {
+    a.delivered.as_ref().map(|d| d.kernel).unwrap_or_default()
+}
 
 fn job_json(job: &JobOutcome, tier: Tier) -> Json {
     let mut pairs = vec![
@@ -671,16 +636,6 @@ fn histogram_json(h: &Histogram) -> Json {
     Json::obj(pairs)
 }
 
-fn registry_json(reg: &Registry) -> Json {
-    Json::obj(vec![
-        (
-            "counters",
-            Json::obj(reg.counters().map(|(n, v)| (n, Json::U64(v))).collect()),
-        ),
-        ("histograms", histograms(reg.histograms())),
-    ])
-}
-
 /// A job-table cell for a job of a sweep (`None` prints `-`: a rejected
 /// job, no `bounds`, no steady state).
 type Cell = fn(&SweepReport, &JobOutcome) -> Option<String>;
@@ -699,7 +654,7 @@ const COLUMNS: &[Column] = &[
     }),
     ("faulty", |_, j| Some(format!("{:?}", j.faulty))),
     ("T", |_, j| dec(measured(j)?.throughput, 3)),
-    // Throughput after each stream's last dispute round.
+    // Throughput after the last dispute round.
     ("T steady", |_, j| dec(measured(j)?.steady_throughput?, 3)),
     ("disputes / f(f+1)", |_, j| {
         let m = measured(j)?;
@@ -1023,14 +978,10 @@ mod tests {
             let key = format!("\"{key}\":");
             assert!(canonical.contains(&key), "missing {key} in {canonical}");
         }
-        // The report-level metrics section closes the timed document.
-        assert!(
-            !canonical.contains("\"metrics\":{\"counters\""),
-            "{canonical}"
-        );
-        assert!(timed.contains("\"metrics\":{\"counters\":{"), "{timed}");
-        assert!(timed.contains("\"latency_phase1_ns\":{"), "{timed}");
-        assert!(timed.ends_with("}}}"), "{timed}");
+        // `aggregate` closes the timed document too: no section after it
+        // renders its numbers a second time.
+        assert!(timed.ends_with("}}}}"), "{timed}");
+        assert!(!timed.contains("counters"), "{timed}");
     }
 
     #[test]

@@ -35,8 +35,12 @@ pub struct ScenarioSpec {
     pub mutations: MutationSchedule,
     /// Broadcast instances per job (the paper's `Q`).
     pub q: usize,
-    /// Interleaved independent broadcast streams per job (each stream is
-    /// its own engine; instances alternate round-robin).
+    /// Always 1: a job is one deployment, one engine running `q`
+    /// instances. No `.scenario` key sets it and [`validate`] refuses any
+    /// other value; the field stays only while the `benchmark/` harness
+    /// reads it, and goes with that harness's next revision.
+    ///
+    /// [`validate`]: ScenarioSpec::validate
     pub streams: usize,
     /// Grid axis: node counts substituted for `$n`.
     pub n: Vec<usize>,
@@ -123,8 +127,8 @@ impl ScenarioSpec {
         if self.q == 0 {
             return Err("q must be ≥ 1".into());
         }
-        if self.streams == 0 {
-            return Err("streams must be ≥ 1".into());
+        if self.streams != 1 {
+            return Err("streams must be 1: a job is one deployment".into());
         }
         // `seeds = 0` is a legal *empty* grid (zero jobs): sweeps run
         // vacuously and the CLI reports it as a distinct exit code, so a
@@ -191,5 +195,10 @@ mod tests {
             ..ScenarioSpec::new("t")
         };
         assert!(s.validate().is_err());
+        let s = ScenarioSpec {
+            streams: 3,
+            ..ScenarioSpec::new("t")
+        };
+        assert!(s.validate().unwrap_err().contains("streams must be 1"));
     }
 }

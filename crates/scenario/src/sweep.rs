@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use nab::adversary::NabAdversary;
 use nab::dispute::DisputeState;
 use nab::engine::{instance_correct, NabConfig, NabEngine};
 use nab::plan::{PlanCache, PlanFetch};
@@ -490,9 +489,8 @@ fn record_fetch(metrics: &mut JobMetrics, fetch: &PlanFetch) {
     }
 }
 
-/// Measures one (graph, faulty-set) pair: `spec.streams` interleaved
-/// engines, `spec.q` instances each. The network plan is fetched from
-/// the cache once and every stream's engine borrows it; whether that
+/// Measures one (graph, faulty-set) pair: one engine runs `spec.q`
+/// instances. The network plan is fetched from the cache; whether that
 /// fetch hit, loaded from disk or built, the measured protocol behavior
 /// is bit-identical — plans are deterministic functions of `(G, f)`.
 fn measure(
@@ -512,54 +510,41 @@ fn measure(
     let fetch = cache
         .fetch(graph, job.f)
         .map_err(|e| format!("network rejected: {e}"))?;
-    let mut engines = Vec::with_capacity(spec.streams);
-    let mut advs: Vec<Box<dyn NabAdversary>> = Vec::with_capacity(spec.streams);
-    let mut input_rngs = Vec::with_capacity(spec.streams);
-    for s in 0..spec.streams as u64 {
-        let mut engine = NabEngine::from_plan(Arc::clone(&fetch.plan), cfg)
-            .map_err(|e| format!("network rejected: {e}"))?;
-        engine.set_broadcast_kind(spec.broadcast);
-        if spec.net {
-            // Each stream samples its own jitter/loss stream, derived
-            // from the job seed exactly like its adversary and input
-            // RNGs — never from wall-clock.
-            engine.set_net(Some(nab::NetExec {
-                model: spec.link_model.build(),
-                seed: mix(job.seed, 0x7E7u64 ^ s),
-            }));
-        }
-        engines.push(engine);
-        advs.push(spec.adversary.build(mix(job.seed, 0x0ADu64 ^ s)));
-        input_rngs.push(StdRng::seed_from_u64(mix(job.seed, 0x1A7u64 ^ s)));
+    let mut engine = NabEngine::from_plan(Arc::clone(&fetch.plan), cfg)
+        .map_err(|e| format!("network rejected: {e}"))?;
+    engine.set_broadcast_kind(spec.broadcast);
+    if spec.net {
+        // The jitter/loss stream derives from the job seed exactly like
+        // the adversary and input RNGs — never from wall-clock.
+        engine.set_net(Some(nab::NetExec {
+            model: spec.link_model.build(),
+            seed: mix(job.seed, 0x7E7),
+        }));
     }
+    let mut adv = spec.adversary.build(mix(job.seed, 0x0AD));
+    let mut input_rng = StdRng::seed_from_u64(mix(job.seed, 0x1A7));
 
     let bits_per_instance = job.symbols as u64 * SYMBOL_BITS;
     let mut metrics = JobMetrics {
-        // Each stream is an independent deployment with its own f(f+1)
-        // dispute budget; the job-level budget is their sum. Per-stream
-        // compliance is checked once the traces are complete.
-        dispute_budget: spec.streams * DisputeState::max_executions(job.f),
+        dispute_budget: DisputeState::max_executions(job.f),
         all_correct: true,
         delivered: spec.net.then(nab::DeliveredTimes::default),
         ..JobMetrics::default()
     };
     record_fetch(&mut metrics, &fetch);
-    // Per-stream instance trace for the steady-state tail:
-    // (time, useful bits, disputed). A defaulted instance (source already
-    // exposed) delivers the default value, not the payload, at zero
-    // simulated cost — it must count zero useful bits, or source-faulty
-    // placements would report *inflated* throughput and a worst-case
-    // search would never select them.
-    let mut traces: Vec<Vec<(f64, u64, bool)>> = vec![Vec::new(); spec.streams];
+    // Steady state: the instances after the last dispute round — the
+    // regime the paper's f(f+1) amortization argument converges to. A
+    // dispute round restarts the tail.
+    let (mut steady_time, mut steady_bits) = (0.0, 0u64);
 
     let mut cur_epoch = 0usize;
     for inst in 0..spec.q {
         // Epoch boundary: the mutation schedule re-provisions link
-        // capacities (node/edge sets unchanged) and every stream's engine
-        // migrates to the new network's plan, carrying its dispute state
-        // — a live deployment following an OCS reconfiguration. Mutated
-        // graphs are content-addressed like any other, so a schedule that
-        // revisits a profile (flap) hits the plan cache.
+        // capacities (node/edge sets unchanged) and the engine migrates to
+        // the new network's plan, carrying its dispute state — a live
+        // deployment following an OCS reconfiguration. Mutated graphs are
+        // content-addressed like any other, so a schedule that revisits a
+        // profile (flap) hits the plan cache.
         let epoch = spec.mutations.epoch(inst);
         if epoch != cur_epoch {
             cur_epoch = epoch;
@@ -568,92 +553,68 @@ fn measure(
                 .fetch(&mutated, job.f)
                 .map_err(|e| format!("mutated network rejected: {e}"))?;
             record_fetch(&mut metrics, &fetch);
-            for engine in &mut engines {
-                engine
-                    .migrate_to_plan(Arc::clone(&fetch.plan))
-                    .map_err(|e| format!("mutated network rejected: {e}"))?;
-            }
+            engine
+                .migrate_to_plan(Arc::clone(&fetch.plan))
+                .map_err(|e| format!("mutated network rejected: {e}"))?;
         }
-        // One round-robin step: every stream's engine runs instance `inst`
-        // on an input drawn from that stream's own RNG.
-        let streams = engines.iter_mut().zip(&mut advs).zip(&mut input_rngs);
-        for (s, ((engine, adv), rng)) in streams.enumerate() {
-            trace::set_stream(s as u32);
-            let input = Value::random(job.symbols, rng);
-            let rep = engine
-                .run_instance(&input, faulty, adv.as_mut())
-                .map_err(|e| format!("instance failed: {e}"))?;
-            let global_inst = inst * spec.streams + s;
-            if global_inst == 0 {
-                metrics.gamma1 = rep.gamma_k;
-                metrics.rho1 = rep.rho_k;
-            }
-            let t = rep.times.total();
-            let useful_bits = if rep.defaulted { 0 } else { bits_per_instance };
-            metrics.instances += 1;
-            metrics.total_bits += useful_bits;
-            metrics.total_time += t;
-            metrics.phase1_time += rep.times.phase1;
-            metrics.equality_time += rep.times.equality;
-            metrics.flags_time += rep.times.flags;
-            metrics.dispute_time += rep.times.dispute;
-            metrics.latency.record_instance(&rep);
-            if let (Some(acc), Some(d)) = (metrics.delivered.as_mut(), rep.delivered.as_ref()) {
-                acc.merge(d);
-            }
-            metrics.dispute_rounds += usize::from(rep.dispute_ran);
-            metrics.mismatch_instances += usize::from(rep.mismatch_detected);
-            metrics.defaulted_instances += usize::from(rep.defaulted);
-            for &v in &rep.newly_removed {
-                metrics.exposed_history.push((global_inst, v));
-            }
-            traces[s].push((t, useful_bits, rep.dispute_ran));
+        let input = Value::random(job.symbols, &mut input_rng);
+        let rep = engine
+            .run_instance(&input, faulty, adv.as_mut())
+            .map_err(|e| format!("instance failed: {e}"))?;
+        if inst == 0 {
+            metrics.gamma1 = rep.gamma_k;
+            metrics.rho1 = rep.rho_k;
+        }
+        let t = rep.times.total();
+        // A defaulted instance (source already exposed) delivers the
+        // default value, not the payload, at zero simulated cost — it must
+        // count zero useful bits, or source-faulty placements would report
+        // *inflated* throughput and a worst-case search would never select
+        // them.
+        let useful_bits = if rep.defaulted { 0 } else { bits_per_instance };
+        metrics.instances += 1;
+        metrics.total_bits += useful_bits;
+        metrics.total_time += t;
+        metrics.phase1_time += rep.times.phase1;
+        metrics.equality_time += rep.times.equality;
+        metrics.flags_time += rep.times.flags;
+        metrics.dispute_time += rep.times.dispute;
+        metrics.latency.record_instance(&rep);
+        if let (Some(acc), Some(d)) = (metrics.delivered.as_mut(), rep.delivered.as_ref()) {
+            acc.merge(d);
+        }
+        metrics.dispute_rounds += usize::from(rep.dispute_ran);
+        metrics.mismatch_instances += usize::from(rep.mismatch_detected);
+        metrics.defaulted_instances += usize::from(rep.defaulted);
+        for &v in &rep.newly_removed {
+            metrics.exposed_history.push((inst, v));
+        }
+        if rep.dispute_ran {
+            (steady_time, steady_bits) = (0.0, 0);
+        } else {
+            steady_time += t;
+            steady_bits += useful_bits;
+        }
 
-            if !instance_correct(&rep, faulty, &input) {
-                metrics.all_correct = false;
-            }
+        if !instance_correct(&rep, faulty, &input) {
+            metrics.all_correct = false;
         }
     }
 
-    // Accumulated dispute state and replanning counters across streams.
-    let mut pairs = BTreeSet::new();
-    let mut removed = BTreeSet::new();
-    for engine in &engines {
-        pairs.extend(engine.disputes().pairs.iter().copied());
-        removed.extend(engine.disputes().removed.iter().copied());
-        let rs = engine.repair_stats();
-        metrics.plan_repairs += rs.repairs;
-        metrics.plan_full_recomputes += rs.full_recomputes;
-        metrics.plan_repair_ns += rs.repair_ns;
-    }
-    metrics.pairs = pairs.into_iter().collect();
-    metrics.removed = removed.into_iter().collect();
+    // Accumulated dispute state and replanning counters.
+    metrics.pairs = engine.disputes().pairs.iter().copied().collect();
+    metrics.removed = engine.disputes().removed.iter().copied().collect();
+    let rs = engine.repair_stats();
+    metrics.plan_repairs = rs.repairs;
+    metrics.plan_full_recomputes = rs.full_recomputes;
+    metrics.plan_repair_ns = rs.repair_ns;
 
     metrics.throughput = if metrics.total_time > 0.0 {
         metrics.total_bits as f64 / metrics.total_time
     } else {
         0.0
     };
-    let per_stream_budget = DisputeState::max_executions(job.f);
-    metrics.dispute_budget_exceeded = traces
-        .iter()
-        .any(|t| t.iter().filter(|&&(_, _, d)| d).count() > per_stream_budget);
-    // Steady state: instances after each stream's last dispute round —
-    // the regime the paper's f(f+1) amortization argument converges to.
-    // Like the overall figure, it counts useful bits only.
-    let mut steady_time = 0.0;
-    let mut steady_bits = 0u64;
-    for trace in &traces {
-        let tail_start = trace
-            .iter()
-            .rposition(|&(_, _, disputed)| disputed)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        for &(t, bits, _) in &trace[tail_start..] {
-            steady_time += t;
-            steady_bits += bits;
-        }
-    }
+    metrics.dispute_budget_exceeded = metrics.dispute_rounds > metrics.dispute_budget;
     if steady_bits > 0 && steady_time > 0.0 {
         metrics.steady_throughput = Some(steady_bits as f64 / steady_time);
     }
@@ -667,9 +628,9 @@ fn measure(
 
     if spec.bounds {
         // The γ*/ρ* enumeration is cached in the plan: worst-case
-        // candidate searches and interleaved streams on the same network
-        // pay for it once (the computed values are identical either way).
-        metrics.bounds = engines[0]
+        // candidate searches on the same network pay for it once (the
+        // computed values are identical either way).
+        metrics.bounds = engine
             .plan()
             .bounds_report(spec.bounds_budget)
             .map(|r| JobBounds {
@@ -763,6 +724,7 @@ mod tests {
             let m = job.result.as_ref().unwrap();
             assert!(m.throughput > 0.0);
             assert_eq!(m.instances, 2);
+            assert_eq!(m.total_bits, 2 * 8 * 16, "16 bits per symbol");
             // No disputes → the whole run is steady state.
             assert_eq!(m.steady_throughput, Some(m.throughput));
         }
@@ -969,22 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn streams_interleave_and_scale_bits() {
-        let spec = ScenarioSpec {
-            n: vec![4],
-            cap: vec![2],
-            seeds: 1,
-            streams: 3,
-            q: 2,
-            ..small_spec()
-        };
-        let report = run_sweep(&spec, 1).unwrap();
-        let m = report.jobs[0].result.as_ref().unwrap();
-        assert_eq!(m.instances, 6);
-        assert_eq!(m.total_bits, 6 * 8 * 16);
-    }
-
-    #[test]
     fn panicking_jobs_become_job_errors_not_process_aborts() {
         // Every job's adversary panics mid-instance (faulty node 2 acts
         // in every Phase 1). The sweep must finish all 8 jobs, record
@@ -1102,20 +1048,21 @@ mod tests {
         let d = m_on.delivered.as_ref().unwrap();
         assert!(d.phase1.count() > 0);
 
-        // The kernel's counters reach the registry and the timed report —
-        // one kernel delivery per recorded delivery, retransmits under 20 %
-        // loss — and stay out of canonical JSON; the formula sweep's are 0.
+        // The kernel's counters reach the timed `aggregate` — one kernel
+        // delivery per recorded delivery, retransmits under 20 % loss — and
+        // stay out of canonical JSON; the formula sweep's are 0.
         let deliveries =
             d.phase1.count() + d.equality.count() + d.flags.count() + d.dispute.count();
-        let reg = on.metrics_registry();
-        assert_eq!(reg.counter("net.deliveries"), deliveries);
-        assert!((1..=deliveries).contains(&reg.counter("net.rounds")));
-        assert!(reg.counter("net.retransmits") > 0);
-        assert_eq!(off.metrics_registry().counter("net.deliveries"), 0);
+        let kernel = on.aggregate.delivered.as_ref().unwrap().kernel;
+        assert_eq!(kernel.deliveries, deliveries);
+        assert!((1..=deliveries).contains(&kernel.rounds));
+        assert!(kernel.retransmits > 0);
+        assert!(off.aggregate.delivered.is_none());
+        assert!(off.to_json_timed().contains("\"net_deliveries\":0,"));
         let timed = on.to_json_timed();
-        assert!(timed.contains(&format!("\"net.deliveries\":{deliveries}")));
+        assert!(timed.contains(&format!("\"net_deliveries\":{deliveries},")));
         assert!(timed.contains("\"wall_net_ns\":"), "{timed}");
-        assert!(!on.to_json().contains("net."), "observability only");
+        assert!(!on.to_json().contains("net_"), "observability only");
         // Every message-level instance lands in the `net` wall bucket.
         assert_eq!(m_on.latency.net.count(), d.instance.count());
         assert_eq!(m_off.latency.net.count(), 0);
@@ -1149,10 +1096,9 @@ mod tests {
         // First-use routing is counted per distinct plan, whichever worker
         // routed a pair first: the flag broadcasts route every ordered pair
         // of the four plans K4 and K5 at capacities 1 and 2.
-        let routes = |r: &SweepReport| r.metrics_registry().counter("router.routes_extracted");
-        assert_eq!(routes(&a), 2 * (4 * 3 + 5 * 4));
-        assert_eq!(routes(&b), routes(&a));
-        assert!(b.to_json_timed().contains("\"router.routes_extracted\":64"));
+        assert_eq!(a.aggregate.routes_extracted, 2 * (4 * 3 + 5 * 4));
+        assert_eq!(b.aggregate.routes_extracted, a.aggregate.routes_extracted);
+        assert!(b.to_json_timed().contains("\"routes_extracted\":64,"));
         assert!(!b.to_json().contains("routes_extracted"), "timed JSON only");
     }
 
@@ -1349,8 +1295,6 @@ mod tests {
         let report = run_sweep(&spec, 1).unwrap();
         let m = report.jobs[0].result.as_ref().unwrap();
         assert!(!m.bounds.as_ref().unwrap().gamma_star_exact);
-        assert_eq!(report.metrics_registry().counter("bounds.inexact"), 1);
-        assert_eq!(exact.metrics_registry().counter("bounds.inexact"), 0);
         assert!(report
             .to_json_timed()
             .contains("\"gamma_star_exact\":false"));

@@ -15,10 +15,6 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Builds a random-but-valid `.scenario` document from drawn parameters.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one parameter per drawn proptest value"
-)]
 fn scenario_text(
     topo: usize,
     adv: usize,
@@ -27,7 +23,6 @@ fn scenario_text(
     symbols: usize,
     seeds: u64,
     seed0: u64,
-    streams: usize,
 ) -> String {
     // All families here are valid for n ∈ {4,5} with f = 1.
     let topology = ["complete:$n:$cap", "hetero:$n:1:$cap", "fig1a", "fig2a"][topo % 4];
@@ -47,7 +42,6 @@ fn scenario_text(
          adversary = {adversary}\n\
          faults = {faults}\n\
          q = {q}\n\
-         streams = {streams}\n\
          n = 4,5\n\
          cap = 2\n\
          f = 1\n\
@@ -79,9 +73,8 @@ proptest! {
         symbols in 4usize..17,
         seeds in 1u64..3,
         seed0 in any::<u64>(),
-        streams in 1usize..3,
     ) {
-        let text = scenario_text(topo, adv, faults, q, symbols, seeds, seed0, streams);
+        let text = scenario_text(topo, adv, faults, q, symbols, seeds, seed0);
         let spec = parse_str(&text).unwrap();
 
         let single = run_sweep(&spec, 1).unwrap();
@@ -114,9 +107,8 @@ proptest! {
         symbols in 4usize..17,
         seeds in 1u64..3,
         seed0 in any::<u64>(),
-        streams in 1usize..3,
     ) {
-        let text = scenario_text(topo, adv, faults, q, symbols, seeds, seed0, streams);
+        let text = scenario_text(topo, adv, faults, q, symbols, seeds, seed0);
         let spec = parse_str(&text).unwrap();
         let reference = cold_plan_sweep(&spec).to_json();
         prop_assert_eq!(&reference, &run_sweep(&spec, 1).unwrap().to_json(), "shared, 1 thread");
@@ -145,7 +137,7 @@ proptest! {
         symbols in 4usize..17,
         seed0 in any::<u64>(),
     ) {
-        let text = scenario_text(topo, adv, faults, q, symbols, 1, seed0, 1);
+        let text = scenario_text(topo, adv, faults, q, symbols, 1, seed0);
         let spec = parse_str(&text).unwrap();
         let plain = run_sweep(&spec, 2).unwrap();
         let sink = Arc::new(BufferSink::new());
@@ -178,7 +170,7 @@ proptest! {
         seed0 in any::<u64>(),
         model in 0usize..3,
     ) {
-        let text = scenario_text(topo, adv, faults, q, symbols, 1, seed0, 1);
+        let text = scenario_text(topo, adv, faults, q, symbols, 1, seed0);
         let mut spec = parse_str(&text).unwrap();
         let base = run_sweep(&spec, 2).unwrap();
         spec.link_model = nab_scenario::link_model::parse([
@@ -201,12 +193,12 @@ proptest! {
     /// collapse), while the grid shape stays fixed.
     #[test]
     fn seed0_feeds_through(seed0 in 0u64..1_000_000) {
-        let text = scenario_text(0, 0, 0, 1, 8, 1, seed0, 1);
+        let text = scenario_text(0, 0, 0, 1, 8, 1, seed0);
         let spec = parse_str(&text).unwrap();
         let report = run_sweep(&spec, 2).unwrap();
         prop_assert_eq!(report.jobs.len(), 2);
         prop_assert!(report.jobs[0].seed != report.jobs[1].seed);
-        let other = parse_str(&scenario_text(0, 0, 0, 1, 8, 1, seed0 ^ 1, 1)).unwrap();
+        let other = parse_str(&scenario_text(0, 0, 0, 1, 8, 1, seed0 ^ 1)).unwrap();
         let other_report = run_sweep(&other, 2).unwrap();
         prop_assert!(other_report.jobs[0].seed != report.jobs[0].seed);
     }
@@ -218,7 +210,7 @@ proptest! {
 /// only the counts — which phases ran how often — are pinned).
 #[test]
 fn latency_histogram_counts_are_thread_invariant() {
-    let text = scenario_text(0, 1, 2, 2, 8, 2, 11, 2);
+    let text = scenario_text(0, 1, 2, 2, 8, 4, 11);
     let spec = parse_str(&text).unwrap();
     let single = run_sweep(&spec, 1).unwrap();
     let parallel = run_sweep(&spec, 4).unwrap();
@@ -242,7 +234,7 @@ fn latency_histogram_counts_are_thread_invariant() {
 /// distributions (not just counts) must match across worker counts.
 #[test]
 fn delivered_histograms_are_thread_invariant() {
-    let text = scenario_text(0, 1, 2, 2, 8, 2, 11, 2);
+    let text = scenario_text(0, 1, 2, 2, 8, 4, 11);
     let mut spec = parse_str(&text).unwrap();
     spec.net = true;
     spec.link_model =
@@ -286,7 +278,7 @@ fn bundled_scenarios_parse_and_shrunk_runs_are_deterministic() {
 
 /// DetSan digests are a function of (scenario, seed) alone: a traced
 /// sweep of a dispute-bearing bundled scenario emits the same digest at
-/// every (job, stream, instance, phase) at 1 and 4 worker threads.
+/// every (job, instance, phase) at 1 and 4 worker threads.
 #[test]
 fn detsan_digests_are_thread_invariant() {
     let path = concat!(
@@ -310,7 +302,7 @@ fn detsan_digests_are_thread_invariant() {
             .into_iter()
             .filter_map(|e| match e.kind {
                 EventKind::DetSanDigest { phase, digest } => {
-                    Some((e.job, e.stream, e.instance, phase.name(), digest))
+                    Some((e.job, e.instance, phase.name(), digest))
                 }
                 _ => None,
             })
@@ -322,7 +314,7 @@ fn detsan_digests_are_thread_invariant() {
     assert_eq!(single, digests(4), "digests at 1 vs 4 threads");
     for phase in ["phase1", "equality", "flags", "dispute"] {
         assert!(
-            single.iter().any(|d| d.3 == phase),
+            single.iter().any(|d| d.2 == phase),
             "no {phase} digest in {single:?}"
         );
     }

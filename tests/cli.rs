@@ -617,12 +617,12 @@ fn trace_jsonl_covers_sweep_jobs_instances_and_phases() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("jobs 2/2"), "{}", stderr(&out));
     let trace = std::fs::read_to_string(&trace_path).unwrap();
-    // Every line is one event object whose first six keys are, in order,
-    // `seq, ts_ns, job, stream, instance, kind`, the first five numbers.
+    // Every line is one event object whose first five keys are, in order,
+    // `seq, ts_ns, job, instance, kind`, the first four numbers.
     for line in trace.lines() {
         assert!(line.ends_with('}'), "malformed JSONL line: {line}");
         let mut rest = line.strip_prefix('{').expect("an object per line");
-        for key in ["seq", "ts_ns", "job", "stream", "instance"] {
+        for key in ["seq", "ts_ns", "job", "instance"] {
             let value = rest
                 .strip_prefix(&format!("\"{key}\":"))
                 .unwrap_or_else(|| panic!("{key} out of place: {line}"));

@@ -1,8 +1,8 @@
 //! Golden values of message-level execution (`net = on`): the canonical
 //! sweep JSON, every job's `delivered` block (per phase: count, sum, min,
 //! max and the three percentiles the timed JSON renders) and the event
-//! kernel's own counters (`net.rounds`, `net.deliveries`,
-//! `net.retransmits`).
+//! kernel's own counters (the timed `aggregate`'s `net_rounds`,
+//! `net_deliveries` and `net_retransmits`).
 //!
 //! Captured at the commit before message-level timing moved from replaying
 //! a recorded transcript through a fresh kernel per round to streaming hop
@@ -73,7 +73,7 @@ fn recorded(d: &DeliveredTimes) -> u64 {
 }
 
 /// The timed report's schema and counter invariants (the checks the
-/// `delivered` blocks and `net.*` counters must pass on any input).
+/// `delivered` blocks and `net_*` counters must pass on any input).
 fn check_timed_report(report: &SweepReport, lossless: bool) {
     let aggregate = report.aggregate.delivered.as_ref().expect("net = on");
     let jobs = report.jobs.iter().map(|job| {
@@ -94,15 +94,24 @@ fn check_timed_report(report: &SweepReport, lossless: bool) {
         // Phase 1 records per tree edge, which is per message too.
         assert_eq!(d.kernel.deliveries, recorded(d), "{name}");
     }
-    let counters = report.metrics_registry();
-    let [rounds, deliveries, retransmits] =
-        ["net.rounds", "net.deliveries", "net.retransmits"].map(|c| counters.counter(c));
+    let KernelStats {
+        rounds,
+        deliveries,
+        retransmits,
+    } = aggregate.kernel;
     assert_eq!(deliveries, recorded(aggregate));
     assert!(0 < rounds && rounds <= deliveries, "{rounds} rounds");
     assert_eq!(lossless, retransmits == 0, "{retransmits} retransmits");
     assert!(report.aggregate.latency.net.sum() > 0, "wall_net_ns");
     let timed = report.to_json_timed();
     assert!(!timed.contains(&u64::MAX.to_string()), "a sentinel leaked");
+    for (key, value) in [
+        ("net_rounds", rounds),
+        ("net_deliveries", deliveries),
+        ("net_retransmits", retransmits),
+    ] {
+        assert!(timed.contains(&format!("\"{key}\":{value},")), "{key}");
+    }
 }
 
 fn measure(report: &SweepReport) -> Golden {

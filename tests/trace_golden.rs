@@ -83,22 +83,22 @@ fn fig1a_single_thread_trace_matches_golden() {
 
 #[test]
 fn normalize_only_touches_wall_clock_payloads() {
-    let line = "{\"seq\":3,\"ts_ns\":528287,\"job\":0,\"stream\":0,\"instance\":0,\
+    let line = "{\"seq\":3,\"ts_ns\":528287,\"job\":0,\"instance\":0,\
                 \"kind\":\"plan_built\",\"build_ns\":297283,\"pack_tried\":6}";
     assert_eq!(
         normalize(line),
-        "{\"seq\":3,\"ts_ns\":0,\"job\":0,\"stream\":0,\"instance\":0,\
+        "{\"seq\":3,\"ts_ns\":0,\"job\":0,\"instance\":0,\
          \"kind\":\"plan_built\",\"build_ns\":0,\"pack_tried\":6}"
     );
 }
 
 #[test]
 fn normalize_blanks_machine_dependent_sweep_start_payloads() {
-    let line = "{\"seq\":0,\"ts_ns\":12,\"job\":0,\"stream\":0,\"instance\":0,\
+    let line = "{\"seq\":0,\"ts_ns\":12,\"job\":0,\"instance\":0,\
                 \"kind\":\"sweep_start\",\"jobs\":9,\"tier\":\"avx2\",\"cpu\":\"sse2,avx2\"}";
     assert_eq!(
         normalize(line),
-        "{\"seq\":0,\"ts_ns\":0,\"job\":0,\"stream\":0,\"instance\":0,\
+        "{\"seq\":0,\"ts_ns\":0,\"job\":0,\"instance\":0,\
          \"kind\":\"sweep_start\",\"jobs\":9,\"tier\":\"\",\"cpu\":\"\"}"
     );
 }
